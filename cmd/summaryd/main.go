@@ -128,6 +128,26 @@ func buildLogger(format, level string) (*slog.Logger, error) {
 	}
 }
 
+// Connection deadlines of both listeners. A client gets readHeaderTimeout
+// to finish its request headers and an idle keep-alive connection is
+// closed after idleTimeout, so a peer that opens a connection and goes
+// quiet cannot hold it forever. ReadTimeout and WriteTimeout stay unset
+// on purpose: they would also cap the body of a legitimately slow 256 MiB
+// ingest and a 30 s pprof profile.
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 120 * time.Second
+)
+
+func newHTTPServer(addr string, h http.Handler) *http.Server {
+	return &http.Server{
+		Addr:              addr,
+		Handler:           h,
+		ReadHeaderTimeout: readHeaderTimeout,
+		IdleTimeout:       idleTimeout,
+	}
+}
+
 func main() {
 	addr := flag.String("addr", ":8080", "listen address")
 	shards := flag.Int("shards", 1, "ingest summarization shards: 1 sequential, n>1 hash-partitioned workers, 0 per-CPU")
@@ -233,10 +253,7 @@ func main() {
 		)
 	}
 
-	srv := &http.Server{
-		Addr:    *addr,
-		Handler: server.New(reg, cfg, opts...),
-	}
+	srv := newHTTPServer(*addr, server.New(reg, cfg, opts...))
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
@@ -255,7 +272,7 @@ func main() {
 		mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
 		mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
 		mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-		pprofSrv = &http.Server{Addr: *pprofAddr, Handler: mux}
+		pprofSrv = newHTTPServer(*pprofAddr, mux)
 		go func() {
 			if err := pprofSrv.ListenAndServe(); err != nil && !errors.Is(err, http.ErrServerClosed) {
 				logger.Error("pprof listener failed", "addr", *pprofAddr, "error", err)

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/dataset"
 	"repro/internal/engine"
 	"repro/internal/sampling"
 	"repro/pkg/client"
@@ -37,9 +38,14 @@ func BenchmarkServerQuery(b *testing.B) {
 // BenchmarkIngestNDJSON measures the write path: a 10k-pair ndjson stream
 // posted to /v1/ingest and summarized on arrival. b.SetBytes reports
 // stream throughput.
-func BenchmarkIngestNDJSON(b *testing.B) {
+func BenchmarkIngestNDJSON(b *testing.B) { benchmarkIngest(b, "ndjson", ndjsonBody) }
+
+// BenchmarkIngestCSV is the same request with the same pairs as CSV.
+func BenchmarkIngestCSV(b *testing.B) { benchmarkIngest(b, "csv", csvBody) }
+
+func benchmarkIngest(b *testing.B, format string, render func(dataset.Instance) []byte) {
 	sites := fixture(10000)
-	body := ndjsonBody(sites[0])
+	body := render(sites[0])
 	tau := sampling.TauForExpectedSize(sites[0], 1000)
 	c, closeSrv := startServer(b, engine.Config{})
 	defer closeSrv()
@@ -48,7 +54,7 @@ func BenchmarkIngestNDJSON(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := c.Ingest(ctx, client.IngestOptions{
-			Dataset: "flows", Instance: 0, Kind: "pps", Format: "ndjson",
+			Dataset: "flows", Instance: 0, Kind: "pps", Format: format,
 			Salt: testSalt, SaltSet: true, Tau: tau,
 		}, bytes.NewReader(body)); err != nil {
 			b.Fatal(err)

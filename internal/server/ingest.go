@@ -1,10 +1,7 @@
 package server
 
 import (
-	"bufio"
-	"encoding/json"
 	"fmt"
-	"io"
 	"math"
 	"net/http"
 	"net/url"
@@ -31,11 +28,12 @@ import (
 const maxIngestLine = 1 << 20
 
 // maxIngestBody bounds one raw ingest request. The cap also bounds the
-// per-request key-uniqueness map in the scanners, so a single request
-// cannot grow server memory without limit. Instances too large to ship
-// within the cap are exactly the ones that should be summarized at the
-// edge and POSTed to /v1/summaries instead — that is the primary dispersed
-// workflow; raw ingest is the convenience path for thin producers.
+// per-request repeated-key set of the scanners (keySet), so a single
+// request cannot grow server memory without limit. Instances too large to
+// ship within the cap are exactly the ones that should be summarized at
+// the edge and POSTed to /v1/summaries instead — that is the primary
+// dispersed workflow; raw ingest is the convenience path for thin
+// producers.
 const maxIngestBody = 256 << 20
 
 // ingestParams carries the parsed, validated parameters of one
@@ -408,185 +406,4 @@ func asSummaries[T core.Summary](in []T) []core.Summary {
 		out[i] = s
 	}
 	return out
-}
-
-// checkIngestValue enforces the shared value constraint of the weighted
-// scanners: nonnegative and finite (zero-valued pairs are legal; weighted
-// samplers never retain them).
-func checkIngestValue(v float64, lineNo int) error {
-	if v < 0 || math.IsNaN(v) || math.IsInf(v, 0) {
-		return fmt.Errorf("server: line %d: value %v outside [0, +Inf)", lineNo, v)
-	}
-	return nil
-}
-
-// scanPairs streams (key, value) pairs out of a CSV or ndjson body into
-// push, returning the number of pairs consumed. CSV lines are
-// "key,value" ("key" alone when keysOnly; a leading "key,value" header is
-// tolerated); ndjson lines are {"key": u64, "value": f64}. Values must be
-// nonnegative and finite.
-//
-// The instances×keys model assigns one value per key per instance, and
-// the engine's streaming samplers rely on it (a repeated key corrupts
-// bottom-k heap state). Unless keysOnly (set sampling, where a repeated
-// member is harmless and deduplication is implicit), scanPairs therefore
-// rejects a stream that repeats a key — producers must aggregate per-key
-// before ingesting. The uniqueness check costs one map entry per pair,
-// the same order as the decode work already done per line.
-func scanPairs(body io.Reader, format string, keysOnly bool, push func(dataset.Key, float64)) (int64, error) {
-	sc := bufio.NewScanner(body)
-	sc.Buffer(make([]byte, 64*1024), maxIngestLine)
-	var pairs int64
-	lineNo := 0
-	var seen map[uint64]struct{}
-	if !keysOnly {
-		seen = make(map[uint64]struct{})
-	}
-	for sc.Scan() {
-		lineNo++
-		line := strings.TrimSpace(sc.Text())
-		if line == "" {
-			continue
-		}
-		var key uint64
-		var value float64
-		switch format {
-		case "csv":
-			if lineNo == 1 && (line == "key,value" || line == "key") {
-				continue
-			}
-			fields := strings.SplitN(line, ",", 3)
-			if len(fields) > 2 {
-				return pairs, fmt.Errorf("server: csv line %d: expected key,value, got extra columns %q", lineNo, fields[2])
-			}
-			k, err := strconv.ParseUint(strings.TrimSpace(fields[0]), 10, 64)
-			if err != nil {
-				return pairs, fmt.Errorf("server: csv line %d: bad key: %w", lineNo, err)
-			}
-			key = k
-			if len(fields) > 1 {
-				v, err := strconv.ParseFloat(strings.TrimSpace(fields[1]), 64)
-				if err != nil {
-					return pairs, fmt.Errorf("server: csv line %d: bad value: %w", lineNo, err)
-				}
-				value = v
-			} else if !keysOnly {
-				return pairs, fmt.Errorf("server: csv line %d: weighted ingest needs key,value", lineNo)
-			}
-		case "ndjson":
-			var rec struct {
-				Key   *uint64  `json:"key"`
-				Value *float64 `json:"value"`
-			}
-			if err := json.Unmarshal([]byte(line), &rec); err != nil {
-				return pairs, fmt.Errorf("server: ndjson line %d: %w", lineNo, err)
-			}
-			if rec.Key == nil {
-				return pairs, fmt.Errorf("server: ndjson line %d: missing key", lineNo)
-			}
-			key = *rec.Key
-			if rec.Value != nil {
-				value = *rec.Value
-			} else if !keysOnly {
-				return pairs, fmt.Errorf("server: ndjson line %d: weighted ingest needs a value", lineNo)
-			}
-		}
-		if err := checkIngestValue(value, lineNo); err != nil {
-			return pairs, err
-		}
-		if seen != nil {
-			if _, dup := seen[key]; dup {
-				return pairs, fmt.Errorf("server: line %d: key %d repeated; weighted ingest needs one value per key (aggregate before posting)", lineNo, key)
-			}
-			seen[key] = struct{}{}
-		}
-		push(dataset.Key(key), value)
-		pairs++
-	}
-	if err := sc.Err(); err != nil {
-		return pairs, fmt.Errorf("server: reading pair stream: %w", err)
-	}
-	return pairs, nil
-}
-
-// scanMultiPairs streams (key, instance, value) triples out of a CSV or
-// ndjson body into push, returning the number of pairs consumed. CSV
-// lines are "key,instance,value" (a leading "key,instance,value" header
-// is tolerated); ndjson lines are {"key": u64, "instance": int, "value":
-// f64}, all fields required. The instance column holds instance IDs and
-// every ID must appear in index (the request's instances parameter); push
-// receives the ID's position. A repeated (key, instance) combination is
-// rejected for the same reason scanPairs rejects repeated keys.
-func scanMultiPairs(body io.Reader, format string, index map[int]int, push func(i int, h dataset.Key, v float64)) (int64, error) {
-	sc := bufio.NewScanner(body)
-	sc.Buffer(make([]byte, 64*1024), maxIngestLine)
-	var pairs int64
-	lineNo := 0
-	type pairID struct {
-		key      uint64
-		instance int
-	}
-	seen := make(map[pairID]struct{})
-	for sc.Scan() {
-		lineNo++
-		line := strings.TrimSpace(sc.Text())
-		if line == "" {
-			continue
-		}
-		var key uint64
-		var instance int
-		var value float64
-		switch format {
-		case "csv":
-			if lineNo == 1 && line == "key,instance,value" {
-				continue
-			}
-			fields := strings.SplitN(line, ",", 4)
-			if len(fields) != 3 {
-				return pairs, fmt.Errorf("server: csv line %d: multi ingest needs key,instance,value", lineNo)
-			}
-			k, err := strconv.ParseUint(strings.TrimSpace(fields[0]), 10, 64)
-			if err != nil {
-				return pairs, fmt.Errorf("server: csv line %d: bad key: %w", lineNo, err)
-			}
-			key = k
-			if instance, err = strconv.Atoi(strings.TrimSpace(fields[1])); err != nil {
-				return pairs, fmt.Errorf("server: csv line %d: bad instance: %w", lineNo, err)
-			}
-			if value, err = strconv.ParseFloat(strings.TrimSpace(fields[2]), 64); err != nil {
-				return pairs, fmt.Errorf("server: csv line %d: bad value: %w", lineNo, err)
-			}
-		case "ndjson":
-			var rec struct {
-				Key      *uint64  `json:"key"`
-				Instance *int     `json:"instance"`
-				Value    *float64 `json:"value"`
-			}
-			if err := json.Unmarshal([]byte(line), &rec); err != nil {
-				return pairs, fmt.Errorf("server: ndjson line %d: %w", lineNo, err)
-			}
-			if rec.Key == nil || rec.Instance == nil || rec.Value == nil {
-				return pairs, fmt.Errorf("server: ndjson line %d: multi ingest needs key, instance, and value", lineNo)
-			}
-			key, instance, value = *rec.Key, *rec.Instance, *rec.Value
-		}
-		if err := checkIngestValue(value, lineNo); err != nil {
-			return pairs, err
-		}
-		idx, ok := index[instance]
-		if !ok {
-			return pairs, fmt.Errorf("server: line %d: instance %d not listed in the instances parameter", lineNo, instance)
-		}
-		id := pairID{key: key, instance: instance}
-		if _, dup := seen[id]; dup {
-			return pairs, fmt.Errorf("server: line %d: key %d repeated for instance %d; ingest needs one value per key per instance (aggregate before posting)", lineNo, key, instance)
-		}
-		seen[id] = struct{}{}
-		push(idx, dataset.Key(key), value)
-		pairs++
-	}
-	if err := sc.Err(); err != nil {
-		return pairs, fmt.Errorf("server: reading pair stream: %w", err)
-	}
-	return pairs, nil
 }
