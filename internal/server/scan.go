@@ -15,17 +15,15 @@ import (
 )
 
 // The raw-ingest scanners turn a CSV or ndjson body into pushes without
-// allocating per pair. Lines are views of the scanner's buffer, and each
-// goes first to a strict lexer — lexCSVPair/lexCSVTriple, lexNDJSON —
-// that recognises only the plain shape producers actually send: bare
-// digits for keys, short decimals for values, the fields in their
-// documented order. A line the lexer does not recognise, valid or not,
-// takes the general path: fields cut with bytes.IndexByte and handed to
-// strconv over a zero-copy string view, or the whole line handed to
-// encoding/json. The general path's results and error text are the
-// scanners' contract; the lexers return the same bits for the lines they
-// take and so decide speed, never acceptance. scan_ref_test.go holds the
-// all-library scanners both are fuzzed against.
+// allocating per pair. Lines are views of the scanner's buffer. A CSV line
+// is cut at its commas with bytes.IndexByte and each field parsed in
+// place: keys by a digits loop (strconv.ParseUint for anything else),
+// values by strconv.ParseFloat over a zero-copy string view. An ndjson
+// line goes first to lexNDJSON, a strict lexer for the one shape producers
+// are documented to send; a line it does not recognise, valid or not, is
+// handed whole to encoding/json, whose results and error text are the
+// scanners' contract. scan_ref_test.go holds the all-library scanners
+// these are fuzzed against.
 
 // lineBufPool recycles the scanners' 64 KiB line buffers across requests.
 // Nothing that outlives a scan may alias one: errors copy what they quote.
@@ -51,7 +49,7 @@ func newLineReader(body io.Reader) lineReader {
 func (l *lineReader) next() []byte {
 	for l.sc.Scan() {
 		l.lineNo++
-		if line := trimSpace(l.sc.Bytes()); len(line) > 0 {
+		if line := bytes.TrimSpace(l.sc.Bytes()); len(line) > 0 {
 			return line
 		}
 	}
@@ -83,19 +81,6 @@ func checkIngestValue(v float64, lineNo int) error {
 	return nil
 }
 
-// trimSpace is bytes.TrimSpace behind a check that spares the call for a
-// slice that begins and ends with printable ASCII, as nearly all do: no
-// space of any kind, Unicode's included, starts or ends with such a byte.
-//
-//summarylint:hot
-func trimSpace(b []byte) []byte {
-	const first, span = '!', '~' - '!' // printable, non-space ASCII
-	if n := len(b); n > 0 && b[0]-first <= span && b[n-1]-first <= span {
-		return b
-	}
-	return bytes.TrimSpace(b)
-}
-
 // cutField splits a CSV line at its first comma into the trimmed field
 // before it and the untouched rest; more is false when there is no comma
 // and the whole line is the field.
@@ -103,9 +88,9 @@ func trimSpace(b []byte) []byte {
 //summarylint:hot
 func cutField(line []byte) (field, rest []byte, more bool) {
 	if i := bytes.IndexByte(line, ','); i >= 0 {
-		return trimSpace(line[:i]), line[i+1:], true
+		return bytes.TrimSpace(line[:i]), line[i+1:], true
 	}
-	return trimSpace(line), nil, false
+	return bytes.TrimSpace(line), nil, false
 }
 
 // lexUint reads a JSON integer without sign, fraction or exponent at
@@ -142,38 +127,8 @@ func lexInt(b []byte, i int) (n int, end int, ok bool) {
 	return int(v), end, int64(int(v)) == v
 }
 
-// lexDecimal reads an unsigned decimal of at most 15 digits at b[i:]: a
-// lexUint, then optionally '.' and at least one digit. Such a number is
-// m/10^f with m < 10^15 < 2^53 and f <= 15 < 23, both exactly float64s,
-// and IEEE division rounds their quotient correctly — so the result is
-// the nearest float64 to the decimal, which is what strconv.ParseFloat
-// returns for it (strconv takes the same shortcut). Longer mantissas,
-// signs and exponents are left to strconv.
-//
-//summarylint:hot
-func lexDecimal(b []byte, i int) (v float64, end int, ok bool) {
-	m, end, ok := lexUint(b, i)
-	digits, frac := end-i, 0
-	if ok && end < len(b) && b[end] == '.' {
-		start := end + 1
-		for end = start; end < len(b) && b[end]-'0' <= 9; end++ {
-			m = m*10 + uint64(b[end]-'0')
-		}
-		frac = end - start
-		ok = frac > 0
-	}
-	if !ok || digits+frac > 15 {
-		return 0, end, false
-	}
-	return float64(m) / math.Pow10(frac), end, true
-}
-
-// parseFloat is strconv.ParseFloat(string(b), 64) without the copy, and
-// without the call for a whole-field lexDecimal.
+// parseFloat is strconv.ParseFloat(string(b), 64) without the copy.
 func parseFloat(b []byte) (float64, error) {
-	if v, end, ok := lexDecimal(b, 0); ok && end == len(b) {
-		return v, nil
-	}
 	v, err := strconv.ParseFloat(bytesView(b), 64)
 	if err != nil {
 		// Parse a copy again so the error cannot alias the line buffer.
@@ -182,38 +137,12 @@ func parseFloat(b []byte) (float64, error) {
 	return v, err
 }
 
-// lexCSVPair is the CSV fast path of scanPairs: exactly
-// <lexUint>,<lexDecimal> with nothing before, between or after.
-//
-//summarylint:hot
-func lexCSVPair(line []byte) (key uint64, value float64, ok bool) {
-	key, i, ok := lexUint(line, 0)
-	if !ok || i == len(line) || line[i] != ',' {
-		return 0, 0, false
-	}
-	value, end, ok := lexDecimal(line, i+1)
-	return key, value, ok && end == len(line)
-}
-
-// lexCSVTriple is the CSV fast path of scanMultiPairs: exactly
-// <lexUint>,<lexInt>,<lexDecimal>.
-//
-//summarylint:hot
-func lexCSVTriple(line []byte) (key uint64, instance int, value float64, ok bool) {
-	key, i, ok := lexUint(line, 0)
-	if !ok || i == len(line) || line[i] != ',' {
-		return 0, 0, 0, false
-	}
-	instance, i, ok = lexInt(line, i+1)
-	if !ok || i == len(line) || line[i] != ',' {
-		return 0, 0, 0, false
-	}
-	value, end, ok := lexDecimal(line, i+1)
-	return key, instance, value, ok && end == len(line)
-}
-
-// csvKey parses a CSV key column with strconv.ParseUint.
+// csvKey parses a CSV key column: a whole-field lexUint, else whatever
+// strconv.ParseUint makes of it ("007", twenty digits, an error).
 func csvKey(field []byte, lineNo int) (uint64, error) {
+	if n, end, ok := lexUint(field, 0); ok && end == len(field) {
+		return n, nil
+	}
 	n, err := strconv.ParseUint(bytesView(field), 10, 64)
 	if err != nil {
 		// Parse a copy again so the error cannot alias the line buffer.
@@ -286,15 +215,11 @@ func lexNDJSON(line []byte) (f ndjsonFields, ok bool) {
 	return f, i == len(line)-1 && line[i] == '}'
 }
 
-// lexJSONFloat reads the JSON number at b[i:] as a float64: a lexDecimal
-// when that is all there is, else any literal of the JSON grammar through
+// lexJSONFloat reads the JSON number literal at b[i:] as a float64 with
 // strconv.ParseFloat; ok is false for a range error, too.
 //
 //summarylint:hot
 func lexJSONFloat(b []byte, i int) (v float64, end int, ok bool) {
-	if v, end, ok = lexDecimal(b, i); ok && (end == len(b) || b[end]|0x20 != 'e') {
-		return v, end, true
-	}
 	if end, ok = lexJSONNumber(b, i); !ok {
 		return 0, end, false
 	}
@@ -428,9 +353,6 @@ func scanPairs(body io.Reader, format string, keysOnly bool, push func(dataset.K
 // csvPair decodes one "key[,value]" line; the value column is optional
 // only when keysOnly.
 func csvPair(line []byte, lineNo int, keysOnly bool) (key uint64, value float64, err error) {
-	if key, value, ok := lexCSVPair(line); ok {
-		return key, value, nil
-	}
 	keyField, rest, hasValue := cutField(line)
 	var valueField []byte
 	if hasValue {
@@ -529,9 +451,6 @@ func scanMultiPairs(body io.Reader, format string, index map[int]int, push func(
 
 // csvTriple decodes one "key,instance,value" line.
 func csvTriple(line []byte, lineNo int) (key uint64, instance int, value float64, err error) {
-	if key, instance, value, ok := lexCSVTriple(line); ok {
-		return key, instance, value, nil
-	}
 	keyField, rest, ok := cutField(line)
 	var instanceField, valueField []byte
 	if ok {

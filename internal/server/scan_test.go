@@ -2,10 +2,7 @@ package server
 
 import (
 	"bytes"
-	"math"
-	"math/rand/v2"
 	"strconv"
-	"strings"
 	"testing"
 
 	"repro/internal/dataset"
@@ -87,45 +84,5 @@ func BenchmarkScanPairs(b *testing.B) {
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/pairs, "ns/pair")
 		})
-	}
-}
-
-// TestLexDecimalMatchesStrconv holds lexDecimal to its claim: whenever it
-// takes a literal, the float64 is strconv.ParseFloat's, bit for bit, and
-// it never takes one of more than 15 digits.
-func TestLexDecimalMatchesStrconv(t *testing.T) {
-	rng := rand.New(rand.NewPCG(2011, 15))
-	check := func(lit string) {
-		t.Helper()
-		want, err := strconv.ParseFloat(lit, 64)
-		if err != nil {
-			t.Fatalf("strconv rejects %q: %v", lit, err)
-		}
-		got, end, ok := lexDecimal([]byte(lit), 0)
-		digits := len(lit) - strings.Count(lit, ".")
-		if ok != (digits <= 15) || (ok && end != len(lit)) {
-			t.Fatalf("lexDecimal(%q): ok %v, end %d; %d digits", lit, ok, end, digits)
-		}
-		if ok && math.Float64bits(got) != math.Float64bits(want) {
-			t.Fatalf("lexDecimal(%q) = %v (%#x), strconv %v (%#x)", lit, got, math.Float64bits(got), want, math.Float64bits(want))
-		}
-	}
-	for _, lit := range []string{"0", "0.0", "0.000000000000001", "999999999999999", "99999999.9999999",
-		"0.999999999999999", "9007199254740993", "0.1", "0.3", "2.5", "1.005", "123456789012.345"} {
-		check(lit)
-	}
-	for n := 0; n < 200_000; n++ {
-		intDigits, fracDigits := 1+rng.IntN(10), rng.IntN(9)
-		lit := strconv.Itoa(1 + rng.IntN(9)) // no leading zero
-		for d := 1; d < intDigits; d++ {
-			lit += strconv.Itoa(rng.IntN(10))
-		}
-		if fracDigits > 0 {
-			lit += "."
-			for d := 0; d < fracDigits; d++ {
-				lit += strconv.Itoa(rng.IntN(10))
-			}
-		}
-		check(lit)
 	}
 }
