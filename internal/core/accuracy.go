@@ -2,9 +2,8 @@ package core
 
 import (
 	"math"
-	"sort"
 
-	"repro/internal/dataset"
+	"repro/internal/sampling"
 )
 
 // This file attaches accuracy bounds to the single- and multi-summary
@@ -38,7 +37,9 @@ const CI95Z = 1.96
 // reports whether a bound is known for this summary:
 //
 //   - set summaries: binomial HT cardinality, stderr = √(n(1−p))/p;
-//   - PPS summaries: the unbiased per-key HT variance estimate;
+//   - PPS summaries: the unbiased per-key HT variance estimate (unknown
+//     for a non-positive threshold, where inclusion probabilities are
+//     undefined);
 //   - bottom-k summaries: est/√(k−2) from the CV bound (unknown for
 //     k ≤ 2 with a finite threshold);
 //   - VarOpt summaries: 0 — the full-population adjusted-weight sum is
@@ -56,7 +57,7 @@ func SumStdErr(sum Summary, est float64) (float64, bool) {
 		n := float64(s.Size())
 		return math.Sqrt(n*(1-p)) / p, true
 	case PPSReader:
-		return ppsSumStdErr(s), true
+		return ppsSumStdErr(s)
 	case BottomKReader:
 		return bottomKCVStdErr(est, s.Size(), s.RankTau())
 	case VarOptReader:
@@ -67,18 +68,27 @@ func SumStdErr(sum Summary, est float64) (float64, bool) {
 
 // ppsSumStdErr is the square root of the unbiased HT variance estimate
 // of a PPS subset sum over all keys: Σ_{h∈S} v²(h)·(1/p−1)/p with
-// p = min(1, v/τ). Keys at probability 1 contribute no variance.
-func ppsSumStdErr(s PPSReader) float64 {
+// p = min(1, v/τ). Keys at probability 1 contribute no variance. No bound
+// is known when τ is not positive.
+func ppsSumStdErr(s PPSReader) (float64, bool) {
 	tau := s.PPSTau()
 	if !(tau > 0) {
-		return 0
+		return 0, false
 	}
-	var keys []dataset.Key
-	keys = sortKeys(s.AppendKeys(keys))
+	sc := scratchPool.Get().(*queryScratch)
+	defer scratchPool.Put(sc)
+	col := loadColumns(sc, []PPSReader{s})[0]
+	return math.Sqrt(ppsVariance(col.vals, tau)), true
+}
+
+// ppsVariance accumulates the per-key variance terms over a PPS column's
+// values, which are in ascending key order.
+//
+//summarylint:hot
+func ppsVariance(vals []float64, tau float64) float64 {
 	variance := 0.0
-	for _, h := range keys {
-		v, ok := s.Lookup(h)
-		if !ok || v <= 0 {
+	for _, v := range vals {
+		if v <= 0 {
 			continue
 		}
 		p := math.Min(1, v/tau)
@@ -86,7 +96,7 @@ func ppsSumStdErr(s PPSReader) float64 {
 			variance += v * v * (1/p - 1) / p
 		}
 	}
-	return math.Sqrt(variance)
+	return variance
 }
 
 // bottomKCVStdErr renders the bottom-k CV bound: stderr ≤ est/√(k−2).
@@ -111,20 +121,23 @@ func bottomKCVStdErr(est float64, k int, tau float64) (float64, bool) {
 // representations, like SubsetSum).
 func BottomKDistinct(b BottomKReader) float64 {
 	tau := b.RankTau()
-	fam := b.RankFam()
-	var keys []dataset.Key
-	keys = sortKeys(b.AppendKeys(keys))
 	if math.IsInf(tau, 1) {
-		return float64(len(keys))
+		return float64(b.Size())
 	}
+	sc := scratchPool.Get().(*queryScratch)
+	defer scratchPool.Put(sc)
+	col := loadColumns(sc, []BottomKReader{b})[0]
+	return inverseProbCount(col.vals, b.RankFam(), tau)
+}
+
+// inverseProbCount sums 1/p(v; τ) over a bottom-k column's values, which
+// are in ascending key order.
+//
+//summarylint:hot
+func inverseProbCount(vals []float64, fam sampling.RankFamily, tau float64) float64 {
 	total := 0.0
-	for _, h := range keys {
-		v, ok := b.Lookup(h)
-		if !ok {
-			continue
-		}
-		p := fam.InclusionProb(v, tau)
-		if p > 0 {
+	for _, v := range vals {
+		if p := fam.InclusionProb(v, tau); p > 0 {
 			total += 1 / p
 		}
 	}
@@ -161,12 +174,4 @@ func DistinctHTStdErr(sums []SetReader, ht float64) (float64, bool) {
 		return 0, true
 	}
 	return math.Sqrt(ht * (1/prod - 1)), true
-}
-
-// sortKeys orders keys ascending in place and returns the slice (reader
-// key sets are already distinct, so no dedup — otherwise the same
-// ordering contract as unionReaderKeys).
-func sortKeys(keys []dataset.Key) []dataset.Key {
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-	return keys
 }

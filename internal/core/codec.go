@@ -193,18 +193,18 @@ func DecodeSummaryFrom(r io.Reader) (Summary, int, error) {
 		// Too short even for the magic: hand what there is to the JSON
 		// path for a decode error naming the real problem.
 		data, _ := io.ReadAll(br)
-		s, err := decodeSummaryJSON(data)
+		s, err := decodeSummaryJSON(data, false)
 		return s, 1, err
 	}
 	if head[0] == v2Magic0 && head[1] == v2Magic1 {
-		s, err := decodeSummaryV2(br)
+		s, err := decodeSummaryV2(br, false)
 		return s, 2, err
 	}
 	data, err := io.ReadAll(br)
 	if err != nil {
 		return nil, 1, fmt.Errorf("core: reading summary: %w", err)
 	}
-	s, err := decodeSummaryJSON(data)
+	s, err := decodeSummaryJSON(data, false)
 	return s, 1, err
 }
 
@@ -243,5 +243,5 @@ func (jsonCodec) DecodeFrom(r io.Reader) (Summary, error) {
 	if err != nil {
 		return nil, fmt.Errorf("core: reading summary: %w", err)
 	}
-	return decodeSummaryJSON(data)
+	return decodeSummaryJSON(data, false)
 }

@@ -161,7 +161,7 @@ func (binaryCodecV2) DecodeFrom(r io.Reader) (Summary, error) {
 	if !ok {
 		br = bufio.NewReaderSize(r, 4096)
 	}
-	return decodeSummaryV2(br)
+	return decodeSummaryV2(br, false)
 }
 
 // v2Writer serializes the layout above into any io.Writer with a sticky
@@ -238,9 +238,11 @@ func (w *v2Writer) memberEntries(members map[dataset.Key]bool) {
 }
 
 // v2Reader decodes the layout, mapping any truncation to a decode error
-// instead of a bare EOF.
+// instead of a bare EOF. stored marks a record the store itself wrote: its
+// entry values are taken as they are (see DecodeStoredSummary).
 type v2Reader struct {
-	br *bufio.Reader
+	br     *bufio.Reader
+	stored bool
 }
 
 func (r v2Reader) fail(err error) error {
@@ -297,9 +299,10 @@ func prealloc(count uint64) int {
 
 // decodeSummaryV2 reads one v2 summary off the stream, leaving the reader
 // positioned after the final entry (trailing bytes are the caller's
-// concern — a stream may carry more than one message).
-func decodeSummaryV2(br *bufio.Reader) (Summary, error) {
-	r := v2Reader{br}
+// concern — a stream may carry more than one message). stored skips the
+// ingress-only entry value check.
+func decodeSummaryV2(br *bufio.Reader, stored bool) (Summary, error) {
+	r := v2Reader{br: br, stored: stored}
 	var head [5]byte
 	if _, err := io.ReadFull(br, head[:]); err != nil {
 		return nil, r.fail(err)
@@ -419,6 +422,43 @@ func decodeSummaryV2(br *bufio.Reader) (Summary, error) {
 	}
 }
 
+// checkEntryValue refuses a weighted entry no sampler produces and no
+// estimator is defined on: a negative, infinite or NaN value. (A stored
+// +Inf would also make every sum over the summary unencodable as JSON.)
+// Every decoder that accepts a summary from outside applies it — both wire
+// versions, hydrating and view; only the store's replay of its own records
+// (DecodeStoredSummary) does not, so a log never becomes unreadable over a
+// value some earlier ingress let through.
+func checkEntryValue(key uint64, v float64) error {
+	if !validEntryValue(v) {
+		return fmt.Errorf("core: invalid entry value %v for key %d", v, key)
+	}
+	return nil
+}
+
+func validEntryValue(v float64) bool { return v >= 0 && !math.IsInf(v, 1) }
+
+// checkWireValues is checkEntryValue over a decoded v1 value map (skipped
+// for a stored record). The smallest offending key is the one named, so
+// the error does not depend on map iteration order.
+func checkWireValues(vals map[dataset.Key]float64, stored bool) error {
+	if stored {
+		return nil
+	}
+	var bad dataset.Key
+	found := false
+	//summarylint:ignore a minimum over the offending keys is the same in any iteration order
+	for h, v := range vals {
+		if !validEntryValue(v) && (!found || h < bad) {
+			bad, found = h, true
+		}
+	}
+	if !found {
+		return nil
+	}
+	return checkEntryValue(uint64(bad), vals[bad])
+}
+
 // weightedEntries streams (key, value) entries into a fresh map.
 func (r v2Reader) weightedEntries() (map[dataset.Key]float64, error) {
 	n, err := r.uvarint()
@@ -434,6 +474,11 @@ func (r v2Reader) weightedEntries() (map[dataset.Key]float64, error) {
 		v, err := r.float64()
 		if err != nil {
 			return nil, err
+		}
+		if !r.stored {
+			if err := checkEntryValue(k, v); err != nil {
+				return nil, err
+			}
 		}
 		vals[dataset.Key(k)] = v
 	}

@@ -117,33 +117,45 @@ func MaxDominanceReaders(s1, s2 PPSReader, sel func(dataset.Key) bool) (MaxDomin
 	if err := checkCombinable([]Summary{s1, s2}, 2); err != nil {
 		return MaxDominanceEstimate{}, err
 	}
-	tau := []float64{s1.PPSTau(), s2.PPSTau()}
-	seeder := s1.seederOf()
-	var out MaxDominanceEstimate
-	for _, h := range unionReaderKeys[PPSReader](s1, s2) {
-		if sel != nil && !sel(h) {
+	pair := []PPSReader{s1, s2}
+	for _, s := range pair {
+		if err := checkTau(s); err != nil {
+			return MaxDominanceEstimate{}, err
+		}
+	}
+	sc := scratchPool.Get().(*queryScratch)
+	defer scratchPool.Put(sc)
+	return maxDominanceMerge(sc.mergeOf(loadColumns(sc, pair)), s1.seederOf(),
+		[2]int{s1.InstanceID(), s2.InstanceID()}, [2]float64{s1.PPSTau(), s2.PPSTau()}, sel), nil
+}
+
+// maxDominanceMerge sums the per-key max^(HT) and max^(L) estimates over
+// the ascending union of two PPS columns.
+//
+//summarylint:hot
+func maxDominanceMerge(m *unionMerge, seeder xhash.Seeder, instance [2]int, tau [2]float64, sel func(dataset.Key) bool) MaxDominanceEstimate {
+	var (
+		u, vals [2]float64
+		sampled [2]bool
+		out     MaxDominanceEstimate
+	)
+	o := estimator.PPSOutcome{Tau: tau[:], U: u[:], Sampled: sampled[:], Values: vals[:]}
+	for h, ok := m.next(); ok; h, ok = m.next() {
+		if sel != nil && !sel(dataset.Key(h)) {
 			continue
 		}
-		o := estimator.PPSOutcome{
-			Tau: tau,
-			U: []float64{
-				seeder.Seed(s1.InstanceID(), uint64(h)),
-				seeder.Seed(s2.InstanceID(), uint64(h)),
-			},
-			Sampled: make([]bool, 2),
-			Values:  make([]float64, 2),
-		}
-		if v, ok := s1.Lookup(h); ok {
-			o.Sampled[0], o.Values[0] = true, v
-		}
-		if v, ok := s2.Lookup(h); ok {
-			o.Sampled[1], o.Values[1] = true, v
+		for i, at := range m.at {
+			u[i] = seeder.Seed(instance[i], h)
+			sampled[i], vals[i] = false, 0
+			if at >= 0 {
+				sampled[i], vals[i] = true, m.cols[i].vals[at]
+			}
 		}
 		out.HT += estimator.MaxHTPPS(o)
 		out.L += estimator.MaxL2PPS(o)
 		out.KeysUsed++
 	}
-	return out, nil
+	return out
 }
 
 // SetSummary is a summary of a binary instance (a set of active keys):
@@ -281,21 +293,31 @@ func DistinctCountReaders(s1, s2 SetReader, sel func(dataset.Key) bool) (Distinc
 	if err := checkCombinable([]Summary{s1, s2}, 2); err != nil {
 		return DistinctEstimate{}, err
 	}
-	seeder := s1.seederOf()
+	sc := scratchPool.Get().(*queryScratch)
+	defer scratchPool.Put(sc)
+	c := categorizeMerge(sc.mergeOf(loadColumns(sc, []SetReader{s1, s2})), s1.seederOf(),
+		[2]int{s1.InstanceID(), s2.InstanceID()}, [2]float64{s1.SetP(), s2.SetP()}, sel)
+	e := aggregate.DistinctEstimator{P1: s1.SetP(), P2: s2.SetP()}
+	return DistinctEstimate{HT: e.HT(c), L: e.L(c), Counts: c}, nil
+}
+
+// categorizeMerge tallies the §8.1 outcome categories over the ascending
+// union of two member columns.
+//
+//summarylint:hot
+func categorizeMerge(m *unionMerge, seeder xhash.Seeder, instance [2]int, p [2]float64, sel func(dataset.Key) bool) aggregate.DistinctCounts {
 	var c aggregate.DistinctCounts
-	for _, h := range unionReaderKeys[SetReader](s1, s2) {
-		if sel != nil && !sel(h) {
+	for h, ok := m.next(); ok; h, ok = m.next() {
+		if sel != nil && !sel(dataset.Key(h)) {
 			continue
 		}
 		c.Add(aggregate.Categorize(
-			s1.Contains(h), s2.Contains(h),
-			seeder.Seed(s1.InstanceID(), uint64(h)),
-			seeder.Seed(s2.InstanceID(), uint64(h)),
-			s1.SetP(), s2.SetP(),
+			m.at[0] >= 0, m.at[1] >= 0,
+			seeder.Seed(instance[0], h), seeder.Seed(instance[1], h),
+			p[0], p[1],
 		))
 	}
-	e := aggregate.DistinctEstimator{P1: s1.SetP(), P2: s2.SetP()}
-	return DistinctEstimate{HT: e.HT(c), L: e.L(c), Counts: c}, nil
+	return c
 }
 
 // BottomKSummary is a bottom-k (order) summary of one instance.

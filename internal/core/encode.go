@@ -80,12 +80,15 @@ func (p *PPSSummary) MarshalJSON() ([]byte, error) {
 }
 
 // decodePPSWire reconstructs a PPSSummary from its parsed v1 wire form.
-func decodePPSWire(w ppsWire) (*PPSSummary, error) {
+func decodePPSWire(w ppsWire, stored bool) (*PPSSummary, error) {
 	if err := checkVersion("pps", w.Version); err != nil {
 		return nil, err
 	}
 	if w.Tau <= 0 {
 		return nil, fmt.Errorf("core: invalid tau %v", w.Tau)
+	}
+	if err := checkWireValues(w.Values, stored); err != nil {
+		return nil, err
 	}
 	parent := &Summarizer{seeder: xhash.Seeder{Salt: w.Salt, Shared: w.Shared}}
 	vals := w.Values
@@ -174,7 +177,7 @@ func (b *BottomKSummary) MarshalJSON() ([]byte, error) {
 
 // decodeBottomKWire reconstructs a BottomKSummary from its parsed v1 wire
 // form.
-func decodeBottomKWire(w bottomkWire) (*BottomKSummary, error) {
+func decodeBottomKWire(w bottomkWire, stored bool) (*BottomKSummary, error) {
 	if err := checkVersion("bottomk", w.Version); err != nil {
 		return nil, err
 	}
@@ -193,6 +196,9 @@ func decodeBottomKWire(w bottomkWire) (*BottomKSummary, error) {
 		tau = math.Inf(1)
 	case tau < 0:
 		return nil, fmt.Errorf("core: invalid rank threshold %v", tau)
+	}
+	if err := checkWireValues(w.Values, stored); err != nil {
+		return nil, err
 	}
 	vals := w.Values
 	if vals == nil {
@@ -257,9 +263,23 @@ func SummarySeeder(s Summary) xhash.Seeder { return s.seederOf() }
 // use DecodeSummaryFrom. A v2 message with trailing bytes is rejected,
 // matching encoding/json's whole-document discipline.
 func DecodeSummary(data []byte) (Summary, error) {
+	return decodeSummary(data, false)
+}
+
+// DecodeStoredSummary is DecodeSummary for a record the store wrote
+// itself (WAL and snapshot replay). It differs in one thing: the entry
+// value check of the ingress decoders is not applied. A checksummed
+// record was accepted by whatever ingress rules held when it was written,
+// and refusing it now would leave the server unable to open its data
+// directory over a value that merely yields a non-finite estimate.
+func DecodeStoredSummary(data []byte) (Summary, error) {
+	return decodeSummary(data, true)
+}
+
+func decodeSummary(data []byte, stored bool) (Summary, error) {
 	if len(data) >= 2 && data[0] == v2Magic0 && data[1] == v2Magic1 {
 		br := bufio.NewReader(bytes.NewReader(data))
-		s, err := decodeSummaryV2(br)
+		s, err := decodeSummaryV2(br, stored)
 		if err != nil {
 			return nil, err
 		}
@@ -268,12 +288,14 @@ func DecodeSummary(data []byte) (Summary, error) {
 		}
 		return s, nil
 	}
-	return decodeSummaryJSON(data)
+	return decodeSummaryJSON(data, stored)
 }
 
 // decodeSummaryJSON is the v1 decoder: kind-tag dispatch over the JSON
-// wire structs.
-func decodeSummaryJSON(data []byte) (Summary, error) {
+// wire structs. Unless stored, weighted entry values get the same check
+// as on the v2 paths (JSON cannot carry NaN or Inf, so in practice it
+// refuses negatives).
+func decodeSummaryJSON(data []byte, stored bool) (Summary, error) {
 	var head struct {
 		Version int    `json:"version"`
 		Kind    string `json:"kind"`
@@ -287,7 +309,7 @@ func decodeSummaryJSON(data []byte) (Summary, error) {
 		if err := json.Unmarshal(data, &w); err != nil {
 			return nil, fmt.Errorf("core: decoding PPS summary: %w", err)
 		}
-		return decodePPSWire(w)
+		return decodePPSWire(w, stored)
 	case "set":
 		var w setWire
 		if err := json.Unmarshal(data, &w); err != nil {
@@ -299,13 +321,13 @@ func decodeSummaryJSON(data []byte) (Summary, error) {
 		if err := json.Unmarshal(data, &w); err != nil {
 			return nil, fmt.Errorf("core: decoding bottom-k summary: %w", err)
 		}
-		return decodeBottomKWire(w)
+		return decodeBottomKWire(w, stored)
 	case "varopt":
 		var w varoptWire
 		if err := json.Unmarshal(data, &w); err != nil {
 			return nil, fmt.Errorf("core: decoding varopt summary: %w", err)
 		}
-		return decodeVarOptWire(w)
+		return decodeVarOptWire(w, stored)
 	default:
 		// An unrecognized (or missing) kind on an unrecognized version is
 		// a future format: surface the typed version error so callers can

@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/dataset"
 	"repro/internal/estimator"
+	"repro/internal/xhash"
 )
 
 // This file extends the two-summary queries of core.go to arbitrary
@@ -27,15 +28,27 @@ func checkCombinable[S Summary](sums []S, min int) error {
 	if sums[0].seederOf().Shared {
 		return fmt.Errorf("core: query estimators need independent per-instance seeds; summaries use coordinated (shared-seed) sampling")
 	}
-	seen := make(map[int]bool, len(sums))
-	for _, s := range sums {
+	for i, s := range sums {
 		if s.seederOf() != sums[0].seederOf() {
 			return fmt.Errorf("core: summaries use different randomizations")
 		}
-		if seen[s.InstanceID()] {
-			return fmt.Errorf("core: duplicate instance %d", s.InstanceID())
+		// Quadratic in the handful of queried instances, and no per-query
+		// set to allocate.
+		for _, prev := range sums[:i] {
+			if prev.InstanceID() == s.InstanceID() {
+				return fmt.Errorf("core: duplicate instance %d", s.InstanceID())
+			}
 		}
-		seen[s.InstanceID()] = true
+	}
+	return nil
+}
+
+// checkTau refuses a PPS summary whose threshold is not positive: the
+// inclusion probabilities min(1, v/τ) every PPS estimator divides by are
+// undefined there.
+func checkTau(s PPSReader) error {
+	if !(s.PPSTau() > 0) { // NaN fails too, as in ppsSumStdErr
+		return fmt.Errorf("core: summary of instance %d has non-positive tau %v", s.InstanceID(), s.PPSTau())
 	}
 	return nil
 }
@@ -92,46 +105,56 @@ func DistinctCountMultiReaders(sums []SetReader, sel func(dataset.Key) bool) (Mu
 	if err != nil {
 		return MultiDistinctEstimate{}, err
 	}
-	seeder := sums[0].seederOf()
 	htCoeff := 1.0
 	for i := 0; i < r; i++ {
 		htCoeff *= p
 	}
+	sc := scratchPool.Get().(*queryScratch)
+	defer scratchPool.Put(sc)
+	sc.ints, sc.floats, sc.bools = resize(sc.ints, r), resize(sc.floats, 4*r), resize(sc.bools, 2*r)
+	for i, s := range sums {
+		sc.ints[i] = s.InstanceID()
+	}
+	return distinctMerge(sc.mergeOf(loadColumns(sc, sums)), est, sums[0].seederOf(), sc.ints, p, 1/htCoeff, sc.floats, sc.bools, sel), nil
+}
+
+// distinctMerge sums the per-key OR^(HT) and OR^(L) estimates over the
+// ascending union of r member columns. htTerm is 1/p^r, the HT
+// contribution of a fully determined key; floats (4r) and bools (2r) back
+// the per-key outcome, its oblivious image and the estimator's sort
+// buffer.
+//
+//summarylint:hot
+func distinctMerge(m *unionMerge, est *estimator.MaxLUniform, seeder xhash.Seeder, instance []int,
+	p, htTerm float64, floats []float64, bools []bool, sel func(dataset.Key) bool) MultiDistinctEstimate {
+	r := len(instance)
+	o := estimator.BinaryKnownSeedsOutcome{P: floats[:r], U: floats[r : 2*r], Sampled: bools[:r]}
+	obValues, z, obSampled := floats[2*r:3*r], floats[3*r:4*r], bools[r:2*r]
+	for i := range o.P {
+		o.P[i] = p
+	}
 	var out MultiDistinctEstimate
-	for _, h := range unionReaderKeys(sums...) {
-		if sel != nil && !sel(h) {
+	for h, ok := m.next(); ok; h, ok = m.next() {
+		if sel != nil && !sel(dataset.Key(h)) {
 			continue
 		}
-		o := estimator.BinaryKnownSeedsOutcome{
-			P:       make([]float64, r),
-			U:       make([]float64, r),
-			Sampled: make([]bool, r),
-		}
-		inAnySample := false
 		allSeedsLow := true
-		for i, s := range sums {
-			o.P[i] = p
-			o.U[i] = seeder.Seed(s.InstanceID(), uint64(h))
+		for i, at := range m.at {
+			o.U[i] = seeder.Seed(instance[i], h)
 			// Summaries hold the *sampled* members, so membership in the
 			// summary is exactly "member and seed below p".
-			o.Sampled[i] = s.Contains(h)
-			if o.Sampled[i] {
-				inAnySample = true
-			}
+			o.Sampled[i] = at >= 0
 			if o.U[i] >= p {
 				allSeedsLow = false
 			}
 		}
-		if !inAnySample {
-			continue
-		}
 		out.KeysUsed++
-		out.L += est.Estimate(o.ToOblivious())
+		out.L += est.EstimateInto(o.ToObliviousInto(obSampled, obValues), z)
 		if allSeedsLow {
-			out.HT += 1 / htCoeff
+			out.HT += htTerm
 		}
 	}
-	return out, nil
+	return out
 }
 
 // QuantileEstimate is the result of a per-key quantile query.
@@ -178,8 +201,8 @@ func QuantilePPSReaders(sums []PPSReader, h dataset.Key, l int) (QuantileEstimat
 	}
 	var out QuantileEstimate
 	for i, s := range sums {
-		if s.PPSTau() <= 0 {
-			return QuantileEstimate{}, fmt.Errorf("core: summary of instance %d has non-positive tau %v", s.InstanceID(), s.PPSTau())
+		if err := checkTau(s); err != nil {
+			return QuantileEstimate{}, err
 		}
 		o.Tau[i] = s.PPSTau()
 		o.U[i] = seeder.Seed(s.InstanceID(), uint64(h))

@@ -1,0 +1,248 @@
+package core
+
+import (
+	"fmt"
+	"math"
+	"sort"
+
+	"repro/internal/aggregate"
+	"repro/internal/dataset"
+	"repro/internal/estimator"
+	"repro/internal/sampling"
+)
+
+// The query functions as they stood before the merge-join kernels, bodies
+// verbatim: materialise the key union, sort.Slice it, and per key allocate
+// an outcome and search every summary. They are the differential reference
+// (FuzzQueryKernelsDiff, TestQueryDiffGenerated): the kernels must answer
+// with the same bits, counts and error text, because they produce the same
+// per-key terms in the same ascending key order.
+
+func checkCombinableRef[S Summary](sums []S, min int) error {
+	if len(sums) < min {
+		return fmt.Errorf("core: query needs at least %d summaries, got %d", min, len(sums))
+	}
+	if sums[0].seederOf().Shared {
+		return fmt.Errorf("core: query estimators need independent per-instance seeds; summaries use coordinated (shared-seed) sampling")
+	}
+	seen := make(map[int]bool, len(sums))
+	for _, s := range sums {
+		if s.seederOf() != sums[0].seederOf() {
+			return fmt.Errorf("core: summaries use different randomizations")
+		}
+		if seen[s.InstanceID()] {
+			return fmt.Errorf("core: duplicate instance %d", s.InstanceID())
+		}
+		seen[s.InstanceID()] = true
+	}
+	return nil
+}
+
+func unionReaderKeysRef[R interface {
+	AppendKeys([]dataset.Key) []dataset.Key
+}](rs ...R) []dataset.Key {
+	var keys []dataset.Key
+	for _, r := range rs {
+		keys = r.AppendKeys(keys)
+	}
+	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
+	// Dedup in place: the slice is sorted, so duplicates are adjacent.
+	out := keys[:0]
+	for i, h := range keys {
+		if i == 0 || h != keys[i-1] {
+			out = append(out, h)
+		}
+	}
+	return out
+}
+
+func sortKeysRef(keys []dataset.Key) []dataset.Key {
+	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
+	return keys
+}
+
+func maxDominanceReadersRef(s1, s2 PPSReader, sel func(dataset.Key) bool) (MaxDominanceEstimate, error) {
+	if err := checkCombinableRef([]Summary{s1, s2}, 2); err != nil {
+		return MaxDominanceEstimate{}, err
+	}
+	tau := []float64{s1.PPSTau(), s2.PPSTau()}
+	seeder := s1.seederOf()
+	var out MaxDominanceEstimate
+	for _, h := range unionReaderKeysRef[PPSReader](s1, s2) {
+		if sel != nil && !sel(h) {
+			continue
+		}
+		o := estimator.PPSOutcome{
+			Tau: tau,
+			U: []float64{
+				seeder.Seed(s1.InstanceID(), uint64(h)),
+				seeder.Seed(s2.InstanceID(), uint64(h)),
+			},
+			Sampled: make([]bool, 2),
+			Values:  make([]float64, 2),
+		}
+		if v, ok := s1.Lookup(h); ok {
+			o.Sampled[0], o.Values[0] = true, v
+		}
+		if v, ok := s2.Lookup(h); ok {
+			o.Sampled[1], o.Values[1] = true, v
+		}
+		out.HT += estimator.MaxHTPPS(o)
+		out.L += estimator.MaxL2PPS(o)
+		out.KeysUsed++
+	}
+	return out, nil
+}
+
+func distinctCountReadersRef(s1, s2 SetReader, sel func(dataset.Key) bool) (DistinctEstimate, error) {
+	if err := checkCombinableRef([]Summary{s1, s2}, 2); err != nil {
+		return DistinctEstimate{}, err
+	}
+	seeder := s1.seederOf()
+	var c aggregate.DistinctCounts
+	for _, h := range unionReaderKeysRef[SetReader](s1, s2) {
+		if sel != nil && !sel(h) {
+			continue
+		}
+		c.Add(aggregate.Categorize(
+			s1.Contains(h), s2.Contains(h),
+			seeder.Seed(s1.InstanceID(), uint64(h)),
+			seeder.Seed(s2.InstanceID(), uint64(h)),
+			s1.SetP(), s2.SetP(),
+		))
+	}
+	e := aggregate.DistinctEstimator{P1: s1.SetP(), P2: s2.SetP()}
+	return DistinctEstimate{HT: e.HT(c), L: e.L(c), Counts: c}, nil
+}
+
+func distinctCountMultiReadersRef(sums []SetReader, sel func(dataset.Key) bool) (MultiDistinctEstimate, error) {
+	if err := checkCombinableRef(sums, 2); err != nil {
+		return MultiDistinctEstimate{}, err
+	}
+	if len(sums) == 2 {
+		est, err := distinctCountReadersRef(sums[0], sums[1], sel)
+		if err != nil {
+			return MultiDistinctEstimate{}, err
+		}
+		return MultiDistinctEstimate{HT: est.HT, L: est.L, KeysUsed: est.Counts.Sampled()}, nil
+	}
+	r := len(sums)
+	p := sums[0].SetP()
+	for _, s := range sums[1:] {
+		if s.SetP() != p {
+			return MultiDistinctEstimate{}, fmt.Errorf(
+				"core: distinct count over %d summaries needs a uniform sampling probability, got %v and %v",
+				r, p, s.SetP())
+		}
+	}
+	est, err := estimator.ORLUniform(r, p)
+	if err != nil {
+		return MultiDistinctEstimate{}, err
+	}
+	seeder := sums[0].seederOf()
+	htCoeff := 1.0
+	for i := 0; i < r; i++ {
+		htCoeff *= p
+	}
+	var out MultiDistinctEstimate
+	for _, h := range unionReaderKeysRef(sums...) {
+		if sel != nil && !sel(h) {
+			continue
+		}
+		o := estimator.BinaryKnownSeedsOutcome{
+			P:       make([]float64, r),
+			U:       make([]float64, r),
+			Sampled: make([]bool, r),
+		}
+		inAnySample := false
+		allSeedsLow := true
+		for i, s := range sums {
+			o.P[i] = p
+			o.U[i] = seeder.Seed(s.InstanceID(), uint64(h))
+			// Summaries hold the *sampled* members, so membership in the
+			// summary is exactly "member and seed below p".
+			o.Sampled[i] = s.Contains(h)
+			if o.Sampled[i] {
+				inAnySample = true
+			}
+			if o.U[i] >= p {
+				allSeedsLow = false
+			}
+		}
+		if !inAnySample {
+			continue
+		}
+		out.KeysUsed++
+		out.L += est.Estimate(o.ToOblivious())
+		if allSeedsLow {
+			out.HT += 1 / htCoeff
+		}
+	}
+	return out, nil
+}
+
+func ppsSumStdErrRef(s PPSReader) float64 {
+	tau := s.PPSTau()
+	if !(tau > 0) {
+		return 0
+	}
+	var keys []dataset.Key
+	keys = sortKeysRef(s.AppendKeys(keys))
+	variance := 0.0
+	for _, h := range keys {
+		v, ok := s.Lookup(h)
+		if !ok || v <= 0 {
+			continue
+		}
+		p := math.Min(1, v/tau)
+		if p < 1 {
+			variance += v * v * (1/p - 1) / p
+		}
+	}
+	return math.Sqrt(variance)
+}
+
+func bottomKDistinctRef(b BottomKReader) float64 {
+	tau := b.RankTau()
+	fam := b.RankFam()
+	var keys []dataset.Key
+	keys = sortKeysRef(b.AppendKeys(keys))
+	if math.IsInf(tau, 1) {
+		return float64(len(keys))
+	}
+	total := 0.0
+	for _, h := range keys {
+		v, ok := b.Lookup(h)
+		if !ok {
+			continue
+		}
+		p := fam.InclusionProb(v, tau)
+		if p > 0 {
+			total += 1 / p
+		}
+	}
+	return total
+}
+
+// subsetSumRef is sampling.WeightedSample.SubsetSum — the hydrated
+// SubsetSum of PPS and bottom-k summaries — before its key sort moved off
+// sort.Slice.
+func subsetSumRef(s *sampling.WeightedSample, sel func(dataset.Key) bool) float64 {
+	keys := make([]dataset.Key, 0, len(s.Values))
+	for h := range s.Values {
+		keys = append(keys, h)
+	}
+	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
+	total := 0.0
+	for _, h := range keys {
+		if sel != nil && !sel(h) {
+			continue
+		}
+		v := s.Values[h]
+		p := s.InclusionProb(v)
+		if p > 0 {
+			total += v / p
+		}
+	}
+	return total
+}

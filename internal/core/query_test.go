@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -214,5 +215,40 @@ func TestQueryDeterminism(t *testing.T) {
 		if d2 != d1 || m2 != m1 {
 			t.Fatalf("query results drifted between runs: %+v vs %+v, %+v vs %+v", d2, d1, m2, m1)
 		}
+	}
+}
+
+// TestNonPositiveTauRefused: inclusion probabilities min(1, v/τ) are
+// undefined at τ ≤ 0, so every PPS query over such a summary is a typed
+// refusal and the sum has no error bound — never a silent "exact".
+func TestNonPositiveTauRefused(t *testing.T) {
+	s := NewSummarizer(5)
+	pps := func(instance int, tau float64) *PPSSummary {
+		return &PPSSummary{
+			Instance: instance, Tau: tau, parent: s,
+			Sample: &sampling.WeightedSample{Values: map[dataset.Key]float64{1: 2, 3: 4}, Tau: 1 / tau, Family: sampling.PPS{}},
+		}
+	}
+	good := pps(0, 3)
+	for _, tau := range []float64{0, -2, math.NaN()} { // NaN: both guards are !(tau > 0)
+		bad := pps(1, tau)
+		want := fmt.Sprintf("core: summary of instance 1 has non-positive tau %v", tau)
+		for name, pair := range map[string][2]PPSReader{"first": {bad, good}, "second": {good, bad}} {
+			if _, err := MaxDominanceReaders(pair[0], pair[1], nil); err == nil || err.Error() != want {
+				t.Errorf("tau %v %s: MaxDominanceReaders error %v, want %q", tau, name, err, want)
+			}
+			if _, err := QuantilePPSReaders(pair[:], 1, 1); err == nil || err.Error() != want {
+				t.Errorf("tau %v %s: QuantilePPSReaders error %v, want %q", tau, name, err, want)
+			}
+		}
+		if stderr, ok := SumStdErr(bad, bad.SubsetSum(nil)); ok || stderr != 0 {
+			t.Errorf("tau %v: SumStdErr = (%v, %v), want (0, false)", tau, stderr, ok)
+		}
+	}
+	if _, err := MaxDominanceReaders(good, pps(1, 3), nil); err != nil {
+		t.Errorf("positive tau refused: %v", err)
+	}
+	if stderr, ok := SumStdErr(good, good.SubsetSum(nil)); !ok || !(stderr > 0) {
+		t.Errorf("positive tau: SumStdErr = (%v, %v), want a positive bound", stderr, ok)
 	}
 }

@@ -1,20 +1,38 @@
 package core
 
 import (
-	"sort"
+	"slices"
+	"sync"
 
 	"repro/internal/dataset"
 	"repro/internal/sampling"
 )
 
 // Reader interfaces are the query-side seam between the estimators and a
-// summary's representation. Every query in core.go/query.go needs only a
-// handful of reads — the kind parameters, a per-key lookup, the retained
-// key set — and those reads have two implementations: the hydrated
-// summary types (map-backed, produced by summarization or a decoding
-// codec) and the zero-copy v2 views of view.go (binary search over wire
-// bytes). Queries written against the readers answer identically over
-// both; the property tests in view_test.go pin that to the bit.
+// summary's representation. A query needs the kind parameters and the
+// retained (key, value) pairs, and there are two representations of
+// those: the hydrated summary types (map-backed, produced by
+// summarization or a decoding codec) and the zero-copy v2 views of
+// view.go (fixed-width entries, ascending by key, read in place off the
+// wire bytes).
+//
+// Every query that walks keys does it the same way. Each consulted reader
+// appends its ascending key (and value) column into pooled per-query
+// scratch: a view decodes its entry region front to back with no sort at
+// all; a hydrated summary collects its map and sorts the uint64s. A
+// unionMerge then walks the columns once, handing each union key's
+// (sampled, value) per instance to the per-key estimator kernels, which
+// work in caller-owned scratch. Per-key terms therefore accumulate in
+// ascending key order with the same floating-point operations whatever
+// the representation, so equal summaries answer with bit-identical floats
+// (pinned by view_test.go and the differential tests against
+// query_ref_test.go), and a query allocates nothing per key. Hydrated
+// columns are re-sorted on every query, not cached on the summary: the
+// exported maps are mutable, and a cache would need an immutability
+// contract the hydrated types do not have.
+//
+// Lookup, Contains and AppendKeys remain for point queries (quantile) and
+// for callers outside this package.
 //
 // Like Summary, the interfaces embed an unexported method, so only this
 // package's types can satisfy them — combinability checks need the
@@ -33,6 +51,8 @@ type PPSReader interface {
 	// SubsetSum estimates Σ_{h∈sel} v(h) (nil sel selects all keys),
 	// accumulating in ascending key order.
 	SubsetSum(sel func(dataset.Key) bool) float64
+
+	columnReader
 }
 
 // SetReader is the read surface of a set summary.
@@ -44,6 +64,8 @@ type SetReader interface {
 	Contains(h dataset.Key) bool
 	// AppendKeys appends every sampled member to dst (order unspecified).
 	AppendKeys(dst []dataset.Key) []dataset.Key
+
+	columnReader
 }
 
 // BottomKReader is the read surface of a bottom-k summary.
@@ -61,6 +83,8 @@ type BottomKReader interface {
 	// SubsetSum estimates Σ_{h∈sel} v(h) with the rank-conditioning
 	// estimator, accumulating in ascending key order.
 	SubsetSum(sel func(dataset.Key) bool) float64
+
+	columnReader
 }
 
 // VarOptReader is the read surface of a VarOpt_k summary.
@@ -87,7 +111,7 @@ func (p *PPSSummary) Lookup(h dataset.Key) (float64, bool) {
 
 // AppendKeys implements PPSReader.
 func (p *PPSSummary) AppendKeys(dst []dataset.Key) []dataset.Key {
-	//summarylint:ignore AppendKeys is unordered by contract; unionReaderKeys sorts and dedups before any query walks the keys
+	//summarylint:ignore AppendKeys is unordered by contract
 	for h := range p.Sample.Values {
 		dst = append(dst, h)
 	}
@@ -102,7 +126,7 @@ func (s *SetSummary) Contains(h dataset.Key) bool { return s.Members[h] }
 
 // AppendKeys implements SetReader.
 func (s *SetSummary) AppendKeys(dst []dataset.Key) []dataset.Key {
-	//summarylint:ignore AppendKeys is unordered by contract; unionReaderKeys sorts and dedups before any query walks the keys
+	//summarylint:ignore AppendKeys is unordered by contract
 	for h := range s.Members {
 		dst = append(dst, h)
 	}
@@ -123,7 +147,7 @@ func (b *BottomKSummary) Lookup(h dataset.Key) (float64, bool) {
 
 // AppendKeys implements BottomKReader.
 func (b *BottomKSummary) AppendKeys(dst []dataset.Key) []dataset.Key {
-	//summarylint:ignore AppendKeys is unordered by contract; unionReaderKeys sorts and dedups before any query walks the keys
+	//summarylint:ignore AppendKeys is unordered by contract
 	for h := range b.Sample.Values {
 		dst = append(dst, h)
 	}
@@ -133,25 +157,118 @@ func (b *BottomKSummary) AppendKeys(dst []dataset.Key) []dataset.Key {
 // VarOptTau implements VarOptReader.
 func (v *VarOptSummary) VarOptTau() float64 { return v.Sample.Tau }
 
-// unionReaderKeys returns the ascending union of the readers' key sets —
-// the reader-interface face of unionKeys, and the same deterministic
-// iteration order: queries sum per-key estimates over it so equal
-// summaries answer with bit-identical floats regardless of
-// representation.
-func unionReaderKeys[R interface {
-	AppendKeys([]dataset.Key) []dataset.Key
-}](rs ...R) []dataset.Key {
-	var keys []dataset.Key
-	for _, r := range rs {
-		keys = r.AppendKeys(keys)
+// --- ascending columns and their ordered merge --------------------------
+
+// column is one summary's retained keys in ascending order. Weighted kinds
+// fill vals in parallel; set summaries do not touch it.
+type column struct {
+	keys []uint64
+	vals []float64
+}
+
+// columnReader is the unexported half of the reader interfaces: the one
+// read every key-walking query performs.
+type columnReader interface {
+	// loadColumn overwrites c with the summary's ascending column, reusing
+	// c's backing arrays.
+	loadColumn(c *column)
+}
+
+// loadSortedKeys overwrites c.keys with m's keys, ascending.
+func loadSortedKeys[V any](c *column, m map[dataset.Key]V) {
+	c.keys = resize(c.keys, len(m))[:0]
+	for h := range m {
+		c.keys = append(c.keys, uint64(h))
 	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-	// Dedup in place: the slice is sorted, so duplicates are adjacent.
-	out := keys[:0]
-	for i, h := range keys {
-		if i == 0 || h != keys[i-1] {
-			out = append(out, h)
+	slices.Sort(c.keys)
+}
+
+// loadSortedEntries overwrites c with m's entries, ascending by key.
+func loadSortedEntries(c *column, m map[dataset.Key]float64) {
+	loadSortedKeys(c, m)
+	c.vals = resize(c.vals, len(c.keys))
+	for i, h := range c.keys {
+		c.vals[i] = m[dataset.Key(h)]
+	}
+}
+
+func (p *PPSSummary) loadColumn(c *column)     { loadSortedEntries(c, p.Sample.Values) }
+func (s *SetSummary) loadColumn(c *column)     { loadSortedKeys(c, s.Members) }
+func (b *BottomKSummary) loadColumn(c *column) { loadSortedEntries(c, b.Sample.Values) }
+
+// queryScratch is the working memory of one query: a column per consulted
+// summary, the merge cursors, and the backing arrays of the per-key
+// outcome an r-instance estimator reads. It is pooled, so a warm server
+// answers a query with a number of allocations that does not depend on
+// sample size.
+type queryScratch struct {
+	cols   []column
+	merge  unionMerge
+	floats []float64
+	bools  []bool
+	ints   []int
+}
+
+var scratchPool = sync.Pool{New: func() any { return new(queryScratch) }}
+
+// loadColumns loads one pooled column per reader, in order.
+func loadColumns[R columnReader](sc *queryScratch, rs []R) []column {
+	for len(sc.cols) < len(rs) {
+		sc.cols = append(sc.cols, column{})
+	}
+	cols := sc.cols[:len(rs)]
+	for i, r := range rs {
+		r.loadColumn(&cols[i])
+	}
+	return cols
+}
+
+// mergeOf starts the ordered walk over cols.
+func (sc *queryScratch) mergeOf(cols []column) *unionMerge {
+	m := &sc.merge
+	m.cols = cols
+	m.pos, m.at = resize(m.pos, len(cols)), resize(m.at, len(cols))
+	clear(m.pos)
+	return m
+}
+
+// resize returns s with length n, reusing its backing array when it is
+// large enough; the contents are unspecified.
+func resize[T any](s []T, n int) []T { return slices.Grow(s[:0], n)[:n] }
+
+// unionMerge walks the union of ascending columns in ascending key order,
+// visiting each distinct key once.
+type unionMerge struct {
+	cols []column
+	pos  []int // per column: the next unconsumed index
+	at   []int // per column: the current key's index, or -1 when absent
+}
+
+// next advances to the smallest unconsumed key. It reports false when
+// every column is exhausted; otherwise at[i] locates the key in column i.
+// The scan is linear in the number of columns, which the per-key work
+// (one seed per instance) already is.
+//
+//summarylint:hot
+func (m *unionMerge) next() (uint64, bool) {
+	var key uint64
+	found := false
+	for i := range m.cols {
+		if keys := m.cols[i].keys; m.pos[i] < len(keys) {
+			if k := keys[m.pos[i]]; !found || k < key {
+				key, found = k, true
+			}
 		}
 	}
-	return out
+	if !found {
+		return 0, false
+	}
+	for i := range m.cols {
+		m.at[i] = -1
+		if keys := m.cols[i].keys; m.pos[i] < len(keys) && keys[m.pos[i]] == key {
+			m.at[i] = m.pos[i]
+			m.pos[i]++
+		}
+	}
+	return key, true
 }

@@ -149,12 +149,15 @@ func (v *VarOptSummary) MarshalJSON() ([]byte, error) {
 
 // decodeVarOptWire reconstructs a VarOptSummary from its parsed v1 wire
 // form.
-func decodeVarOptWire(w varoptWire) (*VarOptSummary, error) {
+func decodeVarOptWire(w varoptWire, stored bool) (*VarOptSummary, error) {
 	if err := checkVersion("varopt", w.Version); err != nil {
 		return nil, err
 	}
 	if !(w.Tau >= 0) || math.IsInf(w.Tau, 1) {
 		return nil, fmt.Errorf("core: invalid varopt threshold %v", w.Tau)
+	}
+	if err := checkWireValues(w.Values, stored); err != nil {
+		return nil, err
 	}
 	vals := w.Values
 	if vals == nil {

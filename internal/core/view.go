@@ -19,11 +19,13 @@ import (
 // costs one allocation per key plus hashing on every later lookup — pure
 // overhead for a summary that is stored once and queried many times. The
 // views below implement the Summary and Reader interfaces directly over
-// the wire bytes: per-key lookups are a binary search over the 16-byte
-// (or 8-byte, for sets) entries, key iteration walks the entry region in
-// place, and re-encoding to v2 is a raw byte copy. Every query answers
-// bit-identically to the hydrated decode of the same bytes — views change
-// the representation, never the estimates (pinned by view_test.go).
+// the wire bytes: a query decodes the entry region front to back into its
+// ascending column (loadColumn — the entries are already in merge order,
+// so nothing is sorted), point lookups are a binary search over the
+// 16-byte (or 8-byte, for sets) entries, and re-encoding to v2 is a raw
+// byte copy. Every query answers bit-identically to the hydrated decode of
+// the same bytes — views change the representation, never the estimates
+// (pinned by view_test.go).
 //
 // Views are strict about their input where the streaming decoder is
 // lenient: ParseSummaryView accepts only the CANONICAL encoding —
@@ -91,6 +93,18 @@ func (v *viewData) appendWeightedKeys(dst []dataset.Key) []dataset.Key {
 	return dst
 }
 
+// loadWeightedColumn decodes the 16-byte entries into c. They are strictly
+// ascending on the wire (enforced at parse), so the column needs no sort.
+//
+//summarylint:hot
+func (v *viewData) loadWeightedColumn(c *column) {
+	c.keys, c.vals = resize(c.keys, v.n), resize(c.vals, v.n)
+	for i := range c.keys {
+		c.keys[i] = v.weightedKeyAt(i)
+		c.vals[i] = v.weightedValueAt(i)
+	}
+}
+
 // weightedValues materializes the 16-byte entries into a map (the
 // hydrating escape hatch behind MarshalJSON).
 func (v *viewData) weightedValues() map[dataset.Key]float64 {
@@ -122,6 +136,8 @@ func (v *PPSView) Lookup(h dataset.Key) (float64, bool) { return v.lookupWeighte
 
 // AppendKeys implements PPSReader.
 func (v *PPSView) AppendKeys(dst []dataset.Key) []dataset.Key { return v.appendWeightedKeys(dst) }
+
+func (v *PPSView) loadColumn(c *column) { v.loadWeightedColumn(c) }
 
 // SubsetSum implements PPSReader: the HT estimate, accumulated in
 // ascending key order directly off the wire.
@@ -173,6 +189,17 @@ func (v *SetView) AppendKeys(dst []dataset.Key) []dataset.Key {
 	return dst
 }
 
+// loadColumn decodes the 8-byte member entries (ascending on the wire)
+// into c.
+//
+//summarylint:hot
+func (v *SetView) loadColumn(c *column) {
+	c.keys = resize(c.keys, v.n)
+	for i := range c.keys {
+		c.keys[i] = v.memberAt(i)
+	}
+}
+
 // materialize hydrates the view into the map-backed summary type.
 func (v *SetView) materialize() *SetSummary {
 	members := make(map[dataset.Key]bool, v.n)
@@ -211,6 +238,8 @@ func (v *BottomKView) Lookup(h dataset.Key) (float64, bool) { return v.lookupWei
 
 // AppendKeys implements BottomKReader.
 func (v *BottomKView) AppendKeys(dst []dataset.Key) []dataset.Key { return v.appendWeightedKeys(dst) }
+
+func (v *BottomKView) loadColumn(c *column) { v.loadWeightedColumn(c) }
 
 // SubsetSum implements BottomKReader: the rank-conditioning estimate,
 // accumulated in ascending key order directly off the wire.
@@ -319,7 +348,7 @@ func DecodeSummaryViewFrom(r io.Reader) (Summary, error) {
 		return v, nil
 	}
 	br := bufio.NewReader(bytes.NewReader(data))
-	s, err := decodeSummaryV2(br)
+	s, err := decodeSummaryV2(br, false)
 	if err != nil {
 		return nil, err
 	}
@@ -410,28 +439,36 @@ func (p *viewParser) entryRegion(n uint64, size int) ([]byte, error) {
 	return entries, nil
 }
 
-// checkAscending verifies entry keys are strictly ascending (which also
-// rules out duplicates) — both the canonical-encoding requirement and
-// what makes binary-search lookups correct.
-func checkAscending(entries []byte, n, size int) error {
+// checkEntries verifies, in one walk of the entry region, that keys are
+// strictly ascending (which also rules out duplicates) — both the
+// canonical-encoding requirement and what makes ordered merges and
+// binary-search lookups correct — and, for the 16-byte weighted entries,
+// that every value is a finite non-negative number.
+func checkEntries(entries []byte, n, size int) error {
 	var prev uint64
 	for i := 0; i < n; i++ {
-		k := binary.LittleEndian.Uint64(entries[i*size:])
+		e := entries[i*size:]
+		k := binary.LittleEndian.Uint64(e)
 		if i > 0 && k <= prev {
 			return fmt.Errorf("core: summary view: entry keys not strictly ascending at index %d", i)
 		}
 		prev = k
+		if size == 16 {
+			if err := checkEntryValue(k, math.Float64frombits(binary.LittleEndian.Uint64(e[8:]))); err != nil {
+				return err
+			}
+		}
 	}
 	return nil
 }
 
 // ParseSummaryView parses a complete v2 wire message into a zero-copy
 // view, validating the CANONICAL encoding: exact magic and version,
-// minimal varints, parameter ranges, strictly ascending entry keys, and
-// no trailing bytes. The returned Summary is backed by data — the caller
-// must not mutate the slice afterwards. Any deviation from the canonical
-// form is an error; callers that want maximal acceptance fall back to
-// DecodeSummary, which hydrates leniently.
+// minimal varints, parameter ranges, strictly ascending entry keys, finite
+// non-negative entry values, and no trailing bytes. The returned Summary
+// is backed by data — the caller must not mutate the slice afterwards. Any
+// deviation from the canonical form is an error; callers that want maximal
+// acceptance fall back to DecodeSummary, which hydrates leniently.
 func ParseSummaryView(data []byte) (Summary, error) {
 	p := &viewParser{data: data}
 	head, err := p.need(5)
@@ -476,7 +513,7 @@ func ParseSummaryView(data []byte) (Summary, error) {
 		if err != nil {
 			return err
 		}
-		if err := checkAscending(entries, int(n), entrySize); err != nil {
+		if err := checkEntries(entries, int(n), entrySize); err != nil {
 			return err
 		}
 		vd.entries, vd.n = entries, int(n)

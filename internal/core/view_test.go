@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
 	"math"
 	"testing"
 
@@ -33,7 +34,7 @@ func viewFixtures(s *Summarizer) []Summary {
 }
 
 // mustView encodes s to v2 bytes and parses them back as a zero-copy view.
-func mustView(t *testing.T, s Summary) (Summary, []byte) {
+func mustView(t testing.TB, s Summary) (Summary, []byte) {
 	t.Helper()
 	data, err := EncodeSummary(s, 2)
 	if err != nil {
@@ -330,6 +331,78 @@ func TestParseSummaryViewVarOptThreshold(t *testing.T) {
 		binary.LittleEndian.PutUint64(b[14:], math.Float64bits(bad))
 		if _, err := ParseSummaryView(b); err == nil {
 			t.Errorf("varopt threshold %v accepted", bad)
+		}
+	}
+}
+
+// TestV2EntryValuesValidated: a weighted entry whose value is negative,
+// infinite or NaN is refused by the strict view parse and by the
+// hydrating decoder alike, for every weighted kind; zero stays valid.
+// The same entries as v1 JSON (which can only spell the negative ones) are
+// refused by every v1 entry point, and DecodeStoredSummary — the store's
+// replay decoder — takes all of them in either wire version.
+func TestV2EntryValuesValidated(t *testing.T) {
+	s := NewSummarizer(21)
+	in := dataset.Instance{5: 2, 9: 4, 12: 1}
+	for _, sum := range []Summary{
+		s.SummarizePPSExpectedSize(0, in, 10),
+		s.SummarizeBottomK(1, in, 10, sampling.PPS{}),
+		s.SummarizeVarOpt(2, in, 10),
+	} {
+		good, err := EncodeSummary(sum, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// The last 8 bytes are the final entry's value.
+		withValue := func(v float64) []byte {
+			b := bytes.Clone(good)
+			binary.LittleEndian.PutUint64(b[len(b)-8:], math.Float64bits(v))
+			return b
+		}
+		for _, bad := range []float64{-1, -1e-300, math.NaN(), math.Inf(1), math.Inf(-1)} {
+			if _, err := ParseSummaryView(withValue(bad)); err == nil {
+				t.Errorf("%s: view parse accepted entry value %v", sum.Kind(), bad)
+			}
+			if _, err := DecodeSummary(withValue(bad)); err == nil {
+				t.Errorf("%s: hydrating decoder accepted entry value %v", sum.Kind(), bad)
+			}
+			if _, err := DecodeSummaryViewFrom(bytes.NewReader(withValue(bad))); err == nil {
+				t.Errorf("%s: DecodeSummaryViewFrom accepted entry value %v", sum.Kind(), bad)
+			}
+			stored, err := DecodeStoredSummary(withValue(bad))
+			if err != nil {
+				t.Errorf("%s: stored decoder refused entry value %v: %v", sum.Kind(), bad, err)
+				continue
+			}
+			if re, err := EncodeSummary(stored, 2); err != nil || !bytes.Equal(re, withValue(bad)) {
+				t.Errorf("%s: stored entry value %v did not round-trip (err %v)", sum.Kind(), bad, err)
+			}
+			if bad >= 0 || math.IsInf(bad, 0) || math.IsNaN(bad) {
+				continue // not expressible in JSON
+			}
+			v1, err := EncodeSummary(stored, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := fmt.Sprintf("core: invalid entry value %v for key 12", bad)
+			if _, err := DecodeSummary(v1); err == nil || err.Error() != want {
+				t.Errorf("%s: v1 DecodeSummary of entry value %v: %v", sum.Kind(), bad, err)
+			}
+			if _, _, err := DecodeSummaryFrom(bytes.NewReader(v1)); err == nil || err.Error() != want {
+				t.Errorf("%s: v1 DecodeSummaryFrom of entry value %v: %v", sum.Kind(), bad, err)
+			}
+			if _, err := (jsonCodec{}).DecodeFrom(bytes.NewReader(v1)); err == nil || err.Error() != want {
+				t.Errorf("%s: v1 codec DecodeFrom of entry value %v: %v", sum.Kind(), bad, err)
+			}
+			if _, err := DecodeStoredSummary(v1); err != nil {
+				t.Errorf("%s: stored decoder refused v1 entry value %v: %v", sum.Kind(), bad, err)
+			}
+		}
+		if _, err := ParseSummaryView(withValue(0)); err != nil {
+			t.Errorf("%s: view parse refused entry value 0: %v", sum.Kind(), err)
+		}
+		if _, err := DecodeSummary(withValue(0)); err != nil {
+			t.Errorf("%s: hydrating decoder refused entry value 0: %v", sum.Kind(), err)
 		}
 	}
 }

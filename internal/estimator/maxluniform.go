@@ -1,9 +1,10 @@
 package estimator
 
 import (
+	"cmp"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 )
 
 // MaxLUniform is the order-based estimator max^(L) for any number of
@@ -81,19 +82,30 @@ func (e *MaxLUniform) PrefixSum(h int) float64 {
 // outcome must have r entries; the P field is ignored (the estimator's own
 // uniform p applies).
 func (e *MaxLUniform) Estimate(o ObliviousOutcome) float64 {
+	return e.EstimateInto(o, make([]float64, 0, e.r))
+}
+
+// EstimateInto is Estimate with caller-owned scratch: the sampled values
+// are gathered and sorted in z's backing array (capacity at least r; prior
+// contents are overwritten), so a per-key loop estimates without
+// allocating.
+//
+//summarylint:hot
+func (e *MaxLUniform) EstimateInto(o ObliviousOutcome, z []float64) float64 {
 	if o.R() != e.r {
-		panic(fmt.Sprintf("estimator: outcome has r=%d entries, estimator built for r=%d", o.R(), e.r))
+		e.panicWrongR(o.R())
 	}
-	z := make([]float64, 0, e.r)
+	z = z[:0]
 	for i, s := range o.Sampled {
 		if s {
+			//summarylint:ignore z has capacity r by contract and at most r entries are sampled
 			z = append(z, o.Values[i])
 		}
 	}
 	if len(z) == 0 {
 		return 0
 	}
-	sort.Sort(sort.Reverse(sort.Float64Slice(z)))
+	slices.SortFunc(z, descending)
 	// Sorted determining vector: z1 repeated for the r−|S| unsampled
 	// entries, then the sampled values in non-increasing order. Using the
 	// prefix sum A_{r−|S|} collapses the repeated head.
@@ -107,6 +119,15 @@ func (e *MaxLUniform) Estimate(o ObliviousOutcome) float64 {
 	}
 	return est
 }
+
+func (e *MaxLUniform) panicWrongR(r int) {
+	panic(fmt.Sprintf("estimator: outcome has r=%d entries, estimator built for r=%d", r, e.r))
+}
+
+// descending orders floats largest first (NaNs after everything): the
+// order sort.Reverse(sort.Float64Slice) produces, as a plain function so
+// sorting boxes nothing.
+func descending(a, b float64) int { return cmp.Compare(b, a) }
 
 // EstimateValues is a convenience wrapper taking the multiset of sampled
 // values directly (order irrelevant); pass an empty slice for S = ∅.

@@ -20,7 +20,8 @@ func MaxL2PPS(o PPSOutcome) float64 {
 	if o.R() != 2 {
 		panic("estimator: MaxL2PPS requires r=2")
 	}
-	phi := o.DeterminingVector()
+	var phi [2]float64
+	o.DeterminingVectorInto(phi[:])
 	return MaxL2PPSDetermining(phi[0], phi[1], o.Tau[0], o.Tau[1])
 }
 

@@ -115,19 +115,26 @@ type BinaryKnownSeedsOutcome struct {
 // the weighted sample and 0 otherwise.
 func (o BinaryKnownSeedsOutcome) ToOblivious() ObliviousOutcome {
 	r := len(o.P)
-	out := ObliviousOutcome{
-		P:       o.P,
-		Sampled: make([]bool, r),
-		Values:  make([]float64, r),
-	}
+	return o.ToObliviousInto(make([]bool, r), make([]float64, r))
+}
+
+// ToObliviousInto is ToOblivious over caller-owned scratch: the returned
+// outcome's Sampled and Values are the first len(o.P) elements of the
+// passed slices (each must be at least that long; prior contents are
+// overwritten), so a per-key loop maps every outcome without allocating.
+//
+//summarylint:hot
+func (o BinaryKnownSeedsOutcome) ToObliviousInto(sampled []bool, values []float64) ObliviousOutcome {
+	r := len(o.P)
+	out := ObliviousOutcome{P: o.P, Sampled: sampled[:r], Values: values[:r]}
 	for i := 0; i < r; i++ {
 		switch {
 		case o.Sampled[i]:
-			out.Sampled[i] = true
-			out.Values[i] = 1
+			out.Sampled[i], out.Values[i] = true, 1
 		case o.U[i] <= o.P[i]:
-			out.Sampled[i] = true
-			out.Values[i] = 0
+			out.Sampled[i], out.Values[i] = true, 0
+		default:
+			out.Sampled[i], out.Values[i] = false, 0
 		}
 	}
 	return out
@@ -175,9 +182,19 @@ func (o PPSOutcome) UpperBound(i int) float64 {
 // outcome; otherwise sampled entries keep their values and each unsampled
 // entry i gets min{max sampled value, U[i]·Tau[i]}.
 func (o PPSOutcome) DeterminingVector() []float64 {
-	phi := make([]float64, o.R())
+	return o.DeterminingVectorInto(make([]float64, o.R()))
+}
+
+// DeterminingVectorInto is DeterminingVector over caller-owned scratch: it
+// writes φ(S) into the first R() elements of phi (which must be at least
+// that long; prior contents are overwritten) and returns that prefix.
+//
+//summarylint:hot
+func (o PPSOutcome) DeterminingVectorInto(phi []float64) []float64 {
+	phi = phi[:o.R()]
 	m := o.MaxSampled()
 	if o.NumSampled() == 0 {
+		clear(phi)
 		return phi
 	}
 	for i := range phi {

@@ -2,6 +2,7 @@ package estimator
 
 import (
 	"math"
+	"slices"
 	"testing"
 )
 
@@ -147,5 +148,51 @@ func TestDerivedEstimateRejectsUnknown(t *testing.T) {
 		P: []float64{0.5, 0.5}, Sampled: []bool{true, false}, Values: []float64{7, 0},
 	}); err == nil {
 		t.Error("out-of-domain value accepted")
+	}
+}
+
+// TestIntoKernelsOverwriteScratch: the caller-owned-scratch kernels answer
+// exactly like their allocating wrappers whatever the scratch held before
+// (a per-key loop hands them the previous key's leftovers), including
+// scratch longer than the outcome, and allocate nothing.
+func TestIntoKernelsOverwriteScratch(t *testing.T) {
+	const r = 4
+	est, err := NewMaxLUniform(r, 0.3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dirtyF := func() []float64 { return []float64{9, -1, math.NaN(), 7, 3, 3} }
+	dirtyB := func() []bool { return []bool{true, true, true, true, true, true} }
+	for mask := 0; mask < 1<<(2*r); mask++ {
+		pps := PPSOutcome{Tau: []float64{3, 5, 2, 8}, U: make([]float64, r), Sampled: make([]bool, r), Values: make([]float64, r)}
+		bin := BinaryKnownSeedsOutcome{P: []float64{0.3, 0.3, 0.3, 0.3}, U: pps.U, Sampled: pps.Sampled}
+		for i := 0; i < r; i++ {
+			pps.Sampled[i] = mask>>i&1 == 1
+			pps.U[i] = 0.1 + 0.5*float64(mask>>(r+i)&1) // below or above p
+			if pps.Sampled[i] {
+				pps.Values[i] = float64(1 + (mask+i)%3)
+			}
+		}
+		if got, want := pps.DeterminingVectorInto(dirtyF()), pps.DeterminingVector(); !slices.Equal(got, want) {
+			t.Fatalf("mask %b: DeterminingVectorInto %v, DeterminingVector %v", mask, got, want)
+		}
+		got, want := bin.ToObliviousInto(dirtyB(), dirtyF()), bin.ToOblivious()
+		if !slices.Equal(got.Values, want.Values) || !slices.Equal(got.Sampled, want.Sampled) {
+			t.Fatalf("mask %b: ToObliviousInto %+v, ToOblivious %+v", mask, got, want)
+		}
+		if g, w := est.EstimateInto(got, dirtyF()), est.Estimate(want); math.Float64bits(g) != math.Float64bits(w) {
+			t.Fatalf("mask %b: EstimateInto %v, Estimate %v", mask, g, w)
+		}
+	}
+
+	pps := SamplePPS([]float64{4, 1}, []float64{0.2, 0.9}, []float64{5, 5})
+	bin := SampleBinaryKnownSeeds([]float64{1, 0, 1, 1}, []float64{0.1, 0.2, 0.9, 0.25}, []float64{0.3, 0.3, 0.3, 0.3})
+	sampled, values, z := make([]bool, r), make([]float64, r), make([]float64, r)
+	if allocs := testing.AllocsPerRun(100, func() {
+		MaxL2PPS(pps)
+		MaxHTPPS(pps)
+		est.EstimateInto(bin.ToObliviousInto(sampled, values), z)
+	}); allocs != 0 {
+		t.Errorf("per-key kernels allocate %v times per key, want 0", allocs)
 	}
 }

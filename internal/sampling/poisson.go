@@ -2,6 +2,7 @@ package sampling
 
 import (
 	"math"
+	"slices"
 	"sort"
 
 	"repro/internal/dataset"
@@ -47,7 +48,7 @@ func (s *WeightedSample) SubsetSum(sel func(dataset.Key) bool) float64 {
 	for h := range s.Values {
 		keys = append(keys, h)
 	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
+	slices.Sort(keys)
 	total := 0.0
 	for _, h := range keys {
 		if sel != nil && !sel(h) {

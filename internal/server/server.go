@@ -2,6 +2,7 @@ package server
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -184,12 +185,22 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	s.mux.ServeHTTP(w, r)
 }
 
+// writeJSON encodes v before committing to a status: a value encoding/json
+// refuses — an estimate that overflowed to ±Inf or went NaN, which JSON
+// has no representation for — becomes a 500 with a JSON error body, not a
+// 200 whose body stops where the encoder gave up.
 func writeJSON(w http.ResponseWriter, status int, v any) {
+	var buf bytes.Buffer
+	enc := json.NewEncoder(&buf)
+	enc.SetIndent("", " ")
+	if err := enc.Encode(v); err != nil {
+		status = http.StatusInternalServerError
+		buf.Reset()
+		_ = enc.Encode(ErrorResult{Error: "server: encoding response: " + err.Error()}) // a struct of strings always encodes
+	}
 	w.Header().Set("Content-Type", jsonContentType)
 	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", " ")
-	_ = enc.Encode(v)
+	_, _ = w.Write(buf.Bytes())
 }
 
 // jsonContentType is the explicit content type of every JSON response,
@@ -434,6 +445,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		if len(sums) == 1 {
 			if b, ok := sums[0].(core.BottomKReader); ok {
 				est := core.BottomKDistinct(b)
+				recordMerge(qsp, sums, b.Size())
 				res := DistinctResult{
 					Dataset: ds, Instances: got,
 					HT: est, KeysUsed: b.Size(), Explain: report,
@@ -453,6 +465,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 			writeError(w, err)
 			return
 		}
+		recordMerge(qsp, sums, est.KeysUsed)
 		res := DistinctResult{
 			Dataset: ds, Instances: got,
 			HT: est.HT, L: est.L, KeysUsed: est.KeysUsed, Explain: report,
@@ -474,6 +487,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 			writeError(w, err)
 			return
 		}
+		recordMerge(qsp, sums, est.KeysUsed)
 		writeJSON(w, http.StatusOK, DominanceResult{
 			Dataset: ds, Instances: got,
 			HT: est.HT, L: est.L, KeysUsed: est.KeysUsed, Explain: report,
@@ -521,6 +535,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 			// PPS, bottom-k, and VarOpt summaries — hydrated or zero-copy
 			// views — all answer the subset-sum estimate directly.
 			total = sum.SubsetSum(nil)
+			recordMerge(qsp, sums, sums[0].Size())
 		default:
 			writeError(w, fmt.Errorf("server: sum not supported for kind %s", sums[0].Kind()))
 			return
@@ -584,6 +599,29 @@ func recordSummaryScans(sp *trace.Span, sums []core.Summary) {
 			fmt.Sprintf("instance=%d kind=%s path=%s entries=%d bytes=%d",
 				sum.InstanceID(), sum.Kind(), path, sum.Size(), bytes))
 	}
+}
+
+// recordMerge annotates the span of a query that walked its summaries'
+// keys in ascending order: union_keys, the distinct keys the walk visited
+// (the denominator of the span's ns/key), and columns_sorted, how many of
+// the summaries had to sort their keys first — one per hydrated summary; a
+// view's are read in wire order. For the multi-instance kinds the walk is
+// the ordered merge and union_keys the size of the key union, which is the
+// estimate's KeysUsed only because the handler never passes a selection;
+// for sum it is the one summary's own keys (every weighted kind, VarOpt
+// included, sums them in ascending order), so columns_sorted is 0 or 1.
+func recordMerge(sp *trace.Span, sums []core.Summary, unionKeys int) {
+	if sp == nil {
+		return
+	}
+	sorted := 0
+	for _, sum := range sums {
+		if path, _ := core.SummaryRepr(sum); path == "hydrated" {
+			sorted++
+		}
+	}
+	sp.SetInt("union_keys", int64(unionKeys))
+	sp.SetInt("columns_sorted", int64(sorted))
 }
 
 // sniffsV2 reports whether the leading bytes claim the v2 binary wire

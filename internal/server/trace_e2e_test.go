@@ -7,6 +7,7 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -339,5 +340,64 @@ func TestSketchHealthGauges(t *testing.T) {
 		if types[fam] != "gauge" {
 			t.Errorf("family %s declared %q, want gauge", fam, types[fam])
 		}
+	}
+}
+
+// TestQuerySpanMergeAttrs: the query span of a key-walking query carries
+// union_keys (the keys its ordered merge visited) and columns_sorted (the
+// hydrated summaries among those consulted), so /debug/traces attributes
+// ns/key and shows the view/hydrated split; a point query carries neither.
+func TestQuerySpanMergeAttrs(t *testing.T) {
+	tr := trace.New(8)
+	ts := tracedServer(t, tr)
+	sites := fixture(800)
+	summ := core.NewSummarizer(testSalt)
+	c := client.New(ts.URL, ts.Client()) // posts v1 JSON: stored hydrated
+	tau := sampling.TauForExpectedSize(sites[0], 100)
+	if _, err := c.PostSummary(context.Background(), "flows", summ.SummarizePPS(0, sites[0], tau)); err != nil {
+		t.Fatal(err)
+	}
+	postV2(t, ts.URL, "flows", summ.SummarizePPS(1, sites[1], tau)) // stored as a view
+
+	querySpan := func(url, name string) map[string]string {
+		t.Helper()
+		before := len(tr.Traces())
+		resp, err := http.Get(ts.URL + url)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		recs := tr.Traces()
+		if len(recs) != before+1 {
+			t.Fatalf("GET %s recorded %d traces, want 1", url, len(recs)-before)
+		}
+		for _, sp := range recs[0].Spans {
+			if sp.Name == name {
+				attrs := map[string]string{}
+				for _, a := range sp.Attrs {
+					attrs[a.Key] = a.Value
+				}
+				return attrs
+			}
+		}
+		t.Fatalf("GET %s recorded no %s span: %+v", url, name, recs[0].Spans)
+		return nil
+	}
+
+	est, err := c.MaxDominance(context.Background(), "flows", 0, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	attrs := querySpan("/v1/query?dataset=flows&q=maxdominance&instances=0,1", "query.maxdominance")
+	if attrs["union_keys"] != strconv.Itoa(est.KeysUsed) || attrs["columns_sorted"] != "1" {
+		t.Errorf("maxdominance span attrs %v, want union_keys=%d columns_sorted=1", attrs, est.KeysUsed)
+	}
+	attrs = querySpan("/v1/query?dataset=flows&q=sum&instances=1", "query.sum")
+	if attrs["union_keys"] == "" || attrs["columns_sorted"] != "0" {
+		t.Errorf("view sum span attrs %v, want union_keys set and columns_sorted=0", attrs)
+	}
+	attrs = querySpan("/v1/query?dataset=flows&q=quantile&instances=0,1&key=1", "query.quantile")
+	if _, ok := attrs["union_keys"]; ok {
+		t.Errorf("quantile span attrs %v: a point query walks no columns", attrs)
 	}
 }

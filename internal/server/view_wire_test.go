@@ -2,10 +2,12 @@ package server_test
 
 import (
 	"bytes"
+	"encoding/binary"
 	"io"
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -198,5 +200,72 @@ func TestIngestVarOpt(t *testing.T) {
 			t.Errorf("varopt sum %v != exact total %v", got.Sum, in.Total())
 		}
 		ts.Close()
+	}
+}
+
+// TestNonFiniteEntryValuesRefused: a v2 post whose weighted entry value is
+// +Inf, NaN or negative is a 400 with a JSON error body — on the view path
+// (canonical bytes) and on the hydrating fallback (the same entries in
+// descending key order, which only the lenient decoder accepts) — and
+// leaves nothing behind to query.
+func TestNonFiniteEntryValuesRefused(t *testing.T) {
+	ts := httptest.NewServer(server.New(server.NewRegistry(), engine.Config{}))
+	defer ts.Close()
+	summ := core.NewSummarizer(testSalt)
+	good, err := core.EncodeSummary(summ.SummarizePPS(0, dataset.Instance{5: 2, 9: 4}, 1), 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := len(good)
+	descending := bytes.Clone(good) // swap the two 16-byte entries
+	copy(descending[n-32:n-16], good[n-16:])
+	copy(descending[n-16:], good[n-32:n-16])
+	for path, body := range map[string][]byte{"view": good, "hydrating": descending} {
+		if resp := postBody(t, ts.URL+"/v1/summaries?dataset=ok-"+path, core.ContentTypeV2, body); resp.StatusCode != http.StatusCreated {
+			t.Fatalf("%s path: finite values refused with %d", path, resp.StatusCode)
+		}
+		for _, bad := range []float64{math.Inf(1), math.NaN(), -3} {
+			b := bytes.Clone(body)
+			binary.LittleEndian.PutUint64(b[n-8:], math.Float64bits(bad))
+			resp := postBody(t, ts.URL+"/v1/summaries?dataset=bad", core.ContentTypeV2, b)
+			if resp.StatusCode != http.StatusBadRequest {
+				t.Errorf("%s path: entry value %v answered %d, want 400", path, bad, resp.StatusCode)
+			}
+			if e := decodeResult[api.ErrorResult](t, resp); e.Error == "" {
+				t.Errorf("%s path: entry value %v refused without an error body", path, bad)
+			}
+		}
+	}
+	resp, err := http.Get(ts.URL + "/v1/query?dataset=bad&q=sum&instances=0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusNotFound {
+		t.Errorf("refused posts left a queryable dataset: status %d", resp.StatusCode)
+	}
+}
+
+// TestUnencodableResultIsAnError: an estimate JSON cannot represent — here
+// a sum of finite values that overflows to +Inf — answers a 5xx with a
+// JSON error body, never a 200 whose body is empty.
+func TestUnencodableResultIsAnError(t *testing.T) {
+	ts := httptest.NewServer(server.New(server.NewRegistry(), engine.Config{}))
+	defer ts.Close()
+	huge := dataset.Instance{1: math.MaxFloat64, 2: math.MaxFloat64}
+	postV2(t, ts.URL, "huge", core.NewSummarizer(testSalt).SummarizePPS(0, huge, 1))
+
+	resp, err := http.Get(ts.URL + "/v1/query?dataset=huge&q=sum&instances=0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusInternalServerError {
+		t.Errorf("overflowed sum answered %d, want 500", resp.StatusCode)
+	}
+	if ct := resp.Header.Get("Content-Type"); !strings.HasPrefix(ct, "application/json") {
+		t.Errorf("Content-Type %q, want JSON", ct)
+	}
+	if e := decodeResult[api.ErrorResult](t, resp); !strings.Contains(e.Error, "encoding response") {
+		t.Errorf("error body %+v, want the encoding failure", e)
 	}
 }

@@ -311,7 +311,7 @@ func readRecords(r io.Reader, size int64, strict bool, apply func(dataset string
 				"store: record %d: checksummed payload has an invalid dataset-name length (version skew or writer bug; refusing to truncate)", records+1)
 		}
 		dataset := string(payload[n : int64(n)+int64(nameLen)])
-		sum, derr := core.DecodeSummary(payload[int64(n)+int64(nameLen):])
+		sum, derr := core.DecodeStoredSummary(payload[int64(n)+int64(nameLen):])
 		if derr != nil {
 			return records, validBytes, fmt.Errorf(
 				"store: record %d: checksummed payload failed to decode (version skew or writer bug; refusing to truncate): %w", records+1, derr)
