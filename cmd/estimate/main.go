@@ -156,7 +156,7 @@ func run(query string, files ...string) error {
 		if err != nil {
 			return err
 		}
-		est, err := core.MaxDominance(s1, s2, nil)
+		est, err := core.MaxDominanceReaders(s1, s2, nil)
 		if err != nil {
 			return err
 		}
@@ -170,7 +170,7 @@ func run(query string, files ...string) error {
 		if err != nil {
 			return err
 		}
-		est, err := core.DistinctCount(s1, s2, nil)
+		est, err := core.DistinctCountReaders(s1, s2, nil)
 		if err != nil {
 			return err
 		}

@@ -29,15 +29,15 @@ func main() {
 	s := core.NewSummarizer(42)
 	pps := s.SummarizePPSExpectedSize(0, in, 3)
 	fmt.Printf("Poisson PPS (expected size 3, tau=%.4g): %d keys, subset-sum estimate %.4g\n",
-		pps.Tau, pps.Len(), pps.SubsetSum(nil))
+		pps.PPSTau(), pps.Size(), pps.SubsetSum(nil))
 
 	bk := s.SummarizeBottomK(0, in, 3, sampling.PPS{})
 	fmt.Printf("bottom-3 priority sample: %d keys, subset-sum estimate %.4g\n",
-		bk.Len(), bk.SubsetSum(nil))
+		bk.Size(), bk.SubsetSum(nil))
 
 	bkExp := s.SummarizeBottomK(0, in, 3, sampling.EXP{})
 	fmt.Printf("bottom-3 SWOR (EXP ranks): %d keys, subset-sum estimate %.4g\n",
-		bkExp.Len(), bkExp.SubsetSum(nil))
+		bkExp.Size(), bkExp.SubsetSum(nil))
 
 	vo := sampling.NewVarOpt(3, randx.New(7))
 	for h, v := range in {

@@ -54,7 +54,7 @@ func main() {
 		}
 	}
 	s := core.NewSummarizer(99)
-	d, err := core.DistinctCount(s.SummarizeSet(0, a1, 0.1), s.SummarizeSet(3, a4, 0.1), nil)
+	d, err := core.DistinctCountReaders(s.SummarizeSet(0, a1, 0.1), s.SummarizeSet(3, a4, 0.1), nil)
 	if err != nil {
 		panic(err)
 	}
@@ -66,7 +66,7 @@ func main() {
 	for t := 1; t < 4; t++ {
 		sum1 := s.SummarizePPSExpectedSize(0, m.Instances[0], 400)
 		sumT := s.SummarizePPSExpectedSize(t, m.Instances[t], 400)
-		est, err := core.MaxDominance(sum1, sumT, nil)
+		est, err := core.MaxDominanceReaders(sum1, sumT, nil)
 		if err != nil {
 			panic(err)
 		}
@@ -86,12 +86,12 @@ func main() {
 		x := mode.s.SummarizePPSExpectedSize(0, m.Instances[0], 400)
 		y := mode.s.SummarizePPSExpectedSize(1, m.Instances[1], 400)
 		overlap := 0
-		for h := range x.Sample.Values {
-			if _, ok := y.Sample.Values[h]; ok {
+		for _, h := range x.AppendKeys(nil) {
+			if _, ok := y.Lookup(h); ok {
 				overlap++
 			}
 		}
-		fmt.Printf("  %-12s %d / %d keys shared\n", mode.name, overlap, x.Len())
+		fmt.Printf("  %-12s %d / %d keys shared\n", mode.name, overlap, x.Size())
 	}
 	fmt.Println("\ncoordination concentrates the sample on the same keys, which is why")
 	fmt.Println("shared-seed schemes boost multi-instance estimates — at the price of")

@@ -131,12 +131,12 @@ func main() {
 	// --- the same summaries, built in-process --------------------------
 	// The ingest path must reproduce local summarization exactly: ranks
 	// depend only on (salt, key, value), never on where sampling ran.
-	ppsLocal := []*core.PPSSummary{
+	ppsLocal := []core.PPSReader{
 		pps0,
 		summ.SummarizePPS(1, sites[1], taus[1]),
 		summ.SummarizePPS(2, sites[2], taus[2]),
 	}
-	setLocal := []*core.SetSummary{
+	setLocal := []core.SetReader{
 		set0,
 		summ.SummarizeSet(1, members(sites[1]), setP),
 		summ.SummarizeSet(2, members(sites[2]), setP),
@@ -149,7 +149,7 @@ func main() {
 
 	srvD, err := c.Distinct(ctx, "actives")
 	check(err)
-	locD, err := core.DistinctCountMulti(setLocal, nil)
+	locD, err := core.DistinctCountMultiReaders(setLocal, nil)
 	check(err)
 	mustEqual("distinct", srvD.HT, locD.HT)
 	mustEqual("distinct", srvD.L, locD.L)
@@ -158,7 +158,7 @@ func main() {
 
 	srvM, err := c.MaxDominance(ctx, "flows", 0, 1)
 	check(err)
-	locM, err := core.MaxDominance(ppsLocal[0], ppsLocal[1], nil)
+	locM, err := core.MaxDominanceReaders(ppsLocal[0], ppsLocal[1], nil)
 	check(err)
 	mustEqual("maxdominance", srvM.HT, locM.HT)
 	mustEqual("maxdominance", srvM.L, locM.L)
@@ -167,7 +167,7 @@ func main() {
 
 	srvQ, err := c.Quantile(ctx, "flows", uint64(hot), 2)
 	check(err)
-	locQ, err := core.QuantilePPS(ppsLocal, hot, 2)
+	locQ, err := core.QuantilePPSReaders(ppsLocal, hot, 2)
 	check(err)
 	mustEqual("quantile", srvQ.HT, locQ.HT)
 	fmt.Printf("%-34s %14.6g %14s %14.6g\n",
@@ -199,7 +199,7 @@ func main() {
 	vpost, err := c.PostSummary(ctx, "reservoirs", vo0)
 	check(err)
 	fmt.Printf("site 0: POST /v1/summaries            varopt summary, %d keys (tau = %.4g)\n",
-		vpost.Size, vo0.Sample.Tau)
+		vpost.Size, vo0.VarOptTau())
 	srvV, err := c.Sum(ctx, "reservoirs", 0)
 	check(err)
 	mustEqual("varopt sum (posted)", srvV.Sum, vo0.SubsetSum(nil))
@@ -230,8 +230,7 @@ func main() {
 
 	multiLocal := summ.SummarizeMultiPPSWith(acfg, ids, sites, taus)
 	for i := range sites {
-		mustEqualSample(fmt.Sprintf("one-pass pps instance %d", i),
-			multiLocal[i].Sample, ppsLocal[i].Sample, multiLocal[i].Tau, ppsLocal[i].Tau)
+		mustEqualSummary(fmt.Sprintf("one-pass pps instance %d", i), multiLocal[i], ppsLocal[i])
 	}
 	fmt.Printf("in-process: 1 scan over %d combined pairs == 3 per-instance scans (bit-identical) ✓\n",
 		3*(sharedKeys+uniqueKeys))
@@ -242,8 +241,7 @@ func main() {
 	coMulti := co.SummarizeMultiBottomKWith(acfg, ids, sites, expectedK, sampling.PPS{})
 	for i, in := range sites {
 		want := co.SummarizeBottomK(i, in, expectedK, sampling.PPS{})
-		mustEqualSample(fmt.Sprintf("coordinated one-pass bottom-k instance %d", i),
-			coMulti[i].Sample, want.Sample, coMulti[i].Sample.Tau, want.Sample.Tau)
+		mustEqualSummary(fmt.Sprintf("coordinated one-pass bottom-k instance %d", i), coMulti[i], want)
 	}
 	fmt.Printf("coordinated (shared-seed) one-pass bottom-k == per-instance passes ✓\n")
 
@@ -324,13 +322,12 @@ func main() {
 		fmt.Fprintln(os.Stderr, "v2 fetch-back lost the summary's randomization")
 		os.Exit(1)
 	}
-	mustEqualSample("v2 fetch-back", decPPS.Sample, ppsLocal[1].Sample, decPPS.Tau, ppsLocal[1].Tau)
+	mustEqualSummary("v2 fetch-back", decPPS, ppsLocal[1])
 	raw, err := c.FetchSummary(ctx, "flowsmix", 1)
 	check(err)
 	decJSON, err := core.DecodeSummary(raw)
 	check(err)
-	mustEqualSample("v1 fetch-back", decJSON.(*core.PPSSummary).Sample, ppsLocal[1].Sample,
-		decJSON.(*core.PPSSummary).Tau, ppsLocal[1].Tau)
+	mustEqualSummary("v1 fetch-back", decJSON, ppsLocal[1])
 	fmt.Printf("fetch-back in both wire formats decodes to the same summary ✓\n")
 
 	// --- durability: kill the server, recover, re-ask -------------------
@@ -510,22 +507,17 @@ func multiNdjsonBody(sites []dataset.Instance) []byte {
 	return buf.Bytes()
 }
 
-// mustEqualSample asserts bit-equality of two weighted samples.
-func mustEqualSample(what string, got, want *sampling.WeightedSample, gotTau, wantTau float64) {
-	fail := func(format string, args ...any) {
-		fmt.Fprintf(os.Stderr, what+": "+format+"\n", args...)
+// mustEqualSummary asserts that two summaries are the same summary: equal
+// parameters and equal entries, bit for bit — which is to say equal v2
+// encodings.
+func mustEqualSummary(what string, got, want core.Summary) {
+	g, err := core.EncodeSummary(got, 2)
+	check(err)
+	w, err := core.EncodeSummary(want, 2)
+	check(err)
+	if !bytes.Equal(g, w) {
+		fmt.Fprintf(os.Stderr, "%s: summaries differ (%d vs %d entries)\n", what, got.Size(), want.Size())
 		os.Exit(1)
-	}
-	if gotTau != wantTau && !(math.IsInf(gotTau, 1) && math.IsInf(wantTau, 1)) {
-		fail("tau %v != %v", gotTau, wantTau)
-	}
-	if len(got.Values) != len(want.Values) {
-		fail("size %d != %d", len(got.Values), len(want.Values))
-	}
-	for h, v := range want.Values {
-		if got.Values[h] != v {
-			fail("key %d: %v != %v", h, got.Values[h], v)
-		}
 	}
 }
 

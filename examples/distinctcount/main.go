@@ -45,7 +45,7 @@ func main() {
 		s := core.NewSummarizer(salt)
 		s1 := s.SummarizeSet(0, logs[0], p)
 		s2 := s.SummarizeSet(1, logs[1], p)
-		est, err := core.DistinctCount(s1, s2, nil)
+		est, err := core.DistinctCountReaders(s1, s2, nil)
 		if err != nil {
 			panic(err)
 		}

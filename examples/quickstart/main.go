@@ -30,9 +30,9 @@ func main() {
 	s := core.NewSummarizer(2011)
 	sum1 := s.SummarizePPS(0, in1, 30)
 	sum2 := s.SummarizePPS(1, in2, 30)
-	fmt.Printf("summary sizes: instance 1 → %d keys, instance 2 → %d keys\n", sum1.Len(), sum2.Len())
+	fmt.Printf("summary sizes: instance 1 → %d keys, instance 2 → %d keys\n", sum1.Size(), sum2.Size())
 
-	est, err := core.MaxDominance(sum1, sum2, nil)
+	est, err := core.MaxDominanceReaders(sum1, sum2, nil)
 	if err != nil {
 		panic(err)
 	}
@@ -43,7 +43,7 @@ func main() {
 	var seHT, seL stats.Welford
 	for salt := uint64(0); salt < 20000; salt++ {
 		s := core.NewSummarizer(salt)
-		e, err := core.MaxDominance(s.SummarizePPS(0, in1, 30), s.SummarizePPS(1, in2, 30), nil)
+		e, err := core.MaxDominanceReaders(s.SummarizePPS(0, in1, 30), s.SummarizePPS(1, in2, 30), nil)
 		if err != nil {
 			panic(err)
 		}

@@ -22,8 +22,8 @@ func TestBottomKDistinctExactWhenUnderfull(t *testing.T) {
 	in := mcInstance(50)
 	s := NewSummarizer(7)
 	b := s.SummarizeBottomK(0, in, 100, sampling.EXP{})
-	if !math.IsInf(b.Sample.Tau, 1) {
-		t.Fatalf("underfull summary has finite tau %v", b.Sample.Tau)
+	if !math.IsInf(b.RankTau(), 1) {
+		t.Fatalf("underfull summary has finite tau %v", b.RankTau())
 	}
 	if got := BottomKDistinct(b); got != 50 {
 		t.Fatalf("BottomKDistinct = %v, want exact 50", got)
@@ -34,31 +34,31 @@ func TestBottomKDistinctExactWhenUnderfull(t *testing.T) {
 	}
 }
 
+// TestBottomKDistinctViewMatchesHydrated: the estimate off the summary's
+// wire entries equals the one off a map of the same sample, and survives a
+// v2 round trip; WireSize is the encoding's length.
 func TestBottomKDistinctViewMatchesHydrated(t *testing.T) {
 	in := mcInstance(500)
 	s := NewSummarizer(11)
 	b := s.SummarizeBottomK(0, in, 40, sampling.PPS{})
-	codec, err := CodecByVersion(2)
+	data, err := EncodeSummary(b, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	data, err := codec.Encode(b)
+	dec, err := DecodeSummary(data)
 	if err != nil {
 		t.Fatal(err)
 	}
-	view, err := ParseSummaryView(data)
-	if err != nil {
-		t.Fatal(err)
+	ref := &refBottomK{refWeighted{refSummary{0, s.seeder}, entryMap(b)}, sampling.PPS{}, b.RankTau()}
+	want := bottomKDistinctRef(ref)
+	if got := BottomKDistinct(b); got != want {
+		t.Fatalf("drawn summary %v != map-backed reference %v", got, want)
 	}
-	hv, vv := BottomKDistinct(b), BottomKDistinct(view.(BottomKReader))
-	if hv != vv {
-		t.Fatalf("hydrated %v != view %v", hv, vv)
+	if got := BottomKDistinct(dec.(BottomKReader)); got != want {
+		t.Fatalf("decoded summary %v != map-backed reference %v", got, want)
 	}
-	if path, bytes := SummaryRepr(view); path != "view" || bytes != len(data) {
-		t.Fatalf("SummaryRepr(view) = %q, %d; want view, %d", path, bytes, len(data))
-	}
-	if path, bytes := SummaryRepr(b); path != "hydrated" || bytes != 0 {
-		t.Fatalf("SummaryRepr(hydrated) = %q, %d", path, bytes)
+	if WireSize(b) != len(data) || WireSize(dec) != len(data) {
+		t.Fatalf("WireSize = %d drawn, %d decoded; want %d", WireSize(b), WireSize(dec), len(data))
 	}
 }
 

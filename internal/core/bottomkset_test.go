@@ -16,25 +16,25 @@ func TestSummarizeSetBottomKBasics(t *testing.T) {
 	}
 	s := NewSummarizer(4)
 	sum := s.SummarizeSetBottomK(0, members, 10)
-	if sum.Len() != 10 {
-		t.Fatalf("summary size %d, want 10", sum.Len())
+	if sum.Size() != 10 {
+		t.Fatalf("summary size %d, want 10", sum.Size())
 	}
-	if !(sum.P > 0 && sum.P < 1) {
-		t.Fatalf("threshold P = %v", sum.P)
+	if !(sum.SetP() > 0 && sum.SetP() < 1) {
+		t.Fatalf("threshold P = %v", sum.SetP())
 	}
 	// Every retained member's seed is below P; every excluded member's is
 	// above.
 	for h := range members {
 		u := s.Seeder().Seed(0, uint64(h))
-		if sum.Members[h] != (u < sum.P) {
+		if sum.Contains(h) != (u < sum.SetP()) {
 			t.Fatalf("key %d inconsistent with threshold", h)
 		}
 	}
 	// Undersized set: everything kept, P = 1.
 	small := map[dataset.Key]bool{1: true, 2: true}
 	sumSmall := s.SummarizeSetBottomK(0, small, 10)
-	if sumSmall.Len() != 2 || sumSmall.P != 1 {
-		t.Fatalf("undersized summary: len=%d P=%v", sumSmall.Len(), sumSmall.P)
+	if sumSmall.Size() != 2 || sumSmall.SetP() != 1 {
+		t.Fatalf("undersized summary: len=%d P=%v", sumSmall.Size(), sumSmall.SetP())
 	}
 }
 
@@ -58,7 +58,7 @@ func TestBottomKDistinctUnbiased(t *testing.T) {
 		s := NewSummarizer(uint64(i) * 17)
 		s1 := s.SummarizeSetBottomK(0, logs[0], 100)
 		s2 := s.SummarizeSetBottomK(1, logs[1], 100)
-		est, err := DistinctCount(s1, s2, nil)
+		est, err := DistinctCountReaders(s1, s2, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -91,7 +91,7 @@ func TestBottomKDistinctLBeatsHT(t *testing.T) {
 	const trials = 2000
 	for i := 0; i < trials; i++ {
 		s := NewSummarizer(7777 + uint64(i))
-		est, err := DistinctCount(
+		est, err := DistinctCountReaders(
 			s.SummarizeSetBottomK(0, logs[0], 80),
 			s.SummarizeSetBottomK(1, logs[1], 80), nil)
 		if err != nil {

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"bufio"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -34,18 +33,15 @@ type Codec interface {
 	// Encode serializes a summary. The encoding is deterministic: equal
 	// summaries produce equal bytes.
 	Encode(Summary) ([]byte, error)
-	// EncodeTo streams the serialization into w: exactly the bytes Encode
-	// would return, but written incrementally. Implementations with a
-	// streaming layout (v2) write entry by entry and never materialize
-	// the payload; the v1 JSON codec necessarily buffers (encoding/json
-	// cannot emit a document incrementally) but still writes through w so
+	// EncodeTo writes exactly the bytes Encode would return into w, so
 	// every caller — the WAL, snapshots, HTTP response bodies — uses one
-	// code path.
+	// code path. The v2 codec writes the summary's own bytes without
+	// copying them; the v1 JSON codec marshals first (encoding/json cannot
+	// emit a document incrementally).
 	EncodeTo(io.Writer, Summary) error
-	// DecodeFrom reconstructs a summary from a stream. Implementations
-	// with a streaming layout (v2) read entry by entry and never buffer
-	// the whole payload; the v1 JSON codec necessarily buffers (a JSON
-	// document cannot be validated incrementally by encoding/json).
+	// DecodeFrom reconstructs a summary from a stream carrying exactly one
+	// message, reading it to its end: a JSON document cannot be validated
+	// incrementally, and a v2 message's bytes become the summary.
 	DecodeFrom(io.Reader) (Summary, error)
 }
 
@@ -167,7 +163,7 @@ func EncodeSummary(s Summary, version int) ([]byte, error) {
 // in their header, any other non-empty payload is v1 JSON. The claim is
 // unvalidated — decoding is still the arbiter.
 func SniffWireVersion(data []byte) (version int, ok bool) {
-	if len(data) >= 3 && data[0] == v2Magic0 && data[1] == v2Magic1 {
+	if len(data) >= 3 && hasV2Magic(data) {
 		return int(data[2]), true
 	}
 	if len(data) > 0 {
@@ -177,32 +173,20 @@ func SniffWireVersion(data []byte) (version int, ok bool) {
 }
 
 // DecodeSummaryFrom reconstructs a summary of any kind and any registered
-// wire version from a stream, sniffing the format: the v2 binary magic
-// selects the binary codec, anything else is treated as v1 JSON. It
-// returns the wire version the payload actually carried alongside the
-// summary. It is the trust-boundary entry point for services that accept
-// posted summaries without knowing their format in advance. Binary
-// decoding is streaming — it never buffers the whole payload.
+// wire version from a stream carrying exactly one message, sniffing the
+// format: the v2 binary magic selects the binary codec, anything else is
+// treated as v1 JSON. It returns the wire version the payload actually
+// carried alongside the summary. It is the trust-boundary entry point for
+// services that accept posted summaries without knowing their format in
+// advance.
 func DecodeSummaryFrom(r io.Reader) (Summary, int, error) {
-	br, ok := r.(*bufio.Reader)
-	if !ok {
-		br = bufio.NewReaderSize(r, 4096)
-	}
-	head, err := br.Peek(2)
-	if err != nil && len(head) < 2 {
-		// Too short even for the magic: hand what there is to the JSON
-		// path for a decode error naming the real problem.
-		data, _ := io.ReadAll(br)
-		s, err := decodeSummaryJSON(data, false)
-		return s, 1, err
-	}
-	if head[0] == v2Magic0 && head[1] == v2Magic1 {
-		s, err := decodeSummaryV2(br, false)
-		return s, 2, err
-	}
-	data, err := io.ReadAll(br)
+	data, err := io.ReadAll(r)
 	if err != nil {
 		return nil, 1, fmt.Errorf("core: reading summary: %w", err)
+	}
+	if hasV2Magic(data) {
+		s, err := decodeWholeV2(data, false, "core: trailing data after v2 summary")
+		return s, 2, err
 	}
 	s, err := decodeSummaryJSON(data, false)
 	return s, 1, err

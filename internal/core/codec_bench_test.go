@@ -30,7 +30,7 @@ func BenchmarkEncodeSummary(b *testing.B) {
 				encoded = len(data)
 			}
 			b.ReportMetric(float64(encoded), "wire-bytes")
-			b.ReportMetric(float64(encoded)/float64(sum.Len()), "bytes/entry")
+			b.ReportMetric(float64(encoded)/float64(sum.Size()), "bytes/entry")
 		})
 	}
 }
@@ -50,8 +50,8 @@ func BenchmarkDecodeSummary(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				if dec.Size() != sum.Len() {
-					b.Fatalf("decoded %d entries, want %d", dec.Size(), sum.Len())
+				if dec.Size() != sum.Size() {
+					b.Fatalf("decoded %d entries, want %d", dec.Size(), sum.Size())
 				}
 			}
 			b.ReportMetric(float64(len(data)), "wire-bytes")

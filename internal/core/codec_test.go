@@ -44,7 +44,7 @@ func queryBits(t *testing.T, s Summary) float64 {
 	case *BottomKSummary:
 		return v.SubsetSum(nil)
 	case *SetSummary:
-		return float64(v.Len()) / v.P
+		return float64(v.Size()) / v.SetP()
 	}
 	t.Fatalf("unknown summary type %T", s)
 	return 0
@@ -155,11 +155,11 @@ func TestCrossCodecMultiSummaryQueries(t *testing.T) {
 		}
 		return dec
 	}
-	wantEst, err := MaxDominance(reencode(p1, 1), reencode(p2, 1), nil)
+	wantEst, err := MaxDominanceReaders(reencode(p1, 1), reencode(p2, 1), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	gotEst, err := MaxDominance(reencode(p1, 2), reencode(p2, 2), nil)
+	gotEst, err := MaxDominanceReaders(reencode(p1, 2), reencode(p2, 2), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -297,19 +297,15 @@ func millionEntryBottomK(tb testing.TB) *BottomKSummary {
 			h := xhash.Mix64(i ^ 0xA5A5A5A5A5A5A5A5)
 			vals[dataset.Key(h)] = 1 + float64(h%1_000_003)/997.0
 		}
-		millionSum = &BottomKSummary{
-			Instance: 0,
-			Sample:   &sampling.WeightedSample{Values: vals, Tau: 0.25, Family: sampling.PPS{}},
-			parent:   NewSummarizer(2011),
-		}
+		millionSum = newBottomKSummary(NewSummarizer(2011).seeder, 0,
+			&sampling.WeightedSample{Values: vals, Tau: 0.25, Family: sampling.PPS{}})
 	})
 	return millionSum
 }
 
 // TestV2StreamingDecodeBoundedBuffer: decoding a large v2 payload from a
-// chunked reader (no bytes.Reader fast path) succeeds — the decoder never
-// requires the payload to be materialized — and the in-flight buffering
-// stays at the bufio window, not the payload size.
+// chunked reader (no bytes.Reader fast path) succeeds, and what it holds
+// afterwards is the payload's bytes and nothing beside them.
 func TestV2StreamingDecodeBoundedBuffer(t *testing.T) {
 	if testing.Short() {
 		t.Skip("1M-entry payload")
@@ -329,6 +325,9 @@ func TestV2StreamingDecodeBoundedBuffer(t *testing.T) {
 	}
 	if math.Float64bits(queryBits(t, dec)) != math.Float64bits(queryBits(t, Summary(sum))) {
 		t.Fatal("chunked decode drifted query bits")
+	}
+	if !bytes.Equal(dec.wireBytes(), data) {
+		t.Fatal("chunked decode holds other bytes than the payload")
 	}
 }
 

@@ -16,8 +16,9 @@ import (
 //
 //  1. No panics — every input returns a summary or an error.
 //  2. No over-allocation — a payload claiming billions of entries fails
-//     after the bytes actually present, bounded by v2MaxPrealloc.
-//  3. Self-consistency — whatever decodes re-encodes canonically and
+//     after the bytes actually present; the count itself allocates nothing.
+//  3. Self-consistency — whatever decodes is held as canonical bytes
+//     (strictly ascending keys, and a fixed point of decode → encode), and
 //     decodes again to the same summary and the same query bits.
 func FuzzDecodeSummaryV2(f *testing.F) {
 	// Seeds: one valid payload per kind, then targeted corruptions.
@@ -84,6 +85,19 @@ func FuzzDecodeSummaryV2(f *testing.F) {
 		if SummarySeeder(sum2) != SummarySeeder(sum) {
 			t.Fatal("re-decoded seeder differs")
 		}
+		if out2, _ := EncodeSummary(sum2, 2); !bytes.Equal(out2, out) {
+			t.Fatal("the encoding of a decoded summary is not a fixed point of decode → encode")
+		}
+		if keyed, ok := sum.(interface {
+			AppendKeys([]dataset.Key) []dataset.Key
+		}); ok {
+			keys := keyed.AppendKeys(nil)
+			for i := 1; i < len(keys); i++ {
+				if keys[i-1] >= keys[i] {
+					t.Fatalf("decoded keys not strictly ascending at %d", i)
+				}
+			}
+		}
 		// The decoded summary must be usable, not just inspectable, and
 		// usable identically on both sides of the round trip.
 		var bits, bits2 float64
@@ -93,7 +107,7 @@ func FuzzDecodeSummaryV2(f *testing.F) {
 		case *BottomKSummary:
 			bits, bits2 = v.SubsetSum(nil), sum2.(*BottomKSummary).SubsetSum(nil)
 		case *SetSummary:
-			bits, bits2 = float64(v.Len())/v.P, float64(sum2.(*SetSummary).Len())/sum2.(*SetSummary).P
+			bits, bits2 = float64(v.Size())/v.SetP(), float64(sum2.(*SetSummary).Size())/sum2.(*SetSummary).SetP()
 		}
 		if math.Float64bits(bits) != math.Float64bits(bits2) {
 			t.Fatalf("query bits changed across the round trip: %v vs %v", bits, bits2)

@@ -17,6 +17,9 @@
 package core
 
 import (
+	"maps"
+	"slices"
+
 	"repro/internal/aggregate"
 	"repro/internal/dataset"
 	"repro/internal/engine"
@@ -55,20 +58,6 @@ func (s *Summarizer) seedFunc(instance int) sampling.SeedFunc {
 	return func(h dataset.Key) float64 { return s.seeder.Seed(instance, uint64(h)) }
 }
 
-// PPSSummary is a weighted Poisson PPS summary of a single instance: the
-// sampled keys with exact values, plus everything needed to recompute
-// inclusion probabilities and seeds.
-type PPSSummary struct {
-	// Instance is the index identifying this instance's hash salt.
-	Instance int
-	// Tau is the PPS threshold: key h was included iff v(h) ≥ u(h)·Tau.
-	Tau float64
-	// Sample holds the sampled keys and values.
-	Sample *sampling.WeightedSample
-
-	parent *Summarizer
-}
-
 // SummarizePPS draws the PPS summary of one instance with threshold tau
 // (inclusion probability min{1, v/tau}). It routes through the
 // summarization engine on its sequential path; use SummarizePPSWith to fan
@@ -82,15 +71,6 @@ func (s *Summarizer) SummarizePPSExpectedSize(instance int, in dataset.Instance,
 	return s.SummarizePPS(instance, in, sampling.TauForExpectedSize(in, k))
 }
 
-// SubsetSum estimates the single-instance subset sum Σ_{h∈sel} v(h) from
-// the summary (nil sel selects all keys).
-func (p *PPSSummary) SubsetSum(sel func(dataset.Key) bool) float64 {
-	return p.Sample.SubsetSum(sel)
-}
-
-// Len returns the number of sampled keys.
-func (p *PPSSummary) Len() int { return p.Sample.Len() }
-
 // MaxDominanceEstimate is the result of a two-summary max-dominance query.
 type MaxDominanceEstimate struct {
 	// HT is the Horvitz–Thompson estimate (positive per-key contribution
@@ -103,16 +83,9 @@ type MaxDominanceEstimate struct {
 	KeysUsed int
 }
 
-// MaxDominance estimates Σ_{h∈sel} max(v1(h), v2(h)) from two PPS
-// summaries produced by the same Summarizer.
-func MaxDominance(s1, s2 *PPSSummary, sel func(dataset.Key) bool) (MaxDominanceEstimate, error) {
-	return MaxDominanceReaders(s1, s2, sel)
-}
-
-// MaxDominanceReaders is MaxDominance over the PPSReader seam: it accepts
-// any PPS representation — hydrated summaries or zero-copy v2 views — and
-// answers identically (per-key terms sum in ascending key order either
-// way).
+// MaxDominanceReaders estimates Σ_{h∈sel} max(v1(h), v2(h)) from two PPS
+// summaries produced by the same Summarizer. Per-key terms sum in ascending
+// key order.
 func MaxDominanceReaders(s1, s2 PPSReader, sel func(dataset.Key) bool) (MaxDominanceEstimate, error) {
 	if err := checkCombinable([]Summary{s1, s2}, 2); err != nil {
 		return MaxDominanceEstimate{}, err
@@ -158,32 +131,17 @@ func maxDominanceMerge(m *unionMerge, seeder xhash.Seeder, instance [2]int, tau 
 	return out
 }
 
-// SetSummary is a summary of a binary instance (a set of active keys):
-// Poisson sampling with probability P over the members, with known seeds.
-type SetSummary struct {
-	// Instance is the index identifying this instance's hash salt.
-	Instance int
-	// P is the per-member sampling probability.
-	P float64
-	// Members holds the sampled keys.
-	Members map[dataset.Key]bool
-
-	parent *Summarizer
-}
-
 // SummarizeSet draws the known-seed Poisson summary of a set.
 func (s *Summarizer) SummarizeSet(instance int, members map[dataset.Key]bool, p float64) *SetSummary {
-	out := &SetSummary{Instance: instance, P: p, Members: make(map[dataset.Key]bool), parent: s}
+	var sampled []dataset.Key
+	//summarylint:ignore newSetSummary sorts the members it is given
 	for h := range members {
 		if s.seeder.Seed(instance, uint64(h)) < p {
-			out.Members[h] = true
+			sampled = append(sampled, h)
 		}
 	}
-	return out
+	return newSetSummary(s.seeder, instance, p, sampled)
 }
-
-// Len returns the number of sampled members.
-func (s *SetSummary) Len() int { return len(s.Members) }
 
 // SetStream summarizes a set incrementally: Push members as they arrive,
 // Close to obtain the finished SetSummary. Known-seed Poisson set sampling
@@ -191,7 +149,10 @@ func (s *SetSummary) Len() int { return len(s.Members) }
 // stream needs no engine pipeline — it is the set-summary face of the
 // edge-ingest path.
 type SetStream struct {
-	out *SetSummary
+	seeder   xhash.Seeder
+	instance int
+	p        float64
+	sampled  map[dataset.Key]struct{}
 }
 
 // StreamSet opens a set summarization stream for one instance with
@@ -200,27 +161,22 @@ func (s *Summarizer) StreamSet(instance int, p float64) *SetStream {
 	if !(p > 0 && p <= 1) {
 		panic("core: StreamSet with probability outside (0,1]")
 	}
-	return &SetStream{out: &SetSummary{
-		Instance: instance,
-		P:        p,
-		Members:  make(map[dataset.Key]bool),
-		parent:   s,
-	}}
+	return &SetStream{seeder: s.seeder, instance: instance, p: p, sampled: make(map[dataset.Key]struct{})}
 }
 
 // Push offers one member arrival. Pushing the same key twice is harmless
 // (the seed test is deterministic).
 func (st *SetStream) Push(h dataset.Key) {
-	if st.out.parent.seeder.Seed(st.out.Instance, uint64(h)) < st.out.P {
-		st.out.Members[h] = true
+	if st.seeder.Seed(st.instance, uint64(h)) < st.p {
+		st.sampled[h] = struct{}{}
 	}
 }
 
 // Close returns the finished summary. The stream is unusable afterwards.
 func (st *SetStream) Close() *SetSummary {
-	out := st.out
-	st.out = nil
-	return out
+	members := slices.Collect(maps.Keys(st.sampled))
+	st.sampled = nil
+	return newSetSummary(st.seeder, st.instance, st.p, members)
 }
 
 // SummarizeSetBottomK draws a bottom-k summary of a set: the k members
@@ -259,18 +215,15 @@ func (s *Summarizer) SummarizeSetBottomK(instance int, members map[dataset.Key]b
 			top[i], top[i-1] = top[i-1], top[i]
 		}
 	}
-	out := &SetSummary{Instance: instance, P: 1, Members: make(map[dataset.Key]bool, k), parent: s}
-	if len(top) <= k {
-		for _, e := range top {
-			out.Members[e.key] = true
-		}
-		return out
+	p := 1.0
+	if len(top) > k {
+		p, top = top[k].seed, top[:k]
 	}
-	out.P = top[k].seed
-	for _, e := range top[:k] {
-		out.Members[e.key] = true
+	kept := make([]dataset.Key, len(top))
+	for i, e := range top {
+		kept[i] = e.key
 	}
-	return out
+	return newSetSummary(s.seeder, instance, p, kept)
 }
 
 // DistinctEstimate is the result of a two-summary distinct-count query.
@@ -281,14 +234,8 @@ type DistinctEstimate struct {
 	Counts aggregate.DistinctCounts
 }
 
-// DistinctCount estimates the number of distinct selected keys across two
-// set summaries produced by the same Summarizer (§8.1).
-func DistinctCount(s1, s2 *SetSummary, sel func(dataset.Key) bool) (DistinctEstimate, error) {
-	return DistinctCountReaders(s1, s2, sel)
-}
-
-// DistinctCountReaders is DistinctCount over the SetReader seam: hydrated
-// summaries and zero-copy v2 views answer identically.
+// DistinctCountReaders estimates the number of distinct selected keys
+// across two set summaries produced by the same Summarizer (§8.1).
 func DistinctCountReaders(s1, s2 SetReader, sel func(dataset.Key) bool) (DistinctEstimate, error) {
 	if err := checkCombinable([]Summary{s1, s2}, 2); err != nil {
 		return DistinctEstimate{}, err
@@ -320,16 +267,6 @@ func categorizeMerge(m *unionMerge, seeder xhash.Seeder, instance [2]int, p [2]f
 	return c
 }
 
-// BottomKSummary is a bottom-k (order) summary of one instance.
-type BottomKSummary struct {
-	// Instance is the index identifying this instance's hash salt.
-	Instance int
-	// Sample holds the k lowest-ranked keys and the conditioning threshold.
-	Sample *sampling.WeightedSample
-
-	parent *Summarizer
-}
-
 // SummarizeBottomK draws a bottom-k summary with the given rank family
 // (sampling.PPS{} for priority sampling, sampling.EXP{} for weighted
 // sampling without replacement). It routes through the summarization
@@ -338,11 +275,3 @@ type BottomKSummary struct {
 func (s *Summarizer) SummarizeBottomK(instance int, in dataset.Instance, k int, fam sampling.RankFamily) *BottomKSummary {
 	return s.SummarizeBottomKWith(engine.Config{}, instance, in, k, fam)
 }
-
-// SubsetSum estimates Σ_{h∈sel} v(h) with the rank-conditioning estimator.
-func (b *BottomKSummary) SubsetSum(sel func(dataset.Key) bool) float64 {
-	return b.Sample.SubsetSum(sel)
-}
-
-// Len returns the number of sampled keys.
-func (b *BottomKSummary) Len() int { return b.Sample.Len() }

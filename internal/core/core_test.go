@@ -21,7 +21,7 @@ func TestMaxDominanceEndToEnd(t *testing.T) {
 		s := NewSummarizer(uint64(i))
 		s1 := s.SummarizePPSExpectedSize(0, m.Instances[0], 40)
 		s2 := s.SummarizePPSExpectedSize(1, m.Instances[1], 40)
-		res, err := MaxDominance(s1, s2, nil)
+		res, err := MaxDominanceReaders(s1, s2, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -54,7 +54,7 @@ func TestDistinctCountEndToEnd(t *testing.T) {
 		s := NewSummarizer(uint64(i) * 13)
 		s1 := s.SummarizeSet(0, logs[0], 0.3)
 		s2 := s.SummarizeSet(1, logs[1], 0.3)
-		res, err := DistinctCount(s1, s2, nil)
+		res, err := DistinctCountReaders(s1, s2, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -75,20 +75,20 @@ func TestSummaryMisuse(t *testing.T) {
 	b := NewSummarizer(2)
 	s1 := a.SummarizePPS(0, in, 5)
 	s2 := b.SummarizePPS(1, in, 5)
-	if _, err := MaxDominance(s1, s2, nil); err == nil {
+	if _, err := MaxDominanceReaders(s1, s2, nil); err == nil {
 		t.Error("expected error for summaries from different summarizers")
 	}
 	s3 := a.SummarizePPS(0, in, 5)
-	if _, err := MaxDominance(s1, s3, nil); err == nil {
+	if _, err := MaxDominanceReaders(s1, s3, nil); err == nil {
 		t.Error("expected error for duplicate instance index")
 	}
 	m1 := a.SummarizeSet(0, map[dataset.Key]bool{1: true}, 0.5)
 	m2 := b.SummarizeSet(1, map[dataset.Key]bool{1: true}, 0.5)
-	if _, err := DistinctCount(m1, m2, nil); err == nil {
+	if _, err := DistinctCountReaders(m1, m2, nil); err == nil {
 		t.Error("expected error for set summaries from different summarizers")
 	}
 	m3 := a.SummarizeSet(0, map[dataset.Key]bool{1: true}, 0.5)
-	if _, err := DistinctCount(m1, m3, nil); err == nil {
+	if _, err := DistinctCountReaders(m1, m3, nil); err == nil {
 		t.Error("expected error for duplicate set instance index")
 	}
 }
@@ -125,11 +125,11 @@ func TestCoordinatedSummarizer(t *testing.T) {
 	s := NewCoordinatedSummarizer(5)
 	a := s.SummarizePPS(0, in, 8)
 	b := s.SummarizePPS(1, in, 8)
-	if a.Len() != b.Len() {
-		t.Fatalf("coordinated summaries differ in size: %d vs %d", a.Len(), b.Len())
+	if a.Size() != b.Size() {
+		t.Fatalf("coordinated summaries differ in size: %d vs %d", a.Size(), b.Size())
 	}
-	for h := range a.Sample.Values {
-		if _, ok := b.Sample.Values[h]; !ok {
+	for _, h := range a.AppendKeys(nil) {
+		if _, ok := b.Lookup(h); !ok {
 			t.Fatalf("coordinated summaries differ at key %d", h)
 		}
 	}
@@ -153,7 +153,7 @@ func TestKnownSeedAdvantage(t *testing.T) {
 		s := NewSummarizer(uint64(i) * 3)
 		s1 := s.SummarizePPSExpectedSize(0, m.Instances[0], 60)
 		s2 := s.SummarizePPSExpectedSize(1, m.Instances[1], 60)
-		res, err := MaxDominance(s1, s2, nil)
+		res, err := MaxDominanceReaders(s1, s2, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,12 +1,9 @@
 package core
 
 import (
-	"bufio"
-	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"math"
 
 	"repro/internal/dataset"
@@ -17,10 +14,11 @@ import (
 // Summaries are what a dispersed system actually ships: a sample plus the
 // metadata needed to recompute inclusion probabilities and seeds. This
 // file holds the v1 JSON wire format (the codec registered as version 1 in
-// codec.go) and the historical Encode*/Decode* entry points, which are now
-// thin wrappers over the codec registry: they accept any registered format
-// by sniffing, so a caller holding v1 JSON or v2 binary bytes decodes
-// through the same functions.
+// codec.go) — a debug and export encoding: decoding it builds the
+// canonical in-memory form of summary.go at once, and encoding it
+// marshals that form's entries — and the Decode* entry points, which
+// accept any registered format by sniffing, so a caller holding v1 JSON or
+// v2 binary bytes decodes through the same functions.
 
 // WireVersion is the version of the JSON wire format this file implements.
 // Binary formats carry their own version in the header (codecv2.go);
@@ -71,11 +69,11 @@ func (p *PPSSummary) MarshalJSON() ([]byte, error) {
 	return json.Marshal(ppsWire{
 		Version:  WireVersion,
 		Kind:     "pps",
-		Instance: p.Instance,
-		Tau:      p.Tau,
-		Salt:     p.parent.seeder.Salt,
-		Shared:   p.parent.seeder.Shared,
-		Values:   p.Sample.Values,
+		Instance: p.instance,
+		Tau:      p.tau,
+		Salt:     p.seeder.Salt,
+		Shared:   p.seeder.Shared,
+		Values:   p.weightedValues(),
 	})
 }
 
@@ -87,40 +85,29 @@ func decodePPSWire(w ppsWire, stored bool) (*PPSSummary, error) {
 	if w.Tau <= 0 {
 		return nil, fmt.Errorf("core: invalid tau %v", w.Tau)
 	}
-	if err := checkWireValues(w.Values, stored); err != nil {
+	p := newPPSSummary(xhash.Seeder{Salt: w.Salt, Shared: w.Shared}, w.Instance, w.Tau, w.Values)
+	if _, err := checkEntries(p.entries, 16, stored); err != nil {
 		return nil, err
 	}
-	parent := &Summarizer{seeder: xhash.Seeder{Salt: w.Salt, Shared: w.Shared}}
-	vals := w.Values
-	if vals == nil {
-		vals = map[dataset.Key]float64{}
-	}
-	return &PPSSummary{
-		Instance: w.Instance,
-		Tau:      w.Tau,
-		Sample:   &sampling.WeightedSample{Values: vals, Tau: 1 / w.Tau, Family: sampling.PPS{}},
-		parent:   parent,
-	}, nil
+	return p, nil
 }
 
-// MarshalJSON encodes the set summary with its randomization salt.
-// Members are sorted ascending: the codec contract promises deterministic
-// bytes, and a slice drawn from map iteration would break it (encoding/
-// json sorts map keys for the other kinds, but Members is an array).
+// MarshalJSON encodes the set summary with its randomization salt; the
+// members are in ascending order.
 func (s *SetSummary) MarshalJSON() ([]byte, error) {
-	members := sortedKeys(s.Members)
 	return json.Marshal(setWire{
 		Version:  WireVersion,
 		Kind:     "set",
-		Instance: s.Instance,
-		P:        s.P,
-		Salt:     s.parent.seeder.Salt,
-		Shared:   s.parent.seeder.Shared,
-		Members:  members,
+		Instance: s.instance,
+		P:        s.p,
+		Salt:     s.seeder.Salt,
+		Shared:   s.seeder.Shared,
+		Members:  s.AppendKeys(make([]dataset.Key, 0, s.n)),
 	})
 }
 
-// decodeSetWire reconstructs a SetSummary from its parsed v1 wire form.
+// decodeSetWire reconstructs a SetSummary from its parsed v1 wire form. A
+// member listed twice counts once.
 func decodeSetWire(w setWire) (*SetSummary, error) {
 	if err := checkVersion("set", w.Version); err != nil {
 		return nil, err
@@ -128,16 +115,7 @@ func decodeSetWire(w setWire) (*SetSummary, error) {
 	if !(w.P > 0 && w.P <= 1) {
 		return nil, fmt.Errorf("core: invalid sampling probability %v", w.P)
 	}
-	out := &SetSummary{
-		Instance: w.Instance,
-		P:        w.P,
-		Members:  make(map[dataset.Key]bool, len(w.Members)),
-		parent:   &Summarizer{seeder: xhash.Seeder{Salt: w.Salt, Shared: w.Shared}},
-	}
-	for _, h := range w.Members {
-		out.Members[h] = true
-	}
-	return out, nil
+	return newSetSummary(xhash.Seeder{Salt: w.Salt, Shared: w.Shared}, w.Instance, w.P, w.Members), nil
 }
 
 // bottomkWire is the serialized form of a BottomKSummary. Tau encodes the
@@ -159,19 +137,19 @@ type bottomkWire struct {
 // rank family, so the receiver can recompute every rank-conditioning
 // inclusion probability.
 func (b *BottomKSummary) MarshalJSON() ([]byte, error) {
-	tau := b.Sample.Tau
+	tau := b.tau
 	if math.IsInf(tau, 1) {
 		tau = 0
 	}
 	return json.Marshal(bottomkWire{
 		Version:  WireVersion,
 		Kind:     "bottomk",
-		Instance: b.Instance,
-		Family:   b.Sample.Family.Name(),
+		Instance: b.instance,
+		Family:   b.fam.Name(),
 		Tau:      tau,
-		Salt:     b.parent.seeder.Salt,
-		Shared:   b.parent.seeder.Shared,
-		Values:   b.Sample.Values,
+		Salt:     b.seeder.Salt,
+		Shared:   b.seeder.Shared,
+		Values:   b.weightedValues(),
 	})
 }
 
@@ -197,71 +175,22 @@ func decodeBottomKWire(w bottomkWire, stored bool) (*BottomKSummary, error) {
 	case tau < 0:
 		return nil, fmt.Errorf("core: invalid rank threshold %v", tau)
 	}
-	if err := checkWireValues(w.Values, stored); err != nil {
+	b := newBottomKSummary(xhash.Seeder{Salt: w.Salt, Shared: w.Shared}, w.Instance,
+		&sampling.WeightedSample{Values: w.Values, Tau: tau, Family: fam})
+	if _, err := checkEntries(b.entries, 16, stored); err != nil {
 		return nil, err
 	}
-	vals := w.Values
-	if vals == nil {
-		vals = map[dataset.Key]float64{}
-	}
-	return &BottomKSummary{
-		Instance: w.Instance,
-		Sample:   &sampling.WeightedSample{Values: vals, Tau: tau, Family: fam},
-		parent:   &Summarizer{seeder: xhash.Seeder{Salt: w.Salt, Shared: w.Shared}},
-	}, nil
+	return b, nil
 }
-
-// Summary is any decoded or freshly drawn summary the wire formats can
-// carry. The interface is satisfied only by this package's summary types:
-// combinability checks need access to the underlying seeder.
-type Summary interface {
-	// InstanceID returns the instance index the summary was drawn for.
-	InstanceID() int
-	// Kind returns the wire-format kind tag ("pps", "set", "bottomk",
-	// "varopt").
-	Kind() string
-	// Size returns the number of retained keys.
-	Size() int
-
-	seederOf() xhash.Seeder
-}
-
-// InstanceID implements Summary.
-func (p *PPSSummary) InstanceID() int { return p.Instance }
-
-// InstanceID implements Summary.
-func (s *SetSummary) InstanceID() int { return s.Instance }
-
-// InstanceID implements Summary.
-func (b *BottomKSummary) InstanceID() int { return b.Instance }
-
-// Kind implements Summary.
-func (p *PPSSummary) Kind() string { return "pps" }
-
-// Kind implements Summary.
-func (s *SetSummary) Kind() string { return "set" }
-
-// Kind implements Summary.
-func (b *BottomKSummary) Kind() string { return "bottomk" }
-
-// Size implements Summary.
-func (p *PPSSummary) Size() int { return p.Len() }
-
-// Size implements Summary.
-func (s *SetSummary) Size() int { return s.Len() }
-
-// Size implements Summary.
-func (b *BottomKSummary) Size() int { return b.Len() }
-
-// Seeder returns the randomization a summary was drawn under.
-func SummarySeeder(s Summary) xhash.Seeder { return s.seederOf() }
 
 // DecodeSummary reconstructs a summary of any kind from its wire form —
 // the v2 binary layout (recognized by its magic bytes) or v1 JSON
 // (dispatching on the "kind" tag). It is the trust-boundary entry point
 // for callers holding a complete message; services reading from a stream
 // use DecodeSummaryFrom. A v2 message with trailing bytes is rejected,
-// matching encoding/json's whole-document discipline.
+// matching encoding/json's whole-document discipline. The summary of a
+// canonical v2 message is backed by data, which the caller must not modify
+// afterwards.
 func DecodeSummary(data []byte) (Summary, error) {
 	return decodeSummary(data, false)
 }
@@ -277,16 +206,8 @@ func DecodeStoredSummary(data []byte) (Summary, error) {
 }
 
 func decodeSummary(data []byte, stored bool) (Summary, error) {
-	if len(data) >= 2 && data[0] == v2Magic0 && data[1] == v2Magic1 {
-		br := bufio.NewReader(bytes.NewReader(data))
-		s, err := decodeSummaryV2(br, stored)
-		if err != nil {
-			return nil, err
-		}
-		if _, err := br.ReadByte(); err != io.EOF {
-			return nil, fmt.Errorf("core: decoding v2 summary: trailing data after entries")
-		}
-		return s, nil
+	if hasV2Magic(data) {
+		return decodeWholeV2(data, stored, "core: decoding v2 summary: trailing data after entries")
 	}
 	return decodeSummaryJSON(data, stored)
 }
@@ -375,14 +296,3 @@ func DecodeSetSummary(data []byte) (*SetSummary, error) {
 func DecodeBottomKSummary(data []byte) (*BottomKSummary, error) {
 	return decodeAs[*BottomKSummary](data, "bottomk")
 }
-
-// Combinable reports whether two decoded or freshly drawn summaries share
-// the same randomization and can be queried together. Decoded summaries
-// have distinct parent pointers, so this checks the seeder itself.
-func Combinable(a, b interface{ seederOf() xhash.Seeder }) bool {
-	return a.seederOf() == b.seederOf()
-}
-
-func (p *PPSSummary) seederOf() xhash.Seeder     { return p.parent.seeder }
-func (s *SetSummary) seederOf() xhash.Seeder     { return s.parent.seeder }
-func (b *BottomKSummary) seederOf() xhash.Seeder { return b.parent.seeder }

@@ -16,7 +16,7 @@ func TestPPSSummaryRoundTrip(t *testing.T) {
 	s := NewSummarizer(42)
 	sum1 := s.SummarizePPSExpectedSize(0, m.Instances[0], 50)
 	sum2 := s.SummarizePPSExpectedSize(1, m.Instances[1], 50)
-	want, err := MaxDominance(sum1, sum2, nil)
+	want, err := MaxDominanceReaders(sum1, sum2, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -36,10 +36,10 @@ func TestPPSSummaryRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if dec1.Len() != sum1.Len() || dec1.Tau != sum1.Tau || dec1.Instance != 0 {
-		t.Fatalf("decoded summary mismatch: len %d vs %d", dec1.Len(), sum1.Len())
+	if dec1.Size() != sum1.Size() || dec1.PPSTau() != sum1.PPSTau() || dec1.InstanceID() != 0 {
+		t.Fatalf("decoded summary mismatch: len %d vs %d", dec1.Size(), sum1.Size())
 	}
-	got, err := MaxDominance(dec1, dec2, nil)
+	got, err := MaxDominanceReaders(dec1, dec2, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,7 +59,7 @@ func TestSetSummaryRoundTrip(t *testing.T) {
 	s := NewSummarizer(7)
 	s1 := s.SummarizeSet(0, logs[0], 0.3)
 	s2 := s.SummarizeSet(1, logs[1], 0.3)
-	want, err := DistinctCount(s1, s2, nil)
+	want, err := DistinctCountReaders(s1, s2, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,7 +79,7 @@ func TestSetSummaryRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := DistinctCount(r1, r2, nil)
+	got, err := DistinctCountReaders(r1, r2, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,7 +129,7 @@ func TestCrossSaltDecodedSummariesRejected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := MaxDominance(da, db, nil); err == nil {
+	if _, err := MaxDominanceReaders(da, db, nil); err == nil {
 		t.Error("cross-salt summaries combined without error")
 	}
 	if Combinable(da, db) {
@@ -153,8 +153,8 @@ func TestEmptySummaryRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if dec.Len() != 0 {
-		t.Errorf("decoded empty summary has %d keys", dec.Len())
+	if dec.Size() != 0 {
+		t.Errorf("decoded empty summary has %d keys", dec.Size())
 	}
 	if got := dec.SubsetSum(nil); got != 0 {
 		t.Errorf("empty subset sum %v", got)

@@ -23,19 +23,9 @@ func (s *Summarizer) SummarizePPSWith(cfg engine.Config, instance int, in datase
 		// this entry point has always accepted them (tau = 0 samples every
 		// positive key, tau < 0 samples none); keep the historical batch
 		// semantics for the degenerate cases.
-		return &PPSSummary{
-			Instance: instance,
-			Tau:      tau,
-			Sample:   sampling.PoissonPPS(in, tau, s.seedFunc(instance)),
-			parent:   s,
-		}
+		return newPPSSummary(s.seeder, instance, tau, sampling.PoissonPPS(in, tau, s.seedFunc(instance)).Values)
 	}
-	return &PPSSummary{
-		Instance: instance,
-		Tau:      tau,
-		Sample:   engine.SummarizePoissonPPS(in, tau, s.seedFunc(instance), cfg),
-		parent:   s,
-	}
+	return newPPSSummary(s.seeder, instance, tau, engine.SummarizePoissonPPS(in, tau, s.seedFunc(instance), cfg).Values)
 }
 
 // SummarizePPSExpectedSizeWith draws a PPS summary sized to k expected keys
@@ -47,11 +37,7 @@ func (s *Summarizer) SummarizePPSExpectedSizeWith(cfg engine.Config, instance in
 // SummarizeBottomKWith draws a bottom-k summary through the engine under
 // the given config.
 func (s *Summarizer) SummarizeBottomKWith(cfg engine.Config, instance int, in dataset.Instance, k int, fam sampling.RankFamily) *BottomKSummary {
-	return &BottomKSummary{
-		Instance: instance,
-		Sample:   engine.SummarizeBottomK(in, k, fam, s.seedFunc(instance), cfg),
-		parent:   s,
-	}
+	return newBottomKSummary(s.seeder, instance, engine.SummarizeBottomK(in, k, fam, s.seedFunc(instance), cfg))
 }
 
 // BottomKStream summarizes one instance incrementally: Push arrivals as
@@ -87,7 +73,7 @@ func (b *BottomKStream) TryPush(h dataset.Key, v float64) error { return b.e.Try
 // stream. With an async engine config this is the live-monitoring hook:
 // continuous queries read snapshots while ingest keeps running.
 func (b *BottomKStream) Snapshot() *BottomKSummary {
-	return &BottomKSummary{Instance: b.instance, Sample: b.e.Snapshot(), parent: b.parent}
+	return newBottomKSummary(b.parent.seeder, b.instance, b.e.Snapshot())
 }
 
 // Stats exposes the engine's throughput and backpressure counters. Like
@@ -96,7 +82,7 @@ func (b *BottomKStream) Stats() engine.Stats { return b.e.Stats() }
 
 // Close drains the pipeline and returns the finished summary.
 func (b *BottomKStream) Close() *BottomKSummary {
-	return &BottomKSummary{Instance: b.instance, Sample: b.e.Close(), parent: b.parent}
+	return newBottomKSummary(b.parent.seeder, b.instance, b.e.Close())
 }
 
 // PPSStream summarizes one instance incrementally with Poisson PPS
@@ -129,7 +115,7 @@ func (p *PPSStream) TryPush(h dataset.Key, v float64) error { return p.e.TryPush
 // Snapshot returns the summary of exactly the arrivals pushed so far
 // without closing the stream.
 func (p *PPSStream) Snapshot() *PPSSummary {
-	return &PPSSummary{Instance: p.instance, Tau: p.tau, Sample: p.e.Snapshot(), parent: p.parent}
+	return newPPSSummary(p.parent.seeder, p.instance, p.tau, p.e.Snapshot().Values)
 }
 
 // Stats exposes the engine's throughput and backpressure counters.
@@ -137,7 +123,7 @@ func (p *PPSStream) Stats() engine.Stats { return p.e.Stats() }
 
 // Close drains the pipeline and returns the finished summary.
 func (p *PPSStream) Close() *PPSSummary {
-	return &PPSSummary{Instance: p.instance, Tau: p.tau, Sample: p.e.Close(), parent: p.parent}
+	return newPPSSummary(p.parent.seeder, p.instance, p.tau, p.e.Close().Values)
 }
 
 // --- One-pass multi-instance summarization -----------------------------
@@ -192,7 +178,7 @@ func (m *MultiBottomKStream) Close() []*BottomKSummary { return m.wrap(m.e.Close
 func (m *MultiBottomKStream) wrap(samples []*sampling.WeightedSample) []*BottomKSummary {
 	out := make([]*BottomKSummary, len(samples))
 	for i, sm := range samples {
-		out[i] = &BottomKSummary{Instance: m.instances[i], Sample: sm, parent: m.parent}
+		out[i] = newBottomKSummary(m.parent.seeder, m.instances[i], sm)
 	}
 	return out
 }
@@ -248,7 +234,7 @@ func (m *MultiPPSStream) Close() []*PPSSummary { return m.wrap(m.e.Close()) }
 func (m *MultiPPSStream) wrap(samples []*sampling.WeightedSample) []*PPSSummary {
 	out := make([]*PPSSummary, len(samples))
 	for i, sm := range samples {
-		out[i] = &PPSSummary{Instance: m.instances[i], Tau: m.taus[i], Sample: sm, parent: m.parent}
+		out[i] = newPPSSummary(m.parent.seeder, m.instances[i], m.taus[i], sm.Values)
 	}
 	return out
 }

@@ -1,7 +1,10 @@
 package core
 
 import (
+	"bytes"
+	"fmt"
 	"math"
+	"reflect"
 	"testing"
 
 	"repro/internal/dataset"
@@ -31,22 +34,15 @@ func TestSummarizeWithConfigsAgree(t *testing.T) {
 	wantBK := sampling.BottomK(in, 30, sampling.EXP{}, s.seedFunc(1))
 	for _, cfg := range cfgs {
 		pps := s.SummarizePPSWith(cfg, 0, in, 40)
-		if len(pps.Sample.Values) != len(wantPPS.Values) {
-			t.Fatalf("cfg %+v: PPS size %d, want %d", cfg, len(pps.Sample.Values), len(wantPPS.Values))
-		}
-		for h, v := range wantPPS.Values {
-			if pps.Sample.Values[h] != v {
-				t.Fatalf("cfg %+v: PPS key %d mismatch", cfg, h)
-			}
+		if !reflect.DeepEqual(entryMap(pps), wantPPS.Values) {
+			t.Fatalf("cfg %+v: PPS entries differ from the batch sampler's (%d vs %d keys)", cfg, pps.Size(), len(wantPPS.Values))
 		}
 		bk := s.SummarizeBottomKWith(cfg, 1, in, 30, sampling.EXP{})
-		if bk.Sample.Tau != wantBK.Tau {
-			t.Fatalf("cfg %+v: bottom-k tau %v, want %v", cfg, bk.Sample.Tau, wantBK.Tau)
+		if bk.RankTau() != wantBK.Tau {
+			t.Fatalf("cfg %+v: bottom-k tau %v, want %v", cfg, bk.RankTau(), wantBK.Tau)
 		}
-		for h, v := range wantBK.Values {
-			if bk.Sample.Values[h] != v {
-				t.Fatalf("cfg %+v: bottom-k key %d mismatch", cfg, h)
-			}
+		if !reflect.DeepEqual(entryMap(bk), wantBK.Values) {
+			t.Fatalf("cfg %+v: bottom-k entries differ from the batch sampler's", cfg)
 		}
 	}
 }
@@ -64,10 +60,7 @@ func TestStreamSummarizersMatchBatch(t *testing.T) {
 		st.Push(h, v)
 	}
 	got := st.Close()
-	if got.Sample.Tau != want.Sample.Tau || len(got.Sample.Values) != len(want.Sample.Values) {
-		t.Fatalf("bottom-k stream: tau %v size %d, want tau %v size %d",
-			got.Sample.Tau, len(got.Sample.Values), want.Sample.Tau, len(want.Sample.Values))
-	}
+	sameSummary(t, "bottom-k stream", got, want)
 
 	wantPPS := s.SummarizePPS(3, in, 35)
 	ps := s.StreamPPS(cfg, 3, 35)
@@ -75,32 +68,24 @@ func TestStreamSummarizersMatchBatch(t *testing.T) {
 		ps.Push(h, v)
 	}
 	gotPPS := ps.Close()
-	if gotPPS.Tau != wantPPS.Tau || len(gotPPS.Sample.Values) != len(wantPPS.Sample.Values) {
-		t.Fatalf("pps stream: size %d, want %d", len(gotPPS.Sample.Values), len(wantPPS.Sample.Values))
-	}
+	sameSummary(t, "pps stream", gotPPS, wantPPS)
 	// Stream-built summaries stay combinable with one-shot ones.
-	if _, err := MaxDominance(wantPPS, gotPPS, nil); err == nil {
+	if _, err := MaxDominanceReaders(wantPPS, gotPPS, nil); err == nil {
 		t.Error("same-instance summaries must be rejected")
 	}
 	other := s.SummarizePPS(4, in, 35)
-	if _, err := MaxDominance(gotPPS, other, nil); err != nil {
+	if _, err := MaxDominanceReaders(gotPPS, other, nil); err != nil {
 		t.Errorf("stream-built summary not combinable: %v", err)
 	}
 }
 
-// sameSummarySample asserts bit-equality of two summaries' samples.
-func sameSummarySample(t *testing.T, label string, got, want *sampling.WeightedSample) {
+// sameSummary asserts that two summaries are one and the same: kind,
+// randomization, instance, parameters and entries, bit for bit — which is
+// to say the same canonical bytes.
+func sameSummary(t *testing.T, label string, got, want Summary) {
 	t.Helper()
-	if got.Tau != want.Tau && !(math.IsInf(got.Tau, 1) && math.IsInf(want.Tau, 1)) {
-		t.Fatalf("%s: tau %v, want %v", label, got.Tau, want.Tau)
-	}
-	if len(got.Values) != len(want.Values) {
-		t.Fatalf("%s: size %d, want %d", label, len(got.Values), len(want.Values))
-	}
-	for h, v := range want.Values {
-		if got.Values[h] != v {
-			t.Fatalf("%s: key %d = %v, want %v", label, h, got.Values[h], v)
-		}
+	if !bytes.Equal(got.wireBytes(), want.wireBytes()) {
+		t.Fatalf("%s: summaries differ (%d vs %d entries)", label, got.Size(), want.Size())
 	}
 }
 
@@ -129,14 +114,14 @@ func TestSummarizeMultiMatchesPerInstance(t *testing.T) {
 		for i, id := range ids {
 			wantPPS := s.SummarizePPS(id, ins[i], taus[i])
 			wantBK := s.SummarizeBottomK(id, ins[i], 25, sampling.PPS{})
-			if multiPPS[i].Instance != id || multiBK[i].Instance != id {
-				t.Fatalf("%s: instance IDs %d/%d, want %d", name, multiPPS[i].Instance, multiBK[i].Instance, id)
+			if multiPPS[i].InstanceID() != id || multiBK[i].InstanceID() != id {
+				t.Fatalf("%s: instance IDs %d/%d, want %d", name, multiPPS[i].InstanceID(), multiBK[i].InstanceID(), id)
 			}
-			if multiPPS[i].Tau != taus[i] {
-				t.Fatalf("%s: tau %v, want %v", name, multiPPS[i].Tau, taus[i])
+			if multiPPS[i].PPSTau() != taus[i] {
+				t.Fatalf("%s: tau %v, want %v", name, multiPPS[i].PPSTau(), taus[i])
 			}
-			sameSummarySample(t, name+"/pps", multiPPS[i].Sample, wantPPS.Sample)
-			sameSummarySample(t, name+"/bottomk", multiBK[i].Sample, wantBK.Sample)
+			sameSummary(t, name+"/pps", multiPPS[i], wantPPS)
+			sameSummary(t, name+"/bottomk", multiBK[i], wantBK)
 		}
 	}
 
@@ -149,19 +134,19 @@ func TestSummarizeMultiMatchesPerInstance(t *testing.T) {
 		st.Push(0, h, v)
 	}
 	snap := st.Snapshot()
-	sameSummarySample(t, "multi snapshot prefix", snap[0].Sample, prefix[0].Sample)
-	if snap[1].Len() != 0 {
-		t.Fatalf("instance with no arrivals holds %d keys", snap[1].Len())
+	sameSummary(t, "multi snapshot prefix", snap[0], prefix[0])
+	if snap[1].Size() != 0 {
+		t.Fatalf("instance with no arrivals holds %d keys", snap[1].Size())
 	}
 	for h, v := range ins[1] {
 		st.Push(1, h, v)
 	}
 	final := st.Close()
-	wantDom, err := MaxDominance(s.SummarizePPS(ids[0], ins[0], taus[0]), s.SummarizePPS(ids[1], ins[1], taus[1]), nil)
+	wantDom, err := MaxDominanceReaders(s.SummarizePPS(ids[0], ins[0], taus[0]), s.SummarizePPS(ids[1], ins[1], taus[1]), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	gotDom, err := MaxDominance(final[0], final[1], nil)
+	gotDom, err := MaxDominanceReaders(final[0], final[1], nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,12 +162,12 @@ func TestSummarizePPSDegenerateTau(t *testing.T) {
 	in := engineTestInstance(50)
 	s := NewSummarizer(5)
 	zero := s.SummarizePPS(0, in, 0)
-	if zero.Len() != len(in) {
-		t.Errorf("tau=0: sampled %d of %d keys, want all", zero.Len(), len(in))
+	if zero.Size() != len(in) {
+		t.Errorf("tau=0: sampled %d of %d keys, want all", zero.Size(), len(in))
 	}
 	neg := s.SummarizePPS(0, in, -3)
-	if neg.Len() != 0 {
-		t.Errorf("tau<0: sampled %d keys, want none", neg.Len())
+	if neg.Size() != 0 {
+		t.Errorf("tau<0: sampled %d keys, want none", neg.Size())
 	}
 }
 
@@ -198,21 +183,16 @@ func TestSummarizeMultiPPSDegenerateTau(t *testing.T) {
 	got := s.SummarizeMultiPPSWith(engine.Config{}, []int{0, 1, 2}, ins, taus)
 	for i, in := range ins {
 		want := s.SummarizePPSWith(engine.Config{}, i, in, taus[i])
-		if got[i].Tau != want.Tau || got[i].Len() != want.Len() {
-			t.Fatalf("instance %d (tau %v): (tau %v, %d keys) != (tau %v, %d keys)",
-				i, taus[i], got[i].Tau, got[i].Len(), want.Tau, want.Len())
+		if got[i].PPSTau() != taus[i] {
+			t.Fatalf("instance %d: tau %v, want %v", i, got[i].PPSTau(), taus[i])
 		}
-		for h, v := range want.Sample.Values {
-			if got[i].Sample.Values[h] != v {
-				t.Fatalf("instance %d key %d: %v != %v", i, h, got[i].Sample.Values[h], v)
-			}
-		}
+		sameSummary(t, fmt.Sprintf("instance %d (tau %v)", i, taus[i]), got[i], want)
 	}
-	if got[0].Len() != len(ins[0]) {
-		t.Fatalf("tau 0 kept %d of %d keys, want all", got[0].Len(), len(ins[0]))
+	if got[0].Size() != len(ins[0]) {
+		t.Fatalf("tau 0 kept %d of %d keys, want all", got[0].Size(), len(ins[0]))
 	}
-	if got[2].Len() != 0 {
-		t.Fatalf("tau < 0 kept %d keys, want none", got[2].Len())
+	if got[2].Size() != 0 {
+		t.Fatalf("tau < 0 kept %d keys, want none", got[2].Size())
 	}
 	// The streaming entry point has no batch fallback: it must refuse
 	// degenerate thresholds loudly rather than mis-sample.

@@ -51,21 +51,7 @@ func FuzzPPSSummaryRoundTrip(f *testing.F) {
 		if err != nil {
 			t.Fatalf("decode of own encoding: %v", err)
 		}
-		if got.Instance != orig.Instance || got.Tau != orig.Tau {
-			t.Fatalf("instance/tau mismatch: %+v vs %+v", got, orig)
-		}
-		if got.parent.seeder != orig.parent.seeder {
-			t.Fatalf("seeder mismatch: %+v vs %+v", got.parent.seeder, orig.parent.seeder)
-		}
-		if len(got.Sample.Values) != len(orig.Sample.Values) {
-			t.Fatalf("sample size %d vs %d", len(got.Sample.Values), len(orig.Sample.Values))
-		}
-		for h, v := range orig.Sample.Values {
-			gv, ok := got.Sample.Values[h]
-			if !ok || gv != v {
-				t.Fatalf("key %d: %v vs %v (ok=%v)", h, gv, v, ok)
-			}
-		}
+		sameSummary(t, "v1 round trip", got, orig)
 	})
 }
 
@@ -91,12 +77,7 @@ func FuzzDecodePPSSummary(f *testing.F) {
 		if err != nil {
 			t.Fatalf("re-decode: %v", err)
 		}
-		if s2.Instance != s.Instance || s2.Tau != s.Tau || s2.parent.seeder != s.parent.seeder {
-			t.Fatal("re-decoded summary differs")
-		}
-		if len(s2.Sample.Values) != len(s.Sample.Values) {
-			t.Fatal("re-decoded sample size differs")
-		}
+		sameSummary(t, "re-decoded summary", s2, s)
 		// The decoded summary must be usable, not just inspectable.
 		_ = s2.SubsetSum(nil)
 	})
@@ -128,17 +109,7 @@ func FuzzSetSummaryRoundTrip(f *testing.F) {
 		if err != nil {
 			t.Fatalf("decode of own encoding: %v", err)
 		}
-		if got.Instance != orig.Instance || got.P != orig.P || got.parent.seeder != orig.parent.seeder {
-			t.Fatal("metadata mismatch")
-		}
-		if len(got.Members) != len(orig.Members) {
-			t.Fatalf("member count %d vs %d", len(got.Members), len(orig.Members))
-		}
-		for h := range orig.Members {
-			if !got.Members[h] {
-				t.Fatalf("member %d lost", h)
-			}
-		}
+		sameSummary(t, "v1 round trip", got, orig)
 	})
 }
 
@@ -153,8 +124,8 @@ func FuzzDecodeSetSummary(f *testing.F) {
 		if err != nil {
 			return
 		}
-		if !(s.P > 0 && s.P <= 1) {
-			t.Fatalf("decoded invalid P %v", s.P)
+		if !(s.SetP() > 0 && s.SetP() <= 1) {
+			t.Fatalf("decoded invalid P %v", s.SetP())
 		}
 		out, err := json.Marshal(s)
 		if err != nil {
@@ -164,8 +135,6 @@ func FuzzDecodeSetSummary(f *testing.F) {
 		if err != nil {
 			t.Fatalf("re-decode: %v", err)
 		}
-		if s2.P != s.P || s2.Instance != s.Instance || len(s2.Members) != len(s.Members) {
-			t.Fatal("re-decoded summary differs")
-		}
+		sameSummary(t, "re-decoded summary", s2, s)
 	})
 }

@@ -10,9 +10,9 @@ import (
 
 // This file extends the two-summary queries of core.go to arbitrary
 // stored subsets — the query surface the summary server dispatches to.
-// Every function takes decoded summaries (freshly drawn or reconstructed
-// from the wire format), verifies they share a randomization, and sums
-// per-key partial-information estimates.
+// Every function takes summaries (freshly drawn or reconstructed from a
+// wire format), verifies they share a randomization, and sums per-key
+// partial-information estimates.
 
 // checkCombinable verifies r ≥ min summaries, pairwise-combinable
 // randomizations, and pairwise-distinct instance indices. Coordinated
@@ -65,22 +65,11 @@ type MultiDistinctEstimate struct {
 	KeysUsed int
 }
 
-// DistinctCountMulti estimates the number of distinct selected keys across
-// r ≥ 2 set summaries produced by the same Summarizer. For r = 2 it
+// DistinctCountMultiReaders estimates the number of distinct selected keys
+// across r ≥ 2 set summaries produced by the same Summarizer. For r = 2 it
 // delegates to the §8.1 pair estimator (which supports differing sampling
 // probabilities); for r > 2 the OR^(L) construction requires a uniform
 // per-member probability across the summaries.
-func DistinctCountMulti(sums []*SetSummary, sel func(dataset.Key) bool) (MultiDistinctEstimate, error) {
-	readers := make([]SetReader, len(sums))
-	for i, s := range sums {
-		readers[i] = s
-	}
-	return DistinctCountMultiReaders(readers, sel)
-}
-
-// DistinctCountMultiReaders is DistinctCountMulti over the SetReader seam:
-// hydrated summaries and zero-copy v2 views answer identically (per-key
-// terms sum in ascending key order either way).
 func DistinctCountMultiReaders(sums []SetReader, sel func(dataset.Key) bool) (MultiDistinctEstimate, error) {
 	if err := checkCombinable(sums, 2); err != nil {
 		return MultiDistinctEstimate{}, err
@@ -168,22 +157,12 @@ type QuantileEstimate struct {
 	Sampled int
 }
 
-// QuantilePPS estimates the ℓ-th largest value (1-based: ℓ = 1 is the max,
-// ℓ = r the min) of one key across r ≥ 2 PPS summaries produced by the
-// same Summarizer. Interior quantiles have no closed-form order-based
-// estimator in the paper (§4 proves plain HT suboptimal and the
-// conclusion leaves derivation to automated tools — see examples/derive),
-// so the HT baseline is what a query can serve exactly.
-func QuantilePPS(sums []*PPSSummary, h dataset.Key, l int) (QuantileEstimate, error) {
-	readers := make([]PPSReader, len(sums))
-	for i, s := range sums {
-		readers[i] = s
-	}
-	return QuantilePPSReaders(readers, h, l)
-}
-
-// QuantilePPSReaders is QuantilePPS over the PPSReader seam: hydrated
-// summaries and zero-copy v2 views answer identically.
+// QuantilePPSReaders estimates the ℓ-th largest value (1-based: ℓ = 1 is
+// the max, ℓ = r the min) of one key across r ≥ 2 PPS summaries produced by
+// the same Summarizer. Interior quantiles have no closed-form order-based
+// estimator in the paper (§4 proves plain HT suboptimal and the conclusion
+// leaves derivation to automated tools — see examples/derive), so the HT
+// baseline is what a query can serve exactly.
 func QuantilePPSReaders(sums []PPSReader, h dataset.Key, l int) (QuantileEstimate, error) {
 	if err := checkCombinable(sums, 2); err != nil {
 		return QuantileEstimate{}, err

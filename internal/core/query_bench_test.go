@@ -9,25 +9,17 @@ import (
 
 // kernelFixture is what the query kernels are measured on: three
 // overlapping instances of 10·k keys, summarized to about k keys each in
-// every kind a key-walking query reads, as hydrated summaries and as
-// views of their v2 encoding.
+// every kind a key-walking query reads.
 type kernelFixture struct {
-	pps     [2][]PPSReader     // [hydrated, view] × 2 instances
-	sets    [2][]SetReader     // [hydrated, view] × 3 instances
-	bottomk [2][]BottomKReader // [hydrated, view] × 1 instance
+	pps     []PPSReader     // 2 instances
+	sets    []SetReader     // 3 instances
+	bottomk []BottomKReader // 1 instance
 }
 
-var kernelReprs = [2]string{"hydrated", "view"}
-
-func newKernelFixture(t testing.TB, k int) kernelFixture {
-	t.Helper()
+func newKernelFixture(k int) kernelFixture {
 	s := NewSummarizer(0xC01)
 	n := 10 * k
 	var fx kernelFixture
-	view := func(sum Summary) Summary {
-		v, _ := mustView(t, sum)
-		return v
-	}
 	for i := 0; i < 3; i++ {
 		in := make(dataset.Instance, n)
 		members := make(map[dataset.Key]bool, n)
@@ -36,18 +28,12 @@ func newKernelFixture(t testing.TB, k int) kernelFixture {
 			in[h] = 1 + float64((j*7+i)%13)
 			members[h] = true
 		}
-		set := s.SummarizeSet(i, members, 0.1)
-		fx.sets[0] = append(fx.sets[0], set)
-		fx.sets[1] = append(fx.sets[1], view(set).(SetReader))
+		fx.sets = append(fx.sets, s.SummarizeSet(i, members, 0.1))
 		if i < 2 {
-			pps := s.SummarizePPSExpectedSize(i, in, float64(k))
-			fx.pps[0] = append(fx.pps[0], pps)
-			fx.pps[1] = append(fx.pps[1], view(pps).(PPSReader))
+			fx.pps = append(fx.pps, s.SummarizePPSExpectedSize(i, in, float64(k)))
 		}
 		if i == 0 {
-			bk := s.SummarizeBottomK(i, in, k, sampling.PPS{})
-			fx.bottomk[0] = append(fx.bottomk[0], bk)
-			fx.bottomk[1] = append(fx.bottomk[1], view(bk).(BottomKReader))
+			fx.bottomk = append(fx.bottomk, s.SummarizeBottomK(i, in, k, sampling.PPS{}))
 		}
 	}
 	return fx
@@ -57,51 +43,49 @@ func newKernelFixture(t testing.TB, k int) kernelFixture {
 // each returns the number of keys it walked.
 var kernelQueries = []struct {
 	name string
-	run  func(fx *kernelFixture, repr int) (keys int, err error)
+	run  func(fx *kernelFixture) (keys int, err error)
 }{
-	{"maxdominance", func(fx *kernelFixture, repr int) (int, error) {
-		est, err := MaxDominanceReaders(fx.pps[repr][0], fx.pps[repr][1], nil)
+	{"maxdominance", func(fx *kernelFixture) (int, error) {
+		est, err := MaxDominanceReaders(fx.pps[0], fx.pps[1], nil)
 		return est.KeysUsed, err
 	}},
-	{"distinct2", func(fx *kernelFixture, repr int) (int, error) {
-		est, err := DistinctCountMultiReaders(fx.sets[repr][:2], nil)
+	{"distinct2", func(fx *kernelFixture) (int, error) {
+		est, err := DistinctCountMultiReaders(fx.sets[:2], nil)
 		return est.KeysUsed, err
 	}},
-	{"distinct3", func(fx *kernelFixture, repr int) (int, error) {
-		est, err := DistinctCountMultiReaders(fx.sets[repr], nil)
+	{"distinct3", func(fx *kernelFixture) (int, error) {
+		est, err := DistinctCountMultiReaders(fx.sets, nil)
 		return est.KeysUsed, err
 	}},
-	{"sum", func(fx *kernelFixture, repr int) (int, error) {
-		s := fx.pps[repr][0]
+	{"sum", func(fx *kernelFixture) (int, error) {
+		s := fx.pps[0]
 		SumStdErr(s, s.SubsetSum(nil))
 		return s.Size(), nil
 	}},
-	{"bkdistinct", func(fx *kernelFixture, repr int) (int, error) {
-		b := fx.bottomk[repr][0]
+	{"bkdistinct", func(fx *kernelFixture) (int, error) {
+		b := fx.bottomk[0]
 		BottomKDistinct(b)
 		return b.Size(), nil
 	}},
 }
 
 // BenchmarkQueryKernels reports the per-key cost of each key-walking
-// query over views and over hydrated summaries of ~1000 keys.
+// query over summaries of ~1000 keys.
 func BenchmarkQueryKernels(b *testing.B) {
-	fx := newKernelFixture(b, 1000)
+	fx := newKernelFixture(1000)
 	for _, q := range kernelQueries {
-		for repr, reprName := range kernelReprs {
-			b.Run(q.name+"/"+reprName, func(b *testing.B) {
-				b.ReportAllocs()
-				keys := 0
-				for i := 0; i < b.N; i++ {
-					n, err := q.run(&fx, repr)
-					if err != nil {
-						b.Fatal(err)
-					}
-					keys += n
+		b.Run(q.name, func(b *testing.B) {
+			b.ReportAllocs()
+			keys := 0
+			for i := 0; i < b.N; i++ {
+				n, err := q.run(&fx)
+				if err != nil {
+					b.Fatal(err)
 				}
-				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(keys), "ns/key")
-			})
-		}
+				keys += n
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(keys), "ns/key")
+		})
 	}
 }
 
@@ -113,22 +97,20 @@ func BenchmarkQueryKernels(b *testing.B) {
 // allocations, three orders of magnitude below a per-key term.
 func TestQueryAllocsIndependentOfSampleSize(t *testing.T) {
 	const refill = 16
-	small, large := newKernelFixture(t, 1000), newKernelFixture(t, 8000)
+	small, large := newKernelFixture(1000), newKernelFixture(8000)
 	for _, q := range kernelQueries {
-		for repr, reprName := range kernelReprs {
-			allocs := func(fx *kernelFixture) float64 {
-				return testing.AllocsPerRun(10, func() {
-					if _, err := q.run(fx, repr); err != nil {
-						t.Fatal(err)
-					}
-				})
-			}
-			// Large first: it sizes the pooled columns for both.
-			if l, s := allocs(&large), allocs(&small); l > s+refill {
-				t.Errorf("%s/%s: %v allocs/op at k=8000, %v at k=1000", q.name, reprName, l, s)
-			} else {
-				t.Logf("%s/%s: %v allocs/op", q.name, reprName, s)
-			}
+		allocs := func(fx *kernelFixture) float64 {
+			return testing.AllocsPerRun(10, func() {
+				if _, err := q.run(fx); err != nil {
+					t.Fatal(err)
+				}
+			})
+		}
+		// Large first: it sizes the pooled columns for both.
+		if l, s := allocs(&large), allocs(&small); l > s+refill {
+			t.Errorf("%s: %v allocs/op at k=8000, %v at k=1000", q.name, l, s)
+		} else {
+			t.Logf("%s: %v allocs/op", q.name, s)
 		}
 	}
 }

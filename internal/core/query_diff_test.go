@@ -2,7 +2,9 @@ package core
 
 import (
 	"fmt"
+	"maps"
 	"math"
+	"slices"
 	"sync"
 	"testing"
 
@@ -11,19 +13,24 @@ import (
 	"repro/internal/sampling"
 )
 
-// Differential tests of the merge-join query kernels against the
-// pre-kernel bodies kept in query_ref_test.go: every estimate field by
-// math.Float64bits, every count, every error text, over hydrated
-// summaries, views and mixtures of the two.
+// Differential tests of the merge-join query kernels over the production
+// summaries against the pre-kernel bodies kept in query_ref_test.go run
+// over map-backed reference summaries: every estimate field by
+// math.Float64bits, every count, every error text.
 
 // diffCase is one set of r instances seen through every summary kind the
-// key-walking queries read. The summaries are built directly from entry
-// maps, not drawn by a sampler: the kernels must agree with the reference
-// on any decodable summary, sampled consistently with its seeds or not.
+// key-walking queries read, each kind twice: as production summaries and
+// as the map-backed references. Both are built directly from entry maps,
+// not drawn by a sampler: the kernels must agree with the reference on any
+// decodable summary, sampled consistently with its seeds or not.
 type diffCase struct {
 	pps     []*PPSSummary
 	sets    []*SetSummary
 	bottomk []*BottomKSummary
+
+	refPPS     []*refPPS
+	refSets    []*refSet
+	refBottomK []*refBottomK
 }
 
 // diffParams are the per-instance kind parameters of a diffCase; each
@@ -38,45 +45,50 @@ type diffParams struct {
 func buildDiffCase(s *Summarizer, ins []dataset.Instance, par diffParams) diffCase {
 	var c diffCase
 	for i, in := range ins {
-		tau := par.taus[i%len(par.taus)]
-		members := make(map[dataset.Key]bool, len(in))
-		for h := range in {
-			members[h] = true
-		}
-		c.pps = append(c.pps, &PPSSummary{
-			Instance: i, Tau: tau, parent: s,
-			Sample: &sampling.WeightedSample{Values: in, Tau: 1 / tau, Family: sampling.PPS{}},
-		})
-		c.sets = append(c.sets, &SetSummary{Instance: i, P: par.ps[i%len(par.ps)], Members: members, parent: s})
-		c.bottomk = append(c.bottomk, &BottomKSummary{
-			Instance: i, parent: s,
-			Sample: &sampling.WeightedSample{Values: in, Tau: par.rankTau, Family: par.fam},
-		})
+		c.add(s, i, in, par.taus[i%len(par.taus)], par.ps[i%len(par.ps)], par)
 	}
 	return c
 }
 
-// Representations a list of summaries is queried through.
+// add appends instance id's summaries of in, drawn under s.
+func (c *diffCase) add(s *Summarizer, id int, in dataset.Instance, tau, p float64, par diffParams) {
+	members := make(map[dataset.Key]bool, len(in))
+	for h := range in {
+		members[h] = true
+	}
+	sample := &sampling.WeightedSample{Values: in, Tau: par.rankTau, Family: par.fam}
+	c.pps = append(c.pps, newPPSSummary(s.seeder, id, tau, in))
+	c.sets = append(c.sets, newSetSummary(s.seeder, id, p, slices.Collect(maps.Keys(in))))
+	c.bottomk = append(c.bottomk, newBottomKSummary(s.seeder, id, sample))
+
+	ref := refSummary{instance: id, seeder: s.seeder}
+	c.refPPS = append(c.refPPS, &refPPS{refWeighted{ref, in}, tau})
+	c.refSets = append(c.refSets, &refSet{ref, p, members})
+	c.refBottomK = append(c.refBottomK, &refBottomK{refWeighted{ref, in}, par.fam, par.rankTau})
+}
+
+// What a list of summaries is queried through. The names predate the single
+// representation: "hydrated" is the map-backed reference summaries run
+// through the kernels, "view" the production summaries.
 const (
 	reprHydrated = iota
 	reprView
-	reprMixed // odd positions are views
+	reprMixed // odd positions are production summaries
 	numReprs
 )
 
 var reprNames = [numReprs]string{"hydrated", "view", "mixed"}
 
-// represent narrows hydrated summaries to reader interface R, replacing
-// the ones mode selects by zero-copy views of their v2 encoding.
-func represent[H Summary, R any](t *testing.T, sums []H, mode int) []R {
-	t.Helper()
-	out := make([]R, len(sums))
-	for i, s := range sums {
-		var x Summary = s
+// represent picks, position by position, the production summary or its
+// map-backed reference as mode selects, as reader interface R.
+func represent[R any, P, M any](prod []P, ref []M, mode int) []R {
+	out := make([]R, len(prod))
+	for i := range prod {
 		if mode == reprView || (mode == reprMixed && i%2 == 1) {
-			x, _ = mustView(t, s)
+			out[i] = any(prod[i]).(R)
+		} else {
+			out[i] = any(ref[i]).(R)
 		}
-		out[i] = x.(R)
 	}
 	return out
 }
@@ -100,55 +112,52 @@ func errText(err error) string {
 	return err.Error()
 }
 
-// diffQueries runs every rewritten query on c through one representation
-// and selection, and reports each divergence from the reference.
+// diffQueries runs every kernel on c through one representation and
+// selection, and reports each divergence from the reference loops run over
+// the map-backed summaries.
 func diffQueries(t *testing.T, c diffCase, mode int, sel func(dataset.Key) bool) {
 	t.Helper()
-	pps := represent[*PPSSummary, PPSReader](t, c.pps, mode)
-	sets := represent[*SetSummary, SetReader](t, c.sets, mode)
-	bks := represent[*BottomKSummary, BottomKReader](t, c.bottomk, mode)
+	pps := represent[PPSReader](c.pps, c.refPPS, mode)
+	sets := represent[SetReader](c.sets, c.refSets, mode)
+	bks := represent[BottomKReader](c.bottomk, c.refBottomK, mode)
+	refSets := represent[SetReader](c.sets, c.refSets, reprHydrated)
 
 	for i := 0; i+1 < len(pps); i++ {
 		got, gerr := MaxDominanceReaders(pps[i], pps[i+1], sel)
-		want, werr := maxDominanceReadersRef(pps[i], pps[i+1], sel)
+		want, werr := maxDominanceReadersRef(c.refPPS[i], c.refPPS[i+1], sel)
 		if errText(gerr) != errText(werr) || !sameBits(got.HT, want.HT) || !sameBits(got.L, want.L) || got.KeysUsed != want.KeysUsed {
 			t.Errorf("maxdominance(%d,%d): got %+v, %v; reference %+v, %v", i, i+1, got, gerr, want, werr)
 		}
 	}
 	for i := 0; i+1 < len(sets); i++ {
 		got, gerr := DistinctCountReaders(sets[i], sets[i+1], sel)
-		want, werr := distinctCountReadersRef(sets[i], sets[i+1], sel)
+		want, werr := distinctCountReadersRef(c.refSets[i], c.refSets[i+1], sel)
 		if errText(gerr) != errText(werr) || !sameBits(got.HT, want.HT) || !sameBits(got.L, want.L) || got.Counts != want.Counts {
 			t.Errorf("distinct(%d,%d): got %+v, %v; reference %+v, %v", i, i+1, got, gerr, want, werr)
 		}
 	}
 	{
 		got, gerr := DistinctCountMultiReaders(sets, sel)
-		want, werr := distinctCountMultiReadersRef(sets, sel)
+		want, werr := distinctCountMultiReadersRef(refSets, sel)
 		if errText(gerr) != errText(werr) || !sameBits(got.HT, want.HT) || !sameBits(got.L, want.L) || got.KeysUsed != want.KeysUsed {
 			t.Errorf("distinct over %d: got %+v, %v; reference %+v, %v", len(sets), got, gerr, want, werr)
 		}
 	}
 	for i, p := range pps {
 		got, ok := ppsSumStdErr(p)
-		if want := ppsSumStdErrRef(p); !ok || !sameBits(got, want) {
+		if want := ppsSumStdErrRef(c.refPPS[i]); !ok || !sameBits(got, want) {
 			t.Errorf("ppsSumStdErr(%d) = %v, %v; reference %v", i, got, ok, want)
+		}
+		if got, want := p.SubsetSum(sel), c.refPPS[i].SubsetSum(sel); !sameBits(got, want) {
+			t.Errorf("pps SubsetSum(%d) = %v; reference %v", i, got, want)
 		}
 	}
 	for i, b := range bks {
-		if got, want := BottomKDistinct(b), bottomKDistinctRef(b); !sameBits(got, want) {
+		if got, want := BottomKDistinct(b), bottomKDistinctRef(c.refBottomK[i]); !sameBits(got, want) {
 			t.Errorf("BottomKDistinct(%d) = %v; reference %v", i, got, want)
 		}
-	}
-	// The hydrated SubsetSum has no view twin to go through.
-	if mode == reprHydrated {
-		for i := range c.pps {
-			if got, want := c.pps[i].SubsetSum(sel), subsetSumRef(c.pps[i].Sample, sel); !sameBits(got, want) {
-				t.Errorf("pps SubsetSum(%d) = %v; reference %v", i, got, want)
-			}
-			if got, want := c.bottomk[i].SubsetSum(sel), subsetSumRef(c.bottomk[i].Sample, sel); !sameBits(got, want) {
-				t.Errorf("bottomk SubsetSum(%d) = %v; reference %v", i, got, want)
-			}
+		if got, want := b.SubsetSum(sel), c.refBottomK[i].SubsetSum(sel); !sameBits(got, want) {
+			t.Errorf("bottomk SubsetSum(%d) = %v; reference %v", i, got, want)
 		}
 	}
 }
@@ -229,9 +238,9 @@ func diffShapes(rng *randx.RNG, r int) map[string]diffShape {
 	}
 }
 
-// TestQueryDiffGenerated: new kernels vs reference over {hydrated, view,
-// mixed} × r ∈ {2, 3, 5} × sel ∈ {nil, half the keys, none} × the named
-// shapes.
+// TestQueryDiffGenerated: kernels vs reference over {map-backed, production,
+// mixed} readers × r ∈ {2, 3, 5} × sel ∈ {nil, half the keys, none} × the
+// named shapes.
 func TestQueryDiffGenerated(t *testing.T) {
 	rng := randx.New(13)
 	for _, r := range []int{2, 3, 5} {
@@ -247,23 +256,27 @@ func TestQueryDiffGenerated(t *testing.T) {
 func TestQueryDiffErrors(t *testing.T) {
 	par := diffParams{taus: []float64{4}, ps: []float64{0.5}, rankTau: 0.3, fam: sampling.PPS{}}
 	ins := randomInstances(randx.New(3), 3, 30)
-	build := func(s *Summarizer) diffCase { return buildDiffCase(s, ins, par) }
-
-	cases := map[string]diffCase{"coordinated seeds": build(NewCoordinatedSummarizer(9))}
-	other := build(NewSummarizer(10))
-	mixed := build(NewSummarizer(9))
-	mixed.pps[1], mixed.sets[1] = other.pps[1], other.sets[1]
-	cases["different randomizations"] = mixed
-	dup := build(NewSummarizer(9))
-	dup.pps[1].Instance, dup.sets[1].Instance, dup.sets[2].Instance = 0, 0, 0
-	cases["duplicate instance"] = dup
-	single := build(NewSummarizer(9))
-	single.sets = single.sets[:1]
-	cases["one summary"] = single
+	// build draws instance position i as instance ids[i] under summ[i].
+	build := func(summ [3]*Summarizer, ids [3]int) diffCase {
+		var c diffCase
+		for i, in := range ins {
+			c.add(summ[i], ids[i], in, par.taus[0], par.ps[0], par)
+		}
+		return c
+	}
+	co, nine, ten := NewCoordinatedSummarizer(9), NewSummarizer(9), NewSummarizer(10)
+	single := build([3]*Summarizer{nine, nine, nine}, [3]int{0, 1, 2})
+	single.sets, single.refSets = single.sets[:1], single.refSets[:1]
+	cases := map[string]diffCase{
+		"coordinated seeds":        build([3]*Summarizer{co, co, co}, [3]int{0, 1, 2}),
+		"different randomizations": build([3]*Summarizer{nine, ten, nine}, [3]int{0, 1, 2}),
+		"duplicate instance":       build([3]*Summarizer{nine, nine, nine}, [3]int{0, 0, 0}),
+		"one summary":              single,
+	}
 
 	for name, c := range cases {
 		t.Run(name, func(t *testing.T) {
-			if _, err := DistinctCountMultiReaders(represent[*SetSummary, SetReader](t, c.sets, reprHydrated), nil); err == nil {
+			if _, err := DistinctCountMultiReaders(represent[SetReader](c.sets, c.refSets, reprView), nil); err == nil {
 				t.Fatal("accepted")
 			}
 			diffEverywhere(t, c)
@@ -308,25 +321,25 @@ func FuzzQueryKernelsDiff(f *testing.F) {
 // so the same queries issued from several goroutines at once answer with
 // the bits of the sequential run (run under -race in CI).
 func TestQueryScratchConcurrent(t *testing.T) {
-	fx := newKernelFixture(t, 200)
+	fx := newKernelFixture(200)
 	type answer struct{ ht, l float64 }
-	run := func(repr int) [3]answer {
-		md, err1 := MaxDominanceReaders(fx.pps[repr][0], fx.pps[repr][1], nil)
-		dc, err2 := DistinctCountMultiReaders(fx.sets[repr], nil)
+	run := func() [3]answer {
+		md, err1 := MaxDominanceReaders(fx.pps[0], fx.pps[1], nil)
+		dc, err2 := DistinctCountMultiReaders(fx.sets, nil)
 		if err1 != nil || err2 != nil {
 			t.Error(err1, err2)
 		}
-		stderr, _ := SumStdErr(fx.pps[repr][0], 0)
-		return [3]answer{{md.HT, md.L}, {dc.HT, dc.L}, {BottomKDistinct(fx.bottomk[repr][0]), stderr}}
+		stderr, _ := SumStdErr(fx.pps[0], 0)
+		return [3]answer{{md.HT, md.L}, {dc.HT, dc.L}, {BottomKDistinct(fx.bottomk[0]), stderr}}
 	}
-	want := [2][3]answer{run(0), run(1)}
+	want := run()
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 20; i++ {
-				if repr := (g + i) % 2; run(repr) != want[repr] {
+				if run() != want {
 					t.Errorf("goroutine %d, round %d: answer differs from the sequential run", g, i)
 				}
 			}

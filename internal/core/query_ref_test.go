@@ -3,12 +3,117 @@ package core
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"repro/internal/aggregate"
 	"repro/internal/dataset"
 	"repro/internal/estimator"
 	"repro/internal/sampling"
+	"repro/internal/xhash"
+)
+
+// The summaries as they stood before canonical v2 bytes became the one
+// in-memory form: a Go map per summary, its keys collected and sorted on
+// every column load. They satisfy the sealed reader interfaces, so the
+// differential tests can run the kernels over them, over the production
+// summaries, and over mixtures of the two, and hold every answer against
+// the reference loops below run over these maps.
+
+type refSummary struct {
+	instance int
+	seeder   xhash.Seeder
+}
+
+func (r refSummary) InstanceID() int        { return r.instance }
+func (r refSummary) seederOf() xhash.Seeder { return r.seeder }
+func (r refSummary) wireBytes() []byte      { panic("core: a reference summary has no wire form") }
+
+// refWeighted is the map-backed half shared by the weighted kinds.
+type refWeighted struct {
+	refSummary
+	values map[dataset.Key]float64
+}
+
+func (r *refWeighted) Size() int { return len(r.values) }
+
+func (r *refWeighted) Lookup(h dataset.Key) (float64, bool) {
+	v, ok := r.values[h]
+	return v, ok
+}
+
+func (r *refWeighted) AppendKeys(dst []dataset.Key) []dataset.Key {
+	for h := range r.values {
+		dst = append(dst, h)
+	}
+	return dst
+}
+
+func (r *refWeighted) loadColumn(c *column) {
+	c.keys, c.vals = c.keys[:0], c.vals[:0]
+	for h := range r.values {
+		c.keys = append(c.keys, uint64(h))
+	}
+	slices.Sort(c.keys)
+	for _, h := range c.keys {
+		c.vals = append(c.vals, r.values[dataset.Key(h)])
+	}
+}
+
+type refPPS struct {
+	refWeighted
+	tau float64
+}
+
+func (r *refPPS) Kind() string    { return "pps" }
+func (r *refPPS) PPSTau() float64 { return r.tau }
+func (r *refPPS) SubsetSum(sel func(dataset.Key) bool) float64 {
+	return subsetSumRef(&sampling.WeightedSample{Values: r.values, Tau: 1 / r.tau, Family: sampling.PPS{}}, sel)
+}
+
+type refBottomK struct {
+	refWeighted
+	fam sampling.RankFamily
+	tau float64
+}
+
+func (r *refBottomK) Kind() string                 { return "bottomk" }
+func (r *refBottomK) RankTau() float64             { return r.tau }
+func (r *refBottomK) RankFam() sampling.RankFamily { return r.fam }
+func (r *refBottomK) SubsetSum(sel func(dataset.Key) bool) float64 {
+	return subsetSumRef(&sampling.WeightedSample{Values: r.values, Tau: r.tau, Family: r.fam}, sel)
+}
+
+type refSet struct {
+	refSummary
+	p       float64
+	members map[dataset.Key]bool
+}
+
+func (r *refSet) Kind() string                { return "set" }
+func (r *refSet) Size() int                   { return len(r.members) }
+func (r *refSet) SetP() float64               { return r.p }
+func (r *refSet) Contains(h dataset.Key) bool { return r.members[h] }
+
+func (r *refSet) AppendKeys(dst []dataset.Key) []dataset.Key {
+	for h := range r.members {
+		dst = append(dst, h)
+	}
+	return dst
+}
+
+func (r *refSet) loadColumn(c *column) {
+	c.keys = c.keys[:0]
+	for h := range r.members {
+		c.keys = append(c.keys, uint64(h))
+	}
+	slices.Sort(c.keys)
+}
+
+var (
+	_ PPSReader     = (*refPPS)(nil)
+	_ BottomKReader = (*refBottomK)(nil)
+	_ SetReader     = (*refSet)(nil)
 )
 
 // The query functions as they stood before the merge-join kernels, bodies
@@ -224,9 +329,9 @@ func bottomKDistinctRef(b BottomKReader) float64 {
 	return total
 }
 
-// subsetSumRef is sampling.WeightedSample.SubsetSum — the hydrated
-// SubsetSum of PPS and bottom-k summaries — before its key sort moved off
-// sort.Slice.
+// subsetSumRef is sampling.WeightedSample.SubsetSum — what the SubsetSum
+// of a map-backed PPS or bottom-k summary called — before its key sort
+// moved off sort.Slice.
 func subsetSumRef(s *sampling.WeightedSample, sel func(dataset.Key) bool) float64 {
 	keys := make([]dataset.Key, 0, len(s.Values))
 	for h := range s.Values {

@@ -42,11 +42,11 @@ func TestDistinctCountMultiMatchesAggregate(t *testing.T) {
 	const p = 0.3
 	sets := threeSets(2000)
 	s := NewSummarizer(2011)
-	sums := make([]*SetSummary, 3)
+	sums := make([]SetReader, 3)
 	for i, set := range sets {
 		sums[i] = s.SummarizeSet(i, set, p)
 	}
-	got, err := DistinctCountMulti(sums, nil)
+	got, err := DistinctCountMultiReaders(sums, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,11 +76,11 @@ func TestDistinctCountMultiPairDelegation(t *testing.T) {
 	s := NewSummarizer(17)
 	s1 := s.SummarizeSet(0, sets[0], 0.25)
 	s2 := s.SummarizeSet(1, sets[1], 0.4)
-	want, err := DistinctCount(s1, s2, nil)
+	want, err := DistinctCountReaders(s1, s2, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := DistinctCountMulti([]*SetSummary{s1, s2}, nil)
+	got, err := DistinctCountMultiReaders([]SetReader{s1, s2}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,16 +99,16 @@ func TestDistinctCountMultiRejects(t *testing.T) {
 	b := s.SummarizeSet(1, sets[1], 0.5)
 	c := s.SummarizeSet(2, sets[2], 0.25)
 
-	if _, err := DistinctCountMulti([]*SetSummary{a}, nil); err == nil {
+	if _, err := DistinctCountMultiReaders([]SetReader{a}, nil); err == nil {
 		t.Error("single summary accepted")
 	}
-	if _, err := DistinctCountMulti([]*SetSummary{a, other.SummarizeSet(1, sets[1], 0.5)}, nil); err == nil {
+	if _, err := DistinctCountMultiReaders([]SetReader{a, other.SummarizeSet(1, sets[1], 0.5)}, nil); err == nil {
 		t.Error("mixed randomizations accepted")
 	}
-	if _, err := DistinctCountMulti([]*SetSummary{a, s.SummarizeSet(0, sets[1], 0.5)}, nil); err == nil {
+	if _, err := DistinctCountMultiReaders([]SetReader{a, s.SummarizeSet(0, sets[1], 0.5)}, nil); err == nil {
 		t.Error("duplicate instance accepted")
 	}
-	if _, err := DistinctCountMulti([]*SetSummary{a, b, c}, nil); err == nil {
+	if _, err := DistinctCountMultiReaders([]SetReader{a, b, c}, nil); err == nil {
 		t.Error("non-uniform p accepted for r = 3")
 	}
 	// Coordinated (shared-seed) summaries: the estimators assume
@@ -117,13 +117,13 @@ func TestDistinctCountMultiRejects(t *testing.T) {
 	coord := NewCoordinatedSummarizer(1)
 	ca := coord.SummarizeSet(0, sets[0], 0.5)
 	cb := coord.SummarizeSet(1, sets[1], 0.5)
-	if _, err := DistinctCountMulti([]*SetSummary{ca, cb}, nil); err == nil {
+	if _, err := DistinctCountMultiReaders([]SetReader{ca, cb}, nil); err == nil {
 		t.Error("coordinated summaries accepted by DistinctCountMulti")
 	}
 	in := dataset.Instance{1: 5, 2: 3}
 	qa := coord.SummarizePPS(0, in, 4)
 	qb := coord.SummarizePPS(1, in, 4)
-	if _, err := QuantilePPS([]*PPSSummary{qa, qb}, 1, 1); err == nil {
+	if _, err := QuantilePPSReaders([]PPSReader{qa, qb}, 1, 1); err == nil {
 		t.Error("coordinated summaries accepted by QuantilePPS")
 	}
 }
@@ -138,13 +138,13 @@ func TestQuantilePPS(t *testing.T) {
 	}
 	s := NewSummarizer(123)
 	taus := []float64{20, 25, 30}
-	sums := make([]*PPSSummary, 3)
+	sums := make([]PPSReader, 3)
 	for i := range in {
 		sums[i] = s.SummarizePPS(i, in[i], taus[i])
 	}
 	for _, h := range []dataset.Key{1, 2, 3} {
 		for l := 1; l <= 3; l++ {
-			got, err := QuantilePPS(sums, h, l)
+			got, err := QuantilePPSReaders(sums, h, l)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -156,7 +156,7 @@ func TestQuantilePPS(t *testing.T) {
 			}
 			for i := range sums {
 				o.U[i] = s.Seeder().Seed(i, uint64(h))
-				if v, ok := sums[i].Sample.Values[h]; ok {
+				if v, ok := sums[i].Lookup(h); ok {
 					o.Sampled[i], o.Values[i] = true, v
 				}
 			}
@@ -167,17 +167,17 @@ func TestQuantilePPS(t *testing.T) {
 	}
 	// Key 1 is far above every threshold: sampled everywhere, so the
 	// median is determined and the estimate equals it exactly.
-	got, err := QuantilePPS(sums, 1, 2)
+	got, err := QuantilePPSReaders(sums, 1, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got.Sampled != 3 || got.HT != 50 {
 		t.Errorf("hot key: HT = %v (sampled %d), want 50 (sampled 3)", got.HT, got.Sampled)
 	}
-	if _, err := QuantilePPS(sums, 1, 4); err == nil {
+	if _, err := QuantilePPSReaders(sums, 1, 4); err == nil {
 		t.Error("out-of-range quantile index accepted")
 	}
-	if _, err := QuantilePPS(sums[:1], 1, 1); err == nil {
+	if _, err := QuantilePPSReaders(sums[:1], 1, 1); err == nil {
 		t.Error("single summary accepted")
 	}
 }
@@ -188,7 +188,7 @@ func TestQuantilePPS(t *testing.T) {
 func TestQueryDeterminism(t *testing.T) {
 	sets := threeSets(3000)
 	s := NewSummarizer(31)
-	sums := make([]*SetSummary, 3)
+	sums := make([]SetReader, 3)
 	ws := make([]*PPSSummary, 2)
 	for i, set := range sets {
 		sums[i] = s.SummarizeSet(i, set, 0.3)
@@ -201,17 +201,17 @@ func TestQueryDeterminism(t *testing.T) {
 		}
 		ws[i] = s.SummarizePPS(i, in, sampling.TauForExpectedSize(in, 200))
 	}
-	d1, err := DistinctCountMulti(sums, nil)
+	d1, err := DistinctCountMultiReaders(sums, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	m1, err := MaxDominance(ws[0], ws[1], nil)
+	m1, err := MaxDominanceReaders(ws[0], ws[1], nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 5; i++ {
-		d2, _ := DistinctCountMulti(sums, nil)
-		m2, _ := MaxDominance(ws[0], ws[1], nil)
+		d2, _ := DistinctCountMultiReaders(sums, nil)
+		m2, _ := MaxDominanceReaders(ws[0], ws[1], nil)
 		if d2 != d1 || m2 != m1 {
 			t.Fatalf("query results drifted between runs: %+v vs %+v, %+v vs %+v", d2, d1, m2, m1)
 		}
@@ -224,10 +224,7 @@ func TestQueryDeterminism(t *testing.T) {
 func TestNonPositiveTauRefused(t *testing.T) {
 	s := NewSummarizer(5)
 	pps := func(instance int, tau float64) *PPSSummary {
-		return &PPSSummary{
-			Instance: instance, Tau: tau, parent: s,
-			Sample: &sampling.WeightedSample{Values: map[dataset.Key]float64{1: 2, 3: 4}, Tau: 1 / tau, Family: sampling.PPS{}},
-		}
+		return newPPSSummary(s.seeder, instance, tau, map[dataset.Key]float64{1: 2, 3: 4})
 	}
 	good := pps(0, 3)
 	for _, tau := range []float64{0, -2, math.NaN()} { // NaN: both guards are !(tau > 0)

@@ -8,35 +8,26 @@ import (
 	"repro/internal/sampling"
 )
 
-// Reader interfaces are the query-side seam between the estimators and a
-// summary's representation. A query needs the kind parameters and the
-// retained (key, value) pairs, and there are two representations of
-// those: the hydrated summary types (map-backed, produced by
-// summarization or a decoding codec) and the zero-copy v2 views of
-// view.go (fixed-width entries, ascending by key, read in place off the
-// wire bytes).
+// Reader interfaces are the query-side seam between the estimators and
+// the summaries: a query needs the kind parameters and the retained
+// (key, value) pairs, in ascending key order.
 //
 // Every query that walks keys does it the same way. Each consulted reader
-// appends its ascending key (and value) column into pooled per-query
-// scratch: a view decodes its entry region front to back with no sort at
-// all; a hydrated summary collects its map and sorts the uint64s. A
-// unionMerge then walks the columns once, handing each union key's
-// (sampled, value) per instance to the per-key estimator kernels, which
-// work in caller-owned scratch. Per-key terms therefore accumulate in
-// ascending key order with the same floating-point operations whatever
-// the representation, so equal summaries answer with bit-identical floats
-// (pinned by view_test.go and the differential tests against
-// query_ref_test.go), and a query allocates nothing per key. Hydrated
-// columns are re-sorted on every query, not cached on the summary: the
-// exported maps are mutable, and a cache would need an immutability
-// contract the hydrated types do not have.
+// decodes its entries, which are already ascending, into a column of
+// pooled per-query scratch. A unionMerge then walks the columns once,
+// handing each union key's (sampled, value) per instance to the per-key
+// estimator kernels, which work in caller-owned scratch. Per-key terms
+// therefore accumulate in ascending key order, so equal summaries answer
+// with bit-identical floats (pinned by the differential tests against
+// query_ref_test.go), and a query allocates nothing per key.
 //
 // Lookup, Contains and AppendKeys remain for point queries (quantile) and
 // for callers outside this package.
 //
 // Like Summary, the interfaces embed an unexported method, so only this
 // package's types can satisfy them — combinability checks need the
-// underlying seeder either way.
+// underlying seeder either way. The tests' map-backed reference summaries
+// (query_ref_test.go) are the one other implementation.
 
 // PPSReader is the read surface of a PPS summary.
 type PPSReader interface {
@@ -98,65 +89,6 @@ type VarOptReader interface {
 	SubsetSum(sel func(dataset.Key) bool) float64
 }
 
-// --- hydrated implementations ------------------------------------------
-
-// PPSTau implements PPSReader.
-func (p *PPSSummary) PPSTau() float64 { return p.Tau }
-
-// Lookup implements PPSReader.
-func (p *PPSSummary) Lookup(h dataset.Key) (float64, bool) {
-	v, ok := p.Sample.Values[h]
-	return v, ok
-}
-
-// AppendKeys implements PPSReader.
-func (p *PPSSummary) AppendKeys(dst []dataset.Key) []dataset.Key {
-	//summarylint:ignore AppendKeys is unordered by contract
-	for h := range p.Sample.Values {
-		dst = append(dst, h)
-	}
-	return dst
-}
-
-// SetP implements SetReader.
-func (s *SetSummary) SetP() float64 { return s.P }
-
-// Contains implements SetReader.
-func (s *SetSummary) Contains(h dataset.Key) bool { return s.Members[h] }
-
-// AppendKeys implements SetReader.
-func (s *SetSummary) AppendKeys(dst []dataset.Key) []dataset.Key {
-	//summarylint:ignore AppendKeys is unordered by contract
-	for h := range s.Members {
-		dst = append(dst, h)
-	}
-	return dst
-}
-
-// RankTau implements BottomKReader.
-func (b *BottomKSummary) RankTau() float64 { return b.Sample.Tau }
-
-// RankFam implements BottomKReader.
-func (b *BottomKSummary) RankFam() sampling.RankFamily { return b.Sample.Family }
-
-// Lookup implements BottomKReader.
-func (b *BottomKSummary) Lookup(h dataset.Key) (float64, bool) {
-	v, ok := b.Sample.Values[h]
-	return v, ok
-}
-
-// AppendKeys implements BottomKReader.
-func (b *BottomKSummary) AppendKeys(dst []dataset.Key) []dataset.Key {
-	//summarylint:ignore AppendKeys is unordered by contract
-	for h := range b.Sample.Values {
-		dst = append(dst, h)
-	}
-	return dst
-}
-
-// VarOptTau implements VarOptReader.
-func (v *VarOptSummary) VarOptTau() float64 { return v.Sample.Tau }
-
 // --- ascending columns and their ordered merge --------------------------
 
 // column is one summary's retained keys in ascending order. Weighted kinds
@@ -173,28 +105,6 @@ type columnReader interface {
 	// c's backing arrays.
 	loadColumn(c *column)
 }
-
-// loadSortedKeys overwrites c.keys with m's keys, ascending.
-func loadSortedKeys[V any](c *column, m map[dataset.Key]V) {
-	c.keys = resize(c.keys, len(m))[:0]
-	for h := range m {
-		c.keys = append(c.keys, uint64(h))
-	}
-	slices.Sort(c.keys)
-}
-
-// loadSortedEntries overwrites c with m's entries, ascending by key.
-func loadSortedEntries(c *column, m map[dataset.Key]float64) {
-	loadSortedKeys(c, m)
-	c.vals = resize(c.vals, len(c.keys))
-	for i, h := range c.keys {
-		c.vals[i] = m[dataset.Key(h)]
-	}
-}
-
-func (p *PPSSummary) loadColumn(c *column)     { loadSortedEntries(c, p.Sample.Values) }
-func (s *SetSummary) loadColumn(c *column)     { loadSortedKeys(c, s.Members) }
-func (b *BottomKSummary) loadColumn(c *column) { loadSortedEntries(c, b.Sample.Values) }
 
 // queryScratch is the working memory of one query: a column per consulted
 // summary, the merge cursors, and the backing arrays of the per-key

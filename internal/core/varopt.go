@@ -22,16 +22,6 @@ import (
 // door (and its salt) so the registry's compatibility invariant still
 // groups summaries by randomization.
 
-// VarOptSummary is a VarOpt_k summary of a single instance.
-type VarOptSummary struct {
-	// Instance is the index identifying this instance.
-	Instance int
-	// Sample holds the retained keys with original and adjusted weights.
-	Sample *sampling.VarOptSample
-
-	parent *Summarizer
-}
-
 // SummarizeVarOpt draws a VarOpt_k summary of one instance through the
 // engine on its sequential path; use SummarizeVarOptWith to fan out across
 // shards for heavy instances.
@@ -44,37 +34,14 @@ func (s *Summarizer) SummarizeVarOpt(instance int, in dataset.Instance, k int) *
 // Summarizer's salt and the instance index, so a fixed (salt, instance,
 // config, arrival order) reproduces the same sample.
 func (s *Summarizer) SummarizeVarOptWith(cfg engine.Config, instance int, in dataset.Instance, k int) *VarOptSummary {
-	return &VarOptSummary{
-		Instance: instance,
-		Sample:   engine.SummarizeVarOpt(in, k, s.varOptSeed(instance), cfg),
-		parent:   s,
-	}
+	sample := engine.SummarizeVarOpt(in, k, s.varOptSeed(instance), cfg)
+	return newVarOptSummary(s.seeder, instance, sample.Tau, sample.Original)
 }
 
 // varOptSeed derives the engine seed of one instance's VarOpt pipeline.
 func (s *Summarizer) varOptSeed(instance int) uint64 {
 	return xhash.Hash2(s.seeder.Salt, uint64(instance))
 }
-
-// SubsetSum estimates Σ_{h∈sel} v(h) by summing adjusted weights (nil sel
-// selects all keys; the all-keys sum is the exact stream total).
-func (v *VarOptSummary) SubsetSum(sel func(dataset.Key) bool) float64 {
-	return v.Sample.SubsetSum(sel)
-}
-
-// Len returns the number of retained keys.
-func (v *VarOptSummary) Len() int { return len(v.Sample.Adjusted) }
-
-// InstanceID implements Summary.
-func (v *VarOptSummary) InstanceID() int { return v.Instance }
-
-// Kind implements Summary.
-func (v *VarOptSummary) Kind() string { return "varopt" }
-
-// Size implements Summary.
-func (v *VarOptSummary) Size() int { return v.Len() }
-
-func (v *VarOptSummary) seederOf() xhash.Seeder { return v.parent.seeder }
 
 // VarOptStream summarizes one instance incrementally with a VarOpt_k
 // reservoir behind the engine pipeline seam: Push arrivals as they happen,
@@ -105,7 +72,7 @@ func (st *VarOptStream) TryPush(h dataset.Key, v float64) error { return st.e.Tr
 // Snapshot returns a summary of the arrivals pushed so far without closing
 // the stream. Each snapshot consumes fresh merge randomness.
 func (st *VarOptStream) Snapshot() *VarOptSummary {
-	return &VarOptSummary{Instance: st.instance, Sample: st.e.Snapshot(), parent: st.parent}
+	return st.wrap(st.e.Snapshot())
 }
 
 // Stats exposes the engine's throughput and backpressure counters.
@@ -113,7 +80,11 @@ func (st *VarOptStream) Stats() engine.Stats { return st.e.Stats() }
 
 // Close drains the pipeline and returns the finished summary.
 func (st *VarOptStream) Close() *VarOptSummary {
-	return &VarOptSummary{Instance: st.instance, Sample: st.e.Close(), parent: st.parent}
+	return st.wrap(st.e.Close())
+}
+
+func (st *VarOptStream) wrap(sample *sampling.VarOptSample) *VarOptSummary {
+	return newVarOptSummary(st.parent.seeder, st.instance, sample.Tau, sample.Original)
 }
 
 // varoptWire is the serialized form of a VarOptSummary. Values carries the
@@ -139,11 +110,11 @@ func (v *VarOptSummary) MarshalJSON() ([]byte, error) {
 	return json.Marshal(varoptWire{
 		Version:  WireVersion,
 		Kind:     "varopt",
-		Instance: v.Instance,
-		Tau:      v.Sample.Tau,
-		Salt:     v.parent.seeder.Salt,
-		Shared:   v.parent.seeder.Shared,
-		Values:   v.Sample.Original,
+		Instance: v.instance,
+		Tau:      v.tau,
+		Salt:     v.seeder.Salt,
+		Shared:   v.seeder.Shared,
+		Values:   v.weightedValues(),
 	})
 }
 
@@ -156,28 +127,11 @@ func decodeVarOptWire(w varoptWire, stored bool) (*VarOptSummary, error) {
 	if !(w.Tau >= 0) || math.IsInf(w.Tau, 1) {
 		return nil, fmt.Errorf("core: invalid varopt threshold %v", w.Tau)
 	}
-	if err := checkWireValues(w.Values, stored); err != nil {
+	v := newVarOptSummary(xhash.Seeder{Salt: w.Salt, Shared: w.Shared}, w.Instance, w.Tau, w.Values)
+	if _, err := checkEntries(v.entries, 16, stored); err != nil {
 		return nil, err
 	}
-	vals := w.Values
-	if vals == nil {
-		vals = map[dataset.Key]float64{}
-	}
-	return &VarOptSummary{
-		Instance: w.Instance,
-		Sample:   varOptSampleFromWire(vals, w.Tau),
-		parent:   &Summarizer{seeder: xhash.Seeder{Salt: w.Salt, Shared: w.Shared}},
-	}, nil
-}
-
-// varOptSampleFromWire rebuilds a VarOptSample from original weights and
-// the threshold, restoring the adjusted-weight identity max(w, tau).
-func varOptSampleFromWire(original map[dataset.Key]float64, tau float64) *sampling.VarOptSample {
-	adj := make(map[dataset.Key]float64, len(original))
-	for h, w := range original {
-		adj[h] = math.Max(w, tau)
-	}
-	return &sampling.VarOptSample{Adjusted: adj, Original: original, Tau: tau}
+	return v, nil
 }
 
 // DecodeVarOptSummary reconstructs a VarOptSummary from its wire form (v1

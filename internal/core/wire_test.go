@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"reflect"
 	"testing"
 
 	"repro/internal/dataset"
@@ -97,12 +96,10 @@ func TestBottomKSummaryRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !reflect.DeepEqual(dec.Sample.Values, sum.Sample.Values) {
-			t.Errorf("%s: values not preserved", fam.Name())
+		if dec.RankFam() != fam || dec.RankTau() != sum.RankTau() {
+			t.Errorf("%s: family %s, tau %v != %v", fam.Name(), dec.RankFam().Name(), dec.RankTau(), sum.RankTau())
 		}
-		if dec.Sample.Tau != sum.Sample.Tau {
-			t.Errorf("%s: tau %v != %v", fam.Name(), dec.Sample.Tau, sum.Sample.Tau)
-		}
+		sameSummary(t, fam.Name(), dec, sum)
 		if dec.SubsetSum(nil) != sum.SubsetSum(nil) {
 			t.Errorf("%s: subset sum drifted through the wire", fam.Name())
 		}
@@ -110,8 +107,8 @@ func TestBottomKSummaryRoundTrip(t *testing.T) {
 	// Unbounded threshold: fewer keys than k.
 	tiny := dataset.Instance{1: 5, 2: 3}
 	sum := s.SummarizeBottomK(0, tiny, 10, sampling.PPS{})
-	if !math.IsInf(sum.Sample.Tau, 1) {
-		t.Fatalf("expected unbounded threshold, got %v", sum.Sample.Tau)
+	if !math.IsInf(sum.RankTau(), 1) {
+		t.Fatalf("expected unbounded threshold, got %v", sum.RankTau())
 	}
 	data, err := json.Marshal(sum)
 	if err != nil {
@@ -121,12 +118,10 @@ func TestBottomKSummaryRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !math.IsInf(dec.Sample.Tau, 1) {
-		t.Errorf("unbounded threshold decoded as %v", dec.Sample.Tau)
+	if !math.IsInf(dec.RankTau(), 1) {
+		t.Errorf("unbounded threshold decoded as %v", dec.RankTau())
 	}
-	if !reflect.DeepEqual(dec.Sample.Values, sum.Sample.Values) {
-		t.Error("unbounded sample values not preserved")
-	}
+	sameSummary(t, "unbounded sample", dec, sum)
 }
 
 // TestSetStreamMatchesBatch: streaming set summarization is bit-identical
@@ -143,7 +138,13 @@ func TestSetStreamMatchesBatch(t *testing.T) {
 		st.Push(h)
 	}
 	got := st.Close()
-	if !reflect.DeepEqual(got.Members, want.Members) || got.P != want.P || got.Instance != want.Instance {
-		t.Errorf("stream summary differs from batch: %d vs %d members", got.Len(), want.Len())
+	sameSummary(t, "stream summary", got, want)
+	// A member pushed twice counts once.
+	st = s.StreamSet(3, 0.4)
+	for pass := 0; pass < 2; pass++ {
+		for h := range members {
+			st.Push(h)
+		}
 	}
+	sameSummary(t, "stream summary of repeated pushes", st.Close(), want)
 }

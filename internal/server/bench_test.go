@@ -3,14 +3,12 @@ package server_test
 import (
 	"bytes"
 	"context"
-	"net/http/httptest"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/dataset"
 	"repro/internal/engine"
 	"repro/internal/sampling"
-	"repro/internal/server"
 	"repro/pkg/client"
 )
 
@@ -21,30 +19,6 @@ func BenchmarkServerQuery(b *testing.B) {
 	sites := fixture(10000)
 	c, closeSrv := startServer(b, engine.Config{})
 	defer closeSrv()
-	ctx := context.Background()
-	summ := core.NewSummarizer(testSalt)
-	for i := 0; i < 2; i++ {
-		tau := sampling.TauForExpectedSize(sites[i], 1000)
-		if _, err := c.PostSummary(ctx, "flows", summ.SummarizePPS(i, sites[i], tau)); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := c.MaxDominance(ctx, "flows", 0, 1); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkServerQueryView is BenchmarkServerQuery over summaries posted in
-// the v2 binary format, which the server stores and queries as zero-copy
-// views: the same request, the other representation.
-func BenchmarkServerQueryView(b *testing.B) {
-	sites := fixture(10000)
-	ts := httptest.NewServer(server.New(server.NewRegistry(), engine.Config{}))
-	defer ts.Close()
-	c := client.New(ts.URL, ts.Client(), client.WithWireVersion(2))
 	ctx := context.Background()
 	summ := core.NewSummarizer(testSalt)
 	for i := 0; i < 2; i++ {

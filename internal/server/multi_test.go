@@ -83,15 +83,15 @@ func TestIngestMultiEndToEnd(t *testing.T) {
 			localPPS := make([]*core.PPSSummary, len(sites))
 			for i, in := range sites {
 				localPPS[i] = summ.SummarizePPS(ids[i], in, taus[i])
-				if res.Sizes[i] != localPPS[i].Len() {
-					t.Errorf("instance %d: stored size %d, want %d", ids[i], res.Sizes[i], localPPS[i].Len())
+				if res.Sizes[i] != localPPS[i].Size() {
+					t.Errorf("instance %d: stored size %d, want %d", ids[i], res.Sizes[i], localPPS[i].Size())
 				}
 			}
 			srvDom, err := c.MaxDominance(ctx, "flows", 0, 1)
 			if err != nil {
 				t.Fatal(err)
 			}
-			locDom, err := core.MaxDominance(localPPS[0], localPPS[1], nil)
+			locDom, err := core.MaxDominanceReaders(localPPS[0], localPPS[1], nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -118,8 +118,8 @@ func TestIngestMultiEndToEnd(t *testing.T) {
 				t.Fatal(err)
 			}
 			for i, in := range sites {
-				if want := co.SummarizeBottomK(ids[i], in, 80, sampling.PPS{}); res.Sizes[i] != want.Len() {
-					t.Errorf("coordinated instance %d: stored size %d, want %d", ids[i], res.Sizes[i], want.Len())
+				if want := co.SummarizeBottomK(ids[i], in, 80, sampling.PPS{}); res.Sizes[i] != want.Size() {
+					t.Errorf("coordinated instance %d: stored size %d, want %d", ids[i], res.Sizes[i], want.Size())
 				}
 			}
 

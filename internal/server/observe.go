@@ -222,8 +222,8 @@ func summaryLabels(ds string, sum core.Summary) obs.Labels {
 	return obs.Labels{"dataset": ds, "instance": strconv.Itoa(sum.InstanceID())}
 }
 
-// summaryTau extracts the inclusion threshold of a weighted summary
-// (hydrated or view); set summaries have none.
+// summaryTau extracts the inclusion threshold of a weighted summary; set
+// summaries have none.
 func summaryTau(sum core.Summary) (float64, bool) {
 	switch s := sum.(type) {
 	case core.PPSReader:

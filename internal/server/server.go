@@ -1,12 +1,10 @@
 package server
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"strconv"
 	"strings"
@@ -257,10 +255,10 @@ func (s *Server) handlePostSummary(w http.ResponseWriter, r *http.Request) {
 		writeError(w, err)
 		return
 	}
-	// The server owns the buffered reader so the trailing-bytes check
-	// below sees what the decoders left behind (both streaming decoders
-	// reuse an existing *bufio.Reader instead of wrapping their own).
-	body := bufio.NewReaderSize(http.MaxBytesReader(w, r.Body, maxSummaryBody), 4096)
+	// One summary per post: every decoder reads the body to its end and
+	// refuses bytes after the summary, so a client that concatenates two
+	// summaries in one POST gets a 400, not a success that lost the second.
+	body := http.MaxBytesReader(w, r.Body, maxSummaryBody)
 	var (
 		sum  core.Summary
 		wire int
@@ -274,37 +272,19 @@ func (s *Server) handlePostSummary(w http.ResponseWriter, r *http.Request) {
 	// explicitly named but unregistered version is the one case that must
 	// not be guessed around: 415 with the supported list.
 	//
-	// v2 bodies take the zero-copy path: the posted bytes are stored as a
-	// view and queried in place, never hydrated into maps (non-canonical
-	// payloads fall back to the hydrating decoder inside
-	// DecodeSummaryViewFrom).
+	// A canonical v2 body is stored and queried as posted; anything else is
+	// rebuilt in that form here, at ingress.
 	if codec, named, cterr := core.CodecByContentType(r.Header.Get("Content-Type")); cterr != nil {
 		writeError(w, cterr)
 		return
 	} else if named {
 		wire = codec.Version()
-		if wire == 2 {
-			sum, err = core.DecodeSummaryViewFrom(body)
-		} else {
-			sum, err = codec.DecodeFrom(body)
-		}
-	} else if head, _ := body.Peek(3); len(head) == 3 && sniffsV2(head) {
-		wire = 2
-		sum, err = core.DecodeSummaryViewFrom(body)
+		sum, err = codec.DecodeFrom(body)
 	} else {
 		sum, wire, err = core.DecodeSummaryFrom(body)
 	}
 	if err != nil {
 		writeError(w, err)
-		return
-	}
-	// One summary per post: the streaming v2 decoder stops after the last
-	// declared entry, so enforce the whole-body discipline here (the JSON
-	// path gets it from encoding/json). Without this, a client that
-	// concatenates two summaries in one POST would lose the second with a
-	// success response.
-	if _, err := body.ReadByte(); err != io.EOF {
-		writeError(w, fmt.Errorf("server: trailing data after summary (one summary per post)"))
 		return
 	}
 	if err := s.reg.PutCtx(r.Context(), ds, sum); err != nil {
@@ -421,9 +401,8 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	for i, sum := range sums {
 		got[i] = sum.InstanceID()
 	}
-	// The explain report and the per-summary scan spans share one
-	// inspection pass: which representation each consulted summary answers
-	// through (zero-copy view vs hydrated maps) and how much it holds.
+	// The explain report and the per-summary scan spans describe the same
+	// thing: how much each consulted summary holds.
 	var report *api.Explain
 	if q.Get("explain") == "1" {
 		report = explainFor(sums)
@@ -445,7 +424,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		if len(sums) == 1 {
 			if b, ok := sums[0].(core.BottomKReader); ok {
 				est := core.BottomKDistinct(b)
-				recordMerge(qsp, sums, b.Size())
+				qsp.SetInt("union_keys", int64(b.Size()))
 				res := DistinctResult{
 					Dataset: ds, Instances: got,
 					HT: est, KeysUsed: b.Size(), Explain: report,
@@ -465,7 +444,11 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 			writeError(w, err)
 			return
 		}
-		recordMerge(qsp, sums, est.KeysUsed)
+		// union_keys is the number of distinct keys the ordered walk visited
+		// (the denominator of the span's ns/key): the size of the key union,
+		// which is the estimate's KeysUsed only because the handler never
+		// passes a selection.
+		qsp.SetInt("union_keys", int64(est.KeysUsed))
 		res := DistinctResult{
 			Dataset: ds, Instances: got,
 			HT: est.HT, L: est.L, KeysUsed: est.KeysUsed, Explain: report,
@@ -487,7 +470,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 			writeError(w, err)
 			return
 		}
-		recordMerge(qsp, sums, est.KeysUsed)
+		qsp.SetInt("union_keys", int64(est.KeysUsed))
 		writeJSON(w, http.StatusOK, DominanceResult{
 			Dataset: ds, Instances: got,
 			HT: est.HT, L: est.L, KeysUsed: est.KeysUsed, Explain: report,
@@ -532,10 +515,10 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		case interface {
 			SubsetSum(func(dataset.Key) bool) float64
 		}:
-			// PPS, bottom-k, and VarOpt summaries — hydrated or zero-copy
-			// views — all answer the subset-sum estimate directly.
+			// PPS, bottom-k, and VarOpt summaries all answer the subset-sum
+			// estimate directly, walking their own keys.
 			total = sum.SubsetSum(nil)
-			recordMerge(qsp, sums, sums[0].Size())
+			qsp.SetInt("union_keys", int64(sums[0].Size()))
 		default:
 			writeError(w, fmt.Errorf("server: sum not supported for kind %s", sums[0].Kind()))
 			return
@@ -560,29 +543,26 @@ func accuracyFor(stderr float64, ok bool) *api.Accuracy {
 }
 
 // explainFor builds the explain=1 execution report: one entry per
-// consulted summary with its representation (zero-copy view vs hydrated)
-// and size, plus the scan-work totals.
+// consulted summary with its size, plus the scan-work totals.
 func explainFor(sums []core.Summary) *api.Explain {
 	out := &api.Explain{Summaries: make([]api.ExplainSummary, len(sums))}
 	for i, sum := range sums {
-		path, bytes := core.SummaryRepr(sum)
 		es := api.ExplainSummary{
 			Instance: sum.InstanceID(),
 			Kind:     sum.Kind(),
-			Path:     path,
 			Entries:  sum.Size(),
-			Bytes:    bytes,
+			Bytes:    core.WireSize(sum),
 		}
 		out.Summaries[i] = es
 		out.EntriesScanned += es.Entries
-		out.BytesTouched += bytes
+		out.BytesTouched += es.Bytes
 	}
 	return out
 }
 
 // recordSummaryScans annotates a query span with the per-summary scan
-// shape: instance, representation, entries, and view bytes. Attribute
-// volume is capped so a wide instances= list cannot bloat the trace ring.
+// shape: instance, kind, entries, and bytes. Attribute volume is capped so
+// a wide instances= list cannot bloat the trace ring.
 func recordSummaryScans(sp *trace.Span, sums []core.Summary) {
 	if sp == nil {
 		return
@@ -594,43 +574,10 @@ func recordSummaryScans(sp *trace.Span, sums []core.Summary) {
 			sp.SetInt("summaries_unrecorded", int64(len(sums)-maxRecorded))
 			break
 		}
-		path, bytes := core.SummaryRepr(sum)
 		sp.SetAttr("s"+strconv.Itoa(i),
-			fmt.Sprintf("instance=%d kind=%s path=%s entries=%d bytes=%d",
-				sum.InstanceID(), sum.Kind(), path, sum.Size(), bytes))
+			fmt.Sprintf("instance=%d kind=%s entries=%d bytes=%d",
+				sum.InstanceID(), sum.Kind(), sum.Size(), core.WireSize(sum)))
 	}
-}
-
-// recordMerge annotates the span of a query that walked its summaries'
-// keys in ascending order: union_keys, the distinct keys the walk visited
-// (the denominator of the span's ns/key), and columns_sorted, how many of
-// the summaries had to sort their keys first — one per hydrated summary; a
-// view's are read in wire order. For the multi-instance kinds the walk is
-// the ordered merge and union_keys the size of the key union, which is the
-// estimate's KeysUsed only because the handler never passes a selection;
-// for sum it is the one summary's own keys (every weighted kind, VarOpt
-// included, sums them in ascending order), so columns_sorted is 0 or 1.
-func recordMerge(sp *trace.Span, sums []core.Summary, unionKeys int) {
-	if sp == nil {
-		return
-	}
-	sorted := 0
-	for _, sum := range sums {
-		if path, _ := core.SummaryRepr(sum); path == "hydrated" {
-			sorted++
-		}
-	}
-	sp.SetInt("union_keys", int64(unionKeys))
-	sp.SetInt("columns_sorted", int64(sorted))
-}
-
-// sniffsV2 reports whether the leading bytes claim the v2 binary wire
-// format specifically (magic plus version byte 2) — the gate for the
-// zero-copy post path. Other claimed versions go through the ordinary
-// sniffing decoder, which produces the canonical unknown-version error.
-func sniffsV2(head []byte) bool {
-	v, ok := core.SniffWireVersion(head)
-	return ok && v == 2
 }
 
 // asKind narrows stored summaries to the concrete type a query dispatches

@@ -138,12 +138,12 @@ func TestServerEndToEnd(t *testing.T) {
 			}
 
 			// In-process reference summaries (identical by construction).
-			ppsLocal := []*core.PPSSummary{
+			ppsLocal := []core.PPSReader{
 				pps0,
 				summ.SummarizePPS(1, sites[1], taus[1]),
 				summ.SummarizePPS(2, sites[2], taus[2]),
 			}
-			setLocal := make([]*core.SetSummary, 3)
+			setLocal := make([]core.SetReader, 3)
 			for i, in := range sites {
 				setLocal[i] = summ.SummarizeSet(i, members(in), 0.3)
 			}
@@ -152,7 +152,7 @@ func TestServerEndToEnd(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			locD, err := core.DistinctCountMulti(setLocal, nil)
+			locD, err := core.DistinctCountMultiReaders(setLocal, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -164,7 +164,7 @@ func TestServerEndToEnd(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			locM, err := core.MaxDominance(ppsLocal[0], ppsLocal[2], nil)
+			locM, err := core.MaxDominanceReaders(ppsLocal[0], ppsLocal[2], nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -174,11 +174,11 @@ func TestServerEndToEnd(t *testing.T) {
 
 			// A key sampled everywhere gives a determined (positive) median.
 			var hot dataset.Key
-			for h := range ppsLocal[0].Sample.Values {
-				if _, ok := ppsLocal[1].Sample.Values[h]; !ok {
+			for _, h := range ppsLocal[0].AppendKeys(nil) {
+				if _, ok := ppsLocal[1].Lookup(h); !ok {
 					continue
 				}
-				if _, ok := ppsLocal[2].Sample.Values[h]; ok {
+				if _, ok := ppsLocal[2].Lookup(h); ok {
 					hot = h
 					break
 				}
@@ -187,7 +187,7 @@ func TestServerEndToEnd(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			locQ, err := core.QuantilePPS(ppsLocal, hot, 2)
+			locQ, err := core.QuantilePPSReaders(ppsLocal, hot, 2)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -241,8 +241,8 @@ func TestServerFetchRoundTrip(t *testing.T) {
 	if !core.Combinable(got.(*core.PPSSummary), want) {
 		t.Error("fetched summary not combinable with a local one")
 	}
-	if got.Size() != want.Len() {
-		t.Errorf("fetched %d keys, want %d", got.Size(), want.Len())
+	if got.Size() != want.Size() {
+		t.Errorf("fetched %d keys, want %d", got.Size(), want.Size())
 	}
 }
 

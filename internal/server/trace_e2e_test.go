@@ -261,11 +261,11 @@ func TestQueryExplainAndAccuracy(t *testing.T) {
 		t.Fatalf("explain reports %d summaries, want 1", len(res.Explain.Summaries))
 	}
 	es := res.Explain.Summaries[0]
-	if es.Kind != "bottomk" || es.Path != "view" || es.Entries != bk.Len() || es.Bytes <= 0 {
-		t.Errorf("explain summary %+v, want a %d-entry bottomk view with wire bytes", es, bk.Len())
+	if es.Kind != "bottomk" || es.Entries != bk.Size() || es.Bytes != core.WireSize(bk) {
+		t.Errorf("explain summary %+v, want a %d-entry bottomk of %d bytes", es, bk.Size(), core.WireSize(bk))
 	}
-	if res.Explain.EntriesScanned != bk.Len() {
-		t.Errorf("entries_scanned = %d, want %d", res.Explain.EntriesScanned, bk.Len())
+	if res.Explain.EntriesScanned != bk.Size() {
+		t.Errorf("entries_scanned = %d, want %d", res.Explain.EntriesScanned, bk.Size())
 	}
 	if res.Accuracy == nil {
 		t.Fatal("bottom-k distinct returned no accuracy block")
@@ -344,20 +344,19 @@ func TestSketchHealthGauges(t *testing.T) {
 }
 
 // TestQuerySpanMergeAttrs: the query span of a key-walking query carries
-// union_keys (the keys its ordered merge visited) and columns_sorted (the
-// hydrated summaries among those consulted), so /debug/traces attributes
-// ns/key and shows the view/hydrated split; a point query carries neither.
+// union_keys (the keys its ordered walk visited), so /debug/traces
+// attributes ns/key; a point query does not.
 func TestQuerySpanMergeAttrs(t *testing.T) {
 	tr := trace.New(8)
 	ts := tracedServer(t, tr)
 	sites := fixture(800)
 	summ := core.NewSummarizer(testSalt)
-	c := client.New(ts.URL, ts.Client()) // posts v1 JSON: stored hydrated
+	c := client.New(ts.URL, ts.Client()) // posts v1 JSON
 	tau := sampling.TauForExpectedSize(sites[0], 100)
 	if _, err := c.PostSummary(context.Background(), "flows", summ.SummarizePPS(0, sites[0], tau)); err != nil {
 		t.Fatal(err)
 	}
-	postV2(t, ts.URL, "flows", summ.SummarizePPS(1, sites[1], tau)) // stored as a view
+	postV2(t, ts.URL, "flows", summ.SummarizePPS(1, sites[1], tau))
 
 	querySpan := func(url, name string) map[string]string {
 		t.Helper()
@@ -389,12 +388,15 @@ func TestQuerySpanMergeAttrs(t *testing.T) {
 		t.Fatal(err)
 	}
 	attrs := querySpan("/v1/query?dataset=flows&q=maxdominance&instances=0,1", "query.maxdominance")
-	if attrs["union_keys"] != strconv.Itoa(est.KeysUsed) || attrs["columns_sorted"] != "1" {
-		t.Errorf("maxdominance span attrs %v, want union_keys=%d columns_sorted=1", attrs, est.KeysUsed)
+	if attrs["union_keys"] != strconv.Itoa(est.KeysUsed) {
+		t.Errorf("maxdominance span attrs %v, want union_keys=%d", attrs, est.KeysUsed)
+	}
+	if _, ok := attrs["columns_sorted"]; ok {
+		t.Errorf("maxdominance span attrs %v: no summary sorts its keys for a query", attrs)
 	}
 	attrs = querySpan("/v1/query?dataset=flows&q=sum&instances=1", "query.sum")
-	if attrs["union_keys"] == "" || attrs["columns_sorted"] != "0" {
-		t.Errorf("view sum span attrs %v, want union_keys set and columns_sorted=0", attrs)
+	if attrs["union_keys"] == "" {
+		t.Errorf("sum span attrs %v, want union_keys set", attrs)
 	}
 	attrs = querySpan("/v1/query?dataset=flows&q=quantile&instances=0,1&key=1", "query.quantile")
 	if _, ok := attrs["union_keys"]; ok {

@@ -18,10 +18,10 @@ import (
 	"repro/pkg/api"
 )
 
-// These tests pin the zero-copy post path: a canonical v2 POST is stored
-// as a view over the posted bytes, every query over it answers
-// bit-identically to the hydrated in-process estimate, and re-fetching it
-// as v2 returns exactly the posted bytes.
+// These tests pin the v2 post path: a canonical v2 POST is stored as the
+// posted bytes, every query over it answers bit-identically to the
+// in-process estimate, and re-fetching it as v2 returns exactly the posted
+// bytes.
 
 func getJSON[T any](t *testing.T, url string) T {
 	t.Helper()
@@ -54,8 +54,8 @@ func postV2(t *testing.T, url, ds string, sum core.Summary) []byte {
 }
 
 // TestViewPostQueryFetch: every summary kind posted as v2 answers queries
-// over the zero-copy view bit-identically to the in-process estimates,
-// and fetches back as exactly the posted bytes.
+// bit-identically to the in-process estimates, and fetches back as exactly
+// the posted bytes.
 func TestViewPostQueryFetch(t *testing.T) {
 	ts := httptest.NewServer(server.New(server.NewRegistry(), engine.Config{}))
 	defer ts.Close()
@@ -64,7 +64,7 @@ func TestViewPostQueryFetch(t *testing.T) {
 	summ := core.NewSummarizer(testSalt)
 
 	// PPS pair for maxdominance + per-kind sum checks.
-	pps := []*core.PPSSummary{
+	pps := []core.PPSReader{
 		summ.SummarizePPSExpectedSize(0, sites[0], 150),
 		summ.SummarizePPSExpectedSize(1, sites[1], 150),
 	}
@@ -72,21 +72,20 @@ func TestViewPostQueryFetch(t *testing.T) {
 	for _, p := range pps {
 		posted = append(posted, postV2(t, url, "flows", p))
 	}
-	want, err := core.MaxDominance(pps[0], pps[1], nil)
+	want, err := core.MaxDominanceReaders(pps[0], pps[1], nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	dom := getJSON[api.DominanceResult](t, url+"/v1/query?dataset=flows&q=maxdominance&instances=0,1")
 	if math.Float64bits(dom.HT) != math.Float64bits(want.HT) || math.Float64bits(dom.L) != math.Float64bits(want.L) {
-		t.Errorf("maxdominance over views (HT %v, L %v) != in-process (HT %v, L %v)", dom.HT, dom.L, want.HT, want.L)
+		t.Errorf("maxdominance over posted summaries (HT %v, L %v) != in-process (HT %v, L %v)", dom.HT, dom.L, want.HT, want.L)
 	}
 	sum := getJSON[api.SumResult](t, url+"/v1/query?dataset=flows&q=sum&instances=0")
 	if math.Float64bits(sum.Sum) != math.Float64bits(pps[0].SubsetSum(nil)) {
-		t.Errorf("sum over view %v != in-process %v", sum.Sum, pps[0].SubsetSum(nil))
+		t.Errorf("sum over posted summary %v != in-process %v", sum.Sum, pps[0].SubsetSum(nil))
 	}
 
-	// Fetching a view-backed summary as v2 returns the posted bytes
-	// verbatim (the raw-copy re-encode).
+	// Fetching the summary as v2 returns the posted bytes verbatim.
 	req, err := http.NewRequest("GET", url+"/v1/summaries?dataset=flows&instance=0", nil)
 	if err != nil {
 		t.Fatal(err)
@@ -105,44 +104,43 @@ func TestViewPostQueryFetch(t *testing.T) {
 		t.Error("fetched v2 bytes differ from the posted bytes")
 	}
 
-	// Set summaries: distinct over three posted views.
-	var sets []*core.SetSummary
+	// Set summaries: distinct over three posted summaries.
+	var sets []core.SetReader
 	for i, in := range sites {
 		set := summ.SummarizeSet(i, members(in), 0.3)
 		sets = append(sets, set)
 		postV2(t, url, "presence", set)
 	}
-	wantD, err := core.DistinctCountMulti(sets, nil)
+	wantD, err := core.DistinctCountMultiReaders(sets, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	dis := getJSON[api.DistinctResult](t, url+"/v1/query?dataset=presence&q=distinct")
 	if math.Float64bits(dis.HT) != math.Float64bits(wantD.HT) ||
 		math.Float64bits(dis.L) != math.Float64bits(wantD.L) || dis.KeysUsed != wantD.KeysUsed {
-		t.Errorf("distinct over views (%v, %v, %d) != in-process (%v, %v, %d)",
+		t.Errorf("distinct over posted summaries (%v, %v, %d) != in-process (%v, %v, %d)",
 			dis.HT, dis.L, dis.KeysUsed, wantD.HT, wantD.L, wantD.KeysUsed)
 	}
 
-	// Bottom-k and VarOpt: sum over posted views.
+	// Bottom-k and VarOpt: sum over posted summaries.
 	bk := summ.SummarizeBottomK(0, sites[2], 100, sampling.EXP{})
 	postV2(t, url, "ranked", bk)
 	bks := getJSON[api.SumResult](t, url+"/v1/query?dataset=ranked&q=sum&instances=0")
 	if math.Float64bits(bks.Sum) != math.Float64bits(bk.SubsetSum(nil)) {
-		t.Errorf("bottomk sum over view %v != in-process %v", bks.Sum, bk.SubsetSum(nil))
+		t.Errorf("bottomk sum over posted summary %v != in-process %v", bks.Sum, bk.SubsetSum(nil))
 	}
 	vo := summ.SummarizeVarOpt(0, sites[2], 90)
 	postV2(t, url, "reservoir", vo)
 	vos := getJSON[api.SumResult](t, url+"/v1/query?dataset=reservoir&q=sum&instances=0")
 	if math.Float64bits(vos.Sum) != math.Float64bits(vo.SubsetSum(nil)) {
-		t.Errorf("varopt sum over view %v != in-process %v", vos.Sum, vo.SubsetSum(nil))
+		t.Errorf("varopt sum over posted summary %v != in-process %v", vos.Sum, vo.SubsetSum(nil))
 	}
 }
 
-// TestViewPostNonCanonicalFallsBack: a valid v2 payload that is not the
-// canonical encoding (non-minimal entry-count varint) fails the strict
-// view parse but still lands via the hydrating decoder — acceptance is
-// unchanged, only the storage representation differs.
-func TestViewPostNonCanonicalFallsBack(t *testing.T) {
+// TestPostNonCanonicalIsCanonicalised: a valid v2 payload that is not the
+// canonical encoding (non-minimal entry-count varint) is accepted, and
+// stored, queried and fetched back as the canonical one.
+func TestPostNonCanonicalIsCanonicalised(t *testing.T) {
 	ts := httptest.NewServer(server.New(server.NewRegistry(), engine.Config{}))
 	defer ts.Close()
 	summ := core.NewSummarizer(testSalt)
@@ -168,7 +166,21 @@ func TestViewPostNonCanonicalFallsBack(t *testing.T) {
 	resp.Body.Close()
 	got := getJSON[api.SumResult](t, ts.URL+"/v1/query?dataset=nc&q=sum&instances=0")
 	if math.Float64bits(got.Sum) != math.Float64bits(sum.SubsetSum(nil)) {
-		t.Errorf("sum after fallback %v != in-process %v", got.Sum, sum.SubsetSum(nil))
+		t.Errorf("sum over the canonicalised post %v != in-process %v", got.Sum, sum.SubsetSum(nil))
+	}
+	req, err := http.NewRequest("GET", ts.URL+"/v1/summaries?dataset=nc&instance=0", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	req.Header.Set("Accept", core.ContentTypeV2)
+	resp, err = http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fetched, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil || !bytes.Equal(fetched, data) {
+		t.Errorf("fetched v2 bytes are not the canonical encoding (err %v)", err)
 	}
 }
 
@@ -204,10 +216,10 @@ func TestIngestVarOpt(t *testing.T) {
 }
 
 // TestNonFiniteEntryValuesRefused: a v2 post whose weighted entry value is
-// +Inf, NaN or negative is a 400 with a JSON error body — on the view path
-// (canonical bytes) and on the hydrating fallback (the same entries in
-// descending key order, which only the lenient decoder accepts) — and
-// leaves nothing behind to query.
+// +Inf, NaN or negative is a 400 with a JSON error body — as canonical
+// bytes and with the same entries in descending key order, which the
+// decoder would otherwise canonicalise — and leaves nothing behind to
+// query.
 func TestNonFiniteEntryValuesRefused(t *testing.T) {
 	ts := httptest.NewServer(server.New(server.NewRegistry(), engine.Config{}))
 	defer ts.Close()
@@ -220,7 +232,7 @@ func TestNonFiniteEntryValuesRefused(t *testing.T) {
 	descending := bytes.Clone(good) // swap the two 16-byte entries
 	copy(descending[n-32:n-16], good[n-16:])
 	copy(descending[n-16:], good[n-32:n-16])
-	for path, body := range map[string][]byte{"view": good, "hydrating": descending} {
+	for path, body := range map[string][]byte{"canonical": good, "descending": descending} {
 		if resp := postBody(t, ts.URL+"/v1/summaries?dataset=ok-"+path, core.ContentTypeV2, body); resp.StatusCode != http.StatusCreated {
 			t.Fatalf("%s path: finite values refused with %d", path, resp.StatusCode)
 		}

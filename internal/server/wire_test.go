@@ -78,8 +78,8 @@ func TestPostSummaryNegotiation(t *testing.T) {
 				t.Fatalf("status %d: %s", resp.StatusCode, body)
 			}
 			post := decodeResult[api.PostResult](t, resp)
-			if post.Wire != tc.wantWire || post.Size != sum.Len() {
-				t.Fatalf("PostResult = %+v, want wire %d, size %d", post, tc.wantWire, sum.Len())
+			if post.Wire != tc.wantWire || post.Size != sum.Size() {
+				t.Fatalf("PostResult = %+v, want wire %d, size %d", post, tc.wantWire, sum.Size())
 			}
 		})
 	}

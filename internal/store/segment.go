@@ -60,9 +60,7 @@ const (
 
 // File headers. Every file opens with a 5-byte ASCII magic naming the
 // format and its version, so a foreign or future file fails loudly
-// instead of replaying as garbage. Segments keep the magic the pre-
-// segmented single-file WAL used, which is what lets a legacy "wal" file
-// migrate into the segmented layout by rename alone.
+// instead of replaying as garbage.
 const (
 	segMagic  = "CWAL1"
 	snapMagic = "CSNP1"
@@ -75,7 +73,7 @@ const (
 	DefaultSegmentRecords = 1 << 16
 )
 
-// Legacy (pre-segmented) file names, migrated or quarantined at Open.
+// File names of the pre-segmented layout, quarantined at Open.
 const (
 	legacyWALName      = "wal"
 	legacySnapshotName = "snapshot"
@@ -270,7 +268,6 @@ func (w *recordWriter) append(dataset string, s core.Summary) error {
 // would silently destroy data the log still faithfully holds.
 func readRecords(r io.Reader, size int64, strict bool, apply func(dataset string, s core.Summary) error) (records, validBytes int64, err error) {
 	br := bufio.NewReaderSize(r, 64<<10)
-	var scratch []byte
 	invalid := func(format string, args ...any) (int64, int64, error) {
 		if strict {
 			args = append([]any{records + 1}, args...)
@@ -295,10 +292,9 @@ func readRecords(r io.Reader, size int64, strict bool, apply func(dataset string
 		if length > remaining-recordHeaderLen {
 			return invalid("payload runs past the file (%d declared, %d remain)", length, remaining-recordHeaderLen)
 		}
-		if int64(cap(scratch)) < length {
-			scratch = make([]byte, length)
-		}
-		payload := scratch[:length]
+		// A fresh buffer per record: a decoded summary keeps the bytes it
+		// was decoded from.
+		payload := make([]byte, length)
 		if _, err := io.ReadFull(br, payload); err != nil {
 			return records, validBytes, fmt.Errorf("store: reading record payload: %w", err)
 		}

@@ -38,10 +38,8 @@ const (
 	// chain file maxSnapshotChain+1 is written as a full merge instead.
 	maxSnapshotChain = 8
 	// snapshotTempPattern names in-flight snapshot temp files; Open
-	// removes strays matching it (or the legacy pattern) — the residue of
-	// a crash mid-snapshot.
-	snapshotTempPattern       = "snap-*.tmp"
-	legacySnapshotTempPattern = "snapshot-*.tmp"
+	// removes strays matching it — the residue of a crash mid-snapshot.
+	snapshotTempPattern = "snap-*.tmp"
 )
 
 // snapName names snapshot chain file seq.
@@ -224,7 +222,7 @@ func sortedMergeDump(merged map[instanceKey]core.Summary) func(emit func(dataset
 // the residue of a crash between temp-file write and rename. Promoted
 // files are untouched; the interrupted writes are simply discarded.
 func removeStrayTemps(dir string) {
-	for _, pattern := range []string{snapshotTempPattern, legacySnapshotTempPattern, manifestTempPattern} {
+	for _, pattern := range []string{snapshotTempPattern, manifestTempPattern} {
 		strays, err := filepath.Glob(filepath.Join(dir, pattern))
 		if err != nil {
 			continue

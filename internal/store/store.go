@@ -274,7 +274,7 @@ func Open(dir string, opts Options, apply func(dataset string, s core.Summary) e
 	s.snapCond = sync.NewCond(&s.mu)
 	s.registerMetrics(opts.Metrics)
 
-	if err := s.migrateLegacy(); err != nil {
+	if err := s.quarantineLegacy(); err != nil {
 		return nil, err
 	}
 
@@ -328,39 +328,16 @@ func Open(dir string, opts Options, apply func(dataset string, s core.Summary) e
 	return s, nil
 }
 
-// migrateLegacy adopts a pre-segmented directory. With no MANIFEST
-// present, a "snapshot" file becomes chain file 1 and a "wal" file
-// becomes segment 1 by atomic rename; recoverSegments then writes the
-// first manifest. Each rename is an independent crash point — a restart
-// simply resumes where the last attempt stopped. With a MANIFEST present,
-// legacy files are unaccounted state (a downgrade wrote here?) and are
-// quarantined.
-func (s *Store) migrateLegacy() error {
-	_, _, ok, err := readManifest(s.dir)
-	if err != nil {
-		return err
-	}
-	if ok {
-		for _, name := range []string{legacyWALName, legacySnapshotName} {
-			if _, err := os.Stat(filepath.Join(s.dir, name)); err == nil {
-				if err := s.quarantine(name); err != nil {
-					return err
-				}
+// quarantineLegacy moves a "wal" or "snapshot" file out of the way.
+// Nothing in the segmented layout carries those names, so whatever wrote
+// one, the manifest never acknowledged its records.
+func (s *Store) quarantineLegacy() error {
+	for _, name := range []string{legacyWALName, legacySnapshotName} {
+		if _, err := os.Stat(filepath.Join(s.dir, name)); err == nil {
+			if err := s.quarantine(name); err != nil {
+				return err
 			}
 		}
-		return nil
-	}
-	if _, err := os.Stat(filepath.Join(s.dir, legacySnapshotName)); err == nil {
-		if err := os.Rename(filepath.Join(s.dir, legacySnapshotName), filepath.Join(s.dir, snapName(1))); err != nil {
-			return fmt.Errorf("store: migrating legacy snapshot: %w", err)
-		}
-		syncDir(s.dir)
-	}
-	if _, err := os.Stat(filepath.Join(s.dir, legacyWALName)); err == nil {
-		if err := os.Rename(filepath.Join(s.dir, legacyWALName), filepath.Join(s.dir, segmentName(1))); err != nil {
-			return fmt.Errorf("store: migrating legacy WAL: %w", err)
-		}
-		syncDir(s.dir)
 	}
 	return nil
 }
@@ -459,10 +436,8 @@ func (s *Store) recoverSegments(apply func(dataset string, sum core.Summary) err
 			s.first, s.live = 1, live
 			return nil
 		case len(seqs) == 1 && seqs[0] == 1:
-			// A crash before the first manifest write. Segment 1 is either
-			// the magic-only file of an interrupted fresh init or a just-
-			// renamed legacy WAL; either way it is the entire log — adopt
-			// it rather than quarantine acknowledged records.
+			// A crash before the first manifest write: segment 1 is the
+			// magic-only file of an interrupted fresh init. Adopt it.
 			if err := writeManifest(s.dir, 1, 1); err != nil {
 				return err
 			}

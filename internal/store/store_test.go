@@ -721,68 +721,49 @@ func TestOrphanAndMalformedSegmentsQuarantined(t *testing.T) {
 	}
 }
 
-func TestLegacyLayoutMigrates(t *testing.T) {
-	// Build a PR-5-era directory by hand: a single "wal" file (same magic
-	// and framing as a segment) and a promoted "snapshot". Open must adopt
-	// both losslessly — rename into the segmented layout, write the first
-	// manifest — and a second open must find a normal segmented store.
+func TestStrayLegacyFilesQuarantined(t *testing.T) {
+	// A "wal" and a "snapshot" file — the names of the single-file layout
+	// nothing writes any more — are state no manifest acknowledged. Open
+	// succeeds, replays none of it, and moves both to quarantine/, on a
+	// fresh directory and on one that already has a manifest alike.
 	dir := t.TempDir()
 	rng := rand.New(rand.NewSource(15))
-	codec, err := core.CodecByVersion(2)
-	if err != nil {
-		t.Fatal(err)
+	plant := func() {
+		t.Helper()
+		for _, name := range []string{legacyWALName, legacySnapshotName} {
+			if err := os.WriteFile(filepath.Join(dir, name), []byte(segMagic+"stray"), 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
 	}
 	want := make(shadow)
-	snapSum := randomSummary(rng, specs[0])
-	want.put(specs[0].name, snapSum)
-	tmp, _, err := writeSnapshotTemp(dir, codec, func(emit func(string, core.Summary) error) error {
-		return emit(specs[0].name, snapSum)
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.Rename(tmp, filepath.Join(dir, legacySnapshotName)); err != nil {
-		t.Fatal(err)
-	}
-	wal, err := os.Create(filepath.Join(dir, legacyWALName))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := wal.WriteString(segMagic); err != nil {
-		t.Fatal(err)
-	}
-	w := newRecordWriter(wal, codec, magicLen)
-	for i := 0; i < 3; i++ {
-		s := randomSummary(rng, specs[1])
-		if err := w.append(specs[1].name, s); err != nil {
+	for round, when := range []string{"without a manifest", "beside a manifest"} {
+		os.RemoveAll(filepath.Join(dir, quarantineDir))
+		plant()
+		reg, st := reopen(t, dir, Options{})
+		mustMatch(t, "stray files "+when, image(t, reg.Dump), image(t, want.dump))
+		for _, name := range []string{legacyWALName, legacySnapshotName} {
+			if _, err := os.Stat(filepath.Join(dir, name)); !os.IsNotExist(err) {
+				t.Fatalf("%s: %s still in the data directory: %v", when, name, err)
+			}
+			if _, err := os.Stat(filepath.Join(dir, quarantineDir, name)); err != nil {
+				t.Fatalf("%s: %s not preserved in quarantine: %v", when, name, err)
+			}
+		}
+		if got := st.Status().QuarantinedFiles; got != 2 {
+			t.Fatalf("%s: status reports %d quarantined files, want 2", when, got)
+		}
+		// The store is a normal one afterwards.
+		s := randomSummary(rng, specs[round])
+		if err := reg.Put(specs[round].name, s); err != nil {
 			t.Fatal(err)
 		}
-		want.put(specs[1].name, s)
+		want.put(specs[round].name, s)
+		st.Close()
 	}
-	wal.Close()
-
 	reg, st := reopen(t, dir, Options{})
-	mustMatch(t, "legacy migration", image(t, reg.Dump), image(t, want.dump))
-	if _, err := os.Stat(filepath.Join(dir, legacyWALName)); !os.IsNotExist(err) {
-		t.Fatalf("legacy wal still present: %v", err)
-	}
-	if _, err := os.Stat(filepath.Join(dir, legacySnapshotName)); !os.IsNotExist(err) {
-		t.Fatalf("legacy snapshot still present: %v", err)
-	}
-	if first, last, ok, err := readManifest(dir); err != nil || !ok || first != 1 || last != 1 {
-		t.Fatalf("manifest after migration = [%d,%d] ok=%v err=%v, want [1,1]", first, last, ok, err)
-	}
-	// The migrated log keeps accepting appends, and a second recovery sees
-	// a plain segmented store.
-	s := randomSummary(rng, specs[2])
-	if err := reg.Put(specs[2].name, s); err != nil {
-		t.Fatal(err)
-	}
-	want.put(specs[2].name, s)
-	st.Close()
-	reg2, st2 := reopen(t, dir, Options{})
-	defer st2.Close()
-	mustMatch(t, "post-migration reopen", image(t, reg2.Dump), image(t, want.dump))
+	defer st.Close()
+	mustMatch(t, "reopen after quarantine", image(t, reg.Dump), image(t, want.dump))
 }
 
 func TestAppendsProceedDuringSnapshot(t *testing.T) {

@@ -144,16 +144,15 @@ type Accuracy struct {
 }
 
 // Explain is the optional query-execution report requested with
-// explain=1: which stored summaries the estimate consulted and through
-// which representation.
+// explain=1: which stored summaries the estimate consulted and how much
+// each holds.
 type Explain struct {
 	// Summaries describes each consulted summary, in instance order.
 	Summaries []ExplainSummary `json:"summaries"`
 	// EntriesScanned totals the retained entries across the consulted
 	// summaries — the work a full scan of the query touched.
 	EntriesScanned int `json:"entries_scanned"`
-	// BytesTouched totals the wire bytes behind zero-copy views (0 for
-	// hydrated summaries, which have no resident wire image).
+	// BytesTouched totals the consulted summaries' Bytes.
 	BytesTouched int `json:"bytes_touched"`
 }
 
@@ -161,13 +160,11 @@ type Explain struct {
 type ExplainSummary struct {
 	Instance int    `json:"instance"`
 	Kind     string `json:"kind"`
-	// Path is the representation queried: "view" (zero-copy over v2 wire
-	// bytes) or "hydrated" (map-backed).
-	Path string `json:"path"`
-	// Entries is the number of retained keys; Bytes the wire length for
-	// views (0 when hydrated).
+	// Entries is the number of retained keys; Bytes the length of the
+	// summary's v2 encoding, which is what the server holds and a full scan
+	// reads — the same however the summary arrived, and across restarts.
 	Entries int `json:"entries"`
-	Bytes   int `json:"bytes,omitempty"`
+	Bytes   int `json:"bytes"`
 }
 
 // DistinctResult answers q=distinct: the estimated number of distinct

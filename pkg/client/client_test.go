@@ -41,8 +41,8 @@ func TestClientWireV2AgainstV2Server(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if post.Wire != 2 || post.Size != sum.Len() {
-		t.Fatalf("PostResult = %+v, want wire 2, size %d", post, sum.Len())
+	if post.Wire != 2 || post.Size != sum.Size() {
+		t.Fatalf("PostResult = %+v, want wire 2, size %d", post, sum.Size())
 	}
 	if c.WireVersion() != 2 {
 		t.Fatalf("WireVersion = %d after a successful v2 post, want 2", c.WireVersion())
