@@ -55,7 +55,8 @@ func (s *Summarizer) Seeder() xhash.Seeder { return s.seeder }
 
 // seedFunc adapts the seeder to one instance.
 func (s *Summarizer) seedFunc(instance int) sampling.SeedFunc {
-	return func(h dataset.Key) float64 { return s.seeder.Seed(instance, uint64(h)) }
+	seeder := s.seeder.Instance(instance)
+	return func(h dataset.Key) float64 { return seeder.Seed(uint64(h)) }
 }
 
 // SummarizePPS draws the PPS summary of one instance with threshold tau
@@ -150,6 +151,7 @@ func (s *Summarizer) SummarizeSet(instance int, members map[dataset.Key]bool, p 
 // edge-ingest path.
 type SetStream struct {
 	seeder   xhash.Seeder
+	seed     xhash.InstanceSeeder // seeder bound to instance
 	instance int
 	p        float64
 	sampled  map[dataset.Key]struct{}
@@ -161,13 +163,14 @@ func (s *Summarizer) StreamSet(instance int, p float64) *SetStream {
 	if !(p > 0 && p <= 1) {
 		panic("core: StreamSet with probability outside (0,1]")
 	}
-	return &SetStream{seeder: s.seeder, instance: instance, p: p, sampled: make(map[dataset.Key]struct{})}
+	return &SetStream{seeder: s.seeder, seed: s.seeder.Instance(instance), instance: instance, p: p,
+		sampled: make(map[dataset.Key]struct{})}
 }
 
 // Push offers one member arrival. Pushing the same key twice is harmless
 // (the seed test is deterministic).
 func (st *SetStream) Push(h dataset.Key) {
-	if st.seeder.Seed(st.instance, uint64(h)) < st.p {
+	if st.seed.Seed(uint64(h)) < st.p {
 		st.sampled[h] = struct{}{}
 	}
 }

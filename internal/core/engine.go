@@ -62,6 +62,10 @@ func (s *Summarizer) StreamBottomK(cfg engine.Config, instance int, k int, fam s
 // Push offers one (key, value) arrival.
 func (b *BottomKStream) Push(h dataset.Key, v float64) { b.e.Push(h, v) }
 
+// PushBatch offers a slice of arrivals, in order, with one call into the
+// engine for the batch.
+func (b *BottomKStream) PushBatch(ps []engine.Pair) { b.e.PushBatch(ps) }
+
 // TryPush offers one arrival without blocking: where Push would stall on a
 // full shard queue, it returns engine.ErrQueueFull (counted in
 // Stats().Rejected) — the opt-in path for lossy producers that prefer
@@ -106,6 +110,10 @@ func (s *Summarizer) StreamPPS(cfg engine.Config, instance int, tau float64) *PP
 
 // Push offers one (key, value) arrival.
 func (p *PPSStream) Push(h dataset.Key, v float64) { p.e.Push(h, v) }
+
+// PushBatch offers a slice of arrivals, in order, with one call into the
+// engine for the batch.
+func (p *PPSStream) PushBatch(ps []engine.Pair) { p.e.PushBatch(ps) }
 
 // TryPush offers one arrival without blocking: where Push would stall on a
 // full shard queue, it returns engine.ErrQueueFull (counted in
@@ -164,6 +172,10 @@ func (s *Summarizer) StreamMultiBottomK(cfg engine.Config, instances []int, k in
 // Push offers one (key, value) arrival of instances[i].
 func (m *MultiBottomKStream) Push(i int, h dataset.Key, v float64) { m.e.Push(i, h, v) }
 
+// PushBatch offers a slice of combined-stream arrivals, in order; each
+// names its instance by position in instances.
+func (m *MultiBottomKStream) PushBatch(ms []engine.MultiPair) { m.e.PushBatch(ms) }
+
 // Snapshot returns per-instance summaries of exactly the arrivals pushed
 // so far, without closing the stream.
 func (m *MultiBottomKStream) Snapshot() []*BottomKSummary { return m.wrap(m.e.Snapshot()) }
@@ -219,6 +231,10 @@ func (s *Summarizer) StreamMultiPPS(cfg engine.Config, instances []int, taus []f
 
 // Push offers one (key, value) arrival of instances[i].
 func (m *MultiPPSStream) Push(i int, h dataset.Key, v float64) { m.e.Push(i, h, v) }
+
+// PushBatch offers a slice of combined-stream arrivals, in order; each
+// names its instance by position in instances.
+func (m *MultiPPSStream) PushBatch(ms []engine.MultiPair) { m.e.PushBatch(ms) }
 
 // Snapshot returns per-instance summaries of exactly the arrivals pushed
 // so far, without closing the stream.

@@ -64,6 +64,10 @@ func (s *Summarizer) StreamVarOpt(cfg engine.Config, instance, k int) *VarOptStr
 // Push offers one (key, weight) arrival.
 func (st *VarOptStream) Push(h dataset.Key, v float64) { st.e.Push(h, v) }
 
+// PushBatch offers a slice of arrivals, in order, with one call into the
+// engine for the batch.
+func (st *VarOptStream) PushBatch(ps []engine.Pair) { st.e.PushBatch(ps) }
+
 // TryPush offers one arrival without blocking: where Push would stall on a
 // full shard queue, it returns engine.ErrQueueFull (counted in
 // Stats().Rejected).

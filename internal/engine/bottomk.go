@@ -30,7 +30,7 @@ func NewBottomK(k int, fam sampling.RankFamily, seed sampling.SeedFunc, cfg Conf
 	return &BottomK{k: k, fam: fam, pipeline: newPipeline(cfg,
 		func() *sampling.StreamBottomK { return sampling.NewStreamBottomK(k, fam, seed) },
 		func(p Pair) dataset.Key { return p.Key },
-		func(s *sampling.StreamBottomK, p Pair) { s.Push(p.Key, p.Value) },
+		(*sampling.StreamBottomK).PushBatch,
 	)}
 }
 
@@ -112,7 +112,7 @@ func NewMultiBottomK(r, k int, fam sampling.RankFamily, seeds func(instance int)
 			})
 		},
 		func(m MultiPair) dataset.Key { return m.Key },
-		func(g *instanceGroup[*sampling.StreamBottomK], m MultiPair) { g.by[m.Instance].Push(m.Key, m.Value) },
+		(*instanceGroup[*sampling.StreamBottomK]).pushBatch,
 	)}
 }
 
@@ -134,11 +134,10 @@ func (e *MultiBottomK) TryPush(instance int, h dataset.Key, v float64) error {
 	return e.pipeline.TryPush(MultiPair{Key: h, Instance: instance, Value: v})
 }
 
-// PushBatch offers a slice of combined-stream arrivals.
+// PushBatch offers a slice of combined-stream arrivals, in order.
 func (e *MultiBottomK) PushBatch(ms []MultiPair) {
-	for _, m := range ms {
-		e.Push(m.Instance, m.Key, m.Value)
-	}
+	checkInstances(ms, e.r)
+	e.pipeline.PushBatch(ms)
 }
 
 // Snapshot quiesces the pipeline and returns the per-instance samples of
@@ -185,5 +184,12 @@ func SummarizeMultiBottomK(ins []dataset.Instance, k int, fam sampling.RankFamil
 func checkInstance(instance, r int) {
 	if instance < 0 || instance >= r {
 		panic(fmt.Sprintf("engine: instance %d out of range [0,%d)", instance, r))
+	}
+}
+
+// checkInstances is checkInstance for every arrival of a batch.
+func checkInstances(ms []MultiPair, r int) {
+	for _, m := range ms {
+		checkInstance(m.Instance, r)
 	}
 }

@@ -55,6 +55,7 @@ import (
 	"runtime"
 
 	"repro/internal/dataset"
+	"repro/internal/sampling"
 	"repro/internal/xhash"
 )
 
@@ -167,10 +168,7 @@ func (c Config) EffectiveQueueDepth() int {
 // Pair is one (key, value) arrival. Streams feed the engine as Pair values;
 // the instances×keys model assigns one value per key per instance, so a key
 // must arrive at most once per stream.
-type Pair struct {
-	Key   dataset.Key
-	Value float64
-}
+type Pair = sampling.Pair
 
 // MultiPair is one (key, instance, value) arrival of a combined
 // multi-instance stream: Instance selects which of the r per-instance

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"maps"
 	"math"
 	"runtime"
 	"testing"
@@ -137,4 +138,61 @@ func mustPanic(t *testing.T, f func()) {
 		}
 	}()
 	f()
+}
+
+// TestPushBatchMatchesPush: a stream offered in slices of any lengths —
+// empty ones, single pairs, more than a shard batch — leaves every engine
+// where offering it pair by pair does, under every execution strategy:
+// same sample, same Stats().Pairs. (VarOpt included: its drop decisions
+// depend on arrival order per shard, which slicing does not change.)
+func TestPushBatchMatchesPush(t *testing.T) {
+	rng := randx.New(15)
+	stream := make([]Pair, 5000)
+	for i := range stream {
+		stream[i] = Pair{Key: dataset.Key(rng.Uint64()), Value: 1 + 99*rng.Float64()}
+	}
+	seed := func(h dataset.Key) float64 { return xhash.Seeder{Salt: 15}.Seed(0, uint64(h)) }
+	slices := func(push func([]Pair)) {
+		rest := stream
+		for _, n := range []int{0, 1, 255, 256, 0, 257, 1500, 3} {
+			push(rest[:n])
+			rest = rest[n:]
+		}
+		push(rest)
+	}
+	for _, cfg := range []Config{
+		{},
+		{Parallel: true, Shards: 3, BatchSize: 100},
+		{Async: true, BatchSize: 64, QueueDepth: 2},
+		{Parallel: true, Shards: 2, Async: true},
+	} {
+		b1, b2 := NewBottomK(64, sampling.PPS{}, seed, cfg), NewBottomK(64, sampling.PPS{}, seed, cfg)
+		p1, p2 := NewPoissonPPS(400, seed, cfg), NewPoissonPPS(400, seed, cfg)
+		v1, v2 := NewVarOpt(64, 15, cfg), NewVarOpt(64, 15, cfg)
+		for _, p := range stream {
+			b1.Push(p.Key, p.Value)
+			p1.Push(p.Key, p.Value)
+			v1.Push(p.Key, p.Value)
+		}
+		slices(b2.PushBatch)
+		slices(p2.PushBatch)
+		slices(v2.PushBatch)
+		for name, pairs := range map[string][2]uint64{
+			"bottomk": {b1.Stats().Pairs, b2.Stats().Pairs},
+			"pps":     {p1.Stats().Pairs, p2.Stats().Pairs},
+			"varopt":  {v1.Stats().Pairs, v2.Stats().Pairs},
+		} {
+			if pairs[0] != uint64(len(stream)) || pairs[1] != pairs[0] {
+				t.Errorf("%+v %s: Stats().Pairs %d pushed, %d batched, want %d", cfg, name, pairs[0], pairs[1], len(stream))
+			}
+		}
+		sameSample(t, b2.Close(), b1.Close(), "bottomk")
+		sameSample(t, p2.Close(), p1.Close(), "pps")
+		s1, s2 := v1.Close(), v2.Close()
+		if s1.Tau != s2.Tau || !maps.Equal(s1.Original, s2.Original) {
+			t.Errorf("%+v varopt: batched reservoir (tau %v, %d keys) differs from pushed (tau %v, %d keys)",
+				cfg, s2.Tau, len(s2.Original), s1.Tau, len(s1.Original))
+		}
+		mustPanic(t, func() { b2.PushBatch(stream[:1]) })
+	}
 }

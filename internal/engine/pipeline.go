@@ -12,12 +12,13 @@ import (
 // multi-instance paths) and the per-shard sampler state S. Summarizers
 // embed it and implement only sampler construction and the type-specific
 // merge; the item-level glue is two small functions — key (the hash-router
-// input) and apply (how one item drives one sampler).
+// input) and apply (how a batch of items drives one sampler).
 type pipeline[T, S any] struct {
 	closed bool
 	inline bool // true: seq is driven in-line, no goroutines
 	seq    S
-	apply  func(S, T)
+	apply  func(S, []T)
+	one    [1]T // the in-line path's batch for a single Push
 	sh     *sharder[T, S]
 	pairs  uint64
 	snaps  uint64
@@ -26,7 +27,7 @@ type pipeline[T, S any] struct {
 // newPipeline builds the execution strategy selected by cfg, constructing
 // per-shard sampler state with mk. It panics on an invalid Config;
 // callers handling user input validate first (Config.Validate).
-func newPipeline[T, S any](cfg Config, mk func() S, key func(T) dataset.Key, apply func(S, T)) pipeline[T, S] {
+func newPipeline[T, S any](cfg Config, mk func() S, key func(T) dataset.Key, apply func(S, []T)) pipeline[T, S] {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
@@ -45,16 +46,29 @@ func (p *pipeline[T, S]) Push(item T) {
 	}
 	p.pairs++
 	if p.inline {
-		p.apply(p.seq, item)
+		p.one[0] = item
+		p.apply(p.seq, p.one[:])
 		return
 	}
 	p.sh.push(item)
 }
 
-// PushBatch offers a slice of arrivals.
+// PushBatch offers a slice of arrivals, in order. On the in-line path the
+// sampler takes the whole slice in one call; on the sharded path each item
+// is routed into its shard's arena batch, as Push would.
+//
+//summarylint:hot
 func (p *pipeline[T, S]) PushBatch(items []T) {
+	if p.closed {
+		panic("engine: Push after Close")
+	}
+	p.pairs += uint64(len(items))
+	if p.inline {
+		p.apply(p.seq, items)
+		return
+	}
 	for _, it := range items {
-		p.Push(it)
+		p.sh.push(it)
 	}
 }
 
@@ -68,7 +82,8 @@ func (p *pipeline[T, S]) TryPush(item T) error {
 	}
 	if p.inline {
 		p.pairs++
-		p.apply(p.seq, item)
+		p.one[0] = item
+		p.apply(p.seq, p.one[:])
 		return nil
 	}
 	if err := p.sh.tryPush(item); err != nil {
@@ -155,7 +170,7 @@ type sharder[T, S any] struct {
 
 // newSharder spawns one worker goroutine per shard, each draining batches
 // into sampler state built by mk.
-func newSharder[T, S any](shards int, cfg Config, mk func() S, key func(T) dataset.Key, apply func(S, T)) *sharder[T, S] {
+func newSharder[T, S any](shards int, cfg Config, mk func() S, key func(T) dataset.Key, apply func(S, []T)) *sharder[T, S] {
 	sh := &sharder[T, S]{
 		batch:    cfg.EffectiveBatchSize(),
 		depth:    cfg.EffectiveQueueDepth(),
@@ -179,9 +194,7 @@ func newSharder[T, S any](shards int, cfg Config, mk func() S, key func(T) datas
 			defer sh.wg.Done()
 			for b := range ch {
 				if b.items != nil {
-					for _, it := range *b.items {
-						apply(s, it)
-					}
+					apply(s, *b.items)
 					sh.putBuf(b.items)
 				}
 				if b.barrier != nil {
@@ -311,15 +324,30 @@ func (sh *sharder[T, S]) drain() []S {
 // worker: the hash router dispatches a MultiPair to the shard owning its
 // key, and the worker indexes into the instance's sampler — one pass over
 // a combined r-instance stream feeds all r summaries at once.
-type instanceGroup[S any] struct {
+type instanceGroup[S pairSampler] struct {
 	by []S
 }
 
+// pairSampler is what an instanceGroup drives: a sampler of one instance.
+type pairSampler interface {
+	Push(key dataset.Key, v float64)
+}
+
 // newInstanceGroup builds one sampler per instance with mk.
-func newInstanceGroup[S any](r int, mk func(instance int) S) *instanceGroup[S] {
+func newInstanceGroup[S pairSampler](r int, mk func(instance int) S) *instanceGroup[S] {
 	g := &instanceGroup[S]{by: make([]S, r)}
 	for i := range g.by {
 		g.by[i] = mk(i)
 	}
 	return g
+}
+
+// pushBatch offers each arrival of a combined stream to its instance's
+// sampler, in order.
+//
+//summarylint:hot
+func (g *instanceGroup[S]) pushBatch(ms []MultiPair) {
+	for _, m := range ms {
+		g.by[m.Instance].Push(m.Key, m.Value)
+	}
 }

@@ -22,7 +22,7 @@ func NewPoissonPPS(tauStar float64, seed sampling.SeedFunc, cfg Config) *Poisson
 	return &PoissonPPS{pipeline: newPipeline(cfg,
 		func() *sampling.StreamPoissonPPS { return sampling.NewStreamPoissonPPS(tauStar, seed) },
 		func(p Pair) dataset.Key { return p.Key },
-		func(s *sampling.StreamPoissonPPS, p Pair) { s.Push(p.Key, p.Value) },
+		(*sampling.StreamPoissonPPS).PushBatch,
 	)}
 }
 
@@ -103,7 +103,7 @@ func NewMultiPoissonPPS(taus []float64, seeds func(instance int) sampling.SeedFu
 			})
 		},
 		func(m MultiPair) dataset.Key { return m.Key },
-		func(g *instanceGroup[*sampling.StreamPoissonPPS], m MultiPair) { g.by[m.Instance].Push(m.Key, m.Value) },
+		(*instanceGroup[*sampling.StreamPoissonPPS]).pushBatch,
 	)}
 }
 
@@ -125,11 +125,10 @@ func (e *MultiPoissonPPS) TryPush(instance int, h dataset.Key, v float64) error 
 	return e.pipeline.TryPush(MultiPair{Key: h, Instance: instance, Value: v})
 }
 
-// PushBatch offers a slice of combined-stream arrivals.
+// PushBatch offers a slice of combined-stream arrivals, in order.
 func (e *MultiPoissonPPS) PushBatch(ms []MultiPair) {
-	for _, m := range ms {
-		e.Push(m.Instance, m.Key, m.Value)
-	}
+	checkInstances(ms, e.r)
+	e.pipeline.PushBatch(ms)
 }
 
 // Snapshot quiesces the pipeline and returns the per-instance samples of

@@ -50,7 +50,7 @@ func NewVarOpt(k int, seed uint64, cfg Config) *VarOpt {
 				return sampling.NewVarOpt(k, randx.New(xhash.Hash2(seed, shard)))
 			},
 			func(p Pair) dataset.Key { return p.Key },
-			func(s *sampling.VarOpt, p Pair) { s.Add(p.Key, p.Value) },
+			(*sampling.VarOpt).AddBatch,
 		),
 	}
 }

@@ -6,6 +6,13 @@ import (
 	"repro/internal/dataset"
 )
 
+// Pair is one (key, value) arrival of a stream: what the samplers'
+// PushBatch methods take a slice of.
+type Pair struct {
+	Key   dataset.Key
+	Value float64
+}
+
 // StreamBottomK maintains a bottom-k sample incrementally over a stream of
 // (key, value) pairs, using O(k) memory and O(log k) per arrival. Values
 // of the same key must arrive at most once (the instances×keys model
@@ -62,6 +69,16 @@ func (s *StreamBottomK) Push(key dataset.Key, v float64) {
 		return
 	}
 	s.pushFill(key, v)
+}
+
+// PushBatch offers a slice of pairs, in order: Push for each, with one
+// call for the batch.
+//
+//summarylint:hot
+func (s *StreamBottomK) PushBatch(ps []Pair) {
+	for _, p := range ps {
+		s.Push(p.Key, p.Value)
+	}
 }
 
 // pushFull resolves an arrival inside the guard band of a full sampler
@@ -168,6 +185,16 @@ func (s *StreamPoissonPPS) Push(key dataset.Key, v float64) {
 	}
 	if (PPS{}).Rank(u, v) < s.rankTau {
 		s.out[key] = v
+	}
+}
+
+// PushBatch offers a slice of pairs, in order: Push for each, with one
+// call for the batch.
+//
+//summarylint:hot
+func (s *StreamPoissonPPS) PushBatch(ps []Pair) {
+	for _, p := range ps {
+		s.Push(p.Key, p.Value)
 	}
 }
 

@@ -122,6 +122,16 @@ func (v *VarOpt) Add(key dataset.Key, w float64) {
 	v.tau = tauNew
 }
 
+// AddBatch streams a slice of (key, weight) pairs into the reservoir, in
+// order: Add for each, with one call for the batch.
+//
+//summarylint:hot
+func (v *VarOpt) AddBatch(ps []Pair) {
+	for _, p := range ps {
+		v.Add(p.Key, p.Value)
+	}
+}
+
 // Sample finalizes the reservoir into a VarOptSample.
 func (v *VarOpt) Sample() *VarOptSample {
 	out := &VarOptSample{

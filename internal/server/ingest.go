@@ -9,7 +9,6 @@ import (
 	"strings"
 
 	"repro/internal/core"
-	"repro/internal/dataset"
 	"repro/internal/engine"
 	"repro/internal/obs/trace"
 	"repro/internal/sampling"
@@ -181,27 +180,31 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	}
 	// One sink per kind; each routes through the engine pipeline under the
 	// server's config (set sampling is stateless and needs no pipeline).
-	var push func(h dataset.Key, v float64)
+	var push func([]engine.Pair)
 	var finish func() core.Summary
 	var stats func() engine.Stats // nil for set, which bypasses the engine
 	switch p.kind {
 	case "pps":
 		st := p.summ.StreamPPS(s.cfg, p.instance, p.tau)
-		push = st.Push
+		push = st.PushBatch
 		finish = func() core.Summary { return st.Close() }
 		stats = st.Stats
 	case "bottomk":
 		st := p.summ.StreamBottomK(s.cfg, p.instance, p.k, p.fam)
-		push = st.Push
+		push = st.PushBatch
 		finish = func() core.Summary { return st.Close() }
 		stats = st.Stats
 	case "set":
 		st := p.summ.StreamSet(p.instance, p.p)
-		push = func(h dataset.Key, _ float64) { st.Push(h) }
+		push = func(ps []engine.Pair) {
+			for _, p := range ps {
+				st.Push(p.Key)
+			}
+		}
 		finish = func() core.Summary { return st.Close() }
 	case "varopt":
 		st := p.summ.StreamVarOpt(s.cfg, p.instance, p.k)
-		push = st.Push
+		push = st.PushBatch
 		finish = func() core.Summary { return st.Close() }
 		stats = st.Stats
 	}
@@ -211,7 +214,7 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	// are attached to the drain span — the hot loop itself stays untouched.
 	sp := trace.SpanFromContext(r.Context())
 	scan := sp.StartChild("ingest.scan")
-	pairs, err := scanPairs(http.MaxBytesReader(w, r.Body, maxIngestBody), p.format, p.kind == "set", push)
+	pairs, err := scanPairs(http.MaxBytesReader(w, r.Body, s.ingestBodyCap), p.format, p.kind == "set", push)
 	scan.SetAttr("format", p.format)
 	scan.SetInt("pairs", pairs)
 	scan.Finish()
@@ -333,24 +336,24 @@ func (s *Server) handleIngestMulti(w http.ResponseWriter, r *http.Request) {
 		writeError(w, err)
 		return
 	}
-	var push func(i int, h dataset.Key, v float64)
+	var push func([]engine.MultiPair)
 	var finish func() []core.Summary
 	var stats func() engine.Stats
 	switch p.kind {
 	case "pps":
 		st := p.summ.StreamMultiPPS(s.cfg, p.instances, p.taus)
-		push = st.Push
+		push = st.PushBatch
 		finish = func() []core.Summary { return asSummaries(st.Close()) }
 		stats = st.Stats
 	case "bottomk":
 		st := p.summ.StreamMultiBottomK(s.cfg, p.instances, p.k, p.fam)
-		push = st.Push
+		push = st.PushBatch
 		finish = func() []core.Summary { return asSummaries(st.Close()) }
 		stats = st.Stats
 	}
 	sp := trace.SpanFromContext(r.Context())
 	scan := sp.StartChild("ingest.scan")
-	pairs, err := scanMultiPairs(http.MaxBytesReader(w, r.Body, maxIngestBody), p.format, p.index, push)
+	pairs, err := scanMultiPairs(http.MaxBytesReader(w, r.Body, s.ingestBodyCap), p.format, p.index, push)
 	scan.SetAttr("format", p.format)
 	scan.SetInt("pairs", pairs)
 	scan.Finish()

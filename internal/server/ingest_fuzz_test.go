@@ -5,7 +5,7 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/dataset"
+	"repro/internal/engine"
 )
 
 // Fuzz targets for the raw-ingest scanners: whatever bytes arrive on the
@@ -35,11 +35,13 @@ func FuzzScanPairs(f *testing.F) {
 			format = "csv"
 		}
 		var pushes int64
-		n, err := scanPairs(bytes.NewReader(body), format, keysOnly, func(h dataset.Key, v float64) {
-			if v < 0 {
-				t.Fatalf("negative value %v pushed", v)
+		n, err := scanPairs(bytes.NewReader(body), format, keysOnly, func(ps []engine.Pair) {
+			for _, p := range ps {
+				if p.Value < 0 {
+					t.Fatalf("negative value %v pushed", p.Value)
+				}
 			}
-			pushes++
+			pushes += int64(len(ps))
 		})
 		if n != pushes {
 			t.Fatalf("scanPairs reported %d pairs, pushed %d (err=%v)", n, pushes, err)
@@ -67,14 +69,16 @@ func FuzzScanMultiPairs(f *testing.F) {
 		}
 		index := map[int]int{0: 0, 7: 1, -2: 2}
 		var pushes int64
-		n, err := scanMultiPairs(bytes.NewReader(body), format, index, func(i int, h dataset.Key, v float64) {
-			if i < 0 || i >= len(index) {
-				t.Fatalf("instance position %d out of range", i)
+		n, err := scanMultiPairs(bytes.NewReader(body), format, index, func(ms []engine.MultiPair) {
+			for _, m := range ms {
+				if m.Instance < 0 || m.Instance >= len(index) {
+					t.Fatalf("instance position %d out of range", m.Instance)
+				}
+				if m.Value < 0 {
+					t.Fatalf("negative value %v pushed", m.Value)
+				}
 			}
-			if v < 0 {
-				t.Fatalf("negative value %v pushed", v)
-			}
-			pushes++
+			pushes += int64(len(ms))
 		})
 		if n != pushes {
 			t.Fatalf("scanMultiPairs reported %d pairs, pushed %d (err=%v)", n, pushes, err)

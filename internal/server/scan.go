@@ -12,60 +12,152 @@ import (
 	"unsafe"
 
 	"repro/internal/dataset"
+	"repro/internal/engine"
 )
 
 // The raw-ingest scanners turn a CSV or ndjson body into pushes without
-// allocating per pair. Lines are views of the scanner's buffer. A CSV line
-// is cut at its commas with bytes.IndexByte and each field parsed in
-// place: keys by a digits loop (strconv.ParseUint for anything else),
-// values by strconv.ParseFloat over a zero-copy string view. An ndjson
-// line goes first to lexNDJSON, a strict lexer for the one shape producers
-// are documented to send; a line it does not recognise, valid or not, is
+// allocating per pair. Lines are views of the read buffer. A CSV line is
+// cut at its commas with bytes.IndexByte and each field parsed in place:
+// keys by a digits loop (strconv.ParseUint for anything else), values by
+// strconv.ParseFloat over a zero-copy string view. An ndjson line goes
+// first to lexNDJSON, a strict lexer for the one shape producers are
+// documented to send; a line it does not recognise, valid or not, is
 // handed whole to encoding/json, whose results and error text are the
-// scanners' contract. scan_ref_test.go holds the all-library scanners
-// these are fuzzed against.
+// scanners' contract. Parsed pairs collect in a pairBatch, and cross into
+// the repeated-key set and the engine ingestBatch at a time.
+// scan_ref_test.go holds the all-library, pair-at-a-time scanners these
+// are fuzzed against.
 
-// lineBufPool recycles the scanners' 64 KiB line buffers across requests.
-// Nothing that outlives a scan may alias one: errors copy what they quote.
-var lineBufPool = sync.Pool{New: func() any { return new([64 * 1024]byte) }}
+// ingestBatch is how many parsed pairs the scanners hold back before they
+// check them for repeats and push them: each layer boundary between a
+// line and its sampler is then crossed once per batch, not once per pair.
+const ingestBatch = 256
+
+// scanBuf is what one scan borrows from scanBufPool: the line buffer and
+// the pending batch of either scanner. Nothing that outlives a scan may
+// alias one: errors copy what they quote.
+type scanBuf struct {
+	line   [64 * 1024]byte
+	pairs  batchColumns[engine.Pair]
+	multi  batchColumns[engine.MultiPair]
+	groups groupScratch
+}
+
+var scanBufPool = sync.Pool{New: func() any { return new(scanBuf) }}
 
 // lineReader yields the non-blank lines of a body, trimmed, with their
-// 1-based line numbers (blank lines count).
+// 1-based line numbers (blank lines count). It reads the way a
+// bufio.Scanner with ScanLines and a (64 KiB, maxIngestLine) buffer does —
+// same reads, same lines, same errors — but finds its newlines itself.
 type lineReader struct {
-	sc     *bufio.Scanner
-	buf    *[64 * 1024]byte
-	lineNo int // of the line next last returned
+	r          io.Reader
+	sb         *scanBuf
+	buf        []byte // sb.line, or a heap buffer once a line outgrew it
+	start, end int    // buf[start:end] is read and not yet returned
+	readErr    error  // why reading stopped, io.EOF included; then buf drains
+	lineNo     int    // of the line last returned
 }
 
 func newLineReader(body io.Reader) lineReader {
-	buf := lineBufPool.Get().(*[64 * 1024]byte)
-	sc := bufio.NewScanner(body)
-	sc.Buffer(buf[:], maxIngestLine)
-	return lineReader{sc: sc, buf: buf}
+	sb := scanBufPool.Get().(*scanBuf)
+	return lineReader{r: body, sb: sb, buf: sb.line[:]}
 }
 
 // next returns the next non-blank line, or nil at the end of the body or
 // on a read error. The line is valid until the following call.
 func (l *lineReader) next() []byte {
-	for l.sc.Scan() {
+	for {
+		line, ok := l.readLine()
+		if !ok {
+			return nil
+		}
 		l.lineNo++
-		if line := bytes.TrimSpace(l.sc.Bytes()); len(line) > 0 {
+		if line = bytes.TrimSpace(line); len(line) > 0 {
 			return line
 		}
 	}
-	return nil
+}
+
+// readLine returns the next line without its terminator: up to a "\n" or
+// "\r\n", or whatever is left when reading has stopped.
+//
+//summarylint:hot
+func (l *lineReader) readLine() ([]byte, bool) {
+	for {
+		data := l.buf[l.start:l.end]
+		if i := bytes.IndexByte(data, '\n'); i >= 0 {
+			l.start += i + 1
+			return dropCR(data[:i]), true
+		}
+		if l.readErr != nil {
+			l.start = l.end
+			return dropCR(data), len(data) > 0
+		}
+		l.fill()
+	}
+}
+
+// dropCR drops one trailing carriage return.
+func dropCR(line []byte) []byte {
+	if n := len(line); n > 0 && line[n-1] == '\r' {
+		return line[:n-1]
+	}
+	return line
+}
+
+// fill reads more of the body behind the unreturned bytes, first making
+// room for it: by moving them to the front of the buffer, and by doubling
+// a buffer one line fills, up to maxIngestLine.
+func (l *lineReader) fill() {
+	if l.start > 0 && (l.end == len(l.buf) || l.start > len(l.buf)/2) {
+		copy(l.buf, l.buf[l.start:l.end])
+		l.end -= l.start
+		l.start = 0
+	}
+	if l.end == len(l.buf) {
+		if len(l.buf) >= maxIngestLine {
+			// Unlike a failed read, this ends the scan at once: what is
+			// buffered of the oversized line is not a line.
+			l.readErr, l.start = bufio.ErrTooLong, l.end
+			return
+		}
+		grown := make([]byte, min(2*len(l.buf), maxIngestLine))
+		l.end = copy(grown, l.buf[l.start:l.end])
+		l.buf, l.start = grown, 0
+	}
+	// A reader may return no bytes and no error; not forever.
+	for empties := 0; ; empties++ {
+		n, err := l.r.Read(l.buf[l.end:])
+		if n < 0 || n > len(l.buf)-l.end {
+			l.readErr = bufio.ErrBadReadCount
+			return
+		}
+		l.end += n
+		if err != nil {
+			l.readErr = err
+			return
+		}
+		if n > 0 {
+			return
+		}
+		if empties >= 100 {
+			l.readErr = io.ErrNoProgress
+			return
+		}
+	}
 }
 
 // err reports why next stopped, nil at a clean end of body.
 func (l *lineReader) err() error {
-	if err := l.sc.Err(); err != nil {
-		return fmt.Errorf("server: reading pair stream: %w", err)
+	if l.readErr != nil && l.readErr != io.EOF {
+		return fmt.Errorf("server: reading pair stream: %w", l.readErr)
 	}
 	return nil
 }
 
-// release returns the line buffer to the pool; no line may be used after.
-func (l *lineReader) release() { lineBufPool.Put(l.buf) }
+// release returns the scan's buffers to the pool; no line may be used
+// after.
+func (l *lineReader) release() { scanBufPool.Put(l.sb) }
 
 // bytesView returns b as a string without copying. The string is only
 // valid while b is unchanged, so it must not be stored or put in an error.
@@ -303,6 +395,126 @@ func skipDigits(b []byte, i int) int {
 	return i
 }
 
+// batchColumns is the pooled storage of a pairBatch: the pending pairs as
+// the engine takes them, and beside each its key — the column the
+// repeated-key sets read — and the line it came from.
+type batchColumns[T any] struct {
+	items [ingestBatch]T
+	keys  [ingestBatch]uint64
+	lines [ingestBatch]int
+}
+
+// pairBatch is a scanner's pending batch: pairs parsed and validated but
+// not yet checked for repeats or pushed. Both scanners fill and flush
+// through it; they differ in the item type, in how a line becomes an item,
+// and in the two functions that know what a repeat is.
+type pairBatch[T any] struct {
+	*batchColumns[T]
+	n      int
+	pushed int64 // pairs handed to push so far
+	// firstRepeat records the batch's keys as seen and returns the index of
+	// the first pair that repeats an earlier one — of this batch or of the
+	// stream before it — or the batch's length.
+	firstRepeat func(keys []uint64, items []T) int
+	// repeated is the error for such a pair.
+	repeated func(lineNo int, key uint64, item T) error
+	push     func([]T)
+}
+
+// add appends one pair, and flushes the batch once it is full.
+//
+//summarylint:hot
+func (b *pairBatch[T]) add(item T, key uint64, lineNo int) error {
+	b.items[b.n], b.keys[b.n], b.lines[b.n] = item, key, lineNo
+	b.n++
+	if b.n == ingestBatch {
+		return b.flush()
+	}
+	return nil
+}
+
+// flush empties the batch: it checks the pending pairs for repeats and
+// pushes them, in order — all of them, or those before the first repeat,
+// which it then returns as an error.
+//
+//summarylint:hot
+func (b *pairBatch[T]) flush() error {
+	n := b.n
+	b.n = 0
+	first := b.firstRepeat(b.keys[:n], b.items[:n])
+	if first > 0 {
+		b.push(b.items[:first])
+		b.pushed += int64(first)
+	}
+	if first < n {
+		return b.repeated(b.lines[first], b.keys[first], b.items[first])
+	}
+	return nil
+}
+
+// end is how a scan returns, whatever ended it: it flushes the batch, and
+// a repeat found there wins over err. So a repeat on an earlier line beats
+// a malformed later one and every pair before the line that failed has
+// been pushed, as if each line had been checked and pushed on its own.
+func (b *pairBatch[T]) end(err error) (int64, error) {
+	if repeat := b.flush(); repeat != nil {
+		err = repeat
+	}
+	return b.pushed, err
+}
+
+// groupScratch is the pooled storage of an instanceSets.
+type groupScratch struct {
+	present [ingestBatch]int    // the instance positions a batch holds, by first appearance
+	keys    [ingestBatch]uint64 // the batch's keys, those of one instance together
+	index   [ingestBatch]int    // where each of keys sits in the batch
+}
+
+// instanceSets is scanMultiPairs' repeated-key check: one keySet per
+// instance position.
+type instanceSets struct {
+	*groupScratch
+	seen []keySet
+	at   []int // per position; all zero between calls
+}
+
+// firstRepeat is pairBatch.firstRepeat over (key, instance) combinations:
+// it splits the batch by instance with a counting sort, gives each
+// instance's keys to its set in one addBatch, and returns the earliest
+// repeat any of them found. Its cost does not depend on how many
+// instances the request lists, only on how many the batch holds.
+//
+//summarylint:hot
+func (g *instanceSets) firstRepeat(keys []uint64, items []engine.MultiPair) int {
+	present := g.present[:0]
+	for _, it := range items {
+		if g.at[it.Instance] == 0 {
+			//summarylint:ignore present has room for a batch of distinct instances, so this append never grows
+			present = append(present, it.Instance)
+		}
+		g.at[it.Instance]++
+	}
+	// Counts become each group's start, then — as the keys move — its end.
+	start := 0
+	for _, p := range present {
+		start, g.at[p] = start+g.at[p], start
+	}
+	for i, it := range items {
+		at := g.at[it.Instance]
+		g.keys[at], g.index[at] = keys[i], i
+		g.at[it.Instance] = at + 1
+	}
+	first, start := len(items), 0
+	for _, p := range present {
+		end := g.at[p]
+		if r := start + g.seen[p].addBatch(g.keys[start:end]); r < end {
+			first = min(first, g.index[r])
+		}
+		start, g.at[p] = end, 0
+	}
+	return first
+}
+
 // scanPairs streams (key, value) pairs out of a CSV or ndjson body into
 // push, returning the number of pairs consumed. CSV lines are
 // "key,value" ("key" alone when keysOnly; a leading "key,value" header is
@@ -316,13 +528,23 @@ func skipDigits(b []byte, i int) int {
 // rejects a stream that repeats a key — producers must aggregate per-key
 // before ingesting. The check is exact: one keySet probe per pair, no
 // allocation per pair, and 16 to 32 bytes of table per distinct key for
-// the length of the request, which maxIngestBody bounds.
-func scanPairs(body io.Reader, format string, keysOnly bool, push func(dataset.Key, float64)) (int64, error) {
+// the length of the request, which maxIngestBody bounds. Pairs reach push
+// in stream order, up to ingestBatch at a time; the slice is only valid
+// during the call.
+func scanPairs(body io.Reader, format string, keysOnly bool, push func([]engine.Pair)) (int64, error) {
 	in := newLineReader(body)
 	defer in.release()
-	csv := format == "csv"
 	seen := newKeySet()
-	var pairs int64
+	defer seen.release()
+	b := pairBatch[engine.Pair]{batchColumns: &in.sb.pairs, push: push,
+		firstRepeat: func(keys []uint64, _ []engine.Pair) int { return seen.addBatch(keys) },
+		repeated: func(lineNo int, key uint64, _ engine.Pair) error {
+			return fmt.Errorf("server: line %d: key %d repeated; weighted ingest needs one value per key (aggregate before posting)", lineNo, key)
+		}}
+	if keysOnly {
+		b.firstRepeat = func(keys []uint64, _ []engine.Pair) int { return len(keys) }
+	}
+	csv := format == "csv"
 	for line := in.next(); line != nil; line = in.next() {
 		var key uint64
 		var value float64
@@ -335,19 +557,17 @@ func scanPairs(body io.Reader, format string, keysOnly bool, push func(dataset.K
 		} else {
 			key, value, err = ndjsonPair(line, in.lineNo, keysOnly)
 		}
+		if err == nil {
+			err = checkIngestValue(value, in.lineNo)
+		}
 		if err != nil {
-			return pairs, err
+			return b.end(err)
 		}
-		if err := checkIngestValue(value, in.lineNo); err != nil {
-			return pairs, err
+		if err := b.add(engine.Pair{Key: dataset.Key(key), Value: value}, key, in.lineNo); err != nil {
+			return b.pushed, err
 		}
-		if !keysOnly && !seen.add(key) {
-			return pairs, fmt.Errorf("server: line %d: key %d repeated; weighted ingest needs one value per key (aggregate before posting)", in.lineNo, key)
-		}
-		push(dataset.Key(key), value)
-		pairs++
 	}
-	return pairs, in.err()
+	return b.end(in.err())
 }
 
 // csvPair decodes one "key[,value]" line; the value column is optional
@@ -407,16 +627,31 @@ func ndjsonPair(line []byte, lineNo int, keysOnly bool) (key uint64, value float
 // every ID must appear in index (the request's instances parameter, each
 // ID mapped to its position 0..len(index)-1); push receives the position.
 // A repeated (key, instance) combination is rejected for the same reason
-// scanPairs rejects repeated keys, with one keySet per position.
-func scanMultiPairs(body io.Reader, format string, index map[int]int, push func(i int, h dataset.Key, v float64)) (int64, error) {
+// scanPairs rejects repeated keys, with one keySet per position. Pairs
+// reach push as scanPairs' do, each carrying its position as Instance.
+func scanMultiPairs(body io.Reader, format string, index map[int]int, push func([]engine.MultiPair)) (int64, error) {
 	in := newLineReader(body)
 	defer in.release()
-	csv := format == "csv"
-	seen := make([]keySet, len(index))
-	for i := range seen {
-		seen[i] = newKeySet()
+	sets := instanceSets{groupScratch: &in.sb.groups, seen: make([]keySet, len(index)), at: make([]int, len(index))}
+	for i := range sets.seen {
+		sets.seen[i] = newKeySet()
 	}
-	var pairs int64
+	defer func() {
+		for i := range sets.seen {
+			sets.seen[i].release()
+		}
+	}()
+	b := pairBatch[engine.MultiPair]{batchColumns: &in.sb.multi, push: push, firstRepeat: sets.firstRepeat,
+		repeated: func(lineNo int, key uint64, item engine.MultiPair) error {
+			instance := 0
+			for id, pos := range index {
+				if pos == item.Instance {
+					instance = id
+				}
+			}
+			return fmt.Errorf("server: line %d: key %d repeated for instance %d; ingest needs one value per key per instance (aggregate before posting)", lineNo, key, instance)
+		}}
+	csv := format == "csv"
 	for line := in.next(); line != nil; line = in.next() {
 		var key uint64
 		var instance int
@@ -430,23 +665,21 @@ func scanMultiPairs(body io.Reader, format string, index map[int]int, push func(
 		} else {
 			key, instance, value, err = ndjsonTriple(line, in.lineNo)
 		}
-		if err != nil {
-			return pairs, err
+		if err == nil {
+			err = checkIngestValue(value, in.lineNo)
 		}
-		if err := checkIngestValue(value, in.lineNo); err != nil {
-			return pairs, err
+		if err != nil {
+			return b.end(err)
 		}
 		idx, ok := index[instance]
 		if !ok {
-			return pairs, fmt.Errorf("server: line %d: instance %d not listed in the instances parameter", in.lineNo, instance)
+			return b.end(fmt.Errorf("server: line %d: instance %d not listed in the instances parameter", in.lineNo, instance))
 		}
-		if !seen[idx].add(key) {
-			return pairs, fmt.Errorf("server: line %d: key %d repeated for instance %d; ingest needs one value per key per instance (aggregate before posting)", in.lineNo, key, instance)
+		if err := b.add(engine.MultiPair{Key: dataset.Key(key), Instance: idx, Value: value}, key, in.lineNo); err != nil {
+			return b.pushed, err
 		}
-		push(idx, dataset.Key(key), value)
-		pairs++
 	}
-	return pairs, in.err()
+	return b.end(in.err())
 }
 
 // csvTriple decodes one "key,instance,value" line.

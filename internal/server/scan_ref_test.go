@@ -13,6 +13,7 @@ import (
 	"testing"
 
 	"repro/internal/dataset"
+	"repro/internal/engine"
 )
 
 // The reference scanners: the scanPairs and scanMultiPairs that shipped
@@ -22,9 +23,14 @@ import (
 // what each error says; FuzzScanPairsDiff and FuzzScanMultiPairsDiff hold
 // the production scanners to them.
 
+// refLineBuf is the reference scanners' initial line buffer: one for all
+// calls (the tests that use them run one scan at a time), because a fresh
+// 64 KiB per scan was most of what the differential tests spent.
+var refLineBuf = make([]byte, 64*1024)
+
 func scanPairsRef(body io.Reader, format string, keysOnly bool, push func(dataset.Key, float64)) (int64, error) {
 	sc := bufio.NewScanner(body)
-	sc.Buffer(make([]byte, 64*1024), maxIngestLine)
+	sc.Buffer(refLineBuf, maxIngestLine)
 	var pairs int64
 	lineNo := 0
 	var seen map[uint64]struct{}
@@ -100,7 +106,7 @@ func scanPairsRef(body io.Reader, format string, keysOnly bool, push func(datase
 
 func scanMultiPairsRef(body io.Reader, format string, index map[int]int, push func(i int, h dataset.Key, v float64)) (int64, error) {
 	sc := bufio.NewScanner(body)
-	sc.Buffer(make([]byte, 64*1024), maxIngestLine)
+	sc.Buffer(refLineBuf, maxIngestLine)
 	var pairs int64
 	lineNo := 0
 	type pairID struct {
@@ -200,34 +206,90 @@ func diffScan(t *testing.T, what string, got, want []pushedPair, n, nRef int64, 
 	}
 }
 
-func diffScanPairs(t *testing.T, body []byte) {
-	t.Helper()
-	for _, format := range []string{"csv", "ndjson"} {
-		for _, keysOnly := range []bool{false, true} {
-			var got, want []pushedPair
-			n, err := scanPairs(bytes.NewReader(body), format, keysOnly, func(h dataset.Key, v float64) {
-				got = append(got, pushedPair{key: uint64(h), bits: math.Float64bits(v)})
-			})
-			nRef, errRef := scanPairsRef(bytes.NewReader(body), format, keysOnly, func(h dataset.Key, v float64) {
-				want = append(want, pushedPair{key: uint64(h), bits: math.Float64bits(v)})
-			})
-			diffScan(t, fmt.Sprintf("scanPairs(%s, keysOnly=%v)", format, keysOnly), got, want, n, nRef, err, errRef)
+// pairLine renders one line the scanners accept: (key, value) for
+// scanPairs, or for scanMultiPairs (key, instance, value) with the
+// instance — one of the three the differential tests list — picked by the
+// key.
+func pairLine(format string, multi bool, key uint64, value string) string {
+	instance := []string{"0", "7", "-2"}[key%3]
+	switch {
+	case format == "csv" && multi:
+		return fmt.Sprintf("%d,%s,%s", key, instance, value)
+	case format == "csv":
+		return fmt.Sprintf("%d,%s", key, value)
+	case multi:
+		return fmt.Sprintf(`{"key":%d,"instance":%s,"value":%s}`, key, instance, value)
+	default:
+		return fmt.Sprintf(`{"key":%d,"value":%s}`, key, value)
+	}
+}
+
+// leadLines renders n valid lines with distinct keys (2^32 and up, out of
+// the way of the keys test bodies use) in the given format, for the
+// differential tests to put in front of a body: the body's lines then sit
+// anywhere in a batch, or in a later batch than lines they repeat.
+func leadLines(format string, multi bool, n int) []byte {
+	var b bytes.Buffer
+	for i := 0; i < n; i++ {
+		b.WriteString(pairLine(format, multi, 1<<32+uint64(i), "1"))
+		b.WriteByte('\n')
+	}
+	return b.Bytes()
+}
+
+// collectPairs is a scanPairs sink that records every push. It also fails
+// t if a batch is empty or over ingestBatch: the scanners promise neither.
+func collectPairs(t *testing.T, into *[]pushedPair) func([]engine.Pair) {
+	return func(ps []engine.Pair) {
+		if len(ps) == 0 || len(ps) > ingestBatch {
+			t.Errorf("scanPairs pushed a batch of %d pairs", len(ps))
+		}
+		for _, p := range ps {
+			*into = append(*into, pushedPair{key: uint64(p.Key), bits: math.Float64bits(p.Value)})
 		}
 	}
 }
 
-func diffScanMultiPairs(t *testing.T, body []byte) {
+func collectMultiPairs(t *testing.T, into *[]pushedPair) func([]engine.MultiPair) {
+	return func(ms []engine.MultiPair) {
+		if len(ms) == 0 || len(ms) > ingestBatch {
+			t.Errorf("scanMultiPairs pushed a batch of %d pairs", len(ms))
+		}
+		for _, m := range ms {
+			*into = append(*into, pushedPair{pos: m.Instance, key: uint64(m.Key), bits: math.Float64bits(m.Value)})
+		}
+	}
+}
+
+// diffScanPairs holds scanPairs to scanPairsRef on body behind lead valid
+// lines, in both formats and both keysOnly settings: same pushes in the
+// same order, same count, same error text.
+func diffScanPairs(t *testing.T, lead int, body []byte) {
+	t.Helper()
+	for _, format := range []string{"csv", "ndjson"} {
+		whole := append(leadLines(format, false, lead), body...)
+		for _, keysOnly := range []bool{false, true} {
+			var got, want []pushedPair
+			n, err := scanPairs(bytes.NewReader(whole), format, keysOnly, collectPairs(t, &got))
+			nRef, errRef := scanPairsRef(bytes.NewReader(whole), format, keysOnly, func(h dataset.Key, v float64) {
+				want = append(want, pushedPair{key: uint64(h), bits: math.Float64bits(v)})
+			})
+			diffScan(t, fmt.Sprintf("scanPairs(%s, keysOnly=%v, lead=%d)", format, keysOnly, lead), got, want, n, nRef, err, errRef)
+		}
+	}
+}
+
+func diffScanMultiPairs(t *testing.T, lead int, body []byte) {
 	t.Helper()
 	index := map[int]int{0: 0, 7: 1, -2: 2}
 	for _, format := range []string{"csv", "ndjson"} {
+		whole := append(leadLines(format, true, lead), body...)
 		var got, want []pushedPair
-		n, err := scanMultiPairs(bytes.NewReader(body), format, index, func(i int, h dataset.Key, v float64) {
-			got = append(got, pushedPair{pos: i, key: uint64(h), bits: math.Float64bits(v)})
-		})
-		nRef, errRef := scanMultiPairsRef(bytes.NewReader(body), format, index, func(i int, h dataset.Key, v float64) {
+		n, err := scanMultiPairs(bytes.NewReader(whole), format, index, collectMultiPairs(t, &got))
+		nRef, errRef := scanMultiPairsRef(bytes.NewReader(whole), format, index, func(i int, h dataset.Key, v float64) {
 			want = append(want, pushedPair{pos: i, key: uint64(h), bits: math.Float64bits(v)})
 		})
-		diffScan(t, fmt.Sprintf("scanMultiPairs(%s)", format), got, want, n, nRef, err, errRef)
+		diffScan(t, fmt.Sprintf("scanMultiPairs(%s, lead=%d)", format, lead), got, want, n, nRef, err, errRef)
 	}
 }
 
@@ -362,13 +424,16 @@ var scanDiffSeeds = []string{
 	"1,2\n\xff\x00\xff\x00",
 }
 
+// addScanDiffSeeds seeds a differential fuzzer: every body with no lead
+// (where a header is a header), then the bodies that fail, or repeat a key,
+// behind leads that put their lines on either side of a batch edge.
 func addScanDiffSeeds(f *testing.F) {
 	for _, s := range scanDiffSeeds {
-		f.Add([]byte(s))
+		f.Add(uint16(0), []byte(s))
 	}
 	// A line over the scanner's cap, alone and after accepted pairs.
-	f.Add([]byte("1," + strings.Repeat("3", maxIngestLine+10)))
-	f.Add([]byte("1,2\n{\"key\":2,\"value\":" + strings.Repeat("3", maxIngestLine+10) + "}"))
+	f.Add(uint16(0), []byte("1,"+strings.Repeat("3", maxIngestLine+10)))
+	f.Add(uint16(0), []byte("1,2\n{\"key\":2,\"value\":"+strings.Repeat("3", maxIngestLine+10)+"}"))
 	// Enough distinct keys to grow the repeated-key set several times,
 	// then a repeat of the first.
 	var many bytes.Buffer
@@ -376,18 +441,33 @@ func addScanDiffSeeds(f *testing.F) {
 		fmt.Fprintf(&many, "%d,0,1\n", k*1024)
 	}
 	many.WriteString("1024,0,1\n")
-	f.Add(many.Bytes())
-	f.Add(bytes.ReplaceAll(many.Bytes(), []byte(",0,"), []byte(",")))
+	f.Add(uint16(0), many.Bytes())
+	f.Add(uint16(0), bytes.ReplaceAll(many.Bytes(), []byte(",0,"), []byte(",")))
+	for _, lead := range []uint16{ingestBatch - 2, ingestBatch - 1, ingestBatch, 2*ingestBatch - 1} {
+		for _, s := range []string{
+			"1,2\n3,4\n5,x\n7,8\n",
+			"{\"key\":1,\"value\":2}\n{\"key\":2,\"value\":-3}\n",
+			"0,1\n5,1\n5,2\n",
+			"4294967296,1\n", // the first lead key again
+			"{\"key\":4294967297,\"value\":1}\n{\"key\":1,\"value\":}\n", // a lead key again, then garbage
+			"1,0,2\n1,7,2\n1,-2,2\n1,7,2\n",
+			"4294967296,7,1\n1,3,2\n", // a lead (key, instance) again, then an unlisted instance
+			"1,2\n3,4",
+			"1,2\n\xff\x00\xff\x00",
+		} {
+			f.Add(lead, []byte(s))
+		}
+	}
 }
 
 func FuzzScanPairsDiff(f *testing.F) {
 	addScanDiffSeeds(f)
-	f.Fuzz(func(t *testing.T, body []byte) { diffScanPairs(t, body) })
+	f.Fuzz(func(t *testing.T, lead uint16, body []byte) { diffScanPairs(t, int(lead%1024), body) })
 }
 
 func FuzzScanMultiPairsDiff(f *testing.F) {
 	addScanDiffSeeds(f)
-	f.Fuzz(func(t *testing.T, body []byte) { diffScanMultiPairs(t, body) })
+	f.Fuzz(func(t *testing.T, lead uint16, body []byte) { diffScanMultiPairs(t, int(lead%1024), body) })
 }
 
 // TestScanDiffGenerated runs the same differential check on bodies built
@@ -446,7 +526,11 @@ func TestScanDiffGenerated(t *testing.T) {
 		for l := 1 + rng.IntN(4); l > 0; l-- {
 			body.WriteString(line() + pick([]string{"\n", "\n", "\r\n", "\n\n"}))
 		}
-		diffScanPairs(t, []byte(body.String()))
-		diffScanMultiPairs(t, []byte(body.String()))
+		lead := 0
+		if n%64 == 1 {
+			lead = ingestBatch - 1 - rng.IntN(3) // the body's lines straddle a batch edge
+		}
+		diffScanPairs(t, lead, []byte(body.String()))
+		diffScanMultiPairs(t, lead, []byte(body.String()))
 	}
 }

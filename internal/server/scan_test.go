@@ -1,11 +1,18 @@
 package server
 
 import (
+	"bufio"
 	"bytes"
+	"errors"
+	"fmt"
+	"io"
+	"net/http"
 	"strconv"
+	"strings"
 	"testing"
+	"testing/iotest"
 
-	"repro/internal/dataset"
+	"repro/internal/engine"
 )
 
 // scanBody renders n pairs with distinct keys (an affine walk over 2^40)
@@ -34,27 +41,30 @@ func scanBody(format string, n int) []byte {
 
 // TestScanPairsAllocsIndependentOfPairs pins the scanners' zero
 // allocations per pair: a body a hundred times larger may cost only the
-// extra doublings of the repeated-key table, never a term in its pairs.
+// few more tables its repeated-key set grows through before it reaches
+// the recycled sizes, never a term in its pairs.
 func TestScanPairsAllocsIndependentOfPairs(t *testing.T) {
 	const small, large = 1000, 100_000
-	// 1000 keys end in a 2048-slot table, 100 000 in a 2^18-slot one.
-	const extraTables = 18 - 11
+	// 1000 keys end in a 2048-slot table; past 4096 slots (2048 keys) a set
+	// takes its tables from keyTables, which after the warm-up run holds the
+	// 2^18-slot one that 100 000 keys need.
+	const extraTables = 12 - 11
 	for _, format := range []string{"ndjson", "csv"} {
 		allocs := func(n int) float64 {
 			body := scanBody(format, n)
 			rd := bytes.NewReader(body)
 			return testing.AllocsPerRun(5, func() {
 				rd.Reset(body)
-				got, err := scanPairs(rd, format, false, func(dataset.Key, float64) {})
+				got, err := scanPairs(rd, format, false, func([]engine.Pair) {})
 				if err != nil || got != int64(n) {
 					t.Fatalf("%s: scanned %d of %d pairs: %v", format, got, n, err)
 				}
 			})
 		}
 		few, many := allocs(small), allocs(large)
-		// The large body's tables make the GC run, which empties the
-		// line-buffer pool (one new buffer, one new pool node) and lets
-		// the runtime allocate on its own account; allow that much slack.
+		// A GC during the runs empties the scan-buffer pool (one new buffer,
+		// one new pool node) and lets the runtime allocate on its own
+		// account; allow that much slack.
 		const slack = 4
 		if many > few+extraTables+slack {
 			t.Errorf("%s: %v allocs for %d pairs, %v for %d: want at most %d more (table growth only)",
@@ -77,7 +87,11 @@ func BenchmarkScanPairs(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				rd.Reset(body)
-				n, err := scanPairs(rd, format, false, func(_ dataset.Key, v float64) { sum += v })
+				n, err := scanPairs(rd, format, false, func(ps []engine.Pair) {
+					for _, p := range ps {
+						sum += p.Value
+					}
+				})
 				if err != nil || n != pairs {
 					b.Fatalf("scanned %d of %d pairs: %v", n, pairs, err)
 				}
@@ -85,4 +99,218 @@ func BenchmarkScanPairs(b *testing.B) {
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/pairs, "ns/pair")
 		})
 	}
+}
+
+// TestScanErrorOrderAtBatchEdges places each way a scan can fail on the
+// lines around the batch edges — first line, last of a batch, first of the
+// next, deep in the stream, last line — and holds both scanners to their
+// pair-at-a-time references: what fails and with which text, how many
+// pairs count, and exactly which pushes were made before. The batch may
+// only be visible as speed: an error never overtakes a repeat on an
+// earlier line, and never hides a pair parsed before it.
+func TestScanErrorOrderAtBatchEdges(t *testing.T) {
+	const lines = 2*ingestBatch + 88 // 600: two full batches and a partial one
+	type body struct {
+		format string
+		multi  bool
+		lines  []string
+	}
+	line := func(b body, key uint64, value string) string { return pairLine(b.format, b.multi, key, value) }
+	keyOf := func(i int) uint64 { return uint64(i) * 7 } // of the valid line i; its value is i
+	valid := func(format string, multi bool) body {
+		b := body{format: format, multi: multi, lines: make([]string, lines+1)} // 1-based
+		for i := 1; i <= lines; i++ {
+			b.lines[i] = line(b, keyOf(i), strconv.Itoa(i))
+		}
+		return b
+	}
+	// Each failure rewrites line at of a valid body, or reports that it
+	// cannot be placed there.
+	failures := map[string]func(b body, at int) bool{
+		"malformed line": func(b body, at int) bool {
+			b.lines[at] = "{nope,"
+			return true
+		},
+		"negative value": func(b body, at int) bool {
+			b.lines[at] = line(b, keyOf(at), "-1")
+			return true
+		},
+		"unlisted instance": func(b body, at int) bool {
+			b.lines[at] = strings.NewReplacer(",7,", ",3,", `"instance":7`, `"instance":3`).Replace(line(b, 1, "1"))
+			return b.multi
+		},
+		"repeat of an earlier batch's key": func(b body, at int) bool {
+			if at <= ingestBatch {
+				return false
+			}
+			b.lines[at] = line(b, keyOf(at-ingestBatch), "1")
+			return true
+		},
+		"repeat inside the batch": func(b body, at int) bool {
+			if (at-1)%ingestBatch == 0 {
+				return false // first of its batch: nothing before it in there
+			}
+			b.lines[at] = line(b, keyOf(at-1), "1")
+			return true
+		},
+		"repeat, then garbage ten lines on": func(b body, at int) bool {
+			if at < 2 || at+10 > lines {
+				return false
+			}
+			b.lines[at] = line(b, keyOf(at-1), "1")
+			b.lines[at+10] = "garbage"
+			return true
+		},
+		"garbage, then a repeat ten lines on": func(b body, at int) bool {
+			if at+10 > lines {
+				return false
+			}
+			b.lines[at] = "garbage"
+			b.lines[at+10] = line(b, keyOf(at+9), "1")
+			return true
+		},
+		"key 0 twice": func(b body, at int) bool {
+			if at < 2 {
+				return false
+			}
+			b.lines[1], b.lines[at] = line(b, 0, "1"), line(b, 0, "2")
+			return true
+		},
+	}
+	for name, place := range failures {
+		for _, at := range []int{1, 10, ingestBatch - 1, ingestBatch, ingestBatch + 1, 2 * ingestBatch, 2*ingestBatch + 1, lines} {
+			for _, format := range []string{"csv", "ndjson"} {
+				for _, multi := range []bool{false, true} {
+					b := valid(format, multi)
+					if !place(b, at) {
+						continue
+					}
+					text := []byte(strings.Join(b.lines[1:], "\n")) // no final newline
+					t.Run(fmt.Sprintf("%s/line %d/%s/multi=%v", name, at, format, multi), func(t *testing.T) {
+						if multi {
+							diffScanMultiPairs(t, 0, text)
+						} else {
+							diffScanPairs(t, 0, text)
+						}
+					})
+				}
+			}
+		}
+	}
+}
+
+// TestLineReaderMatchesScanner holds lineReader to the bufio.Scanner it
+// replaced, over readers that return their bytes every way a body can
+// arrive: one at a time, in odd-sized pieces, with the last bytes and the
+// error in one call or two, cut short by an error, stalling with empty
+// reads. Same lines with the same numbers, same final error.
+func TestLineReaderMatchesScanner(t *testing.T) {
+	long := func(n int) string { return strings.Repeat("7", n) }
+	bodies := map[string]string{
+		"empty":                  "",
+		"one newline":            "\n",
+		"plain":                  "1,2\n3,4\n",
+		"no final newline":       "1,2\n3,4",
+		"crlf":                   "1,2\r\n3,4\r\n",
+		"lone cr":                "1,2\r\r\n\r3,4\r",
+		"blank lines":            "\n\n 1,2 \n\t\n\n3,4\n\n",
+		"unicode space":          " 1,2 \n \n",
+		"64 KiB line":            "1," + long(64*1024-3) + "\n2,3\n",
+		"line over 64 KiB":       "1,2\n1," + long(64*1024) + "\n2,3\n",
+		"line of 300 KiB":        "1," + long(300*1024) + "\n2,3",
+		"longest line":           "1,2\n" + long(maxIngestLine-1) + "\n3,4\n",
+		"longest line, last":     "1,2\n" + long(maxIngestLine-1),
+		"line one over":          "1,2\n" + long(maxIngestLine) + "\n3,4\n",
+		"line one over, last":    "1,2\n" + long(maxIngestLine),
+		"line far over":          long(3*maxIngestLine) + "\n1,2\n",
+		"many short lines":       strings.Repeat("9,9\n", 40_000),
+		"short lines, long last": strings.Repeat("9,9\n", 20_000) + long(100_000),
+	}
+	errCut := errors.New("cut")
+	readers := map[string]func(body string) io.Reader{
+		"whole":         func(body string) io.Reader { return strings.NewReader(body) },
+		"one byte":      func(body string) io.Reader { return iotest.OneByteReader(strings.NewReader(body)) },
+		"half":          func(body string) io.Reader { return iotest.HalfReader(strings.NewReader(body)) },
+		"data with EOF": func(body string) io.Reader { return iotest.DataErrReader(strings.NewReader(body)) },
+		"timeout":       func(body string) io.Reader { return iotest.TimeoutReader(strings.NewReader(body)) },
+		"error at end":  func(body string) io.Reader { return io.MultiReader(strings.NewReader(body), iotest.ErrReader(errCut)) },
+		"cut mid-line": func(body string) io.Reader {
+			return io.MultiReader(strings.NewReader(body[:len(body)*2/3]), iotest.ErrReader(errCut))
+		},
+		"max bytes": func(body string) io.Reader {
+			return http.MaxBytesReader(nil, io.NopCloser(strings.NewReader(body)), int64(len(body)/2))
+		},
+		"odd pieces": func(body string) io.Reader {
+			return &pieceReader{r: strings.NewReader(body), sizes: []int{1, 7, 0, 4093, 0, 0, 70_000, 3}}
+		},
+		"stalled": func(body string) io.Reader {
+			return &pieceReader{r: strings.NewReader(body), sizes: []int{5, 0}, stallAfter: 3}
+		},
+	}
+	type numbered struct {
+		no   int
+		line string
+	}
+	for bodyName, body := range bodies {
+		for readerName, reader := range readers {
+			if readerName == "one byte" && len(body) > 1<<20 {
+				continue // a million reads of one byte prove nothing the 64 KiB bodies don't
+			}
+			t.Run(bodyName+"/"+readerName, func(t *testing.T) {
+				var want []numbered
+				sc := bufio.NewScanner(reader(body))
+				sc.Buffer(make([]byte, 64*1024), maxIngestLine)
+				for no := 1; sc.Scan(); no++ {
+					if line := strings.TrimSpace(sc.Text()); line != "" {
+						want = append(want, numbered{no, line})
+					}
+				}
+				in := newLineReader(reader(body))
+				defer in.release()
+				var got []numbered
+				for line := in.next(); line != nil; line = in.next() {
+					got = append(got, numbered{in.lineNo, string(line)})
+				}
+				if len(got) != len(want) {
+					t.Fatalf("%d lines, bufio.Scanner %d", len(got), len(want))
+				}
+				for i := range got {
+					if got[i] != want[i] {
+						t.Fatalf("line %d: got number %d, %d bytes %.40q; bufio.Scanner number %d, %d bytes %.40q",
+							i, got[i].no, len(got[i].line), got[i].line, want[i].no, len(want[i].line), want[i].line)
+					}
+				}
+				wantErr := ""
+				if err := sc.Err(); err != nil {
+					wantErr = fmt.Sprintf("server: reading pair stream: %v", err)
+				}
+				gotErr := ""
+				if err := in.err(); err != nil {
+					gotErr = err.Error()
+				}
+				if gotErr != wantErr {
+					t.Fatalf("error %q, bufio.Scanner's %q", gotErr, wantErr)
+				}
+			})
+		}
+	}
+}
+
+// pieceReader returns its reader's bytes in pieces of the given sizes, in
+// rotation — a size of 0 is a read of no bytes and no error. After
+// stallAfter pieces (when set) it only ever returns that.
+type pieceReader struct {
+	r          io.Reader
+	sizes      []int
+	stallAfter int
+	reads      int
+}
+
+func (p *pieceReader) Read(b []byte) (int, error) {
+	size := p.sizes[p.reads%len(p.sizes)]
+	p.reads++
+	if p.stallAfter > 0 && p.reads > p.stallAfter {
+		return 0, nil
+	}
+	return p.r.Read(b[:min(size, len(b))])
 }

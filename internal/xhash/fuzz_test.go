@@ -30,6 +30,12 @@ func FuzzSeederStability(f *testing.F) {
 		if fresh := (Seeder{Salt: salt, Shared: shared}).Seed(instance, key); fresh != u {
 			t.Fatal("Seed depends on Seeder identity, not value")
 		}
+		if bound := s.Instance(instance).Seed(key); math.Float64bits(bound) != math.Float64bits(u) {
+			t.Fatalf("Instance(%d).Seed = %v, Seed = %v", instance, bound, u)
+		}
+		if ref := seedRef(s, instance, key); math.Float64bits(ref) != math.Float64bits(u) {
+			t.Fatalf("Seed = %v, the original derivation %v", u, ref)
+		}
 		if shared {
 			// Coordinated sampling: every instance sees the same seed.
 			if s.Seed(instance+1, key) != u || s.Seed(0, key) != u {

@@ -2,6 +2,7 @@ package xhash
 
 import (
 	"math"
+	"math/rand/v2"
 	"testing"
 	"testing/quick"
 )
@@ -127,5 +128,54 @@ func TestHashStringDistinct(t *testing.T) {
 	sh := Seeder{Salt: 5, Shared: true}
 	if sh.SeedString(0, "x") != sh.SeedString(1, "x") {
 		t.Error("shared SeedString differs across instances")
+	}
+}
+
+// seedRef is Seeder.Seed as it was written before the per-instance form:
+// both constants of the stream mixed again for every key.
+func seedRef(s Seeder, instance int, key uint64) float64 {
+	salt := s.Salt
+	if !s.Shared {
+		salt ^= Mix64(uint64(instance) + 1)
+	}
+	return Unit(Mix64(Mix64(salt) ^ key + 0x9e3779b97f4a7c15*key))
+}
+
+// TestInstanceSeederMatchesSeed holds the pre-mixed per-instance form, and
+// Seed which now runs through it, to the original derivation bit for bit:
+// over random inputs, and on seeds recorded before the change.
+func TestInstanceSeederMatchesSeed(t *testing.T) {
+	check := func(salt, key uint64, instance int, shared bool) {
+		t.Helper()
+		s := Seeder{Salt: salt, Shared: shared}
+		want := math.Float64bits(seedRef(s, instance, key))
+		if got := math.Float64bits(s.Seed(instance, key)); got != want {
+			t.Fatalf("Seeder{%#x, %v}.Seed(%d, %#x) = %#x, want %#x", salt, shared, instance, key, got, want)
+		}
+		if got := math.Float64bits(s.Instance(instance).Seed(key)); got != want {
+			t.Fatalf("Seeder{%#x, %v}.Instance(%d).Seed(%#x) = %#x, want %#x", salt, shared, instance, key, got, want)
+		}
+	}
+	rng := rand.New(rand.NewPCG(2011, 15))
+	for i := 0; i < 100_000; i++ {
+		check(rng.Uint64(), rng.Uint64(), int(rng.Int64())>>rng.IntN(64), i%2 == 0)
+	}
+	for _, g := range []struct {
+		salt, key uint64
+		instance  int
+		shared    bool
+		bits      uint64
+	}{
+		{0x0, 0x0, 0, false, 0x3fe631405e8db1b0},
+		{0x1, 0x1, 1, true, 0x3fe8a3d354070050},
+		{0xdeadbeef, 0xffffffffffffffff, 1048576, false, 0x3fd3c75bcaa1b390},
+		{0x7db, 0x2a, 3, false, 0x3fd3403afcf5e57c},
+		{0x7db, 0x2a, -1, false, 0x3fd676fc578105cc},
+		{0x7db, 0x2a, 3, true, 0x3f9055d32b33a060},
+	} {
+		check(g.salt, g.key, g.instance, g.shared)
+		if got := math.Float64bits((Seeder{Salt: g.salt, Shared: g.shared}).Seed(g.instance, g.key)); got != g.bits {
+			t.Errorf("Seeder{%#x, %v}.Seed(%d, %#x) = %#x, recorded %#x", g.salt, g.shared, g.instance, g.key, got, g.bits)
+		}
 	}
 }

@@ -301,9 +301,10 @@ func sniffContentType(raw []byte) string {
 // wireUnsupported reports whether an error says the server cannot parse
 // the posted wire format: 415 from a version-negotiating server, or a
 // 400 decode failure from a pre-negotiation server that tried to parse
-// binary as JSON. Other 400s (oversized body, missing parameters) would
-// fail a v1 retry identically, so they don't trigger the fallback — the
-// real error surfaces instead of being masked by a doomed re-upload.
+// binary as JSON. Other rejections (a 413 oversized body, a 400 for a
+// missing parameter) would fail a v1 retry identically, so they don't
+// trigger the fallback — the real error surfaces instead of being masked
+// by a doomed re-upload.
 func wireUnsupported(err error) bool {
 	var se *StatusError
 	if !errors.As(err, &se) {

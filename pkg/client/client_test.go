@@ -146,25 +146,33 @@ func TestClientFallsBackToV1(t *testing.T) {
 	}
 }
 
-// TestClientNoRetryOnUnrelated400: a 400 that is not a decode failure
-// (oversized body, missing parameter) must surface as-is — no doomed v1
-// re-upload, no downgrade.
+// TestClientNoRetryOnUnrelated400: a rejection that is not a decode
+// failure — the 413 of an oversized body, the 400 of a missing parameter —
+// must surface as-is: no doomed v1 re-upload, no downgrade.
 func TestClientNoRetryOnUnrelated400(t *testing.T) {
-	h, posts := v1OnlyHandler(http.StatusBadRequest, "server: reading summary body: http: request body too large")
-	ts := httptest.NewServer(h)
-	defer ts.Close()
-	c := client.New(ts.URL, ts.Client(), client.WithWireVersion(2))
+	for _, rejection := range []struct {
+		status  int
+		message string
+	}{
+		{http.StatusRequestEntityTooLarge, "server: reading summary body: http: request body too large"},
+		{http.StatusBadRequest, "server: invalid dataset name"},
+	} {
+		h, posts := v1OnlyHandler(rejection.status, rejection.message)
+		ts := httptest.NewServer(h)
+		c := client.New(ts.URL, ts.Client(), client.WithWireVersion(2))
 
-	_, err := c.PostSummary(context.Background(), "flows", testSummary(t))
-	var se *client.StatusError
-	if !errors.As(err, &se) || se.Status != http.StatusBadRequest {
-		t.Fatalf("got %v, want the original 400", err)
-	}
-	if *posts != 1 {
-		t.Fatalf("took %d requests, want 1 (no retry on a non-format 400)", *posts)
-	}
-	if c.WireVersion() != 2 {
-		t.Fatalf("WireVersion = %d, want 2 (no downgrade)", c.WireVersion())
+		_, err := c.PostSummary(context.Background(), "flows", testSummary(t))
+		ts.Close()
+		var se *client.StatusError
+		if !errors.As(err, &se) || se.Status != rejection.status || se.Message != rejection.message {
+			t.Fatalf("got %v, want the original %d %q", err, rejection.status, rejection.message)
+		}
+		if *posts != 1 {
+			t.Fatalf("%d: took %d requests, want 1 (no retry on a non-format rejection)", rejection.status, *posts)
+		}
+		if c.WireVersion() != 2 {
+			t.Fatalf("%d: WireVersion = %d, want 2 (no downgrade)", rejection.status, c.WireVersion())
+		}
 	}
 }
 
