@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"testing"
 
@@ -16,36 +18,40 @@ import (
 
 // TestOversizedBodyIs413: a body over the endpoint's cap is refused as
 // too large — 413, where it used to be a generic 400 — with the message
-// it always had, on each endpoint that reads a capped body; a body of
-// exactly the cap is not. What the requests carry is valid, so size is
-// all that is wrong with them.
+// it always had, on each endpoint that reads a capped body, wherever the
+// cap falls: on a line boundary, or in the middle of a line whose first
+// part would not parse. A body of exactly the cap is not refused. The
+// caps are 64 and 256 MiB; the test puts a reader capped the same way in
+// front of the handler's, so the body ends in the same error a few bytes
+// in. What the requests carry is valid, so size is all that is wrong with
+// them.
 func TestOversizedBodyIs413(t *testing.T) {
 	srv := New(NewRegistry(), engine.Config{})
-	if srv.ingestBodyCap != maxIngestBody || srv.summaryBodyCap != maxSummaryBody {
-		t.Fatalf("caps %d and %d, want maxIngestBody and maxSummaryBody", srv.ingestBodyCap, srv.summaryBodyCap)
-	}
 	summary, err := core.EncodeSummary(core.NewSummarizer(1).SummarizePPS(0, dataset.Instance{1: 2, 3: 4}, 1), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
+	csv := "1,2\n3,4\n5,6\n"
+	ndjson := `{"key":1,"instance":0,"value":2}` + "\n" + `{"key":1,"instance":1,"value":2}` + "\n"
 	for _, tc := range []struct {
-		name, target, contentType string
-		body                      []byte
-		cap                       *int64
-		message                   string
+		name, target, contentType, body string
+		over                            []int // caps under len(body)
+		message                         string
 	}{
-		{"ingest", "/v1/ingest?dataset=d1&instance=0&kind=pps&tau=5&salt=1&format=csv", "text/csv",
-			[]byte("1,2\n3,4\n5,6\n\n\n"), &srv.ingestBodyCap, "server: reading pair stream: http: request body too large"},
-		{"ingest multi", "/v1/ingest/multi?dataset=d2&instances=0,1&kind=pps&tau=5&salt=1", "application/x-ndjson",
-			[]byte(`{"key":1,"instance":0,"value":2}` + "\n" + `{"key":1,"instance":1,"value":2}` + "\n\n\n"), &srv.ingestBodyCap,
+		{"ingest", "/v1/ingest?dataset=d1&instance=0&kind=pps&tau=5&salt=1&format=csv", "text/csv", csv,
+			[]int{len(csv) - 1, len("1,2\n3,4\n"), len("1,2\n3,4\n5,"), len("1,2\n3"), 0},
 			"server: reading pair stream: http: request body too large"},
-		{"summaries", "/v1/summaries?dataset=d3", "application/json",
-			summary, &srv.summaryBodyCap, "core: reading summary: http: request body too large"},
-		{"summaries, sniffed", "/v1/summaries?dataset=d4", "",
-			summary, &srv.summaryBodyCap, "core: reading summary: http: request body too large"},
+		{"ingest multi", "/v1/ingest/multi?dataset=d2&instances=0,1&kind=pps&tau=5&salt=1", "application/x-ndjson", ndjson,
+			[]int{len(ndjson) - 1, len(ndjson) / 2, len(ndjson)/2 + 10, 1},
+			"server: reading pair stream: http: request body too large"},
+		{"summaries", "/v1/summaries?dataset=d3", "application/json", string(summary),
+			[]int{len(summary) - 1, len(summary) / 2}, "core: reading summary: http: request body too large"},
+		{"summaries, sniffed", "/v1/summaries?dataset=d4", "", string(summary),
+			[]int{len(summary) - 1}, "core: reading summary: http: request body too large"},
 	} {
-		post := func() (int, string) {
-			req := httptest.NewRequest(http.MethodPost, tc.target, bytes.NewReader(tc.body))
+		post := func(limit int) (int, string) {
+			req := httptest.NewRequest(http.MethodPost, tc.target, nil)
+			req.Body = http.MaxBytesReader(nil, io.NopCloser(strings.NewReader(tc.body)), int64(limit))
 			req.Header.Set("Content-Type", tc.contentType)
 			rec := httptest.NewRecorder()
 			srv.ServeHTTP(rec, req)
@@ -53,12 +59,12 @@ func TestOversizedBodyIs413(t *testing.T) {
 			_ = json.Unmarshal(rec.Body.Bytes(), &refusal) // no error member in a 201
 			return rec.Code, refusal.Error
 		}
-		*tc.cap = int64(len(tc.body)) - 1
-		if code, message := post(); code != http.StatusRequestEntityTooLarge || message != tc.message {
-			t.Errorf("%s, one byte over the cap: %d %q, want 413 %q", tc.name, code, message, tc.message)
+		for _, limit := range tc.over {
+			if code, message := post(limit); code != http.StatusRequestEntityTooLarge || message != tc.message {
+				t.Errorf("%s, cap at byte %d of %d: %d %q, want 413 %q", tc.name, limit, len(tc.body), code, message, tc.message)
+			}
 		}
-		*tc.cap = int64(len(tc.body))
-		if code, message := post(); code != http.StatusCreated {
+		if code, message := post(len(tc.body)); code != http.StatusCreated {
 			t.Errorf("%s, a body of exactly the cap: %d %q, want 201", tc.name, code, message)
 		}
 	}

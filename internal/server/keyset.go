@@ -40,62 +40,33 @@ func (s *keySet) release() {
 	s.slots = nil
 }
 
-// keyProbeBatch is how many keys addBatch hashes and touches ahead of
-// inserting them: enough independent loads to keep every miss buffer of a
-// core busy, few enough that their slots are still cached when the insert
-// loop comes to them.
-const keyProbeBatch = 64
-
 // addBatch inserts keys in order, stopping at the first one already
 // present — in the set, or earlier in keys — and returns its index, or
 // len(keys) when every key was new.
 //
-// A probe of a table that has outgrown the cache is one cache miss, and
-// inserting key by key the core waits out each miss before it starts on
-// the next. So, keyProbeBatch keys at a time, a first loop hashes every
-// key and reads its home slot: those reads do not depend on one another
-// and their misses overlap. The second loop, the one in stream order that
-// decides, then finds its lines in the cache.
-//
 //summarylint:hot
 func (s *keySet) addBatch(keys []uint64) int {
-	var homes [keyProbeBatch]uint64 // home slot of each key
-	var first [keyProbeBatch]uint64 // what it held when the first loop read it
-	for done := 0; done < len(keys); done += keyProbeBatch {
-		chunk := keys[done:min(done+keyProbeBatch, len(keys))]
-		// Room for the whole chunk up front, so no key moves between the loops.
-		if need := 2 * (s.n + len(chunk)); need > len(s.slots) {
-			s.grow(max(1<<bits.Len(uint(need-1)), keySetMinSlots))
+	for idx, key := range keys {
+		if key == 0 {
+			if s.hasZero {
+				return idx
+			}
+			s.hasZero = true
+			continue
 		}
-		for i, key := range chunk {
-			h := s.home(key)
-			homes[i], first[i] = h, s.slots[h]
+		if 2*(s.n+1) > len(s.slots) {
+			s.grow()
 		}
 		mask := uint64(len(s.slots) - 1)
-		for idx, key := range chunk {
-			if key == 0 {
-				if s.hasZero {
-					return done + idx
-				}
-				s.hasZero = true
-				continue
+		i := s.home(key)
+		for at := s.slots[i]; at != 0; at = s.slots[i] {
+			if at == key {
+				return idx
 			}
-			// A taken slot never changes, so a nonzero first read still holds;
-			// an empty one may have been filled by an earlier key of the chunk.
-			i, at := homes[idx], first[idx]
-			if at == 0 {
-				at = s.slots[i]
-			}
-			for at != 0 {
-				if at == key {
-					return done + idx
-				}
-				i = (i + 1) & mask
-				at = s.slots[i]
-			}
-			s.slots[i] = key
-			s.n++
+			i = (i + 1) & mask
 		}
+		s.slots[i] = key
+		s.n++
 	}
 	return len(keys)
 }
@@ -107,15 +78,15 @@ func (s *keySet) home(key uint64) uint64 {
 	return xhash.Mix64(key^s.seed) >> s.shift
 }
 
-// grow moves the set to a table of the given size, a power of two larger
-// than the current one, and reinserts every key; the keys are distinct, so
+// grow moves the set to a table of at least twice the size (or to its
+// first one) and reinserts every key; the keys are distinct, so
 // reinsertion only looks for an empty slot. Homes are the hash's top bits,
 // so a key at slot i of a table half the size moves to about 2i and the
 // pass walks both tables front to back instead of jumping around the new
 // one. The old table is left to the collector.
-func (s *keySet) grow(slots int) {
+func (s *keySet) grow() {
 	old := s.slots
-	s.slots = keyTables.get(slots)
+	s.slots = keyTables.get(max(2*len(old), keySetMinSlots))
 	s.shift = uint8(64 - bits.TrailingZeros(uint(len(s.slots))))
 	mask := uint64(len(s.slots) - 1)
 	// Pack the keys to the front of the old table first — an unconditional

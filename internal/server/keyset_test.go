@@ -157,8 +157,8 @@ func TestKeySetAgainstMap(t *testing.T) {
 }
 
 // TestKeySetZeroValueTable checks the edges around the first allocation:
-// a set that has seen nothing owns no table, key 0 lives beside the table
-// whether or not there is one, and the first table is the smallest.
+// a set that has seen nothing, or only key 0, owns no table, and the first
+// table is the smallest.
 func TestKeySetZeroValueTable(t *testing.T) {
 	s := newKeySet()
 	defer s.release()
@@ -170,6 +170,9 @@ func TestKeySetZeroValueTable(t *testing.T) {
 	}
 	if s.addBatch([]uint64{0}) != 1 || s.addBatch([]uint64{0}) != 0 {
 		t.Fatal("key 0: want absent then present")
+	}
+	if s.slots != nil {
+		t.Fatalf("key 0 alone allocated a %d-slot table", len(s.slots))
 	}
 	if s.addBatch([]uint64{42}) != 1 || s.addBatch([]uint64{42}) != 0 || s.addBatch([]uint64{0}) != 0 {
 		t.Fatal("key 42 after key 0: want absent, then both present")
@@ -255,7 +258,7 @@ func TestKeySetBatchAgainstAdd(t *testing.T) {
 		"key 0 twice in one batch":     {{4, 0, 5, 0, 6}},
 		"only key 0":                   {{0}, {0}},
 		"repeat inside a batch":        {with(seq(1, ingestBatch), 200, 17)},
-		"repeat inside a probe chunk":  {with(seq(1, ingestBatch), 3, 2)},
+		"repeat early in a batch":      {with(seq(1, ingestBatch), 3, 2)},
 		"adjacent repeat":              {{9, 9}},
 		"repeat across batches":        {seq(1, ingestBatch), seq(1000, ingestBatch), with(seq(2000, ingestBatch), 255, 1001)},
 		"repeat first in a batch":      {seq(1, 10), with(seq(100, 10), 0, 10)},

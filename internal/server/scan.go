@@ -4,9 +4,11 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"math"
+	"net/http"
 	"strconv"
 	"sync"
 	"unsafe"
@@ -37,10 +39,9 @@ const ingestBatch = 256
 // the pending batch of either scanner. Nothing that outlives a scan may
 // alias one: errors copy what they quote.
 type scanBuf struct {
-	line   [64 * 1024]byte
-	pairs  batchColumns[engine.Pair]
-	multi  batchColumns[engine.MultiPair]
-	groups groupScratch
+	line  [64 * 1024]byte
+	pairs batchColumns[engine.Pair]
+	multi batchColumns[engine.MultiPair]
 }
 
 var scanBufPool = sync.Pool{New: func() any { return new(scanBuf) }}
@@ -48,7 +49,8 @@ var scanBufPool = sync.Pool{New: func() any { return new(scanBuf) }}
 // lineReader yields the non-blank lines of a body, trimmed, with their
 // 1-based line numbers (blank lines count). It reads the way a
 // bufio.Scanner with ScanLines and a (64 KiB, maxIngestLine) buffer does —
-// same reads, same lines, same errors — but finds its newlines itself.
+// same reads, same lines, same errors — but finds its newlines itself, and
+// does not take what the body cap left of a line for a line.
 type lineReader struct {
 	r          io.Reader
 	sb         *scanBuf
@@ -79,7 +81,8 @@ func (l *lineReader) next() []byte {
 }
 
 // readLine returns the next line without its terminator: up to a "\n" or
-// "\r\n", or whatever is left when reading has stopped.
+// "\r\n", or whatever is left when reading has stopped — unless it stopped
+// at the body cap, which leaves part of a line.
 //
 //summarylint:hot
 func (l *lineReader) readLine() ([]byte, bool) {
@@ -91,10 +94,22 @@ func (l *lineReader) readLine() ([]byte, bool) {
 		}
 		if l.readErr != nil {
 			l.start = l.end
+			if cutByCap(l.readErr) {
+				// Part of a line is not a line to parse: the read error is
+				// what is wrong with the request.
+				return nil, false
+			}
 			return dropCR(data), len(data) > 0
 		}
 		l.fill()
 	}
+}
+
+// cutByCap reports whether reading stopped because the body ran past its
+// http.MaxBytesReader cap.
+func cutByCap(readErr error) bool {
+	var tooLarge *http.MaxBytesError
+	return errors.As(readErr, &tooLarge)
 }
 
 // dropCR drops one trailing carriage return.
@@ -463,56 +478,20 @@ func (b *pairBatch[T]) end(err error) (int64, error) {
 	return b.pushed, err
 }
 
-// groupScratch is the pooled storage of an instanceSets.
-type groupScratch struct {
-	present [ingestBatch]int    // the instance positions a batch holds, by first appearance
-	keys    [ingestBatch]uint64 // the batch's keys, those of one instance together
-	index   [ingestBatch]int    // where each of keys sits in the batch
-}
-
 // instanceSets is scanMultiPairs' repeated-key check: one keySet per
 // instance position.
-type instanceSets struct {
-	*groupScratch
-	seen []keySet
-	at   []int // per position; all zero between calls
-}
+type instanceSets []keySet
 
-// firstRepeat is pairBatch.firstRepeat over (key, instance) combinations:
-// it splits the batch by instance with a counting sort, gives each
-// instance's keys to its set in one addBatch, and returns the earliest
-// repeat any of them found. Its cost does not depend on how many
-// instances the request lists, only on how many the batch holds.
+// firstRepeat is pairBatch.firstRepeat over (key, instance) combinations.
 //
 //summarylint:hot
-func (g *instanceSets) firstRepeat(keys []uint64, items []engine.MultiPair) int {
-	present := g.present[:0]
-	for _, it := range items {
-		if g.at[it.Instance] == 0 {
-			//summarylint:ignore present has room for a batch of distinct instances, so this append never grows
-			present = append(present, it.Instance)
-		}
-		g.at[it.Instance]++
-	}
-	// Counts become each group's start, then — as the keys move — its end.
-	start := 0
-	for _, p := range present {
-		start, g.at[p] = start+g.at[p], start
-	}
+func (g instanceSets) firstRepeat(keys []uint64, items []engine.MultiPair) int {
 	for i, it := range items {
-		at := g.at[it.Instance]
-		g.keys[at], g.index[at] = keys[i], i
-		g.at[it.Instance] = at + 1
-	}
-	first, start := len(items), 0
-	for _, p := range present {
-		end := g.at[p]
-		if r := start + g.seen[p].addBatch(g.keys[start:end]); r < end {
-			first = min(first, g.index[r])
+		if g[it.Instance].addBatch(keys[i:i+1]) == 0 {
+			return i
 		}
-		start, g.at[p] = end, 0
 	}
-	return first
+	return len(items)
 }
 
 // scanPairs streams (key, value) pairs out of a CSV or ndjson body into
@@ -632,13 +611,13 @@ func ndjsonPair(line []byte, lineNo int, keysOnly bool) (key uint64, value float
 func scanMultiPairs(body io.Reader, format string, index map[int]int, push func([]engine.MultiPair)) (int64, error) {
 	in := newLineReader(body)
 	defer in.release()
-	sets := instanceSets{groupScratch: &in.sb.groups, seen: make([]keySet, len(index)), at: make([]int, len(index))}
-	for i := range sets.seen {
-		sets.seen[i] = newKeySet()
+	sets := make(instanceSets, len(index))
+	for i := range sets {
+		sets[i] = newKeySet()
 	}
 	defer func() {
-		for i := range sets.seen {
-			sets.seen[i].release()
+		for i := range sets {
+			sets[i].release()
 		}
 	}()
 	b := pairBatch[engine.MultiPair]{batchColumns: &in.sb.multi, push: push, firstRepeat: sets.firstRepeat,

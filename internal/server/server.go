@@ -49,9 +49,6 @@ type Server struct {
 	// engine accumulates every ingest pipeline's final Stats() for
 	// /healthz and the metrics registry.
 	engine engineTotals
-	// ingestBodyCap and summaryBodyCap are maxIngestBody and
-	// maxSummaryBody; fields so that a test can meet them with a small body.
-	ingestBodyCap, summaryBodyCap int64
 }
 
 // Option configures a Server at construction.
@@ -120,7 +117,7 @@ func New(reg *Registry, cfg engine.Config, opts ...Option) *Server {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
-	s := &Server{reg: reg, cfg: cfg, mux: http.NewServeMux(), ingestBodyCap: maxIngestBody, summaryBodyCap: maxSummaryBody}
+	s := &Server{reg: reg, cfg: cfg, mux: http.NewServeMux()}
 	s.defaultWire, _ = core.CodecByVersion(1)
 	// The codec registry is frozen after init; cache the version list so
 	// liveness probes stop re-sorting it per request.
@@ -266,7 +263,7 @@ func (s *Server) handlePostSummary(w http.ResponseWriter, r *http.Request) {
 	// One summary per post: every decoder reads the body to its end and
 	// refuses bytes after the summary, so a client that concatenates two
 	// summaries in one POST gets a 400, not a success that lost the second.
-	body := http.MaxBytesReader(w, r.Body, s.summaryBodyCap)
+	body := http.MaxBytesReader(w, r.Body, maxSummaryBody)
 	var (
 		sum  core.Summary
 		wire int
