@@ -3,6 +3,7 @@ package core
 import (
 	"math"
 
+	"repro/internal/dataset"
 	"repro/internal/sampling"
 )
 
@@ -57,7 +58,8 @@ func SumStdErr(sum Summary, est float64) (float64, bool) {
 		n := float64(s.Size())
 		return math.Sqrt(n*(1-p)) / p, true
 	case PPSReader:
-		return ppsSumStdErr(s)
+		_, stderr, ok := PPSSumStdErr(s)
+		return stderr, ok
 	case BottomKReader:
 		return bottomKCVStdErr(est, s.Size(), s.RankTau())
 	case VarOptReader:
@@ -66,37 +68,51 @@ func SumStdErr(sum Summary, est float64) (float64, bool) {
 	return 0, false
 }
 
-// ppsSumStdErr is the square root of the unbiased HT variance estimate
-// of a PPS subset sum over all keys: Σ_{h∈S} v²(h)·(1/p−1)/p with
-// p = min(1, v/τ). Keys at probability 1 contribute no variance. No bound
-// is known when τ is not positive.
-func ppsSumStdErr(s PPSReader) (float64, bool) {
-	tau := s.PPSTau()
-	if !(tau > 0) {
-		return 0, false
+// PPSSumStdErr answers q=sum over a PPS summary from one walk of its
+// entries: the all-keys SubsetSum estimate and SumStdErr's bound on it,
+// each with the bits those functions return. The bound is the square root
+// of the unbiased HT variance estimate Σ_{h∈S} v²(h)·(1/p−1)/p with
+// p = min(1, v/τ); ok is false — none is known — when τ is not positive.
+func PPSSumStdErr(s PPSReader) (sum, stderr float64, ok bool) {
+	sum, variance := ppsSumVariance(s, nil)
+	if !(s.PPSTau() > 0) {
+		return sum, 0, false
 	}
-	sc := scratchPool.Get().(*queryScratch)
-	defer scratchPool.Put(sc)
-	col := loadColumns(sc, []PPSReader{s})[0]
-	return math.Sqrt(ppsVariance(col.vals, tau)), true
+	return sum, math.Sqrt(variance), true
 }
 
-// ppsVariance accumulates the per-key variance terms over a PPS column's
-// values, which are in ascending key order.
+// ppsSumVariance is the one walk behind a PPS summary's sum and its error
+// bar, over the selected keys.
+func ppsSumVariance(s PPSReader, sel func(dataset.Key) bool) (sum, variance float64) {
+	sc := scratchPool.Get().(*queryScratch)
+	defer scratchPool.Put(sc)
+	return ppsSumVarianceTerms(loadColumns(sc, []PPSReader{s})[0], s.PPSTau(), sel)
+}
+
+// ppsSumVarianceTerms accumulates, independently and in the column's
+// ascending key order, the HT estimate Σ v/p (p as the PPS rank family
+// computes it, at rank threshold 1/τ) and the variance terms of
+// PPSSumStdErr, where keys at probability 1 contribute none. The variance
+// means nothing when τ is not positive.
 //
 //summarylint:hot
-func ppsVariance(vals []float64, tau float64) float64 {
-	variance := 0.0
-	for _, v := range vals {
+func ppsSumVarianceTerms(col column, tau float64, sel func(dataset.Key) bool) (sum, variance float64) {
+	rankTau := 1 / tau
+	for i, v := range col.vals {
+		if sel != nil && !sel(dataset.Key(col.keys[i])) {
+			continue
+		}
+		if p := (sampling.PPS{}).InclusionProb(v, rankTau); p > 0 {
+			sum += v / p
+		}
 		if v <= 0 {
 			continue
 		}
-		p := math.Min(1, v/tau)
-		if p < 1 {
+		if p := v / tau; p < 1 { // else min(1, v/τ) is 1
 			variance += v * v * (1/p - 1) / p
 		}
 	}
-	return variance
+	return sum, variance
 }
 
 // bottomKCVStdErr renders the bottom-k CV bound: stderr ≤ est/√(k−2).

@@ -99,34 +99,50 @@ func MaxDominanceReaders(s1, s2 PPSReader, sel func(dataset.Key) bool) (MaxDomin
 	}
 	sc := scratchPool.Get().(*queryScratch)
 	defer scratchPool.Put(sc)
-	return maxDominanceMerge(sc.mergeOf(loadColumns(sc, pair)), s1.seederOf(),
-		[2]int{s1.InstanceID(), s2.InstanceID()}, [2]float64{s1.PPSTau(), s2.PPSTau()}, sel), nil
+	return maxDominanceMerge(loadColumns(sc, pair), bindSeeders(sc, pair), [2]float64{s1.PPSTau(), s2.PPSTau()}, sel), nil
 }
 
 // maxDominanceMerge sums the per-key max^(HT) and max^(L) estimates over
-// the ascending union of two PPS columns.
+// the ascending union of two PPS columns: a two-way merge, each key's
+// outcome handed to the pair kernel as scalars. A seed is computed only
+// for the instance a key is absent from — neither estimate reads the seed
+// of a sampled entry.
 //
 //summarylint:hot
-func maxDominanceMerge(m *unionMerge, seeder xhash.Seeder, instance [2]int, tau [2]float64, sel func(dataset.Key) bool) MaxDominanceEstimate {
-	var (
-		u, vals [2]float64
-		sampled [2]bool
-		out     MaxDominanceEstimate
-	)
-	o := estimator.PPSOutcome{Tau: tau[:], U: u[:], Sampled: sampled[:], Values: vals[:]}
-	for h, ok := m.next(); ok; h, ok = m.next() {
+func maxDominanceMerge(cols []column, seed []xhash.InstanceSeeder, tau [2]float64, sel func(dataset.Key) bool) MaxDominanceEstimate {
+	k0, k1 := cols[0].keys, cols[1].keys
+	vals0, vals1 := cols[0].vals, cols[1].vals
+	seed0, seed1 := seed[0], seed[1]
+	var out MaxDominanceEstimate
+	for i, j := 0, 0; i < len(k0) || j < len(k1); {
+		// The smaller head is the next union key; a column is sampled at it
+		// when its head is that key.
+		s0 := j == len(k1) || (i < len(k0) && k0[i] <= k1[j])
+		s1 := i == len(k0) || (j < len(k1) && k1[j] <= k0[i])
+		var (
+			h              uint64
+			v0, v1, b0, b1 float64
+		)
+		if s0 {
+			h, v0 = k0[i], vals0[i]
+			i++
+		}
+		if s1 {
+			h, v1 = k1[j], vals1[j]
+			j++
+		}
 		if sel != nil && !sel(dataset.Key(h)) {
 			continue
 		}
-		for i, at := range m.at {
-			u[i] = seeder.Seed(instance[i], h)
-			sampled[i], vals[i] = false, 0
-			if at >= 0 {
-				sampled[i], vals[i] = true, m.cols[i].vals[at]
-			}
+		if !s0 {
+			b0 = seed0.Seed(h) * tau[0]
 		}
-		out.HT += estimator.MaxHTPPS(o)
-		out.L += estimator.MaxL2PPS(o)
+		if !s1 {
+			b1 = seed1.Seed(h) * tau[1]
+		}
+		ht, l := estimator.MaxPPS2(s0, s1, v0, v1, b0, b1, tau[0], tau[1])
+		out.HT += ht
+		out.L += l
 		out.KeysUsed++
 	}
 	return out
@@ -245,8 +261,8 @@ func DistinctCountReaders(s1, s2 SetReader, sel func(dataset.Key) bool) (Distinc
 	}
 	sc := scratchPool.Get().(*queryScratch)
 	defer scratchPool.Put(sc)
-	c := categorizeMerge(sc.mergeOf(loadColumns(sc, []SetReader{s1, s2})), s1.seederOf(),
-		[2]int{s1.InstanceID(), s2.InstanceID()}, [2]float64{s1.SetP(), s2.SetP()}, sel)
+	pair := []SetReader{s1, s2}
+	c := categorizeMerge(sc.mergeOf(loadColumns(sc, pair)), bindSeeders(sc, pair), [2]float64{s1.SetP(), s2.SetP()}, sel)
 	e := aggregate.DistinctEstimator{P1: s1.SetP(), P2: s2.SetP()}
 	return DistinctEstimate{HT: e.HT(c), L: e.L(c), Counts: c}, nil
 }
@@ -255,7 +271,8 @@ func DistinctCountReaders(s1, s2 SetReader, sel func(dataset.Key) bool) (Distinc
 // union of two member columns.
 //
 //summarylint:hot
-func categorizeMerge(m *unionMerge, seeder xhash.Seeder, instance [2]int, p [2]float64, sel func(dataset.Key) bool) aggregate.DistinctCounts {
+func categorizeMerge(m *unionMerge, seed []xhash.InstanceSeeder, p [2]float64, sel func(dataset.Key) bool) aggregate.DistinctCounts {
+	seed0, seed1 := seed[0], seed[1]
 	var c aggregate.DistinctCounts
 	for h, ok := m.next(); ok; h, ok = m.next() {
 		if sel != nil && !sel(dataset.Key(h)) {
@@ -263,7 +280,7 @@ func categorizeMerge(m *unionMerge, seeder xhash.Seeder, instance [2]int, p [2]f
 		}
 		c.Add(aggregate.Categorize(
 			m.at[0] >= 0, m.at[1] >= 0,
-			seeder.Seed(instance[0], h), seeder.Seed(instance[1], h),
+			seed0.Seed(h), seed1.Seed(h),
 			p[0], p[1],
 		))
 	}

@@ -47,7 +47,7 @@ func checkCombinable[S Summary](sums []S, min int) error {
 // inclusion probabilities min(1, v/τ) every PPS estimator divides by are
 // undefined there.
 func checkTau(s PPSReader) error {
-	if !(s.PPSTau() > 0) { // NaN fails too, as in ppsSumStdErr
+	if !(s.PPSTau() > 0) { // NaN fails too, as in PPSSumStdErr
 		return fmt.Errorf("core: summary of instance %d has non-positive tau %v", s.InstanceID(), s.PPSTau())
 	}
 	return nil
@@ -100,45 +100,46 @@ func DistinctCountMultiReaders(sums []SetReader, sel func(dataset.Key) bool) (Mu
 	}
 	sc := scratchPool.Get().(*queryScratch)
 	defer scratchPool.Put(sc)
-	sc.ints, sc.floats, sc.bools = resize(sc.ints, r), resize(sc.floats, 4*r), resize(sc.bools, 2*r)
-	for i, s := range sums {
-		sc.ints[i] = s.InstanceID()
-	}
-	return distinctMerge(sc.mergeOf(loadColumns(sc, sums)), est, sums[0].seederOf(), sc.ints, p, 1/htCoeff, sc.floats, sc.bools, sel), nil
+	// OR^(L) of a key depends only on how many instances sampled it and how
+	// many more reveal its absence, so tabulate the estimator once per query.
+	size := (r + 1) * (r + 1)
+	sc.floats, sc.bools = resize(sc.floats, size+2*r), resize(sc.bools, r)
+	table := sc.floats[:size]
+	est.BinaryTableInto(table, sc.bools, sc.floats[size:size+r], sc.floats[size+r:])
+	return distinctMerge(sc.mergeOf(loadColumns(sc, sums)), table, bindSeeders(sc, sums), p, 1/htCoeff, sel), nil
 }
 
 // distinctMerge sums the per-key OR^(HT) and OR^(L) estimates over the
-// ascending union of r member columns. htTerm is 1/p^r, the HT
-// contribution of a fully determined key; floats (4r) and bools (2r) back
-// the per-key outcome, its oblivious image and the estimator's sort
-// buffer.
+// ascending union of r member columns. table is the OR^(L) estimate by
+// (sampled ones, revealed zeros) — estimator.BinaryTableInto — and htTerm
+// is 1/p^r, the HT contribution of a fully determined key.
 //
 //summarylint:hot
-func distinctMerge(m *unionMerge, est *estimator.MaxLUniform, seeder xhash.Seeder, instance []int,
-	p, htTerm float64, floats []float64, bools []bool, sel func(dataset.Key) bool) MultiDistinctEstimate {
-	r := len(instance)
-	o := estimator.BinaryKnownSeedsOutcome{P: floats[:r], U: floats[r : 2*r], Sampled: bools[:r]}
-	obValues, z, obSampled := floats[2*r:3*r], floats[3*r:4*r], bools[r:2*r]
-	for i := range o.P {
-		o.P[i] = p
-	}
+func distinctMerge(m *unionMerge, table []float64, seed []xhash.InstanceSeeder, p, htTerm float64, sel func(dataset.Key) bool) MultiDistinctEstimate {
+	stride := len(seed) + 1
 	var out MultiDistinctEstimate
 	for h, ok := m.next(); ok; h, ok = m.next() {
 		if sel != nil && !sel(dataset.Key(h)) {
 			continue
 		}
+		ones, zeros := 0, 0
 		allSeedsLow := true
 		for i, at := range m.at {
-			o.U[i] = seeder.Seed(instance[i], h)
+			u := seed[i].Seed(h)
 			// Summaries hold the *sampled* members, so membership in the
-			// summary is exactly "member and seed below p".
-			o.Sampled[i] = at >= 0
-			if o.U[i] >= p {
+			// summary is exactly "member and seed below p"; a non-member's
+			// seed at or below p reveals its absence (§5.1).
+			if at >= 0 {
+				ones++
+			} else if u <= p {
+				zeros++
+			}
+			if u >= p {
 				allSeedsLow = false
 			}
 		}
 		out.KeysUsed++
-		out.L += est.EstimateInto(o.ToObliviousInto(obSampled, obValues), z)
+		out.L += table[ones*stride+zeros]
 		if allSeedsLow {
 			out.HT += htTerm
 		}
@@ -171,22 +172,20 @@ func QuantilePPSReaders(sums []PPSReader, h dataset.Key, l int) (QuantileEstimat
 	if l < 1 || l > r {
 		return QuantileEstimate{}, fmt.Errorf("core: quantile index %d out of range [1,%d]", l, r)
 	}
-	seeder := sums[0].seederOf()
-	o := estimator.PPSOutcome{
-		Tau:     make([]float64, r),
-		U:       make([]float64, r),
-		Sampled: make([]bool, r),
-		Values:  make([]float64, r),
-	}
+	sc := scratchPool.Get().(*queryScratch)
+	defer scratchPool.Put(sc)
+	sc.floats, sc.bools = resize(sc.floats, 3*r), resize(sc.bools, r)
+	o := estimator.PPSOutcome{Tau: sc.floats[:r], U: sc.floats[r : 2*r], Sampled: sc.bools, Values: sc.floats[2*r:]}
 	var out QuantileEstimate
-	for i, s := range sums {
+	for i, seed := range bindSeeders(sc, sums) {
+		s := sums[i]
 		if err := checkTau(s); err != nil {
 			return QuantileEstimate{}, err
 		}
 		o.Tau[i] = s.PPSTau()
-		o.U[i] = seeder.Seed(s.InstanceID(), uint64(h))
-		if v, ok := s.Lookup(h); ok {
-			o.Sampled[i], o.Values[i] = true, v
+		o.U[i] = seed.Seed(uint64(h))
+		o.Values[i], o.Sampled[i] = s.Lookup(h)
+		if o.Sampled[i] {
 			out.Sampled++
 		}
 	}

@@ -59,7 +59,7 @@ var kernelQueries = []struct {
 	}},
 	{"sum", func(fx *kernelFixture) (int, error) {
 		s := fx.pps[0]
-		SumStdErr(s, s.SubsetSum(nil))
+		PPSSumStdErr(s)
 		return s.Size(), nil
 	}},
 	{"bkdistinct", func(fx *kernelFixture) (int, error) {

@@ -144,9 +144,9 @@ func diffQueries(t *testing.T, c diffCase, mode int, sel func(dataset.Key) bool)
 		}
 	}
 	for i, p := range pps {
-		got, ok := ppsSumStdErr(p)
-		if want := ppsSumStdErrRef(c.refPPS[i]); !ok || !sameBits(got, want) {
-			t.Errorf("ppsSumStdErr(%d) = %v, %v; reference %v", i, got, ok, want)
+		sum, got, ok := PPSSumStdErr(p)
+		if want, wantSum := ppsSumStdErrRef(c.refPPS[i]), c.refPPS[i].SubsetSum(nil); !ok || !sameBits(got, want) || !sameBits(sum, wantSum) {
+			t.Errorf("PPSSumStdErr(%d) = %v, %v, %v; reference %v, %v", i, sum, got, ok, wantSum, want)
 		}
 		if got, want := p.SubsetSum(sel), c.refPPS[i].SubsetSum(sel); !sameBits(got, want) {
 			t.Errorf("pps SubsetSum(%d) = %v; reference %v", i, got, want)

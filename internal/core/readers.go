@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/dataset"
 	"repro/internal/sampling"
+	"repro/internal/xhash"
 )
 
 // Reader interfaces are the query-side seam between the estimators and
@@ -14,12 +15,15 @@ import (
 //
 // Every query that walks keys does it the same way. Each consulted reader
 // decodes its entries, which are already ascending, into a column of
-// pooled per-query scratch. A unionMerge then walks the columns once,
-// handing each union key's (sampled, value) per instance to the per-key
-// estimator kernels, which work in caller-owned scratch. Per-key terms
-// therefore accumulate in ascending key order, so equal summaries answer
-// with bit-identical floats (pinned by the differential tests against
-// query_ref_test.go), and a query allocates nothing per key.
+// pooled per-query scratch. An ordered merge then walks the columns once
+// (unionMerge for r of them; max-dominance, always two, merges inline),
+// handing each union key's (sampled, value) per instance to a per-key
+// estimator kernel as scalars — the r = 2 PPS pair kernel, the OR^(L)
+// table — with seeds drawn from seeders bound to their instances once per
+// query. Per-key terms therefore accumulate in ascending key order, so
+// equal summaries answer with bit-identical floats (pinned by the
+// differential tests against query_ref_test.go), and a query allocates
+// nothing per key.
 //
 // Lookup, Contains and AppendKeys remain for point queries (quantile) and
 // for callers outside this package.
@@ -107,16 +111,17 @@ type columnReader interface {
 }
 
 // queryScratch is the working memory of one query: a column per consulted
-// summary, the merge cursors, and the backing arrays of the per-key
-// outcome an r-instance estimator reads. It is pooled, so a warm server
+// summary, the merge cursors, a seeder bound to each instance, and the
+// backing arrays of whatever else the query's estimator reads (a point
+// query's outcome, the OR^(L) table). It is pooled, so a warm server
 // answers a query with a number of allocations that does not depend on
 // sample size.
 type queryScratch struct {
-	cols   []column
-	merge  unionMerge
-	floats []float64
-	bools  []bool
-	ints   []int
+	cols    []column
+	merge   unionMerge
+	seeders []xhash.InstanceSeeder
+	floats  []float64
+	bools   []bool
 }
 
 var scratchPool = sync.Pool{New: func() any { return new(queryScratch) }}
@@ -131,6 +136,16 @@ func loadColumns[R columnReader](sc *queryScratch, rs []R) []column {
 		r.loadColumn(&cols[i])
 	}
 	return cols
+}
+
+// bindSeeders binds the summaries' shared seeder to each one's instance,
+// once per query: a per-key seed is then one Mix64 instead of three.
+func bindSeeders[S Summary](sc *queryScratch, sums []S) []xhash.InstanceSeeder {
+	sc.seeders = resize(sc.seeders, len(sums))
+	for i, s := range sums {
+		sc.seeders[i] = s.seederOf().Instance(s.InstanceID())
+	}
+	return sc.seeders
 }
 
 // mergeOf starts the ordered walk over cols.

@@ -213,7 +213,8 @@ func (p *PPSSummary) loadColumn(c *column) { p.loadWeightedColumn(c) }
 // inverse-probability (HT) weights; a nil sel selects all keys. In rank
 // terms the PPS threshold is 1/tau.
 func (p *PPSSummary) SubsetSum(sel func(dataset.Key) bool) float64 {
-	return p.weightedSubsetSum(sampling.PPS{}, 1/p.tau, sel)
+	sum, _ := ppsSumVariance(p, sel)
+	return sum
 }
 
 // SetSummary is a summary of a binary instance (a set of active keys):

@@ -120,6 +120,29 @@ func (e *MaxLUniform) EstimateInto(o ObliviousOutcome, z []float64) float64 {
 	return est
 }
 
+// BinaryTableInto tabulates EstimateInto over binary outcomes — OR^(L),
+// §5.1. With values in {0, 1} the sorted determining vector, and so the
+// estimate, depends only on how many entries were sampled as ones and how
+// many as (revealed) zeros: table[ones·(r+1)+zeros] receives EstimateInto's
+// value on such an outcome, for every ones+zeros ≤ r. table needs (r+1)²
+// elements; sampled, values (r each) and z (capacity r) are scratch.
+func (e *MaxLUniform) BinaryTableInto(table []float64, sampled []bool, values, z []float64) {
+	// EstimateInto reads only the length of P.
+	o := ObliviousOutcome{P: values[:e.r], Sampled: sampled[:e.r], Values: values[:e.r]}
+	for ones := 0; ones <= e.r; ones++ {
+		for zeros := 0; ones+zeros <= e.r; zeros++ {
+			for i := range o.Sampled {
+				o.Sampled[i] = i < ones+zeros
+				o.Values[i] = 0
+				if i < ones {
+					o.Values[i] = 1
+				}
+			}
+			table[ones*(e.r+1)+zeros] = e.EstimateInto(o, z)
+		}
+	}
+}
+
 func (e *MaxLUniform) panicWrongR(r int) {
 	panic(fmt.Sprintf("estimator: outcome has r=%d entries, estimator built for r=%d", r, e.r))
 }

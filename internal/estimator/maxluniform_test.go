@@ -238,3 +238,43 @@ func TestMaxLUniformEdgeCases(t *testing.T) {
 		t.Errorf("r=1 estimate = %v, want %v", got, 3/0.4)
 	}
 }
+
+// TestBinaryTableMatchesEstimateInto: for r = 2…6, every assignment of
+// {unsampled, sampled one, sampled zero} to the r entries — every
+// (ones, zeros) pattern in every permutation — estimates to the bits the
+// table holds for its counts.
+func TestBinaryTableMatchesEstimateInto(t *testing.T) {
+	for r := 2; r <= 6; r++ {
+		for _, p := range []float64{0.05, 0.3, 0.5, 1} {
+			e, err := ORLUniform(r, p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			table := make([]float64, (r+1)*(r+1))
+			e.BinaryTableInto(table, make([]bool, r), make([]float64, r), make([]float64, 0, r))
+			o := ObliviousOutcome{P: make([]float64, r), Sampled: make([]bool, r), Values: make([]float64, r)}
+			patterns := 1
+			for i := 0; i < r; i++ {
+				patterns *= 3
+			}
+			for code := 0; code < patterns; code++ {
+				ones, zeros := 0, 0
+				for i, c := 0, code; i < r; i, c = i+1, c/3 {
+					o.Sampled[i], o.Values[i] = c%3 != 0, 0
+					switch c % 3 {
+					case 1:
+						o.Values[i] = 1
+						ones++
+					case 2:
+						zeros++
+					}
+				}
+				got, want := table[ones*(r+1)+zeros], e.EstimateInto(o, make([]float64, 0, r))
+				if math.Float64bits(got) != math.Float64bits(want) {
+					t.Errorf("r=%d p=%v pattern %v/%v: table[%d ones, %d zeros] = %v, EstimateInto = %v",
+						r, p, o.Sampled, o.Values, ones, zeros, got, want)
+				}
+			}
+		}
+	}
+}

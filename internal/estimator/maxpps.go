@@ -20,9 +20,49 @@ func MaxL2PPS(o PPSOutcome) float64 {
 	if o.R() != 2 {
 		panic("estimator: MaxL2PPS requires r=2")
 	}
-	var phi [2]float64
-	o.DeterminingVectorInto(phi[:])
-	return MaxL2PPSDetermining(phi[0], phi[1], o.Tau[0], o.Tau[1])
+	_, l := MaxPPS2(o.Sampled[0], o.Sampled[1], o.Values[0], o.Values[1], o.U[0]*o.Tau[0], o.U[1]*o.Tau[1], o.Tau[0], o.Tau[1])
+	return l
+}
+
+// MaxPPS2 is the r = 2 per-key kernel: max^(HT) (MaxHTPPS) and max^(L)
+// (MaxL2PPS) of one outcome from a single pass over scalars. Entry i is
+// sampled (s_i) with value v_i, or unsampled with revealed upper bound
+// b_i = u_i·τ_i; v_i is read only when s_i holds and b_i only when it does
+// not, so a caller never needs the seed of a sampled entry.
+//
+//summarylint:hot
+func MaxPPS2(s0, s1 bool, v0, v1, b0, b1, tau0, tau1 float64) (ht, l float64) {
+	if !s0 && !s1 {
+		return 0, 0
+	}
+	m := 0.0 // the maximum sampled value
+	if s0 && v0 > m {
+		m = v0
+	}
+	if s1 && v1 > m {
+		m = v1
+	}
+	// Determining vector: an unsampled entry gets min{m, b}. A bound above
+	// m leaves the max undetermined, which is where max^(HT) is 0.
+	determined := m > 0
+	if !s0 {
+		v0 = b0
+		if b0 > m {
+			v0, determined = m, false
+		}
+	}
+	if !s1 {
+		v1 = b1
+		if b1 > m {
+			v1, determined = m, false
+		}
+	}
+	if determined {
+		if p := math.Min(1, m/tau0) * math.Min(1, m/tau1); p > 0 {
+			ht = m / p
+		}
+	}
+	return ht, MaxL2PPSDetermining(v0, v1, tau0, tau1)
 }
 
 // MaxL2PPSDetermining evaluates max^(L) as a function of the determining
@@ -57,7 +97,23 @@ func MaxL2PPSDetermining(v1, v2, tau1, tau2 float64) float64 {
 		// quotient.
 		T := ta + tb
 		est := ta * tb / (T - a)
-		est += ta * tb * (ta - a) / (a * T) * (math.Log((T-b)*a) - math.Log(b*(T-a)))
+		coef := ta * tb * (ta - a) / (a * T)
+		if a == b {
+			// Equal entries — equation (25), and the common outcome: a key
+			// sampled in one instance whose other seed bound exceeds its
+			// value. (T−b)·a and b·(T−a) are then one and the same IEEE
+			// product x, so the logarithms cancel to exactly 0 and the
+			// last term's numerator is exactly 0: both terms are ±0 and
+			// est (never −0: τ_a, τ_b > 0 in this regime) is already the
+			// answer, bit for bit — provided log x is finite, coef·0 is 0
+			// and not NaN, and the last denominator x·(T−a) is not 0.
+			// Where that guard fails the full expression is NaN, and the
+			// fall-through keeps it so.
+			if x := a * (T - a); x > 0 && x <= math.MaxFloat64 && x*(T-a) > 0 && math.Abs(coef) <= math.MaxFloat64 {
+				return est
+			}
+		}
+		est += coef * (math.Log((T-b)*a) - math.Log(b*(T-a)))
 		est += (a - b) * ta * tb * (ta - a) / (a * (T - b) * (T - a))
 		return est
 	default:

@@ -154,6 +154,10 @@ func TestMaxL2PPSEqualFormula(t *testing.T) {
 		if got := MaxL2PPSEqual(c.v, c.t1, c.t2); !approxEq(got, want, 1e-12) {
 			t.Errorf("MaxL2PPSEqual(%v) = %v, want %v", c, got, want)
 		}
+		// The closed form's equal-entries shortcut answers the same value.
+		if got := MaxL2PPSDetermining(c.v, c.v, c.t1, c.t2); !approxEq(got, want, 1e-12) {
+			t.Errorf("MaxL2PPSDetermining(%v) on equal entries = %v, want %v", c, got, want)
+		}
 	}
 }
 

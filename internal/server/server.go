@@ -512,24 +512,33 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 			writeError(w, fmt.Errorf("server: sum is a single-instance query, got %d instances (pass instances=i)", len(sums)))
 			return
 		}
-		var total float64
+		var (
+			total, stderr float64
+			bounded       bool
+		)
 		switch sum := sums[0].(type) {
 		case core.SetReader:
 			// HT cardinality estimate of the underlying set.
 			total = float64(sum.Size()) / sum.SetP()
+			stderr, bounded = core.SumStdErr(sum, total)
+		case core.PPSReader:
+			// One walk of the entries answers the estimate and its error bar.
+			total, stderr, bounded = core.PPSSumStdErr(sum)
+			qsp.SetInt("union_keys", int64(sum.Size()))
 		case interface {
 			SubsetSum(func(dataset.Key) bool) float64
 		}:
-			// PPS, bottom-k, and VarOpt summaries all answer the subset-sum
-			// estimate directly, walking their own keys.
+			// Bottom-k and VarOpt summaries answer the subset-sum estimate
+			// directly, walking their own keys; their bound needs no walk.
 			total = sum.SubsetSum(nil)
+			stderr, bounded = core.SumStdErr(sums[0], total)
 			qsp.SetInt("union_keys", int64(sums[0].Size()))
 		default:
 			writeError(w, fmt.Errorf("server: sum not supported for kind %s", sums[0].Kind()))
 			return
 		}
 		res := SumResult{Dataset: ds, Instance: got[0], Sum: total, Explain: report}
-		res.Accuracy = accuracyFor(core.SumStdErr(sums[0], total))
+		res.Accuracy = accuracyFor(stderr, bounded)
 		writeJSON(w, http.StatusOK, res)
 	case "":
 		writeError(w, fmt.Errorf("server: missing q parameter (distinct, maxdominance, quantile, sum)"))
