@@ -20,8 +20,11 @@
 //     +10%) against the baseline. With -count > 1 the minimum across
 //     repetitions is compared — the minimum is the least noisy estimate
 //     of the true cost on a shared machine.
-//   - allocs/op may not regress at all. Allocation counts are
-//     deterministic, so any increase is a real change, not noise.
+//   - allocs/op may not regress at all where the baseline pins it.
+//     Allocation counts are mostly deterministic, so any increase is a
+//     real change, not noise; a row whose count follows the scheduler
+//     (goroutines, channels) leaves allocs_per_op out and is held by
+//     ns/op alone. -update pins every row it measured allocations for.
 //
 // A baseline benchmark missing from the input is an error: a gate that
 // silently stops running its benchmarks is not a gate. Input benchmarks
@@ -132,11 +135,15 @@ func readBaseline(path string) (Baseline, error) {
 
 func writeBaseline(path string, results map[string]Result) error {
 	b := Baseline{
-		Note:       "Committed perf baseline for cmd/benchgate. Regenerate with: benchgate -baseline <this file> -update <bench output>.",
+		Note:       "Committed perf baseline for cmd/benchgate. Regenerate with: benchgate -baseline <this file> -update <bench output>. Rows without allocs_per_op (sharded and async engine: the count follows the scheduler) are gated on ns/op alone; -update pins every count, so take those members out again.",
 		Benchmarks: make(map[string]BaselineEntry, len(results)),
 	}
 	for name, r := range results {
-		b.Benchmarks[name] = BaselineEntry{NsPerOp: r.NsPerOp, AllocsPerOp: r.AllocsPerOp}
+		e := BaselineEntry{NsPerOp: r.NsPerOp}
+		if r.HasAllocs {
+			e.AllocsPerOp = &r.AllocsPerOp
+		}
+		b.Benchmarks[name] = e
 	}
 	data, err := json.MarshalIndent(b, "", "  ")
 	if err != nil {
@@ -151,10 +158,11 @@ type Baseline struct {
 	Benchmarks map[string]BaselineEntry `json:"benchmarks"`
 }
 
-// BaselineEntry pins one benchmark's reference cost.
+// BaselineEntry pins one benchmark's reference cost; allocations only when
+// AllocsPerOp is set.
 type BaselineEntry struct {
 	NsPerOp     float64 `json:"ns_per_op"`
-	AllocsPerOp int64   `json:"allocs_per_op"`
+	AllocsPerOp *int64  `json:"allocs_per_op,omitempty"`
 }
 
 // ReportEntry is one benchmark's outcome in the -out JSON report.
@@ -203,11 +211,11 @@ func gate(base Baseline, results map[string]Result, nsSlack float64) *Report {
 					"%s: %.4g ns/op is %+.1f%% vs baseline %.4g (limit %+.0f%%)",
 					name, r.NsPerOp, *e.DeltaNsPct, bns, nsSlack*100))
 			}
-			if r.AllocsPerOp > b.AllocsPerOp {
+			if b.AllocsPerOp != nil && r.AllocsPerOp > *b.AllocsPerOp {
 				e.Status = "regressed"
 				rep.Failures = append(rep.Failures, fmt.Sprintf(
 					"%s: %d allocs/op vs baseline %d (any allocs/op regression fails)",
-					name, r.AllocsPerOp, b.AllocsPerOp))
+					name, r.AllocsPerOp, *b.AllocsPerOp))
 			}
 		}
 		rep.Benchmarks = append(rep.Benchmarks, e)

@@ -58,16 +58,19 @@ BenchmarkX-8	100	 45.0 ns/op	 2 allocs/op
 }
 
 func TestGateVerdicts(t *testing.T) {
+	pin := func(allocs int64) *int64 { return &allocs }
 	base := Baseline{Benchmarks: map[string]BaselineEntry{
-		"BenchmarkFast":    {NsPerOp: 100, AllocsPerOp: 0},
-		"BenchmarkSlow":    {NsPerOp: 100, AllocsPerOp: 0},
-		"BenchmarkAllocs":  {NsPerOp: 100, AllocsPerOp: 1},
-		"BenchmarkMissing": {NsPerOp: 100, AllocsPerOp: 0},
+		"BenchmarkFast":    {NsPerOp: 100, AllocsPerOp: pin(0)},
+		"BenchmarkSlow":    {NsPerOp: 100, AllocsPerOp: pin(0)},
+		"BenchmarkAllocs":  {NsPerOp: 100, AllocsPerOp: pin(1)},
+		"BenchmarkLoose":   {NsPerOp: 100},
+		"BenchmarkMissing": {NsPerOp: 100, AllocsPerOp: pin(0)},
 	}}
 	results := map[string]Result{
-		"BenchmarkFast":   {Name: "BenchmarkFast", NsPerOp: 109, Runs: 1, HasAllocs: true},                  // +9% < slack
-		"BenchmarkSlow":   {Name: "BenchmarkSlow", NsPerOp: 111, Runs: 1, HasAllocs: true},                  // +11% > slack
-		"BenchmarkAllocs": {Name: "BenchmarkAllocs", NsPerOp: 90, AllocsPerOp: 2, Runs: 1, HasAllocs: true}, // faster but allocs up
+		"BenchmarkFast":   {Name: "BenchmarkFast", NsPerOp: 109, Runs: 1, HasAllocs: true},                   // +9% < slack
+		"BenchmarkSlow":   {Name: "BenchmarkSlow", NsPerOp: 111, Runs: 1, HasAllocs: true},                   // +11% > slack
+		"BenchmarkAllocs": {Name: "BenchmarkAllocs", NsPerOp: 90, AllocsPerOp: 2, Runs: 1, HasAllocs: true},  // faster but allocs up
+		"BenchmarkLoose":  {Name: "BenchmarkLoose", NsPerOp: 90, AllocsPerOp: 160, Runs: 1, HasAllocs: true}, // no allocs pin to break
 		"BenchmarkNew":    {Name: "BenchmarkNew", NsPerOp: 5, Runs: 1},
 	}
 	rep := gate(base, results, 0.10)
@@ -79,6 +82,7 @@ func TestGateVerdicts(t *testing.T) {
 		"BenchmarkFast":    "ok",
 		"BenchmarkSlow":    "regressed",
 		"BenchmarkAllocs":  "regressed",
+		"BenchmarkLoose":   "ok",
 		"BenchmarkNew":     "new",
 		"BenchmarkMissing": "missing",
 	}

@@ -71,13 +71,22 @@ func (s *StreamBottomK) Push(key dataset.Key, v float64) {
 	s.pushFill(key, v)
 }
 
-// PushBatch offers a slice of pairs, in order: Push for each, with one
-// call for the batch.
+// PushBatch offers a slice of pairs, in order, and leaves the sampler where
+// Push for each would. Once the sampler is full the certain-reject test runs
+// here, in the loop, so the common arrival costs no call but its seed's.
 //
 //summarylint:hot
 func (s *StreamBottomK) PushBatch(ps []Pair) {
+	for len(ps) > 0 && !s.full {
+		s.pushFill(ps[0].Key, ps[0].Value)
+		ps = ps[1:]
+	}
 	for _, p := range ps {
-		s.Push(p.Key, p.Value)
+		u := s.seed(p.Key)
+		if u >= s.tauGuard*p.Value {
+			continue // certain reject, as in Push (never, under a NaN tauGuard)
+		}
+		s.pushFull(u, p.Key, p.Value)
 	}
 }
 
@@ -183,18 +192,30 @@ func (s *StreamPoissonPPS) Push(key dataset.Key, v float64) {
 	if u >= s.tauGuard*v {
 		return
 	}
-	if (PPS{}).Rank(u, v) < s.rankTau {
-		s.out[key] = v
-	}
+	s.pushNear(u, key, v)
 }
 
-// PushBatch offers a slice of pairs, in order: Push for each, with one
-// call for the batch.
+// PushBatch offers a slice of pairs, in order, and leaves the sampler where
+// Push for each would; the certain-reject test runs here, in the loop.
 //
 //summarylint:hot
 func (s *StreamPoissonPPS) PushBatch(ps []Pair) {
 	for _, p := range ps {
-		s.Push(p.Key, p.Value)
+		u := s.seed(p.Key)
+		if u >= s.tauGuard*p.Value {
+			continue
+		}
+		s.pushNear(u, p.Key, p.Value)
+	}
+}
+
+// pushNear resolves an arrival inside the guard band with the exact rank
+// comparison.
+//
+//summarylint:hot
+func (s *StreamPoissonPPS) pushNear(u float64, key dataset.Key, v float64) {
+	if (PPS{}).Rank(u, v) < s.rankTau {
+		s.out[key] = v
 	}
 }
 

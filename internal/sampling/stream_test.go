@@ -162,3 +162,64 @@ func TestAppendToPresizedAllocs(t *testing.T) {
 		t.Errorf("AppendTo into a presized map allocated %v beyond the %v of make itself", allocs-base, base)
 	}
 }
+
+// squareRanks is a rank family the samplers do not know: no certain-reject
+// bound exists for it, so every arrival of a full sampler must take the
+// exact rank comparison.
+type squareRanks struct{ PPS }
+
+func (squareRanks) Rank(u, w float64) float64 { return u * u / w }
+
+// TestStreamPushBatchMatchesPush: a stream offered in slices — empty ones,
+// one that takes the sampler from filling to full, long ones — leaves a
+// sampler where offering it pair by pair does, zero weights, the families
+// with a certain-reject bound and one without alike.
+func TestStreamPushBatchMatchesPush(t *testing.T) {
+	seeder := xhash.Seeder{Salt: 21}
+	seed := func(h dataset.Key) float64 { return seeder.Seed(0, uint64(h)) }
+	rng := randx.New(21)
+	stream := make([]Pair, 4000)
+	for i := range stream {
+		stream[i] = Pair{Key: dataset.Key(rng.Uint64()), Value: math.Floor(rng.Pareto(1, 1.2))}
+		if i%97 == 0 {
+			stream[i].Value = 0
+		}
+	}
+	slices := func(push func([]Pair)) {
+		rest := stream
+		for _, n := range []int{0, 1, 20, 30, 0, 256, 1000} { // k+1 = 33 falls inside the fourth
+			push(rest[:n])
+			rest = rest[n:]
+		}
+		push(rest)
+	}
+	same := func(name string, batched, pushed *WeightedSample) {
+		t.Helper()
+		if batched.Tau != pushed.Tau || len(batched.Values) != len(pushed.Values) {
+			t.Fatalf("%s: batched sample has tau %v and %d keys, pushed tau %v and %d keys",
+				name, batched.Tau, len(batched.Values), pushed.Tau, len(pushed.Values))
+		}
+		for h, v := range pushed.Values {
+			if got, ok := batched.Values[h]; !ok || got != v {
+				t.Fatalf("%s: key %d is %v (%v) batched, %v pushed", name, h, got, ok, v)
+			}
+		}
+	}
+	for _, fam := range []RankFamily{PPS{}, EXP{}, squareRanks{}} {
+		one, batch := NewStreamBottomK(32, fam, seed), NewStreamBottomK(32, fam, seed)
+		for _, p := range stream {
+			one.Push(p.Key, p.Value)
+		}
+		slices(batch.PushBatch)
+		same("bottom-k "+fam.Name(), batch.Snapshot(), one.Snapshot())
+	}
+	one, batch := NewStreamPoissonPPS(300, seed), NewStreamPoissonPPS(300, seed)
+	for _, p := range stream {
+		one.Push(p.Key, p.Value)
+	}
+	slices(batch.PushBatch)
+	if batch.Len() == 0 {
+		t.Fatal("the Poisson fixture kept nothing")
+	}
+	same("poisson pps", batch.Snapshot(), one.Snapshot())
+}

@@ -214,7 +214,7 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	// are attached to the drain span — the hot loop itself stays untouched.
 	sp := trace.SpanFromContext(r.Context())
 	scan := sp.StartChild("ingest.scan")
-	pairs, err := scanPairs(http.MaxBytesReader(w, r.Body, maxIngestBody), p.format, p.kind == "set", push)
+	pairs, err := scanPairs(r.Context(), http.MaxBytesReader(w, r.Body, maxIngestBody), p.format, p.kind == "set", push)
 	scan.SetAttr("format", p.format)
 	scan.SetInt("pairs", pairs)
 	scan.Finish()
@@ -353,7 +353,7 @@ func (s *Server) handleIngestMulti(w http.ResponseWriter, r *http.Request) {
 	}
 	sp := trace.SpanFromContext(r.Context())
 	scan := sp.StartChild("ingest.scan")
-	pairs, err := scanMultiPairs(http.MaxBytesReader(w, r.Body, maxIngestBody), p.format, p.index, push)
+	pairs, err := scanMultiPairs(r.Context(), http.MaxBytesReader(w, r.Body, maxIngestBody), p.format, p.index, push)
 	scan.SetAttr("format", p.format)
 	scan.SetInt("pairs", pairs)
 	scan.Finish()

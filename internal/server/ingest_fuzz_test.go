@@ -2,6 +2,7 @@ package server
 
 import (
 	"bytes"
+	"context"
 	"strings"
 	"testing"
 
@@ -35,7 +36,7 @@ func FuzzScanPairs(f *testing.F) {
 			format = "csv"
 		}
 		var pushes int64
-		n, err := scanPairs(bytes.NewReader(body), format, keysOnly, func(ps []engine.Pair) {
+		n, err := scanPairs(context.Background(), bytes.NewReader(body), format, keysOnly, func(ps []engine.Pair) {
 			for _, p := range ps {
 				if p.Value < 0 {
 					t.Fatalf("negative value %v pushed", p.Value)
@@ -69,7 +70,7 @@ func FuzzScanMultiPairs(f *testing.F) {
 		}
 		index := map[int]int{0: 0, 7: 1, -2: 2}
 		var pushes int64
-		n, err := scanMultiPairs(bytes.NewReader(body), format, index, func(ms []engine.MultiPair) {
+		n, err := scanMultiPairs(context.Background(), bytes.NewReader(body), format, index, func(ms []engine.MultiPair) {
 			for _, m := range ms {
 				if m.Instance < 0 || m.Instance >= len(index) {
 					t.Fatalf("instance position %d out of range", m.Instance)

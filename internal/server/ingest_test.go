@@ -2,6 +2,7 @@ package server
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -109,4 +110,99 @@ func BenchmarkIngestRaw(b *testing.B) {
 	}
 	wg.Wait()
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/(clients*pairs), "ns/pair")
+}
+
+// stallingBody is a request body that hands over its first part, then
+// stalls — it closes stalled and waits for resume — before the rest.
+type stallingBody struct {
+	first, rest     io.Reader
+	stalled, resume chan struct{}
+}
+
+func (b *stallingBody) Read(p []byte) (int, error) {
+	if n, err := b.first.Read(p); err != io.EOF {
+		return n, err
+	}
+	if b.stalled != nil {
+		close(b.stalled)
+		b.stalled = nil
+		<-b.resume
+	}
+	return b.rest.Read(p)
+}
+
+// TestCancelledIngestStopsAtNextBatch: a request cancelled while its body
+// stalls is not scanned to the end once the body moves again. The scan
+// pushes the batch it was filling and stops; the engine counts exactly
+// the pairs pushed, nothing is registered, and the scan buffer and the
+// repeated-key tables go back where the next request finds them.
+func TestCancelledIngestStopsAtNextBatch(t *testing.T) {
+	const (
+		sent   = 60*ingestBatch + 100 // lines the scan has when the body stalls: enough keys for pooled tables
+		unsent = 10_000               // lines behind the stall: forty batches nobody wants
+		rounds = 16
+		pushed = (sent/ingestBatch + 1) * ingestBatch
+	)
+	// A pool of the test's own: every buffer in it was put there by a scan
+	// below, and every miss is counted. (Under the race detector a Pool
+	// drops a Put in four, hence rounds: one reuse among them is the proof.)
+	newBufs, newBuf := 0, scanBufPool.New
+	scanBufPool = sync.Pool{New: func() any { newBufs++; return newBuf() }}
+	defer func() { scanBufPool = sync.Pool{New: newBuf} }()
+	for _, tc := range []struct {
+		name, target, format string
+		multi                bool
+	}{
+		{"ingest", "/v1/ingest?dataset=gone&instance=0&kind=bottomk&k=64&salt=1&format=csv", "csv", false},
+		{"ingest multi", "/v1/ingest/multi?dataset=gone&instances=0,7,-2&kind=pps&tau=5&salt=1&format=ndjson", "ndjson", true},
+	} {
+		var first, rest bytes.Buffer
+		for i := 0; i < sent+unsent; i++ {
+			into := &first
+			if i >= sent {
+				into = &rest
+			}
+			into.WriteString(pairLine(tc.format, tc.multi, uint64(i), "1"))
+			into.WriteByte('\n')
+		}
+		for _, cfg := range []engine.Config{{}, {Parallel: true, Shards: 3, BatchSize: 100}} {
+			srv := New(NewRegistry(), cfg)
+			for round := 1; round <= rounds; round++ {
+				keyTables.mu.Lock()
+				keyTables.free = nil
+				keyTables.mu.Unlock()
+				ctx, cancel := context.WithCancel(context.Background())
+				body := &stallingBody{first: bytes.NewReader(first.Bytes()), rest: bytes.NewReader(rest.Bytes()),
+					stalled: make(chan struct{}), resume: make(chan struct{})}
+				go func(stalled, resume chan struct{}) {
+					<-stalled
+					cancel()
+					close(resume)
+				}(body.stalled, body.resume)
+				rec := httptest.NewRecorder()
+				srv.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, tc.target, body).WithContext(ctx))
+				var refusal ErrorResult
+				if err := json.Unmarshal(rec.Body.Bytes(), &refusal); err != nil || rec.Code != http.StatusBadRequest ||
+					refusal.Error != "server: ingest abandoned: context canceled" {
+					t.Fatalf("%s %+v: %d %s, want 400 and the scan abandoned", tc.name, cfg, rec.Code, rec.Body)
+				}
+				if got := srv.engine.pairs.Load(); got != uint64(round*pushed) {
+					t.Fatalf("%s %+v: engine counts %d pairs after %d cancelled requests, want %d each: the %d scanned before the stall and the rest of their batch",
+						tc.name, cfg, got, round, pushed, sent)
+				}
+				if got := srv.reg.List(); len(got) != 0 {
+					t.Fatalf("%s %+v: a cancelled ingest registered %+v", tc.name, cfg, got)
+				}
+				keyTables.mu.Lock()
+				tables := len(keyTables.free)
+				keyTables.mu.Unlock()
+				if tables == 0 {
+					t.Fatalf("%s %+v: the cancelled scan's key tables did not come back", tc.name, cfg)
+				}
+			}
+		}
+	}
+	if scans := 2 * 2 * rounds; newBufs >= scans {
+		t.Fatalf("%d scans took %d new scan buffers: none came back to the pool", scans, newBufs)
+	}
 }

@@ -3,6 +3,7 @@ package server
 import (
 	"bufio"
 	"bytes"
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -18,13 +19,15 @@ import (
 )
 
 // The raw-ingest scanners turn a CSV or ndjson body into pushes without
-// allocating per pair. Lines are views of the read buffer. A CSV line is
-// cut at its commas with bytes.IndexByte and each field parsed in place:
-// keys by a digits loop (strconv.ParseUint for anything else), values by
-// strconv.ParseFloat over a zero-copy string view. An ndjson line goes
-// first to lexNDJSON, a strict lexer for the one shape producers are
-// documented to send; a line it does not recognise, valid or not, is
-// handed whole to encoding/json, whose results and error text are the
+// allocating per pair. Each format has a window lexer (lexCSVLine,
+// lexNDJSONLine) that reads one whole pair — leading blanks, key digits,
+// separators, value token, trailing blanks, newline — in a single forward
+// pass over the line reader's unread bytes, and hands only the value token
+// on, to strconv.ParseFloat. A line the lexer does not take — a header, a
+// blank line, spacing or a number form it cannot prove it reads as the
+// libraries do, a line not yet whole in the window — is left where it is
+// for lineReader.next and the second tier: bytes.IndexByte cuts and strconv
+// for CSV, encoding/json for ndjson, whose results and error text are the
 // scanners' contract. Parsed pairs collect in a pairBatch, and cross into
 // the repeated-key set and the engine ingestBatch at a time.
 // scan_ref_test.go holds the all-library, pair-at-a-time scanners these
@@ -78,6 +81,17 @@ func (l *lineReader) next() []byte {
 			return line
 		}
 	}
+}
+
+// window returns the bytes read and not yet returned. They begin at the
+// start of a line, and end wherever the last read did.
+func (l *lineReader) window() []byte { return l.buf[l.start:l.end] }
+
+// advance counts the first n bytes of the window — one non-blank line and
+// its newline — as returned.
+func (l *lineReader) advance(n int) {
+	l.start += n
+	l.lineNo++
 }
 
 // readLine returns the next line without its terminator: up to a "\n" or
@@ -268,10 +282,10 @@ func csvValue(field []byte, lineNo int) (float64, error) {
 	return v, nil
 }
 
-// ndjsonFields is what lexNDJSON read from one line; key is always set,
+// pairFields is what a window lexer read from one line; key is always set,
 // has says which of the optional two are. (Four fields, so the compiler
 // keeps the struct in registers across the call.)
-type ndjsonFields struct {
+type pairFields struct {
 	key      uint64
 	instance int
 	value    float64
@@ -283,121 +297,195 @@ const (
 	hasValue
 )
 
-// lexNDJSON is the ndjson fast path. It recognises exactly
-//
-//	{"key":<uint>[,"instance":<int>][,"value":<number>]}
-//
-// on a trimmed line: these names in this order and case, JSON whitespace
-// between tokens, a lexUint key, a lexInt instance, and a value in the
-// JSON number grammar (no leading zeros, "+", ".5", "1.", hex or Inf)
-// that strconv.ParseFloat accepts without a range error. For such a line
-// encoding/json decodes the same fields to the same bits. Every other
-// line — valid or not — returns ok false and is decoded, or rejected, by
-// encoding/json.
-//
-//summarylint:hot
-func lexNDJSON(line []byte) (f ndjsonFields, ok bool) {
-	i, ok := lexJSONName(line, 0, '{', `"key"`)
-	if !ok {
-		return f, false
-	}
-	if f.key, i, ok = lexUint(line, i); !ok {
-		return f, false
-	}
-	i = skipJSONSpace(line, i)
-	if j, found := lexJSONName(line, i, ',', `"instance"`); found {
-		if f.instance, i, ok = lexInt(line, j); !ok {
-			return f, false
-		}
-		f.has |= hasInstance
-		i = skipJSONSpace(line, i)
-	}
-	if j, found := lexJSONName(line, i, ',', `"value"`); found {
-		if f.value, i, ok = lexJSONFloat(line, j); !ok {
-			return f, false
-		}
-		f.has |= hasValue
-		i = skipJSONSpace(line, i)
-	}
-	return f, i == len(line)-1 && line[i] == '}'
-}
+// blank marks the whitespace bytes the window lexers skip: those that can
+// stand inside a line of what bytes.TrimSpace drops from its ends and,
+// equally, of what JSON allows between tokens. Any other whitespace (\v,
+// \f, U+0085, U+00A0) leaves the line to the second tier.
+var blank = [256]bool{' ': true, '\t': true, '\r': true}
 
-// lexJSONFloat reads the JSON number literal at b[i:] as a float64 with
-// strconv.ParseFloat; ok is false for a range error, too.
+// skipBlank returns the index of the first byte of b at or after i that is
+// not blank.
 //
 //summarylint:hot
-func lexJSONFloat(b []byte, i int) (v float64, end int, ok bool) {
-	if end, ok = lexJSONNumber(b, i); !ok {
-		return 0, end, false
-	}
-	v, err := strconv.ParseFloat(bytesView(b[i:end]), 64)
-	return v, end, err == nil
-}
-
-// skipJSONSpace returns the index of the first byte of b at or after i
-// that is not JSON whitespace.
-//
-//summarylint:hot
-func skipJSONSpace(b []byte, i int) int {
-	for i < len(b) && (b[i] == ' ' || b[i] == '\t' || b[i] == '\r' || b[i] == '\n') {
+func skipBlank(b []byte, i int) int {
+	for i < len(b) && blank[b[i]] {
 		i++
 	}
 	return i
 }
 
-// lexJSONName consumes `<open> name :` at b[i:], with optional whitespace
-// after each token, and returns the index of the member's value.
+// lexCSVLine is the CSV window lexer. It takes a line of w that reads
+//
+//	<uint>[,<value>]            or, when multi,
+//	<uint>,<int>,<value>
+//
+// with blanks allowed around every field and "\n" after: a lexUint key, a
+// lexInt instance, and as value the bytes up to the next blank, comma or
+// newline, if strconv.ParseFloat takes them without error. Those are the
+// fields the second tier cuts and trims out of the same line, and the
+// parsers it gives them to, so both read it alike. n is the length of the
+// line with its newline, 0 for a line left to the second tier: a header, a
+// key strconv.ParseUint must judge ("007", twenty digits), extra columns,
+// a value that does not parse, a line that is not whole in w.
 //
 //summarylint:hot
-func lexJSONName(b []byte, i int, open byte, name string) (int, bool) {
-	if i >= len(b) || b[i] != open {
-		return i, false
+func lexCSVLine(w []byte, multi bool) (f pairFields, n int) {
+	var ok bool
+	i := skipBlank(w, 0)
+	if f.key, i, ok = lexUint(w, i); !ok {
+		return f, 0
 	}
-	i = skipJSONSpace(b, i+1)
-	if len(b)-i < len(name) || string(b[i:i+len(name)]) != name {
-		return i, false
-	}
-	i = skipJSONSpace(b, i+len(name))
-	if i >= len(b) || b[i] != ':' {
-		return i, false
-	}
-	return skipJSONSpace(b, i+1), true
-}
-
-// lexJSONNumber returns the end of the JSON number literal at b[i:].
-//
-//summarylint:hot
-func lexJSONNumber(b []byte, i int) (end int, ok bool) {
-	if i < len(b) && b[i] == '-' {
-		i++
-	}
-	switch {
-	case i < len(b) && b[i] == '0':
-		i++
-	case i < len(b) && b[i] >= '1' && b[i] <= '9':
-		i = skipDigits(b, i)
-	default:
-		return i, false
-	}
-	if i < len(b) && b[i] == '.' {
-		j := skipDigits(b, i+1)
-		if j == i+1 {
-			return i, false
+	i = skipBlank(w, i)
+	if multi {
+		if i >= len(w) || w[i] != ',' {
+			return f, 0
 		}
-		i = j
+		i = skipBlank(w, i+1)
+		if f.instance, i, ok = lexInt(w, i); !ok {
+			return f, 0
+		}
+		f.has = hasInstance
+		i = skipBlank(w, i)
+		if i >= len(w) || w[i] != ',' {
+			return f, 0
+		}
 	}
-	if i < len(b) && (b[i] == 'e' || b[i] == 'E') {
-		i++
-		if i < len(b) && (b[i] == '+' || b[i] == '-') {
+	if i < len(w) && w[i] == ',' {
+		i = skipBlank(w, i+1)
+		start := i
+		for i < len(w) && !blank[w[i]] && w[i] != ',' && w[i] != '\n' {
 			i++
 		}
-		j := skipDigits(b, i)
-		if j == i {
-			return i, false
+		v, err := strconv.ParseFloat(bytesView(w[start:i]), 64)
+		if err != nil {
+			return f, 0
 		}
-		i = j
+		f.value = v
+		f.has |= hasValue
+		i = skipBlank(w, i)
 	}
-	return i, true
+	if i >= len(w) || w[i] != '\n' {
+		return f, 0
+	}
+	return f, i + 1
+}
+
+// lexNDJSONLine is the ndjson window lexer. It takes a line of w that reads
+//
+//	{"key":<uint>[,"instance":<int>][,"value":<number>]}
+//
+// with "\n" after: these names in this order and case, blanks allowed
+// around every token, a lexUint key, a lexInt instance, and a value in the
+// JSON number grammar (no leading zeros, "+", ".5", "1.", hex or Inf) that
+// strconv.ParseFloat takes without a range error. For such a line
+// encoding/json decodes the same fields to the same bits. n is the length
+// of the line with its newline, 0 for every other line — valid or not —
+// which encoding/json then decodes, or rejects. With eol, w is a line
+// lineReader.next cut out, and its end stands for the newline: the line
+// that lay across two reads is lexed like its neighbours.
+//
+//summarylint:hot
+func lexNDJSONLine(w []byte, eol bool) (f pairFields, n int) {
+	i := skipBlank(w, 0)
+	if i >= len(w) || w[i] != '{' {
+		return f, 0
+	}
+	i = skipBlank(w, i+1)
+	if len(w)-i < 5 || string(w[i:i+5]) != `"key"` {
+		return f, 0
+	}
+	if i = lexColon(w, i+5); i < 0 {
+		return f, 0
+	}
+	var ok bool
+	if f.key, i, ok = lexUint(w, i); !ok {
+		return f, 0
+	}
+	i = skipBlank(w, i)
+	more := i < len(w) && w[i] == ','
+	if more {
+		i = skipBlank(w, i+1)
+	}
+	if more && len(w)-i >= 10 && string(w[i:i+10]) == `"instance"` {
+		if i = lexColon(w, i+10); i < 0 {
+			return f, 0
+		}
+		if f.instance, i, ok = lexInt(w, i); !ok {
+			return f, 0
+		}
+		f.has = hasInstance
+		i = skipBlank(w, i)
+		if more = i < len(w) && w[i] == ','; more {
+			i = skipBlank(w, i+1)
+		}
+	}
+	if more {
+		if len(w)-i < 7 || string(w[i:i+7]) != `"value"` {
+			return f, 0
+		}
+		if i = lexColon(w, i+7); i < 0 {
+			return f, 0
+		}
+		// The end of the number is found by reading it as JSON does.
+		start := i
+		if i < len(w) && w[i] == '-' {
+			i++
+		}
+		switch {
+		case i < len(w) && w[i] == '0':
+			i++
+		case i < len(w) && w[i]-'1' <= 8:
+			i = skipDigits(w, i+1)
+		default:
+			return f, 0
+		}
+		if i < len(w) && w[i] == '.' {
+			frac := i + 1
+			if i = skipDigits(w, frac); i == frac {
+				return f, 0
+			}
+		}
+		if i < len(w) && w[i]|0x20 == 'e' {
+			i++
+			if i < len(w) && (w[i] == '+' || w[i] == '-') {
+				i++
+			}
+			exp := i
+			if i = skipDigits(w, exp); i == exp {
+				return f, 0
+			}
+		}
+		v, err := strconv.ParseFloat(bytesView(w[start:i]), 64)
+		if err != nil {
+			return f, 0
+		}
+		f.value = v
+		f.has |= hasValue
+		i = skipBlank(w, i)
+	}
+	if i >= len(w) || w[i] != '}' {
+		return f, 0
+	}
+	i = skipBlank(w, i+1)
+	switch {
+	case i < len(w) && w[i] == '\n' && !eol:
+		return f, i + 1
+	case i == len(w) && eol:
+		return f, i
+	}
+	return f, 0
+}
+
+// lexColon consumes the ":" after a member's name at b[i:], with the
+// blanks around it, and returns the index of the member's value, or -1.
+//
+//summarylint:hot
+func lexColon(b []byte, i int) int {
+	i = skipBlank(b, i)
+	if i >= len(b) || b[i] != ':' {
+		return -1
+	}
+	return skipBlank(b, i+1)
 }
 
 // skipDigits returns the index of the first non-digit of b at or after i.
@@ -425,6 +513,7 @@ type batchColumns[T any] struct {
 // and in the two functions that know what a repeat is.
 type pairBatch[T any] struct {
 	*batchColumns[T]
+	ctx    context.Context // the request's: flush stops a scan nobody waits for
 	n      int
 	pushed int64 // pairs handed to push so far
 	// firstRepeat records the batch's keys as seen and returns the index of
@@ -450,7 +539,9 @@ func (b *pairBatch[T]) add(item T, key uint64, lineNo int) error {
 
 // flush empties the batch: it checks the pending pairs for repeats and
 // pushes them, in order — all of them, or those before the first repeat,
-// which it then returns as an error.
+// which it then returns as an error. After a batch pushed whole it asks
+// whether the request is still wanted, so a cancelled ingest stops within
+// ingestBatch pairs, not at the end of its body.
 //
 //summarylint:hot
 func (b *pairBatch[T]) flush() error {
@@ -464,16 +555,26 @@ func (b *pairBatch[T]) flush() error {
 	if first < n {
 		return b.repeated(b.lines[first], b.keys[first], b.items[first])
 	}
+	return abandoned(b.ctx)
+}
+
+// abandoned is the error that ends the scan of a cancelled request, nil
+// while the request is live.
+func abandoned(ctx context.Context) error {
+	if err := ctx.Err(); err != nil {
+		return fmt.Errorf("server: ingest abandoned: %w", err)
+	}
 	return nil
 }
 
 // end is how a scan returns, whatever ended it: it flushes the batch, and
-// a repeat found there wins over err. So a repeat on an earlier line beats
-// a malformed later one and every pair before the line that failed has
-// been pushed, as if each line had been checked and pushed on its own.
+// what flush reports — a repeat, or that nobody waits for the answer —
+// wins over err. So a repeat on an earlier line beats a malformed later
+// one and every pair before the line that failed has been pushed, as if
+// each line had been checked and pushed on its own.
 func (b *pairBatch[T]) end(err error) (int64, error) {
-	if repeat := b.flush(); repeat != nil {
-		err = repeat
+	if sooner := b.flush(); sooner != nil {
+		err = sooner
 	}
 	return b.pushed, err
 }
@@ -509,13 +610,13 @@ func (g instanceSets) firstRepeat(keys []uint64, items []engine.MultiPair) int {
 // allocation per pair, and 16 to 32 bytes of table per distinct key for
 // the length of the request, which maxIngestBody bounds. Pairs reach push
 // in stream order, up to ingestBatch at a time; the slice is only valid
-// during the call.
-func scanPairs(body io.Reader, format string, keysOnly bool, push func([]engine.Pair)) (int64, error) {
+// during the call. Once ctx is done the scan ends with the batch it is on.
+func scanPairs(ctx context.Context, body io.Reader, format string, keysOnly bool, push func([]engine.Pair)) (int64, error) {
 	in := newLineReader(body)
 	defer in.release()
 	seen := newKeySet()
 	defer seen.release()
-	b := pairBatch[engine.Pair]{batchColumns: &in.sb.pairs, push: push,
+	b := pairBatch[engine.Pair]{batchColumns: &in.sb.pairs, ctx: ctx, push: push,
 		firstRepeat: func(keys []uint64, _ []engine.Pair) int { return seen.addBatch(keys) },
 		repeated: func(lineNo int, key uint64, _ engine.Pair) error {
 			return fmt.Errorf("server: line %d: key %d repeated; weighted ingest needs one value per key (aggregate before posting)", lineNo, key)
@@ -524,29 +625,41 @@ func scanPairs(body io.Reader, format string, keysOnly bool, push func([]engine.
 		b.firstRepeat = func(keys []uint64, _ []engine.Pair) int { return len(keys) }
 	}
 	csv := format == "csv"
-	for line := in.next(); line != nil; line = in.next() {
-		var key uint64
-		var value float64
-		var err error
+	for {
+		var f pairFields
+		var n int
 		if csv {
-			if in.lineNo == 1 && (string(line) == "key,value" || string(line) == "key") {
-				continue
-			}
-			key, value, err = csvPair(line, in.lineNo, keysOnly)
+			f, n = lexCSVLine(in.window(), false)
 		} else {
-			key, value, err = ndjsonPair(line, in.lineNo, keysOnly)
+			f, n = lexNDJSONLine(in.window(), false)
 		}
-		if err == nil {
-			err = checkIngestValue(value, in.lineNo)
+		if n > 0 && (keysOnly || f.has&hasValue != 0) {
+			in.advance(n)
+		} else {
+			line := in.next()
+			if line == nil {
+				return b.end(in.err())
+			}
+			var err error
+			if csv {
+				if in.lineNo == 1 && (string(line) == "key,value" || string(line) == "key") {
+					continue
+				}
+				f.key, f.value, err = csvPair(line, in.lineNo, keysOnly)
+			} else {
+				f.key, f.value, err = ndjsonPair(line, in.lineNo, keysOnly)
+			}
+			if err != nil {
+				return b.end(err)
+			}
 		}
-		if err != nil {
+		if err := checkIngestValue(f.value, in.lineNo); err != nil {
 			return b.end(err)
 		}
-		if err := b.add(engine.Pair{Key: dataset.Key(key), Value: value}, key, in.lineNo); err != nil {
+		if err := b.add(engine.Pair{Key: dataset.Key(f.key), Value: f.value}, f.key, in.lineNo); err != nil {
 			return b.pushed, err
 		}
 	}
-	return b.end(in.err())
 }
 
 // csvPair decodes one "key[,value]" line; the value column is optional
@@ -575,8 +688,8 @@ func csvPair(line []byte, lineNo int, keysOnly bool) (key uint64, value float64,
 // ndjsonPair decodes one {"key","value"} line; the value is optional only
 // when keysOnly.
 func ndjsonPair(line []byte, lineNo int, keysOnly bool) (key uint64, value float64, err error) {
-	f, ok := lexNDJSON(line)
-	if !ok {
+	f, n := lexNDJSONLine(line, true)
+	if n == 0 {
 		var rec struct {
 			Key   *uint64  `json:"key"`
 			Value *float64 `json:"value"`
@@ -587,7 +700,8 @@ func ndjsonPair(line []byte, lineNo int, keysOnly bool) (key uint64, value float
 		if rec.Key == nil {
 			return 0, 0, fmt.Errorf("server: ndjson line %d: missing key", lineNo)
 		}
-		f.key = *rec.Key
+		// Nothing the lexer read before it gave up on the line counts.
+		f = pairFields{key: *rec.Key}
 		if rec.Value != nil {
 			f.value, f.has = *rec.Value, hasValue
 		}
@@ -607,8 +721,9 @@ func ndjsonPair(line []byte, lineNo int, keysOnly bool) (key uint64, value float
 // ID mapped to its position 0..len(index)-1); push receives the position.
 // A repeated (key, instance) combination is rejected for the same reason
 // scanPairs rejects repeated keys, with one keySet per position. Pairs
-// reach push as scanPairs' do, each carrying its position as Instance.
-func scanMultiPairs(body io.Reader, format string, index map[int]int, push func([]engine.MultiPair)) (int64, error) {
+// reach push as scanPairs' do, each carrying its position as Instance, and
+// a done ctx ends the scan as it ends scanPairs'.
+func scanMultiPairs(ctx context.Context, body io.Reader, format string, index map[int]int, push func([]engine.MultiPair)) (int64, error) {
 	in := newLineReader(body)
 	defer in.release()
 	sets := make(instanceSets, len(index))
@@ -620,7 +735,7 @@ func scanMultiPairs(body io.Reader, format string, index map[int]int, push func(
 			sets[i].release()
 		}
 	}()
-	b := pairBatch[engine.MultiPair]{batchColumns: &in.sb.multi, push: push, firstRepeat: sets.firstRepeat,
+	b := pairBatch[engine.MultiPair]{batchColumns: &in.sb.multi, ctx: ctx, push: push, firstRepeat: sets.firstRepeat,
 		repeated: func(lineNo int, key uint64, item engine.MultiPair) error {
 			instance := 0
 			for id, pos := range index {
@@ -631,34 +746,45 @@ func scanMultiPairs(body io.Reader, format string, index map[int]int, push func(
 			return fmt.Errorf("server: line %d: key %d repeated for instance %d; ingest needs one value per key per instance (aggregate before posting)", lineNo, key, instance)
 		}}
 	csv := format == "csv"
-	for line := in.next(); line != nil; line = in.next() {
-		var key uint64
-		var instance int
-		var value float64
-		var err error
+	for {
+		var f pairFields
+		var n int
 		if csv {
-			if in.lineNo == 1 && string(line) == "key,instance,value" {
-				continue
-			}
-			key, instance, value, err = csvTriple(line, in.lineNo)
+			f, n = lexCSVLine(in.window(), true)
 		} else {
-			key, instance, value, err = ndjsonTriple(line, in.lineNo)
+			f, n = lexNDJSONLine(in.window(), false)
 		}
-		if err == nil {
-			err = checkIngestValue(value, in.lineNo)
+		if n > 0 && f.has == hasInstance|hasValue {
+			in.advance(n)
+		} else {
+			line := in.next()
+			if line == nil {
+				return b.end(in.err())
+			}
+			var err error
+			if csv {
+				if in.lineNo == 1 && string(line) == "key,instance,value" {
+					continue
+				}
+				f.key, f.instance, f.value, err = csvTriple(line, in.lineNo)
+			} else {
+				f.key, f.instance, f.value, err = ndjsonTriple(line, in.lineNo)
+			}
+			if err != nil {
+				return b.end(err)
+			}
 		}
-		if err != nil {
+		if err := checkIngestValue(f.value, in.lineNo); err != nil {
 			return b.end(err)
 		}
-		idx, ok := index[instance]
+		idx, ok := index[f.instance]
 		if !ok {
-			return b.end(fmt.Errorf("server: line %d: instance %d not listed in the instances parameter", in.lineNo, instance))
+			return b.end(fmt.Errorf("server: line %d: instance %d not listed in the instances parameter", in.lineNo, f.instance))
 		}
-		if err := b.add(engine.MultiPair{Key: dataset.Key(key), Instance: idx, Value: value}, key, in.lineNo); err != nil {
+		if err := b.add(engine.MultiPair{Key: dataset.Key(f.key), Instance: idx, Value: f.value}, f.key, in.lineNo); err != nil {
 			return b.pushed, err
 		}
 	}
-	return b.end(in.err())
 }
 
 // csvTriple decodes one "key,instance,value" line.
@@ -692,8 +818,8 @@ func csvTriple(line []byte, lineNo int) (key uint64, instance int, value float64
 
 // ndjsonTriple decodes one {"key","instance","value"} line.
 func ndjsonTriple(line []byte, lineNo int) (key uint64, instance int, value float64, err error) {
-	f, ok := lexNDJSON(line)
-	if !ok {
+	f, n := lexNDJSONLine(line, true)
+	if n == 0 {
 		var rec struct {
 			Key      *uint64  `json:"key"`
 			Instance *int     `json:"instance"`

@@ -3,6 +3,7 @@ package server
 import (
 	"bufio"
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -268,29 +269,45 @@ func diffScanPairs(t *testing.T, lead int, body []byte) {
 	t.Helper()
 	for _, format := range []string{"csv", "ndjson"} {
 		whole := append(leadLines(format, false, lead), body...)
-		for _, keysOnly := range []bool{false, true} {
-			var got, want []pushedPair
-			n, err := scanPairs(bytes.NewReader(whole), format, keysOnly, collectPairs(t, &got))
-			nRef, errRef := scanPairsRef(bytes.NewReader(whole), format, keysOnly, func(h dataset.Key, v float64) {
-				want = append(want, pushedPair{key: uint64(h), bits: math.Float64bits(v)})
-			})
-			diffScan(t, fmt.Sprintf("scanPairs(%s, keysOnly=%v, lead=%d)", format, keysOnly, lead), got, want, n, nRef, err, errRef)
-		}
+		diffScanPairsAs(t, format, whole, wholeReader, fmt.Sprintf("lead=%d", lead))
 	}
 }
 
 func diffScanMultiPairs(t *testing.T, lead int, body []byte) {
 	t.Helper()
-	index := map[int]int{0: 0, 7: 1, -2: 2}
 	for _, format := range []string{"csv", "ndjson"} {
 		whole := append(leadLines(format, true, lead), body...)
-		var got, want []pushedPair
-		n, err := scanMultiPairs(bytes.NewReader(whole), format, index, collectMultiPairs(t, &got))
-		nRef, errRef := scanMultiPairsRef(bytes.NewReader(whole), format, index, func(i int, h dataset.Key, v float64) {
-			want = append(want, pushedPair{pos: i, key: uint64(h), bits: math.Float64bits(v)})
-		})
-		diffScan(t, fmt.Sprintf("scanMultiPairs(%s, lead=%d)", format, lead), got, want, n, nRef, err, errRef)
+		diffScanMultiPairsAs(t, format, whole, wholeReader, fmt.Sprintf("lead=%d", lead))
 	}
+}
+
+func wholeReader(body []byte) io.Reader { return bytes.NewReader(body) }
+
+// diffScanPairsAs is diffScanPairs on one body in one format, handed to
+// both scanners by reader.
+func diffScanPairsAs(t *testing.T, format string, body []byte, reader func([]byte) io.Reader, what string) {
+	t.Helper()
+	for _, keysOnly := range []bool{false, true} {
+		var got, want []pushedPair
+		n, err := scanPairs(context.Background(), reader(body), format, keysOnly, collectPairs(t, &got))
+		nRef, errRef := scanPairsRef(reader(body), format, keysOnly, func(h dataset.Key, v float64) {
+			want = append(want, pushedPair{key: uint64(h), bits: math.Float64bits(v)})
+		})
+		diffScan(t, fmt.Sprintf("scanPairs(%s, keysOnly=%v, %s)", format, keysOnly, what), got, want, n, nRef, err, errRef)
+	}
+}
+
+// diffScanMultiPairsAs is the same for scanMultiPairs, with instances 0, 7
+// and -2 listed.
+func diffScanMultiPairsAs(t *testing.T, format string, body []byte, reader func([]byte) io.Reader, what string) {
+	t.Helper()
+	index := map[int]int{0: 0, 7: 1, -2: 2}
+	var got, want []pushedPair
+	n, err := scanMultiPairs(context.Background(), reader(body), format, index, collectMultiPairs(t, &got))
+	nRef, errRef := scanMultiPairsRef(reader(body), format, index, func(i int, h dataset.Key, v float64) {
+		want = append(want, pushedPair{pos: i, key: uint64(h), bits: math.Float64bits(v)})
+	})
+	diffScan(t, fmt.Sprintf("scanMultiPairs(%s, %s)", format, what), got, want, n, nRef, err, errRef)
 }
 
 // scanDiffSeeds are the lines on which a fast path that is merely
@@ -411,6 +428,27 @@ var scanDiffSeeds = []string{
 	"key\nkey\n",
 	"\nkey,instance,value\n1,0,2\n",
 	" key,value \n1,2\n",
+	// What the window lexers take, and what lies one byte outside it.
+	"{\"key\": 1, \"value\": 2.5}\n{\"key\": 2, \"instance\": 7, \"value\": 1e5}\n",
+	"\t{\t\"key\"\t:\t1\t,\t\"value\"\t:\t2\t}\t\r\n  {  \"key\"  :  2  ,  \"instance\"  :  -2  ,  \"value\"  :  3  }  \n",
+	"  {\"key\":1,\"value\":2}  \n\t1,2\t\n 3 , 0 , 4 \r\n",
+	"{\"key\":1,\"value\":-0}\n2,-0\n3,0,-0\n",
+	"{\"key\":1,\"value\":1e5}\n{\"key\":2,\"value\":1E+400}\n",
+	"1,1e5\n2,1E+400\n",
+	"{\"key\":007,\"value\":2}\n",
+	"007,0,2\n08,2\n",
+	"1234567890123456789,1\n12345678901234567890,2\n1234567890123456789,0,1\n12345678901234567890,0,2\n",
+	"{\"key\":1234567890123456789,\"value\":1}\n{\"key\":12345678901234567890,\"instance\":0,\"value\":2}\n",
+	"1,+1\n2,.5\n3,1.\n4,0x1p-2\n5,Inf\n",
+	"1,0,+1\n2,0,.5\n3,0,1.\n4,0,0x1p-2\n5,0,Inf\n",
+	"key,value\nkey,value\n1,2\n",
+	"key,instance,value\n1,0,2\nkey,instance,value\n",
+	"1,2,3\n1,2,3,4\n1,0,2,\n",
+	"\u00851,2\n\u0085{\"key\":1,\"value\":2}\n\u00852,0,2\n",
+	"1,2\u00a0\n{\"key\":2,\"value\":2}\u00a0\n3,0,2\u00a0\n",
+	"1,2\r\r\n{\"key\":2,\"value\":2}\r\r\n\r3,0,2\n",
+	"{\"key\":1,\"value\":2,\"value\":null}\n{\"key\":2,\"instance\":0,\"value\":2,\"value\":null}\n",
+	"{\"key\":1,\"value\":2}\n\n\n{\"key\":1,\"value\":3}\n",
 	// Repeats, key 0 included (the set's out-of-band key).
 	"0,1\n0,2\n",
 	"0,1\n5,1\n5,2\n",

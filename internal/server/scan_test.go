@@ -3,6 +3,7 @@ package server
 import (
 	"bufio"
 	"bytes"
+	"context"
 	"errors"
 	"fmt"
 	"io"
@@ -17,24 +18,26 @@ import (
 
 // scanBody renders n pairs with distinct keys (an affine walk over 2^40)
 // and two-decimal values, one per line, in the given ingest format — the
-// shape bench/summaryload's ingest_raw workload posts.
+// shape bench/summaryload's ingest_raw workload posts — or, as
+// "ndjson-spaced", in ndjson with the separators Python's json.dumps
+// writes.
 func scanBody(format string, n int) []byte {
-	out := make([]byte, 0, n*36)
+	name, sep, end := `{"key":`, `,"value":`, "}\n"
+	switch format {
+	case "csv":
+		name, sep, end = "", ",", "\n"
+	case "ndjson-spaced":
+		name, sep = `{"key": `, `, "value": `
+	}
+	out := make([]byte, 0, n*40)
 	for i := 0; i < n; i++ {
 		key := (uint64(i)*0x9e3779b97f + 0x5bd1e995) & (1<<40 - 1)
 		value := float64(100+i%99991) / 100
-		if format == "csv" {
-			out = strconv.AppendUint(out, key, 10)
-			out = append(out, ',')
-			out = strconv.AppendFloat(out, value, 'f', 2, 64)
-			out = append(out, '\n')
-			continue
-		}
-		out = append(out, `{"key":`...)
+		out = append(out, name...)
 		out = strconv.AppendUint(out, key, 10)
-		out = append(out, `,"value":`...)
+		out = append(out, sep...)
 		out = strconv.AppendFloat(out, value, 'f', 2, 64)
-		out = append(out, "}\n"...)
+		out = append(out, end...)
 	}
 	return out
 }
@@ -55,7 +58,7 @@ func TestScanPairsAllocsIndependentOfPairs(t *testing.T) {
 			rd := bytes.NewReader(body)
 			return testing.AllocsPerRun(5, func() {
 				rd.Reset(body)
-				got, err := scanPairs(rd, format, false, func([]engine.Pair) {})
+				got, err := scanPairs(context.Background(), rd, format, false, func([]engine.Pair) {})
 				if err != nil || got != int64(n) {
 					t.Fatalf("%s: scanned %d of %d pairs: %v", format, got, n, err)
 				}
@@ -74,12 +77,15 @@ func TestScanPairsAllocsIndependentOfPairs(t *testing.T) {
 }
 
 // BenchmarkScanPairs measures the scan layer alone on one ingest_raw-sized
-// body: lines → fields → numbers → repeated-key check → push.
+// body: lines → fields → numbers → repeated-key check → push. ndjson-spaced
+// is the ndjson body with blanks after its separators: the lexer's
+// whitespace-tolerant branches.
 func BenchmarkScanPairs(b *testing.B) {
 	const pairs = 100_000
-	for _, format := range []string{"ndjson", "csv"} {
-		b.Run(format, func(b *testing.B) {
-			body := scanBody(format, pairs)
+	for _, shape := range []string{"ndjson", "csv", "ndjson-spaced"} {
+		b.Run(shape, func(b *testing.B) {
+			format, _, _ := strings.Cut(shape, "-")
+			body := scanBody(shape, pairs)
 			rd := bytes.NewReader(body)
 			var sum float64
 			b.SetBytes(int64(len(body)))
@@ -87,7 +93,7 @@ func BenchmarkScanPairs(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				rd.Reset(body)
-				n, err := scanPairs(rd, format, false, func(ps []engine.Pair) {
+				n, err := scanPairs(context.Background(), rd, format, false, func(ps []engine.Pair) {
 					for _, p := range ps {
 						sum += p.Value
 					}
