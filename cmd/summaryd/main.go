@@ -239,7 +239,7 @@ func main() {
 		reg.SetPersister(st)
 		reg.MarkClean(st.WALDatasets())
 		opts = append(opts, server.WithStoreStatus(st.Status))
-		status := st.Status()
+		status, recovery := st.Status(), st.Recovery()
 		logger.Info("store recovered",
 			"dir", *dataDir,
 			"summaries", status.RecoveredSummaries,
@@ -250,6 +250,11 @@ func main() {
 			"quarantined", status.QuarantinedFiles,
 			"fsync", *fsync,
 			"duration", time.Since(openStart),
+			"verify", recovery.Verify,
+			"apply", recovery.Apply,
+			"applied", recovery.Applied,
+			"superseded", recovery.Superseded,
+			"recovery_bytes", recovery.Bytes,
 		)
 	}
 

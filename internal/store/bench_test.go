@@ -108,6 +108,40 @@ func BenchmarkSnapshotRecover(b *testing.B) {
 	b.ReportMetric(float64(totalEntries)*float64(b.N)/recoverTime.Seconds(), "entries/s")
 }
 
+// BenchmarkRecoverScenario measures recovery over a directory shaped like
+// the one bench/summaryload restarts summaryd on (buildScenario): 1024
+// summaries of 900 keys, each written four times — two full snapshot
+// chain files and a live segment holding every slot twice, ≈ 59 MB of
+// which a quarter is live. Each iteration is one cold Open into a fresh
+// registry-sized sink; recover-s is the time an operator waits, MB/s the
+// rate the files were verified at.
+func BenchmarkRecoverScenario(b *testing.B) {
+	dir := b.TempDir()
+	slots, roundBytes := buildScenario(b, dir, 16, 64, 900)
+	b.ReportAllocs()
+	b.ResetTimer()
+	var recovered int
+	var verified int64
+	for i := 0; i < b.N; i++ {
+		recovered = 0
+		st, err := Open(dir, Options{}, func(string, core.Summary) error {
+			recovered++
+			return nil
+		})
+		if err != nil {
+			b.Fatal(err)
+		}
+		verified = st.Recovery().Bytes
+		st.Close()
+	}
+	b.StopTimer()
+	if recovered != slots || verified < 4*roundBytes {
+		b.Fatalf("recovered %d summaries from %d verified bytes, want %d from at least %d", recovered, verified, slots, 4*roundBytes)
+	}
+	b.ReportMetric(b.Elapsed().Seconds()/float64(b.N), "recover-s")
+	b.ReportMetric(float64(verified)*float64(b.N)/b.Elapsed().Seconds()/1e6, "MB/s")
+}
+
 // p99 returns the 99th-percentile of the samples. Destructive (sorts).
 func p99(samples []time.Duration) time.Duration {
 	sort.Slice(samples, func(i, j int) bool { return samples[i] < samples[j] })

@@ -249,79 +249,6 @@ func (w *recordWriter) append(dataset string, s core.Summary) error {
 	return nil
 }
 
-// readRecords scans framed records from r, which is positioned just past
-// the file header, and applies each decoded (dataset, summary). size is
-// the remaining byte count. In strict mode (snapshot chain files, written
-// atomically, and sealed segments, fsynced before the manifest demoted
-// them) any invalid record is an error. In lax mode (the FINAL segment,
-// whose tail a crash may tear) scanning stops at the first STRUCTURALLY
-// invalid record — short frame, zero/absurd length, CRC mismatch — with a
-// nil error: records reports how many valid records were applied and
-// validBytes the length of the valid prefix, which the caller truncates
-// to.
-//
-// A payload that passes its CRC but fails to parse is a hard error in
-// BOTH modes: the patch-header-last append discipline guarantees a torn
-// append never checksums, so an unintelligible checksummed payload can
-// only mean version skew (a binary downgrade reading a future format) or
-// a writer bug — truncating it, and every acknowledged record after it,
-// would silently destroy data the log still faithfully holds.
-func readRecords(r io.Reader, size int64, strict bool, apply func(dataset string, s core.Summary) error) (records, validBytes int64, err error) {
-	br := bufio.NewReaderSize(r, 64<<10)
-	invalid := func(format string, args ...any) (int64, int64, error) {
-		if strict {
-			args = append([]any{records + 1}, args...)
-			return records, validBytes, fmt.Errorf("store: record %d: "+format, args...)
-		}
-		return records, validBytes, nil
-	}
-	remaining := size
-	for remaining > 0 {
-		if remaining < recordHeaderLen {
-			return invalid("torn header (%d trailing bytes)", remaining)
-		}
-		var hdr [recordHeaderLen]byte
-		if _, err := io.ReadFull(br, hdr[:]); err != nil {
-			return records, validBytes, fmt.Errorf("store: reading record header: %w", err)
-		}
-		length := int64(binary.LittleEndian.Uint32(hdr[0:4]))
-		crc := binary.LittleEndian.Uint32(hdr[4:8])
-		if length == 0 || length > maxRecord {
-			return invalid("invalid payload length %d", length)
-		}
-		if length > remaining-recordHeaderLen {
-			return invalid("payload runs past the file (%d declared, %d remain)", length, remaining-recordHeaderLen)
-		}
-		// A fresh buffer per record: a decoded summary keeps the bytes it
-		// was decoded from.
-		payload := make([]byte, length)
-		if _, err := io.ReadFull(br, payload); err != nil {
-			return records, validBytes, fmt.Errorf("store: reading record payload: %w", err)
-		}
-		if got := crc32.Checksum(payload, crcTable); got != crc {
-			return invalid("checksum mismatch (stored %#08x, computed %#08x)", crc, got)
-		}
-		nameLen, n := binary.Uvarint(payload)
-		if n <= 0 || nameLen > maxDatasetName || int64(n)+int64(nameLen) > length {
-			return records, validBytes, fmt.Errorf(
-				"store: record %d: checksummed payload has an invalid dataset-name length (version skew or writer bug; refusing to truncate)", records+1)
-		}
-		dataset := string(payload[n : int64(n)+int64(nameLen)])
-		sum, derr := core.DecodeStoredSummary(payload[int64(n)+int64(nameLen):])
-		if derr != nil {
-			return records, validBytes, fmt.Errorf(
-				"store: record %d: checksummed payload failed to decode (version skew or writer bug; refusing to truncate): %w", records+1, derr)
-		}
-		if err := apply(dataset, sum); err != nil {
-			return records, validBytes, fmt.Errorf("store: replaying record %d (dataset %q): %w", records+1, dataset, err)
-		}
-		records++
-		validBytes += recordHeaderLen + length
-		remaining -= recordHeaderLen + length
-	}
-	return records, validBytes, nil
-}
-
 // checkMagic validates a file's 5-byte header against the expected magic.
 func checkMagic(r io.Reader, want, what string) error {
 	var got [magicLen]byte

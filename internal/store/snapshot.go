@@ -2,14 +2,12 @@ package store
 
 import (
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
 	"runtime"
 	"sort"
 	"strconv"
 	"strings"
-	"time"
 
 	"repro/internal/core"
 )
@@ -28,10 +26,12 @@ import (
 // truncated hybrid. Replay is therefore strict; tolerance for torn tails
 // belongs to the final WAL segment alone.
 //
-// The chain is compacted — merged into a single full file — at Open, and
-// by the background writer whenever it would grow past maxSnapshotChain,
-// so recovery replays a bounded number of files no matter how long the
-// process ran.
+// The chain is compacted — merged into a single full file — by the
+// background writer whenever it would grow past maxSnapshotChain, so
+// recovery reads a bounded number of files no matter how long the process
+// ran. Open never rewrites it: a superseded chain entry costs recovery a
+// read and a check, a compaction would cost a write and an fsync before
+// the server listens.
 
 const (
 	// maxSnapshotChain bounds the chain length: a snapshot that would be
@@ -157,34 +157,6 @@ func syncDir(dir string) error {
 	defer d.Close()
 	_ = d.Sync()
 	return nil
-}
-
-// readSnapshotFile strictly replays one chain file, applying every entry.
-// It returns the entry count and the file's modification time. Snapshot
-// corruption is an error: an atomically renamed file has no legitimate
-// torn state.
-func readSnapshotFile(dir string, seq int64, apply func(dataset string, s core.Summary) error) (entries int64, taken time.Time, err error) {
-	path := filepath.Join(dir, snapName(seq))
-	f, err := os.Open(path)
-	if err != nil {
-		return 0, time.Time{}, fmt.Errorf("store: opening snapshot %d: %w", seq, err)
-	}
-	defer f.Close()
-	info, err := f.Stat()
-	if err != nil {
-		return 0, time.Time{}, fmt.Errorf("store: snapshot %d stat: %w", seq, err)
-	}
-	if err := checkMagic(f, snapMagic, fmt.Sprintf("snapshot %d", seq)); err != nil {
-		if info.Size() == 0 {
-			return 0, time.Time{}, fmt.Errorf("store: snapshot %d is empty (was it created by hand?): %w", seq, err)
-		}
-		return 0, time.Time{}, err
-	}
-	entries, _, err = readRecords(io.LimitReader(f, info.Size()-magicLen), info.Size()-magicLen, true, apply)
-	if err != nil {
-		return entries, time.Time{}, fmt.Errorf("store: snapshot %s: %w", path, err)
-	}
-	return entries, info.ModTime(), nil
 }
 
 // instanceKey identifies one summary slot for chain merging.

@@ -18,11 +18,11 @@
 //     path pauses) and a single worker goroutine writes it to the next
 //     snapshot chain file while appends continue into the live segment.
 //     Only datasets dirty since the previous successful snapshot are
-//     written (the chain is compacted at Open and whenever it would grow
-//     past maxSnapshotChain), and only sealed segments older than the cut
-//     are deleted — recovery cost stays bounded by the snapshot interval
-//     plus the live segments, not uptime;
-//   - Open replays the snapshot chain then the live segments into the
+//     written (the chain is compacted whenever it would grow past
+//     maxSnapshotChain), and only sealed segments older than the cut are
+//     deleted — recovery cost stays bounded by the snapshot interval plus
+//     the live segments, not uptime;
+//   - Open recovers the snapshot chain then the live segments into the
 //     caller's registry. Sealed segments and chain files have no
 //     legitimate torn state (both are made durable before anything
 //     references them) and hard-error on any invalid record; only the
@@ -31,10 +31,23 @@
 //     were previously acknowledged durable. Files the manifest cannot
 //     account for are quarantined, never silently replayed or deleted.
 //
-// Replay is idempotent: a record re-applied after an ill-timed crash
-// between snapshot promotion and segment deletion replaces a (dataset,
-// instance) entry with the identical summary, so every crash point
-// converges to the same recovered registry.
+// Recovery verifies everything and materialises only what survives
+// (recover.go). Every frame of every chain file and segment is length-,
+// CRC- and decode-checked in place, the files side by side, each through
+// one fixed window; what is kept is where the last record of each
+// (dataset, instance) sits. Only those records are then read back, into
+// a buffer each, and applied in log order. A record re-written after an
+// ill-timed crash between snapshot promotion and segment deletion is
+// just one more superseded record, so every crash point converges to the
+// same recovered registry, and Open rewrites nothing but the live
+// segment's torn tail.
+//
+// Memory: Open allocates the payload bytes of the summaries it recovers,
+// one window of recoverWindow bytes per concurrently verified file (at
+// most GOMAXPROCS; a window grows only to hold a single record larger
+// than itself), and an index of O(recovered summaries) entries — never a
+// whole file, and nothing per superseded record beyond the few hundred
+// bytes its decode check allocates and drops.
 package store
 
 import (
@@ -44,7 +57,7 @@ import (
 	"log/slog"
 	"os"
 	"path/filepath"
-	"sort"
+	"runtime"
 	"sync"
 	"time"
 
@@ -156,6 +169,23 @@ func (s *Store) registerMetrics(reg *obs.Registry) {
 		locked(func() float64 { return float64(s.quarantined) }))
 }
 
+// registerRecoveryMetrics exposes what Open's replay cost. The numbers are
+// final by the time anything can scrape them, so they register once, with
+// their values, after recovery.
+func (s *Store) registerRecoveryMetrics(reg *obs.Registry) {
+	r := s.recovery
+	const secondsHelp = "Wall time of the two phases of the recovery Open ran."
+	reg.GaugeFunc("summaryd_store_recovery_seconds", secondsHelp, obs.Labels{"phase": "verify"},
+		func() float64 { return r.Verify.Seconds() })
+	reg.GaugeFunc("summaryd_store_recovery_seconds", secondsHelp, obs.Labels{"phase": "apply"},
+		func() float64 { return r.Apply.Seconds() })
+	const recordsHelp = "Records recovery verified: applied, or superseded by a later record of the same summary."
+	reg.Counter("summaryd_store_recovery_records", recordsHelp, obs.Labels{"outcome": "applied"}).Add(uint64(r.Applied))
+	reg.Counter("summaryd_store_recovery_records", recordsHelp, obs.Labels{"outcome": "superseded"}).Add(uint64(r.Superseded))
+	reg.Counter("summaryd_store_recovery_bytes",
+		"Snapshot chain and WAL bytes recovery read and verified.", nil).Add(uint64(r.Bytes))
+}
+
 // segMeta describes one sealed segment the store still retains: it holds
 // records newer than the last snapshot cut and will be deleted once a
 // snapshot covers it.
@@ -210,6 +240,7 @@ type Store struct {
 	recoveredDatasets  int
 	recoveredSummaries int64
 	walDatasets        []string
+	recovery           Recovery
 
 	// Background snapshot worker state, guarded by mu; snapCond signals
 	// the worker when snapQ grows or the store closes.
@@ -219,15 +250,16 @@ type Store struct {
 	wg       sync.WaitGroup
 }
 
-// Open opens (creating if needed) the durability directory and replays
+// Open opens (creating if needed) the durability directory and recovers
 // its state — snapshot chain first, then the WAL segments in sequence
-// order — through apply, converging on exactly the previously
-// acknowledged registrations. A pre-segmented directory (single "wal" /
-// "snapshot" files) is migrated in place. apply is typically Registry.Put
-// on a fresh registry; attach the store as the registry's persister only
-// after Open returns, so replay does not re-append what the log already
-// holds, and pass WALDatasets to Registry.MarkClean so the first
-// incremental snapshot covers exactly the un-snapshotted datasets.
+// order — converging on exactly the previously acknowledged
+// registrations. apply is called once per recovered (dataset, instance),
+// with its last record, in log order; a record a later one supersedes is
+// verified but never applied. apply is typically Registry.Put on a fresh
+// registry; attach the store as the registry's persister only after Open
+// returns, so recovery does not re-append what the log already holds, and
+// pass WALDatasets to Registry.MarkClean so the first incremental
+// snapshot covers exactly the un-snapshotted datasets.
 func Open(dir string, opts Options, apply func(dataset string, s core.Summary) error) (st *Store, err error) {
 	if opts.SnapshotEvery == 0 {
 		opts.SnapshotEvery = DefaultSnapshotEvery
@@ -277,50 +309,8 @@ func Open(dir string, opts Options, apply func(dataset string, s core.Summary) e
 	if err := s.quarantineLegacy(); err != nil {
 		return nil, err
 	}
-
-	// Count distinct (dataset, instance) summaries, not replayed records:
-	// after a crash between snapshot promotion and segment deletion the
-	// segments re-play records the chain already holds (idempotently), and
-	// the recovery report must describe the recovered registry, not the
-	// replay's work.
-	type instance struct {
-		dataset string
-		id      int
-	}
-	datasets := make(map[string]bool)
-	summaries := make(map[instance]bool)
-	counting := func(dataset string, sum core.Summary) error {
-		if err := apply(dataset, sum); err != nil {
-			return err
-		}
-		datasets[dataset] = true
-		summaries[instance{dataset, sum.InstanceID()}] = true
-		return nil
-	}
-
-	if err := s.recoverSnapshots(counting); err != nil {
+	if err := s.replay(apply); err != nil {
 		return nil, err
-	}
-
-	// Datasets with WAL records are exactly the ones the snapshot chain
-	// does not fully cover — the registry must consider them dirty.
-	walDirty := make(map[string]bool)
-	if err := s.recoverSegments(func(dataset string, sum core.Summary) error {
-		walDirty[dataset] = true
-		return counting(dataset, sum)
-	}); err != nil {
-		return nil, err
-	}
-	for name := range walDirty {
-		s.walDatasets = append(s.walDatasets, name)
-	}
-	sort.Strings(s.walDatasets)
-
-	s.recoveredDatasets = len(datasets)
-	s.recoveredSummaries = int64(len(summaries))
-	s.sinceSnapshot = s.live.records
-	for _, m := range s.sealed {
-		s.sinceSnapshot += m.records
 	}
 
 	s.wg.Add(1)
@@ -342,225 +332,164 @@ func (s *Store) quarantineLegacy() error {
 	return nil
 }
 
-// recoverSnapshots replays the snapshot chain: files merge in sequence
-// order (later entries replace earlier ones) and only the merged image
-// reaches apply, so a superseded entry never touches the registry. A
-// chain longer than one file is compacted into a single full file —
-// best-effort: a compaction failure keeps the valid chain and costs only
-// replay time on the next open.
-func (s *Store) recoverSnapshots(apply func(dataset string, sum core.Summary) error) error {
-	seqs, malformed, err := scanSnapshots(s.dir)
+// Recovery reports what Open's replay cost: the wall time of its two
+// phases, how many verified records were applied and how many a later
+// record had superseded, and the file bytes verified.
+type Recovery struct {
+	Verify, Apply       time.Duration
+	Applied, Superseded int64
+	Bytes               int64
+}
+
+// Recovery returns the cost of the replay Open ran.
+func (s *Store) Recovery() Recovery { return s.recovery }
+
+// replay recovers the directory into apply and leaves the store ready for
+// appends. Phase 1 (verifyDir) reads and checks everything and changes
+// nothing; every write recovery needs — quarantining what the manifest
+// cannot account for, removing segments a snapshot superseded, adopting or
+// creating the first segment, tearing off the live segment's torn tail —
+// happens here, after it. Phase 2 then applies only the last record of
+// each (dataset, instance), in log order, so a superseded record never
+// touches the registry and the counts below describe the recovered
+// registry, not the replay's work.
+func (s *Store) replay(apply func(dataset string, sum core.Summary) error) (err error) {
+	sp := s.opts.Tracer.StartSpan("store.recover", trace.SpanContext{})
+	defer func() {
+		if err != nil {
+			sp.SetAttr("error", err.Error())
+		}
+		sp.Finish()
+	}()
+	start := time.Now()
+	rec, err := verifyDir(s.dir, runtime.GOMAXPROCS(0), sp)
 	if err != nil {
 		return err
 	}
-	for _, name := range malformed {
+	s.recovery.Verify = time.Since(start)
+	for _, name := range rec.stray {
 		if err := s.quarantine(name); err != nil {
 			return err
 		}
 	}
-	if len(seqs) == 0 {
+	for _, name := range rec.stale {
+		os.Remove(filepath.Join(s.dir, name))
+	}
+
+	// Making the live segment ready waits on the disk (its fsync writes
+	// back whatever the crash left dirty), applying on the CPU, and neither
+	// touches what the other reads: they run side by side.
+	live := make(chan error, 1)
+	go func() { live <- s.openLive(rec) }()
+	start = time.Now()
+	asp := sp.StartChild("store.apply")
+	err = materialise(rec.files, rec.index, runtime.GOMAXPROCS(0), apply)
+	asp.SetInt("records", int64(len(rec.index)))
+	asp.Finish()
+	s.recovery.Apply = time.Since(start)
+	if lerr := <-live; lerr != nil {
+		return lerr
+	}
+	if err != nil {
+		s.live.f.Close()
+		return err
+	}
+	s.recovery.Applied = int64(len(rec.index))
+	s.recovery.Superseded = rec.records - s.recovery.Applied
+	s.recovery.Bytes = rec.bytes
+	sp.SetInt("files", int64(len(rec.files)))
+	sp.SetInt("bytes", rec.bytes)
+	sp.SetInt("applied", s.recovery.Applied)
+	sp.SetInt("superseded", s.recovery.Superseded)
+	s.registerRecoveryMetrics(s.opts.Metrics)
+
+	s.snapSeqs = rec.chain
+	s.snapEntries = rec.snapEntries
+	if n := len(rec.chain); n > 0 {
+		s.lastSnapshot = rec.files[n-1].modTime
+	}
+	// Datasets with WAL records are exactly the ones the snapshot chain
+	// does not fully cover — the registry must consider them dirty.
+	s.walDatasets = rec.walDatasets
+	datasets := make(map[string]bool)
+	for key := range rec.index {
+		datasets[key.dataset] = true
+	}
+	s.recoveredDatasets = len(datasets)
+	s.recoveredSummaries = int64(len(rec.index))
+	s.sinceSnapshot = s.live.records
+	for _, m := range s.sealed {
+		s.sinceSnapshot += m.records
+	}
+	return nil
+}
+
+// openLive makes the manifest's last segment the live one: a fresh
+// directory gets segment 1 and the manifest naming it, a lone segment 1 is
+// adopted, and a verified live segment is torn back to its longest valid
+// record prefix and fsynced — the one place the lax rule applies, because
+// only the live segment can be torn by a crash mid-append. Sealed
+// segments were fsynced whole before the manifest demoted them, so
+// verification already refused any invalid record in one.
+func (s *Store) openLive(rec *recovered) error {
+	if rec.last == 0 {
+		// Fresh directory: create segment 1, then the manifest naming it. A
+		// crash in between leaves the magic-only segment the next Open
+		// adopts.
+		live, err := createSegment(s.dir, s.codec, 1)
+		if err != nil {
+			return err
+		}
+		if err := writeManifest(s.dir, 1, 1); err != nil {
+			live.f.Close()
+			os.Remove(live.path)
+			return err
+		}
+		s.first, s.live = 1, live
 		return nil
 	}
-	merged := make(map[instanceKey]core.Summary)
-	var taken time.Time
-	for _, seq := range seqs {
-		_, t, err := readSnapshotFile(s.dir, seq, func(dataset string, sum core.Summary) error {
-			merged[instanceKey{dataset, sum.InstanceID()}] = sum
-			return nil
-		})
-		if err != nil {
-			return err
-		}
-		taken = t
-	}
-	if err := sortedMergeDump(merged)(apply); err != nil {
-		return err
-	}
-	if len(seqs) > 1 {
-		if tmp, _, err := writeSnapshotTemp(s.dir, s.codec, sortedMergeDump(merged)); err == nil {
-			compacted := seqs[len(seqs)-1] + 1
-			if err := promoteSnapshot(s.dir, tmp, compacted); err != nil {
-				os.Remove(tmp)
-			} else {
-				for _, old := range seqs {
-					os.Remove(filepath.Join(s.dir, snapName(old)))
-				}
-				syncDir(s.dir)
-				seqs = []int64{compacted}
-			}
-		}
-	}
-	s.snapSeqs = seqs
-	s.snapEntries = int64(len(merged))
-	s.lastSnapshot = taken
-	return nil
-}
-
-// recoverSegments replays the WAL segments the manifest names — sealed
-// segments strictly, the final one tolerating a torn tail — and leaves
-// the final segment open as the live one. Segments below the manifest
-// range are a deletion a crash interrupted (removed); segments above it
-// are the residue of a crash between segment creation and manifest update
-// and can hold no acknowledged record (appends only start after the
-// manifest names the segment) — those are quarantined, per the
-// never-silently-replay rule.
-func (s *Store) recoverSegments(apply func(dataset string, sum core.Summary) error) error {
-	first, last, ok, err := readManifest(s.dir)
-	if err != nil {
-		return err
-	}
-	seqs, malformed, err := scanSegments(s.dir)
-	if err != nil {
-		return err
-	}
-	for _, name := range malformed {
-		if err := s.quarantine(name); err != nil {
+	if !rec.manifest {
+		// A crash before the first manifest write: segment 1 is the
+		// magic-only file of an interrupted fresh init. Adopt it.
+		if err := writeManifest(s.dir, 1, 1); err != nil {
 			return err
 		}
 	}
-	if !ok {
-		switch {
-		case len(seqs) == 0:
-			// Fresh directory: create segment 1, then the manifest naming
-			// it. A crash in between leaves the magic-only segment the next
-			// clause adopts.
-			live, err := createSegment(s.dir, s.codec, 1)
-			if err != nil {
-				return err
-			}
-			if err := writeManifest(s.dir, 1, 1); err != nil {
-				live.f.Close()
-				os.Remove(live.path)
-				return err
-			}
-			s.first, s.live = 1, live
-			return nil
-		case len(seqs) == 1 && seqs[0] == 1:
-			// A crash before the first manifest write: segment 1 is the
-			// magic-only file of an interrupted fresh init. Adopt it.
-			if err := writeManifest(s.dir, 1, 1); err != nil {
-				return err
-			}
-			first, last = 1, 1
-		default:
-			return fmt.Errorf("store: %d WAL segments present without a manifest; refusing to guess which are live", len(seqs))
-		}
-	}
-	present := make(map[int64]bool, len(seqs))
-	for _, seq := range seqs {
-		present[seq] = true
-		switch {
-		case seq < first:
-			// Superseded by a snapshot whose deletion a crash interrupted.
-			os.Remove(filepath.Join(s.dir, segmentName(seq)))
-		case seq > last:
-			if err := s.quarantine(segmentName(seq)); err != nil {
-				return err
-			}
-		}
-	}
-	for seq := first; seq <= last; seq++ {
-		if !present[seq] {
-			return fmt.Errorf("store: manifest names WAL segment %d but the file is missing (acknowledged data is unrecoverable without it)", seq)
-		}
-	}
-	for seq := first; seq < last; seq++ {
-		meta, err := s.replaySealed(seq, apply)
-		if err != nil {
-			return err
-		}
-		s.sealed = append(s.sealed, meta)
-	}
-	live, err := s.openLive(last, apply)
+	scan := rec.files[len(rec.files)-1]
+	f, err := os.OpenFile(scan.path, os.O_RDWR, 0o644)
 	if err != nil {
-		return err
-	}
-	s.first, s.live = first, live
-	return nil
-}
-
-// replaySealed strictly replays one sealed segment. Sealed segments were
-// fsynced whole before the manifest demoted them from live duty, so any
-// invalid record means lost acknowledged data — a hard error, never a
-// silent truncation.
-func (s *Store) replaySealed(seq int64, apply func(dataset string, sum core.Summary) error) (segMeta, error) {
-	path := filepath.Join(s.dir, segmentName(seq))
-	f, err := os.Open(path)
-	if err != nil {
-		return segMeta{}, fmt.Errorf("store: opening sealed WAL segment %d: %w", seq, err)
-	}
-	defer f.Close()
-	info, err := f.Stat()
-	if err != nil {
-		return segMeta{}, fmt.Errorf("store: sealed WAL segment %d stat: %w", seq, err)
-	}
-	if info.Size() < magicLen {
-		return segMeta{}, fmt.Errorf("store: sealed WAL segment %d is torn at %d bytes (acknowledged data lost; refusing to recover silently)", seq, info.Size())
-	}
-	if err := checkMagic(f, segMagic, fmt.Sprintf("WAL segment %d", seq)); err != nil {
-		return segMeta{}, err
-	}
-	records, valid, err := readRecords(f, info.Size()-magicLen, true, apply)
-	if err != nil {
-		return segMeta{}, fmt.Errorf("store: sealed WAL segment %s: %w", path, err)
-	}
-	return segMeta{seq: seq, records: records, bytes: valid}, nil
-}
-
-// openLive opens the manifest's last segment for appending, replaying its
-// longest valid record prefix and truncating any torn tail — the one
-// place the lax rule applies, because only the live segment can be torn
-// by a crash mid-append.
-func (s *Store) openLive(seq int64, apply func(dataset string, sum core.Summary) error) (*segment, error) {
-	path := filepath.Join(s.dir, segmentName(seq))
-	f, err := os.OpenFile(path, os.O_RDWR, 0o644)
-	if err != nil {
-		return nil, fmt.Errorf("store: opening WAL segment %d: %w", seq, err)
-	}
-	info, err := f.Stat()
-	if err != nil {
-		f.Close()
-		return nil, fmt.Errorf("store: WAL segment %d stat: %w", seq, err)
+		return fmt.Errorf("store: opening WAL segment %d: %w", scan.seq, err)
 	}
 	end := int64(magicLen)
-	var records int64
-	if info.Size() < magicLen {
+	if scan.size < magicLen {
 		// A crash before even the header landed: nothing recoverable in
 		// this segment, start it over.
 		if err := f.Truncate(0); err != nil {
 			f.Close()
-			return nil, fmt.Errorf("store: resetting torn WAL segment %d header: %w", seq, err)
+			return fmt.Errorf("store: resetting torn WAL segment %d header: %w", scan.seq, err)
 		}
 		if _, err := f.WriteAt([]byte(segMagic), 0); err != nil {
 			f.Close()
-			return nil, fmt.Errorf("store: writing WAL segment %d header: %w", seq, err)
+			return fmt.Errorf("store: writing WAL segment %d header: %w", scan.seq, err)
 		}
-	} else {
-		if err := checkMagic(f, segMagic, fmt.Sprintf("WAL segment %d", seq)); err != nil {
+	} else if end += scan.valid; end < scan.size {
+		// Tear off the invalid tail so appends continue from a clean
+		// boundary.
+		if err := f.Truncate(end); err != nil {
 			f.Close()
-			return nil, err
-		}
-		var valid int64
-		records, valid, err = readRecords(f, info.Size()-magicLen, false, apply)
-		if err != nil {
-			f.Close()
-			return nil, fmt.Errorf("store: WAL segment %s: %w", path, err)
-		}
-		end = magicLen + valid
-		if end < info.Size() {
-			// Tear off the invalid tail so appends continue from a clean
-			// boundary.
-			if err := f.Truncate(end); err != nil {
-				f.Close()
-				return nil, fmt.Errorf("store: truncating torn WAL tail: %w", err)
-			}
+			return fmt.Errorf("store: truncating torn WAL tail: %w", err)
 		}
 	}
 	if err := f.Sync(); err != nil {
 		f.Close()
-		return nil, fmt.Errorf("store: syncing WAL segment %d after recovery: %w", seq, err)
+		return fmt.Errorf("store: syncing WAL segment %d after recovery: %w", scan.seq, err)
 	}
-	return &segment{seq: seq, path: path, f: f, w: newRecordWriter(f, s.codec, end), records: records}, nil
+	for _, sealed := range rec.files[len(rec.chain) : len(rec.files)-1] {
+		s.sealed = append(s.sealed, segMeta{seq: sealed.seq, records: sealed.records, bytes: sealed.valid})
+	}
+	s.first = rec.first
+	s.live = &segment{seq: scan.seq, path: scan.path, f: f, w: newRecordWriter(f, s.codec, end), records: scan.records}
+	return nil
 }
 
 // quarantine moves a file the recovery cannot account for into the
@@ -857,20 +786,23 @@ func (s *Store) writeSnapshot(job *snapJob) (err error) {
 	merge := len(chain)+1 > maxSnapshotChain
 	if merge {
 		// Chain files are immutable once promoted and only this goroutine
-		// adds or removes them, so reading them unlocked is safe.
-		merged := make(map[instanceKey]core.Summary)
-		for _, seq := range chain {
-			if _, _, err := readSnapshotFile(s.dir, seq, func(dataset string, sum core.Summary) error {
-				merged[instanceKey{dataset, sum.InstanceID()}] = sum
-				return nil
-			}); err != nil {
-				return err
-			}
+		// adds or removes them, so reading them unlocked is safe. One worker:
+		// this runs beside the serving path, not in front of it.
+		files, err := verifyFiles(s.dir, chainSpecs(chain), 1, sp)
+		if err != nil {
+			return err
 		}
-		if err := job.dump(func(dataset string, sum core.Summary) error {
+		index := make(map[instanceKey]frameRef)
+		lastWins(index, files)
+		merged := make(map[instanceKey]core.Summary, len(index))
+		collect := func(dataset string, sum core.Summary) error {
 			merged[instanceKey{dataset, sum.InstanceID()}] = sum
 			return nil
-		}); err != nil {
+		}
+		if err := materialise(files, index, 1, collect); err != nil {
+			return err
+		}
+		if err := job.dump(collect); err != nil {
 			return err
 		}
 		dump = sortedMergeDump(merged)
@@ -922,8 +854,8 @@ func (s *Store) writeSnapshot(job *snapJob) (err error) {
 	s.mu.Unlock()
 
 	// Deletions come last: until the manifest advanced, these files were
-	// needed; now a crash before any Remove just means recoverSegments
-	// prunes them next open.
+	// needed; now a crash before any Remove just means the next Open
+	// prunes them.
 	if merge {
 		for _, seq := range chain {
 			os.Remove(filepath.Join(s.dir, snapName(seq)))

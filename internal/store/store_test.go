@@ -42,11 +42,16 @@ var specs = []datasetSpec{
 // randomSummary draws a small random summary matching spec for a random
 // instance in [0, 4).
 func randomSummary(rng *rand.Rand, spec datasetSpec) core.Summary {
+	return randomSummaryAt(rng, spec, rng.Intn(4))
+}
+
+// randomSummaryAt draws a small random summary matching spec for the
+// given instance.
+func randomSummaryAt(rng *rand.Rand, spec datasetSpec, instance int) core.Summary {
 	summ := core.NewSummarizer(spec.salt)
 	if spec.shared {
 		summ = core.NewCoordinatedSummarizer(spec.salt)
 	}
-	instance := rng.Intn(4)
 	n := 1 + rng.Intn(40)
 	in := make(dataset.Instance, n)
 	for len(in) < n {
@@ -912,11 +917,12 @@ func TestIncrementalSnapshotsCoverOnlyDirtyDatasets(t *testing.T) {
 		t.Fatalf("SnapshotChain = %d, want 2", got)
 	}
 	chainDatasets := make(map[string]int)
-	if _, _, err := readSnapshotFile(dir, 2, func(ds string, s core.Summary) error {
-		chainDatasets[ds]++
-		return nil
-	}); err != nil {
+	scan, err := verifyFile(dir, fileSpec{chainFile, 2}, 0, &window{})
+	if err != nil {
 		t.Fatalf("reading chain file 2: %v", err)
+	}
+	for slot := range scan.slots {
+		chainDatasets[slot.dataset]++
 	}
 	if len(chainDatasets) != 1 || chainDatasets[specs[1].name] != len(want[specs[1].name]) {
 		t.Fatalf("chain file 2 holds %v, want only %s with all %d instances",
@@ -924,12 +930,13 @@ func TestIncrementalSnapshotsCoverOnlyDirtyDatasets(t *testing.T) {
 	}
 	st.Close()
 
-	// Reopen compacts the chain to one file and loses nothing.
+	// Reopen loses nothing and rewrites nothing: bounding the chain is the
+	// background writer's job, not something to wait for before serving.
 	reg2, st2 := reopen(t, dir, Options{})
 	defer st2.Close()
 	mustMatch(t, "chain recovery", image(t, reg2.Dump), image(t, want.dump))
-	if got := st2.Status().SnapshotChain; got != 1 {
-		t.Fatalf("SnapshotChain after reopen = %d, want 1 (compacted)", got)
+	if got := st2.Status().SnapshotChain; got != 2 {
+		t.Fatalf("SnapshotChain after reopen = %d, want 2 (preserved)", got)
 	}
 }
 
