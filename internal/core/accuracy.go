@@ -74,34 +74,28 @@ func SumStdErr(sum Summary, est float64) (float64, bool) {
 // of the unbiased HT variance estimate Σ_{h∈S} v²(h)·(1/p−1)/p with
 // p = min(1, v/τ); ok is false — none is known — when τ is not positive.
 func PPSSumStdErr(s PPSReader) (sum, stderr float64, ok bool) {
-	sum, variance := ppsSumVariance(s, nil)
+	sum, variance := ppsSumVarianceTerms(s.stored(), s.PPSTau(), nil)
 	if !(s.PPSTau() > 0) {
 		return sum, 0, false
 	}
 	return sum, math.Sqrt(variance), true
 }
 
-// ppsSumVariance is the one walk behind a PPS summary's sum and its error
-// bar, over the selected keys.
-func ppsSumVariance(s PPSReader, sel func(dataset.Key) bool) (sum, variance float64) {
-	sc := scratchPool.Get().(*queryScratch)
-	defer scratchPool.Put(sc)
-	return ppsSumVarianceTerms(loadColumns(sc, []PPSReader{s})[0], s.PPSTau(), sel)
-}
-
-// ppsSumVarianceTerms accumulates, independently and in the column's
-// ascending key order, the HT estimate Σ v/p (p as the PPS rank family
-// computes it, at rank threshold 1/τ) and the variance terms of
-// PPSSumStdErr, where keys at probability 1 contribute none. The variance
+// ppsSumVarianceTerms is the one walk behind a PPS summary's sum and its
+// error bar, over the selected keys: it accumulates, independently and in
+// the stored entries' ascending key order, the HT estimate Σ v/p (p as the
+// PPS rank family computes it, at rank threshold 1/τ) and the variance terms
+// of PPSSumStdErr, where keys at probability 1 contribute none. The variance
 // means nothing when τ is not positive.
 //
 //summarylint:hot
-func ppsSumVarianceTerms(col column, tau float64, sel func(dataset.Key) bool) (sum, variance float64) {
+func ppsSumVarianceTerms(d *summaryData, tau float64, sel func(dataset.Key) bool) (sum, variance float64) {
 	rankTau := 1 / tau
-	for i, v := range col.vals {
-		if sel != nil && !sel(dataset.Key(col.keys[i])) {
+	for i := 0; i < d.n; i++ {
+		if sel != nil && !sel(dataset.Key(d.weightedKeyAt(i))) {
 			continue
 		}
+		v := d.weightedValueAt(i)
 		if p := (sampling.PPS{}).InclusionProb(v, rankTau); p > 0 {
 			sum += v / p
 		}
@@ -140,20 +134,17 @@ func BottomKDistinct(b BottomKReader) float64 {
 	if math.IsInf(tau, 1) {
 		return float64(b.Size())
 	}
-	sc := scratchPool.Get().(*queryScratch)
-	defer scratchPool.Put(sc)
-	col := loadColumns(sc, []BottomKReader{b})[0]
-	return inverseProbCount(col.vals, b.RankFam(), tau)
+	return inverseProbCount(b.stored(), b.RankFam(), tau)
 }
 
-// inverseProbCount sums 1/p(v; τ) over a bottom-k column's values, which
-// are in ascending key order.
+// inverseProbCount sums 1/p(v; τ) over a bottom-k summary's stored values,
+// in ascending key order.
 //
 //summarylint:hot
-func inverseProbCount(vals []float64, fam sampling.RankFamily, tau float64) float64 {
+func inverseProbCount(d *summaryData, fam sampling.RankFamily, tau float64) float64 {
 	total := 0.0
-	for _, v := range vals {
-		if p := fam.InclusionProb(v, tau); p > 0 {
+	for i := 0; i < d.n; i++ {
+		if p := fam.InclusionProb(d.weightedValueAt(i), tau); p > 0 {
 			total += 1 / p
 		}
 	}

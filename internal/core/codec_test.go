@@ -326,7 +326,7 @@ func TestV2StreamingDecodeBoundedBuffer(t *testing.T) {
 	if math.Float64bits(queryBits(t, dec)) != math.Float64bits(queryBits(t, Summary(sum))) {
 		t.Fatal("chunked decode drifted query bits")
 	}
-	if !bytes.Equal(dec.wireBytes(), data) {
+	if !bytes.Equal(dec.stored().data, data) {
 		t.Fatal("chunked decode holds other bytes than the payload")
 	}
 }

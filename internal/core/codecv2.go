@@ -111,13 +111,13 @@ func (binaryCodecV2) ContentType() string { return ContentTypeV2 }
 
 // Encode implements Codec: a copy of the summary's canonical bytes.
 func (binaryCodecV2) Encode(s Summary) ([]byte, error) {
-	return bytes.Clone(s.wireBytes()), nil
+	return bytes.Clone(s.stored().data), nil
 }
 
 // EncodeTo implements Codec: the summary's canonical bytes, written as
 // they are.
 func (binaryCodecV2) EncodeTo(w io.Writer, s Summary) error {
-	_, err := w.Write(s.wireBytes())
+	_, err := w.Write(s.stored().data)
 	return err
 }
 

@@ -17,7 +17,9 @@
 package core
 
 import (
+	"encoding/binary"
 	"maps"
+	"math"
 	"slices"
 
 	"repro/internal/aggregate"
@@ -91,45 +93,49 @@ func MaxDominanceReaders(s1, s2 PPSReader, sel func(dataset.Key) bool) (MaxDomin
 	if err := checkCombinable([]Summary{s1, s2}, 2); err != nil {
 		return MaxDominanceEstimate{}, err
 	}
-	pair := []PPSReader{s1, s2}
-	for _, s := range pair {
+	for _, s := range []PPSReader{s1, s2} {
 		if err := checkTau(s); err != nil {
 			return MaxDominanceEstimate{}, err
 		}
 	}
-	sc := scratchPool.Get().(*queryScratch)
-	defer scratchPool.Put(sc)
-	return maxDominanceMerge(loadColumns(sc, pair), bindSeeders(sc, pair), [2]float64{s1.PPSTau(), s2.PPSTau()}, sel), nil
+	seeder := s1.seederOf()
+	return maxDominanceMerge(s1.stored(), s2.stored(), seeder.Instance(s1.InstanceID()), seeder.Instance(s2.InstanceID()),
+		[2]float64{s1.PPSTau(), s2.PPSTau()}, sel), nil
 }
 
 // maxDominanceMerge sums the per-key max^(HT) and max^(L) estimates over
-// the ascending union of two PPS columns: a two-way merge, each key's
-// outcome handed to the pair kernel as scalars. A seed is computed only
-// for the instance a key is absent from — neither estimate reads the seed
-// of a sampled entry.
+// the ascending union of two PPS summaries' stored entries: a two-way
+// merge, each key's outcome handed to the pair kernel as scalars. A seed is
+// computed only for the instance a key is absent from — neither estimate
+// reads the seed of a sampled entry.
 //
 //summarylint:hot
-func maxDominanceMerge(cols []column, seed []xhash.InstanceSeeder, tau [2]float64, sel func(dataset.Key) bool) MaxDominanceEstimate {
-	k0, k1 := cols[0].keys, cols[1].keys
-	vals0, vals1 := cols[0].vals, cols[1].vals
-	seed0, seed1 := seed[0], seed[1]
+func maxDominanceMerge(d0, d1 *summaryData, seed0, seed1 xhash.InstanceSeeder, tau [2]float64, sel func(dataset.Key) bool) MaxDominanceEstimate {
 	var out MaxDominanceEstimate
-	for i, j := 0, 0; i < len(k0) || j < len(k1); {
-		// The smaller head is the next union key; a column is sampled at it
+	// A cursor is what is left of a summary's 16-byte entries.
+	for e0, e1 := d0.entries, d1.entries; len(e0) > 0 || len(e1) > 0; {
+		// The smaller head is the next union key; a summary is sampled at it
 		// when its head is that key.
-		s0 := j == len(k1) || (i < len(k0) && k0[i] <= k1[j])
-		s1 := i == len(k0) || (j < len(k1) && k1[j] <= k0[i])
+		var k0, k1 uint64
+		if len(e0) > 0 {
+			k0 = binary.LittleEndian.Uint64(e0)
+		}
+		if len(e1) > 0 {
+			k1 = binary.LittleEndian.Uint64(e1)
+		}
+		s0 := len(e1) == 0 || (len(e0) > 0 && k0 <= k1)
+		s1 := len(e0) == 0 || (len(e1) > 0 && k1 <= k0)
 		var (
 			h              uint64
 			v0, v1, b0, b1 float64
 		)
 		if s0 {
-			h, v0 = k0[i], vals0[i]
-			i++
+			h, v0 = k0, math.Float64frombits(binary.LittleEndian.Uint64(e0[8:]))
+			e0 = e0[16:]
 		}
 		if s1 {
-			h, v1 = k1[j], vals1[j]
-			j++
+			h, v1 = k1, math.Float64frombits(binary.LittleEndian.Uint64(e1[8:]))
+			e1 = e1[16:]
 		}
 		if sel != nil && !sel(dataset.Key(h)) {
 			continue
@@ -260,15 +266,15 @@ func DistinctCountReaders(s1, s2 SetReader, sel func(dataset.Key) bool) (Distinc
 		return DistinctEstimate{}, err
 	}
 	sc := scratchPool.Get().(*queryScratch)
-	defer scratchPool.Put(sc)
+	defer sc.release()
 	pair := []SetReader{s1, s2}
-	c := categorizeMerge(sc.mergeOf(loadColumns(sc, pair)), bindSeeders(sc, pair), [2]float64{s1.SetP(), s2.SetP()}, sel)
+	c := categorizeMerge(sc.mergeOf(pair), bindSeeders(sc, pair), [2]float64{s1.SetP(), s2.SetP()}, sel)
 	e := aggregate.DistinctEstimator{P1: s1.SetP(), P2: s2.SetP()}
 	return DistinctEstimate{HT: e.HT(c), L: e.L(c), Counts: c}, nil
 }
 
 // categorizeMerge tallies the §8.1 outcome categories over the ascending
-// union of two member columns.
+// union of two set summaries' members.
 //
 //summarylint:hot
 func categorizeMerge(m *unionMerge, seed []xhash.InstanceSeeder, p [2]float64, sel func(dataset.Key) bool) aggregate.DistinctCounts {
@@ -279,7 +285,7 @@ func categorizeMerge(m *unionMerge, seed []xhash.InstanceSeeder, p [2]float64, s
 			continue
 		}
 		c.Add(aggregate.Categorize(
-			m.at[0] >= 0, m.at[1] >= 0,
+			m.in[0], m.in[1],
 			seed0.Seed(h), seed1.Seed(h),
 			p[0], p[1],
 		))

@@ -84,7 +84,7 @@ func TestStreamSummarizersMatchBatch(t *testing.T) {
 // to say the same canonical bytes.
 func sameSummary(t *testing.T, label string, got, want Summary) {
 	t.Helper()
-	if !bytes.Equal(got.wireBytes(), want.wireBytes()) {
+	if !bytes.Equal(got.stored().data, want.stored().data) {
 		t.Fatalf("%s: summaries differ (%d vs %d entries)", label, got.Size(), want.Size())
 	}
 }

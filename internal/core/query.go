@@ -99,19 +99,19 @@ func DistinctCountMultiReaders(sums []SetReader, sel func(dataset.Key) bool) (Mu
 		htCoeff *= p
 	}
 	sc := scratchPool.Get().(*queryScratch)
-	defer scratchPool.Put(sc)
+	defer sc.release()
 	// OR^(L) of a key depends only on how many instances sampled it and how
 	// many more reveal its absence, so tabulate the estimator once per query.
 	size := (r + 1) * (r + 1)
 	sc.floats, sc.bools = resize(sc.floats, size+2*r), resize(sc.bools, r)
 	table := sc.floats[:size]
 	est.BinaryTableInto(table, sc.bools, sc.floats[size:size+r], sc.floats[size+r:])
-	return distinctMerge(sc.mergeOf(loadColumns(sc, sums)), table, bindSeeders(sc, sums), p, 1/htCoeff, sel), nil
+	return distinctMerge(sc.mergeOf(sums), table, bindSeeders(sc, sums), p, 1/htCoeff, sel), nil
 }
 
 // distinctMerge sums the per-key OR^(HT) and OR^(L) estimates over the
-// ascending union of r member columns. table is the OR^(L) estimate by
-// (sampled ones, revealed zeros) — estimator.BinaryTableInto — and htTerm
+// ascending union of r set summaries' members. table is the OR^(L) estimate
+// by (sampled ones, revealed zeros) — estimator.BinaryTableInto — and htTerm
 // is 1/p^r, the HT contribution of a fully determined key.
 //
 //summarylint:hot
@@ -124,12 +124,12 @@ func distinctMerge(m *unionMerge, table []float64, seed []xhash.InstanceSeeder, 
 		}
 		ones, zeros := 0, 0
 		allSeedsLow := true
-		for i, at := range m.at {
+		for i, in := range m.in {
 			u := seed[i].Seed(h)
 			// Summaries hold the *sampled* members, so membership in the
 			// summary is exactly "member and seed below p"; a non-member's
 			// seed at or below p reveals its absence (§5.1).
-			if at >= 0 {
+			if in {
 				ones++
 			} else if u <= p {
 				zeros++
@@ -173,7 +173,7 @@ func QuantilePPSReaders(sums []PPSReader, h dataset.Key, l int) (QuantileEstimat
 		return QuantileEstimate{}, fmt.Errorf("core: quantile index %d out of range [1,%d]", l, r)
 	}
 	sc := scratchPool.Get().(*queryScratch)
-	defer scratchPool.Put(sc)
+	defer sc.release()
 	sc.floats, sc.bools = resize(sc.floats, 3*r), resize(sc.bools, r)
 	o := estimator.PPSOutcome{Tau: sc.floats[:r], U: sc.floats[r : 2*r], Sampled: sc.bools, Values: sc.floats[2*r:]}
 	var out QuantileEstimate

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"reflect"
 	"testing"
 
 	"repro/internal/dataset"
@@ -91,12 +92,16 @@ func BenchmarkQueryKernels(b *testing.B) {
 
 // TestQueryAllocsIndependentOfSampleSize: once the scratch pool is warm, a
 // query over 8000-key summaries allocates as often as one over 1000-key
-// summaries — nothing is allocated per key. The counts are equal unless
-// the pool misses (a GC emptied it, or the race detector's pool dropped
-// the value on purpose), which costs one scratch refill: a dozen
-// allocations, three orders of magnitude below a per-key term.
+// summaries — nothing is allocated per key, because the kernels read the
+// stored entries in place and the scratch holds only O(r) cursors. The
+// counts are equal unless the pool misses (a GC emptied it, or the race
+// detector's pool dropped the value on purpose), which costs one scratch
+// refill: a dozen allocations, three orders of magnitude below a per-key
+// term. At either size that is 0 allocs/key: a warm query allocates only
+// distinct3's three per-query slices inside estimator.ORLUniform, which is
+// what benchgate pins for the QueryKernels rows.
 func TestQueryAllocsIndependentOfSampleSize(t *testing.T) {
-	const refill = 16
+	const refill, perQuery = 16, 3
 	small, large := newKernelFixture(1000), newKernelFixture(8000)
 	for _, q := range kernelQueries {
 		allocs := func(fx *kernelFixture) float64 {
@@ -106,11 +111,69 @@ func TestQueryAllocsIndependentOfSampleSize(t *testing.T) {
 				}
 			})
 		}
-		// Large first: it sizes the pooled columns for both.
-		if l, s := allocs(&large), allocs(&small); l > s+refill {
+		// Small first: nothing the large query needs was sized by an earlier
+		// one.
+		if s, l := allocs(&small), allocs(&large); l > s+refill || s > perQuery+refill {
 			t.Errorf("%s: %v allocs/op at k=8000, %v at k=1000", q.name, l, s)
 		} else {
 			t.Logf("%s: %v allocs/op", q.name, s)
 		}
+	}
+}
+
+// retainedSlots counts what a pooled scratch keeps alive between queries:
+// the capacity of every slice reachable from v through struct fields and
+// slice elements. A pointer left set would pin a whole summary, so it
+// counts as far more than any bound.
+func retainedSlots(v reflect.Value) int {
+	switch v.Kind() {
+	case reflect.Slice:
+		v = v.Slice(0, v.Cap())
+		total := v.Len()
+		for i := 0; i < v.Len(); i++ {
+			total += retainedSlots(v.Index(i))
+		}
+		return total
+	case reflect.Struct:
+		total := 0
+		for i := 0; i < v.NumField(); i++ {
+			total += retainedSlots(v.Field(i))
+		}
+		return total
+	case reflect.Pointer:
+		if !v.IsNil() {
+			return 1 << 30
+		}
+	}
+	return 0
+}
+
+// TestQueryScratchRetainsNoPerEntryMemory: every key-walking query at
+// k = 8000, followed by 1000 k = 100 queries, leaves no pooled scratch
+// holding more than a few slots per consulted summary, and none pointing at
+// a summary — whichever scratch the pool hands back, and whatever field a
+// later change adds to it.
+func TestQueryScratchRetainsNoPerEntryMemory(t *testing.T) {
+	large, small := newKernelFixture(8000), newKernelFixture(100)
+	for _, q := range kernelQueries {
+		if _, err := q.run(&large); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 1000; i++ {
+		if _, err := kernelQueries[i%len(kernelQueries)].run(&small); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// The widest query above is distinct3: r = 3 cursors, positions, seeders
+	// and outcome flags, and an (r+1)² table with 2r floats of workspace.
+	const r = 3
+	const bound = 2 * (5*r + (r+1)*(r+1) + 2*r) // slices.Grow may round a capacity up
+	for i := 0; i < 8; i++ {
+		sc := scratchPool.Get().(*queryScratch)
+		if got := retainedSlots(reflect.ValueOf(*sc)); got > bound {
+			t.Errorf("pooled scratch retains %d slots, want at most %d (O(r), none per entry)", got, bound)
+		}
+		defer scratchPool.Put(sc)
 	}
 }

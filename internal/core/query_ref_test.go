@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"math"
-	"slices"
 	"sort"
 
 	"repro/internal/aggregate"
@@ -14,8 +13,8 @@ import (
 )
 
 // The summaries as they stood before canonical v2 bytes became the one
-// in-memory form: a Go map per summary, its keys collected and sorted on
-// every column load. They satisfy the sealed reader interfaces, so the
+// in-memory form: a Go map per summary, from which every walk builds the
+// canonical entries afresh. They satisfy the sealed reader interfaces, so the
 // differential tests can run the kernels over them, over the production
 // summaries, and over mixtures of the two, and hold every answer against
 // the reference loops below run over these maps.
@@ -27,7 +26,6 @@ type refSummary struct {
 
 func (r refSummary) InstanceID() int        { return r.instance }
 func (r refSummary) seederOf() xhash.Seeder { return r.seeder }
-func (r refSummary) wireBytes() []byte      { panic("core: a reference summary has no wire form") }
 
 // refWeighted is the map-backed half shared by the weighted kinds.
 type refWeighted struct {
@@ -49,15 +47,11 @@ func (r *refWeighted) AppendKeys(dst []dataset.Key) []dataset.Key {
 	return dst
 }
 
-func (r *refWeighted) loadColumn(c *column) {
-	c.keys, c.vals = c.keys[:0], c.vals[:0]
-	for h := range r.values {
-		c.keys = append(c.keys, uint64(h))
-	}
-	slices.Sort(c.keys)
-	for _, h := range c.keys {
-		c.vals = append(c.vals, r.values[dataset.Key(h)])
-	}
+// stored encodes the map as canonical entries. The kernels read nothing
+// else of what they are handed, so the header's kind and parameter are
+// placeholders.
+func (r *refWeighted) stored() *summaryData {
+	return &newPPSSummary(r.seeder, r.instance, 0, r.values).summaryData
 }
 
 type refPPS struct {
@@ -102,12 +96,8 @@ func (r *refSet) AppendKeys(dst []dataset.Key) []dataset.Key {
 	return dst
 }
 
-func (r *refSet) loadColumn(c *column) {
-	c.keys = c.keys[:0]
-	for h := range r.members {
-		c.keys = append(c.keys, uint64(h))
-	}
-	slices.Sort(c.keys)
+func (r *refSet) stored() *summaryData {
+	return &newSetSummary(r.seeder, r.instance, r.p, r.AppendKeys(nil)).summaryData
 }
 
 var (

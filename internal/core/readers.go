@@ -1,6 +1,7 @@
 package core
 
 import (
+	"encoding/binary"
 	"slices"
 	"sync"
 
@@ -13,41 +14,54 @@ import (
 // the summaries: a query needs the kind parameters and the retained
 // (key, value) pairs, in ascending key order.
 //
-// Every query that walks keys does it the same way. Each consulted reader
-// decodes its entries, which are already ascending, into a column of
-// pooled per-query scratch. An ordered merge then walks the columns once
-// (unionMerge for r of them; max-dominance, always two, merges inline),
-// handing each union key's (sampled, value) per instance to a per-key
-// estimator kernel as scalars — the r = 2 PPS pair kernel, the OR^(L)
-// table — with seeds drawn from seeders bound to their instances once per
-// query. Per-key terms therefore accumulate in ascending key order, so
-// equal summaries answer with bit-identical floats (pinned by the
-// differential tests against query_ref_test.go), and a query allocates
-// nothing per key.
+// Every query that walks keys does it the same way: over the consulted
+// summaries' stored entries, in place. A canonical message's entries are
+// already ascending, so an ordered merge reads them where they lie, one
+// cursor per summary (unionMerge for r set summaries; max-dominance, always
+// two PPS summaries, merges inline), handing each union key's (sampled,
+// value) per instance to a per-key estimator kernel as scalars — the r = 2
+// PPS pair kernel, the OR^(L) table — with seeds from seeders bound to their
+// instances once per query. Per-key terms therefore accumulate in ascending
+// key order, so equal summaries answer with bit-identical floats (pinned
+// against query_ref_test.go); a query allocates nothing per key and holds
+// nothing that grows with sample size. Lookup, Contains and AppendKeys remain
+// for point queries (quantile) and for callers outside this package.
 //
-// Lookup, Contains and AppendKeys remain for point queries (quantile) and
-// for callers outside this package.
-//
-// Like Summary, the interfaces embed an unexported method, so only this
-// package's types can satisfy them — combinability checks need the
-// underlying seeder either way. The tests' map-backed reference summaries
-// (query_ref_test.go) are the one other implementation.
+// Summary's unexported methods seal the interfaces to this package's types.
+// The tests' map-backed reference summaries (query_ref_test.go) are the one
+// other implementation; they hand the kernels canonical entries built from
+// their maps.
 
-// PPSReader is the read surface of a PPS summary.
-type PPSReader interface {
+// weightedReader is what the read surfaces of the two weighted sample kinds
+// share.
+type weightedReader interface {
 	Summary
-	// PPSTau returns the PPS threshold: key h was included iff
-	// v(h) ≥ u(h)·PPSTau().
-	PPSTau() float64
 	// Lookup reports the stored value of key h.
 	Lookup(h dataset.Key) (float64, bool)
 	// AppendKeys appends every retained key to dst (order unspecified).
 	AppendKeys(dst []dataset.Key) []dataset.Key
-	// SubsetSum estimates Σ_{h∈sel} v(h) (nil sel selects all keys),
-	// accumulating in ascending key order.
+	// SubsetSum estimates Σ_{h∈sel} v(h) (nil sel selects all keys) with the
+	// kind's inverse-probability weights, accumulating in ascending key
+	// order.
 	SubsetSum(sel func(dataset.Key) bool) float64
+}
 
-	columnReader
+// PPSReader is the read surface of a PPS summary.
+type PPSReader interface {
+	weightedReader
+	// PPSTau returns the PPS threshold: key h was included iff
+	// v(h) ≥ u(h)·PPSTau().
+	PPSTau() float64
+}
+
+// BottomKReader is the read surface of a bottom-k summary.
+type BottomKReader interface {
+	weightedReader
+	// RankTau returns the rank-conditioning threshold (+Inf = every
+	// positive key retained).
+	RankTau() float64
+	// RankFam returns the rank family the summary was drawn with.
+	RankFam() sampling.RankFamily
 }
 
 // SetReader is the read surface of a set summary.
@@ -59,27 +73,6 @@ type SetReader interface {
 	Contains(h dataset.Key) bool
 	// AppendKeys appends every sampled member to dst (order unspecified).
 	AppendKeys(dst []dataset.Key) []dataset.Key
-
-	columnReader
-}
-
-// BottomKReader is the read surface of a bottom-k summary.
-type BottomKReader interface {
-	Summary
-	// RankTau returns the rank-conditioning threshold (+Inf = every
-	// positive key retained).
-	RankTau() float64
-	// RankFam returns the rank family the summary was drawn with.
-	RankFam() sampling.RankFamily
-	// Lookup reports the stored value of key h.
-	Lookup(h dataset.Key) (float64, bool)
-	// AppendKeys appends every retained key to dst (order unspecified).
-	AppendKeys(dst []dataset.Key) []dataset.Key
-	// SubsetSum estimates Σ_{h∈sel} v(h) with the rank-conditioning
-	// estimator, accumulating in ascending key order.
-	SubsetSum(sel func(dataset.Key) bool) float64
-
-	columnReader
 }
 
 // VarOptReader is the read surface of a VarOpt_k summary.
@@ -93,31 +86,12 @@ type VarOptReader interface {
 	SubsetSum(sel func(dataset.Key) bool) float64
 }
 
-// --- ascending columns and their ordered merge --------------------------
-
-// column is one summary's retained keys in ascending order. Weighted kinds
-// fill vals in parallel; set summaries do not touch it.
-type column struct {
-	keys []uint64
-	vals []float64
-}
-
-// columnReader is the unexported half of the reader interfaces: the one
-// read every key-walking query performs.
-type columnReader interface {
-	// loadColumn overwrites c with the summary's ascending column, reusing
-	// c's backing arrays.
-	loadColumn(c *column)
-}
-
-// queryScratch is the working memory of one query: a column per consulted
-// summary, the merge cursors, a seeder bound to each instance, and the
-// backing arrays of whatever else the query's estimator reads (a point
-// query's outcome, the OR^(L) table). It is pooled, so a warm server
-// answers a query with a number of allocations that does not depend on
-// sample size.
+// queryScratch is the working memory of one query: a cursor and a seeder
+// per consulted summary, and the backing arrays of whatever else its
+// estimator reads (a point query's outcome, the OR^(L) table) — O(r) in the
+// number of summaries, nothing in their sizes. It is pooled, so a warm
+// server's allocations per query do not depend on sample size.
 type queryScratch struct {
-	cols    []column
 	merge   unionMerge
 	seeders []xhash.InstanceSeeder
 	floats  []float64
@@ -126,16 +100,11 @@ type queryScratch struct {
 
 var scratchPool = sync.Pool{New: func() any { return new(queryScratch) }}
 
-// loadColumns loads one pooled column per reader, in order.
-func loadColumns[R columnReader](sc *queryScratch, rs []R) []column {
-	for len(sc.cols) < len(rs) {
-		sc.cols = append(sc.cols, column{})
-	}
-	cols := sc.cols[:len(rs)]
-	for i, r := range rs {
-		r.loadColumn(&cols[i])
-	}
-	return cols
+// release returns the scratch to the pool with no summary left reachable
+// from it.
+func (sc *queryScratch) release() {
+	clear(sc.merge.rest)
+	scratchPool.Put(sc)
 }
 
 // bindSeeders binds the summaries' shared seeder to each one's instance,
@@ -148,12 +117,13 @@ func bindSeeders[S Summary](sc *queryScratch, sums []S) []xhash.InstanceSeeder {
 	return sc.seeders
 }
 
-// mergeOf starts the ordered walk over cols.
-func (sc *queryScratch) mergeOf(cols []column) *unionMerge {
+// mergeOf starts the ordered walk over the members of sets.
+func (sc *queryScratch) mergeOf(sets []SetReader) *unionMerge {
 	m := &sc.merge
-	m.cols = cols
-	m.pos, m.at = resize(m.pos, len(cols)), resize(m.at, len(cols))
-	clear(m.pos)
+	m.rest, m.in = resize(m.rest, len(sets)), resize(m.in, len(sets))
+	for i, s := range sets {
+		m.rest[i] = s.stored().entries
+	}
 	return m
 }
 
@@ -161,26 +131,26 @@ func (sc *queryScratch) mergeOf(cols []column) *unionMerge {
 // large enough; the contents are unspecified.
 func resize[T any](s []T, n int) []T { return slices.Grow(s[:0], n)[:n] }
 
-// unionMerge walks the union of ascending columns in ascending key order,
-// visiting each distinct key once.
+// unionMerge walks the union of set summaries' ascending members — their
+// stored 8-byte entries, read in place — in ascending key order, visiting
+// each distinct key once.
 type unionMerge struct {
-	cols []column
-	pos  []int // per column: the next unconsumed index
-	at   []int // per column: the current key's index, or -1 when absent
+	rest [][]byte // per summary: its entries from the first unconsumed one on
+	in   []bool   // per summary: whether it holds the current key
 }
 
 // next advances to the smallest unconsumed key. It reports false when
-// every column is exhausted; otherwise at[i] locates the key in column i.
-// The scan is linear in the number of columns, which the per-key work
-// (one seed per instance) already is.
+// every summary is exhausted; otherwise in[i] tells whether summary i holds
+// the key. The scan is linear in the number of summaries, which the per-key
+// work (one seed per instance) already is.
 //
 //summarylint:hot
 func (m *unionMerge) next() (uint64, bool) {
 	var key uint64
 	found := false
-	for i := range m.cols {
-		if keys := m.cols[i].keys; m.pos[i] < len(keys) {
-			if k := keys[m.pos[i]]; !found || k < key {
+	for _, e := range m.rest {
+		if len(e) > 0 {
+			if k := binary.LittleEndian.Uint64(e); !found || k < key {
 				key, found = k, true
 			}
 		}
@@ -188,11 +158,9 @@ func (m *unionMerge) next() (uint64, bool) {
 	if !found {
 		return 0, false
 	}
-	for i := range m.cols {
-		m.at[i] = -1
-		if keys := m.cols[i].keys; m.pos[i] < len(keys) && keys[m.pos[i]] == key {
-			m.at[i] = m.pos[i]
-			m.pos[i]++
+	for i, e := range m.rest {
+		if m.in[i] = len(e) > 0 && binary.LittleEndian.Uint64(e) == key; m.in[i] {
+			m.rest[i] = e[8:]
 		}
 	}
 	return key, true

@@ -17,10 +17,10 @@ import (
 // that message — plus its header fields, parsed once — is the one form a
 // summary takes in memory, however it arrived: drawn by a Summarizer,
 // decoded from v1 JSON or from a v2 body (canonical or not), or replayed
-// from the WAL. A query decodes the entry region front to back into its
-// ascending column (loadColumn; nothing is sorted), a point lookup is a
-// binary search over the 16-byte (8-byte, for sets) entries, and encoding
-// to v2 is a copy of the bytes. Summaries are immutable.
+// from the WAL. A query walks the entry region in place, front to back
+// (nothing is copied out and nothing is sorted), a point lookup is a binary
+// search over the 16-byte (8-byte, for sets) entries, and encoding to v2 is
+// a copy of the bytes. Summaries are immutable.
 
 // Summary is any decoded or freshly drawn summary the wire formats can
 // carry. The interface is satisfied only by this package's summary types:
@@ -35,9 +35,10 @@ type Summary interface {
 	Size() int
 
 	seederOf() xhash.Seeder
-	// wireBytes returns the canonical v2 encoding; callers must not modify
+	// stored returns the canonical v2 message and its parsed header — what
+	// a query kernel walks and the v2 codec writes; callers must not modify
 	// it.
-	wireBytes() []byte
+	stored() *summaryData
 }
 
 // SummarySeeder returns the randomization a summary was drawn under.
@@ -45,7 +46,7 @@ func SummarySeeder(s Summary) xhash.Seeder { return s.seederOf() }
 
 // WireSize returns the length of a summary's v2 encoding — the bytes it
 // occupies in memory, and what a full scan of it reads.
-func WireSize(s Summary) int { return len(s.wireBytes()) }
+func WireSize(s Summary) int { return len(s.stored().data) }
 
 // Combinable reports whether two summaries share the same randomization
 // and can be queried together.
@@ -85,8 +86,6 @@ func newSummaryData(kind byte, seeder xhash.Seeder, instance int, fam byte, para
 	return summaryData{data: data, entries: data[head:], n: len(es), instance: instance, seeder: seeder}
 }
 
-func (d *summaryData) wireBytes() []byte { return d.data }
-
 // InstanceID implements Summary.
 func (d *summaryData) InstanceID() int { return d.instance }
 
@@ -94,6 +93,8 @@ func (d *summaryData) InstanceID() int { return d.instance }
 func (d *summaryData) Size() int { return d.n }
 
 func (d *summaryData) seederOf() xhash.Seeder { return d.seeder }
+
+func (d *summaryData) stored() *summaryData { return d }
 
 // weightedKeyAt reads the key of 16-byte entry i.
 //
@@ -122,23 +123,14 @@ func (d *summaryData) lookupWeighted(h dataset.Key) (float64, bool) {
 	return 0, false
 }
 
-// appendWeightedKeys appends the 16-byte entries' keys, ascending, to dst.
-func (d *summaryData) appendWeightedKeys(dst []dataset.Key) []dataset.Key {
-	for i := 0; i < d.n; i++ {
-		dst = append(dst, dataset.Key(d.weightedKeyAt(i)))
+// AppendKeys appends every retained key, ascending, to dst. Every summary
+// kind has it: a key leads each entry, whatever the entry's size (which the
+// loop's step divides out only once there is an entry to step over).
+func (d *summaryData) AppendKeys(dst []dataset.Key) []dataset.Key {
+	for off := 0; off < len(d.entries); off += len(d.entries) / d.n {
+		dst = append(dst, dataset.Key(binary.LittleEndian.Uint64(d.entries[off:])))
 	}
 	return dst
-}
-
-// loadWeightedColumn decodes the 16-byte entries into c, in wire order.
-//
-//summarylint:hot
-func (d *summaryData) loadWeightedColumn(c *column) {
-	c.keys, c.vals = resize(c.keys, d.n), resize(c.vals, d.n)
-	for i := range c.keys {
-		c.keys[i] = d.weightedKeyAt(i)
-		c.vals[i] = d.weightedValueAt(i)
-	}
 }
 
 // weightedValues copies the 16-byte entries into the map the v1 JSON
@@ -204,16 +196,11 @@ func (p *PPSSummary) PPSTau() float64 { return p.tau }
 // Lookup implements PPSReader.
 func (p *PPSSummary) Lookup(h dataset.Key) (float64, bool) { return p.lookupWeighted(h) }
 
-// AppendKeys implements PPSReader.
-func (p *PPSSummary) AppendKeys(dst []dataset.Key) []dataset.Key { return p.appendWeightedKeys(dst) }
-
-func (p *PPSSummary) loadColumn(c *column) { p.loadWeightedColumn(c) }
-
 // SubsetSum estimates the single-instance subset sum Σ_{h∈sel} v(h) with
 // inverse-probability (HT) weights; a nil sel selects all keys. In rank
 // terms the PPS threshold is 1/tau.
 func (p *PPSSummary) SubsetSum(sel func(dataset.Key) bool) float64 {
-	sum, _ := ppsSumVariance(p, sel)
+	sum, _ := ppsSumVarianceTerms(&p.summaryData, p.tau, sel)
 	return sum
 }
 
@@ -251,24 +238,6 @@ func (s *SetSummary) Contains(h dataset.Key) bool {
 	return i < s.n && s.memberAt(i) == uint64(h)
 }
 
-// AppendKeys implements SetReader.
-func (s *SetSummary) AppendKeys(dst []dataset.Key) []dataset.Key {
-	for i := 0; i < s.n; i++ {
-		dst = append(dst, dataset.Key(s.memberAt(i)))
-	}
-	return dst
-}
-
-// loadColumn decodes the 8-byte member entries into c, in wire order.
-//
-//summarylint:hot
-func (s *SetSummary) loadColumn(c *column) {
-	c.keys = resize(c.keys, s.n)
-	for i := range c.keys {
-		c.keys[i] = s.memberAt(i)
-	}
-}
-
 // BottomKSummary is a bottom-k (order) summary of one instance: the k
 // lowest-ranked keys and the conditioning threshold.
 type BottomKSummary struct {
@@ -302,13 +271,6 @@ func (b *BottomKSummary) RankFam() sampling.RankFamily { return b.fam }
 
 // Lookup implements BottomKReader.
 func (b *BottomKSummary) Lookup(h dataset.Key) (float64, bool) { return b.lookupWeighted(h) }
-
-// AppendKeys implements BottomKReader.
-func (b *BottomKSummary) AppendKeys(dst []dataset.Key) []dataset.Key {
-	return b.appendWeightedKeys(dst)
-}
-
-func (b *BottomKSummary) loadColumn(c *column) { b.loadWeightedColumn(c) }
 
 // SubsetSum estimates Σ_{h∈sel} v(h) with the rank-conditioning estimator.
 func (b *BottomKSummary) SubsetSum(sel func(dataset.Key) bool) float64 {

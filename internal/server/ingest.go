@@ -12,6 +12,7 @@ import (
 	"repro/internal/engine"
 	"repro/internal/obs/trace"
 	"repro/internal/sampling"
+	"repro/pkg/api"
 )
 
 // The ingest path is the "summarize where the data lands" half of the
@@ -244,7 +245,7 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		writeError(w, err)
 		return
 	}
-	writeJSON(w, http.StatusCreated, PostResult{
+	writeJSON(w, http.StatusCreated, api.PostResult{
 		Dataset:  p.dataset,
 		Instance: sum.InstanceID(),
 		Kind:     sum.Kind(),
@@ -380,7 +381,7 @@ func (s *Server) handleIngestMulti(w http.ResponseWriter, r *http.Request) {
 		sizes[i] = sum.Size()
 	}
 	put.Finish()
-	writeJSON(w, http.StatusCreated, MultiPostResult{
+	writeJSON(w, http.StatusCreated, api.MultiPostResult{
 		Dataset:   p.dataset,
 		Kind:      p.kind,
 		Instances: p.instances,

@@ -15,6 +15,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/dataset"
 	"repro/internal/engine"
+	"repro/pkg/api"
 )
 
 // TestOversizedBodyIs413: a body over the endpoint's cap is refused as
@@ -56,7 +57,7 @@ func TestOversizedBodyIs413(t *testing.T) {
 			req.Header.Set("Content-Type", tc.contentType)
 			rec := httptest.NewRecorder()
 			srv.ServeHTTP(rec, req)
-			var refusal ErrorResult
+			var refusal api.ErrorResult
 			_ = json.Unmarshal(rec.Body.Bytes(), &refusal) // no error member in a 201
 			return rec.Code, refusal.Error
 		}
@@ -181,7 +182,7 @@ func TestCancelledIngestStopsAtNextBatch(t *testing.T) {
 				}(body.stalled, body.resume)
 				rec := httptest.NewRecorder()
 				srv.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, tc.target, body).WithContext(ctx))
-				var refusal ErrorResult
+				var refusal api.ErrorResult
 				if err := json.Unmarshal(rec.Body.Bytes(), &refusal); err != nil || rec.Code != http.StatusBadRequest ||
 					refusal.Error != "server: ingest abandoned: context canceled" {
 					t.Fatalf("%s %+v: %d %s, want 400 and the scan abandoned", tc.name, cfg, rec.Code, rec.Body)

@@ -5,6 +5,7 @@ import (
 	"log/slog"
 	"math/rand/v2"
 	"net/http"
+	"runtime/debug"
 	"strconv"
 	"sync/atomic"
 	"time"
@@ -15,6 +16,7 @@ import (
 	"repro/internal/engine"
 	"repro/internal/obs"
 	"repro/internal/obs/trace"
+	"repro/pkg/api"
 )
 
 // This file is the server's observability layer: an Observer wraps the
@@ -70,6 +72,7 @@ type Observer struct {
 	slow      time.Duration
 	bound     bool
 	inFlight  *obs.Gauge
+	panics    *obs.Counter
 	endpoints map[string]*endpointMetrics
 	idBase    string
 	idSeq     atomic.Uint64
@@ -112,6 +115,11 @@ func NewObserver(reg *obs.Registry, opts ...ObserverOption) *Observer {
 	}
 	o.inFlight = reg.Gauge("summaryd_http_requests_in_flight",
 		"Requests currently being served.", nil)
+	// root is a fixed vocabulary: the goroutine roots a panic is contained
+	// at, of which the request middleware is the first.
+	o.panics = reg.Counter("summaryd_panics_total",
+		"Panics contained at a goroutine root instead of killing the connection or the process.",
+		obs.Labels{"root": "http"})
 	o.endpoints = make(map[string]*endpointMetrics, len(instrumentedEndpoints))
 	for _, ep := range instrumentedEndpoints {
 		m := &endpointMetrics{
@@ -286,7 +294,7 @@ func (o *Observer) intercept(next http.Handler, w http.ResponseWriter, r *http.R
 	sw := &statusWriter{ResponseWriter: w}
 	o.inFlight.Inc()
 	start := time.Now()
-	next.ServeHTTP(sw, r)
+	o.serveContained(next, sw, r, rid, sp)
 	dur := time.Since(start)
 	o.inFlight.Dec()
 
@@ -337,6 +345,32 @@ func (o *Observer) intercept(next http.Handler, w http.ResponseWriter, r *http.R
 		n++
 	}
 	o.log.LogAttrs(r.Context(), lvl, "request", attrs[:n]...)
+}
+
+// serveContained runs the handler and contains a panic in it: the request
+// answers 500 (if nothing was sent yet) naming its request and trace ids,
+// the panic is counted and logged with its stack, and the middleware goes on
+// to measure, trace and log the request like any other 5xx. Handlers return
+// what they borrowed from a pool by defer, so that has happened by then.
+func (o *Observer) serveContained(next http.Handler, sw *statusWriter, r *http.Request, rid string, sp *trace.Span) {
+	defer func() {
+		v := recover()
+		if v == nil {
+			return
+		}
+		o.panics.Inc()
+		ids := "request_id=" + rid
+		if sp != nil {
+			ids += " trace_id=" + sp.TraceID()
+		}
+		if o.log != nil {
+			o.log.Error("panic", "root", "http", "request_id", rid, "panic", fmt.Sprint(v), "stack", string(debug.Stack()))
+		}
+		if sw.code == 0 {
+			writeJSON(sw, http.StatusInternalServerError, api.ErrorResult{Error: "server: internal error (" + ids + ")"})
+		}
+	}()
+	next.ServeHTTP(sw, r)
 }
 
 // requestID returns the request's correlation ID: a sane inbound
@@ -449,8 +483,8 @@ func (s *Server) engineQueueDepth() int {
 
 // engineStatus builds the /healthz engine block from the accumulated
 // totals.
-func (s *Server) engineStatus() *EngineStatus {
-	return &EngineStatus{
+func (s *Server) engineStatus() *api.EngineStatus {
+	return &api.EngineStatus{
 		Pairs:      s.engine.pairs.Load(),
 		Batches:    s.engine.batches.Load(),
 		Stalls:     s.engine.stalls.Load(),

@@ -190,10 +190,10 @@ func TestDumpDeterministicOrder(t *testing.T) {
 
 func TestHealthzReportsStore(t *testing.T) {
 	status := api.StoreStatus{Dir: "/tmp/x", WALRecords: 3, WALBytes: 123, Fsync: true}
-	srv := New(NewRegistry(), engine.Config{}, WithStoreStatus(func() StoreStatus { return status }))
+	srv := New(NewRegistry(), engine.Config{}, WithStoreStatus(func() api.StoreStatus { return status }))
 	rec := httptest.NewRecorder()
 	srv.ServeHTTP(rec, httptest.NewRequest("GET", "/healthz", nil))
-	var hr HealthResult
+	var hr api.HealthResult
 	if err := json.Unmarshal(rec.Body.Bytes(), &hr); err != nil {
 		t.Fatalf("healthz: %v", err)
 	}

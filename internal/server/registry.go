@@ -412,12 +412,12 @@ func (r *Registry) Get(dataset string, instances []int) ([]core.Summary, error) 
 // Info describes one dataset. Ingest uses it to bind new raw streams to
 // the dataset's existing salt, coordination mode, and kind before reading
 // the request body.
-func (r *Registry) Info(dataset string) (DatasetInfo, error) {
+func (r *Registry) Info(dataset string) (api.DatasetInfo, error) {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
 	e, ok := r.datasets[dataset]
 	if !ok {
-		return DatasetInfo{}, fmt.Errorf("%w: dataset %q", ErrNotFound, dataset)
+		return api.DatasetInfo{}, fmt.Errorf("%w: dataset %q", ErrNotFound, dataset)
 	}
 	return e.info(dataset), nil
 }
@@ -431,10 +431,10 @@ func (r *Registry) Count() int {
 }
 
 // List describes every dataset, sorted by name.
-func (r *Registry) List() []DatasetInfo {
+func (r *Registry) List() []api.DatasetInfo {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
-	out := make([]DatasetInfo, 0, len(r.datasets))
+	out := make([]api.DatasetInfo, 0, len(r.datasets))
 	for name, e := range r.datasets {
 		out = append(out, e.info(name))
 	}
@@ -442,8 +442,8 @@ func (r *Registry) List() []DatasetInfo {
 	return out
 }
 
-func (e *datasetEntry) info(name string) DatasetInfo {
-	info := DatasetInfo{
+func (e *datasetEntry) info(name string) api.DatasetInfo {
+	info := api.DatasetInfo{
 		Dataset:   name,
 		Kind:      e.kind,
 		Salt:      e.seeder.Salt,

@@ -10,7 +10,6 @@ import (
 	"strings"
 
 	"repro/internal/core"
-	"repro/internal/dataset"
 	"repro/internal/engine"
 	"repro/internal/obs/trace"
 	"repro/pkg/api"
@@ -38,7 +37,7 @@ type Server struct {
 	cfg         engine.Config
 	mux         *http.ServeMux
 	defaultWire core.Codec
-	storeStatus func() StoreStatus
+	storeStatus func() api.StoreStatus
 	obs         *Observer
 	metricsOn   bool
 	tracer      *trace.Tracer
@@ -72,7 +71,7 @@ func WithDefaultWire(version int) Option {
 // polled per probe and returned under the "store" key. summaryd passes
 // the store's Status method when running with -data-dir; servers without
 // durable storage omit the option and the key.
-func WithStoreStatus(status func() StoreStatus) Option {
+func WithStoreStatus(status func() api.StoreStatus) Option {
 	return func(s *Server) { s.storeStatus = status }
 }
 
@@ -134,7 +133,7 @@ func New(reg *Registry, cfg engine.Config, opts ...Option) *Server {
 		// replayed. Static parts (wire versions) are cached at New —
 		// probes fire often enough that per-probe rebuilds showed up as
 		// allocation (pinned by TestHealthzAllocs).
-		hr := HealthResult{
+		hr := api.HealthResult{
 			Status:       "ok",
 			Datasets:     s.reg.Count(),
 			WireVersions: s.wireVersions,
@@ -183,22 +182,33 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	s.mux.ServeHTTP(w, r)
 }
 
-// writeJSON encodes v before committing to a status: a value encoding/json
-// refuses — an estimate that overflowed to ±Inf or went NaN, which JSON
-// has no representation for — becomes a 500 with a JSON error body, not a
-// 200 whose body stops where the encoder gave up.
-func writeJSON(w http.ResponseWriter, status int, v any) {
+// encodeJSON renders v as every JSON response is rendered.
+func encodeJSON(v any) ([]byte, error) {
 	var buf bytes.Buffer
 	enc := json.NewEncoder(&buf)
 	enc.SetIndent("", " ")
-	if err := enc.Encode(v); err != nil {
+	err := enc.Encode(v)
+	return buf.Bytes(), err
+}
+
+// writeJSON encodes v before committing to a status: a value encoding/json
+// refuses becomes a 500 with a JSON error body, not a 200 whose body stops
+// where the encoder gave up. (A query answer that is ±Inf or NaN never gets
+// here: answerQuery refuses it as a 422.)
+func writeJSON(w http.ResponseWriter, status int, v any) {
+	body, err := encodeJSON(v)
+	if err != nil {
 		status = http.StatusInternalServerError
-		buf.Reset()
-		_ = enc.Encode(ErrorResult{Error: "server: encoding response: " + err.Error()}) // a struct of strings always encodes
+		body, _ = encodeJSON(api.ErrorResult{Error: "server: encoding response: " + err.Error()}) // a struct of strings always encodes
 	}
+	writeBody(w, status, body)
+}
+
+// writeBody sends an encoded JSON body.
+func writeBody(w http.ResponseWriter, status int, body []byte) {
 	w.Header().Set("Content-Type", jsonContentType)
 	w.WriteHeader(status)
-	_, _ = w.Write(buf.Bytes())
+	_, _ = w.Write(body)
 }
 
 // jsonContentType is the explicit content type of every JSON response,
@@ -227,7 +237,7 @@ func checkDatasetName(ds string) error {
 // writeError maps a registry/decode error to its status code.
 func writeError(w http.ResponseWriter, err error) {
 	status := http.StatusBadRequest
-	body := ErrorResult{Error: err.Error()}
+	body := api.ErrorResult{Error: err.Error()}
 	var tooLarge *http.MaxBytesError
 	switch {
 	case errors.As(err, &tooLarge):
@@ -246,6 +256,8 @@ func writeError(w http.ResponseWriter, err error) {
 	case errors.Is(err, errNotAcceptable):
 		status = http.StatusNotAcceptable
 		body.Supported = core.SupportedWireVersions()
+	case errors.Is(err, errNonFinite):
+		status = http.StatusUnprocessableEntity
 	}
 	writeJSON(w, status, body)
 }
@@ -296,7 +308,7 @@ func (s *Server) handlePostSummary(w http.ResponseWriter, r *http.Request) {
 		writeError(w, err)
 		return
 	}
-	writeJSON(w, http.StatusCreated, PostResult{
+	writeJSON(w, http.StatusCreated, api.PostResult{
 		Dataset:  ds,
 		Instance: sum.InstanceID(),
 		Kind:     sum.Kind(),
@@ -383,244 +395,4 @@ func (s *Server) handleFetchSummary(w http.ResponseWriter, r *http.Request) {
 	// the client vanishes mid-stream — and a truncated body failing the
 	// client's decode is the right signal for that.
 	_ = codec.EncodeTo(w, sums[0])
-}
-
-func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
-	q := r.URL.Query()
-	ds := q.Get("dataset")
-	if err := checkDatasetName(ds); err != nil {
-		writeError(w, err)
-		return
-	}
-	instances, err := parseInstances(q.Get("instances"))
-	if err != nil {
-		writeError(w, err)
-		return
-	}
-	sums, err := s.reg.Get(ds, instances)
-	if err != nil {
-		writeError(w, err)
-		return
-	}
-	got := make([]int, len(sums))
-	for i, sum := range sums {
-		got[i] = sum.InstanceID()
-	}
-	// The explain report and the per-summary scan spans describe the same
-	// thing: how much each consulted summary holds.
-	var report *api.Explain
-	if q.Get("explain") == "1" {
-		report = explainFor(sums)
-	}
-	query := q.Get("q")
-	// Branch on the span before naming the child: the untraced path must
-	// not pay the "query."+query concatenation.
-	var qsp *trace.Span
-	if sp := trace.SpanFromContext(r.Context()); sp != nil {
-		qsp = sp.StartChild("query." + query)
-		recordSummaryScans(qsp, sums)
-	}
-	defer qsp.Finish()
-	switch query {
-	case "distinct":
-		// A single bottom-k instance answers its own distinct count with
-		// the rank-conditioning estimator (exact when never thresholded);
-		// the multi-instance form needs the set summaries' shared seeds.
-		if len(sums) == 1 {
-			if b, ok := sums[0].(core.BottomKReader); ok {
-				est := core.BottomKDistinct(b)
-				qsp.SetInt("union_keys", int64(b.Size()))
-				res := DistinctResult{
-					Dataset: ds, Instances: got,
-					HT: est, KeysUsed: b.Size(), Explain: report,
-				}
-				res.Accuracy = accuracyFor(core.BottomKDistinctStdErr(b, est))
-				writeJSON(w, http.StatusOK, res)
-				return
-			}
-		}
-		sets, err := asKind[core.SetReader](sums, "set", "distinct")
-		if err != nil {
-			writeError(w, err)
-			return
-		}
-		est, err := core.DistinctCountMultiReaders(sets, nil)
-		if err != nil {
-			writeError(w, err)
-			return
-		}
-		// union_keys is the number of distinct keys the ordered walk visited
-		// (the denominator of the span's ns/key): the size of the key union,
-		// which is the estimate's KeysUsed only because the handler never
-		// passes a selection.
-		qsp.SetInt("union_keys", int64(est.KeysUsed))
-		res := DistinctResult{
-			Dataset: ds, Instances: got,
-			HT: est.HT, L: est.L, KeysUsed: est.KeysUsed, Explain: report,
-		}
-		res.Accuracy = accuracyFor(core.DistinctHTStdErr(sets, est.HT))
-		writeJSON(w, http.StatusOK, res)
-	case "maxdominance":
-		pps, err := asKind[core.PPSReader](sums, "pps", "maxdominance")
-		if err != nil {
-			writeError(w, err)
-			return
-		}
-		if len(pps) != 2 {
-			writeError(w, fmt.Errorf("server: maxdominance needs exactly 2 instances, got %d (pass instances=i,j)", len(pps)))
-			return
-		}
-		est, err := core.MaxDominanceReaders(pps[0], pps[1], nil)
-		if err != nil {
-			writeError(w, err)
-			return
-		}
-		qsp.SetInt("union_keys", int64(est.KeysUsed))
-		writeJSON(w, http.StatusOK, DominanceResult{
-			Dataset: ds, Instances: got,
-			HT: est.HT, L: est.L, KeysUsed: est.KeysUsed, Explain: report,
-		})
-	case "quantile":
-		pps, err := asKind[core.PPSReader](sums, "pps", "quantile")
-		if err != nil {
-			writeError(w, err)
-			return
-		}
-		key, err := strconv.ParseUint(q.Get("key"), 10, 64)
-		if err != nil {
-			writeError(w, fmt.Errorf("server: quantile needs a key parameter: %w", err))
-			return
-		}
-		l := 1
-		if v := q.Get("l"); v != "" {
-			if l, err = strconv.Atoi(v); err != nil {
-				writeError(w, fmt.Errorf("server: invalid quantile index %q", v))
-				return
-			}
-		}
-		est, err := core.QuantilePPSReaders(pps, dataset.Key(key), l)
-		if err != nil {
-			writeError(w, err)
-			return
-		}
-		writeJSON(w, http.StatusOK, QuantileResult{
-			Dataset: ds, Instances: got, Key: key, Index: l,
-			HT: est.HT, Sampled: est.Sampled, Explain: report,
-		})
-	case "sum":
-		if len(sums) != 1 {
-			writeError(w, fmt.Errorf("server: sum is a single-instance query, got %d instances (pass instances=i)", len(sums)))
-			return
-		}
-		var (
-			total, stderr float64
-			bounded       bool
-		)
-		switch sum := sums[0].(type) {
-		case core.SetReader:
-			// HT cardinality estimate of the underlying set.
-			total = float64(sum.Size()) / sum.SetP()
-			stderr, bounded = core.SumStdErr(sum, total)
-		case core.PPSReader:
-			// One walk of the entries answers the estimate and its error bar.
-			total, stderr, bounded = core.PPSSumStdErr(sum)
-			qsp.SetInt("union_keys", int64(sum.Size()))
-		case interface {
-			SubsetSum(func(dataset.Key) bool) float64
-		}:
-			// Bottom-k and VarOpt summaries answer the subset-sum estimate
-			// directly, walking their own keys; their bound needs no walk.
-			total = sum.SubsetSum(nil)
-			stderr, bounded = core.SumStdErr(sums[0], total)
-			qsp.SetInt("union_keys", int64(sums[0].Size()))
-		default:
-			writeError(w, fmt.Errorf("server: sum not supported for kind %s", sums[0].Kind()))
-			return
-		}
-		res := SumResult{Dataset: ds, Instance: got[0], Sum: total, Explain: report}
-		res.Accuracy = accuracyFor(stderr, bounded)
-		writeJSON(w, http.StatusOK, res)
-	case "":
-		writeError(w, fmt.Errorf("server: missing q parameter (distinct, maxdominance, quantile, sum)"))
-	default:
-		writeError(w, fmt.Errorf("server: unknown query %q (distinct, maxdominance, quantile, sum)", query))
-	}
-}
-
-// accuracyFor renders a standard-error bound as the optional accuracy
-// block, nil when no bound is known for the summary kind.
-func accuracyFor(stderr float64, ok bool) *api.Accuracy {
-	if !ok {
-		return nil
-	}
-	return &api.Accuracy{StdErr: stderr, CI95: core.CI95Z * stderr}
-}
-
-// explainFor builds the explain=1 execution report: one entry per
-// consulted summary with its size, plus the scan-work totals.
-func explainFor(sums []core.Summary) *api.Explain {
-	out := &api.Explain{Summaries: make([]api.ExplainSummary, len(sums))}
-	for i, sum := range sums {
-		es := api.ExplainSummary{
-			Instance: sum.InstanceID(),
-			Kind:     sum.Kind(),
-			Entries:  sum.Size(),
-			Bytes:    core.WireSize(sum),
-		}
-		out.Summaries[i] = es
-		out.EntriesScanned += es.Entries
-		out.BytesTouched += es.Bytes
-	}
-	return out
-}
-
-// recordSummaryScans annotates a query span with the per-summary scan
-// shape: instance, kind, entries, and bytes. Attribute volume is capped so
-// a wide instances= list cannot bloat the trace ring.
-func recordSummaryScans(sp *trace.Span, sums []core.Summary) {
-	if sp == nil {
-		return
-	}
-	const maxRecorded = 8
-	sp.SetInt("summaries", int64(len(sums)))
-	for i, sum := range sums {
-		if i == maxRecorded {
-			sp.SetInt("summaries_unrecorded", int64(len(sums)-maxRecorded))
-			break
-		}
-		sp.SetAttr("s"+strconv.Itoa(i),
-			fmt.Sprintf("instance=%d kind=%s entries=%d bytes=%d",
-				sum.InstanceID(), sum.Kind(), sum.Size(), core.WireSize(sum)))
-	}
-}
-
-// asKind narrows stored summaries to the concrete type a query dispatches
-// on, naming the query in the error.
-func asKind[T core.Summary](sums []core.Summary, kind, query string) ([]T, error) {
-	out := make([]T, len(sums))
-	for i, s := range sums {
-		t, ok := s.(T)
-		if !ok {
-			return nil, fmt.Errorf("server: %s requires %s summaries, dataset holds %s", query, kind, s.Kind())
-		}
-		out[i] = t
-	}
-	return out, nil
-}
-
-// parseInstances parses a comma-separated instance list ("" means all).
-func parseInstances(s string) ([]int, error) {
-	if s == "" {
-		return nil, nil
-	}
-	parts := strings.Split(s, ",")
-	out := make([]int, len(parts))
-	for i, p := range parts {
-		n, err := strconv.Atoi(strings.TrimSpace(p))
-		if err != nil {
-			return nil, fmt.Errorf("server: invalid instance list %q: %w", s, err)
-		}
-		out[i] = n
-	}
-	return out, nil
 }

@@ -205,7 +205,7 @@ func TestIngestVarOpt(t *testing.T) {
 		}
 		post := decodeResult[api.PostResult](t, resp)
 		if post.Kind != "varopt" || post.Size != len(in) {
-			t.Fatalf("PostResult = %+v, want kind varopt with %d keys", post, len(in))
+			t.Fatalf("api.PostResult = %+v, want kind varopt with %d keys", post, len(in))
 		}
 		got := getJSON[api.SumResult](t, ts.URL+"/v1/query?dataset=vi&q=sum&instances=0")
 		if math.Abs(got.Sum-in.Total()) > 1e-9*in.Total() {
@@ -259,8 +259,9 @@ func TestNonFiniteEntryValuesRefused(t *testing.T) {
 }
 
 // TestUnencodableResultIsAnError: an estimate JSON cannot represent — here
-// a sum of finite values that overflows to +Inf — answers a 5xx with a
-// JSON error body, never a 200 whose body is empty.
+// a sum of finite values that overflows to +Inf — is a property of the
+// posted values, so it answers a 422 with a JSON error body naming the query
+// and the instance: never a 200 whose body is empty, and never a 500.
 func TestUnencodableResultIsAnError(t *testing.T) {
 	ts := httptest.NewServer(server.New(server.NewRegistry(), engine.Config{}))
 	defer ts.Close()
@@ -271,13 +272,13 @@ func TestUnencodableResultIsAnError(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if resp.StatusCode != http.StatusInternalServerError {
-		t.Errorf("overflowed sum answered %d, want 500", resp.StatusCode)
+	if resp.StatusCode != http.StatusUnprocessableEntity {
+		t.Errorf("overflowed sum answered %d, want 422", resp.StatusCode)
 	}
 	if ct := resp.Header.Get("Content-Type"); !strings.HasPrefix(ct, "application/json") {
 		t.Errorf("Content-Type %q, want JSON", ct)
 	}
-	if e := decodeResult[api.ErrorResult](t, resp); !strings.Contains(e.Error, "encoding response") {
-		t.Errorf("error body %+v, want the encoding failure", e)
+	if e := decodeResult[api.ErrorResult](t, resp); !strings.Contains(e.Error, "sum over instances [0]") || !strings.Contains(e.Error, "+Inf") {
+		t.Errorf("error body %+v, want the non-finite refusal naming the query and the instance", e)
 	}
 }

@@ -79,7 +79,7 @@ func TestPostSummaryNegotiation(t *testing.T) {
 			}
 			post := decodeResult[api.PostResult](t, resp)
 			if post.Wire != tc.wantWire || post.Size != sum.Size() {
-				t.Fatalf("PostResult = %+v, want wire %d, size %d", post, tc.wantWire, sum.Size())
+				t.Fatalf("api.PostResult = %+v, want wire %d, size %d", post, tc.wantWire, sum.Size())
 			}
 		})
 	}
@@ -124,7 +124,7 @@ func TestPostSummaryUnknownVersion(t *testing.T) {
 			}
 			e := decodeResult[api.ErrorResult](t, resp)
 			if e.Error == "" || !reflect.DeepEqual(e.Supported, core.SupportedWireVersions()) {
-				t.Fatalf("ErrorResult = %+v, want error text and supported %v",
+				t.Fatalf("api.ErrorResult = %+v, want error text and supported %v",
 					e, core.SupportedWireVersions())
 			}
 		})
@@ -277,6 +277,6 @@ func TestHealthWireVersions(t *testing.T) {
 	}
 	hr := decodeResult[api.HealthResult](t, resp)
 	if hr.Status != "ok" || !reflect.DeepEqual(hr.WireVersions, core.SupportedWireVersions()) {
-		t.Fatalf("HealthResult = %+v, want ok with wire versions %v", hr, core.SupportedWireVersions())
+		t.Fatalf("api.HealthResult = %+v, want ok with wire versions %v", hr, core.SupportedWireVersions())
 	}
 }

@@ -86,10 +86,10 @@ func TestOutOfRangeEntryValuesNeverStrandTheStore(t *testing.T) {
 	defer st2.Close()
 	mustMatch(t, "out-of-range values", image(t, reg2.Dump), image(t, want.dump))
 
-	// The recovered server answers: a typed 500 where the estimate is not
+	// The recovered server answers: a typed 422 where the estimate is not
 	// representable, a number where it is.
 	srv2 := server.New(reg2, engine.Config{})
-	for instance, code := range map[string]int{"0": http.StatusInternalServerError, "1": http.StatusOK} {
+	for instance, code := range map[string]int{"0": http.StatusUnprocessableEntity, "1": http.StatusOK} {
 		rec := httptest.NewRecorder()
 		srv2.ServeHTTP(rec, httptest.NewRequest("GET", "/v1/query?dataset=d&q=sum&instances="+instance, nil))
 		if rec.Code != code || !bytes.HasPrefix(rec.Body.Bytes(), []byte("{")) {
