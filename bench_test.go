@@ -9,7 +9,7 @@ import (
 	"sort"
 	"testing"
 
-	"repro/internal/aggregate"
+	"repro/internal/core"
 	"repro/internal/dataset"
 	"repro/internal/engine"
 	"repro/internal/estimator"
@@ -549,7 +549,8 @@ func BenchmarkMaxDominanceEstimate(b *testing.B) {
 	tau2 := sampling.TauForExpectedSize(m.Instances[1], 100)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := aggregate.EstimateMaxDominance(m, tau1, tau2, xhash.Seeder{Salt: uint64(i)}, nil)
+		s := core.NewSummarizer(uint64(i))
+		res, err := core.MaxDominanceReaders(s.SummarizePPS(0, m.Instances[0], tau1), s.SummarizePPS(1, m.Instances[1], tau2), nil)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -558,14 +559,17 @@ func BenchmarkMaxDominanceEstimate(b *testing.B) {
 }
 
 // BenchmarkDistinctEstimate measures the §8.1 distinct-count pipeline over
-// two 10k-key sets.
+// two 10k-key sets (sampling both sets + tallying the union's categories).
 func BenchmarkDistinctEstimate(b *testing.B) {
 	logs := simdata.RequestLog(10000, 2, 0.3, 5)
-	e := aggregate.DistinctEstimator{P1: 0.1, P2: 0.1}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		c := aggregate.EstimateDistinct(logs[0], logs[1], 0.1, 0.1, xhash.Seeder{Salt: uint64(i)}, nil)
-		sinkF += e.L(c)
+		s := core.NewSummarizer(uint64(i))
+		est, err := core.DistinctCountReaders(s.SummarizeSet(0, logs[0], 0.1), s.SummarizeSet(1, logs[1], 0.1), nil)
+		if err != nil {
+			b.Fatal(err)
+		}
+		sinkF += est.L
 	}
 }
 

@@ -13,9 +13,9 @@ package main
 import (
 	"fmt"
 
-	"repro/internal/aggregate"
 	"repro/internal/core"
 	"repro/internal/estimator"
+	"repro/internal/experiments"
 	"repro/internal/simdata"
 	"repro/internal/stats"
 )
@@ -62,13 +62,13 @@ func main() {
 	fmt.Printf("MSE over 3000 summarizations:  HT %.0f   L %.0f   (ratio %.2f)\n",
 		errHT.Mean(), errL.Mean(), errHT.Mean()/errL.Mean())
 
-	de := aggregate.DistinctEstimator{P1: p, P2: p}
+	de := estimator.DistinctEstimator{P1: p, P2: p}
 	fmt.Printf("closed-form variances:         HT %.0f   L %.0f\n\n", de.VarHT(truth), de.VarL(truth, j))
 
 	// How many samples would each estimator need for 10%% relative error?
 	n := float64(len(logs[0]))
-	pht := aggregate.RequiredPHT(n, j, 0.1)
-	pl := aggregate.RequiredPL(n, j, 0.1)
+	pht := experiments.RequiredPHT(n, j, 0.1)
+	pl := experiments.RequiredPL(n, j, 0.1)
 	fmt.Printf("sample size for cv=0.1:  HT %.0f keys,  L %.0f keys (%.0f%% of HT)\n",
 		pht*n, pl*n, 100*pl/pht)
 

@@ -13,12 +13,12 @@ package main
 import (
 	"fmt"
 
-	"repro/internal/aggregate"
+	"repro/internal/core"
 	"repro/internal/dataset"
+	"repro/internal/experiments"
 	"repro/internal/sampling"
 	"repro/internal/simdata"
 	"repro/internal/stats"
-	"repro/internal/xhash"
 )
 
 func main() {
@@ -34,20 +34,20 @@ func main() {
 	tau1 := sampling.TauForExpectedSize(m.Instances[0], fraction*float64(len(m.Instances[0])))
 	tau2 := sampling.TauForExpectedSize(m.Instances[1], fraction*float64(len(m.Instances[1])))
 
-	res, err := aggregate.EstimateMaxDominance(m, tau1, tau2, xhash.Seeder{Salt: 8}, nil)
+	s := core.NewSummarizer(8)
+	s1 := s.SummarizePPS(0, m.Instances[0], tau1)
+	s2 := s.SummarizePPS(1, m.Instances[1], tau2)
+	res, err := core.MaxDominanceReaders(s1, s2, nil)
 	if err != nil {
 		panic(err)
 	}
-	fmt.Printf("one draw at %.0f%% sampling (%d + %d keys kept):\n", fraction*100, res.Sampled1, res.Sampled2)
+	fmt.Printf("one draw at %.0f%% sampling (%d + %d keys kept):\n", fraction*100, s1.Size(), s2.Size())
 	fmt.Printf("  HT = %.4g (%.1f%% error)\n", res.HT, 100*rel(res.HT, truth))
 	fmt.Printf("  L  = %.4g (%.1f%% error)\n\n", res.L, 100*rel(res.L, truth))
 
 	// Exact variances via per-key seed-space integration (Figure 7's
 	// machinery) — no Monte Carlo noise.
-	varHT, varL, total, err := aggregate.DominanceVariance(m, tau1, tau2, nil, 48)
-	if err != nil {
-		panic(err)
-	}
+	varHT, varL, total := experiments.DominanceVariance(m, tau1, tau2, 48)
 	fmt.Printf("exact normalized variances at %.0f%% sampling:\n", fraction*100)
 	fmt.Printf("  var[HT]/mu² = %.3g\n", stats.NormalizedVar(varHT, total))
 	fmt.Printf("  var[L]/mu²  = %.3g\n", stats.NormalizedVar(varL, total))
@@ -55,7 +55,7 @@ func main() {
 
 	// Selection: restrict to the heavy destinations of hour 1.
 	heavy := func(h dataset.Key) bool { return m.Instances[0][h] >= 100 }
-	resH, err := aggregate.EstimateMaxDominance(m, tau1, tau2, xhash.Seeder{Salt: 8}, heavy)
+	resH, err := core.MaxDominanceReaders(s1, s2, heavy)
 	if err != nil {
 		panic(err)
 	}

@@ -34,10 +34,11 @@ func TestBottomKDistinctExactWhenUnderfull(t *testing.T) {
 	}
 }
 
-// TestBottomKDistinctViewMatchesHydrated: the estimate off the summary's
-// wire entries equals the one off a map of the same sample, and survives a
-// v2 round trip; WireSize is the encoding's length.
-func TestBottomKDistinctViewMatchesHydrated(t *testing.T) {
+// TestBottomKDistinctDrawnAndDecodedMatchReference: the estimate off a
+// drawn summary's entries, and off the same summary after a v2 round trip,
+// equals the one off a map-backed reference of the same sample; WireSize
+// is the encoding's length.
+func TestBottomKDistinctDrawnAndDecodedMatchReference(t *testing.T) {
 	in := mcInstance(500)
 	s := NewSummarizer(11)
 	b := s.SummarizeBottomK(0, in, 40, sampling.PPS{})

@@ -11,9 +11,14 @@
 //     partial-information estimators of §4–§5 alongside the classical
 //     Horvitz–Thompson baselines.
 //
-// The underlying estimators live in internal/estimator, the sampling
-// substrates in internal/sampling; this package wires them together so
-// applications never handle seeds or outcome structures directly.
+// The per-key estimators and the §8.1 closed forms live in
+// internal/estimator, the sampling substrates in internal/sampling; this
+// package wires them together so applications never handle seeds or
+// outcome structures directly. The multi-instance kernels — the ordered
+// merges that sum per-key estimates over the union of the summaries' keys
+// (maxDominanceMerge, categorizeMerge, distinctMerge) — live here and
+// nowhere else: the server, the experiments and the examples all query
+// through them.
 package core
 
 import (
@@ -22,7 +27,6 @@ import (
 	"math"
 	"slices"
 
-	"repro/internal/aggregate"
 	"repro/internal/dataset"
 	"repro/internal/engine"
 	"repro/internal/estimator"
@@ -256,7 +260,7 @@ type DistinctEstimate struct {
 	// HT and L are the §8.1 estimates of |N1 ∪ N2| over selected keys.
 	HT, L float64
 	// Counts are the outcome-category tallies behind the estimates.
-	Counts aggregate.DistinctCounts
+	Counts estimator.DistinctCounts
 }
 
 // DistinctCountReaders estimates the number of distinct selected keys
@@ -269,7 +273,7 @@ func DistinctCountReaders(s1, s2 SetReader, sel func(dataset.Key) bool) (Distinc
 	defer sc.release()
 	pair := []SetReader{s1, s2}
 	c := categorizeMerge(sc.mergeOf(pair), bindSeeders(sc, pair), [2]float64{s1.SetP(), s2.SetP()}, sel)
-	e := aggregate.DistinctEstimator{P1: s1.SetP(), P2: s2.SetP()}
+	e := estimator.DistinctEstimator{P1: s1.SetP(), P2: s2.SetP()}
 	return DistinctEstimate{HT: e.HT(c), L: e.L(c), Counts: c}, nil
 }
 
@@ -277,14 +281,14 @@ func DistinctCountReaders(s1, s2 SetReader, sel func(dataset.Key) bool) (Distinc
 // union of two set summaries' members.
 //
 //summarylint:hot
-func categorizeMerge(m *unionMerge, seed []xhash.InstanceSeeder, p [2]float64, sel func(dataset.Key) bool) aggregate.DistinctCounts {
+func categorizeMerge(m *unionMerge, seed []xhash.InstanceSeeder, p [2]float64, sel func(dataset.Key) bool) estimator.DistinctCounts {
 	seed0, seed1 := seed[0], seed[1]
-	var c aggregate.DistinctCounts
+	var c estimator.DistinctCounts
 	for h, ok := m.next(); ok; h, ok = m.next() {
 		if sel != nil && !sel(dataset.Key(h)) {
 			continue
 		}
-		c.Add(aggregate.Categorize(
+		c.Add(estimator.Categorize(
 			m.in[0], m.in[1],
 			seed0.Seed(h), seed1.Seed(h),
 			p[0], p[1],

@@ -5,7 +5,6 @@ import (
 	"math"
 	"sort"
 
-	"repro/internal/aggregate"
 	"repro/internal/dataset"
 	"repro/internal/estimator"
 	"repro/internal/sampling"
@@ -194,19 +193,19 @@ func distinctCountReadersRef(s1, s2 SetReader, sel func(dataset.Key) bool) (Dist
 		return DistinctEstimate{}, err
 	}
 	seeder := s1.seederOf()
-	var c aggregate.DistinctCounts
+	var c estimator.DistinctCounts
 	for _, h := range unionReaderKeysRef[SetReader](s1, s2) {
 		if sel != nil && !sel(h) {
 			continue
 		}
-		c.Add(aggregate.Categorize(
+		c.Add(estimator.Categorize(
 			s1.Contains(h), s2.Contains(h),
 			seeder.Seed(s1.InstanceID(), uint64(h)),
 			seeder.Seed(s2.InstanceID(), uint64(h)),
 			s1.SetP(), s2.SetP(),
 		))
 	}
-	e := aggregate.DistinctEstimator{P1: s1.SetP(), P2: s2.SetP()}
+	e := estimator.DistinctEstimator{P1: s1.SetP(), P2: s2.SetP()}
 	return DistinctEstimate{HT: e.HT(c), L: e.L(c), Counts: c}, nil
 }
 

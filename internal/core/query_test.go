@@ -5,7 +5,6 @@ import (
 	"math"
 	"testing"
 
-	"repro/internal/aggregate"
 	"repro/internal/dataset"
 	"repro/internal/estimator"
 	"repro/internal/randx"
@@ -35,12 +34,13 @@ func threeSets(n int) []map[dataset.Key]bool {
 	return sets
 }
 
-// TestDistinctCountMultiMatchesAggregate: the summary-level r = 3 distinct
-// count must agree with aggregate.MultiDistinct run on the full sets —
-// the summaries carry all the information the estimator consumes.
-func TestDistinctCountMultiMatchesAggregate(t *testing.T) {
-	const p = 0.3
-	sets := threeSets(2000)
+// TestDistinctCountMultiMatchesFullSetOracle: the summary-level r = 3
+// distinct count must agree with the per-key OR^(HT)/OR^(L) estimates
+// computed from the full sets — the summaries carry all the information
+// the estimator consumes.
+func TestDistinctCountMultiMatchesFullSetOracle(t *testing.T) {
+	const n, p = 2000, 0.3
+	sets := threeSets(n)
 	s := NewSummarizer(2011)
 	sums := make([]SetReader, 3)
 	for i, set := range sets {
@@ -50,22 +50,39 @@ func TestDistinctCountMultiMatchesAggregate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	md, err := aggregate.NewMultiDistinct(3, p)
+	orl, err := estimator.ORLUniform(3, p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := md.Estimate(sets, s.Seeder(), nil)
-	if err != nil {
-		t.Fatal(err)
+	// threeSets places every key of 1..n in some set, so that range is the
+	// union, walked in ascending order.
+	var want MultiDistinctEstimate
+	for k := uint64(1); k <= n; k++ {
+		o := estimator.BinaryKnownSeedsOutcome{P: []float64{p, p, p}, U: make([]float64, 3), Sampled: make([]bool, 3)}
+		sampled, allSeedsLow := false, true
+		for i, set := range sets {
+			o.U[i] = s.Seeder().Seed(i, k)
+			o.Sampled[i] = set[dataset.Key(k)] && o.U[i] < p
+			sampled = sampled || o.Sampled[i]
+			allSeedsLow = allSeedsLow && o.U[i] < p
+		}
+		if !sampled {
+			continue
+		}
+		want.KeysUsed++
+		want.L += orl.Estimate(o.ToOblivious())
+		if allSeedsLow {
+			want.HT += 1 / (p * p * p)
+		}
 	}
 	if math.Abs(got.HT-want.HT) > 1e-9*(1+want.HT) {
-		t.Errorf("HT = %v, aggregate says %v", got.HT, want.HT)
+		t.Errorf("HT = %v, full-set oracle says %v", got.HT, want.HT)
 	}
 	if math.Abs(got.L-want.L) > 1e-9*(1+want.L) {
-		t.Errorf("L = %v, aggregate says %v", got.L, want.L)
+		t.Errorf("L = %v, full-set oracle says %v", got.L, want.L)
 	}
-	if got.KeysUsed != want.Sampled {
-		t.Errorf("KeysUsed = %d, aggregate sampled %d", got.KeysUsed, want.Sampled)
+	if got.KeysUsed != want.KeysUsed {
+		t.Errorf("KeysUsed = %d, full-set oracle sampled %d", got.KeysUsed, want.KeysUsed)
 	}
 }
 

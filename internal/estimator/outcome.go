@@ -223,8 +223,8 @@ func (o PPSOutcome) NumSampled() int {
 }
 
 // SamplePPS materializes the PPS outcome for data vector v with seeds u and
-// thresholds tau. It is the reference sampling procedure used by tests,
-// experiments and the aggregate layer.
+// thresholds tau. It is the reference sampling procedure of the tests and
+// benchmarks.
 func SamplePPS(v, u, tau []float64) PPSOutcome {
 	r := len(v)
 	o := PPSOutcome{Tau: tau, U: u, Sampled: make([]bool, r), Values: make([]float64, r)}

@@ -3,7 +3,8 @@ package experiments
 import (
 	"math"
 
-	"repro/internal/aggregate"
+	"repro/internal/estimator"
+	"repro/internal/stats"
 )
 
 // Figure6 reproduces Figure 6: the per-instance sample size s = p·n needed
@@ -30,8 +31,8 @@ func Figure6() []*Table {
 			ratioRow := []interface{}{n}
 			var hts, ls [4]float64
 			for i, j := range js {
-				hts[i] = aggregate.RequiredPHT(n, j, cv) * n
-				ls[i] = aggregate.RequiredPL(n, j, cv) * n
+				hts[i] = RequiredPHT(n, j, cv) * n
+				ls[i] = RequiredPL(n, j, cv) * n
 			}
 			for _, s := range hts {
 				row = append(row, s)
@@ -52,4 +53,31 @@ func Figure6() []*Table {
 		tables = append(tables, t, r)
 	}
 	return tables
+}
+
+// RequiredPHT returns the sampling probability p (p1 = p2 = p) needed for
+// the HT distinct-count estimator to reach coefficient of variation cv on
+// two sets of size n with Jaccard coefficient j (Figure 6 analysis):
+// cv² = (1/p² − 1)/N with N = 2n/(1+j).
+func RequiredPHT(n, j, cv float64) float64 {
+	bigN := 2 * n / (1 + j)
+	p := 1 / math.Sqrt(cv*cv*bigN+1)
+	return math.Min(1, p)
+}
+
+// RequiredPL returns the sampling probability needed by the L estimator for
+// the same target, solved by bisection on the exact per-key variances.
+func RequiredPL(n, j, cv float64) float64 {
+	bigN := 2 * n / (1 + j)
+	cvAt := func(p float64) float64 {
+		e := estimator.DistinctEstimator{P1: p, P2: p}
+		return math.Sqrt(e.VarL(bigN, j)) / bigN
+	}
+	if cvAt(1) > cv {
+		return 1
+	}
+	// cv(p) decreases in p; find the crossing.
+	return stats.Bisect(1e-12, 1, 200, func(p float64) float64 {
+		return cv - cvAt(p) // negative while cv(p) > target
+	})
 }

@@ -1,8 +1,10 @@
 package experiments
 
 import (
-	"repro/internal/aggregate"
+	"math"
+
 	"repro/internal/dataset"
+	"repro/internal/estimator"
 	"repro/internal/sampling"
 	"repro/internal/simdata"
 	"repro/internal/stats"
@@ -51,10 +53,7 @@ func Figure7(opt Figure7Options) *Table {
 	for _, f := range fractions {
 		tau1 := sampling.TauForExpectedSize(m.Instances[0], f*float64(len(m.Instances[0])))
 		tau2 := sampling.TauForExpectedSize(m.Instances[1], f*float64(len(m.Instances[1])))
-		varHT, varL, total, err := aggregate.DominanceVariance(m, tau1, tau2, nil, n)
-		if err != nil {
-			panic(err) // impossible: the generator always emits 2 instances
-		}
+		varHT, varL, total := DominanceVariance(m, tau1, tau2, n)
 		ratio := 0.0
 		if varL > 0 {
 			ratio = varHT / varL
@@ -62,6 +61,28 @@ func Figure7(opt Figure7Options) *Table {
 		t.AddRow(f*100, stats.NormalizedVar(varHT, total), stats.NormalizedVar(varL, total), ratio)
 	}
 	return t
+}
+
+// DominanceVariance computes the exact variance of the two max-dominance
+// sum-aggregate estimators over independent PPS samples of a two-instance
+// matrix with thresholds tau1, tau2, by per-key seed-space integration
+// with n Simpson intervals (estimates of different keys are independent,
+// so variances add). It returns (VAR[Σ max^HT], VAR[Σ max^L], Σ max).
+func DominanceVariance(m *dataset.Matrix, tau1, tau2 float64, n int) (varHT, varL, total float64) {
+	if m.R() != 2 {
+		panic("experiments: max dominance needs 2 instances")
+	}
+	tau := []float64{tau1, tau2}
+	opt := estimator.PPSMomentsOptions{N: n, ZeroOnEmpty: true}
+	for _, h := range m.Keys() {
+		v := m.Vector(h)
+		_, vh := estimator.PPSMoments2(v, tau, estimator.MaxHTPPS, opt)
+		_, vl := estimator.PPSMoments2(v, tau, estimator.MaxL2PPS, opt)
+		varHT += vh
+		varL += vl
+		total += math.Max(v[0], v[1])
+	}
+	return varHT, varL, total
 }
 
 // Figure7Workload exposes the generated matrix and its summary statistics

@@ -1,7 +1,9 @@
 package experiments
 
 import (
-	"repro/internal/aggregate"
+	"maps"
+
+	"repro/internal/core"
 	"repro/internal/dataset"
 	"repro/internal/simdata"
 	"repro/internal/stats"
@@ -27,35 +29,46 @@ func MultiPeriod() *Table {
 	const trials = 1500
 	for _, r := range []int{2, 3, 4} {
 		logs := simdata.RequestLog(4000, r, 0.25, 91)
-		truth := 0.0
-		seen := map[dataset.Key]bool{}
+		union := map[dataset.Key]bool{}
 		for _, l := range logs {
-			for h := range l {
-				if !seen[h] {
-					seen[h] = true
-					truth++
-				}
-			}
+			maps.Copy(union, l)
 		}
-		md, err := aggregate.NewMultiDistinct(r, p)
-		if err != nil {
-			panic(err) // r ≥ 2 and p valid by construction
-		}
+		truth := float64(len(union))
+		sums := make([]core.SetReader, r)
 		var ht, l, coord stats.Welford
 		for i := 0; i < trials; i++ {
-			res, err := md.Estimate(logs, xhash.Seeder{Salt: uint64(i)}, nil)
+			s := core.NewSummarizer(uint64(i))
+			for j, set := range logs {
+				sums[j] = s.SummarizeSet(j, set, p)
+			}
+			res, err := core.DistinctCountMultiReaders(sums, nil)
 			if err != nil {
-				panic(err)
+				panic(err) // r ≥ 2 summaries of one Summarizer at one p
 			}
 			ht.Add((res.HT - truth) * (res.HT - truth))
 			l.Add((res.L - truth) * (res.L - truth))
-			c, _, err := aggregate.CoordinatedDistinct(logs, p, xhash.Seeder{Salt: uint64(i), Shared: true}, nil)
-			if err != nil {
-				panic(err)
-			}
+			c := coordinatedDistinct(union, p, xhash.Seeder{Salt: uint64(i), Shared: true})
 			coord.Add((c - truth) * (c - truth))
 		}
 		t.AddRow(r, truth, ht.Mean(), l.Mean(), ht.Mean()/l.Mean(), coord.Mean())
 	}
 	return t
+}
+
+// coordinatedDistinct estimates |N1 ∪ … ∪ Nr| from shared-seed samples of
+// the sets with common probability p, given their union: the §7.2 contrast
+// to the independent-sample estimators of §8.1. With one shared seed u(h)
+// per key, a key of the union is sampled in *every* set containing it
+// exactly when u(h) < p, so the outcome reveals each such key's exact
+// membership pattern — an "all or nothing" structure for which plain HT is
+// optimal, with per-key variance 1/p − 1 instead of the independent-sample
+// 1/p² − 1. seeder must be shared.
+func coordinatedDistinct(union map[dataset.Key]bool, p float64, seeder xhash.Seeder) float64 {
+	count := 0
+	for h := range union {
+		if seeder.Seed(0, uint64(h)) < p {
+			count++
+		}
+	}
+	return float64(count) / p
 }

@@ -5,7 +5,7 @@ package lint
 // must never be observable here.
 var deterministicPackages = []string{
 	"internal/core",
-	"internal/aggregate",
+	"internal/experiments",
 	"internal/sampling",
 	"internal/store",
 }
