@@ -104,3 +104,57 @@ func TestDistinctVarianceFormulas(t *testing.T) {
 		t.Errorf("VarL %v > VarHT %v", e.VarL(union, j), e.VarHT(union))
 	}
 }
+
+// TestDistinctCountsSampled: every category but CatNone is a sampled key,
+// tallied in its own field.
+func TestDistinctCountsSampled(t *testing.T) {
+	var c DistinctCounts
+	for _, cat := range []Category{CatNone, Cat1Q, CatQ1, Cat11, Cat11, Cat10, Cat01, CatNone} {
+		c.Add(cat)
+	}
+	if want := (DistinctCounts{F1Q: 1, FQ1: 1, F11: 2, F10: 1, F01: 1}); c != want {
+		t.Errorf("counts %+v, want %+v", c, want)
+	}
+	if c.Sampled() != 6 {
+		t.Errorf("Sampled() = %d, want 6", c.Sampled())
+	}
+}
+
+// TestCategorizeSeedAtThreshold: a seed equal to the sampling probability
+// reveals absence, matching the u ≤ p rule of the r-instance kernel.
+func TestCategorizeSeedAtThreshold(t *testing.T) {
+	if got := Categorize(true, false, 0.1, 0.4, 0.3, 0.4); got != Cat10 {
+		t.Errorf("u2 = p2: %v, want Cat10", got)
+	}
+	if got := Categorize(false, true, 0.3, 0.1, 0.3, 0.4); got != Cat01 {
+		t.Errorf("u1 = p1: %v, want Cat01", got)
+	}
+}
+
+// TestDistinctEstimatorFullRate: at p1 = p2 = 1 every sampled key is fully
+// determined, both estimates count the keys exactly, and both variances
+// vanish.
+func TestDistinctEstimatorFullRate(t *testing.T) {
+	e := DistinctEstimator{P1: 1, P2: 1}
+	c := DistinctCounts{F11: 7, F10: 5, F01: 3}
+	if e.HT(c) != 15 || e.L(c) != 15 {
+		t.Errorf("estimates (%v, %v), want 15", e.HT(c), e.L(c))
+	}
+	for _, j := range []float64{0, 0.5, 1} {
+		if e.VarHT(100) != 0 || e.VarL(100, j) != 0 {
+			t.Errorf("J=%v: variances (%v, %v), want 0", j, e.VarHT(100), e.VarL(100, j))
+		}
+	}
+}
+
+// TestDistinctVarLIdenticalSets: on identical sets (J = 1) each key has two
+// chances to be sampled, so VAR[D̂^(L)] = D(1/(2p − p²) − 1).
+func TestDistinctVarLIdenticalSets(t *testing.T) {
+	const d = 1000.0
+	for _, p := range []float64{0.05, 0.3, 0.8} {
+		e := DistinctEstimator{P1: p, P2: p}
+		if got, want := e.VarL(d, 1), d*(1/(2*p-p*p)-1); math.Abs(got-want) > 1e-9*want {
+			t.Errorf("p=%v: VarL %v, want %v", p, got, want)
+		}
+	}
+}

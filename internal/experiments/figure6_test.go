@@ -50,3 +50,25 @@ func TestRequiredSampleSizes(t *testing.T) {
 		t.Errorf("J=1: sample size %v, want ≈%v", b, want)
 	}
 }
+
+// TestRequiredPMonotone: the solved probabilities lie in (0, 1] and never
+// grow with the set size — larger sets need a smaller sampling rate for
+// the same cv.
+func TestRequiredPMonotone(t *testing.T) {
+	const cv = 0.1
+	for _, j := range []float64{0, 0.5, 1} {
+		prevHT, prevL := 1.0, 1.0
+		for _, n := range []float64{10, 1e3, 1e5, 1e7, 1e9} {
+			pht, pl := RequiredPHT(n, j, cv), RequiredPL(n, j, cv)
+			for name, p := range map[string]float64{"HT": pht, "L": pl} {
+				if !(p > 0 && p <= 1) {
+					t.Errorf("J=%v n=%v: %s p = %v outside (0, 1]", j, n, name, p)
+				}
+			}
+			if pht > prevHT*(1+1e-9) || pl > prevL*(1+1e-9) {
+				t.Errorf("J=%v n=%v: p grew with n (HT %v→%v, L %v→%v)", j, n, prevHT, pht, prevL, pl)
+			}
+			prevHT, prevL = pht, pl
+		}
+	}
+}

@@ -50,3 +50,29 @@ func TestDominanceVarianceMatchesMC(t *testing.T) {
 		t.Errorf("L variance %v exceeds HT %v", varL, varHT)
 	}
 }
+
+// TestDominanceVarianceRejectsNonPair: the pair integration refuses a
+// matrix that does not hold exactly two instances.
+func TestDominanceVarianceRejectsNonPair(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Error("expected panic for r≠2")
+		}
+	}()
+	DominanceVariance(dataset.FigureFive(), 1, 1, 16)
+}
+
+// TestDominanceVarianceVanishesAtFullSampling: when every key is sampled
+// with certainty, both estimators are exact and their variances are 0, up
+// to the O(ε·v²) the integration leaves in the ε = 1e-9 slivers it skips
+// at each kink.
+func TestDominanceVarianceVanishesAtFullSampling(t *testing.T) {
+	m := dataset.NewMatrix(dataset.FigureFive().Instances[0], dataset.FigureFive().Instances[1])
+	varHT, varL, total := DominanceVariance(m, 1e-9, 1e-9, 16)
+	if total != m.SumAggregate(dataset.Max, nil) {
+		t.Errorf("total %v, want %v", total, m.SumAggregate(dataset.Max, nil))
+	}
+	if tol := 1e-8 * total * total; math.Abs(varHT) > tol || math.Abs(varL) > tol {
+		t.Errorf("variances (%v, %v), want 0", varHT, varL)
+	}
+}

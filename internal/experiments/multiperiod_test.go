@@ -97,3 +97,36 @@ func TestCoordinationVsIndependence(t *testing.T) {
 		}
 	}
 }
+
+// TestCoordinatedDistinctExactAtFullRate: at p = 1 every key's shared seed
+// is below the threshold, so the estimate is the union size.
+func TestCoordinatedDistinctExactAtFullRate(t *testing.T) {
+	logs := simdata.RequestLog(300, 2, 0.4, 3)
+	union := map[dataset.Key]bool{}
+	for _, l := range logs {
+		maps.Copy(union, l)
+	}
+	if got := coordinatedDistinct(union, 1, xhash.Seeder{Salt: 9, Shared: true}); got != float64(len(union)) {
+		t.Errorf("estimate %v, want %d", got, len(union))
+	}
+}
+
+// TestCoordinatedDistinctNested: one shared seed per key makes samples
+// nested — a key sampled from a set is sampled from every superset — so
+// the estimate never decreases as the union grows.
+func TestCoordinatedDistinctNested(t *testing.T) {
+	logs := simdata.RequestLog(500, 3, 0.3, 5)
+	for salt := uint64(0); salt < 50; salt++ {
+		seeder := xhash.Seeder{Salt: salt, Shared: true}
+		union := map[dataset.Key]bool{}
+		prev := 0.0
+		for i, l := range logs {
+			maps.Copy(union, l)
+			est := coordinatedDistinct(union, 0.2, seeder)
+			if est < prev {
+				t.Fatalf("salt %d: estimate fell from %v to %v adding log %d", salt, prev, est, i)
+			}
+			prev = est
+		}
+	}
+}
