@@ -4,6 +4,7 @@ import (
 	"repro/internal/dataset"
 	"repro/internal/engine"
 	"repro/internal/sampling"
+	"repro/internal/xhash"
 )
 
 // This file wires the Summarizer front door through the sharded
@@ -72,6 +73,17 @@ func (b *BottomKStream) PushBatch(ps []engine.Pair) { b.e.PushBatch(ps) }
 // dropping an arrival over stalling.
 func (b *BottomKStream) TryPush(h dataset.Key, v float64) error { return b.e.TryPush(h, v) }
 
+// Seeder returns the seeds the stream's sampler draws, for a producer that
+// tests arrivals against TauGuard.
+func (b *BottomKStream) Seeder() xhash.InstanceSeeder { return b.parent.seeder.Instance(b.instance) }
+
+// TauGuard returns the engine's certain-reject bound (engine.BottomK.TauGuard).
+func (b *BottomKStream) TauGuard() float64 { return b.e.TauGuard() }
+
+// PushRejected counts n arrivals proved rejected against TauGuard
+// (engine.BottomK.PushRejected).
+func (b *BottomKStream) PushRejected(n int) { b.e.PushRejected(n) }
+
 // Snapshot returns the summary of exactly the arrivals pushed so far —
 // equal to a sequential pass over that prefix — without closing the
 // stream. With an async engine config this is the live-monitoring hook:
@@ -119,6 +131,17 @@ func (p *PPSStream) PushBatch(ps []engine.Pair) { p.e.PushBatch(ps) }
 // full shard queue, it returns engine.ErrQueueFull (counted in
 // Stats().Rejected).
 func (p *PPSStream) TryPush(h dataset.Key, v float64) error { return p.e.TryPush(h, v) }
+
+// Seeder returns the seeds the stream's sampler draws, for a producer that
+// tests arrivals against TauGuard.
+func (p *PPSStream) Seeder() xhash.InstanceSeeder { return p.parent.seeder.Instance(p.instance) }
+
+// TauGuard returns the engine's certain-reject bound (engine.PoissonPPS.TauGuard).
+func (p *PPSStream) TauGuard() float64 { return p.e.TauGuard() }
+
+// PushRejected counts n arrivals proved rejected against TauGuard
+// (engine.PoissonPPS.PushRejected).
+func (p *PPSStream) PushRejected(n int) { p.e.PushRejected(n) }
 
 // Snapshot returns the summary of exactly the arrivals pushed so far
 // without closing the stream.

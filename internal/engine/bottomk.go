@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/dataset"
 	"repro/internal/sampling"
@@ -45,6 +46,22 @@ func (e *BottomK) Push(h dataset.Key, v float64) {
 func (e *BottomK) TryPush(h dataset.Key, v float64) error {
 	return e.pipeline.TryPush(Pair{Key: h, Value: v})
 }
+
+// TauGuard returns the in-line sampler's certain-reject bound
+// (sampling.StreamBottomK.TauGuard), which the producer may test arrivals
+// against and then count them with PushRejected instead of pushing them.
+// It is NaN on the sharded and async paths, whose samplers belong to their
+// workers.
+func (e *BottomK) TauGuard() float64 {
+	if !e.inline {
+		return math.NaN()
+	}
+	return e.seq.TauGuard()
+}
+
+// PushRejected counts n arrivals proved rejected against TauGuard in
+// Stats().Pairs, as pushing them would have; the sample is unchanged.
+func (e *BottomK) PushRejected(n int) { e.pushRejected(n) }
 
 // Snapshot quiesces the pipeline and returns the merged bottom-k sample of
 // exactly the pairs pushed so far — equal to a sequential pass over that

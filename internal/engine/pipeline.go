@@ -72,6 +72,17 @@ func (p *pipeline[T, S]) PushBatch(items []T) {
 	}
 }
 
+// pushRejected stands for n arrivals the producer did not push because it
+// proved them rejected against the sampler's certain-reject bound: the
+// samples are what pushing them would have left, and Stats().Pairs counts
+// them.
+func (p *pipeline[T, S]) pushRejected(n int) {
+	if p.closed {
+		panic("engine: Push after Close")
+	}
+	p.pairs += uint64(n)
+}
+
 // TryPush offers one arrival without ever blocking on a full shard queue:
 // where Push would stall waiting for the worker, TryPush refuses the item
 // with ErrQueueFull instead (counted in Stats().Rejected). On the in-line

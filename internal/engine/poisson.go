@@ -1,6 +1,8 @@
 package engine
 
 import (
+	"math"
+
 	"repro/internal/dataset"
 	"repro/internal/sampling"
 )
@@ -37,6 +39,19 @@ func (e *PoissonPPS) Push(h dataset.Key, v float64) {
 func (e *PoissonPPS) TryPush(h dataset.Key, v float64) error {
 	return e.pipeline.TryPush(Pair{Key: h, Value: v})
 }
+
+// TauGuard returns the in-line sampler's certain-reject bound, as
+// BottomK.TauGuard does; NaN on the sharded and async paths.
+func (e *PoissonPPS) TauGuard() float64 {
+	if !e.inline {
+		return math.NaN()
+	}
+	return e.seq.TauGuard()
+}
+
+// PushRejected counts n arrivals proved rejected against TauGuard in
+// Stats().Pairs, as pushing them would have; the sample is unchanged.
+func (e *PoissonPPS) PushRejected(n int) { e.pushRejected(n) }
 
 // Snapshot quiesces the pipeline and returns the merged PPS sample of
 // exactly the pairs pushed so far — equal to a sequential pass over that

@@ -92,6 +92,12 @@ func (EXP) Name() string { return "exp" }
 // so u ≥ tau·w implies rank ≥ tau — the uniform draw rejects before the
 // logarithm is ever taken. Non-positive weights have rank +Inf and are
 // always rejected by a full sampler; tau·w ≤ 0 ≤ u covers them too.
+//
+// The test has a second user: the raw-ingest scanner (internal/server)
+// runs it, through the samplers' TauGuard, with an upper bound on w read
+// off the value token's digits, and so rejects a pair before its value is
+// parsed. guard·hi ≥ guard·w for every hi ≥ w, so what it rejects the
+// sampler would have rejected.
 const rejectGuard = 1e-9
 
 // fastRejectMult returns the guard multiplier m such that u ≥ m·tau·w

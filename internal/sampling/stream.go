@@ -124,6 +124,14 @@ func (s *StreamBottomK) pushFill(key dataset.Key, v float64) {
 	}
 }
 
+// TauGuard returns the sampler's certain-reject bound: while it holds, an
+// arrival (key, v) is rejected whenever seed(key) ≥ TauGuard()·v. It is
+// NaN while the sampler fills and for a family without a bound (see
+// fastRejectMult), and it never increases over a stream — tau only falls —
+// so a producer may test arrivals against a bound it read earlier, and
+// against any hi ≥ v in place of v.
+func (s *StreamBottomK) TauGuard() float64 { return s.tauGuard }
+
 // Len returns the number of retained keys (at most k+1 internally; the
 // (k+1)-st is the threshold witness and excluded from Snapshot).
 func (s *StreamBottomK) Len() int {
@@ -183,6 +191,11 @@ func NewStreamPoissonPPS(tauStar float64, seed SeedFunc) *StreamPoissonPPS {
 
 // RankTau returns the fixed rank-scale threshold 1/tauStar.
 func (s *StreamPoissonPPS) RankTau() float64 { return s.rankTau }
+
+// TauGuard returns the sampler's certain-reject bound, fixed for its
+// lifetime: an arrival (key, v) is rejected whenever seed(key) ≥
+// TauGuard()·v (see StreamBottomK.TauGuard).
+func (s *StreamPoissonPPS) TauGuard() float64 { return s.tauGuard }
 
 // Push offers one (key, value) pair.
 //

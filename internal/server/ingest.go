@@ -182,17 +182,18 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	// One sink per kind; each routes through the engine pipeline under the
 	// server's config (set sampling is stateless and needs no pipeline).
 	var push func([]engine.Pair)
+	var sampler gatedStream // pps and bottomk: the scan may reject pairs for it unparsed
 	var finish func() core.Summary
 	var stats func() engine.Stats // nil for set, which bypasses the engine
 	switch p.kind {
 	case "pps":
 		st := p.summ.StreamPPS(s.cfg, p.instance, p.tau)
-		push = st.PushBatch
+		push, sampler = st.PushBatch, st
 		finish = func() core.Summary { return st.Close() }
 		stats = st.Stats
 	case "bottomk":
 		st := p.summ.StreamBottomK(s.cfg, p.instance, p.k, p.fam)
-		push = st.PushBatch
+		push, sampler = st.PushBatch, st
 		finish = func() core.Summary { return st.Close() }
 		stats = st.Stats
 	case "set":
@@ -215,9 +216,12 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	// are attached to the drain span — the hot loop itself stays untouched.
 	sp := trace.SpanFromContext(r.Context())
 	scan := sp.StartChild("ingest.scan")
-	pairs, err := scanPairs(r.Context(), http.MaxBytesReader(w, r.Body, maxIngestBody), p.format, p.kind == "set", push)
+	pairs, rejected, err := scanPairsGated(r.Context(), http.MaxBytesReader(w, r.Body, maxIngestBody), p.format, p.kind == "set", push, sampler)
 	scan.SetAttr("format", p.format)
 	scan.SetInt("pairs", pairs)
+	// The pairs the gate did not reject from their seed: those whose value,
+	// where the line has one, went to strconv.ParseFloat or encoding/json.
+	scan.SetInt("values_parsed", pairs-rejected)
 	scan.Finish()
 	// The samplers hold goroutines under a parallel config; always drain.
 	drain := sp.StartChild("engine.drain")

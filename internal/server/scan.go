@@ -16,22 +16,26 @@ import (
 
 	"repro/internal/dataset"
 	"repro/internal/engine"
+	"repro/internal/xhash"
 )
 
 // The raw-ingest scanners turn a CSV or ndjson body into pushes without
 // allocating per pair. Each format has a window lexer (lexCSVLine,
 // lexNDJSONLine) that reads one whole pair — leading blanks, key digits,
 // separators, value token, trailing blanks, newline — in a single forward
-// pass over the line reader's unread bytes, and hands only the value token
-// on, to strconv.ParseFloat. A line the lexer does not take — a header, a
-// blank line, spacing or a number form it cannot prove it reads as the
-// libraries do, a line not yet whole in the window — is left where it is
-// for lineReader.next and the second tier: bytes.IndexByte cuts and strconv
-// for CSV, encoding/json for ndjson, whose results and error text are the
-// scanners' contract. Parsed pairs collect in a pairBatch, and cross into
-// the repeated-key set and the engine ingestBatch at a time.
-// scan_ref_test.go holds the all-library, pair-at-a-time scanners these
-// are fuzzed against.
+// pass over the line reader's unread bytes, and hands only a value the
+// seed cannot reject on, to strconv.ParseFloat: under a rejectGate, a
+// plain value token's leading digit and digit count bound its value, and
+// the sampler's own certain-reject test against that bound decides most
+// pairs of a full sampler before their value is parsed. A line the lexer
+// does not take — a header, a blank line, spacing or a number form it
+// cannot prove it reads as the libraries do, a line not yet whole in the
+// window — is left where it is for lineReader.next and the second tier:
+// bytes.IndexByte cuts and strconv for CSV, encoding/json for ndjson, whose
+// results and error text are the scanners' contract. Pairs collect in a
+// pairBatch, and cross into the repeated-key set and the engine
+// ingestBatch at a time. scan_ref_test.go holds the all-library,
+// pair-at-a-time scanners these are fuzzed against.
 
 // ingestBatch is how many parsed pairs the scanners hold back before they
 // check them for repeats and push them: each layer boundary between a
@@ -283,19 +287,69 @@ func csvValue(field []byte, lineNo int) (float64, error) {
 }
 
 // pairFields is what a window lexer read from one line; key is always set,
-// has says which of the optional two are. (Four fields, so the compiler
-// keeps the struct in registers across the call.)
+// has says which of the optional two are, and whether the value was gated:
+// the line has one, the gate proved the pair rejected, and value stays
+// unparsed (0). (Four fields, so the compiler keeps the struct in
+// registers across the call.)
 type pairFields struct {
 	key      uint64
 	instance int
 	value    float64
-	has      uint8 // hasInstance | hasValue
+	has      uint8 // hasInstance | hasValue | gated
 }
 
 const (
 	hasInstance = 1 << iota
 	hasValue
+	gated
 )
+
+// rejectGate lets a window lexer decide a pair from its key's seed and a
+// bound on its value, without parsing the value: guard is the certain-reject
+// bound of the sampler the pairs go to (sampling.StreamBottomK.TauGuard),
+// seed that sampler's seeds. The zero gate, and one whose guard is NaN, is
+// off.
+type rejectGate struct {
+	seed  xhash.InstanceSeeder
+	guard float64
+}
+
+// rejects reports whether the gate proves the pair of key rejected whatever
+// its value up to hi: u ≥ guard·hi ≥ guard·v is the sampler's own
+// certain-reject test. A guard·hi of 1 or more rejects no seed of [0, 1),
+// and one of 0 or NaN is an off gate's, so neither costs a hash.
+//
+//summarylint:hot
+func (g rejectGate) rejects(key uint64, hi float64) bool {
+	lim := g.guard * hi
+	return 0 < lim && lim < 1 && g.seed.Seed(key) >= lim
+}
+
+// plainDigits is the most integer digits of a value token the gate
+// bounds: (d+1)·10^(n−1) is exact up to n = 22, 10^22 being the largest
+// power of ten a float64 holds exactly.
+const plainDigits = 22
+
+// pow10 holds the float64 powers 10^0 … 10^21, each exact.
+var pow10 = [plainDigits]float64{1e0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10,
+	1e11, 1e12, 1e13, 1e14, 1e15, 1e16, 1e17, 1e18, 1e19, 1e20, 1e21}
+
+// plainBound bounds the value of a plain token — n integer digits, then
+// optionally "." and one or more digits; no sign, no exponent — with its
+// leading digit d: hi = (d+1)·10^(n−1) is exact and exceeds the token's
+// value, so, rounding being monotone, it is at least what
+// strconv.ParseFloat makes of it. Such a token is finite and nonnegative,
+// so neither ParseFloat nor checkIngestValue can refuse it. The lexers
+// count n as they read the number and pass 0 for a token that is not
+// plain; ok is false then, and past plainDigits.
+//
+//summarylint:hot
+func plainBound(tok []byte, n int) (hi float64, ok bool) {
+	if n < 1 || n > plainDigits {
+		return 0, false
+	}
+	return float64(tok[0]-'0'+1) * pow10[n-1], true
+}
 
 // blank marks the whitespace bytes the window lexers skip: those that can
 // stand inside a line of what bytes.TrimSpace drops from its ends and,
@@ -321,15 +375,18 @@ func skipBlank(b []byte, i int) int {
 //
 // with blanks allowed around every field and "\n" after: a lexUint key, a
 // lexInt instance, and as value the bytes up to the next blank, comma or
-// newline, if strconv.ParseFloat takes them without error. Those are the
-// fields the second tier cuts and trims out of the same line, and the
-// parsers it gives them to, so both read it alike. n is the length of the
-// line with its newline, 0 for a line left to the second tier: a header, a
-// key strconv.ParseUint must judge ("007", twenty digits), extra columns,
-// a value that does not parse, a line that is not whole in w.
+// newline, if g rejects the pair on plainBound's bound for them or else
+// strconv.ParseFloat takes them without error. Those are the fields the
+// second tier cuts and trims out of the same line, and the parsers it
+// gives them to, so both read it alike. n is the length of the line with
+// its newline, 0 for a line left to the second tier: a header, a key
+// strconv.ParseUint must judge ("007", twenty digits), extra columns, a
+// value that does not parse, a line that is not whole in w. What f holds
+// then, the gate's verdict on a token the window cut short included, does
+// not count.
 //
 //summarylint:hot
-func lexCSVLine(w []byte, multi bool) (f pairFields, n int) {
+func lexCSVLine(w []byte, multi bool, g rejectGate) (f pairFields, n int) {
 	var ok bool
 	i := skipBlank(w, 0)
 	if f.key, i, ok = lexUint(w, i); !ok {
@@ -353,15 +410,33 @@ func lexCSVLine(w []byte, multi bool) (f pairFields, n int) {
 	if i < len(w) && w[i] == ',' {
 		i = skipBlank(w, i+1)
 		start := i
+		// Digits, then "." and digits, are read first: plain counts the
+		// integer digits of a plain token, for the gate.
+		i = skipDigits(w, i)
+		plain := i - start
+		if i < len(w) && w[i] == '.' {
+			frac := i + 1
+			if i = skipDigits(w, frac); i == frac {
+				plain = 0
+			}
+		}
+		end := i
 		for i < len(w) && !blank[w[i]] && w[i] != ',' && w[i] != '\n' {
 			i++
 		}
-		v, err := strconv.ParseFloat(bytesView(w[start:i]), 64)
-		if err != nil {
-			return f, 0
+		if i > end {
+			plain = 0
 		}
-		f.value = v
-		f.has |= hasValue
+		if hi, ok := plainBound(w[start:i], plain); ok && g.rejects(f.key, hi) {
+			f.has |= hasValue | gated
+		} else {
+			v, err := strconv.ParseFloat(bytesView(w[start:i]), 64)
+			if err != nil {
+				return f, 0
+			}
+			f.value = v
+			f.has |= hasValue
+		}
 		i = skipBlank(w, i)
 	}
 	if i >= len(w) || w[i] != '\n' {
@@ -377,15 +452,16 @@ func lexCSVLine(w []byte, multi bool) (f pairFields, n int) {
 // with "\n" after: these names in this order and case, blanks allowed
 // around every token, a lexUint key, a lexInt instance, and a value in the
 // JSON number grammar (no leading zeros, "+", ".5", "1.", hex or Inf) that
-// strconv.ParseFloat takes without a range error. For such a line
-// encoding/json decodes the same fields to the same bits. n is the length
-// of the line with its newline, 0 for every other line — valid or not —
-// which encoding/json then decodes, or rejects. With eol, w is a line
-// lineReader.next cut out, and its end stands for the newline: the line
-// that lay across two reads is lexed like its neighbours.
+// g rejects the pair on plainBound's bound for, or else strconv.ParseFloat
+// takes without a range error. For such a line encoding/json decodes the
+// same fields to the same bits. n is the length of the line with its
+// newline, 0 for every other line — valid or not — which encoding/json
+// then decodes, or rejects; what f holds then does not count. With eol, w
+// is a line lineReader.next cut out, and its end stands for the newline:
+// the line that lay across two reads is lexed like its neighbours.
 //
 //summarylint:hot
-func lexNDJSONLine(w []byte, eol bool) (f pairFields, n int) {
+func lexNDJSONLine(w []byte, eol bool, g rejectGate) (f pairFields, n int) {
 	i := skipBlank(w, 0)
 	if i >= len(w) || w[i] != '{' {
 		return f, 0
@@ -426,7 +502,9 @@ func lexNDJSONLine(w []byte, eol bool) (f pairFields, n int) {
 		if i = lexColon(w, i+7); i < 0 {
 			return f, 0
 		}
-		// The end of the number is found by reading it as JSON does.
+		// The end of the number is found by reading it as JSON does; plain
+		// counts the integer digits of a token without sign or exponent,
+		// for the gate.
 		start := i
 		if i < len(w) && w[i] == '-' {
 			i++
@@ -439,6 +517,10 @@ func lexNDJSONLine(w []byte, eol bool) (f pairFields, n int) {
 		default:
 			return f, 0
 		}
+		plain := i - start
+		if w[start] == '-' {
+			plain = 0
+		}
 		if i < len(w) && w[i] == '.' {
 			frac := i + 1
 			if i = skipDigits(w, frac); i == frac {
@@ -446,6 +528,7 @@ func lexNDJSONLine(w []byte, eol bool) (f pairFields, n int) {
 			}
 		}
 		if i < len(w) && w[i]|0x20 == 'e' {
+			plain = 0
 			i++
 			if i < len(w) && (w[i] == '+' || w[i] == '-') {
 				i++
@@ -455,12 +538,16 @@ func lexNDJSONLine(w []byte, eol bool) (f pairFields, n int) {
 				return f, 0
 			}
 		}
-		v, err := strconv.ParseFloat(bytesView(w[start:i]), 64)
-		if err != nil {
-			return f, 0
+		if hi, ok := plainBound(w[start:i], plain); ok && g.rejects(f.key, hi) {
+			f.has |= hasValue | gated
+		} else {
+			v, err := strconv.ParseFloat(bytesView(w[start:i]), 64)
+			if err != nil {
+				return f, 0
+			}
+			f.value = v
+			f.has |= hasValue
 		}
-		f.value = v
-		f.has |= hasValue
 		i = skipBlank(w, i)
 	}
 	if i >= len(w) || w[i] != '}' {
@@ -500,22 +587,34 @@ func skipDigits(b []byte, i int) int {
 
 // batchColumns is the pooled storage of a pairBatch: the pending pairs as
 // the engine takes them, and beside each its key — the column the
-// repeated-key sets read — and the line it came from.
+// repeated-key sets read — the line it came from, and whether the gate
+// rejected it, which makes it a pair to count and not to push.
 type batchColumns[T any] struct {
 	items [ingestBatch]T
 	keys  [ingestBatch]uint64
 	lines [ingestBatch]int
+	skip  [ingestBatch]bool
 }
 
-// pairBatch is a scanner's pending batch: pairs parsed and validated but
+// gatedStream is the sampler behind a scan's push that the window lexers
+// may reject pairs for (core.PPSStream, core.BottomKStream): its seeds, its
+// certain-reject bound, and the count of pairs rejected without a push.
+type gatedStream interface {
+	Seeder() xhash.InstanceSeeder
+	TauGuard() float64
+	PushRejected(n int)
+}
+
+// pairBatch is a scanner's pending batch: pairs lexed and validated but
 // not yet checked for repeats or pushed. Both scanners fill and flush
 // through it; they differ in the item type, in how a line becomes an item,
 // and in the two functions that know what a repeat is.
 type pairBatch[T any] struct {
 	*batchColumns[T]
-	ctx    context.Context // the request's: flush stops a scan nobody waits for
-	n      int
-	pushed int64 // pairs handed to push so far
+	ctx      context.Context // the request's: flush stops a scan nobody waits for
+	n        int
+	pushed   int64 // pairs handed to push, or rejected by the gate, so far
+	rejected int64 // of those, rejected by the gate
 	// firstRepeat records the batch's keys as seen and returns the index of
 	// the first pair that repeats an earlier one — of this batch or of the
 	// stream before it — or the batch's length.
@@ -523,13 +622,20 @@ type pairBatch[T any] struct {
 	// repeated is the error for such a pair.
 	repeated func(lineNo int, key uint64, item T) error
 	push     func([]T)
+	// stream, when set, is the sampler behind push, and gate its bound for
+	// the lexers; flush counts the pairs the gate rejected into stream
+	// instead of pushing them, and re-reads the bound after every push — a
+	// bound read earlier is never below the current one, so it rejects
+	// nothing the sampler would keep.
+	stream gatedStream
+	gate   rejectGate
 }
 
 // add appends one pair, and flushes the batch once it is full.
 //
 //summarylint:hot
-func (b *pairBatch[T]) add(item T, key uint64, lineNo int) error {
-	b.items[b.n], b.keys[b.n], b.lines[b.n] = item, key, lineNo
+func (b *pairBatch[T]) add(item T, key uint64, lineNo int, skip bool) error {
+	b.items[b.n], b.keys[b.n], b.lines[b.n], b.skip[b.n] = item, key, lineNo, skip
 	b.n++
 	if b.n == ingestBatch {
 		return b.flush()
@@ -539,9 +645,10 @@ func (b *pairBatch[T]) add(item T, key uint64, lineNo int) error {
 
 // flush empties the batch: it checks the pending pairs for repeats and
 // pushes them, in order — all of them, or those before the first repeat,
-// which it then returns as an error. After a batch pushed whole it asks
-// whether the request is still wanted, so a cancelled ingest stops within
-// ingestBatch pairs, not at the end of its body.
+// which it then returns as an error; a gated pair is counted, not pushed.
+// After a batch pushed whole it asks whether the request is still wanted,
+// so a cancelled ingest stops within ingestBatch pairs, not at the end of
+// its body.
 //
 //summarylint:hot
 func (b *pairBatch[T]) flush() error {
@@ -549,8 +656,26 @@ func (b *pairBatch[T]) flush() error {
 	b.n = 0
 	first := b.firstRepeat(b.keys[:n], b.items[:n])
 	if first > 0 {
-		b.push(b.items[:first])
+		items := b.items[:first]
+		if b.stream != nil {
+			kept := 0
+			for i, it := range items {
+				if !b.skip[i] {
+					items[kept] = it
+					kept++
+				}
+			}
+			items = items[:kept]
+			b.rejected += int64(first - kept)
+			b.stream.PushRejected(first - kept)
+		}
+		if len(items) > 0 {
+			b.push(items)
+		}
 		b.pushed += int64(first)
+		if b.stream != nil {
+			b.gate.guard = b.stream.TauGuard()
+		}
 	}
 	if first < n {
 		return b.repeated(b.lines[first], b.keys[first], b.items[first])
@@ -595,23 +720,29 @@ func (g instanceSets) firstRepeat(keys []uint64, items []engine.MultiPair) int {
 	return len(items)
 }
 
-// scanPairs streams (key, value) pairs out of a CSV or ndjson body into
-// push, returning the number of pairs consumed. CSV lines are
-// "key,value" ("key" alone when keysOnly; a leading "key,value" header is
-// tolerated); ndjson lines are {"key": u64, "value": f64}. Values must be
-// nonnegative and finite.
+// scanPairsGated streams (key, value) pairs out of a CSV or ndjson body
+// into push, returning the number of pairs consumed and how many of them
+// the gate rejected. CSV lines are "key,value" ("key" alone when keysOnly;
+// a leading "key,value" header is tolerated); ndjson lines are {"key":
+// u64, "value": f64}. Values must be nonnegative and finite.
 //
 // The instances×keys model assigns one value per key per instance, and
 // the engine's streaming samplers rely on it (a repeated key corrupts
 // bottom-k heap state). Unless keysOnly (set sampling, where a repeated
-// member is harmless and deduplication is implicit), scanPairs therefore
+// member is harmless and deduplication is implicit), the scan therefore
 // rejects a stream that repeats a key — producers must aggregate per-key
 // before ingesting. The check is exact: one keySet probe per pair, no
 // allocation per pair, and 16 to 32 bytes of table per distinct key for
 // the length of the request, which maxIngestBody bounds. Pairs reach push
 // in stream order, up to ingestBatch at a time; the slice is only valid
 // during the call. Once ctx is done the scan ends with the batch it is on.
-func scanPairs(ctx context.Context, body io.Reader, format string, keysOnly bool, push func([]engine.Pair)) (int64, error) {
+//
+// st, when not nil, is the sampler behind push: a pair the window lexer
+// proves st rejects (rejectGate) is checked for repeats and counted like
+// any other, but its value is not parsed and the pair is not pushed, and
+// st.PushRejected counts it instead. What st samples, and every count
+// and error, are what pushing every pair would give.
+func scanPairsGated(ctx context.Context, body io.Reader, format string, keysOnly bool, push func([]engine.Pair), st gatedStream) (pairs, rejected int64, err error) {
 	in := newLineReader(body)
 	defer in.release()
 	seen := newKeySet()
@@ -624,18 +755,29 @@ func scanPairs(ctx context.Context, body io.Reader, format string, keysOnly bool
 	if keysOnly {
 		b.firstRepeat = func(keys []uint64, _ []engine.Pair) int { return len(keys) }
 	}
-	csv := format == "csv"
+	if st != nil {
+		b.stream, b.gate = st, rejectGate{seed: st.Seeder(), guard: st.TauGuard()}
+	}
+	pairs, err = scanPairLines(&in, &b, format == "csv", keysOnly)
+	return pairs, b.rejected, err
+}
+
+// scanPairLines is scanPairsGated's loop over the lines of in.
+func scanPairLines(in *lineReader, b *pairBatch[engine.Pair], csv, keysOnly bool) (int64, error) {
 	for {
 		var f pairFields
 		var n int
 		if csv {
-			f, n = lexCSVLine(in.window(), false)
+			f, n = lexCSVLine(in.window(), false, b.gate)
 		} else {
-			f, n = lexNDJSONLine(in.window(), false)
+			f, n = lexNDJSONLine(in.window(), false, b.gate)
 		}
 		if n > 0 && (keysOnly || f.has&hasValue != 0) {
 			in.advance(n)
 		} else {
+			// Nothing the lexer read counts: not its gate's verdict on a
+			// value token the window cut short, above all.
+			f = pairFields{}
 			line := in.next()
 			if line == nil {
 				return b.end(in.err())
@@ -656,7 +798,7 @@ func scanPairs(ctx context.Context, body io.Reader, format string, keysOnly bool
 		if err := checkIngestValue(f.value, in.lineNo); err != nil {
 			return b.end(err)
 		}
-		if err := b.add(engine.Pair{Key: dataset.Key(f.key), Value: f.value}, f.key, in.lineNo); err != nil {
+		if err := b.add(engine.Pair{Key: dataset.Key(f.key), Value: f.value}, f.key, in.lineNo, f.has&gated != 0); err != nil {
 			return b.pushed, err
 		}
 	}
@@ -688,7 +830,7 @@ func csvPair(line []byte, lineNo int, keysOnly bool) (key uint64, value float64,
 // ndjsonPair decodes one {"key","value"} line; the value is optional only
 // when keysOnly.
 func ndjsonPair(line []byte, lineNo int, keysOnly bool) (key uint64, value float64, err error) {
-	f, n := lexNDJSONLine(line, true)
+	f, n := lexNDJSONLine(line, true, rejectGate{})
 	if n == 0 {
 		var rec struct {
 			Key   *uint64  `json:"key"`
@@ -750,9 +892,9 @@ func scanMultiPairs(ctx context.Context, body io.Reader, format string, index ma
 		var f pairFields
 		var n int
 		if csv {
-			f, n = lexCSVLine(in.window(), true)
+			f, n = lexCSVLine(in.window(), true, rejectGate{})
 		} else {
-			f, n = lexNDJSONLine(in.window(), false)
+			f, n = lexNDJSONLine(in.window(), false, rejectGate{})
 		}
 		if n > 0 && f.has == hasInstance|hasValue {
 			in.advance(n)
@@ -781,7 +923,7 @@ func scanMultiPairs(ctx context.Context, body io.Reader, format string, index ma
 		if !ok {
 			return b.end(fmt.Errorf("server: line %d: instance %d not listed in the instances parameter", in.lineNo, f.instance))
 		}
-		if err := b.add(engine.MultiPair{Key: dataset.Key(f.key), Instance: idx, Value: f.value}, f.key, in.lineNo); err != nil {
+		if err := b.add(engine.MultiPair{Key: dataset.Key(f.key), Instance: idx, Value: f.value}, f.key, in.lineNo, false); err != nil {
 			return b.pushed, err
 		}
 	}
@@ -818,7 +960,7 @@ func csvTriple(line []byte, lineNo int) (key uint64, instance int, value float64
 
 // ndjsonTriple decodes one {"key","instance","value"} line.
 func ndjsonTriple(line []byte, lineNo int) (key uint64, instance int, value float64, err error) {
-	f, n := lexNDJSONLine(line, true)
+	f, n := lexNDJSONLine(line, true, rejectGate{})
 	if n == 0 {
 		var rec struct {
 			Key      *uint64  `json:"key"`

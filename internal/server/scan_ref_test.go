@@ -13,8 +13,10 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/dataset"
 	"repro/internal/engine"
+	"repro/internal/sampling"
 )
 
 // The reference scanners: the scanPairs and scanMultiPairs that shipped
@@ -297,6 +299,72 @@ func diffScanPairsAs(t *testing.T, format string, body []byte, reader func([]byt
 	}
 }
 
+// gatedSalt is the salt of the samplers the gated legs scan into.
+const gatedSalt = 2011
+
+// gatedSamplers are the samplers the gated legs scan into, each opened
+// fresh: Poisson PPS with a threshold that keeps most of the test bodies'
+// small values and one that keeps few, and bottom-k of 8 with PPS and EXP
+// ranks, which a lead of valid lines fills.
+var gatedSamplers = []struct {
+	name string
+	open func(*core.Summarizer) (sampledStream, func() core.Summary)
+}{
+	{"pps tau=2", func(s *core.Summarizer) (sampledStream, func() core.Summary) {
+		st := s.StreamPPS(engine.Config{}, 0, 2)
+		return st, func() core.Summary { return st.Close() }
+	}},
+	{"pps tau=2000", func(s *core.Summarizer) (sampledStream, func() core.Summary) {
+		st := s.StreamPPS(engine.Config{}, 0, 2000)
+		return st, func() core.Summary { return st.Close() }
+	}},
+	{"bottomk pps", func(s *core.Summarizer) (sampledStream, func() core.Summary) {
+		st := s.StreamBottomK(engine.Config{}, 0, 8, sampling.PPS{})
+		return st, func() core.Summary { return st.Close() }
+	}},
+	{"bottomk exp", func(s *core.Summarizer) (sampledStream, func() core.Summary) {
+		st := s.StreamBottomK(engine.Config{}, 0, 8, sampling.EXP{})
+		return st, func() core.Summary { return st.Close() }
+	}},
+}
+
+// sampledStream is a core stream the gate can reject pairs for.
+type sampledStream interface {
+	gatedStream
+	PushBatch([]engine.Pair)
+	Stats() engine.Stats
+}
+
+// diffGatedScan scans body, in one format, into each of gatedSamplers
+// twice — every value parsed and every pair pushed, then through the gate —
+// and fails t unless both leave the same v2 summary bytes, pair count,
+// error text and engine Stats. It returns how many pairs the gate
+// rejected, over all the samplers.
+func diffGatedScan(t *testing.T, format string, body []byte, reader func([]byte) io.Reader, what string) (rejected int64) {
+	t.Helper()
+	summ := core.NewSummarizer(gatedSalt)
+	for _, s := range gatedSamplers {
+		plain, closePlain := s.open(summ)
+		n, err := scanPairs(context.Background(), reader(body), format, false, plain.PushBatch)
+		gated, closeGated := s.open(summ)
+		nGated, r, errGated := scanPairsGated(context.Background(), reader(body), format, false, gated.PushBatch, gated)
+		rejected += r
+		at := fmt.Sprintf("gated scan into %s (%s, %s)", s.name, format, what)
+		if nGated != n || fmt.Sprint(errGated) != fmt.Sprint(err) {
+			t.Fatalf("%s: %d pairs, error %v; ungated %d pairs, error %v", at, nGated, errGated, n, err)
+		}
+		if got, want := gated.Stats(), plain.Stats(); got != want {
+			t.Fatalf("%s: engine stats %+v, ungated %+v", at, got, want)
+		}
+		got, errG := core.EncodeSummary(closeGated(), 2)
+		want, errW := core.EncodeSummary(closePlain(), 2)
+		if errG != nil || errW != nil || !bytes.Equal(got, want) {
+			t.Fatalf("%s: summaries differ (encode errors %v, %v):\n  gated   %x\n  ungated %x", at, errG, errW, got, want)
+		}
+	}
+	return rejected
+}
+
 // diffScanMultiPairsAs is the same for scanMultiPairs, with instances 0, 7
 // and -2 listed.
 func diffScanMultiPairsAs(t *testing.T, format string, body []byte, reader func([]byte) io.Reader, what string) {
@@ -498,9 +566,17 @@ func addScanDiffSeeds(f *testing.F) {
 	}
 }
 
+// FuzzScanPairsDiff holds scanPairs to its reference and, in a gated leg,
+// the gated scan into real samplers to the ungated one.
 func FuzzScanPairsDiff(f *testing.F) {
 	addScanDiffSeeds(f)
-	f.Fuzz(func(t *testing.T, lead uint16, body []byte) { diffScanPairs(t, int(lead%1024), body) })
+	f.Fuzz(func(t *testing.T, lead uint16, body []byte) {
+		diffScanPairs(t, int(lead%1024), body)
+		for _, format := range []string{"csv", "ndjson"} {
+			whole := append(leadLines(format, false, int(lead%1024)), body...)
+			diffGatedScan(t, format, whole, wholeReader, fmt.Sprintf("lead=%d", lead%1024))
+		}
+	})
 }
 
 func FuzzScanMultiPairsDiff(f *testing.F) {

@@ -7,6 +7,8 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
+	"math/rand/v2"
 	"net/http"
 	"strconv"
 	"strings"
@@ -14,6 +16,7 @@ import (
 	"testing/iotest"
 
 	"repro/internal/engine"
+	"repro/internal/xhash"
 )
 
 // scanBody renders n pairs with distinct keys (an affine walk over 2^40)
@@ -40,6 +43,96 @@ func scanBody(format string, n int) []byte {
 		out = append(out, end...)
 	}
 	return out
+}
+
+// scanPairs is scanPairsGated with no sampler to gate for: every value is
+// parsed and every pair pushed, as for a set or VarOpt ingest.
+func scanPairs(ctx context.Context, body io.Reader, format string, keysOnly bool, push func([]engine.Pair)) (int64, error) {
+	pairs, _, err := scanPairsGated(ctx, body, format, keysOnly, push, nil)
+	return pairs, err
+}
+
+// TestPlainBound: the bound of a plain value token is exact and at least
+// what strconv.ParseFloat makes of the token — equal where the token
+// rounds up to it — for the edge tokens and for random ones of up to 22
+// integer digits, and there is none past 22. The window lexers gate a pair
+// on it exactly when the key's seed reaches guard·hi, and never for a
+// token that is not plain.
+func TestPlainBound(t *testing.T) {
+	intDigits := func(tok string) int { return strings.IndexByte(tok+".", '.') }
+	for _, c := range []struct {
+		tok string
+		hi  float64
+	}{
+		{"0", 1}, {"0.00", 1}, {"9.995", 10}, {"1.0", 2}, {"7", 8}, {"123.456", 200},
+		{"1000000000000000000000", 2e21}, {"9999999999999999999999", 1e22},
+		{"99999999999999999999.99", 1e20}, // rounds to its bound
+		{"9999999999999999999999.9999999999", 1e22},
+	} {
+		hi, ok := plainBound([]byte(c.tok), intDigits(c.tok))
+		v, err := strconv.ParseFloat(c.tok, 64)
+		if !ok || hi != c.hi || err != nil || v > hi {
+			t.Errorf("%s: bound %v (%v), want %v; ParseFloat %v (%v)", c.tok, hi, ok, c.hi, v, err)
+		}
+	}
+	if hi, ok := plainBound([]byte(strings.Repeat("9", 23)), 23); ok {
+		t.Errorf("23 digits bounded by %v: past plainDigits there is no exact bound", hi)
+	}
+	rng := rand.New(rand.NewPCG(31, 22))
+	digits := func(n int) string {
+		b := make([]byte, n)
+		for i := range b {
+			b[i] = '0' + byte(rng.IntN(10))
+		}
+		return string(b)
+	}
+	for i := 0; i < 200_000; i++ {
+		tok := digits(1 + rng.IntN(plainDigits))
+		if rng.IntN(2) == 0 {
+			tok += "." + digits(1+rng.IntN(30))
+		}
+		hi, ok := plainBound([]byte(tok), intDigits(tok))
+		if v, err := strconv.ParseFloat(tok, 64); !ok || err != nil || !(v <= hi) {
+			t.Fatalf("%s: ParseFloat %v (%v), bound %v (%v)", tok, v, err, hi, ok)
+		}
+	}
+
+	const key = 5
+	seeder := xhash.Seeder{Salt: 7}.Instance(0)
+	u := seeder.Seed(key)
+	lexers := map[string]func(tok string, g rejectGate) (pairFields, int){
+		"csv": func(tok string, g rejectGate) (pairFields, int) {
+			return lexCSVLine([]byte(fmt.Sprintf("%d,%s\n", key, tok)), false, g)
+		},
+		"ndjson": func(tok string, g rejectGate) (pairFields, int) {
+			return lexNDJSONLine([]byte(fmt.Sprintf(`{"key":%d,"value":%s}`+"\n", key, tok)), false, g)
+		},
+	}
+	for format, lex := range lexers {
+		for _, tok := range []string{"0", "0.00", "9.995", "1.0", "7", "123.456", "99999999999999999999.99"} {
+			hi, _ := plainBound([]byte(tok), intDigits(tok))
+			v, _ := strconv.ParseFloat(tok, 64)
+			// Guards that put guard·hi just below, at and just above the seed.
+			for _, guard := range []float64{u / hi * (1 - 1e-12), u / hi, u / hi * (1 + 1e-12), math.NaN()} {
+				f, n := lex(tok, rejectGate{seed: seeder, guard: guard})
+				want := u >= guard*hi
+				if n == 0 || (f.has&gated != 0) != want || (!want && f.value != v) {
+					t.Errorf("%s %s, guard·hi %v, seed %v: fields %+v, n %d; want gated %v", format, tok, guard*hi, u, f, n, want)
+				}
+			}
+		}
+		// Not plain, so never gated, however small the guard.
+		for _, tok := range []string{"1e3", "-0", "-1.5", "1E-2", "99999999999999999999999", "0.5e1"} {
+			if f, n := lex(tok, rejectGate{seed: seeder, guard: 1e-300}); n > 0 && f.has&gated != 0 {
+				t.Errorf("%s %s: gated a token that is not plain", format, tok)
+			}
+		}
+	}
+	for _, tok := range []string{"1.", ".5", "+1", "1_0", "0x1p3"} {
+		if f, n := lexers["csv"](tok, rejectGate{seed: seeder, guard: 1e-300}); n > 0 && f.has&gated != 0 {
+			t.Errorf("csv %s: gated a token that is not plain", tok)
+		}
+	}
 }
 
 // TestScanPairsAllocsIndependentOfPairs pins the scanners' zero

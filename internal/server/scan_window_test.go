@@ -7,6 +7,8 @@ import (
 	"strings"
 	"testing"
 	"testing/iotest"
+
+	"repro/internal/xhash"
 )
 
 // TestWindowLexerAtRefillEdges puts lines of every kind — ones the window
@@ -68,6 +70,32 @@ func TestWindowLexerAtRefillEdges(t *testing.T) {
 			diffScanMultiPairsAs(t, format, body, reader, "refill edge")
 		} else {
 			diffScanPairsAs(t, format, body, reader, "refill edge")
+			diffGatedScan(t, format, body, reader, "refill edge")
+		}
+	}
+	// The gated leg: a plain value cut by the end of the first read after
+	// each of its bytes. Cut after "1", "13" or "137", the window holds a
+	// plain token whose bound is below 1379.5, and the key is one a PPS
+	// sample at tau 2000 keeps with the whole value but the gate rejects on
+	// those bounds: a verdict on the cut token that outlived the line's
+	// handover to the second tier would drop it.
+	key := uint64(1 << 33)
+	for seed := (xhash.Seeder{Salt: gatedSalt}).Instance(0); ; key++ {
+		if u := seed.Seed(key); u > 0.2 && u < 0.6 {
+			break
+		}
+	}
+	for _, format := range []string{"csv", "ndjson"} {
+		line := pairLine(format, false, key, "1379.5")
+		start := strings.Index(line, "1379.5")
+		rest := "\n" + pairLine(format, false, 11, "1") + "\ngarbage\n"
+		for cut := start; cut <= start+len("1379.5"); cut++ {
+			body := append(fill(format, false, window-cut), line+rest...)
+			t.Run(fmt.Sprintf("gated/%s/cut=%q", format, line[start:cut]), func(t *testing.T) {
+				if diffGatedScan(t, format, body, wholeReader, "value cut by the window") == 0 {
+					t.Fatal("the gate rejected nothing: the leg tests nothing")
+				}
+			})
 		}
 	}
 	for name, probe := range probes {

@@ -139,6 +139,19 @@ func TestTraceEndToEnd(t *testing.T) {
 		if _, ok := want[sp.Name]; ok {
 			want[sp.Name] = true
 		}
+		if sp.Name == "ingest.scan" {
+			// The scan says how many values it parsed: a PPS sample of about
+			// 100 of 800 keys rejects most pairs from their seed alone.
+			attrs := map[string]string{}
+			for _, a := range sp.Attrs {
+				attrs[a.Key] = a.Value
+			}
+			pairs, errP := strconv.Atoi(attrs["pairs"])
+			parsed, errV := strconv.Atoi(attrs["values_parsed"])
+			if errP != nil || errV != nil || pairs != len(sites[1]) || parsed <= 0 || parsed >= pairs/2 {
+				t.Errorf("ingest.scan attrs %+v: want pairs %d and values_parsed in (0, pairs/2)", sp.Attrs, len(sites[1]))
+			}
+		}
 	}
 	for name, seen := range want {
 		if !seen {
