@@ -1,6 +1,6 @@
 // Command summaryd runs the summary server: an HTTP service that accepts
 // posted summaries (the core JSON wire format) or raw CSV/ndjson pair
-// streams (summarized on arrival through the sharded engine pipeline,
+// streams (summarized on arrival through the in-line engine pipeline,
 // one instance per request via /v1/ingest or every instance of a dataset
 // in one scan via /v1/ingest/multi) and answers distinct / max-dominance /
 // quantile / sum queries over any stored subset — the paper's
@@ -8,10 +8,8 @@
 //
 // Usage:
 //
-//	summaryd                        # listen on :8080, sequential ingest
+//	summaryd                        # listen on :8080
 //	summaryd -addr :9090            # custom listen address
-//	summaryd -shards 4 -batch 512   # sharded parallel ingest summarization
-//	summaryd -shards 4 -async -queue 16   # async ingest: bounded queues
 //	summaryd -wire 2                # binary default for summary fetch-backs
 //	summaryd -data-dir /var/lib/summaryd  # durable registry (WAL + snapshots)
 //	summaryd -data-dir d -fsync -snapshot-every 1000  # power-loss durable
@@ -19,17 +17,6 @@
 //	summaryd -pprof-addr 127.0.0.1:6060         # profiling side listener
 //	summaryd -trace-ring 512                    # keep more traces in memory
 //	summaryd -trace=false                       # disable request tracing
-//
-// -shards selects the ingest summarization strategy: 1 (the default) runs
-// the sequential pipeline, n>1 fans out across n hash-partitioned
-// workers, 0 uses one worker per CPU. -batch sizes the per-shard arrival
-// batches. -async decouples the request reader from the samplers: pairs
-// are handed to worker goroutines through bounded per-shard queues of
-// -queue batches, and a push stalls only while its destination queue is
-// full (at most one batch drain). Negative values are rejected with exit
-// 2 (engine.Config.Validate; 0 always means "use the default"). The
-// stored summary is identical for every setting — only ingest throughput
-// changes.
 //
 // -wire selects the wire format of GET /v1/summaries responses when the
 // client's Accept header names none: 1 (the default) answers JSON, 2 the
@@ -150,10 +137,6 @@ func newHTTPServer(addr string, h http.Handler) *http.Server {
 
 func main() {
 	addr := flag.String("addr", ":8080", "listen address")
-	shards := flag.Int("shards", 1, "ingest summarization shards: 1 sequential, n>1 hash-partitioned workers, 0 per-CPU")
-	batch := flag.Int("batch", engine.DefaultBatchSize, "per-shard batch size for sharded ingest")
-	async := flag.Bool("async", false, "decouple ingest from sampling: bounded per-shard queues, stalls counted")
-	queue := flag.Int("queue", 0, "per-shard queue depth in batches (0 = default 8)")
 	wire := flag.Int("wire", 1, "default wire version for summary fetch-backs without an Accept preference (1 = JSON, 2 = binary)")
 	dataDir := flag.String("data-dir", "", "durability directory (WAL + snapshots); empty keeps the registry in-memory")
 	snapshotEvery := flag.Int64("snapshot-every", store.DefaultSnapshotEvery, "WAL records between automatic snapshots (negative disables automatic snapshots; a final one is still taken at shutdown); snapshots are incremental and written in the background, so posts and queries keep flowing while one runs")
@@ -177,19 +160,6 @@ func main() {
 
 	if _, err := core.CodecByVersion(*wire); err != nil {
 		fmt.Fprintf(os.Stderr, "summaryd: -wire %d: %v\n", *wire, err)
-		os.Exit(2)
-	}
-
-	cfg := engine.Config{
-		Parallel:   *shards != 1,
-		Shards:     *shards,
-		BatchSize:  *batch,
-		Async:      *async,
-		QueueDepth: *queue,
-	}
-	// One validation rule for every front door: the engine owns it.
-	if err := cfg.Validate(); err != nil {
-		fmt.Fprintf(os.Stderr, "summaryd: %v\n", err)
 		os.Exit(2)
 	}
 
@@ -258,7 +228,7 @@ func main() {
 		)
 	}
 
-	srv := newHTTPServer(*addr, server.New(reg, cfg, opts...))
+	srv := newHTTPServer(*addr, server.New(reg, engine.Config{}, opts...))
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
@@ -288,10 +258,6 @@ func main() {
 
 	logger.Info("listening",
 		"addr", *addr,
-		"shards", cfg.NumShards(),
-		"batch", cfg.EffectiveBatchSize(),
-		"async", cfg.Async,
-		"queue", cfg.EffectiveQueueDepth(),
 		"wire", *wire,
 		"wire_versions", core.SupportedWireVersions(),
 		"metrics", *metrics,

@@ -122,11 +122,10 @@ func main() {
 
 	// The ingest traffic above shows up in /healthz's engine block: the
 	// server folds every pipeline's final counters into running totals,
-	// so operators read throughput and backpressure without /metrics.
+	// so operators read throughput without /metrics.
 	hr, err = c.Health(ctx)
 	check(err)
-	fmt.Printf("engine health: %d pairs across %d ingests (stalls=%d, rejected=%d)\n\n",
-		hr.Engine.Pairs, hr.Engine.Ingests, hr.Engine.Stalls, hr.Engine.Rejected)
+	fmt.Printf("engine health: %d pairs across %d ingests\n\n", hr.Engine.Pairs, hr.Engine.Ingests)
 
 	// --- the same summaries, built in-process --------------------------
 	// The ingest path must reproduce local summarization exactly: ranks

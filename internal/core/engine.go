@@ -67,12 +67,6 @@ func (b *BottomKStream) Push(h dataset.Key, v float64) { b.e.Push(h, v) }
 // engine for the batch.
 func (b *BottomKStream) PushBatch(ps []engine.Pair) { b.e.PushBatch(ps) }
 
-// TryPush offers one arrival without blocking: where Push would stall on a
-// full shard queue, it returns engine.ErrQueueFull (counted in
-// Stats().Rejected) — the opt-in path for lossy producers that prefer
-// dropping an arrival over stalling.
-func (b *BottomKStream) TryPush(h dataset.Key, v float64) error { return b.e.TryPush(h, v) }
-
 // Seeder returns the seeds the stream's sampler draws, for a producer that
 // tests arrivals against TauGuard.
 func (b *BottomKStream) Seeder() xhash.InstanceSeeder { return b.parent.seeder.Instance(b.instance) }
@@ -83,14 +77,6 @@ func (b *BottomKStream) TauGuard() float64 { return b.e.TauGuard() }
 // PushRejected counts n arrivals proved rejected against TauGuard
 // (engine.BottomK.PushRejected).
 func (b *BottomKStream) PushRejected(n int) { b.e.PushRejected(n) }
-
-// Snapshot returns the summary of exactly the arrivals pushed so far —
-// equal to a sequential pass over that prefix — without closing the
-// stream. With an async engine config this is the live-monitoring hook:
-// continuous queries read snapshots while ingest keeps running.
-func (b *BottomKStream) Snapshot() *BottomKSummary {
-	return newBottomKSummary(b.parent.seeder, b.instance, b.e.Snapshot())
-}
 
 // Stats exposes the engine's throughput and backpressure counters. Like
 // Push it must be called from the producer goroutine (or after Close).
@@ -127,11 +113,6 @@ func (p *PPSStream) Push(h dataset.Key, v float64) { p.e.Push(h, v) }
 // engine for the batch.
 func (p *PPSStream) PushBatch(ps []engine.Pair) { p.e.PushBatch(ps) }
 
-// TryPush offers one arrival without blocking: where Push would stall on a
-// full shard queue, it returns engine.ErrQueueFull (counted in
-// Stats().Rejected).
-func (p *PPSStream) TryPush(h dataset.Key, v float64) error { return p.e.TryPush(h, v) }
-
 // Seeder returns the seeds the stream's sampler draws, for a producer that
 // tests arrivals against TauGuard.
 func (p *PPSStream) Seeder() xhash.InstanceSeeder { return p.parent.seeder.Instance(p.instance) }
@@ -142,12 +123,6 @@ func (p *PPSStream) TauGuard() float64 { return p.e.TauGuard() }
 // PushRejected counts n arrivals proved rejected against TauGuard
 // (engine.PoissonPPS.PushRejected).
 func (p *PPSStream) PushRejected(n int) { p.e.PushRejected(n) }
-
-// Snapshot returns the summary of exactly the arrivals pushed so far
-// without closing the stream.
-func (p *PPSStream) Snapshot() *PPSSummary {
-	return newPPSSummary(p.parent.seeder, p.instance, p.tau, p.e.Snapshot().Values)
-}
 
 // Stats exposes the engine's throughput and backpressure counters.
 func (p *PPSStream) Stats() engine.Stats { return p.e.Stats() }
@@ -199,18 +174,13 @@ func (m *MultiBottomKStream) Push(i int, h dataset.Key, v float64) { m.e.Push(i,
 // names its instance by position in instances.
 func (m *MultiBottomKStream) PushBatch(ms []engine.MultiPair) { m.e.PushBatch(ms) }
 
-// Snapshot returns per-instance summaries of exactly the arrivals pushed
-// so far, without closing the stream.
-func (m *MultiBottomKStream) Snapshot() []*BottomKSummary { return m.wrap(m.e.Snapshot()) }
-
 // Stats exposes the engine's throughput and backpressure counters.
 func (m *MultiBottomKStream) Stats() engine.Stats { return m.e.Stats() }
 
 // Close drains the pipeline and returns the finished per-instance
 // summaries, ordered as the instances slice.
-func (m *MultiBottomKStream) Close() []*BottomKSummary { return m.wrap(m.e.Close()) }
-
-func (m *MultiBottomKStream) wrap(samples []*sampling.WeightedSample) []*BottomKSummary {
+func (m *MultiBottomKStream) Close() []*BottomKSummary {
+	samples := m.e.Close()
 	out := make([]*BottomKSummary, len(samples))
 	for i, sm := range samples {
 		out[i] = newBottomKSummary(m.parent.seeder, m.instances[i], sm)
@@ -259,18 +229,13 @@ func (m *MultiPPSStream) Push(i int, h dataset.Key, v float64) { m.e.Push(i, h, 
 // names its instance by position in instances.
 func (m *MultiPPSStream) PushBatch(ms []engine.MultiPair) { m.e.PushBatch(ms) }
 
-// Snapshot returns per-instance summaries of exactly the arrivals pushed
-// so far, without closing the stream.
-func (m *MultiPPSStream) Snapshot() []*PPSSummary { return m.wrap(m.e.Snapshot()) }
-
 // Stats exposes the engine's throughput and backpressure counters.
 func (m *MultiPPSStream) Stats() engine.Stats { return m.e.Stats() }
 
 // Close drains the pipeline and returns the finished per-instance
 // summaries, ordered as the instances slice.
-func (m *MultiPPSStream) Close() []*PPSSummary { return m.wrap(m.e.Close()) }
-
-func (m *MultiPPSStream) wrap(samples []*sampling.WeightedSample) []*PPSSummary {
+func (m *MultiPPSStream) Close() []*PPSSummary {
+	samples := m.e.Close()
 	out := make([]*PPSSummary, len(samples))
 	for i, sm := range samples {
 		out[i] = newPPSSummary(m.parent.seeder, m.instances[i], m.taus[i], sm.Values)

@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/dataset"
 	"repro/internal/engine"
-	"repro/internal/sampling"
 	"repro/internal/xhash"
 )
 
@@ -68,26 +67,12 @@ func (st *VarOptStream) Push(h dataset.Key, v float64) { st.e.Push(h, v) }
 // engine for the batch.
 func (st *VarOptStream) PushBatch(ps []engine.Pair) { st.e.PushBatch(ps) }
 
-// TryPush offers one arrival without blocking: where Push would stall on a
-// full shard queue, it returns engine.ErrQueueFull (counted in
-// Stats().Rejected).
-func (st *VarOptStream) TryPush(h dataset.Key, v float64) error { return st.e.TryPush(h, v) }
-
-// Snapshot returns a summary of the arrivals pushed so far without closing
-// the stream. Each snapshot consumes fresh merge randomness.
-func (st *VarOptStream) Snapshot() *VarOptSummary {
-	return st.wrap(st.e.Snapshot())
-}
-
 // Stats exposes the engine's throughput and backpressure counters.
 func (st *VarOptStream) Stats() engine.Stats { return st.e.Stats() }
 
 // Close drains the pipeline and returns the finished summary.
 func (st *VarOptStream) Close() *VarOptSummary {
-	return st.wrap(st.e.Close())
-}
-
-func (st *VarOptStream) wrap(sample *sampling.VarOptSample) *VarOptSummary {
+	sample := st.e.Close()
 	return newVarOptSummary(st.parent.seeder, st.instance, sample.Tau, sample.Original)
 }
 

@@ -9,13 +9,12 @@ import (
 )
 
 // BottomK is a sharded streaming bottom-k summarizer. Push offers arrivals,
-// Close drains the pipeline and returns the merged sample, Snapshot
-// materializes the sample of the pairs pushed so far without closing. The
-// results are identical to feeding the same stream (or prefix) through one
-// sequential sampling.StreamBottomK (see sampling.MergeBottomK for why the
-// merge is exact).
+// Close drains the pipeline and returns the merged sample. The result is
+// identical to feeding the same stream through one sequential
+// sampling.StreamBottomK (see sampling.MergeBottomK for why the merge is
+// exact).
 //
-// Push, Snapshot, Stats, and Close must be called from a single producer
+// Push, Stats, and Close must be called from a single producer
 // goroutine; the parallelism is internal. The seed function is shared by
 // all shard workers and must be safe for concurrent use (hash-derived
 // seeds are pure functions and qualify).
@@ -40,13 +39,6 @@ func (e *BottomK) Push(h dataset.Key, v float64) {
 	e.pipeline.Push(Pair{Key: h, Value: v})
 }
 
-// TryPush offers one arrival without blocking: where Push would stall on a
-// full shard queue, TryPush returns ErrQueueFull and drops nothing already
-// accepted. Rejections are counted in Stats().Rejected.
-func (e *BottomK) TryPush(h dataset.Key, v float64) error {
-	return e.pipeline.TryPush(Pair{Key: h, Value: v})
-}
-
 // TauGuard returns the in-line sampler's certain-reject bound
 // (sampling.StreamBottomK.TauGuard), which the producer may test arrivals
 // against and then count them with PushRejected instead of pushing them.
@@ -63,13 +55,6 @@ func (e *BottomK) TauGuard() float64 {
 // Stats().Pairs, as pushing them would have; the sample is unchanged.
 func (e *BottomK) PushRejected(n int) { e.pushRejected(n) }
 
-// Snapshot quiesces the pipeline and returns the merged bottom-k sample of
-// exactly the pairs pushed so far — equal to a sequential pass over that
-// prefix. The pipeline remains usable afterwards.
-func (e *BottomK) Snapshot() *sampling.WeightedSample {
-	return mergeBottomKSamplers(e.k, e.fam, e.samplers())
-}
-
 // Close flushes buffered batches, waits for the shard workers, and returns
 // the merged bottom-k sample. The pipeline is unusable afterwards.
 func (e *BottomK) Close() *sampling.WeightedSample {
@@ -77,8 +62,7 @@ func (e *BottomK) Close() *sampling.WeightedSample {
 }
 
 // mergeBottomKSamplers merges per-shard bottom-k samplers into the global
-// sample without consuming them (Entries and Snapshot leave samplers
-// usable, which Snapshot-then-resume relies on).
+// sample.
 func mergeBottomKSamplers(k int, fam sampling.RankFamily, samplers []*sampling.StreamBottomK) *sampling.WeightedSample {
 	if len(samplers) == 1 {
 		return samplers[0].Snapshot()
@@ -143,34 +127,16 @@ func (e *MultiBottomK) Push(instance int, h dataset.Key, v float64) {
 	e.pipeline.Push(MultiPair{Key: h, Instance: instance, Value: v})
 }
 
-// TryPush offers one arrival of the given instance without blocking,
-// returning ErrQueueFull where Push would stall (counted in
-// Stats().Rejected).
-func (e *MultiBottomK) TryPush(instance int, h dataset.Key, v float64) error {
-	checkInstance(instance, e.r)
-	return e.pipeline.TryPush(MultiPair{Key: h, Instance: instance, Value: v})
-}
-
 // PushBatch offers a slice of combined-stream arrivals, in order.
 func (e *MultiBottomK) PushBatch(ms []MultiPair) {
 	checkInstances(ms, e.r)
 	e.pipeline.PushBatch(ms)
 }
 
-// Snapshot quiesces the pipeline and returns the per-instance samples of
-// exactly the pairs pushed so far, indexed by instance. The pipeline
-// remains usable afterwards.
-func (e *MultiBottomK) Snapshot() []*sampling.WeightedSample {
-	return e.merge(e.samplers())
-}
-
 // Close drains the pipeline and returns the per-instance samples, indexed
 // by instance. The pipeline is unusable afterwards.
 func (e *MultiBottomK) Close() []*sampling.WeightedSample {
-	return e.merge(e.pipeline.close())
-}
-
-func (e *MultiBottomK) merge(groups []*instanceGroup[*sampling.StreamBottomK]) []*sampling.WeightedSample {
+	groups := e.pipeline.close()
 	out := make([]*sampling.WeightedSample, e.r)
 	per := make([]*sampling.StreamBottomK, len(groups))
 	for i := 0; i < e.r; i++ {

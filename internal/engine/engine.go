@@ -29,9 +29,7 @@
 // (per shard: the producer-side buffer, the queued batches, and the batch
 // the worker is applying).
 // Close always drains: the summary it returns holds every pushed pair and
-// is bit-identical to the sync-mode (and sequential) summary. Snapshot
-// quiesces the workers mid-stream and returns the summary of exactly the
-// pairs pushed so far, equal to a sequential pass over that prefix.
+// is bit-identical to the sync-mode (and sequential) summary.
 //
 // # Multi-instance summarization
 //
@@ -50,7 +48,6 @@
 package engine
 
 import (
-	"errors"
 	"fmt"
 	"runtime"
 
@@ -58,13 +55,6 @@ import (
 	"repro/internal/sampling"
 	"repro/internal/xhash"
 )
-
-// ErrQueueFull reports a TryPush that found its destination shard's
-// bounded queue full with a full batch to hand off. It is the typed
-// backpressure signal of the non-blocking producer path: lossy producers
-// (live taps, UDP-style feeds) drop the arrival and move on instead of
-// stalling, and every rejection is counted in Stats().Rejected.
-var ErrQueueFull = errors.New("engine: shard queue full")
 
 // DefaultBatchSize is the number of pairs buffered per shard before they
 // are handed to the shard's worker. 1024 pairs ≈ 16 KiB per batch: large
@@ -194,13 +184,6 @@ type Stats struct {
 	// queue full and had to wait for the worker — the backpressure signal.
 	// A stall lasts at most the time the worker needs to drain one batch.
 	Stalls uint64
-	// Rejected counts arrivals refused by TryPush because the destination
-	// shard's queue was full — the lossy-producer counterpart of Stalls
-	// (blocking Push stalls; non-blocking TryPush rejects).
-	Rejected uint64
-	// Snapshots counts mid-stream Snapshot calls — each one quiesces the
-	// shard workers, so a high rate on a hot pipeline is itself a signal.
-	Snapshots uint64
 	// Shards is the effective shard (worker) count; 1 on the sequential
 	// path.
 	Shards int

@@ -3,6 +3,7 @@ package engine
 import (
 	"errors"
 	"strconv"
+	"sync"
 	"testing"
 
 	"repro/internal/dataset"
@@ -220,4 +221,32 @@ func TestAsyncDrainAndStats(t *testing.T) {
 		t.Errorf("sequential Stats = %+v", st)
 	}
 	seq.Close()
+
+	// A worker wedged inside its sampler while its queue is full: once it
+	// is released, Close still drains every pair pushed. One async shard,
+	// one-pair batches and a one-batch queue: the worker wedges on batch
+	// 1 and batch 2 fills the queue; Push 3 stalls only if the worker has
+	// not yet taken batch 2. tauStar 10 with seed 0.5 keeps every value
+	// ≥ 5.
+	started, release := make(chan struct{}), make(chan struct{})
+	var once sync.Once
+	wedge := func(dataset.Key) float64 {
+		once.Do(func() {
+			close(started)
+			<-release
+		})
+		return 0.5
+	}
+	w := NewPoissonPPS(10, wedge, Config{Async: true, BatchSize: 1, QueueDepth: 1})
+	w.Push(1, 10)
+	<-started
+	w.Push(2, 20)
+	close(release)
+	w.Push(3, 30)
+	if st := w.Stats(); st.Pairs != 3 || st.Batches != 3 || st.Stalls > 1 {
+		t.Errorf("wedged-worker Stats = %+v, want 3 pairs in 3 batches, at most 1 stall", st)
+	}
+	if got := w.Close().Values; len(got) != 3 || got[1] != 10 || got[2] != 20 || got[3] != 30 {
+		t.Errorf("wedged-worker summary %v, want keys 1, 2 and 3", got)
+	}
 }

@@ -21,7 +21,6 @@ type pipeline[T, S any] struct {
 	one    [1]T // the in-line path's batch for a single Push
 	sh     *sharder[T, S]
 	pairs  uint64
-	snaps  uint64
 }
 
 // newPipeline builds the execution strategy selected by cfg, constructing
@@ -83,42 +82,6 @@ func (p *pipeline[T, S]) pushRejected(n int) {
 	p.pairs += uint64(n)
 }
 
-// TryPush offers one arrival without ever blocking on a full shard queue:
-// where Push would stall waiting for the worker, TryPush refuses the item
-// with ErrQueueFull instead (counted in Stats().Rejected). On the in-line
-// sequential path — which has no queues — it always accepts.
-func (p *pipeline[T, S]) TryPush(item T) error {
-	if p.closed {
-		panic("engine: TryPush after Close")
-	}
-	if p.inline {
-		p.pairs++
-		p.one[0] = item
-		p.apply(p.seq, p.one[:])
-		return nil
-	}
-	if err := p.sh.tryPush(item); err != nil {
-		return err
-	}
-	p.pairs++
-	return nil
-}
-
-// samplers quiesces the pipeline and returns the per-shard sampler state
-// for reading: on return every pushed item has been applied and the
-// workers sit idle, so the producer goroutine may inspect the samplers.
-// Pushing may resume afterwards. This is the substrate of Snapshot.
-func (p *pipeline[T, S]) samplers() []S {
-	if p.closed {
-		panic("engine: Snapshot after Close")
-	}
-	p.snaps++
-	if p.inline {
-		return []S{p.seq}
-	}
-	return p.sh.quiesce()
-}
-
 // close marks the pipeline closed and returns the samplers to merge: the
 // single in-line sampler, or every shard's state after drain.
 func (p *pipeline[T, S]) close() []S {
@@ -135,24 +98,14 @@ func (p *pipeline[T, S]) close() []S {
 // Stats returns the pipeline's throughput and backpressure counters. Like
 // Push, it must be called from the producer goroutine (or after Close).
 func (p *pipeline[T, S]) Stats() Stats {
-	st := Stats{Pairs: p.pairs, Shards: 1, Snapshots: p.snaps}
+	st := Stats{Pairs: p.pairs, Shards: 1}
 	if p.sh != nil {
 		st.Shards = len(p.sh.chans)
 		st.QueueDepth = p.sh.depth
 		st.Batches = p.sh.batches
 		st.Stalls = p.sh.stalls
-		st.Rejected = p.sh.rejects
 	}
 	return st
-}
-
-// batch is one unit of producer→worker handoff: a pooled slice of items,
-// or a barrier the worker acknowledges once every earlier item of its
-// shard has been applied. items points into the sharder's batch arena; the
-// worker recycles it after applying (see sharder.arena).
-type batch[T any] struct {
-	items   *[]T
-	barrier chan<- struct{}
 }
 
 // sharder is the sharded batching pipeline shared by the engines: it owns
@@ -163,19 +116,19 @@ type batch[T any] struct {
 // Batch slices live in a sync.Pool arena: the producer takes a slice from
 // the pool, fills it, and hands it to a shard worker, which returns it to
 // the pool after applying — so a steady-state producer allocates nothing
-// per batch. Pool entries are *[]T (a bare []T would box the slice header
-// on every Put, re-introducing the allocation the arena removes).
+// per batch; each handoff sends one such slice down the shard's channel.
+// Pool entries are *[]T (a bare []T would box the slice header on every
+// Put, re-introducing the allocation the arena removes).
 type sharder[T, S any] struct {
 	batch    int
 	depth    int
 	key      func(T) dataset.Key
 	bufs     []*[]T
-	chans    []chan batch[T]
+	chans    []chan *[]T
 	samplers []S
 	arena    sync.Pool
 	batches  uint64
 	stalls   uint64
-	rejects  uint64
 	wg       sync.WaitGroup
 }
 
@@ -187,7 +140,7 @@ func newSharder[T, S any](shards int, cfg Config, mk func() S, key func(T) datas
 		depth:    cfg.EffectiveQueueDepth(),
 		key:      key,
 		bufs:     make([]*[]T, shards),
-		chans:    make([]chan batch[T], shards),
+		chans:    make([]chan *[]T, shards),
 		samplers: make([]S, shards),
 	}
 	sh.arena.New = func() any {
@@ -196,21 +149,16 @@ func newSharder[T, S any](shards int, cfg Config, mk func() S, key func(T) datas
 	}
 	for i := 0; i < shards; i++ {
 		sh.bufs[i] = sh.getBuf()
-		ch := make(chan batch[T], sh.depth)
+		ch := make(chan *[]T, sh.depth)
 		s := mk()
 		sh.chans[i] = ch
 		sh.samplers[i] = s
 		sh.wg.Add(1)
 		go func() {
 			defer sh.wg.Done()
-			for b := range ch {
-				if b.items != nil {
-					apply(s, *b.items)
-					sh.putBuf(b.items)
-				}
-				if b.barrier != nil {
-					b.barrier <- struct{}{}
-				}
+			for items := range ch {
+				apply(s, *items)
+				sh.putBuf(items)
 			}
 		}()
 	}
@@ -256,65 +204,11 @@ func (sh *sharder[T, S]) push(item T) {
 func (sh *sharder[T, S]) send(i int, items *[]T) {
 	sh.batches++
 	select {
-	case sh.chans[i] <- batch[T]{items: items}:
+	case sh.chans[i] <- items:
 	default:
 		sh.stalls++
-		sh.chans[i] <- batch[T]{items: items}
+		sh.chans[i] <- items
 	}
-}
-
-// tryPush routes one arrival to its shard like push, but never blocks:
-// when accepting the item would fill the shard's batch and the queue has
-// no free slot for the handoff, the item is refused with ErrQueueFull and
-// the buffered prefix stays intact. Arrivals that merely join a non-full
-// buffer are always accepted — rejection happens exactly at the handoff
-// boundary, where Push would have stalled.
-//
-//summarylint:hot
-func (sh *sharder[T, S]) tryPush(item T) error {
-	i := 0
-	if len(sh.chans) > 1 {
-		i = shardOf(sh.key(item), len(sh.chans))
-	}
-	buf := sh.bufs[i]
-	if len(*buf)+1 < sh.batch {
-		//summarylint:ignore arena buffers carry cap=batch, so this append never grows (benchgate pins 0 allocs/op)
-		*buf = append(*buf, item)
-		return nil
-	}
-	//summarylint:ignore arena buffers carry cap=batch, so this append never grows (benchgate pins 0 allocs/op)
-	*buf = append(*buf, item)
-	select {
-	case sh.chans[i] <- batch[T]{items: buf}:
-		sh.batches++
-		sh.bufs[i] = sh.getBuf()
-		return nil
-	default:
-		*buf = (*buf)[:len(*buf)-1]
-		sh.rejects++
-		return ErrQueueFull
-	}
-}
-
-// quiesce flushes the buffered batches and barriers every worker: on
-// return the workers have applied every pushed item and are blocked
-// waiting for more, so the producer may read the samplers. The barrier
-// acknowledgement orders every worker write before the producer's reads,
-// and the producer's next send orders its reads before further worker
-// writes — the memory-safety handshake behind mid-stream Snapshot.
-func (sh *sharder[T, S]) quiesce() []S {
-	done := make(chan struct{}, len(sh.chans))
-	for i, buf := range sh.bufs {
-		if len(*buf) > 0 {
-			sh.send(i, buf)
-			sh.bufs[i] = sh.getBuf()
-		}
-		sh.chans[i] <- batch[T]{barrier: done}
-	}
-	for range sh.chans {
-		<-done
-	}
-	return sh.samplers
 }
 
 // drain flushes the buffered batches, stops the workers, and returns the

@@ -12,7 +12,7 @@ import (
 // filter, so the merge is a plain union of the per-shard samples — trivially
 // identical to a sequential sampling.StreamPoissonPPS pass.
 //
-// Push, Snapshot, Stats, and Close must be called from a single producer
+// Push, Stats, and Close must be called from a single producer
 // goroutine; the seed function must be safe for concurrent use.
 type PoissonPPS struct {
 	pipeline[Pair, *sampling.StreamPoissonPPS]
@@ -33,13 +33,6 @@ func (e *PoissonPPS) Push(h dataset.Key, v float64) {
 	e.pipeline.Push(Pair{Key: h, Value: v})
 }
 
-// TryPush offers one arrival without blocking: where Push would stall on a
-// full shard queue, TryPush returns ErrQueueFull and drops nothing already
-// accepted. Rejections are counted in Stats().Rejected.
-func (e *PoissonPPS) TryPush(h dataset.Key, v float64) error {
-	return e.pipeline.TryPush(Pair{Key: h, Value: v})
-}
-
 // TauGuard returns the in-line sampler's certain-reject bound, as
 // BottomK.TauGuard does; NaN on the sharded and async paths.
 func (e *PoissonPPS) TauGuard() float64 {
@@ -53,21 +46,14 @@ func (e *PoissonPPS) TauGuard() float64 {
 // Stats().Pairs, as pushing them would have; the sample is unchanged.
 func (e *PoissonPPS) PushRejected(n int) { e.pushRejected(n) }
 
-// Snapshot quiesces the pipeline and returns the merged PPS sample of
-// exactly the pairs pushed so far — equal to a sequential pass over that
-// prefix. The pipeline remains usable afterwards.
-func (e *PoissonPPS) Snapshot() *sampling.WeightedSample {
-	return unionPoissonSamplers(e.samplers())
-}
-
 // Close flushes buffered batches, waits for the shard workers, and returns
 // the merged PPS sample. The pipeline is unusable afterwards.
 func (e *PoissonPPS) Close() *sampling.WeightedSample {
 	return unionPoissonSamplers(e.close())
 }
 
-// unionPoissonSamplers unions per-shard Poisson samples into one without
-// consuming the samplers (shards hold disjoint key partitions). The result
+// unionPoissonSamplers unions per-shard Poisson samples into one (shards
+// hold disjoint key partitions). The result
 // map is presized to the summed shard sizes, so the copies never grow it —
 // one allocation for the union regardless of shard count.
 func unionPoissonSamplers(samplers []*sampling.StreamPoissonPPS) *sampling.WeightedSample {
@@ -132,34 +118,16 @@ func (e *MultiPoissonPPS) Push(instance int, h dataset.Key, v float64) {
 	e.pipeline.Push(MultiPair{Key: h, Instance: instance, Value: v})
 }
 
-// TryPush offers one arrival of the given instance without blocking,
-// returning ErrQueueFull where Push would stall (counted in
-// Stats().Rejected).
-func (e *MultiPoissonPPS) TryPush(instance int, h dataset.Key, v float64) error {
-	checkInstance(instance, e.r)
-	return e.pipeline.TryPush(MultiPair{Key: h, Instance: instance, Value: v})
-}
-
 // PushBatch offers a slice of combined-stream arrivals, in order.
 func (e *MultiPoissonPPS) PushBatch(ms []MultiPair) {
 	checkInstances(ms, e.r)
 	e.pipeline.PushBatch(ms)
 }
 
-// Snapshot quiesces the pipeline and returns the per-instance samples of
-// exactly the pairs pushed so far, indexed by instance. The pipeline
-// remains usable afterwards.
-func (e *MultiPoissonPPS) Snapshot() []*sampling.WeightedSample {
-	return e.merge(e.samplers())
-}
-
 // Close drains the pipeline and returns the per-instance samples, indexed
 // by instance. The pipeline is unusable afterwards.
 func (e *MultiPoissonPPS) Close() []*sampling.WeightedSample {
-	return e.merge(e.pipeline.close())
-}
-
-func (e *MultiPoissonPPS) merge(groups []*instanceGroup[*sampling.StreamPoissonPPS]) []*sampling.WeightedSample {
+	groups := e.pipeline.close()
 	out := make([]*sampling.WeightedSample, e.r)
 	per := make([]*sampling.StreamPoissonPPS, len(groups))
 	for i := 0; i < e.r; i++ {

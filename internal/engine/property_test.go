@@ -91,7 +91,8 @@ func TestBottomKMatchesSequential(t *testing.T) {
 }
 
 // TestPoissonPPSMatchesSequential: the sharded Poisson pipeline equals the
-// sequential StreamPoissonPPS filter for every shard count and permutation.
+// sequential StreamPoissonPPS filter for every shard count and permutation,
+// in sync and async mode.
 func TestPoissonPPSMatchesSequential(t *testing.T) {
 	seeder := xhash.Seeder{Salt: 8812}
 	rng := randx.New(3)
@@ -108,15 +109,17 @@ func TestPoissonPPSMatchesSequential(t *testing.T) {
 	}
 	want := ref.Snapshot()
 	for _, shards := range []int{1, 2, 4, 7} {
-		for perm := 0; perm < 3; perm++ {
-			order := randx.New(uint64(perm)*17 + 5).Perm(len(stream))
-			cfg := Config{Parallel: shards > 1, Shards: shards, BatchSize: 128}
-			e := NewPoissonPPS(tau, seed, cfg)
-			for _, idx := range order {
-				e.Push(stream[idx].Key, stream[idx].Value)
+		for _, async := range []bool{false, true} {
+			for perm := 0; perm < 3; perm++ {
+				order := randx.New(uint64(perm)*17 + 5).Perm(len(stream))
+				cfg := Config{Parallel: shards > 1, Shards: shards, BatchSize: 128, Async: async, QueueDepth: 2}
+				e := NewPoissonPPS(tau, seed, cfg)
+				for _, idx := range order {
+					e.Push(stream[idx].Key, stream[idx].Value)
+				}
+				got := e.Close()
+				sameSample(t, got, want, "shards="+strconv.Itoa(shards)+"/async="+strconv.FormatBool(async)+"/perm="+strconv.Itoa(perm))
 			}
-			got := e.Close()
-			sameSample(t, got, want, "shards="+strconv.Itoa(shards)+"/perm="+strconv.Itoa(perm))
 		}
 	}
 }

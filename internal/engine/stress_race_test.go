@@ -3,9 +3,9 @@
 // Race-detector stress tests for the async pipeline. They are gated on
 // the race build because their value is the -race instrumentation, not
 // the assertions: without it they are just slow; with it they put the
-// producer contract (one goroutine calling Push/Snapshot/Close) under
-// maximum pressure against the shard workers and against consumer
-// goroutines reading the snapshots the producer hands out.
+// producer contract (one goroutine calling Push/Close) under maximum
+// pressure against the shard workers and against consumer goroutines
+// reading the samples earlier cycles closed.
 package engine
 
 import (
@@ -19,77 +19,72 @@ import (
 	"repro/internal/xhash"
 )
 
-// TestStressAsyncIngestSnapshotQuery drives an async sharded bottom-k
-// engine with a hot producer while mid-stream snapshots are queried
-// concurrently by reader goroutines. Every snapshot must be fully
-// detached from the worker-side samplers: a merge that shared state with
-// a still-running worker is a data race the detector will flag here.
-func TestStressAsyncIngestSnapshotQuery(t *testing.T) {
+// TestStressAsyncIngestCloseQuery runs repeated Push → Close cycles on an
+// async sharded bottom-k engine, with a hot producer per cycle while
+// reader goroutines query the samples the previous cycles closed. Every
+// closed sample must be fully detached from the workers that built it: a
+// merge that shared state with a worker still draining is a data race the
+// detector will flag here.
+func TestStressAsyncIngestCloseQuery(t *testing.T) {
 	testutil.VerifyNoLeaks(t)
 	seeder := xhash.Seeder{Salt: 11}
 	seed := func(h dataset.Key) float64 { return seeder.Seed(0, uint64(h)) }
-	e := NewBottomK(64, sampling.PPS{}, seed, Config{
-		Parallel: true, Shards: 4, Async: true, BatchSize: 64, QueueDepth: 4,
-	})
+	cfg := Config{Parallel: true, Shards: 4, Async: true, BatchSize: 64, QueueDepth: 4}
 
-	snaps := make(chan *sampling.WeightedSample, 16)
+	closed := make(chan *sampling.WeightedSample, 16)
 	var wg sync.WaitGroup
 	for i := 0; i < 4; i++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for s := range snaps {
+			for s := range closed {
 				sum := s.SubsetSum(nil)
 				if s.Len() > 0 && !(sum > 0) {
-					t.Errorf("snapshot with %d keys has subset sum %v", s.Len(), sum)
+					t.Errorf("sample with %d keys has subset sum %v", s.Len(), sum)
 				}
 			}
 		}()
 	}
 
-	// Keys are distinct: a stream carries at most one value per key.
-	const n = 50_000
-	for i := 0; i < n; i++ {
-		e.Push(dataset.Key(i+1), float64(i%97+1))
-		if i%5_000 == 4_999 {
-			snaps <- e.Snapshot()
+	// Keys are distinct within a cycle: a stream carries at most one value
+	// per key.
+	const cycles, n = 10, 5_000
+	for c := 0; c < cycles; c++ {
+		e := NewBottomK(64, sampling.PPS{}, seed, cfg)
+		for i := 0; i < n; i++ {
+			e.Push(dataset.Key(c*n+i+1), float64(i%97+1))
 		}
+		s := e.Close()
+		if s.Len() != 64 || math.IsInf(s.Tau, 1) {
+			t.Errorf("cycle %d: len %d tau %v, want a saturated bottom-64", c, s.Len(), s.Tau)
+		}
+		closed <- s
 	}
-	final := e.Close()
-	close(snaps)
+	close(closed)
 	wg.Wait()
-
-	if final.Len() != 64 || math.IsInf(final.Tau, 1) {
-		t.Fatalf("final sample: len %d tau %v, want a saturated bottom-64", final.Len(), final.Tau)
-	}
 }
 
-// TestStressAsyncMultiSnapshotQuery is the multi-instance variant: one
-// combined stream feeding r samplers per shard, with per-instance
-// snapshots handed to concurrent readers.
-func TestStressAsyncMultiSnapshotQuery(t *testing.T) {
+// TestStressAsyncMultiCloseQuery is the multi-instance variant: each
+// cycle one combined stream feeds r samplers per shard, and the
+// per-instance samples it closes go to concurrent readers while the next
+// cycle ingests.
+func TestStressAsyncMultiCloseQuery(t *testing.T) {
 	testutil.VerifyNoLeaks(t)
 	seeder := xhash.Seeder{Salt: 23}
 	seeds := func(instance int) sampling.SeedFunc {
 		return func(h dataset.Key) float64 { return seeder.Seed(instance, uint64(h)) }
 	}
 	const r = 3
-	e := NewMultiBottomK(r, 32, sampling.PPS{}, seeds, Config{
-		Parallel: true, Shards: 4, Async: true, BatchSize: 32, QueueDepth: 2,
-	})
+	cfg := Config{Parallel: true, Shards: 4, Async: true, BatchSize: 32, QueueDepth: 2}
 
-	snaps := make(chan []*sampling.WeightedSample, 8)
+	closed := make(chan []*sampling.WeightedSample, 8)
 	var wg sync.WaitGroup
 	for i := 0; i < 2; i++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for ss := range snaps {
-				for inst, s := range ss {
-					if s == nil {
-						t.Errorf("instance %d: nil snapshot", inst)
-						continue
-					}
+			for ss := range closed {
+				for _, s := range ss {
 					s.SubsetSum(nil)
 				}
 			}
@@ -98,27 +93,26 @@ func TestStressAsyncMultiSnapshotQuery(t *testing.T) {
 
 	// Each key arrives once per instance (instances 0 and 2 share the
 	// combined stream; instance 1 stays empty).
-	for i := 0; i < 20_000; i++ {
-		h := dataset.Key(i + 1)
-		e.Push(0, h, float64(i%13+1))
-		e.Push(2, h, float64(i%7+1))
-		if i%4_000 == 3_999 {
-			snaps <- e.Snapshot()
+	const cycles, n = 5, 4_000
+	for c := 0; c < cycles; c++ {
+		e := NewMultiBottomK(r, 32, sampling.PPS{}, seeds, cfg)
+		for i := 0; i < n; i++ {
+			h := dataset.Key(c*n + i + 1)
+			e.Push(0, h, float64(i%13+1))
+			e.Push(2, h, float64(i%7+1))
 		}
+		ss := e.Close()
+		if len(ss) != r {
+			t.Errorf("cycle %d: Close returned %d samples, want %d", c, len(ss), r)
+			continue
+		}
+		for inst, want := range []int{32, 0, 32} {
+			if ss[inst].Len() != want {
+				t.Errorf("cycle %d instance %d: len %d, want %d", c, inst, ss[inst].Len(), want)
+			}
+		}
+		closed <- ss
 	}
-	final := e.Close()
-	close(snaps)
+	close(closed)
 	wg.Wait()
-
-	if len(final) != r {
-		t.Fatalf("Close returned %d samples, want %d", len(final), r)
-	}
-	for inst, s := range final {
-		if inst == 1 {
-			continue // instance 1 was never pushed to
-		}
-		if s.Len() != 32 {
-			t.Errorf("instance %d: final len %d, want 32", inst, s.Len())
-		}
-	}
 }

@@ -9,7 +9,7 @@ import (
 
 // VarOpt is a sharded streaming VarOpt_k summarizer behind the same
 // pipeline seam as the bottom-k and Poisson engines: Push offers arrivals,
-// Snapshot/Close merge the per-shard reservoirs into one VarOpt_k sample.
+// Close merges the per-shard reservoirs into one VarOpt_k sample.
 //
 // Unlike bottom-k and Poisson PPS, VarOpt draws true randomness for its
 // drop decisions (there are no per-key seeds to recompute), so sharded
@@ -21,12 +21,12 @@ import (
 // therefore distributional (equal expectations, comparable variance), not
 // bitwise; the property tests pin the Monte Carlo moments.
 //
-// Push, Snapshot, Stats, and Close must be called from a single producer
+// Push, Stats, and Close must be called from a single producer
 // goroutine; the parallelism is internal.
 type VarOpt struct {
 	k int
 	pipeline[Pair, *sampling.VarOpt]
-	// mergeRNG drives the re-drop decisions of Snapshot/Close merges,
+	// mergeRNG drives the re-drop decisions of the Close merge,
 	// deterministically derived from the engine seed and independent of
 	// every shard stream.
 	mergeRNG *randx.RNG
@@ -63,27 +63,10 @@ func (e *VarOpt) Push(h dataset.Key, v float64) {
 	e.pipeline.Push(Pair{Key: h, Value: v})
 }
 
-// TryPush offers one arrival without blocking: where Push would stall on a
-// full shard queue, TryPush returns ErrQueueFull and drops nothing already
-// accepted. Rejections are counted in Stats().Rejected.
-func (e *VarOpt) TryPush(h dataset.Key, v float64) error {
-	return e.pipeline.TryPush(Pair{Key: h, Value: v})
-}
-
-// Snapshot quiesces the pipeline and returns the merged VarOpt sample of
-// the pairs pushed so far. The pipeline remains usable afterwards; each
-// snapshot consumes fresh merge randomness.
-func (e *VarOpt) Snapshot() *sampling.VarOptSample {
-	return e.merge(e.samplers())
-}
-
 // Close drains the pipeline and returns the merged VarOpt sample. The
 // pipeline is unusable afterwards.
 func (e *VarOpt) Close() *sampling.VarOptSample {
-	return e.merge(e.pipeline.close())
-}
-
-func (e *VarOpt) merge(samplers []*sampling.VarOpt) *sampling.VarOptSample {
+	samplers := e.pipeline.close()
 	if len(samplers) == 1 {
 		// One reservoir: its sample is already final; re-dropping through
 		// MergeVarOpt would only launder weights through another level.

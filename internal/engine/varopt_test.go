@@ -71,33 +71,3 @@ func TestVarOptEngineUnbiasedAcrossShards(t *testing.T) {
 		}
 	}
 }
-
-// TestVarOptEngineSnapshot: Snapshot returns a usable sample mid-stream
-// and the pipeline keeps accepting pushes afterwards.
-func TestVarOptEngineSnapshot(t *testing.T) {
-	in, total, _, _ := varOptWorkload(800)
-	e := NewVarOpt(32, 7, Config{Parallel: true, Shards: 2, Async: true})
-	i := 0
-	for h, v := range in {
-		e.Push(h, v)
-		if i++; i == 400 {
-			break
-		}
-	}
-	snap := e.Snapshot()
-	if got, want := len(snap.Adjusted), 32; got != want {
-		t.Fatalf("snapshot size %d, want %d", got, want)
-	}
-	for h, v := range in {
-		e.Push(h+100000, v) // fresh keys: no duplicates with the prefix
-	}
-	final := e.Close()
-	if len(final.Adjusted) != 32 {
-		t.Fatalf("final size %d, want 32", len(final.Adjusted))
-	}
-	// The final total covers the 400-pair prefix plus the full re-keyed
-	// stream; verify it is at least the full stream's total.
-	if got := final.SubsetSum(nil); got < total {
-		t.Errorf("final total %v < full-stream total %v", got, total)
-	}
-}

@@ -18,7 +18,7 @@ import (
 // The ingest path is the "summarize where the data lands" half of the
 // dispersed-data loop: an edge site that cannot (or should not) ship its
 // raw pair stream POSTs it to a local summaryd, which streams it through
-// the sharded engine pipeline and registers only the compact summary.
+// the engine pipeline and registers only the compact summary.
 // /v1/ingest summarizes one instance per request; /v1/ingest/multi
 // carries an instance column and populates every listed instance of a
 // dataset with ONE scan through the engine's one-pass multi-instance
@@ -232,7 +232,7 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	// this much pipeline work; record it either way.
 	if stats != nil {
 		st := stats()
-		recordEngineStats(drain, st)
+		drain.SetInt("pairs", int64(st.Pairs))
 		s.engine.record(st)
 	} else {
 		s.engine.ingests.Add(1)
@@ -367,7 +367,7 @@ func (s *Server) handleIngestMulti(w http.ResponseWriter, r *http.Request) {
 	drain := sp.StartChild("engine.drain")
 	sums := finish()
 	st := stats()
-	recordEngineStats(drain, st)
+	drain.SetInt("pairs", int64(st.Pairs))
 	s.engine.record(st)
 	drain.Finish()
 	if err != nil {
@@ -392,19 +392,6 @@ func (s *Server) handleIngestMulti(w http.ResponseWriter, r *http.Request) {
 		Sizes:     sizes,
 		Pairs:     pairs,
 	})
-}
-
-// recordEngineStats attaches one pipeline's final counters to its drain
-// span — the same Stats() seam the metrics use, read once after Close.
-func recordEngineStats(sp *trace.Span, st engine.Stats) {
-	if sp == nil {
-		return
-	}
-	sp.SetInt("pairs", int64(st.Pairs))
-	sp.SetInt("batches", int64(st.Batches))
-	sp.SetInt("stalls", int64(st.Stalls))
-	sp.SetInt("rejected", int64(st.Rejected))
-	sp.SetInt("shards", int64(st.Shards))
 }
 
 // asSummaries widens a concrete summary slice to the Summary interface.

@@ -156,22 +156,8 @@ func (o *Observer) bindServer(s *Server) {
 	reg := o.reg
 	reg.CounterFunc("summaryd_engine_pairs_total",
 		"Raw pairs pushed through ingest engine pipelines.", nil, s.engine.pairs.Load)
-	reg.CounterFunc("summaryd_engine_batches_total",
-		"Batches handed to engine shard workers.", nil, s.engine.batches.Load)
-	reg.CounterFunc("summaryd_engine_stalls_total",
-		"Push handoffs that blocked on a full shard queue (backpressure).", nil, s.engine.stalls.Load)
-	reg.CounterFunc("summaryd_engine_rejected_total",
-		"Arrivals refused by non-blocking TryPush on a full shard queue.", nil, s.engine.rejected.Load)
-	reg.CounterFunc("summaryd_engine_snapshots_total",
-		"Mid-stream engine pipeline snapshots (each quiesces the workers).", nil, s.engine.snapshots.Load)
 	reg.CounterFunc("summaryd_engine_ingests_total",
 		"Completed raw-ingest requests (set-kind ingests included).", nil, s.engine.ingests.Load)
-	reg.GaugeFunc("summaryd_engine_shards",
-		"Configured engine shard (worker) count.", nil,
-		func() float64 { return float64(s.cfg.NumShards()) })
-	reg.GaugeFunc("summaryd_engine_queue_depth",
-		"Configured per-shard queue capacity in batches (0 = no queues).", nil,
-		func() float64 { return float64(s.engineQueueDepth()) })
 	reg.GaugeFunc("summaryd_datasets",
 		"Registered datasets.", nil,
 		func() float64 { return float64(s.reg.Count()) })
@@ -459,39 +445,20 @@ func (w *statusWriter) status() int {
 // zero-overhead instrumentation seam: the pipeline itself is untouched,
 // and the server adds its counters exactly once, after Close.
 type engineTotals struct {
-	pairs, batches, stalls, rejected, snapshots, ingests atomic.Uint64
+	pairs, ingests atomic.Uint64
 }
 
 // record folds one completed pipeline's counters into the totals.
 func (t *engineTotals) record(st engine.Stats) {
 	t.pairs.Add(st.Pairs)
-	t.batches.Add(st.Batches)
-	t.stalls.Add(st.Stalls)
-	t.rejected.Add(st.Rejected)
-	t.snapshots.Add(st.Snapshots)
 	t.ingests.Add(1)
-}
-
-// engineQueueDepth resolves the configured per-shard queue capacity: 0
-// on the in-line sequential path, which has no queues.
-func (s *Server) engineQueueDepth() int {
-	if s.cfg.NumShards() > 1 || s.cfg.Async {
-		return s.cfg.EffectiveQueueDepth()
-	}
-	return 0
 }
 
 // engineStatus builds the /healthz engine block from the accumulated
 // totals.
 func (s *Server) engineStatus() *api.EngineStatus {
 	return &api.EngineStatus{
-		Pairs:      s.engine.pairs.Load(),
-		Batches:    s.engine.batches.Load(),
-		Stalls:     s.engine.stalls.Load(),
-		Rejected:   s.engine.rejected.Load(),
-		Snapshots:  s.engine.snapshots.Load(),
-		Ingests:    s.engine.ingests.Load(),
-		Shards:     s.cfg.NumShards(),
-		QueueDepth: s.engineQueueDepth(),
+		Pairs:   s.engine.pairs.Load(),
+		Ingests: s.engine.ingests.Load(),
 	}
 }

@@ -1,7 +1,7 @@
 // Package server is the summary server: an HTTP subsystem that accepts
 // independently built summaries (the internal/core JSON wire format, or
-// raw pair streams summarized on arrival through the sharded
-// internal/engine pipeline) and answers multi-instance queries — distinct
+// raw pair streams summarized on arrival through the internal/engine
+// pipeline) and answers multi-instance queries — distinct
 // counts, max-dominance norms, per-key quantiles — over any stored subset
 // with the §5 partial-information estimators.
 //

@@ -107,11 +107,12 @@ func WithTracer(t *trace.Tracer) Option {
 }
 
 // New builds a server around a registry. The engine config selects the
-// summarization strategy of the ingest path (zero value = sequential; see
-// engine.Config for the sharded variants). New panics on an invalid
-// config — surfacing the misconfiguration at construction rather than as
-// a per-request pipeline panic; callers holding user input validate with
-// engine.Config.Validate first (as cmd/summaryd does).
+// summarization strategy of the ingest path: cmd/summaryd passes the zero
+// value, the in-line engine, whose samplers also let the scanners reject
+// pairs before parsing their values; engine.Config describes the sharded
+// variants. New panics on an invalid config — surfacing the
+// misconfiguration at construction rather than as a per-request pipeline
+// panic.
 func New(reg *Registry, cfg engine.Config, opts ...Option) *Server {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
@@ -128,7 +129,7 @@ func New(reg *Registry, cfg engine.Config, opts ...Option) *Server {
 		// Status plus dataset count: load balancers probe liveness, and
 		// operators get a one-number capacity read plus the codec
 		// vocabulary for free. The engine block is the richer node-health
-		// signal (throughput, backpressure); a durable server additionally
+		// signal (pairs and ingests); a durable server additionally
 		// reports its store: WAL extent, last snapshot, what recovery
 		// replayed. Static parts (wire versions) are cached at New —
 		// probes fire often enough that per-probe rebuilds showed up as

@@ -44,9 +44,9 @@ type MultiPostResult struct {
 // registered datasets, for load-balancer probes and quick capacity reads.
 // WireVersions lists the summary wire-format versions the server speaks,
 // so operators (and clients) can probe codec support before posting.
-// Engine reports the ingest pipeline's accumulated throughput and
-// backpressure counters — richer node-health signal than the liveness
-// bit, which multi-node placement and failover will probe. Store
+// Engine reports the ingest pipelines' accumulated throughput — richer
+// node-health signal than the liveness bit, which multi-node placement
+// and failover will probe. Store
 // describes the durability subsystem when the server runs with one
 // (summaryd -data-dir); a purely in-memory server omits it.
 type HealthResult struct {
@@ -59,29 +59,13 @@ type HealthResult struct {
 
 // EngineStatus is the ingest engine's health: the counters every raw
 // ingest's pipeline reported through its Stats() seam, accumulated over
-// the server's lifetime, plus the configured execution strategy. Set
-// ingests are stateless and bypass the engine, so they contribute to
-// Ingests only.
+// the server's lifetime. Set ingests are stateless and bypass the engine,
+// so they contribute to Ingests only.
 type EngineStatus struct {
 	// Pairs is the total number of raw pairs pushed through engine
-	// pipelines; Batches the shard-worker handoffs (0 under the
-	// sequential config, which has no workers).
+	// pipelines; Ingests the completed raw-ingest requests.
 	Pairs   uint64 `json:"pairs"`
-	Batches uint64 `json:"batches"`
-	// Stalls counts blocking handoffs against a full shard queue — the
-	// backpressure signal; Rejected the arrivals refused by the
-	// non-blocking TryPush path.
-	Stalls   uint64 `json:"stalls"`
-	Rejected uint64 `json:"rejected"`
-	// Snapshots counts mid-stream pipeline snapshots (each quiesces the
-	// shard workers); Ingests the completed raw-ingest requests.
-	Snapshots uint64 `json:"snapshots"`
-	Ingests   uint64 `json:"ingests"`
-	// Shards and QueueDepth describe the configured execution strategy:
-	// effective worker count and per-shard queue capacity in batches
-	// (0 = synchronous handoff, no queues).
-	Shards     int `json:"shards"`
-	QueueDepth int `json:"queue_depth"`
+	Ingests uint64 `json:"ingests"`
 }
 
 // StoreStatus is the durability subsystem's health: the write-ahead log's

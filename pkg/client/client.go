@@ -199,7 +199,7 @@ func (c *Client) postHdr(ctx context.Context, path string, q url.Values, content
 
 // Health probes GET /healthz, returning the server's liveness payload:
 // status, registered-dataset count, supported wire versions, the ingest
-// engine's accumulated throughput/backpressure counters (Engine), and —
+// engine's accumulated pair and ingest counts (Engine), and —
 // when the server runs with a durability directory — the store's WAL and
 // snapshot state (Store).
 func (c *Client) Health(ctx context.Context) (api.HealthResult, error) {
