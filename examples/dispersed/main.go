@@ -62,9 +62,8 @@ const (
 func main() {
 	sites := makeSites()
 
-	// A summary server, as summaryd would run it (sequential ingest; pass
-	// engine.Config{Parallel: true, Shards: n} for the sharded pipeline —
-	// the stored summaries are identical either way).
+	// A summary server, as summaryd runs it: ingest on the in-line engine,
+	// the only one server.New accepts.
 	reg := server.NewRegistry()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	check(err)

@@ -177,19 +177,10 @@ type MultiPair struct {
 type Stats struct {
 	// Pairs is the number of arrivals accepted by Push.
 	Pairs uint64
-	// Batches is the number of batches handed to shard workers (0 on the
-	// in-line sequential path, which has no workers).
-	Batches uint64
 	// Stalls counts batch handoffs that found the destination shard's
 	// queue full and had to wait for the worker — the backpressure signal.
 	// A stall lasts at most the time the worker needs to drain one batch.
 	Stalls uint64
-	// Shards is the effective shard (worker) count; 1 on the sequential
-	// path.
-	Shards int
-	// QueueDepth is the per-shard queue capacity in batches; 0 on the
-	// in-line sequential path, which has no queues.
-	QueueDepth int
 }
 
 // shardOf routes a key to its shard. The route is a pure function of the

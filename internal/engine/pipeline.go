@@ -98,11 +98,8 @@ func (p *pipeline[T, S]) close() []S {
 // Stats returns the pipeline's throughput and backpressure counters. Like
 // Push, it must be called from the producer goroutine (or after Close).
 func (p *pipeline[T, S]) Stats() Stats {
-	st := Stats{Pairs: p.pairs, Shards: 1}
+	st := Stats{Pairs: p.pairs}
 	if p.sh != nil {
-		st.Shards = len(p.sh.chans)
-		st.QueueDepth = p.sh.depth
-		st.Batches = p.sh.batches
 		st.Stalls = p.sh.stalls
 	}
 	return st
@@ -121,13 +118,11 @@ func (p *pipeline[T, S]) Stats() Stats {
 // Put, re-introducing the allocation the arena removes).
 type sharder[T, S any] struct {
 	batch    int
-	depth    int
 	key      func(T) dataset.Key
 	bufs     []*[]T
 	chans    []chan *[]T
 	samplers []S
 	arena    sync.Pool
-	batches  uint64
 	stalls   uint64
 	wg       sync.WaitGroup
 }
@@ -137,7 +132,6 @@ type sharder[T, S any] struct {
 func newSharder[T, S any](shards int, cfg Config, mk func() S, key func(T) dataset.Key, apply func(S, []T)) *sharder[T, S] {
 	sh := &sharder[T, S]{
 		batch:    cfg.EffectiveBatchSize(),
-		depth:    cfg.EffectiveQueueDepth(),
 		key:      key,
 		bufs:     make([]*[]T, shards),
 		chans:    make([]chan *[]T, shards),
@@ -149,7 +143,7 @@ func newSharder[T, S any](shards int, cfg Config, mk func() S, key func(T) datas
 	}
 	for i := 0; i < shards; i++ {
 		sh.bufs[i] = sh.getBuf()
-		ch := make(chan *[]T, sh.depth)
+		ch := make(chan *[]T, cfg.EffectiveQueueDepth())
 		s := mk()
 		sh.chans[i] = ch
 		sh.samplers[i] = s
@@ -202,7 +196,6 @@ func (sh *sharder[T, S]) push(item T) {
 //
 //summarylint:hot
 func (sh *sharder[T, S]) send(i int, items *[]T) {
-	sh.batches++
 	select {
 	case sh.chans[i] <- items:
 	default:

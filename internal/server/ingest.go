@@ -22,7 +22,7 @@ import (
 // /v1/ingest summarizes one instance per request; /v1/ingest/multi
 // carries an instance column and populates every listed instance of a
 // dataset with ONE scan through the engine's one-pass multi-instance
-// pipeline (per-instance samplers behind each shard worker).
+// pipeline (one sampler per instance).
 
 // maxIngestLine bounds one CSV/ndjson line.
 const maxIngestLine = 1 << 20
@@ -179,20 +179,20 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		writeError(w, err)
 		return
 	}
-	// One sink per kind; each routes through the engine pipeline under the
-	// server's config (set sampling is stateless and needs no pipeline).
+	// One sink per kind; each routes through the in-line engine (set
+	// sampling is stateless and needs no pipeline).
 	var push func([]engine.Pair)
 	var sampler gatedStream // pps and bottomk: the scan may reject pairs for it unparsed
 	var finish func() core.Summary
 	var stats func() engine.Stats // nil for set, which bypasses the engine
 	switch p.kind {
 	case "pps":
-		st := p.summ.StreamPPS(s.cfg, p.instance, p.tau)
+		st := p.summ.StreamPPS(engine.Config{}, p.instance, p.tau)
 		push, sampler = st.PushBatch, st
 		finish = func() core.Summary { return st.Close() }
 		stats = st.Stats
 	case "bottomk":
-		st := p.summ.StreamBottomK(s.cfg, p.instance, p.k, p.fam)
+		st := p.summ.StreamBottomK(engine.Config{}, p.instance, p.k, p.fam)
 		push, sampler = st.PushBatch, st
 		finish = func() core.Summary { return st.Close() }
 		stats = st.Stats
@@ -205,7 +205,7 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		}
 		finish = func() core.Summary { return st.Close() }
 	case "varopt":
-		st := p.summ.StreamVarOpt(s.cfg, p.instance, p.k)
+		st := p.summ.StreamVarOpt(engine.Config{}, p.instance, p.k)
 		push = st.PushBatch
 		finish = func() core.Summary { return st.Close() }
 		stats = st.Stats
@@ -223,7 +223,7 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	// where the line has one, went to strconv.ParseFloat or encoding/json.
 	scan.SetInt("values_parsed", pairs-rejected)
 	scan.Finish()
-	// The samplers hold goroutines under a parallel config; always drain.
+	// Drain even after a failed scan: its pairs still count below.
 	drain := sp.StartChild("engine.drain")
 	sum := finish()
 	// Fold the pipeline's final counters into the server totals — the
@@ -346,12 +346,12 @@ func (s *Server) handleIngestMulti(w http.ResponseWriter, r *http.Request) {
 	var stats func() engine.Stats
 	switch p.kind {
 	case "pps":
-		st := p.summ.StreamMultiPPS(s.cfg, p.instances, p.taus)
+		st := p.summ.StreamMultiPPS(engine.Config{}, p.instances, p.taus)
 		push = st.PushBatch
 		finish = func() []core.Summary { return asSummaries(st.Close()) }
 		stats = st.Stats
 	case "bottomk":
-		st := p.summ.StreamMultiBottomK(s.cfg, p.instances, p.k, p.fam)
+		st := p.summ.StreamMultiBottomK(engine.Config{}, p.instances, p.k, p.fam)
 		push = st.PushBatch
 		finish = func() []core.Summary { return asSummaries(st.Close()) }
 		stats = st.Stats
@@ -362,8 +362,8 @@ func (s *Server) handleIngestMulti(w http.ResponseWriter, r *http.Request) {
 	scan.SetAttr("format", p.format)
 	scan.SetInt("pairs", pairs)
 	scan.Finish()
-	// The samplers hold goroutines under a parallel config; always drain,
-	// then fold the pipeline's final counters into the server totals.
+	// Drain even after a failed scan, then fold the pipeline's final
+	// counters into the server totals.
 	drain := sp.StartChild("engine.drain")
 	sums := finish()
 	st := stats()

@@ -183,11 +183,11 @@ func goldenCorpus() []goldenRequest {
 	return reqs
 }
 
-// runGoldenCorpus posts the corpus to a fresh server under cfg and
-// records the outcomes.
-func runGoldenCorpus(t *testing.T, cfg engine.Config) []goldenOutcome {
+// runGoldenCorpus posts the corpus to a fresh server and records the
+// outcomes.
+func runGoldenCorpus(t *testing.T) []goldenOutcome {
 	t.Helper()
-	srv := server.New(server.NewRegistry(), cfg,
+	srv := server.New(server.NewRegistry(), engine.Config{},
 		server.WithObserver(server.NewObserver(obs.NewRegistry())), server.WithMetricsEndpoint())
 	do := func(method, target, accept string, body []byte) *httptest.ResponseRecorder {
 		req := httptest.NewRequest(method, target, bytes.NewReader(body))
@@ -228,7 +228,7 @@ func runGoldenCorpus(t *testing.T, cfg engine.Config) []goldenOutcome {
 
 func TestIngestGolden(t *testing.T) {
 	if os.Getenv("UPDATE_INGEST_GOLDEN") != "" {
-		data, err := json.MarshalIndent(runGoldenCorpus(t, engine.Config{}), "", " ")
+		data, err := json.MarshalIndent(runGoldenCorpus(t), "", " ")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -244,37 +244,23 @@ func TestIngestGolden(t *testing.T) {
 	if err := json.Unmarshal(data, &want); err != nil {
 		t.Fatalf("%s: %v", ingestGoldenFile, err)
 	}
-	// The sharded engine summarizes to the same bytes as the sequential
-	// one, so one recording serves both.
-	for name, cfg := range map[string]engine.Config{
-		"sequential": {},
-		"sharded":    {Parallel: true, Shards: 3, BatchSize: 100},
-	} {
-		t.Run(name, func(t *testing.T) {
-			got := runGoldenCorpus(t, cfg)
-			if len(got) != len(want) {
-				t.Fatalf("corpus has %d requests, %s records %d", len(got), ingestGoldenFile, len(want))
+	got := runGoldenCorpus(t)
+	if len(got) != len(want) {
+		t.Fatalf("corpus has %d requests, %s records %d", len(got), ingestGoldenFile, len(want))
+	}
+	failed := 0
+	for i, g := range got {
+		w := want[i]
+		ok := g.Name == w.Name && g.Status == w.Status && g.Response == w.Response &&
+			g.EnginePairs == w.EnginePairs && len(g.Stored) == len(w.Stored)
+		for instance, sum := range w.Stored {
+			ok = ok && g.Stored[instance] == sum
+		}
+		if !ok {
+			t.Errorf("request %d\n got  %+v\n want %+v", i, g, w)
+			if failed++; failed == 5 {
+				t.Fatal("(further differences not shown)")
 			}
-			failed := 0
-			for i, g := range got {
-				w := want[i]
-				ok := g.Name == w.Name && g.Status == w.Status && g.Response == w.Response &&
-					g.EnginePairs == w.EnginePairs && len(g.Stored) == len(w.Stored)
-				for instance, sum := range w.Stored {
-					ok = ok && g.Stored[instance] == sum
-				}
-				if cfg.Parallel && strings.HasPrefix(w.Name, "varopt") {
-					// Sharded VarOpt merges per-shard reservoirs: the same
-					// distribution, not the same bytes (see engine.VarOpt).
-					ok = g.Status == w.Status && g.EnginePairs == w.EnginePairs
-				}
-				if !ok {
-					t.Errorf("request %d\n got  %+v\n want %+v", i, g, w)
-					if failed++; failed == 5 {
-						t.Fatal("(further differences not shown)")
-					}
-				}
-			}
-		})
+		}
 	}
 }

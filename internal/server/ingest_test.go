@@ -166,44 +166,42 @@ func TestCancelledIngestStopsAtNextBatch(t *testing.T) {
 			into.WriteString(pairLine(tc.format, tc.multi, uint64(i), "1"))
 			into.WriteByte('\n')
 		}
-		for _, cfg := range []engine.Config{{}, {Parallel: true, Shards: 3, BatchSize: 100}} {
-			srv := New(NewRegistry(), cfg)
-			for round := 1; round <= rounds; round++ {
-				keyTables.mu.Lock()
-				keyTables.free = nil
-				keyTables.mu.Unlock()
-				ctx, cancel := context.WithCancel(context.Background())
-				body := &stallingBody{first: bytes.NewReader(first.Bytes()), rest: bytes.NewReader(rest.Bytes()),
-					stalled: make(chan struct{}), resume: make(chan struct{})}
-				go func(stalled, resume chan struct{}) {
-					<-stalled
-					cancel()
-					close(resume)
-				}(body.stalled, body.resume)
-				rec := httptest.NewRecorder()
-				srv.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, tc.target, body).WithContext(ctx))
-				var refusal api.ErrorResult
-				if err := json.Unmarshal(rec.Body.Bytes(), &refusal); err != nil || rec.Code != http.StatusBadRequest ||
-					refusal.Error != "server: ingest abandoned: context canceled" {
-					t.Fatalf("%s %+v: %d %s, want 400 and the scan abandoned", tc.name, cfg, rec.Code, rec.Body)
-				}
-				if got := srv.engine.pairs.Load(); got != uint64(round*pushed) {
-					t.Fatalf("%s %+v: engine counts %d pairs after %d cancelled requests, want %d each: the %d scanned before the stall and the rest of their batch",
-						tc.name, cfg, got, round, pushed, sent)
-				}
-				if got := srv.reg.List(); len(got) != 0 {
-					t.Fatalf("%s %+v: a cancelled ingest registered %+v", tc.name, cfg, got)
-				}
-				keyTables.mu.Lock()
-				tables := len(keyTables.free)
-				keyTables.mu.Unlock()
-				if tables == 0 {
-					t.Fatalf("%s %+v: the cancelled scan's key tables did not come back", tc.name, cfg)
-				}
+		srv := New(NewRegistry(), engine.Config{})
+		for round := 1; round <= rounds; round++ {
+			keyTables.mu.Lock()
+			keyTables.free = nil
+			keyTables.mu.Unlock()
+			ctx, cancel := context.WithCancel(context.Background())
+			body := &stallingBody{first: bytes.NewReader(first.Bytes()), rest: bytes.NewReader(rest.Bytes()),
+				stalled: make(chan struct{}), resume: make(chan struct{})}
+			go func(stalled, resume chan struct{}) {
+				<-stalled
+				cancel()
+				close(resume)
+			}(body.stalled, body.resume)
+			rec := httptest.NewRecorder()
+			srv.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, tc.target, body).WithContext(ctx))
+			var refusal api.ErrorResult
+			if err := json.Unmarshal(rec.Body.Bytes(), &refusal); err != nil || rec.Code != http.StatusBadRequest ||
+				refusal.Error != "server: ingest abandoned: context canceled" {
+				t.Fatalf("%s: %d %s, want 400 and the scan abandoned", tc.name, rec.Code, rec.Body)
+			}
+			if got := srv.engine.pairs.Load(); got != uint64(round*pushed) {
+				t.Fatalf("%s: engine counts %d pairs after %d cancelled requests, want %d each: the %d scanned before the stall and the rest of their batch",
+					tc.name, got, round, pushed, sent)
+			}
+			if got := srv.reg.List(); len(got) != 0 {
+				t.Fatalf("%s: a cancelled ingest registered %+v", tc.name, got)
+			}
+			keyTables.mu.Lock()
+			tables := len(keyTables.free)
+			keyTables.mu.Unlock()
+			if tables == 0 {
+				t.Fatalf("%s: the cancelled scan's key tables did not come back", tc.name)
 			}
 		}
 	}
-	if scans := 2 * 2 * rounds; newBufs >= scans {
+	if scans := 2 * rounds; newBufs >= scans {
 		t.Fatalf("%d scans took %d new scan buffers: none came back to the pool", scans, newBufs)
 	}
 }

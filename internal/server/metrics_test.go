@@ -98,23 +98,13 @@ func scrapeMetrics(t *testing.T, ts *httptest.Server) (values map[string]float64
 // families present under their documented types, per-endpoint counters
 // consistent with the traffic, counters monotone between two scrapes, and
 // every request's X-Request-ID echoed both in the response header and in
-// the structured request log. It runs under the in-line engine summaryd
-// uses and under a sharded one: the engine counts pairs exactly either way.
+// the structured request log.
 func TestMetricsEndToEnd(t *testing.T) {
-	for name, cfg := range map[string]engine.Config{
-		"inline":  {},
-		"sharded": {Parallel: true, Shards: 2},
-	} {
-		t.Run(name, func(t *testing.T) { testMetricsEndToEnd(t, cfg) })
-	}
-}
-
-func testMetricsEndToEnd(t *testing.T, cfg engine.Config) {
 	sites := fixture(3000)
 	var logBuf syncBuffer
 	logger := slog.New(slog.NewJSONHandler(&logBuf, nil))
 	o := server.NewObserver(obs.NewRegistry(), server.WithRequestLogger(logger))
-	ts := httptest.NewServer(server.New(server.NewRegistry(), cfg,
+	ts := httptest.NewServer(server.New(server.NewRegistry(), engine.Config{},
 		server.WithObserver(o), server.WithMetricsEndpoint()))
 	defer ts.Close()
 	c := client.New(ts.URL, ts.Client())

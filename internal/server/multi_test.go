@@ -41,7 +41,7 @@ func multiNdjsonBody(sites []dataset.Instance, ids []int) []byte {
 // TestIngestMultiEndToEnd: one POST /v1/ingest/multi populates every
 // instance of a dataset with a single scan, and the stored summaries are
 // bit-identical to the per-instance in-process path — across formats,
-// kinds, engine configs, and both randomization modes. healthz reports
+// kinds, and both randomization modes. healthz reports
 // the growing dataset count along the way.
 func TestIngestMultiEndToEnd(t *testing.T) {
 	sites := fixture(900)
@@ -52,82 +52,71 @@ func TestIngestMultiEndToEnd(t *testing.T) {
 		taus[i] = sampling.TauForExpectedSize(in, 120)
 	}
 
-	for _, cfg := range []engine.Config{
-		{},
-		{Parallel: true, Shards: 3, BatchSize: 64, Async: true, QueueDepth: 2},
-	} {
-		name := "sequential"
-		if cfg.Parallel {
-			name = "sharded-async"
+	c, closeSrv := startServer(t, engine.Config{})
+	defer closeSrv()
+	ctx := context.Background()
+
+	// PPS over ndjson with per-instance thresholds.
+	res, err := c.IngestMulti(ctx, client.MultiIngestOptions{
+		Dataset: "flows", Instances: ids, Kind: "pps", Format: "ndjson",
+		Salt: testSalt, SaltSet: true, Taus: taus,
+	}, bytes.NewReader(multiNdjsonBody(sites, ids)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want int64
+	for _, in := range sites {
+		want += int64(len(in))
+	}
+	if res.Pairs != want || len(res.Sizes) != len(ids) {
+		t.Fatalf("IngestMulti = %+v, want %d pairs over %d instances", res, want, len(ids))
+	}
+	localPPS := make([]*core.PPSSummary, len(sites))
+	for i, in := range sites {
+		localPPS[i] = summ.SummarizePPS(ids[i], in, taus[i])
+		if res.Sizes[i] != localPPS[i].Size() {
+			t.Errorf("instance %d: stored size %d, want %d", ids[i], res.Sizes[i], localPPS[i].Size())
 		}
-		t.Run(name, func(t *testing.T) {
-			c, closeSrv := startServer(t, cfg)
-			defer closeSrv()
-			ctx := context.Background()
+	}
+	srvDom, err := c.MaxDominance(ctx, "flows", 0, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	locDom, err := core.MaxDominanceReaders(localPPS[0], localPPS[1], nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if srvDom.HT != locDom.HT || srvDom.L != locDom.L {
+		t.Errorf("maxdominance over one-pass dataset: got (%v, %v), want (%v, %v)",
+			srvDom.HT, srvDom.L, locDom.HT, locDom.L)
+	}
+	sum2, err := c.Sum(ctx, "flows", 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := localPPS[2].SubsetSum(nil); sum2.Sum != want {
+		t.Errorf("sum over one-pass dataset: got %v, want %v", sum2.Sum, want)
+	}
 
-			// PPS over ndjson with per-instance thresholds.
-			res, err := c.IngestMulti(ctx, client.MultiIngestOptions{
-				Dataset: "flows", Instances: ids, Kind: "pps", Format: "ndjson",
-				Salt: testSalt, SaltSet: true, Taus: taus,
-			}, bytes.NewReader(multiNdjsonBody(sites, ids)))
-			if err != nil {
-				t.Fatal(err)
-			}
-			var want int64
-			for _, in := range sites {
-				want += int64(len(in))
-			}
-			if res.Pairs != want || len(res.Sizes) != len(ids) {
-				t.Fatalf("IngestMulti = %+v, want %d pairs over %d instances", res, want, len(ids))
-			}
-			localPPS := make([]*core.PPSSummary, len(sites))
-			for i, in := range sites {
-				localPPS[i] = summ.SummarizePPS(ids[i], in, taus[i])
-				if res.Sizes[i] != localPPS[i].Size() {
-					t.Errorf("instance %d: stored size %d, want %d", ids[i], res.Sizes[i], localPPS[i].Size())
-				}
-			}
-			srvDom, err := c.MaxDominance(ctx, "flows", 0, 1)
-			if err != nil {
-				t.Fatal(err)
-			}
-			locDom, err := core.MaxDominanceReaders(localPPS[0], localPPS[1], nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if srvDom.HT != locDom.HT || srvDom.L != locDom.L {
-				t.Errorf("maxdominance over one-pass dataset: got (%v, %v), want (%v, %v)",
-					srvDom.HT, srvDom.L, locDom.HT, locDom.L)
-			}
-			sum2, err := c.Sum(ctx, "flows", 2)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if want := localPPS[2].SubsetSum(nil); sum2.Sum != want {
-				t.Errorf("sum over one-pass dataset: got %v, want %v", sum2.Sum, want)
-			}
+	// Bottom-k over CSV, coordinated randomization: the one-pass
+	// path must reproduce the shared-seed per-instance summaries.
+	co := core.NewCoordinatedSummarizer(testSalt)
+	res, err = c.IngestMulti(ctx, client.MultiIngestOptions{
+		Dataset: "ranks", Instances: ids, Kind: "bottomk", K: 80, Format: "csv",
+		Salt: testSalt, SaltSet: true, Shared: true,
+	}, bytes.NewReader(multiCSVBody(sites, ids)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, in := range sites {
+		if want := co.SummarizeBottomK(ids[i], in, 80, sampling.PPS{}); res.Sizes[i] != want.Size() {
+			t.Errorf("coordinated instance %d: stored size %d, want %d", ids[i], res.Sizes[i], want.Size())
+		}
+	}
 
-			// Bottom-k over CSV, coordinated randomization: the one-pass
-			// path must reproduce the shared-seed per-instance summaries.
-			co := core.NewCoordinatedSummarizer(testSalt)
-			res, err = c.IngestMulti(ctx, client.MultiIngestOptions{
-				Dataset: "ranks", Instances: ids, Kind: "bottomk", K: 80, Format: "csv",
-				Salt: testSalt, SaltSet: true, Shared: true,
-			}, bytes.NewReader(multiCSVBody(sites, ids)))
-			if err != nil {
-				t.Fatal(err)
-			}
-			for i, in := range sites {
-				if want := co.SummarizeBottomK(ids[i], in, 80, sampling.PPS{}); res.Sizes[i] != want.Size() {
-					t.Errorf("coordinated instance %d: stored size %d, want %d", ids[i], res.Sizes[i], want.Size())
-				}
-			}
-
-			hr, err := c.Health(ctx)
-			if err != nil || hr.Status != "ok" || hr.Datasets != 2 {
-				t.Errorf("Health = %+v, %v; want ok with 2 datasets", hr, err)
-			}
-		})
+	hr, err := c.Health(ctx)
+	if err != nil || hr.Status != "ok" || hr.Datasets != 2 {
+		t.Errorf("Health = %+v, %v; want ok with 2 datasets", hr, err)
 	}
 }
 

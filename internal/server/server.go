@@ -34,7 +34,6 @@ const maxSummaryBody = 64 << 20
 // failures (415/406) additionally list the supported versions.
 type Server struct {
 	reg         *Registry
-	cfg         engine.Config
 	mux         *http.ServeMux
 	defaultWire core.Codec
 	storeStatus func() api.StoreStatus
@@ -106,18 +105,19 @@ func WithTracer(t *trace.Tracer) Option {
 	return func(s *Server) { s.tracer = t }
 }
 
-// New builds a server around a registry. The engine config selects the
-// summarization strategy of the ingest path: cmd/summaryd passes the zero
-// value, the in-line engine, whose samplers also let the scanners reject
-// pairs before parsing their values; engine.Config describes the sharded
-// variants. New panics on an invalid config — surfacing the
-// misconfiguration at construction rather than as a per-request pipeline
-// panic.
+// New builds a server around a registry. The ingest path always runs the
+// in-line engine (engine.Config{}), whose samplers also let the scanners
+// reject pairs before parsing their values. cfg must describe that
+// engine: one shard, no Async. New panics on any other config — a
+// construction-time misconfiguration, like an invalid one.
 func New(reg *Registry, cfg engine.Config, opts ...Option) *Server {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
-	s := &Server{reg: reg, cfg: cfg, mux: http.NewServeMux()}
+	if cfg.NumShards() != 1 || cfg.Async {
+		panic(fmt.Sprintf("server: ingest runs the in-line engine only, got engine config %+v", cfg))
+	}
+	s := &Server{reg: reg, mux: http.NewServeMux()}
 	s.defaultWire, _ = core.CodecByVersion(1)
 	// The codec registry is frozen after init; cache the version list so
 	// liveness probes stop re-sorting it per request.

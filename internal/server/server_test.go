@@ -76,141 +76,157 @@ func startServer(t testing.TB, cfg engine.Config) (*client.Client, func()) {
 	return client.New(ts.URL, ts.Client()), ts.Close
 }
 
+// TestNewAcceptsOnlyInLineEngine pins New's construction contract: the
+// ingest path runs the in-line engine, so New takes a config that
+// describes it (one shard, no Async) and panics on any other.
+func TestNewAcceptsOnlyInLineEngine(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		cfg  engine.Config
+		ok   bool
+	}{
+		{"zero", engine.Config{}, true},
+		{"one shard", engine.Config{Shards: 1, BatchSize: engine.DefaultBatchSize}, true},
+		{"sharded", engine.Config{Parallel: true, Shards: 2}, false},
+		{"async", engine.Config{Async: true}, false},
+		{"sharded async", engine.Config{Parallel: true, Shards: 3, Async: true, QueueDepth: 2}, false},
+		{"negative batch", engine.Config{BatchSize: -1}, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			defer func() {
+				if r := recover(); (r == nil) != tc.ok {
+					t.Errorf("New(%+v) panicked with %v; want a panic: %v", tc.cfg, r, !tc.ok)
+				}
+			}()
+			server.New(server.NewRegistry(), tc.cfg)
+		})
+	}
+}
+
 // TestServerEndToEnd drives the full dispersed loop over HTTP — post a
 // wire-format summary, ingest raw ndjson and CSV streams — and checks
 // every query answer is bit-identical to the corresponding in-process
-// estimate, under both the sequential and the sharded ingest pipeline.
+// estimate.
 func TestServerEndToEnd(t *testing.T) {
-	for _, cfg := range []engine.Config{
-		{},
-		{Parallel: true, Shards: 3, BatchSize: 64},
-	} {
-		name := "sequential"
-		if cfg.Parallel {
-			name = "sharded"
+	sites := fixture(1500)
+	c, closeSrv := startServer(t, engine.Config{})
+	defer closeSrv()
+	ctx := context.Background()
+	if hr, err := c.Health(ctx); err != nil || hr.Status != "ok" || hr.Datasets != 0 {
+		t.Fatalf("Health = %+v, %v; want ok with 0 datasets", hr, err)
+	}
+
+	summ := core.NewSummarizer(testSalt)
+	taus := make([]float64, 3)
+	for i, in := range sites {
+		taus[i] = sampling.TauForExpectedSize(in, 150)
+	}
+
+	// Site 0 posts wire summaries; sites 1 and 2 ingest raw.
+	pps0 := summ.SummarizePPS(0, sites[0], taus[0])
+	if _, err := c.PostSummary(ctx, "flows", pps0); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.PostSummary(ctx, "actives", summ.SummarizeSet(0, members(sites[0]), 0.3)); err != nil {
+		t.Fatal(err)
+	}
+	res, err := c.Ingest(ctx, client.IngestOptions{
+		Dataset: "flows", Instance: 1, Kind: "pps", Format: "ndjson",
+		Salt: testSalt, SaltSet: true, Tau: taus[1],
+	}, bytes.NewReader(ndjsonBody(sites[1])))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Pairs != int64(len(sites[1])) {
+		t.Fatalf("ingest consumed %d pairs, want %d", res.Pairs, len(sites[1]))
+	}
+	if _, err := c.Ingest(ctx, client.IngestOptions{
+		Dataset: "flows", Instance: 2, Kind: "pps", Format: "csv",
+		Salt: testSalt, SaltSet: true, Tau: taus[2],
+	}, bytes.NewReader(csvBody(sites[2]))); err != nil {
+		t.Fatal(err)
+	}
+	for i := 1; i <= 2; i++ {
+		if _, err := c.Ingest(ctx, client.IngestOptions{
+			Dataset: "actives", Instance: i, Kind: "set", Format: "ndjson",
+			Salt: testSalt, SaltSet: true, P: 0.3,
+		}, bytes.NewReader(ndjsonBody(sites[i]))); err != nil {
+			t.Fatal(err)
 		}
-		t.Run(name, func(t *testing.T) {
-			sites := fixture(1500)
-			c, closeSrv := startServer(t, cfg)
-			defer closeSrv()
-			ctx := context.Background()
-			if hr, err := c.Health(ctx); err != nil || hr.Status != "ok" || hr.Datasets != 0 {
-				t.Fatalf("Health = %+v, %v; want ok with 0 datasets", hr, err)
-			}
+	}
 
-			summ := core.NewSummarizer(testSalt)
-			taus := make([]float64, 3)
-			for i, in := range sites {
-				taus[i] = sampling.TauForExpectedSize(in, 150)
-			}
+	// In-process reference summaries (identical by construction).
+	ppsLocal := []core.PPSReader{
+		pps0,
+		summ.SummarizePPS(1, sites[1], taus[1]),
+		summ.SummarizePPS(2, sites[2], taus[2]),
+	}
+	setLocal := make([]core.SetReader, 3)
+	for i, in := range sites {
+		setLocal[i] = summ.SummarizeSet(i, members(in), 0.3)
+	}
 
-			// Site 0 posts wire summaries; sites 1 and 2 ingest raw.
-			pps0 := summ.SummarizePPS(0, sites[0], taus[0])
-			if _, err := c.PostSummary(ctx, "flows", pps0); err != nil {
-				t.Fatal(err)
-			}
-			if _, err := c.PostSummary(ctx, "actives", summ.SummarizeSet(0, members(sites[0]), 0.3)); err != nil {
-				t.Fatal(err)
-			}
-			res, err := c.Ingest(ctx, client.IngestOptions{
-				Dataset: "flows", Instance: 1, Kind: "pps", Format: "ndjson",
-				Salt: testSalt, SaltSet: true, Tau: taus[1],
-			}, bytes.NewReader(ndjsonBody(sites[1])))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if res.Pairs != int64(len(sites[1])) {
-				t.Fatalf("ingest consumed %d pairs, want %d", res.Pairs, len(sites[1]))
-			}
-			if _, err := c.Ingest(ctx, client.IngestOptions{
-				Dataset: "flows", Instance: 2, Kind: "pps", Format: "csv",
-				Salt: testSalt, SaltSet: true, Tau: taus[2],
-			}, bytes.NewReader(csvBody(sites[2]))); err != nil {
-				t.Fatal(err)
-			}
-			for i := 1; i <= 2; i++ {
-				if _, err := c.Ingest(ctx, client.IngestOptions{
-					Dataset: "actives", Instance: i, Kind: "set", Format: "ndjson",
-					Salt: testSalt, SaltSet: true, P: 0.3,
-				}, bytes.NewReader(ndjsonBody(sites[i]))); err != nil {
-					t.Fatal(err)
-				}
-			}
+	srvD, err := c.Distinct(ctx, "actives")
+	if err != nil {
+		t.Fatal(err)
+	}
+	locD, err := core.DistinctCountMultiReaders(setLocal, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if srvD.HT != locD.HT || srvD.L != locD.L || srvD.KeysUsed != locD.KeysUsed {
+		t.Errorf("distinct: server %+v != direct %+v", srvD, locD)
+	}
 
-			// In-process reference summaries (identical by construction).
-			ppsLocal := []core.PPSReader{
-				pps0,
-				summ.SummarizePPS(1, sites[1], taus[1]),
-				summ.SummarizePPS(2, sites[2], taus[2]),
-			}
-			setLocal := make([]core.SetReader, 3)
-			for i, in := range sites {
-				setLocal[i] = summ.SummarizeSet(i, members(in), 0.3)
-			}
+	srvM, err := c.MaxDominance(ctx, "flows", 0, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	locM, err := core.MaxDominanceReaders(ppsLocal[0], ppsLocal[2], nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if srvM.HT != locM.HT || srvM.L != locM.L || srvM.KeysUsed != locM.KeysUsed {
+		t.Errorf("maxdominance: server %+v != direct %+v", srvM, locM)
+	}
 
-			srvD, err := c.Distinct(ctx, "actives")
-			if err != nil {
-				t.Fatal(err)
-			}
-			locD, err := core.DistinctCountMultiReaders(setLocal, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if srvD.HT != locD.HT || srvD.L != locD.L || srvD.KeysUsed != locD.KeysUsed {
-				t.Errorf("distinct: server %+v != direct %+v", srvD, locD)
-			}
+	// A key sampled everywhere gives a determined (positive) median.
+	var hot dataset.Key
+	for _, h := range ppsLocal[0].AppendKeys(nil) {
+		if _, ok := ppsLocal[1].Lookup(h); !ok {
+			continue
+		}
+		if _, ok := ppsLocal[2].Lookup(h); ok {
+			hot = h
+			break
+		}
+	}
+	srvQ, err := c.Quantile(ctx, "flows", uint64(hot), 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	locQ, err := core.QuantilePPSReaders(ppsLocal, hot, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if srvQ.HT != locQ.HT || srvQ.Sampled != locQ.Sampled {
+		t.Errorf("quantile: server %+v != direct %+v", srvQ, locQ)
+	}
 
-			srvM, err := c.MaxDominance(ctx, "flows", 0, 2)
-			if err != nil {
-				t.Fatal(err)
-			}
-			locM, err := core.MaxDominanceReaders(ppsLocal[0], ppsLocal[2], nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if srvM.HT != locM.HT || srvM.L != locM.L || srvM.KeysUsed != locM.KeysUsed {
-				t.Errorf("maxdominance: server %+v != direct %+v", srvM, locM)
-			}
+	srvS, err := c.Sum(ctx, "flows", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if loc := ppsLocal[1].SubsetSum(nil); srvS.Sum != loc {
+		t.Errorf("sum: server %v != direct %v", srvS.Sum, loc)
+	}
 
-			// A key sampled everywhere gives a determined (positive) median.
-			var hot dataset.Key
-			for _, h := range ppsLocal[0].AppendKeys(nil) {
-				if _, ok := ppsLocal[1].Lookup(h); !ok {
-					continue
-				}
-				if _, ok := ppsLocal[2].Lookup(h); ok {
-					hot = h
-					break
-				}
-			}
-			srvQ, err := c.Quantile(ctx, "flows", uint64(hot), 2)
-			if err != nil {
-				t.Fatal(err)
-			}
-			locQ, err := core.QuantilePPSReaders(ppsLocal, hot, 2)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if srvQ.HT != locQ.HT || srvQ.Sampled != locQ.Sampled {
-				t.Errorf("quantile: server %+v != direct %+v", srvQ, locQ)
-			}
-
-			srvS, err := c.Sum(ctx, "flows", 1)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if loc := ppsLocal[1].SubsetSum(nil); srvS.Sum != loc {
-				t.Errorf("sum: server %v != direct %v", srvS.Sum, loc)
-			}
-
-			infos, err := c.Datasets(ctx)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(infos) != 2 || infos[0].Dataset != "actives" || len(infos[0].Instances) != 3 {
-				t.Errorf("unexpected dataset listing: %+v", infos)
-			}
-		})
+	infos, err := c.Datasets(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(infos) != 2 || infos[0].Dataset != "actives" || len(infos[0].Instances) != 3 {
+		t.Errorf("unexpected dataset listing: %+v", infos)
 	}
 }
 

@@ -189,29 +189,23 @@ func TestPostNonCanonicalIsCanonicalised(t *testing.T) {
 // the reservoir never overflows, so the stored sum is the exact total —
 // deterministic despite the sampler's randomized drops.
 func TestIngestVarOpt(t *testing.T) {
-	for _, cfg := range []engine.Config{
-		{},
-		{Parallel: true, Shards: 3, BatchSize: 32},
-	} {
-		ts := httptest.NewServer(server.New(server.NewRegistry(), cfg))
-		in := fixture(300)[0]
-		resp := postBody(t, ts.URL+"/v1/ingest?dataset=vi&instance=0&kind=varopt&k=100000&salt=7&format=ndjson",
-			"application/x-ndjson", ndjsonBody(in))
-		if resp.StatusCode != http.StatusCreated {
-			body, _ := io.ReadAll(resp.Body)
-			resp.Body.Close()
-			ts.Close()
-			t.Fatalf("varopt ingest: status %d: %s", resp.StatusCode, body)
-		}
-		post := decodeResult[api.PostResult](t, resp)
-		if post.Kind != "varopt" || post.Size != len(in) {
-			t.Fatalf("api.PostResult = %+v, want kind varopt with %d keys", post, len(in))
-		}
-		got := getJSON[api.SumResult](t, ts.URL+"/v1/query?dataset=vi&q=sum&instances=0")
-		if math.Abs(got.Sum-in.Total()) > 1e-9*in.Total() {
-			t.Errorf("varopt sum %v != exact total %v", got.Sum, in.Total())
-		}
-		ts.Close()
+	ts := httptest.NewServer(server.New(server.NewRegistry(), engine.Config{}))
+	defer ts.Close()
+	in := fixture(300)[0]
+	resp := postBody(t, ts.URL+"/v1/ingest?dataset=vi&instance=0&kind=varopt&k=100000&salt=7&format=ndjson",
+		"application/x-ndjson", ndjsonBody(in))
+	if resp.StatusCode != http.StatusCreated {
+		body, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		t.Fatalf("varopt ingest: status %d: %s", resp.StatusCode, body)
+	}
+	post := decodeResult[api.PostResult](t, resp)
+	if post.Kind != "varopt" || post.Size != len(in) {
+		t.Fatalf("api.PostResult = %+v, want kind varopt with %d keys", post, len(in))
+	}
+	got := getJSON[api.SumResult](t, ts.URL+"/v1/query?dataset=vi&q=sum&instances=0")
+	if math.Abs(got.Sum-in.Total()) > 1e-9*in.Total() {
+		t.Errorf("varopt sum %v != exact total %v", got.Sum, in.Total())
 	}
 }
 
