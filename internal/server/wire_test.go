@@ -160,6 +160,33 @@ func TestPostSummaryRejectsTrailingData(t *testing.T) {
 	}
 }
 
+// TestPostSummaryContentTypeMismatch: a Content-Type that names a wire
+// version is binding. A body in the other format is a 400, never sniffed
+// into an accept.
+func TestPostSummaryContentTypeMismatch(t *testing.T) {
+	url, sum, closeSrv := wireFixture(t)
+	defer closeSrv()
+	v1, _ := core.EncodeSummary(sum, 1)
+	v2, _ := core.EncodeSummary(sum, 2)
+	for _, tc := range []struct {
+		name, ct string
+		body     []byte
+	}{
+		{"v2 declared, JSON body", core.ContentTypeV2, v1},
+		{"JSON declared, v2 body", core.ContentTypeJSON, v2},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			resp := postBody(t, url+"/v1/summaries?dataset=mismatch", tc.ct, tc.body)
+			if resp.StatusCode != http.StatusBadRequest {
+				t.Fatalf("status %d, want 400", resp.StatusCode)
+			}
+			if e := decodeResult[api.ErrorResult](t, resp); e.Error == "" {
+				t.Fatal("400 carried no error text")
+			}
+		})
+	}
+}
+
 // TestFetchSummaryNegotiation: GET /v1/summaries honors Accept — JSON by
 // default, v2 on request — with an explicit Content-Type (charset
 // included for JSON) and a wire-version header, and both representations
