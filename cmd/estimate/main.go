@@ -34,9 +34,9 @@
 //
 // -wire selects the serialization of the -demo summary files: 1 (the
 // default) writes the JSON wire format, 2 the compact binary v2 format.
-// The query side never needs a flag — summary files of any registered
-// wire format are decoded by sniffing, so v1 and v2 files mix freely on
-// one command line. Unregistered versions exit 2.
+// The query side never needs a flag — summary files of either wire format
+// are decoded by sniffing, so v1 and v2 files mix freely on one command
+// line. Other versions exit 2.
 package main
 
 import (
@@ -45,6 +45,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 
 	"repro/internal/core"
 	"repro/internal/dataset"
@@ -63,8 +64,8 @@ func main() {
 	wire := flag.Int("wire", 1, "wire version of the -demo summary files (1 = JSON, 2 = binary)")
 	flag.Parse()
 
-	if _, err := core.CodecByVersion(*wire); err != nil {
-		fmt.Fprintf(os.Stderr, "estimate: -wire %d: %v\n", *wire, err)
+	if !slices.Contains(core.SupportedWireVersions(), *wire) {
+		fmt.Fprintf(os.Stderr, "estimate: -wire %d: supported versions are %v\n", *wire, core.SupportedWireVersions())
 		os.Exit(2)
 	}
 	if *wire != 1 && !*demo {
@@ -187,7 +188,7 @@ func runDemo(query, sampler string, cfg engine.Config, wire int) error {
 		return err
 	}
 	// The JSON files stay pretty-printed for eyeballing; binary files use
-	// the codec's canonical bytes and a .sum2 extension.
+	// the canonical v2 bytes and a .sum2 extension.
 	writeSummary := func(i int, sum core.Summary) (string, error) {
 		var data []byte
 		var err error

@@ -1,5 +1,5 @@
 // Command summaryd runs the summary server: an HTTP service that accepts
-// posted summaries (the core JSON wire format) or raw CSV/ndjson pair
+// posted summaries (v1 JSON or v2 binary wire format) or raw CSV/ndjson pair
 // streams (summarized on arrival through the in-line engine pipeline,
 // one instance per request via /v1/ingest or every instance of a dataset
 // in one scan via /v1/ingest/multi) and answers distinct / max-dominance /
@@ -10,20 +10,12 @@
 //
 //	summaryd                        # listen on :8080
 //	summaryd -addr :9090            # custom listen address
-//	summaryd -wire 2                # binary default for summary fetch-backs
 //	summaryd -data-dir /var/lib/summaryd  # durable registry (WAL + snapshots)
 //	summaryd -data-dir d -fsync -snapshot-every 1000  # power-loss durable
 //	summaryd -log-format json -log-level debug  # structured ops logging
 //	summaryd -pprof-addr 127.0.0.1:6060         # profiling side listener
 //	summaryd -trace-ring 512                    # keep more traces in memory
 //	summaryd -trace=false                       # disable request tracing
-//
-// -wire selects the wire format of GET /v1/summaries responses when the
-// client's Accept header names none: 1 (the default) answers JSON, 2 the
-// binary v2 format. Posts always accept every registered format by
-// Content-Type regardless of this flag, and an explicit Accept always
-// wins — the flag only moves the no-preference default. Unregistered
-// versions are rejected with exit 2.
 //
 // -data-dir makes the registry durable: every accepted summary and
 // ingest result is appended to a write-ahead log in that directory
@@ -137,7 +129,6 @@ func newHTTPServer(addr string, h http.Handler) *http.Server {
 
 func main() {
 	addr := flag.String("addr", ":8080", "listen address")
-	wire := flag.Int("wire", 1, "default wire version for summary fetch-backs without an Accept preference (1 = JSON, 2 = binary)")
 	dataDir := flag.String("data-dir", "", "durability directory (WAL + snapshots); empty keeps the registry in-memory")
 	snapshotEvery := flag.Int64("snapshot-every", store.DefaultSnapshotEvery, "WAL records between automatic snapshots (negative disables automatic snapshots; a final one is still taken at shutdown); snapshots are incremental and written in the background, so posts and queries keep flowing while one runs")
 	segmentBytes := flag.Int64("wal-segment-bytes", store.DefaultSegmentBytes, "size cap of one WAL segment file; the log rotates into a fresh segment past it")
@@ -158,11 +149,6 @@ func main() {
 	}
 	slog.SetDefault(logger)
 
-	if _, err := core.CodecByVersion(*wire); err != nil {
-		fmt.Fprintf(os.Stderr, "summaryd: -wire %d: %v\n", *wire, err)
-		os.Exit(2)
-	}
-
 	// One registry feeds every layer's series; the observer instruments
 	// the request path and the server's engine totals, the store adds its
 	// durability series at Open. Requests are always measured and logged —
@@ -174,10 +160,7 @@ func main() {
 	)
 
 	reg := server.NewRegistry()
-	opts := []server.Option{
-		server.WithDefaultWire(*wire),
-		server.WithObserver(observer),
-	}
+	opts := []server.Option{server.WithObserver(observer)}
 	if *metrics {
 		opts = append(opts, server.WithMetricsEndpoint())
 	}
@@ -258,7 +241,6 @@ func main() {
 
 	logger.Info("listening",
 		"addr", *addr,
-		"wire", *wire,
 		"wire_versions", core.SupportedWireVersions(),
 		"metrics", *metrics,
 		"slow_request", *slowReq,

@@ -5,7 +5,7 @@
 // universe (think: per-site flow logs). No site ever ships its raw data.
 // Instead:
 //
-//   - site 0 summarizes locally and POSTs the JSON wire-format summary;
+//   - site 0 summarizes locally and POSTs the wire-format summary;
 //   - site 1 streams its raw pairs as ndjson to the server's ingest
 //     endpoint, which summarizes on arrival through the engine pipeline;
 //   - site 2 does the same with CSV.
@@ -263,28 +263,29 @@ func main() {
 	mustEqual("one-pass sum", srvS1.Sum, locS)
 	fmt.Printf("queries over the one-pass dataset match the per-instance path bit for bit ✓\n")
 
-	// --- wire format v2: binary posts mixed with JSON ---------------------
+	// --- wire formats: v2 binary posts mixed with v1 JSON ----------------
 	// The same summaries once more, but now the wire format varies per
-	// site: site 0 posts v1 JSON, sites 1 and 2 post the v2 binary format
-	// through a WithWireVersion(2) client. Codecs change bytes on the
-	// wire, never estimates — so the mixed dataset must answer every
-	// query with exactly the bits of the all-JSON dataset.
-	fmt.Printf("\nwire-format negotiation (v1 JSON vs v2 binary):\n\n")
-	c2 := client.New(c.BaseURL(), nil, client.WithWireVersion(2))
+	// site: site 0 posts its summary as v1 JSON bytes, sites 1 and 2 post
+	// summary values, which the client sends as v2 binary. The wire format
+	// changes bytes, never estimates — so the mixed dataset must answer
+	// every query with exactly the bits of the in-process estimate.
+	fmt.Printf("\nwire formats (v1 JSON vs v2 binary):\n\n")
 	if hr.WireVersions == nil {
 		fmt.Fprintln(os.Stderr, "healthz advertises no wire versions")
 		os.Exit(1)
 	}
 	fmt.Printf("server speaks wire versions %v (healthz)\n", hr.WireVersions)
 
-	postMix, err := c.PostSummary(ctx, "flowsmix", ppsLocal[0])
+	v1site0, err := core.EncodeSummary(ppsLocal[0], 1)
+	check(err)
+	postMix, err := c.PostSummary(ctx, "flowsmix", v1site0)
 	check(err)
 	if postMix.Wire != 1 {
 		fmt.Fprintf(os.Stderr, "v1 post stored as wire %d\n", postMix.Wire)
 		os.Exit(1)
 	}
 	for i := 1; i <= 2; i++ {
-		postMix, err = c2.PostSummary(ctx, "flowsmix", ppsLocal[i])
+		postMix, err = c.PostSummary(ctx, "flowsmix", ppsLocal[i])
 		check(err)
 		if postMix.Wire != 2 {
 			fmt.Fprintf(os.Stderr, "v2 post stored as wire %d\n", postMix.Wire)
@@ -308,12 +309,12 @@ func main() {
 	srvMixS, err := c.Sum(ctx, "flowsmix", 2)
 	check(err)
 	mustEqual("mixed-wire sum", srvMixS.Sum, locS)
-	fmt.Printf("mixed v1/v2 dataset answers every query bit-identically to the all-JSON one ✓\n")
+	fmt.Printf("mixed v1/v2 dataset answers every query bit-identically to the in-process estimate ✓\n")
 
 	// Fetch-back negotiates per request: the same stored instance comes
-	// home as JSON (default Accept) and as binary (v2 Accept), decoding
-	// to bit-equal samples either way.
-	dec, err := c2.FetchDecodedSummary(ctx, "flowsmix", 1)
+	// home as binary (FetchDecodedSummary asks for v2) and as JSON
+	// (FetchSummary), decoding to bit-equal samples either way.
+	dec, err := c.FetchDecodedSummary(ctx, "flowsmix", 1)
 	check(err)
 	decPPS, ok := dec.(*core.PPSSummary)
 	if !ok || !core.Combinable(decPPS, ppsLocal[1]) {

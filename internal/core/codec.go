@@ -1,49 +1,21 @@
 package core
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
 	"mime"
-	"sort"
 	"strconv"
 	"strings"
-	"sync"
 )
 
-// The codec API is the summary serialization seam: every wire format —
-// today the v1 JSON format and the v2 binary format, later compressed or
-// columnar layouts — is a Codec registered per version, and everything
-// that moves summaries (the summary server, pkg/client, the CLIs) speaks
-// through the registry instead of hard-coding an encoding. The historical
-// Encode*/Decode*Summary entry points in encode.go are thin wrappers over
-// the registered codecs.
-
-// Codec encodes and decodes summaries of one wire-format version.
-// Implementations must round-trip exactly: for any summary s,
-// DecodeFrom(Encode(s)) yields a summary that answers every query with
-// bit-identical floats — codecs change bytes on the wire, never estimates.
-type Codec interface {
-	// Version is the wire-format version the codec speaks (1, 2, ...).
-	Version() int
-	// ContentType is the canonical HTTP content type of the format, the
-	// token version negotiation exchanges (Content-Type on posts, Accept
-	// on fetches).
-	ContentType() string
-	// Encode serializes a summary. The encoding is deterministic: equal
-	// summaries produce equal bytes.
-	Encode(Summary) ([]byte, error)
-	// EncodeTo writes exactly the bytes Encode would return into w, so
-	// every caller — the WAL, snapshots, HTTP response bodies — uses one
-	// code path. The v2 codec writes the summary's own bytes without
-	// copying them; the v1 JSON codec marshals first (encoding/json cannot
-	// emit a document incrementally).
-	EncodeTo(io.Writer, Summary) error
-	// DecodeFrom reconstructs a summary from a stream carrying exactly one
-	// message, reading it to its end: a JSON document cannot be validated
-	// incrementally, and a v2 message's bytes become the summary.
-	DecodeFrom(io.Reader) (Summary, error)
-}
+// Summaries travel in exactly two wire formats: v1 JSON (encode.go), a
+// debug and export encoding, and v2 binary (codecv2.go), the layout a
+// summary is held in. Every entry point below is a closed switch over
+// those two versions; any other version is ErrUnknownVersion. Neither
+// format changes estimates: a summary decoded from either answers every
+// query with bit-identical floats.
 
 // Wire content types, the negotiation vocabulary. Version 1 is plain JSON;
 // binary formats follow the application/x-summary-v<N> pattern.
@@ -54,108 +26,77 @@ const (
 	ContentTypeV2 = "application/x-summary-v2"
 )
 
-// wireContentTypePrefix is the pattern shared by every binary wire
-// version's content type.
-const wireContentTypePrefix = "application/x-summary-v"
+// SupportedWireVersions lists the wire-format versions this build speaks,
+// in ascending order — what a negotiating server advertises next to a 415
+// and on /healthz.
+func SupportedWireVersions() []int { return []int{1, 2} }
 
-var (
-	codecMu sync.RWMutex
-	codecs  = map[int]Codec{}
-)
-
-// RegisterCodec adds a codec to the version registry. It panics on a
-// duplicate or non-positive version — codecs are registered at init time,
-// and a collision is a programming error, not a runtime condition.
-func RegisterCodec(c Codec) {
-	codecMu.Lock()
-	defer codecMu.Unlock()
-	v := c.Version()
-	if v <= 0 {
-		panic(fmt.Sprintf("core: RegisterCodec with non-positive version %d", v))
-	}
-	if _, dup := codecs[v]; dup {
-		panic(fmt.Sprintf("core: duplicate codec for wire version %d", v))
-	}
-	codecs[v] = c
+// unknownVersion is the error for a wire version outside
+// SupportedWireVersions.
+func unknownVersion(v int) error {
+	return fmt.Errorf("core: summary wire version %d (supported: %v): %w",
+		v, SupportedWireVersions(), ErrUnknownVersion)
 }
 
-func init() {
-	RegisterCodec(jsonCodec{})
-	RegisterCodec(binaryCodecV2{})
-}
-
-// SupportedWireVersions lists the registered wire-format versions in
-// ascending order — what a negotiating server advertises next to a 415.
-func SupportedWireVersions() []int {
-	codecMu.RLock()
-	defer codecMu.RUnlock()
-	out := make([]int, 0, len(codecs))
-	for v := range codecs {
-		out = append(out, v)
-	}
-	sort.Ints(out)
-	return out
-}
-
-// CodecByVersion returns the codec registered for a wire version, or an
-// error wrapping ErrUnknownVersion naming the supported versions.
-func CodecByVersion(v int) (Codec, error) {
-	codecMu.RLock()
-	c, ok := codecs[v]
-	codecMu.RUnlock()
-	if !ok {
-		return nil, fmt.Errorf("core: summary wire version %d (supported: %v): %w",
-			v, SupportedWireVersions(), ErrUnknownVersion)
-	}
-	return c, nil
-}
-
-// ParseWireContentType maps an HTTP content type to the wire version it
-// names: application/json (any parameters) is version 1,
-// application/x-summary-v<N> is version N. Content types outside the wire
-// vocabulary (text/csv, multipart/…, the empty string) return ok = false —
-// they name no version at all, which callers usually treat as "sniff".
-func ParseWireContentType(ct string) (version int, ok bool) {
-	media, _, err := mime.ParseMediaType(ct)
-	if err != nil {
-		return 0, false
+// WireVersionByContentType maps an HTTP content type to the wire version
+// it names: application/json (any parameters) is version 1,
+// application/x-summary-v<N> is version N. A content type outside the wire
+// vocabulary (text/csv, multipart/…, the empty string) names no version —
+// named is false, and callers usually sniff. A named version this build
+// does not speak (a future application/x-summary-v9) returns an error
+// wrapping ErrUnknownVersion.
+func WireVersionByContentType(ct string) (version int, named bool, err error) {
+	media, _, perr := mime.ParseMediaType(ct)
+	if perr != nil {
+		return 0, false, nil
 	}
 	if media == ContentTypeJSON {
-		return 1, true
+		return 1, true, nil
 	}
-	if rest, found := strings.CutPrefix(media, wireContentTypePrefix); found {
-		if v, err := strconv.Atoi(rest); err == nil && v > 0 {
-			return v, true
-		}
+	rest, found := strings.CutPrefix(media, "application/x-summary-v")
+	if !found {
+		return 0, false, nil
 	}
-	return 0, false
-}
-
-// CodecByContentType resolves a content type to its codec. Content types
-// naming an unregistered wire version (a future application/x-summary-v9)
-// return an error wrapping ErrUnknownVersion; content types outside the
-// wire vocabulary return ok = false with a nil error.
-func CodecByContentType(ct string) (c Codec, ok bool, err error) {
-	v, named := ParseWireContentType(ct)
-	if !named {
-		return nil, false, nil
+	v, aerr := strconv.Atoi(rest)
+	switch {
+	case aerr != nil || v <= 0:
+		return 0, false, nil
+	case v != 2:
+		return 0, false, unknownVersion(v)
 	}
-	c, err = CodecByVersion(v)
-	if err != nil {
-		return nil, false, err
-	}
-	return c, true, nil
+	return 2, true, nil
 }
 
 // EncodeSummary serializes a summary in the requested wire version.
 // EncodeSummary(s, 1) is the JSON bytes json.Marshal would produce;
-// EncodeSummary(s, 2) is the binary v2 layout.
+// EncodeSummary(s, 2) is a copy of the summary's canonical v2 bytes. Both
+// are deterministic: equal summaries encode to equal bytes.
 func EncodeSummary(s Summary, version int) ([]byte, error) {
-	c, err := CodecByVersion(version)
-	if err != nil {
-		return nil, err
+	switch version {
+	case 1:
+		return json.Marshal(s)
+	case 2:
+		return bytes.Clone(s.stored().data), nil
 	}
-	return c.Encode(s)
+	return nil, unknownVersion(version)
+}
+
+// EncodeSummaryTo writes exactly the bytes EncodeSummary would return into
+// w, so the WAL, snapshots and HTTP response bodies share one code path.
+// Version 2 writes the summary's own bytes without copying them; version 1
+// marshals first (encoding/json cannot emit a document incrementally, and
+// json.Encoder would append a newline EncodeSummary never produces).
+func EncodeSummaryTo(w io.Writer, s Summary, version int) error {
+	if version == 2 {
+		_, err := w.Write(s.stored().data)
+		return err
+	}
+	data, err := EncodeSummary(s, version)
+	if err != nil {
+		return err
+	}
+	_, err = w.Write(data)
+	return err
 }
 
 // SniffWireVersion inspects the leading bytes of an encoded summary and
@@ -172,60 +113,60 @@ func SniffWireVersion(data []byte) (version int, ok bool) {
 	return 0, false
 }
 
-// DecodeSummaryFrom reconstructs a summary of any kind and any registered
-// wire version from a stream carrying exactly one message, sniffing the
-// format: the v2 binary magic selects the binary codec, anything else is
-// treated as v1 JSON. It returns the wire version the payload actually
-// carried alongside the summary. It is the trust-boundary entry point for
-// services that accept posted summaries without knowing their format in
-// advance.
+// DecodeSummaryFrom reconstructs a summary of any kind and either wire
+// version from a stream carrying exactly one message, sniffing the format:
+// the v2 binary magic selects the binary decoder, anything else is treated
+// as v1 JSON. It returns the wire version the payload actually carried
+// alongside the summary. It is the trust-boundary entry point for services
+// that accept posted summaries without knowing their format in advance.
 func DecodeSummaryFrom(r io.Reader) (Summary, int, error) {
-	data, err := io.ReadAll(r)
+	data, err := readMessage(r)
 	if err != nil {
-		return nil, 1, fmt.Errorf("core: reading summary: %w", err)
+		return nil, 1, err
 	}
+	version := 1
 	if hasV2Magic(data) {
-		s, err := decodeWholeV2(data, false, "core: trailing data after v2 summary")
-		return s, 2, err
+		version = 2
 	}
-	s, err := decodeSummaryJSON(data, false)
-	return s, 1, err
+	s, err := decodeMessage(data, version)
+	return s, version, err
 }
 
-// jsonCodec is the v1 wire format: the JSON documents the Marshal/Decode
-// entry points of encode.go have always produced. It buffers on decode —
-// the price of a self-describing text format.
-type jsonCodec struct{}
-
-// Version implements Codec.
-func (jsonCodec) Version() int { return 1 }
-
-// ContentType implements Codec.
-func (jsonCodec) ContentType() string { return ContentTypeJSON }
-
-// Encode implements Codec. The JSON encoding is deterministic:
-// encoding/json sorts map keys.
-func (jsonCodec) Encode(s Summary) ([]byte, error) {
-	return json.Marshal(s)
-}
-
-// EncodeTo implements Codec. JSON cannot be emitted incrementally
-// (json.Encoder would also append a newline Encode never produces), so
-// this marshals and writes — byte-identical to Encode, just through w.
-func (c jsonCodec) EncodeTo(w io.Writer, s Summary) error {
-	data, err := c.Encode(s)
+// DecodeSummaryVersionFrom reconstructs a summary from a stream carrying
+// exactly one message of the given wire version, reading it to its end. A
+// message in the other format is a decode error, not a guess.
+func DecodeSummaryVersionFrom(r io.Reader, version int) (Summary, error) {
+	data, err := readMessage(r)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	_, err = w.Write(data)
-	return err
+	return decodeMessage(data, version)
 }
 
-// DecodeFrom implements Codec.
-func (jsonCodec) DecodeFrom(r io.Reader) (Summary, error) {
+// DecodeSummaryViewFrom is DecodeSummaryVersionFrom(r, 2) under the name
+// bench/summaryload calls it by.
+func DecodeSummaryViewFrom(r io.Reader) (Summary, error) {
+	return DecodeSummaryVersionFrom(r, 2)
+}
+
+// readMessage reads a whole message: a JSON document cannot be validated
+// incrementally, and a v2 message's bytes become the summary.
+func readMessage(r io.Reader) ([]byte, error) {
 	data, err := io.ReadAll(r)
 	if err != nil {
 		return nil, fmt.Errorf("core: reading summary: %w", err)
 	}
-	return decodeSummaryJSON(data, false)
+	return data, nil
+}
+
+// decodeMessage decodes data as exactly one ingress message of the given
+// wire version.
+func decodeMessage(data []byte, version int) (Summary, error) {
+	switch version {
+	case 1:
+		return decodeSummaryJSON(data, false)
+	case 2:
+		return decodeWholeV2(data, false, "core: trailing data after v2 summary")
+	}
+	return nil, unknownVersion(version)
 }

@@ -50,39 +50,40 @@ func queryBits(t *testing.T, s Summary) float64 {
 	return 0
 }
 
-// TestCodecRegistry: the registry speaks exactly versions 1 and 2, maps
-// content types both ways, and rejects unknown versions with the typed
-// error.
-func TestCodecRegistry(t *testing.T) {
+// TestWireVersionVocabulary: the build speaks exactly versions 1 and 2,
+// maps content types to them, and refuses any other version — named by a
+// content type or asked of the encoders — with the typed error.
+func TestWireVersionVocabulary(t *testing.T) {
 	if got := SupportedWireVersions(); !reflect.DeepEqual(got, []int{1, 2}) {
 		t.Fatalf("SupportedWireVersions = %v, want [1 2]", got)
 	}
-	for v, wantCT := range map[int]string{1: ContentTypeJSON, 2: ContentTypeV2} {
-		c, err := CodecByVersion(v)
-		if err != nil {
-			t.Fatalf("CodecByVersion(%d): %v", v, err)
-		}
-		if c.Version() != v || c.ContentType() != wantCT {
-			t.Errorf("codec %d: version %d, content type %q (want %q)", v, c.Version(), c.ContentType(), wantCT)
-		}
-	}
-	if _, err := CodecByVersion(9); err == nil {
-		t.Fatal("CodecByVersion(9) succeeded")
-	}
 	for ct, want := range map[string]int{
-		"application/json":                1,
+		ContentTypeJSON:                   1,
 		"application/json; charset=utf-8": 1,
-		"application/x-summary-v2":        2,
-		"application/x-summary-v7":        7,
+		ContentTypeV2:                     2,
 	} {
-		if v, ok := ParseWireContentType(ct); !ok || v != want {
-			t.Errorf("ParseWireContentType(%q) = (%d, %v), want (%d, true)", ct, v, ok, want)
+		if v, named, err := WireVersionByContentType(ct); !named || err != nil || v != want {
+			t.Errorf("WireVersionByContentType(%q) = (%d, %v, %v), want (%d, true, nil)", ct, v, named, err, want)
 		}
 	}
 	for _, ct := range []string{"", "text/csv", "application/x-summary-", "application/x-summary-v-3"} {
-		if v, ok := ParseWireContentType(ct); ok {
-			t.Errorf("ParseWireContentType(%q) = (%d, true), want not a wire type", ct, v)
+		if v, named, err := WireVersionByContentType(ct); named || err != nil {
+			t.Errorf("WireVersionByContentType(%q) = (%d, %v, %v), want not a wire type", ct, v, named, err)
 		}
+	}
+	const want = "core: summary wire version 7 (supported: [1 2]): core: unknown summary wire-format version"
+	if _, _, err := WireVersionByContentType("application/x-summary-v7"); err == nil || err.Error() != want {
+		t.Errorf("WireVersionByContentType(v7): %v, want %s", err, want)
+	}
+	sum := fixtureSummaries(NewSummarizer(99))[0]
+	if _, err := EncodeSummary(sum, 7); err == nil || err.Error() != want {
+		t.Errorf("EncodeSummary(s, 7): %v, want %s", err, want)
+	}
+	if err := EncodeSummaryTo(io.Discard, sum, 7); err == nil || err.Error() != want {
+		t.Errorf("EncodeSummaryTo(w, s, 7): %v, want %s", err, want)
+	}
+	if _, err := DecodeSummaryVersionFrom(bytes.NewReader(nil), 7); err == nil || err.Error() != want {
+		t.Errorf("DecodeSummaryVersionFrom(r, 7): %v, want %s", err, want)
 	}
 }
 
@@ -315,8 +316,7 @@ func TestV2StreamingDecodeBoundedBuffer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, _ := CodecByVersion(2)
-	dec, err := c.DecodeFrom(&chunkReader{data: data, chunk: 1024})
+	dec, err := DecodeSummaryViewFrom(&chunkReader{data: data, chunk: 1024})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -347,40 +347,36 @@ func (r *chunkReader) Read(p []byte) (int, error) {
 	return n, nil
 }
 
-// TestEncodeToMatchesEncode: the streaming encoder contract — for every
-// codec and every summary kind, EncodeTo writes exactly the bytes Encode
-// returns, regardless of the destination writer's type (buffered or not).
+// TestEncodeToMatchesEncode: the streaming encoder contract — for both
+// wire versions and every summary kind, EncodeSummaryTo writes exactly the
+// bytes EncodeSummary returns, regardless of the destination writer's type
+// (buffered or not).
 func TestEncodeToMatchesEncode(t *testing.T) {
 	for _, version := range SupportedWireVersions() {
-		codec, err := CodecByVersion(version)
-		if err != nil {
-			t.Fatal(err)
-		}
 		for _, sum := range fixtureSummaries(NewSummarizer(99)) {
-			want, err := codec.Encode(sum)
+			want, err := EncodeSummary(sum, version)
 			if err != nil {
-				t.Fatalf("v%d Encode(%s): %v", version, sum.Kind(), err)
+				t.Fatalf("v%d EncodeSummary(%s): %v", version, sum.Kind(), err)
 			}
-			// A plain buffer (the writer EncodeTo special-cases) and an
-			// opaque writer (forced through the bufio wrap path).
+			// A plain buffer and an opaque writer.
 			var direct bytes.Buffer
-			if err := codec.EncodeTo(&direct, sum); err != nil {
-				t.Fatalf("v%d EncodeTo(buffer, %s): %v", version, sum.Kind(), err)
+			if err := EncodeSummaryTo(&direct, sum, version); err != nil {
+				t.Fatalf("v%d EncodeSummaryTo(buffer, %s): %v", version, sum.Kind(), err)
 			}
 			var opaque bytes.Buffer
-			if err := codec.EncodeTo(onlyWriter{&opaque}, sum); err != nil {
-				t.Fatalf("v%d EncodeTo(opaque, %s): %v", version, sum.Kind(), err)
+			if err := EncodeSummaryTo(onlyWriter{&opaque}, sum, version); err != nil {
+				t.Fatalf("v%d EncodeSummaryTo(opaque, %s): %v", version, sum.Kind(), err)
 			}
 			if !bytes.Equal(direct.Bytes(), want) || !bytes.Equal(opaque.Bytes(), want) {
-				t.Fatalf("v%d EncodeTo(%s) diverges from Encode (%d/%d vs %d bytes)",
+				t.Fatalf("v%d EncodeSummaryTo(%s) diverges from EncodeSummary (%d/%d vs %d bytes)",
 					version, sum.Kind(), direct.Len(), opaque.Len(), len(want))
 			}
 		}
 	}
 }
 
-// onlyWriter hides every method but Write, so EncodeTo cannot type-switch
-// its way around the generic path.
+// onlyWriter hides every method but Write, so EncodeSummaryTo cannot
+// type-switch its way around the generic path.
 type onlyWriter struct{ w io.Writer }
 
 func (o onlyWriter) Write(p []byte) (int, error) { return o.w.Write(p) }
@@ -390,12 +386,8 @@ func (o onlyWriter) Write(p []byte) (int, error) { return o.w.Write(p) }
 func TestEncodeToPropagatesWriteErrors(t *testing.T) {
 	sum := fixtureSummaries(NewSummarizer(99))[0]
 	for _, version := range SupportedWireVersions() {
-		codec, err := CodecByVersion(version)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := codec.EncodeTo(failingWriter{}, sum); err == nil {
-			t.Fatalf("v%d EncodeTo to a failing writer returned nil", version)
+		if err := EncodeSummaryTo(failingWriter{}, sum, version); err == nil {
+			t.Fatalf("v%d EncodeSummaryTo to a failing writer returned nil", version)
 		}
 	}
 }

@@ -100,38 +100,6 @@ func v2FamilyTag(fam sampling.RankFamily) (byte, bool) {
 	return 0, false
 }
 
-// binaryCodecV2 is the v2 binary codec.
-type binaryCodecV2 struct{}
-
-// Version implements Codec.
-func (binaryCodecV2) Version() int { return 2 }
-
-// ContentType implements Codec.
-func (binaryCodecV2) ContentType() string { return ContentTypeV2 }
-
-// Encode implements Codec: a copy of the summary's canonical bytes.
-func (binaryCodecV2) Encode(s Summary) ([]byte, error) {
-	return bytes.Clone(s.stored().data), nil
-}
-
-// EncodeTo implements Codec: the summary's canonical bytes, written as
-// they are.
-func (binaryCodecV2) EncodeTo(w io.Writer, s Summary) error {
-	_, err := w.Write(s.stored().data)
-	return err
-}
-
-// DecodeFrom implements Codec. The bytes read become the summary, so it
-// reads r to its end: a stream carries exactly one message, and bytes
-// after it are an error.
-func (binaryCodecV2) DecodeFrom(r io.Reader) (Summary, error) {
-	data, err := io.ReadAll(r)
-	if err != nil {
-		return nil, fmt.Errorf("core: reading summary: %w", err)
-	}
-	return decodeWholeV2(data, false, "core: trailing data after v2 summary")
-}
-
 // decodeWholeV2 decodes data as exactly one message; trailing is the error
 // text for bytes after it.
 func decodeWholeV2(data []byte, stored bool, trailing string) (Summary, error) {
@@ -143,12 +111,6 @@ func decodeWholeV2(data []byte, stored bool, trailing string) (Summary, error) {
 		return nil, errors.New(trailing)
 	}
 	return s, nil
-}
-
-// DecodeSummaryViewFrom is the v2 codec's DecodeFrom under the name
-// bench/summaryload calls it by.
-func DecodeSummaryViewFrom(r io.Reader) (Summary, error) {
-	return binaryCodecV2{}.DecodeFrom(r)
 }
 
 // appendHeaderV2 appends a message's header, up to and including the entry

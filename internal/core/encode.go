@@ -13,12 +13,12 @@ import (
 
 // Summaries are what a dispersed system actually ships: a sample plus the
 // metadata needed to recompute inclusion probabilities and seeds. This
-// file holds the v1 JSON wire format (the codec registered as version 1 in
-// codec.go) — a debug and export encoding: decoding it builds the
-// canonical in-memory form of summary.go at once, and encoding it
-// marshals that form's entries — and the Decode* entry points, which
-// accept any registered format by sniffing, so a caller holding v1 JSON or
-// v2 binary bytes decodes through the same functions.
+// file holds the v1 JSON wire format (version 1 of codec.go's switch) — a
+// debug and export encoding: decoding it builds the canonical in-memory
+// form of summary.go at once, and encoding it marshals that form's
+// entries — and the Decode* entry points, which accept either format by
+// sniffing, so a caller holding v1 JSON or v2 binary bytes decodes through
+// the same functions.
 
 // WireVersion is the version of the JSON wire format this file implements.
 // Binary formats carry their own version in the header (codecv2.go);
@@ -26,10 +26,10 @@ import (
 const WireVersion = 1
 
 // ErrUnknownVersion reports a summary whose wire-format version this
-// build does not speak. Callers negotiating formats (the summary server
-// accepting posts, pkg/client choosing what to send) detect it with
-// errors.Is and reply with an upgrade hint — the server maps it to HTTP
-// 415 listing SupportedWireVersions — instead of a generic decode failure.
+// build does not speak. Callers negotiating formats detect it with
+// errors.Is and reply with an upgrade hint — the summary server maps it to
+// HTTP 415 listing SupportedWireVersions — instead of a generic decode
+// failure.
 var ErrUnknownVersion = errors.New("core: unknown summary wire-format version")
 
 // checkVersion validates a decoded JSON version number against WireVersion.
@@ -264,7 +264,7 @@ func decodeSummaryJSON(data []byte, stored bool) (Summary, error) {
 }
 
 // decodeAs narrows DecodeSummary to one concrete summary type, naming the
-// expected kind in the error. It accepts any registered wire format.
+// expected kind in the error. It accepts either wire format.
 func decodeAs[T Summary](data []byte, kind string) (T, error) {
 	var zero T
 	s, err := DecodeSummary(data)
@@ -289,10 +289,4 @@ func DecodePPSSummary(data []byte) (*PPSSummary, error) {
 // or v2 binary).
 func DecodeSetSummary(data []byte) (*SetSummary, error) {
 	return decodeAs[*SetSummary](data, "set")
-}
-
-// DecodeBottomKSummary reconstructs a BottomKSummary from its wire form
-// (v1 JSON or v2 binary).
-func DecodeBottomKSummary(data []byte) (*BottomKSummary, error) {
-	return decodeAs[*BottomKSummary](data, "bottomk")
 }

@@ -287,11 +287,10 @@ func TestDecodeV2Canonicalises(t *testing.T) {
 		"padded and unordered": withCount(mutate(swapFirstTwo), 0x83, 0x80, 0x00),
 	} {
 		for entry, decode := range map[string]func([]byte) (Summary, error){
-			"DecodeSummary":            DecodeSummary,
-			"DecodeStoredSummary":      DecodeStoredSummary,
-			"DecodeSummaryViewFrom":    func(b []byte) (Summary, error) { return DecodeSummaryViewFrom(bytes.NewReader(b)) },
-			"DecodeSummaryFrom":        func(b []byte) (s Summary, err error) { s, _, err = DecodeSummaryFrom(bytes.NewReader(b)); return },
-			"binaryCodecV2.DecodeFrom": func(b []byte) (Summary, error) { return binaryCodecV2{}.DecodeFrom(bytes.NewReader(b)) },
+			"DecodeSummary":         DecodeSummary,
+			"DecodeStoredSummary":   DecodeStoredSummary,
+			"DecodeSummaryViewFrom": func(b []byte) (Summary, error) { return DecodeSummaryViewFrom(bytes.NewReader(b)) },
+			"DecodeSummaryFrom":     func(b []byte) (s Summary, err error) { s, _, err = DecodeSummaryFrom(bytes.NewReader(b)); return },
 		} {
 			sum, err := decode(bytes.Clone(data))
 			if err != nil {
@@ -440,8 +439,8 @@ func TestV2EntryValuesValidated(t *testing.T) {
 			if _, _, err := DecodeSummaryFrom(bytes.NewReader(v1)); err == nil || err.Error() != want {
 				t.Errorf("%s: v1 DecodeSummaryFrom of entry value %v: %v", sum.Kind(), bad, err)
 			}
-			if _, err := (jsonCodec{}).DecodeFrom(bytes.NewReader(v1)); err == nil || err.Error() != want {
-				t.Errorf("%s: v1 codec DecodeFrom of entry value %v: %v", sum.Kind(), bad, err)
+			if _, err := DecodeSummaryVersionFrom(bytes.NewReader(v1), 1); err == nil || err.Error() != want {
+				t.Errorf("%s: v1 DecodeSummaryVersionFrom of entry value %v: %v", sum.Kind(), bad, err)
 			}
 			if _, err := DecodeStoredSummary(v1); err != nil {
 				t.Errorf("%s: stored decoder refused v1 entry value %v: %v", sum.Kind(), bad, err)

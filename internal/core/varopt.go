@@ -122,9 +122,3 @@ func decodeVarOptWire(w varoptWire, stored bool) (*VarOptSummary, error) {
 	}
 	return v, nil
 }
-
-// DecodeVarOptSummary reconstructs a VarOptSummary from its wire form (v1
-// JSON or v2 binary).
-func DecodeVarOptSummary(data []byte) (*VarOptSummary, error) {
-	return decodeAs[*VarOptSummary](data, "varopt")
-}

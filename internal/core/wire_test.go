@@ -18,7 +18,7 @@ func TestDecodeUnknownVersion(t *testing.T) {
 	cases := map[string]func([]byte) error{
 		"pps":     func(b []byte) error { _, err := DecodePPSSummary(b); return err },
 		"set":     func(b []byte) error { _, err := DecodeSetSummary(b); return err },
-		"bottomk": func(b []byte) error { _, err := DecodeBottomKSummary(b); return err },
+		"bottomk": func(b []byte) error { _, err := DecodeSummary(b); return err },
 	}
 	for kind, decode := range cases {
 		body := fmt.Sprintf(`{"version":9,"kind":%q,"instance":0,"salt":1,"tau":2,"p":0.5,"k":3,"family":"pps"}`, kind)
@@ -92,10 +92,7 @@ func TestBottomKSummaryRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		dec, err := DecodeBottomKSummary(data)
-		if err != nil {
-			t.Fatal(err)
-		}
+		dec := decodeBottomK(t, data)
 		if dec.RankFam() != fam || dec.RankTau() != sum.RankTau() {
 			t.Errorf("%s: family %s, tau %v != %v", fam.Name(), dec.RankFam().Name(), dec.RankTau(), sum.RankTau())
 		}
@@ -114,14 +111,26 @@ func TestBottomKSummaryRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dec, err := DecodeBottomKSummary(data)
-	if err != nil {
-		t.Fatal(err)
-	}
+	dec := decodeBottomK(t, data)
 	if !math.IsInf(dec.RankTau(), 1) {
 		t.Errorf("unbounded threshold decoded as %v", dec.RankTau())
 	}
 	sameSummary(t, "unbounded sample", dec, sum)
+}
+
+// decodeBottomK decodes data with DecodeSummary and asserts a bottom-k
+// summary came out.
+func decodeBottomK(t *testing.T, data []byte) *BottomKSummary {
+	t.Helper()
+	s, err := DecodeSummary(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, ok := s.(*BottomKSummary)
+	if !ok {
+		t.Fatalf("decoded a %s summary, want bottomk", s.Kind())
+	}
+	return b
 }
 
 // TestSetStreamMatchesBatch: streaming set summarization is bit-identical

@@ -21,8 +21,8 @@
 //
 //   - Misregistration — invalid names, duplicate (name, labels) pairs,
 //     one name under two types — panics at construction, the same
-//     convention as server.WithDefaultWire on an unregistered codec:
-//     these are programming errors, not runtime conditions.
+//     convention as server.New on a sharded engine config: these are
+//     programming errors, not runtime conditions.
 package obs
 
 import (

@@ -35,15 +35,10 @@ const maxSummaryBody = 64 << 20
 type Server struct {
 	reg         *Registry
 	mux         *http.ServeMux
-	defaultWire core.Codec
 	storeStatus func() api.StoreStatus
 	obs         *Observer
 	metricsOn   bool
 	tracer      *trace.Tracer
-	// wireVersions caches core.SupportedWireVersions() — the registered
-	// codec set is fixed after init, and /healthz is probed constantly;
-	// rebuilding the slice per probe was pure allocation.
-	wireVersions []int
 	// engine accumulates every ingest pipeline's final Stats() for
 	// /healthz and the metrics registry.
 	engine engineTotals
@@ -51,20 +46,6 @@ type Server struct {
 
 // Option configures a Server at construction.
 type Option func(*Server)
-
-// WithDefaultWire selects the wire format of summary fetch-backs when the
-// client's Accept header names none (no header, or */*). The default
-// default is version 1 (JSON) — the conservative choice for curl and old
-// clients; a deployment fronted only by v2-aware clients can flip it
-// (summaryd -wire 2). It panics on an unregistered version, like New on
-// an invalid engine config: both are construction-time misconfigurations.
-func WithDefaultWire(version int) Option {
-	c, err := core.CodecByVersion(version)
-	if err != nil {
-		panic(err)
-	}
-	return func(s *Server) { s.defaultWire = c }
-}
 
 // WithStoreStatus adds durability reporting to /healthz: status is
 // polled per probe and returned under the "store" key. summaryd passes
@@ -118,26 +99,21 @@ func New(reg *Registry, cfg engine.Config, opts ...Option) *Server {
 		panic(fmt.Sprintf("server: ingest runs the in-line engine only, got engine config %+v", cfg))
 	}
 	s := &Server{reg: reg, mux: http.NewServeMux()}
-	s.defaultWire, _ = core.CodecByVersion(1)
-	// The codec registry is frozen after init; cache the version list so
-	// liveness probes stop re-sorting it per request.
-	s.wireVersions = core.SupportedWireVersions()
 	for _, opt := range opts {
 		opt(s)
 	}
 	s.mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
 		// Status plus dataset count: load balancers probe liveness, and
-		// operators get a one-number capacity read plus the codec
+		// operators get a one-number capacity read plus the wire-format
 		// vocabulary for free. The engine block is the richer node-health
 		// signal (pairs and ingests); a durable server additionally
 		// reports its store: WAL extent, last snapshot, what recovery
-		// replayed. Static parts (wire versions) are cached at New —
-		// probes fire often enough that per-probe rebuilds showed up as
-		// allocation (pinned by TestHealthzAllocs).
+		// replayed. Probes fire often, so the probe's allocations are
+		// pinned (TestHealthzAllocs).
 		hr := api.HealthResult{
 			Status:       "ok",
 			Datasets:     s.reg.Count(),
-			WireVersions: s.wireVersions,
+			WireVersions: core.SupportedWireVersions(),
 			Engine:       s.engineStatus(),
 		}
 		if s.storeStatus != nil {
@@ -277,27 +253,23 @@ func (s *Server) handlePostSummary(w http.ResponseWriter, r *http.Request) {
 	// refuses bytes after the summary, so a client that concatenates two
 	// summaries in one POST gets a 400, not a success that lost the second.
 	body := http.MaxBytesReader(w, r.Body, maxSummaryBody)
-	var (
-		sum  core.Summary
-		wire int
-		err  error
-	)
 	// Content-Type drives the decoder. A content type that names a wire
-	// version selects that codec strictly (a declared-v2 body that is not
-	// v2 is a 400, not a guess); one outside the wire vocabulary — curl's
-	// form-urlencoded default, text/plain, nothing at all — falls back to
-	// sniffing, which keeps every pre-negotiation client working. An
-	// explicitly named but unregistered version is the one case that must
-	// not be guessed around: 415 with the supported list.
+	// version decodes strictly as that version (a declared-v2 body that is
+	// not v2 is a 400, not a guess); one outside the wire vocabulary —
+	// curl's form-urlencoded default, text/plain, nothing at all — falls
+	// back to sniffing. An explicitly named unknown version is the one case
+	// that must not be guessed around: 415 with the supported list.
 	//
 	// A canonical v2 body is stored and queried as posted; anything else is
 	// rebuilt in that form here, at ingress.
-	if codec, named, cterr := core.CodecByContentType(r.Header.Get("Content-Type")); cterr != nil {
-		writeError(w, cterr)
+	wire, named, err := core.WireVersionByContentType(r.Header.Get("Content-Type"))
+	if err != nil {
+		writeError(w, err)
 		return
-	} else if named {
-		wire = codec.Version()
-		sum, err = codec.DecodeFrom(body)
+	}
+	var sum core.Summary
+	if named {
+		sum, err = core.DecodeSummaryVersionFrom(body, wire)
 	} else {
 		sum, wire, err = core.DecodeSummaryFrom(body)
 	}
@@ -318,16 +290,16 @@ func (s *Server) handlePostSummary(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// negotiateFetchCodec resolves a summary fetch's Accept header to a codec.
-// No header (or only wildcards) selects the server's default wire format;
-// media ranges are scanned in order and the first one naming a registered
-// format wins. An Accept that names only unregistered wire versions is a
-// 415 carrying the supported list (the negotiation contract: unknown
-// versions always answer 415); one naming only foreign types is a plain
-// 406.
-func (s *Server) negotiateFetchCodec(accept string) (core.Codec, error) {
+// negotiateFetchVersion resolves a summary fetch's Accept header to a wire
+// version. No header (or a wildcard before any wire type) selects v1 JSON,
+// what curl and browsers can read; media ranges are scanned in order and
+// the first one naming a known wire version wins. An Accept that names
+// only unknown wire versions is a 415 carrying the supported list (the
+// negotiation contract: unknown versions always answer 415); one naming
+// only foreign types is a plain 406.
+func negotiateFetchVersion(accept string) (int, error) {
 	if accept == "" {
-		return s.defaultWire, nil
+		return 1, nil
 	}
 	var unknown error
 	for _, part := range strings.Split(accept, ",") {
@@ -337,21 +309,21 @@ func (s *Server) negotiateFetchCodec(accept string) (core.Codec, error) {
 		}
 		media = strings.TrimSpace(media)
 		if media == "*/*" || media == "application/*" {
-			return s.defaultWire, nil
+			return 1, nil
 		}
-		codec, named, err := core.CodecByContentType(media)
+		v, named, err := core.WireVersionByContentType(media)
 		if err != nil {
 			unknown = err
 			continue
 		}
 		if named {
-			return codec, nil
+			return v, nil
 		}
 	}
 	if unknown != nil {
-		return nil, unknown
+		return 0, unknown
 	}
-	return nil, fmt.Errorf("%w: Accept %q", errNotAcceptable, accept)
+	return 0, fmt.Errorf("%w: Accept %q", errNotAcceptable, accept)
 }
 
 func (s *Server) handleFetchSummary(w http.ResponseWriter, r *http.Request) {
@@ -362,7 +334,7 @@ func (s *Server) handleFetchSummary(w http.ResponseWriter, r *http.Request) {
 		writeError(w, fmt.Errorf("server: fetch needs dataset and instance parameters"))
 		return
 	}
-	codec, err := s.negotiateFetchCodec(r.Header.Get("Accept"))
+	wire, err := negotiateFetchVersion(r.Header.Get("Accept"))
 	if err != nil {
 		writeError(w, err)
 		return
@@ -372,12 +344,12 @@ func (s *Server) handleFetchSummary(w http.ResponseWriter, r *http.Request) {
 		writeError(w, err)
 		return
 	}
-	if codec.Version() == 1 {
-		// The JSON codec buffers regardless (encoding/json cannot stream),
+	if wire == 1 {
+		// JSON encoding buffers regardless (encoding/json cannot stream),
 		// so encode before committing to a status: a failure — NaN weights
 		// in a stored summary, which JSON has no representation for — is a
 		// clean error response, not a 200 with an empty body.
-		data, err := codec.Encode(sums[0])
+		data, err := core.EncodeSummary(sums[0], 1)
 		if err != nil {
 			writeError(w, fmt.Errorf("server: encoding summary: %w", err))
 			return
@@ -387,13 +359,13 @@ func (s *Server) handleFetchSummary(w http.ResponseWriter, r *http.Request) {
 		_, _ = w.Write(data)
 		return
 	}
-	w.Header().Set("Content-Type", codec.ContentType())
-	w.Header().Set("X-Summary-Wire-Version", strconv.Itoa(codec.Version()))
-	// Stream the body through the codec: a million-entry summary flows
-	// entry by entry instead of materializing a second copy server-side.
-	// Headers are already out, but v2 encoding of a registry-held summary
-	// (kind always known, any float bits representable) only fails when
-	// the client vanishes mid-stream — and a truncated body failing the
-	// client's decode is the right signal for that.
-	_ = codec.EncodeTo(w, sums[0])
+	w.Header().Set("Content-Type", core.ContentTypeV2)
+	w.Header().Set("X-Summary-Wire-Version", "2")
+	// Write the summary's own bytes: a million-entry summary is never
+	// copied server-side. Headers are already out, but v2 encoding of a
+	// registry-held summary (kind always known, any float bits
+	// representable) only fails when the client vanishes mid-stream — and
+	// a truncated body failing the client's decode is the right signal for
+	// that.
+	_ = core.EncodeSummaryTo(w, sums[0], 2)
 }

@@ -17,9 +17,9 @@ import (
 
 // wireFixture returns a server URL, its close func, and a PPS summary to
 // post at it.
-func wireFixture(t *testing.T, opts ...server.Option) (string, *core.PPSSummary, func()) {
+func wireFixture(t *testing.T) (string, *core.PPSSummary, func()) {
 	t.Helper()
-	ts := httptest.NewServer(server.New(server.NewRegistry(), engine.Config{}, opts...))
+	ts := httptest.NewServer(server.New(server.NewRegistry(), engine.Config{}))
 	sites := fixture(800)
 	summ := core.NewSummarizer(testSalt)
 	return ts.URL, summ.SummarizePPSExpectedSize(0, sites[0], 120), ts.Close
@@ -270,31 +270,7 @@ func TestFetchSummaryNegotiation(t *testing.T) {
 	})
 }
 
-// TestDefaultWireOption: WithDefaultWire(2) flips the no-Accept fetch
-// representation to binary, while explicit JSON still works.
-func TestDefaultWireOption(t *testing.T) {
-	url, sum, closeSrv := wireFixture(t, server.WithDefaultWire(2))
-	defer closeSrv()
-	v1, _ := core.EncodeSummary(sum, 1)
-	resp := postBody(t, url+"/v1/summaries?dataset=ds", "application/json", v1)
-	resp.Body.Close()
-
-	resp, err := http.Get(url + "/v1/summaries?dataset=ds&instance=0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if ct := resp.Header.Get("Content-Type"); ct != core.ContentTypeV2 {
-		t.Fatalf("default Content-Type %q, want %q", ct, core.ContentTypeV2)
-	}
-	body, _ := io.ReadAll(resp.Body)
-	want, _ := core.EncodeSummary(sum, 2)
-	if !bytes.Equal(body, want) {
-		t.Fatal("default-wire v2 fetch is not the canonical v2 encoding")
-	}
-}
-
-// TestHealthWireVersions: the health probe advertises codec support.
+// TestHealthWireVersions: the health probe advertises the wire versions.
 func TestHealthWireVersions(t *testing.T) {
 	url, _, closeSrv := wireFixture(t)
 	defer closeSrv()

@@ -132,7 +132,7 @@ type segment struct {
 // createSegment creates a fresh segment file: magic written and fsynced
 // before anything can reference it, so a manifest that names the segment
 // always finds a well-formed (if empty) file.
-func createSegment(dir string, codec core.Codec, seq int64) (*segment, error) {
+func createSegment(dir string, seq int64) (*segment, error) {
 	path := filepath.Join(dir, segmentName(seq))
 	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE|os.O_EXCL, 0o644)
 	if err != nil {
@@ -148,7 +148,7 @@ func createSegment(dir string, codec core.Codec, seq int64) (*segment, error) {
 		os.Remove(path)
 		return nil, fmt.Errorf("store: syncing new WAL segment %d: %w", seq, err)
 	}
-	return &segment{seq: seq, path: path, f: f, w: newRecordWriter(f, codec, magicLen), records: 0}, nil
+	return &segment{seq: seq, path: path, f: f, w: newRecordWriter(f, magicLen), records: 0}, nil
 }
 
 // scanSegments lists the segment sequence numbers present in dir, plus
@@ -193,19 +193,18 @@ func (p *payloadWriter) Write(b []byte) (int, error) {
 // recordWriter appends framed records to a file. The live segment holds
 // one for its lifetime; each snapshot creates one for its temp file.
 type recordWriter struct {
-	f     *os.File
-	bw    *bufio.Writer
-	codec core.Codec
+	f  *os.File
+	bw *bufio.Writer
 	// end is the logical end of the file: where the next record starts.
 	end int64
 }
 
-func newRecordWriter(f *os.File, codec core.Codec, end int64) *recordWriter {
-	return &recordWriter{f: f, bw: bufio.NewWriterSize(nil, 32<<10), codec: codec, end: end}
+func newRecordWriter(f *os.File, end int64) *recordWriter {
+	return &recordWriter{f: f, bw: bufio.NewWriterSize(nil, 32<<10), end: end}
 }
 
 // append frames one (dataset, summary) record at the current end. The
-// payload streams through the v2 codec's EncodeTo — a large summary never
+// payload streams through core.EncodeSummaryTo as v2 — a large summary never
 // materializes a second buffer — and the header is patched in afterwards,
 // which is what makes a mid-append crash look like a torn record instead
 // of a valid-looking frame over garbage.
@@ -227,7 +226,7 @@ func (w *recordWriter) append(dataset string, s core.Summary) error {
 	if _, err := w.bw.WriteString(dataset); err != nil {
 		return fmt.Errorf("store: appending record: %w", err)
 	}
-	if err := w.codec.EncodeTo(w.bw, s); err != nil {
+	if err := core.EncodeSummaryTo(w.bw, s, 2); err != nil {
 		return fmt.Errorf("store: encoding summary for dataset %q: %w", dataset, err)
 	}
 	if err := w.bw.Flush(); err != nil {

@@ -94,7 +94,7 @@ func scanSnapshots(dir string) (seqs []int64, malformed []string, err error) {
 // into the chain. Splitting the write from the promotion keeps the crash
 // window explicit (and testable): until promoteSnapshot's rename, the
 // existing chain is untouched.
-func writeSnapshotTemp(dir string, codec core.Codec, dump func(emit func(dataset string, s core.Summary) error) error) (path string, entries int64, err error) {
+func writeSnapshotTemp(dir string, dump func(emit func(dataset string, s core.Summary) error) error) (path string, entries int64, err error) {
 	tmp, err := os.CreateTemp(dir, snapshotTempPattern)
 	if err != nil {
 		return "", 0, fmt.Errorf("store: creating snapshot temp file: %w", err)
@@ -109,7 +109,7 @@ func writeSnapshotTemp(dir string, codec core.Codec, dump func(emit func(dataset
 	if _, err = tmp.WriteString(snapMagic); err != nil {
 		return "", 0, fmt.Errorf("store: writing snapshot header: %w", err)
 	}
-	w := newRecordWriter(tmp, codec, magicLen)
+	w := newRecordWriter(tmp, magicLen)
 	if err = dump(func(dataset string, s core.Summary) error {
 		if err := w.append(dataset, s); err != nil {
 			return err

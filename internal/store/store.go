@@ -220,7 +220,6 @@ type snapJob struct {
 type Store struct {
 	dir     string
 	opts    Options
-	codec   core.Codec
 	metrics storeMetrics
 
 	mu     sync.Mutex
@@ -273,10 +272,6 @@ func Open(dir string, opts Options, apply func(dataset string, s core.Summary) e
 	if opts.SegmentBytes < 1 || opts.SegmentRecords < 1 {
 		return nil, fmt.Errorf("store: segment caps must be positive (bytes %d, records %d)", opts.SegmentBytes, opts.SegmentRecords)
 	}
-	codec, err := core.CodecByVersion(2)
-	if err != nil {
-		return nil, fmt.Errorf("store: v2 codec unavailable: %w", err)
-	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("store: creating data dir: %w", err)
 	}
@@ -302,7 +297,7 @@ func Open(dir string, opts Options, apply func(dataset string, s core.Summary) e
 	}()
 	removeStrayTemps(dir)
 
-	s := &Store{dir: dir, opts: opts, codec: codec, lock: lock}
+	s := &Store{dir: dir, opts: opts, lock: lock}
 	s.snapCond = sync.NewCond(&s.mu)
 	s.registerMetrics(opts.Metrics)
 
@@ -436,7 +431,7 @@ func (s *Store) openLive(rec *recovered) error {
 		// Fresh directory: create segment 1, then the manifest naming it. A
 		// crash in between leaves the magic-only segment the next Open
 		// adopts.
-		live, err := createSegment(s.dir, s.codec, 1)
+		live, err := createSegment(s.dir, 1)
 		if err != nil {
 			return err
 		}
@@ -488,7 +483,7 @@ func (s *Store) openLive(rec *recovered) error {
 		s.sealed = append(s.sealed, segMeta{seq: sealed.seq, records: sealed.records, bytes: sealed.valid})
 	}
 	s.first = rec.first
-	s.live = &segment{seq: scan.seq, path: scan.path, f: f, w: newRecordWriter(f, s.codec, end), records: scan.records}
+	s.live = &segment{seq: scan.seq, path: scan.path, f: f, w: newRecordWriter(f, end), records: scan.records}
 	return nil
 }
 
@@ -591,7 +586,7 @@ func (s *Store) rotateLocked() error {
 	if err := live.f.Sync(); err != nil {
 		return fmt.Errorf("store: syncing WAL segment %d before sealing: %w", live.seq, err)
 	}
-	next, err := createSegment(s.dir, s.codec, live.seq+1)
+	next, err := createSegment(s.dir, live.seq+1)
 	if err != nil {
 		return err
 	}
@@ -808,7 +803,7 @@ func (s *Store) writeSnapshot(job *snapJob) (err error) {
 		dump = sortedMergeDump(merged)
 	}
 
-	tmp, entries, err := writeSnapshotTemp(s.dir, s.codec, dump)
+	tmp, entries, err := writeSnapshotTemp(s.dir, dump)
 	if err != nil {
 		return err
 	}

@@ -364,11 +364,7 @@ func TestSnapshotAtomicity(t *testing.T) {
 
 	// Simulate a crash between temp-file write and rename: the new image
 	// is fully written but never promoted.
-	codec, err := core.CodecByVersion(2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tmp, entries, err := writeSnapshotTemp(dir, codec, reg.Dump)
+	tmp, entries, err := writeSnapshotTemp(dir, reg.Dump)
 	if err != nil {
 		t.Fatalf("writeSnapshotTemp: %v", err)
 	}
@@ -516,11 +512,7 @@ func TestSnapshotWALOverlapReplaysIdempotently(t *testing.T) {
 	}
 	// Promote a full snapshot by hand, WITHOUT the WAL truncation that
 	// Store.Snapshot would do next — exactly the crash-window state.
-	codec, err := core.CodecByVersion(2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tmp, _, err := writeSnapshotTemp(dir, codec, reg.Dump)
+	tmp, _, err := writeSnapshotTemp(dir, reg.Dump)
 	if err != nil {
 		t.Fatal(err)
 	}

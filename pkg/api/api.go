@@ -43,7 +43,7 @@ type MultiPostResult struct {
 // HealthResult answers GET /healthz: liveness plus the number of
 // registered datasets, for load-balancer probes and quick capacity reads.
 // WireVersions lists the summary wire-format versions the server speaks,
-// so operators (and clients) can probe codec support before posting.
+// so operators (and clients) can probe format support before posting.
 // Engine reports the ingest pipelines' accumulated throughput — richer
 // node-health signal than the liveness bit, which multi-node placement
 // and failover will probe. Store

@@ -1,31 +1,24 @@
 // Package client is a thin Go client for the summary server (summaryd).
 //
-// It speaks the v1 HTTP API: post summaries in either summary wire format
-// (v1 JSON by default; opt into the compact v2 binary format with
-// WithWireVersion(2)), ingest raw CSV/ndjson pair streams (summarized
-// server-side), and run distinct / max-dominance / quantile / sum queries
-// over any stored subset. Response types live in pkg/api and are shared
-// with internal/server, so client and server cannot drift.
-//
-// Version negotiation is transparent: a v2-configured client that meets a
-// server without v2 support falls back to v1 on the first rejected post
-// and stays on v1 for the rest of its life — new clients work against old
-// servers with one extra round trip, total.
+// It speaks the v1 HTTP API: post summaries (core summary values travel in
+// the compact v2 binary wire format; pre-encoded bytes of either format
+// pass through for the server to sniff), ingest raw CSV/ndjson pair
+// streams (summarized server-side), and run distinct / max-dominance /
+// quantile / sum queries over any stored subset. Response types live in
+// pkg/api and are shared with internal/server, so client and server
+// cannot drift.
 package client
 
 import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
-	"math/rand/v2"
 	"net/http"
 	"net/url"
 	"strconv"
 	"strings"
-	"sync/atomic"
 
 	"repro/internal/core"
 	"repro/internal/obs/trace"
@@ -36,51 +29,15 @@ import (
 type Client struct {
 	base string
 	hc   *http.Client
-	// wire is the preferred summary wire version for posts and fetches
-	// (0 or 1 = v1 JSON).
-	wire int
-	// fellBack flips to true the first time the server rejects the
-	// preferred version; every later exchange goes straight to v1.
-	fellBack atomic.Bool
-}
-
-// Option configures a Client at construction.
-type Option func(*Client)
-
-// WithWireVersion selects the summary wire format the client prefers when
-// posting and fetching summaries: 1 (the default) is the JSON format, 2
-// the compact binary format. The version must be registered in this
-// build (core.SupportedWireVersions); unknown versions panic, like an
-// invalid engine config — a construction-time misconfiguration. Servers
-// that do not speak the preferred version are handled transparently: see
-// the package comment on fallback.
-func WithWireVersion(v int) Option {
-	if _, err := core.CodecByVersion(v); err != nil {
-		panic(err)
-	}
-	return func(c *Client) { c.wire = v }
 }
 
 // New returns a client for the server at base (e.g. "http://127.0.0.1:8080").
 // A nil http.Client uses http.DefaultClient.
-func New(base string, hc *http.Client, opts ...Option) *Client {
+func New(base string, hc *http.Client) *Client {
 	if hc == nil {
 		hc = http.DefaultClient
 	}
-	c := &Client{base: strings.TrimRight(base, "/"), hc: hc, wire: 1}
-	for _, opt := range opts {
-		opt(c)
-	}
-	return c
-}
-
-// WireVersion reports the wire version the client currently uses for
-// summary posts: the configured preference, or 1 after a fallback.
-func (c *Client) WireVersion() int {
-	if c.wire <= 1 || c.fellBack.Load() {
-		return 1
-	}
-	return c.wire
+	return &Client{base: strings.TrimRight(base, "/"), hc: hc}
 }
 
 // BaseURL returns the server URL the client was built with.
@@ -88,8 +45,7 @@ func (c *Client) BaseURL() string { return c.base }
 
 // StatusError is the error the client returns for a non-2xx response. It
 // carries the HTTP status code and, on wire-format negotiation failures,
-// the versions the server advertised — what the transparent fallback (and
-// any caller-side negotiation) dispatches on.
+// the versions the server advertised.
 type StatusError struct {
 	// Status is the HTTP status code.
 	Status int
@@ -108,7 +64,7 @@ func (e *StatusError) Error() string {
 // do issues a request and decodes the JSON response into out, mapping
 // non-2xx responses to *StatusError carrying the server's message.
 func (c *Client) do(req *http.Request, out any) error {
-	body, _, err := c.doRaw(req)
+	body, err := c.doRaw(req)
 	if err != nil {
 		return err
 	}
@@ -121,17 +77,17 @@ func (c *Client) do(req *http.Request, out any) error {
 	return nil
 }
 
-// doRaw issues a request and returns the raw 2xx body and its content
-// type, mapping non-2xx responses to *StatusError.
-func (c *Client) doRaw(req *http.Request) (body []byte, contentType string, err error) {
+// doRaw issues a request and returns the raw 2xx body, mapping non-2xx
+// responses to *StatusError.
+func (c *Client) doRaw(req *http.Request) ([]byte, error) {
 	resp, err := c.hc.Do(req)
 	if err != nil {
-		return nil, "", err
+		return nil, err
 	}
 	defer resp.Body.Close()
-	body, err = io.ReadAll(resp.Body)
+	body, err := io.ReadAll(resp.Body)
 	if err != nil {
-		return nil, "", fmt.Errorf("client: reading response: %w", err)
+		return nil, fmt.Errorf("client: reading response: %w", err)
 	}
 	if resp.StatusCode/100 != 2 {
 		se := &StatusError{Status: resp.StatusCode, Message: strings.TrimSpace(string(body))}
@@ -139,9 +95,9 @@ func (c *Client) doRaw(req *http.Request) (body []byte, contentType string, err 
 		if json.Unmarshal(body, &e) == nil && e.Error != "" {
 			se.Message, se.Supported = e.Error, e.Supported
 		}
-		return nil, "", se
+		return nil, se
 	}
-	return body, resp.Header.Get("Content-Type"), nil
+	return body, nil
 }
 
 // injectTrace propagates a span carried by ctx (trace.ContextWithSpan)
@@ -163,22 +119,14 @@ func (c *Client) get(ctx context.Context, path string, q url.Values, out any) er
 	if err != nil {
 		return err
 	}
-	// Every structured endpoint answers JSON; saying so keeps a server
-	// running a non-JSON default wire format (-wire 2) from ever sending
-	// binary where a JSON result type is expected.
-	req.Header.Set("Accept", "application/json")
+	// Every structured endpoint answers JSON; the summary fetch does so
+	// because it is asked to (FetchSummary returns v1 JSON).
+	req.Header.Set("Accept", core.ContentTypeJSON)
 	injectTrace(ctx, req)
 	return c.do(req, out)
 }
 
 func (c *Client) post(ctx context.Context, path string, q url.Values, contentType string, body io.Reader, out any) error {
-	return c.postHdr(ctx, path, q, contentType, nil, body, out)
-}
-
-// postHdr is post with extra headers: the summary-post path uses it to
-// thread one X-Request-ID through the preferred-wire attempt and its v1
-// fallback retry.
-func (c *Client) postHdr(ctx context.Context, path string, q url.Values, contentType string, hdr http.Header, body io.Reader, out any) error {
 	u := c.base + path
 	if len(q) > 0 {
 		u += "?" + q.Encode()
@@ -186,11 +134,6 @@ func (c *Client) postHdr(ctx context.Context, path string, q url.Values, content
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost, u, body)
 	if err != nil {
 		return err
-	}
-	for k, vs := range hdr {
-		for _, v := range vs {
-			req.Header.Add(k, v)
-		}
 	}
 	req.Header.Set("Content-Type", contentType)
 	injectTrace(ctx, req)
@@ -215,110 +158,38 @@ func (c *Client) Datasets(ctx context.Context) ([]api.DatasetInfo, error) {
 	return out, err
 }
 
-// PostSummary stores a summary under the named dataset. The summary is any
-// core summary value (*core.PPSSummary, *core.SetSummary,
-// *core.BottomKSummary) or pre-encoded wire bytes ([]byte /
-// json.RawMessage, either wire format — the content type is sniffed).
-//
-// A client configured with WithWireVersion(2) encodes core summary values
-// in the binary format. When the server rejects it as unsupported — 415
-// from a negotiating server, 400 from a pre-negotiation server that
-// failed to parse binary as JSON — the post is retried once as v1 JSON,
-// and a successful retry pins the client to v1 so later posts skip the
-// doomed attempt.
-//
-// All attempts of one PostSummary call carry the same client-minted
-// X-Request-ID (and, when the context carries a span, the same
-// traceparent), so a fallback retry correlates with the attempt it
-// replaces in server logs and traces.
+// PostSummary stores a summary under the named dataset. The summary is
+// either a core summary value (*core.PPSSummary, *core.SetSummary,
+// *core.BottomKSummary, *core.VarOptSummary), posted in the v2 binary
+// format, or pre-encoded wire bytes ([]byte / json.RawMessage, either
+// format), posted as they are for the server to sniff.
 func (c *Client) PostSummary(ctx context.Context, dataset string, summary any) (api.PostResult, error) {
-	q := url.Values{"dataset": {dataset}}
-	hdr := http.Header{"X-Request-Id": {newRequestID()}}
 	var out api.PostResult
-
-	// Pre-encoded bytes pass through untranscoded.
-	if raw, ok := rawWire(summary); ok {
-		err := c.postHdr(ctx, "/v1/summaries", q, sniffContentType(raw), hdr, bytes.NewReader(raw), &out)
-		return out, err
-	}
-
-	var triedPreferred bool
-	if v := c.WireVersion(); v > 1 {
-		if sum, ok := summary.(core.Summary); ok {
-			codec, err := core.CodecByVersion(v)
-			if err != nil {
-				return out, err
-			}
-			body, err := codec.Encode(sum)
-			if err != nil {
-				return out, fmt.Errorf("client: encoding summary: %w", err)
-			}
-			err = c.postHdr(ctx, "/v1/summaries", q, codec.ContentType(), hdr, bytes.NewReader(body), &out)
-			if err == nil || !wireUnsupported(err) {
-				return out, err
-			}
-			triedPreferred = true // fall through to a one-time v1 retry
+	var (
+		body []byte
+		ct   string
+	)
+	switch v := summary.(type) {
+	case []byte:
+		body, ct = v, "application/octet-stream" // outside the wire vocabulary: sniffed
+	case json.RawMessage:
+		body, ct = v, "application/octet-stream"
+	case core.Summary:
+		var err error
+		if body, err = core.EncodeSummary(v, 2); err != nil {
+			return out, fmt.Errorf("client: encoding summary: %w", err)
 		}
+		ct = core.ContentTypeV2
+	default:
+		return out, fmt.Errorf("client: cannot post a %T as a summary", summary)
 	}
-
-	body, err := json.Marshal(summary)
-	if err != nil {
-		return out, fmt.Errorf("client: encoding summary: %w", err)
-	}
-	err = c.postHdr(ctx, "/v1/summaries", q, "application/json", hdr, bytes.NewReader(body), &out)
-	if triedPreferred && err == nil {
-		// The v1 retry succeeded where the preferred version was refused:
-		// the rejection really was about the format (not, say, a bad
-		// dataset), so pin v1 and skip the doomed attempt from now on.
-		c.fellBack.Store(true)
-	}
+	err := c.post(ctx, "/v1/summaries", url.Values{"dataset": {dataset}}, ct, bytes.NewReader(body), &out)
 	return out, err
 }
 
-// rawWire extracts pre-encoded wire bytes from a PostSummary argument.
-func rawWire(summary any) ([]byte, bool) {
-	switch v := summary.(type) {
-	case []byte:
-		return v, true
-	case json.RawMessage:
-		return v, true
-	}
-	return nil, false
-}
-
-// sniffContentType types pre-encoded wire bytes by their leading bytes:
-// the binary magic marks a binary payload — named by its version even
-// when this build does not register it, so the server answers the
-// contractual 415 with supported_versions instead of a confusing
-// parse-binary-as-JSON 400 — and anything else is JSON.
-func sniffContentType(raw []byte) string {
-	if v, ok := core.SniffWireVersion(raw); ok && v != 1 {
-		return fmt.Sprintf("application/x-summary-v%d", v)
-	}
-	return "application/json"
-}
-
-// wireUnsupported reports whether an error says the server cannot parse
-// the posted wire format: 415 from a version-negotiating server, or a
-// 400 decode failure from a pre-negotiation server that tried to parse
-// binary as JSON. Other rejections (a 413 oversized body, a 400 for a
-// missing parameter) would fail a v1 retry identically, so they don't
-// trigger the fallback — the real error surfaces instead of being masked
-// by a doomed re-upload.
-func wireUnsupported(err error) bool {
-	var se *StatusError
-	if !errors.As(err, &se) {
-		return false
-	}
-	if se.Status == http.StatusUnsupportedMediaType {
-		return true
-	}
-	return se.Status == http.StatusBadRequest && strings.Contains(se.Message, "decoding")
-}
-
 // FetchSummary retrieves one stored summary in v1 JSON wire form; decode
-// it with core.DecodeSummary. FetchDecodedSummary negotiates the
-// configured wire version and decodes in one step.
+// it with core.DecodeSummary. FetchDecodedSummary fetches the compact v2
+// form and decodes it in one step.
 func (c *Client) FetchSummary(ctx context.Context, dataset string, instance int) (json.RawMessage, error) {
 	q := url.Values{"dataset": {dataset}, "instance": {strconv.Itoa(instance)}}
 	var out json.RawMessage
@@ -326,10 +197,8 @@ func (c *Client) FetchSummary(ctx context.Context, dataset string, instance int)
 	return out, err
 }
 
-// FetchDecodedSummary retrieves one stored summary and decodes it,
-// negotiating the wire format through Accept: the client's preferred
-// version first with JSON as the universal fallback, so old servers —
-// which ignore Accept and answer JSON — work without a second round trip.
+// FetchDecodedSummary retrieves one stored summary in the v2 binary wire
+// format and decodes it.
 func (c *Client) FetchDecodedSummary(ctx context.Context, dataset string, instance int) (core.Summary, error) {
 	q := url.Values{"dataset": {dataset}, "instance": {strconv.Itoa(instance)}}
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet,
@@ -337,25 +206,13 @@ func (c *Client) FetchDecodedSummary(ctx context.Context, dataset string, instan
 	if err != nil {
 		return nil, err
 	}
-	accept := "application/json"
-	if v := c.WireVersion(); v > 1 {
-		if codec, err := core.CodecByVersion(v); err == nil {
-			accept = codec.ContentType() + ", application/json;q=0.5"
-		}
-	}
-	req.Header.Set("Accept", accept)
+	req.Header.Set("Accept", core.ContentTypeV2)
 	injectTrace(ctx, req)
-	body, _, err := c.doRaw(req)
+	body, err := c.doRaw(req)
 	if err != nil {
 		return nil, err
 	}
 	return core.DecodeSummary(body)
-}
-
-// newRequestID mints a client-side request ID: short, printable, and
-// unique enough to correlate the at-most-two attempts of a single post.
-func newRequestID() string {
-	return "c-" + strconv.FormatUint(rand.Uint64(), 36)
 }
 
 // IngestOptions parameterizes a raw-stream ingest. Exactly the fields of

@@ -4,7 +4,6 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
-	"io"
 	"net/http"
 	"net/http/httptest"
 	"testing"
@@ -12,9 +11,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/dataset"
 	"repro/internal/engine"
-	"repro/internal/obs/trace"
 	"repro/internal/server"
-	"repro/pkg/api"
 	"repro/pkg/client"
 )
 
@@ -27,14 +24,14 @@ func testSummary(t *testing.T) *core.PPSSummary {
 	return core.NewSummarizer(2011).SummarizePPSExpectedSize(0, in, 100)
 }
 
-// TestClientWireV2AgainstV2Server: a v2-preferring client posts binary,
-// the server acknowledges wire 2, the negotiated fetch returns a summary
-// with the original query bits, and no fallback happens.
+// TestClientWireV2AgainstV2Server: the client posts a summary value as v2
+// binary, the server acknowledges wire 2, and the v2 fetch returns a
+// summary with the original query bits.
 func TestClientWireV2AgainstV2Server(t *testing.T) {
 	ts := httptest.NewServer(server.New(server.NewRegistry(), engine.Config{}))
 	defer ts.Close()
 	sum := testSummary(t)
-	c := client.New(ts.URL, ts.Client(), client.WithWireVersion(2))
+	c := client.New(ts.URL, ts.Client())
 	ctx := context.Background()
 
 	post, err := c.PostSummary(ctx, "flows", sum)
@@ -43,9 +40,6 @@ func TestClientWireV2AgainstV2Server(t *testing.T) {
 	}
 	if post.Wire != 2 || post.Size != sum.Size() {
 		t.Fatalf("PostResult = %+v, want wire 2, size %d", post, sum.Size())
-	}
-	if c.WireVersion() != 2 {
-		t.Fatalf("WireVersion = %d after a successful v2 post, want 2", c.WireVersion())
 	}
 
 	dec, err := c.FetchDecodedSummary(ctx, "flows", 0)
@@ -73,113 +67,10 @@ func TestClientWireV2AgainstV2Server(t *testing.T) {
 	}
 }
 
-// v1OnlyHandler mimics a pre-v2 summary server: it parses every posted
-// body as JSON and answers non-JSON with the given status and error text
-// — 415 from a version-negotiating build, or the historical 400 decode
-// error from a pre-negotiation build. The transparent fallback must
-// handle both.
-func v1OnlyHandler(rejectStatus int, rejectError string) (http.Handler, *int) {
-	posts := new(int)
-	mux := http.NewServeMux()
-	mux.HandleFunc("POST /v1/summaries", func(w http.ResponseWriter, r *http.Request) {
-		*posts++
-		body, _ := io.ReadAll(r.Body)
-		var head struct {
-			Version int    `json:"version"`
-			Kind    string `json:"kind"`
-		}
-		w.Header().Set("Content-Type", "application/json")
-		if err := json.Unmarshal(body, &head); err != nil || head.Version != 1 {
-			w.WriteHeader(rejectStatus)
-			_ = json.NewEncoder(w).Encode(api.ErrorResult{Error: rejectError, Supported: []int{1}})
-			return
-		}
-		w.WriteHeader(http.StatusCreated)
-		_ = json.NewEncoder(w).Encode(api.PostResult{Dataset: "flows", Kind: head.Kind, Wire: 1})
-	})
-	return mux, posts
-}
-
-// TestClientFallsBackToV1: against a server that rejects binary posts —
-// with 415 (negotiating build) or a 400 decode error (pre-negotiation
-// build) — the client retries as v1 JSON transparently, reports the
-// downgrade through WireVersion, and — the sticky part — posts v1
-// directly from then on.
-func TestClientFallsBackToV1(t *testing.T) {
-	for _, tc := range []struct {
-		name   string
-		status int
-		errMsg string
-	}{
-		{"415 negotiating", http.StatusUnsupportedMediaType, "unknown wire version"},
-		{"400 pre-negotiation", http.StatusBadRequest, `core: decoding summary: invalid character '\xcb'`},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			h, posts := v1OnlyHandler(tc.status, tc.errMsg)
-			ts := httptest.NewServer(h)
-			defer ts.Close()
-			sum := testSummary(t)
-			c := client.New(ts.URL, ts.Client(), client.WithWireVersion(2))
-			ctx := context.Background()
-
-			post, err := c.PostSummary(ctx, "flows", sum)
-			if err != nil {
-				t.Fatalf("post against v1-only server: %v", err)
-			}
-			if post.Wire != 1 {
-				t.Fatalf("PostResult.Wire = %d, want 1 after fallback", post.Wire)
-			}
-			if *posts != 2 {
-				t.Fatalf("first post took %d requests, want 2 (v2 attempt + v1 retry)", *posts)
-			}
-			if c.WireVersion() != 1 {
-				t.Fatalf("WireVersion = %d after fallback, want 1", c.WireVersion())
-			}
-
-			if _, err := c.PostSummary(ctx, "flows", sum); err != nil {
-				t.Fatal(err)
-			}
-			if *posts != 3 {
-				t.Fatalf("second post took %d total requests, want 3 (fallback is sticky)", *posts)
-			}
-		})
-	}
-}
-
-// TestClientNoRetryOnUnrelated400: a rejection that is not a decode
-// failure — the 413 of an oversized body, the 400 of a missing parameter —
-// must surface as-is: no doomed v1 re-upload, no downgrade.
-func TestClientNoRetryOnUnrelated400(t *testing.T) {
-	for _, rejection := range []struct {
-		status  int
-		message string
-	}{
-		{http.StatusRequestEntityTooLarge, "server: reading summary body: http: request body too large"},
-		{http.StatusBadRequest, "server: invalid dataset name"},
-	} {
-		h, posts := v1OnlyHandler(rejection.status, rejection.message)
-		ts := httptest.NewServer(h)
-		c := client.New(ts.URL, ts.Client(), client.WithWireVersion(2))
-
-		_, err := c.PostSummary(context.Background(), "flows", testSummary(t))
-		ts.Close()
-		var se *client.StatusError
-		if !errors.As(err, &se) || se.Status != rejection.status || se.Message != rejection.message {
-			t.Fatalf("got %v, want the original %d %q", err, rejection.status, rejection.message)
-		}
-		if *posts != 1 {
-			t.Fatalf("%d: took %d requests, want 1 (no retry on a non-format rejection)", rejection.status, *posts)
-		}
-		if c.WireVersion() != 2 {
-			t.Fatalf("%d: WireVersion = %d, want 2 (no downgrade)", rejection.status, c.WireVersion())
-		}
-	}
-}
-
-// TestClientRawFutureVersionBytes: pre-encoded bytes of an unregistered
-// binary version are posted under their own x-summary-v<N> content type,
-// so a negotiating server answers the contractual 415 with the supported
-// list instead of a parse-binary-as-JSON 400.
+// TestClientRawFutureVersionBytes: pre-encoded bytes pass through for the
+// server to sniff, so bytes of an unknown binary version get the
+// contractual 415 with the supported list instead of a parse-binary-as-JSON
+// 400.
 func TestClientRawFutureVersionBytes(t *testing.T) {
 	ts := httptest.NewServer(server.New(server.NewRegistry(), engine.Config{}))
 	defer ts.Close()
@@ -194,13 +85,40 @@ func TestClientRawFutureVersionBytes(t *testing.T) {
 	}
 }
 
-// TestClientNoFallbackOnRealErrors: a rejection that is not about the
-// wire format (409 incompatible) must surface as-is without downgrading.
-func TestClientNoFallbackOnRealErrors(t *testing.T) {
+// TestClientRawBytesKeepTheirFormat: pre-encoded bytes are stored as the
+// wire version they carry — v1 JSON stays wire 1, v2 stays wire 2 — and a
+// value that is neither bytes nor a summary is refused before any request.
+func TestClientRawBytesKeepTheirFormat(t *testing.T) {
+	ts := httptest.NewServer(server.New(server.NewRegistry(), engine.Config{}))
+	defer ts.Close()
+	c := client.New(ts.URL, ts.Client())
+	ctx := context.Background()
+	sum := testSummary(t)
+	for want, dataset := range map[int]string{1: "json", 2: "binary"} {
+		raw, err := core.EncodeSummary(sum, want)
+		if err != nil {
+			t.Fatal(err)
+		}
+		post, err := c.PostSummary(ctx, dataset, json.RawMessage(raw))
+		if err != nil {
+			t.Fatalf("raw v%d post: %v", want, err)
+		}
+		if post.Wire != want || post.Size != sum.Size() {
+			t.Fatalf("raw v%d post: PostResult = %+v", want, post)
+		}
+	}
+	if _, err := c.PostSummary(ctx, "flows", map[string]int{"version": 1}); err == nil {
+		t.Fatal("posting a map succeeded")
+	}
+}
+
+// TestClientSurfacesRejections: a rejected post (409 incompatible)
+// surfaces as a StatusError carrying the server's status.
+func TestClientSurfacesRejections(t *testing.T) {
 	ts := httptest.NewServer(server.New(server.NewRegistry(), engine.Config{}))
 	defer ts.Close()
 	sum := testSummary(t)
-	c := client.New(ts.URL, ts.Client(), client.WithWireVersion(2))
+	c := client.New(ts.URL, ts.Client())
 	ctx := context.Background()
 	if _, err := c.PostSummary(ctx, "flows", sum); err != nil {
 		t.Fatal(err)
@@ -211,55 +129,5 @@ func TestClientNoFallbackOnRealErrors(t *testing.T) {
 	var se *client.StatusError
 	if !errors.As(err, &se) || se.Status != http.StatusConflict {
 		t.Fatalf("conflicting post: got %v, want 409 StatusError", err)
-	}
-	if c.WireVersion() != 2 {
-		t.Fatalf("WireVersion = %d after a 409, want 2 (no downgrade)", c.WireVersion())
-	}
-}
-
-// TestClientFallbackSharesCorrelation: the v2 attempt and its v1
-// fallback retry are one logical operation, so they must arrive with the
-// same client-minted X-Request-ID and — when the caller's context
-// carries a span — the same traceparent, keeping the pair correlated in
-// server logs and traces.
-func TestClientFallbackSharesCorrelation(t *testing.T) {
-	h, _ := v1OnlyHandler(http.StatusUnsupportedMediaType, "unknown wire version")
-	var rids, parents []string
-	capture := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		rids = append(rids, r.Header.Get("X-Request-ID"))
-		parents = append(parents, r.Header.Get("traceparent"))
-		h.ServeHTTP(w, r)
-	})
-	ts := httptest.NewServer(capture)
-	defer ts.Close()
-
-	tr := trace.New(4)
-	sp := tr.StartSpan("client.post", trace.SpanContext{})
-	ctx := trace.ContextWithSpan(context.Background(), sp)
-
-	c := client.New(ts.URL, ts.Client(), client.WithWireVersion(2))
-	if _, err := c.PostSummary(ctx, "flows", testSummary(t)); err != nil {
-		t.Fatalf("post against v1-only server: %v", err)
-	}
-	sp.Finish()
-
-	if len(rids) != 2 {
-		t.Fatalf("saw %d requests, want 2 (v2 attempt + v1 retry)", len(rids))
-	}
-	if rids[0] == "" || rids[0] != rids[1] {
-		t.Fatalf("X-Request-ID not shared across attempts: %q vs %q", rids[0], rids[1])
-	}
-	want := sp.Context().Traceparent()
-	if parents[0] != want || parents[1] != want {
-		t.Fatalf("traceparent not shared across attempts: %q / %q, want %q",
-			parents[0], parents[1], want)
-	}
-
-	// A second operation must NOT reuse the first one's request ID.
-	if _, err := c.PostSummary(ctx, "flows", testSummary(t)); err != nil {
-		t.Fatal(err)
-	}
-	if rids[2] == rids[0] {
-		t.Fatalf("distinct operations share request ID %q", rids[2])
 	}
 }
