@@ -12,6 +12,7 @@ import (
 	"repro/internal/dataset"
 	"repro/internal/engine"
 	"repro/internal/server"
+	"repro/pkg/api"
 	"repro/pkg/client"
 )
 
@@ -112,9 +113,9 @@ func TestClientRawBytesKeepTheirFormat(t *testing.T) {
 	}
 }
 
-// TestClientSurfacesRejections: a rejected post (409 incompatible)
+// TestClientNoFallbackOnRealErrors: a rejected post (409 incompatible)
 // surfaces as a StatusError carrying the server's status.
-func TestClientSurfacesRejections(t *testing.T) {
+func TestClientNoFallbackOnRealErrors(t *testing.T) {
 	ts := httptest.NewServer(server.New(server.NewRegistry(), engine.Config{}))
 	defer ts.Close()
 	sum := testSummary(t)
@@ -129,5 +130,37 @@ func TestClientSurfacesRejections(t *testing.T) {
 	var se *client.StatusError
 	if !errors.As(err, &se) || se.Status != http.StatusConflict {
 		t.Fatalf("conflicting post: got %v, want 409 StatusError", err)
+	}
+}
+
+// TestClientNoRetryOnUnrelated400: a rejection — the 413 of an oversized
+// body, the 400 of a missing parameter — surfaces as-is after exactly one
+// request: the client never re-uploads.
+func TestClientNoRetryOnUnrelated400(t *testing.T) {
+	for _, rejection := range []struct {
+		status  int
+		message string
+	}{
+		{http.StatusRequestEntityTooLarge, "server: reading summary body: http: request body too large"},
+		{http.StatusBadRequest, "server: invalid dataset name"},
+	} {
+		posts := 0
+		ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			posts++
+			w.Header().Set("Content-Type", "application/json")
+			w.WriteHeader(rejection.status)
+			_ = json.NewEncoder(w).Encode(api.ErrorResult{Error: rejection.message})
+		}))
+		c := client.New(ts.URL, ts.Client())
+
+		_, err := c.PostSummary(context.Background(), "flows", testSummary(t))
+		ts.Close()
+		var se *client.StatusError
+		if !errors.As(err, &se) || se.Status != rejection.status || se.Message != rejection.message {
+			t.Fatalf("got %v, want the original %d %q", err, rejection.status, rejection.message)
+		}
+		if posts != 1 {
+			t.Fatalf("%d: took %d requests, want 1 (no retry)", rejection.status, posts)
+		}
 	}
 }
