@@ -49,6 +49,7 @@ func goldenCases() []struct {
 			return []*Table{Figure7(Figure7Options{ScaleDown: 20, IntegrationN: 32,
 				Fractions: []float64{0.01, 0.1, 0.5}})}
 		}},
+		{"multiperiod", func() []*Table { return []*Table{MultiPeriod()} }},
 	}
 }
 
