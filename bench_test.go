@@ -518,9 +518,9 @@ func BenchmarkEngineMultiBottomK(b *testing.B) {
 			pairs = append(pairs, engine.MultiPair{Key: p.Key, Instance: i, Value: p.Value})
 		}
 	}
-	seeder := xhash.Seeder{Salt: 9, Shared: true}
-	seeds := func(i int) sampling.SeedFunc {
-		return func(h dataset.Key) float64 { return seeder.Seed(i, uint64(h)) }
+	// One seed function for every instance: a single hash per key.
+	seeds := func(int) sampling.SeedFunc {
+		return func(h dataset.Key) float64 { return xhash.Unit(xhash.Hash2(9, uint64(h))) }
 	}
 	for _, shards := range []int{1, 4} {
 		b.Run(benchName("shards", shards), func(b *testing.B) {

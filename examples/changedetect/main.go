@@ -10,10 +10,6 @@
 //   - drift: the max-dominance norm between rounds, whose growth against a
 //     single round's total signals upward drift.
 //
-// It also contrasts independent sampling with coordinated (shared-seed)
-// sampling: coordination makes similar snapshots produce similar samples,
-// which pays off for multi-instance queries (§7.2).
-//
 // Run with: go run ./examples/changedetect
 package main
 
@@ -75,30 +71,8 @@ func main() {
 			t+1, truth, est.L, est.L/base)
 	}
 
-	// Coordinated vs independent sampling: sample overlap between rounds.
-	fmt.Println("\nsample overlap between consecutive rounds (400 keys each):")
-	indep := core.NewSummarizer(7)
-	coord := core.NewCoordinatedSummarizer(7)
-	for _, mode := range []struct {
-		name string
-		s    *core.Summarizer
-	}{{"independent", indep}, {"coordinated", coord}} {
-		x := mode.s.SummarizePPSExpectedSize(0, m.Instances[0], 400)
-		y := mode.s.SummarizePPSExpectedSize(1, m.Instances[1], 400)
-		overlap := 0
-		for _, h := range x.AppendKeys(nil) {
-			if _, ok := y.Lookup(h); ok {
-				overlap++
-			}
-		}
-		fmt.Printf("  %-12s %d / %d keys shared\n", mode.name, overlap, x.Size())
-	}
-	fmt.Println("\ncoordination concentrates the sample on the same keys, which is why")
-	fmt.Println("shared-seed schemes boost multi-instance estimates — at the price of")
-	fmt.Println("unbalanced per-sensor transmission load (§7.2).")
-
-	// A small accuracy comparison on a decomposable query (single-round
-	// subset sum), where coordination is neutral.
+	// A small accuracy check on a decomposable query (single-round subset
+	// sum) over 500 salts.
 	var w stats.Welford
 	truthTotal := m.Instances[0].Total()
 	for salt := uint64(0); salt < 500; salt++ {

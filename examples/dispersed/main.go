@@ -21,8 +21,7 @@
 // value) stream and summarized with one scan — in-process through
 // core.SummarizeMultiPPSWith (async sharded engine) and over HTTP through
 // POST /v1/ingest/multi — and the program asserts every resulting summary
-// is bit-identical to the per-instance passes, for independent and for
-// coordinated (shared-seed) randomization.
+// is bit-identical to the per-instance passes.
 //
 // Run with: go run ./examples/dispersed
 package main
@@ -232,16 +231,6 @@ func main() {
 	}
 	fmt.Printf("in-process: 1 scan over %d combined pairs == 3 per-instance scans (bit-identical) ✓\n",
 		3*(sharedKeys+uniqueKeys))
-
-	// Coordinated (shared-seed) randomization rides the same pipeline:
-	// similar instances then receive similar samples (§7.2).
-	co := core.NewCoordinatedSummarizer(salt)
-	coMulti := co.SummarizeMultiBottomKWith(acfg, ids, sites, expectedK, sampling.PPS{})
-	for i, in := range sites {
-		want := co.SummarizeBottomK(i, in, expectedK, sampling.PPS{})
-		mustEqualSummary(fmt.Sprintf("coordinated one-pass bottom-k instance %d", i), coMulti[i], want)
-	}
-	fmt.Printf("coordinated (shared-seed) one-pass bottom-k == per-instance passes ✓\n")
 
 	// Over HTTP: one POST /v1/ingest/multi populates every instance of a
 	// fresh dataset, and the stored summaries answer queries with exactly

@@ -25,7 +25,7 @@ func TestSummarizeSetBottomKBasics(t *testing.T) {
 	// Every retained member's seed is below P; every excluded member's is
 	// above.
 	for h := range members {
-		u := s.Seeder().Seed(0, uint64(h))
+		u := s.seeder.Seed(0, uint64(h))
 		if sum.Contains(h) != (u < sum.SetP()) {
 			t.Fatalf("key %d inconsistent with threshold", h)
 		}

@@ -88,51 +88,99 @@ func TestWireVersionVocabulary(t *testing.T) {
 }
 
 // TestCrossCodecEquivalence is the tentpole property: for every summary
-// kind × rank family × coordination mode, decode(v2(encode(s))) and
-// decode(v1(encode(s))) answer queries with bit-identical floats and
-// carry the same seeder — the codecs change bytes, never estimates.
+// kind × rank family, decode(v2(encode(s))) and decode(v1(encode(s)))
+// answer queries with bit-identical floats and carry the same seeder — the
+// codecs change bytes, never estimates.
 func TestCrossCodecEquivalence(t *testing.T) {
-	for _, mode := range []struct {
-		name string
-		mk   func(uint64) *Summarizer
-	}{
-		{"independent", NewSummarizer},
-		{"coordinated", NewCoordinatedSummarizer},
-	} {
-		t.Run(mode.name, func(t *testing.T) {
-			for _, salt := range []uint64{2011, 7, 0xDEADBEEF} {
-				for _, sum := range fixtureSummaries(mode.mk(salt)) {
-					v1, err := EncodeSummary(sum, 1)
-					if err != nil {
-						t.Fatal(err)
-					}
-					v2, err := EncodeSummary(sum, 2)
-					if err != nil {
-						t.Fatal(err)
-					}
-					d1, err := DecodeSummary(v1)
-					if err != nil {
-						t.Fatalf("%s: decoding v1: %v", sum.Kind(), err)
-					}
-					d2, err := DecodeSummary(v2)
-					if err != nil {
-						t.Fatalf("%s: decoding v2: %v", sum.Kind(), err)
-					}
-					if SummarySeeder(d1) != SummarySeeder(d2) || SummarySeeder(d1) != SummarySeeder(sum) {
-						t.Fatalf("%s: seeder drifted through a codec", sum.Kind())
-					}
-					if d1.Kind() != d2.Kind() || d1.InstanceID() != d2.InstanceID() || d1.Size() != d2.Size() {
-						t.Fatalf("%s: metadata drifted: v1 (%s,%d,%d) vs v2 (%s,%d,%d)", sum.Kind(),
-							d1.Kind(), d1.InstanceID(), d1.Size(), d2.Kind(), d2.InstanceID(), d2.Size())
-					}
-					b0, b1, b2 := queryBits(t, sum), queryBits(t, d1), queryBits(t, d2)
-					if b0 != b1 || b1 != b2 {
-						t.Fatalf("%s: query bits differ: original %v, via v1 %v, via v2 %v",
-							sum.Kind(), b0, b1, b2)
-					}
-				}
+	for _, salt := range []uint64{2011, 7, 0xDEADBEEF} {
+		for _, sum := range fixtureSummaries(NewSummarizer(salt)) {
+			v1, err := EncodeSummary(sum, 1)
+			if err != nil {
+				t.Fatal(err)
 			}
-		})
+			v2, err := EncodeSummary(sum, 2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			d1, err := DecodeSummary(v1)
+			if err != nil {
+				t.Fatalf("%s: decoding v1: %v", sum.Kind(), err)
+			}
+			d2, err := DecodeSummary(v2)
+			if err != nil {
+				t.Fatalf("%s: decoding v2: %v", sum.Kind(), err)
+			}
+			if SummarySeeder(d1) != SummarySeeder(d2) || SummarySeeder(d1) != SummarySeeder(sum) {
+				t.Fatalf("%s: seeder drifted through a codec", sum.Kind())
+			}
+			if d1.Kind() != d2.Kind() || d1.InstanceID() != d2.InstanceID() || d1.Size() != d2.Size() {
+				t.Fatalf("%s: metadata drifted: v1 (%s,%d,%d) vs v2 (%s,%d,%d)", sum.Kind(),
+					d1.Kind(), d1.InstanceID(), d1.Size(), d2.Kind(), d2.InstanceID(), d2.Size())
+			}
+			b0, b1, b2 := queryBits(t, sum), queryBits(t, d1), queryBits(t, d2)
+			if b0 != b1 || b1 != b2 {
+				t.Fatalf("%s: query bits differ: original %v, via v1 %v, via v2 %v",
+					sum.Kind(), b0, b1, b2)
+			}
+		}
+	}
+}
+
+// TestDecodeRefusesCoordinated: a coordinated (shared-seed) summary — v1
+// "shared": true, or v2 flag bit 0 — is refused by every decoder with its
+// own message, for every kind, and never decodes as an independent one.
+// The v1 encoders still write "shared":false, which decodes.
+func TestDecodeRefusesCoordinated(t *testing.T) {
+	const (
+		wantV1 = "core: decoding v1 summary: coordinated (shared-seed) summaries are not supported"
+		wantV2 = "core: decoding v2 summary: coordinated (shared-seed) summaries are not supported"
+	)
+	s := NewSummarizer(7)
+	sums := append(fixtureSummaries(s), s.SummarizeVarOpt(5, dataset.Instance{1: 2, 3: 4, 5: 6}, 2))
+	for _, sum := range sums {
+		v1, err := EncodeSummary(sum, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Contains(v1, []byte(`"shared":false`)) {
+			t.Fatalf("%s: v1 encoding lacks \"shared\":false: %s", sum.Kind(), v1)
+		}
+		coordV1 := bytes.Replace(v1, []byte(`"shared":false`), []byte(`"shared":true`), 1)
+		if _, err := DecodeSummary(coordV1); err == nil || err.Error() != wantV1 {
+			t.Errorf("%s: DecodeSummary(v1 shared): %v, want %s", sum.Kind(), err, wantV1)
+		}
+		if _, err := DecodeSummaryVersionFrom(bytes.NewReader(coordV1), 1); err == nil || err.Error() != wantV1 {
+			t.Errorf("%s: DecodeSummaryVersionFrom(v1 shared, 1): %v, want %s", sum.Kind(), err, wantV1)
+		}
+
+		v2, err := EncodeSummary(sum, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if v2[4] != 0 {
+			t.Fatalf("%s: v2 encoder wrote flags %#02x", sum.Kind(), v2[4])
+		}
+		coordV2 := append([]byte(nil), v2...)
+		coordV2[4] = v2FlagCoordinated
+		for name, decode := range map[string]func([]byte) (Summary, error){
+			"DecodeSummary":       DecodeSummary,
+			"DecodeStoredSummary": DecodeStoredSummary,
+			"DecodeSummaryViewFrom": func(b []byte) (Summary, error) {
+				return DecodeSummaryViewFrom(bytes.NewReader(b))
+			},
+			"DecodeSummaryVersionFrom": func(b []byte) (Summary, error) {
+				return DecodeSummaryVersionFrom(bytes.NewReader(b), 2)
+			},
+		} {
+			if _, err := decode(coordV2); err == nil || err.Error() != wantV2 {
+				t.Errorf("%s: %s(v2 bit 0): %v, want %s", sum.Kind(), name, err, wantV2)
+			}
+		}
+		// Any other bit is undefined, with bit 0 set or not.
+		coordV2[4] = 0x81
+		if _, err := DecodeSummary(coordV2); err == nil || err.Error() != "core: decoding v2 summary: undefined flag bits 0x81" {
+			t.Errorf("%s: DecodeSummary(v2 flags 0x81): %v", sum.Kind(), err)
+		}
 	}
 }
 

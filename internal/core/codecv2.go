@@ -23,7 +23,7 @@ import (
 //	1       1     magic 0x53
 //	2       1     wire version (2)
 //	3       1     kind tag: 1 = pps, 2 = set, 3 = bottomk, 4 = varopt
-//	4       1     flags: bit 0 = shared (coordinated) seeds; others must be 0
+//	4       1     flags: must be 0 (a set bit 0, a coordinated summary, is refused)
 //	5       8     salt, uint64 little-endian
 //	13      var   instance, signed varint (zigzag)
 //	...     kind parameters:
@@ -74,8 +74,10 @@ func hasV2Magic(data []byte) bool {
 	return len(data) >= 2 && data[0] == v2Magic0 && data[1] == v2Magic1
 }
 
-// v2FlagShared marks coordinated (shared-seed) randomization.
-const v2FlagShared = 0x01
+// v2FlagCoordinated is flag bit 0, which marks a coordinated (shared-seed)
+// summary. No estimator here serves one, so the decoder refuses it by name
+// rather than as an undefined bit.
+const v2FlagCoordinated = 0x01
 
 // v2MaxHeader bounds the header: 5 fixed bytes, salt, instance varint,
 // family tag, parameter, count uvarint.
@@ -116,11 +118,7 @@ func decodeWholeV2(data []byte, stored bool, trailing string) (Summary, error) {
 // appendHeaderV2 appends a message's header, up to and including the entry
 // count, in the canonical encoding. fam is written for bottom-k only.
 func appendHeaderV2(dst []byte, kind byte, seeder xhash.Seeder, instance int, fam byte, param float64, n int) []byte {
-	var flags byte
-	if seeder.Shared {
-		flags |= v2FlagShared
-	}
-	dst = append(dst, v2Magic0, v2Magic1, 2, kind, flags)
+	dst = append(dst, v2Magic0, v2Magic1, 2, kind, 0)
 	dst = binary.LittleEndian.AppendUint64(dst, seeder.Salt)
 	dst = binary.AppendVarint(dst, int64(instance))
 	if kind == v2KindBottomK {
@@ -222,8 +220,11 @@ func parseSummaryV2(data []byte, stored bool) (Summary, int, error) {
 			fixed[2], SupportedWireVersions(), ErrUnknownVersion)
 	}
 	kind, flags := fixed[3], fixed[4]
-	if flags&^v2FlagShared != 0 {
+	if flags&^v2FlagCoordinated != 0 {
 		return nil, 0, fmt.Errorf("core: decoding v2 summary: undefined flag bits %#02x", flags)
+	}
+	if flags != 0 {
+		return nil, 0, errCoordinated("v2")
 	}
 	salt, err := r.uint64()
 	if err != nil {
@@ -236,7 +237,7 @@ func parseSummaryV2(data []byte, stored bool) (Summary, int, error) {
 	if int64(int(instance)) != instance {
 		return nil, 0, fmt.Errorf("core: decoding v2 summary: instance %d out of range", instance)
 	}
-	seeder := xhash.Seeder{Salt: salt, Shared: flags&v2FlagShared != 0}
+	seeder := xhash.Seeder{Salt: salt}
 
 	var (
 		famTag byte

@@ -48,17 +48,6 @@ func NewSummarizer(salt uint64) *Summarizer {
 	return &Summarizer{seeder: xhash.Seeder{Salt: salt}}
 }
 
-// NewCoordinatedSummarizer returns a Summarizer whose instances share
-// seeds (PRN coordination, §7.2): similar instances then receive similar
-// samples.
-func NewCoordinatedSummarizer(salt uint64) *Summarizer {
-	return &Summarizer{seeder: xhash.Seeder{Salt: salt, Shared: true}}
-}
-
-// Seeder exposes the underlying seed derivation (for advanced use and
-// tests).
-func (s *Summarizer) Seeder() xhash.Seeder { return s.seeder }
-
 // seedFunc adapts the seeder to one instance.
 func (s *Summarizer) seedFunc(instance int) sampling.SeedFunc {
 	seeder := s.seeder.Instance(instance)

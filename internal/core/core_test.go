@@ -118,29 +118,6 @@ func TestSubsetSumsAcrossSchemes(t *testing.T) {
 	}
 }
 
-// TestCoordinatedSummarizer: shared seeds make identical instances produce
-// identical summaries, boosting multi-instance overlap (§7.2).
-func TestCoordinatedSummarizer(t *testing.T) {
-	in := dataset.FigureFive().Instances[0]
-	s := NewCoordinatedSummarizer(5)
-	a := s.SummarizePPS(0, in, 8)
-	b := s.SummarizePPS(1, in, 8)
-	if a.Size() != b.Size() {
-		t.Fatalf("coordinated summaries differ in size: %d vs %d", a.Size(), b.Size())
-	}
-	for _, h := range a.AppendKeys(nil) {
-		if _, ok := b.Lookup(h); !ok {
-			t.Fatalf("coordinated summaries differ at key %d", h)
-		}
-	}
-	if !s.Seeder().Shared {
-		t.Error("coordinated summarizer not shared")
-	}
-	if NewSummarizer(5).Seeder().Shared {
-		t.Error("plain summarizer is shared")
-	}
-}
-
 // TestKnownSeedAdvantage: the L estimator's squared error is lower than
 // HT's across repeated summarizations (the paper's headline in one
 // assertion).

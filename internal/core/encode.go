@@ -41,6 +41,26 @@ func checkVersion(kind string, version int) error {
 	return nil
 }
 
+// checkWire validates a decoded JSON summary's version, then refuses a
+// coordinated one. The wire structs' "shared" field survives only as this
+// refusal marker: the encoders always write false.
+func checkWire(kind string, version int, shared bool) error {
+	if err := checkVersion(kind, version); err != nil {
+		return err
+	}
+	if shared {
+		return errCoordinated("v1")
+	}
+	return nil
+}
+
+// errCoordinated refuses a coordinated (shared-seed) summary in the named
+// wire format. Every estimator here assumes independent per-instance
+// seeds, so such a summary is not accepted in any form.
+func errCoordinated(format string) error {
+	return fmt.Errorf("core: decoding %s summary: coordinated (shared-seed) summaries are not supported", format)
+}
+
 // ppsWire is the serialized form of a PPSSummary.
 type ppsWire struct {
 	Version  int                     `json:"version"`
@@ -72,20 +92,19 @@ func (p *PPSSummary) MarshalJSON() ([]byte, error) {
 		Instance: p.instance,
 		Tau:      p.tau,
 		Salt:     p.seeder.Salt,
-		Shared:   p.seeder.Shared,
 		Values:   p.weightedValues(),
 	})
 }
 
 // decodePPSWire reconstructs a PPSSummary from its parsed v1 wire form.
 func decodePPSWire(w ppsWire, stored bool) (*PPSSummary, error) {
-	if err := checkVersion("pps", w.Version); err != nil {
+	if err := checkWire("pps", w.Version, w.Shared); err != nil {
 		return nil, err
 	}
 	if w.Tau <= 0 {
 		return nil, fmt.Errorf("core: invalid tau %v", w.Tau)
 	}
-	p := newPPSSummary(xhash.Seeder{Salt: w.Salt, Shared: w.Shared}, w.Instance, w.Tau, w.Values)
+	p := newPPSSummary(xhash.Seeder{Salt: w.Salt}, w.Instance, w.Tau, w.Values)
 	if _, err := checkEntries(p.entries, 16, stored); err != nil {
 		return nil, err
 	}
@@ -101,7 +120,6 @@ func (s *SetSummary) MarshalJSON() ([]byte, error) {
 		Instance: s.instance,
 		P:        s.p,
 		Salt:     s.seeder.Salt,
-		Shared:   s.seeder.Shared,
 		Members:  s.AppendKeys(make([]dataset.Key, 0, s.n)),
 	})
 }
@@ -109,13 +127,13 @@ func (s *SetSummary) MarshalJSON() ([]byte, error) {
 // decodeSetWire reconstructs a SetSummary from its parsed v1 wire form. A
 // member listed twice counts once.
 func decodeSetWire(w setWire) (*SetSummary, error) {
-	if err := checkVersion("set", w.Version); err != nil {
+	if err := checkWire("set", w.Version, w.Shared); err != nil {
 		return nil, err
 	}
 	if !(w.P > 0 && w.P <= 1) {
 		return nil, fmt.Errorf("core: invalid sampling probability %v", w.P)
 	}
-	return newSetSummary(xhash.Seeder{Salt: w.Salt, Shared: w.Shared}, w.Instance, w.P, w.Members), nil
+	return newSetSummary(xhash.Seeder{Salt: w.Salt}, w.Instance, w.P, w.Members), nil
 }
 
 // bottomkWire is the serialized form of a BottomKSummary. Tau encodes the
@@ -148,7 +166,6 @@ func (b *BottomKSummary) MarshalJSON() ([]byte, error) {
 		Family:   b.fam.Name(),
 		Tau:      tau,
 		Salt:     b.seeder.Salt,
-		Shared:   b.seeder.Shared,
 		Values:   b.weightedValues(),
 	})
 }
@@ -156,7 +173,7 @@ func (b *BottomKSummary) MarshalJSON() ([]byte, error) {
 // decodeBottomKWire reconstructs a BottomKSummary from its parsed v1 wire
 // form.
 func decodeBottomKWire(w bottomkWire, stored bool) (*BottomKSummary, error) {
-	if err := checkVersion("bottomk", w.Version); err != nil {
+	if err := checkWire("bottomk", w.Version, w.Shared); err != nil {
 		return nil, err
 	}
 	var fam sampling.RankFamily
@@ -175,7 +192,7 @@ func decodeBottomKWire(w bottomkWire, stored bool) (*BottomKSummary, error) {
 	case tau < 0:
 		return nil, fmt.Errorf("core: invalid rank threshold %v", tau)
 	}
-	b := newBottomKSummary(xhash.Seeder{Salt: w.Salt, Shared: w.Shared}, w.Instance,
+	b := newBottomKSummary(xhash.Seeder{Salt: w.Salt}, w.Instance,
 		&sampling.WeightedSample{Values: w.Values, Tau: tau, Family: fam})
 	if _, err := checkEntries(b.entries, 16, stored); err != nil {
 		return nil, err

@@ -138,10 +138,7 @@ func (p *PPSStream) Close() *PPSSummary {
 // stream: Push(i, h, v) names the instance by its position in the
 // instances slice, and the engine hosts one sampler per instance behind
 // every shard worker. Per-instance results are bit-identical to r
-// independent single-instance passes. The Summarizer's coordination mode
-// carries through unchanged: a NewCoordinatedSummarizer hands every
-// instance the same seeds (coordinated samples, §7.2), a NewSummarizer
-// per-instance seeds (the independent joint distribution of §4–§6).
+// independent single-instance passes.
 
 // multiSeeds adapts the seeder to a slice of instance IDs, indexed by
 // position.

@@ -90,10 +90,9 @@ func sameSummary(t *testing.T, label string, got, want Summary) {
 }
 
 // TestSummarizeMultiMatchesPerInstance: the one-pass multi-instance entry
-// points equal the per-instance passes bit for bit, for both independent
-// (NewSummarizer) and coordinated (NewCoordinatedSummarizer) seeds, and a
-// stream fed one instance after the other closes to summaries that answer
-// queries exactly like per-instance ones.
+// points equal the per-instance passes bit for bit, and a stream fed one
+// instance after the other closes to summaries that answer queries exactly
+// like per-instance ones.
 func TestSummarizeMultiMatchesPerInstance(t *testing.T) {
 	rng := randx.New(31)
 	ins := make([]dataset.Instance, 3)
@@ -106,28 +105,23 @@ func TestSummarizeMultiMatchesPerInstance(t *testing.T) {
 	}
 	taus := []float64{20, 45, 90}
 	cfg := engine.Config{Parallel: true, Shards: 4, BatchSize: 16, Async: true, QueueDepth: 2}
-	for name, s := range map[string]*Summarizer{
-		"independent": NewSummarizer(8080),
-		"coordinated": NewCoordinatedSummarizer(8080),
-	} {
-		multiPPS := s.SummarizeMultiPPSWith(cfg, ids, ins, taus)
-		multiBK := s.SummarizeMultiBottomKWith(cfg, ids, ins, 25, sampling.PPS{})
-		for i, id := range ids {
-			wantPPS := s.SummarizePPS(id, ins[i], taus[i])
-			wantBK := s.SummarizeBottomK(id, ins[i], 25, sampling.PPS{})
-			if multiPPS[i].InstanceID() != id || multiBK[i].InstanceID() != id {
-				t.Fatalf("%s: instance IDs %d/%d, want %d", name, multiPPS[i].InstanceID(), multiBK[i].InstanceID(), id)
-			}
-			if multiPPS[i].PPSTau() != taus[i] {
-				t.Fatalf("%s: tau %v, want %v", name, multiPPS[i].PPSTau(), taus[i])
-			}
-			sameSummary(t, name+"/pps", multiPPS[i], wantPPS)
-			sameSummary(t, name+"/bottomk", multiBK[i], wantBK)
+	s := NewSummarizer(8080)
+	multiPPS := s.SummarizeMultiPPSWith(cfg, ids, ins, taus)
+	multiBK := s.SummarizeMultiBottomKWith(cfg, ids, ins, 25, sampling.PPS{})
+	for i, id := range ids {
+		wantPPS := s.SummarizePPS(id, ins[i], taus[i])
+		wantBK := s.SummarizeBottomK(id, ins[i], 25, sampling.PPS{})
+		if multiPPS[i].InstanceID() != id || multiBK[i].InstanceID() != id {
+			t.Fatalf("instance IDs %d/%d, want %d", multiPPS[i].InstanceID(), multiBK[i].InstanceID(), id)
 		}
+		if multiPPS[i].PPSTau() != taus[i] {
+			t.Fatalf("tau %v, want %v", multiPPS[i].PPSTau(), taus[i])
+		}
+		sameSummary(t, "pps", multiPPS[i], wantPPS)
+		sameSummary(t, "bottomk", multiBK[i], wantBK)
 	}
 
 	// Multi-built summaries answer queries exactly like per-instance ones.
-	s := NewSummarizer(8080)
 	st := s.StreamMultiPPS(cfg, ids[:2], taus[:2])
 	for h, v := range ins[0] {
 		st.Push(0, h, v)

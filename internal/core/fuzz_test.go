@@ -11,7 +11,7 @@ import (
 // Fuzz targets for the summary wire format. Two properties:
 //
 //  1. Round trip: decode(encode(s)) reproduces s exactly — keys, values,
-//     threshold, salt, sharing mode.
+//     threshold, salt.
 //  2. Robustness: decoding arbitrary (corrupted) bytes returns an error
 //     instead of panicking, and anything that does decode re-encodes to a
 //     summary that decodes identically (the format is self-consistent).
@@ -20,13 +20,8 @@ import (
 
 // buildPPS constructs a PPS summary deterministically from fuzz inputs:
 // every byte of blob becomes one sampled (key, value) pair.
-func buildPPS(salt uint64, shared bool, instance int, tau float64, blob []byte) *PPSSummary {
-	var s *Summarizer
-	if shared {
-		s = NewCoordinatedSummarizer(salt)
-	} else {
-		s = NewSummarizer(salt)
-	}
+func buildPPS(salt uint64, instance int, tau float64, blob []byte) *PPSSummary {
+	s := NewSummarizer(salt)
 	in := make(dataset.Instance, len(blob))
 	for i, b := range blob {
 		in[dataset.Key(uint64(i)<<8|uint64(b))] = 1 + float64(b)
@@ -35,14 +30,14 @@ func buildPPS(salt uint64, shared bool, instance int, tau float64, blob []byte) 
 }
 
 func FuzzPPSSummaryRoundTrip(f *testing.F) {
-	f.Add(uint64(1), false, 0, 10.0, []byte{1, 2, 3})
-	f.Add(uint64(42), true, 3, 0.5, []byte{})
-	f.Add(uint64(7), false, 100, 1e6, []byte{255, 0, 128, 7})
-	f.Fuzz(func(t *testing.T, salt uint64, shared bool, instance int, tau float64, blob []byte) {
+	f.Add(uint64(1), 0, 10.0, []byte{1, 2, 3})
+	f.Add(uint64(42), 3, 0.5, []byte{})
+	f.Add(uint64(7), 100, 1e6, []byte{255, 0, 128, 7})
+	f.Fuzz(func(t *testing.T, salt uint64, instance int, tau float64, blob []byte) {
 		if !(tau > 0) || math.IsInf(tau, 1) || len(blob) > 1024 {
 			t.Skip()
 		}
-		orig := buildPPS(salt, shared, instance, tau, blob)
+		orig := buildPPS(salt, instance, tau, blob)
 		data, err := json.Marshal(orig)
 		if err != nil {
 			t.Fatalf("encode: %v", err)
@@ -56,13 +51,14 @@ func FuzzPPSSummaryRoundTrip(f *testing.F) {
 }
 
 func FuzzDecodePPSSummary(f *testing.F) {
-	valid, _ := json.Marshal(buildPPS(3, false, 1, 25, []byte{9, 9, 4}))
+	valid, _ := json.Marshal(buildPPS(3, 1, 25, []byte{9, 9, 4}))
 	f.Add(valid)
 	f.Add([]byte(`{"version":1,"kind":"pps","tau":-1}`))
 	f.Add([]byte(`{"version":99,"kind":"pps","tau":1}`))
 	f.Add([]byte(`{"kind":"set"}`))
 	f.Add([]byte(`not json`))
 	f.Add([]byte(`{"version":1,"kind":"pps","tau":1,"values":{"1":"NaN"}}`))
+	f.Add([]byte(`{"version":1,"kind":"pps","tau":1,"shared":true}`))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		s, err := DecodePPSSummary(data) // must never panic
 		if err != nil {
@@ -84,18 +80,13 @@ func FuzzDecodePPSSummary(f *testing.F) {
 }
 
 func FuzzSetSummaryRoundTrip(f *testing.F) {
-	f.Add(uint64(1), false, 0, 0.5, []byte{1, 2, 3})
-	f.Add(uint64(11), true, 2, 1.0, []byte{0})
-	f.Fuzz(func(t *testing.T, salt uint64, shared bool, instance int, p float64, blob []byte) {
+	f.Add(uint64(1), 0, 0.5, []byte{1, 2, 3})
+	f.Add(uint64(11), 2, 1.0, []byte{0})
+	f.Fuzz(func(t *testing.T, salt uint64, instance int, p float64, blob []byte) {
 		if !(p > 0 && p <= 1) || len(blob) > 1024 {
 			t.Skip()
 		}
-		var s *Summarizer
-		if shared {
-			s = NewCoordinatedSummarizer(salt)
-		} else {
-			s = NewSummarizer(salt)
-		}
+		s := NewSummarizer(salt)
 		members := make(map[dataset.Key]bool, len(blob))
 		for i, b := range blob {
 			members[dataset.Key(uint64(i)<<8|uint64(b))] = true

@@ -15,18 +15,10 @@ import (
 // partial-information estimates.
 
 // checkCombinable verifies r ≥ min summaries, pairwise-combinable
-// randomizations, and pairwise-distinct instance indices. Coordinated
-// (shared-seed) summaries are rejected: the estimators behind these
-// queries assume independent per-instance seeds (the §4–§6 joint
-// distribution), and under shared seeds they would return silently biased
-// numbers — e.g. the r-instance HT term pays 1/p^r for an event of
-// probability p.
+// randomizations, and pairwise-distinct instance indices.
 func checkCombinable[S Summary](sums []S, min int) error {
 	if len(sums) < min {
 		return fmt.Errorf("core: query needs at least %d summaries, got %d", min, len(sums))
-	}
-	if sums[0].seederOf().Shared {
-		return fmt.Errorf("core: query estimators need independent per-instance seeds; summaries use coordinated (shared-seed) sampling")
 	}
 	for i, s := range sums {
 		if s.seederOf() != sums[0].seederOf() {

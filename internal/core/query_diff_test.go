@@ -264,11 +264,10 @@ func TestQueryDiffErrors(t *testing.T) {
 		}
 		return c
 	}
-	co, nine, ten := NewCoordinatedSummarizer(9), NewSummarizer(9), NewSummarizer(10)
+	nine, ten := NewSummarizer(9), NewSummarizer(10)
 	single := build([3]*Summarizer{nine, nine, nine}, [3]int{0, 1, 2})
 	single.sets, single.refSets = single.sets[:1], single.refSets[:1]
 	cases := map[string]diffCase{
-		"coordinated seeds":        build([3]*Summarizer{co, co, co}, [3]int{0, 1, 2}),
 		"different randomizations": build([3]*Summarizer{nine, ten, nine}, [3]int{0, 1, 2}),
 		"duplicate instance":       build([3]*Summarizer{nine, nine, nine}, [3]int{0, 0, 0}),
 		"one summary":              single,

@@ -116,9 +116,6 @@ func checkCombinableRef[S Summary](sums []S, min int) error {
 	if len(sums) < min {
 		return fmt.Errorf("core: query needs at least %d summaries, got %d", min, len(sums))
 	}
-	if sums[0].seederOf().Shared {
-		return fmt.Errorf("core: query estimators need independent per-instance seeds; summaries use coordinated (shared-seed) sampling")
-	}
 	seen := make(map[int]bool, len(sums))
 	for _, s := range sums {
 		if s.seederOf() != sums[0].seederOf() {

@@ -61,7 +61,7 @@ func TestDistinctCountMultiMatchesFullSetOracle(t *testing.T) {
 		o := estimator.BinaryKnownSeedsOutcome{P: []float64{p, p, p}, U: make([]float64, 3), Sampled: make([]bool, 3)}
 		sampled, allSeedsLow := false, true
 		for i, set := range sets {
-			o.U[i] = s.Seeder().Seed(i, k)
+			o.U[i] = s.seeder.Seed(i, k)
 			o.Sampled[i] = set[dataset.Key(k)] && o.U[i] < p
 			sampled = sampled || o.Sampled[i]
 			allSeedsLow = allSeedsLow && o.U[i] < p
@@ -128,21 +128,6 @@ func TestDistinctCountMultiRejects(t *testing.T) {
 	if _, err := DistinctCountMultiReaders([]SetReader{a, b, c}, nil); err == nil {
 		t.Error("non-uniform p accepted for r = 3")
 	}
-	// Coordinated (shared-seed) summaries: the estimators assume
-	// independent per-instance seeds, so these must be rejected, not
-	// silently mis-estimated.
-	coord := NewCoordinatedSummarizer(1)
-	ca := coord.SummarizeSet(0, sets[0], 0.5)
-	cb := coord.SummarizeSet(1, sets[1], 0.5)
-	if _, err := DistinctCountMultiReaders([]SetReader{ca, cb}, nil); err == nil {
-		t.Error("coordinated summaries accepted by DistinctCountMulti")
-	}
-	in := dataset.Instance{1: 5, 2: 3}
-	qa := coord.SummarizePPS(0, in, 4)
-	qb := coord.SummarizePPS(1, in, 4)
-	if _, err := QuantilePPSReaders([]PPSReader{qa, qb}, 1, 1); err == nil {
-		t.Error("coordinated summaries accepted by QuantilePPS")
-	}
 }
 
 // TestQuantilePPS: the query helper must evaluate LthHTPPS on exactly the
@@ -172,7 +157,7 @@ func TestQuantilePPS(t *testing.T) {
 				Values:  make([]float64, 3),
 			}
 			for i := range sums {
-				o.U[i] = s.Seeder().Seed(i, uint64(h))
+				o.U[i] = s.seeder.Seed(i, uint64(h))
 				if v, ok := sums[i].Lookup(h); ok {
 					o.Sampled[i], o.Values[i] = true, v
 				}

@@ -101,17 +101,15 @@ func TestViewRoundTripRawBytes(t *testing.T) {
 // instance and seeder of the summary that was encoded, in both wire
 // versions.
 func TestViewSummaryMetadata(t *testing.T) {
-	for _, mk := range []func(uint64) *Summarizer{NewSummarizer, NewCoordinatedSummarizer} {
-		for _, s := range summaryFixtures(mk(0xABCD)) {
-			for version := 1; version <= 2; version++ {
-				v, _ := mustReencode(t, s, version)
-				if v.Kind() != s.Kind() || v.Size() != s.Size() || v.InstanceID() != s.InstanceID() {
-					t.Errorf("v%d decode of %s: metadata mismatch (kind %s size %d instance %d)",
-						version, s.Kind(), v.Kind(), v.Size(), v.InstanceID())
-				}
-				if v.seederOf() != s.seederOf() {
-					t.Errorf("v%d decode of %s: seeder mismatch", version, s.Kind())
-				}
+	for _, s := range summaryFixtures(NewSummarizer(0xABCD)) {
+		for version := 1; version <= 2; version++ {
+			v, _ := mustReencode(t, s, version)
+			if v.Kind() != s.Kind() || v.Size() != s.Size() || v.InstanceID() != s.InstanceID() {
+				t.Errorf("v%d decode of %s: metadata mismatch (kind %s size %d instance %d)",
+					version, s.Kind(), v.Kind(), v.Size(), v.InstanceID())
+			}
+			if v.seederOf() != s.seederOf() {
+				t.Errorf("v%d decode of %s: seeder mismatch", version, s.Kind())
 			}
 		}
 	}

@@ -102,7 +102,6 @@ func (v *VarOptSummary) MarshalJSON() ([]byte, error) {
 		Instance: v.instance,
 		Tau:      v.tau,
 		Salt:     v.seeder.Salt,
-		Shared:   v.seeder.Shared,
 		Values:   v.weightedValues(),
 	})
 }
@@ -110,13 +109,13 @@ func (v *VarOptSummary) MarshalJSON() ([]byte, error) {
 // decodeVarOptWire reconstructs a VarOptSummary from its parsed v1 wire
 // form.
 func decodeVarOptWire(w varoptWire, stored bool) (*VarOptSummary, error) {
-	if err := checkVersion("varopt", w.Version); err != nil {
+	if err := checkWire("varopt", w.Version, w.Shared); err != nil {
 		return nil, err
 	}
 	if !(w.Tau >= 0) || math.IsInf(w.Tau, 1) {
 		return nil, fmt.Errorf("core: invalid varopt threshold %v", w.Tau)
 	}
-	v := newVarOptSummary(xhash.Seeder{Salt: w.Salt, Shared: w.Shared}, w.Instance, w.Tau, w.Values)
+	v := newVarOptSummary(xhash.Seeder{Salt: w.Salt}, w.Instance, w.Tau, w.Values)
 	if _, err := checkEntries(v.entries, 16, stored); err != nil {
 		return nil, err
 	}

@@ -32,14 +32,14 @@ func multiStream(rng *randx.RNG, r, keys int) []MultiPair {
 }
 
 // seedModes returns the two joint distributions of the tentpole contract:
-// a shared SeedFunc (coordinated samples) and per-instance seeds
-// (independent samples).
+// one SeedFunc shared by every instance (coordinated samples, a single
+// hash per key) and per-instance seeds (independent samples). The engine
+// is seed-agnostic, so it must honour both.
 func seedModes(salt uint64) map[string]func(int) sampling.SeedFunc {
-	shared := xhash.Seeder{Salt: salt, Shared: true}
 	indep := xhash.Seeder{Salt: salt}
 	return map[string]func(int) sampling.SeedFunc{
 		"coordinated": func(int) sampling.SeedFunc {
-			return func(h dataset.Key) float64 { return shared.Seed(0, uint64(h)) }
+			return func(h dataset.Key) float64 { return xhash.Unit(xhash.Hash2(salt, uint64(h))) }
 		},
 		"independent": func(i int) sampling.SeedFunc {
 			return func(h dataset.Key) float64 { return indep.Seed(i, uint64(h)) }

@@ -47,7 +47,7 @@ func MultiPeriod() *Table {
 			}
 			ht.Add((res.HT - truth) * (res.HT - truth))
 			l.Add((res.L - truth) * (res.L - truth))
-			c := coordinatedDistinct(union, p, xhash.Seeder{Salt: uint64(i), Shared: true})
+			c := coordinatedDistinct(union, p, uint64(i))
 			coord.Add((c - truth) * (c - truth))
 		}
 		t.AddRow(r, truth, ht.Mean(), l.Mean(), ht.Mean()/l.Mean(), coord.Mean())
@@ -62,11 +62,12 @@ func MultiPeriod() *Table {
 // exactly when u(h) < p, so the outcome reveals each such key's exact
 // membership pattern — an "all or nothing" structure for which plain HT is
 // optimal, with per-key variance 1/p − 1 instead of the independent-sample
-// 1/p² − 1. seeder must be shared.
-func coordinatedDistinct(union map[dataset.Key]bool, p float64, seeder xhash.Seeder) float64 {
+// 1/p² − 1. The shared seed of key h under salt is Unit(Hash2(salt, h)):
+// one hash per key, ignoring the instance.
+func coordinatedDistinct(union map[dataset.Key]bool, p float64, salt uint64) float64 {
 	count := 0
 	for h := range union {
-		if seeder.Seed(0, uint64(h)) < p {
+		if xhash.Unit(xhash.Hash2(salt, uint64(h))) < p {
 			count++
 		}
 	}

@@ -8,7 +8,6 @@ import (
 	"repro/internal/dataset"
 	"repro/internal/estimator"
 	"repro/internal/simdata"
-	"repro/internal/xhash"
 )
 
 func TestMultiPeriodShape(t *testing.T) {
@@ -54,7 +53,7 @@ func TestCoordinatedDistinctUnbiased(t *testing.T) {
 	const trials = 5000
 	sum, sum2 := 0.0, 0.0
 	for i := 0; i < trials; i++ {
-		est := coordinatedDistinct(union, p, xhash.Seeder{Salt: uint64(i), Shared: true})
+		est := coordinatedDistinct(union, p, uint64(i))
 		sum += est
 		sum2 += est * est
 	}
@@ -106,7 +105,7 @@ func TestCoordinatedDistinctExactAtFullRate(t *testing.T) {
 	for _, l := range logs {
 		maps.Copy(union, l)
 	}
-	if got := coordinatedDistinct(union, 1, xhash.Seeder{Salt: 9, Shared: true}); got != float64(len(union)) {
+	if got := coordinatedDistinct(union, 1, 9); got != float64(len(union)) {
 		t.Errorf("estimate %v, want %d", got, len(union))
 	}
 }
@@ -117,12 +116,11 @@ func TestCoordinatedDistinctExactAtFullRate(t *testing.T) {
 func TestCoordinatedDistinctNested(t *testing.T) {
 	logs := simdata.RequestLog(500, 3, 0.3, 5)
 	for salt := uint64(0); salt < 50; salt++ {
-		seeder := xhash.Seeder{Salt: salt, Shared: true}
 		union := map[dataset.Key]bool{}
 		prev := 0.0
 		for i, l := range logs {
 			maps.Copy(union, l)
-			est := coordinatedDistinct(union, 0.2, seeder)
+			est := coordinatedDistinct(union, 0.2, salt)
 			if est < prev {
 				t.Fatalf("salt %d: estimate fell from %v to %v adding log %d", salt, prev, est, i)
 			}

@@ -1,7 +1,7 @@
 package lint
 
 // Deterministic packages: everything whose output feeds wire encodings,
-// coordinated samples, or golden experiment tables. Map iteration order
+// samples, or golden experiment tables. Map iteration order
 // must never be observable here.
 var deterministicPackages = []string{
 	"internal/core",

@@ -301,18 +301,18 @@ func TestVarOptTotalPreserved(t *testing.T) {
 	}
 }
 
-// TestSharedSeedCoordination: with a shared-seed seeder, identical
-// instances yield identical bottom-k samples, and similar instances yield
-// overlapping samples (§7.2).
+// TestSharedSeedCoordination: with one seed function shared by both
+// instances, identical instances yield identical bottom-k samples, and
+// similar instances yield overlapping samples (§7.2).
 func TestSharedSeedCoordination(t *testing.T) {
 	in := dataset.Instance{}
 	rng := randx.New(21)
 	for k := dataset.Key(1); k <= 100; k++ {
 		in[k] = math.Floor(1 + rng.Pareto(1, 1.5))
 	}
-	shared := xhash.Seeder{Salt: 9, Shared: true}
-	s1 := BottomK(in, 10, PPS{}, seedFuncFrom(shared, 0))
-	s2 := BottomK(in, 10, PPS{}, seedFuncFrom(shared, 1))
+	shared := func(h dataset.Key) float64 { return xhash.Unit(xhash.Hash2(9, uint64(h))) }
+	s1 := BottomK(in, 10, PPS{}, shared)
+	s2 := BottomK(in, 10, PPS{}, shared)
 	for h := range s1.Values {
 		if _, ok := s2.Values[h]; !ok {
 			t.Fatal("identical instances under shared seeds produced different samples")

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"net/http"
@@ -51,19 +52,23 @@ type ingestParams struct {
 }
 
 // bindRandomization resolves an ingest's randomization against the
-// registry state: an existing dataset pins the salt, coordination mode,
-// and kind (an explicit conflict is rejected up front, before the body is
-// read); a new dataset requires an explicit salt.
+// registry state: an existing dataset pins the salt and kind (an explicit
+// conflict is rejected up front, before the body is read); a new dataset
+// requires an explicit salt. shared=true asks for coordinated (shared-seed)
+// sampling, which no estimator here serves, so it is refused, also before
+// the body is read; an absent shared or shared=false is accepted.
 func (s *Server) bindRandomization(q url.Values, ds, kind string) (*core.Summarizer, error) {
-	shared := false
-	sharedGiven := q.Get("shared") != ""
-	var err error
-	if sharedGiven {
-		if shared, err = strconv.ParseBool(q.Get("shared")); err != nil {
-			return nil, fmt.Errorf("server: invalid shared parameter %q", q.Get("shared"))
+	if v := q.Get("shared"); v != "" {
+		shared, err := strconv.ParseBool(v)
+		if err != nil {
+			return nil, fmt.Errorf("server: invalid shared parameter %q", v)
+		}
+		if shared {
+			return nil, errSharedRefused
 		}
 	}
 	var salt uint64
+	var err error
 	saltGiven := q.Get("salt") != ""
 	if saltGiven {
 		if salt, err = strconv.ParseUint(q.Get("salt"), 10, 64); err != nil {
@@ -74,23 +79,22 @@ func (s *Server) bindRandomization(q url.Values, ds, kind string) (*core.Summari
 		// The dataset pins randomization and kind; reject an explicit
 		// conflict now (before the body is read) rather than summarizing a
 		// stream under parameters the caller did not ask for.
-		if (saltGiven && salt != info.Salt) || (sharedGiven && shared != info.Shared) {
-			return nil, fmt.Errorf("%w: dataset %q uses salt %d (shared=%v)",
-				ErrIncompatible, ds, info.Salt, info.Shared)
+		if saltGiven && salt != info.Salt {
+			return nil, fmt.Errorf("%w: dataset %q uses salt %d", ErrIncompatible, ds, info.Salt)
 		}
 		if kind != info.Kind {
 			return nil, fmt.Errorf("%w: dataset %q holds %s summaries, got %s",
 				ErrIncompatible, ds, info.Kind, kind)
 		}
-		salt, shared = info.Salt, info.Shared
+		salt = info.Salt
 	} else if !saltGiven {
 		return nil, fmt.Errorf("server: new dataset %q needs a salt parameter", ds)
 	}
-	if shared {
-		return core.NewCoordinatedSummarizer(salt), nil
-	}
 	return core.NewSummarizer(salt), nil
 }
+
+// errSharedRefused answers an ingest with shared=true.
+var errSharedRefused = errors.New("server: shared=true: coordinated (shared-seed) summaries are not supported")
 
 // resolveFormat picks the body format from the format parameter, falling
 // back to the Content-Type.

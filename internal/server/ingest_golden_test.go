@@ -101,7 +101,6 @@ func goldenCorpus() []goldenRequest {
 		add("varopt "+format, single+"vo_"+format+"&kind=varopt&k=64&format="+format, join(valid), 4)
 		add("set "+format, single+"set_"+format+"&kind=set&p=0.2&format="+format, join(keysOnly), 4)
 		add("set with values and repeats "+format, single+"setv_"+format+"&kind=set&p=0.2&format="+format, join(valid)+join(valid), 4)
-		add("shared seeds "+format, single+"shared_"+format+"&kind=bottomk&k=64&shared=true&format="+format, join(valid), 4)
 		// The same pairs in other clothes.
 		add("crlf "+format, single+"crlf_"+format+"&kind=pps&tau=90&format="+format, strings.Join(valid, "\r\n")+"\r\n", 4)
 		add("no final newline "+format, single+"nonl_"+format+"&kind=pps&tau=90&format="+format, strings.Join(valid, "\n"), 4)

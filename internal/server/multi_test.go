@@ -98,19 +98,18 @@ func TestIngestMultiEndToEnd(t *testing.T) {
 		t.Errorf("sum over one-pass dataset: got %v, want %v", sum2.Sum, want)
 	}
 
-	// Bottom-k over CSV, coordinated randomization: the one-pass
-	// path must reproduce the shared-seed per-instance summaries.
-	co := core.NewCoordinatedSummarizer(testSalt)
+	// Bottom-k over CSV: the one-pass path must reproduce the
+	// per-instance summaries.
 	res, err = c.IngestMulti(ctx, client.MultiIngestOptions{
 		Dataset: "ranks", Instances: ids, Kind: "bottomk", K: 80, Format: "csv",
-		Salt: testSalt, SaltSet: true, Shared: true,
+		Salt: testSalt, SaltSet: true,
 	}, bytes.NewReader(multiCSVBody(sites, ids)))
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i, in := range sites {
-		if want := co.SummarizeBottomK(ids[i], in, 80, sampling.PPS{}); res.Sizes[i] != want.Size() {
-			t.Errorf("coordinated instance %d: stored size %d, want %d", ids[i], res.Sizes[i], want.Size())
+		if want := summ.SummarizeBottomK(ids[i], in, 80, sampling.PPS{}); res.Sizes[i] != want.Size() {
+			t.Errorf("bottom-k instance %d: stored size %d, want %d", ids[i], res.Sizes[i], want.Size())
 		}
 	}
 

@@ -41,28 +41,22 @@ func request(h http.Handler, method, target string, body []byte) *httptest.Respo
 }
 
 // queryFixture ingests three overlapping instances (0, 1, 2) of every
-// ingestible kind, with independent seeds (dataset "<kind>") and with
-// coordinated ones ("<kind>-coord"), and returns the dataset names.
+// ingestible kind, as dataset "<kind>", and returns the dataset names.
 func queryFixture(t testing.TB, h http.Handler) []string {
 	t.Helper()
 	var datasets []string
 	for _, k := range ingestKinds {
-		for _, shared := range []bool{false, true} {
-			ds := k.kind
-			if shared {
-				ds += "-coord"
+		ds := k.kind
+		datasets = append(datasets, ds)
+		for i := 0; i < 3; i++ {
+			var body bytes.Buffer
+			for key := 1 + 60*i; key <= 300+60*i; key++ {
+				fmt.Fprintf(&body, "%d,%d.25\n", key, 1+(key*7+i)%13)
 			}
-			datasets = append(datasets, ds)
-			for i := 0; i < 3; i++ {
-				var body bytes.Buffer
-				for key := 1 + 60*i; key <= 300+60*i; key++ {
-					fmt.Fprintf(&body, "%d,%d.25\n", key, 1+(key*7+i)%13)
-				}
-				target := fmt.Sprintf("/v1/ingest?dataset=%s&instance=%d&kind=%s&%s&salt=2011&shared=%v&format=csv",
-					ds, i, k.kind, k.params, shared)
-				if rec := request(h, "POST", target, body.Bytes()); rec.Code != http.StatusCreated {
-					t.Fatalf("POST %s: %d %s", target, rec.Code, rec.Body)
-				}
+			target := fmt.Sprintf("/v1/ingest?dataset=%s&instance=%d&kind=%s&%s&salt=2011&format=csv",
+				ds, i, k.kind, k.params)
+			if rec := request(h, "POST", target, body.Bytes()); rec.Code != http.StatusCreated {
+				t.Fatalf("POST %s: %d %s", target, rec.Code, rec.Body)
 			}
 		}
 	}
@@ -82,8 +76,6 @@ func queryTarget(k queryKind, ds string, n int, extra string) string {
 	return target + extra
 }
 
-const coordinatedRefusal = "core: query estimators need independent per-instance seeds; summaries use coordinated (shared-seed) sampling"
-
 const queryGoldenFile = "testdata/query_golden.json"
 
 // queryOutcome is what is recorded of one cell.
@@ -94,16 +86,11 @@ type queryOutcome struct {
 }
 
 // TestQueryTableCoversEveryKind asks every row of the table over every
-// ingestible summary kind, independent and coordinated, at one, two and
-// three instances. No cell may answer a 5xx; a cell outside the row's
+// ingestible summary kind at one, two and three instances. No cell may answer a 5xx; a cell outside the row's
 // declared kinds or arity must be a typed refusal; and every byte of every
 // answer — status, result, error text — must be what the hand-written
 // switch the table replaced answered, as recorded in testdata/query_golden.json
 // (rewritten, deliberately, with UPDATE_QUERY_GOLDEN=1).
-//
-// The coordinated cells are the visible form of a known hole: the server
-// ingests shared-seed summaries and no multi-instance row answers over
-// them (ROADMAP item 3). They are expected refusals, not expected answers.
 func TestQueryTableCoversEveryKind(t *testing.T) {
 	h := New(NewRegistry(), engine.Config{})
 	datasets := queryFixture(t, h)
@@ -124,10 +111,9 @@ func TestQueryTableCoversEveryKind(t *testing.T) {
 		return rec.Code, refusal.Error
 	}
 	for _, k := range queryKinds {
-		for _, ds := range datasets {
-			kind, coordinated := strings.CutSuffix(ds, "-coord")
+		for _, kind := range datasets {
 			for n := 1; n <= 3; n++ {
-				target := queryTarget(k, ds, n, "")
+				target := queryTarget(k, kind, n, "")
 				status, refusal := ask(target)
 				switch {
 				case !slices.Contains(k.kinds, kind) && !(kind == k.alone && n == 1):
@@ -138,13 +124,9 @@ func TestQueryTableCoversEveryKind(t *testing.T) {
 					if status != http.StatusBadRequest {
 						t.Errorf("GET %s: status %d for %d instances, want 400 (arity %d..%d)", target, status, n, k.minArity, k.maxArity)
 					}
-				case coordinated && n > 1 && kind == k.kinds[0]:
-					if status != http.StatusBadRequest || refusal != coordinatedRefusal {
-						t.Errorf("GET %s: %d %q, want 400 %q", target, status, refusal, coordinatedRefusal)
-					}
 				}
 				if n == 2 {
-					ask(queryTarget(k, ds, n, "&explain=1"))
+					ask(queryTarget(k, kind, n, "&explain=1"))
 				}
 			}
 		}

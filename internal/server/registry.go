@@ -22,7 +22,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/obs/trace"
-	"repro/internal/xhash"
 	"repro/pkg/api"
 )
 
@@ -32,14 +31,13 @@ var (
 	// ErrNotFound reports a dataset or instance that is not registered.
 	ErrNotFound = errors.New("server: not found")
 	// ErrIncompatible reports a summary that cannot be combined with the
-	// dataset it was posted to: different salt, coordination mode, or
-	// summary kind.
+	// dataset it was posted to: different salt or summary kind.
 	ErrIncompatible = errors.New("server: incompatible summary")
 )
 
 // Registry is the in-memory summary store, keyed by dataset name and
-// instance index. All summaries of one dataset share a randomization
-// (salt + coordination mode) and a kind; the first summary posted fixes
+// instance index. All summaries of one dataset share a randomization (a
+// salt) and a kind; the first summary posted fixes
 // them, and later posts must match — the compatibility invariant that
 // makes every stored subset combinable exactly.
 //
@@ -113,7 +111,7 @@ type TracedPersister interface {
 
 type datasetEntry struct {
 	kind       string
-	seeder     xhash.Seeder
+	salt       uint64
 	byInstance map[int]core.Summary
 	// dirtyEpoch is the registry epoch of the last accepted registration;
 	// the dataset is dirty iff dirtyEpoch >= Registry.cleanEpoch.
@@ -137,7 +135,7 @@ func (r *Registry) SetPersister(p Persister) {
 
 // Put registers a summary under the named dataset, creating the dataset on
 // first use. It returns ErrIncompatible (wrapped with the specific
-// mismatch) when the summary's salt, coordination mode, or kind differ
+// mismatch) when the summary's salt or kind differ
 // from the dataset's. Re-posting an instance replaces its summary.
 func (r *Registry) Put(dataset string, s core.Summary) error {
 	return r.PutCtx(context.Background(), dataset, s)
@@ -167,7 +165,7 @@ func (r *Registry) PutCtx(ctx context.Context, dataset string, s core.Summary) e
 	if created {
 		e = &datasetEntry{
 			kind:       s.Kind(),
-			seeder:     core.SummarySeeder(s),
+			salt:       core.SummarySeeder(s).Salt,
 			byInstance: make(map[int]core.Summary),
 		}
 		r.datasets[dataset] = e
@@ -176,9 +174,9 @@ func (r *Registry) PutCtx(ctx context.Context, dataset string, s core.Summary) e
 		return fmt.Errorf("%w: dataset %q holds %s summaries, got %s",
 			ErrIncompatible, dataset, e.kind, s.Kind())
 	}
-	if sd := core.SummarySeeder(s); sd != e.seeder {
-		return fmt.Errorf("%w: dataset %q uses salt %d (shared=%v), got salt %d (shared=%v)",
-			ErrIncompatible, dataset, e.seeder.Salt, e.seeder.Shared, sd.Salt, sd.Shared)
+	if salt := core.SummarySeeder(s).Salt; salt != e.salt {
+		return fmt.Errorf("%w: dataset %q uses salt %d, got salt %d",
+			ErrIncompatible, dataset, e.salt, salt)
 	}
 	id := s.InstanceID()
 	prev, hadPrev := e.byInstance[id]
@@ -410,7 +408,7 @@ func (r *Registry) Get(dataset string, instances []int) ([]core.Summary, error) 
 }
 
 // Info describes one dataset. Ingest uses it to bind new raw streams to
-// the dataset's existing salt, coordination mode, and kind before reading
+// the dataset's existing salt and kind before reading
 // the request body.
 func (r *Registry) Info(dataset string) (api.DatasetInfo, error) {
 	r.mu.RLock()
@@ -446,8 +444,7 @@ func (e *datasetEntry) info(name string) api.DatasetInfo {
 	info := api.DatasetInfo{
 		Dataset:   name,
 		Kind:      e.kind,
-		Salt:      e.seeder.Salt,
-		Shared:    e.seeder.Shared,
+		Salt:      e.salt,
 		Instances: make([]int, 0, len(e.byInstance)),
 	}
 	for i, s := range e.byInstance {

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"math"
 	"net/http"
 	"net/http/httptest"
@@ -14,6 +15,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/dataset"
 	"repro/internal/engine"
+	"repro/internal/obs"
 	"repro/internal/randx"
 	"repro/internal/sampling"
 	"repro/internal/server"
@@ -307,18 +309,6 @@ func TestServerErrors(t *testing.T) {
 		Salt: 999, SaltSet: true, Tau: 10,
 	}, bytes.NewReader(nil))
 	expect("ingest salt mismatch", err, "HTTP 409")
-	// An explicit coordination-mode conflict is rejected even without a
-	// salt parameter, and before the body is read.
-	req, _ := http.NewRequestWithContext(ctx, http.MethodPost,
-		c.BaseURL()+"/v1/ingest?dataset=flows&instance=1&kind=pps&tau=10&shared=true", bytes.NewReader(nil))
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusConflict {
-		t.Errorf("shared conflict: got HTTP %d, want 409", resp.StatusCode)
-	}
 	// A kind mismatch against an existing dataset is a 409 too.
 	_, err = c.Ingest(ctx, client.IngestOptions{
 		Dataset: "flows", Instance: 1, Kind: "set", P: 0.5,
@@ -369,32 +359,103 @@ func TestServerErrors(t *testing.T) {
 	}
 }
 
-// TestServerRejectsCoordinatedQueries: coordinated (shared-seed) datasets
-// can be stored and fetched, but the independent-seed query estimators
-// must refuse them rather than answer with biased numbers.
-func TestServerRejectsCoordinatedQueries(t *testing.T) {
+// readCounter counts the bytes read through it.
+type readCounter struct {
+	r io.Reader
+	n int
+}
+
+func (c *readCounter) Read(p []byte) (int, error) {
+	n, err := c.r.Read(p)
+	c.n += n
+	return n, err
+}
+
+// TestIngestRefusesCoordinated: coordinated (shared-seed) input is refused
+// with a 400 wherever it can enter — shared=true on both ingest endpoints,
+// for a new and for an existing dataset, before the body is read; a v1
+// summary with "shared": true; a v2 summary with flag bit 0 — and a
+// refusal registers nothing and feeds no pair to the engine. shared=false
+// is accepted.
+func TestIngestRefusesCoordinated(t *testing.T) {
+	const (
+		ingestRefusal = "server: shared=true: coordinated (shared-seed) summaries are not supported"
+		v1Refusal     = "core: decoding v1 summary: coordinated (shared-seed) summaries are not supported"
+		v2Refusal     = "core: decoding v2 summary: coordinated (shared-seed) summaries are not supported"
+	)
 	sites := fixture(200)
-	c, closeSrv := startServer(t, engine.Config{})
-	defer closeSrv()
-	ctx := context.Background()
-	for i := 0; i < 2; i++ {
-		if _, err := c.Ingest(ctx, client.IngestOptions{
-			Dataset: "coord", Instance: i, Kind: "pps", Format: "ndjson",
-			Salt: testSalt, SaltSet: true, Shared: true, Tau: 10,
-		}, bytes.NewReader(ndjsonBody(sites[i]))); err != nil {
-			t.Fatal(err)
+	reg := server.NewRegistry()
+	h := server.New(reg, engine.Config{},
+		server.WithObserver(server.NewObserver(obs.NewRegistry())), server.WithMetricsEndpoint())
+	ts := httptest.NewServer(h)
+	defer ts.Close()
+
+	post := func(target, ct string, body []byte) (status int, msg string, read int) {
+		t.Helper()
+		rc := &readCounter{r: bytes.NewReader(body)}
+		req := httptest.NewRequest(http.MethodPost, target, rc)
+		req.Header.Set("Content-Type", ct)
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, req)
+		var res struct{ Error string }
+		if err := json.Unmarshal(rec.Body.Bytes(), &res); err != nil {
+			t.Fatalf("POST %s: %d %q: %v", target, rec.Code, rec.Body, err)
+		}
+		return rec.Code, res.Error, rc.n
+	}
+	// shared=false is what bench/summaryload sends: it is accepted.
+	if status, msg, _ := post("/v1/ingest?dataset=flows&instance=0&kind=pps&tau=10&salt=2011&format=ndjson&shared=false",
+		"application/x-ndjson", ndjsonBody(sites[0])); status != http.StatusCreated {
+		t.Fatalf("shared=false ingest: %d %q, want 201", status, msg)
+	}
+	before := reg.List()
+	values, _ := scrapeMetrics(t, ts)
+	pairs := values["summaryd_engine_pairs_total"]
+
+	summ := core.NewSummarizer(testSalt)
+	v1, err := core.EncodeSummary(summ.SummarizePPS(1, sites[1], 10), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	v1 = bytes.Replace(v1, []byte(`"shared":false`), []byte(`"shared":true`), 1)
+	v2, err := core.EncodeSummary(summ.SummarizePPS(1, sites[1], 10), 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	v2[4] = 0x01
+
+	for _, ds := range []string{"flows", "fresh"} {
+		for _, tc := range []struct {
+			name, target, ct string
+			body             []byte
+			want             string
+			readsBody        bool
+		}{
+			{"ingest", "/v1/ingest?dataset=" + ds + "&instance=1&kind=pps&tau=10&salt=2011&shared=true&format=ndjson",
+				"application/x-ndjson", ndjsonBody(sites[1]), ingestRefusal, false},
+			{"ingest without salt", "/v1/ingest?dataset=" + ds + "&instance=1&kind=pps&tau=10&shared=true&format=ndjson",
+				"application/x-ndjson", ndjsonBody(sites[1]), ingestRefusal, false},
+			{"ingest/multi", "/v1/ingest/multi?dataset=" + ds + "&instances=1,2&kind=pps&tau=10&salt=2011&shared=true&format=csv",
+				"text/csv", multiCSVBody(sites[1:], []int{1, 2}), ingestRefusal, false},
+			{"v1 summary", "/v1/summaries?dataset=" + ds, "application/json", v1, v1Refusal, true},
+			{"v1 summary, sniffed", "/v1/summaries?dataset=" + ds, "application/octet-stream", v1, v1Refusal, true},
+			{"v2 summary", "/v1/summaries?dataset=" + ds, "application/x-summary-v2", v2, v2Refusal, true},
+			{"v2 summary, sniffed", "/v1/summaries?dataset=" + ds, "application/octet-stream", v2, v2Refusal, true},
+		} {
+			status, msg, read := post(tc.target, tc.ct, tc.body)
+			if status != http.StatusBadRequest || msg != tc.want {
+				t.Errorf("%s into %s: %d %q, want 400 %q", tc.name, ds, status, msg, tc.want)
+			}
+			if !tc.readsBody && read != 0 {
+				t.Errorf("%s into %s: %d body bytes read before the refusal", tc.name, ds, read)
+			}
 		}
 	}
-	if _, err := c.MaxDominance(ctx, "coord", 0, 1); err == nil ||
-		!strings.Contains(err.Error(), "HTTP 400") {
-		t.Errorf("maxdominance on coordinated dataset: got %v, want HTTP 400", err)
+	if after := reg.List(); fmt.Sprint(after) != fmt.Sprint(before) {
+		t.Errorf("refusals changed the registry: %+v, want %+v", after, before)
 	}
-	if _, err := c.Quantile(ctx, "coord", 1, 1); err == nil ||
-		!strings.Contains(err.Error(), "HTTP 400") {
-		t.Errorf("quantile on coordinated dataset: got %v, want HTTP 400", err)
-	}
-	// Single-instance sum does not combine instances and stays served.
-	if _, err := c.Sum(ctx, "coord", 0); err != nil {
-		t.Errorf("sum on coordinated dataset: %v", err)
+	values, _ = scrapeMetrics(t, ts)
+	if got := values["summaryd_engine_pairs_total"]; got != pairs {
+		t.Errorf("summaryd_engine_pairs_total %v after the refusals, want %v", got, pairs)
 	}
 }

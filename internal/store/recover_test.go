@@ -2,7 +2,9 @@ package store
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
+	"hash/crc32"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -203,6 +205,65 @@ func TestLastRecordWins(t *testing.T) {
 			}
 			if size := fileSize(t, l.live); size != st.live.w.end {
 				t.Errorf("live segment is %d bytes with its writer at %d: the torn tail was not cut off", size, st.live.w.end)
+			}
+		})
+	}
+}
+
+// markCoordinated sets v2 flag bit 0 — the bit earlier writers set on a
+// coordinated (shared-seed) summary — in the payload of a file's first
+// record and checksums the record again, so it stays validly framed.
+func markCoordinated(t *testing.T, path string) {
+	t.Helper()
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hdr := data[magicLen : magicLen+recordHeaderLen]
+	payload := data[magicLen+recordHeaderLen:][:binary.LittleEndian.Uint32(hdr)]
+	_, wire, ok := splitPayload(payload)
+	if !ok || wire[4] != 0 {
+		t.Fatalf("%s: first record is not a flagless v2 summary", path)
+	}
+	wire[4] = 0x01
+	binary.LittleEndian.PutUint32(hdr[4:], crc32.Checksum(payload, crcTable))
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestOpenRefusesCoordinatedRecord: a chain file or a sealed segment whose
+// record is validly framed but holds a coordinated summary fails Open
+// loudly, naming the file and the decoder's refusal — nothing here serves
+// such a summary, and there is no code to migrate it — and Open leaves
+// every byte and modification time of the directory as it found them.
+func TestOpenRefusesCoordinatedRecord(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		path func(l layered) string
+		kind string
+	}{
+		{"chain file", func(l layered) string { return l.snap1 }, "store: snapshot "},
+		{"sealed segment", func(l layered) string { return l.sealedA }, "store: sealed WAL segment "},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			l := buildLayered(t)
+			path := tc.path(l)
+			markCoordinated(t, path)
+			before := dirListing(t, l.dir)
+			st, err := Open(l.dir, Options{}, func(string, core.Summary) error { return nil })
+			if err == nil {
+				st.Close()
+				t.Fatal("Open accepted a coordinated record")
+			}
+			for _, want := range []string{tc.kind, path + ": store: record 1: checksummed payload failed to decode",
+				"core: decoding v2 summary: coordinated (shared-seed) summaries are not supported"} {
+				if !strings.Contains(err.Error(), want) {
+					t.Errorf("error %q does not contain %q", err, want)
+				}
+			}
+			if after := dirListing(t, l.dir); !reflect.DeepEqual(after, before) {
+				t.Errorf("a refused Open changed the directory:\nbefore %v\nafter  %v", before, after)
 			}
 		})
 	}

@@ -23,19 +23,18 @@ import (
 // The store implements the registry's persistence seam.
 var _ server.Persister = (*Store)(nil)
 
-// datasetSpec pins the per-dataset invariants (kind, salt, coordination)
-// the registry enforces, so random operation sequences never trip the
+// datasetSpec pins the per-dataset invariants (kind, salt) the registry
+// enforces, so random operation sequences never trip the
 // compatibility checks.
 type datasetSpec struct {
-	name   string
-	kind   string
-	salt   uint64
-	shared bool
+	name string
+	kind string
+	salt uint64
 }
 
 var specs = []datasetSpec{
 	{name: "alpha", kind: "pps", salt: 101},
-	{name: "beta", kind: "bottomk", salt: 202, shared: true},
+	{name: "beta", kind: "bottomk", salt: 202},
 	{name: "gamma", kind: "set", salt: 303},
 }
 
@@ -49,9 +48,6 @@ func randomSummary(rng *rand.Rand, spec datasetSpec) core.Summary {
 // given instance.
 func randomSummaryAt(rng *rand.Rand, spec datasetSpec, instance int) core.Summary {
 	summ := core.NewSummarizer(spec.salt)
-	if spec.shared {
-		summ = core.NewCoordinatedSummarizer(spec.salt)
-	}
 	n := 1 + rng.Intn(40)
 	in := make(dataset.Instance, n)
 	for len(in) < n {

@@ -7,16 +7,15 @@ import (
 
 // Fuzz targets for seed derivation stability. The "known seeds" model
 // collapses if any of these break: seeds must be pure functions of
-// (salt, shared, instance, key), land in [0,1), and respect the
-// shared/independent contract. `go test` runs the seed corpus;
+// (salt, instance, key), land in [0,1), and differ across instances. `go test` runs the seed corpus;
 // `go test -fuzz=FuzzX` explores.
 
 func FuzzSeederStability(f *testing.F) {
-	f.Add(uint64(0), uint64(0), 0, false)
-	f.Add(uint64(1), uint64(1), 1, true)
-	f.Add(uint64(0xdeadbeef), ^uint64(0), 1<<20, false)
-	f.Fuzz(func(t *testing.T, salt, key uint64, instance int, shared bool) {
-		s := Seeder{Salt: salt, Shared: shared}
+	f.Add(uint64(0), uint64(0), 0)
+	f.Add(uint64(1), uint64(1), 1)
+	f.Add(uint64(0xdeadbeef), ^uint64(0), 1<<20)
+	f.Fuzz(func(t *testing.T, salt, key uint64, instance int) {
+		s := Seeder{Salt: salt}
 		u := s.Seed(instance, key)
 		if u != s.Seed(instance, key) {
 			t.Fatal("Seed is not deterministic")
@@ -27,7 +26,7 @@ func FuzzSeederStability(f *testing.F) {
 		if math.IsNaN(u) {
 			t.Fatal("Seed is NaN")
 		}
-		if fresh := (Seeder{Salt: salt, Shared: shared}).Seed(instance, key); fresh != u {
+		if fresh := (Seeder{Salt: salt}).Seed(instance, key); fresh != u {
 			t.Fatal("Seed depends on Seeder identity, not value")
 		}
 		if bound := s.Instance(instance).Seed(key); math.Float64bits(bound) != math.Float64bits(u) {
@@ -36,12 +35,7 @@ func FuzzSeederStability(f *testing.F) {
 		if ref := seedRef(s, instance, key); math.Float64bits(ref) != math.Float64bits(u) {
 			t.Fatalf("Seed = %v, the original derivation %v", u, ref)
 		}
-		if shared {
-			// Coordinated sampling: every instance sees the same seed.
-			if s.Seed(instance+1, key) != u || s.Seed(0, key) != u {
-				t.Fatal("shared Seeder must ignore the instance")
-			}
-		} else if instance < 1<<30 {
+		if instance < 1<<30 {
 			// Independent instances derive from distinct salts; a collision
 			// of the full 53-bit seed across adjacent instances means the
 			// instance is not being mixed in at all for this input.
@@ -92,10 +86,6 @@ func FuzzHashStringStability(f *testing.F) {
 		}
 		if !(u >= 0 && u < 1) {
 			t.Fatalf("SeedString out of [0,1): %v", u)
-		}
-		shared := Seeder{Salt: salt, Shared: true}
-		if shared.SeedString(3, s) != shared.SeedString(9, s) {
-			t.Fatal("shared SeedString must ignore the instance")
 		}
 	})
 }

@@ -62,24 +62,17 @@ func UnitPos(h uint64) float64 {
 	return u
 }
 
-// Seeder derives reproducible per-(instance, key) uniform seeds. A Seeder
-// with Shared=true ignores the instance component, producing the shared-seed
-// (coordinated / PRN) joint distribution of the paper; with Shared=false the
-// seeds of different instances are independent hashes.
+// Seeder derives reproducible per-(instance, key) uniform seeds. The seeds
+// of different instances are independent hashes, the independent-seed joint
+// distribution the paper's partial-information estimators assume.
 type Seeder struct {
 	// Salt identifies the random hash function. Two Seeders with the same
 	// Salt produce identical seeds.
 	Salt uint64
-	// Shared selects coordinated (shared-seed) sampling: every instance sees
-	// the same seed for a given key.
-	Shared bool
 }
 
 // Seed returns the uniform [0,1) seed for key in the given instance.
 func (s Seeder) Seed(instance int, key uint64) float64 {
-	if s.Shared {
-		return Unit(Hash2(s.Salt, key))
-	}
 	return Unit(Hash2(s.Salt^Mix64(uint64(instance)+1), key))
 }
 
@@ -94,9 +87,6 @@ type InstanceSeeder struct {
 // Instance binds the seeder to one instance. Instance(i).Seed(key) equals
 // Seed(i, key) bit for bit.
 func (s Seeder) Instance(instance int) InstanceSeeder {
-	if s.Shared {
-		return InstanceSeeder{mixed: Mix64(s.Salt)}
-	}
 	return InstanceSeeder{mixed: Mix64(s.Salt ^ Mix64(uint64(instance)+1))}
 }
 
@@ -107,8 +97,5 @@ func (s InstanceSeeder) Seed(key uint64) float64 {
 
 // SeedString is Seed for string keys.
 func (s Seeder) SeedString(instance int, key string) float64 {
-	if s.Shared {
-		return Unit(HashString(s.Salt, key))
-	}
 	return Unit(HashString(s.Salt^Mix64(uint64(instance)+1), key))
 }

@@ -75,22 +75,12 @@ func TestUnitUniformity(t *testing.T) {
 	}
 }
 
-func TestSeederSharedVsIndependent(t *testing.T) {
-	shared := Seeder{Salt: 99, Shared: true}
+func TestSeederIndependentAcrossInstances(t *testing.T) {
 	indep := Seeder{Salt: 99}
-	same, diff := 0, 0
 	for k := uint64(0); k < 1000; k++ {
-		if shared.Seed(0, k) != shared.Seed(1, k) {
-			t.Fatalf("shared seeder differs across instances for key %d", k)
-		}
 		if indep.Seed(0, k) == indep.Seed(1, k) {
-			same++
-		} else {
-			diff++
+			t.Fatalf("independent seeder produced identical cross-instance seeds for key %d", k)
 		}
-	}
-	if same > 0 {
-		t.Errorf("independent seeder produced %d identical cross-instance seeds", same)
 	}
 }
 
@@ -125,19 +115,12 @@ func TestHashStringDistinct(t *testing.T) {
 	if s.SeedString(0, "x") == s.SeedString(1, "x") {
 		t.Error("independent SeedString identical across instances")
 	}
-	sh := Seeder{Salt: 5, Shared: true}
-	if sh.SeedString(0, "x") != sh.SeedString(1, "x") {
-		t.Error("shared SeedString differs across instances")
-	}
 }
 
 // seedRef is Seeder.Seed as it was written before the per-instance form:
 // both constants of the stream mixed again for every key.
 func seedRef(s Seeder, instance int, key uint64) float64 {
-	salt := s.Salt
-	if !s.Shared {
-		salt ^= Mix64(uint64(instance) + 1)
-	}
+	salt := s.Salt ^ Mix64(uint64(instance)+1)
 	return Unit(Mix64(Mix64(salt) ^ key + 0x9e3779b97f4a7c15*key))
 }
 
@@ -145,37 +128,34 @@ func seedRef(s Seeder, instance int, key uint64) float64 {
 // Seed which now runs through it, to the original derivation bit for bit:
 // over random inputs, and on seeds recorded before the change.
 func TestInstanceSeederMatchesSeed(t *testing.T) {
-	check := func(salt, key uint64, instance int, shared bool) {
+	check := func(salt, key uint64, instance int) {
 		t.Helper()
-		s := Seeder{Salt: salt, Shared: shared}
+		s := Seeder{Salt: salt}
 		want := math.Float64bits(seedRef(s, instance, key))
 		if got := math.Float64bits(s.Seed(instance, key)); got != want {
-			t.Fatalf("Seeder{%#x, %v}.Seed(%d, %#x) = %#x, want %#x", salt, shared, instance, key, got, want)
+			t.Fatalf("Seeder{%#x}.Seed(%d, %#x) = %#x, want %#x", salt, instance, key, got, want)
 		}
 		if got := math.Float64bits(s.Instance(instance).Seed(key)); got != want {
-			t.Fatalf("Seeder{%#x, %v}.Instance(%d).Seed(%#x) = %#x, want %#x", salt, shared, instance, key, got, want)
+			t.Fatalf("Seeder{%#x}.Instance(%d).Seed(%#x) = %#x, want %#x", salt, instance, key, got, want)
 		}
 	}
 	rng := rand.New(rand.NewPCG(2011, 15))
 	for i := 0; i < 100_000; i++ {
-		check(rng.Uint64(), rng.Uint64(), int(rng.Int64())>>rng.IntN(64), i%2 == 0)
+		check(rng.Uint64(), rng.Uint64(), int(rng.Int64())>>rng.IntN(64))
 	}
 	for _, g := range []struct {
 		salt, key uint64
 		instance  int
-		shared    bool
 		bits      uint64
 	}{
-		{0x0, 0x0, 0, false, 0x3fe631405e8db1b0},
-		{0x1, 0x1, 1, true, 0x3fe8a3d354070050},
-		{0xdeadbeef, 0xffffffffffffffff, 1048576, false, 0x3fd3c75bcaa1b390},
-		{0x7db, 0x2a, 3, false, 0x3fd3403afcf5e57c},
-		{0x7db, 0x2a, -1, false, 0x3fd676fc578105cc},
-		{0x7db, 0x2a, 3, true, 0x3f9055d32b33a060},
+		{0x0, 0x0, 0, 0x3fe631405e8db1b0},
+		{0xdeadbeef, 0xffffffffffffffff, 1048576, 0x3fd3c75bcaa1b390},
+		{0x7db, 0x2a, 3, 0x3fd3403afcf5e57c},
+		{0x7db, 0x2a, -1, 0x3fd676fc578105cc},
 	} {
-		check(g.salt, g.key, g.instance, g.shared)
-		if got := math.Float64bits((Seeder{Salt: g.salt, Shared: g.shared}).Seed(g.instance, g.key)); got != g.bits {
-			t.Errorf("Seeder{%#x, %v}.Seed(%d, %#x) = %#x, recorded %#x", g.salt, g.shared, g.instance, g.key, got, g.bits)
+		check(g.salt, g.key, g.instance)
+		if got := math.Float64bits((Seeder{Salt: g.salt}).Seed(g.instance, g.key)); got != g.bits {
+			t.Errorf("Seeder{%#x}.Seed(%d, %#x) = %#x, recorded %#x", g.salt, g.instance, g.key, got, g.bits)
 		}
 	}
 }

@@ -110,7 +110,6 @@ type DatasetInfo struct {
 	Dataset   string `json:"dataset"`
 	Kind      string `json:"kind"`
 	Salt      uint64 `json:"salt"`
-	Shared    bool   `json:"shared"`
 	Instances []int  `json:"instances"`
 	Keys      int    `json:"keys"`
 }

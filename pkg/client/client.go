@@ -225,11 +225,10 @@ type IngestOptions struct {
 	Kind string
 	// Format is "csv" or "ndjson" (default ndjson).
 	Format string
-	// Salt and Shared define the randomization when the dataset does not
-	// exist yet; an existing dataset pins both.
+	// Salt defines the randomization when the dataset does not exist
+	// yet; an existing dataset pins it.
 	Salt    uint64
 	SaltSet bool
-	Shared  bool
 	Tau     float64
 	K       int
 	Family  string
@@ -249,7 +248,6 @@ func (c *Client) Ingest(ctx context.Context, opts IngestOptions, stream io.Reade
 	}
 	if opts.SaltSet {
 		q.Set("salt", strconv.FormatUint(opts.Salt, 10))
-		q.Set("shared", strconv.FormatBool(opts.Shared))
 	}
 	switch opts.Kind {
 	case "pps":
@@ -285,11 +283,10 @@ type MultiIngestOptions struct {
 	Kind string
 	// Format is "csv" or "ndjson" (default ndjson).
 	Format string
-	// Salt and Shared define the randomization when the dataset does not
-	// exist yet; an existing dataset pins both.
+	// Salt defines the randomization when the dataset does not exist
+	// yet; an existing dataset pins it.
 	Salt    uint64
 	SaltSet bool
-	Shared  bool
 	// Taus holds the PPS thresholds: one value shared by every instance,
 	// or one per instance.
 	Taus   []float64
@@ -311,7 +308,6 @@ func (c *Client) IngestMulti(ctx context.Context, opts MultiIngestOptions, strea
 	}
 	if opts.SaltSet {
 		q.Set("salt", strconv.FormatUint(opts.Salt, 10))
-		q.Set("shared", strconv.FormatBool(opts.Shared))
 	}
 	switch opts.Kind {
 	case "pps":
