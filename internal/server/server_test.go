@@ -390,7 +390,7 @@ func TestIngestRefusesCoordinated(t *testing.T) {
 	ts := httptest.NewServer(h)
 	defer ts.Close()
 
-	post := func(target, ct string, body []byte) (status int, msg string, read int) {
+	post := func(t *testing.T, target, ct string, body []byte) (status int, msg string, read int) {
 		t.Helper()
 		rc := &readCounter{r: bytes.NewReader(body)}
 		req := httptest.NewRequest(http.MethodPost, target, rc)
@@ -404,7 +404,7 @@ func TestIngestRefusesCoordinated(t *testing.T) {
 		return rec.Code, res.Error, rc.n
 	}
 	// shared=false is what bench/summaryload sends: it is accepted.
-	if status, msg, _ := post("/v1/ingest?dataset=flows&instance=0&kind=pps&tau=10&salt=2011&format=ndjson&shared=false",
+	if status, msg, _ := post(t, "/v1/ingest?dataset=flows&instance=0&kind=pps&tau=10&salt=2011&format=ndjson&shared=false",
 		"application/x-ndjson", ndjsonBody(sites[0])); status != http.StatusCreated {
 		t.Fatalf("shared=false ingest: %d %q, want 201", status, msg)
 	}
@@ -424,32 +424,38 @@ func TestIngestRefusesCoordinated(t *testing.T) {
 	}
 	v2[4] = 0x01
 
+	// One subtest per dataset and entry point, so each refusal site is
+	// reported on its own.
 	for _, ds := range []string{"flows", "fresh"} {
-		for _, tc := range []struct {
-			name, target, ct string
-			body             []byte
-			want             string
-			readsBody        bool
-		}{
-			{"ingest", "/v1/ingest?dataset=" + ds + "&instance=1&kind=pps&tau=10&salt=2011&shared=true&format=ndjson",
-				"application/x-ndjson", ndjsonBody(sites[1]), ingestRefusal, false},
-			{"ingest without salt", "/v1/ingest?dataset=" + ds + "&instance=1&kind=pps&tau=10&shared=true&format=ndjson",
-				"application/x-ndjson", ndjsonBody(sites[1]), ingestRefusal, false},
-			{"ingest/multi", "/v1/ingest/multi?dataset=" + ds + "&instances=1,2&kind=pps&tau=10&salt=2011&shared=true&format=csv",
-				"text/csv", multiCSVBody(sites[1:], []int{1, 2}), ingestRefusal, false},
-			{"v1 summary", "/v1/summaries?dataset=" + ds, "application/json", v1, v1Refusal, true},
-			{"v1 summary, sniffed", "/v1/summaries?dataset=" + ds, "application/octet-stream", v1, v1Refusal, true},
-			{"v2 summary", "/v1/summaries?dataset=" + ds, "application/x-summary-v2", v2, v2Refusal, true},
-			{"v2 summary, sniffed", "/v1/summaries?dataset=" + ds, "application/octet-stream", v2, v2Refusal, true},
-		} {
-			status, msg, read := post(tc.target, tc.ct, tc.body)
-			if status != http.StatusBadRequest || msg != tc.want {
-				t.Errorf("%s into %s: %d %q, want 400 %q", tc.name, ds, status, msg, tc.want)
+		t.Run(ds, func(t *testing.T) {
+			for _, tc := range []struct {
+				name, target, ct string
+				body             []byte
+				want             string
+				readsBody        bool
+			}{
+				{"ingest", "/v1/ingest?dataset=" + ds + "&instance=1&kind=pps&tau=10&salt=2011&shared=true&format=ndjson",
+					"application/x-ndjson", ndjsonBody(sites[1]), ingestRefusal, false},
+				{"ingest without salt", "/v1/ingest?dataset=" + ds + "&instance=1&kind=pps&tau=10&shared=true&format=ndjson",
+					"application/x-ndjson", ndjsonBody(sites[1]), ingestRefusal, false},
+				{"ingest/multi", "/v1/ingest/multi?dataset=" + ds + "&instances=1,2&kind=pps&tau=10&salt=2011&shared=true&format=csv",
+					"text/csv", multiCSVBody(sites[1:], []int{1, 2}), ingestRefusal, false},
+				{"v1 summary", "/v1/summaries?dataset=" + ds, "application/json", v1, v1Refusal, true},
+				{"v1 summary, sniffed", "/v1/summaries?dataset=" + ds, "application/octet-stream", v1, v1Refusal, true},
+				{"v2 summary", "/v1/summaries?dataset=" + ds, "application/x-summary-v2", v2, v2Refusal, true},
+				{"v2 summary, sniffed", "/v1/summaries?dataset=" + ds, "application/octet-stream", v2, v2Refusal, true},
+			} {
+				t.Run(tc.name, func(t *testing.T) {
+					status, msg, read := post(t, tc.target, tc.ct, tc.body)
+					if status != http.StatusBadRequest || msg != tc.want {
+						t.Errorf("%d %q, want 400 %q", status, msg, tc.want)
+					}
+					if !tc.readsBody && read != 0 {
+						t.Errorf("%d body bytes read before the refusal", read)
+					}
+				})
 			}
-			if !tc.readsBody && read != 0 {
-				t.Errorf("%s into %s: %d body bytes read before the refusal", tc.name, ds, read)
-			}
-		}
+		})
 	}
 	if after := reg.List(); fmt.Sprint(after) != fmt.Sprint(before) {
 		t.Errorf("refusals changed the registry: %+v, want %+v", after, before)
