@@ -41,10 +41,11 @@ func runSummaryd(t *testing.T, args ...string) (int, string) {
 	return 0, stderr.String()
 }
 
-// TestFlagSurface pins summaryd's command line: twelve flags, none of
-// them an engine setting or a wire-format default. summaryd ingests on the
-// in-line engine only and speaks both wire formats by negotiation, so the
-// sharded/async flags and -wire it once had are unknown and exit 2.
+// TestFlagSurface pins summaryd's command line: eleven flags, none of
+// them an engine setting, a wire-format default or a metrics switch.
+// summaryd ingests on the in-line engine only, speaks both wire formats by
+// negotiation and always serves /metrics, so the sharded/async flags,
+// -wire and -metrics it once had are unknown and exit 2.
 func TestFlagSurface(t *testing.T) {
 	code, usage := runSummaryd(t, "-h")
 	if code != 0 {
@@ -57,10 +58,10 @@ func TestFlagSurface(t *testing.T) {
 			flags = append(flags, strings.Fields(line)[0])
 		}
 	}
-	if len(flags) != 12 {
-		t.Errorf("summaryd defines %d flags, want 12: %v", len(flags), flags)
+	if len(flags) != 11 {
+		t.Errorf("summaryd defines %d flags, want 11: %v", len(flags), flags)
 	}
-	for _, arg := range []string{"-shards=2", "-batch=512", "-async", "-queue=16", "-wire=2"} {
+	for _, arg := range []string{"-shards=2", "-batch=512", "-async", "-queue=16", "-wire=2", "-metrics=false"} {
 		t.Run(strings.TrimPrefix(arg, "-"), func(t *testing.T) {
 			code, stderr := runSummaryd(t, arg)
 			if code != 2 || !strings.Contains(stderr, "flag provided but not defined") {

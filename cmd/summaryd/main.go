@@ -39,14 +39,14 @@
 // Observability: every request carries an X-Request-ID (inbound IDs from
 // a fronting proxy are honored) and emits one structured log line keyed
 // by it; requests at or above -slow-request log at warn with slow=true.
-// -metrics (on by default) serves the Prometheus text exposition on
-// GET /metrics of the main listener — HTTP, ingest-engine, and (with
-// -data-dir) durability series, all prefixed summaryd_. -pprof-addr
-// starts a SEPARATE listener serving net/http/pprof under /debug/pprof/
-// — keep it on a loopback or operator-only address; profiles are not for
-// the data plane. -log-format selects human text (default) or one JSON
-// object per line; -log-level sets the floor (debug silences nothing,
-// warn keeps only slow requests and problems).
+// GET /metrics of the main listener always serves the Prometheus text
+// exposition — HTTP, ingest-engine, and (with -data-dir) durability
+// series, all prefixed summaryd_, every one of them created at boot.
+// -pprof-addr starts a SEPARATE listener serving net/http/pprof under
+// /debug/pprof/ — keep it on a loopback or operator-only address;
+// profiles are not for the data plane. -log-format selects human text
+// (default) or one JSON object per line; -log-level sets the floor (debug
+// silences nothing, warn keeps only slow requests and problems).
 //
 // -trace (on by default) records one span tree per request — handler,
 // engine drain, WAL append/fsync/rotation, background snapshots — into a
@@ -133,7 +133,6 @@ func main() {
 	snapshotEvery := flag.Int64("snapshot-every", store.DefaultSnapshotEvery, "WAL records between automatic snapshots (negative disables automatic snapshots; a final one is still taken at shutdown); snapshots are incremental and written in the background, so posts and queries keep flowing while one runs")
 	segmentBytes := flag.Int64("wal-segment-bytes", store.DefaultSegmentBytes, "size cap of one WAL segment file; the log rotates into a fresh segment past it")
 	fsync := flag.Bool("fsync", false, "fsync the WAL after every accepted summary (durable against power loss)")
-	metrics := flag.Bool("metrics", true, "serve the Prometheus text exposition on GET /metrics")
 	pprofAddr := flag.String("pprof-addr", "", "listen address for net/http/pprof (e.g. 127.0.0.1:6060); empty disables profiling")
 	logFormat := flag.String("log-format", "text", "log output format: text or json")
 	logLevel := flag.String("log-level", "info", "minimum log level: debug, info, warn, error")
@@ -149,10 +148,9 @@ func main() {
 	}
 	slog.SetDefault(logger)
 
-	// One registry feeds every layer's series; the observer instruments
-	// the request path and the server's engine totals, the store adds its
-	// durability series at Open. Requests are always measured and logged —
-	// -metrics only gates whether /metrics exposes the numbers.
+	// One registry feeds every layer's series and GET /metrics; the
+	// observer instruments the request path and the server's engine
+	// totals, the store adds its durability series at Open.
 	metricsReg := obs.NewRegistry()
 	observer := server.NewObserver(metricsReg,
 		server.WithRequestLogger(logger),
@@ -161,9 +159,6 @@ func main() {
 
 	reg := server.NewRegistry()
 	opts := []server.Option{server.WithObserver(observer)}
-	if *metrics {
-		opts = append(opts, server.WithMetricsEndpoint())
-	}
 	var tracer *trace.Tracer
 	if *traceOn {
 		tracer = trace.New(*traceRing)
@@ -242,7 +237,6 @@ func main() {
 	logger.Info("listening",
 		"addr", *addr,
 		"wire_versions", core.SupportedWireVersions(),
-		"metrics", *metrics,
 		"slow_request", *slowReq,
 		"trace", *traceOn,
 	)

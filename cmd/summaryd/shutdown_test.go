@@ -38,7 +38,6 @@ func TestGracefulShutdownSequence(t *testing.T) {
 
 	srv := &http.Server{Handler: server.New(reg, engine.Config{},
 		server.WithObserver(server.NewObserver(metricsReg)),
-		server.WithMetricsEndpoint(),
 		server.WithStoreStatus(st.Status),
 	)}
 	ln, err := net.Listen("tcp", "127.0.0.1:0")

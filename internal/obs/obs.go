@@ -16,7 +16,7 @@
 //   - Every instrument method is nil-receiver safe, and every
 //     constructor on a nil *Registry returns a nil instrument. A
 //     component built without a registry (the in-process test path, a
-//     summaryd run without -metrics plumbing) calls the same Add/Inc/
+//     store opened without Options.Metrics) calls the same Add/Inc/
 //     Observe call sites and pays a nil check, not an atomic.
 //
 //   - Misregistration — invalid names, duplicate (name, labels) pairs,
@@ -141,45 +141,6 @@ func (r *Registry) GaugeFunc(name, help string, labels Labels, fn func() float64
 	r.register(name, help, "gauge", &funcSeries{labels: labelString(labels), fn: func() string {
 		return formatFloat(fn())
 	}})
-}
-
-// GaugeSetFunc registers a gauge family whose labeled series are
-// enumerated by fn at exposition time — the bridge for label sets that
-// only exist at runtime (per-dataset sketch health: one series per
-// stored summary). fn is called once per scrape with an emit callback
-// and must be safe to call from the exposition goroutine; emitted
-// series render sorted by label string, so output is deterministic
-// regardless of enumeration order. The name cannot be shared with any
-// other instrument. No-op on a nil registry.
-func (r *Registry) GaugeSetFunc(name, help string, fn func(emit func(labels Labels, v float64))) {
-	if r == nil {
-		return
-	}
-	r.register(name, help, "gauge", &dynamicSeries{fn: fn})
-}
-
-// dynamicSeries renders a whole family of labeled values read from a
-// callback at exposition time. Its labelString is a sentinel no static
-// series can produce, so a GaugeSetFunc name cannot be mixed with
-// fixed-label series under the same family.
-type dynamicSeries struct {
-	fn func(emit func(labels Labels, v float64))
-}
-
-func (s *dynamicSeries) labelString() string { return "*" }
-func (s *dynamicSeries) writeTo(w io.Writer, name string) {
-	type labeledValue struct {
-		labels string
-		value  float64
-	}
-	var out []labeledValue
-	s.fn(func(labels Labels, v float64) {
-		out = append(out, labeledValue{labelString(labels), v})
-	})
-	sort.Slice(out, func(i, j int) bool { return out[i].labels < out[j].labels })
-	for _, e := range out {
-		fmt.Fprintf(w, "%s%s %s\n", name, e.labels, formatFloat(e.value))
-	}
 }
 
 // Histogram registers and returns a histogram series over the given

@@ -209,53 +209,3 @@ func TestLabelEscaping(t *testing.T) {
 		t.Errorf("label value not escaped:\n%s", out)
 	}
 }
-
-func TestGaugeSetFunc(t *testing.T) {
-	r := obs.NewRegistry()
-	series := map[string]float64{} // mutated between scrapes
-	var mu sync.Mutex
-	r.GaugeSetFunc("dyn_tau", "per-dataset threshold", func(emit func(obs.Labels, float64)) {
-		mu.Lock()
-		defer mu.Unlock()
-		for ds, v := range series {
-			emit(obs.Labels{"dataset": ds}, v)
-		}
-	})
-
-	if out := render(t, r); !strings.Contains(out, "# TYPE dyn_tau gauge") {
-		t.Errorf("empty family still renders HELP/TYPE:\n%s", out)
-	}
-
-	mu.Lock()
-	series["flows"] = 0.5
-	series["alpha"] = 2
-	mu.Unlock()
-	out := render(t, r)
-	// Series sort by label string, so alpha precedes flows regardless of
-	// map iteration order.
-	ia := strings.Index(out, `dyn_tau{dataset="alpha"} 2`)
-	ifl := strings.Index(out, `dyn_tau{dataset="flows"} 0.5`)
-	if ia < 0 || ifl < 0 || ia > ifl {
-		t.Errorf("dynamic series wrong or unsorted (alpha@%d flows@%d):\n%s", ia, ifl, out)
-	}
-
-	mu.Lock()
-	delete(series, "alpha")
-	mu.Unlock()
-	if out := render(t, r); strings.Contains(out, "alpha") {
-		t.Errorf("removed series still renders:\n%s", out)
-	}
-
-	// A dynamic family's name cannot be reused by a static series.
-	defer func() {
-		if recover() == nil {
-			t.Error("static series under a dynamic family did not panic")
-		}
-	}()
-	r.GaugeSetFunc("dyn_tau", "dup", func(func(obs.Labels, float64)) {})
-}
-
-func TestGaugeSetFuncNilRegistry(t *testing.T) {
-	var r *obs.Registry
-	r.GaugeSetFunc("x", "y", func(func(obs.Labels, float64)) {}) // must not panic
-}

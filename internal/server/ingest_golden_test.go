@@ -187,7 +187,7 @@ func goldenCorpus() []goldenRequest {
 func runGoldenCorpus(t *testing.T) []goldenOutcome {
 	t.Helper()
 	srv := server.New(server.NewRegistry(), engine.Config{},
-		server.WithObserver(server.NewObserver(obs.NewRegistry())), server.WithMetricsEndpoint())
+		server.WithObserver(server.NewObserver(obs.NewRegistry())))
 	do := func(method, target, accept string, body []byte) *httptest.ResponseRecorder {
 		req := httptest.NewRequest(method, target, bytes.NewReader(body))
 		if accept != "" {

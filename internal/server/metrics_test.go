@@ -96,19 +96,21 @@ func scrapeMetrics(t *testing.T, ts *httptest.Server) (values map[string]float64
 // TestMetricsEndToEnd drives concurrent ingest and query traffic against
 // an instrumented server and checks the /metrics exposition: documented
 // families present under their documented types, per-endpoint counters
-// consistent with the traffic, counters monotone between two scrapes, and
-// every request's X-Request-ID echoed both in the response header and in
-// the structured request log.
+// consistent with the traffic, counters monotone between two scrapes, the
+// set of series fixed from boot on whatever is posted, ingested or
+// queried, and every request's X-Request-ID echoed both in the response
+// header and in the structured request log.
 func TestMetricsEndToEnd(t *testing.T) {
 	sites := fixture(3000)
 	var logBuf syncBuffer
 	logger := slog.New(slog.NewJSONHandler(&logBuf, nil))
 	o := server.NewObserver(obs.NewRegistry(), server.WithRequestLogger(logger))
 	ts := httptest.NewServer(server.New(server.NewRegistry(), engine.Config{},
-		server.WithObserver(o), server.WithMetricsEndpoint()))
+		server.WithObserver(o)))
 	defer ts.Close()
 	c := client.New(ts.URL, ts.Client())
 	ctx := context.Background()
+	boot, _ := scrapeMetrics(t, ts)
 
 	summ := core.NewSummarizer(testSalt)
 	for i := 0; i < 2; i++ {
@@ -239,6 +241,57 @@ func TestMetricsEndToEnd(t *testing.T) {
 		}
 	}
 
+	// Summaries of every kind in 36 more datasets, raw ingests of every
+	// kind and queries over them: values move, the series set does not.
+	for d := 0; d < 12; d++ {
+		site := sites[d%len(sites)]
+		tau := sampling.TauForExpectedSize(site, 100)
+		for ds, sum := range map[string]core.Summary{
+			"pps-" + strconv.Itoa(d):     summ.SummarizePPS(0, site, tau),
+			"bottomk-" + strconv.Itoa(d): summ.SummarizeBottomK(0, site, 100, sampling.PPS{}),
+			"set-" + strconv.Itoa(d):     summ.SummarizeSet(0, members(site), 0.3),
+		} {
+			if _, err := c.PostSummary(ctx, ds, sum); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	for _, opts := range []client.IngestOptions{
+		{Dataset: "pps-0", Kind: "pps", Tau: sampling.TauForExpectedSize(sites[1], 100)},
+		{Dataset: "bottomk-0", Kind: "bottomk", K: 100},
+		{Dataset: "set-0", Kind: "set", P: 0.3},
+	} {
+		opts.Instance, opts.Format = 1, "ndjson"
+		if _, err := c.Ingest(ctx, opts, bytes.NewReader(ndjsonBody(sites[1]))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := c.Distinct(ctx, "set-0", 0, 1); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Distinct(ctx, "bottomk-0", 1); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Sum(ctx, "pps-0", 1); err != nil {
+		t.Fatal(err)
+	}
+	third, _ := scrapeMetrics(t, ts)
+	if got := third["summaryd_datasets"]; got != 37 {
+		t.Errorf("datasets gauge = %v, want 37", got)
+	}
+	for name, scrape := range map[string]map[string]float64{"first": first, "second": second, "third": third} {
+		for key := range scrape {
+			if _, ok := boot[key]; !ok {
+				t.Errorf("%s scrape: series %s was not there at boot", name, key)
+			}
+		}
+		for key := range boot {
+			if _, ok := scrape[key]; !ok {
+				t.Errorf("%s scrape: boot series %s is gone", name, key)
+			}
+		}
+	}
+
 	// No store is attached: its families must be absent, not zero.
 	for name := range types {
 		if strings.HasPrefix(name, "summaryd_store_") {
@@ -317,6 +370,44 @@ func findRequestLine(t *testing.T, logs, rid string) map[string]any {
 	return nil
 }
 
+// TestSlowRequestTripwire pins the slow-request log escalation: at or
+// above the WithSlowRequest threshold the request line is a Warn with
+// slow=true, carrying on a traced server the trace_id that finds the
+// request on /debug/traces; a zero threshold never escalates.
+func TestSlowRequestTripwire(t *testing.T) {
+	for _, tc := range []struct {
+		threshold time.Duration
+		level     string
+		slow      bool
+	}{
+		{time.Nanosecond, "WARN", true},
+		{0, "INFO", false},
+	} {
+		t.Run(tc.threshold.String(), func(t *testing.T) {
+			var logBuf syncBuffer
+			o := server.NewObserver(obs.NewRegistry(),
+				server.WithRequestLogger(slog.New(slog.NewJSONHandler(&logBuf, nil))),
+				server.WithSlowRequest(tc.threshold))
+			srv := server.New(server.NewRegistry(), engine.Config{},
+				server.WithObserver(o), server.WithTracer(trace.New(8)))
+			rec := httptest.NewRecorder()
+			srv.ServeHTTP(rec, httptest.NewRequest("GET", "/healthz", nil))
+			line := findRequestLine(t, logBuf.String(), rec.Header().Get("X-Request-ID"))
+			if line == nil {
+				t.Fatalf("no request line for the response's X-Request-ID in:\n%s", logBuf.String())
+			}
+			if line["level"] != tc.level || line["slow"] != tc.slow {
+				t.Errorf("request line level=%v slow=%v, want %s slow=%v", line["level"], line["slow"], tc.level, tc.slow)
+			}
+			// traceparent is version-traceid-spanid-flags.
+			tp := strings.Split(rec.Header().Get("traceparent"), "-")
+			if len(tp) != 4 || line["trace_id"] != tp[1] {
+				t.Errorf("request line trace_id %v, want the traceparent's %v", line["trace_id"], tp)
+			}
+		})
+	}
+}
+
 // TestUnobservedServer pins the zero-cost default: without WithObserver
 // there is no /metrics endpoint and no X-Request-ID header.
 func TestUnobservedServer(t *testing.T) {
@@ -340,16 +431,6 @@ func TestUnobservedServer(t *testing.T) {
 	if got := resp.Header.Get("X-Request-ID"); got != "" {
 		t.Errorf("unobserved server set X-Request-ID %q", got)
 	}
-}
-
-// TestMetricsEndpointRequiresObserver pins the construction contract.
-func TestMetricsEndpointRequiresObserver(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("WithMetricsEndpoint without WithObserver did not panic")
-		}
-	}()
-	server.New(server.NewRegistry(), engine.Config{}, server.WithMetricsEndpoint())
 }
 
 // discardRW is the cheapest possible ResponseWriter, so the allocation
@@ -419,7 +500,7 @@ func BenchmarkServerQueryInstrumented(b *testing.B) {
 	logger := slog.New(slog.NewTextHandler(io.Discard, &slog.HandlerOptions{Level: slog.LevelWarn}))
 	o := server.NewObserver(obs.NewRegistry(),
 		server.WithRequestLogger(logger), server.WithSlowRequest(time.Minute))
-	inst, closeInst := setup(server.WithObserver(o), server.WithMetricsEndpoint())
+	inst, closeInst := setup(server.WithObserver(o))
 	defer closeInst()
 	base, closeBase := setup()
 	defer closeBase()

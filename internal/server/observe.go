@@ -10,9 +10,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"math"
-
-	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/obs"
 	"repro/internal/obs/trace"
@@ -61,11 +58,10 @@ type endpointMetrics struct {
 	respBytes *obs.Counter
 }
 
-// Observer instruments one Server: construct it with NewObserver, hand
-// it to server.New via WithObserver, and expose its registry with
-// WithMetricsEndpoint (or mount Registry().Handler() elsewhere). One
-// Observer serves exactly one Server — its engine and dataset series
-// read that server's state.
+// Observer instruments one Server: construct it with NewObserver and
+// hand it to server.New via WithObserver, which also serves its registry
+// on GET /metrics. One Observer serves exactly one Server — its engine
+// and dataset series read that server's state.
 type Observer struct {
 	reg       *obs.Registry
 	log       *slog.Logger
@@ -140,10 +136,6 @@ func NewObserver(reg *obs.Registry, opts ...ObserverOption) *Observer {
 	return o
 }
 
-// Registry returns the metrics registry the observer reports into (nil
-// when constructed without one).
-func (o *Observer) Registry() *obs.Registry { return o.reg }
-
 // bindServer registers the series that read one server's state: the
 // engine totals accumulated from every ingest pipeline's Stats(), and
 // the dataset count. Called by server.New; binding one observer to two
@@ -162,93 +154,6 @@ func (o *Observer) bindServer(s *Server) {
 		"Registered datasets.", nil,
 		func() float64 { return float64(s.reg.Count()) })
 	o.tracer = s.tracer
-	bindSketchGauges(reg, s.reg)
-}
-
-// bindSketchGauges registers the per-summary sketch-health families. They
-// are dynamic series (obs.GaugeSetFunc): each scrape walks the registry's
-// current summaries — summaries are compact by design, so the walk is
-// cheap — and emits one sample per (dataset, instance). Everything is
-// derived from stored summary state; the sampling hot loops stay
-// uninstrumented.
-func bindSketchGauges(reg *obs.Registry, sr *Registry) {
-	reg.GaugeSetFunc("summaryd_sketch_tau",
-		"Per-summary inclusion threshold: PPS tau, bottom-k rank threshold (+Inf when never thresholded), VarOpt tau.",
-		func(emit func(labels obs.Labels, v float64)) {
-			_ = sr.Dump(func(ds string, sum core.Summary) error {
-				if tau, ok := summaryTau(sum); ok {
-					emit(summaryLabels(ds, sum), tau)
-				}
-				return nil
-			})
-		})
-	reg.GaugeSetFunc("summaryd_sketch_fill_ratio",
-		"Estimated fraction of the instance's keys the summary retains: size over the estimated key count for bottom-k (1 when exact), the sampling probability for set summaries.",
-		func(emit func(labels obs.Labels, v float64)) {
-			_ = sr.Dump(func(ds string, sum core.Summary) error {
-				if fill, ok := summaryFillRatio(sum); ok {
-					emit(summaryLabels(ds, sum), fill)
-				}
-				return nil
-			})
-		})
-	reg.GaugeSetFunc("summaryd_sketch_fast_reject_ratio",
-		"Estimated fraction of arrivals a thresholded bottom-k summary turns away on its fast-reject path (1 - fill ratio; 0 while filling).",
-		func(emit func(labels obs.Labels, v float64)) {
-			_ = sr.Dump(func(ds string, sum core.Summary) error {
-				b, ok := sum.(core.BottomKReader)
-				if !ok {
-					return nil
-				}
-				fill, ok := summaryFillRatio(sum)
-				if !ok || math.IsInf(b.RankTau(), 1) {
-					emit(summaryLabels(ds, sum), 0)
-					return nil
-				}
-				emit(summaryLabels(ds, sum), math.Max(0, 1-fill))
-				return nil
-			})
-		})
-}
-
-// summaryLabels is the shared label set of the sketch gauges.
-func summaryLabels(ds string, sum core.Summary) obs.Labels {
-	return obs.Labels{"dataset": ds, "instance": strconv.Itoa(sum.InstanceID())}
-}
-
-// summaryTau extracts the inclusion threshold of a weighted summary; set
-// summaries have none.
-func summaryTau(sum core.Summary) (float64, bool) {
-	switch s := sum.(type) {
-	case core.PPSReader:
-		return s.PPSTau(), true
-	case core.BottomKReader:
-		return s.RankTau(), true
-	case core.VarOptReader:
-		return s.VarOptTau(), true
-	}
-	return 0, false
-}
-
-// summaryFillRatio estimates how much of the underlying instance the
-// summary holds: for bottom-k, size over the rank-conditioning distinct
-// estimate (exactly 1 for a never-thresholded summary); for set
-// summaries, the sampling probability (the expected retained fraction).
-func summaryFillRatio(sum core.Summary) (float64, bool) {
-	switch s := sum.(type) {
-	case core.BottomKReader:
-		if math.IsInf(s.RankTau(), 1) {
-			return 1, true
-		}
-		est := core.BottomKDistinct(s)
-		if !(est > 0) {
-			return 0, false
-		}
-		return math.Min(1, float64(s.Size())/est), true
-	case core.SetReader:
-		return s.SetP(), true
-	}
-	return 0, false
 }
 
 // intercept is the request middleware: measure, tag, serve, log.

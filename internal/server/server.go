@@ -29,6 +29,8 @@ const maxSummaryBody = 64 << 20
 //	POST /v1/ingest            summarize a raw CSV/ndjson pair stream
 //	POST /v1/ingest/multi      one-pass multi-instance ingest (instance column)
 //	GET  /v1/query             estimate over a stored subset
+//	GET  /metrics              Prometheus text exposition (served when observed)
+//	GET  /debug/traces         recent completed traces (served when traced)
 //
 // Every error response is JSON: {"error": "..."}; wire-format negotiation
 // failures (415/406) additionally list the supported versions.
@@ -37,7 +39,6 @@ type Server struct {
 	mux         *http.ServeMux
 	storeStatus func() api.StoreStatus
 	obs         *Observer
-	metricsOn   bool
 	tracer      *trace.Tracer
 	// engine accumulates every ingest pipeline's final Stats() for
 	// /healthz and the metrics registry.
@@ -57,20 +58,15 @@ func WithStoreStatus(status func() api.StoreStatus) Option {
 
 // WithObserver instruments the server: every request flows through the
 // observer's middleware (per-endpoint metrics, X-Request-ID assignment,
-// structured request logs), and the observer's registry gains the
-// engine-totals and dataset series. Without this option the server is
-// entirely unobserved — the in-process and test path pays nothing, not
-// even a wrapper allocation per request. One observer serves one server.
+// structured request logs), the observer's registry gains the
+// engine-totals and dataset series, and GET /metrics serves that registry
+// in the Prometheus text exposition format. Every series exists from
+// construction on, so no post, ingest or dataset adds one. Without this
+// option the server is entirely unobserved — the in-process and test path
+// pays nothing, not even a wrapper allocation per request, and /metrics
+// is a 404. One observer serves one server.
 func WithObserver(o *Observer) Option {
 	return func(s *Server) { s.obs = o }
-}
-
-// WithMetricsEndpoint mounts GET /metrics on the server's mux, serving
-// the observer's registry in the Prometheus text exposition format. It
-// requires WithObserver (New panics otherwise — exposing an endpoint
-// with nothing behind it is a construction-time misconfiguration).
-func WithMetricsEndpoint() Option {
-	return func(s *Server) { s.metricsOn = true }
 }
 
 // WithTracer attaches a span recorder: the observer's middleware opens a
@@ -79,9 +75,9 @@ func WithMetricsEndpoint() Option {
 // hang child spans off it through the request context, and the
 // recorder's ring of recent completed traces is served at
 // GET /debug/traces. It requires WithObserver (New panics otherwise) —
-// the middleware is where the root span lives. The tracer may be
-// disabled at runtime (trace.Tracer.SetEnabled); a disabled tracer costs
-// one atomic load per request and zero allocations.
+// the middleware is where the root span lives. Without this option
+// (summaryd -trace=false) tracing costs the middleware one nil check per
+// request and zero allocations.
 func WithTracer(t *trace.Tracer) Option {
 	return func(s *Server) { s.tracer = t }
 }
@@ -138,12 +134,7 @@ func New(reg *Registry, cfg engine.Config, opts ...Option) *Server {
 	}
 	if s.obs != nil {
 		s.obs.bindServer(s)
-	}
-	if s.metricsOn {
-		if s.obs == nil {
-			panic("server: WithMetricsEndpoint requires WithObserver")
-		}
-		s.mux.Handle("GET /metrics", s.obs.Registry().Handler())
+		s.mux.Handle("GET /metrics", s.obs.reg.Handler())
 	}
 	return s
 }

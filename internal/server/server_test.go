@@ -386,7 +386,7 @@ func TestIngestRefusesCoordinated(t *testing.T) {
 	sites := fixture(200)
 	reg := server.NewRegistry()
 	h := server.New(reg, engine.Config{},
-		server.WithObserver(server.NewObserver(obs.NewRegistry())), server.WithMetricsEndpoint())
+		server.WithObserver(server.NewObserver(obs.NewRegistry())))
 	ts := httptest.NewServer(h)
 	defer ts.Close()
 

@@ -315,47 +315,6 @@ func TestQueryExplainAndAccuracy(t *testing.T) {
 	}
 }
 
-// TestSketchHealthGauges: posting summaries surfaces the per-dataset
-// sketch-health gauge families on /metrics — tau, fill ratio, and the
-// bottom-k fast-reject ratio estimate.
-func TestSketchHealthGauges(t *testing.T) {
-	o := server.NewObserver(obs.NewRegistry())
-	ts := httptest.NewServer(server.New(server.NewRegistry(), engine.Config{},
-		server.WithObserver(o), server.WithMetricsEndpoint()))
-	defer ts.Close()
-	sites := fixture(1200)
-	summ := core.NewSummarizer(testSalt)
-
-	tau := sampling.TauForExpectedSize(sites[0], 150)
-	postV2(t, ts.URL, "flows", summ.SummarizePPS(0, sites[0], tau))
-	postV2(t, ts.URL, "ranked", summ.SummarizeBottomK(0, sites[1], 100, sampling.PPS{}))
-	postV2(t, ts.URL, "presence", summ.SummarizeSet(0, members(sites[2]), 0.3))
-
-	values, types := scrapeMetrics(t, ts)
-	if got := values[`summaryd_sketch_tau{dataset="flows",instance="0"}`]; got != tau {
-		t.Errorf("pps tau gauge = %v, want %v", got, tau)
-	}
-	if got := values[`summaryd_sketch_fill_ratio{dataset="presence",instance="0"}`]; got != 0.3 {
-		t.Errorf("set fill gauge = %v, want sampling p 0.3", got)
-	}
-	fill, ok := values[`summaryd_sketch_fill_ratio{dataset="ranked",instance="0"}`]
-	if !ok || fill <= 0 || fill > 1 {
-		t.Errorf("bottom-k fill gauge = %v (present %v), want in (0,1]", fill, ok)
-	}
-	rej, ok := values[`summaryd_sketch_fast_reject_ratio{dataset="ranked",instance="0"}`]
-	if !ok || rej < 0 || rej >= 1 {
-		t.Errorf("fast-reject gauge = %v (present %v), want in [0,1)", rej, ok)
-	}
-	if math.Abs(rej-math.Max(0, 1-fill)) > 1e-12 {
-		t.Errorf("fast-reject %v != 1-fill %v", rej, 1-fill)
-	}
-	for _, fam := range []string{"summaryd_sketch_tau", "summaryd_sketch_fill_ratio", "summaryd_sketch_fast_reject_ratio"} {
-		if types[fam] != "gauge" {
-			t.Errorf("family %s declared %q, want gauge", fam, types[fam])
-		}
-	}
-}
-
 // TestQuerySpanMergeAttrs: the query span of a key-walking query carries
 // union_keys (the keys its ordered walk visited), so /debug/traces
 // attributes ns/key; a point query does not.
