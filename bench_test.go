@@ -507,34 +507,28 @@ func BenchmarkEngineAsync(b *testing.B) {
 }
 
 // BenchmarkEngineMultiBottomK measures one-pass multi-instance bottom-k
-// summarization: r coordinated instances populated by a single scan of a
-// combined stream (the alternative is r separate scans).
+// summarization: r instances, each with its own seeds from one
+// Summarizer, populated in-line by a single scan of a combined stream
+// (the alternative is r separate scans).
 func BenchmarkEngineMultiBottomK(b *testing.B) {
 	const r = 4
 	base := benchStream(1 << 18)
-	pairs := make([]engine.MultiPair, 0, r*len(base))
+	pairs := make([]core.MultiPair, 0, r*len(base))
 	for _, p := range base {
 		for i := 0; i < r; i++ {
-			pairs = append(pairs, engine.MultiPair{Key: p.Key, Instance: i, Value: p.Value})
+			pairs = append(pairs, core.MultiPair{Key: p.Key, Instance: i, Value: p.Value})
 		}
 	}
-	// One seed function for every instance: a single hash per key.
-	seeds := func(int) sampling.SeedFunc {
-		return func(h dataset.Key) float64 { return xhash.Unit(xhash.Hash2(9, uint64(h))) }
-	}
-	for _, shards := range []int{1, 4} {
-		b.Run(benchName("shards", shards), func(b *testing.B) {
-			cfg := engine.Config{Parallel: shards > 1, Shards: shards, Async: true}
-			b.SetBytes(int64(len(pairs)) * 24)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				e := engine.NewMultiBottomK(r, 1024, sampling.PPS{}, seeds, cfg)
-				e.PushBatch(pairs)
-				for _, s := range e.Close() {
-					sinkF += s.Tau
-				}
-			}
-		})
+	s := core.NewSummarizer(9)
+	ids := []int{0, 1, 2, 3}
+	b.SetBytes(int64(len(pairs)) * 24)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		st := s.StreamMultiBottomK(ids, 1024, sampling.PPS{})
+		st.PushBatch(pairs)
+		for _, sum := range st.Close() {
+			sinkF += sum.RankTau()
+		}
 	}
 }
 

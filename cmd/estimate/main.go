@@ -10,23 +10,9 @@
 //	estimate -query sum          a.json # single-summary subset-sum estimate
 //	estimate -demo                      # generate, serialize, and query a demo pair
 //	estimate -demo -wire 2              # serialize the demo pair in the v2 binary format
-//	estimate -demo -shards 4 -batch 512 # demo summarization through the sharded engine
-//	estimate -demo -shards 4 -async -queue 16 # async engine: bounded queues
 //	estimate -demo -query sum -sampler varopt # VarOpt_k reservoir demo
 //
-// -shards selects the summarization strategy for the engine-backed demos
-// (maxdominance's PPS summaries and sum's PPS or VarOpt summary): 1
-// (default) runs the sequential pipeline, n>1 uses n hash-partitioned
-// shards, 0 one shard per CPU. -batch sizes the per-shard arrival
-// batches; -async runs the engine's async mode with bounded per-shard
-// queues of -queue batches. Negative values are rejected with exit 2
-// through engine.Config.Validate — the one rule every front door shares;
-// 0 always means "use the default". The summary is identical for every
-// setting; only throughput changes (for VarOpt, identical in
-// distribution — the reservoir's drop decisions are randomized). The
-// distinct demo's set summaries do not route through the engine (set
-// sampling is stateless), so non-default flags are rejected there rather
-// than silently ignored.
+// Every demo summary is drawn in-line, in one pass over its instance.
 //
 // -sampler picks the sum demo's summary kind: pps (default, threshold
 // sampling sized to ~200 expected keys) or varopt (a VarOpt_k reservoir
@@ -41,85 +27,80 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"slices"
 
 	"repro/internal/core"
 	"repro/internal/dataset"
-	"repro/internal/engine"
 	"repro/internal/simdata"
 )
 
 func main() {
-	query := flag.String("query", "maxdominance", "query to run: maxdominance, distinct, or sum")
-	demo := flag.Bool("demo", false, "write a demo summary pair to the working directory and query it")
-	sampler := flag.String("sampler", "pps", "summary kind for the sum demo: pps or varopt")
-	shards := flag.Int("shards", 1, "summarization shards for -demo: 1 sequential, n>1 hash-partitioned, 0 per-CPU")
-	batch := flag.Int("batch", engine.DefaultBatchSize, "per-shard batch size for -demo")
-	async := flag.Bool("async", false, "run the -demo engine in async mode (bounded per-shard queues)")
-	queue := flag.Int("queue", 0, "per-shard queue depth in batches for -demo (0 = default 8)")
-	wire := flag.Int("wire", 1, "wire version of the -demo summary files (1 = JSON, 2 = binary)")
-	flag.Parse()
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run parses args, runs the command, and returns its exit status: 0 on
+// success, 1 when a summary file cannot be read or queried, 2 on a usage
+// error.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("estimate", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	query := fs.String("query", "maxdominance", "query to run: maxdominance, distinct, or sum")
+	demo := fs.Bool("demo", false, "write a demo summary pair to a temp directory and query it")
+	sampler := fs.String("sampler", "pps", "summary kind for the sum demo: pps or varopt")
+	wire := fs.Int("wire", 1, "wire version of the -demo summary files (1 = JSON, 2 = binary)")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
 
 	if !slices.Contains(core.SupportedWireVersions(), *wire) {
-		fmt.Fprintf(os.Stderr, "estimate: -wire %d: supported versions are %v\n", *wire, core.SupportedWireVersions())
-		os.Exit(2)
+		fmt.Fprintf(stderr, "estimate: -wire %d: supported versions are %v\n", *wire, core.SupportedWireVersions())
+		return 2
 	}
 	if *wire != 1 && !*demo {
-		fmt.Fprintln(os.Stderr, "estimate: -wire only applies to -demo output (query inputs are sniffed)")
-		os.Exit(2)
-	}
-
-	cfg := engine.Config{
-		Parallel:   *shards != 1,
-		Shards:     *shards,
-		BatchSize:  *batch,
-		Async:      *async,
-		QueueDepth: *queue,
-	}
-	// One validation rule for every front door: the engine owns it.
-	if err := cfg.Validate(); err != nil {
-		fmt.Fprintf(os.Stderr, "estimate: %v\n", err)
-		os.Exit(2)
-	}
-	engineFlagsSet := *shards != 1 || *batch != engine.DefaultBatchSize || *async || *queue != 0
-	if engineFlagsSet && (!*demo || (*query != "maxdominance" && *query != "sum")) {
-		fmt.Fprintln(os.Stderr, "estimate: -shards/-batch/-async/-queue only apply to the engine-backed demos (maxdominance, sum)")
-		os.Exit(2)
+		fmt.Fprintln(stderr, "estimate: -wire only applies to -demo output (query inputs are sniffed)")
+		return 2
 	}
 	if *sampler != "pps" && *sampler != "varopt" {
-		fmt.Fprintf(os.Stderr, "estimate: unknown -sampler %q (pps, varopt)\n", *sampler)
-		os.Exit(2)
+		fmt.Fprintf(stderr, "estimate: unknown -sampler %q (pps, varopt)\n", *sampler)
+		return 2
 	}
 	if *sampler != "pps" && (!*demo || *query != "sum") {
-		fmt.Fprintln(os.Stderr, "estimate: -sampler only applies to the sum demo (query inputs carry their kind)")
-		os.Exit(2)
+		fmt.Fprintln(stderr, "estimate: -sampler only applies to the sum demo (query inputs carry their kind)")
+		return 2
 	}
 	if *demo {
-		if err := runDemo(*query, *sampler, cfg, *wire); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+		if err := runDemo(stdout, *query, *sampler, *wire); err != nil {
+			fmt.Fprintln(stderr, err)
+			return 1
 		}
-		return
+		return 0
 	}
 	want := 2
 	if *query == "sum" {
 		want = 1
 	}
-	if flag.NArg() != want {
-		fmt.Fprintf(os.Stderr, "need exactly %d summary file(s) (or -demo)\n", want)
-		os.Exit(2)
+	if fs.NArg() != want {
+		fmt.Fprintf(stderr, "need exactly %d summary file(s) (or -demo)\n", want)
+		return 2
 	}
-	if err := run(*query, flag.Args()...); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+	if err := answer(stdout, *query, fs.Args()...); err != nil {
+		fmt.Fprintln(stderr, err)
+		return 1
 	}
+	return 0
 }
 
-func run(query string, files ...string) error {
+// answer runs query over the summary files and prints the estimate.
+func answer(stdout io.Writer, query string, files ...string) error {
 	if query == "sum" {
 		data, err := os.ReadFile(files[0])
 		if err != nil {
@@ -135,7 +116,7 @@ func run(query string, files ...string) error {
 		if !ok {
 			return fmt.Errorf("sum not supported for %s summaries", sum.Kind())
 		}
-		fmt.Printf("subset sum (%s, %d keys):\n  estimate = %.6g\n", sum.Kind(), sum.Size(), est.SubsetSum(nil))
+		fmt.Fprintf(stdout, "subset sum (%s, %d keys):\n  estimate = %.6g\n", sum.Kind(), sum.Size(), est.SubsetSum(nil))
 		return nil
 	}
 	file1, file2 := files[0], files[1]
@@ -161,7 +142,7 @@ func run(query string, files ...string) error {
 		if err != nil {
 			return err
 		}
-		fmt.Printf("max-dominance over %d keys:\n  HT = %.6g\n  L  = %.6g\n", est.KeysUsed, est.HT, est.L)
+		fmt.Fprintf(stdout, "max-dominance over %d keys:\n  HT = %.6g\n  L  = %.6g\n", est.KeysUsed, est.HT, est.L)
 	case "distinct":
 		s1, err := core.DecodeSetSummary(d1)
 		if err != nil {
@@ -175,14 +156,16 @@ func run(query string, files ...string) error {
 		if err != nil {
 			return err
 		}
-		fmt.Printf("distinct count:\n  HT = %.6g\n  L  = %.6g\n  categories: %+v\n", est.HT, est.L, est.Counts)
+		fmt.Fprintf(stdout, "distinct count:\n  HT = %.6g\n  L  = %.6g\n  categories: %+v\n", est.HT, est.L, est.Counts)
 	default:
 		return fmt.Errorf("unknown query %q", query)
 	}
 	return nil
 }
 
-func runDemo(query, sampler string, cfg engine.Config, wire int) error {
+// runDemo writes the demo summaries for query to a temp directory and
+// answers query over them.
+func runDemo(stdout io.Writer, query, sampler string, wire int) error {
 	dir, err := os.MkdirTemp("", "estimate-demo-")
 	if err != nil {
 		return err
@@ -211,13 +194,13 @@ func runDemo(query, sampler string, cfg engine.Config, wire int) error {
 	switch query {
 	case "maxdominance":
 		for i := 0; i < 2; i++ {
-			sum := s.SummarizePPSExpectedSizeWith(cfg, i, m.Instances[i], 200)
+			sum := s.SummarizePPSExpectedSize(i, m.Instances[i], 200)
 			if paths[i], err = writeSummary(i, sum); err != nil {
 				return err
 			}
 		}
-		fmt.Printf("wrote %s, %s\n", paths[0], paths[1])
-		fmt.Printf("truth: %.6g\n", m.SumAggregate(dataset.Max, nil))
+		fmt.Fprintf(stdout, "wrote %s, %s\n", paths[0], paths[1])
+		fmt.Fprintf(stdout, "truth: %.6g\n", m.SumAggregate(dataset.Max, nil))
 	case "distinct":
 		for i := 0; i < 2; i++ {
 			members := make(map[dataset.Key]bool, len(m.Instances[i]))
@@ -229,24 +212,24 @@ func runDemo(query, sampler string, cfg engine.Config, wire int) error {
 				return err
 			}
 		}
-		fmt.Printf("wrote %s, %s\n", paths[0], paths[1])
-		fmt.Printf("truth: %d\n", len(m.Keys()))
+		fmt.Fprintf(stdout, "wrote %s, %s\n", paths[0], paths[1])
+		fmt.Fprintf(stdout, "truth: %d\n", len(m.Keys()))
 	case "sum":
 		var sum core.Summary
 		if sampler == "varopt" {
-			sum = s.SummarizeVarOptWith(cfg, 0, m.Instances[0], 200)
+			sum = s.SummarizeVarOpt(0, m.Instances[0], 200)
 		} else {
-			sum = s.SummarizePPSExpectedSizeWith(cfg, 0, m.Instances[0], 200)
+			sum = s.SummarizePPSExpectedSize(0, m.Instances[0], 200)
 		}
 		path, err := writeSummary(0, sum)
 		if err != nil {
 			return err
 		}
-		fmt.Printf("wrote %s\n", path)
-		fmt.Printf("truth: %.6g\n", m.Instances[0].Total())
-		return run(query, path)
+		fmt.Fprintf(stdout, "wrote %s\n", path)
+		fmt.Fprintf(stdout, "truth: %.6g\n", m.Instances[0].Total())
+		return answer(stdout, query, path)
 	default:
 		return fmt.Errorf("unknown query %q", query)
 	}
-	return run(query, paths[0], paths[1])
+	return answer(stdout, query, paths[0], paths[1])
 }

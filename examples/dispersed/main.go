@@ -16,12 +16,12 @@
 // estimators in-process on the same summaries: the server adds transport
 // and storage, never approximation.
 //
-// The final act exercises the engine's ONE-PASS multi-instance pipeline:
-// the three sites' streams are combined into a single (key, instance,
-// value) stream and summarized with one scan — in-process through
-// core.SummarizeMultiPPSWith (async sharded engine) and over HTTP through
-// POST /v1/ingest/multi — and the program asserts every resulting summary
-// is bit-identical to the per-instance passes.
+// The final act exercises ONE-PASS multi-instance summarization: the
+// three sites' streams are combined into a single (key, instance, value)
+// stream and summarized with one scan — in-process through the in-line
+// core.StreamMultiPPS and over HTTP through POST /v1/ingest/multi — and
+// the program asserts every resulting summary is bit-identical to the
+// per-instance passes.
 //
 // Run with: go run ./examples/dispersed
 package main
@@ -219,13 +219,12 @@ func main() {
 	// --- one pass, all instances ----------------------------------------
 	// The same three sites again, but now their streams are combined into
 	// one (key, instance, value) stream and every instance is summarized
-	// with a single scan: per-instance samplers behind each shard worker
-	// of the async engine pipeline.
+	// with a single scan: one in-line sampler per instance.
 	fmt.Printf("\none-pass multi-instance summarization:\n\n")
 	ids := []int{0, 1, 2}
-	acfg := engine.Config{Parallel: true, Shards: 4, Async: true, QueueDepth: 4, BatchSize: 256}
-
-	multiLocal := summ.SummarizeMultiPPSWith(acfg, ids, sites, taus)
+	multi := summ.StreamMultiPPS(ids, taus)
+	multi.PushBatch(combinedStream(sites))
+	multiLocal := multi.Close()
 	for i := range sites {
 		mustEqualSummary(fmt.Sprintf("one-pass pps instance %d", i), multiLocal[i], ppsLocal[i])
 	}
@@ -474,6 +473,15 @@ func main() {
 // value) ndjson stream, interleaved by key.
 func multiNdjsonBody(sites []dataset.Instance) []byte {
 	var buf bytes.Buffer
+	for _, m := range combinedStream(sites) {
+		fmt.Fprintf(&buf, "{\"key\":%d,\"instance\":%d,\"value\":%g}\n", uint64(m.Key), m.Instance, m.Value)
+	}
+	return buf.Bytes()
+}
+
+// combinedStream interleaves all sites into one (key, instance, value)
+// stream, ordered by key and then by site.
+func combinedStream(sites []dataset.Instance) []core.MultiPair {
 	seen := make(map[dataset.Key]bool)
 	for _, in := range sites {
 		for h := range in {
@@ -485,14 +493,15 @@ func multiNdjsonBody(sites []dataset.Instance) []byte {
 		keys = append(keys, h)
 	}
 	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
+	var out []core.MultiPair
 	for _, h := range keys {
 		for i, in := range sites {
 			if v, ok := in[h]; ok {
-				fmt.Fprintf(&buf, "{\"key\":%d,\"instance\":%d,\"value\":%g}\n", uint64(h), i, v)
+				out = append(out, core.MultiPair{Key: h, Instance: i, Value: v})
 			}
 		}
 	}
-	return buf.Bytes()
+	return out
 }
 
 // mustEqualSummary asserts that two summaries are the same summary: equal

@@ -3,9 +3,9 @@
 // independent PPS samples of each hour.
 //
 // The workload is the synthetic substitute for the paper's proprietary
-// hourly flow logs (substitution S1 in DESIGN.md), calibrated to the
-// published statistics: ~24.5k destinations per hour, 38k distinct overall,
-// ~5.5e5 flows per hour, Σmax ≈ 7.47e5.
+// hourly flow logs (substitution S1; see the internal/simdata package
+// doc), calibrated to the published statistics: ~24.5k destinations per
+// hour, 38k distinct overall, ~5.5e5 flows per hour, Σmax ≈ 7.47e5.
 //
 // Run with: go run ./examples/maxdominance
 package main

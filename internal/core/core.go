@@ -28,7 +28,6 @@ import (
 	"slices"
 
 	"repro/internal/dataset"
-	"repro/internal/engine"
 	"repro/internal/estimator"
 	"repro/internal/sampling"
 	"repro/internal/xhash"
@@ -55,11 +54,11 @@ func (s *Summarizer) seedFunc(instance int) sampling.SeedFunc {
 }
 
 // SummarizePPS draws the PPS summary of one instance with threshold tau
-// (inclusion probability min{1, v/tau}). It routes through the
-// summarization engine on its sequential path; use SummarizePPSWith to fan
-// out across shards for heavy instances.
+// (inclusion probability min{1, v/tau}). Non-positive thresholds are
+// degenerate but accepted: tau = 0 samples every positive key, tau < 0
+// none.
 func (s *Summarizer) SummarizePPS(instance int, in dataset.Instance, tau float64) *PPSSummary {
-	return s.SummarizePPSWith(engine.Config{}, instance, in, tau)
+	return newPPSSummary(s.seeder, instance, tau, sampling.PoissonPPS(in, tau, s.seedFunc(instance)).Values)
 }
 
 // SummarizePPSExpectedSize draws a PPS summary sized to k expected keys.
@@ -288,9 +287,7 @@ func categorizeMerge(m *unionMerge, seed []xhash.InstanceSeeder, p [2]float64, s
 
 // SummarizeBottomK draws a bottom-k summary with the given rank family
 // (sampling.PPS{} for priority sampling, sampling.EXP{} for weighted
-// sampling without replacement). It routes through the summarization
-// engine on its sequential path; use SummarizeBottomKWith to fan out
-// across shards for heavy instances.
+// sampling without replacement).
 func (s *Summarizer) SummarizeBottomK(instance int, in dataset.Instance, k int, fam sampling.RankFamily) *BottomKSummary {
-	return s.SummarizeBottomKWith(engine.Config{}, instance, in, k, fam)
+	return newBottomKSummary(s.seeder, instance, sampling.BottomK(in, k, fam, s.seedFunc(instance)))
 }

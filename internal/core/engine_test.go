@@ -2,9 +2,10 @@ package core
 
 import (
 	"bytes"
-	"fmt"
+	"maps"
 	"math"
 	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/dataset"
@@ -22,10 +23,10 @@ func engineTestInstance(n int) dataset.Instance {
 	return in
 }
 
-// TestSummarizeWithConfigsAgree: the engine-routed entry points produce the
-// same summary for every execution strategy, and match the legacy batch
-// samplers.
-func TestSummarizeWithConfigsAgree(t *testing.T) {
+// TestStreamConfigsAgree: the engine-backed streams produce the same
+// summary for every execution strategy, and match the batch samplers the
+// one-shot entry points use.
+func TestStreamConfigsAgree(t *testing.T) {
 	in := engineTestInstance(600)
 	s := NewSummarizer(404)
 	cfgs := []engine.Config{{}, {Parallel: true, Shards: 3, BatchSize: 50}, {Parallel: true}}
@@ -33,11 +34,17 @@ func TestSummarizeWithConfigsAgree(t *testing.T) {
 	wantPPS := sampling.PoissonPPS(in, 40, s.seedFunc(0))
 	wantBK := sampling.BottomK(in, 30, sampling.EXP{}, s.seedFunc(1))
 	for _, cfg := range cfgs {
-		pps := s.SummarizePPSWith(cfg, 0, in, 40)
+		ps := s.StreamPPS(cfg, 0, 40)
+		bs := s.StreamBottomK(cfg, 1, 30, sampling.EXP{})
+		for h, v := range in {
+			ps.Push(h, v)
+			bs.Push(h, v)
+		}
+		pps := ps.Close()
 		if !reflect.DeepEqual(entryMap(pps), wantPPS.Values) {
 			t.Fatalf("cfg %+v: PPS entries differ from the batch sampler's (%d vs %d keys)", cfg, pps.Size(), len(wantPPS.Values))
 		}
-		bk := s.SummarizeBottomKWith(cfg, 1, in, 30, sampling.EXP{})
+		bk := bs.Close()
 		if bk.RankTau() != wantBK.Tau {
 			t.Fatalf("cfg %+v: bottom-k tau %v, want %v", cfg, bk.RankTau(), wantBK.Tau)
 		}
@@ -89,11 +96,11 @@ func sameSummary(t *testing.T, label string, got, want Summary) {
 	}
 }
 
-// TestSummarizeMultiMatchesPerInstance: the one-pass multi-instance entry
-// points equal the per-instance passes bit for bit, and a stream fed one
-// instance after the other closes to summaries that answer queries exactly
-// like per-instance ones.
-func TestSummarizeMultiMatchesPerInstance(t *testing.T) {
+// TestStreamMultiMatchesPerInstance: the one-pass multi-instance
+// streams, fed one shuffled combined stream over a shared key universe,
+// close to exactly the per-instance summaries, count every pair, and the
+// closed summaries answer queries exactly like per-instance ones.
+func TestStreamMultiMatchesPerInstance(t *testing.T) {
 	rng := randx.New(31)
 	ins := make([]dataset.Instance, 3)
 	ids := []int{2, 5, 9}
@@ -103,11 +110,31 @@ func TestSummarizeMultiMatchesPerInstance(t *testing.T) {
 			ins[i][dataset.Key(rng.Intn(700)+1)] = math.Floor(1 + rng.Pareto(1, 1.3))
 		}
 	}
+	var stream []MultiPair
+	for i, in := range ins {
+		for _, h := range slices.Sorted(maps.Keys(in)) {
+			stream = append(stream, MultiPair{Key: h, Instance: i, Value: in[h]})
+		}
+	}
+	shuffled := make([]MultiPair, len(stream))
+	for i, j := range rng.Perm(len(stream)) {
+		shuffled[i] = stream[j]
+	}
 	taus := []float64{20, 45, 90}
-	cfg := engine.Config{Parallel: true, Shards: 4, BatchSize: 16, Async: true, QueueDepth: 2}
 	s := NewSummarizer(8080)
-	multiPPS := s.SummarizeMultiPPSWith(cfg, ids, ins, taus)
-	multiBK := s.SummarizeMultiBottomKWith(cfg, ids, ins, 25, sampling.PPS{})
+	ps := s.StreamMultiPPS(ids, taus)
+	bs := s.StreamMultiBottomK(ids, 25, sampling.PPS{})
+	ps.PushBatch(shuffled[:100])
+	ps.PushBatch(shuffled[100:])
+	for _, m := range shuffled {
+		bs.Push(m.Instance, m.Key, m.Value)
+	}
+	for _, st := range []engine.Stats{ps.Stats(), bs.Stats()} {
+		if st.Pairs != uint64(len(stream)) {
+			t.Fatalf("Stats().Pairs = %d, want %d", st.Pairs, len(stream))
+		}
+	}
+	multiPPS, multiBK := ps.Close(), bs.Close()
 	for i, id := range ids {
 		wantPPS := s.SummarizePPS(id, ins[i], taus[i])
 		wantBK := s.SummarizeBottomK(id, ins[i], 25, sampling.PPS{})
@@ -122,19 +149,11 @@ func TestSummarizeMultiMatchesPerInstance(t *testing.T) {
 	}
 
 	// Multi-built summaries answer queries exactly like per-instance ones.
-	st := s.StreamMultiPPS(cfg, ids[:2], taus[:2])
-	for h, v := range ins[0] {
-		st.Push(0, h, v)
-	}
-	for h, v := range ins[1] {
-		st.Push(1, h, v)
-	}
-	final := st.Close()
 	wantDom, err := MaxDominanceReaders(s.SummarizePPS(ids[0], ins[0], taus[0]), s.SummarizePPS(ids[1], ins[1], taus[1]), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	gotDom, err := MaxDominanceReaders(final[0], final[1], nil)
+	gotDom, err := MaxDominanceReaders(multiPPS[0], multiPPS[1], nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,35 +178,59 @@ func TestSummarizePPSDegenerateTau(t *testing.T) {
 	}
 }
 
-// TestSummarizeMultiPPSDegenerateTau: the one-pass entry point honors the
-// degenerate batch thresholds (tau = 0 keeps every positive key, tau < 0
-// none) exactly like r per-instance SummarizePPSWith calls — their
-// presence drops the call to the batch path instead of panicking in the
-// streaming sampler.
-func TestSummarizeMultiPPSDegenerateTau(t *testing.T) {
+// TestMultiStreamRefusals: the multi-instance streams refuse what they
+// cannot sample — a threshold count that does not match the instances, a
+// non-positive threshold (SummarizePPS's degenerate thresholds have no
+// streaming sampler), an instance position out of range — loudly rather
+// than mis-sample.
+func TestMultiStreamRefusals(t *testing.T) {
 	s := NewSummarizer(17)
-	ins := []dataset.Instance{engineTestInstance(300), engineTestInstance(300), engineTestInstance(300)}
-	taus := []float64{0, 25, -1}
-	got := s.SummarizeMultiPPSWith(engine.Config{}, []int{0, 1, 2}, ins, taus)
-	for i, in := range ins {
-		want := s.SummarizePPSWith(engine.Config{}, i, in, taus[i])
-		if got[i].PPSTau() != taus[i] {
-			t.Fatalf("instance %d: tau %v, want %v", i, got[i].PPSTau(), taus[i])
-		}
-		sameSummary(t, fmt.Sprintf("instance %d (tau %v)", i, taus[i]), got[i], want)
+	ps := s.StreamMultiPPS([]int{0, 1}, []float64{5, 5})
+	bs := s.StreamMultiBottomK([]int{0, 1}, 4, sampling.PPS{})
+	for name, f := range map[string]func(){
+		"threshold count":      func() { s.StreamMultiPPS([]int{0, 1}, []float64{5}) },
+		"zero threshold":       func() { s.StreamMultiPPS([]int{0}, []float64{0}) },
+		"negative threshold":   func() { s.StreamMultiPPS([]int{0}, []float64{-1}) },
+		"pps instance 2":       func() { ps.Push(2, 1, 1) },
+		"bottomk instance -1":  func() { bs.Push(-1, 1, 1) },
+		"bottomk batch past r": func() { bs.PushBatch([]MultiPair{{Key: 1, Instance: 2, Value: 1}}) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: no panic", name)
+				}
+			}()
+			f()
+		}()
 	}
-	if got[0].Size() != len(ins[0]) {
-		t.Fatalf("tau 0 kept %d of %d keys, want all", got[0].Size(), len(ins[0]))
+}
+
+// TestVarOptStream: PushBatch in slices of any length leaves the reservoir
+// where a Push per pair does, with the same Stats().Pairs, and
+// SummarizeVarOpt reproduces the same summary from the same instance.
+func TestVarOptStream(t *testing.T) {
+	in := engineTestInstance(3000)
+	s := NewSummarizer(15)
+	pairs := make([]sampling.Pair, 0, len(in))
+	for _, h := range slices.Sorted(maps.Keys(in)) {
+		pairs = append(pairs, sampling.Pair{Key: h, Value: in[h]})
 	}
-	if got[2].Size() != 0 {
-		t.Fatalf("tau < 0 kept %d keys, want none", got[2].Size())
+	one, batched := s.StreamVarOpt(3, 64), s.StreamVarOpt(3, 64)
+	for _, p := range pairs {
+		one.Push(p.Key, p.Value)
 	}
-	// The streaming entry point has no batch fallback: it must refuse
-	// degenerate thresholds loudly rather than mis-sample.
-	defer func() {
-		if recover() == nil {
-			t.Fatal("StreamMultiPPS accepted a non-positive threshold")
-		}
-	}()
-	s.StreamMultiPPS(engine.Config{}, []int{0}, []float64{0})
+	rest := pairs
+	for _, n := range []int{0, 1, 255, 256, 0, 257, 1500} {
+		batched.PushBatch(rest[:n])
+		rest = rest[n:]
+	}
+	batched.PushBatch(rest)
+	if a, b := one.Stats().Pairs, batched.Stats().Pairs; a != uint64(len(pairs)) || b != a {
+		t.Errorf("Stats().Pairs %d pushed, %d batched, want %d", a, b, len(pairs))
+	}
+	want := one.Close()
+	sameSummary(t, "batched varopt", batched.Close(), want)
+	sameSummary(t, "SummarizeVarOpt", s.SummarizeVarOpt(3, in, 64), want)
+	sameSummary(t, "SummarizeVarOpt again", s.SummarizeVarOpt(3, in, 64), want)
 }

@@ -149,20 +149,31 @@ func TestMaxDominanceUnequalThresholds(t *testing.T) {
 
 // TestMaxDominanceDeterministicAcrossSummarizations: values spanning 60
 // orders of magnitude give bit-identical answers whether the summaries are
-// drawn sequentially or sharded, by a fresh Summarizer each round.
+// drawn in one shot or streamed through a sequential or sharded engine, by a
+// fresh Summarizer each round.
 func TestMaxDominanceDeterministicAcrossSummarizations(t *testing.T) {
 	m := spreadMatrix(400)
-	draw := func(cfg engine.Config) MaxDominanceEstimate {
+	draw := func(cfg *engine.Config) MaxDominanceEstimate {
 		s := NewSummarizer(12345)
-		res, err := MaxDominanceReaders(
-			s.SummarizePPSWith(cfg, 0, m.Instances[0], 1e-9),
-			s.SummarizePPSWith(cfg, 1, m.Instances[1], 1e-9), nil)
+		var sums [2]*PPSSummary
+		for i := range sums {
+			if cfg == nil {
+				sums[i] = s.SummarizePPS(i, m.Instances[i], 1e-9)
+				continue
+			}
+			st := s.StreamPPS(*cfg, i, 1e-9)
+			for h, v := range m.Instances[i] {
+				st.Push(h, v)
+			}
+			sums[i] = st.Close()
+		}
+		res, err := MaxDominanceReaders(sums[0], sums[1], nil)
 		if err != nil {
 			t.Fatal(err)
 		}
 		return res
 	}
-	first := draw(engine.Config{})
+	first := draw(nil)
 	if first.KeysUsed == 0 {
 		t.Fatal("empty samples: test exercises nothing")
 	}
@@ -171,7 +182,7 @@ func TestMaxDominanceDeterministicAcrossSummarizations(t *testing.T) {
 		if i%2 == 1 {
 			cfg = engine.Config{Parallel: true, Shards: 1 + i%4}
 		}
-		res := draw(cfg)
+		res := draw(&cfg)
 		if math.Float64bits(res.HT) != math.Float64bits(first.HT) || math.Float64bits(res.L) != math.Float64bits(first.L) {
 			t.Fatalf("round %d (%+v): (%x, %x), first gave (%x, %x)", i, cfg,
 				math.Float64bits(res.HT), math.Float64bits(res.L), math.Float64bits(first.HT), math.Float64bits(first.L))

@@ -3,10 +3,14 @@ package core
 import (
 	"encoding/json"
 	"fmt"
+	"maps"
 	"math"
+	"slices"
 
 	"repro/internal/dataset"
 	"repro/internal/engine"
+	"repro/internal/randx"
+	"repro/internal/sampling"
 	"repro/internal/xhash"
 )
 
@@ -21,59 +25,55 @@ import (
 // door (and its salt) so the registry's compatibility invariant still
 // groups summaries by randomization.
 
-// SummarizeVarOpt draws a VarOpt_k summary of one instance through the
-// engine on its sequential path; use SummarizeVarOptWith to fan out across
-// shards for heavy instances.
+// SummarizeVarOpt draws a VarOpt_k summary of one instance. The instance
+// is offered in ascending key order, so a fixed (salt, instance, data)
+// reproduces the same sample.
 func (s *Summarizer) SummarizeVarOpt(instance int, in dataset.Instance, k int) *VarOptSummary {
-	return s.SummarizeVarOptWith(engine.Config{}, instance, in, k)
-}
-
-// SummarizeVarOptWith draws a VarOpt_k summary through the engine under
-// the given config. The drop-decision randomness is derived from the
-// Summarizer's salt and the instance index, so a fixed (salt, instance,
-// config, arrival order) reproduces the same sample.
-func (s *Summarizer) SummarizeVarOptWith(cfg engine.Config, instance int, in dataset.Instance, k int) *VarOptSummary {
-	sample := engine.SummarizeVarOpt(in, k, s.varOptSeed(instance), cfg)
-	return newVarOptSummary(s.seeder, instance, sample.Tau, sample.Original)
-}
-
-// varOptSeed derives the engine seed of one instance's VarOpt pipeline.
-func (s *Summarizer) varOptSeed(instance int) uint64 {
-	return xhash.Hash2(s.seeder.Salt, uint64(instance))
+	st := s.StreamVarOpt(instance, k)
+	for _, h := range slices.Sorted(maps.Keys(in)) {
+		st.Push(h, in[h])
+	}
+	return st.Close()
 }
 
 // VarOptStream summarizes one instance incrementally with a VarOpt_k
-// reservoir behind the engine pipeline seam: Push arrivals as they happen,
-// Close to obtain the finished VarOptSummary.
+// reservoir: Push arrivals as they happen, Close to obtain the finished
+// VarOptSummary.
 type VarOptStream struct {
 	instance int
-	parent   *Summarizer
-	e        *engine.VarOpt
+	seeder   xhash.Seeder
+	vo       *sampling.VarOpt
+	pairs    uint64
 }
 
-// StreamVarOpt opens a VarOpt_k summarization stream for one instance.
-func (s *Summarizer) StreamVarOpt(cfg engine.Config, instance, k int) *VarOptStream {
-	return &VarOptStream{
-		instance: instance,
-		parent:   s,
-		e:        engine.NewVarOpt(k, s.varOptSeed(instance), cfg),
-	}
+// StreamVarOpt opens a VarOpt_k summarization stream for one instance. The
+// drop-decision randomness is derived from the Summarizer's salt and the
+// instance index, so a fixed (salt, instance, arrival order) reproduces the
+// same sample.
+func (s *Summarizer) StreamVarOpt(instance, k int) *VarOptStream {
+	seed := xhash.Hash2(xhash.Hash2(s.seeder.Salt, uint64(instance)), 1)
+	return &VarOptStream{instance: instance, seeder: s.seeder, vo: sampling.NewVarOpt(k, randx.New(seed))}
 }
 
 // Push offers one (key, weight) arrival.
-func (st *VarOptStream) Push(h dataset.Key, v float64) { st.e.Push(h, v) }
+func (st *VarOptStream) Push(h dataset.Key, v float64) {
+	st.vo.Add(h, v)
+	st.pairs++
+}
 
-// PushBatch offers a slice of arrivals, in order, with one call into the
-// engine for the batch.
-func (st *VarOptStream) PushBatch(ps []engine.Pair) { st.e.PushBatch(ps) }
+// PushBatch offers a slice of arrivals, in order.
+func (st *VarOptStream) PushBatch(ps []sampling.Pair) {
+	st.vo.AddBatch(ps)
+	st.pairs += uint64(len(ps))
+}
 
-// Stats exposes the engine's throughput and backpressure counters.
-func (st *VarOptStream) Stats() engine.Stats { return st.e.Stats() }
+// Stats reports the arrivals pushed so far.
+func (st *VarOptStream) Stats() engine.Stats { return engine.Stats{Pairs: st.pairs} }
 
-// Close drains the pipeline and returns the finished summary.
+// Close returns the finished summary.
 func (st *VarOptStream) Close() *VarOptSummary {
-	sample := st.e.Close()
-	return newVarOptSummary(st.parent.seeder, st.instance, sample.Tau, sample.Original)
+	sample := st.vo.Sample()
+	return newVarOptSummary(st.seeder, st.instance, sample.Tau, sample.Original)
 }
 
 // varoptWire is the serialized form of a VarOptSummary. Values carries the

@@ -1,10 +1,10 @@
 package dataset
 
 // FigureFive returns the worked example data set of Figure 5(A): three
-// instances over keys 1..6. It is used by cmd/sampledemo, the quickstart
-// example, and the tests that reproduce the paper's worked aggregates
-// (max-dominance over even keys of instances {1,2} is 40; the L1 distance
-// between instances {2,3} over keys {1,2,3} is 18).
+// instances over keys 1..6. It is used by cmd/figures -fig 5, the
+// quickstart example, and the tests that reproduce the paper's worked
+// aggregates (max-dominance over even keys of instances {1,2} is 40; the
+// L1 distance between instances {2,3} over keys {1,2,3} is 18).
 func FigureFive() *Matrix {
 	return NewMatrix(
 		Instance{1: 15, 3: 10, 4: 5, 5: 10, 6: 10},

@@ -31,20 +31,10 @@
 // Close always drains: the summary it returns holds every pushed pair and
 // is bit-identical to the sync-mode (and sequential) summary.
 //
-// # Multi-instance summarization
-//
-// The Multi variants summarize r instances of dispersed data in ONE pass
-// over a combined MultiPair stream: each shard worker hosts one sampler
-// per instance behind the same hash router, so an r-instance ingest costs
-// one scan instead of r. The per-instance results are bit-identical to r
-// independent sequential passes. Seed assignment decides the joint
-// distribution: hand every instance the same SeedFunc for coordinated
-// (shared-seed, §7.2) samples, per-instance seeds for the independent
-// joint distribution of §4–§6.
-//
 // This is the seam ingest backends (files, sockets, queues) plug into:
-// anything that can produce Pair or MultiPair values can saturate the
-// pipeline.
+// anything that can produce Pair values can saturate the pipeline.
+// Multi-instance and VarOpt summarization run in-line in internal/core
+// and do not use the engine.
 package engine
 
 import (
@@ -160,16 +150,6 @@ func (c Config) EffectiveQueueDepth() int {
 // must arrive at most once per stream.
 type Pair = sampling.Pair
 
-// MultiPair is one (key, instance, value) arrival of a combined
-// multi-instance stream: Instance selects which of the r per-instance
-// samplers consumes the pair. A (key, instance) combination must arrive
-// at most once per stream.
-type MultiPair struct {
-	Key      dataset.Key
-	Instance int
-	Value    float64
-}
-
 // Stats is a point-in-time view of a pipeline's throughput and
 // backpressure counters. The counters are maintained by the producer
 // goroutine without synchronization, so Stats must be called from the
@@ -187,10 +167,7 @@ type Stats struct {
 // key, so re-feeding a stream in any order reproduces the same partition;
 // the merged result is independent of the partition anyway, but stable
 // routing keeps per-shard load deterministic. Mix64 decorrelates the route
-// from the seed hashes (which mix the key with a salt via Hash2). Routing
-// by key alone also means every instance of a multi-instance stream sees
-// the same partition — per-instance merges stay exact no matter how
-// instances interleave.
+// from the seed hashes (which mix the key with a salt via Hash2).
 func shardOf(h dataset.Key, shards int) int {
 	return int(xhash.Mix64(uint64(h)) % uint64(shards))
 }

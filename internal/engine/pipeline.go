@@ -8,8 +8,7 @@ import (
 
 // pipeline is the lifecycle shared by the engine's summarizers: the
 // closed-state guard and the in-line-vs-sharded dispatch, generic over the
-// stream item type T (Pair on the single-instance paths, MultiPair on the
-// multi-instance paths) and the per-shard sampler state S. Summarizers
+// stream item type T (Pair) and the per-shard sampler state S. Summarizers
 // embed it and implement only sampler construction and the type-specific
 // merge; the item-level glue is two small functions — key (the hash-router
 // input) and apply (how a batch of items drives one sampler).
@@ -216,36 +215,4 @@ func (sh *sharder[T, S]) drain() []S {
 	}
 	sh.wg.Wait()
 	return sh.samplers
-}
-
-// instanceGroup hosts one sampler per instance inside a single shard
-// worker: the hash router dispatches a MultiPair to the shard owning its
-// key, and the worker indexes into the instance's sampler — one pass over
-// a combined r-instance stream feeds all r summaries at once.
-type instanceGroup[S pairSampler] struct {
-	by []S
-}
-
-// pairSampler is what an instanceGroup drives: a sampler of one instance.
-type pairSampler interface {
-	Push(key dataset.Key, v float64)
-}
-
-// newInstanceGroup builds one sampler per instance with mk.
-func newInstanceGroup[S pairSampler](r int, mk func(instance int) S) *instanceGroup[S] {
-	g := &instanceGroup[S]{by: make([]S, r)}
-	for i := range g.by {
-		g.by[i] = mk(i)
-	}
-	return g
-}
-
-// pushBatch offers each arrival of a combined stream to its instance's
-// sampler, in order.
-//
-//summarylint:hot
-func (g *instanceGroup[S]) pushBatch(ms []MultiPair) {
-	for _, m := range ms {
-		g.by[m.Instance].Push(m.Key, m.Value)
-	}
 }

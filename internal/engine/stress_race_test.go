@@ -63,56 +63,3 @@ func TestStressAsyncIngestCloseQuery(t *testing.T) {
 	close(closed)
 	wg.Wait()
 }
-
-// TestStressAsyncMultiCloseQuery is the multi-instance variant: each
-// cycle one combined stream feeds r samplers per shard, and the
-// per-instance samples it closes go to concurrent readers while the next
-// cycle ingests.
-func TestStressAsyncMultiCloseQuery(t *testing.T) {
-	testutil.VerifyNoLeaks(t)
-	seeder := xhash.Seeder{Salt: 23}
-	seeds := func(instance int) sampling.SeedFunc {
-		return func(h dataset.Key) float64 { return seeder.Seed(instance, uint64(h)) }
-	}
-	const r = 3
-	cfg := Config{Parallel: true, Shards: 4, Async: true, BatchSize: 32, QueueDepth: 2}
-
-	closed := make(chan []*sampling.WeightedSample, 8)
-	var wg sync.WaitGroup
-	for i := 0; i < 2; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for ss := range closed {
-				for _, s := range ss {
-					s.SubsetSum(nil)
-				}
-			}
-		}()
-	}
-
-	// Each key arrives once per instance (instances 0 and 2 share the
-	// combined stream; instance 1 stays empty).
-	const cycles, n = 5, 4_000
-	for c := 0; c < cycles; c++ {
-		e := NewMultiBottomK(r, 32, sampling.PPS{}, seeds, cfg)
-		for i := 0; i < n; i++ {
-			h := dataset.Key(c*n + i + 1)
-			e.Push(0, h, float64(i%13+1))
-			e.Push(2, h, float64(i%7+1))
-		}
-		ss := e.Close()
-		if len(ss) != r {
-			t.Errorf("cycle %d: Close returned %d samples, want %d", c, len(ss), r)
-			continue
-		}
-		for inst, want := range []int{32, 0, 32} {
-			if ss[inst].Len() != want {
-				t.Errorf("cycle %d instance %d: len %d, want %d", c, inst, ss[inst].Len(), want)
-			}
-		}
-		closed <- ss
-	}
-	close(closed)
-	wg.Wait()
-}

@@ -6,8 +6,8 @@ import (
 	"repro/internal/estimator"
 )
 
-// Ablation quantifies the design choices DESIGN.md calls out, with exact
-// variances throughout:
+// Ablation quantifies the estimator design choices, with exact variances
+// throughout:
 //
 //   - estimator family (HT vs L vs U vs Uas) across data profiles — the
 //     Pareto trade between "values similar" and "values disjoint";

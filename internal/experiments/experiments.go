@@ -1,5 +1,7 @@
 // Package experiments reproduces every figure and table of the paper's
-// evaluation as deterministic text series (DESIGN.md lists the index).
+// evaluation as deterministic text series. The §8.2 workloads are the
+// synthetic ones of internal/simdata (substitution S1; see its package
+// doc).
 // Each FigureN function returns one or more Tables; cmd/figures prints
 // them, the root benchmarks time them, and the tests pin their headline
 // numbers against the paper.

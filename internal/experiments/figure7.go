@@ -12,7 +12,8 @@ import (
 
 // Figure7Options sizes the §8.2 max-dominance experiment. The zero value
 // reproduces the paper-scale workload (≈3.8·10⁴ keys; see substitution S1
-// in DESIGN.md); benchmarks use a scale factor to stay fast.
+// in the internal/simdata package doc); benchmarks use a scale factor to
+// stay fast.
 type Figure7Options struct {
 	// ScaleDown divides the workload's key counts (0 or 1 = full scale).
 	ScaleDown int

@@ -177,28 +177,3 @@ func (s *VarOptSample) SubsetSum(sel func(dataset.Key) bool) float64 {
 	}
 	return total
 }
-
-// MergeVarOpt merges finalized VarOpt_k reservoirs into one reservoir of
-// capacity k — the mergeability construction behind sharded VarOpt
-// summarization (Cohen, Duffield, Kaplan, Lund, Thorup 2009): every input
-// item enters the union carrying its threshold-adjusted weight
-// max(w, tau_own) — the unbiased estimate of its original weight under its
-// own reservoir's randomness — and the union is re-dropped to k items by
-// the standard per-arrival threshold step, drawing the drop decisions from
-// rng. This is the two-level (threshold-union) reservoir: per-key
-// unbiasedness composes across the levels, E[adjusted out] = adjusted in
-// and E[adjusted in] = w, so subset-sum estimates from the merged
-// reservoir are unbiased regardless of how the stream was partitioned.
-//
-// The inputs are not consumed or mutated. Note the merged reservoir's item
-// weights are the inputs' adjusted weights: original weights below an
-// input threshold are not recoverable after a merge.
-func MergeVarOpt(k int, rng interface{ Float64() float64 }, vs ...*VarOpt) *VarOpt {
-	out := NewVarOpt(k, rng)
-	for _, v := range vs {
-		for _, it := range v.items {
-			out.Add(it.key, math.Max(it.w, v.tau))
-		}
-	}
-	return out
-}

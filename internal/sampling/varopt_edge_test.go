@@ -105,74 +105,3 @@ func TestVarOptZeroRNG(t *testing.T) {
 		t.Errorf("total %v, want %v", got, total)
 	}
 }
-
-// TestVarOptMergeTotalPreserved: the threshold-union merge preserves the
-// exact total: the merged reservoir's adjusted weights sum to the union
-// stream's total, because each level preserves its own input total.
-func TestVarOptMergeTotalPreserved(t *testing.T) {
-	rng := randx.New(19)
-	a, b := NewVarOpt(8, rng.Split()), NewVarOpt(8, rng.Split())
-	total := 0.0
-	for i := 1; i <= 100; i++ {
-		w := 1 + rng.Pareto(1, 1.5)
-		if i%2 == 0 {
-			a.Add(dataset.Key(i), w)
-		} else {
-			b.Add(dataset.Key(i), w)
-		}
-		total += w
-	}
-	m := MergeVarOpt(8, rng.Split(), a, b)
-	if m.Len() != 8 {
-		t.Fatalf("merged size %d, want 8", m.Len())
-	}
-	if got := voTotal(m); math.Abs(got-total) > 1e-6*total {
-		t.Errorf("merged total %v, want %v", got, total)
-	}
-}
-
-// TestVarOptMergeCommutative: merge(a,b) and merge(b,a) are the same
-// estimator — subset-sum means agree with each other and with the truth
-// within Monte Carlo tolerance (the samples themselves differ: the merge
-// draws randomness, so commutativity is distributional, not bitwise).
-func TestVarOptMergeCommutative(t *testing.T) {
-	const (
-		k      = 16
-		trials = 2000
-	)
-	// Fixed weights; the subset is the low third of the keyspace.
-	wts := make([]float64, 121)
-	wrng := randx.New(5)
-	subsetTotal, total := 0.0, 0.0
-	sel := func(h dataset.Key) bool { return h < 40 }
-	for i := 1; i <= 120; i++ {
-		wts[i] = 1 + wrng.Pareto(1, 1.5)
-		total += wts[i]
-		if sel(dataset.Key(i)) {
-			subsetTotal += wts[i]
-		}
-	}
-	var sumAB, sumBA float64
-	for tr := 0; tr < trials; tr++ {
-		rng := randx.New(uint64(tr) + 1)
-		a, b := NewVarOpt(k, rng.Split()), NewVarOpt(k, rng.Split())
-		for i := 1; i <= 60; i++ {
-			a.Add(dataset.Key(i), wts[i])
-		}
-		for i := 61; i <= 120; i++ {
-			b.Add(dataset.Key(i), wts[i])
-		}
-		sumAB += MergeVarOpt(k, rng.Split(), a, b).Sample().SubsetSum(sel)
-		sumBA += MergeVarOpt(k, rng.Split(), b, a).Sample().SubsetSum(sel)
-	}
-	meanAB, meanBA := sumAB/trials, sumBA/trials
-	if rel := math.Abs(meanAB-subsetTotal) / subsetTotal; rel > 0.05 {
-		t.Errorf("merge(a,b) subset mean %v, want %v (rel err %.3f)", meanAB, subsetTotal, rel)
-	}
-	if rel := math.Abs(meanBA-subsetTotal) / subsetTotal; rel > 0.05 {
-		t.Errorf("merge(b,a) subset mean %v, want %v (rel err %.3f)", meanBA, subsetTotal, rel)
-	}
-	if rel := math.Abs(meanAB-meanBA) / subsetTotal; rel > 0.05 {
-		t.Errorf("merge order changed the estimator: %v vs %v", meanAB, meanBA)
-	}
-}

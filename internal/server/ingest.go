@@ -19,11 +19,11 @@ import (
 // The ingest path is the "summarize where the data lands" half of the
 // dispersed-data loop: an edge site that cannot (or should not) ship its
 // raw pair stream POSTs it to a local summaryd, which streams it through
-// the engine pipeline and registers only the compact summary.
+// an in-line sampler and registers only the compact summary.
 // /v1/ingest summarizes one instance per request; /v1/ingest/multi
 // carries an instance column and populates every listed instance of a
-// dataset with ONE scan through the engine's one-pass multi-instance
-// pipeline (one sampler per instance).
+// dataset with ONE scan through core's one-pass multi-instance streams
+// (one sampler per instance).
 
 // maxIngestLine bounds one CSV/ndjson line.
 const maxIngestLine = 1 << 20
@@ -183,8 +183,9 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		writeError(w, err)
 		return
 	}
-	// One sink per kind; each routes through the in-line engine (set
-	// sampling is stateless and needs no pipeline).
+	// One sink per kind: pps and bottomk route through the in-line engine,
+	// varopt drives its reservoir in-line (set sampling is stateless and
+	// needs no pipeline).
 	var push func([]engine.Pair)
 	var sampler gatedStream // pps and bottomk: the scan may reject pairs for it unparsed
 	var finish func() core.Summary
@@ -209,7 +210,7 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		}
 		finish = func() core.Summary { return st.Close() }
 	case "varopt":
-		st := p.summ.StreamVarOpt(engine.Config{}, p.instance, p.k)
+		st := p.summ.StreamVarOpt(p.instance, p.k)
 		push = st.PushBatch
 		finish = func() core.Summary { return st.Close() }
 		stats = st.Stats
@@ -345,17 +346,17 @@ func (s *Server) handleIngestMulti(w http.ResponseWriter, r *http.Request) {
 		writeError(w, err)
 		return
 	}
-	var push func([]engine.MultiPair)
+	var push func([]core.MultiPair)
 	var finish func() []core.Summary
 	var stats func() engine.Stats
 	switch p.kind {
 	case "pps":
-		st := p.summ.StreamMultiPPS(engine.Config{}, p.instances, p.taus)
+		st := p.summ.StreamMultiPPS(p.instances, p.taus)
 		push = st.PushBatch
 		finish = func() []core.Summary { return asSummaries(st.Close()) }
 		stats = st.Stats
 	case "bottomk":
-		st := p.summ.StreamMultiBottomK(engine.Config{}, p.instances, p.k, p.fam)
+		st := p.summ.StreamMultiBottomK(p.instances, p.k, p.fam)
 		push = st.PushBatch
 		finish = func() []core.Summary { return asSummaries(st.Close()) }
 		stats = st.Stats

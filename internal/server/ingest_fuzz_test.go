@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/engine"
 )
 
@@ -70,7 +71,7 @@ func FuzzScanMultiPairs(f *testing.F) {
 		}
 		index := map[int]int{0: 0, 7: 1, -2: 2}
 		var pushes int64
-		n, err := scanMultiPairs(context.Background(), bytes.NewReader(body), format, index, func(ms []engine.MultiPair) {
+		n, err := scanMultiPairs(context.Background(), bytes.NewReader(body), format, index, func(ms []core.MultiPair) {
 			for _, m := range ms {
 				if m.Instance < 0 || m.Instance >= len(index) {
 					t.Fatalf("instance position %d out of range", m.Instance)

@@ -14,6 +14,7 @@ import (
 	"sync"
 	"unsafe"
 
+	"repro/internal/core"
 	"repro/internal/dataset"
 	"repro/internal/engine"
 	"repro/internal/xhash"
@@ -48,7 +49,7 @@ const ingestBatch = 256
 type scanBuf struct {
 	line  [64 * 1024]byte
 	pairs batchColumns[engine.Pair]
-	multi batchColumns[engine.MultiPair]
+	multi batchColumns[core.MultiPair]
 }
 
 var scanBufPool = sync.Pool{New: func() any { return new(scanBuf) }}
@@ -711,7 +712,7 @@ type instanceSets []keySet
 // firstRepeat is pairBatch.firstRepeat over (key, instance) combinations.
 //
 //summarylint:hot
-func (g instanceSets) firstRepeat(keys []uint64, items []engine.MultiPair) int {
+func (g instanceSets) firstRepeat(keys []uint64, items []core.MultiPair) int {
 	for i, it := range items {
 		if g[it.Instance].addBatch(keys[i:i+1]) == 0 {
 			return i
@@ -865,7 +866,7 @@ func ndjsonPair(line []byte, lineNo int, keysOnly bool) (key uint64, value float
 // scanPairs rejects repeated keys, with one keySet per position. Pairs
 // reach push as scanPairs' do, each carrying its position as Instance, and
 // a done ctx ends the scan as it ends scanPairs'.
-func scanMultiPairs(ctx context.Context, body io.Reader, format string, index map[int]int, push func([]engine.MultiPair)) (int64, error) {
+func scanMultiPairs(ctx context.Context, body io.Reader, format string, index map[int]int, push func([]core.MultiPair)) (int64, error) {
 	in := newLineReader(body)
 	defer in.release()
 	sets := make(instanceSets, len(index))
@@ -877,8 +878,8 @@ func scanMultiPairs(ctx context.Context, body io.Reader, format string, index ma
 			sets[i].release()
 		}
 	}()
-	b := pairBatch[engine.MultiPair]{batchColumns: &in.sb.multi, ctx: ctx, push: push, firstRepeat: sets.firstRepeat,
-		repeated: func(lineNo int, key uint64, item engine.MultiPair) error {
+	b := pairBatch[core.MultiPair]{batchColumns: &in.sb.multi, ctx: ctx, push: push, firstRepeat: sets.firstRepeat,
+		repeated: func(lineNo int, key uint64, item core.MultiPair) error {
 			instance := 0
 			for id, pos := range index {
 				if pos == item.Instance {
@@ -923,7 +924,7 @@ func scanMultiPairs(ctx context.Context, body io.Reader, format string, index ma
 		if !ok {
 			return b.end(fmt.Errorf("server: line %d: instance %d not listed in the instances parameter", in.lineNo, f.instance))
 		}
-		if err := b.add(engine.MultiPair{Key: dataset.Key(f.key), Instance: idx, Value: f.value}, f.key, in.lineNo, false); err != nil {
+		if err := b.add(core.MultiPair{Key: dataset.Key(f.key), Instance: idx, Value: f.value}, f.key, in.lineNo, false); err != nil {
 			return b.pushed, err
 		}
 	}

@@ -253,8 +253,8 @@ func collectPairs(t *testing.T, into *[]pushedPair) func([]engine.Pair) {
 	}
 }
 
-func collectMultiPairs(t *testing.T, into *[]pushedPair) func([]engine.MultiPair) {
-	return func(ms []engine.MultiPair) {
+func collectMultiPairs(t *testing.T, into *[]pushedPair) func([]core.MultiPair) {
+	return func(ms []core.MultiPair) {
 		if len(ms) == 0 || len(ms) > ingestBatch {
 			t.Errorf("scanMultiPairs pushed a batch of %d pairs", len(ms))
 		}

@@ -1,11 +1,14 @@
 // Package simdata generates the synthetic workloads used by examples,
 // experiments and benchmarks.
 //
-// The flagship generator is the IP-traffic substitute for §8.2 (see
-// DESIGN.md, substitution S1): the paper's evaluation uses proprietary
-// hourly flow logs, so we synthesize two correlated heavy-tailed instances
-// calibrated to the published marginals (per-hour distinct destinations,
-// union size, flows per hour, and the sum of per-key maxima).
+// The flagship generator is the IP-traffic substitute for §8.2.
+//
+// Substitution S1: §8.2's IP-flow workload is synthetic, calibrated to the
+// published statistics. The paper's evaluation uses proprietary hourly flow
+// logs, so we synthesize two correlated heavy-tailed instances calibrated
+// to the published marginals (per-hour distinct destinations, union size,
+// flows per hour, and the sum of per-key maxima); TestPaperTrafficCalibration
+// holds PaperTraffic to them.
 package simdata
 
 import (

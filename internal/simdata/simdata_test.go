@@ -7,8 +7,8 @@ import (
 	"repro/internal/dataset"
 )
 
-// TestPaperTrafficCalibration: the S1 substitution must reproduce the
-// §8.2 published statistics within a few percent (DESIGN.md).
+// TestPaperTrafficCalibration: the S1 substitution (see the package doc)
+// must reproduce the §8.2 published statistics within a few percent.
 func TestPaperTrafficCalibration(t *testing.T) {
 	m := Generate(PaperTraffic())
 	d1, d2 := len(m.Instances[0]), len(m.Instances[1])
