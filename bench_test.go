@@ -248,7 +248,7 @@ func BenchmarkDeriveUBinaryR3(b *testing.B) {
 	prob := estimator.DiscreteProblem{
 		P:       []float64{0.3, 0.3, 0.3},
 		Domains: [][]float64{{0, 1}, {0, 1}, {0, 1}},
-		F:       dataset.OR,
+		F:       dataset.Max, // OR on binary domains
 		Less:    estimator.SparseOrder,
 	}
 	for i := 0; i < b.N; i++ {

@@ -100,7 +100,7 @@ func TestGracefulShutdownSequence(t *testing.T) {
 	if status.RecoveredSummaries != 10 || status.WALRecords != 0 {
 		t.Fatalf("recovery after graceful shutdown: %+v", status)
 	}
-	if _, err := reg2.Info("shutdown-test"); err != nil {
+	if _, err := reg2.Get("shutdown-test", nil); err != nil {
 		t.Fatalf("recovered dataset missing: %v", err)
 	}
 }

@@ -8,7 +8,10 @@
 // on: deterministic map iteration in encode/query code (maporder),
 // ordered float accumulation (floatsum), registry-before-store lock
 // ranking (lockorder), allocation-free `//summarylint:hot` functions
-// (hotalloc), and nil-receiver guards on obs instruments (nilguard).
+// (hotalloc), nil-receiver guards on obs instruments (nilguard), and a
+// user outside its package for every exported name in internal/
+// (deadexport, which also reads the bench/summaryload module; give it
+// ./..., since a partial package list hides the users).
 // See the README's "Static analysis" section for the analyzer table and
 // annotation conventions.
 //

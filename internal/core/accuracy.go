@@ -62,7 +62,7 @@ func SumStdErr(sum Summary, est float64) (float64, bool) {
 		return stderr, ok
 	case BottomKReader:
 		return bottomKCVStdErr(est, s.Size(), s.RankTau())
-	case VarOptReader:
+	case varOptReader:
 		return 0, true
 	}
 	return 0, false

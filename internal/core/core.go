@@ -196,53 +196,6 @@ func (st *SetStream) Close() *SetSummary {
 	return newSetSummary(st.seeder, st.instance, st.p, members)
 }
 
-// SummarizeSetBottomK draws a bottom-k summary of a set: the k members
-// with the smallest seeds, with P set to the (k+1)-st smallest member seed
-// (§8.1). Conditioned on that threshold, membership sampling behaves like
-// Poisson with probability P, so the same distinct-count estimators apply
-// (rank conditioning, §7.1). If the set has at most k members, the whole
-// set is kept with P = 1.
-func (s *Summarizer) SummarizeSetBottomK(instance int, members map[dataset.Key]bool, k int) *SetSummary {
-	if k <= 0 {
-		panic("core: SummarizeSetBottomK with non-positive k")
-	}
-	// Track the k+1 smallest seeds with a simple bounded insertion; k is
-	// a summary size, so k+1 linear scans are acceptable and allocation-
-	// free compared to a heap of tuples.
-	type seeded struct {
-		key  dataset.Key
-		seed float64
-	}
-	top := make([]seeded, 0, k+1)
-	//summarylint:ignore bounded top-(k+1) selection by per-key seed: the kept set depends only on seed values, not arrival order
-	for h := range members {
-		u := s.seeder.Seed(instance, uint64(h))
-		if len(top) < k+1 {
-			top = append(top, seeded{h, u})
-			for i := len(top) - 1; i > 0 && top[i].seed < top[i-1].seed; i-- {
-				top[i], top[i-1] = top[i-1], top[i]
-			}
-			continue
-		}
-		if u >= top[k].seed {
-			continue
-		}
-		top[k] = seeded{h, u}
-		for i := k; i > 0 && top[i].seed < top[i-1].seed; i-- {
-			top[i], top[i-1] = top[i-1], top[i]
-		}
-	}
-	p := 1.0
-	if len(top) > k {
-		p, top = top[k].seed, top[:k]
-	}
-	kept := make([]dataset.Key, len(top))
-	for i, e := range top {
-		kept[i] = e.key
-	}
-	return newSetSummary(s.seeder, instance, p, kept)
-}
-
 // DistinctEstimate is the result of a two-summary distinct-count query.
 type DistinctEstimate struct {
 	// HT and L are the §8.1 estimates of |N1 ∪ N2| over selected keys.
@@ -288,6 +241,8 @@ func categorizeMerge(m *unionMerge, seed []xhash.InstanceSeeder, p [2]float64, s
 // SummarizeBottomK draws a bottom-k summary with the given rank family
 // (sampling.PPS{} for priority sampling, sampling.EXP{} for weighted
 // sampling without replacement).
+//
+//summarylint:ignore the in-memory bottom-k reference shared by the tests of internal/engine, internal/server and internal/store
 func (s *Summarizer) SummarizeBottomK(instance int, in dataset.Instance, k int, fam sampling.RankFamily) *BottomKSummary {
 	return newBottomKSummary(s.seeder, instance, sampling.BottomK(in, k, fam, s.seedFunc(instance)))
 }

@@ -20,10 +20,10 @@ import (
 // sniffing, so a caller holding v1 JSON or v2 binary bytes decodes through
 // the same functions.
 
-// WireVersion is the version of the JSON wire format this file implements.
+// wireVersion is the version of the JSON wire format this file implements.
 // Binary formats carry their own version in the header (codecv2.go);
 // SupportedWireVersions lists everything this build speaks.
-const WireVersion = 1
+const wireVersion = 1
 
 // ErrUnknownVersion reports a summary whose wire-format version this
 // build does not speak. Callers negotiating formats detect it with
@@ -32,9 +32,9 @@ const WireVersion = 1
 // failure.
 var ErrUnknownVersion = errors.New("core: unknown summary wire-format version")
 
-// checkVersion validates a decoded JSON version number against WireVersion.
+// checkVersion validates a decoded JSON version number against wireVersion.
 func checkVersion(kind string, version int) error {
-	if version != WireVersion {
+	if version != wireVersion {
 		return fmt.Errorf("core: %s summary version %d (supported: %v): %w",
 			kind, version, SupportedWireVersions(), ErrUnknownVersion)
 	}
@@ -87,7 +87,7 @@ type setWire struct {
 // the receiver can recompute every seed. This is the v1 codec's encoder.
 func (p *PPSSummary) MarshalJSON() ([]byte, error) {
 	return json.Marshal(ppsWire{
-		Version:  WireVersion,
+		Version:  wireVersion,
 		Kind:     "pps",
 		Instance: p.instance,
 		Tau:      p.tau,
@@ -115,7 +115,7 @@ func decodePPSWire(w ppsWire, stored bool) (*PPSSummary, error) {
 // members are in ascending order.
 func (s *SetSummary) MarshalJSON() ([]byte, error) {
 	return json.Marshal(setWire{
-		Version:  WireVersion,
+		Version:  wireVersion,
 		Kind:     "set",
 		Instance: s.instance,
 		P:        s.p,
@@ -160,7 +160,7 @@ func (b *BottomKSummary) MarshalJSON() ([]byte, error) {
 		tau = 0
 	}
 	return json.Marshal(bottomkWire{
-		Version:  WireVersion,
+		Version:  wireVersion,
 		Kind:     "bottomk",
 		Instance: b.instance,
 		Family:   b.fam.Name(),

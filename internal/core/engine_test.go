@@ -234,3 +234,9 @@ func TestVarOptStream(t *testing.T) {
 	sameSummary(t, "SummarizeVarOpt", s.SummarizeVarOpt(3, in, 64), want)
 	sameSummary(t, "SummarizeVarOpt again", s.SummarizeVarOpt(3, in, 64), want)
 }
+
+// Push offers one (key, value) arrival of instances[i].
+func (m *multiStream[S]) Push(i int, h dataset.Key, v float64) {
+	m.by[i].Push(h, v)
+	m.pairs++
+}

@@ -47,12 +47,6 @@ func newMultiStream[S pairSampler](seeder xhash.Seeder, instances []int, mk func
 	return m
 }
 
-// Push offers one (key, value) arrival of instances[i].
-func (m *multiStream[S]) Push(i int, h dataset.Key, v float64) {
-	m.by[i].Push(h, v)
-	m.pairs++
-}
-
 // PushBatch offers a slice of combined-stream arrivals, in order; each
 // names its instance by position in instances.
 //

@@ -75,8 +75,8 @@ type SetReader interface {
 	AppendKeys(dst []dataset.Key) []dataset.Key
 }
 
-// VarOptReader is the read surface of a VarOpt_k summary.
-type VarOptReader interface {
+// varOptReader is the read surface of a VarOpt_k summary.
+type varOptReader interface {
 	Summary
 	// VarOptTau returns the final reservoir threshold (0 = never
 	// overflowed).

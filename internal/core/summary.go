@@ -295,7 +295,7 @@ func newVarOptSummary(seeder xhash.Seeder, instance int, tau float64, original m
 // Kind implements Summary.
 func (v *VarOptSummary) Kind() string { return "varopt" }
 
-// VarOptTau implements VarOptReader.
+// VarOptTau implements varOptReader.
 func (v *VarOptSummary) VarOptTau() float64 { return v.tau }
 
 // SubsetSum estimates Σ_{h∈sel} v(h) by summing adjusted weights in

@@ -371,7 +371,7 @@ func TestV2VarOptThreshold(t *testing.T) {
 	if err != nil {
 		t.Fatalf("varopt summary: %v", err)
 	}
-	if got := v.(VarOptReader).VarOptTau(); got != 0 {
+	if got := v.(varOptReader).VarOptTau(); got != 0 {
 		t.Fatalf("never-overflowed reservoir: tau %v, want 0", got)
 	}
 	for _, bad := range []float64{-1, math.NaN(), math.Inf(1)} {

@@ -97,7 +97,7 @@ type varoptWire struct {
 // registry's per-dataset compatibility invariant.
 func (v *VarOptSummary) MarshalJSON() ([]byte, error) {
 	return json.Marshal(varoptWire{
-		Version:  WireVersion,
+		Version:  wireVersion,
 		Kind:     "varopt",
 		Instance: v.instance,
 		Tau:      v.tau,

@@ -7,11 +7,7 @@
 // weighted sampling processes active keys only.
 package dataset
 
-import (
-	"fmt"
-	"math"
-	"sort"
-)
+import "sort"
 
 // Key identifies a record across instances.
 type Key uint64
@@ -19,9 +15,6 @@ type Key uint64
 // Instance is a single assignment of positive values to keys. A key absent
 // from the map has value 0.
 type Instance map[Key]float64
-
-// Value returns the value of key h (0 when absent).
-func (in Instance) Value(h Key) float64 { return in[h] }
 
 // Total returns the sum of all values in the instance.
 func (in Instance) Total() float64 {
@@ -40,15 +33,6 @@ func (in Instance) Keys() []Key {
 	}
 	sort.Slice(ks, func(i, j int) bool { return ks[i] < ks[j] })
 	return ks
-}
-
-// Clone returns a deep copy of the instance.
-func (in Instance) Clone() Instance {
-	out := make(Instance, len(in))
-	for h, v := range in {
-		out[h] = v
-	}
-	return out
 }
 
 // Matrix is a set of r dispersed instances over a shared key universe.
@@ -117,8 +101,8 @@ func Max(v []float64) float64 {
 	return m
 }
 
-// Min returns the minimum entry (0 for an empty vector).
-func Min(v []float64) float64 {
+// minEntry returns the minimum entry (0 for an empty vector).
+func minEntry(v []float64) float64 {
 	m := 0.0
 	for i, x := range v {
 		if i == 0 || x < m {
@@ -128,55 +112,5 @@ func Min(v []float64) float64 {
 	return m
 }
 
-// Lth returns the ℓ-th largest entry, 1-based; Lth(v, 1) == Max(v) and
-// Lth(v, len(v)) == Min(v). It panics when ℓ is out of range.
-func Lth(v []float64, l int) float64 {
-	if l < 1 || l > len(v) {
-		panic(fmt.Sprintf("dataset: Lth index %d out of range for r=%d", l, len(v)))
-	}
-	s := append([]float64(nil), v...)
-	sort.Sort(sort.Reverse(sort.Float64Slice(s)))
-	return s[l-1]
-}
-
 // Range returns RG(v) = max(v) − min(v).
-func Range(v []float64) float64 { return Max(v) - Min(v) }
-
-// RGd returns the exponentiated range RG(v)^d for d > 0.
-func RGd(d float64) Func {
-	return func(v []float64) float64 {
-		rg := Range(v)
-		// Integer-like powers are computed by repeated multiplication to
-		// avoid math.Pow cost in the common d ∈ {1,2} cases.
-		switch d {
-		case 1:
-			return rg
-		case 2:
-			return rg * rg
-		}
-		return math.Pow(rg, d)
-	}
-}
-
-// OR returns 1 if any entry is positive, 0 otherwise (Boolean OR when the
-// domain is {0,1}).
-func OR(v []float64) float64 {
-	for _, x := range v {
-		if x > 0 {
-			return 1
-		}
-	}
-	return 0
-}
-
-// XOR returns the parity of the number of positive entries (Boolean XOR on
-// binary domains with r=2).
-func XOR(v []float64) float64 {
-	c := 0
-	for _, x := range v {
-		if x > 0 {
-			c++
-		}
-	}
-	return float64(c % 2)
-}
+func Range(v []float64) float64 { return Max(v) - minEntry(v) }

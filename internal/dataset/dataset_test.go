@@ -8,69 +8,25 @@ import (
 
 func TestPrimitives(t *testing.T) {
 	cases := []struct {
-		v                  []float64
-		max, min, rg, or   float64
-		secondLargest, xor float64
+		v            []float64
+		max, min, rg float64
 	}{
-		{[]float64{3, 1, 2}, 3, 1, 2, 1, 2, 1},
-		{[]float64{0, 0}, 0, 0, 0, 0, 0, 0},
-		{[]float64{5}, 5, 5, 0, 1, 5, 1},
-		{[]float64{2, 2, 2}, 2, 2, 0, 1, 2, 1},
-		{[]float64{0, 7}, 7, 0, 7, 1, 0, 1},
+		{[]float64{3, 1, 2}, 3, 1, 2},
+		{[]float64{0, 0}, 0, 0, 0},
+		{[]float64{5}, 5, 5, 0},
+		{[]float64{2, 2, 2}, 2, 2, 0},
+		{[]float64{0, 7}, 7, 0, 7},
 	}
 	for _, c := range cases {
 		if got := Max(c.v); got != c.max {
 			t.Errorf("Max(%v) = %v, want %v", c.v, got, c.max)
 		}
-		if got := Min(c.v); got != c.min {
-			t.Errorf("Min(%v) = %v, want %v", c.v, got, c.min)
+		if got := minEntry(c.v); got != c.min {
+			t.Errorf("minEntry(%v) = %v, want %v", c.v, got, c.min)
 		}
 		if got := Range(c.v); got != c.rg {
 			t.Errorf("Range(%v) = %v, want %v", c.v, got, c.rg)
 		}
-		if got := OR(c.v); got != c.or {
-			t.Errorf("OR(%v) = %v, want %v", c.v, got, c.or)
-		}
-		if len(c.v) >= 2 {
-			if got := Lth(c.v, 2); got != c.secondLargest {
-				t.Errorf("Lth(%v, 2) = %v, want %v", c.v, got, c.secondLargest)
-			}
-		}
-	}
-	if XOR([]float64{1, 0}) != 1 || XOR([]float64{1, 1}) != 0 || XOR([]float64{0, 0}) != 0 {
-		t.Error("XOR truth table wrong")
-	}
-}
-
-func TestLthQuantiles(t *testing.T) {
-	v := []float64{4, 9, 1, 7}
-	want := []float64{9, 7, 4, 1}
-	for l := 1; l <= 4; l++ {
-		if got := Lth(v, l); got != want[l-1] {
-			t.Errorf("Lth(%v, %d) = %v, want %v", v, l, got, want[l-1])
-		}
-	}
-	if Lth(v, 1) != Max(v) || Lth(v, len(v)) != Min(v) {
-		t.Error("Lth endpoints disagree with Max/Min")
-	}
-	defer func() {
-		if recover() == nil {
-			t.Error("Lth out of range did not panic")
-		}
-	}()
-	Lth(v, 5)
-}
-
-func TestRGd(t *testing.T) {
-	v := []float64{1, 4}
-	if got := RGd(1)(v); got != 3 {
-		t.Errorf("RGd(1) = %v", got)
-	}
-	if got := RGd(2)(v); got != 9 {
-		t.Errorf("RGd(2) = %v", got)
-	}
-	if got := RGd(0.5)(v); math.Abs(got-math.Sqrt(3)) > 1e-12 {
-		t.Errorf("RGd(0.5) = %v", got)
 	}
 }
 
@@ -88,11 +44,6 @@ func TestMatrixAccessors(t *testing.T) {
 	}
 	if got := m.Instances[0].Total(); got != 50 {
 		t.Errorf("instance 1 total = %v", got)
-	}
-	c := m.Instances[0].Clone()
-	c[1] = 999
-	if m.Instances[0][1] == 999 {
-		t.Error("Clone aliases original")
 	}
 	ks := m.Instances[0].Keys()
 	if len(ks) != 5 || ks[0] != 1 {
@@ -113,8 +64,7 @@ func TestFigureFiveWorkedAggregates(t *testing.T) {
 	if got := m23.SumAggregate(Range, first3); got != 18 {
 		t.Errorf("L1 distance keys {1,2,3} instances {2,3} = %v, want 18", got)
 	}
-	// Distinct count of the whole matrix via OR.
-	if got := m.SumAggregate(OR, nil); got != 6 {
+	if got := len(m.Keys()); got != 6 {
 		t.Errorf("distinct keys = %v, want 6", got)
 	}
 }
@@ -124,16 +74,10 @@ func TestFigureFiveWorkedAggregates(t *testing.T) {
 func TestPrimitiveInvariantsQuick(t *testing.T) {
 	f := func(a, b, c float64) bool {
 		v := []float64{math.Abs(a), math.Abs(b), math.Abs(c)}
-		if Max(v) < Min(v) {
+		if Max(v) < minEntry(v) {
 			return false
 		}
-		if Range(v) != Max(v)-Min(v) {
-			return false
-		}
-		if (OR(v) == 1) != (Max(v) > 0) {
-			return false
-		}
-		return Lth(v, 2) >= Min(v) && Lth(v, 2) <= Max(v)
+		return Range(v) == Max(v)-minEntry(v)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
 		t.Error(err)

@@ -35,7 +35,7 @@ func NewBottomK(k int, fam sampling.RankFamily, seed sampling.SeedFunc, cfg Conf
 
 // Push offers one (key, value) arrival.
 func (e *BottomK) Push(h dataset.Key, v float64) {
-	e.pipeline.Push(Pair{Key: h, Value: v})
+	e.pipeline.push(Pair{Key: h, Value: v})
 }
 
 // TauGuard returns the in-line sampler's certain-reject bound

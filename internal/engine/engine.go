@@ -51,10 +51,10 @@ import (
 // enough to amortize channel operations, small enough to keep workers busy.
 const DefaultBatchSize = 1024
 
-// DefaultQueueDepth is the per-shard queue capacity, in batches. A small
+// defaultQueueDepth is the per-shard queue capacity, in batches. A small
 // queue lets the producer run ahead of a momentarily busy worker without
 // unbounded buffering.
-const DefaultQueueDepth = 8
+const defaultQueueDepth = 8
 
 // Config selects the execution strategy of a summarization pipeline. The
 // zero value means sequential: one sampler, no goroutines, byte-identical
@@ -82,14 +82,14 @@ type Config struct {
 	// Stats().Stalls — the engine's explicit backpressure signal.
 	Async bool
 	// QueueDepth is the per-shard queue capacity in batches; 0 means
-	// DefaultQueueDepth.
+	// defaultQueueDepth (8).
 	QueueDepth int
 }
 
-// ConfigError reports a Config field set to a meaningless (negative)
+// configError reports a Config field set to a meaningless (negative)
 // value. It is the typed error behind Config.Validate, so flag handling
 // in commands and request validation in services share one rule.
-type ConfigError struct {
+type configError struct {
 	// Field is the offending Config field name.
 	Field string
 	// Value is the rejected value.
@@ -97,23 +97,23 @@ type ConfigError struct {
 }
 
 // Error implements error.
-func (e *ConfigError) Error() string {
+func (e *configError) Error() string {
 	return fmt.Sprintf("engine: Config.%s must not be negative, got %d (0 selects the default)", e.Field, e.Value)
 }
 
 // Validate rejects meaningless settings with a typed *ConfigError. The
 // rule, in one place for every caller: negative Shards, BatchSize, or
 // QueueDepth are errors; zero always means "use the default" (GOMAXPROCS
-// shards, DefaultBatchSize, DefaultQueueDepth).
+// shards, DefaultBatchSize, defaultQueueDepth).
 func (c Config) Validate() error {
 	if c.Shards < 0 {
-		return &ConfigError{Field: "Shards", Value: c.Shards}
+		return &configError{Field: "Shards", Value: c.Shards}
 	}
 	if c.BatchSize < 0 {
-		return &ConfigError{Field: "BatchSize", Value: c.BatchSize}
+		return &configError{Field: "BatchSize", Value: c.BatchSize}
 	}
 	if c.QueueDepth < 0 {
-		return &ConfigError{Field: "QueueDepth", Value: c.QueueDepth}
+		return &configError{Field: "QueueDepth", Value: c.QueueDepth}
 	}
 	return nil
 }
@@ -129,20 +129,20 @@ func (c Config) NumShards() int {
 	return runtime.GOMAXPROCS(0)
 }
 
-// EffectiveBatchSize resolves the effective batch size.
-func (c Config) EffectiveBatchSize() int {
+// effectiveBatchSize resolves the effective batch size.
+func (c Config) effectiveBatchSize() int {
 	if c.BatchSize > 0 {
 		return c.BatchSize
 	}
 	return DefaultBatchSize
 }
 
-// EffectiveQueueDepth resolves the effective per-shard queue capacity.
-func (c Config) EffectiveQueueDepth() int {
+// effectiveQueueDepth resolves the effective per-shard queue capacity.
+func (c Config) effectiveQueueDepth() int {
 	if c.QueueDepth > 0 {
 		return c.QueueDepth
 	}
-	return DefaultQueueDepth
+	return defaultQueueDepth
 }
 
 // Pair is one (key, value) arrival. Streams feed the engine as Pair values;

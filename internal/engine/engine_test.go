@@ -26,10 +26,10 @@ func TestConfigDefaults(t *testing.T) {
 	if got := (Config{Shards: 8}).NumShards(); got != 1 {
 		t.Errorf("non-parallel config must stay sequential, got %d shards", got)
 	}
-	if got := (Config{}).EffectiveBatchSize(); got != DefaultBatchSize {
+	if got := (Config{}).effectiveBatchSize(); got != DefaultBatchSize {
 		t.Errorf("default batch = %d", got)
 	}
-	if got := (Config{BatchSize: 17}).EffectiveBatchSize(); got != 17 {
+	if got := (Config{BatchSize: 17}).effectiveBatchSize(); got != 17 {
 		t.Errorf("explicit batch = %d", got)
 	}
 }
@@ -202,7 +202,7 @@ func TestConfigValidate(t *testing.T) {
 		{Config{QueueDepth: -2}, "QueueDepth"},
 	} {
 		err := tc.cfg.Validate()
-		var ce *ConfigError
+		var ce *configError
 		if !errors.As(err, &ce) {
 			t.Fatalf("Validate(%+v) = %v, want *ConfigError", tc.cfg, err)
 		}

@@ -37,8 +37,8 @@ func newPipeline[T, S any](cfg Config, mk func() S, key func(T) dataset.Key, app
 	return pipeline[T, S]{inline: true, seq: mk(), apply: apply}
 }
 
-// Push offers one arrival to the pipeline.
-func (p *pipeline[T, S]) Push(item T) {
+// push offers one arrival to the pipeline.
+func (p *pipeline[T, S]) push(item T) {
 	if p.closed {
 		panic("engine: Push after Close")
 	}
@@ -130,7 +130,7 @@ type sharder[T, S any] struct {
 // into sampler state built by mk.
 func newSharder[T, S any](shards int, cfg Config, mk func() S, key func(T) dataset.Key, apply func(S, []T)) *sharder[T, S] {
 	sh := &sharder[T, S]{
-		batch:    cfg.EffectiveBatchSize(),
+		batch:    cfg.effectiveBatchSize(),
 		key:      key,
 		bufs:     make([]*[]T, shards),
 		chans:    make([]chan *[]T, shards),
@@ -142,7 +142,7 @@ func newSharder[T, S any](shards int, cfg Config, mk func() S, key func(T) datas
 	}
 	for i := 0; i < shards; i++ {
 		sh.bufs[i] = sh.getBuf()
-		ch := make(chan *[]T, cfg.EffectiveQueueDepth())
+		ch := make(chan *[]T, cfg.effectiveQueueDepth())
 		s := mk()
 		sh.chans[i] = ch
 		sh.samplers[i] = s

@@ -30,7 +30,7 @@ func NewPoissonPPS(tauStar float64, seed sampling.SeedFunc, cfg Config) *Poisson
 
 // Push offers one (key, value) arrival.
 func (e *PoissonPPS) Push(h dataset.Key, v float64) {
-	e.pipeline.Push(Pair{Key: h, Value: v})
+	e.pipeline.push(Pair{Key: h, Value: v})
 }
 
 // TauGuard returns the in-line sampler's certain-reject bound, as

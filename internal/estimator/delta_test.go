@@ -106,3 +106,97 @@ func TestDeltaMonotoneInEps(t *testing.T) {
 		t.Errorf("Δ(v, 10) = %v, want 1", got)
 	}
 }
+
+// The necessary conditions of §2.3 (Lemma 2.1), made executable for
+// weight-oblivious Poisson sampling over finite domains.
+//
+// Δ(v, ε) measures how much outcome-probability mass necessarily pins
+// f near f(v): the paper shows an unbiased nonnegative estimator requires
+// Δ(v, ε) > 0 for all ε > 0, bounded variance requires Δ(v, ε) = Ω(ε²),
+// and boundedness requires Δ(v, ε) = Ω(ε).
+//
+// For weight-oblivious sampling the sample space is the set of constant
+// predicate vectors σ ∈ 2^[r], and the vectors consistent with every
+// outcome of a portion Ω′ are exactly those agreeing with v on the union
+// of the sampled sets of Ω′. The supremum over Ω′ with a given union U is
+// attained by Ω′ = {σ : σ ⊆ U}, whose probability is Π_{i∉U}(1−p_i), so
+//
+//	Δ(v, ε) = 1 − max{ Π_{i∉U}(1−p_i) :
+//	                   U ⊆ [r], inf{f(w) : w_i = v_i ∀i∈U} ≤ f(v) − ε }.
+func DeltaOblivious(p DiscreteProblem, v []float64, eps float64) float64 {
+	r := len(p.P)
+	fv := p.F(v)
+	best := -1.0
+	for u := 0; u < 1<<uint(r); u++ {
+		// inf f over vectors agreeing with v on U.
+		inf := infAgreeing(p, v, u)
+		if inf > fv-eps {
+			continue
+		}
+		prob := 1.0
+		for i := 0; i < r; i++ {
+			if u&(1<<uint(i)) == 0 {
+				prob *= 1 - p.P[i]
+			}
+		}
+		if prob > best {
+			best = prob
+		}
+	}
+	if best < 0 {
+		// No portion can keep f below f(v) − ε: Δ = 1 by the paper's
+		// convention for that case.
+		return 1
+	}
+	return 1 - best
+}
+
+// infAgreeing returns inf{f(w) : w ∈ domains, w_i = v_i for i ∈ U}.
+func infAgreeing(p DiscreteProblem, v []float64, u int) float64 {
+	r := len(p.P)
+	w := make([]float64, r)
+	best := math.Inf(1)
+	var rec func(i int)
+	rec = func(i int) {
+		if i == r {
+			if f := p.F(w); f < best {
+				best = f
+			}
+			return
+		}
+		if u&(1<<uint(i)) != 0 {
+			w[i] = v[i]
+			rec(i + 1)
+			return
+		}
+		for _, x := range p.Domains[i] {
+			w[i] = x
+			rec(i + 1)
+		}
+	}
+	rec(0)
+	return best
+}
+
+// DeltaFeasible reports whether the Lemma 2.1 necessary condition for an
+// unbiased nonnegative estimator — Δ(v, ε) > 0 for every v and ε > 0 —
+// holds over the whole finite domain. For discrete domains it suffices to
+// check the smallest positive ε (the minimum gap between distinct values
+// of f below each f(v)).
+func DeltaFeasible(p DiscreteProblem) bool {
+	vectors := enumerate(p.Domains)
+	for _, v := range vectors {
+		fv := p.F(v)
+		// Collect candidate gaps: f(v) − f(w) over all w with smaller f.
+		for _, w := range vectors {
+			gap := fv - p.F(w)
+			if gap <= 1e-12 {
+				continue
+			}
+			if DeltaOblivious(p, v, gap) <= 1e-12 {
+				return false
+			}
+		}
+	}
+	return true
+}

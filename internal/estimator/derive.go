@@ -48,12 +48,12 @@ type Derived struct {
 	MinEstimate float64
 }
 
-// ErrNoUnbiased is returned (wrapped) when no unbiased estimator consistent
+// errNoUnbiased is returned (wrapped) when no unbiased estimator consistent
 // with the order exists: some data vector has zero probability of an
 // unprocessed outcome while its expectation constraint is not yet met.
-var ErrNoUnbiased = fmt.Errorf("estimator: no unbiased order-based estimator exists")
+var errNoUnbiased = fmt.Errorf("estimator: no unbiased order-based estimator exists")
 
-// Derive runs Algorithm 1. It returns an error wrapping ErrNoUnbiased when
+// Derive runs Algorithm 1. It returns an error wrapping errNoUnbiased when
 // the unbiasedness equations are unsolvable.
 func Derive(p DiscreteProblem) (*Derived, error) {
 	r := len(p.P)
@@ -102,7 +102,7 @@ func Derive(p DiscreteProblem) (*Derived, error) {
 		switch {
 		case prNew <= tol:
 			if math.Abs(fv-f0) > tol {
-				return nil, fmt.Errorf("%w: vector %v needs estimate mass %v but has no unprocessed outcomes", ErrNoUnbiased, v, fv-f0)
+				return nil, fmt.Errorf("%w: vector %v needs estimate mass %v but has no unprocessed outcomes", errNoUnbiased, v, fv-f0)
 			}
 			for _, k := range newKeys {
 				d.estimate[k] = 0
@@ -127,7 +127,7 @@ func Derive(p DiscreteProblem) (*Derived, error) {
 // must be members of the entry domains (within 1e-9).
 func (d *Derived) Estimate(o ObliviousOutcome) (float64, error) {
 	mask := 0
-	v := make([]float64, o.R())
+	v := make([]float64, o.r())
 	for i, s := range o.Sampled {
 		if !s {
 			continue
@@ -166,16 +166,6 @@ func MaxLOrder(a, b []float64) bool {
 // estimates (motivating f̂(+≺)); Derive reports this via MinEstimate.
 func SparseOrder(a, b []float64) bool {
 	return positives(a) < positives(b)
-}
-
-// ORLOrder is the §4.3 order for OR^(L) on binary domains: zero vector
-// first, then ascending number of zero entries.
-func ORLOrder(a, b []float64) bool {
-	za, zb := allZero(a), allZero(b)
-	if za || zb {
-		return za && !zb
-	}
-	return zeros(a) < zeros(b)
 }
 
 func enumerate(domains [][]float64) [][]float64 {
@@ -247,16 +237,6 @@ func positives(v []float64) int {
 	n := 0
 	for _, x := range v {
 		if x > 0 {
-			n++
-		}
-	}
-	return n
-}
-
-func zeros(v []float64) int {
-	n := 0
-	for _, x := range v {
-		if x == 0 {
 			n++
 		}
 	}

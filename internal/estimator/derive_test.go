@@ -178,7 +178,7 @@ func TestDeriveFailurePath(t *testing.T) {
 	if err == nil {
 		t.Fatal("expected failure when one entry is never observable")
 	}
-	if !errors.Is(err, ErrNoUnbiased) {
+	if !errors.Is(err, errNoUnbiased) {
 		t.Fatalf("expected ErrNoUnbiased, got %v", err)
 	}
 }
@@ -273,4 +273,24 @@ func TestDerivedTableSize(t *testing.T) {
 	if math.IsInf(d.MinEstimate, 1) {
 		t.Error("MinEstimate not set")
 	}
+}
+
+// ORLOrder is the §4.3 order for OR^(L) on binary domains: zero vector
+// first, then ascending number of zero entries.
+func ORLOrder(a, b []float64) bool {
+	za, zb := allZero(a), allZero(b)
+	if za || zb {
+		return za && !zb
+	}
+	return zeros(a) < zeros(b)
+}
+
+func zeros(v []float64) int {
+	n := 0
+	for _, x := range v {
+		if x == 0 {
+			n++
+		}
+	}
+	return n
 }

@@ -72,7 +72,7 @@ func DerivePlus(p DiscreteProblem) (*Derived, error) {
 		}
 		if prNew <= tol {
 			if math.Abs(fv-f0) > tol {
-				return nil, fmt.Errorf("%w: vector %v needs estimate mass %v but has no unprocessed outcomes", ErrNoUnbiased, v, fv-f0)
+				return nil, fmt.Errorf("%w: vector %v needs estimate mass %v but has no unprocessed outcomes", errNoUnbiased, v, fv-f0)
 			}
 			for _, k := range newKeys {
 				d.estimate[k] = 0
@@ -299,6 +299,8 @@ func contains(ks []string, k string) bool {
 // then vectors whose only positive entries are a prefix (entry 1 first),
 // then the rest — within groups by number of positive entries. For r = 2:
 // 0, then (x, 0), then (0, y), then two-positive vectors.
+//
+//summarylint:ignore §4.2 max^(Uas) order, pinned by TestDerivePlusMatchesUas; bench_test.go (BenchmarkDerivePlusBinaryR3) shares it
 func UasOrder(a, b []float64) bool {
 	ra, rb := uasRank(a), uasRank(b)
 	return ra < rb

@@ -101,7 +101,7 @@ func DeriveU(p DiscreteProblem, batch BatchFunc) (*Derived, error) {
 			need := p.F(v) - f0
 			if len(coeff) == 0 {
 				if math.Abs(need) > tol {
-					return nil, fmt.Errorf("%w: vector %v needs estimate mass %v but has no unprocessed outcomes", ErrNoUnbiased, v, need)
+					return nil, fmt.Errorf("%w: vector %v needs estimate mass %v but has no unprocessed outcomes", errNoUnbiased, v, need)
 				}
 				continue
 			}

@@ -41,7 +41,7 @@ func TestDeriveUOrThreeInstances(t *testing.T) {
 		if !approxEq(mean, orOf(v), 1e-7) {
 			t.Errorf("v=%v: mean %v, want %v", v, mean, orOf(v))
 		}
-		_, varHT := ObliviousMoments(p, v, ORHTOblivious)
+		_, varHT := ObliviousMoments(p, v, orHTOblivious)
 		if varU > varHT+1e-9 {
 			t.Errorf("v=%v: derived U variance %v above HT %v", v, varU, varHT)
 		}

@@ -14,20 +14,20 @@ type Category int
 
 // Categories of §8.1.
 const (
-	// CatNone: not sampled anywhere and no seed reveals anything — or the
+	// catNone: not sampled anywhere and no seed reveals anything — or the
 	// seeds reveal the key is in neither set. Estimate 0 either way.
-	CatNone Category = iota
-	// Cat1Q: in sample 1; seed 2 above threshold (membership 2 unknown).
-	Cat1Q
-	// CatQ1: in sample 2; seed 1 above threshold (membership 1 unknown).
-	CatQ1
-	// Cat11: in both samples.
-	Cat11
-	// Cat10: in sample 1; seed 2 below threshold, so absence from sample 2
+	catNone Category = iota
+	// cat1Q: in sample 1; seed 2 above threshold (membership 2 unknown).
+	cat1Q
+	// catQ1: in sample 2; seed 1 above threshold (membership 1 unknown).
+	catQ1
+	// cat11: in both samples.
+	cat11
+	// cat10: in sample 1; seed 2 below threshold, so absence from sample 2
 	// proves non-membership in set 2.
-	Cat10
-	// Cat01: in sample 2; seed 1 proves non-membership in set 1.
-	Cat01
+	cat10
+	// cat01: in sample 2; seed 1 proves non-membership in set 1.
+	cat01
 )
 
 // Categorize classifies one key given its sample memberships, seeds, and
@@ -35,17 +35,17 @@ const (
 func Categorize(inS1, inS2 bool, u1, u2, p1, p2 float64) Category {
 	switch {
 	case inS1 && inS2:
-		return Cat11
+		return cat11
 	case inS1 && u2 > p2:
-		return Cat1Q
+		return cat1Q
 	case inS1:
-		return Cat10
+		return cat10
 	case inS2 && u1 > p1:
-		return CatQ1
+		return catQ1
 	case inS2:
-		return Cat01
+		return cat01
 	default:
-		return CatNone
+		return catNone
 	}
 }
 
@@ -57,15 +57,15 @@ type DistinctCounts struct {
 // Add increments the tally for one categorized key.
 func (c *DistinctCounts) Add(cat Category) {
 	switch cat {
-	case Cat1Q:
+	case cat1Q:
 		c.F1Q++
-	case CatQ1:
+	case catQ1:
 		c.FQ1++
-	case Cat11:
+	case cat11:
 		c.F11++
-	case Cat10:
+	case cat10:
 		c.F10++
-	case Cat01:
+	case cat01:
 		c.F01++
 	}
 }

@@ -14,13 +14,13 @@ func TestCategorize(t *testing.T) {
 		u1, u2     float64
 		want       Category
 	}{
-		{true, true, 0.1, 0.2, Cat11},
-		{true, false, 0.1, 0.9, Cat1Q}, // u2 > p2: membership 2 unknown
-		{true, false, 0.1, 0.3, Cat10}, // u2 ≤ p2: v2 revealed 0
-		{false, true, 0.9, 0.2, CatQ1}, // u1 > p1
-		{false, true, 0.3, 0.2, Cat01}, // u1 ≤ p1
-		{false, false, 0.9, 0.9, CatNone},
-		{false, false, 0.1, 0.1, CatNone},
+		{true, true, 0.1, 0.2, cat11},
+		{true, false, 0.1, 0.9, cat1Q}, // u2 > p2: membership 2 unknown
+		{true, false, 0.1, 0.3, cat10}, // u2 ≤ p2: v2 revealed 0
+		{false, true, 0.9, 0.2, catQ1}, // u1 > p1
+		{false, true, 0.3, 0.2, cat01}, // u1 ≤ p1
+		{false, false, 0.9, 0.9, catNone},
+		{false, false, 0.1, 0.1, catNone},
 	}
 	for _, c := range cases {
 		if got := Categorize(c.inS1, c.inS2, c.u1, c.u2, p1, p2); got != c.want {
@@ -37,11 +37,11 @@ func TestDistinctEstimatesMatchPerKeyOR(t *testing.T) {
 	p := []float64{p1, p2}
 	low := []float64{p1 / 2, p2 / 2}
 	outcomes := map[Category]BinaryKnownSeedsOutcome{
-		Cat1Q: {P: p, U: []float64{p1 / 2, (1 + p2) / 2}, Sampled: []bool{true, false}},
-		CatQ1: {P: p, U: []float64{(1 + p1) / 2, p2 / 2}, Sampled: []bool{false, true}},
-		Cat11: {P: p, U: low, Sampled: []bool{true, true}},
-		Cat10: {P: p, U: low, Sampled: []bool{true, false}},
-		Cat01: {P: p, U: low, Sampled: []bool{false, true}},
+		cat1Q: {P: p, U: []float64{p1 / 2, (1 + p2) / 2}, Sampled: []bool{true, false}},
+		catQ1: {P: p, U: []float64{(1 + p1) / 2, p2 / 2}, Sampled: []bool{false, true}},
+		cat11: {P: p, U: low, Sampled: []bool{true, true}},
+		cat10: {P: p, U: low, Sampled: []bool{true, false}},
+		cat01: {P: p, U: low, Sampled: []bool{false, true}},
 	}
 	for cat, o := range outcomes {
 		var c DistinctCounts
@@ -109,7 +109,7 @@ func TestDistinctVarianceFormulas(t *testing.T) {
 // tallied in its own field.
 func TestDistinctCountsSampled(t *testing.T) {
 	var c DistinctCounts
-	for _, cat := range []Category{CatNone, Cat1Q, CatQ1, Cat11, Cat11, Cat10, Cat01, CatNone} {
+	for _, cat := range []Category{catNone, cat1Q, catQ1, cat11, cat11, cat10, cat01, catNone} {
 		c.Add(cat)
 	}
 	if want := (DistinctCounts{F1Q: 1, FQ1: 1, F11: 2, F10: 1, F01: 1}); c != want {
@@ -123,10 +123,10 @@ func TestDistinctCountsSampled(t *testing.T) {
 // TestCategorizeSeedAtThreshold: a seed equal to the sampling probability
 // reveals absence, matching the u ≤ p rule of the r-instance kernel.
 func TestCategorizeSeedAtThreshold(t *testing.T) {
-	if got := Categorize(true, false, 0.1, 0.4, 0.3, 0.4); got != Cat10 {
+	if got := Categorize(true, false, 0.1, 0.4, 0.3, 0.4); got != cat10 {
 		t.Errorf("u2 = p2: %v, want Cat10", got)
 	}
-	if got := Categorize(false, true, 0.3, 0.1, 0.3, 0.4); got != Cat01 {
+	if got := Categorize(false, true, 0.3, 0.1, 0.3, 0.4); got != cat01 {
 		t.Errorf("u1 = p1: %v, want Cat01", got)
 	}
 }

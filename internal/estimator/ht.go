@@ -24,22 +24,9 @@ func MaxHTOblivious(o ObliviousOutcome) float64 {
 	return HTOblivious(o, maxOf)
 }
 
-// MinHTOblivious is HTOblivious specialized to min. For any r it is Pareto
-// optimal: any nonnegative estimator must be 0 on outcomes consistent with a
-// zero minimum, which includes every outcome with an unsampled entry.
-func MinHTOblivious(o ObliviousOutcome) float64 {
-	return HTOblivious(o, minOf)
-}
-
-// RangeHTOblivious is HTOblivious specialized to RG = max − min. For r = 2
-// it is Pareto optimal (§4); for r > 2 it is not.
-func RangeHTOblivious(o ObliviousOutcome) float64 {
-	return HTOblivious(o, func(v []float64) float64 { return maxOf(v) - minOf(v) })
-}
-
-// ORHTOblivious is HTOblivious specialized to Boolean OR: 1/Πp when all
+// orHTOblivious is HTOblivious specialized to Boolean OR: 1/Πp when all
 // entries are sampled and at least one is positive, 0 otherwise (§4.3).
-func ORHTOblivious(o ObliviousOutcome) float64 {
+func orHTOblivious(o ObliviousOutcome) float64 {
 	return HTOblivious(o, orOf)
 }
 
@@ -47,7 +34,7 @@ func ORHTOblivious(o ObliviousOutcome) float64 {
 // weighted sampling of binary data with known seeds (§5.1): positive exactly
 // when u_i ≤ p_i for every entry (the outcome then reveals the full vector).
 func ORHTKnownSeeds(o BinaryKnownSeedsOutcome) float64 {
-	return ORHTOblivious(o.ToOblivious())
+	return orHTOblivious(o.ToOblivious())
 }
 
 // MaxHTPPS is the optimal inverse-probability estimator of max under
@@ -56,7 +43,7 @@ func ORHTKnownSeeds(o BinaryKnownSeedsOutcome) float64 {
 // of unsampled entries do not exceed the maximum sampled value, so the max
 // is determined.
 func MaxHTPPS(o PPSOutcome) float64 {
-	m := o.MaxSampled()
+	m := o.maxSampled()
 	if m <= 0 {
 		return 0
 	}
@@ -79,19 +66,6 @@ func maxOf(v []float64) float64 {
 	m := math.Inf(-1)
 	for _, x := range v {
 		if x > m {
-			m = x
-		}
-	}
-	if len(v) == 0 {
-		return 0
-	}
-	return m
-}
-
-func minOf(v []float64) float64 {
-	m := math.Inf(1)
-	for _, x := range v {
-		if x < m {
 			m = x
 		}
 	}

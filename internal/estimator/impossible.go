@@ -41,29 +41,3 @@ func SolveUnknownSeedsOR2(p1, p2 float64) UnknownSeedsOR2 {
 		Feasible: both >= 0,
 	}
 }
-
-// Mean returns the expectation of the forced estimator on binary data
-// (v1, v2) — used by tests to confirm it is the unique unbiased solution.
-func (s UnknownSeedsOR2) Mean(p1, p2 float64, v1, v2 bool) float64 {
-	q1, q2 := 0.0, 0.0
-	if v1 {
-		q1 = p1
-	}
-	if v2 {
-		q2 = p2
-	}
-	return q1*q2*s.EstBoth + q1*(1-q2)*s.EstOne1 + (1-q1)*q2*s.EstOne2 + (1-q1)*(1-q2)*s.EstEmpty
-}
-
-// UnknownSeedsXORInfeasible demonstrates the RG^d / XOR argument of §6: any
-// nonnegative estimator of XOR over weighted samples with unknown seeds
-// must be 0 on outcomes with at most one sampled entry (nonnegativity
-// against the data vector whose hidden entry equals the sampled one), so on
-// data (1,0) — whose only possible outcomes are ∅ and {1} — the expectation
-// is 0 ≠ XOR(1,0) = 1. The function returns the resulting bias on (1,0),
-// which is −1 for every choice of probabilities: unbiasedness is impossible.
-func UnknownSeedsXORInfeasible(p1, p2 float64) (bias float64) {
-	// Outcomes for data (1,0): {1} with probability p1, ∅ otherwise; both
-	// forced to estimate 0.
-	return 0 - 1
-}

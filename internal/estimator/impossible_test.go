@@ -71,16 +71,6 @@ func TestUnknownSeedsFeasibleRegionMatchesKnownSeeds(t *testing.T) {
 	}
 }
 
-// TestUnknownSeedsXOR: the bias of the forced XOR estimator on (1,0) is −1
-// regardless of probabilities.
-func TestUnknownSeedsXOR(t *testing.T) {
-	for _, p := range []float64{0.1, 0.5, 0.99} {
-		if bias := UnknownSeedsXORInfeasible(p, p); bias != -1 {
-			t.Errorf("p=%v: bias %v, want -1", p, bias)
-		}
-	}
-}
-
 // TestUnknownSeedsEstBothExplodes documents the structural reason: as
 // p → 0, the forced value on the both-sampled outcome tends to −∞ — the
 // single-sampled outcomes over-contribute 2−p1−p2 > 1 to the expectation.
@@ -102,4 +92,17 @@ func TestUnknownSeedsEstBothExplodes(t *testing.T) {
 	if s := SolveUnknownSeedsOR2(1e-9, 1e-9); !math.IsInf(s.EstBoth, 0) && s.EstBoth > -1e17 {
 		t.Errorf("EstBoth at p=1e-9 = %v, expected ≈ −1e18", s.EstBoth)
 	}
+}
+
+// Mean returns the expectation of the forced estimator on binary data
+// (v1, v2) — used by tests to confirm it is the unique unbiased solution.
+func (s UnknownSeedsOR2) Mean(p1, p2 float64, v1, v2 bool) float64 {
+	q1, q2 := 0.0, 0.0
+	if v1 {
+		q1 = p1
+	}
+	if v2 {
+		q2 = p2
+	}
+	return q1*q2*s.EstBoth + q1*(1-q2)*s.EstOne1 + (1-q1)*q2*s.EstOne2 + (1-q1)*(1-q2)*s.EstEmpty
 }

@@ -83,8 +83,8 @@ func TestQuickDeterminingVectorConsistency(t *testing.T) {
 			}
 		}
 		// φ's max equals the max sampled value when anything was sampled.
-		if o.NumSampled() > 0 {
-			if !approxEq(math.Max(phi[0], phi[1]), o.MaxSampled(), 1e-12) {
+		if o.numSampled() > 0 {
+			if !approxEq(math.Max(phi[0], phi[1]), o.maxSampled(), 1e-12) {
 				return false
 			}
 		}
@@ -136,7 +136,7 @@ func TestQuickHTSupport(t *testing.T) {
 		u := []float64{frac(ua), frac(ub)}
 		o := SamplePPS(v, u, tau)
 		est := MaxHTPPS(o)
-		m := o.MaxSampled()
+		m := o.maxSampled()
 		determined := m > 0
 		for i := 0; i < 2; i++ {
 			if !o.Sampled[i] && o.U[i]*o.Tau[i] > m {

@@ -59,12 +59,6 @@ func NewMaxLUniform(r int, p float64) (*MaxLUniform, error) {
 	return &MaxLUniform{r: r, p: p, alpha: alpha, a: a}, nil
 }
 
-// R returns the number of instances the estimator was built for.
-func (e *MaxLUniform) R() int { return e.r }
-
-// P returns the uniform inclusion probability.
-func (e *MaxLUniform) P() float64 { return e.p }
-
 // Alpha returns a copy of the coefficient vector (α_1,…,α_r).
 func (e *MaxLUniform) Alpha() []float64 {
 	return append([]float64(nil), e.alpha...)
@@ -81,19 +75,21 @@ func (e *MaxLUniform) PrefixSum(h int) float64 {
 // Estimate applies max^(L) to an outcome (Algorithm 3, function EST). The
 // outcome must have r entries; the P field is ignored (the estimator's own
 // uniform p applies).
+//
+//summarylint:ignore Algorithm 3 max^(L); the reference loops of internal/core (query_ref_test.go, query_test.go) share it
 func (e *MaxLUniform) Estimate(o ObliviousOutcome) float64 {
-	return e.EstimateInto(o, make([]float64, 0, e.r))
+	return e.estimateInto(o, make([]float64, 0, e.r))
 }
 
-// EstimateInto is Estimate with caller-owned scratch: the sampled values
+// estimateInto is Estimate with caller-owned scratch: the sampled values
 // are gathered and sorted in z's backing array (capacity at least r; prior
 // contents are overwritten), so a per-key loop estimates without
 // allocating.
 //
 //summarylint:hot
-func (e *MaxLUniform) EstimateInto(o ObliviousOutcome, z []float64) float64 {
-	if o.R() != e.r {
-		e.panicWrongR(o.R())
+func (e *MaxLUniform) estimateInto(o ObliviousOutcome, z []float64) float64 {
+	if o.r() != e.r {
+		e.panicWrongR(o.r())
 	}
 	z = z[:0]
 	for i, s := range o.Sampled {
@@ -138,7 +134,7 @@ func (e *MaxLUniform) BinaryTableInto(table []float64, sampled []bool, values, z
 					o.Values[i] = 1
 				}
 			}
-			table[ones*(e.r+1)+zeros] = e.EstimateInto(o, z)
+			table[ones*(e.r+1)+zeros] = e.estimateInto(o, z)
 		}
 	}
 }
@@ -154,6 +150,8 @@ func descending(a, b float64) int { return cmp.Compare(b, a) }
 
 // EstimateValues is a convenience wrapper taking the multiset of sampled
 // values directly (order irrelevant); pass an empty slice for S = ∅.
+//
+//summarylint:ignore Algorithm 3 max^(L), pinned by TestMaxLUniformMonotoneQuick; bench_test.go (BenchmarkMaxLUniformEstimate) shares it
 func (e *MaxLUniform) EstimateValues(sampledValues []float64) float64 {
 	o := ObliviousOutcome{
 		P:       make([]float64, e.r),

@@ -103,7 +103,7 @@ func TestMaxLUniformUnbiased(t *testing.T) {
 			for trial := 0; trial < 10; trial++ {
 				v := make([]float64, r)
 				for i := range v {
-					if rng.Bool(0.25) {
+					if rng.Float64() < 0.25 {
 						v[i] = 0
 					} else {
 						v[i] = math.Floor(rng.Float64()*100) / 10
@@ -269,7 +269,7 @@ func TestBinaryTableMatchesEstimateInto(t *testing.T) {
 						zeros++
 					}
 				}
-				got, want := table[ones*(r+1)+zeros], e.EstimateInto(o, make([]float64, 0, r))
+				got, want := table[ones*(r+1)+zeros], e.estimateInto(o, make([]float64, 0, r))
 				if math.Float64bits(got) != math.Float64bits(want) {
 					t.Errorf("r=%d p=%v pattern %v/%v: table[%d ones, %d zeros] = %v, EstimateInto = %v",
 						r, p, o.Sampled, o.Values, ones, zeros, got, want)

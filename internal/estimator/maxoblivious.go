@@ -104,7 +104,7 @@ func MaxUAsym2(o ObliviousOutcome) float64 {
 }
 
 func requireR(o ObliviousOutcome, r int) {
-	if o.R() != r {
-		panic(fmt.Sprintf("estimator: outcome has r=%d entries, estimator requires r=%d", o.R(), r))
+	if o.r() != r {
+		panic(fmt.Sprintf("estimator: outcome has r=%d entries, estimator requires r=%d", o.r(), r))
 	}
 }

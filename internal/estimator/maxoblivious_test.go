@@ -250,3 +250,43 @@ func TestRangeAndMinHTOptimal(t *testing.T) {
 		}
 	}
 }
+
+// MinHTOblivious is HTOblivious specialized to min. For any r it is Pareto
+// optimal: any nonnegative estimator must be 0 on outcomes consistent with a
+// zero minimum, which includes every outcome with an unsampled entry.
+func MinHTOblivious(o ObliviousOutcome) float64 {
+	return HTOblivious(o, minOf)
+}
+
+// RangeHTOblivious is HTOblivious specialized to RG = max − min. For r = 2
+// it is Pareto optimal (§4); for r > 2 it is not.
+func RangeHTOblivious(o ObliviousOutcome) float64 {
+	return HTOblivious(o, func(v []float64) float64 { return maxOf(v) - minOf(v) })
+}
+
+// VarMaxU2Half is the variance of max^(U) at p1 = p2 = 1/2:
+// max² + 2·min² − 2·max·min, obtained by exact enumeration of the
+// estimator's own outcome table.
+//
+// Erratum: Figure 1 of the paper prints (3/4)·max² + 2·min² − 2·max·min,
+// which is inconsistent with the outcome table printed directly above it
+// (and with the general max^(U) construction and the §4.3 asymptotics,
+// which give VAR ≈ 1/(4p²) on (1,0) — equal to max² at p = 1/2). We follow
+// the outcome table.
+func VarMaxU2Half(v1, v2 float64) float64 {
+	mx, mn := math.Max(v1, v2), math.Min(v1, v2)
+	return mx*mx + 2*mn*mn - 2*mx*mn
+}
+
+func minOf(v []float64) float64 {
+	m := math.Inf(1)
+	for _, x := range v {
+		if x < m {
+			m = x
+		}
+	}
+	if len(v) == 0 {
+		return 0
+	}
+	return m
+}

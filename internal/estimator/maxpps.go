@@ -17,7 +17,7 @@ import "math"
 // MaxL2PPS dominates MaxHTPPS with a variance ratio of at least
 // (1+ρ)/ρ ≥ 2 where ρ = max(v)/τ* (for τ1 = τ2 = τ*).
 func MaxL2PPS(o PPSOutcome) float64 {
-	if o.R() != 2 {
+	if o.r() != 2 {
 		panic("estimator: MaxL2PPS requires r=2")
 	}
 	_, l := MaxPPS2(o.Sampled[0], o.Sampled[1], o.Values[0], o.Values[1], o.U[0]*o.Tau[0], o.U[1]*o.Tau[1], o.Tau[0], o.Tau[1])
@@ -133,16 +133,4 @@ func MaxL2PPSDetermining(v1, v2, tau1, tau2 float64) float64 {
 		est += tb * (ta - a) * (tb - b) / ((T - b) * a)
 		return est
 	}
-}
-
-// MaxL2PPSEqual evaluates max^(L) on a determining vector with two equal
-// entries (Appendix A, equation (25)); exposed for cross-validation against
-// the general closed form.
-func MaxL2PPSEqual(v, tau1, tau2 float64) float64 {
-	if v <= 0 {
-		return 0
-	}
-	q1 := math.Min(1, v/tau1)
-	q2 := math.Min(1, v/tau2)
-	return v / (q1 + (1-q1)*q2)
 }

@@ -239,3 +239,26 @@ func TestFigure4Shape(t *testing.T) {
 		}
 	}
 }
+
+// MaxL2PPSEqual evaluates max^(L) on a determining vector with two equal
+// entries (Appendix A, equation (25)); exposed for cross-validation against
+// the general closed form.
+func MaxL2PPSEqual(v, tau1, tau2 float64) float64 {
+	if v <= 0 {
+		return 0
+	}
+	q1 := math.Min(1, v/tau1)
+	q2 := math.Min(1, v/tau2)
+	return v / (q1 + (1-q1)*q2)
+}
+
+// VarMaxHTPPS2 is the variance of max^(HT) under PPS with known seeds for
+// r = 2 (§5.2): max²(1/p − 1) with p = Π min{1, max/τ_i}.
+func VarMaxHTPPS2(tau1, tau2, v1, v2 float64) float64 {
+	m := math.Max(v1, v2)
+	if m <= 0 {
+		return 0
+	}
+	p := math.Min(1, m/tau1) * math.Min(1, m/tau2)
+	return VarHT(m, p)
+}

@@ -20,7 +20,7 @@ func TestORL2Unbiased(t *testing.T) {
 				if !approxEq(mean, orOf(v), 1e-12) {
 					t.Errorf("ORU2 biased: p=%v v=%v mean=%v", p, v, mean)
 				}
-				mean, _ = ObliviousMoments(p, v, ORHTOblivious)
+				mean, _ = ObliviousMoments(p, v, orHTOblivious)
 				if !approxEq(mean, orOf(v), 1e-12) {
 					t.Errorf("ORHT biased: p=%v v=%v mean=%v", p, v, mean)
 				}
@@ -43,7 +43,7 @@ func TestORVarianceClosedForms(t *testing.T) {
 			if want := VarORL10(p1, p2); !approxEq(v10, want, 1e-9) {
 				t.Errorf("VarORL10(%v,%v) = %v, enumeration %v", p1, p2, want, v10)
 			}
-			_, ht11 := ObliviousMoments(p, []float64{1, 1}, ORHTOblivious)
+			_, ht11 := ObliviousMoments(p, []float64{1, 1}, orHTOblivious)
 			if want := VarORHT(p); !approxEq(ht11, want, 1e-9) {
 				t.Errorf("VarORHT(%v) = %v, enumeration %v", p, want, ht11)
 			}
@@ -82,7 +82,7 @@ func TestORDominance(t *testing.T) {
 		for _, p2 := range probGrid {
 			p := []float64{p1, p2}
 			for _, v := range binaryVectors2 {
-				_, ht := ObliviousMoments(p, v, ORHTOblivious)
+				_, ht := ObliviousMoments(p, v, orHTOblivious)
 				_, l := ObliviousMoments(p, v, ORL2)
 				_, u := ObliviousMoments(p, v, ORU2)
 				if l > ht+1e-9 || u > ht+1e-9 {
@@ -126,7 +126,7 @@ func TestKnownSeedsMappingPreservesDistribution(t *testing.T) {
 				for name, pair := range map[string][2]func(ObliviousOutcome) float64{
 					"L":  {ORL2, ORL2},
 					"U":  {ORU2, ORU2},
-					"HT": {ORHTOblivious, ORHTOblivious},
+					"HT": {orHTOblivious, orHTOblivious},
 				} {
 					oblMean, oblVar := ObliviousMoments(p, v, pair[0])
 					wMean, wVar := BinaryKnownSeedsMoments(p, v, func(o BinaryKnownSeedsOutcome) float64 {

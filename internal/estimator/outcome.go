@@ -17,11 +17,6 @@
 //     known seeds (§5.2).
 package estimator
 
-import (
-	"errors"
-	"fmt"
-)
-
 // ObliviousOutcome is the outcome of weight-oblivious Poisson sampling of a
 // data vector: entry i was sampled independently with probability P[i]; for
 // sampled entries the exact value (possibly zero) is known.
@@ -35,66 +30,8 @@ type ObliviousOutcome struct {
 	Values []float64
 }
 
-// R returns the number of entries (instances).
-func (o ObliviousOutcome) R() int { return len(o.P) }
-
-// NumSampled returns |S|, the number of sampled entries.
-func (o ObliviousOutcome) NumSampled() int {
-	n := 0
-	for _, s := range o.Sampled {
-		if s {
-			n++
-		}
-	}
-	return n
-}
-
-// MaxSampled returns the maximum sampled value, or 0 when S is empty.
-func (o ObliviousOutcome) MaxSampled() float64 {
-	m := 0.0
-	first := true
-	for i, s := range o.Sampled {
-		if !s {
-			continue
-		}
-		if first || o.Values[i] > m {
-			m = o.Values[i]
-			first = false
-		}
-	}
-	return m
-}
-
-// Validate checks structural invariants. Estimator functions assume a valid
-// outcome; call Validate at trust boundaries.
-func (o ObliviousOutcome) Validate() error {
-	if len(o.Sampled) != len(o.P) || len(o.Values) != len(o.P) {
-		return errors.New("estimator: outcome slices have mismatched lengths")
-	}
-	for i, p := range o.P {
-		if !(p > 0 && p <= 1) {
-			return fmt.Errorf("estimator: inclusion probability p[%d]=%v outside (0,1]", i, p)
-		}
-	}
-	return nil
-}
-
-// DeterminingVector returns φ(S) under the §4.1 order: sampled entries keep
-// their values and unsampled entries are set to the maximum sampled value
-// (the ≺-minimal vector consistent with the outcome). For the empty outcome
-// this is the zero vector.
-func (o ObliviousOutcome) DeterminingVector() []float64 {
-	m := o.MaxSampled()
-	phi := make([]float64, o.R())
-	for i := range phi {
-		if o.Sampled[i] {
-			phi[i] = o.Values[i]
-		} else {
-			phi[i] = m
-		}
-	}
-	return phi
-}
+// r returns the number of entries (instances).
+func (o ObliviousOutcome) r() int { return len(o.P) }
 
 // BinaryKnownSeedsOutcome is the outcome of weighted Poisson sampling of a
 // binary data vector with known seeds (§5.1): entry i is sampled iff
@@ -113,18 +50,20 @@ type BinaryKnownSeedsOutcome struct {
 // (the 1-1 information-preserving mapping of §5): entry i is "sampled" in
 // the oblivious sense iff U[i] ≤ P[i]; its revealed value is 1 when i was in
 // the weighted sample and 0 otherwise.
+//
+//summarylint:ignore §5 known-seeds-to-oblivious mapping; the reference loops of internal/core (query_ref_test.go, query_test.go) share it
 func (o BinaryKnownSeedsOutcome) ToOblivious() ObliviousOutcome {
 	r := len(o.P)
-	return o.ToObliviousInto(make([]bool, r), make([]float64, r))
+	return o.toObliviousInto(make([]bool, r), make([]float64, r))
 }
 
-// ToObliviousInto is ToOblivious over caller-owned scratch: the returned
+// toObliviousInto is ToOblivious over caller-owned scratch: the returned
 // outcome's Sampled and Values are the first len(o.P) elements of the
 // passed slices (each must be at least that long; prior contents are
 // overwritten), so a per-key loop maps every outcome without allocating.
 //
 //summarylint:hot
-func (o BinaryKnownSeedsOutcome) ToObliviousInto(sampled []bool, values []float64) ObliviousOutcome {
+func (o BinaryKnownSeedsOutcome) toObliviousInto(sampled []bool, values []float64) ObliviousOutcome {
 	r := len(o.P)
 	out := ObliviousOutcome{P: o.P, Sampled: sampled[:r], Values: values[:r]}
 	for i := 0; i < r; i++ {
@@ -155,11 +94,11 @@ type PPSOutcome struct {
 	Values []float64
 }
 
-// R returns the number of entries.
-func (o PPSOutcome) R() int { return len(o.Tau) }
+// r returns the number of entries.
+func (o PPSOutcome) r() int { return len(o.Tau) }
 
-// MaxSampled returns the maximum sampled value, or 0 when S is empty.
-func (o PPSOutcome) MaxSampled() float64 {
+// maxSampled returns the maximum sampled value, or 0 when S is empty.
+func (o PPSOutcome) maxSampled() float64 {
 	m := 0.0
 	for i, s := range o.Sampled {
 		if s && o.Values[i] > m {
@@ -169,62 +108,11 @@ func (o PPSOutcome) MaxSampled() float64 {
 	return m
 }
 
-// UpperBound returns the revealed upper bound on entry i: the exact value
-// when sampled, otherwise U[i]·Tau[i] (exclusive).
-func (o PPSOutcome) UpperBound(i int) float64 {
-	if o.Sampled[i] {
-		return o.Values[i]
-	}
-	return o.U[i] * o.Tau[i]
-}
-
-// DeterminingVector returns φ(S) under the §5.2 order: 0 for the empty
-// outcome; otherwise sampled entries keep their values and each unsampled
-// entry i gets min{max sampled value, U[i]·Tau[i]}.
-func (o PPSOutcome) DeterminingVector() []float64 {
-	return o.DeterminingVectorInto(make([]float64, o.R()))
-}
-
-// DeterminingVectorInto is DeterminingVector over caller-owned scratch: it
-// writes φ(S) into the first R() elements of phi (which must be at least
-// that long; prior contents are overwritten) and returns that prefix.
-//
-//summarylint:hot
-func (o PPSOutcome) DeterminingVectorInto(phi []float64) []float64 {
-	phi = phi[:o.R()]
-	m := o.MaxSampled()
-	if o.NumSampled() == 0 {
-		clear(phi)
-		return phi
-	}
-	for i := range phi {
-		if o.Sampled[i] {
-			phi[i] = o.Values[i]
-		} else {
-			b := o.U[i] * o.Tau[i]
-			if b > m {
-				b = m
-			}
-			phi[i] = b
-		}
-	}
-	return phi
-}
-
-// NumSampled returns |S|.
-func (o PPSOutcome) NumSampled() int {
-	n := 0
-	for _, s := range o.Sampled {
-		if s {
-			n++
-		}
-	}
-	return n
-}
-
 // SamplePPS materializes the PPS outcome for data vector v with seeds u and
 // thresholds tau. It is the reference sampling procedure of the tests and
 // benchmarks.
+//
+//summarylint:ignore the reference sampler shared by the estimator tests and bench_test.go (BenchmarkMaxL2PPS, BenchmarkMaxHTPPS)
 func SamplePPS(v, u, tau []float64) PPSOutcome {
 	r := len(v)
 	o := PPSOutcome{Tau: tau, U: u, Sampled: make([]bool, r), Values: make([]float64, r)}
@@ -239,6 +127,8 @@ func SamplePPS(v, u, tau []float64) PPSOutcome {
 
 // SampleOblivious materializes the weight-oblivious outcome for data vector
 // v with seeds u and inclusion probabilities p.
+//
+//summarylint:ignore the reference sampler shared by the estimator tests and bench_test.go (BenchmarkMaxHTOblivious)
 func SampleOblivious(v, u, p []float64) ObliviousOutcome {
 	r := len(v)
 	o := ObliviousOutcome{P: p, Sampled: make([]bool, r), Values: make([]float64, r)}
@@ -247,17 +137,6 @@ func SampleOblivious(v, u, p []float64) ObliviousOutcome {
 			o.Sampled[i] = true
 			o.Values[i] = v[i]
 		}
-	}
-	return o
-}
-
-// SampleBinaryKnownSeeds materializes the weighted binary outcome for data
-// vector v ∈ {0,1}^r with seeds u and one-value inclusion probabilities p.
-func SampleBinaryKnownSeeds(v []float64, u, p []float64) BinaryKnownSeedsOutcome {
-	r := len(v)
-	o := BinaryKnownSeedsOutcome{P: p, U: u, Sampled: make([]bool, r)}
-	for i := 0; i < r; i++ {
-		o.Sampled[i] = v[i] > 0 && u[i] <= p[i]
 	}
 	return o
 }

@@ -1,6 +1,8 @@
 package estimator
 
 import (
+	"errors"
+	"fmt"
 	"math"
 	"slices"
 	"testing"
@@ -12,21 +14,21 @@ func TestObliviousOutcomeHelpers(t *testing.T) {
 		Sampled: []bool{true, false, true},
 		Values:  []float64{2, 0, 7},
 	}
-	if o.R() != 3 {
-		t.Errorf("R = %d", o.R())
+	if o.r() != 3 {
+		t.Errorf("R = %d", o.r())
 	}
 	if o.NumSampled() != 2 {
 		t.Errorf("NumSampled = %d", o.NumSampled())
 	}
-	if o.MaxSampled() != 7 {
-		t.Errorf("MaxSampled = %v", o.MaxSampled())
+	if o.maxSampled() != 7 {
+		t.Errorf("MaxSampled = %v", o.maxSampled())
 	}
 	phi := o.DeterminingVector()
 	if phi[0] != 2 || phi[1] != 7 || phi[2] != 7 {
 		t.Errorf("DeterminingVector = %v", phi)
 	}
 	empty := ObliviousOutcome{P: o.P, Sampled: make([]bool, 3), Values: make([]float64, 3)}
-	if empty.MaxSampled() != 0 || empty.NumSampled() != 0 {
+	if empty.maxSampled() != 0 || empty.NumSampled() != 0 {
 		t.Error("empty outcome helpers wrong")
 	}
 	for _, x := range empty.DeterminingVector() {
@@ -61,7 +63,7 @@ func TestPPSOutcomeHelpers(t *testing.T) {
 		Sampled: []bool{true, false},
 		Values:  []float64{5, 0},
 	}
-	if o.R() != 2 || o.NumSampled() != 1 || o.MaxSampled() != 5 {
+	if o.r() != 2 || o.numSampled() != 1 || o.maxSampled() != 5 {
 		t.Error("PPS helpers wrong")
 	}
 	if got := o.UpperBound(0); got != 5 {
@@ -81,9 +83,6 @@ func TestMaxLUniformAccessors(t *testing.T) {
 	e, err := NewMaxLUniform(4, 0.25)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if e.R() != 4 || e.P() != 0.25 {
-		t.Errorf("R/P = %d/%v", e.R(), e.P())
 	}
 	defer func() {
 		if recover() == nil {
@@ -173,14 +172,14 @@ func TestIntoKernelsOverwriteScratch(t *testing.T) {
 				pps.Values[i] = float64(1 + (mask+i)%3)
 			}
 		}
-		if got, want := pps.DeterminingVectorInto(dirtyF()), pps.DeterminingVector(); !slices.Equal(got, want) {
+		if got, want := pps.determiningVectorInto(dirtyF()), pps.DeterminingVector(); !slices.Equal(got, want) {
 			t.Fatalf("mask %b: DeterminingVectorInto %v, DeterminingVector %v", mask, got, want)
 		}
-		got, want := bin.ToObliviousInto(dirtyB(), dirtyF()), bin.ToOblivious()
+		got, want := bin.toObliviousInto(dirtyB(), dirtyF()), bin.ToOblivious()
 		if !slices.Equal(got.Values, want.Values) || !slices.Equal(got.Sampled, want.Sampled) {
 			t.Fatalf("mask %b: ToObliviousInto %+v, ToOblivious %+v", mask, got, want)
 		}
-		if g, w := est.EstimateInto(got, dirtyF()), est.Estimate(want); math.Float64bits(g) != math.Float64bits(w) {
+		if g, w := est.estimateInto(got, dirtyF()), est.Estimate(want); math.Float64bits(g) != math.Float64bits(w) {
 			t.Fatalf("mask %b: EstimateInto %v, Estimate %v", mask, g, w)
 		}
 	}
@@ -191,8 +190,130 @@ func TestIntoKernelsOverwriteScratch(t *testing.T) {
 	if allocs := testing.AllocsPerRun(100, func() {
 		MaxL2PPS(pps)
 		MaxHTPPS(pps)
-		est.EstimateInto(bin.ToObliviousInto(sampled, values), z)
+		est.estimateInto(bin.toObliviousInto(sampled, values), z)
 	}); allocs != 0 {
 		t.Errorf("per-key kernels allocate %v times per key, want 0", allocs)
 	}
+}
+
+// NumSampled returns |S|, the number of sampled entries.
+func (o ObliviousOutcome) NumSampled() int {
+	n := 0
+	for _, s := range o.Sampled {
+		if s {
+			n++
+		}
+	}
+	return n
+}
+
+// Validate checks structural invariants. Estimator functions assume a valid
+// outcome; call Validate at trust boundaries.
+func (o ObliviousOutcome) Validate() error {
+	if len(o.Sampled) != len(o.P) || len(o.Values) != len(o.P) {
+		return errors.New("estimator: outcome slices have mismatched lengths")
+	}
+	for i, p := range o.P {
+		if !(p > 0 && p <= 1) {
+			return fmt.Errorf("estimator: inclusion probability p[%d]=%v outside (0,1]", i, p)
+		}
+	}
+	return nil
+}
+
+// DeterminingVector returns φ(S) under the §4.1 order: sampled entries keep
+// their values and unsampled entries are set to the maximum sampled value
+// (the ≺-minimal vector consistent with the outcome). For the empty outcome
+// this is the zero vector.
+func (o ObliviousOutcome) DeterminingVector() []float64 {
+	m := o.maxSampled()
+	phi := make([]float64, o.r())
+	for i := range phi {
+		if o.Sampled[i] {
+			phi[i] = o.Values[i]
+		} else {
+			phi[i] = m
+		}
+	}
+	return phi
+}
+
+// UpperBound returns the revealed upper bound on entry i: the exact value
+// when sampled, otherwise U[i]·Tau[i] (exclusive).
+func (o PPSOutcome) UpperBound(i int) float64 {
+	if o.Sampled[i] {
+		return o.Values[i]
+	}
+	return o.U[i] * o.Tau[i]
+}
+
+// DeterminingVector returns φ(S) under the §5.2 order: 0 for the empty
+// outcome; otherwise sampled entries keep their values and each unsampled
+// entry i gets min{max sampled value, U[i]·Tau[i]}.
+func (o PPSOutcome) DeterminingVector() []float64 {
+	return o.determiningVectorInto(make([]float64, o.r()))
+}
+
+// SampleBinaryKnownSeeds materializes the weighted binary outcome for data
+// vector v ∈ {0,1}^r with seeds u and one-value inclusion probabilities p.
+func SampleBinaryKnownSeeds(v []float64, u, p []float64) BinaryKnownSeedsOutcome {
+	r := len(v)
+	o := BinaryKnownSeedsOutcome{P: p, U: u, Sampled: make([]bool, r)}
+	for i := 0; i < r; i++ {
+		o.Sampled[i] = v[i] > 0 && u[i] <= p[i]
+	}
+	return o
+}
+
+// maxSampled returns the maximum sampled value, or 0 when S is empty.
+func (o ObliviousOutcome) maxSampled() float64 {
+	m := 0.0
+	first := true
+	for i, s := range o.Sampled {
+		if !s {
+			continue
+		}
+		if first || o.Values[i] > m {
+			m = o.Values[i]
+			first = false
+		}
+	}
+	return m
+}
+
+// determiningVectorInto is DeterminingVector over caller-owned scratch: it
+// writes φ(S) into the first R() elements of phi (which must be at least
+// that long; prior contents are overwritten) and returns that prefix.
+//
+//summarylint:hot
+func (o PPSOutcome) determiningVectorInto(phi []float64) []float64 {
+	phi = phi[:o.r()]
+	m := o.maxSampled()
+	if o.numSampled() == 0 {
+		clear(phi)
+		return phi
+	}
+	for i := range phi {
+		if o.Sampled[i] {
+			phi[i] = o.Values[i]
+		} else {
+			b := o.U[i] * o.Tau[i]
+			if b > m {
+				b = m
+			}
+			phi[i] = b
+		}
+	}
+	return phi
+}
+
+// numSampled returns |S|.
+func (o PPSOutcome) numSampled() int {
+	n := 0
+	for _, s := range o.Sampled {
+		if s {
+			n++
+		}
+	}
+	return n
 }

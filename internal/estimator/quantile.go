@@ -13,19 +13,6 @@ import (
 // and suboptimal for the interior quantiles (§4) — which is precisely the
 // paper's motivation for the order-based machinery.
 
-// LthHTOblivious estimates the ℓ-th largest entry (1-based) with inverse
-// probability weighting over fully sampled outcomes.
-func LthHTOblivious(o ObliviousOutcome, l int) float64 {
-	if l < 1 || l > o.R() {
-		panic(fmt.Sprintf("estimator: quantile index %d out of range [1,%d]", l, o.R()))
-	}
-	return HTOblivious(o, func(v []float64) float64 {
-		s := append([]float64(nil), v...)
-		sort.Sort(sort.Reverse(sort.Float64Slice(s)))
-		return s[l-1]
-	})
-}
-
 // LthHTPPS estimates the ℓ-th largest entry (1-based) under independent
 // Poisson PPS sampling with known seeds — the §5.2 analogue of
 // LthHTOblivious, generalizing MaxHTPPS (the ℓ = 1 case) to interior
@@ -41,10 +28,10 @@ func LthHTOblivious(o ObliviousOutcome, l int) float64 {
 // factor depending only on x. Inverse-probability weighting over this
 // event is therefore well-defined and unbiased.
 func LthHTPPS(o PPSOutcome, l int) float64 {
-	if l < 1 || l > o.R() {
-		panic(fmt.Sprintf("estimator: quantile index %d out of range [1,%d]", l, o.R()))
+	if l < 1 || l > o.r() {
+		panic(fmt.Sprintf("estimator: quantile index %d out of range [1,%d]", l, o.r()))
 	}
-	z := make([]float64, 0, o.R())
+	z := make([]float64, 0, o.r())
 	for i, s := range o.Sampled {
 		if s {
 			z = append(z, o.Values[i])
@@ -76,19 +63,4 @@ func LthHTPPS(o PPSOutcome, l int) float64 {
 		return 0
 	}
 	return x / p
-}
-
-// RGdHTOblivious estimates RG(v)^d = (max−min)^d with inverse probability
-// weighting over fully sampled outcomes.
-func RGdHTOblivious(o ObliviousOutcome, d float64) float64 {
-	return HTOblivious(o, func(v []float64) float64 {
-		rg := maxOf(v) - minOf(v)
-		switch d {
-		case 1:
-			return rg
-		case 2:
-			return rg * rg
-		}
-		return math.Pow(rg, d)
-	})
 }

@@ -1,7 +1,9 @@
 package estimator
 
 import (
+	"fmt"
 	"math"
+	"sort"
 	"testing"
 )
 
@@ -52,4 +54,32 @@ func TestLthHTSuboptimalForMax(t *testing.T) {
 	if !(varL < varHT) {
 		t.Errorf("expected strict dominance: VAR[L]=%v, VAR[HT]=%v", varL, varHT)
 	}
+}
+
+// LthHTOblivious estimates the ℓ-th largest entry (1-based) with inverse
+// probability weighting over fully sampled outcomes.
+func LthHTOblivious(o ObliviousOutcome, l int) float64 {
+	if l < 1 || l > o.r() {
+		panic(fmt.Sprintf("estimator: quantile index %d out of range [1,%d]", l, o.r()))
+	}
+	return HTOblivious(o, func(v []float64) float64 {
+		s := append([]float64(nil), v...)
+		sort.Sort(sort.Reverse(sort.Float64Slice(s)))
+		return s[l-1]
+	})
+}
+
+// RGdHTOblivious estimates RG(v)^d = (max−min)^d with inverse probability
+// weighting over fully sampled outcomes.
+func RGdHTOblivious(o ObliviousOutcome, d float64) float64 {
+	return HTOblivious(o, func(v []float64) float64 {
+		rg := maxOf(v) - minOf(v)
+		switch d {
+		case 1:
+			return rg
+		case 2:
+			return rg * rg
+		}
+		return math.Pow(rg, d)
+	})
 }

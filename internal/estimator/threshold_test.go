@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/randx"
+	"repro/internal/sampling"
 )
 
 func TestThresholdFamilies(t *testing.T) {
@@ -127,4 +128,136 @@ func TestMaxHTWeightedSupport(t *testing.T) {
 			t.Fatalf("v=%v u=%v: determined=%v est=%v", v, u, determined, est)
 		}
 	}
+}
+
+// The general weighted-sampling model of §2: entry i is sampled iff
+// v_i ≥ τ_i(u_i) for a non-decreasing threshold function τ_i and uniform
+// seed u_i. PPS is τ(u) = u·τ*; EXP-rank Poisson sampling is
+// τ(u) = −ln(1−u)/r* for rank threshold r*. With known seeds, an
+// unsampled entry reveals the upper bound v_i < τ_i(u_i), and the
+// inclusion probability of a value v is PR[v ≥ τ(U)] = sup{u : v ≥ τ(u)}.
+
+// Threshold describes one entry's sampling rule in the general weighted
+// model.
+type Threshold interface {
+	// At returns τ(u), the value threshold at seed u.
+	At(u float64) float64
+	// InclusionProb returns PR[v ≥ τ(U)] for uniform U.
+	InclusionProb(v float64) float64
+}
+
+// PPSThreshold is τ(u) = u·TauStar (inclusion probability min{1, v/τ*}).
+type PPSThreshold struct{ TauStar float64 }
+
+// At implements Threshold.
+func (t PPSThreshold) At(u float64) float64 { return u * t.TauStar }
+
+// InclusionProb implements Threshold.
+func (t PPSThreshold) InclusionProb(v float64) float64 {
+	if v <= 0 {
+		return 0
+	}
+	return math.Min(1, v/t.TauStar)
+}
+
+// EXPThreshold is τ(u) = −ln(1−u)/RankTau — Poisson sampling with
+// exponential ranks below RankTau (inclusion probability 1 − e^{−v·r*}).
+type EXPThreshold struct{ RankTau float64 }
+
+// At implements Threshold.
+func (t EXPThreshold) At(u float64) float64 {
+	return -math.Log1p(-u) / t.RankTau
+}
+
+// InclusionProb implements Threshold.
+func (t EXPThreshold) InclusionProb(v float64) float64 {
+	return sampling.EXP{}.InclusionProb(v, t.RankTau)
+}
+
+// WeightedOutcome is the outcome of independent weighted sampling with
+// known seeds under arbitrary thresholds.
+type WeightedOutcome struct {
+	// Thresholds holds the per-entry sampling rules.
+	Thresholds []Threshold
+	// U holds the known seeds.
+	U []float64
+	// Sampled marks sampled entries; Values holds their exact values.
+	Sampled []bool
+	Values  []float64
+}
+
+// R returns the number of entries.
+func (o WeightedOutcome) R() int { return len(o.Thresholds) }
+
+// MaxSampled returns the maximum sampled value (0 when S is empty).
+func (o WeightedOutcome) MaxSampled() float64 {
+	m := 0.0
+	for i, s := range o.Sampled {
+		if s && o.Values[i] > m {
+			m = o.Values[i]
+		}
+	}
+	return m
+}
+
+// SampleWeighted materializes the outcome for data v under thresholds and
+// seeds.
+func SampleWeighted(v, u []float64, th []Threshold) WeightedOutcome {
+	r := len(v)
+	o := WeightedOutcome{Thresholds: th, U: u, Sampled: make([]bool, r), Values: make([]float64, r)}
+	for i := 0; i < r; i++ {
+		if v[i] > 0 && v[i] >= th[i].At(u[i]) {
+			o.Sampled[i] = true
+			o.Values[i] = v[i]
+		}
+	}
+	return o
+}
+
+// MaxHTWeighted generalizes MaxHTPPS to arbitrary threshold families
+// (§5.2 with the §2 general model): the estimate is positive exactly when
+// every unsampled entry's revealed bound τ_i(u_i) is at most the maximum
+// sampled value — the outcome then determines max(v) — and equals
+// max / Π_i PR[max ≥ τ_i(U)].
+func MaxHTWeighted(o WeightedOutcome) float64 {
+	m := o.MaxSampled()
+	if m <= 0 {
+		return 0
+	}
+	for i, s := range o.Sampled {
+		if !s && o.Thresholds[i].At(o.U[i]) > m {
+			return 0
+		}
+	}
+	p := 1.0
+	for _, th := range o.Thresholds {
+		p *= th.InclusionProb(m)
+	}
+	if p <= 0 {
+		return 0
+	}
+	return m / p
+}
+
+// MinHTWeighted is the inverse-probability estimator of min(v) in the
+// general model: positive only when every entry is sampled, which is the
+// only outcome class that determines the minimum.
+func MinHTWeighted(o WeightedOutcome) float64 {
+	mn := math.Inf(1)
+	p := 1.0
+	for i, s := range o.Sampled {
+		if !s {
+			return 0
+		}
+		if o.Values[i] < mn {
+			mn = o.Values[i]
+		}
+	}
+	for i, th := range o.Thresholds {
+		p *= th.InclusionProb(o.Values[i])
+	}
+	if p <= 0 || math.IsInf(mn, 1) {
+		return 0
+	}
+	return mn / p
 }

@@ -227,6 +227,8 @@ func incl(v, tau float64) float64 {
 
 // VarHT returns the generic inverse-probability variance f²(1/p − 1),
 // equation (1).
+//
+//summarylint:ignore equation (1); the tests of internal/core (merge_test.go) and internal/experiments (figure6/figure7/multiperiod) share it
 func VarHT(f, p float64) float64 {
 	if f == 0 {
 		return 0
@@ -236,29 +238,19 @@ func VarHT(f, p float64) float64 {
 
 // VarMaxHTOblivious2 is the variance of max^(HT) on (v1, v2) under
 // weight-oblivious Poisson sampling (equation (10) for r = 2).
+//
+//summarylint:ignore equation (10), pinned by TestVarianceClosedFormsHalf; internal/experiments' tests (the Figure 1 checkpoints) share it
 func VarMaxHTOblivious2(p1, p2, v1, v2 float64) float64 {
 	return VarHT(math.Max(v1, v2), p1*p2)
 }
 
 // VarMaxL2Half is the variance of max^(L) at p1 = p2 = 1/2 (Figure 1):
 // (11/9)·max² + (8/9)·min² − (16/9)·max·min.
+//
+//summarylint:ignore Figure 1 VAR[max^(L)] at p = 1/2, pinned by TestVarianceClosedFormsHalf; ROADMAP item 1 names it an oracle
 func VarMaxL2Half(v1, v2 float64) float64 {
 	mx, mn := math.Max(v1, v2), math.Min(v1, v2)
 	return 11.0/9.0*mx*mx + 8.0/9.0*mn*mn - 16.0/9.0*mx*mn
-}
-
-// VarMaxU2Half is the variance of max^(U) at p1 = p2 = 1/2:
-// max² + 2·min² − 2·max·min, obtained by exact enumeration of the
-// estimator's own outcome table.
-//
-// Erratum: Figure 1 of the paper prints (3/4)·max² + 2·min² − 2·max·min,
-// which is inconsistent with the outcome table printed directly above it
-// (and with the general max^(U) construction and the §4.3 asymptotics,
-// which give VAR ≈ 1/(4p²) on (1,0) — equal to max² at p = 1/2). We follow
-// the outcome table.
-func VarMaxU2Half(v1, v2 float64) float64 {
-	mx, mn := math.Max(v1, v2), math.Min(v1, v2)
-	return mx*mx + 2*mn*mn - 2*mx*mn
 }
 
 // VarORHT is the variance of OR^(HT) on any vector with OR(v) = 1
@@ -272,26 +264,19 @@ func VarORHT(p []float64) float64 {
 }
 
 // VarORL11 is the variance of OR^(L) on data (1,1) (equation (24)).
+//
+//summarylint:ignore equation (24), pinned by TestORVarianceClosedForms; ROADMAP item 1 names it an oracle
 func VarORL11(p1, p2 float64) float64 {
 	return 1/(p1+p2-p1*p2) - 1
 }
 
 // VarORL10 is the variance of OR^(L) on data (1,0) (§4.3), with entry 1
 // being the positive one.
+//
+//summarylint:ignore §4.3 VAR[OR^(L)] on (1,0), pinned by TestORVarianceClosedForms; ROADMAP item 1 names it an oracle
 func VarORL10(p1, p2 float64) float64 {
 	q := p1 + p2 - p1*p2
 	a := 1/q - 1
 	b := 1/(p1*q) - 1
 	return (1 - p1) + p1*(1-p2)*a*a + p1*p2*b*b
-}
-
-// VarMaxHTPPS2 is the variance of max^(HT) under PPS with known seeds for
-// r = 2 (§5.2): max²(1/p − 1) with p = Π min{1, max/τ_i}.
-func VarMaxHTPPS2(tau1, tau2, v1, v2 float64) float64 {
-	m := math.Max(v1, v2)
-	if m <= 0 {
-		return 0
-	}
-	p := math.Min(1, m/tau1) * math.Min(1, m/tau2)
-	return VarHT(m, p)
 }

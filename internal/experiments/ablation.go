@@ -36,7 +36,7 @@ func Ablation() []*Table {
 			_, l := estimator.ObliviousMoments(ps, d.v, estimator.MaxL2)
 			_, u := estimator.ObliviousMoments(ps, d.v, estimator.MaxU2)
 			_, uas := estimator.ObliviousMoments(ps, d.v, estimator.MaxUAsym2)
-			families.AddRow(p, d.name, ht, l, u, uas)
+			families.addRow(p, d.name, ht, l, u, uas)
 		}
 	}
 
@@ -65,7 +65,7 @@ func Ablation() []*Table {
 				// over the weighted outcome distribution.
 				unknown = fmt.Sprintf("%.6g", unknownSeedsVar(p, p, d.v, sol))
 			}
-			seeds.AddRow(p, d.name, l, u, ht, unknown)
+			seeds.addRow(p, d.name, l, u, ht, unknown)
 		}
 	}
 
@@ -84,7 +84,7 @@ func Ablation() []*Table {
 		for i := 0; i < r; i++ {
 			htc /= 0.3
 		}
-		recur.AddRow(r, a[0], htc, a[0]/htc, e.PrefixSum(r))
+		recur.addRow(r, a[0], htc, a[0]/htc, e.PrefixSum(r))
 	}
 	return []*Table{families, seeds, recur}
 }

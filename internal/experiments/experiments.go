@@ -27,8 +27,8 @@ type Table struct {
 	Notes []string
 }
 
-// AddRow appends one row of values formatted with %.6g.
-func (t *Table) AddRow(vals ...interface{}) {
+// addRow appends one row of values formatted with %.6g.
+func (t *Table) addRow(vals ...interface{}) {
 	row := make([]string, len(vals))
 	for i, v := range vals {
 		switch x := v.(type) {

@@ -5,6 +5,8 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+
+	"repro/internal/estimator"
 )
 
 func cell(t *Table, row, col int) float64 {
@@ -259,8 +261,8 @@ func TestTheorem61Table(t *testing.T) {
 
 func TestTableFormatting(t *testing.T) {
 	tab := &Table{ID: "x", Title: "t", Header: []string{"a", "bb"}}
-	tab.AddRow(1.5, "hello")
-	tab.AddRow(2, 3.25)
+	tab.addRow(1.5, "hello")
+	tab.addRow(2, 3.25)
 	var sb strings.Builder
 	tab.Fprint(&sb)
 	out := sb.String()
@@ -286,4 +288,17 @@ func TestAllRuns(t *testing.T) {
 			t.Errorf("table %q is degenerate", tab.ID)
 		}
 	}
+}
+
+// Figure1Checkpoints returns the headline numbers the reproduction must
+// hit, used by tests and EXPERIMENTS.md: variance of each estimator at the
+// two corners min/max ∈ {0, 1}.
+func Figure1Checkpoints() (varLEqual, varLZero, varUEqual, varUZero, varHT float64) {
+	p := []float64{0.5, 0.5}
+	_, varLEqual = estimator.ObliviousMoments(p, []float64{1, 1}, estimator.MaxL2)
+	_, varLZero = estimator.ObliviousMoments(p, []float64{1, 0}, estimator.MaxL2)
+	_, varUEqual = estimator.ObliviousMoments(p, []float64{1, 1}, estimator.MaxU2)
+	_, varUZero = estimator.ObliviousMoments(p, []float64{1, 0}, estimator.MaxU2)
+	varHT = estimator.VarMaxHTOblivious2(0.5, 0.5, 1, math.SmallestNonzeroFloat64)
+	return
 }

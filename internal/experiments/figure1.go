@@ -1,10 +1,6 @@
 package experiments
 
-import (
-	"math"
-
-	"repro/internal/estimator"
-)
+import "repro/internal/estimator"
 
 // Figure1 reproduces Figure 1: the max estimators for r = 2 under
 // weight-oblivious Poisson sampling with p1 = p2 = 1/2 — the outcome
@@ -36,7 +32,7 @@ func Figure1() []*Table {
 		if oc.s2 {
 			o.Values[1] = m
 		}
-		table.AddRow(oc.name,
+		table.addRow(oc.name,
 			estimator.MaxHTOblivious(o),
 			estimator.MaxL2(o),
 			estimator.MaxU2(o))
@@ -56,20 +52,7 @@ func Figure1() []*Table {
 		_, varHT := estimator.ObliviousMoments(p, v, estimator.MaxHTOblivious)
 		_, varL := estimator.ObliviousMoments(p, v, estimator.MaxL2)
 		_, varU := estimator.ObliviousMoments(p, v, estimator.MaxU2)
-		ratios.AddRow(ratio, varL/varHT, varU/varHT)
+		ratios.addRow(ratio, varL/varHT, varU/varHT)
 	}
 	return []*Table{table, ratios}
-}
-
-// Figure1Checkpoints returns the headline numbers the reproduction must
-// hit, used by tests and EXPERIMENTS.md: variance of each estimator at the
-// two corners min/max ∈ {0, 1}.
-func Figure1Checkpoints() (varLEqual, varLZero, varUEqual, varUZero, varHT float64) {
-	p := []float64{0.5, 0.5}
-	_, varLEqual = estimator.ObliviousMoments(p, []float64{1, 1}, estimator.MaxL2)
-	_, varLZero = estimator.ObliviousMoments(p, []float64{1, 0}, estimator.MaxL2)
-	_, varUEqual = estimator.ObliviousMoments(p, []float64{1, 1}, estimator.MaxU2)
-	_, varUZero = estimator.ObliviousMoments(p, []float64{1, 0}, estimator.MaxU2)
-	varHT = estimator.VarMaxHTOblivious2(0.5, 0.5, 1, math.SmallestNonzeroFloat64)
-	return
 }

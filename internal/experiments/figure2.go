@@ -17,7 +17,7 @@ func Figure2() *Table {
 		_, l10 := estimator.ObliviousMoments(ps, []float64{1, 0}, estimator.ORL2)
 		_, u11 := estimator.ObliviousMoments(ps, []float64{1, 1}, estimator.ORU2)
 		_, u10 := estimator.ObliviousMoments(ps, []float64{1, 0}, estimator.ORU2)
-		t.AddRow(p, estimator.VarORHT(ps), l11, l10, u11, u10)
+		t.addRow(p, estimator.VarORHT(ps), l11, l10, u11, u10)
 	}
 	return t
 }

@@ -32,7 +32,7 @@ func Figure3() *Table {
 		if c.v2 > mx {
 			mx = c.v2
 		}
-		t.AddRow(c.regime, c.v1, c.v2, c.t1, c.t2, est, mean, mx)
+		t.addRow(c.regime, c.v1, c.v2, c.t1, c.t2, est, mean, mx)
 	}
 	return t
 }

@@ -22,7 +22,7 @@ func Figure4() []*Table {
 			v := []float64{rho, rho * m}
 			_, varHT := estimator.PPSMoments2(v, tau, estimator.MaxHTPPS, opt)
 			_, varL := estimator.PPSMoments2(v, tau, estimator.MaxL2PPS, opt)
-			t.AddRow(m, varHT, varL)
+			t.addRow(m, varHT, varL)
 		}
 		tables = append(tables, t)
 	}
@@ -49,7 +49,7 @@ func Figure4() []*Table {
 				row = append(row, "inf")
 			}
 		}
-		ratio.AddRow(row...)
+		ratio.addRow(row...)
 	}
 	tables = append(tables, ratio)
 	return tables

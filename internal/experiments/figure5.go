@@ -27,7 +27,7 @@ func Figure5() []*Table {
 		for _, h := range keys {
 			row = append(row, in[h])
 		}
-		data.AddRow(row...)
+		data.addRow(row...)
 	}
 	funcs := []struct {
 		name string
@@ -43,7 +43,7 @@ func Figure5() []*Table {
 		for _, h := range keys {
 			row = append(row, fc.f(m.Vector(h)))
 		}
-		data.AddRow(row...)
+		data.addRow(row...)
 	}
 
 	shared := dataset.FigureFiveSharedSeeds()
@@ -56,7 +56,7 @@ func Figure5() []*Table {
 	for _, h := range keys {
 		urow = append(urow, shared[h])
 	}
-	ranksShared.AddRow(urow...)
+	ranksShared.addRow(urow...)
 	ppsRank := func(u, v float64) string {
 		r := sampling.PPS{}.Rank(u, v)
 		if math.IsInf(r, 1) {
@@ -69,7 +69,7 @@ func Figure5() []*Table {
 		for _, h := range keys {
 			row = append(row, ppsRank(shared[h], in[h]))
 		}
-		ranksShared.AddRow(row...)
+		ranksShared.addRow(row...)
 	}
 
 	indep := dataset.FigureFiveIndependentSeeds()
@@ -83,12 +83,12 @@ func Figure5() []*Table {
 		for _, h := range keys {
 			urow = append(urow, indep[i][h])
 		}
-		ranksIndep.AddRow(urow...)
+		ranksIndep.addRow(urow...)
 		row := []interface{}{fmt.Sprintf("r%d", i+1)}
 		for _, h := range keys {
 			row = append(row, ppsRank(indep[i][h], in[h]))
 		}
-		ranksIndep.AddRow(row...)
+		ranksIndep.addRow(row...)
 	}
 
 	samples := &Table{
@@ -97,10 +97,10 @@ func Figure5() []*Table {
 		Header: []string{"instance", "shared seed", "independent"},
 	}
 	for i, in := range m.Instances {
-		samples.AddRow(
+		samples.addRow(
 			fmt.Sprintf("%d", i+1),
-			fmtKeyList(Bottom3Keys(in, func(h dataset.Key) float64 { return shared[h] })),
-			fmtKeyList(Bottom3Keys(in, func(h dataset.Key) float64 { return indep[i][h] })),
+			fmtKeyList(bottom3Keys(in, func(h dataset.Key) float64 { return shared[h] })),
+			fmtKeyList(bottom3Keys(in, func(h dataset.Key) float64 { return indep[i][h] })),
 		)
 	}
 	aggr := &Table{
@@ -112,15 +112,15 @@ func Figure5() []*Table {
 	first3 := func(h dataset.Key) bool { return h <= 3 }
 	maxDom12 := dataset.NewMatrix(m.Instances[0], m.Instances[1]).SumAggregate(dataset.Max, even)
 	l1dist23 := dataset.NewMatrix(m.Instances[1], m.Instances[2]).SumAggregate(dataset.Range, first3)
-	aggr.AddRow("max-dominance, even keys, instances {1,2}", maxDom12)
-	aggr.AddRow("L1 distance, keys {1,2,3}, instances {2,3}", l1dist23)
+	aggr.addRow("max-dominance, even keys, instances {1,2}", maxDom12)
+	aggr.addRow("L1 distance, keys {1,2,3}, instances {2,3}", l1dist23)
 
 	return []*Table{data, ranksShared, ranksIndep, samples, aggr}
 }
 
-// Bottom3Keys returns the 3 keys of smallest PPS rank in the instance
+// bottom3Keys returns the 3 keys of smallest PPS rank in the instance
 // (ordered by rank), exposed for the Figure 5 tests.
-func Bottom3Keys(in dataset.Instance, seed func(dataset.Key) float64) []dataset.Key {
+func bottom3Keys(in dataset.Instance, seed func(dataset.Key) float64) []dataset.Key {
 	type kr struct {
 		k dataset.Key
 		r float64

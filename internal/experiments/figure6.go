@@ -47,8 +47,8 @@ func Figure6() []*Table {
 					ratioRow = append(ratioRow, "n/a")
 				}
 			}
-			t.AddRow(row...)
-			r.AddRow(ratioRow...)
+			t.addRow(row...)
+			r.addRow(ratioRow...)
 		}
 		tables = append(tables, t, r)
 	}

@@ -59,7 +59,7 @@ func Figure7(opt Figure7Options) *Table {
 		if varL > 0 {
 			ratio = varHT / varL
 		}
-		t.AddRow(f*100, stats.NormalizedVar(varHT, total), stats.NormalizedVar(varL, total), ratio)
+		t.addRow(f*100, stats.NormalizedVar(varHT, total), stats.NormalizedVar(varL, total), ratio)
 	}
 	return t
 }
@@ -84,17 +84,4 @@ func DominanceVariance(m *dataset.Matrix, tau1, tau2 float64, n int) (varHT, var
 		total += math.Max(v[0], v[1])
 	}
 	return varHT, varL, total
-}
-
-// Figure7Workload exposes the generated matrix and its summary statistics
-// for tests that validate the S1 calibration.
-func Figure7Workload() (m *dataset.Matrix, distinct1, distinct2, union int, flows1, flows2, sumMax float64) {
-	m = simdata.Generate(simdata.PaperTraffic())
-	distinct1 = len(m.Instances[0])
-	distinct2 = len(m.Instances[1])
-	union = len(m.Keys())
-	flows1 = m.Instances[0].Total()
-	flows2 = m.Instances[1].Total()
-	sumMax = m.SumAggregate(dataset.Max, nil)
-	return
 }

@@ -50,7 +50,7 @@ func MultiPeriod() *Table {
 			c := coordinatedDistinct(union, p, uint64(i))
 			coord.Add((c - truth) * (c - truth))
 		}
-		t.AddRow(r, truth, ht.Mean(), l.Mean(), ht.Mean()/l.Mean(), coord.Mean())
+		t.addRow(r, truth, ht.Mean(), l.Mean(), ht.Mean()/l.Mean(), coord.Mean())
 	}
 	return t
 }

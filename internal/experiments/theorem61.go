@@ -16,7 +16,7 @@ func Theorem61() *Table {
 		{0.5, 0.5}, {0.6, 0.6}, {0.25, 0.8}, {0.9, 0.05}, {1, 1},
 	} {
 		s := estimator.SolveUnknownSeedsOR2(pp[0], pp[1])
-		t.AddRow(pp[0], pp[1], s.EstBoth, s.Feasible)
+		t.addRow(pp[0], pp[1], s.EstBoth, s.Feasible)
 	}
 	t.Notes = append(t.Notes,
 		"With known seeds the OR^(L)/OR^(U) estimators exist for every p (Section 5.1) — knowledge of seeds strictly enlarges the feasible region.")

@@ -6,11 +6,10 @@ import (
 	"go/types"
 )
 
-// FloatSum flags float64 accumulation whose iteration order is
+// floatSum flags float64 accumulation whose iteration order is
 // unspecified. Float addition is not associative, so a sum taken in map
 // order is a nondeterministic estimate — the exact bug class
-// WeightedSample.SubsetSum fixed in PR 2 and ObliviousSample.SubsetSum
-// reintroduced. Two shapes are detected:
+// WeightedSample.SubsetSum fixed in PR 2. Two shapes are detected:
 //
 //  1. a float compound assignment (+=, -=, *=) to a variable declared
 //     outside the loop, inside a `for range` over a map;
@@ -20,16 +19,16 @@ import (
 //
 // maporder subsumes shape 1 inside its packages; FloatSum also covers
 // estimator/query packages where map iteration is otherwise tolerated.
-type FloatSum struct {
+type floatSum struct {
 	Packages []string
 }
 
-func (FloatSum) Name() string { return "floatsum" }
-func (FloatSum) Doc() string {
+func (floatSum) Name() string { return "floatsum" }
+func (floatSum) Doc() string {
 	return "float64 accumulation must have a specified iteration order"
 }
 
-func (a FloatSum) Check(prog *Program) []Diagnostic {
+func (a floatSum) Check(prog *Program) []Diagnostic {
 	var out []Diagnostic
 	for _, pkg := range prog.Pkgs {
 		if !inScope(pkg.Path, a.Packages) {

@@ -5,7 +5,7 @@ import (
 	"go/types"
 )
 
-// HotAlloc checks functions annotated `//summarylint:hot`: the bodies
+// hotAlloc checks functions annotated `//summarylint:hot`: the bodies
 // behind benchgate's 0 allocs/op gate. Flagged constructs:
 //
 //   - &CompositeLit (escapes to the heap under any capture)
@@ -24,14 +24,14 @@ import (
 // values are allowed — the boxing happened elsewhere. Type parameters
 // are never treated as interfaces. The check is intraprocedural: callees
 // are covered by annotating them too.
-type HotAlloc struct{}
+type hotAlloc struct{}
 
-func (HotAlloc) Name() string { return "hotalloc" }
-func (HotAlloc) Doc() string {
+func (hotAlloc) Name() string { return "hotalloc" }
+func (hotAlloc) Doc() string {
 	return "//summarylint:hot functions must contain no allocation sites"
 }
 
-func (a HotAlloc) Check(prog *Program) []Diagnostic {
+func (a hotAlloc) Check(prog *Program) []Diagnostic {
 	var out []Diagnostic
 	for _, pkg := range prog.Pkgs {
 		for _, f := range pkg.Files {

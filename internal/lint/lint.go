@@ -1,7 +1,7 @@
 // Package lint is the repo's domain-specific static-analysis suite: a
 // dependency-free analyzer framework (go/parser + go/types, packages
 // located with `go list`, the same no-third-party-tools idiom as
-// cmd/benchgate) plus the five checks that turn this reproduction's
+// cmd/benchgate) plus the six checks that turn this reproduction's
 // invariants from convention into machinery:
 //
 //   - maporder: no `for range` over a map inside the deterministic
@@ -23,6 +23,12 @@
 //   - nilguard: exported pointer-receiver methods on types annotated
 //     `//summarylint:nilsafe` (the obs instruments) begin with the
 //     documented nil-receiver guard, or delegate to a method that does.
+//   - deadexport: every exported name declared under internal/ has a user
+//     in a non-test file outside its package — counting the references of
+//     the bench/summaryload module, which builds against these packages
+//     from outside, and methods that satisfy an interface. A name used
+//     only at home is unexported; one used nowhere is deleted, or kept
+//     with an ignore naming the paper result and the test that pins it.
 //
 // Diagnostics are suppressible per line with `//summarylint:ignore
 // <reason>` on the offending line or the line above; the reason is
@@ -71,6 +77,8 @@ type Package struct {
 type Program struct {
 	Fset *token.FileSet
 	Pkgs []*Package
+	// Dir is the directory the packages were loaded from.
+	Dir string
 }
 
 // Analyzer is one check over a whole Program. Checks are whole-program,

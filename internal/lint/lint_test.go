@@ -80,16 +80,16 @@ func testGolden(t *testing.T, a Analyzer, pkgs ...string) {
 }
 
 func TestMapOrderGolden(t *testing.T) {
-	testGolden(t, MapOrder{}, "maporder/a")
+	testGolden(t, mapOrder{}, "maporder/a")
 }
 
 func TestFloatSumGolden(t *testing.T) {
-	testGolden(t, FloatSum{}, "floatsum/a")
+	testGolden(t, floatSum{}, "floatsum/a")
 }
 
 func TestLockOrderGolden(t *testing.T) {
-	a := LockOrder{
-		Classes: []LockClass{
+	a := lockOrder{
+		Classes: []lockClass{
 			{PathSuffix: "lockorder/reg", TypeName: "Registry", Field: "mu", Label: "reg.Registry.mu"},
 			{PathSuffix: "lockorder/st", TypeName: "Store", Field: "mu", Label: "st.Store.mu"},
 		},
@@ -99,11 +99,18 @@ func TestLockOrderGolden(t *testing.T) {
 }
 
 func TestHotAllocGolden(t *testing.T) {
-	testGolden(t, HotAlloc{}, "hotalloc/a")
+	testGolden(t, hotAlloc{}, "hotalloc/a")
 }
 
 func TestNilGuardGolden(t *testing.T) {
-	testGolden(t, NilGuard{}, "nilguard/a")
+	testGolden(t, nilGuard{}, "nilguard/a")
+}
+
+// TestDeadExportGolden: bench stands in for bench/summaryload, a second
+// module that builds against the fixture through a replace directive.
+func TestDeadExportGolden(t *testing.T) {
+	a := deadExport{Modules: []string{"deadexport/bench"}}
+	testGolden(t, a, "deadexport/internal/lib", "deadexport/internal/sib", "deadexport/cmd")
 }
 
 // TestIgnoreNeedsReason: a bare //summarylint:ignore is itself reported.
@@ -112,7 +119,7 @@ func TestIgnoreNeedsReason(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	diags := Run(prog, []Analyzer{MapOrder{}})
+	diags := Run(prog, []Analyzer{mapOrder{}})
 	if len(diags) != 1 {
 		t.Fatalf("got %d diagnostics, want exactly 1: %v", len(diags), diags)
 	}
@@ -161,5 +168,27 @@ func TestRepoIsClean(t *testing.T) {
 	}
 	if len(diags) > 0 {
 		t.Errorf("%d summarylint finding(s); run: go run ./cmd/summarylint ./...", len(diags))
+	}
+
+	// bench/summaryload is its own module and the only user of these
+	// names: deadexport must count its references, or it would ask for a
+	// change that breaks the benchmark's build.
+	benchOnly := []string{"core.DecodeSummaryViewFrom", "core.SniffWireVersion", "server.Registry.Get", "server.Registry.PutCtx"}
+	flagged := func(diags []Diagnostic) map[string]bool {
+		out := make(map[string]bool)
+		for _, d := range diags {
+			for _, name := range benchOnly {
+				if d.Analyzer == "deadexport" && strings.Contains(d.Message, " "+name+" ") {
+					out[name] = true
+				}
+			}
+		}
+		return out
+	}
+	if got := flagged(diags); len(got) > 0 {
+		t.Errorf("deadexport flags %v, which bench/summaryload uses", got)
+	}
+	if got := flagged(Run(prog, []Analyzer{deadExport{}})); len(got) != len(benchOnly) {
+		t.Errorf("without bench/summaryload, deadexport flags %v of %v: are they still bench-only?", got, benchOnly)
 	}
 }

@@ -7,18 +7,18 @@ import (
 	"sort"
 )
 
-// LockClass names one mutex in the lock hierarchy: the field Field on
+// lockClass names one mutex in the lock hierarchy: the field Field on
 // type TypeName in the package whose import path ends with PathSuffix.
 // A class's position in LockOrder.Classes is its rank — lower ranks must
 // be acquired first.
-type LockClass struct {
+type lockClass struct {
 	PathSuffix string
 	TypeName   string
 	Field      string
 	Label      string // human name used in diagnostics
 }
 
-// LockOrder builds a per-function mutex-acquisition sequence and checks
+// lockOrder builds a per-function mutex-acquisition sequence and checks
 // it against the declared hierarchy, across packages and through
 // interfaces: a call to an interface method (the registry's Persister)
 // splices in the summaries of every concrete implementation found in the
@@ -42,18 +42,18 @@ type LockClass struct {
 // functions are CHECKED to the packages that own the hierarchy.
 // Summaries are still computed over the whole Program, so a checked
 // function inherits acquisitions made anywhere it calls into.
-type LockOrder struct {
-	Classes []LockClass
+type lockOrder struct {
+	Classes []lockClass
 	// Packages limits the violation pass to functions declared in these
 	// import-path suffixes (nil = all).
 	Packages []string
 }
 
-// DefaultLockOrder is the repo's hierarchy: the registry lock outranks
+// defaultLockOrder is the repo's hierarchy: the registry lock outranks
 // the store lock (see Registry.Snapshot and Store.worker).
-func DefaultLockOrder() LockOrder {
-	return LockOrder{
-		Classes: []LockClass{
+func defaultLockOrder() lockOrder {
+	return lockOrder{
+		Classes: []lockClass{
 			{PathSuffix: "internal/server", TypeName: "Registry", Field: "mu", Label: "server.Registry.mu"},
 			{PathSuffix: "internal/store", TypeName: "Store", Field: "mu", Label: "store.Store.mu"},
 		},
@@ -61,8 +61,8 @@ func DefaultLockOrder() LockOrder {
 	}
 }
 
-func (LockOrder) Name() string { return "lockorder" }
-func (LockOrder) Doc() string {
+func (lockOrder) Name() string { return "lockorder" }
+func (lockOrder) Doc() string {
 	return "mutexes must be acquired in declared rank order on every call path"
 }
 
@@ -83,7 +83,7 @@ type lockNode struct {
 	summary []int // ordered first-acquisition classes, fixpoint result
 }
 
-func (a LockOrder) Check(prog *Program) []Diagnostic {
+func (a lockOrder) Check(prog *Program) []Diagnostic {
 	// Gather events. Function literals become anonymous nodes: their
 	// bodies run on other goroutines or as callbacks, so their internal
 	// order is checked but not folded into the enclosing function.
@@ -163,7 +163,7 @@ func (a LockOrder) Check(prog *Program) []Diagnostic {
 	return out
 }
 
-func (a LockOrder) report(out []Diagnostic, seen map[string]bool, prog *Program, n *lockNode, held []int, c int, pos token.Pos, via string) []Diagnostic {
+func (a lockOrder) report(out []Diagnostic, seen map[string]bool, prog *Program, n *lockNode, held []int, c int, pos token.Pos, via string) []Diagnostic {
 	for _, d := range held {
 		if d <= c {
 			continue
@@ -186,7 +186,7 @@ func (a LockOrder) report(out []Diagnostic, seen map[string]bool, prog *Program,
 
 // collectEvents walks body in syntactic order, skipping nested function
 // literals (returned separately), and records acquisitions and calls.
-func (a LockOrder) collectEvents(prog *Program, pkg *Package, body *ast.BlockStmt, _ []*ast.FuncLit) ([]lockEvent, []*ast.FuncLit) {
+func (a lockOrder) collectEvents(prog *Program, pkg *Package, body *ast.BlockStmt, _ []*ast.FuncLit) ([]lockEvent, []*ast.FuncLit) {
 	var events []lockEvent
 	var lits []*ast.FuncLit
 	ast.Inspect(body, func(n ast.Node) bool {
@@ -212,7 +212,7 @@ func (a LockOrder) collectEvents(prog *Program, pkg *Package, body *ast.BlockStm
 
 // acquisition matches `x.<field>.Lock()` / `.RLock()` where x's named
 // type is a configured lock class; returns the class index or -1.
-func (a LockOrder) acquisition(pkg *Package, call *ast.CallExpr) int {
+func (a lockOrder) acquisition(pkg *Package, call *ast.CallExpr) int {
 	sel, ok := call.Fun.(*ast.SelectorExpr)
 	if !ok || (sel.Sel.Name != "Lock" && sel.Sel.Name != "RLock") {
 		return -1

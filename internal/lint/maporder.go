@@ -7,7 +7,7 @@ import (
 	"go/types"
 )
 
-// MapOrder flags `for range` over a map in the deterministic packages
+// mapOrder flags `for range` over a map in the deterministic packages
 // unless every statement in the loop body is a provably order-insensitive
 // sink. The benign vocabulary is deliberately small — anything outside it
 // needs either a code change (sort the keys first) or a written-down
@@ -26,18 +26,18 @@ import (
 // loop, and writes through anything order-dependent are all flagged.
 // Conditions of `if` statements are not inspected (reads are fine; it is
 // writes and escapes that transmit iteration order).
-type MapOrder struct {
+type mapOrder struct {
 	// Packages limits the check to these import-path suffixes
 	// (nil = every package in the Program).
 	Packages []string
 }
 
-func (MapOrder) Name() string { return "maporder" }
-func (MapOrder) Doc() string {
+func (mapOrder) Name() string { return "maporder" }
+func (mapOrder) Doc() string {
 	return "map iteration in deterministic packages must feed an order-insensitive sink"
 }
 
-func (a MapOrder) Check(prog *Program) []Diagnostic {
+func (a mapOrder) Check(prog *Program) []Diagnostic {
 	var out []Diagnostic
 	for _, pkg := range prog.Pkgs {
 		if !inScope(pkg.Path, a.Packages) {

@@ -4,7 +4,7 @@ import (
 	"go/ast"
 )
 
-// NilGuard enforces the obs package's documented contract: instruments
+// nilGuard enforces the obs package's documented contract: instruments
 // obtained from a nil registry are inert, so every exported
 // pointer-receiver method on a type annotated `//summarylint:nilsafe`
 // must either
@@ -15,14 +15,14 @@ import (
 //
 // Unexported methods and value-receiver methods are out of scope (a
 // value receiver cannot be nil).
-type NilGuard struct{}
+type nilGuard struct{}
 
-func (NilGuard) Name() string { return "nilguard" }
-func (NilGuard) Doc() string {
+func (nilGuard) Name() string { return "nilguard" }
+func (nilGuard) Doc() string {
 	return "exported methods on nilsafe types must begin with the nil-receiver guard"
 }
 
-func (a NilGuard) Check(prog *Program) []Diagnostic {
+func (a nilGuard) Check(prog *Program) []Diagnostic {
 	var out []Diagnostic
 	for _, pkg := range prog.Pkgs {
 		marked := make(map[string]bool)

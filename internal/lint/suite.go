@@ -20,10 +20,11 @@ var floatSumPackages = append(append([]string{}, deterministicPackages...),
 // this repo's packages and lock hierarchy.
 func DefaultAnalyzers() []Analyzer {
 	return []Analyzer{
-		MapOrder{Packages: deterministicPackages},
-		FloatSum{Packages: floatSumPackages},
-		DefaultLockOrder(),
-		HotAlloc{},
-		NilGuard{},
+		mapOrder{Packages: deterministicPackages},
+		floatSum{Packages: floatSumPackages},
+		defaultLockOrder(),
+		hotAlloc{},
+		nilGuard{},
+		deadExport{Modules: []string{"bench/summaryload"}},
 	}
 }

@@ -145,14 +145,14 @@ func (r *Registry) GaugeFunc(name, help string, labels Labels, fn func() float64
 
 // Histogram registers and returns a histogram series over the given
 // ascending upper bounds (seconds, for latency use); nil bounds selects
-// LatencyBuckets. A +Inf bucket is always implicit. No-op nil instrument
+// latencyBuckets. A +Inf bucket is always implicit. No-op nil instrument
 // on a nil registry.
 func (r *Registry) Histogram(name, help string, labels Labels, bounds []float64) *Histogram {
 	if r == nil {
 		return nil
 	}
 	if bounds == nil {
-		bounds = LatencyBuckets
+		bounds = latencyBuckets
 	}
 	for i := 1; i < len(bounds); i++ {
 		if !(bounds[i] > bounds[i-1]) {
@@ -168,13 +168,13 @@ func (r *Registry) Histogram(name, help string, labels Labels, bounds []float64)
 	return h
 }
 
-// WritePrometheus renders every registered family in the Prometheus text
+// writePrometheus renders every registered family in the Prometheus text
 // exposition format, families sorted by name, series in registration
 // order. Values are read with atomic loads (or the registered funcs), so
 // a scrape concurrent with updates sees a near-point-in-time view; each
 // histogram is internally consistent (cumulative buckets and _count come
 // from one pass over its bucket array).
-func (r *Registry) WritePrometheus(w io.Writer) error {
+func (r *Registry) writePrometheus(w io.Writer) error {
 	if r == nil {
 		return nil
 	}
@@ -210,7 +210,7 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 func (r *Registry) Handler() http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		_ = r.WritePrometheus(w)
+		_ = r.writePrometheus(w)
 	})
 }
 
@@ -235,6 +235,8 @@ func (c *Counter) Add(n uint64) {
 }
 
 // Value reads the current count.
+//
+//summarylint:ignore read-back shared by the tests of internal/obs and internal/store (metrics_test.go)
 func (c *Counter) Value() uint64 {
 	if c == nil {
 		return 0
@@ -256,16 +258,8 @@ type Gauge struct {
 	v      atomic.Int64
 }
 
-// Set replaces the level.
-func (g *Gauge) Set(n int64) {
-	if g == nil {
-		return
-	}
-	g.v.Store(n)
-}
-
-// Add moves the level by delta (negative to decrease).
-func (g *Gauge) Add(delta int64) {
+// add moves the level by delta (negative to decrease).
+func (g *Gauge) add(delta int64) {
 	if g == nil {
 		return
 	}
@@ -273,18 +267,10 @@ func (g *Gauge) Add(delta int64) {
 }
 
 // Inc adds one.
-func (g *Gauge) Inc() { g.Add(1) }
+func (g *Gauge) Inc() { g.add(1) }
 
 // Dec subtracts one.
-func (g *Gauge) Dec() { g.Add(-1) }
-
-// Value reads the current level.
-func (g *Gauge) Value() int64 {
-	if g == nil {
-		return 0
-	}
-	return g.v.Load()
-}
+func (g *Gauge) Dec() { g.add(-1) }
 
 func (g *Gauge) labelString() string { return g.labels }
 func (g *Gauge) writeTo(w io.Writer, name string) {
@@ -302,11 +288,11 @@ func (s *funcSeries) writeTo(w io.Writer, name string) {
 	fmt.Fprintf(w, "%s%s %s\n", name, s.labels, s.fn())
 }
 
-// LatencyBuckets are the package's fixed log-scale latency bounds, in
+// latencyBuckets are the package's fixed log-scale latency bounds, in
 // seconds: 100µs to 10s, roughly 2.5× per step. Sixteen buckets spans
 // a sub-millisecond in-process query and a multi-second snapshot in one
 // vocabulary; histograms constructed with nil bounds use these.
-var LatencyBuckets = []float64{
+var latencyBuckets = []float64{
 	0.0001, 0.00025, 0.0005, 0.001, 0.0025, 0.005, 0.01, 0.025,
 	0.05, 0.1, 0.25, 0.5, 1, 2.5, 5, 10,
 }
@@ -325,10 +311,10 @@ type Histogram struct {
 	sum     atomic.Uint64 // float64 bits, CAS-accumulated
 }
 
-// Observe records one value, reporting whether it was accepted: negative
+// observe records one value, reporting whether it was accepted: negative
 // and NaN observations are rejected, 0 lands in the first bucket (le
 // is inclusive), +Inf in the implicit +Inf bucket.
-func (h *Histogram) Observe(v float64) bool {
+func (h *Histogram) observe(v float64) bool {
 	if h == nil {
 		return false
 	}
@@ -349,25 +335,19 @@ func (h *Histogram) Observe(v float64) bool {
 }
 
 // ObserveDuration records a duration in seconds, rejecting negatives.
-func (h *Histogram) ObserveDuration(d time.Duration) bool { return h.Observe(d.Seconds()) }
+func (h *Histogram) ObserveDuration(d time.Duration) bool { return h.observe(d.Seconds()) }
 
 // ObserveSince records the seconds elapsed since start.
-func (h *Histogram) ObserveSince(start time.Time) bool { return h.Observe(time.Since(start).Seconds()) }
+func (h *Histogram) ObserveSince(start time.Time) bool { return h.observe(time.Since(start).Seconds()) }
 
 // Count reads the number of accepted observations.
+//
+//summarylint:ignore read-back shared by the tests of internal/obs and internal/store (metrics_test.go)
 func (h *Histogram) Count() uint64 {
 	if h == nil {
 		return 0
 	}
 	return h.count.Load()
-}
-
-// Sum reads the sum of accepted observations.
-func (h *Histogram) Sum() float64 {
-	if h == nil {
-		return 0
-	}
-	return math.Float64frombits(h.sum.Load())
 }
 
 func (h *Histogram) labelString() string { return h.labels }

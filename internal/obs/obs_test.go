@@ -1,4 +1,4 @@
-package obs_test
+package obs
 
 import (
 	"math"
@@ -6,26 +6,24 @@ import (
 	"sync"
 	"testing"
 	"time"
-
-	"repro/internal/obs"
 )
 
-func render(t *testing.T, r *obs.Registry) string {
+func render(t *testing.T, r *Registry) string {
 	t.Helper()
 	var b strings.Builder
-	if err := r.WritePrometheus(&b); err != nil {
-		t.Fatalf("WritePrometheus: %v", err)
+	if err := r.writePrometheus(&b); err != nil {
+		t.Fatalf("writePrometheus: %v", err)
 	}
 	return b.String()
 }
 
 func TestCounterGaugeExposition(t *testing.T) {
-	r := obs.NewRegistry()
-	c := r.Counter("test_requests_total", "requests served", obs.Labels{"endpoint": "/v1/query", "code": "2xx"})
+	r := NewRegistry()
+	c := r.Counter("test_requests_total", "requests served", Labels{"endpoint": "/v1/query", "code": "2xx"})
 	g := r.Gauge("test_in_flight", "requests in flight", nil)
 	r.CounterFunc("test_pairs_total", "pairs", nil, func() uint64 { return 42 })
 	r.GaugeFunc(
-		"test_chain", "chain length", obs.Labels{"kind": "snap"}, func() float64 { return 3 })
+		"test_chain", "chain length", Labels{"kind": "snap"}, func() float64 { return 3 })
 
 	c.Add(4)
 	c.Inc()
@@ -55,24 +53,24 @@ func TestCounterGaugeExposition(t *testing.T) {
 // bucket (le is inclusive), values past every bound land only in +Inf,
 // negative and NaN observations are rejected entirely.
 func TestHistogramBucketing(t *testing.T) {
-	r := obs.NewRegistry()
+	r := NewRegistry()
 	h := r.Histogram("test_latency_seconds", "latency", nil, []float64{0.001, 0.01, 0.1})
 
-	if !h.Observe(0) {
+	if !h.observe(0) {
 		t.Error("Observe(0) rejected; zero durations are legal")
 	}
-	if h.Observe(-0.5) {
+	if h.observe(-0.5) {
 		t.Error("Observe(-0.5) accepted; negative durations must be rejected")
 	}
-	if h.Observe(math.NaN()) {
+	if h.observe(math.NaN()) {
 		t.Error("Observe(NaN) accepted")
 	}
-	if !h.Observe(math.Inf(1)) {
+	if !h.observe(math.Inf(1)) {
 		t.Error("Observe(+Inf) rejected; it belongs in the +Inf bucket")
 	}
-	h.Observe(0.001) // exactly on a bound: le is inclusive, bucket le=0.001
-	h.Observe(0.05)
-	h.Observe(99)
+	h.observe(0.001) // exactly on a bound: le is inclusive, bucket le=0.001
+	h.observe(0.05)
+	h.observe(99)
 
 	out := render(t, r)
 	for _, want := range []string{
@@ -106,7 +104,7 @@ func TestHistogramBucketing(t *testing.T) {
 // instruments and a nil *Registry; every call site must be a no-op, not
 // a panic.
 func TestNilSafety(t *testing.T) {
-	var r *obs.Registry
+	var r *Registry
 	c := r.Counter("x_total", "x", nil)
 	g := r.Gauge("x", "x", nil)
 	h := r.Histogram("x_seconds", "x", nil, nil)
@@ -115,14 +113,14 @@ func TestNilSafety(t *testing.T) {
 	c.Inc()
 	c.Add(3)
 	g.Set(1)
-	g.Add(2)
-	if h.Observe(1) {
+	g.add(2)
+	if h.observe(1) {
 		t.Error("nil histogram accepted an observation")
 	}
 	if c.Value() != 0 || g.Value() != 0 || h.Count() != 0 || h.Sum() != 0 {
 		t.Error("nil instruments reported nonzero values")
 	}
-	if err := r.WritePrometheus(&strings.Builder{}); err != nil {
+	if err := r.writePrometheus(&strings.Builder{}); err != nil {
 		t.Errorf("nil registry WritePrometheus: %v", err)
 	}
 }
@@ -137,15 +135,15 @@ func TestRegistrationPanics(t *testing.T) {
 		}()
 		fn()
 	}
-	r := obs.NewRegistry()
+	r := NewRegistry()
 	r.Counter("dup_total", "d", nil)
 	expectPanic("duplicate series", func() { r.Counter("dup_total", "d", nil) })
-	expectPanic("type mismatch", func() { r.Gauge("dup_total", "d", obs.Labels{"a": "b"}) })
+	expectPanic("type mismatch", func() { r.Gauge("dup_total", "d", Labels{"a": "b"}) })
 	expectPanic("invalid metric name", func() { r.Counter("0bad", "d", nil) })
-	expectPanic("invalid label name", func() { r.Counter("ok_total", "d", obs.Labels{"0bad": "v"}) })
+	expectPanic("invalid label name", func() { r.Counter("ok_total", "d", Labels{"0bad": "v"}) })
 	expectPanic("non-ascending bounds", func() { r.Histogram("h_seconds", "d", nil, []float64{1, 1}) })
 	// Distinct labels under one name are one family, not a duplicate.
-	r.Counter("dup_total", "d", obs.Labels{"a": "b"})
+	r.Counter("dup_total", "d", Labels{"a": "b"})
 }
 
 // TestConcurrentUse hammers one registry from many goroutines while
@@ -153,7 +151,7 @@ func TestRegistrationPanics(t *testing.T) {
 // intermediate render must be internally consistent for histograms
 // (bucket cumulative == _count).
 func TestConcurrentUse(t *testing.T) {
-	r := obs.NewRegistry()
+	r := NewRegistry()
 	c := r.Counter("cc_total", "c", nil)
 	g := r.Gauge("cc_depth", "g", nil)
 	h := r.Histogram("cc_seconds", "h", nil, nil)
@@ -166,9 +164,9 @@ func TestConcurrentUse(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < perWorker; i++ {
 				c.Inc()
-				g.Add(1)
-				g.Add(-1)
-				h.Observe(float64(i%7) / 1000)
+				g.add(1)
+				g.add(-1)
+				h.observe(float64(i%7) / 1000)
 			}
 		}()
 	}
@@ -199,8 +197,8 @@ func TestConcurrentUse(t *testing.T) {
 }
 
 func TestLabelEscaping(t *testing.T) {
-	r := obs.NewRegistry()
-	r.Counter("esc_total", "line1\nline2 and \\slash", obs.Labels{"path": "a\"b\\c\nd"})
+	r := NewRegistry()
+	r.Counter("esc_total", "line1\nline2 and \\slash", Labels{"path": "a\"b\\c\nd"})
 	out := render(t, r)
 	if !strings.Contains(out, `# HELP esc_total line1\nline2 and \\slash`) {
 		t.Errorf("help not escaped:\n%s", out)
@@ -208,4 +206,28 @@ func TestLabelEscaping(t *testing.T) {
 	if !strings.Contains(out, `esc_total{path="a\"b\\c\nd"} 0`) {
 		t.Errorf("label value not escaped:\n%s", out)
 	}
+}
+
+// Set replaces the level.
+func (g *Gauge) Set(n int64) {
+	if g == nil {
+		return
+	}
+	g.v.Store(n)
+}
+
+// Value reads the current level.
+func (g *Gauge) Value() int64 {
+	if g == nil {
+		return 0
+	}
+	return g.v.Load()
+}
+
+// Sum reads the sum of accepted observations.
+func (h *Histogram) Sum() float64 {
+	if h == nil {
+		return 0
+	}
+	return math.Float64frombits(h.sum.Load())
 }

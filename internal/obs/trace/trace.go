@@ -47,12 +47,20 @@ type SpanRecord struct {
 
 // Record is one completed trace as served by /debug/traces: the trace
 // ID, whether the root continued a remote (inbound traceparent) parent,
-// and every span recorded under it in start order.
+// and the first maxSpans spans recorded under it in start order, with
+// the count of the later ones that were not kept.
 type Record struct {
 	TraceID      string       `json:"trace_id"`
 	RemoteParent bool         `json:"remote_parent,omitempty"`
 	Spans        []SpanRecord `json:"spans"`
+	DroppedSpans int          `json:"dropped_spans,omitempty"`
 }
+
+// maxSpans bounds the spans one trace keeps. A trace that opens more —
+// store recovery opens one store.verify span per file it verifies — keeps
+// the first maxSpans and counts the rest in Record.DroppedSpans, so one
+// trace's memory stays bounded however many children it opens.
+const maxSpans = 256
 
 // Tracer owns the enabled switch and the ring of recent traces. A nil
 // *Tracer is a valid, permanently-off tracer; a constructed one can be
@@ -85,6 +93,8 @@ func New(ringCap int) *Tracer {
 
 // SetEnabled flips recording at runtime. Disabling does not clear the
 // ring; already-published traces remain visible.
+//
+//summarylint:ignore the constructed-but-off tracer of internal/server's BenchmarkServerQueryTraced (a gated hot-path row) and the trace package's TestDisabledTracerIsInertAndAllocFree share it
 func (t *Tracer) SetEnabled(on bool) {
 	if t == nil {
 		return
@@ -123,7 +133,7 @@ func (t *Tracer) StartSpan(name string, remote SpanContext) *Span {
 func (t *Tracer) startSpanSlow(name string, remote SpanContext) *Span {
 	tr := &traceState{tracer: t}
 	s := &Span{t: tr, name: name, start: time.Now()}
-	if remote.Valid() {
+	if remote.valid() {
 		s.ctx.TraceID = remote.TraceID
 		s.ctx.Flags = remote.Flags
 		s.parent = remote.SpanID
@@ -176,6 +186,7 @@ type traceState struct {
 
 	mu        sync.Mutex
 	spans     []*Span
+	dropped   int // children opened after spans reached maxSpans
 	root      *Span
 	published bool
 }
@@ -231,7 +242,11 @@ func (s *Span) startChildSlow(name string) *Span {
 	c.parent = s.ctx.SpanID
 	randBytes(c.ctx.SpanID[:])
 	s.t.mu.Lock()
-	s.t.spans = append(s.t.spans, c)
+	if len(s.t.spans) < maxSpans {
+		s.t.spans = append(s.t.spans, c)
+	} else {
+		s.t.dropped++
+	}
 	s.t.mu.Unlock()
 	return c
 }
@@ -260,17 +275,6 @@ func (s *Span) SetInt(key string, value int64) {
 		return
 	}
 	s.setAttrSlow(key, strconv.FormatInt(value, 10))
-}
-
-// SetFloat annotates the span with a float attribute (shortest
-// round-trip rendering).
-//
-//summarylint:hot
-func (s *Span) SetFloat(key string, value float64) {
-	if s == nil {
-		return
-	}
-	s.setAttrSlow(key, strconv.FormatFloat(value, 'g', -1, 64))
 }
 
 // Finish stops the span's clock. Finishing the root span publishes the
@@ -313,6 +317,7 @@ func (t *traceState) recordLocked() Record {
 		TraceID:      hexString(t.root.ctx.TraceID[:]),
 		RemoteParent: t.remoteParent,
 		Spans:        make([]SpanRecord, len(t.spans)),
+		DroppedSpans: t.dropped,
 	}
 	for i, s := range t.spans {
 		sr := SpanRecord{

@@ -2,6 +2,8 @@ package trace
 
 import (
 	"context"
+	"encoding/json"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -60,7 +62,7 @@ func TestParseTraceparentRejects(t *testing.T) {
 		if !ok {
 			t.Errorf("future version rejected: %q", in)
 		}
-		if !sc.Valid() {
+		if !sc.valid() {
 			t.Errorf("future version parsed invalid context: %q", in)
 		}
 	}
@@ -83,7 +85,7 @@ func FuzzParseTraceparent(f *testing.F) {
 			}
 			return
 		}
-		if !sc.Valid() {
+		if !sc.valid() {
 			t.Fatalf("accepted input %q parsed to invalid context", in)
 		}
 		// Whatever we accept must round-trip through our own rendering.
@@ -200,7 +202,6 @@ func TestDisabledTracerIsInertAndAllocFree(t *testing.T) {
 		c := s.StartChild("child")
 		c.SetAttr("k", "v")
 		c.SetInt("n", 42)
-		c.SetFloat("f", 0.5)
 		c.Finish()
 		sub := ContextWithSpan(ctx, s)
 		SpanFromContext(sub).Finish()
@@ -235,5 +236,38 @@ func TestFinishIdempotent(t *testing.T) {
 	root.Finish()
 	if n := len(tr.Traces()); n != 1 {
 		t.Fatalf("double Finish published %d records, want 1", n)
+	}
+}
+
+// TestSpansPerTraceAreBounded: a trace that opens more spans than
+// maxSpans keeps exactly the first maxSpans and reports the rest as
+// dropped_spans, so one long operation (store recovery verifies one file
+// per span) cannot grow a ring record without limit.
+func TestSpansPerTraceAreBounded(t *testing.T) {
+	tr := New(2)
+	root := tr.StartSpan("root", SpanContext{})
+	const children = maxSpans + 10
+	for i := 0; i < children; i++ {
+		c := root.StartChild("store.verify")
+		c.SetInt("file", int64(i))
+		c.Finish()
+	}
+	root.Finish()
+	rec := tr.Traces()[0]
+	if len(rec.Spans) != maxSpans {
+		t.Fatalf("kept %d spans, want %d", len(rec.Spans), maxSpans)
+	}
+	if want := 1 + children - maxSpans; rec.DroppedSpans != want {
+		t.Fatalf("dropped_spans = %d, want %d", rec.DroppedSpans, want)
+	}
+	if rec.Spans[0].Name != "root" || rec.Spans[maxSpans-1].Attrs[0].Value != strconv.Itoa(maxSpans-2) {
+		t.Fatalf("kept spans are not the first %d: %+v ... %+v", maxSpans, rec.Spans[0], rec.Spans[maxSpans-1])
+	}
+	b, err := json.Marshal(rec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(string(b), `"dropped_spans":11`) {
+		t.Fatalf("record JSON lacks dropped_spans: %.200s", b)
 	}
 }

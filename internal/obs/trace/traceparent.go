@@ -21,9 +21,9 @@ type SpanContext struct {
 	Flags   byte
 }
 
-// Valid reports whether both IDs are non-zero, the W3C condition for a
+// valid reports whether both IDs are non-zero, the W3C condition for a
 // usable parent context.
-func (sc SpanContext) Valid() bool {
+func (sc SpanContext) valid() bool {
 	return sc.TraceID != [16]byte{} && sc.SpanID != [8]byte{}
 }
 
@@ -71,7 +71,7 @@ func ParseTraceparent(s string) (sc SpanContext, ok bool) {
 		return SpanContext{}, false
 	}
 	sc.Flags = flags
-	if !sc.Valid() {
+	if !sc.valid() {
 		return SpanContext{}, false
 	}
 	return sc, true

@@ -3,14 +3,10 @@
 //
 // Everything in this repository is reproducible from a 64-bit seed; randx
 // wraps a splitmix64 stream with the inverse-CDF samplers needed for
-// synthetic traffic and sensor workloads (uniform, exponential, Pareto,
-// bounded Zipf).
+// synthetic traffic and sensor workloads (uniform, Pareto).
 package randx
 
-import (
-	"math"
-	"sort"
-)
+import "math"
 
 // RNG is a splitmix64 pseudo-random generator. The zero value is a valid
 // generator seeded with 0.
@@ -35,12 +31,14 @@ func (r *RNG) Float64() float64 {
 	return float64(r.Uint64()>>11) / (1 << 53)
 }
 
-// Float64Pos returns a uniform sample from (0, 1].
-func (r *RNG) Float64Pos() float64 {
+// float64Pos returns a uniform sample from (0, 1].
+func (r *RNG) float64Pos() float64 {
 	return 1 - r.Float64()
 }
 
 // Intn returns a uniform integer in [0, n). It panics if n <= 0.
+//
+//summarylint:ignore shared by the tests of internal/core, internal/estimator, internal/sampling, internal/server and bench_test.go
 func (r *RNG) Intn(n int) int {
 	if n <= 0 {
 		panic("randx: Intn with non-positive n")
@@ -48,20 +46,14 @@ func (r *RNG) Intn(n int) int {
 	return int(r.Uint64() % uint64(n))
 }
 
-// Bool returns true with probability p.
-func (r *RNG) Bool(p float64) bool { return r.Float64() < p }
-
-// Exp returns an exponential sample with rate lambda (mean 1/lambda).
-func (r *RNG) Exp(lambda float64) float64 {
-	return -math.Log(r.Float64Pos()) / lambda
-}
-
 // Pareto returns a Pareto(scale, alpha) sample: scale * U^(-1/alpha).
 func (r *RNG) Pareto(scale, alpha float64) float64 {
-	return scale * math.Pow(r.Float64Pos(), -1/alpha)
+	return scale * math.Pow(r.float64Pos(), -1/alpha)
 }
 
 // Perm returns a random permutation of [0, n).
+//
+//summarylint:ignore shared by the tests of internal/core, internal/engine and internal/sampling
 func (r *RNG) Perm(n int) []int {
 	p := make([]int, n)
 	for i := range p {
@@ -72,55 +64,4 @@ func (r *RNG) Perm(n int) []int {
 		p[i], p[j] = p[j], p[i]
 	}
 	return p
-}
-
-// Split derives an independent child generator. Sampling from the child
-// does not perturb the parent stream, which keeps experiment stages
-// reproducible independently of each other.
-func (r *RNG) Split() *RNG {
-	return New(r.Uint64() ^ 0xd1b54a32d192ed03)
-}
-
-// Zipf samples ranks 1..N with P(k) proportional to k^(-s) via inverse CDF
-// with binary search over precomputed cumulative weights. It is exact (no
-// rejection) and deterministic given the RNG stream.
-type Zipf struct {
-	cum []float64 // cum[k] = sum_{i<=k+1} i^-s, normalized
-}
-
-// NewZipf builds a bounded Zipf distribution over {1..n} with exponent s>0.
-func NewZipf(n int, s float64) *Zipf {
-	if n <= 0 {
-		panic("randx: NewZipf with non-positive n")
-	}
-	cum := make([]float64, n)
-	total := 0.0
-	for i := 1; i <= n; i++ {
-		total += math.Pow(float64(i), -s)
-		cum[i-1] = total
-	}
-	for i := range cum {
-		cum[i] /= total
-	}
-	return &Zipf{cum: cum}
-}
-
-// N returns the support size.
-func (z *Zipf) N() int { return len(z.cum) }
-
-// Rank draws a rank in [1, N].
-func (z *Zipf) Rank(r *RNG) int {
-	u := r.Float64()
-	return sort.SearchFloat64s(z.cum, u) + 1
-}
-
-// P returns the probability of rank k (1-based).
-func (z *Zipf) P(k int) float64 {
-	if k < 1 || k > len(z.cum) {
-		return 0
-	}
-	if k == 1 {
-		return z.cum[0]
-	}
-	return z.cum[k-1] - z.cum[k-2]
 }

@@ -12,7 +12,7 @@ func TestFloat64Range(t *testing.T) {
 		if u < 0 || u >= 1 {
 			t.Fatalf("Float64 out of range: %v", u)
 		}
-		up := r.Float64Pos()
+		up := r.float64Pos()
 		if up <= 0 || up > 1 {
 			t.Fatalf("Float64Pos out of range: %v", up)
 		}
@@ -25,27 +25,6 @@ func TestDeterminism(t *testing.T) {
 		if a.Uint64() != b.Uint64() {
 			t.Fatal("same seed produced different streams")
 		}
-	}
-}
-
-func TestSplitIndependence(t *testing.T) {
-	r := New(3)
-	c1 := r.Split()
-	c2 := r.Split()
-	if c1.Uint64() == c2.Uint64() {
-		t.Error("sibling children start identically")
-	}
-}
-
-func TestExpMean(t *testing.T) {
-	r := New(9)
-	const n = 200000
-	sum := 0.0
-	for i := 0; i < n; i++ {
-		sum += r.Exp(2)
-	}
-	if mean := sum / n; math.Abs(mean-0.5) > 0.01 {
-		t.Errorf("Exp(2) mean = %v, want ≈0.5", mean)
 	}
 }
 
@@ -91,60 +70,5 @@ func TestPermIsPermutation(t *testing.T) {
 			t.Fatalf("invalid permutation at %d", x)
 		}
 		seen[x] = true
-	}
-}
-
-func TestZipfDistribution(t *testing.T) {
-	z := NewZipf(100, 1.0)
-	if z.N() != 100 {
-		t.Fatalf("N = %d", z.N())
-	}
-	// Probabilities sum to 1 and decrease.
-	sum := 0.0
-	for k := 1; k <= 100; k++ {
-		p := z.P(k)
-		if p <= 0 {
-			t.Fatalf("P(%d) = %v", k, p)
-		}
-		if k > 1 && p > z.P(k-1)+1e-15 {
-			t.Fatalf("P not decreasing at %d", k)
-		}
-		sum += p
-	}
-	if math.Abs(sum-1) > 1e-12 {
-		t.Errorf("probabilities sum to %v", sum)
-	}
-	if z.P(0) != 0 || z.P(101) != 0 {
-		t.Error("out-of-range P not zero")
-	}
-	// Empirical rank-1 frequency matches P(1).
-	r := New(23)
-	const n = 100000
-	ones := 0
-	for i := 0; i < n; i++ {
-		k := z.Rank(r)
-		if k < 1 || k > 100 {
-			t.Fatalf("rank out of range: %d", k)
-		}
-		if k == 1 {
-			ones++
-		}
-	}
-	if frac := float64(ones) / n; math.Abs(frac-z.P(1)) > 0.01 {
-		t.Errorf("rank-1 frequency %v, want ≈%v", frac, z.P(1))
-	}
-}
-
-func TestBoolProbability(t *testing.T) {
-	r := New(29)
-	const n = 100000
-	hits := 0
-	for i := 0; i < n; i++ {
-		if r.Bool(0.3) {
-			hits++
-		}
-	}
-	if frac := float64(hits) / n; math.Abs(frac-0.3) > 0.01 {
-		t.Errorf("Bool(0.3) frequency %v", frac)
 	}
 }

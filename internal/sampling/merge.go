@@ -30,9 +30,6 @@ func (s *StreamBottomK) Entries() []Entry {
 	return out
 }
 
-// K returns the sampler's configured sample size.
-func (s *StreamBottomK) K() int { return s.k }
-
 // MergeBottomK combines per-shard retained entry sets into the global
 // bottom-k sample. It is exact — identical to a single sequential pass over
 // the union of the shards' streams — provided every group holds its own

@@ -93,3 +93,15 @@ func TestStreamBottomKLenCap(t *testing.T) {
 		t.Errorf("snapshot size %d, want 3", len(snap.Values))
 	}
 }
+
+// Len returns the number of retained keys (at most k+1 internally; the
+// (k+1)-st is the threshold witness and excluded from Snapshot).
+func (s *StreamBottomK) Len() int {
+	if len(s.h) > s.k {
+		return s.k
+	}
+	return len(s.h)
+}
+
+// Len returns the current reservoir size.
+func (v *VarOpt) Len() int { return len(v.items) }

@@ -28,12 +28,16 @@ type WeightedSample struct {
 }
 
 // Len returns the number of sampled keys.
+//
+//summarylint:ignore shared by the tests of internal/sampling, internal/engine and bench_test.go
 func (s *WeightedSample) Len() int { return len(s.Values) }
 
 // InclusionProb returns the (conditional) inclusion probability of a key
 // with weight w given the sample's threshold. For Poisson samples this is
 // the exact inclusion probability; for bottom-k it is the rank-conditioning
 // probability of §7.1.
+//
+//summarylint:ignore the reference loops of internal/core (query_ref_test.go) share it
 func (s *WeightedSample) InclusionProb(w float64) float64 {
 	return s.Family.InclusionProb(w, s.Tau)
 }
@@ -63,10 +67,10 @@ func (s *WeightedSample) SubsetSum(sel func(dataset.Key) bool) float64 {
 	return total
 }
 
-// PoissonRank draws a Poisson sample of the instance: key h is included iff
+// poissonRank draws a Poisson sample of the instance: key h is included iff
 // its rank Family.Rank(u(h), v(h)) is below rankTau. Inclusions of
 // different keys are independent given independent seeds.
-func PoissonRank(in dataset.Instance, fam RankFamily, rankTau float64, seed SeedFunc) *WeightedSample {
+func poissonRank(in dataset.Instance, fam RankFamily, rankTau float64, seed SeedFunc) *WeightedSample {
 	out := &WeightedSample{Values: make(map[dataset.Key]float64), Tau: rankTau, Family: fam}
 	for h, v := range in {
 		if fam.Rank(seed(h), v) < rankTau {
@@ -81,7 +85,7 @@ func PoissonRank(in dataset.Instance, fam RankFamily, rankTau float64, seed Seed
 // min{1, v(h)/tauStar} (§2, §5.2). In rank terms this is PPS ranks with
 // rank threshold 1/tauStar.
 func PoissonPPS(in dataset.Instance, tauStar float64, seed SeedFunc) *WeightedSample {
-	return PoissonRank(in, PPS{}, 1/tauStar, seed)
+	return poissonRank(in, PPS{}, 1/tauStar, seed)
 }
 
 // TauForExpectedSize returns the weight-scale threshold tauStar for which a
@@ -130,50 +134,4 @@ func TauForExpectedSize(in dataset.Instance, k float64) float64 {
 		}
 	}
 	return (lo + hi) / 2
-}
-
-// ObliviousSample is a weight-oblivious Poisson sample over an explicit key
-// universe: every key of the universe is included independently with its
-// probability, regardless of value (zero-valued keys can be sampled too,
-// revealing their zero value — §4).
-type ObliviousSample struct {
-	// Sampled holds the sampled keys and their exact values (possibly 0).
-	Sampled map[dataset.Key]float64
-	// P is the per-key inclusion probability function used.
-	P func(dataset.Key) float64
-}
-
-// ObliviousPoisson draws a weight-oblivious Poisson sample of the instance
-// over the given key universe: key h is included iff u(h) < p(h).
-func ObliviousPoisson(universe []dataset.Key, in dataset.Instance, p func(dataset.Key) float64, seed SeedFunc) *ObliviousSample {
-	out := &ObliviousSample{Sampled: make(map[dataset.Key]float64), P: p}
-	for _, h := range universe {
-		if seed(h) < p(h) {
-			out.Sampled[h] = in[h]
-		}
-	}
-	return out
-}
-
-// SubsetSum is the HT subset-sum estimator over the oblivious sample.
-// Terms are accumulated in ascending key order, not map order, for the
-// same bit-identical reproducibility contract WeightedSample.SubsetSum
-// keeps: float addition is not associative, and this method summed in
-// randomized map order until summarylint's floatsum check flagged it.
-func (s *ObliviousSample) SubsetSum(sel func(dataset.Key) bool) float64 {
-	keys := make([]dataset.Key, 0, len(s.Sampled))
-	for h := range s.Sampled {
-		keys = append(keys, h)
-	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-	total := 0.0
-	for _, h := range keys {
-		if sel != nil && !sel(h) {
-			continue
-		}
-		if p := s.P(h); p > 0 {
-			total += s.Sampled[h] / p
-		}
-	}
-	return total
 }

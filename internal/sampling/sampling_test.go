@@ -192,31 +192,6 @@ func TestBottomKSubsetSumUnbiased(t *testing.T) {
 	}
 }
 
-func TestObliviousPoisson(t *testing.T) {
-	universe := []dataset.Key{1, 2, 3, 4, 5, 6}
-	in := dataset.FigureFive().Instances[0]
-	p := func(dataset.Key) float64 { return 0.5 }
-	const trials = 20000
-	sum := 0.0
-	zeroSampled := 0
-	for i := 0; i < trials; i++ {
-		seeder := xhash.Seeder{Salt: uint64(i)}
-		s := ObliviousPoisson(universe, in, p, seedFuncFrom(seeder, 0))
-		sum += s.SubsetSum(nil)
-		if v, ok := s.Sampled[2]; ok && v == 0 {
-			zeroSampled++
-		}
-	}
-	total := in.Total()
-	if mean := sum / trials; math.Abs(mean-total)/total > 0.02 {
-		t.Errorf("oblivious subset-sum mean %v, want %v", mean, total)
-	}
-	// Weight-oblivious sampling observes zero values (key 2 has value 0).
-	if f := float64(zeroSampled) / trials; math.Abs(f-0.5) > 0.02 {
-		t.Errorf("zero-valued key sampled with frequency %v, want 0.5", f)
-	}
-}
-
 // TestVarOptBasics: fixed size, threshold semantics, adjusted weights.
 func TestVarOptBasics(t *testing.T) {
 	rng := randx.New(3)

@@ -132,15 +132,6 @@ func (s *StreamBottomK) pushFill(key dataset.Key, v float64) {
 // against any hi ≥ v in place of v.
 func (s *StreamBottomK) TauGuard() float64 { return s.tauGuard }
 
-// Len returns the number of retained keys (at most k+1 internally; the
-// (k+1)-st is the threshold witness and excluded from Snapshot).
-func (s *StreamBottomK) Len() int {
-	if len(s.h) > s.k {
-		return s.k
-	}
-	return len(s.h)
-}
-
 // Snapshot materializes the current sample with its rank-conditioning
 // threshold. The sampler remains usable afterwards.
 func (s *StreamBottomK) Snapshot() *WeightedSample {

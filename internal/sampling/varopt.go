@@ -42,10 +42,9 @@ func NewVarOpt(k int, rng interface{ Float64() float64 }) *VarOpt {
 
 // Tau returns the current threshold; items with weight below Tau are
 // represented with adjusted weight Tau.
+//
+//summarylint:ignore shared by the tests of internal/sampling and bench_test.go (BenchmarkVarOptStream)
 func (v *VarOpt) Tau() float64 { return v.tau }
-
-// Len returns the current reservoir size.
-func (v *VarOpt) Len() int { return len(v.items) }
 
 // Add streams one (key, weight) pair into the reservoir. Weights must be
 // positive; zero or negative weights are ignored.

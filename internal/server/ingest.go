@@ -75,16 +75,16 @@ func (s *Server) bindRandomization(q url.Values, ds, kind string) (*core.Summari
 			return nil, fmt.Errorf("server: invalid salt parameter: %w", err)
 		}
 	}
-	if info, err := s.reg.Info(ds); err == nil {
+	if info, err := s.reg.info(ds); err == nil {
 		// The dataset pins randomization and kind; reject an explicit
 		// conflict now (before the body is read) rather than summarizing a
 		// stream under parameters the caller did not ask for.
 		if saltGiven && salt != info.Salt {
-			return nil, fmt.Errorf("%w: dataset %q uses salt %d", ErrIncompatible, ds, info.Salt)
+			return nil, fmt.Errorf("%w: dataset %q uses salt %d", errIncompatible, ds, info.Salt)
 		}
 		if kind != info.Kind {
 			return nil, fmt.Errorf("%w: dataset %q holds %s summaries, got %s",
-				ErrIncompatible, ds, info.Kind, kind)
+				errIncompatible, ds, info.Kind, kind)
 		}
 		salt = info.Salt
 	} else if !saltGiven {

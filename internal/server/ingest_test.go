@@ -190,7 +190,7 @@ func TestCancelledIngestStopsAtNextBatch(t *testing.T) {
 				t.Fatalf("%s: engine counts %d pairs after %d cancelled requests, want %d each: the %d scanned before the stall and the rest of their batch",
 					tc.name, got, round, pushed, sent)
 			}
-			if got := srv.reg.List(); len(got) != 0 {
+			if got := srv.reg.list(); len(got) != 0 {
 				t.Fatalf("%s: a cancelled ingest registered %+v", tc.name, got)
 			}
 			keyTables.mu.Lock()

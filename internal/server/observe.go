@@ -152,7 +152,7 @@ func (o *Observer) bindServer(s *Server) {
 		"Completed raw-ingest requests (set-kind ingests included).", nil, s.engine.ingests.Load)
 	reg.GaugeFunc("summaryd_datasets",
 		"Registered datasets.", nil,
-		func() float64 { return float64(s.reg.Count()) })
+		func() float64 { return float64(s.reg.count()) })
 	o.tracer = s.tracer
 }
 

@@ -10,11 +10,12 @@ import (
 	"repro/internal/core"
 	"repro/internal/dataset"
 	"repro/internal/engine"
+	"repro/internal/obs/trace"
 	"repro/pkg/api"
 )
 
 // fakePersister records appends and can be told to fail, to test the
-// registry's persistence contract without disk. Its Snapshot runs the
+// registry's persistence contract without disk. Its SnapshotTraced runs the
 // dump and commit synchronously, inline under the registry lock — the
 // most hostile legal schedule for the commit callback, which the
 // Persister contract requires to be safe anywhere.
@@ -22,11 +23,11 @@ type fakePersister struct {
 	appended  []string // "dataset/instance" in append order
 	failNext  error
 	due       bool
-	snapErr   error      // next Snapshot fails (commit(false)) with this
+	snapErr   error      // next SnapshotTraced fails (commit(false)) with this
 	snapshots [][]string // dump contents per snapshot call
 }
 
-func (p *fakePersister) Append(ds string, s core.Summary) (bool, error) {
+func (p *fakePersister) AppendTraced(_ *trace.Span, ds string, s core.Summary) (bool, error) {
 	if p.failNext != nil {
 		err := p.failNext
 		p.failNext = nil
@@ -38,7 +39,7 @@ func (p *fakePersister) Append(ds string, s core.Summary) (bool, error) {
 	return due, nil
 }
 
-func (p *fakePersister) Snapshot(dump func(emit func(string, core.Summary) error) error, commit func(ok bool), syncWait bool) (func() error, error) {
+func (p *fakePersister) SnapshotTraced(_ *trace.Span, dump func(emit func(string, core.Summary) error) error, commit func(ok bool), syncWait bool) (func() error, error) {
 	if p.snapErr != nil {
 		err := p.snapErr
 		p.snapErr = nil
@@ -116,8 +117,8 @@ func TestPutRollsBackOnPersistFailure(t *testing.T) {
 	if err := reg.Put("d", persistSummary(0)); err == nil {
 		t.Fatal("Put succeeded though the persister failed")
 	}
-	if reg.Count() != 0 {
-		t.Fatalf("failed Put left %d datasets behind", reg.Count())
+	if reg.count() != 0 {
+		t.Fatalf("failed Put left %d datasets behind", reg.count())
 	}
 
 	// A failed replacement restores the previous summary.

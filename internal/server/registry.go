@@ -29,10 +29,11 @@ import (
 // codes (404 vs 409).
 var (
 	// ErrNotFound reports a dataset or instance that is not registered.
+	//summarylint:ignore Registry.Get's errors.Is target, shared by the tests of internal/store (store_test.go)
 	ErrNotFound = errors.New("server: not found")
-	// ErrIncompatible reports a summary that cannot be combined with the
+	// errIncompatible reports a summary that cannot be combined with the
 	// dataset it was posted to: different salt or summary kind.
-	ErrIncompatible = errors.New("server: incompatible summary")
+	errIncompatible = errors.New("server: incompatible summary")
 )
 
 // Registry is the in-memory summary store, keyed by dataset name and
@@ -64,48 +65,35 @@ type Registry struct {
 }
 
 // Persister hooks registry mutations to durable storage (internal/store
-// implements it). Put calls Append under the registry's write lock for
-// every accepted summary, so the log's record order is exactly the order
-// registrations took effect; when Append reports a snapshot is due, Put
+// implements it). Put calls AppendTraced under the registry's write lock
+// for every accepted summary, so the log's record order is exactly the
+// order registrations took effect; when it reports a snapshot is due, Put
 // immediately hands the persister a consistent cut taken under that same
 // lock — the persister may write it on a background goroutine while
-// registrations continue.
+// registrations continue. Each method takes the span of the operation
+// behind it, so the store can hang its own spans (WAL append, fsync,
+// rotation) under the request and stamp background snapshots with the
+// trace that cut them; a nil span means untraced.
 type Persister interface {
-	// Append durably records one accepted registration. An error fails
-	// (and rolls back) the registration: the registry never acknowledges
-	// state the log did not accept.
-	Append(dataset string, s core.Summary) (snapshotDue bool, err error)
-	// Snapshot accepts a consistent cut for durable persistence. dump
-	// iterates state captured at the cut and stays valid after the
+	// AppendTraced durably records one accepted registration. An error
+	// fails (and rolls back) the registration: the registry never
+	// acknowledges state the log did not accept.
+	AppendTraced(parent *trace.Span, dataset string, s core.Summary) (snapshotDue bool, err error)
+	// SnapshotTraced accepts a consistent cut for durable persistence.
+	// dump iterates state captured at the cut and stays valid after the
 	// registry lock is released; the persister may run it later, on
 	// another goroutine. commit(ok) must be called exactly once, when the
 	// snapshot durably completes (ok) or is abandoned (!ok) — it is safe
-	// to call from anywhere, including synchronously from inside Snapshot
-	// (the registry's commit uses only atomics). With syncWait, the
-	// returned wait blocks until the job finishes; the caller must invoke
-	// it AFTER releasing the registry lock (Registry.Snapshot does), or a
-	// background commit could never complete. Callers other than the
-	// registry must route through Registry.Snapshot: it establishes the
-	// one legal lock order (registry lock, then the persister's own).
-	Snapshot(dump func(emit func(dataset string, s core.Summary) error) error, commit func(ok bool), syncWait bool) (wait func() error, err error)
-}
-
-// TracedPersister is the optional tracing extension of Persister
-// (internal/store implements it). When the registry's caller carries a
-// request span, Append and Snapshot receive it so the store can hang its
-// own spans (WAL append, fsync, rotation) under the request and stamp
-// background snapshots with the trace that cut them. Persisters without
-// the extension — test fakes, simple implementations — keep working
-// through the plain interface.
-type TracedPersister interface {
-	Persister
-	// AppendTraced is Append with the registering request's span (nil
-	// when the registration is untraced).
-	AppendTraced(parent *trace.Span, dataset string, s core.Summary) (snapshotDue bool, err error)
-	// SnapshotTraced is Snapshot with the span of the operation that cut
-	// it (nil for untraced or scheduled cuts): the snapshot outlives the
-	// request, so the store records it as its own trace carrying the
-	// trigger's trace ID rather than as a child span.
+	// to call from anywhere, including synchronously from inside
+	// SnapshotTraced (the registry's commit uses only atomics). With
+	// syncWait, the returned wait blocks until the job finishes; the
+	// caller must invoke it AFTER releasing the registry lock
+	// (Registry.Snapshot does), or a background commit could never
+	// complete. Callers other than the registry must route through
+	// Registry.Snapshot: it establishes the one legal lock order
+	// (registry lock, then the persister's own). The snapshot outlives the
+	// request, so trigger is recorded as the trace that cut it rather than
+	// as a parent span.
 	SnapshotTraced(trigger *trace.Span, dump func(emit func(dataset string, s core.Summary) error) error, commit func(ok bool), syncWait bool) (wait func() error, err error)
 }
 
@@ -134,7 +122,7 @@ func (r *Registry) SetPersister(p Persister) {
 }
 
 // Put registers a summary under the named dataset, creating the dataset on
-// first use. It returns ErrIncompatible (wrapped with the specific
+// first use. It returns errIncompatible (wrapped with the specific
 // mismatch) when the summary's salt or kind differ
 // from the dataset's. Re-posting an instance replaces its summary.
 func (r *Registry) Put(dataset string, s core.Summary) error {
@@ -142,7 +130,7 @@ func (r *Registry) Put(dataset string, s core.Summary) error {
 }
 
 // PutCtx is Put carrying the caller's context: a request span in the
-// context threads through to a TracedPersister, so the durable append
+// context threads through to the Persister, so the durable append
 // (and any snapshot it triggers) shows up under the request's trace.
 func (r *Registry) PutCtx(ctx context.Context, dataset string, s core.Summary) error {
 	sp := trace.SpanFromContext(ctx)
@@ -172,17 +160,17 @@ func (r *Registry) PutCtx(ctx context.Context, dataset string, s core.Summary) e
 	}
 	if s.Kind() != e.kind {
 		return fmt.Errorf("%w: dataset %q holds %s summaries, got %s",
-			ErrIncompatible, dataset, e.kind, s.Kind())
+			errIncompatible, dataset, e.kind, s.Kind())
 	}
 	if salt := core.SummarySeeder(s).Salt; salt != e.salt {
 		return fmt.Errorf("%w: dataset %q uses salt %d, got salt %d",
-			ErrIncompatible, dataset, e.salt, salt)
+			errIncompatible, dataset, e.salt, salt)
 	}
 	id := s.InstanceID()
 	prev, hadPrev := e.byInstance[id]
 	e.byInstance[id] = s
 	if r.persister != nil {
-		due, err := r.appendPersister(sp, dataset, s)
+		due, err := r.persister.AppendTraced(sp, dataset, s)
 		if err != nil {
 			// Roll back: the registry must never answer queries from state
 			// the log refused — a restart would silently forget it.
@@ -207,26 +195,12 @@ func (r *Registry) PutCtx(ctx context.Context, dataset string, s core.Summary) e
 			// surfaces the error in its status and backs off a full
 			// interval before the next automatic attempt.
 			dump, commit := r.dumpCutLocked()
-			if tp, ok := r.persister.(TracedPersister); ok {
-				_, _ = tp.SnapshotTraced(sp, dump, commit, false)
-			} else {
-				_, _ = r.persister.Snapshot(dump, commit, false)
-			}
+			_, _ = r.persister.SnapshotTraced(sp, dump, commit, false)
 		}
 	} else {
 		e.dirtyEpoch = r.epoch
 	}
 	return nil
-}
-
-// appendPersister routes one accepted registration to the persister,
-// through the traced entry point when both a span and a TracedPersister
-// are present.
-func (r *Registry) appendPersister(sp *trace.Span, dataset string, s core.Summary) (bool, error) {
-	if tp, ok := r.persister.(TracedPersister); ok {
-		return tp.AppendTraced(sp, dataset, s)
-	}
-	return r.persister.Append(dataset, s)
 }
 
 // Snapshot takes an incremental cut of the registry and writes it
@@ -243,7 +217,7 @@ func (r *Registry) Snapshot() error {
 		return nil
 	}
 	dump, commit := r.dumpCutLocked()
-	wait, err := r.persister.Snapshot(dump, commit, true)
+	wait, err := r.persister.SnapshotTraced(nil, dump, commit, true)
 	r.mu.Unlock()
 	if err != nil {
 		return err
@@ -252,19 +226,6 @@ func (r *Registry) Snapshot() error {
 		return wait()
 	}
 	return nil
-}
-
-// DumpCut takes a consistent incremental cut: a dump over exactly the
-// datasets dirty since the last committed snapshot, plus the commit
-// callback that marks them clean. The cut is captured under a brief
-// write lock — registered summaries are immutable, so capturing
-// references is enough — and the returned dump runs lock-free, which is
-// what lets a persister write it in the background while registrations
-// continue.
-func (r *Registry) DumpCut() (dump func(emit func(dataset string, s core.Summary) error) error, commit func(ok bool)) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.dumpCutLocked()
 }
 
 // dumpCutLocked is DumpCut for callers already holding the write lock.
@@ -350,6 +311,8 @@ func (r *Registry) MarkClean(stillDirty []string) {
 // datasets by name, instances ascending — under the read lock. For
 // snapshotting a persister-backed registry use Snapshot, not Dump (see
 // the lock-order note there).
+//
+//summarylint:ignore shared by the tests of internal/server (persist_test.go) and internal/store (recover_property_test.go)
 func (r *Registry) Dump(emit func(dataset string, s core.Summary) error) error {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
@@ -407,10 +370,10 @@ func (r *Registry) Get(dataset string, instances []int) ([]core.Summary, error) 
 	return out, nil
 }
 
-// Info describes one dataset. Ingest uses it to bind new raw streams to
+// info describes one dataset. Ingest uses it to bind new raw streams to
 // the dataset's existing salt and kind before reading
 // the request body.
-func (r *Registry) Info(dataset string) (api.DatasetInfo, error) {
+func (r *Registry) info(dataset string) (api.DatasetInfo, error) {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
 	e, ok := r.datasets[dataset]
@@ -420,16 +383,16 @@ func (r *Registry) Info(dataset string) (api.DatasetInfo, error) {
 	return e.info(dataset), nil
 }
 
-// Count returns the number of registered datasets — the cheap health-probe
-// read (List materializes per-dataset info; probes only need the count).
-func (r *Registry) Count() int {
+// count returns the number of registered datasets — the cheap health-probe
+// read (list materializes per-dataset info; probes only need the count).
+func (r *Registry) count() int {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
 	return len(r.datasets)
 }
 
-// List describes every dataset, sorted by name.
-func (r *Registry) List() []api.DatasetInfo {
+// list describes every dataset, sorted by name.
+func (r *Registry) list() []api.DatasetInfo {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
 	out := make([]api.DatasetInfo, 0, len(r.datasets))

@@ -108,7 +108,7 @@ func New(reg *Registry, cfg engine.Config, opts ...Option) *Server {
 		// pinned (TestHealthzAllocs).
 		hr := api.HealthResult{
 			Status:       "ok",
-			Datasets:     s.reg.Count(),
+			Datasets:     s.reg.count(),
 			WireVersions: core.SupportedWireVersions(),
 			Engine:       s.engineStatus(),
 		}
@@ -214,7 +214,7 @@ func writeError(w http.ResponseWriter, err error) {
 		status = http.StatusRequestEntityTooLarge
 	case errors.Is(err, ErrNotFound):
 		status = http.StatusNotFound
-	case errors.Is(err, ErrIncompatible):
+	case errors.Is(err, errIncompatible):
 		status = http.StatusConflict
 	case errors.Is(err, core.ErrUnknownVersion):
 		// A future wire format: tell the poster which versions this build
@@ -231,7 +231,7 @@ func writeError(w http.ResponseWriter, err error) {
 }
 
 func (s *Server) handleDatasets(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, s.reg.List())
+	writeJSON(w, http.StatusOK, s.reg.list())
 }
 
 func (s *Server) handlePostSummary(w http.ResponseWriter, r *http.Request) {

@@ -19,6 +19,7 @@ import (
 	"repro/internal/randx"
 	"repro/internal/sampling"
 	"repro/internal/server"
+	"repro/pkg/api"
 	"repro/pkg/client"
 )
 
@@ -408,7 +409,15 @@ func TestIngestRefusesCoordinated(t *testing.T) {
 		"application/x-ndjson", ndjsonBody(sites[0])); status != http.StatusCreated {
 		t.Fatalf("shared=false ingest: %d %q, want 201", status, msg)
 	}
-	before := reg.List()
+	listed := func() []api.DatasetInfo {
+		t.Helper()
+		infos, err := client.New(ts.URL, ts.Client()).Datasets(context.Background())
+		if err != nil {
+			t.Fatalf("listing datasets: %v", err)
+		}
+		return infos
+	}
+	before := listed()
 	values, _ := scrapeMetrics(t, ts)
 	pairs := values["summaryd_engine_pairs_total"]
 
@@ -457,7 +466,7 @@ func TestIngestRefusesCoordinated(t *testing.T) {
 			}
 		})
 	}
-	if after := reg.List(); fmt.Sprint(after) != fmt.Sprint(before) {
+	if after := listed(); fmt.Sprint(after) != fmt.Sprint(before) {
 		t.Errorf("refusals changed the registry: %+v, want %+v", after, before)
 	}
 	values, _ = scrapeMetrics(t, ts)

@@ -84,8 +84,8 @@ func TestStressRegistryPutDumpCutHealthz(t *testing.T) {
 					t.Errorf("healthz = %d", rec.Code)
 					return
 				}
-				reg.Count()
-				reg.List()
+				reg.count()
+				reg.list()
 			}
 		}()
 	}
@@ -95,7 +95,20 @@ func TestStressRegistryPutDumpCutHealthz(t *testing.T) {
 	close(done)
 	aux.Wait()
 
-	if got := reg.Count(); got != 3 {
+	if got := reg.count(); got != 3 {
 		t.Fatalf("datasets after stress = %d, want 3", got)
 	}
+}
+
+// DumpCut takes a consistent incremental cut: a dump over exactly the
+// datasets dirty since the last committed snapshot, plus the commit
+// callback that marks them clean. The cut is captured under a brief
+// write lock — registered summaries are immutable, so capturing
+// references is enough — and the returned dump runs lock-free, which is
+// what lets a persister write it in the background while registrations
+// continue.
+func (r *Registry) DumpCut() (dump func(emit func(dataset string, s core.Summary) error) error, commit func(ok bool)) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.dumpCutLocked()
 }

@@ -1,14 +1,10 @@
 // Package stats provides the small statistical toolkit shared by tests,
 // experiments and benchmarks: numerically stable moment accumulation
-// (Welford), coefficient of variation, and a deterministic Monte-Carlo
-// harness.
+// (Welford), coefficient of variation, variance normalization and
+// bisection.
 package stats
 
-import (
-	"math"
-
-	"repro/internal/randx"
-)
+import "math"
 
 // Welford accumulates mean and variance in one pass with the classic
 // numerically stable update. The zero value is ready to use.
@@ -26,34 +22,15 @@ func (w *Welford) Add(x float64) {
 	w.m2 += d * (x - w.mean)
 }
 
-// N returns the number of observations.
-func (w *Welford) N() int { return w.n }
-
 // Mean returns the sample mean (0 when empty).
 func (w *Welford) Mean() float64 { return w.mean }
 
-// Var returns the population variance (dividing by n).
-func (w *Welford) Var() float64 {
+// variance returns the population variance (dividing by n).
+func (w *Welford) variance() float64 {
 	if w.n == 0 {
 		return 0
 	}
 	return w.m2 / float64(w.n)
-}
-
-// SampleVar returns the unbiased sample variance (dividing by n−1).
-func (w *Welford) SampleVar() float64 {
-	if w.n < 2 {
-		return 0
-	}
-	return w.m2 / float64(w.n-1)
-}
-
-// StdErr returns the standard error of the mean.
-func (w *Welford) StdErr() float64 {
-	if w.n < 2 {
-		return math.Inf(1)
-	}
-	return math.Sqrt(w.SampleVar() / float64(w.n))
 }
 
 // CV returns the coefficient of variation sqrt(Var)/|Mean| (infinite for a
@@ -65,20 +42,7 @@ func (w *Welford) CV() float64 {
 		}
 		return math.Inf(1)
 	}
-	return math.Sqrt(w.Var()) / math.Abs(w.mean)
-}
-
-// MonteCarlo runs n replications of a randomized estimate and returns the
-// accumulated moments. Each replication receives its own deterministic
-// child generator, so the harness is reproducible and insensitive to how
-// many draws a replication consumes.
-func MonteCarlo(seed uint64, n int, rep func(rng *randx.RNG) float64) *Welford {
-	root := randx.New(seed)
-	var w Welford
-	for i := 0; i < n; i++ {
-		w.Add(rep(root.Split()))
-	}
-	return &w
+	return math.Sqrt(w.variance()) / math.Abs(w.mean)
 }
 
 // NormalizedVar returns VAR/total², the per-figure normalization the paper

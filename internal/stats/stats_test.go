@@ -3,8 +3,6 @@ package stats
 import (
 	"math"
 	"testing"
-
-	"repro/internal/randx"
 )
 
 func TestWelfordMoments(t *testing.T) {
@@ -13,17 +11,11 @@ func TestWelfordMoments(t *testing.T) {
 	for _, x := range xs {
 		w.Add(x)
 	}
-	if w.N() != len(xs) {
-		t.Fatalf("N = %d", w.N())
-	}
 	if math.Abs(w.Mean()-5) > 1e-12 {
 		t.Errorf("mean = %v, want 5", w.Mean())
 	}
-	if math.Abs(w.Var()-4) > 1e-12 {
-		t.Errorf("population var = %v, want 4", w.Var())
-	}
-	if math.Abs(w.SampleVar()-32.0/7) > 1e-12 {
-		t.Errorf("sample var = %v, want %v", w.SampleVar(), 32.0/7)
+	if math.Abs(w.variance()-4) > 1e-12 {
+		t.Errorf("population var = %v, want 4", w.variance())
 	}
 	if math.Abs(w.CV()-2.0/5) > 1e-12 {
 		t.Errorf("cv = %v, want 0.4", w.CV())
@@ -32,14 +24,11 @@ func TestWelfordMoments(t *testing.T) {
 
 func TestWelfordEdgeCases(t *testing.T) {
 	var w Welford
-	if w.Mean() != 0 || w.Var() != 0 || w.CV() != 0 {
+	if w.Mean() != 0 || w.variance() != 0 || w.CV() != 0 {
 		t.Error("empty accumulator not zero")
 	}
-	if !math.IsInf(w.StdErr(), 1) {
-		t.Error("StdErr of empty accumulator should be +inf")
-	}
 	w.Add(3)
-	if w.Var() != 0 || w.SampleVar() != 0 {
+	if w.variance() != 0 {
 		t.Error("single observation variance not zero")
 	}
 	var z Welford
@@ -64,24 +53,8 @@ func TestWelfordNumericalStability(t *testing.T) {
 	for i := 0; i < 1000; i++ {
 		w.Add(offset + float64(i%2))
 	}
-	if math.Abs(w.Var()-0.25) > 1e-6 {
-		t.Errorf("variance = %v, want 0.25", w.Var())
-	}
-}
-
-func TestMonteCarloReproducible(t *testing.T) {
-	rep := func(rng *randx.RNG) float64 { return rng.Float64() }
-	a := MonteCarlo(5, 1000, rep)
-	b := MonteCarlo(5, 1000, rep)
-	if a.Mean() != b.Mean() || a.Var() != b.Var() {
-		t.Error("MonteCarlo not reproducible for equal seeds")
-	}
-	c := MonteCarlo(6, 1000, rep)
-	if a.Mean() == c.Mean() {
-		t.Error("different seeds produced identical means")
-	}
-	if math.Abs(a.Mean()-0.5) > 0.03 {
-		t.Errorf("uniform mean = %v", a.Mean())
+	if math.Abs(w.variance()-0.25) > 1e-6 {
+		t.Errorf("variance = %v, want 0.25", w.variance())
 	}
 }
 

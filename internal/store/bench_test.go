@@ -67,7 +67,7 @@ func BenchmarkSnapshotRecover(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	wait, err := st.Snapshot(func(emit func(string, core.Summary) error) error {
+	wait, err := st.SnapshotTraced(nil, func(emit func(string, core.Summary) error) error {
 		for i, s := range sums {
 			if err := emit(fmt.Sprintf("bench%d", i%10), s); err != nil {
 				return err
@@ -196,7 +196,7 @@ func BenchmarkAppendDuringSnapshot(b *testing.B) {
 				return
 			default:
 			}
-			wait, err := st.Snapshot(dump, func(bool) {}, true)
+			wait, err := st.SnapshotTraced(nil, dump, func(bool) {}, true)
 			if err != nil {
 				return
 			}

@@ -2,6 +2,7 @@ package store
 
 import (
 	"math/rand"
+	"net/http/httptest"
 	"strings"
 	"testing"
 
@@ -57,11 +58,9 @@ func TestStoreMetrics(t *testing.T) {
 		t.Errorf("snapshot duration histogram count = %d, want 1", got)
 	}
 
-	var buf strings.Builder
-	if err := mreg.WritePrometheus(&buf); err != nil {
-		t.Fatalf("rendering exposition: %v", err)
-	}
-	text := buf.String()
+	rec := httptest.NewRecorder()
+	mreg.Handler().ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
+	text := rec.Body.String()
 	for _, want := range []string{
 		"# TYPE summaryd_store_wal_appends_total counter",
 		"summaryd_store_wal_appends_total 10",

@@ -1,11 +1,11 @@
 package store
 
 import (
-	"bytes"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
 	"math/rand"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -382,7 +382,7 @@ func buildScenario(tb testing.TB, dir string, datasets, instances, entries int) 
 		tb.Fatal(err)
 	}
 	for file := 0; file < 2; file++ {
-		wait, err := st.Snapshot(round, func(bool) {}, true)
+		wait, err := st.SnapshotTraced(nil, round, func(bool) {}, true)
 		if err != nil {
 			tb.Fatal(err)
 		}
@@ -462,11 +462,9 @@ func TestRecoveryMetricsAndTrace(t *testing.T) {
 	}
 	defer st.Close()
 
-	var buf bytes.Buffer
-	if err := mreg.WritePrometheus(&buf); err != nil {
-		t.Fatal(err)
-	}
-	text := buf.String()
+	rec := httptest.NewRecorder()
+	mreg.Handler().ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
+	text := rec.Body.String()
 	var onDisk int64
 	for _, path := range []string{l.snap1, l.snap2, l.sealedA, l.sealedB, l.live} {
 		onDisk += fileSize(t, path)

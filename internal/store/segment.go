@@ -70,7 +70,7 @@ const (
 // Default segment rotation caps (Options.SegmentBytes/SegmentRecords).
 const (
 	DefaultSegmentBytes   = 64 << 20
-	DefaultSegmentRecords = 1 << 16
+	defaultSegmentRecords = 1 << 16
 )
 
 // File names of the pre-segmented layout, quarantined at Open.

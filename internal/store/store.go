@@ -89,7 +89,7 @@ type Options struct {
 	// DefaultSegmentBytes. A segment may overshoot by at most one record.
 	SegmentBytes int64
 	// SegmentRecords caps a live segment's record count. Zero means
-	// DefaultSegmentRecords.
+	// defaultSegmentRecords (65536).
 	SegmentRecords int64
 	// Metrics, when set, receives the store's durability series
 	// (summaryd_store_*): WAL append counts/bytes, fsync and snapshot
@@ -267,7 +267,7 @@ func Open(dir string, opts Options, apply func(dataset string, s core.Summary) e
 		opts.SegmentBytes = DefaultSegmentBytes
 	}
 	if opts.SegmentRecords == 0 {
-		opts.SegmentRecords = DefaultSegmentRecords
+		opts.SegmentRecords = defaultSegmentRecords
 	}
 	if opts.SegmentBytes < 1 || opts.SegmentRecords < 1 {
 		return nil, fmt.Errorf("store: segment caps must be positive (bytes %d, records %d)", opts.SegmentBytes, opts.SegmentRecords)
@@ -503,21 +503,20 @@ func (s *Store) quarantine(name string) error {
 	return nil
 }
 
-// Append writes one accepted (dataset, summary) registration to the live
-// segment, rotating first if the segment is at its cap. It reports
-// snapshotDue when the appends since the last snapshot have reached
-// Options.SnapshotEvery — the caller (holding whatever lock serializes
-// registrations) should then call Snapshot with a consistent cut. Append
-// implements half of server.Persister.
+// Append is AppendTraced without a span.
 func (s *Store) Append(dataset string, sum core.Summary) (snapshotDue bool, err error) {
 	return s.AppendTraced(nil, dataset, sum)
 }
 
-// AppendTraced is Append carrying the registering request's span: the
-// durable write is recorded as a store.append child span, with the fsync
-// and any segment rotation as its own children. A nil parent (or no
-// tracer behind it) records nothing. AppendTraced implements half of
-// server.TracedPersister.
+// AppendTraced writes one accepted (dataset, summary) registration to the
+// live segment, rotating first if the segment is at its cap. It reports
+// snapshotDue when the appends since the last snapshot have reached
+// Options.SnapshotEvery — the caller (holding whatever lock serializes
+// registrations) should then call SnapshotTraced with a consistent cut.
+// The durable write is recorded as a store.append child span of parent,
+// with the fsync and any segment rotation as its own children. A nil
+// parent (or no tracer behind it) records nothing. AppendTraced
+// implements half of server.Persister.
 func (s *Store) AppendTraced(parent *trace.Span, dataset string, sum core.Summary) (snapshotDue bool, err error) {
 	sp := parent.StartChild("store.append")
 	defer sp.Finish()
@@ -602,11 +601,12 @@ func (s *Store) rotateLocked() error {
 	return nil
 }
 
-// Snapshot accepts a consistent cut for the background snapshot worker.
-// The caller (Registry.Put when due, Registry.Snapshot explicitly) holds
-// the registry lock, which is what makes enqueue order equal cut order:
-// the single worker then writes chain files in cut order, so a newer cut
-// can never be overridden by an older one replaying later.
+// SnapshotTraced accepts a consistent cut for the background snapshot
+// worker. The caller (Registry.Put when due, Registry.Snapshot
+// explicitly) holds the registry lock, which is what makes enqueue order
+// equal cut order: the single worker then writes chain files in cut
+// order, so a newer cut can never be overridden by an older one replaying
+// later.
 //
 // dump must iterate state cloned at the cut — it runs on the worker
 // goroutine, concurrently with new registrations. commit(ok) is called
@@ -617,19 +617,15 @@ func (s *Store) rotateLocked() error {
 // the registry lock, or the worker's commit would deadlock against it.
 // Without syncWait, wait is nil, and the job is dropped (commit(false))
 // if a snapshot is already queued or running — dirtiness is retained, so
-// the next due snapshot re-covers the skipped appends. Snapshot
-// implements the other half of server.Persister.
-func (s *Store) Snapshot(dump func(emit func(dataset string, sum core.Summary) error) error, commit func(ok bool), syncWait bool) (wait func() error, err error) {
-	return s.SnapshotTraced(nil, dump, commit, syncWait)
-}
-
-// SnapshotTraced is Snapshot carrying the span of the operation that cut
-// it (the registering request for an automatic snapshot, nil for
-// explicit/shutdown cuts). The snapshot outlives the request, so it is
-// recorded as its own trace (rooted at store.snapshot) stamped with the
-// trigger's trace ID rather than as a child span; the live-segment seal
-// it performs inline, however, IS a child of the trigger. SnapshotTraced
-// implements the other half of server.TracedPersister.
+// the next due snapshot re-covers the skipped appends.
+//
+// trigger is the span of the operation that cut it (the registering
+// request for an automatic snapshot, nil for explicit/shutdown cuts). The
+// snapshot outlives the request, so it is recorded as its own trace
+// (rooted at store.snapshot) stamped with the trigger's trace ID rather
+// than as a child span; the live-segment seal it performs inline,
+// however, IS a child of the trigger. SnapshotTraced implements the other
+// half of server.Persister.
 func (s *Store) SnapshotTraced(trigger *trace.Span, dump func(emit func(dataset string, sum core.Summary) error) error, commit func(ok bool), syncWait bool) (wait func() error, err error) {
 	s.mu.Lock()
 	if s.closed {

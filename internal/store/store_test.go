@@ -784,7 +784,7 @@ func TestAppendsProceedDuringSnapshot(t *testing.T) {
 		<-gate
 		return emit(specs[0].name, snapSum)
 	}
-	wait, err := st.Snapshot(dump, func(bool) {}, true)
+	wait, err := st.SnapshotTraced(nil, dump, func(bool) {}, true)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -10,12 +10,8 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/obs/trace"
-	"repro/internal/server"
 	"repro/internal/testutil"
 )
-
-// The store implements the traced persistence seam too.
-var _ server.TracedPersister = (*Store)(nil)
 
 // TestSnapshotLogAndTrace: a background snapshot emits one slog line
 // carrying its sequence and the trace ID of the cut that triggered it,
@@ -136,7 +132,7 @@ func TestSnapshotFailureLogCorrelates(t *testing.T) {
 	boom := func(emit func(string, core.Summary) error) error {
 		return errors.New("dump exploded")
 	}
-	wait, err := st.Snapshot(boom, func(bool) {}, true)
+	wait, err := st.SnapshotTraced(nil, boom, func(bool) {}, true)
 	if err != nil {
 		t.Fatal(err)
 	}

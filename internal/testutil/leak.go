@@ -21,6 +21,8 @@ import (
 // (the worker may still be between its last send and runtime.goexit),
 // so the check polls with a grace period instead of failing on the
 // first dirty snapshot.
+//
+//summarylint:ignore shared by the tests of cmd/summaryd, internal/engine and internal/store
 func VerifyNoLeaks(t testing.TB) {
 	t.Helper()
 	base := goroutineIDs()

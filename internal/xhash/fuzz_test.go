@@ -57,35 +57,8 @@ func FuzzUnitRange(f *testing.F) {
 		if !(u >= 0 && u < 1) {
 			t.Fatalf("Unit(%d) = %v out of [0,1)", h, u)
 		}
-		up := UnitPos(h)
-		if !(up > 0 && up <= 1) {
-			t.Fatalf("UnitPos(%d) = %v out of (0,1]", h, up)
-		}
-		if u != 0 && up != u {
-			t.Fatalf("UnitPos must agree with Unit away from 0: %v vs %v", up, u)
-		}
 		if Mix64(h) != Mix64(h) {
 			t.Fatal("Mix64 is not deterministic")
-		}
-	})
-}
-
-func FuzzHashStringStability(f *testing.F) {
-	f.Add(uint64(0), "")
-	f.Add(uint64(5), "alpha")
-	f.Add(uint64(1<<40), "the same key")
-	f.Fuzz(func(t *testing.T, salt uint64, s string) {
-		h := HashString(salt, s)
-		if h != HashString(salt, s) {
-			t.Fatal("HashString is not deterministic")
-		}
-		sd := Seeder{Salt: salt}
-		u := sd.SeedString(0, s)
-		if u != sd.SeedString(0, s) {
-			t.Fatal("SeedString is not deterministic")
-		}
-		if !(u >= 0 && u < 1) {
-			t.Fatalf("SeedString out of [0,1): %v", u)
 		}
 	})
 }

@@ -8,8 +8,6 @@
 // reproduce every seed without storing it.
 package xhash
 
-import "math"
-
 // Mix64 is the splitmix64 finalizer: a bijective mixer with good avalanche
 // behaviour. It is the core primitive behind all hashing in this repository.
 func Mix64(x uint64) uint64 {
@@ -30,36 +28,11 @@ func hash2Mixed(mixedA, b uint64) uint64 {
 	return Mix64(mixedA ^ b + 0x9e3779b97f4a7c15*b)
 }
 
-// HashString hashes a string with a salt, using an FNV-1a style pass
-// followed by the splitmix64 finalizer.
-func HashString(salt uint64, s string) uint64 {
-	const (
-		offset = 14695981039346656037
-		prime  = 1099511628211
-	)
-	h := uint64(offset) ^ Mix64(salt)
-	for i := 0; i < len(s); i++ {
-		h ^= uint64(s[i])
-		h *= prime
-	}
-	return Mix64(h)
-}
-
 // Unit maps a 64-bit hash value to a float64 uniformly distributed in
 // [0, 1). It uses the top 53 bits so the result is an exact dyadic rational
 // and never equals 1.
 func Unit(h uint64) float64 {
 	return float64(h>>11) / (1 << 53)
-}
-
-// UnitPos maps a 64-bit hash value to (0, 1], avoiding exact zero. This is
-// convenient for rank transforms such as -ln(u) that are undefined at 0.
-func UnitPos(h uint64) float64 {
-	u := Unit(h)
-	if u == 0 {
-		return math.SmallestNonzeroFloat64
-	}
-	return u
 }
 
 // Seeder derives reproducible per-(instance, key) uniform seeds. The seeds
@@ -93,9 +66,4 @@ func (s Seeder) Instance(instance int) InstanceSeeder {
 // Seed returns the uniform [0,1) seed for key in the bound instance.
 func (s InstanceSeeder) Seed(key uint64) float64 {
 	return Unit(hash2Mixed(s.mixed, key))
-}
-
-// SeedString is Seed for string keys.
-func (s Seeder) SeedString(instance int, key string) float64 {
-	return Unit(HashString(s.Salt^Mix64(uint64(instance)+1), key))
 }
