@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 )
@@ -269,5 +270,107 @@ func TestSpansPerTraceAreBounded(t *testing.T) {
 	}
 	if !strings.Contains(string(b), `"dropped_spans":11`) {
 		t.Fatalf("record JSON lacks dropped_spans: %.200s", b)
+	}
+}
+
+// TestDroppedSpansOmittedWhenZero: a trace within the cap drops nothing
+// and its JSON has no dropped_spans key, so ordinary request records read
+// as before the cap.
+func TestDroppedSpansOmittedWhenZero(t *testing.T) {
+	tr := New(1)
+	root := tr.StartSpan("root", SpanContext{})
+	root.StartChild("child").Finish()
+	root.Finish()
+	rec := tr.Traces()[0]
+	if len(rec.Spans) != 2 || rec.DroppedSpans != 0 {
+		t.Fatalf("kept %d spans, dropped %d; want 2 and 0", len(rec.Spans), rec.DroppedSpans)
+	}
+	b, err := json.Marshal(rec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if strings.Contains(string(b), "dropped_spans") {
+		t.Fatalf("record JSON carries dropped_spans though none were dropped: %s", b)
+	}
+}
+
+// TestSpanCapCountsEveryDescendant: the cap is per trace, not per parent
+// — grandchildren spend the same budget as children — and a span opened
+// past it still takes attributes, children and Finish, none of which is
+// recorded.
+func TestSpanCapCountsEveryDescendant(t *testing.T) {
+	tr := New(1)
+	root := tr.StartSpan("root", SpanContext{})
+	for i := 0; i < maxSpans/2; i++ {
+		c := root.StartChild("child")
+		c.StartChild("grandchild").Finish()
+		c.Finish()
+	}
+	// root + maxSpans descendants: the last grandchild is the first drop.
+	late := root.StartChild("late")
+	late.SetAttr("k", "v")
+	late.SetInt("n", 1)
+	late.StartChild("later").Finish()
+	late.Finish()
+	root.Finish()
+	rec := tr.Traces()[0]
+	if len(rec.Spans) != maxSpans || rec.DroppedSpans != 3 {
+		t.Fatalf("kept %d spans, dropped %d; want %d and 3", len(rec.Spans), rec.DroppedSpans, maxSpans)
+	}
+	if last := rec.Spans[maxSpans-1]; last.Name != "child" {
+		t.Fatalf("last kept span is %q, want the last child", last.Name)
+	}
+	for _, sp := range rec.Spans {
+		if sp.Name == "late" || sp.Name == "later" {
+			t.Fatalf("span %q opened past the cap was recorded", sp.Name)
+		}
+	}
+}
+
+// TestSpanBudgetIsPerTrace: a trace that hit the cap leaves the next
+// trace of the same tracer a full budget.
+func TestSpanBudgetIsPerTrace(t *testing.T) {
+	tr := New(2)
+	for _, children := range []int{maxSpans, 3} {
+		root := tr.StartSpan("root", SpanContext{})
+		for i := 0; i < children; i++ {
+			root.StartChild("child").Finish()
+		}
+		root.Finish()
+	}
+	recs := tr.Traces() // newest first
+	if len(recs[1].Spans) != maxSpans || recs[1].DroppedSpans != 1 {
+		t.Fatalf("first trace kept %d, dropped %d; want %d and 1", len(recs[1].Spans), recs[1].DroppedSpans, maxSpans)
+	}
+	if len(recs[0].Spans) != 4 || recs[0].DroppedSpans != 0 {
+		t.Fatalf("second trace kept %d, dropped %d; want 4 and 0", len(recs[0].Spans), recs[0].DroppedSpans)
+	}
+}
+
+// TestSpanCapUnderConcurrentChildren: children opened from several
+// goroutines at once, as store recovery's verify workers do, are kept up
+// to the cap and every other one is counted, none lost.
+func TestSpanCapUnderConcurrentChildren(t *testing.T) {
+	tr := New(1)
+	root := tr.StartSpan("root", SpanContext{})
+	const workers, each = 4, maxSpans / 2
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < each; i++ {
+				root.StartChild("store.verify").Finish()
+			}
+		}()
+	}
+	wg.Wait()
+	root.Finish()
+	rec := tr.Traces()[0]
+	if len(rec.Spans) != maxSpans {
+		t.Fatalf("kept %d spans, want %d", len(rec.Spans), maxSpans)
+	}
+	if got, want := len(rec.Spans)+rec.DroppedSpans, 1+workers*each; got != want {
+		t.Fatalf("kept + dropped = %d, want every span opened (%d)", got, want)
 	}
 }

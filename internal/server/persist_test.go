@@ -1,6 +1,7 @@
 package server
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -25,9 +26,12 @@ type fakePersister struct {
 	due       bool
 	snapErr   error      // next SnapshotTraced fails (commit(false)) with this
 	snapshots [][]string // dump contents per snapshot call
+	// The span each AppendTraced and SnapshotTraced call received.
+	appendSpans, snapSpans []*trace.Span
 }
 
-func (p *fakePersister) AppendTraced(_ *trace.Span, ds string, s core.Summary) (bool, error) {
+func (p *fakePersister) AppendTraced(sp *trace.Span, ds string, s core.Summary) (bool, error) {
+	p.appendSpans = append(p.appendSpans, sp)
 	if p.failNext != nil {
 		err := p.failNext
 		p.failNext = nil
@@ -39,7 +43,8 @@ func (p *fakePersister) AppendTraced(_ *trace.Span, ds string, s core.Summary) (
 	return due, nil
 }
 
-func (p *fakePersister) SnapshotTraced(_ *trace.Span, dump func(emit func(string, core.Summary) error) error, commit func(ok bool), syncWait bool) (func() error, error) {
+func (p *fakePersister) SnapshotTraced(sp *trace.Span, dump func(emit func(string, core.Summary) error) error, commit func(ok bool), syncWait bool) (func() error, error) {
+	p.snapSpans = append(p.snapSpans, sp)
 	if p.snapErr != nil {
 		err := p.snapErr
 		p.snapErr = nil
@@ -327,5 +332,47 @@ func TestMarkCleanScopesFirstIncrementalCut(t *testing.T) {
 	got = snapshotImages(t, p)
 	if len(got) != 2 || fmt.Sprint(got[1]) != fmt.Sprint([]string{"snapped/0", "snapped/1"}) {
 		t.Fatalf("second cut = %v, want [snapped/0 snapped/1]", got)
+	}
+}
+
+// TestPutCtxHandsRequestSpanToPersister: the span in PutCtx's context is
+// the parent the persister gets for the append and for the snapshot that
+// append makes due, and Put without one passes nil (untraced).
+func TestPutCtxHandsRequestSpanToPersister(t *testing.T) {
+	reg := NewRegistry()
+	p := &fakePersister{due: true}
+	reg.SetPersister(p)
+	req := trace.New(1).StartSpan("request", trace.SpanContext{})
+	if err := reg.PutCtx(trace.ContextWithSpan(context.Background(), req), "d", persistSummary(0)); err != nil {
+		t.Fatal(err)
+	}
+	if err := reg.Put("d", persistSummary(1)); err != nil {
+		t.Fatal(err)
+	}
+	if len(p.appendSpans) != 2 || p.appendSpans[0] != req || p.appendSpans[1] != nil {
+		t.Fatalf("append spans %v, want [request span, nil]", p.appendSpans)
+	}
+	if len(p.snapSpans) != 1 || p.snapSpans[0] != req {
+		t.Fatalf("snapshot spans %v, want the request span once", p.snapSpans)
+	}
+}
+
+// TestExplicitSnapshotIsUntraced: Registry.Snapshot has no request behind
+// it and hands the persister a nil span.
+func TestExplicitSnapshotIsUntraced(t *testing.T) {
+	reg := NewRegistry()
+	p := &fakePersister{}
+	reg.SetPersister(p)
+	if err := reg.Put("d", persistSummary(0)); err != nil {
+		t.Fatal(err)
+	}
+	if err := reg.Snapshot(); err != nil {
+		t.Fatal(err)
+	}
+	if len(p.snapSpans) != 1 || p.snapSpans[0] != nil {
+		t.Fatalf("snapshot spans %v, want one nil", p.snapSpans)
+	}
+	if len(p.snapshots) != 1 || len(p.snapshots[0]) != 1 || p.snapshots[0][0] != "d/0" {
+		t.Fatalf("snapshot images %v, want [[d/0]]", p.snapshots)
 	}
 }

@@ -515,3 +515,44 @@ func TestRecoveryMetricsAndTrace(t *testing.T) {
 		t.Errorf("verified %v with %d apply spans; want the five files and one apply", verified, applies)
 	}
 }
+
+// TestRecoveryTraceIsBounded: recovering a directory of more segments
+// than a trace keeps spans for — one store.verify span each — publishes a
+// store.recover record that keeps part of them and counts the rest as
+// dropped, instead of one span per file however many files there are.
+func TestRecoveryTraceIsBounded(t *testing.T) {
+	dir := t.TempDir()
+	rng := rand.New(rand.NewSource(14))
+	opts := Options{SnapshotEvery: -1, SegmentRecords: 1}
+	reg, st := reopen(t, dir, opts)
+	const records = 300
+	for i := 0; i < records; i++ {
+		spec := specs[i%len(specs)]
+		if err := reg.Put(spec.name, randomSummary(rng, spec)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	st.Close()
+	segs, _, err := scanSegments(dir)
+	if err != nil || len(segs) != records {
+		t.Fatalf("%d segment files (err=%v), want one per record (%d)", len(segs), err, records)
+	}
+
+	tr := trace.New(1)
+	opts.Tracer = tr
+	_, st2 := reopen(t, dir, opts)
+	defer st2.Close()
+	recs := tr.Traces()
+	if len(recs) != 1 || recs[0].Spans[0].Name != "store.recover" {
+		t.Fatalf("want one store.recover trace, got %d records", len(recs))
+	}
+	rec := recs[0]
+	// The root, one store.verify per segment and one store.apply.
+	opened := 1 + len(segs) + 1
+	if rec.DroppedSpans == 0 || len(rec.Spans) >= len(segs) {
+		t.Fatalf("kept %d spans for %d segments, dropped %d: the record is not bounded", len(rec.Spans), len(segs), rec.DroppedSpans)
+	}
+	if got := len(rec.Spans) + rec.DroppedSpans; got != opened {
+		t.Fatalf("kept %d + dropped %d = %d spans, want every span opened (%d)", len(rec.Spans), rec.DroppedSpans, got, opened)
+	}
+}

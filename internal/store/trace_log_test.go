@@ -147,3 +147,36 @@ func TestSnapshotFailureLogCorrelates(t *testing.T) {
 		t.Errorf("snapshot_error %q does not name the sequence the log used", got)
 	}
 }
+
+// TestAppendSpanTree: a traced registration hangs one store.append span
+// under the caller's span, with the segment it landed in and, as its own
+// children, the rotation the full segment needed and the fsync. A nil
+// span, the untraced path, appends the same.
+func TestAppendSpanTree(t *testing.T) {
+	rng := rand.New(rand.NewSource(24))
+	_, st := reopen(t, t.TempDir(), Options{SnapshotEvery: -1, SegmentRecords: 1, Fsync: true})
+	defer st.Close()
+	if _, err := st.AppendTraced(nil, specs[0].name, randomSummary(rng, specs[0])); err != nil {
+		t.Fatal(err)
+	}
+	tr := trace.New(1)
+	req := tr.StartSpan("request", trace.SpanContext{})
+	if _, err := st.AppendTraced(req, specs[0].name, randomSummary(rng, specs[0])); err != nil {
+		t.Fatal(err)
+	}
+	req.Finish()
+	recs := tr.Traces()
+	if len(recs) != 1 {
+		t.Fatalf("%d traces, want the request's only", len(recs))
+	}
+	spans := recs[0].Spans
+	if len(spans) != 4 || spans[1].Name != "store.append" || spans[2].Name != "store.rotate" || spans[3].Name != "store.fsync" {
+		t.Fatalf("spans %+v, want request, store.append, store.rotate, store.fsync", spans)
+	}
+	if spans[1].ParentID != spans[0].SpanID || spans[2].ParentID != spans[1].SpanID || spans[3].ParentID != spans[1].SpanID {
+		t.Fatalf("want store.append under the request and rotate and fsync under store.append: %+v", spans)
+	}
+	if a := spans[1].Attrs; len(a) == 0 || a[0].Key != "segment" || a[0].Value != "2" {
+		t.Fatalf("store.append attrs %+v, want segment=2 (the first append filled segment 1)", a)
+	}
+}
