@@ -21,10 +21,10 @@
 // ingest result is appended to a write-ahead log in that directory
 // before the request is acknowledged. The log rotates into bounded
 // segment files (-wal-segment-bytes caps each one), and every
-// -snapshot-every records an incremental snapshot — only the datasets
-// dirty since the previous one — is written by a background worker while
-// requests keep flowing; the covered segments are then deleted. A
-// restart replays snapshot chain + live segments so stored summaries
+// -snapshot-every records a snapshot of the whole registry is written by
+// a background worker while requests keep flowing; the older snapshot and
+// the covered segments are then deleted. A restart replays snapshot +
+// live segments so stored summaries
 // survive crashes — /healthz then reports the store's state under
 // "store". -fsync additionally syncs the WAL on every append (durable
 // against power loss, at a per-request fsync cost; without it a kill
@@ -130,7 +130,7 @@ func newHTTPServer(addr string, h http.Handler) *http.Server {
 func main() {
 	addr := flag.String("addr", ":8080", "listen address")
 	dataDir := flag.String("data-dir", "", "durability directory (WAL + snapshots); empty keeps the registry in-memory")
-	snapshotEvery := flag.Int64("snapshot-every", store.DefaultSnapshotEvery, "WAL records between automatic snapshots (negative disables automatic snapshots; a final one is still taken at shutdown); snapshots are incremental and written in the background, so posts and queries keep flowing while one runs")
+	snapshotEvery := flag.Int64("snapshot-every", store.DefaultSnapshotEvery, "WAL records between automatic snapshots (negative disables automatic snapshots; a final one is still taken at shutdown); each snapshot holds the whole registry and is written in the background, so posts and queries keep flowing while one runs")
 	segmentBytes := flag.Int64("wal-segment-bytes", store.DefaultSegmentBytes, "size cap of one WAL segment file; the log rotates into a fresh segment past it")
 	fsync := flag.Bool("fsync", false, "fsync the WAL after every accepted summary (durable against power loss)")
 	pprofAddr := flag.String("pprof-addr", "", "listen address for net/http/pprof (e.g. 127.0.0.1:6060); empty disables profiling")
@@ -181,11 +181,8 @@ func main() {
 			os.Exit(1)
 		}
 		// Attach only after Open has replayed: replay goes through reg.Put
-		// too, and must not re-append what the log already holds. Replay
-		// also marked every recovered dataset dirty; only the ones with
-		// live WAL records actually need the next incremental snapshot.
+		// too, and must not re-append what the log already holds.
 		reg.SetPersister(st)
-		reg.MarkClean(st.WALDatasets())
 		opts = append(opts, server.WithStoreStatus(st.Status))
 		status, recovery := st.Status(), st.Recovery()
 		logger.Info("store recovered",

@@ -6,6 +6,7 @@ import (
 	"io"
 	"net"
 	"net/http"
+	"path/filepath"
 	"testing"
 	"time"
 
@@ -34,7 +35,6 @@ func TestGracefulShutdownSequence(t *testing.T) {
 		t.Fatalf("open store: %v", err)
 	}
 	reg.SetPersister(st)
-	reg.MarkClean(st.WALDatasets())
 
 	srv := &http.Server{Handler: server.New(reg, engine.Config{},
 		server.WithObserver(server.NewObserver(metricsReg)),
@@ -88,8 +88,11 @@ func TestGracefulShutdownSequence(t *testing.T) {
 		t.Fatalf("Serve returned %v, want http.ErrServerClosed", err)
 	}
 
-	// The final snapshot superseded the WAL; a reopen must recover
-	// everything from the snapshot alone.
+	// The final snapshot superseded the WAL and every earlier snapshot; a
+	// reopen must recover everything from it alone.
+	if snaps, err := filepath.Glob(filepath.Join(dir, "snap-*.snap")); err != nil || len(snaps) != 1 {
+		t.Fatalf("snapshot files after shutdown: %v (err=%v), want exactly one", snaps, err)
+	}
 	reg2 := server.NewRegistry()
 	st2, err := store.Open(dir, store.Options{}, reg2.Put)
 	if err != nil {

@@ -29,9 +29,9 @@ type lockClass struct {
 // releases its own lock before returning, so overlap never exists — the
 // invariant is about the sequence of first acquisitions on a path.
 // Releases are therefore not modeled; a function that acquires the store
-// lock, releases it, and then takes the registry lock is still flagged,
-// which is exactly the rule the store's commit callback comment states
-// ("commit re-enters the registry, whose lock ranks above the store's").
+// lock, releases it, and then takes the registry lock is still flagged:
+// the registry lock ranks above the store's on every path, whether or not
+// the two are ever held together.
 // Function literals are analyzed as independent anonymous functions
 // (goroutine bodies and callbacks run on their own stacks); calls
 // through plain func values are not resolved.
@@ -50,7 +50,7 @@ type lockOrder struct {
 }
 
 // defaultLockOrder is the repo's hierarchy: the registry lock outranks
-// the store lock (see Registry.Snapshot and Store.worker).
+// the store lock (see Registry.Snapshot and the Persister interface).
 func defaultLockOrder() lockOrder {
 	return lockOrder{
 		Classes: []lockClass{

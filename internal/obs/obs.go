@@ -132,7 +132,7 @@ func (r *Registry) Gauge(name, help string, labels Labels) *Gauge {
 
 // GaugeFunc registers a gauge series read from fn at exposition time —
 // for values another subsystem already tracks under its own lock (sealed
-// segment counts, snapshot chain length). fn must be safe to call from
+// segment counts, snapshot entries). fn must be safe to call from
 // the exposition goroutine. No-op on a nil registry.
 func (r *Registry) GaugeFunc(name, help string, labels Labels, fn func() float64) {
 	if r == nil {

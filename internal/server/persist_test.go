@@ -17,14 +17,12 @@ import (
 
 // fakePersister records appends and can be told to fail, to test the
 // registry's persistence contract without disk. Its SnapshotTraced runs the
-// dump and commit synchronously, inline under the registry lock — the
-// most hostile legal schedule for the commit callback, which the
-// Persister contract requires to be safe anywhere.
+// dump synchronously, inline under the registry lock.
 type fakePersister struct {
 	appended  []string // "dataset/instance" in append order
 	failNext  error
 	due       bool
-	snapErr   error      // next SnapshotTraced fails (commit(false)) with this
+	snapErr   error      // next SnapshotTraced fails with this
 	snapshots [][]string // dump contents per snapshot call
 	// The span each AppendTraced and SnapshotTraced call received.
 	appendSpans, snapSpans []*trace.Span
@@ -43,12 +41,11 @@ func (p *fakePersister) AppendTraced(sp *trace.Span, ds string, s core.Summary) 
 	return due, nil
 }
 
-func (p *fakePersister) SnapshotTraced(sp *trace.Span, dump func(emit func(string, core.Summary) error) error, commit func(ok bool), syncWait bool) (func() error, error) {
+func (p *fakePersister) SnapshotTraced(sp *trace.Span, dump func(emit func(string, core.Summary) error) error, syncWait bool) (func() error, error) {
 	p.snapSpans = append(p.snapSpans, sp)
 	if p.snapErr != nil {
 		err := p.snapErr
 		p.snapErr = nil
-		commit(false)
 		return nil, err
 	}
 	var image []string
@@ -56,11 +53,9 @@ func (p *fakePersister) SnapshotTraced(sp *trace.Span, dump func(emit func(strin
 		image = append(image, fmt.Sprintf("%s/%d", ds, s.InstanceID()))
 		return nil
 	}); err != nil {
-		commit(false)
 		return nil, err
 	}
 	p.snapshots = append(p.snapshots, image)
-	commit(true)
 	return func() error { return nil }, nil
 }
 
@@ -239,12 +234,9 @@ func TestRegistrySnapshotEntryPoint(t *testing.T) {
 	}
 }
 
-func snapshotImages(t *testing.T, p *fakePersister) [][]string {
-	t.Helper()
-	return p.snapshots
-}
-
-func TestSnapshotCutsAreIncremental(t *testing.T) {
+// TestEveryCutHoldsTheWholeRegistry: a cut is the registry's whole state,
+// whether or not a dataset changed since the previous one.
+func TestEveryCutHoldsTheWholeRegistry(t *testing.T) {
 	reg := NewRegistry()
 	p := &fakePersister{}
 	reg.SetPersister(p)
@@ -253,36 +245,27 @@ func TestSnapshotCutsAreIncremental(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// First snapshot covers everything.
 	if err := reg.Snapshot(); err != nil {
 		t.Fatal(err)
 	}
-	// Only b mutates; the next cut must contain b alone — and it must
-	// contain ALL of b's summaries, not just the new instance, because
-	// chain files supersede by (dataset, instance) entry.
 	if err := reg.Put("b", persistSummary(1)); err != nil {
 		t.Fatal(err)
 	}
-	if err := reg.Snapshot(); err != nil {
-		t.Fatal(err)
-	}
-	// Nothing dirty: the cut is empty.
-	if err := reg.Snapshot(); err != nil {
-		t.Fatal(err)
-	}
-	got := snapshotImages(t, p)
-	want := [][]string{{"a/0", "b/0"}, {"b/0", "b/1"}, nil}
-	if len(got) != len(want) {
-		t.Fatalf("snapshots %v, want %v", got, want)
-	}
-	for i := range want {
-		if fmt.Sprint(got[i]) != fmt.Sprint(want[i]) {
-			t.Fatalf("snapshot %d = %v, want %v", i, got[i], want[i])
+	for i := 0; i < 2; i++ {
+		if err := reg.Snapshot(); err != nil {
+			t.Fatal(err)
 		}
+	}
+	want := [][]string{{"a/0", "b/0"}, {"a/0", "b/0", "b/1"}, {"a/0", "b/0", "b/1"}}
+	if fmt.Sprint(p.snapshots) != fmt.Sprint(want) {
+		t.Fatalf("snapshots %v, want %v", p.snapshots, want)
 	}
 }
 
-func TestFailedSnapshotKeepsDatasetsDirty(t *testing.T) {
+// TestSnapshotAfterFailureHoldsEveryDataset: after a failed snapshot, the
+// next one holds every dataset — the one registered before the failure
+// and the one registered after it.
+func TestSnapshotAfterFailureHoldsEveryDataset(t *testing.T) {
 	reg := NewRegistry()
 	p := &fakePersister{}
 	reg.SetPersister(p)
@@ -293,45 +276,14 @@ func TestFailedSnapshotKeepsDatasetsDirty(t *testing.T) {
 	if err := reg.Snapshot(); err == nil {
 		t.Fatal("snapshot succeeded though the persister failed")
 	}
-	// commit(false) must have left d dirty: the next cut re-covers it.
-	if err := reg.Snapshot(); err != nil {
-		t.Fatal(err)
-	}
-	got := snapshotImages(t, p)
-	if len(got) != 1 || fmt.Sprint(got[0]) != fmt.Sprint([]string{"d/0"}) {
-		t.Fatalf("snapshots after failed attempt = %v, want [[d/0]]", got)
-	}
-}
-
-func TestMarkCleanScopesFirstIncrementalCut(t *testing.T) {
-	// Recovery replays through Put, marking everything dirty; MarkClean
-	// narrows that to the datasets whose records the WAL still holds.
-	reg := NewRegistry()
-	for _, ds := range []string{"snapped", "walled"} {
-		if err := reg.Put(ds, persistSummary(0)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	p := &fakePersister{}
-	reg.SetPersister(p)
-	reg.MarkClean([]string{"walled"})
-	if err := reg.Snapshot(); err != nil {
-		t.Fatal(err)
-	}
-	got := snapshotImages(t, p)
-	if len(got) != 1 || fmt.Sprint(got[0]) != fmt.Sprint([]string{"walled/0"}) {
-		t.Fatalf("first cut after MarkClean = %v, want [[walled/0]]", got)
-	}
-	// A dataset that mutates after MarkClean is dirty regardless.
-	if err := reg.Put("snapped", persistSummary(1)); err != nil {
+	if err := reg.Put("e", persistSummary(0)); err != nil {
 		t.Fatal(err)
 	}
 	if err := reg.Snapshot(); err != nil {
 		t.Fatal(err)
 	}
-	got = snapshotImages(t, p)
-	if len(got) != 2 || fmt.Sprint(got[1]) != fmt.Sprint([]string{"snapped/0", "snapped/1"}) {
-		t.Fatalf("second cut = %v, want [snapped/0 snapped/1]", got)
+	if len(p.snapshots) != 1 || fmt.Sprint(p.snapshots[0]) != fmt.Sprint([]string{"d/0", "e/0"}) {
+		t.Fatalf("snapshots after failed attempt = %v, want [[d/0 e/0]]", p.snapshots)
 	}
 }
 

@@ -18,7 +18,6 @@ import (
 	"fmt"
 	"sort"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/core"
 	"repro/internal/obs/trace"
@@ -49,19 +48,6 @@ type Registry struct {
 	mu        sync.RWMutex
 	datasets  map[string]*datasetEntry
 	persister Persister
-
-	// Dirty tracking for incremental snapshots. epoch numbers snapshot
-	// cuts: each DumpCut takes the current epoch and increments it, and a
-	// successful Put stamps its dataset with the current epoch. A dataset
-	// is dirty — must appear in the next cut — iff its stamp is at or
-	// above cleanEpoch, which advances to cut+1 only when the snapshot of
-	// cut commits successfully: a failed snapshot leaves every stamp
-	// dirty, so the next cut re-covers it. cleanEpoch is atomic (not under
-	// mu) so a snapshot's commit callback can run anywhere: inline under
-	// the registry lock (a synchronous persister) or on a background
-	// worker (internal/store), without deadlock either way.
-	epoch      int64
-	cleanEpoch atomic.Int64
 }
 
 // Persister hooks registry mutations to durable storage (internal/store
@@ -79,31 +65,25 @@ type Persister interface {
 	// fails (and rolls back) the registration: the registry never
 	// acknowledges state the log did not accept.
 	AppendTraced(parent *trace.Span, dataset string, s core.Summary) (snapshotDue bool, err error)
-	// SnapshotTraced accepts a consistent cut for durable persistence.
-	// dump iterates state captured at the cut and stays valid after the
+	// SnapshotTraced accepts a consistent cut for durable persistence:
+	// dump iterates the registry's whole state at the cut, so a persisted
+	// snapshot supersedes every earlier one. dump stays valid after the
 	// registry lock is released; the persister may run it later, on
-	// another goroutine. commit(ok) must be called exactly once, when the
-	// snapshot durably completes (ok) or is abandoned (!ok) — it is safe
-	// to call from anywhere, including synchronously from inside
-	// SnapshotTraced (the registry's commit uses only atomics). With
-	// syncWait, the returned wait blocks until the job finishes; the
-	// caller must invoke it AFTER releasing the registry lock
-	// (Registry.Snapshot does), or a background commit could never
-	// complete. Callers other than the registry must route through
-	// Registry.Snapshot: it establishes the one legal lock order
+	// another goroutine. With syncWait, the returned wait blocks until the
+	// job finishes; the caller invokes it AFTER releasing the registry lock
+	// (Registry.Snapshot does), so registrations keep flowing while the
+	// snapshot is written. Callers other than the registry must route
+	// through Registry.Snapshot: it establishes the one legal lock order
 	// (registry lock, then the persister's own). The snapshot outlives the
 	// request, so trigger is recorded as the trace that cut it rather than
 	// as a parent span.
-	SnapshotTraced(trigger *trace.Span, dump func(emit func(dataset string, s core.Summary) error) error, commit func(ok bool), syncWait bool) (wait func() error, err error)
+	SnapshotTraced(trigger *trace.Span, dump func(emit func(dataset string, s core.Summary) error) error, syncWait bool) (wait func() error, err error)
 }
 
 type datasetEntry struct {
 	kind       string
 	salt       uint64
 	byInstance map[int]core.Summary
-	// dirtyEpoch is the registry epoch of the last accepted registration;
-	// the dataset is dirty iff dirtyEpoch >= Registry.cleanEpoch.
-	dirtyEpoch int64
 }
 
 // NewRegistry returns an empty registry.
@@ -184,7 +164,6 @@ func (r *Registry) PutCtx(ctx context.Context, dataset string, s core.Summary) e
 			}
 			return fmt.Errorf("server: persisting summary for dataset %q: %w", dataset, err)
 		}
-		e.dirtyEpoch = r.epoch
 		if due {
 			// Cut under the lock already held: the cut is consistent with
 			// the WAL position exactly, and because every cut is enqueued
@@ -194,30 +173,26 @@ func (r *Registry) PutCtx(ctx context.Context, dataset string, s core.Summary) e
 			// failure: the record above IS durable in the WAL; the store
 			// surfaces the error in its status and backs off a full
 			// interval before the next automatic attempt.
-			dump, commit := r.dumpCutLocked()
-			_, _ = r.persister.SnapshotTraced(sp, dump, commit, false)
+			_, _ = r.persister.SnapshotTraced(sp, r.dumpCutLocked(), false)
 		}
-	} else {
-		e.dirtyEpoch = r.epoch
 	}
 	return nil
 }
 
-// Snapshot takes an incremental cut of the registry and writes it
-// through the attached persister (a no-op without one), waiting for the
-// write to complete. It is the one safe entry point for explicit
-// snapshots — summaryd's shutdown path, a future admin trigger — because
-// it takes the registry lock BEFORE the persister's, the same order Put
-// establishes, and releases it before waiting, so the persister's
-// background commit can re-enter the registry.
+// Snapshot cuts the whole registry and writes it through the attached
+// persister (a no-op without one), waiting for the write to complete. It
+// is the one safe entry point for explicit snapshots — summaryd's
+// shutdown path, a future admin trigger — because it takes the registry
+// lock BEFORE the persister's, the same order Put establishes, and
+// releases it before waiting, so registrations keep flowing while the
+// snapshot is written.
 func (r *Registry) Snapshot() error {
 	r.mu.Lock()
 	if r.persister == nil {
 		r.mu.Unlock()
 		return nil
 	}
-	dump, commit := r.dumpCutLocked()
-	wait, err := r.persister.SnapshotTraced(nil, dump, commit, true)
+	wait, err := r.persister.SnapshotTraced(nil, r.dumpCutLocked(), true)
 	r.mu.Unlock()
 	if err != nil {
 		return err
@@ -228,82 +203,29 @@ func (r *Registry) Snapshot() error {
 	return nil
 }
 
-// dumpCutLocked is DumpCut for callers already holding the write lock.
-func (r *Registry) dumpCutLocked() (dump func(emit func(dataset string, s core.Summary) error) error, commit func(ok bool)) {
-	cutEpoch := r.epoch
-	r.epoch++
-	clean := r.cleanEpoch.Load()
+// dumpCutLocked captures every registered (dataset, summary), in Dump's
+// order, for a caller holding the write lock, and returns a dump over that
+// cut. Registered summaries are immutable, so capturing references is
+// enough: the dump runs lock-free, which is what lets a persister write
+// it in the background while registrations continue.
+func (r *Registry) dumpCutLocked() func(emit func(dataset string, s core.Summary) error) error {
 	type cutEntry struct {
 		dataset string
 		s       core.Summary
 	}
 	var cut []cutEntry
-	names := make([]string, 0, len(r.datasets))
-	for name, e := range r.datasets {
-		if e.dirtyEpoch >= clean {
-			names = append(names, name)
-		}
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		e := r.datasets[name]
-		ids := make([]int, 0, len(e.byInstance))
-		for id := range e.byInstance {
-			ids = append(ids, id)
-		}
-		sort.Ints(ids)
-		for _, id := range ids {
-			cut = append(cut, cutEntry{dataset: name, s: e.byInstance[id]})
-		}
-	}
-	dump = func(emit func(dataset string, s core.Summary) error) error {
+	// dumpLocked fails only when emit does, and this one never does.
+	_ = r.dumpLocked(func(dataset string, s core.Summary) error {
+		cut = append(cut, cutEntry{dataset, s})
+		return nil
+	})
+	return func(emit func(dataset string, s core.Summary) error) error {
 		for _, en := range cut {
 			if err := emit(en.dataset, en.s); err != nil {
 				return err
 			}
 		}
 		return nil
-	}
-	var once sync.Once
-	commit = func(ok bool) {
-		once.Do(func() {
-			if !ok {
-				// Leave every stamp dirty: the next cut re-covers this one.
-				return
-			}
-			// Registrations accepted since the cut carry epoch >= cutEpoch+1,
-			// so they stay dirty; everything the cut captured becomes clean.
-			// Monotone max — a late-arriving older commit never regresses a
-			// newer one (the store's FIFO worker already guarantees order;
-			// this keeps the registry safe against any persister).
-			for {
-				cur := r.cleanEpoch.Load()
-				if cur >= cutEpoch+1 || r.cleanEpoch.CompareAndSwap(cur, cutEpoch+1) {
-					return
-				}
-			}
-		})
-	}
-	return dump, commit
-}
-
-// MarkClean resets dirty tracking after recovery: every dataset becomes
-// clean except those named — for a store-backed registry, the datasets
-// with records still in the WAL (store.WALDatasets), which the snapshot
-// chain does not fully cover. Without this, the first incremental
-// snapshot after a restart would be a full one: recovery replays through
-// Put, which marks everything dirty.
-func (r *Registry) MarkClean(stillDirty []string) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	clean := r.cleanEpoch.Load()
-	for _, e := range r.datasets {
-		e.dirtyEpoch = clean - 1
-	}
-	for _, name := range stillDirty {
-		if e, ok := r.datasets[name]; ok {
-			e.dirtyEpoch = clean
-		}
 	}
 }
 

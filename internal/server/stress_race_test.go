@@ -2,8 +2,8 @@
 
 // Race-detector stress test for the registry's concurrent surface:
 // writers (Put on several datasets), the persistence cut path
-// (DumpCut's dump/commit closures, which read registry state after the
-// lock is released), and lock-free readers (healthz, List, Get) all at
+// (DumpCut's dump closure, which reads registry state after the lock is
+// released), and lock-free readers (healthz, List, Get) all at
 // once. Gated on the race build: the assertions are weak on purpose —
 // the -race instrumentation is the test.
 package server
@@ -50,19 +50,15 @@ func TestStressRegistryPutDumpCutHealthz(t *testing.T) {
 	go func() {
 		defer aux.Done()
 		<-start
-		ok := false
 		for {
 			select {
 			case <-done:
 				return
 			default:
 			}
-			dump, commit := reg.DumpCut()
-			if err := dump(func(string, core.Summary) error { return nil }); err != nil {
+			if err := reg.DumpCut()(func(string, core.Summary) error { return nil }); err != nil {
 				t.Errorf("dump: %v", err)
 			}
-			ok = !ok
-			commit(ok)
 		}
 	}()
 
@@ -100,14 +96,9 @@ func TestStressRegistryPutDumpCutHealthz(t *testing.T) {
 	}
 }
 
-// DumpCut takes a consistent incremental cut: a dump over exactly the
-// datasets dirty since the last committed snapshot, plus the commit
-// callback that marks them clean. The cut is captured under a brief
-// write lock — registered summaries are immutable, so capturing
-// references is enough — and the returned dump runs lock-free, which is
-// what lets a persister write it in the background while registrations
-// continue.
-func (r *Registry) DumpCut() (dump func(emit func(dataset string, s core.Summary) error) error, commit func(ok bool)) {
+// DumpCut takes a consistent cut of the whole registry under a brief
+// write lock; the returned dump runs lock-free.
+func (r *Registry) DumpCut() func(emit func(dataset string, s core.Summary) error) error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return r.dumpCutLocked()

@@ -1,11 +1,13 @@
 package store
 
 import (
+	"fmt"
 	"math/rand"
 	"net/http/httptest"
 	"strings"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/obs"
 	"repro/internal/server"
 )
@@ -58,6 +60,11 @@ func TestStoreMetrics(t *testing.T) {
 		t.Errorf("snapshot duration histogram count = %d, want 1", got)
 	}
 
+	var slots int
+	if err := reg.Dump(func(string, core.Summary) error { slots++; return nil }); err != nil {
+		t.Fatal(err)
+	}
+
 	rec := httptest.NewRecorder()
 	mreg.Handler().ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
 	text := rec.Body.String()
@@ -72,13 +79,19 @@ func TestStoreMetrics(t *testing.T) {
 		"summaryd_store_snapshots_total 1",
 		"# TYPE summaryd_store_snapshot_seconds histogram",
 		"# TYPE summaryd_store_sealed_segments gauge",
-		"# TYPE summaryd_store_snapshot_chain_files gauge",
-		"summaryd_store_snapshot_chain_files 1",
 		"# TYPE summaryd_store_snapshot_entries gauge",
+		fmt.Sprintf("summaryd_store_snapshot_entries %d\n", slots),
 		"# TYPE summaryd_store_quarantined_files gauge",
 	} {
 		if !strings.Contains(text, want) {
 			t.Errorf("exposition missing %q", want)
+		}
+	}
+	// A snapshot is the whole registry: there is no chain to count and
+	// nothing to compact.
+	for _, gone := range []string{"summaryd_store_snapshot_chain_files", "summaryd_store_compactions_total"} {
+		if strings.Contains(text, gone) {
+			t.Errorf("exposition still has %s", gone)
 		}
 	}
 	// The snapshot superseded every sealed segment.

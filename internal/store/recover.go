@@ -17,7 +17,7 @@ import (
 )
 
 // Recovery is two phases. Phase 1 (verifyDir) reads every byte of every
-// chain file and WAL segment once, checks every frame and decodes every
+// snapshot file and WAL segment once, checks every frame and decodes every
 // payload, and keeps only where the last record of each (dataset,
 // instance) sits. Phase 2 (materialise) reads those records back and
 // applies them. A record a later one supersedes costs a read, a CRC and a
@@ -92,6 +92,12 @@ type frame struct {
 	ref     frameRef
 }
 
+// instanceKey identifies one summary slot.
+type instanceKey struct {
+	dataset  string
+	instance int
+}
+
 // frameRef locates a verified record: which file of the recovery it is in,
 // its 1-based position among that file's records, and its payload's
 // offset, length and checksum.
@@ -115,10 +121,10 @@ func splitPayload(payload []byte) (dataset, summary []byte, ok bool) {
 
 // scanFrames walks the framed records win is positioned at — just past a
 // file's header, up to the file's end — in place, and calls visit for each
-// valid one. It is the only reader of the record framing: recovery, the
-// runtime chain compactor and the tests all see a file through it.
+// valid one. It is the only reader of the record framing: recovery and
+// the tests see a file through it.
 //
-// In strict mode (snapshot chain files, written atomically, and sealed
+// In strict mode (snapshot files, written atomically, and sealed
 // segments, fsynced before the manifest demoted them) any invalid record
 // is an error. In lax mode (the FINAL segment, whose tail a crash may
 // tear) scanning stops at the first STRUCTURALLY invalid record — short
@@ -193,14 +199,14 @@ func scanFrames(win *window, strict bool, visit func(fr frame)) (records, validB
 type fileKind int
 
 const (
-	chainFile     fileKind = iota // snapshot chain file: strict
+	snapFile      fileKind = iota // snapshot file: strict
 	sealedSegment                 // WAL segment behind the live one: strict
 	liveSegment                   // the manifest's last segment: lax
 )
 
 func (k fileKind) String() string {
 	switch k {
-	case chainFile:
+	case snapFile:
 		return "snapshot"
 	case sealedSegment:
 		return "sealed WAL segment"
@@ -216,19 +222,10 @@ type fileSpec struct {
 }
 
 func (sp fileSpec) name() string {
-	if sp.kind == chainFile {
+	if sp.kind == snapFile {
 		return snapName(sp.seq)
 	}
 	return segmentName(sp.seq)
-}
-
-// chainSpecs names the chain files seqs.
-func chainSpecs(seqs []int64) []fileSpec {
-	specs := make([]fileSpec, len(seqs))
-	for i, seq := range seqs {
-		specs[i] = fileSpec{chainFile, seq}
-	}
-	return specs
 }
 
 // fileScan is what verifying one file found.
@@ -270,8 +267,8 @@ func verifyFile(dir string, spec fileSpec, file int, win *window) (*fileScan, er
 	scan.size, scan.modTime = info.Size(), info.ModTime()
 	magic, what := segMagic, fmt.Sprintf("%s %d", liveSegment, spec.seq)
 	switch spec.kind {
-	case chainFile:
-		magic, what = snapMagic, fmt.Sprintf("%s %d", chainFile, spec.seq)
+	case snapFile:
+		magic, what = snapMagic, fmt.Sprintf("%s %d", snapFile, spec.seq)
 	case sealedSegment:
 		if scan.size < magicLen {
 			return nil, fmt.Errorf("store: sealed WAL segment %d is torn at %d bytes (acknowledged data lost; refusing to recover silently)", spec.seq, scan.size)
@@ -282,7 +279,7 @@ func verifyFile(dir string, spec fileSpec, file int, win *window) (*fileScan, er
 		}
 	}
 	if err := checkMagic(f, magic, what); err != nil {
-		if spec.kind == chainFile && scan.size == 0 {
+		if spec.kind == snapFile && scan.size == 0 {
 			return nil, fmt.Errorf("store: snapshot %d is empty (was it created by hand?): %w", spec.seq, err)
 		}
 		return nil, err
@@ -464,11 +461,11 @@ func materialise(files []*fileScan, index map[instanceKey]frameRef, workers int,
 // every (dataset, instance) sits in them, and what its caller has to tidy
 // before appends resume.
 type recovered struct {
-	// files are the verified files in log order: the snapshot chain, the
+	// files are the verified files in log order: the snapshot files, the
 	// sealed segments, the live segment. first and last are the manifest's
 	// segment range; last is 0 in a directory with no segment yet.
 	files       []*fileScan
-	chain       []int64
+	snaps       []int64
 	first, last int64
 	// manifest is false when the range was inferred: a lone segment 1, the
 	// residue of a first start that crashed before writing the manifest.
@@ -479,8 +476,7 @@ type recovered struct {
 	stray, stale []string
 
 	index       map[instanceKey]frameRef
-	snapEntries int64 // distinct (dataset, instance) slots in the chain
-	walDatasets []string
+	snapEntries int64 // distinct (dataset, instance) slots in the snapshot files
 	records     int64 // valid records verified, superseded ones included
 	bytes       int64 // file bytes they and the file headers span
 }
@@ -499,7 +495,7 @@ type recovered struct {
 func verifyDir(dir string, workers int, parent *trace.Span) (*recovered, error) {
 	rec := &recovered{index: make(map[instanceKey]frameRef)}
 	var err error
-	if rec.chain, rec.stray, err = scanSnapshots(dir); err != nil {
+	if rec.snaps, rec.stray, err = scanSnapshots(dir); err != nil {
 		return nil, err
 	}
 	first, last, ok, err := readManifest(dir)
@@ -528,7 +524,10 @@ func verifyDir(dir string, workers int, parent *trace.Span) (*recovered, error) 
 			rec.stray = append(rec.stray, segmentName(seq))
 		}
 	}
-	specs := chainSpecs(rec.chain)
+	var specs []fileSpec
+	for _, seq := range rec.snaps {
+		specs = append(specs, fileSpec{snapFile, seq})
+	}
 	if last > 0 {
 		for seq := first; seq <= last; seq++ {
 			if !present[seq] {
@@ -544,20 +543,9 @@ func verifyDir(dir string, workers int, parent *trace.Span) (*recovered, error) 
 	if rec.files, err = verifyFiles(dir, specs, workers, parent); err != nil {
 		return nil, err
 	}
-	chain, wal := rec.files[:len(rec.chain)], rec.files[len(rec.chain):]
-	lastWins(rec.index, chain)
+	lastWins(rec.index, rec.files[:len(rec.snaps)])
 	rec.snapEntries = int64(len(rec.index))
-	lastWins(rec.index, wal)
-	walDirty := make(map[string]bool)
-	for _, scan := range wal {
-		for name := range scan.datasets {
-			walDirty[name] = true
-		}
-	}
-	for name := range walDirty {
-		rec.walDatasets = append(rec.walDatasets, name)
-	}
-	sort.Strings(rec.walDatasets)
+	lastWins(rec.index, rec.files[len(rec.snaps):])
 	for _, scan := range rec.files {
 		rec.records += scan.records
 		if scan.size >= magicLen {

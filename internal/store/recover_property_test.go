@@ -6,8 +6,6 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
-	"reflect"
-	"sort"
 	"testing"
 
 	"repro/internal/core"
@@ -49,8 +47,8 @@ func (sh shadow) slots() int64 {
 // mustRecoverTo asserts that a recovered registry and its store describe
 // exactly the model's state: the registry dumps, byte for byte and in
 // order, as one filled from the shadow does, and every Status field a
-// recovery sets — and WALDatasets — has the model's value.
-func mustRecoverTo(t *testing.T, what string, reg *server.Registry, st *Store, state shadow, want api.StoreStatus, walDatasets []string) {
+// recovery sets has the model's value.
+func mustRecoverTo(t *testing.T, what string, reg *server.Registry, st *Store, state shadow, want api.StoreStatus) {
 	t.Helper()
 	model := server.NewRegistry()
 	if err := state.dump(model.Put); err != nil {
@@ -64,19 +62,15 @@ func mustRecoverTo(t *testing.T, what string, reg *server.Registry, st *Store, s
 	if got != want {
 		t.Fatalf("%s: status\n got %+v\nwant %+v", what, got, want)
 	}
-	if (want.SnapshotChain > 0) != (got.LastSnapshot != "") {
-		t.Fatalf("%s: last_snapshot %q with a chain of %d", what, got.LastSnapshot, want.SnapshotChain)
-	}
-	if gotWAL := st.WALDatasets(); !reflect.DeepEqual(gotWAL, walDatasets) && len(gotWAL)+len(walDatasets) > 0 {
-		t.Fatalf("%s: WALDatasets %v, want %v", what, gotWAL, walDatasets)
+	if got.LastSnapshot == "" {
+		t.Fatalf("%s: no last_snapshot though the directory holds a snapshot", what)
 	}
 }
 
 // TestCrashRecoveryProperty is the subsystem's central contract: for
 // random interleavings of posts and ingest results (modeled as registry
-// Puts — both HTTP paths reduce to Put) with mid-run incremental
-// snapshots and segment rotations, recovery from (snapshot chain +
-// segments) is bit-for-bit the in-memory registry, and recovery after
+// Puts — both HTTP paths reduce to Put) with mid-run snapshots and
+// segment rotations, recovery from (snapshot + segments) is bit-for-bit the in-memory registry, and recovery after
 // truncating the FINAL segment at an ARBITRARY byte offset is
 // bit-for-bit the registry built from the longest valid record prefix.
 // Truncation anywhere in a SEALED segment, by contrast, must hard-error:
@@ -86,7 +80,7 @@ func mustRecoverTo(t *testing.T, what string, reg *server.Registry, st *Store, s
 // Every third write goes to one hot slot, so the same (dataset, instance)
 // is rewritten before the first snapshot cut, between the cuts, after the
 // second and across every rotation: recovery has to pick its last record
-// out of two chain files, the sealed segments and the live one.
+// out of the snapshot, the sealed segments and the live one.
 //
 // The expected state is computed from a test-side shadow model — never
 // from the store's own reader — so the check cannot be circular. Every
@@ -94,9 +88,9 @@ func mustRecoverTo(t *testing.T, what string, reg *server.Registry, st *Store, s
 // clone after the append}. Because snapshots cut at rotation points and
 // segments replay in order, the state recovered after truncating the
 // final segment (seq L) at offset X is the shadow of the LAST mark with
-// seq < L, or seq == L and end <= X — no matter how many chain files and
-// sealed segments sit underneath. The same marks give every number the
-// store reports about a recovery: the snapshot chain holds the slots that
+// seq < L, or seq == L and end <= X — no matter how many sealed segments
+// sit underneath. The same marks give every number the store reports
+// about a recovery: the snapshot holds the slots that
 // existed at the last cut, the WAL the records appended since.
 func TestCrashRecoveryProperty(t *testing.T) {
 	for trial := 0; trial < 6; trial++ {
@@ -107,19 +101,18 @@ func TestCrashRecoveryProperty(t *testing.T) {
 		reg, st := reopen(t, dir, Options{SnapshotEvery: -1, SegmentRecords: 3})
 
 		type mark struct {
-			seq     int64 // segment holding the record
-			end     int64 // offset in that segment where the record ends
-			size    int64 // bytes the record's frame takes
-			dataset string
-			state   shadow
+			seq   int64 // segment holding the record
+			end   int64 // offset in that segment where the record ends
+			size  int64 // bytes the record's frame takes
+			state shadow
 		}
 		full := make(shadow)
 		var marks []mark
 
 		ops := 15 + rng.Intn(25)
 		snapAt := map[int]bool{ops / 3: true, (2 * ops) / 3: true}
-		lastCut := 0          // marks[:lastCut] are covered by the chain
-		atCut := make(shadow) // the state the chain holds
+		lastCut := 0          // marks[:lastCut] are covered by the snapshot
+		atCut := make(shadow) // the state the snapshot holds
 		for i := 0; i < ops; i++ {
 			spec := specs[rng.Intn(len(specs))]
 			sum := randomSummary(rng, spec)
@@ -132,7 +125,7 @@ func TestCrashRecoveryProperty(t *testing.T) {
 			}
 			full.put(spec.name, sum)
 			st.mu.Lock()
-			m := mark{seq: st.live.seq, end: st.live.w.end, dataset: spec.name, state: full.clone()}
+			m := mark{seq: st.live.seq, end: st.live.w.end, state: full.clone()}
 			st.mu.Unlock()
 			m.size = m.end - magicLen
 			if n := len(marks); n > 0 && marks[n-1].seq == m.seq {
@@ -155,14 +148,12 @@ func TestCrashRecoveryProperty(t *testing.T) {
 		}
 
 		// expect is the model's answer for a final segment cut at x bytes.
-		expect := func(x int64) (shadow, api.StoreStatus, []string) {
+		expect := func(x int64) (shadow, api.StoreStatus) {
 			state := make(shadow)
 			status := api.StoreStatus{
 				WALSegments:     last - first + 1,
 				SnapshotEntries: atCut.slots(),
-				SnapshotChain:   2,
 			}
-			inWAL := make(map[string]bool)
 			for i, m := range marks {
 				if m.seq == last && m.end > x {
 					break
@@ -171,17 +162,11 @@ func TestCrashRecoveryProperty(t *testing.T) {
 				if i >= lastCut {
 					status.WALRecords++
 					status.WALBytes += m.size
-					inWAL[m.dataset] = true
 				}
 			}
 			status.RecoveredDatasets = len(state)
 			status.RecoveredSummaries = state.slots()
-			var walDatasets []string
-			for name := range inWAL {
-				walDatasets = append(walDatasets, name)
-			}
-			sort.Strings(walDatasets)
-			return state, status, walDatasets
+			return state, status
 		}
 
 		livePath := filepath.Join(dir, segmentName(last))
@@ -193,8 +178,8 @@ func TestCrashRecoveryProperty(t *testing.T) {
 		// The untouched directory replays to the full state.
 		reg2, st2 := reopen(t, dir, Options{})
 		mustMatch(t, "full replay", image(t, reg2.Dump), image(t, full.dump))
-		state, status, walDatasets := expect(int64(len(liveBytes)))
-		mustRecoverTo(t, "full replay", reg2, st2, state, status, walDatasets)
+		state, status := expect(int64(len(liveBytes)))
+		mustRecoverTo(t, "full replay", reg2, st2, state, status)
 		st2.Close()
 
 		// Truncate the final segment at arbitrary byte offsets — record
@@ -217,14 +202,14 @@ func TestCrashRecoveryProperty(t *testing.T) {
 			if err := os.WriteFile(livePath, liveBytes[:x], 0o644); err != nil {
 				t.Fatal(err)
 			}
-			expected, status, walDatasets := expect(x)
+			expected, status := expect(x)
 			regT := server.NewRegistry()
 			stT, err := Open(dir, Options{}, regT.Put)
 			if err != nil {
 				t.Fatalf("trial %d: open after truncation at %d: %v", trial, x, err)
 			}
 			mustMatch(t, "truncation", image(t, regT.Dump), image(t, expected.dump))
-			mustRecoverTo(t, "truncation", regT, stT, expected, status, walDatasets)
+			mustRecoverTo(t, "truncation", regT, stT, expected, status)
 
 			// The acceptance criterion speaks of query answers: spot-check
 			// that the recovered summaries answer bit-identically too (the

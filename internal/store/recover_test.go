@@ -30,9 +30,10 @@ import (
 //	sealed segment B   gamma/2 g2
 //	live segment C     alpha/0 v4
 //
-// so alpha's only record in A and gamma's only record in chain file 2 are
-// superseded, beta lives in chain file 1 alone, and 4 of the 7 records
-// are dead.
+// so alpha's only record in A and gamma's only record in snapshot 2 are
+// superseded, beta lives in snapshot 1 alone, and 4 of the 7 records are
+// dead. The two snapshots are a chain of partial images, the layout an
+// older summaryd wrote; recovery still reads it.
 type layered struct {
 	dir                string
 	v1, v2, v3, v4     core.Summary // alpha/0, oldest first
@@ -66,12 +67,35 @@ func buildLayered(t *testing.T) layered {
 			t.Fatal(err)
 		}
 	}
+	l.snap1, l.snap2 = filepath.Join(l.dir, snapName(1)), filepath.Join(l.dir, snapName(2))
 	put(alpha, l.v1)
 	put(beta, l.b1)
 	snapshot()
+	snap1, err := os.ReadFile(l.snap1)
+	if err != nil {
+		t.Fatal(err)
+	}
 	put(alpha, l.v2)
 	put(gamma, l.g1)
 	snapshot()
+	// Snapshot 2 holds the whole registry and snapshot 1 is gone; put back
+	// the chain an older summaryd left: snapshot 1, and a snapshot 2 that
+	// holds only what changed since.
+	if err := os.WriteFile(l.snap1, snap1, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	tmp, _, err := writeSnapshotTemp(l.dir, func(emit func(string, core.Summary) error) error {
+		if err := emit(alpha.name, l.v2); err != nil {
+			return err
+		}
+		return emit(gamma.name, l.g1)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := promoteSnapshot(l.dir, tmp, 2); err != nil {
+		t.Fatal(err)
+	}
 	put(alpha, l.v3)
 	put(gamma, l.g2)
 	put(alpha, l.v4)
@@ -82,7 +106,6 @@ func buildLayered(t *testing.T) layered {
 	if err := st.Close(); err != nil {
 		t.Fatal(err)
 	}
-	l.snap1, l.snap2 = filepath.Join(l.dir, snapName(1)), filepath.Join(l.dir, snapName(2))
 	l.sealedA, l.sealedB = filepath.Join(l.dir, segmentName(first)), filepath.Join(l.dir, segmentName(first+1))
 	l.live = filepath.Join(l.dir, segmentName(last))
 	return l
@@ -123,11 +146,11 @@ func TestLastRecordWins(t *testing.T) {
 		wantErr []string
 	}{
 		{
-			name:   "intact: the live record beats both chain files and the sealed segment",
+			name:   "intact: the live record beats both snapshots and the sealed segment",
 			damage: func(*testing.T, layered) {},
 			alpha:  func(l layered) core.Summary { return l.v4 },
 			order:  []applied{{"beta", 1}, {"gamma", 2}, {"alpha", 0}},
-			status: api.StoreStatus{WALRecords: 3, WALSegments: 3, SnapshotEntries: 3, SnapshotChain: 2, RecoveredDatasets: 3, RecoveredSummaries: 3},
+			status: api.StoreStatus{WALRecords: 3, WALSegments: 3, SnapshotEntries: 3, RecoveredDatasets: 3, RecoveredSummaries: 3},
 			dead:   4,
 		},
 		{
@@ -139,16 +162,16 @@ func TestLastRecordWins(t *testing.T) {
 			},
 			alpha:  func(l layered) core.Summary { return l.v3 },
 			order:  []applied{{"beta", 1}, {"alpha", 0}, {"gamma", 2}},
-			status: api.StoreStatus{WALRecords: 2, WALSegments: 3, SnapshotEntries: 3, SnapshotChain: 2, RecoveredDatasets: 3, RecoveredSummaries: 3},
+			status: api.StoreStatus{WALRecords: 2, WALSegments: 3, SnapshotEntries: 3, RecoveredDatasets: 3, RecoveredSummaries: 3},
 			dead:   3,
 		},
 		{
-			name:    "byte flip in a superseded chain record",
+			name:    "byte flip in a superseded snapshot record",
 			damage:  func(t *testing.T, l layered) { flipPayloadByte(t, l.snap1) }, // alpha/0 v1
 			wantErr: []string{"store: snapshot ", snapName(1), "store: record 1: checksum mismatch"},
 		},
 		{
-			name:    "byte flip in a superseded record of the newest chain file",
+			name:    "byte flip in a superseded record of the newest snapshot",
 			damage:  func(t *testing.T, l layered) { flipPayloadByte(t, l.snap2) }, // alpha/0 v2
 			wantErr: []string{"store: snapshot ", snapName(2), "store: record 1: checksum mismatch"},
 		},
@@ -196,9 +219,6 @@ func TestLastRecordWins(t *testing.T) {
 			tc.status.Dir, tc.status.LastSnapshot, tc.status.WALBytes = got.Dir, got.LastSnapshot, got.WALBytes
 			if got != tc.status {
 				t.Errorf("status\n got %+v\nwant %+v", got, tc.status)
-			}
-			if wal := st.WALDatasets(); !reflect.DeepEqual(wal, []string{"alpha", "gamma"}) {
-				t.Errorf("WALDatasets %v, want [alpha gamma]: every dataset with any WAL record", wal)
 			}
 			if r := st.Recovery(); r.Applied != 3 || r.Superseded != tc.dead {
 				t.Errorf("recovery applied %d superseded %d, want 3 and %d", r.Applied, r.Superseded, tc.dead)
@@ -355,13 +375,13 @@ func TestVerifyDirOnlyReads(t *testing.T) {
 		t.Errorf("live segment scan %+v: want 1 record, %d valid bytes of %d", live, len(liveBytes), len(liveBytes)+3)
 	}
 	if len(rec.index) != 3 || rec.records != 7 || rec.snapEntries != 3 {
-		t.Errorf("index of %d slots over %d records, %d in the chain; want 3, 7, 3", len(rec.index), rec.records, rec.snapEntries)
+		t.Errorf("index of %d slots over %d records, %d in the snapshots; want 3, 7, 3", len(rec.index), rec.records, rec.snapEntries)
 	}
 }
 
 // buildScenario writes a directory shaped like the one the end-to-end
-// benchmark restarts on: two full snapshot chain files and a live segment
-// holding every slot twice, so that three records in four are superseded.
+// benchmark restarts on: one snapshot and a live segment holding every
+// slot twice, so that two records in three are superseded.
 // Every summary holds entries keys. It returns the slot count and the
 // bytes of one round of records.
 func buildScenario(tb testing.TB, dir string, datasets, instances, entries int) (slots int, roundBytes int64) {
@@ -381,14 +401,12 @@ func buildScenario(tb testing.TB, dir string, datasets, instances, entries int) 
 	if err != nil {
 		tb.Fatal(err)
 	}
-	for file := 0; file < 2; file++ {
-		wait, err := st.SnapshotTraced(nil, round, func(bool) {}, true)
-		if err != nil {
-			tb.Fatal(err)
-		}
-		if err := wait(); err != nil {
-			tb.Fatal(err)
-		}
+	wait, err := st.SnapshotTraced(nil, round, true)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if err := wait(); err != nil {
+		tb.Fatal(err)
 	}
 	for twice := 0; twice < 2; twice++ {
 		if err := round(func(ds string, s core.Summary) error {
@@ -403,8 +421,8 @@ func buildScenario(tb testing.TB, dir string, datasets, instances, entries int) 
 		tb.Fatal(err)
 	}
 	slots = datasets * instances
-	if status.SnapshotChain != 2 || status.WALSegments != 1 || status.WALRecords != int64(2*slots) {
-		tb.Fatalf("scenario directory is not two chain files and one segment of %d records: %+v", 2*slots, status)
+	if status.SnapshotEntries != int64(slots) || status.WALSegments != 1 || status.WALRecords != int64(2*slots) {
+		tb.Fatalf("scenario directory is not one snapshot of %d summaries and one segment of %d records: %+v", slots, 2*slots, status)
 	}
 	return slots, status.WALBytes / 2
 }
@@ -412,8 +430,8 @@ func buildScenario(tb testing.TB, dir string, datasets, instances, entries int) 
 // TestOpenAllocatesWhatSurvives holds Open to the memory bound the package
 // documents: the payload bytes of the summaries it recovers (a quarter
 // again for their decoded headers and the index), the verification
-// windows, and a constant — on a directory where three records in four
-// are superseded. Allocating every record, as replay once did, is four
+// windows, and a constant — on a directory where two records in three
+// are superseded. Allocating every record, as replay once did, is three
 // times the live bytes.
 func TestOpenAllocatesWhatSurvives(t *testing.T) {
 	dir := t.TempDir()
@@ -437,8 +455,8 @@ func TestOpenAllocatesWhatSurvives(t *testing.T) {
 	if len(kept) != slots {
 		t.Fatalf("recovered %d summaries, want %d", len(kept), slots)
 	}
-	if r := st.Recovery(); r.Superseded != int64(3*slots) {
-		t.Fatalf("superseded %d records, want %d", r.Superseded, 3*slots)
+	if r := st.Recovery(); r.Superseded != int64(2*slots) {
+		t.Fatalf("superseded %d records, want %d", r.Superseded, 2*slots)
 	}
 	if got := after.TotalAlloc - before.TotalAlloc; got > bound {
 		t.Fatalf("Open allocated %d bytes recovering %d live bytes; the bound is %d", got, liveBytes, bound)

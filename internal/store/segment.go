@@ -15,7 +15,7 @@ import (
 	"repro/pkg/api"
 )
 
-// The durable record framing, shared by WAL segments and snapshot chain
+// The durable record framing, shared by WAL segments and snapshot
 // files. One record carries one accepted (dataset, summary) registration:
 //
 //	offset  size  field
@@ -73,15 +73,8 @@ const (
 	defaultSegmentRecords = 1 << 16
 )
 
-// File names of the pre-segmented layout, quarantined at Open.
-const (
-	legacyWALName      = "wal"
-	legacySnapshotName = "snapshot"
-)
-
 // quarantineDir is where Open moves files it cannot account for —
-// out-of-manifest segments, unparsable segment/snapshot names, legacy
-// files that should not exist alongside the segmented layout. Moving
+// out-of-manifest segments and unparsable segment/snapshot names. Moving
 // (not deleting) keeps the bytes for forensics; moving (not replaying)
 // keeps unaccounted records from resurrecting state the manifest never
 // acknowledged.

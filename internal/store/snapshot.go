@@ -12,42 +12,33 @@ import (
 	"repro/internal/core"
 )
 
-// Snapshots form a numbered chain: snap-000001.snap, snap-000002.snap, …
-// Each file holds one framed record (segment.go framing) per (dataset,
-// summary) that was DIRTY at its cut — mutated since the previous
-// successful snapshot — datasets sorted by name and instances ascending,
-// so equal cuts snapshot to equal bytes. Replaying the chain in sequence
-// order, later entries replacing earlier ones, reconstructs the full
-// registry image at the newest cut; WAL segments then replay on top.
+// Snapshots are numbered files: snap-000001.snap, snap-000002.snap, …
+// Each holds one framed record (segment.go framing) per (dataset,
+// summary) the registry held at its cut — the whole registry, datasets
+// sorted by name and instances ascending, so equal cuts snapshot to equal
+// bytes. Once the manifest has moved past a snapshot's cut, every older
+// snapshot file is deleted, so a directory normally holds one. Recovery
+// still replays every file it finds in sequence order, later entries
+// replacing earlier ones: a crash between promoting snapshot N and
+// removing N-1 leaves both, and a directory an older summaryd wrote may
+// hold a chain of partial images. WAL segments then replay on top.
 //
 // Every file is written atomically — temp file in the same directory,
-// fsync, rename, directory fsync — so a chain file is always a complete
-// image: a crash mid-snapshot leaves the previous chain, never a
+// fsync, rename, directory fsync — so a snapshot file is always a complete
+// image: a crash mid-snapshot leaves the previous snapshot, never a
 // truncated hybrid. Replay is therefore strict; tolerance for torn tails
 // belongs to the final WAL segment alone.
-//
-// The chain is compacted — merged into a single full file — by the
-// background writer whenever it would grow past maxSnapshotChain, so
-// recovery reads a bounded number of files no matter how long the process
-// ran. Open never rewrites it: a superseded chain entry costs recovery a
-// read and a check, a compaction would cost a write and an fsync before
-// the server listens.
 
-const (
-	// maxSnapshotChain bounds the chain length: a snapshot that would be
-	// chain file maxSnapshotChain+1 is written as a full merge instead.
-	maxSnapshotChain = 8
-	// snapshotTempPattern names in-flight snapshot temp files; Open
-	// removes strays matching it — the residue of a crash mid-snapshot.
-	snapshotTempPattern = "snap-*.tmp"
-)
+// snapshotTempPattern names in-flight snapshot temp files; Open removes
+// strays matching it — the residue of a crash mid-snapshot.
+const snapshotTempPattern = "snap-*.tmp"
 
-// snapName names snapshot chain file seq.
+// snapName names snapshot file seq.
 func snapName(seq int64) string {
 	return fmt.Sprintf("snap-%06d.snap", seq)
 }
 
-// parseSnapSeq extracts the sequence number from a chain file name.
+// parseSnapSeq extracts the sequence number from a snapshot file name.
 func parseSnapSeq(name string) (int64, bool) {
 	body, ok := strings.CutPrefix(name, "snap-")
 	if !ok {
@@ -69,7 +60,7 @@ func parseSnapSeq(name string) (int64, bool) {
 	return seq, true
 }
 
-// scanSnapshots lists the chain file sequence numbers in dir (ascending),
+// scanSnapshots lists the snapshot file sequence numbers in dir (ascending),
 // plus any "snap-*.snap"-shaped names that do not parse, for quarantine.
 func scanSnapshots(dir string) (seqs []int64, malformed []string, err error) {
 	matches, err := filepath.Glob(filepath.Join(dir, "snap-*.snap"))
@@ -90,10 +81,10 @@ func scanSnapshots(dir string) (seqs []int64, malformed []string, err error) {
 }
 
 // writeSnapshotTemp streams the image dump yields into a fresh temp file
-// in dir and returns its path, fsynced and closed but NOT yet promoted
-// into the chain. Splitting the write from the promotion keeps the crash
-// window explicit (and testable): until promoteSnapshot's rename, the
-// existing chain is untouched.
+// in dir and returns its path, fsynced and closed but NOT yet promoted.
+// Splitting the write from the promotion keeps the crash window explicit
+// (and testable): until promoteSnapshot's rename, the existing snapshot
+// files are untouched.
 func writeSnapshotTemp(dir string, dump func(emit func(dataset string, s core.Summary) error) error) (path string, entries int64, err error) {
 	tmp, err := os.CreateTemp(dir, snapshotTempPattern)
 	if err != nil {
@@ -137,7 +128,7 @@ func writeSnapshotTemp(dir string, dump func(emit func(dataset string, s core.Su
 	return path, entries, nil
 }
 
-// promoteSnapshot atomically adds the temp file to the chain as file seq
+// promoteSnapshot atomically renames the temp file to snapshot file seq
 // and fsyncs the directory so the rename itself is durable.
 func promoteSnapshot(dir, tmpPath string, seq int64) error {
 	if err := os.Rename(tmpPath, filepath.Join(dir, snapName(seq))); err != nil {
@@ -157,37 +148,6 @@ func syncDir(dir string) error {
 	defer d.Close()
 	_ = d.Sync()
 	return nil
-}
-
-// instanceKey identifies one summary slot for chain merging.
-type instanceKey struct {
-	dataset  string
-	instance int
-}
-
-// sortedMergeDump renders a merged chain image as a deterministic dump:
-// datasets by name, instances ascending — the same order a registry cut
-// uses, so a compacted chain and a fresh full snapshot of equal state are
-// byte-identical.
-func sortedMergeDump(merged map[instanceKey]core.Summary) func(emit func(dataset string, s core.Summary) error) error {
-	keys := make([]instanceKey, 0, len(merged))
-	for k := range merged {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].dataset != keys[j].dataset {
-			return keys[i].dataset < keys[j].dataset
-		}
-		return keys[i].instance < keys[j].instance
-	})
-	return func(emit func(dataset string, s core.Summary) error) error {
-		for _, k := range keys {
-			if err := emit(k.dataset, merged[k]); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
 }
 
 // removeStrayTemps deletes leftover snapshot and manifest temp files —

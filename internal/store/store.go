@@ -1,6 +1,6 @@
 // Package store is the summary server's durability subsystem: a
-// write-ahead log rotated into bounded, numbered segment files plus an
-// incremental snapshot chain, all carrying (dataset, summary) records
+// write-ahead log rotated into bounded, numbered segment files plus a
+// snapshot of the whole registry, all carrying (dataset, summary) records
 // whose payloads are the deterministic v2 binary wire format
 // (internal/core codecv2).
 //
@@ -14,16 +14,15 @@
 //     SegmentRecords: it is fsynced, sealed, and a fresh segment takes
 //     over, so no single file grows with uptime;
 //   - snapshots run in the BACKGROUND: the registry hands Snapshot a
-//     consistent cut (cloned under its lock — the only moment the request
-//     path pauses) and a single worker goroutine writes it to the next
-//     snapshot chain file while appends continue into the live segment.
-//     Only datasets dirty since the previous successful snapshot are
-//     written (the chain is compacted whenever it would grow past
-//     maxSnapshotChain), and only sealed segments older than the cut are
-//     deleted — recovery cost stays bounded by the snapshot interval plus
-//     the live segments, not uptime;
-//   - Open recovers the snapshot chain then the live segments into the
-//     caller's registry. Sealed segments and chain files have no
+//     consistent cut of its whole state (cloned under its lock — the only
+//     moment the request path pauses) and a single worker goroutine writes
+//     it to the next snapshot file while appends continue into the live
+//     segment. Once the manifest has moved past the cut, the older
+//     snapshot files and the sealed segments the cut covers are deleted —
+//     recovery cost stays bounded by one registry image plus the snapshot
+//     interval's segments, not uptime;
+//   - Open recovers the snapshot files then the live segments into the
+//     caller's registry. Sealed segments and snapshot files have no
 //     legitimate torn state (both are made durable before anything
 //     references them) and hard-error on any invalid record; only the
 //     FINAL segment tolerates a torn tail (a crash mid-append), recovering
@@ -32,7 +31,7 @@
 //     account for are quarantined, never silently replayed or deleted.
 //
 // Recovery verifies everything and materialises only what survives
-// (recover.go). Every frame of every chain file and segment is length-,
+// (recover.go). Every frame of every snapshot file and segment is length-,
 // CRC- and decode-checked in place, the files side by side, each through
 // one fixed window; what is kept is where the last record of each
 // (dataset, instance) sits. Only those records are then read back, into
@@ -93,8 +92,8 @@ type Options struct {
 	SegmentRecords int64
 	// Metrics, when set, receives the store's durability series
 	// (summaryd_store_*): WAL append counts/bytes, fsync and snapshot
-	// latency histograms, rotation/compaction/drop counters, and gauges
-	// over the sealed-segment and snapshot-chain state. Nil disables
+	// latency histograms, rotation/drop counters, and gauges over the
+	// sealed-segment and snapshot state. Nil disables
 	// instrumentation at zero cost (the obs instruments are nil no-ops).
 	// A registry serves one Open: the series register once, so a reopened
 	// store needs a fresh registry.
@@ -116,14 +115,13 @@ type Options struct {
 // instruments free no-ops, so the hot paths below update them
 // unconditionally.
 type storeMetrics struct {
-	walAppends  *obs.Counter
-	walBytes    *obs.Counter
-	fsync       *obs.Histogram
-	rotations   *obs.Counter
-	snapshots   *obs.Counter
-	snapDur     *obs.Histogram
-	snapDrops   *obs.Counter
-	compactions *obs.Counter
+	walAppends *obs.Counter
+	walBytes   *obs.Counter
+	fsync      *obs.Histogram
+	rotations  *obs.Counter
+	snapshots  *obs.Counter
+	snapDur    *obs.Histogram
+	snapDrops  *obs.Counter
 }
 
 // register builds the store's instruments and the gauges that read its
@@ -140,13 +138,11 @@ func (s *Store) registerMetrics(reg *obs.Registry) {
 		rotations: reg.Counter("summaryd_store_segment_rotations_total",
 			"Live WAL segments sealed and rotated.", nil),
 		snapshots: reg.Counter("summaryd_store_snapshots_total",
-			"Snapshot chain files written successfully.", nil),
+			"Snapshots written successfully.", nil),
 		snapDur: reg.Histogram("summaryd_store_snapshot_seconds",
 			"Background snapshot write duration.", nil, nil),
 		snapDrops: reg.Counter("summaryd_store_snapshot_drops_total",
 			"Automatic snapshots skipped because one was already queued or running.", nil),
-		compactions: reg.Counter("summaryd_store_compactions_total",
-			"Snapshot chains merged into a single full image.", nil),
 	}
 	locked := func(read func() float64) func() float64 {
 		return func() float64 {
@@ -158,11 +154,8 @@ func (s *Store) registerMetrics(reg *obs.Registry) {
 	reg.GaugeFunc("summaryd_store_sealed_segments",
 		"Sealed, not-yet-snapshotted WAL segments retained on disk.", nil,
 		locked(func() float64 { return float64(len(s.sealed)) }))
-	reg.GaugeFunc("summaryd_store_snapshot_chain_files",
-		"Incremental snapshot chain files recovery would replay.", nil,
-		locked(func() float64 { return float64(len(s.snapSeqs)) }))
 	reg.GaugeFunc("summaryd_store_snapshot_entries",
-		"Summaries held by the on-disk snapshot chain.", nil,
+		"Summaries held by the snapshot on disk.", nil,
 		locked(func() float64 { return float64(s.snapEntries) }))
 	reg.GaugeFunc("summaryd_store_quarantined_files",
 		"Files recovery could not account for and quarantined.", nil,
@@ -183,7 +176,7 @@ func (s *Store) registerRecoveryMetrics(reg *obs.Registry) {
 	reg.Counter("summaryd_store_recovery_records", recordsHelp, obs.Labels{"outcome": "applied"}).Add(uint64(r.Applied))
 	reg.Counter("summaryd_store_recovery_records", recordsHelp, obs.Labels{"outcome": "superseded"}).Add(uint64(r.Superseded))
 	reg.Counter("summaryd_store_recovery_bytes",
-		"Snapshot chain and WAL bytes recovery read and verified.", nil).Add(uint64(r.Bytes))
+		"Snapshot and WAL bytes recovery read and verified.", nil).Add(uint64(r.Bytes))
 }
 
 // segMeta describes one sealed segment the store still retains: it holds
@@ -196,13 +189,12 @@ type segMeta struct {
 }
 
 // snapJob is one queued snapshot: a consistent cut the registry cloned
-// under its lock, destined for the next chain file. cut is the highest
+// under its lock, destined for the next snapshot file. cut is the highest
 // sealed segment sequence the dump covers.
 type snapJob struct {
-	cut    int64
-	dump   func(emit func(dataset string, s core.Summary) error) error
-	commit func(ok bool)
-	done   chan error
+	cut  int64
+	dump func(emit func(dataset string, s core.Summary) error) error
+	done chan error
 	// trigger is the trace ID of the operation that cut this snapshot
 	// ("" for untraced cuts); seq, entries, and dur are filled in by
 	// writeSnapshot for the worker's log line.
@@ -213,7 +205,7 @@ type snapJob struct {
 }
 
 // Store is an open durability directory: a live WAL segment accepting
-// appends, the sealed segments behind it, the snapshot chain, and the
+// appends, the sealed segments behind it, the snapshot files, and the
 // background snapshot worker. Methods are safe for concurrent use; the
 // registry additionally serializes Append calls under its own lock, which
 // is what makes WAL order identical to registry apply order.
@@ -230,7 +222,7 @@ type Store struct {
 	sealed []segMeta // sealed, not-yet-snapshotted segments, ascending seq
 
 	sinceSnapshot int64
-	snapSeqs      []int64 // snapshot chain, ascending seq
+	snapSeqs      []int64 // snapshot files on disk, ascending seq
 	snapEntries   int64
 	lastSnapshot  time.Time
 	lastSnapErr   string
@@ -238,7 +230,6 @@ type Store struct {
 
 	recoveredDatasets  int
 	recoveredSummaries int64
-	walDatasets        []string
 	recovery           Recovery
 
 	// Background snapshot worker state, guarded by mu; snapCond signals
@@ -250,15 +241,13 @@ type Store struct {
 }
 
 // Open opens (creating if needed) the durability directory and recovers
-// its state — snapshot chain first, then the WAL segments in sequence
+// its state — snapshot files first, then the WAL segments in sequence
 // order — converging on exactly the previously acknowledged
 // registrations. apply is called once per recovered (dataset, instance),
 // with its last record, in log order; a record a later one supersedes is
 // verified but never applied. apply is typically Registry.Put on a fresh
 // registry; attach the store as the registry's persister only after Open
-// returns, so recovery does not re-append what the log already holds, and
-// pass WALDatasets to Registry.MarkClean so the first incremental
-// snapshot covers exactly the un-snapshotted datasets.
+// returns, so recovery does not re-append what the log already holds.
 func Open(dir string, opts Options, apply func(dataset string, s core.Summary) error) (st *Store, err error) {
 	if opts.SnapshotEvery == 0 {
 		opts.SnapshotEvery = DefaultSnapshotEvery
@@ -301,9 +290,6 @@ func Open(dir string, opts Options, apply func(dataset string, s core.Summary) e
 	s.snapCond = sync.NewCond(&s.mu)
 	s.registerMetrics(opts.Metrics)
 
-	if err := s.quarantineLegacy(); err != nil {
-		return nil, err
-	}
 	if err := s.replay(apply); err != nil {
 		return nil, err
 	}
@@ -311,20 +297,6 @@ func Open(dir string, opts Options, apply func(dataset string, s core.Summary) e
 	s.wg.Add(1)
 	go s.worker()
 	return s, nil
-}
-
-// quarantineLegacy moves a "wal" or "snapshot" file out of the way.
-// Nothing in the segmented layout carries those names, so whatever wrote
-// one, the manifest never acknowledged its records.
-func (s *Store) quarantineLegacy() error {
-	for _, name := range []string{legacyWALName, legacySnapshotName} {
-		if _, err := os.Stat(filepath.Join(s.dir, name)); err == nil {
-			if err := s.quarantine(name); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
 }
 
 // Recovery reports what Open's replay cost: the wall time of its two
@@ -398,14 +370,11 @@ func (s *Store) replay(apply func(dataset string, sum core.Summary) error) (err 
 	sp.SetInt("superseded", s.recovery.Superseded)
 	s.registerRecoveryMetrics(s.opts.Metrics)
 
-	s.snapSeqs = rec.chain
+	s.snapSeqs = rec.snaps
 	s.snapEntries = rec.snapEntries
-	if n := len(rec.chain); n > 0 {
+	if n := len(rec.snaps); n > 0 {
 		s.lastSnapshot = rec.files[n-1].modTime
 	}
-	// Datasets with WAL records are exactly the ones the snapshot chain
-	// does not fully cover — the registry must consider them dirty.
-	s.walDatasets = rec.walDatasets
 	datasets := make(map[string]bool)
 	for key := range rec.index {
 		datasets[key.dataset] = true
@@ -479,7 +448,7 @@ func (s *Store) openLive(rec *recovered) error {
 		f.Close()
 		return fmt.Errorf("store: syncing WAL segment %d after recovery: %w", scan.seq, err)
 	}
-	for _, sealed := range rec.files[len(rec.chain) : len(rec.files)-1] {
+	for _, sealed := range rec.files[len(rec.snaps) : len(rec.files)-1] {
 		s.sealed = append(s.sealed, segMeta{seq: sealed.seq, records: sealed.records, bytes: sealed.valid})
 	}
 	s.first = rec.first
@@ -604,20 +573,17 @@ func (s *Store) rotateLocked() error {
 // SnapshotTraced accepts a consistent cut for the background snapshot
 // worker. The caller (Registry.Put when due, Registry.Snapshot
 // explicitly) holds the registry lock, which is what makes enqueue order
-// equal cut order: the single worker then writes chain files in cut
-// order, so a newer cut can never be overridden by an older one replaying
-// later.
+// equal cut order: the single worker then writes snapshots in cut order,
+// so a newer cut can never be overridden by an older one.
 //
-// dump must iterate state cloned at the cut — it runs on the worker
-// goroutine, concurrently with new registrations. commit(ok) is called
-// exactly once, off the registry lock, when the snapshot completes or
-// fails: the registry uses it to mark the cut's datasets clean (ok) or
-// leave them dirty for the next attempt (!ok). With syncWait set the
-// returned wait blocks until the job finishes — call it AFTER releasing
-// the registry lock, or the worker's commit would deadlock against it.
-// Without syncWait, wait is nil, and the job is dropped (commit(false))
-// if a snapshot is already queued or running — dirtiness is retained, so
-// the next due snapshot re-covers the skipped appends.
+// dump must iterate the whole state, cloned at the cut: it runs on the
+// worker goroutine, concurrently with new registrations, and the file it
+// fills supersedes every older snapshot. With syncWait set the returned
+// wait blocks until the job finishes — call it AFTER releasing the
+// registry lock, so registrations are not held up by the write. Without
+// syncWait, wait is nil, and the job is dropped if a snapshot is already
+// queued or running: the skipped appends stay in the WAL, and the next
+// snapshot covers them.
 //
 // trigger is the span of the operation that cut it (the registering
 // request for an automatic snapshot, nil for explicit/shutdown cuts). The
@@ -626,11 +592,10 @@ func (s *Store) rotateLocked() error {
 // than as a child span; the live-segment seal it performs inline,
 // however, IS a child of the trigger. SnapshotTraced implements the other
 // half of server.Persister.
-func (s *Store) SnapshotTraced(trigger *trace.Span, dump func(emit func(dataset string, sum core.Summary) error) error, commit func(ok bool), syncWait bool) (wait func() error, err error) {
+func (s *Store) SnapshotTraced(trigger *trace.Span, dump func(emit func(dataset string, sum core.Summary) error) error, syncWait bool) (wait func() error, err error) {
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
-		commit(false)
 		return nil, errors.New("store: snapshot on closed store")
 	}
 	// Back off a full interval before the next automatic attempt,
@@ -640,7 +605,6 @@ func (s *Store) SnapshotTraced(trigger *trace.Span, dump func(emit func(dataset 
 	if !syncWait && s.pending > 0 {
 		s.mu.Unlock()
 		s.metrics.snapDrops.Inc()
-		commit(false)
 		return nil, nil
 	}
 	if s.live.records > 0 {
@@ -652,11 +616,10 @@ func (s *Store) SnapshotTraced(trigger *trace.Span, dump func(emit func(dataset 
 		if err != nil {
 			s.lastSnapErr = err.Error()
 			s.mu.Unlock()
-			commit(false)
 			return nil, err
 		}
 	}
-	job := &snapJob{cut: s.live.seq - 1, dump: dump, commit: commit, done: make(chan error, 1), trigger: trigger.TraceID()}
+	job := &snapJob{cut: s.live.seq - 1, dump: dump, done: make(chan error, 1), trigger: trigger.TraceID()}
 	s.pending++
 	s.snapQ = append(s.snapQ, job)
 	s.snapCond.Signal()
@@ -669,8 +632,8 @@ func (s *Store) SnapshotTraced(trigger *trace.Span, dump func(emit func(dataset 
 
 // worker is the background snapshot goroutine: it drains snapQ in FIFO
 // (= cut) order, holding no store lock during the expensive file write.
-// At close it fails any jobs still queued — their cuts stay dirty and the
-// WAL still holds their records, so nothing is lost.
+// At close it fails any jobs still queued — the WAL still holds their
+// records, so nothing is lost.
 func (s *Store) worker() {
 	defer s.wg.Done()
 	for {
@@ -706,9 +669,6 @@ func (s *Store) worker() {
 			s.mu.Unlock()
 		}
 		s.logSnapshot(job, err)
-		// Off every store lock: commit re-enters the registry, whose lock
-		// ranks above the store's.
-		job.commit(err == nil)
 		job.done <- err
 
 		s.mu.Lock()
@@ -742,22 +702,19 @@ func (s *Store) logSnapshot(job *snapJob, err error) {
 }
 
 // writeSnapshot runs one snapshot job on the worker goroutine. The dump
-// (already a consistent cut) streams into the next chain file; when the
-// chain would outgrow maxSnapshotChain it is merged with the existing
-// files into one full image instead. On success the manifest advances
-// past the covered segments and those files are deleted — strictly after
-// the chain file is durable, so a crash at any point leaves a directory
-// that recovers to the same state.
+// (already a consistent cut of the whole registry) streams into the next
+// snapshot file. On success the manifest advances past the covered
+// segments, and then those segments and every older snapshot file are
+// deleted — strictly after the new file is durable, so a crash at any
+// point leaves a directory that recovers to the same state.
 func (s *Store) writeSnapshot(job *snapJob) (err error) {
 	snapStart := time.Now()
-	s.mu.Lock()
-	chain := append([]int64(nil), s.snapSeqs...)
-	s.mu.Unlock()
-
 	nextSeq := int64(1)
-	if len(chain) > 0 {
-		nextSeq = chain[len(chain)-1] + 1
+	s.mu.Lock()
+	if n := len(s.snapSeqs); n > 0 {
+		nextSeq = s.snapSeqs[n-1] + 1
 	}
+	s.mu.Unlock()
 	job.seq = nextSeq
 	// The snapshot outlives whatever triggered it, so it records as its
 	// own trace, stamped with the trigger's trace ID for correlation.
@@ -773,72 +730,38 @@ func (s *Store) writeSnapshot(job *snapJob) (err error) {
 		}
 		sp.Finish()
 	}()
-	dump := job.dump
-	merge := len(chain)+1 > maxSnapshotChain
-	if merge {
-		// Chain files are immutable once promoted and only this goroutine
-		// adds or removes them, so reading them unlocked is safe. One worker:
-		// this runs beside the serving path, not in front of it.
-		files, err := verifyFiles(s.dir, chainSpecs(chain), 1, sp)
-		if err != nil {
-			return err
-		}
-		index := make(map[instanceKey]frameRef)
-		lastWins(index, files)
-		merged := make(map[instanceKey]core.Summary, len(index))
-		collect := func(dataset string, sum core.Summary) error {
-			merged[instanceKey{dataset, sum.InstanceID()}] = sum
-			return nil
-		}
-		if err := materialise(files, index, 1, collect); err != nil {
-			return err
-		}
-		if err := job.dump(collect); err != nil {
-			return err
-		}
-		dump = sortedMergeDump(merged)
-	}
 
-	tmp, entries, err := writeSnapshotTemp(s.dir, dump)
+	tmp, entries, err := writeSnapshotTemp(s.dir, job.dump)
 	if err != nil {
 		return err
 	}
 	job.entries = entries
 	sp.SetInt("entries", entries)
-	wrote := entries > 0 || merge
-	if !wrote {
-		// Nothing was dirty at the cut. Every record in the covered
-		// segments mutated some dataset after the PREVIOUS cut, so an empty
-		// dump means those segments hold nothing the chain lacks — the
-		// manifest can still advance and delete them, without an empty
-		// chain file to show for it.
-		os.Remove(tmp)
-	} else if err := promoteSnapshot(s.dir, tmp, nextSeq); err != nil {
+	if err := promoteSnapshot(s.dir, tmp, nextSeq); err != nil {
 		os.Remove(tmp)
 		return err
 	}
 
 	s.mu.Lock()
-	if wrote {
-		if merge {
-			s.snapSeqs = []int64{nextSeq}
-			s.snapEntries = entries
-		} else {
-			s.snapSeqs = append(s.snapSeqs, nextSeq)
-			s.snapEntries += entries
-		}
-	}
-	var goneSegs []string
+	// Until the manifest has advanced, the older files stay listed, so a
+	// failure below leaves them for the next snapshot to delete.
+	s.snapSeqs = append(s.snapSeqs, nextSeq)
+	s.snapEntries = entries
 	if job.cut >= s.first {
 		if err := writeManifest(s.dir, job.cut+1, s.live.seq); err != nil {
 			s.mu.Unlock()
 			return err
 		}
-		for len(s.sealed) > 0 && s.sealed[0].seq <= job.cut {
-			goneSegs = append(goneSegs, segmentName(s.sealed[0].seq))
-			s.sealed = s.sealed[1:]
-		}
 		s.first = job.cut + 1
+	}
+	var gone []string
+	for _, seq := range s.snapSeqs[:len(s.snapSeqs)-1] {
+		gone = append(gone, snapName(seq))
+	}
+	s.snapSeqs = []int64{nextSeq}
+	for len(s.sealed) > 0 && s.sealed[0].seq <= job.cut {
+		gone = append(gone, segmentName(s.sealed[0].seq))
+		s.sealed = s.sealed[1:]
 	}
 	s.lastSnapshot = time.Now()
 	s.lastSnapErr = "" // a successful snapshot clears any stale error
@@ -846,23 +769,15 @@ func (s *Store) writeSnapshot(job *snapJob) (err error) {
 
 	// Deletions come last: until the manifest advanced, these files were
 	// needed; now a crash before any Remove just means the next Open
-	// prunes them.
-	if merge {
-		for _, seq := range chain {
-			os.Remove(filepath.Join(s.dir, snapName(seq)))
-		}
-	}
-	for _, name := range goneSegs {
+	// reads a superseded file once more, or prunes a stale segment.
+	for _, name := range gone {
 		os.Remove(filepath.Join(s.dir, name))
 	}
-	if merge || len(goneSegs) > 0 {
+	if len(gone) > 0 {
 		syncDir(s.dir)
 	}
 	s.metrics.snapshots.Inc()
 	s.metrics.snapDur.ObserveSince(snapStart)
-	if merge {
-		s.metrics.compactions.Inc()
-	}
 	return nil
 }
 
@@ -881,7 +796,6 @@ func (s *Store) Status() api.StoreStatus {
 		WALBytes:           bytes,
 		WALSegments:        int64(len(s.sealed)) + 1,
 		SnapshotEntries:    s.snapEntries,
-		SnapshotChain:      len(s.snapSeqs),
 		QuarantinedFiles:   s.quarantined,
 		RecoveredDatasets:  s.recoveredDatasets,
 		RecoveredSummaries: s.recoveredSummaries,
@@ -892,14 +806,6 @@ func (s *Store) Status() api.StoreStatus {
 		st.LastSnapshot = s.lastSnapshot.UTC().Format(time.RFC3339)
 	}
 	return st
-}
-
-// WALDatasets lists (sorted) the distinct dataset names Open recovered
-// from WAL segments — exactly the datasets the snapshot chain does not
-// fully cover. Pass it to Registry.MarkClean after SetPersister so the
-// first incremental snapshot writes these datasets and no others.
-func (s *Store) WALDatasets() []string {
-	return append([]string(nil), s.walDatasets...)
 }
 
 // Close stops the snapshot worker (failing any still-queued jobs — their

@@ -9,6 +9,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 	"time"
 
@@ -140,8 +141,7 @@ func mustMatch(t *testing.T, what string, got, want map[string][]byte) {
 }
 
 // reopen replays dir into a fresh registry and returns it with its store,
-// wired exactly as summaryd wires them: persister attached after replay,
-// dirty tracking narrowed to the datasets with live WAL records.
+// wired exactly as summaryd wires them: persister attached after replay.
 func reopen(t *testing.T, dir string, opts Options) (*server.Registry, *Store) {
 	t.Helper()
 	reg := server.NewRegistry()
@@ -150,8 +150,17 @@ func reopen(t *testing.T, dir string, opts Options) (*server.Registry, *Store) {
 		t.Fatalf("reopening store: %v", err)
 	}
 	reg.SetPersister(st)
-	reg.MarkClean(st.WALDatasets())
 	return reg, st
+}
+
+// snapFiles lists the snapshot file sequence numbers on disk.
+func snapFiles(t *testing.T, dir string) []int64 {
+	t.Helper()
+	seqs, malformed, err := scanSnapshots(dir)
+	if err != nil || len(malformed) > 0 {
+		t.Fatalf("scanning snapshots: %v (malformed %v)", err, malformed)
+	}
+	return seqs
 }
 
 func TestStoreRoundTrip(t *testing.T) {
@@ -228,7 +237,7 @@ func TestSnapshotLifecycle(t *testing.T) {
 	if status.WALRecords != 2 {
 		t.Fatalf("WALRecords = %d, want 2 (snapshot did not supersede the log)", status.WALRecords)
 	}
-	if status.SnapshotEntries == 0 || status.LastSnapshot == "" || status.SnapshotChain != 1 {
+	if status.SnapshotEntries == 0 || status.LastSnapshot == "" || len(snapFiles(t, dir)) != 1 {
 		t.Fatalf("snapshot status not recorded: %+v", status)
 	}
 	st.Close()
@@ -714,49 +723,41 @@ func TestOrphanAndMalformedSegmentsQuarantined(t *testing.T) {
 	}
 }
 
-func TestStrayLegacyFilesQuarantined(t *testing.T) {
-	// A "wal" and a "snapshot" file — the names of the single-file layout
-	// nothing writes any more — are state no manifest acknowledged. Open
-	// succeeds, replays none of it, and moves both to quarantine/, on a
-	// fresh directory and on one that already has a manifest alike.
+func TestFilesOfOtherNamesAreLeftUnread(t *testing.T) {
+	// Only wal-*.seg and snap-*.snap names are the store's. A file called
+	// "wal" or "snapshot" is neither replayed nor moved, and reads back
+	// unchanged after the store has run and snapshotted beside it.
 	dir := t.TempDir()
 	rng := rand.New(rand.NewSource(15))
-	plant := func() {
-		t.Helper()
-		for _, name := range []string{legacyWALName, legacySnapshotName} {
-			if err := os.WriteFile(filepath.Join(dir, name), []byte(segMagic+"stray"), 0o644); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	want := make(shadow)
-	for round, when := range []string{"without a manifest", "beside a manifest"} {
-		os.RemoveAll(filepath.Join(dir, quarantineDir))
-		plant()
-		reg, st := reopen(t, dir, Options{})
-		mustMatch(t, "stray files "+when, image(t, reg.Dump), image(t, want.dump))
-		for _, name := range []string{legacyWALName, legacySnapshotName} {
-			if _, err := os.Stat(filepath.Join(dir, name)); !os.IsNotExist(err) {
-				t.Fatalf("%s: %s still in the data directory: %v", when, name, err)
-			}
-			if _, err := os.Stat(filepath.Join(dir, quarantineDir, name)); err != nil {
-				t.Fatalf("%s: %s not preserved in quarantine: %v", when, name, err)
-			}
-		}
-		if got := st.Status().QuarantinedFiles; got != 2 {
-			t.Fatalf("%s: status reports %d quarantined files, want 2", when, got)
-		}
-		// The store is a normal one afterwards.
-		s := randomSummary(rng, specs[round])
-		if err := reg.Put(specs[round].name, s); err != nil {
+	stray := map[string][]byte{"wal": []byte(segMagic + "stray"), "snapshot": []byte(snapMagic + "stray")}
+	for name, data := range stray {
+		if err := os.WriteFile(filepath.Join(dir, name), data, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		want.put(specs[round].name, s)
-		st.Close()
 	}
-	reg, st := reopen(t, dir, Options{})
-	defer st.Close()
-	mustMatch(t, "reopen after quarantine", image(t, reg.Dump), image(t, want.dump))
+	reg, st := reopen(t, dir, Options{SnapshotEvery: -1})
+	want := make(shadow)
+	s := randomSummary(rng, specs[0])
+	if err := reg.Put(specs[0].name, s); err != nil {
+		t.Fatal(err)
+	}
+	want.put(specs[0].name, s)
+	if err := reg.Snapshot(); err != nil {
+		t.Fatal(err)
+	}
+	st.Close()
+	reg2, st2 := reopen(t, dir, Options{})
+	defer st2.Close()
+	mustMatch(t, "beside stray files", image(t, reg2.Dump), image(t, want.dump))
+	if got := st2.Status().QuarantinedFiles; got != 0 {
+		t.Fatalf("status reports %d quarantined files, want 0", got)
+	}
+	for name, data := range stray {
+		got, err := os.ReadFile(filepath.Join(dir, name))
+		if err != nil || !bytes.Equal(got, data) {
+			t.Fatalf("%s after two opens: %q (err=%v), want it untouched", name, got, err)
+		}
+	}
 }
 
 func TestAppendsProceedDuringSnapshot(t *testing.T) {
@@ -784,7 +785,7 @@ func TestAppendsProceedDuringSnapshot(t *testing.T) {
 		<-gate
 		return emit(specs[0].name, snapSum)
 	}
-	wait, err := st.SnapshotTraced(nil, dump, func(bool) {}, true)
+	wait, err := st.SnapshotTraced(nil, dump, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -808,8 +809,8 @@ func TestAppendsProceedDuringSnapshot(t *testing.T) {
 	if err := wait(); err != nil {
 		t.Fatalf("snapshot: %v", err)
 	}
-	if got := st.Status().SnapshotChain; got != 1 {
-		t.Fatalf("SnapshotChain = %d, want 1", got)
+	if got := snapFiles(t, dir); len(got) != 1 {
+		t.Fatalf("snapshot files %v, want one", got)
 	}
 }
 
@@ -875,86 +876,154 @@ func healthzHasSnapshotError(t *testing.T, srv *server.Server) bool {
 	return ok
 }
 
-func TestIncrementalSnapshotsCoverOnlyDirtyDatasets(t *testing.T) {
+// slotsIn lists the (dataset, instance) slots snapshot file seq holds.
+func slotsIn(t *testing.T, dir string, seq int64) map[instanceKey]bool {
+	t.Helper()
+	scan, err := verifyFile(dir, fileSpec{snapFile, seq}, 0, &window{})
+	if err != nil {
+		t.Fatalf("reading snapshot %d: %v", seq, err)
+	}
+	slots := make(map[instanceKey]bool, len(scan.slots))
+	for slot := range scan.slots {
+		slots[slot] = true
+	}
+	return slots
+}
+
+// wantSlots lists a shadow's (dataset, instance) slots.
+func (sh shadow) wantSlots() map[instanceKey]bool {
+	slots := make(map[instanceKey]bool)
+	for ds, m := range sh {
+		for id := range m {
+			slots[instanceKey{ds, id}] = true
+		}
+	}
+	return slots
+}
+
+func TestEverySnapshotIsWhole(t *testing.T) {
 	dir := t.TempDir()
 	rng := rand.New(rand.NewSource(18))
 	reg, st := reopen(t, dir, Options{SnapshotEvery: -1})
 	want := make(shadow)
-	for i := 0; i < 2; i++ {
-		for _, spec := range specs[:2] { // alpha and beta
-			s := randomSummary(rng, spec)
-			if err := reg.Put(spec.name, s); err != nil {
-				t.Fatal(err)
-			}
-			want.put(spec.name, s)
-		}
-	}
-	if err := reg.Snapshot(); err != nil {
-		t.Fatal(err)
-	}
-	// Only beta mutates; the second chain file must hold beta alone.
-	s := randomSummary(rng, specs[1])
-	if err := reg.Put(specs[1].name, s); err != nil {
-		t.Fatal(err)
-	}
-	want.put(specs[1].name, s)
-	if err := reg.Snapshot(); err != nil {
-		t.Fatal(err)
-	}
-	if got := st.Status().SnapshotChain; got != 2 {
-		t.Fatalf("SnapshotChain = %d, want 2", got)
-	}
-	chainDatasets := make(map[string]int)
-	scan, err := verifyFile(dir, fileSpec{chainFile, 2}, 0, &window{})
-	if err != nil {
-		t.Fatalf("reading chain file 2: %v", err)
-	}
-	for slot := range scan.slots {
-		chainDatasets[slot.dataset]++
-	}
-	if len(chainDatasets) != 1 || chainDatasets[specs[1].name] != len(want[specs[1].name]) {
-		t.Fatalf("chain file 2 holds %v, want only %s with all %d instances",
-			chainDatasets, specs[1].name, len(want[specs[1].name]))
-	}
-	st.Close()
-
-	// Reopen loses nothing and rewrites nothing: bounding the chain is the
-	// background writer's job, not something to wait for before serving.
-	reg2, st2 := reopen(t, dir, Options{})
-	defer st2.Close()
-	mustMatch(t, "chain recovery", image(t, reg2.Dump), image(t, want.dump))
-	if got := st2.Status().SnapshotChain; got != 2 {
-		t.Fatalf("SnapshotChain after reopen = %d, want 2 (preserved)", got)
-	}
-}
-
-func TestSnapshotChainCompactsAtRuntime(t *testing.T) {
-	dir := t.TempDir()
-	rng := rand.New(rand.NewSource(19))
-	reg, st := reopen(t, dir, Options{SnapshotEvery: -1})
-	want := make(shadow)
-	// One more snapshot than the chain bound: the last one must fold the
-	// whole chain into a single file instead of growing it without limit.
-	for i := 0; i <= maxSnapshotChain; i++ {
-		spec := specs[i%len(specs)]
+	put := func(spec datasetSpec) {
+		t.Helper()
 		s := randomSummary(rng, spec)
 		if err := reg.Put(spec.name, s); err != nil {
 			t.Fatal(err)
 		}
 		want.put(spec.name, s)
+	}
+	for i := 0; i < 2; i++ {
+		put(specs[0]) // alpha
+		put(specs[1]) // beta
+	}
+	// More snapshots than the old chain ever held, and only beta changes
+	// between them: each must still hold alpha too, and be the only file.
+	for i := 1; i <= 10; i++ {
 		if err := reg.Snapshot(); err != nil {
 			t.Fatalf("snapshot %d: %v", i, err)
 		}
+		seqs := snapFiles(t, dir)
+		if len(seqs) != 1 || seqs[0] != int64(i) {
+			t.Fatalf("after snapshot %d: snapshot files %v, want [%d]", i, seqs, i)
+		}
+		if got := slotsIn(t, dir, seqs[0]); !reflect.DeepEqual(got, want.wantSlots()) {
+			t.Fatalf("snapshot %d holds %v, want every slot %v", i, got, want.wantSlots())
+		}
+		if got := st.Status().SnapshotEntries; got != want.slots() {
+			t.Fatalf("after snapshot %d: SnapshotEntries %d, want %d", i, got, want.slots())
+		}
+		put(specs[1])
 	}
-	if got := st.Status().SnapshotChain; got != 1 {
-		t.Fatalf("SnapshotChain = %d, want 1 after compaction", got)
+	st.Close()
+
+	reg2, st2 := reopen(t, dir, Options{})
+	defer st2.Close()
+	mustMatch(t, "whole-snapshot recovery", image(t, reg2.Dump), image(t, want.dump))
+}
+
+// TestSnapshotOfEmptyRegistryIsAFile: a snapshot with nothing to hold
+// is still written, so every successful snapshot leaves exactly one file,
+// and the empty file recovers as an empty registry.
+func TestSnapshotOfEmptyRegistryIsAFile(t *testing.T) {
+	dir := t.TempDir()
+	reg, st := reopen(t, dir, Options{SnapshotEvery: -1})
+	if err := reg.Snapshot(); err != nil {
+		t.Fatal(err)
 	}
-	snaps, _, err := scanSnapshots(dir)
-	if err != nil || len(snaps) != 1 {
-		t.Fatalf("snapshot files on disk: %v (err=%v), want exactly one", snaps, err)
+	if got := snapFiles(t, dir); !reflect.DeepEqual(got, []int64{1}) {
+		t.Fatalf("snapshot files %v, want [1]", got)
+	}
+	if status := st.Status(); status.SnapshotEntries != 0 || status.LastSnapshot == "" {
+		t.Fatalf("status after an empty snapshot: %+v", status)
 	}
 	st.Close()
 	reg2, st2 := reopen(t, dir, Options{})
 	defer st2.Close()
-	mustMatch(t, "compacted recovery", image(t, reg2.Dump), image(t, want.dump))
+	mustMatch(t, "empty snapshot", image(t, reg2.Dump), map[string][]byte{})
+	if got := st2.Status().LastSnapshot; got == "" {
+		t.Fatal("recovery from an empty snapshot reports no last_snapshot")
+	}
+}
+
+// TestCrashBetweenPromotionAndRemoval: a crash after snapshot N is
+// promoted but before N-1 is removed leaves both on disk, beside the
+// segments N covers. Recovery reads both, the newer winning, and the
+// next snapshot removes every older file.
+func TestCrashBetweenPromotionAndRemoval(t *testing.T) {
+	dir := t.TempDir()
+	rng := rand.New(rand.NewSource(19))
+	reg, st := reopen(t, dir, Options{SnapshotEvery: -1})
+	want := make(shadow)
+	put := func(reg *server.Registry, spec datasetSpec) {
+		t.Helper()
+		s := randomSummary(rng, spec)
+		if err := reg.Put(spec.name, s); err != nil {
+			t.Fatal(err)
+		}
+		want.put(spec.name, s)
+	}
+	for _, spec := range specs {
+		put(reg, spec)
+	}
+	if err := reg.Snapshot(); err != nil {
+		t.Fatal(err)
+	}
+	put(reg, specs[0])
+	put(reg, specs[2])
+	// Snapshot 2 written and promoted, as the worker would, and then the
+	// crash: snapshot 1, the manifest and the segments are as they were.
+	tmp, _, err := writeSnapshotTemp(dir, reg.Dump)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := promoteSnapshot(dir, tmp, 2); err != nil {
+		t.Fatal(err)
+	}
+	st.Close()
+	if got := snapFiles(t, dir); !reflect.DeepEqual(got, []int64{1, 2}) {
+		t.Fatalf("crash-window directory holds snapshots %v, want [1 2]", got)
+	}
+
+	reg2, st2 := reopen(t, dir, Options{SnapshotEvery: -1})
+	mustMatch(t, "crash-window recovery", image(t, reg2.Dump), image(t, want.dump))
+	if got := st2.Status().SnapshotEntries; got != want.slots() {
+		t.Fatalf("SnapshotEntries %d, want %d", got, want.slots())
+	}
+	put(reg2, specs[1])
+	if err := reg2.Snapshot(); err != nil {
+		t.Fatal(err)
+	}
+	if got := snapFiles(t, dir); !reflect.DeepEqual(got, []int64{3}) {
+		t.Fatalf("snapshot files after the next snapshot %v, want [3]", got)
+	}
+	if got := slotsIn(t, dir, 3); !reflect.DeepEqual(got, want.wantSlots()) {
+		t.Fatalf("snapshot 3 holds %v, want every slot %v", got, want.wantSlots())
+	}
+	st2.Close()
+
+	reg3, st3 := reopen(t, dir, Options{})
+	defer st3.Close()
+	mustMatch(t, "after the next snapshot", image(t, reg3.Dump), image(t, want.dump))
 }

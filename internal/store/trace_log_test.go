@@ -43,7 +43,7 @@ func TestSnapshotLogAndTrace(t *testing.T) {
 	dump := func(emit func(string, core.Summary) error) error {
 		return emit(specs[0].name, snapSum)
 	}
-	wait, err := st.SnapshotTraced(trigger, dump, func(bool) {}, true)
+	wait, err := st.SnapshotTraced(trigger, dump, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,7 +132,7 @@ func TestSnapshotFailureLogCorrelates(t *testing.T) {
 	boom := func(emit func(string, core.Summary) error) error {
 		return errors.New("dump exploded")
 	}
-	wait, err := st.SnapshotTraced(nil, boom, func(bool) {}, true)
+	wait, err := st.SnapshotTraced(nil, boom, true)
 	if err != nil {
 		t.Fatal(err)
 	}

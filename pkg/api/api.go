@@ -80,11 +80,9 @@ type StoreStatus struct {
 	WALRecords  int64 `json:"wal_records"`
 	WALBytes    int64 `json:"wal_bytes"`
 	WALSegments int64 `json:"wal_segments"`
-	// SnapshotEntries is the number of summaries in the snapshot chain on
-	// disk (0 when none has been taken yet); SnapshotChain counts the
-	// incremental chain files recovery would replay before the WAL.
+	// SnapshotEntries is the number of summaries in the snapshot on disk
+	// (0 when none has been taken yet).
 	SnapshotEntries int64 `json:"snapshot_entries"`
-	SnapshotChain   int   `json:"snapshot_chain"`
 	// QuarantinedFiles counts files the last recovery could not account
 	// for (out-of-manifest segments, unparsable names) and moved to the
 	// quarantine/ subdirectory instead of replaying or deleting.
