@@ -87,8 +87,7 @@ func TestStoreMetrics(t *testing.T) {
 			t.Errorf("exposition missing %q", want)
 		}
 	}
-	// A snapshot is the whole registry: there is no chain to count and
-	// nothing to compact.
+	// No snapshot-chain or compaction series is exposed.
 	for _, gone := range []string{"summaryd_store_snapshot_chain_files", "summaryd_store_compactions_total"} {
 		if strings.Contains(text, gone) {
 			t.Errorf("exposition still has %s", gone)

@@ -70,7 +70,8 @@ func mustRecoverTo(t *testing.T, what string, reg *server.Registry, st *Store, s
 // TestCrashRecoveryProperty is the subsystem's central contract: for
 // random interleavings of posts and ingest results (modeled as registry
 // Puts — both HTTP paths reduce to Put) with mid-run snapshots and
-// segment rotations, recovery from (snapshot + segments) is bit-for-bit the in-memory registry, and recovery after
+// segment rotations, recovery from (snapshots + segments) is bit-for-bit
+// the in-memory registry, and recovery after
 // truncating the FINAL segment at an ARBITRARY byte offset is
 // bit-for-bit the registry built from the longest valid record prefix.
 // Truncation anywhere in a SEALED segment, by contrast, must hard-error:
@@ -79,8 +80,10 @@ func mustRecoverTo(t *testing.T, what string, reg *server.Registry, st *Store, s
 //
 // Every third write goes to one hot slot, so the same (dataset, instance)
 // is rewritten before the first snapshot cut, between the cuts, after the
-// second and across every rotation: recovery has to pick its last record
-// out of the snapshot, the sealed segments and the live one.
+// second and across every rotation. The first snapshot is put back beside
+// the second, as a crash between promoting the second and removing the
+// first leaves the directory, so recovery has to pick the hot slot's last
+// record out of two snapshot files, the sealed segments and the live one.
 //
 // The expected state is computed from a test-side shadow model — never
 // from the store's own reader — so the check cannot be circular. Every
@@ -90,8 +93,8 @@ func mustRecoverTo(t *testing.T, what string, reg *server.Registry, st *Store, s
 // final segment (seq L) at offset X is the shadow of the LAST mark with
 // seq < L, or seq == L and end <= X — no matter how many sealed segments
 // sit underneath. The same marks give every number the store reports
-// about a recovery: the snapshot holds the slots that
-// existed at the last cut, the WAL the records appended since.
+// about a recovery: the snapshots hold the slots that existed at the last
+// cut, the WAL the records appended since.
 func TestCrashRecoveryProperty(t *testing.T) {
 	for trial := 0; trial < 6; trial++ {
 		rng := rand.New(rand.NewSource(int64(100 + trial)))
@@ -111,8 +114,10 @@ func TestCrashRecoveryProperty(t *testing.T) {
 
 		ops := 15 + rng.Intn(25)
 		snapAt := map[int]bool{ops / 3: true, (2 * ops) / 3: true}
-		lastCut := 0          // marks[:lastCut] are covered by the snapshot
-		atCut := make(shadow) // the state the snapshot holds
+		lastCut := 0          // marks[:lastCut] are covered by the snapshots
+		atCut := make(shadow) // the state the last snapshot holds
+		var firstSnap []byte  // the first snapshot file, which the second deletes
+		var firstSeq int64
 		for i := 0; i < ops; i++ {
 			spec := specs[rng.Intn(len(specs))]
 			sum := randomSummary(rng, spec)
@@ -137,6 +142,15 @@ func TestCrashRecoveryProperty(t *testing.T) {
 					t.Fatalf("trial %d op %d: snapshot: %v", trial, i, err)
 				}
 				lastCut, atCut = len(marks), full.clone()
+				if firstSnap == nil {
+					seqs := snapFiles(t, dir)
+					firstSeq = seqs[len(seqs)-1]
+					data, err := os.ReadFile(filepath.Join(dir, snapName(firstSeq)))
+					if err != nil {
+						t.Fatal(err)
+					}
+					firstSnap = data
+				}
 			}
 		}
 		if err := st.Close(); err != nil {
@@ -145,6 +159,16 @@ func TestCrashRecoveryProperty(t *testing.T) {
 		first, last, ok, err := readManifest(dir)
 		if err != nil || !ok {
 			t.Fatalf("trial %d: manifest: ok=%v err=%v", trial, ok, err)
+		}
+		// Put the first snapshot back beside the second, as a crash between
+		// promoting the second and removing the first leaves them: every
+		// recovery below has to pick the hot slot's last record out of two
+		// snapshot files, the sealed segments and the live one.
+		if err := os.WriteFile(filepath.Join(dir, snapName(firstSeq)), firstSnap, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if got := snapFiles(t, dir); len(got) != 2 || got[0] != firstSeq {
+			t.Fatalf("trial %d: snapshot files %v, want the first (%d) and the second", trial, got, firstSeq)
 		}
 
 		// expect is the model's answer for a final segment cut at x bytes.

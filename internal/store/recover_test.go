@@ -252,7 +252,7 @@ func markCoordinated(t *testing.T, path string) {
 	}
 }
 
-// TestOpenRefusesCoordinatedRecord: a chain file or a sealed segment whose
+// TestOpenRefusesCoordinatedRecord: a snapshot file or a sealed segment whose
 // record is validly framed but holds a coordinated summary fails Open
 // loudly, naming the file and the decoder's refusal — nothing here serves
 // such a summary, and there is no code to migrate it — and Open leaves
@@ -263,7 +263,7 @@ func TestOpenRefusesCoordinatedRecord(t *testing.T) {
 		path func(l layered) string
 		kind string
 	}{
-		{"chain file", func(l layered) string { return l.snap1 }, "store: snapshot "},
+		{"snapshot file", func(l layered) string { return l.snap1 }, "store: snapshot "},
 		{"sealed segment", func(l layered) string { return l.sealedA }, "store: sealed WAL segment "},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

@@ -918,8 +918,8 @@ func TestEverySnapshotIsWhole(t *testing.T) {
 		put(specs[0]) // alpha
 		put(specs[1]) // beta
 	}
-	// More snapshots than the old chain ever held, and only beta changes
-	// between them: each must still hold alpha too, and be the only file.
+	// Ten snapshots while only beta changes between them: each must still
+	// hold alpha too, and be the only snapshot file on disk.
 	for i := 1; i <= 10; i++ {
 		if err := reg.Snapshot(); err != nil {
 			t.Fatalf("snapshot %d: %v", i, err)
