@@ -294,24 +294,6 @@ func BenchmarkBottomK(b *testing.B) {
 	}
 }
 
-// BenchmarkVarOptStream measures streaming 10k items through a VarOpt-500
-// reservoir.
-func BenchmarkVarOptStream(b *testing.B) {
-	in := benchInstance(10000)
-	keys := make([]dataset.Key, 0, len(in))
-	for h := range in {
-		keys = append(keys, h)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		vo := sampling.NewVarOpt(500, randx.New(uint64(i)))
-		for _, h := range keys {
-			vo.Add(h, in[h])
-		}
-		sinkF += vo.Tau()
-	}
-}
-
 // BenchmarkStreamBottomKPush measures the per-arrival cost of the
 // streaming bottom-k sampler.
 func BenchmarkStreamBottomKPush(b *testing.B) {

@@ -10,13 +10,8 @@
 //	estimate -query sum          a.json # single-summary subset-sum estimate
 //	estimate -demo                      # generate, serialize, and query a demo pair
 //	estimate -demo -wire 2              # serialize the demo pair in the v2 binary format
-//	estimate -demo -query sum -sampler varopt # VarOpt_k reservoir demo
 //
 // Every demo summary is drawn in-line, in one pass over its instance.
-//
-// -sampler picks the sum demo's summary kind: pps (default, threshold
-// sampling sized to ~200 expected keys) or varopt (a VarOpt_k reservoir
-// of exactly 200 keys — the variance-optimal fixed-size scheme).
 //
 // -wire selects the serialization of the -demo summary files: 1 (the
 // default) writes the JSON wire format, 2 the compact binary v2 format.
@@ -52,7 +47,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs.SetOutput(stderr)
 	query := fs.String("query", "maxdominance", "query to run: maxdominance, distinct, or sum")
 	demo := fs.Bool("demo", false, "write a demo summary pair to a temp directory and query it")
-	sampler := fs.String("sampler", "pps", "summary kind for the sum demo: pps or varopt")
 	wire := fs.Int("wire", 1, "wire version of the -demo summary files (1 = JSON, 2 = binary)")
 	if err := fs.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
@@ -69,16 +63,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, "estimate: -wire only applies to -demo output (query inputs are sniffed)")
 		return 2
 	}
-	if *sampler != "pps" && *sampler != "varopt" {
-		fmt.Fprintf(stderr, "estimate: unknown -sampler %q (pps, varopt)\n", *sampler)
-		return 2
-	}
-	if *sampler != "pps" && (!*demo || *query != "sum") {
-		fmt.Fprintln(stderr, "estimate: -sampler only applies to the sum demo (query inputs carry their kind)")
-		return 2
-	}
 	if *demo {
-		if err := runDemo(stdout, *query, *sampler, *wire); err != nil {
+		if err := runDemo(stdout, *query, *wire); err != nil {
 			fmt.Fprintln(stderr, err)
 			return 1
 		}
@@ -165,7 +151,7 @@ func answer(stdout io.Writer, query string, files ...string) error {
 
 // runDemo writes the demo summaries for query to a temp directory and
 // answers query over them.
-func runDemo(stdout io.Writer, query, sampler string, wire int) error {
+func runDemo(stdout io.Writer, query string, wire int) error {
 	dir, err := os.MkdirTemp("", "estimate-demo-")
 	if err != nil {
 		return err
@@ -215,13 +201,7 @@ func runDemo(stdout io.Writer, query, sampler string, wire int) error {
 		fmt.Fprintf(stdout, "wrote %s, %s\n", paths[0], paths[1])
 		fmt.Fprintf(stdout, "truth: %d\n", len(m.Keys()))
 	case "sum":
-		var sum core.Summary
-		if sampler == "varopt" {
-			sum = s.SummarizeVarOpt(0, m.Instances[0], 200)
-		} else {
-			sum = s.SummarizePPSExpectedSize(0, m.Instances[0], 200)
-		}
-		path, err := writeSummary(0, sum)
+		path, err := writeSummary(0, s.SummarizePPSExpectedSize(0, m.Instances[0], 200))
 		if err != nil {
 			return err
 		}

@@ -55,7 +55,6 @@ const (
 	uniqueKeys = 600
 	expectedK  = 400 // expected PPS summary size per site
 	setP       = 0.3 // set-sampling probability per site
-	varoptK    = 400 // VarOpt_k reservoir capacity per site
 )
 
 func main() {
@@ -180,41 +179,6 @@ func main() {
 	fmt.Printf("\nevery server answer is bit-identical to the in-process estimate ✓\n")
 	fmt.Printf("(the summaries travelled as ~%d keys per site instead of %d raw pairs)\n",
 		expectedK, sharedKeys+uniqueKeys)
-
-	// --- VarOpt_k: variance-optimal fixed-size reservoirs ----------------
-	// The fourth summary kind. Site 0 summarizes in-process and posts the
-	// finished reservoir, so the server's answer must equal the local
-	// estimate bit for bit (same object, different transport). Site 1
-	// ingests raw pairs and the SERVER's reservoir draws its own drop
-	// decisions — a different random sample than any local run — so the
-	// two estimates agree statistically, not bitwise. The anchor is the
-	// VarOpt invariant Σ max(w, tau) = Σ pushed: both full-reservoir sums
-	// reproduce the exact site total up to float rounding, and that is the
-	// Monte Carlo tolerance the comparison uses.
-	fmt.Printf("\nVarOpt_k reservoirs (k = %d of %d keys per site):\n\n", varoptK, sharedKeys+uniqueKeys)
-	vo0 := summ.SummarizeVarOpt(0, sites[0], varoptK)
-	vpost, err := c.PostSummary(ctx, "reservoirs", vo0)
-	check(err)
-	fmt.Printf("site 0: POST /v1/summaries            varopt summary, %d keys (tau = %.4g)\n",
-		vpost.Size, vo0.VarOptTau())
-	srvV, err := c.Sum(ctx, "reservoirs", 0)
-	check(err)
-	mustEqual("varopt sum (posted)", srvV.Sum, vo0.SubsetSum(nil))
-
-	vpost, err = c.Ingest(ctx, client.IngestOptions{
-		Dataset: "reservoirs", Instance: 1, Kind: "varopt", Format: "ndjson",
-		Salt: salt, SaltSet: true, K: varoptK,
-	}, bytes.NewReader(ndjsonBody(sites[1])))
-	check(err)
-	fmt.Printf("site 1: POST /v1/ingest (ndjson)      %d pairs -> %d keys\n", vpost.Pairs, vpost.Size)
-	srvV1, err := c.Sum(ctx, "reservoirs", 1)
-	check(err)
-	locV1 := summ.SummarizeVarOpt(1, sites[1], varoptK).SubsetSum(nil)
-	truthV1 := sites[1].Total()
-	mustClose("varopt sum (server reservoir vs total)", srvV1.Sum, truthV1, 1e-9*truthV1)
-	mustClose("varopt sum (in-process reservoir vs total)", locV1, truthV1, 1e-9*truthV1)
-	fmt.Printf("%-34s %14.6g %14.6g %14.6g\n", "varopt subset sum (site 1)", srvV1.Sum, locV1, truthV1)
-	fmt.Printf("server and in-process reservoirs reproduce the exact site total ✓\n")
 
 	// --- one pass, all instances ----------------------------------------
 	// The same three sites again, but now their streams are combined into

@@ -63,10 +63,10 @@ func TestBottomKDistinctDrawnAndDecodedMatchReference(t *testing.T) {
 	}
 }
 
-// TestBottomKDistinctMonteCarlo pins the k-dependent bound the query
-// surface reports: across independent randomizations, the distinct
-// estimator's empirical CV must respect CV ≤ 1/√(k−2), and the reported
-// 95% interval must cover the true count at least ~95% of the time.
+// TestBottomKDistinctMonteCarlo: across independent randomizations the
+// distinct estimator is unbiased, and BottomKDistinctStdErr reports no
+// bound for a finite threshold — the sum's CV bound is not one for a count
+// (TestConformance in internal/server has the numbers).
 func TestBottomKDistinctMonteCarlo(t *testing.T) {
 	const (
 		n      = 400
@@ -74,38 +74,21 @@ func TestBottomKDistinctMonteCarlo(t *testing.T) {
 		trials = 400
 	)
 	in := mcInstance(n)
-	bound := 1 / math.Sqrt(float64(k-2))
 	for _, fam := range []sampling.RankFamily{sampling.EXP{}, sampling.PPS{}} {
-		var sum, sumSq float64
-		covered := 0
+		var sum float64
 		for trial := 0; trial < trials; trial++ {
 			s := NewSummarizer(0x9e3779b9<<8 + uint64(trial))
 			b := s.SummarizeBottomK(0, in, k, fam)
 			est := BottomKDistinct(b)
 			sum += est
-			sumSq += est * est
-			stderr, ok := BottomKDistinctStdErr(b, est)
-			if !ok {
-				t.Fatalf("%s trial %d: no stderr for k=%d", fam.Name(), trial, k)
-			}
-			if math.Abs(est-n) <= CI95Z*stderr {
-				covered++
+			if stderr, ok := BottomKDistinctStdErr(b, est); ok {
+				t.Fatalf("%s trial %d: stderr %v reported for a finite threshold %v", fam.Name(), trial, stderr, b.RankTau())
 			}
 		}
 		mean := sum / trials
-		cv := math.Sqrt(sumSq/trials-mean*mean) / mean
 		if relErr := math.Abs(mean-n) / n; relErr > 0.05 {
 			t.Errorf("%s: mean estimate %v is %.1f%% off the true count %d",
 				fam.Name(), mean, 100*relErr, n)
-		}
-		// The proven bound plus Monte Carlo slack for trials=400.
-		if cv > bound*1.15 {
-			t.Errorf("%s: empirical CV %.4f exceeds bound 1/sqrt(k-2) = %.4f",
-				fam.Name(), cv, bound)
-		}
-		if coverage := float64(covered) / trials; coverage < 0.90 {
-			t.Errorf("%s: ci95 covered the truth in only %.1f%% of trials",
-				fam.Name(), 100*coverage)
 		}
 	}
 }
@@ -180,11 +163,6 @@ func TestSumStdErrPerKind(t *testing.T) {
 	tiny := s.SummarizeBottomK(1, in, 2, sampling.EXP{})
 	if _, ok := SumStdErr(tiny, tiny.SubsetSum(nil)); ok {
 		t.Error("k=2 bottomk reported a bound; CV bound needs k > 2")
-	}
-
-	vo := s.SummarizeVarOpt(0, in, 25)
-	if stderr, ok := SumStdErr(vo, vo.SubsetSum(nil)); !ok || stderr != 0 {
-		t.Errorf("varopt stderr = %v ok=%v, want exact 0", stderr, ok)
 	}
 }
 

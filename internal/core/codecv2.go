@@ -22,7 +22,7 @@ import (
 //	0       1     magic 0xCB
 //	1       1     magic 0x53
 //	2       1     wire version (2)
-//	3       1     kind tag: 1 = pps, 2 = set, 3 = bottomk, 4 = varopt
+//	3       1     kind tag: 1 = pps, 2 = set, 3 = bottomk
 //	4       1     flags: must be 0 (a set bit 0, a coordinated summary, is refused)
 //	5       8     salt, uint64 little-endian
 //	13      var   instance, signed varint (zigzag)
@@ -32,11 +32,9 @@ import (
 //	              bottomk  rank family (1 = pps, 2 = exp), then tau float64
 //	                       (+Inf encodes the unbounded threshold directly —
 //	                       no JSON-style zero sentinel)
-//	              varopt   tau, float64 little-endian (0 = never overflowed)
 //	...     var   entry count, unsigned varint
 //	...     n×    entries, fixed width little-endian:
 //	              pps/bottomk  key uint64, value float64   (16 bytes)
-//	              varopt       key uint64, original weight (16 bytes)
 //	              set          key uint64                  (8 bytes)
 //
 // The CANONICAL encoding — the one an encoder writes — has minimal varints
@@ -60,7 +58,6 @@ const (
 	v2KindPPS     = 1
 	v2KindSet     = 2
 	v2KindBottomK = 3
-	v2KindVarOpt  = 4
 )
 
 // v2 rank-family tags (bottom-k only).
@@ -244,7 +241,7 @@ func parseSummaryV2(data []byte, stored bool) (Summary, int, error) {
 		fam    sampling.RankFamily
 	)
 	switch kind {
-	case v2KindPPS, v2KindSet, v2KindVarOpt:
+	case v2KindPPS, v2KindSet:
 	case v2KindBottomK:
 		if famTag, err = r.byte(); err != nil {
 			return nil, 0, err
@@ -271,8 +268,6 @@ func parseSummaryV2(data []byte, stored bool) (Summary, int, error) {
 		return nil, 0, fmt.Errorf("core: invalid sampling probability %v", param)
 	case kind == v2KindBottomK && !(param > 0): // +Inf (the unbounded threshold) passes; 0, negatives, NaN fail
 		return nil, 0, fmt.Errorf("core: invalid rank threshold %v", param)
-	case kind == v2KindVarOpt && (!(param >= 0) || math.IsInf(param, 1)): // 0 (never overflowed) passes
-		return nil, 0, fmt.Errorf("core: invalid varopt threshold %v", param)
 	}
 
 	// The declared count allocates nothing: the entries are the bytes that
@@ -321,10 +316,8 @@ func parseSummaryV2(data []byte, stored bool) (Summary, int, error) {
 		return &PPSSummary{summaryData: sd, tau: param}, end, nil
 	case v2KindSet:
 		return &SetSummary{summaryData: sd, p: param}, end, nil
-	case v2KindBottomK:
+	default: // v2KindBottomK: the kind switch above refused every other tag
 		return &BottomKSummary{summaryData: sd, fam: fam, tau: param}, end, nil
-	default:
-		return &VarOptSummary{summaryData: sd, tau: param}, end, nil
 	}
 }
 

@@ -53,7 +53,13 @@ func FuzzDecodeSummaryV2(f *testing.F) {
 	f.Add([]byte{v2Magic0, v2Magic1})
 	f.Add([]byte{v2Magic0, v2Magic1, 0x07, 0x01, 0x00}) // future version
 	f.Add([]byte{v2Magic0, v2Magic1, 0x02, 0x09, 0x00}) // unknown kind
-	f.Add([]byte{0x00, 0x53, 0x02, 0x01, 0x00})         // bad magic
+	// Kind tag 4, which no kind uses, on an otherwise valid empty pps message.
+	tag4 := []byte{v2Magic0, v2Magic1, 0x02, 0x04, 0x00}
+	tag4 = binary.LittleEndian.AppendUint64(tag4, 42)                    // salt
+	tag4 = append(tag4, 0x00)                                            // instance 0
+	tag4 = binary.LittleEndian.AppendUint64(tag4, math.Float64bits(2.5)) // tau
+	f.Add(append(tag4, 0x00))                                            // no entries
+	f.Add([]byte{0x00, 0x53, 0x02, 0x01, 0x00})                          // bad magic
 	// Oversized varint count: a valid pps header followed by a 2^63 claim.
 	hostile := []byte{v2Magic0, v2Magic1, 0x02, v2KindPPS, 0x00}
 	hostile = binary.LittleEndian.AppendUint64(hostile, 42)                    // salt

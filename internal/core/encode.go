@@ -260,12 +260,6 @@ func decodeSummaryJSON(data []byte, stored bool) (Summary, error) {
 			return nil, fmt.Errorf("core: decoding bottom-k summary: %w", err)
 		}
 		return decodeBottomKWire(w, stored)
-	case "varopt":
-		var w varoptWire
-		if err := json.Unmarshal(data, &w); err != nil {
-			return nil, fmt.Errorf("core: decoding varopt summary: %w", err)
-		}
-		return decodeVarOptWire(w, stored)
 	default:
 		// An unrecognized (or missing) kind on an unrecognized version is
 		// a future format: surface the typed version error so callers can

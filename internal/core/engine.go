@@ -12,7 +12,7 @@ import (
 // config yields the same summary — ranks depend only on the hash-derived
 // seeds, not on arrival order or shard assignment — so estimator semantics
 // never depend on the execution strategy. The one-shot Summarize entry
-// points, the multi-instance streams and VarOpt run in-line.
+// points and the multi-instance streams run in-line.
 
 // BottomKStream summarizes one instance incrementally: Push arrivals as
 // they happen, Close to obtain the finished BottomKSummary. It is the

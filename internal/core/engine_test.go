@@ -206,35 +206,6 @@ func TestMultiStreamRefusals(t *testing.T) {
 	}
 }
 
-// TestVarOptStream: PushBatch in slices of any length leaves the reservoir
-// where a Push per pair does, with the same Stats().Pairs, and
-// SummarizeVarOpt reproduces the same summary from the same instance.
-func TestVarOptStream(t *testing.T) {
-	in := engineTestInstance(3000)
-	s := NewSummarizer(15)
-	pairs := make([]sampling.Pair, 0, len(in))
-	for _, h := range slices.Sorted(maps.Keys(in)) {
-		pairs = append(pairs, sampling.Pair{Key: h, Value: in[h]})
-	}
-	one, batched := s.StreamVarOpt(3, 64), s.StreamVarOpt(3, 64)
-	for _, p := range pairs {
-		one.Push(p.Key, p.Value)
-	}
-	rest := pairs
-	for _, n := range []int{0, 1, 255, 256, 0, 257, 1500} {
-		batched.PushBatch(rest[:n])
-		rest = rest[n:]
-	}
-	batched.PushBatch(rest)
-	if a, b := one.Stats().Pairs, batched.Stats().Pairs; a != uint64(len(pairs)) || b != a {
-		t.Errorf("Stats().Pairs %d pushed, %d batched, want %d", a, b, len(pairs))
-	}
-	want := one.Close()
-	sameSummary(t, "batched varopt", batched.Close(), want)
-	sameSummary(t, "SummarizeVarOpt", s.SummarizeVarOpt(3, in, 64), want)
-	sameSummary(t, "SummarizeVarOpt again", s.SummarizeVarOpt(3, in, 64), want)
-}
-
 // Push offers one (key, value) arrival of instances[i].
 func (m *multiStream[S]) Push(i int, h dataset.Key, v float64) {
 	m.by[i].Push(h, v)

@@ -75,17 +75,6 @@ type SetReader interface {
 	AppendKeys(dst []dataset.Key) []dataset.Key
 }
 
-// varOptReader is the read surface of a VarOpt_k summary.
-type varOptReader interface {
-	Summary
-	// VarOptTau returns the final reservoir threshold (0 = never
-	// overflowed).
-	VarOptTau() float64
-	// SubsetSum estimates Σ_{h∈sel} v(h) by summing adjusted weights,
-	// accumulating in ascending key order.
-	SubsetSum(sel func(dataset.Key) bool) float64
-}
-
 // queryScratch is the working memory of one query: a cursor and a seeder
 // per consulted summary, and the backing arrays of whatever else its
 // estimator reads (a point query's outcome, the OR^(L) table) — O(r) in the

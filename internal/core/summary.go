@@ -28,8 +28,7 @@ import (
 type Summary interface {
 	// InstanceID returns the instance index the summary was drawn for.
 	InstanceID() int
-	// Kind returns the wire-format kind tag ("pps", "set", "bottomk",
-	// "varopt").
+	// Kind returns the wire-format kind tag ("pps", "set", "bottomk").
 	Kind() string
 	// Size returns the number of retained keys.
 	Size() int
@@ -275,41 +274,4 @@ func (b *BottomKSummary) Lookup(h dataset.Key) (float64, bool) { return b.lookup
 // SubsetSum estimates Σ_{h∈sel} v(h) with the rank-conditioning estimator.
 func (b *BottomKSummary) SubsetSum(sel func(dataset.Key) bool) float64 {
 	return b.weightedSubsetSum(b.fam, b.tau, sel)
-}
-
-// VarOptSummary is a VarOpt_k summary of a single instance. Entries carry
-// the original weights; adjusted weights are the identity max(w, tau)
-// applied at read time.
-type VarOptSummary struct {
-	summaryData
-	tau float64
-}
-
-func newVarOptSummary(seeder xhash.Seeder, instance int, tau float64, original map[dataset.Key]float64) *VarOptSummary {
-	return &VarOptSummary{
-		summaryData: newSummaryData(v2KindVarOpt, seeder, instance, 0, tau, weightedEntries(original)),
-		tau:         tau,
-	}
-}
-
-// Kind implements Summary.
-func (v *VarOptSummary) Kind() string { return "varopt" }
-
-// VarOptTau implements varOptReader.
-func (v *VarOptSummary) VarOptTau() float64 { return v.tau }
-
-// SubsetSum estimates Σ_{h∈sel} v(h) by summing adjusted weights in
-// ascending key order (nil sel selects all keys; the all-keys sum is the
-// exact stream total).
-//
-//summarylint:hot
-func (v *VarOptSummary) SubsetSum(sel func(dataset.Key) bool) float64 {
-	total := 0.0
-	for i := 0; i < v.n; i++ {
-		if sel != nil && !sel(dataset.Key(v.weightedKeyAt(i))) {
-			continue
-		}
-		total += math.Max(v.weightedValueAt(i), v.tau)
-	}
-	return total
 }

@@ -18,8 +18,7 @@ import (
 // they are kept so the suite's history stays comparable.)
 
 // summaryFixtures builds one summary of every kind the wire formats speak,
-// including the VarOpt reservoir and edge shapes (empty, unbounded
-// bottom-k threshold, never-overflowed VarOpt).
+// including edge shapes (empty, unbounded bottom-k threshold).
 func summaryFixtures(s *Summarizer) []Summary {
 	m := simdata.Generate(simdata.ScaledTraffic(150))
 	members := make(map[dataset.Key]bool, len(m.Instances[0]))
@@ -32,9 +31,7 @@ func summaryFixtures(s *Summarizer) []Summary {
 		s.SummarizeBottomK(2, m.Instances[1], 40, sampling.PPS{}),
 		s.SummarizeBottomK(3, m.Instances[1], 40, sampling.EXP{}),
 		s.SummarizeBottomK(4, dataset.Instance{7: 5, 9: 3}, 10, sampling.PPS{}),
-		s.SummarizeVarOpt(5, m.Instances[0], 48),
-		s.SummarizeVarOpt(6, dataset.Instance{3: 2.5, 8: 1.5}, 10), // never overflowed: tau = 0
-		s.SummarizePPSExpectedSize(7, dataset.Instance{}, 10),      // empty
+		s.SummarizePPSExpectedSize(7, dataset.Instance{}, 10), // empty
 	}
 }
 
@@ -128,12 +125,6 @@ func TestViewSubsetSumBitIdentical(t *testing.T) {
 			ref = (&refPPS{refWeighted{values: entryMap(s)}, s.PPSTau()}).SubsetSum
 		case *BottomKSummary:
 			ref = (&refBottomK{refWeighted{values: entryMap(s)}, s.RankFam(), s.RankTau()}).SubsetSum
-		case *VarOptSummary:
-			adjusted := make(map[dataset.Key]float64, s.Size())
-			for i := 0; i < s.Size(); i++ {
-				adjusted[dataset.Key(s.weightedKeyAt(i))] = math.Max(s.weightedValueAt(i), s.VarOptTau())
-			}
-			ref = (&sampling.VarOptSample{Adjusted: adjusted}).SubsetSum
 		default:
 			continue // set summaries have no SubsetSum
 		}
@@ -359,31 +350,6 @@ func TestDecodeV2Canonicalises(t *testing.T) {
 	}
 }
 
-// TestV2VarOptThreshold: the varopt parameter validation (0 valid,
-// negative/NaN/+Inf rejected).
-func TestV2VarOptThreshold(t *testing.T) {
-	s := NewSummarizer(7)
-	good, err := EncodeSummary(s.SummarizeVarOpt(0, dataset.Instance{1: 1, 2: 2}, 8), 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	v, err := DecodeSummary(good)
-	if err != nil {
-		t.Fatalf("varopt summary: %v", err)
-	}
-	if got := v.(varOptReader).VarOptTau(); got != 0 {
-		t.Fatalf("never-overflowed reservoir: tau %v, want 0", got)
-	}
-	for _, bad := range []float64{-1, math.NaN(), math.Inf(1)} {
-		b := bytes.Clone(good)
-		binary.LittleEndian.PutUint64(b[14:], math.Float64bits(bad))
-		want := fmt.Sprintf("core: invalid varopt threshold %v", bad)
-		if _, err := DecodeSummary(b); err == nil || err.Error() != want {
-			t.Errorf("varopt threshold %v: %v", bad, err)
-		}
-	}
-}
-
 // TestV2EntryValuesValidated: a weighted entry whose value is negative,
 // infinite or NaN is refused by every ingress decoder, for every weighted
 // kind; zero stays valid. The same entries as v1 JSON (which can only spell
@@ -396,7 +362,6 @@ func TestV2EntryValuesValidated(t *testing.T) {
 	for _, sum := range []Summary{
 		s.SummarizePPSExpectedSize(0, in, 10),
 		s.SummarizeBottomK(1, in, 10, sampling.PPS{}),
-		s.SummarizeVarOpt(2, in, 10),
 	} {
 		good, err := EncodeSummary(sum, 2)
 		if err != nil {

@@ -33,8 +33,8 @@
 //
 // This is the seam ingest backends (files, sockets, queues) plug into:
 // anything that can produce Pair values can saturate the pipeline.
-// Multi-instance and VarOpt summarization run in-line in internal/core
-// and do not use the engine.
+// Multi-instance summarization runs in-line in internal/core and does not
+// use the engine.
 package engine
 
 import (

@@ -14,55 +14,6 @@ import (
 // substrates: the structural guarantees every estimator in this repository
 // leans on.
 
-// TestQuickVarOptTotalPreserved: VarOpt's adjusted weights sum to the
-// exact stream total after every arrival, for arbitrary streams.
-func TestQuickVarOptTotalPreserved(t *testing.T) {
-	f := func(seed uint64, sizes []uint8) bool {
-		if len(sizes) == 0 {
-			return true
-		}
-		if len(sizes) > 64 {
-			sizes = sizes[:64]
-		}
-		rng := randx.New(seed)
-		vo := NewVarOpt(4, rng)
-		total := 0.0
-		for i, s := range sizes {
-			w := 0.5 + float64(s%37)
-			vo.Add(dataset.Key(i+1), w)
-			total += w
-			got := vo.Sample().SubsetSum(nil)
-			if math.Abs(got-total) > 1e-6*math.Max(1, total) {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
-		t.Error(err)
-	}
-}
-
-// TestQuickVarOptThresholdMonotone: the VarOpt threshold never decreases.
-func TestQuickVarOptThresholdMonotone(t *testing.T) {
-	f := func(seed uint64, sizes []uint8) bool {
-		rng := randx.New(seed)
-		vo := NewVarOpt(3, rng)
-		prev := 0.0
-		for i, s := range sizes {
-			vo.Add(dataset.Key(i+1), 0.5+float64(s%23))
-			if vo.Tau() < prev-1e-12 {
-				return false
-			}
-			prev = vo.Tau()
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
-		t.Error(err)
-	}
-}
-
 // TestQuickStreamEqualsBatch: the streaming bottom-k sampler agrees with
 // the batch construction for every random instance and arrival order.
 func TestQuickStreamEqualsBatch(t *testing.T) {

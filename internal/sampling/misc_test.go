@@ -70,15 +70,6 @@ func TestRankHeapPushAllocs(t *testing.T) {
 	}
 }
 
-func TestNewVarOptValidates(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("NewVarOpt(0) did not panic")
-		}
-	}()
-	NewVarOpt(0, randx.New(1))
-}
-
 func TestStreamBottomKLenCap(t *testing.T) {
 	seeder := func(h dataset.Key) float64 { return float64(h%97) / 97 }
 	s := NewStreamBottomK(3, PPS{}, func(h dataset.Key) float64 { return seeder(h) })
@@ -102,6 +93,3 @@ func (s *StreamBottomK) Len() int {
 	}
 	return len(s.h)
 }
-
-// Len returns the current reservoir size.
-func (v *VarOpt) Len() int { return len(v.items) }

@@ -1,5 +1,5 @@
 // Package sampling implements the single-instance sampling schemes of §7.1
-// (Poisson weight-oblivious, Poisson PPS, bottom-k / order sampling, VarOpt)
+// (Poisson weight-oblivious, Poisson PPS, bottom-k / order sampling)
 // and the joint multi-instance distributions (independent vs shared-seed
 // coordinated sampling) used throughout the paper.
 //

@@ -192,90 +192,6 @@ func TestBottomKSubsetSumUnbiased(t *testing.T) {
 	}
 }
 
-// TestVarOptBasics: fixed size, threshold semantics, adjusted weights.
-func TestVarOptBasics(t *testing.T) {
-	rng := randx.New(3)
-	vo := NewVarOpt(5, rng)
-	in := dataset.Instance{}
-	total := 0.0
-	r2 := randx.New(8)
-	for k := dataset.Key(1); k <= 100; k++ {
-		v := math.Floor(1 + r2.Pareto(1, 1.4))
-		in[k] = v
-		total += v
-	}
-	for h, v := range in {
-		vo.Add(h, v)
-	}
-	if vo.Len() != 5 {
-		t.Fatalf("reservoir size %d, want 5", vo.Len())
-	}
-	s := vo.Sample()
-	if len(s.Adjusted) != 5 {
-		t.Fatalf("sample size %d", len(s.Adjusted))
-	}
-	for h, aw := range s.Adjusted {
-		if aw < s.Original[h]-1e-9 || aw < s.Tau-1e-9 {
-			t.Errorf("adjusted weight %v below max(original %v, tau %v)", aw, s.Original[h], s.Tau)
-		}
-	}
-	// Adding non-positive weights is a no-op.
-	before := vo.Len()
-	vo.Add(999, 0)
-	vo.Add(998, -3)
-	if vo.Len() != before {
-		t.Error("non-positive weights changed the reservoir")
-	}
-}
-
-// TestVarOptUnbiased: the adjusted-weight total is an unbiased estimate of
-// the stream total.
-func TestVarOptUnbiased(t *testing.T) {
-	in := dataset.Instance{}
-	rng := randx.New(55)
-	total := 0.0
-	keys := make([]dataset.Key, 0, 60)
-	for k := dataset.Key(1); k <= 60; k++ {
-		v := math.Floor(1 + rng.Pareto(1, 1.3))
-		in[k] = v
-		total += v
-		keys = append(keys, k)
-	}
-	const trials = 30000
-	sum := 0.0
-	for i := 0; i < trials; i++ {
-		r := randx.New(uint64(i)*2 + 1)
-		vo := NewVarOpt(10, r)
-		for _, k := range keys {
-			vo.Add(k, in[k])
-		}
-		sum += vo.Sample().SubsetSum(nil)
-	}
-	mean := sum / trials
-	if math.Abs(mean-total)/total > 0.02 {
-		t.Errorf("VarOpt mean %v, want %v", mean, total)
-	}
-}
-
-// TestVarOptExactTotal: the adjusted weights always sum to the exact
-// stream total when every weight is below the final threshold region —
-// more precisely, VarOpt preserves Σ adjusted = Σ original exactly at
-// every step (it is a martingale with zero-variance total).
-func TestVarOptTotalPreserved(t *testing.T) {
-	rng := randx.New(101)
-	vo := NewVarOpt(4, rng)
-	total := 0.0
-	vals := []float64{5, 1, 3, 8, 2, 2, 9, 1, 4, 6, 7, 3}
-	for i, v := range vals {
-		vo.Add(dataset.Key(i+1), v)
-		total += v
-		s := vo.Sample()
-		if got := s.SubsetSum(nil); math.Abs(got-total) > 1e-9 {
-			t.Fatalf("after %d adds: adjusted total %v, stream total %v", i+1, got, total)
-		}
-	}
-}
-
 // TestSharedSeedCoordination: with one seed function shared by both
 // instances, identical instances yield identical bottom-k samples, and
 // similar instances yield overlapping samples (§7.2).

@@ -142,15 +142,10 @@ func (s *Server) parseIngestParams(r *http.Request) (ingestParams, error) {
 		if err != nil || !(out.p > 0 && out.p <= 1) {
 			return out, fmt.Errorf("server: set ingest needs a p parameter in (0,1]")
 		}
-	case "varopt":
-		out.k, err = strconv.Atoi(q.Get("k"))
-		if err != nil || out.k <= 0 {
-			return out, fmt.Errorf("server: varopt ingest needs a positive k parameter")
-		}
 	case "":
-		return out, fmt.Errorf("server: missing kind parameter (pps, bottomk, set, varopt)")
+		return out, fmt.Errorf("server: missing kind parameter (pps, bottomk, set)")
 	default:
-		return out, fmt.Errorf("server: unknown ingest kind %q (pps, bottomk, set, varopt)", out.kind)
+		return out, fmt.Errorf("server: unknown ingest kind %q (pps, bottomk, set)", out.kind)
 	}
 
 	if out.summ, err = s.bindRandomization(q, out.dataset, out.kind); err != nil {
@@ -183,9 +178,8 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		writeError(w, err)
 		return
 	}
-	// One sink per kind: pps and bottomk route through the in-line engine,
-	// varopt drives its reservoir in-line (set sampling is stateless and
-	// needs no pipeline).
+	// One sink per kind: pps and bottomk route through the in-line engine
+	// (set sampling is stateless and needs no pipeline).
 	var push func([]engine.Pair)
 	var sampler gatedStream // pps and bottomk: the scan may reject pairs for it unparsed
 	var finish func() core.Summary
@@ -209,11 +203,6 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 			}
 		}
 		finish = func() core.Summary { return st.Close() }
-	case "varopt":
-		st := p.summ.StreamVarOpt(p.instance, p.k)
-		push = st.PushBatch
-		finish = func() core.Summary { return st.Close() }
-		stats = st.Stats
 	}
 	// Tracing instruments the request's engine stages from outside the
 	// pipeline: the scan+push loop, the drain (Close), and the registry

@@ -98,7 +98,6 @@ func goldenCorpus() []goldenRequest {
 		add("pps "+format, single+"pps_"+format+"&kind=pps&tau=90&format="+format, join(valid), 4)
 		add("bottomk "+format, single+"bk_"+format+"&kind=bottomk&k=64&format="+format, join(valid), 4)
 		add("bottomk exp "+format, single+"bkexp_"+format+"&kind=bottomk&k=64&family=exp&format="+format, join(valid), 4)
-		add("varopt "+format, single+"vo_"+format+"&kind=varopt&k=64&format="+format, join(valid), 4)
 		add("set "+format, single+"set_"+format+"&kind=set&p=0.2&format="+format, join(keysOnly), 4)
 		add("set with values and repeats "+format, single+"setv_"+format+"&kind=set&p=0.2&format="+format, join(valid)+join(valid), 4)
 		// The same pairs in other clothes.

@@ -112,7 +112,7 @@ var queryKinds = []queryKind{{
 		}, 0, nil
 	},
 }, {
-	name: "sum", kinds: []string{"pps", "bottomk", "set", "varopt"}, minArity: 1, maxArity: 1,
+	name: "sum", kinds: []string{"pps", "bottomk", "set"}, minArity: 1, maxArity: 1,
 	arity: "server: sum is a single-instance query, got %d instances (pass instances=i)",
 	run: func(c queryCall) (any, int, error) {
 		var total, stderr float64
@@ -125,13 +125,11 @@ var queryKinds = []queryKind{{
 		case core.PPSReader:
 			// One walk of the entries answers the estimate and its error bar.
 			total, stderr, bounded = core.PPSSumStdErr(sum)
-		case interface {
-			SubsetSum(func(dataset.Key) bool) float64
-		}:
-			// Bottom-k and VarOpt summaries answer the subset-sum estimate
-			// directly, walking their own keys; their bound needs no walk.
+		case core.BottomKReader:
+			// A bottom-k summary answers the subset-sum estimate directly,
+			// walking its own keys; its bound needs no walk.
 			total = sum.SubsetSum(nil)
-			stderr, bounded = core.SumStdErr(c.sums[0], total)
+			stderr, bounded = core.SumStdErr(sum, total)
 		default:
 			return nil, 0, fmt.Errorf("server: sum not supported for kind %s", c.sums[0].Kind())
 		}

@@ -30,7 +30,6 @@ var ingestKinds = []struct{ kind, params string }{
 	{"pps", "tau=20"},
 	{"bottomk", "k=64"},
 	{"set", "p=0.3"},
-	{"varopt", "k=64"},
 }
 
 // request serves one request in process.

@@ -46,7 +46,7 @@ func scanBody(format string, n int) []byte {
 }
 
 // scanPairs is scanPairsGated with no sampler to gate for: every value is
-// parsed and every pair pushed, as for a set or VarOpt ingest.
+// parsed and every pair pushed, as for a set ingest.
 func scanPairs(ctx context.Context, body io.Reader, format string, keysOnly bool, push func([]engine.Pair)) (int64, error) {
 	pairs, _, err := scanPairsGated(ctx, body, format, keysOnly, push, nil)
 	return pairs, err

@@ -375,7 +375,9 @@ func (c *readCounter) Read(p []byte) (int, error) {
 // TestIngestRefusesCoordinated: coordinated (shared-seed) input is refused
 // with a 400 wherever it can enter — shared=true on both ingest endpoints,
 // for a new and for an existing dataset, before the body is read; a v1
-// summary with "shared": true; a v2 summary with flag bit 0 — and a
+// summary with "shared": true; a v2 summary with flag bit 0 — and so is
+// the varopt kind, which nothing serves: kind=varopt, a v1 "kind":"varopt"
+// summary and a v2 kind tag 4 each get the existing unknown-kind message. A
 // refusal registers nothing and feeds no pair to the engine. shared=false
 // is accepted.
 func TestIngestRefusesCoordinated(t *testing.T) {
@@ -383,6 +385,9 @@ func TestIngestRefusesCoordinated(t *testing.T) {
 		ingestRefusal = "server: shared=true: coordinated (shared-seed) summaries are not supported"
 		v1Refusal     = "core: decoding v1 summary: coordinated (shared-seed) summaries are not supported"
 		v2Refusal     = "core: decoding v2 summary: coordinated (shared-seed) summaries are not supported"
+		kindRefusal   = `server: unknown ingest kind "varopt" (pps, bottomk, set)`
+		v1KindRefusal = `core: unknown summary kind "varopt"`
+		v2KindRefusal = "core: unknown v2 summary kind tag 4"
 	)
 	sites := fixture(200)
 	reg := server.NewRegistry()
@@ -426,11 +431,14 @@ func TestIngestRefusesCoordinated(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	v1Varopt := bytes.Replace(v1, []byte(`"kind":"pps"`), []byte(`"kind":"varopt"`), 1)
 	v1 = bytes.Replace(v1, []byte(`"shared":false`), []byte(`"shared":true`), 1)
 	v2, err := core.EncodeSummary(summ.SummarizePPS(1, sites[1], 10), 2)
 	if err != nil {
 		t.Fatal(err)
 	}
+	v2Tag4 := bytes.Clone(v2)
+	v2Tag4[3] = 0x04
 	v2[4] = 0x01
 
 	// One subtest per dataset and entry point, so each refusal site is
@@ -453,6 +461,10 @@ func TestIngestRefusesCoordinated(t *testing.T) {
 				{"v1 summary, sniffed", "/v1/summaries?dataset=" + ds, "application/octet-stream", v1, v1Refusal, true},
 				{"v2 summary", "/v1/summaries?dataset=" + ds, "application/x-summary-v2", v2, v2Refusal, true},
 				{"v2 summary, sniffed", "/v1/summaries?dataset=" + ds, "application/octet-stream", v2, v2Refusal, true},
+				{"ingest kind=varopt", "/v1/ingest?dataset=" + ds + "&instance=1&kind=varopt&k=64&salt=2011&format=ndjson",
+					"application/x-ndjson", ndjsonBody(sites[1]), kindRefusal, false},
+				{"v1 varopt summary", "/v1/summaries?dataset=" + ds, "application/json", v1Varopt, v1KindRefusal, true},
+				{"v2 kind tag 4", "/v1/summaries?dataset=" + ds, "application/x-summary-v2", v2Tag4, v2KindRefusal, true},
 			} {
 				t.Run(tc.name, func(t *testing.T) {
 					status, msg, read := post(t, tc.target, tc.ct, tc.body)

@@ -122,18 +122,12 @@ func TestViewPostQueryFetch(t *testing.T) {
 			dis.HT, dis.L, dis.KeysUsed, wantD.HT, wantD.L, wantD.KeysUsed)
 	}
 
-	// Bottom-k and VarOpt: sum over posted summaries.
+	// Bottom-k: sum over a posted summary.
 	bk := summ.SummarizeBottomK(0, sites[2], 100, sampling.EXP{})
 	postV2(t, url, "ranked", bk)
 	bks := getJSON[api.SumResult](t, url+"/v1/query?dataset=ranked&q=sum&instances=0")
 	if math.Float64bits(bks.Sum) != math.Float64bits(bk.SubsetSum(nil)) {
 		t.Errorf("bottomk sum over posted summary %v != in-process %v", bks.Sum, bk.SubsetSum(nil))
-	}
-	vo := summ.SummarizeVarOpt(0, sites[2], 90)
-	postV2(t, url, "reservoir", vo)
-	vos := getJSON[api.SumResult](t, url+"/v1/query?dataset=reservoir&q=sum&instances=0")
-	if math.Float64bits(vos.Sum) != math.Float64bits(vo.SubsetSum(nil)) {
-		t.Errorf("varopt sum over posted summary %v != in-process %v", vos.Sum, vo.SubsetSum(nil))
 	}
 }
 
@@ -181,31 +175,6 @@ func TestPostNonCanonicalIsCanonicalised(t *testing.T) {
 	resp.Body.Close()
 	if err != nil || !bytes.Equal(fetched, data) {
 		t.Errorf("fetched v2 bytes are not the canonical encoding (err %v)", err)
-	}
-}
-
-// TestIngestVarOpt: raw ingest with kind=varopt streams through the
-// engine's VarOpt reservoir. With k at least the number of distinct keys
-// the reservoir never overflows, so the stored sum is the exact total —
-// deterministic despite the sampler's randomized drops.
-func TestIngestVarOpt(t *testing.T) {
-	ts := httptest.NewServer(server.New(server.NewRegistry(), engine.Config{}))
-	defer ts.Close()
-	in := fixture(300)[0]
-	resp := postBody(t, ts.URL+"/v1/ingest?dataset=vi&instance=0&kind=varopt&k=100000&salt=7&format=ndjson",
-		"application/x-ndjson", ndjsonBody(in))
-	if resp.StatusCode != http.StatusCreated {
-		body, _ := io.ReadAll(resp.Body)
-		resp.Body.Close()
-		t.Fatalf("varopt ingest: status %d: %s", resp.StatusCode, body)
-	}
-	post := decodeResult[api.PostResult](t, resp)
-	if post.Kind != "varopt" || post.Size != len(in) {
-		t.Fatalf("api.PostResult = %+v, want kind varopt with %d keys", post, len(in))
-	}
-	got := getJSON[api.SumResult](t, ts.URL+"/v1/query?dataset=vi&q=sum&instances=0")
-	if math.Abs(got.Sum-in.Total()) > 1e-9*in.Total() {
-		t.Errorf("varopt sum %v != exact total %v", got.Sum, in.Total())
 	}
 }
 

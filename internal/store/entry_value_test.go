@@ -41,7 +41,6 @@ func TestOutOfRangeEntryValuesNeverStrandTheStore(t *testing.T) {
 	posts := []struct{ name, contentType, body string }{
 		{"v1 pps negative", core.ContentTypeJSON, `{"version":1,"kind":"pps","instance":0,"tau":1,"salt":77,"values":{"5":2,"9":-4}}`},
 		{"v1 bottomk negative", core.ContentTypeJSON, `{"version":1,"kind":"bottomk","instance":0,"family":"pps","salt":77,"values":{"5":-2}}`},
-		{"v1 varopt negative", core.ContentTypeJSON, `{"version":1,"kind":"varopt","instance":0,"tau":0,"salt":77,"values":{"5":-2}}`},
 		{"v1 sniffed negative", "", `{"version":1,"kind":"pps","instance":0,"tau":1,"salt":77,"values":{"9":-4}}`},
 		{"v2 +Inf", core.ContentTypeV2, string(outOfRangeV2(t, 0, math.Inf(1)))},
 		{"v2 negative", core.ContentTypeV2, string(outOfRangeV2(t, 0, -4))},

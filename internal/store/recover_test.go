@@ -230,10 +230,10 @@ func TestLastRecordWins(t *testing.T) {
 	}
 }
 
-// markCoordinated sets v2 flag bit 0 — the bit earlier writers set on a
-// coordinated (shared-seed) summary — in the payload of a file's first
-// record and checksums the record again, so it stays validly framed.
-func markCoordinated(t *testing.T, path string) {
+// rewriteFirstWire sets byte off of the v2 summary in a file's first
+// record from was to b and checksums the record again, so it stays validly
+// framed.
+func rewriteFirstWire(t *testing.T, path string, off int, was, b byte) {
 	t.Helper()
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -242,10 +242,10 @@ func markCoordinated(t *testing.T, path string) {
 	hdr := data[magicLen : magicLen+recordHeaderLen]
 	payload := data[magicLen+recordHeaderLen:][:binary.LittleEndian.Uint32(hdr)]
 	_, wire, ok := splitPayload(payload)
-	if !ok || wire[4] != 0 {
-		t.Fatalf("%s: first record is not a flagless v2 summary", path)
+	if !ok || wire[off] != was {
+		t.Fatalf("%s: first record's v2 byte %d is not %#x", path, off, was)
 	}
-	wire[4] = 0x01
+	wire[off] = b
 	binary.LittleEndian.PutUint32(hdr[4:], crc32.Checksum(payload, crcTable))
 	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)
@@ -253,39 +253,52 @@ func markCoordinated(t *testing.T, path string) {
 }
 
 // TestOpenRefusesCoordinatedRecord: a snapshot file or a sealed segment whose
-// record is validly framed but holds a coordinated summary fails Open
-// loudly, naming the file and the decoder's refusal — nothing here serves
-// such a summary, and there is no code to migrate it — and Open leaves
-// every byte and modification time of the directory as it found them.
+// record is validly framed but holds a coordinated summary, or a summary of
+// kind tag 4, fails Open loudly, naming the file and the decoder's refusal —
+// nothing here serves such a summary, and there is no code to migrate it —
+// and Open leaves every byte and modification time of the directory as it
+// found them.
 func TestOpenRefusesCoordinatedRecord(t *testing.T) {
-	for _, tc := range []struct {
-		name string
-		path func(l layered) string
-		kind string
+	for _, m := range []struct {
+		name    string
+		off     int // the v2 byte rewritten in the file's first record, a pps summary
+		was, to byte
+		refuse  string
 	}{
-		{"snapshot file", func(l layered) string { return l.snap1 }, "store: snapshot "},
-		{"sealed segment", func(l layered) string { return l.sealedA }, "store: sealed WAL segment "},
+		// Flag bit 0: the bit earlier writers set on a coordinated
+		// (shared-seed) summary.
+		{"", 4, 0x00, 0x01, "core: decoding v2 summary: coordinated (shared-seed) summaries are not supported"},
+		// The kind byte: tag 4 is no kind any decoder knows.
+		{", kind tag 4", 3, 0x01, 0x04, "core: unknown v2 summary kind tag 4"},
 	} {
-		t.Run(tc.name, func(t *testing.T) {
-			l := buildLayered(t)
-			path := tc.path(l)
-			markCoordinated(t, path)
-			before := dirListing(t, l.dir)
-			st, err := Open(l.dir, Options{}, func(string, core.Summary) error { return nil })
-			if err == nil {
-				st.Close()
-				t.Fatal("Open accepted a coordinated record")
-			}
-			for _, want := range []string{tc.kind, path + ": store: record 1: checksummed payload failed to decode",
-				"core: decoding v2 summary: coordinated (shared-seed) summaries are not supported"} {
-				if !strings.Contains(err.Error(), want) {
-					t.Errorf("error %q does not contain %q", err, want)
+		for _, tc := range []struct {
+			name string
+			path func(l layered) string
+			kind string
+		}{
+			{"snapshot file", func(l layered) string { return l.snap1 }, "store: snapshot "},
+			{"sealed segment", func(l layered) string { return l.sealedA }, "store: sealed WAL segment "},
+		} {
+			t.Run(tc.name+m.name, func(t *testing.T) {
+				l := buildLayered(t)
+				path := tc.path(l)
+				rewriteFirstWire(t, path, m.off, m.was, m.to)
+				before := dirListing(t, l.dir)
+				st, err := Open(l.dir, Options{}, func(string, core.Summary) error { return nil })
+				if err == nil {
+					st.Close()
+					t.Fatal("Open accepted the record")
 				}
-			}
-			if after := dirListing(t, l.dir); !reflect.DeepEqual(after, before) {
-				t.Errorf("a refused Open changed the directory:\nbefore %v\nafter  %v", before, after)
-			}
-		})
+				for _, want := range []string{tc.kind, path + ": store: record 1: checksummed payload failed to decode", m.refuse} {
+					if !strings.Contains(err.Error(), want) {
+						t.Errorf("error %q does not contain %q", err, want)
+					}
+				}
+				if after := dirListing(t, l.dir); !reflect.DeepEqual(after, before) {
+					t.Errorf("a refused Open changed the directory:\nbefore %v\nafter  %v", before, after)
+				}
+			})
+		}
 	}
 }
 

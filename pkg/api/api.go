@@ -158,9 +158,9 @@ type DistinctResult struct {
 	HT        float64 `json:"ht"`
 	L         float64 `json:"l"`
 	KeysUsed  int     `json:"keys_used"`
-	// Accuracy bounds the HT estimate's standard error when one is known
-	// (set summaries: per-key HT independence bound; bottom-k: the
-	// k-dependent CV bound).
+	// Accuracy gives the HT estimate's standard error when one is known
+	// (set summaries: the unbiased plug-in HT variance estimate; a single
+	// bottom-k summary: only when exact, as 0).
 	Accuracy *Accuracy `json:"accuracy,omitempty"`
 	Explain  *Explain  `json:"explain,omitempty"`
 }
@@ -197,9 +197,9 @@ type SumResult struct {
 	Instance int     `json:"instance"`
 	Sum      float64 `json:"sum"`
 	// Accuracy bounds the estimate's standard error when one is known:
-	// exact 0 for VarOpt full sums and never-thresholded bottom-k
-	// summaries, the unbiased per-key HT variance estimate for PPS, the
-	// binomial bound for set cardinalities, est/√(k−2) for bottom-k.
+	// exact 0 for never-thresholded bottom-k summaries, the unbiased
+	// per-key HT variance estimate for PPS, the binomial bound for set
+	// cardinalities, est/√(k−2) for bottom-k.
 	Accuracy *Accuracy `json:"accuracy,omitempty"`
 	Explain  *Explain  `json:"explain,omitempty"`
 }

@@ -160,7 +160,7 @@ func (c *Client) Datasets(ctx context.Context) ([]api.DatasetInfo, error) {
 
 // PostSummary stores a summary under the named dataset. The summary is
 // either a core summary value (*core.PPSSummary, *core.SetSummary,
-// *core.BottomKSummary, *core.VarOptSummary), posted in the v2 binary
+// *core.BottomKSummary), posted in the v2 binary
 // format, or pre-encoded wire bytes ([]byte / json.RawMessage, either
 // format), posted as they are for the server to sniff.
 func (c *Client) PostSummary(ctx context.Context, dataset string, summary any) (api.PostResult, error) {
@@ -217,11 +217,11 @@ func (c *Client) FetchDecodedSummary(ctx context.Context, dataset string, instan
 
 // IngestOptions parameterizes a raw-stream ingest. Exactly the fields of
 // the selected kind are consulted: Tau for "pps", K and Family for
-// "bottomk", P for "set", K for "varopt".
+// "bottomk", P for "set".
 type IngestOptions struct {
 	Dataset  string
 	Instance int
-	// Kind is "pps", "bottomk", "set", or "varopt".
+	// Kind is "pps", "bottomk" or "set".
 	Kind string
 	// Format is "csv" or "ndjson" (default ndjson).
 	Format string
@@ -259,8 +259,6 @@ func (c *Client) Ingest(ctx context.Context, opts IngestOptions, stream io.Reade
 		}
 	case "set":
 		q.Set("p", strconv.FormatFloat(opts.P, 'g', -1, 64))
-	case "varopt":
-		q.Set("k", strconv.Itoa(opts.K))
 	}
 	ct := "application/x-ndjson"
 	if opts.Format == "csv" {
