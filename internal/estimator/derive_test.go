@@ -3,6 +3,7 @@ package estimator
 import (
 	"errors"
 	"math"
+	"strings"
 	"testing"
 )
 
@@ -24,7 +25,7 @@ func TestDeriveORLMatchesClosedForm(t *testing.T) {
 			if !d.Nonnegative() {
 				t.Errorf("p=(%v,%v): derived OR^L negative (min %v)", p1, p2, d.MinEstimate)
 			}
-			forEachOutcome2([]float64{p1, p2}, [][]float64{{0, 1}, {0, 1}}, func(o ObliviousOutcome) {
+			forEachOutcome([]float64{p1, p2}, [][]float64{{0, 1}, {0, 1}}, func(o ObliviousOutcome) {
 				got, err := d.Estimate(o)
 				if err != nil {
 					t.Fatal(err)
@@ -54,7 +55,7 @@ func TestDeriveMaxLMatchesClosedForm(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			forEachOutcome2([]float64{p1, p2}, dom, func(o ObliviousOutcome) {
+			forEachOutcome([]float64{p1, p2}, dom, func(o ObliviousOutcome) {
 				got, err := d.Estimate(o)
 				if err != nil {
 					t.Fatal(err)
@@ -207,7 +208,7 @@ func TestDeriveXORIsHT(t *testing.T) {
 	if !d.Nonnegative() {
 		t.Errorf("derived XOR estimator negative: min=%v", d.MinEstimate)
 	}
-	forEachOutcome2(p, [][]float64{{0, 1}, {0, 1}}, func(o ObliviousOutcome) {
+	forEachOutcome(p, [][]float64{{0, 1}, {0, 1}}, func(o ObliviousOutcome) {
 		got, err := d.Estimate(o)
 		if err != nil {
 			t.Fatal(err)
@@ -231,28 +232,28 @@ func TestDeriveXORIsHT(t *testing.T) {
 	}
 }
 
-// forEachOutcome2 enumerates every outcome (sampled set × domain values)
-// for a 2-entry problem.
-func forEachOutcome2(p []float64, dom [][]float64, f func(ObliviousOutcome)) {
-	for mask := 0; mask < 4; mask++ {
-		vals1 := []float64{0}
-		if mask&1 != 0 {
-			vals1 = dom[0]
+// forEachOutcome calls f on every outcome of an r-entry problem: each
+// sampled set with each assignment of domain members to its entries. The
+// outcome passed to f is reused between calls.
+func forEachOutcome(p []float64, dom [][]float64, f func(ObliviousOutcome)) {
+	r := len(p)
+	o := ObliviousOutcome{P: p, Sampled: make([]bool, r), Values: make([]float64, r)}
+	var rec func(i int)
+	rec = func(i int) {
+		if i == r {
+			f(o)
+			return
 		}
-		vals2 := []float64{0}
-		if mask&2 != 0 {
-			vals2 = dom[1]
+		o.Sampled[i], o.Values[i] = false, 0
+		rec(i + 1)
+		o.Sampled[i] = true
+		for _, x := range dom[i] {
+			o.Values[i] = x
+			rec(i + 1)
 		}
-		for _, v1 := range vals1 {
-			for _, v2 := range vals2 {
-				f(ObliviousOutcome{
-					P:       p,
-					Sampled: []bool{mask&1 != 0, mask&2 != 0},
-					Values:  []float64{v1, v2},
-				})
-			}
-		}
+		o.Sampled[i], o.Values[i] = false, 0
 	}
+	rec(0)
 }
 
 // TestDerivedTableSize sanity-checks outcome coverage.
@@ -272,6 +273,95 @@ func TestDerivedTableSize(t *testing.T) {
 	}
 	if math.IsInf(d.MinEstimate, 1) {
 		t.Error("MinEstimate not set")
+	}
+}
+
+// TestDerivedEstimateMapsToMember: Estimate accepts a sampled value within
+// 1e-9 of a domain member and answers for that member, so (1, 5e-10)
+// reads the (1, 0) entry instead of missing the table.
+func TestDerivedEstimateMapsToMember(t *testing.T) {
+	p := []float64{0.5, 0.5}
+	d, err := Derive(DiscreteProblem{P: p, Domains: [][]float64{{0, 1}, {0, 1}}, F: maxOf, Less: MaxLOrder})
+	if err != nil {
+		t.Fatal(err)
+	}
+	both := []bool{true, true}
+	exact, err := d.Estimate(ObliviousOutcome{P: p, Sampled: both, Values: []float64{1, 0}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	near, err := d.Estimate(ObliviousOutcome{P: p, Sampled: both, Values: []float64{1, 5e-10}})
+	if err != nil {
+		t.Fatalf("(1, 5e-10): %v", err)
+	}
+	if near != exact || !approxEq(exact, 8.0/3, 1e-12) {
+		t.Errorf("(1, 5e-10) → %v, (1, 0) → %v, want both 8/3", near, exact)
+	}
+}
+
+// TestDeriveNearlyEqualMembers: members more than 1e-9 apart are distinct
+// outcomes even when they agree to nine significant digits. max has a
+// max^(L) for every real domain, so Derive and DerivePlus must reproduce
+// the closed form and DeriveU must be unbiased.
+func TestDeriveNearlyEqualMembers(t *testing.T) {
+	for _, c := range []struct {
+		p   []float64
+		dom []float64
+	}{
+		{[]float64{0.5, 0.5}, []float64{0, 1e9, 1e9 + 1}},
+		{[]float64{0.3, 0.6}, []float64{0, 1, 1 + 2e-9}},
+	} {
+		prob := DiscreteProblem{P: c.p, Domains: [][]float64{c.dom, c.dom}, F: maxOf, Less: MaxLOrder}
+		for _, e := range []struct {
+			name   string
+			derive func(DiscreteProblem) (*Derived, error)
+		}{
+			{"Derive", Derive},
+			{"DerivePlus", DerivePlus},
+			{"DeriveU", func(p DiscreteProblem) (*Derived, error) { return DeriveU(p, PositivesBatch) }},
+		} {
+			d, err := e.derive(prob)
+			if err != nil {
+				t.Errorf("%s on %v at p=%v: %v", e.name, c.dom, c.p, err)
+				continue
+			}
+			est := func(o ObliviousOutcome) float64 {
+				x, err := d.Estimate(o)
+				if err != nil {
+					t.Fatalf("%s on %v: %v", e.name, c.dom, err)
+				}
+				return x
+			}
+			for _, v := range enumerate(prob.Domains) {
+				if mean, _ := ObliviousMoments(c.p, v, est); !approxEq(mean, maxOf(v), 1e-9) {
+					t.Errorf("%s on %v at p=%v: E[est|%v] = %v, want %v", e.name, c.dom, c.p, v, mean, maxOf(v))
+				}
+			}
+			if e.name == "DeriveU" {
+				continue
+			}
+			forEachOutcome(c.p, prob.Domains, func(o ObliviousOutcome) {
+				if got, want := est(o), MaxL2(o); !approxEq(got, want, 1e-9) {
+					t.Errorf("%s on %v at p=%v, outcome %v/%v: %v, closed form %v", e.name, c.dom, c.p, o.Sampled, o.Values, got, want)
+				}
+			})
+		}
+	}
+}
+
+// TestDeriveRejectsIndistinguishableMembers: Estimate maps a value to the
+// member within 1e-9 of it, so a domain with two members that close is
+// refused before any derivation.
+func TestDeriveRejectsIndistinguishableMembers(t *testing.T) {
+	dom := [][]float64{{0, 1, 1 + 5e-10}, {0, 1}}
+	prob := DiscreteProblem{P: []float64{0.5, 0.5}, Domains: dom, F: maxOf, Less: MaxLOrder}
+	_, errL := Derive(prob)
+	_, errPlus := DerivePlus(prob)
+	_, errU := DeriveU(prob, PositivesBatch)
+	for _, err := range []error{errL, errPlus, errU} {
+		if err == nil || !strings.Contains(err.Error(), "within 1e-9") {
+			t.Errorf("err = %v, want a refusal naming the 1e-9 separation", err)
+		}
 	}
 }
 

@@ -3,147 +3,18 @@ package estimator
 import (
 	"fmt"
 	"math"
-	"sort"
-	"strings"
 )
 
-// This file implements f̂(+≺) — Algorithm 1 with the explicit
-// nonnegativity constraints (7)–(9) of §3 — for weight-oblivious Poisson
-// sampling over finite discrete domains. At each step the estimate values
-// on the newly determined outcomes minimize the current vector's variance
-// subject to unbiasedness and to not over-committing expectation mass of
-// any succeeding vector. The per-step problem is a small convex QP solved
-// with an active-set method.
-//
-// With the sparse-first order that processes (v,0)-shaped vectors before
-// (0,v)-shaped ones, the construction reproduces the paper's asymmetric
-// estimator max^(Uas) (§4.2) — cross-validated in deriveplus_test.go.
-
-// DerivePlus runs the constrained derivation. Unlike Derive, the
-// resulting estimator is nonnegative whenever one exists for the order;
-// the price is that outcomes determined by the same vector may carry
-// different values (the QP splits mass to respect constraints).
-func DerivePlus(p DiscreteProblem) (*Derived, error) {
-	r := len(p.P)
-	if len(p.Domains) != r {
-		return nil, fmt.Errorf("estimator: %d probabilities but %d domains", r, len(p.Domains))
-	}
-	vectors := enumerate(p.Domains)
-	sort.SliceStable(vectors, func(i, j int) bool {
-		if p.Less(vectors[i], vectors[j]) {
-			return true
-		}
-		if p.Less(vectors[j], vectors[i]) {
-			return false
-		}
-		return lexLess(vectors[i], vectors[j])
-	})
-	prS := make([]float64, 1<<uint(r))
-	for mask := range prS {
-		w := 1.0
-		for i := 0; i < r; i++ {
-			if mask&(1<<uint(i)) != 0 {
-				w *= p.P[i]
-			} else {
-				w *= 1 - p.P[i]
-			}
-		}
-		prS[mask] = w
-	}
-	d := &Derived{problem: p, estimate: make(map[string]float64), MinEstimate: math.Inf(1)}
-	const tol = 1e-9
-	for vi, v := range vectors {
-		fv := p.F(v)
-		var f0 float64
-		var newKeys []string
-		var w []float64 // PR[S|v] for the new outcomes
-		for mask := 0; mask < 1<<uint(r); mask++ {
-			key := outcomeKey(mask, v)
-			if x, ok := d.estimate[key]; ok {
-				f0 += prS[mask] * x
-			} else if !contains(newKeys, key) {
-				newKeys = append(newKeys, key)
-				w = append(w, prS[mask])
-			}
-		}
-		prNew := 0.0
-		for _, wi := range w {
-			prNew += wi
-		}
-		if prNew <= tol {
-			if math.Abs(fv-f0) > tol {
-				return nil, fmt.Errorf("%w: vector %v needs estimate mass %v but has no unprocessed outcomes", errNoUnbiased, v, fv-f0)
-			}
-			for _, k := range newKeys {
-				d.estimate[k] = 0
-			}
-			continue
-		}
-		// Build the inequality constraints (9): for every succeeding
-		// vector v', the contribution of the new outcomes must not push
-		// E[f̂|v'] above f(v'). Only constraints that actually touch the
-		// new outcomes matter.
-		var cons []qpConstraint
-		for _, vp := range vectors[vi+1:] {
-			var coeff []float64
-			assigned := 0.0
-			touches := false
-			coeff = make([]float64, len(newKeys))
-			for mask := 0; mask < 1<<uint(r); mask++ {
-				key := outcomeKey(mask, vp)
-				if x, ok := d.estimate[key]; ok {
-					assigned += prS[mask] * x
-					continue
-				}
-				for i, nk := range newKeys {
-					if nk == key {
-						coeff[i] += prS[mask]
-						touches = true
-						break
-					}
-				}
-			}
-			if touches {
-				cons = append(cons, qpConstraint{a: coeff, d: p.F(vp) - assigned})
-			}
-		}
-		// Also nonnegativity of the new values themselves: x_i ≥ 0,
-		// i.e. −x_i ≤ 0.
-		for i := range newKeys {
-			a := make([]float64, len(newKeys))
-			a[i] = -1
-			cons = append(cons, qpConstraint{a: a, d: 0})
-		}
-		x, err := solveVarianceQP(w, fv-f0, cons)
-		if err != nil {
-			return nil, fmt.Errorf("vector %v: %w", v, err)
-		}
-		for i, k := range newKeys {
-			d.estimate[k] = x[i]
-			if x[i] < d.MinEstimate {
-				d.MinEstimate = x[i]
-			}
-		}
-	}
-	if math.IsInf(d.MinEstimate, 1) {
-		d.MinEstimate = 0
-	}
-	return d, nil
-}
+// This file holds the small convex QP that the derivation engine
+// (derive.go) solves for each constrained batch, by an active-set method,
+// and the §4.2 order behind max^(Uas): with it, DerivePlus processes
+// (v,0)-shaped vectors before (0,v)-shaped ones and reproduces the
+// paper's asymmetric estimator — cross-validated in deriveplus_test.go.
 
 // qpConstraint is one inequality a·x ≤ d.
 type qpConstraint struct {
 	a []float64
 	d float64
-}
-
-// solveVarianceQP minimizes Σ w_i x_i² subject to Σ w_i x_i = b and
-// a_j·x ≤ d_j for every constraint, using a primal active-set method.
-// Weights w_i ≥ 0; entries with w_i = 0 carry no probability mass and are
-// fixed to the common unconstrained value.
-func solveVarianceQP(w []float64, b float64, cons []qpConstraint) ([]float64, error) {
-	eq := []qpConstraint{{a: append([]float64(nil), w...), d: b}}
-	return solveQP(w, eq, cons)
 }
 
 // solveQP minimizes Σ w_i x_i² subject to the given equality constraints
@@ -286,15 +157,6 @@ func dot(a, x []float64) float64 {
 	return s
 }
 
-func contains(ks []string, k string) bool {
-	for _, s := range ks {
-		if s == k {
-			return true
-		}
-	}
-	return false
-}
-
 // UasOrder is the §4.2 processing order behind max^(Uas): the zero vector,
 // then vectors whose only positive entries are a prefix (entry 1 first),
 // then the rest — within groups by number of positive entries. For r = 2:
@@ -324,18 +186,4 @@ func uasRank(v []float64) int {
 		return 1 + first
 	}
 	return 1 + len(v) + pos
-}
-
-// String renders a derived estimator's table for debugging and docs.
-func (d *Derived) String() string {
-	keys := make([]string, 0, len(d.estimate))
-	for k := range d.estimate {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	var b strings.Builder
-	for _, k := range keys {
-		fmt.Fprintf(&b, "%-24s %.6g\n", k, d.estimate[k])
-	}
-	return b.String()
 }

@@ -24,7 +24,7 @@ func TestDerivePlusMatchesUas(t *testing.T) {
 		if !d.Nonnegative() {
 			t.Errorf("p=%v: constrained derivation went negative (min %v)", pp, d.MinEstimate)
 		}
-		forEachOutcome2(p, [][]float64{{0, 1}, {0, 1}}, func(o ObliviousOutcome) {
+		forEachOutcome(p, [][]float64{{0, 1}, {0, 1}}, func(o ObliviousOutcome) {
 			got, err := d.Estimate(o)
 			if err != nil {
 				t.Fatal(err)
@@ -84,7 +84,7 @@ func TestDerivePlusEqualsDeriveWhenUnconstrained(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	forEachOutcome2(prob.P, prob.Domains, func(o ObliviousOutcome) {
+	forEachOutcome(prob.P, prob.Domains, func(o ObliviousOutcome) {
 		a, err := plain.Estimate(o)
 		if err != nil {
 			t.Fatal(err)
@@ -167,8 +167,13 @@ func TestDerivePlusVarianceOrdering(t *testing.T) {
 	}
 }
 
-// TestSolveVarianceQP exercises the QP solver directly.
+// TestSolveVarianceQP exercises the QP solver directly, on the problem
+// each derivation step poses: minimise Σ w_i x_i² subject to the one
+// unbiasedness row Σ w_i x_i = b and the inequalities.
 func TestSolveVarianceQP(t *testing.T) {
+	solveVarianceQP := func(w []float64, b float64, cons []qpConstraint) ([]float64, error) {
+		return solveQP(w, []qpConstraint{{a: w, d: b}}, cons)
+	}
 	// Unconstrained optimum: equal values b/Σw.
 	x, err := solveVarianceQP([]float64{0.2, 0.3}, 1, nil)
 	if err != nil {

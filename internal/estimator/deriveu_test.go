@@ -24,7 +24,7 @@ func TestDeriveUMatchesMaxU(t *testing.T) {
 		if !d.Nonnegative() {
 			t.Errorf("p=%v: batch derivation negative (min %v)", pp, d.MinEstimate)
 		}
-		forEachOutcome2(p, [][]float64{{0, 1}, {0, 1}}, func(o ObliviousOutcome) {
+		forEachOutcome(p, [][]float64{{0, 1}, {0, 1}}, func(o ObliviousOutcome) {
 			got, err := d.Estimate(o)
 			if err != nil {
 				t.Fatal(err)

@@ -11,15 +11,15 @@ import (
 // seed space: for r = 2 the ℓ = 1 case must be unbiased for the max and
 // the ℓ = 2 case for the min, across every Figure 3 regime.
 func TestLthHTPPSUnbiased(t *testing.T) {
-	opt := PPSMomentsOptions{N: 4096, ZeroOnEmpty: true}
+	n := 4096
 	for _, c := range ppsCases {
 		v := []float64{c.v1, c.v2}
 		tau := []float64{c.t1, c.t2}
-		mean, _ := PPSMoments2(v, tau, func(o PPSOutcome) float64 { return LthHTPPS(o, 1) }, opt)
+		mean, _ := PPSMoments2(v, tau, func(o PPSOutcome) float64 { return LthHTPPS(o, 1) }, n)
 		if !approxEq(mean, math.Max(c.v1, c.v2), 1e-6) {
 			t.Errorf("%s: LthHTPPS(·,1) mean = %v, want %v", c.name, mean, math.Max(c.v1, c.v2))
 		}
-		mean, _ = PPSMoments2(v, tau, func(o PPSOutcome) float64 { return LthHTPPS(o, 2) }, opt)
+		mean, _ = PPSMoments2(v, tau, func(o PPSOutcome) float64 { return LthHTPPS(o, 2) }, n)
 		if !approxEq(mean, math.Min(c.v1, c.v2), 1e-6) {
 			t.Errorf("%s: LthHTPPS(·,2) mean = %v, want %v", c.name, mean, math.Min(c.v1, c.v2))
 		}

@@ -17,17 +17,23 @@ import "fmt"
 // It is unbiased, nonnegative, monotone, and dominates max^(HT).
 func MaxL2(o ObliviousOutcome) float64 {
 	requireR(o, 2)
-	p1, p2 := o.P[0], o.P[1]
+	return maxL2(o.Sampled[0], o.Sampled[1], o.Values[0], o.Values[1], o.P[0], o.P[1])
+}
+
+// maxL2 is MaxL2 over scalars: entry i is sampled (s_i) with value v_i
+// under inclusion probability p_i, and v_i is read only when s_i holds.
+//
+//summarylint:hot
+func maxL2(s1, s2 bool, v1, v2, p1, p2 float64) float64 {
 	q := p1 + p2 - p1*p2
 	switch {
-	case !o.Sampled[0] && !o.Sampled[1]:
+	case !s1 && !s2:
 		return 0
-	case o.Sampled[0] && !o.Sampled[1]:
-		return o.Values[0] / q
-	case !o.Sampled[0] && o.Sampled[1]:
-		return o.Values[1] / q
+	case s1 && !s2:
+		return v1 / q
+	case !s1 && s2:
+		return v2 / q
 	}
-	v1, v2 := o.Values[0], o.Values[1]
 	mx := v1
 	if v2 > mx {
 		mx = v2

@@ -33,12 +33,12 @@ func TestMaxPPSUnbiased(t *testing.T) {
 		v := []float64{c.v1, c.v2}
 		tau := []float64{c.t1, c.t2}
 		want := math.Max(c.v1, c.v2)
-		opt := PPSMomentsOptions{N: 4096, ZeroOnEmpty: true}
-		mean, _ := PPSMoments2(v, tau, MaxHTPPS, opt)
+		n := 4096
+		mean, _ := PPSMoments2(v, tau, MaxHTPPS, n)
 		if !approxEq(mean, want, 1e-6) {
 			t.Errorf("%s: MaxHTPPS mean = %v, want %v", c.name, mean, want)
 		}
-		mean, _ = PPSMoments2(v, tau, MaxL2PPS, opt)
+		mean, _ = PPSMoments2(v, tau, MaxL2PPS, n)
 		if !approxEq(mean, want, 1e-6) {
 			t.Errorf("%s: MaxL2PPS mean = %v, want %v", c.name, mean, want)
 		}
@@ -72,12 +72,12 @@ func TestMaxPPSUnbiasedMonteCarlo(t *testing.T) {
 // TestMaxL2PPSDominatesHT verifies VAR[L] ≤ VAR[HT] in every regime, and
 // the §5.2 bound VAR[HT]/VAR[L] ≥ (1+ρ)/ρ for equal thresholds.
 func TestMaxL2PPSDominatesHT(t *testing.T) {
-	opt := PPSMomentsOptions{N: 4096, ZeroOnEmpty: true}
+	n := 4096
 	for _, c := range ppsCases {
 		v := []float64{c.v1, c.v2}
 		tau := []float64{c.t1, c.t2}
-		_, varHT := PPSMoments2(v, tau, MaxHTPPS, opt)
-		_, varL := PPSMoments2(v, tau, MaxL2PPS, opt)
+		_, varHT := PPSMoments2(v, tau, MaxHTPPS, n)
+		_, varL := PPSMoments2(v, tau, MaxL2PPS, n)
 		if varL > varHT*(1+1e-6)+1e-9 {
 			t.Errorf("%s: VAR[L]=%v > VAR[HT]=%v", c.name, varL, varHT)
 		}
@@ -108,11 +108,11 @@ func TestMaxL2PPSDominatesHT(t *testing.T) {
 // TestVarMaxHTPPS2ClosedForm checks the closed-form HT variance against the
 // integrator.
 func TestVarMaxHTPPS2ClosedForm(t *testing.T) {
-	opt := PPSMomentsOptions{N: 4096, ZeroOnEmpty: true}
+	n := 4096
 	for _, c := range ppsCases {
 		v := []float64{c.v1, c.v2}
 		tau := []float64{c.t1, c.t2}
-		_, got := PPSMoments2(v, tau, MaxHTPPS, opt)
+		_, got := PPSMoments2(v, tau, MaxHTPPS, n)
 		want := VarMaxHTPPS2(c.t1, c.t2, c.v1, c.v2)
 		if !approxEq(got, want, 1e-5) {
 			t.Errorf("%s: integrator VAR[HT]=%v, closed form %v", c.name, got, want)
@@ -205,16 +205,16 @@ func TestMaxL2PPSNonnegative(t *testing.T) {
 // decreases with min/max; the ratio is ≥ 2 and grows as ρ shrinks.
 func TestFigure4Shape(t *testing.T) {
 	tau := []float64{1, 1}
-	opt := PPSMomentsOptions{N: 2048, ZeroOnEmpty: true}
+	n := 2048
 	for _, rho := range []float64{0.5, 0.1} {
 		prev := math.Inf(1)
 		for _, ratio := range []float64{0, 0.25, 0.5, 0.75, 1} {
 			v := []float64{rho, rho * ratio}
-			_, varHT := PPSMoments2(v, tau, MaxHTPPS, opt)
+			_, varHT := PPSMoments2(v, tau, MaxHTPPS, n)
 			if want := 1 - rho*rho; !approxEq(varHT, want, 1e-4) {
 				t.Errorf("rho=%v ratio=%v: VAR[HT]=%v, want %v", rho, ratio, varHT, want)
 			}
-			_, varL := PPSMoments2(v, tau, MaxL2PPS, opt)
+			_, varL := PPSMoments2(v, tau, MaxL2PPS, n)
 			if varL > prev*(1+1e-6) {
 				t.Errorf("rho=%v: VAR[L] not decreasing in min/max at ratio %v: %v > %v", rho, ratio, varL, prev)
 			}
@@ -233,7 +233,7 @@ func TestFigure4Shape(t *testing.T) {
 		// estimate on single-sampled outcomes); the actual order-based
 		// estimator varies with the revealed bound, so its variance lies
 		// strictly between that bound and VAR[HT] = 1 − ρ².
-		_, varL0 := PPSMoments2([]float64{rho, 0}, tau, MaxL2PPS, opt)
+		_, varL0 := PPSMoments2([]float64{rho, 0}, tau, MaxL2PPS, n)
 		if lower, upper := rho-rho*rho, (1-rho*rho)/1.9; varL0 < lower*(1-1e-6) || varL0 > upper {
 			t.Errorf("rho=%v: VAR[L|min=0]=%v outside [%v, %v]", rho, varL0, lower, upper)
 		}

@@ -8,6 +8,24 @@ import "math"
 // plus the paper's closed-form variances. These power every figure
 // reproduction without Monte Carlo noise.
 
+// outcomeProbs returns PR[S] for every sampled set S under independent
+// inclusion with probabilities p, indexed by S's bit mask.
+func outcomeProbs(p []float64) []float64 {
+	pr := make([]float64, 1<<uint(len(p)))
+	for mask := range pr {
+		w := 1.0
+		for i, pi := range p {
+			if mask&(1<<uint(i)) != 0 {
+				w *= pi
+			} else {
+				w *= 1 - pi
+			}
+		}
+		pr[mask] = w
+	}
+	return pr
+}
+
 // ObliviousMoments computes the exact mean and variance of an estimator on
 // data vector v under weight-oblivious Poisson sampling with probabilities
 // p, by enumerating all 2^r outcomes. It is exact up to floating point and
@@ -16,17 +34,12 @@ func ObliviousMoments(p, v []float64, est func(ObliviousOutcome) float64) (mean,
 	r := len(p)
 	o := ObliviousOutcome{P: p, Sampled: make([]bool, r), Values: make([]float64, r)}
 	var m1, m2 float64
-	for mask := 0; mask < 1<<uint(r); mask++ {
-		w := 1.0
-		for i := 0; i < r; i++ {
-			if mask&(1<<uint(i)) != 0 {
-				o.Sampled[i] = true
+	for mask, w := range outcomeProbs(p) {
+		for i := range o.Sampled {
+			o.Sampled[i] = mask&(1<<uint(i)) != 0
+			o.Values[i] = 0
+			if o.Sampled[i] {
 				o.Values[i] = v[i]
-				w *= p[i]
-			} else {
-				o.Sampled[i] = false
-				o.Values[i] = 0
-				w *= 1 - p[i]
 			}
 		}
 		x := est(o)
@@ -44,18 +57,15 @@ func BinaryKnownSeedsMoments(p, v []float64, est func(BinaryKnownSeedsOutcome) f
 	r := len(p)
 	o := BinaryKnownSeedsOutcome{P: p, U: make([]float64, r), Sampled: make([]bool, r)}
 	var m1, m2 float64
-	for mask := 0; mask < 1<<uint(r); mask++ {
-		w := 1.0
-		for i := 0; i < r; i++ {
+	for mask, w := range outcomeProbs(p) {
+		for i := range o.U {
 			if mask&(1<<uint(i)) != 0 {
 				// Seed below the threshold: entry sampled iff v_i = 1.
 				o.U[i] = p[i] / 2
 				o.Sampled[i] = v[i] > 0
-				w *= p[i]
 			} else {
 				o.U[i] = (1 + p[i]) / 2
 				o.Sampled[i] = false
-				w *= 1 - p[i]
 			}
 		}
 		x := est(o)
@@ -65,31 +75,20 @@ func BinaryKnownSeedsMoments(p, v []float64, est func(BinaryKnownSeedsOutcome) f
 	return m1, m2 - m1*m1
 }
 
-// PPSMomentsOptions tunes PPSMoments2.
-type PPSMomentsOptions struct {
-	// N is the number of Simpson intervals per 1D integral (must be even;
-	// default 128).
-	N int
-	// ZeroOnEmpty asserts that the estimator returns 0 on the empty
-	// outcome, skipping the 2D integration over the S = ∅ region. All
-	// nonnegative unbiased estimators in this package satisfy it.
-	ZeroOnEmpty bool
-}
-
 // PPSMoments2 computes the mean and variance of an estimator of a 2-entry
 // data vector under independent PPS sampling with known seeds, by
-// deterministic integration over the seed space [0,1]².
+// deterministic integration over the seed space [0,1]² with n Simpson
+// intervals per 1D integral (an odd n is rounded up).
 //
 // The estimator must not depend on the seeds of sampled entries (true for
 // every estimator in this package: a sampled entry's exact value subsumes
-// its seed).
-func PPSMoments2(v, tau []float64, est func(PPSOutcome) float64, opt PPSMomentsOptions) (mean, variance float64) {
+// its seed), and it must be 0 on the empty outcome, whose region is not
+// integrated. Every unbiased estimator of an f with f(0) = 0 is: the zero
+// vector yields the empty outcome under every seed, so unbiasedness on it
+// forces the estimate there to be 0.
+func PPSMoments2(v, tau []float64, est func(PPSOutcome) float64, n int) (mean, variance float64) {
 	if len(v) != 2 || len(tau) != 2 {
 		panic("estimator: PPSMoments2 requires r=2")
-	}
-	n := opt.N
-	if n <= 0 {
-		n = 128
 	}
 	if n%2 == 1 {
 		n++
@@ -132,19 +131,6 @@ func PPSMoments2(v, tau []float64, est func(PPSOutcome) float64, opt PPSMomentsO
 		regionIntegrate(q[0], kink, n, func(u1, w float64) {
 			x := est(outcome(false, true, u1, q[1]/2))
 			acc(q[1]*w, x)
-		})
-	}
-	// Region S = ∅.
-	if q[0] < 1 && q[1] < 1 && !opt.ZeroOnEmpty {
-		m := n / 2
-		if m%2 == 1 {
-			m++
-		}
-		integrate1D(q[0], 1, m, func(u1, w1 float64) {
-			integrate1D(q[1], 1, m, func(u2, w2 float64) {
-				x := est(outcome(false, false, u1, u2))
-				acc(w1*w2, x)
-			})
 		})
 	}
 	return m1, m2 - m1*m1

@@ -24,10 +24,9 @@ func Figure3() *Table {
 		{"v2≤v1≤min(tau1,tau2)", 3, 1, 10, 10},
 		{"v2≤tau2≤v1≤tau1", 8, 1, 10, 5},
 	}
-	opt := estimator.PPSMomentsOptions{N: 2048, ZeroOnEmpty: true}
 	for _, c := range cases {
 		est := estimator.MaxL2PPSDetermining(c.v1, c.v2, c.t1, c.t2)
-		mean, _ := estimator.PPSMoments2([]float64{c.v1, c.v2}, []float64{c.t1, c.t2}, estimator.MaxL2PPS, opt)
+		mean, _ := estimator.PPSMoments2([]float64{c.v1, c.v2}, []float64{c.t1, c.t2}, estimator.MaxL2PPS, 2048)
 		mx := c.v1
 		if c.v2 > mx {
 			mx = c.v2

@@ -7,7 +7,7 @@ import "repro/internal/estimator"
 // function of min(v)/max(v) for fixed ρ = max(v)/τ* (panels A, B), and the
 // variance ratio VAR[HT]/VAR[L] for several ρ (panel C).
 func Figure4() []*Table {
-	opt := estimator.PPSMomentsOptions{N: 2048, ZeroOnEmpty: true}
+	n := 2048
 	tau := []float64{1, 1}
 	grid := []float64{0, 0.05, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 0.95, 1}
 
@@ -20,8 +20,8 @@ func Figure4() []*Table {
 		}
 		for _, m := range grid {
 			v := []float64{rho, rho * m}
-			_, varHT := estimator.PPSMoments2(v, tau, estimator.MaxHTPPS, opt)
-			_, varL := estimator.PPSMoments2(v, tau, estimator.MaxL2PPS, opt)
+			_, varHT := estimator.PPSMoments2(v, tau, estimator.MaxHTPPS, n)
+			_, varL := estimator.PPSMoments2(v, tau, estimator.MaxL2PPS, n)
 			t.addRow(m, varHT, varL)
 		}
 		tables = append(tables, t)
@@ -41,8 +41,8 @@ func Figure4() []*Table {
 		row = append(row, m)
 		for _, rho := range rhos {
 			v := []float64{rho, rho * m}
-			_, varHT := estimator.PPSMoments2(v, tau, estimator.MaxHTPPS, opt)
-			_, varL := estimator.PPSMoments2(v, tau, estimator.MaxL2PPS, opt)
+			_, varHT := estimator.PPSMoments2(v, tau, estimator.MaxHTPPS, n)
+			_, varL := estimator.PPSMoments2(v, tau, estimator.MaxL2PPS, n)
 			if varL > 0 {
 				row = append(row, varHT/varL)
 			} else {

@@ -74,11 +74,10 @@ func DominanceVariance(m *dataset.Matrix, tau1, tau2 float64, n int) (varHT, var
 		panic("experiments: max dominance needs 2 instances")
 	}
 	tau := []float64{tau1, tau2}
-	opt := estimator.PPSMomentsOptions{N: n, ZeroOnEmpty: true}
 	for _, h := range m.Keys() {
 		v := m.Vector(h)
-		_, vh := estimator.PPSMoments2(v, tau, estimator.MaxHTPPS, opt)
-		_, vl := estimator.PPSMoments2(v, tau, estimator.MaxL2PPS, opt)
+		_, vh := estimator.PPSMoments2(v, tau, estimator.MaxHTPPS, n)
+		_, vl := estimator.PPSMoments2(v, tau, estimator.MaxL2PPS, n)
 		varHT += vh
 		varL += vl
 		total += math.Max(v[0], v[1])
