@@ -277,8 +277,11 @@ func BenchmarkPoissonPPS(b *testing.B) {
 	seed := func(h dataset.Key) float64 { return seeder.Seed(0, uint64(h)) }
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		s := sampling.PoissonPPS(in, tau, seed)
-		sinkF += float64(s.Len())
+		s := sampling.NewStreamPoissonPPS(tau, seed)
+		for h, v := range in {
+			s.Push(h, v)
+		}
+		sinkF += float64(len(s.Snapshot().Entries))
 	}
 }
 
@@ -289,8 +292,11 @@ func BenchmarkBottomK(b *testing.B) {
 	seed := func(h dataset.Key) float64 { return seeder.Seed(0, uint64(h)) }
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		s := sampling.BottomK(in, 500, sampling.PPS{}, seed)
-		sinkF += s.Tau
+		s := sampling.NewStreamBottomK(500, sampling.PPS{}, seed)
+		for h, v := range in {
+			s.Push(h, v)
+		}
+		sinkF += s.Snapshot().Tau
 	}
 }
 
@@ -437,7 +443,7 @@ func BenchmarkEnginePoissonPPS(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				e := engine.NewPoissonPPS(tau, seed, cfg)
 				e.PushBatch(pairs)
-				sinkF += float64(e.Close().Len())
+				sinkF += float64(len(e.Close().Entries))
 			}
 		})
 	}
@@ -489,27 +495,37 @@ func BenchmarkEngineAsync(b *testing.B) {
 }
 
 // BenchmarkEngineMultiBottomK measures one-pass multi-instance bottom-k
-// summarization: r instances, each with its own seeds from one
-// Summarizer, populated in-line by a single scan of a combined stream
-// (the alternative is r separate scans).
+// summarization as POST /v1/ingest/multi runs it: r instances, each with
+// its own seeds from one Summarizer and its own in-line stream, populated
+// by a single scan of a combined stream that routes every pair to its
+// instance's stream (the alternative is r separate scans).
 func BenchmarkEngineMultiBottomK(b *testing.B) {
 	const r = 4
+	type multiPair struct {
+		key      dataset.Key
+		instance int
+		value    float64
+	}
 	base := benchStream(1 << 18)
-	pairs := make([]core.MultiPair, 0, r*len(base))
+	pairs := make([]multiPair, 0, r*len(base))
 	for _, p := range base {
 		for i := 0; i < r; i++ {
-			pairs = append(pairs, core.MultiPair{Key: p.Key, Instance: i, Value: p.Value})
+			pairs = append(pairs, multiPair{p.Key, i, p.Value})
 		}
 	}
 	s := core.NewSummarizer(9)
-	ids := []int{0, 1, 2, 3}
 	b.SetBytes(int64(len(pairs)) * 24)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		st := s.StreamMultiBottomK(ids, 1024, sampling.PPS{})
-		st.PushBatch(pairs)
-		for _, sum := range st.Close() {
-			sinkF += sum.RankTau()
+		streams := make([]*core.BottomKStream, r)
+		for id := range streams {
+			streams[id] = s.StreamBottomK(engine.Config{}, id, 1024, sampling.PPS{})
+		}
+		for _, p := range pairs {
+			streams[p.instance].Push(p.key, p.value)
+		}
+		for _, st := range streams {
+			sinkF += st.Close().RankTau()
 		}
 	}
 }

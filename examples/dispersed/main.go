@@ -18,10 +18,10 @@
 //
 // The final act exercises ONE-PASS multi-instance summarization: the
 // three sites' streams are combined into a single (key, instance, value)
-// stream and summarized with one scan — in-process through the in-line
-// core.StreamMultiPPS and over HTTP through POST /v1/ingest/multi — and
-// the program asserts every resulting summary is bit-identical to the
-// per-instance passes.
+// stream and summarized with one scan — in-process by routing each pair to
+// its instance's core.StreamPPS, and over HTTP through POST
+// /v1/ingest/multi, which does the same — and the program asserts every
+// resulting summary is bit-identical to the per-instance passes.
 //
 // Run with: go run ./examples/dispersed
 package main
@@ -183,14 +183,18 @@ func main() {
 	// --- one pass, all instances ----------------------------------------
 	// The same three sites again, but now their streams are combined into
 	// one (key, instance, value) stream and every instance is summarized
-	// with a single scan: one in-line sampler per instance.
+	// with a single scan: one in-line stream per instance.
 	fmt.Printf("\none-pass multi-instance summarization:\n\n")
 	ids := []int{0, 1, 2}
-	multi := summ.StreamMultiPPS(ids, taus)
-	multi.PushBatch(combinedStream(sites))
-	multiLocal := multi.Close()
-	for i := range sites {
-		mustEqualSummary(fmt.Sprintf("one-pass pps instance %d", i), multiLocal[i], ppsLocal[i])
+	streams := make([]*core.PPSStream, len(ids))
+	for i, id := range ids {
+		streams[i] = summ.StreamPPS(engine.Config{}, id, taus[i])
+	}
+	for _, m := range combinedStream(sites) {
+		streams[m.site].Push(m.key, m.value)
+	}
+	for i, st := range streams {
+		mustEqualSummary(fmt.Sprintf("one-pass pps instance %d", i), st.Close(), ppsLocal[i])
 	}
 	fmt.Printf("in-process: 1 scan over %d combined pairs == 3 per-instance scans (bit-identical) ✓\n",
 		3*(sharedKeys+uniqueKeys))
@@ -438,14 +442,22 @@ func main() {
 func multiNdjsonBody(sites []dataset.Instance) []byte {
 	var buf bytes.Buffer
 	for _, m := range combinedStream(sites) {
-		fmt.Fprintf(&buf, "{\"key\":%d,\"instance\":%d,\"value\":%g}\n", uint64(m.Key), m.Instance, m.Value)
+		fmt.Fprintf(&buf, "{\"key\":%d,\"instance\":%d,\"value\":%g}\n", uint64(m.key), m.site, m.value)
 	}
 	return buf.Bytes()
 }
 
+// sitePair is one (key, instance, value) arrival of the combined stream;
+// the instance is the site's index.
+type sitePair struct {
+	key   dataset.Key
+	site  int
+	value float64
+}
+
 // combinedStream interleaves all sites into one (key, instance, value)
 // stream, ordered by key and then by site.
-func combinedStream(sites []dataset.Instance) []core.MultiPair {
+func combinedStream(sites []dataset.Instance) []sitePair {
 	seen := make(map[dataset.Key]bool)
 	for _, in := range sites {
 		for h := range in {
@@ -457,11 +469,11 @@ func combinedStream(sites []dataset.Instance) []core.MultiPair {
 		keys = append(keys, h)
 	}
 	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-	var out []core.MultiPair
+	var out []sitePair
 	for _, h := range keys {
 		for i, in := range sites {
 			if v, ok := in[h]; ok {
-				out = append(out, core.MultiPair{Key: h, Instance: i, Value: v})
+				out = append(out, sitePair{key: h, site: i, value: v})
 			}
 		}
 	}

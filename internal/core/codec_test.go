@@ -346,7 +346,7 @@ func millionEntryBottomK(tb testing.TB) *BottomKSummary {
 			vals[dataset.Key(h)] = 1 + float64(h%1_000_003)/997.0
 		}
 		millionSum = newBottomKSummary(NewSummarizer(2011).seeder, 0,
-			&sampling.WeightedSample{Values: vals, Tau: 0.25, Family: sampling.PPS{}})
+			&sampling.WeightedSample{Entries: weightedEntries(vals), Tau: 0.25, Family: sampling.PPS{}})
 	})
 	return millionSum
 }

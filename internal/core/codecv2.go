@@ -9,6 +9,7 @@ import (
 	"math"
 	"slices"
 
+	"repro/internal/dataset"
 	"repro/internal/sampling"
 	"repro/internal/xhash"
 )
@@ -292,17 +293,17 @@ func parseSummaryV2(data []byte, stored bool) (Summary, int, error) {
 	var canonical [v2MaxHeader]byte
 	sd := summaryData{data: data[:end:end], entries: entries, n: int(n), instance: int(instance), seeder: seeder}
 	if !ascending || !bytes.Equal(appendHeaderV2(canonical[:0], kind, seeder, sd.instance, famTag, param, sd.n), data[:head]) {
-		es := make([]entry, sd.n)
+		es := make([]sampling.Pair, sd.n)
 		for i := range es {
-			es[i].key = binary.LittleEndian.Uint64(entries[i*size:])
+			es[i].Key = dataset.Key(binary.LittleEndian.Uint64(entries[i*size:]))
 			if size == 16 {
-				es[i].bits = binary.LittleEndian.Uint64(entries[i*size+8:])
+				es[i].Value = math.Float64frombits(binary.LittleEndian.Uint64(entries[i*size+8:]))
 			}
 		}
-		slices.SortFunc(es, entry.compare)
+		slices.SortFunc(es, byKey)
 		dups := 0
 		for i := 1; i < len(es); i++ {
-			if es[i].key == es[i-1].key {
+			if es[i].Key == es[i-1].Key {
 				dups++
 			}
 		}

@@ -54,11 +54,33 @@ func (s *Summarizer) seedFunc(instance int) sampling.SeedFunc {
 }
 
 // SummarizePPS draws the PPS summary of one instance with threshold tau
-// (inclusion probability min{1, v/tau}). Non-positive thresholds are
-// degenerate but accepted: tau = 0 samples every positive key, tau < 0
-// none.
+// (inclusion probability min{1, v/tau}) by pushing the instance through a
+// sampling.StreamPoissonPPS. Non-positive thresholds are degenerate but
+// accepted: tau = 0 samples every positive key, tau < 0 none.
 func (s *Summarizer) SummarizePPS(instance int, in dataset.Instance, tau float64) *PPSSummary {
-	return newPPSSummary(s.seeder, instance, tau, sampling.PoissonPPS(in, tau, s.seedFunc(instance)).Values)
+	var es []sampling.Pair
+	switch {
+	case tau > 0:
+		st := sampling.NewStreamPoissonPPS(tau, s.seedFunc(instance))
+		pushInstance(st.Push, in)
+		es = st.Snapshot().Entries
+	case tau == 0:
+		for h, v := range in {
+			if v > 0 {
+				es = append(es, sampling.Pair{Key: h, Value: v})
+			}
+		}
+		slices.SortFunc(es, byKey)
+	}
+	return newPPSSummary(s.seeder, instance, tau, es)
+}
+
+// pushInstance offers every (key, value) pair of an instance to a sampler.
+func pushInstance(push func(dataset.Key, float64), in dataset.Instance) {
+	//summarylint:ignore a sample depends only on the per-key seeds and values, never on arrival order
+	for h, v := range in {
+		push(h, v)
+	}
 }
 
 // SummarizePPSExpectedSize draws a PPS summary sized to k expected keys.
@@ -240,9 +262,12 @@ func categorizeMerge(m *unionMerge, seed []xhash.InstanceSeeder, p [2]float64, s
 
 // SummarizeBottomK draws a bottom-k summary with the given rank family
 // (sampling.PPS{} for priority sampling, sampling.EXP{} for weighted
-// sampling without replacement).
+// sampling without replacement) by pushing the instance through a
+// sampling.StreamBottomK; k must be positive.
 //
 //summarylint:ignore the in-memory bottom-k reference shared by the tests of internal/engine, internal/server and internal/store
 func (s *Summarizer) SummarizeBottomK(instance int, in dataset.Instance, k int, fam sampling.RankFamily) *BottomKSummary {
-	return newBottomKSummary(s.seeder, instance, sampling.BottomK(in, k, fam, s.seedFunc(instance)))
+	st := sampling.NewStreamBottomK(k, fam, s.seedFunc(instance))
+	pushInstance(st.Push, in)
+	return newBottomKSummary(s.seeder, instance, st.Snapshot())
 }

@@ -104,7 +104,7 @@ func decodePPSWire(w ppsWire, stored bool) (*PPSSummary, error) {
 	if w.Tau <= 0 {
 		return nil, fmt.Errorf("core: invalid tau %v", w.Tau)
 	}
-	p := newPPSSummary(xhash.Seeder{Salt: w.Salt}, w.Instance, w.Tau, w.Values)
+	p := newPPSSummary(xhash.Seeder{Salt: w.Salt}, w.Instance, w.Tau, weightedEntries(w.Values))
 	if _, err := checkEntries(p.entries, 16, stored); err != nil {
 		return nil, err
 	}
@@ -193,7 +193,7 @@ func decodeBottomKWire(w bottomkWire, stored bool) (*BottomKSummary, error) {
 		return nil, fmt.Errorf("core: invalid rank threshold %v", tau)
 	}
 	b := newBottomKSummary(xhash.Seeder{Salt: w.Salt}, w.Instance,
-		&sampling.WeightedSample{Values: w.Values, Tau: tau, Family: fam})
+		&sampling.WeightedSample{Entries: weightedEntries(w.Values), Tau: tau, Family: fam})
 	if _, err := checkEntries(b.entries, 16, stored); err != nil {
 		return nil, err
 	}

@@ -12,7 +12,7 @@ import (
 // config yields the same summary — ranks depend only on the hash-derived
 // seeds, not on arrival order or shard assignment — so estimator semantics
 // never depend on the execution strategy. The one-shot Summarize entry
-// points and the multi-instance streams run in-line.
+// points run the same samplers in-line.
 
 // BottomKStream summarizes one instance incrementally: Push arrivals as
 // they happen, Close to obtain the finished BottomKSummary. It is the
@@ -102,5 +102,5 @@ func (p *PPSStream) Stats() engine.Stats { return p.e.Stats() }
 
 // Close drains the pipeline and returns the finished summary.
 func (p *PPSStream) Close() *PPSSummary {
-	return newPPSSummary(p.parent.seeder, p.instance, p.tau, p.e.Close().Values)
+	return newPPSSummary(p.parent.seeder, p.instance, p.tau, p.e.Close().Entries)
 }

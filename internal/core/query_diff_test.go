@@ -56,8 +56,9 @@ func (c *diffCase) add(s *Summarizer, id int, in dataset.Instance, tau, p float6
 	for h := range in {
 		members[h] = true
 	}
-	sample := &sampling.WeightedSample{Values: in, Tau: par.rankTau, Family: par.fam}
-	c.pps = append(c.pps, newPPSSummary(s.seeder, id, tau, in))
+	es := weightedEntries(in)
+	sample := &sampling.WeightedSample{Entries: es, Tau: par.rankTau, Family: par.fam}
+	c.pps = append(c.pps, newPPSSummary(s.seeder, id, tau, es))
 	c.sets = append(c.sets, newSetSummary(s.seeder, id, p, slices.Collect(maps.Keys(in))))
 	c.bottomk = append(c.bottomk, newBottomKSummary(s.seeder, id, sample))
 

@@ -50,7 +50,7 @@ func (r *refWeighted) AppendKeys(dst []dataset.Key) []dataset.Key {
 // else of what they are handed, so the header's kind and parameter are
 // placeholders.
 func (r *refWeighted) stored() *summaryData {
-	return &newPPSSummary(r.seeder, r.instance, 0, r.values).summaryData
+	return &newPPSSummary(r.seeder, r.instance, 0, weightedEntries(r.values)).summaryData
 }
 
 type refPPS struct {
@@ -61,7 +61,7 @@ type refPPS struct {
 func (r *refPPS) Kind() string    { return "pps" }
 func (r *refPPS) PPSTau() float64 { return r.tau }
 func (r *refPPS) SubsetSum(sel func(dataset.Key) bool) float64 {
-	return subsetSumRef(&sampling.WeightedSample{Values: r.values, Tau: 1 / r.tau, Family: sampling.PPS{}}, sel)
+	return subsetSumRef(r.values, sampling.PPS{}, 1/r.tau, sel)
 }
 
 type refBottomK struct {
@@ -74,7 +74,7 @@ func (r *refBottomK) Kind() string                 { return "bottomk" }
 func (r *refBottomK) RankTau() float64             { return r.tau }
 func (r *refBottomK) RankFam() sampling.RankFamily { return r.fam }
 func (r *refBottomK) SubsetSum(sel func(dataset.Key) bool) float64 {
-	return subsetSumRef(&sampling.WeightedSample{Values: r.values, Tau: r.tau, Family: r.fam}, sel)
+	return subsetSumRef(r.values, r.fam, r.tau, sel)
 }
 
 type refSet struct {
@@ -317,10 +317,11 @@ func bottomKDistinctRef(b BottomKReader) float64 {
 
 // subsetSumRef is sampling.WeightedSample.SubsetSum — what the SubsetSum
 // of a map-backed PPS or bottom-k summary called — before its key sort
-// moved off sort.Slice.
-func subsetSumRef(s *sampling.WeightedSample, sel func(dataset.Key) bool) float64 {
-	keys := make([]dataset.Key, 0, len(s.Values))
-	for h := range s.Values {
+// moved off sort.Slice, over the sample's values map and its rank family
+// and threshold.
+func subsetSumRef(values map[dataset.Key]float64, fam sampling.RankFamily, tau float64, sel func(dataset.Key) bool) float64 {
+	keys := make([]dataset.Key, 0, len(values))
+	for h := range values {
 		keys = append(keys, h)
 	}
 	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
@@ -329,8 +330,8 @@ func subsetSumRef(s *sampling.WeightedSample, sel func(dataset.Key) bool) float6
 		if sel != nil && !sel(h) {
 			continue
 		}
-		v := s.Values[h]
-		p := s.InclusionProb(v)
+		v := values[h]
+		p := fam.InclusionProb(v, tau)
 		if p > 0 {
 			total += v / p
 		}

@@ -226,7 +226,7 @@ func TestQueryDeterminism(t *testing.T) {
 func TestNonPositiveTauRefused(t *testing.T) {
 	s := NewSummarizer(5)
 	pps := func(instance int, tau float64) *PPSSummary {
-		return newPPSSummary(s.seeder, instance, tau, map[dataset.Key]float64{1: 2, 3: 4})
+		return newPPSSummary(s.seeder, instance, tau, []sampling.Pair{{Key: 1, Value: 2}, {Key: 3, Value: 4}})
 	}
 	good := pps(0, 3)
 	for _, tau := range []float64{0, -2, math.NaN()} { // NaN: both guards are !(tau > 0)

@@ -53,11 +53,8 @@ func Combinable(a, b interface{ seederOf() xhash.Seeder }) bool {
 	return a.seederOf() == b.seederOf()
 }
 
-// entry is one retained key on its way into a summary, with the bits of
-// its value (0 for a set member).
-type entry struct{ key, bits uint64 }
-
-func (a entry) compare(b entry) int { return cmp.Compare(a.key, b.key) }
+// byKey orders a summary's entries, on their way into it, by key.
+func byKey(a, b sampling.Pair) int { return cmp.Compare(a.Key, b.Key) }
 
 // summaryData is the state every summary kind shares: the canonical v2
 // message and the header fields parsed out of it.
@@ -70,16 +67,17 @@ type summaryData struct {
 }
 
 // newSummaryData encodes a summary's canonical message from its entries,
-// which must be in strictly ascending key order. fam is the rank-family
-// tag of a bottom-k summary, param the kind's float parameter.
-func newSummaryData(kind byte, seeder xhash.Seeder, instance int, fam byte, param float64, es []entry) summaryData {
+// which must be in strictly ascending key order; a set member's value is
+// not written. fam is the rank-family tag of a bottom-k summary, param the
+// kind's float parameter.
+func newSummaryData(kind byte, seeder xhash.Seeder, instance int, fam byte, param float64, es []sampling.Pair) summaryData {
 	size := v2EntrySize(kind)
 	data := appendHeaderV2(make([]byte, 0, v2MaxHeader+size*len(es)), kind, seeder, instance, fam, param, len(es))
 	head := len(data)
 	for _, e := range es {
-		data = binary.LittleEndian.AppendUint64(data, e.key)
+		data = binary.LittleEndian.AppendUint64(data, uint64(e.Key))
 		if size == 16 {
-			data = binary.LittleEndian.AppendUint64(data, e.bits)
+			data = binary.LittleEndian.AppendUint64(data, math.Float64bits(e.Value))
 		}
 	}
 	return summaryData{data: data, entries: data[head:], n: len(es), instance: instance, seeder: seeder}
@@ -161,13 +159,14 @@ func (d *summaryData) weightedSubsetSum(fam sampling.RankFamily, tau float64, se
 	return total
 }
 
-// weightedEntries returns a sample's entries in ascending key order.
-func weightedEntries(values map[dataset.Key]float64) []entry {
-	es := make([]entry, 0, len(values))
+// weightedEntries returns the entries of a v1 JSON values map in
+// ascending key order.
+func weightedEntries(values map[dataset.Key]float64) []sampling.Pair {
+	es := make([]sampling.Pair, 0, len(values))
 	for h, v := range values {
-		es = append(es, entry{uint64(h), math.Float64bits(v)})
+		es = append(es, sampling.Pair{Key: h, Value: v})
 	}
-	slices.SortFunc(es, entry.compare)
+	slices.SortFunc(es, byKey)
 	return es
 }
 
@@ -179,9 +178,11 @@ type PPSSummary struct {
 	tau float64
 }
 
-func newPPSSummary(seeder xhash.Seeder, instance int, tau float64, values map[dataset.Key]float64) *PPSSummary {
+// newPPSSummary builds a PPS summary from its sampled entries, in strictly
+// ascending key order.
+func newPPSSummary(seeder xhash.Seeder, instance int, tau float64, es []sampling.Pair) *PPSSummary {
 	return &PPSSummary{
-		summaryData: newSummaryData(v2KindPPS, seeder, instance, 0, tau, weightedEntries(values)),
+		summaryData: newSummaryData(v2KindPPS, seeder, instance, 0, tau, es),
 		tau:         tau,
 	}
 }
@@ -213,11 +214,11 @@ type SetSummary struct {
 // newSetSummary builds a set summary from its sampled members, in any
 // order; a member listed twice counts once.
 func newSetSummary(seeder xhash.Seeder, instance int, p float64, members []dataset.Key) *SetSummary {
-	es := make([]entry, len(members))
+	es := make([]sampling.Pair, len(members))
 	for i, h := range members {
-		es[i].key = uint64(h)
+		es[i].Key = h
 	}
-	slices.SortFunc(es, entry.compare)
+	slices.SortFunc(es, byKey)
 	return &SetSummary{summaryData: newSummaryData(v2KindSet, seeder, instance, 0, p, slices.Compact(es)), p: p}
 }
 
@@ -253,7 +254,7 @@ func newBottomKSummary(seeder xhash.Seeder, instance int, sample *sampling.Weigh
 		panic("core: bottom-k summary of unknown rank family " + sample.Family.Name())
 	}
 	return &BottomKSummary{
-		summaryData: newSummaryData(v2KindBottomK, seeder, instance, tag, sample.Tau, weightedEntries(sample.Values)),
+		summaryData: newSummaryData(v2KindBottomK, seeder, instance, tag, sample.Tau, sample.Entries),
 		fam:         sample.Family,
 		tau:         sample.Tau,
 	}

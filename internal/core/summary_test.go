@@ -148,7 +148,14 @@ func TestViewSubsetSumBitIdentical(t *testing.T) {
 func TestViewLookupMatchesHydrated(t *testing.T) {
 	s := NewSummarizer(0xD0)
 	m := simdata.Generate(simdata.ScaledTraffic(150))
-	want := sampling.PoissonPPS(m.Instances[0], 3, s.seedFunc(0)).Values
+	st := sampling.NewStreamPoissonPPS(3, s.seedFunc(0))
+	for h, v := range m.Instances[0] {
+		st.Push(h, v)
+	}
+	want := make(map[dataset.Key]float64)
+	for _, e := range st.Snapshot().Entries {
+		want[e.Key] = e.Value
+	}
 	pps := s.SummarizePPS(0, m.Instances[0], 3)
 	if pps.PPSTau() != 3 || pps.Size() != len(want) || pps.Size() == 0 {
 		t.Fatalf("summary tau %v size %d; sample size %d", pps.PPSTau(), pps.Size(), len(want))

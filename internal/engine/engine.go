@@ -33,8 +33,9 @@
 //
 // This is the seam ingest backends (files, sockets, queues) plug into:
 // anything that can produce Pair values can saturate the pipeline.
-// Multi-instance summarization runs in-line in internal/core and does not
-// use the engine.
+// Multi-instance summarization is r such pipelines, one per instance: the
+// server's one-pass multi-instance ingest routes each pair of a combined
+// stream to its instance's in-line stream.
 package engine
 
 import (
@@ -61,10 +62,9 @@ const defaultQueueDepth = 8
 // to calling the internal/sampling streams directly.
 //
 // Zero-valued fields select documented defaults (see each field); negative
-// values are meaningless and rejected by Validate. Pipeline constructors
-// panic on an invalid Config — callers that accept user-supplied settings
-// (command-line flags, request parameters) should call Validate first and
-// surface the error.
+// values are meaningless and rejected by Validate. Pipeline constructors,
+// and server.New, panic on an invalid Config; a caller holding settings it
+// did not choose calls Validate first and reports the error.
 type Config struct {
 	// Parallel enables the sharded pipeline. When false (and Async is
 	// false) the engine degenerates to a single in-line sampler.
@@ -87,8 +87,7 @@ type Config struct {
 }
 
 // configError reports a Config field set to a meaningless (negative)
-// value. It is the typed error behind Config.Validate, so flag handling
-// in commands and request validation in services share one rule.
+// value: the error Config.Validate returns.
 type configError struct {
 	// Field is the offending Config field name.
 	Field string
@@ -101,10 +100,10 @@ func (e *configError) Error() string {
 	return fmt.Sprintf("engine: Config.%s must not be negative, got %d (0 selects the default)", e.Field, e.Value)
 }
 
-// Validate rejects meaningless settings with a typed *ConfigError. The
-// rule, in one place for every caller: negative Shards, BatchSize, or
-// QueueDepth are errors; zero always means "use the default" (GOMAXPROCS
-// shards, DefaultBatchSize, defaultQueueDepth).
+// Validate rejects meaningless settings with a *configError. The rule, in
+// one place for every caller: negative Shards, BatchSize, or QueueDepth
+// are errors; zero always means "use the default" (GOMAXPROCS shards,
+// DefaultBatchSize, defaultQueueDepth).
 func (c Config) Validate() error {
 	if c.Shards < 0 {
 		return &configError{Field: "Shards", Value: c.Shards}

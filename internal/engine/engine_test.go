@@ -2,8 +2,10 @@ package engine
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"runtime"
+	"slices"
 	"strconv"
 	"testing"
 
@@ -71,24 +73,17 @@ func TestSummarizeBottomKInstance(t *testing.T) {
 	for k := dataset.Key(1); k <= 300; k++ {
 		in[k] = math.Floor(1 + rng.Pareto(1, 1.3))
 	}
-	want := sampling.BottomK(in, 25, sampling.PPS{}, seed)
+	ref := sampling.NewStreamBottomK(25, sampling.PPS{}, seed)
+	for _, h := range in.Keys() {
+		ref.Push(h, in[h])
+	}
+	want := ref.Snapshot()
 	for _, cfg := range []Config{{}, {Parallel: true, Shards: 4, BatchSize: 32}} {
 		e := NewBottomK(25, sampling.PPS{}, seed, cfg)
 		for h, v := range in {
 			e.Push(h, v)
 		}
-		got := e.Close()
-		if got.Tau != want.Tau {
-			t.Fatalf("cfg %+v: tau %v, want %v", cfg, got.Tau, want.Tau)
-		}
-		for h, v := range want.Values {
-			if got.Values[h] != v {
-				t.Fatalf("cfg %+v: key %d mismatch", cfg, h)
-			}
-		}
-		if len(got.Values) != len(want.Values) {
-			t.Fatalf("cfg %+v: size %d, want %d", cfg, len(got.Values), len(want.Values))
-		}
+		sameSample(t, e.Close(), want, fmt.Sprintf("cfg %+v", cfg))
 	}
 }
 
@@ -102,8 +97,8 @@ func TestUndersizedStream(t *testing.T) {
 	if !math.IsInf(s.Tau, 1) {
 		t.Errorf("tau = %v, want +Inf for undersized stream", s.Tau)
 	}
-	if s.Len() != 2 || s.Values[1] != 2 || s.Values[2] != 3 {
-		t.Errorf("undersized sample = %+v", s.Values)
+	if !slices.Equal(s.Entries, []Pair{{Key: 1, Value: 2}, {Key: 2, Value: 3}}) {
+		t.Errorf("undersized sample = %+v", s.Entries)
 	}
 }
 
@@ -111,12 +106,12 @@ func TestEmptyStream(t *testing.T) {
 	seed := func(dataset.Key) float64 { return 0.5 }
 	for _, cfg := range []Config{{}, {Parallel: true, Shards: 3}} {
 		s := NewBottomK(4, sampling.PPS{}, seed, cfg).Close()
-		if s.Len() != 0 || !math.IsInf(s.Tau, 1) {
-			t.Errorf("cfg %+v: empty close = len %d tau %v", cfg, s.Len(), s.Tau)
+		if len(s.Entries) != 0 || !math.IsInf(s.Tau, 1) {
+			t.Errorf("cfg %+v: empty close = len %d tau %v", cfg, len(s.Entries), s.Tau)
 		}
 		p := NewPoissonPPS(10, seed, cfg).Close()
-		if p.Len() != 0 {
-			t.Errorf("cfg %+v: empty poisson close = len %d", cfg, p.Len())
+		if len(p.Entries) != 0 {
+			t.Errorf("cfg %+v: empty poisson close = len %d", cfg, len(p.Entries))
 		}
 	}
 }

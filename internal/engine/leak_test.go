@@ -25,8 +25,8 @@ func TestCloseReleasesWorkerGoroutines(t *testing.T) {
 		for i := 0; i < 3_000; i++ {
 			e.Push(dataset.Key(i+1), float64(i%31+1))
 		}
-		if s := e.Close(); s.Len() != 16 {
-			t.Fatalf("cfg %+v: final len %d, want 16", cfg, s.Len())
+		if s := e.Close(); len(s.Entries) != 16 {
+			t.Fatalf("cfg %+v: final len %d, want 16", cfg, len(s.Entries))
 		}
 	}
 }

@@ -47,23 +47,8 @@ func (e *PoissonPPS) TauGuard() float64 {
 func (e *PoissonPPS) PushRejected(n int) { e.pushRejected(n) }
 
 // Close flushes buffered batches, waits for the shard workers, and returns
-// the merged PPS sample. The pipeline is unusable afterwards.
+// the merged PPS sample (sampling.MergePoissonPPS). The pipeline is
+// unusable afterwards.
 func (e *PoissonPPS) Close() *sampling.WeightedSample {
-	return unionPoissonSamplers(e.close())
-}
-
-// unionPoissonSamplers unions per-shard Poisson samples into one (shards
-// hold disjoint key partitions). The result
-// map is presized to the summed shard sizes, so the copies never grow it —
-// one allocation for the union regardless of shard count.
-func unionPoissonSamplers(samplers []*sampling.StreamPoissonPPS) *sampling.WeightedSample {
-	total := 0
-	for _, s := range samplers {
-		total += s.Len()
-	}
-	vals := make(map[dataset.Key]float64, total)
-	for _, s := range samplers {
-		s.AppendTo(vals)
-	}
-	return &sampling.WeightedSample{Values: vals, Tau: samplers[0].RankTau(), Family: sampling.PPS{}}
+	return sampling.MergePoissonPPS(e.close()...)
 }

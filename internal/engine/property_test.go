@@ -32,22 +32,19 @@ func randomStream(rng *randx.RNG, n int) []Pair {
 	return out
 }
 
-// sameSample asserts exact equality: keys, values, and threshold witness.
+// sameSample asserts exact equality: entries (keys and value bits, in
+// ascending key order) and threshold witness.
 func sameSample(t *testing.T, got, want *sampling.WeightedSample, label string) {
 	t.Helper()
 	if got.Tau != want.Tau && !(math.IsInf(got.Tau, 1) && math.IsInf(want.Tau, 1)) {
 		t.Fatalf("%s: tau %v, want %v", label, got.Tau, want.Tau)
 	}
-	if len(got.Values) != len(want.Values) {
-		t.Fatalf("%s: size %d, want %d", label, len(got.Values), len(want.Values))
+	if len(got.Entries) != len(want.Entries) {
+		t.Fatalf("%s: size %d, want %d", label, len(got.Entries), len(want.Entries))
 	}
-	for h, v := range want.Values {
-		gv, ok := got.Values[h]
-		if !ok {
-			t.Fatalf("%s: key %d missing", label, h)
-		}
-		if gv != v {
-			t.Fatalf("%s: key %d value %v, want %v", label, h, gv, v)
+	for i, e := range want.Entries {
+		if g := got.Entries[i]; g.Key != e.Key || math.Float64bits(g.Value) != math.Float64bits(e.Value) {
+			t.Fatalf("%s: entry %d is %+v, want %+v", label, i, g, e)
 		}
 	}
 }

@@ -39,8 +39,8 @@ func TestStressAsyncIngestCloseQuery(t *testing.T) {
 			defer wg.Done()
 			for s := range closed {
 				sum := s.SubsetSum(nil)
-				if s.Len() > 0 && !(sum > 0) {
-					t.Errorf("sample with %d keys has subset sum %v", s.Len(), sum)
+				if len(s.Entries) > 0 && !(sum > 0) {
+					t.Errorf("sample with %d keys has subset sum %v", len(s.Entries), sum)
 				}
 			}
 		}()
@@ -55,8 +55,8 @@ func TestStressAsyncIngestCloseQuery(t *testing.T) {
 			e.Push(dataset.Key(c*n+i+1), float64(i%97+1))
 		}
 		s := e.Close()
-		if s.Len() != 64 || math.IsInf(s.Tau, 1) {
-			t.Errorf("cycle %d: len %d tau %v, want a saturated bottom-64", c, s.Len(), s.Tau)
+		if len(s.Entries) != 64 || math.IsInf(s.Tau, 1) {
+			t.Errorf("cycle %d: len %d tau %v, want a saturated bottom-64", c, len(s.Entries), s.Tau)
 		}
 		closed <- s
 	}

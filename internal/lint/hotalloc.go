@@ -19,7 +19,7 @@ import (
 //     interface parameter, assigned to an interface variable, or
 //     returned as an interface boxes its operand
 //
-// Struct composite literals used as values (rankedKey{key, r}) are
+// Struct composite literals used as values (Entry{Key: key, Rank: r}) are
 // allowed — they stay on the stack. Method calls on already-interface
 // values are allowed — the boxing happened elsewhere. Type parameters
 // are never treated as interfaces. The check is intraprocedural: callees

@@ -1,32 +1,20 @@
 package sampling
 
-import (
-	"math"
-
-	"repro/internal/dataset"
-)
-
-// rankedKey pairs a key with its rank for the bottom-k max-heap.
-type rankedKey struct {
-	key  dataset.Key
-	rank float64
-}
-
 // rankHeap is a binary max-heap on rank stored in a slice, so the largest
 // retained rank sits at h[0] and can be evicted when a smaller rank
 // arrives. The sift loops are written out instead of going through
-// container/heap: the interface{}-based heap.Push boxes every rankedKey,
+// container/heap: the interface{}-based heap.Push boxes every Entry,
 // which costs one allocation per retained arrival on the k-fill path.
-type rankHeap []rankedKey
+type rankHeap []Entry
 
-// push appends rk and restores the heap property by sifting it up.
-func (h *rankHeap) push(rk rankedKey) {
-	*h = append(*h, rk)
+// push appends e and restores the heap property by sifting it up.
+func (h *rankHeap) push(e Entry) {
+	*h = append(*h, e)
 	hh := *h
 	i := len(hh) - 1
 	for i > 0 {
 		parent := (i - 1) / 2
-		if hh[parent].rank >= hh[i].rank {
+		if hh[parent].Rank >= hh[i].Rank {
 			break
 		}
 		hh[parent], hh[i] = hh[i], hh[parent]
@@ -44,76 +32,13 @@ func (h rankHeap) fixTop() {
 		if c >= n {
 			return
 		}
-		if r := c + 1; r < n && h[r].rank > h[c].rank {
+		if r := c + 1; r < n && h[r].Rank > h[c].Rank {
 			c = r
 		}
-		if h[i].rank >= h[c].rank {
+		if h[i].Rank >= h[c].Rank {
 			return
 		}
 		h[i], h[c] = h[c], h[i]
 		i = c
 	}
-}
-
-// BottomK draws a bottom-k (order) sample of the instance: the k keys with
-// smallest ranks, where ranks are drawn from the given family using the
-// per-key seeds. Tau is set to the (k+1)-st smallest rank, which is the
-// rank-conditioning threshold for the subset-sum estimator (§7.1); with PPS
-// ranks this is exactly priority sampling, with EXP ranks it is weighted
-// sampling without replacement.
-//
-// The sample is computed in one streaming pass with a size-(k+1) heap, so an
-// instance never needs to be fully materialized in rank order. Once the heap
-// is full, arrivals take the same threshold fast-reject as
-// StreamBottomK.Push: one seed hash, one multiply, one compare.
-func BottomK(in dataset.Instance, k int, fam RankFamily, seed SeedFunc) *WeightedSample {
-	h := make(rankHeap, 0, k+1)
-	guard := fastRejectMult(fam)
-	full := false
-	tau, tauGuard := 0.0, math.NaN()
-	//summarylint:ignore bottom-k heap keeps the k+1 smallest ranks, which depend only on per-key seeds, not arrival order
-	for key, v := range in {
-		if full {
-			u := seed(key)
-			if u >= tauGuard*v {
-				continue
-			}
-			r := fam.Rank(u, v)
-			if !(r < tau) {
-				continue
-			}
-			h[0] = rankedKey{key, r}
-			h.fixTop()
-			tau = h[0].rank
-			tauGuard = tau * guard
-			continue
-		}
-		r := fam.Rank(seed(key), v)
-		if math.IsInf(r, 1) {
-			continue
-		}
-		h.push(rankedKey{key, r})
-		if len(h) == k+1 {
-			full = true
-			tau = h[0].rank
-			tauGuard = tau * guard
-		}
-	}
-	out := &WeightedSample{Values: make(map[dataset.Key]float64, k), Family: fam}
-	if len(h) <= k {
-		// Fewer than k+1 positive keys: everything is sampled, and the
-		// conditioning threshold is unbounded (estimates are exact values).
-		out.Tau = math.Inf(1)
-		for _, rk := range h {
-			out.Values[rk.key] = in[rk.key]
-		}
-		return out
-	}
-	// The heap top holds the (k+1)-st smallest rank; it is excluded from
-	// the sample and becomes the threshold.
-	out.Tau = h[0].rank
-	for _, rk := range h[1:] {
-		out.Values[rk.key] = in[rk.key]
-	}
-	return out
 }

@@ -1,7 +1,6 @@
 package sampling
 
 import (
-	"maps"
 	"math"
 	"slices"
 	"testing"
@@ -51,8 +50,8 @@ func TestTauGuardIsSound(t *testing.T) {
 		{"poisson pps", poisson, func() []uint64 {
 			snap := poisson.Snapshot()
 			var bits []uint64
-			for _, h := range slices.Sorted(maps.Keys(snap.Values)) {
-				bits = append(bits, uint64(h), math.Float64bits(snap.Values[h]))
+			for _, e := range snap.Entries {
+				bits = append(bits, uint64(e.Key), math.Float64bits(e.Value))
 			}
 			return append(bits, math.Float64bits(snap.Tau))
 		}, false},

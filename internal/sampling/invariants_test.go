@@ -1,7 +1,9 @@
 package sampling
 
 import (
+	"cmp"
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -14,9 +16,10 @@ import (
 // substrates: the structural guarantees every estimator in this repository
 // leans on.
 
-// TestQuickStreamEqualsBatch: the streaming bottom-k sampler agrees with
-// the batch construction for every random instance and arrival order.
-func TestQuickStreamEqualsBatch(t *testing.T) {
+// TestQuickStreamEqualsReference: the streaming bottom-k sampler agrees
+// with the sample by definition for every random instance and arrival
+// order.
+func TestQuickStreamEqualsReference(t *testing.T) {
 	f := func(salt uint64, weights []uint8, order uint64) bool {
 		in := dataset.Instance{}
 		for i, w := range weights {
@@ -27,23 +30,9 @@ func TestQuickStreamEqualsBatch(t *testing.T) {
 		}
 		seeder := xhash.Seeder{Salt: salt}
 		seed := func(h dataset.Key) float64 { return seeder.Seed(0, uint64(h)) }
-		batch := BottomK(in, 7, PPS{}, seed)
 		s := NewStreamBottomK(7, PPS{}, seed)
-		keys := in.Keys()
-		perm := randx.New(order).Perm(len(keys))
-		for _, idx := range perm {
-			s.Push(keys[idx], in[keys[idx]])
-		}
-		snap := s.Snapshot()
-		if snap.Tau != batch.Tau || len(snap.Values) != len(batch.Values) {
-			return false
-		}
-		for h, v := range batch.Values {
-			if snap.Values[h] != v {
-				return false
-			}
-		}
-		return true
+		pushed(in, randx.New(order).Perm(len(in)), s.Push)
+		return sameSample(s.Snapshot(), bottomKRef(in, 7, PPS{}, seed))
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 400}); err != nil {
 		t.Error(err)
@@ -63,14 +52,18 @@ func TestQuickBottomKRankBound(t *testing.T) {
 		}
 		seeder := xhash.Seeder{Salt: salt}
 		seed := func(h dataset.Key) float64 { return seeder.Seed(0, uint64(h)) }
-		s := BottomK(in, 5, EXP{}, seed)
+		st := NewStreamBottomK(5, EXP{}, seed)
+		for h, v := range in {
+			st.Push(h, v)
+		}
+		s := st.Snapshot()
 		below := 0
 		for h, v := range in {
 			r := (EXP{}).Rank(seed(h), v)
 			if r < s.Tau {
 				below++
 			}
-			_, sampled := s.Values[h]
+			_, sampled := lookup(s, h)
 			if sampled != (r < s.Tau) {
 				return false
 			}
@@ -96,10 +89,14 @@ func TestQuickPPSSampleValueFidelity(t *testing.T) {
 		tau := 1 + float64(tauRaw%50)
 		seeder := xhash.Seeder{Salt: salt}
 		seed := func(h dataset.Key) float64 { return seeder.Seed(0, uint64(h)) }
-		s := PoissonPPS(in, tau, seed)
+		st := NewStreamPoissonPPS(tau, seed)
+		for h, v := range in {
+			st.Push(h, v)
+		}
+		s := st.Snapshot()
 		for h, v := range in {
 			want := v > 0 && v >= seed(h)*tau
-			got, ok := s.Values[h]
+			got, ok := lookup(s, h)
 			if ok != want {
 				return false
 			}
@@ -112,4 +109,13 @@ func TestQuickPPSSampleValueFidelity(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 400}); err != nil {
 		t.Error(err)
 	}
+}
+
+// lookup binary-searches a sample's ascending entries for key h.
+func lookup(s *WeightedSample, h dataset.Key) (float64, bool) {
+	i, ok := slices.BinarySearchFunc(s.Entries, h, func(e Pair, h dataset.Key) int { return cmp.Compare(e.Key, h) })
+	if !ok {
+		return 0, false
+	}
+	return s.Entries[i].Value, true
 }

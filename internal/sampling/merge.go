@@ -7,11 +7,12 @@ import (
 	"repro/internal/dataset"
 )
 
-// Entry is one retained (key, rank, value) triple of a bottom-k sampler.
-// Entries are the mergeable representation of partial bottom-k state: the
-// rank of a key depends only on its seed and value, never on arrival order
-// or on which sampler observed it, so entry sets from disjoint key
-// partitions can be combined into the exact global sample.
+// Entry is one retained (key, rank, value) triple of a bottom-k sampler:
+// the item of its heap. Entries are the mergeable representation of
+// partial bottom-k state: the rank of a key depends only on its seed and
+// value, never on arrival order or on which sampler observed it, so entry
+// sets from disjoint key partitions can be combined into the exact global
+// sample.
 type Entry struct {
 	Key   dataset.Key
 	Rank  float64
@@ -23,11 +24,7 @@ type Entry struct {
 // with MergeBottomK this supports sharded summarization: partition a stream
 // by key, run one StreamBottomK per shard, and merge the retained entries.
 func (s *StreamBottomK) Entries() []Entry {
-	out := make([]Entry, len(s.h))
-	for i, rk := range s.h {
-		out[i] = Entry{Key: rk.key, Rank: rk.rank, Value: s.vals[rk.key]}
-	}
-	return out
+	return append([]Entry(nil), s.h...)
 }
 
 // MergeBottomK combines per-shard retained entry sets into the global
@@ -56,21 +53,39 @@ func MergeBottomK(k int, fam RankFamily, groups ...[]Entry) *WeightedSample {
 		}
 		return all[i].Key < all[j].Key
 	})
-	out := &WeightedSample{Values: make(map[dataset.Key]float64, k), Family: fam}
 	if len(all) <= k {
 		// Fewer than k+1 entries survive globally: everything is sampled
 		// and the conditioning threshold is unbounded.
-		out.Tau = math.Inf(1)
-		for _, e := range all {
-			out.Values[e.Key] = e.Value
-		}
-		return out
+		return newBottomKSample(all, math.Inf(1), fam)
 	}
 	// The (k+1)-st smallest rank is the threshold witness, excluded from
-	// the sample exactly as in BottomK and StreamBottomK.Snapshot.
-	out.Tau = all[k].Rank
-	for _, e := range all[:k] {
-		out.Values[e.Key] = e.Value
+	// the sample exactly as in StreamBottomK.Snapshot.
+	return newBottomKSample(all[:k], all[k].Rank, fam)
+}
+
+// MergePoissonPPS unions per-shard Poisson PPS samplers of one threshold
+// into the global sample. Poisson sampling is a stateless per-key filter
+// and shards hold disjoint key partitions, so the union is exactly what
+// one sequential pass over the whole stream keeps; it is sorted by key
+// once, here, in one slice presized to the summed shard samples.
+func MergePoissonPPS(samplers ...*StreamPoissonPPS) *WeightedSample {
+	total := 0
+	for _, s := range samplers {
+		total += len(s.out)
 	}
-	return out
+	all := make([]Pair, 0, total)
+	for _, s := range samplers {
+		all = append(all, s.out...)
+	}
+	return &WeightedSample{Entries: ascending(all), Tau: samplers[0].rankTau, Family: PPS{}}
+}
+
+// newBottomKSample builds the bottom-k sample of the kept entries under
+// the conditioning threshold tau.
+func newBottomKSample(kept []Entry, tau float64, fam RankFamily) *WeightedSample {
+	ps := make([]Pair, len(kept))
+	for i, e := range kept {
+		ps[i] = Pair{Key: e.Key, Value: e.Value}
+	}
+	return &WeightedSample{Entries: ascending(ps), Tau: tau, Family: fam}
 }

@@ -2,7 +2,6 @@ package sampling
 
 import (
 	"math"
-	"reflect"
 	"testing"
 
 	"repro/internal/dataset"
@@ -74,11 +73,4 @@ func TestMergeBottomKOrderInsensitive(t *testing.T) {
 			t.Fatalf("trial %d: merge not associative under group concatenation", trial)
 		}
 	}
-}
-
-func sameSample(a, b *WeightedSample) bool {
-	if a.Tau != b.Tau && !(math.IsInf(a.Tau, 1) && math.IsInf(b.Tau, 1)) {
-		return false
-	}
-	return reflect.DeepEqual(a.Values, b.Values)
 }

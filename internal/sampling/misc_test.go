@@ -16,7 +16,7 @@ func TestRankFamilyNames(t *testing.T) {
 // heapOK reports whether h satisfies the max-heap property everywhere.
 func heapOK(h rankHeap) bool {
 	for i := 1; i < len(h); i++ {
-		if h[(i-1)/2].rank < h[i].rank {
+		if h[(i-1)/2].Rank < h[i].Rank {
 			return false
 		}
 	}
@@ -27,7 +27,7 @@ func TestRankHeapSift(t *testing.T) {
 	rng := randx.New(42)
 	h := make(rankHeap, 0, 65)
 	for i := 0; i < 64; i++ {
-		h.push(rankedKey{key: dataset.Key(i), rank: rng.Float64()})
+		h.push(Entry{Key: dataset.Key(i), Rank: rng.Float64()})
 		if !heapOK(h) {
 			t.Fatalf("heap property violated after push %d: %v", i, h)
 		}
@@ -37,14 +37,14 @@ func TestRankHeapSift(t *testing.T) {
 	for i := 0; i < 256; i++ {
 		max := 0.0
 		for _, rk := range h {
-			if rk.rank > max {
-				max = rk.rank
+			if rk.Rank > max {
+				max = rk.Rank
 			}
 		}
-		if h[0].rank != max {
-			t.Fatalf("heap top %v, want max %v", h[0].rank, max)
+		if h[0].Rank != max {
+			t.Fatalf("heap top %v, want max %v", h[0].Rank, max)
 		}
-		h[0] = rankedKey{key: dataset.Key(1000 + i), rank: rng.Float64()}
+		h[0] = Entry{Key: dataset.Key(1000 + i), Rank: rng.Float64()}
 		h.fixTop()
 		if !heapOK(h) {
 			t.Fatalf("heap property violated after eviction %d", i)
@@ -54,12 +54,12 @@ func TestRankHeapSift(t *testing.T) {
 
 // TestRankHeapPushAllocs: the k-fill path must not box — pushing into a
 // heap with spare capacity allocates nothing (the old container/heap path
-// boxed every rankedKey through interface{}).
+// boxed every Entry through interface{}).
 func TestRankHeapPushAllocs(t *testing.T) {
 	h := make(rankHeap, 0, 128)
 	i := 0
 	allocs := testing.AllocsPerRun(100, func() {
-		h.push(rankedKey{key: dataset.Key(i), rank: float64(i % 17)})
+		h.push(Entry{Key: dataset.Key(i), Rank: float64(i % 17)})
 		i++
 		if len(h) == cap(h) {
 			h = h[:0]
@@ -80,8 +80,8 @@ func TestStreamBottomKLenCap(t *testing.T) {
 	if s.Len() != 3 {
 		t.Errorf("Len = %d, want 3", s.Len())
 	}
-	if snap := s.Snapshot(); len(snap.Values) != 3 {
-		t.Errorf("snapshot size %d, want 3", len(snap.Values))
+	if snap := s.Snapshot(); len(snap.Entries) != 3 {
+		t.Errorf("snapshot size %d, want 3", len(snap.Entries))
 	}
 }
 

@@ -1,6 +1,7 @@
 package sampling
 
 import (
+	"cmp"
 	"math"
 	"slices"
 	"sort"
@@ -17,8 +18,9 @@ type SeedFunc func(dataset.Key) float64
 // the sampled keys with their values, plus the rank threshold that governed
 // (Poisson) or conditions (bottom-k) inclusion.
 type WeightedSample struct {
-	// Values holds the sampled keys and their exact values.
-	Values map[dataset.Key]float64
+	// Entries holds the sampled keys and their exact values, in strictly
+	// ascending key order — the order of a summary's v2 entries.
+	Entries []Pair
 	// Tau is the rank threshold: fixed for Poisson sampling; the (k+1)-st
 	// smallest rank for bottom-k (rank conditioning). +Inf means every
 	// positive key was included.
@@ -27,65 +29,30 @@ type WeightedSample struct {
 	Family RankFamily
 }
 
-// Len returns the number of sampled keys.
-//
-//summarylint:ignore shared by the tests of internal/sampling, internal/engine and bench_test.go
-func (s *WeightedSample) Len() int { return len(s.Values) }
-
-// InclusionProb returns the (conditional) inclusion probability of a key
-// with weight w given the sample's threshold. For Poisson samples this is
-// the exact inclusion probability; for bottom-k it is the rank-conditioning
-// probability of §7.1.
-//
-//summarylint:ignore the reference loops of internal/core (query_ref_test.go) share it
-func (s *WeightedSample) InclusionProb(w float64) float64 {
-	return s.Family.InclusionProb(w, s.Tau)
-}
-
 // SubsetSum estimates Σ_{h∈sel} v(h) with inverse-probability weights
 // (HT for Poisson, rank-conditioning for bottom-k). A nil sel selects all.
-// Terms are accumulated in ascending key order, not map order, so equal
-// samples produce bit-identical estimates on every run — the
+// Terms are accumulated in ascending key order, the order of Entries, so
+// equal samples produce bit-identical estimates on every run — the
 // reproducibility contract dispersed post-hoc queries rely on.
 func (s *WeightedSample) SubsetSum(sel func(dataset.Key) bool) float64 {
-	keys := make([]dataset.Key, 0, len(s.Values))
-	for h := range s.Values {
-		keys = append(keys, h)
-	}
-	slices.Sort(keys)
 	total := 0.0
-	for _, h := range keys {
-		if sel != nil && !sel(h) {
+	for _, e := range s.Entries {
+		if sel != nil && !sel(e.Key) {
 			continue
 		}
-		v := s.Values[h]
-		p := s.InclusionProb(v)
-		if p > 0 {
-			total += v / p
+		if p := s.Family.InclusionProb(e.Value, s.Tau); p > 0 {
+			total += e.Value / p
 		}
 	}
 	return total
 }
 
-// poissonRank draws a Poisson sample of the instance: key h is included iff
-// its rank Family.Rank(u(h), v(h)) is below rankTau. Inclusions of
-// different keys are independent given independent seeds.
-func poissonRank(in dataset.Instance, fam RankFamily, rankTau float64, seed SeedFunc) *WeightedSample {
-	out := &WeightedSample{Values: make(map[dataset.Key]float64), Tau: rankTau, Family: fam}
-	for h, v := range in {
-		if fam.Rank(seed(h), v) < rankTau {
-			out.Values[h] = v
-		}
-	}
-	return out
-}
-
-// PoissonPPS draws a Poisson PPS sample with weight-scale threshold tauStar:
-// key h is included iff v(h) ≥ u(h)·tauStar, i.e. with probability
-// min{1, v(h)/tauStar} (§2, §5.2). In rank terms this is PPS ranks with
-// rank threshold 1/tauStar.
-func PoissonPPS(in dataset.Instance, tauStar float64, seed SeedFunc) *WeightedSample {
-	return poissonRank(in, PPS{}, 1/tauStar, seed)
+// ascending sorts a sample's pairs by key, in place, and keeps one pair
+// per key: a key pushed twice, against the samplers' contract, still
+// leaves one entry.
+func ascending(ps []Pair) []Pair {
+	slices.SortFunc(ps, func(a, b Pair) int { return cmp.Compare(a.Key, b.Key) })
+	return slices.CompactFunc(ps, func(a, b Pair) bool { return a.Key == b.Key })
 }
 
 // TauForExpectedSize returns the weight-scale threshold tauStar for which a

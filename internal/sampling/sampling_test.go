@@ -74,9 +74,9 @@ func TestPoissonPPSInclusion(t *testing.T) {
 	counts := map[dataset.Key]int{}
 	for i := 0; i < trials; i++ {
 		seeder := xhash.Seeder{Salt: uint64(i)}
-		s := PoissonPPS(in, tau, seedFuncFrom(seeder, 0))
-		for h := range s.Values {
-			counts[h]++
+		s := streamPPS(in, tau, seedFuncFrom(seeder, 0))
+		for _, e := range s.Entries {
+			counts[e.Key]++
 		}
 	}
 	if counts[1] != trials {
@@ -106,7 +106,7 @@ func TestSubsetSumUnbiased(t *testing.T) {
 	sum := 0.0
 	for i := 0; i < trials; i++ {
 		seeder := xhash.Seeder{Salt: 1000 + uint64(i)}
-		s := PoissonPPS(in, tau, seedFuncFrom(seeder, 0))
+		s := streamPPS(in, tau, seedFuncFrom(seeder, 0))
 		sum += s.SubsetSum(nil)
 	}
 	mean := sum / trials
@@ -133,33 +133,33 @@ func TestTauForExpectedSize(t *testing.T) {
 	}
 	// Oversized k includes everything.
 	tau := TauForExpectedSize(in, 1000)
-	s := PoissonPPS(in, tau, func(dataset.Key) float64 { return 0.999999 })
-	if s.Len() != len(in) {
-		t.Errorf("oversized k: sampled %d of %d", s.Len(), len(in))
+	s := streamPPS(in, tau, func(dataset.Key) float64 { return 0.999999 })
+	if len(s.Entries) != len(in) {
+		t.Errorf("oversized k: sampled %d of %d", len(s.Entries), len(in))
 	}
 }
 
 func TestBottomKBasics(t *testing.T) {
 	in := dataset.FigureFive().Instances[0]
 	seeder := xhash.Seeder{Salt: 123}
-	s := BottomK(in, 3, PPS{}, seedFuncFrom(seeder, 0))
-	if s.Len() != 3 {
-		t.Fatalf("sample size %d, want 3", s.Len())
+	s := streamBottomK(in, 3, PPS{}, seedFuncFrom(seeder, 0))
+	if len(s.Entries) != 3 {
+		t.Fatalf("sample size %d, want 3", len(s.Entries))
 	}
 	if math.IsInf(s.Tau, 1) {
 		t.Fatal("tau should be finite with >k keys")
 	}
 	// All sampled ranks must be below tau.
-	for h, v := range s.Values {
-		if r := (PPS{}).Rank(seeder.Seed(0, uint64(h)), v); r >= s.Tau {
-			t.Errorf("sampled key %d rank %v ≥ tau %v", h, r, s.Tau)
+	for _, e := range s.Entries {
+		if r := (PPS{}).Rank(seeder.Seed(0, uint64(e.Key)), e.Value); r >= s.Tau {
+			t.Errorf("sampled key %d rank %v ≥ tau %v", e.Key, r, s.Tau)
 		}
 	}
 	// Small instance: everything sampled, exact estimates.
 	tiny := dataset.Instance{1: 5, 2: 7}
-	s2 := BottomK(tiny, 3, PPS{}, seedFuncFrom(seeder, 0))
-	if s2.Len() != 2 || !math.IsInf(s2.Tau, 1) {
-		t.Fatalf("tiny sample: len=%d tau=%v", s2.Len(), s2.Tau)
+	s2 := streamBottomK(tiny, 3, PPS{}, seedFuncFrom(seeder, 0))
+	if len(s2.Entries) != 2 || !math.IsInf(s2.Tau, 1) {
+		t.Fatalf("tiny sample: len=%d tau=%v", len(s2.Entries), s2.Tau)
 	}
 	if got := s2.SubsetSum(nil); got != 12 {
 		t.Errorf("tiny subset sum = %v, want exact 12", got)
@@ -182,7 +182,7 @@ func TestBottomKSubsetSumUnbiased(t *testing.T) {
 		sum := 0.0
 		for i := 0; i < trials; i++ {
 			seeder := xhash.Seeder{Salt: uint64(i) * 31}
-			s := BottomK(in, 8, fam, seedFuncFrom(seeder, 0))
+			s := streamBottomK(in, 8, fam, seedFuncFrom(seeder, 0))
 			sum += s.SubsetSum(nil)
 		}
 		mean := sum / trials
@@ -202,20 +202,18 @@ func TestSharedSeedCoordination(t *testing.T) {
 		in[k] = math.Floor(1 + rng.Pareto(1, 1.5))
 	}
 	shared := func(h dataset.Key) float64 { return xhash.Unit(xhash.Hash2(9, uint64(h))) }
-	s1 := BottomK(in, 10, PPS{}, shared)
-	s2 := BottomK(in, 10, PPS{}, shared)
-	for h := range s1.Values {
-		if _, ok := s2.Values[h]; !ok {
-			t.Fatal("identical instances under shared seeds produced different samples")
-		}
+	s1 := streamBottomK(in, 10, PPS{}, shared)
+	s2 := streamBottomK(in, 10, PPS{}, shared)
+	if !sameSample(s1, s2) {
+		t.Fatal("identical instances under shared seeds produced different samples")
 	}
 	// Independent seeds: overlap should be far below 10.
 	indep := xhash.Seeder{Salt: 9}
-	t1 := BottomK(in, 10, PPS{}, seedFuncFrom(indep, 0))
-	t2 := BottomK(in, 10, PPS{}, seedFuncFrom(indep, 1))
+	t1 := streamBottomK(in, 10, PPS{}, seedFuncFrom(indep, 0))
+	t2 := streamBottomK(in, 10, PPS{}, seedFuncFrom(indep, 1))
 	overlap := 0
-	for h := range t1.Values {
-		if _, ok := t2.Values[h]; ok {
+	for _, e := range t1.Entries {
+		if _, ok := lookup(t2, e.Key); ok {
 			overlap++
 		}
 	}
@@ -244,4 +242,24 @@ func TestInclusionProbQuick(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
 		t.Error(err)
 	}
+}
+
+// streamBottomK draws the bottom-k sample of an instance by pushing it
+// through a StreamBottomK.
+func streamBottomK(in dataset.Instance, k int, fam RankFamily, seed SeedFunc) *WeightedSample {
+	s := NewStreamBottomK(k, fam, seed)
+	for h, v := range in {
+		s.Push(h, v)
+	}
+	return s.Snapshot()
+}
+
+// streamPPS draws the Poisson PPS sample of an instance by pushing it
+// through a StreamPoissonPPS.
+func streamPPS(in dataset.Instance, tauStar float64, seed SeedFunc) *WeightedSample {
+	s := NewStreamPoissonPPS(tauStar, seed)
+	for h, v := range in {
+		s.Push(h, v)
+	}
+	return s.Snapshot()
 }

@@ -6,8 +6,8 @@ import (
 	"repro/internal/dataset"
 )
 
-// Pair is one (key, value) arrival of a stream: what the samplers'
-// PushBatch methods take a slice of.
+// Pair is one (key, value) arrival of a stream — what the samplers'
+// PushBatch methods take a slice of — and one entry of a finished sample.
 type Pair struct {
 	Key   dataset.Key
 	Value float64
@@ -22,7 +22,8 @@ type Pair struct {
 // Once k+1 items are retained the sampler is rejection-dominated: the
 // common-case arrival is discarded with one seed hash, one multiply, and
 // one compare against the cached threshold (see rejectGuard), touching
-// neither the heap nor the value map and allocating nothing.
+// the heap not at all and allocating nothing. The heap's entries carry
+// their values, so an accept replaces the heap top in place.
 type StreamBottomK struct {
 	k    int
 	fam  RankFamily
@@ -35,7 +36,6 @@ type StreamBottomK struct {
 	tauGuard float64
 	guard    float64
 	h        rankHeap
-	vals     map[dataset.Key]float64
 }
 
 // NewStreamBottomK returns an empty streaming bottom-k sampler.
@@ -50,7 +50,6 @@ func NewStreamBottomK(k int, fam RankFamily, seed SeedFunc) *StreamBottomK {
 		guard:    fastRejectMult(fam),
 		tauGuard: math.NaN(),
 		h:        make(rankHeap, 0, k+1),
-		vals:     make(map[dataset.Key]float64, k+1),
 	}
 }
 
@@ -99,11 +98,9 @@ func (s *StreamBottomK) pushFull(u float64, key dataset.Key, v float64) {
 	if r >= s.tau {
 		return
 	}
-	delete(s.vals, s.h[0].key)
-	s.h[0] = rankedKey{key, r}
-	s.vals[key] = v
+	s.h[0] = Entry{Key: key, Rank: r, Value: v}
 	s.h.fixTop()
-	s.tau = s.h[0].rank
+	s.tau = s.h[0].Rank
 	s.tauGuard = s.tau * s.guard
 }
 
@@ -115,11 +112,10 @@ func (s *StreamBottomK) pushFill(key dataset.Key, v float64) {
 	if math.IsInf(r, 1) {
 		return
 	}
-	s.h.push(rankedKey{key, r})
-	s.vals[key] = v
+	s.h.push(Entry{Key: key, Rank: r, Value: v})
 	if len(s.h) == s.k+1 {
 		s.full = true
-		s.tau = s.h[0].rank
+		s.tau = s.h[0].Rank
 		s.tauGuard = s.tau * s.guard
 	}
 }
@@ -133,36 +129,30 @@ func (s *StreamBottomK) pushFill(key dataset.Key, v float64) {
 func (s *StreamBottomK) TauGuard() float64 { return s.tauGuard }
 
 // Snapshot materializes the current sample with its rank-conditioning
-// threshold. The sampler remains usable afterwards.
+// threshold: the heap's entries but the threshold witness, sorted by key.
+// The sampler remains usable afterwards.
 func (s *StreamBottomK) Snapshot() *WeightedSample {
-	out := &WeightedSample{Values: make(map[dataset.Key]float64, s.k), Family: s.fam}
 	if len(s.h) <= s.k {
-		out.Tau = math.Inf(1)
-		for _, rk := range s.h {
-			out.Values[rk.key] = s.vals[rk.key]
-		}
-		return out
+		return newBottomKSample(s.h, math.Inf(1), s.fam)
 	}
-	out.Tau = s.h[0].rank
-	for _, rk := range s.h[1:] {
-		out.Values[rk.key] = s.vals[rk.key]
-	}
-	return out
+	return newBottomKSample(s.h[1:], s.h[0].Rank, s.fam)
 }
 
 // StreamPoissonPPS filters a stream down to a Poisson PPS sample with a
 // fixed threshold tauStar: stateless per key, O(1) memory beyond the
 // retained sample — the scheme of choice when key processing must be fully
-// decoupled (e.g. sensors transmitting independently, §7.1). Inclusion uses
-// the exact rank test of PoissonPPS (rank u/v below 1/tauStar), so the
-// streaming sample is bit-for-bit the batch sample. Rejected arrivals —
-// the common case with a tight threshold — cost one seed hash, one
-// multiply, and one compare, mirroring StreamBottomK's fast-reject.
+// decoupled (e.g. sensors transmitting independently, §7.1). Key h is
+// included iff its PPS rank u(h)/v(h) is below 1/tauStar, i.e. with
+// probability min{1, v(h)/tauStar} (§2, §5.2). Rejected arrivals — the
+// common case with a tight threshold — cost one seed hash, one multiply,
+// and one compare, mirroring StreamBottomK's fast-reject; accepted ones are
+// appended in arrival order and sorted by key once, when the sample is
+// read out.
 type StreamPoissonPPS struct {
 	rankTau  float64
 	tauGuard float64
 	seed     SeedFunc
-	out      map[dataset.Key]float64
+	out      []Pair
 }
 
 // NewStreamPoissonPPS returns an empty streaming PPS sampler with
@@ -176,12 +166,8 @@ func NewStreamPoissonPPS(tauStar float64, seed SeedFunc) *StreamPoissonPPS {
 		rankTau:  rankTau,
 		tauGuard: rankTau * (1 + rejectGuard),
 		seed:     seed,
-		out:      make(map[dataset.Key]float64),
 	}
 }
-
-// RankTau returns the fixed rank-scale threshold 1/tauStar.
-func (s *StreamPoissonPPS) RankTau() float64 { return s.rankTau }
 
 // TauGuard returns the sampler's certain-reject bound, fixed for its
 // lifetime: an arrival (key, v) is rejected whenever seed(key) ≥
@@ -219,26 +205,11 @@ func (s *StreamPoissonPPS) PushBatch(ps []Pair) {
 //summarylint:hot
 func (s *StreamPoissonPPS) pushNear(u float64, key dataset.Key, v float64) {
 	if (PPS{}).Rank(u, v) < s.rankTau {
-		s.out[key] = v
+		//summarylint:ignore only an accepted arrival appends, and what it appends is the sample itself: its growth is the output's, amortized over the accepts
+		s.out = append(s.out, Pair{Key: key, Value: v})
 	}
 }
 
-// Len returns the current sample size.
-func (s *StreamPoissonPPS) Len() int { return len(s.out) }
-
-// AppendTo copies the current sample into dst without materializing an
-// intermediate snapshot — the cheap path for unioning per-shard Poisson
-// samples. Callers unioning several samplers should presize dst with the
-// summed Len() so the copies never grow the map.
-func (s *StreamPoissonPPS) AppendTo(dst map[dataset.Key]float64) {
-	for k, v := range s.out {
-		dst[k] = v
-	}
-}
-
-// Snapshot materializes the current sample.
-func (s *StreamPoissonPPS) Snapshot() *WeightedSample {
-	vals := make(map[dataset.Key]float64, len(s.out))
-	s.AppendTo(vals)
-	return &WeightedSample{Values: vals, Tau: s.rankTau, Family: PPS{}}
-}
+// Snapshot materializes the current sample, sorted by key. The sampler
+// remains usable afterwards.
+func (s *StreamPoissonPPS) Snapshot() *WeightedSample { return MergePoissonPPS(s) }

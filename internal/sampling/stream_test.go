@@ -2,6 +2,8 @@ package sampling
 
 import (
 	"math"
+	"slices"
+	"sort"
 	"testing"
 
 	"repro/internal/dataset"
@@ -9,39 +11,125 @@ import (
 	"repro/internal/xhash"
 )
 
-// TestStreamBottomKMatchesBatch: the streaming sampler produces exactly
-// the batch bottom-k sample (same keys, same threshold) for any arrival
-// order.
-func TestStreamBottomKMatchesBatch(t *testing.T) {
+// bottomKRef is the bottom-k sample by definition: every positive key
+// ranked at once, the k lowest ranks kept, the (k+1)-st the threshold.
+func bottomKRef(in dataset.Instance, k int, fam RankFamily, seed SeedFunc) *WeightedSample {
+	var ranked []Entry
+	for h, v := range in {
+		if r := fam.Rank(seed(h), v); !math.IsInf(r, 1) {
+			ranked = append(ranked, Entry{Key: h, Rank: r, Value: v})
+		}
+	}
+	sort.Slice(ranked, func(i, j int) bool { return ranked[i].Rank < ranked[j].Rank })
+	out := &WeightedSample{Tau: math.Inf(1), Family: fam}
+	if len(ranked) > k {
+		out.Tau = ranked[k].Rank
+		ranked = ranked[:k]
+	}
+	for _, e := range ranked {
+		out.Entries = append(out.Entries, Pair{Key: e.Key, Value: e.Value})
+	}
+	sort.Slice(out.Entries, func(i, j int) bool { return out.Entries[i].Key < out.Entries[j].Key })
+	return out
+}
+
+// poissonPPSRef is the Poisson PPS sample by definition: every key whose
+// PPS rank u/v is below 1/tauStar.
+func poissonPPSRef(in dataset.Instance, tauStar float64, seed SeedFunc) *WeightedSample {
+	out := &WeightedSample{Tau: 1 / tauStar, Family: PPS{}}
+	for h, v := range in {
+		if (PPS{}).Rank(seed(h), v) < out.Tau {
+			out.Entries = append(out.Entries, Pair{Key: h, Value: v})
+		}
+	}
+	sort.Slice(out.Entries, func(i, j int) bool { return out.Entries[i].Key < out.Entries[j].Key })
+	return out
+}
+
+// pushed offers the instance to push in the given order of its keys.
+func pushed(in dataset.Instance, order []int, push func(dataset.Key, float64)) {
+	keys := in.Keys()
+	for _, idx := range order {
+		push(keys[idx], in[keys[idx]])
+	}
+}
+
+// sameSample reports whether two samples have the same threshold and the
+// same entries, bit for bit.
+func sameSample(a, b *WeightedSample) bool {
+	if math.Float64bits(a.Tau) != math.Float64bits(b.Tau) || len(a.Entries) != len(b.Entries) {
+		return false
+	}
+	for i, e := range a.Entries {
+		if e.Key != b.Entries[i].Key || math.Float64bits(e.Value) != math.Float64bits(b.Entries[i].Value) {
+			return false
+		}
+	}
+	return true
+}
+
+// strictlyAscending reports whether a sample's entries have strictly
+// ascending keys — the order a summary's v2 entries are written in.
+func strictlyAscending(s *WeightedSample) bool {
+	for i := 1; i < len(s.Entries); i++ {
+		if s.Entries[i].Key <= s.Entries[i-1].Key {
+			return false
+		}
+	}
+	return true
+}
+
+// TestStreamSamplersAscendingAnyOrder: for both stream kinds, every
+// shuffled arrival order of an instance (zero weights included) reads out
+// the same sample — the sample by definition — with strictly ascending
+// entries. A key pushed twice, against the samplers' contract, still
+// leaves one entry.
+func TestStreamSamplersAscendingAnyOrder(t *testing.T) {
 	in := dataset.Instance{}
 	rng := randx.New(42)
-	for k := dataset.Key(1); k <= 500; k++ {
-		in[k] = math.Floor(1 + rng.Pareto(1, 1.3))
+	for k := 1; k <= 500; k++ {
+		v := math.Floor(1 + rng.Pareto(1, 1.3))
+		if k%9 == 0 {
+			v = 0
+		}
+		in[dataset.Key(rng.Uint64())] = v
 	}
 	seeder := xhash.Seeder{Salt: 77}
 	seed := func(h dataset.Key) float64 { return seeder.Seed(0, uint64(h)) }
-	batch := BottomK(in, 25, PPS{}, seed)
-
-	for trial := 0; trial < 3; trial++ {
-		s := NewStreamBottomK(25, PPS{}, seed)
+	tau := TauForExpectedSize(in, 40)
+	for trial := 0; trial < 4; trial++ {
 		order := randx.New(uint64(trial)).Perm(len(in))
-		keys := in.Keys()
-		for _, idx := range order {
-			h := keys[idx]
-			s.Push(h, in[h])
-		}
-		snap := s.Snapshot()
-		if snap.Tau != batch.Tau {
-			t.Fatalf("trial %d: tau %v vs batch %v", trial, snap.Tau, batch.Tau)
-		}
-		if len(snap.Values) != len(batch.Values) {
-			t.Fatalf("trial %d: size %d vs %d", trial, len(snap.Values), len(batch.Values))
-		}
-		for h, v := range batch.Values {
-			if snap.Values[h] != v {
-				t.Fatalf("trial %d: key %d missing or wrong", trial, h)
+		for _, fam := range []RankFamily{PPS{}, EXP{}} {
+			s := NewStreamBottomK(25, fam, seed)
+			pushed(in, order, s.Push)
+			got, want := s.Snapshot(), bottomKRef(in, 25, fam, seed)
+			if !strictlyAscending(got) || !sameSample(got, want) {
+				t.Fatalf("trial %d bottom-k %s: sample %+v, want %+v", trial, fam.Name(), got, want)
 			}
 		}
+		s := NewStreamPoissonPPS(tau, seed)
+		pushed(in, order, s.Push)
+		got, want := s.Snapshot(), poissonPPSRef(in, tau, seed)
+		if len(got.Entries) < 20 || !strictlyAscending(got) || !sameSample(got, want) {
+			t.Fatalf("trial %d poisson: sample %+v, want %+v", trial, got, want)
+		}
+	}
+
+	// A key pushed twice: one entry, for a bottom-k sampler still filling
+	// and for a Poisson sampler that accepts both arrivals.
+	bk := NewStreamBottomK(10, PPS{}, seed)
+	bk.Push(7, 3)
+	bk.Push(7, 3)
+	bk.Push(9, 1)
+	if got := bk.Snapshot().Entries; !slices.Equal(got, []Pair{{7, 3}, {9, 1}}) {
+		t.Errorf("bottom-k with key 7 pushed twice: entries %v", got)
+	}
+	pps := NewStreamPoissonPPS(1e-3, seed) // every value ≥ 1e-3 is accepted
+	pps.Push(9, 1)
+	pps.Push(7, 3)
+	pps.Push(7, 3)
+	if got := pps.Snapshot().Entries; !slices.Equal(got, []Pair{{7, 3}, {9, 1}}) {
+		t.Errorf("poisson with key 7 pushed twice: entries %v", got)
 	}
 }
 
@@ -69,9 +157,9 @@ func TestStreamBottomKSmallStream(t *testing.T) {
 	}
 }
 
-// TestStreamPoissonPPSMatchesBatch: the streaming filter equals the batch
-// PPS sample.
-func TestStreamPoissonPPSMatchesBatch(t *testing.T) {
+// TestStreamPoissonPPSSnapshot: the streaming filter's snapshot is the PPS
+// sample by definition, and a copy the live sampler does not touch.
+func TestStreamPoissonPPSSnapshot(t *testing.T) {
 	in := dataset.Instance{}
 	rng := randx.New(17)
 	for k := dataset.Key(1); k <= 300; k++ {
@@ -80,27 +168,23 @@ func TestStreamPoissonPPSMatchesBatch(t *testing.T) {
 	seeder := xhash.Seeder{Salt: 3}
 	seed := func(h dataset.Key) float64 { return seeder.Seed(0, uint64(h)) }
 	tau := TauForExpectedSize(in, 30)
-	batch := PoissonPPS(in, tau, seed)
+	want := poissonPPSRef(in, tau, seed)
 	s := NewStreamPoissonPPS(tau, seed)
 	for h, v := range in {
 		s.Push(h, v)
 	}
-	if s.Len() != batch.Len() {
-		t.Fatalf("size %d vs batch %d", s.Len(), batch.Len())
+	if len(s.out) != len(want.Entries) {
+		t.Fatalf("size %d vs %d", len(s.out), len(want.Entries))
 	}
 	snap := s.Snapshot()
-	for h, v := range batch.Values {
-		if snap.Values[h] != v {
-			t.Fatalf("key %d mismatch", h)
-		}
+	if !sameSample(snap, want) {
+		t.Fatalf("sample %+v, want %+v", snap, want)
 	}
-	if got, want := snap.SubsetSum(nil), batch.SubsetSum(nil); math.Abs(got-want) > 1e-9 {
-		t.Errorf("subset sums differ: %v vs %v", got, want)
-	}
-	// Snapshot is a copy: pushing more does not mutate it.
-	before := len(snap.Values)
-	s.Push(9999, 1e9)
-	if len(snap.Values) != before {
+	// Snapshot is a copy: pushing more, and sorting again, leaves it be.
+	before := slices.Clone(snap.Entries)
+	s.Push(0, 1e9)
+	s.Snapshot()
+	if !slices.Equal(snap.Entries, before) {
 		t.Error("snapshot aliases the live sampler")
 	}
 }
@@ -121,12 +205,14 @@ func mustPanic(t *testing.T, f func()) {
 	f()
 }
 
-// TestAppendToPresizedAllocs: AppendTo into a map presized with the
-// summed Len() copies entries without growing the map — zero allocations,
-// the contract the engine's shard-union relies on.
-func TestAppendToPresizedAllocs(t *testing.T) {
+// TestMergePoissonPPSAllocs: the union of per-shard Poisson samplers
+// copies their pairs into one slice presized to their summed sizes and
+// sorts it in place — two allocations, that slice and the sample, however
+// many shards and pairs there are.
+func TestMergePoissonPPSAllocs(t *testing.T) {
 	seeder := xhash.Seeder{Salt: 3}
 	samplers := make([]*StreamPoissonPPS, 3)
+	total := 0
 	for i := range samplers {
 		inst := i
 		seed := func(h dataset.Key) float64 { return seeder.Seed(inst, uint64(h)) }
@@ -135,31 +221,18 @@ func TestAppendToPresizedAllocs(t *testing.T) {
 			s.Push(k+dataset.Key(1000*i), 1+float64(k%17))
 		}
 		samplers[i] = s
-	}
-	total := 0
-	for _, s := range samplers {
-		total += s.Len()
+		total += len(s.out)
 	}
 	if total == 0 {
 		t.Fatal("fixture retained nothing")
 	}
-	var dst map[dataset.Key]float64
-	allocs := testing.AllocsPerRun(10, func() {
-		dst = make(map[dataset.Key]float64, total)
-		for _, s := range samplers {
-			s.AppendTo(dst)
-		}
-	})
-	if len(dst) != total {
-		t.Fatalf("union holds %d keys, want %d", len(dst), total)
+	var got *WeightedSample
+	allocs := testing.AllocsPerRun(10, func() { got = MergePoissonPPS(samplers...) })
+	if len(got.Entries) != total || !strictlyAscending(got) {
+		t.Fatalf("union holds %d pairs (ascending: %v), want %d", len(got.Entries), strictlyAscending(got), total)
 	}
-	// One allocation budget: the presized map itself (Go maps may take a
-	// couple of internal allocations at make time; the copies add none).
-	base := testing.AllocsPerRun(10, func() {
-		dst = make(map[dataset.Key]float64, total)
-	})
-	if allocs > base {
-		t.Errorf("AppendTo into a presized map allocated %v beyond the %v of make itself", allocs-base, base)
+	if allocs > 2 {
+		t.Errorf("MergePoissonPPS allocated %v times, want 2", allocs)
 	}
 }
 
@@ -185,7 +258,7 @@ func TestStreamPushBatchMatchesPush(t *testing.T) {
 			stream[i].Value = 0
 		}
 	}
-	slices := func(push func([]Pair)) {
+	inSlices := func(push func([]Pair)) {
 		rest := stream
 		for _, n := range []int{0, 1, 20, 30, 0, 256, 1000} { // k+1 = 33 falls inside the fourth
 			push(rest[:n])
@@ -195,14 +268,8 @@ func TestStreamPushBatchMatchesPush(t *testing.T) {
 	}
 	same := func(name string, batched, pushed *WeightedSample) {
 		t.Helper()
-		if batched.Tau != pushed.Tau || len(batched.Values) != len(pushed.Values) {
-			t.Fatalf("%s: batched sample has tau %v and %d keys, pushed tau %v and %d keys",
-				name, batched.Tau, len(batched.Values), pushed.Tau, len(pushed.Values))
-		}
-		for h, v := range pushed.Values {
-			if got, ok := batched.Values[h]; !ok || got != v {
-				t.Fatalf("%s: key %d is %v (%v) batched, %v pushed", name, h, got, ok, v)
-			}
+		if !sameSample(batched, pushed) {
+			t.Fatalf("%s: batched sample %+v, pushed %+v", name, batched, pushed)
 		}
 	}
 	for _, fam := range []RankFamily{PPS{}, EXP{}, squareRanks{}} {
@@ -210,15 +277,15 @@ func TestStreamPushBatchMatchesPush(t *testing.T) {
 		for _, p := range stream {
 			one.Push(p.Key, p.Value)
 		}
-		slices(batch.PushBatch)
+		inSlices(batch.PushBatch)
 		same("bottom-k "+fam.Name(), batch.Snapshot(), one.Snapshot())
 	}
 	one, batch := NewStreamPoissonPPS(300, seed), NewStreamPoissonPPS(300, seed)
 	for _, p := range stream {
 		one.Push(p.Key, p.Value)
 	}
-	slices(batch.PushBatch)
-	if batch.Len() == 0 {
+	inSlices(batch.PushBatch)
+	if len(batch.out) == 0 {
 		t.Fatal("the Poisson fixture kept nothing")
 	}
 	same("poisson pps", batch.Snapshot(), one.Snapshot())

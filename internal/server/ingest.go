@@ -10,6 +10,7 @@ import (
 	"strings"
 
 	"repro/internal/core"
+	"repro/internal/dataset"
 	"repro/internal/engine"
 	"repro/internal/obs/trace"
 	"repro/internal/sampling"
@@ -335,20 +336,23 @@ func (s *Server) handleIngestMulti(w http.ResponseWriter, r *http.Request) {
 		writeError(w, err)
 		return
 	}
-	var push func([]core.MultiPair)
-	var finish func() []core.Summary
-	var stats func() engine.Stats
-	switch p.kind {
-	case "pps":
-		st := p.summ.StreamMultiPPS(p.instances, p.taus)
-		push = st.PushBatch
-		finish = func() []core.Summary { return asSummaries(st.Close()) }
-		stats = st.Stats
-	case "bottomk":
-		st := p.summ.StreamMultiBottomK(p.instances, p.k, p.fam)
-		push = st.PushBatch
-		finish = func() []core.Summary { return asSummaries(st.Close()) }
-		stats = st.Stats
+	// One in-line stream per listed instance, each with its own seeds: the
+	// scan routes every pair to the stream at its instance's position.
+	streams := make([]instanceStream, len(p.instances))
+	for i, id := range p.instances {
+		switch p.kind {
+		case "pps":
+			st := p.summ.StreamPPS(engine.Config{}, id, p.taus[i])
+			streams[i] = instanceStream{st.Push, st.Stats, func() core.Summary { return st.Close() }}
+		case "bottomk":
+			st := p.summ.StreamBottomK(engine.Config{}, id, p.k, p.fam)
+			streams[i] = instanceStream{st.Push, st.Stats, func() core.Summary { return st.Close() }}
+		}
+	}
+	push := func(ms []multiPair) {
+		for _, m := range ms {
+			streams[m.instance].push(m.key, m.value)
+		}
 	}
 	sp := trace.SpanFromContext(r.Context())
 	scan := sp.StartChild("ingest.scan")
@@ -359,8 +363,12 @@ func (s *Server) handleIngestMulti(w http.ResponseWriter, r *http.Request) {
 	// Drain even after a failed scan, then fold the pipeline's final
 	// counters into the server totals.
 	drain := sp.StartChild("engine.drain")
-	sums := finish()
-	st := stats()
+	sums := make([]core.Summary, len(streams))
+	var st engine.Stats // the request's: its streams' pairs, one ingest
+	for i, is := range streams {
+		sums[i] = is.close()
+		st.Pairs += is.stats().Pairs
+	}
 	drain.SetInt("pairs", int64(st.Pairs))
 	s.engine.record(st)
 	drain.Finish()
@@ -388,11 +396,10 @@ func (s *Server) handleIngestMulti(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// asSummaries widens a concrete summary slice to the Summary interface.
-func asSummaries[T core.Summary](in []T) []core.Summary {
-	out := make([]core.Summary, len(in))
-	for i, s := range in {
-		out[i] = s
-	}
-	return out
+// instanceStream is the in-line stream of one instance of a multi-instance
+// ingest: core.PPSStream or core.BottomKStream.
+type instanceStream struct {
+	push  func(dataset.Key, float64)
+	stats func() engine.Stats
+	close func() core.Summary
 }

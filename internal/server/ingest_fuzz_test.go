@@ -6,7 +6,6 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/core"
 	"repro/internal/engine"
 )
 
@@ -71,13 +70,13 @@ func FuzzScanMultiPairs(f *testing.F) {
 		}
 		index := map[int]int{0: 0, 7: 1, -2: 2}
 		var pushes int64
-		n, err := scanMultiPairs(context.Background(), bytes.NewReader(body), format, index, func(ms []core.MultiPair) {
+		n, err := scanMultiPairs(context.Background(), bytes.NewReader(body), format, index, func(ms []multiPair) {
 			for _, m := range ms {
-				if m.Instance < 0 || m.Instance >= len(index) {
-					t.Fatalf("instance position %d out of range", m.Instance)
+				if m.instance < 0 || m.instance >= len(index) {
+					t.Fatalf("instance position %d out of range", m.instance)
 				}
-				if m.Value < 0 {
-					t.Fatalf("negative value %v pushed", m.Value)
+				if m.value < 0 {
+					t.Fatalf("negative value %v pushed", m.value)
 				}
 			}
 			pushes += int64(len(ms))

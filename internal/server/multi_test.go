@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"io"
+	"net/http"
 	"strings"
 	"testing"
 
@@ -11,6 +13,7 @@ import (
 	"repro/internal/dataset"
 	"repro/internal/engine"
 	"repro/internal/sampling"
+	"repro/pkg/api"
 	"repro/pkg/client"
 )
 
@@ -38,11 +41,34 @@ func multiNdjsonBody(sites []dataset.Instance, ids []int) []byte {
 	return buf.Bytes()
 }
 
+// fetchV2 returns the canonical v2 bytes the server stores for one
+// instance of a dataset.
+func fetchV2(t *testing.T, c *client.Client, dataset string, instance int) []byte {
+	t.Helper()
+	req, err := http.NewRequest(http.MethodGet, fmt.Sprintf("%s/v1/summaries?dataset=%s&instance=%d", c.BaseURL(), dataset, instance), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	req.Header.Set("Accept", core.ContentTypeV2)
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil || resp.StatusCode != http.StatusOK {
+		t.Fatalf("GET %s instance %d: status %d, %v", dataset, instance, resp.StatusCode, err)
+	}
+	return body
+}
+
 // TestIngestMultiEndToEnd: one POST /v1/ingest/multi populates every
-// instance of a dataset with a single scan, and the stored summaries are
-// bit-identical to the per-instance in-process path — across formats,
-// kinds, and both randomization modes. healthz reports
-// the growing dataset count along the way.
+// instance of a dataset with a single scan, and every stored summary is
+// byte for byte the per-instance in-process summary — the v2 bytes the
+// server holds equal those of Summarize* — for pps over ndjson and
+// bottom-k over CSV. Each request is one ingest of the engine block in
+// /healthz, counting the body's pairs; healthz reports the growing
+// dataset count along the way.
 func TestIngestMultiEndToEnd(t *testing.T) {
 	sites := fixture(900)
 	ids := []int{0, 1, 2}
@@ -51,12 +77,50 @@ func TestIngestMultiEndToEnd(t *testing.T) {
 	for i, in := range sites {
 		taus[i] = sampling.TauForExpectedSize(in, 120)
 	}
+	var want int64
+	for _, in := range sites {
+		want += int64(len(in))
+	}
 
 	c, closeSrv := startServer(t, engine.Config{})
 	defer closeSrv()
 	ctx := context.Background()
 
+	engineBlock := func() api.EngineStatus {
+		t.Helper()
+		hr, err := c.Health(ctx)
+		if err != nil || hr.Engine == nil {
+			t.Fatalf("Health = %+v, %v; want an engine block", hr, err)
+		}
+		return *hr.Engine
+	}
+	// checkRequest holds one multi ingest to the per-instance summaries
+	// and to one ingest of the body's pairs in the engine block.
+	checkRequest := func(kind, dataset string, res api.MultiPostResult, before api.EngineStatus, local func(i int) core.Summary) {
+		t.Helper()
+		if res.Pairs != want || len(res.Sizes) != len(ids) {
+			t.Fatalf("%s: IngestMulti = %+v, want %d pairs over %d instances", kind, res, want, len(ids))
+		}
+		for i, id := range ids {
+			wantBytes, err := core.EncodeSummary(local(i), 2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := fetchV2(t, c, dataset, id); !bytes.Equal(got, wantBytes) {
+				t.Errorf("%s instance %d: stored v2 bytes (%d) differ from the per-instance summary's (%d)", kind, id, len(got), len(wantBytes))
+			}
+			if res.Sizes[i] != local(i).Size() {
+				t.Errorf("%s instance %d: stored size %d, want %d", kind, id, res.Sizes[i], local(i).Size())
+			}
+		}
+		after := engineBlock()
+		if after.Pairs != before.Pairs+uint64(want) || after.Ingests != before.Ingests+1 {
+			t.Errorf("%s: engine block went from %+v to %+v, want %d more pairs in one more ingest", kind, before, after, want)
+		}
+	}
+
 	// PPS over ndjson with per-instance thresholds.
+	before := engineBlock()
 	res, err := c.IngestMulti(ctx, client.MultiIngestOptions{
 		Dataset: "flows", Instances: ids, Kind: "pps", Format: "ndjson",
 		Salt: testSalt, SaltSet: true, Taus: taus,
@@ -64,20 +128,11 @@ func TestIngestMultiEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var want int64
-	for _, in := range sites {
-		want += int64(len(in))
-	}
-	if res.Pairs != want || len(res.Sizes) != len(ids) {
-		t.Fatalf("IngestMulti = %+v, want %d pairs over %d instances", res, want, len(ids))
-	}
 	localPPS := make([]*core.PPSSummary, len(sites))
 	for i, in := range sites {
 		localPPS[i] = summ.SummarizePPS(ids[i], in, taus[i])
-		if res.Sizes[i] != localPPS[i].Size() {
-			t.Errorf("instance %d: stored size %d, want %d", ids[i], res.Sizes[i], localPPS[i].Size())
-		}
 	}
+	checkRequest("pps", "flows", res, before, func(i int) core.Summary { return localPPS[i] })
 	srvDom, err := c.MaxDominance(ctx, "flows", 0, 1)
 	if err != nil {
 		t.Fatal(err)
@@ -98,8 +153,8 @@ func TestIngestMultiEndToEnd(t *testing.T) {
 		t.Errorf("sum over one-pass dataset: got %v, want %v", sum2.Sum, want)
 	}
 
-	// Bottom-k over CSV: the one-pass path must reproduce the
-	// per-instance summaries.
+	// Bottom-k over CSV.
+	before = engineBlock()
 	res, err = c.IngestMulti(ctx, client.MultiIngestOptions{
 		Dataset: "ranks", Instances: ids, Kind: "bottomk", K: 80, Format: "csv",
 		Salt: testSalt, SaltSet: true,
@@ -107,11 +162,9 @@ func TestIngestMultiEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i, in := range sites {
-		if want := summ.SummarizeBottomK(ids[i], in, 80, sampling.PPS{}); res.Sizes[i] != want.Size() {
-			t.Errorf("bottom-k instance %d: stored size %d, want %d", ids[i], res.Sizes[i], want.Size())
-		}
-	}
+	checkRequest("bottomk", "ranks", res, before, func(i int) core.Summary {
+		return summ.SummarizeBottomK(ids[i], sites[i], 80, sampling.PPS{})
+	})
 
 	hr, err := c.Health(ctx)
 	if err != nil || hr.Status != "ok" || hr.Datasets != 2 {

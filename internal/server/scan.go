@@ -14,7 +14,6 @@ import (
 	"sync"
 	"unsafe"
 
-	"repro/internal/core"
 	"repro/internal/dataset"
 	"repro/internal/engine"
 	"repro/internal/xhash"
@@ -49,7 +48,7 @@ const ingestBatch = 256
 type scanBuf struct {
 	line  [64 * 1024]byte
 	pairs batchColumns[engine.Pair]
-	multi batchColumns[core.MultiPair]
+	multi batchColumns[multiPair]
 }
 
 var scanBufPool = sync.Pool{New: func() any { return new(scanBuf) }}
@@ -705,6 +704,15 @@ func (b *pairBatch[T]) end(err error) (int64, error) {
 	return b.pushed, err
 }
 
+// multiPair is one (key, instance, value) arrival of a multi-instance
+// ingest body: instance is the position, in the request's instances
+// parameter, of the instance whose stream consumes the pair.
+type multiPair struct {
+	key      dataset.Key
+	instance int
+	value    float64
+}
+
 // instanceSets is scanMultiPairs' repeated-key check: one keySet per
 // instance position.
 type instanceSets []keySet
@@ -712,9 +720,9 @@ type instanceSets []keySet
 // firstRepeat is pairBatch.firstRepeat over (key, instance) combinations.
 //
 //summarylint:hot
-func (g instanceSets) firstRepeat(keys []uint64, items []core.MultiPair) int {
+func (g instanceSets) firstRepeat(keys []uint64, items []multiPair) int {
 	for i, it := range items {
-		if g[it.Instance].addBatch(keys[i:i+1]) == 0 {
+		if g[it.instance].addBatch(keys[i:i+1]) == 0 {
 			return i
 		}
 	}
@@ -864,9 +872,9 @@ func ndjsonPair(line []byte, lineNo int, keysOnly bool) (key uint64, value float
 // ID mapped to its position 0..len(index)-1); push receives the position.
 // A repeated (key, instance) combination is rejected for the same reason
 // scanPairs rejects repeated keys, with one keySet per position. Pairs
-// reach push as scanPairs' do, each carrying its position as Instance, and
+// reach push as scanPairs' do, each carrying its position as instance, and
 // a done ctx ends the scan as it ends scanPairs'.
-func scanMultiPairs(ctx context.Context, body io.Reader, format string, index map[int]int, push func([]core.MultiPair)) (int64, error) {
+func scanMultiPairs(ctx context.Context, body io.Reader, format string, index map[int]int, push func([]multiPair)) (int64, error) {
 	in := newLineReader(body)
 	defer in.release()
 	sets := make(instanceSets, len(index))
@@ -878,11 +886,11 @@ func scanMultiPairs(ctx context.Context, body io.Reader, format string, index ma
 			sets[i].release()
 		}
 	}()
-	b := pairBatch[core.MultiPair]{batchColumns: &in.sb.multi, ctx: ctx, push: push, firstRepeat: sets.firstRepeat,
-		repeated: func(lineNo int, key uint64, item core.MultiPair) error {
+	b := pairBatch[multiPair]{batchColumns: &in.sb.multi, ctx: ctx, push: push, firstRepeat: sets.firstRepeat,
+		repeated: func(lineNo int, key uint64, item multiPair) error {
 			instance := 0
 			for id, pos := range index {
-				if pos == item.Instance {
+				if pos == item.instance {
 					instance = id
 				}
 			}
@@ -924,7 +932,7 @@ func scanMultiPairs(ctx context.Context, body io.Reader, format string, index ma
 		if !ok {
 			return b.end(fmt.Errorf("server: line %d: instance %d not listed in the instances parameter", in.lineNo, f.instance))
 		}
-		if err := b.add(core.MultiPair{Key: dataset.Key(f.key), Instance: idx, Value: f.value}, f.key, in.lineNo, false); err != nil {
+		if err := b.add(multiPair{key: dataset.Key(f.key), instance: idx, value: f.value}, f.key, in.lineNo, false); err != nil {
 			return b.pushed, err
 		}
 	}

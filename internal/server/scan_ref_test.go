@@ -253,13 +253,13 @@ func collectPairs(t *testing.T, into *[]pushedPair) func([]engine.Pair) {
 	}
 }
 
-func collectMultiPairs(t *testing.T, into *[]pushedPair) func([]core.MultiPair) {
-	return func(ms []core.MultiPair) {
+func collectMultiPairs(t *testing.T, into *[]pushedPair) func([]multiPair) {
+	return func(ms []multiPair) {
 		if len(ms) == 0 || len(ms) > ingestBatch {
 			t.Errorf("scanMultiPairs pushed a batch of %d pairs", len(ms))
 		}
 		for _, m := range ms {
-			*into = append(*into, pushedPair{pos: m.Instance, key: uint64(m.Key), bits: math.Float64bits(m.Value)})
+			*into = append(*into, pushedPair{pos: m.instance, key: uint64(m.key), bits: math.Float64bits(m.value)})
 		}
 	}
 }
