@@ -495,10 +495,12 @@ func BenchmarkEngineAsync(b *testing.B) {
 }
 
 // BenchmarkEngineMultiBottomK measures one-pass multi-instance bottom-k
-// summarization as POST /v1/ingest/multi runs it: r instances, each with
-// its own seeds from one Summarizer and its own in-line stream, populated
-// by a single scan of a combined stream that routes every pair to its
-// instance's stream (the alternative is r separate scans).
+// summarization: r instances, each with its own seeds from one Summarizer
+// and its own in-line stream, populated by a single scan of a combined
+// stream that pushes every pair into its instance's stream (the
+// alternative is r separate scans). POST /v1/ingest/multi does the same
+// with one PushBatch per stream per batch (BenchmarkIngestMulti in
+// internal/server).
 func BenchmarkEngineMultiBottomK(b *testing.B) {
 	const r = 4
 	type multiPair struct {

@@ -3,6 +3,7 @@ package server_test
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"testing"
 
 	"repro/internal/core"
@@ -57,6 +58,51 @@ func benchmarkIngest(b *testing.B, format string, render func(dataset.Instance) 
 			Dataset: "flows", Instance: 0, Kind: "pps", Format: format,
 			Salt: testSalt, SaltSet: true, Tau: tau,
 		}, bytes.NewReader(body)); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkIngestMulti measures /v1/ingest/multi: 30 000 pairs over
+// three pps instances, or over a thousand, interleaved line by line in
+// one ndjson body and summarized on arrival, one stream per instance — so
+// a batch of the scan holds three streams' pairs, or 256 streams' one
+// each. b.SetBytes reports stream throughput.
+func BenchmarkIngestMulti(b *testing.B) {
+	for _, r := range []int{3, 1000} {
+		b.Run(fmt.Sprintf("instances=%d", r), func(b *testing.B) { benchIngestMulti(b, r, 30000/r) })
+	}
+}
+
+func benchIngestMulti(b *testing.B, r, pairs int) {
+	ids := make([]int, r)
+	sites := make([]dataset.Instance, r)
+	for i := range sites {
+		ids[i] = i
+		sites[i] = make(dataset.Instance, pairs)
+	}
+	var body bytes.Buffer
+	for k := 1; k <= pairs; k++ {
+		for i, id := range ids {
+			v := float64(1 + (k*(7+2*i))%40)
+			sites[i][dataset.Key(k)] = v
+			fmt.Fprintf(&body, "{\"key\":%d,\"instance\":%d,\"value\":%g}\n", k, id, v)
+		}
+	}
+	taus := make([]float64, len(sites))
+	for i, in := range sites {
+		taus[i] = sampling.TauForExpectedSize(in, float64(pairs)/10)
+	}
+	c, closeSrv := startServer(b, engine.Config{})
+	defer closeSrv()
+	ctx := context.Background()
+	b.SetBytes(int64(body.Len()))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := c.IngestMulti(ctx, client.MultiIngestOptions{
+			Dataset: "flows", Instances: ids, Kind: "pps", Format: "ndjson",
+			Salt: testSalt, SaltSet: true, Taus: taus,
+		}, bytes.NewReader(body.Bytes())); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -10,7 +10,6 @@ import (
 	"strings"
 
 	"repro/internal/core"
-	"repro/internal/dataset"
 	"repro/internal/engine"
 	"repro/internal/obs/trace"
 	"repro/internal/sampling"
@@ -20,17 +19,18 @@ import (
 // The ingest path is the "summarize where the data lands" half of the
 // dispersed-data loop: an edge site that cannot (or should not) ship its
 // raw pair stream POSTs it to a local summaryd, which streams it through
-// an in-line sampler and registers only the compact summary.
-// /v1/ingest summarizes one instance per request; /v1/ingest/multi
-// carries an instance column and populates every listed instance of a
-// dataset with ONE scan through core's one-pass multi-instance streams
-// (one sampler per instance).
+// in-line samplers and registers only the compact summaries. One handler
+// serves both routes: /v1/ingest summarizes the one instance its instance
+// parameter names, /v1/ingest/multi every instance its instances
+// parameter lists, from a body whose instance column routes each pair.
+// Either way each instance gets its own in-line stream under its own
+// seeds, and one scan of the body feeds them all.
 
 // maxIngestLine bounds one CSV/ndjson line.
 const maxIngestLine = 1 << 20
 
 // maxIngestBody bounds one raw ingest request. The cap also bounds the
-// per-request repeated-key set of the scanners (keySet), so a single
+// per-request repeated-key sets of the scan (keySet), so a single
 // request cannot grow server memory without limit. Instances too large to
 // ship within the cap are exactly the ones that should be summarized at
 // the edge and POSTed to /v1/summaries instead — that is the primary
@@ -38,18 +38,19 @@ const maxIngestLine = 1 << 20
 // producers.
 const maxIngestBody = 256 << 20
 
-// ingestParams carries the parsed, validated parameters of one
-// single-instance ingest request.
-type ingestParams struct {
-	dataset  string
-	instance int
-	kind     string
-	format   string
-	tau      float64             // pps
-	k        int                 // bottomk
-	fam      sampling.RankFamily // bottomk
-	p        float64             // set
-	summ     *core.Summarizer
+// ingestRequest carries the parsed, validated parameters of an ingest of
+// either route.
+type ingestRequest struct {
+	dataset   string
+	instances []int       // instance IDs, in request order
+	index     map[int]int // /v1/ingest/multi: instance ID → position in instances
+	kind      string
+	format    string
+	taus      []float64           // pps, one per instance
+	k         int                 // bottomk
+	fam       sampling.RankFamily // bottomk
+	p         float64             // set
+	summ      *core.Summarizer
 }
 
 // bindRandomization resolves an ingest's randomization against the
@@ -97,309 +98,219 @@ func (s *Server) bindRandomization(q url.Values, ds, kind string) (*core.Summari
 // errSharedRefused answers an ingest with shared=true.
 var errSharedRefused = errors.New("server: shared=true: coordinated (shared-seed) summaries are not supported")
 
-// resolveFormat picks the body format from the format parameter, falling
-// back to the Content-Type.
-func resolveFormat(q url.Values, r *http.Request) (string, error) {
-	format := q.Get("format")
-	if format == "" {
-		if ct := r.Header.Get("Content-Type"); strings.HasPrefix(ct, "text/csv") {
-			format = "csv"
-		} else {
-			format = "ndjson"
-		}
-	}
-	if format != "csv" && format != "ndjson" {
-		return "", fmt.Errorf("server: unknown ingest format %q (csv, ndjson)", format)
-	}
-	return format, nil
-}
-
-// parseIngestParams validates the query string of a single-instance
-// ingest against the registry state.
-func (s *Server) parseIngestParams(r *http.Request) (ingestParams, error) {
+// parseIngest validates the query string of an ingest against the
+// registry state: /v1/ingest names one instance, /v1/ingest/multi lists
+// them (multi), and each route words its own errors.
+func (s *Server) parseIngest(r *http.Request, multi bool) (ingestRequest, error) {
 	q := r.URL.Query()
-	out := ingestParams{dataset: q.Get("dataset"), kind: q.Get("kind")}
+	out := ingestRequest{dataset: q.Get("dataset"), kind: q.Get("kind")}
 	if err := checkDatasetName(out.dataset); err != nil {
 		return out, err
 	}
-	instance, err := strconv.Atoi(q.Get("instance"))
-	if err != nil {
-		return out, fmt.Errorf("server: ingest needs an instance parameter: %w", err)
+	var err error
+	if out.instances, out.index, err = parseIngestInstances(q, multi); err != nil {
+		return out, err
 	}
-	out.instance = instance
-
+	route, kinds := "ingest", "pps, bottomk, set"
+	if multi {
+		route, kinds = "multi ingest", "pps, bottomk"
+	}
 	switch out.kind {
 	case "pps":
-		out.tau, err = strconv.ParseFloat(q.Get("tau"), 64)
-		if err != nil || !(out.tau > 0) || math.IsInf(out.tau, 1) {
-			return out, fmt.Errorf("server: pps ingest needs a positive finite tau parameter")
-		}
+		out.taus, err = parseTaus(q.Get("tau"), len(out.instances), multi)
 	case "bottomk":
-		if out.k, out.fam, err = parseBottomKParams(q); err != nil {
-			return out, err
+		if out.k, err = strconv.Atoi(q.Get("k")); err != nil || out.k <= 0 {
+			return out, fmt.Errorf("server: bottomk ingest needs a positive k parameter")
+		}
+		switch fam := q.Get("family"); fam {
+		case "", sampling.PPS{}.Name():
+			out.fam = sampling.PPS{}
+		case sampling.EXP{}.Name():
+			out.fam = sampling.EXP{}
+		default:
+			return out, fmt.Errorf("server: unknown rank family %q", fam)
 		}
 	case "set":
+		if multi {
+			return out, fmt.Errorf("server: multi ingest supports pps and bottomk (set sampling is stateless; ingest set instances separately)")
+		}
 		out.p, err = strconv.ParseFloat(q.Get("p"), 64)
 		if err != nil || !(out.p > 0 && out.p <= 1) {
 			return out, fmt.Errorf("server: set ingest needs a p parameter in (0,1]")
 		}
 	case "":
-		return out, fmt.Errorf("server: missing kind parameter (pps, bottomk, set)")
+		return out, fmt.Errorf("server: missing kind parameter (%s)", kinds)
 	default:
-		return out, fmt.Errorf("server: unknown ingest kind %q (pps, bottomk, set)", out.kind)
+		return out, fmt.Errorf("server: unknown %s kind %q (%s)", route, out.kind, kinds)
 	}
-
+	if err != nil {
+		return out, err
+	}
 	if out.summ, err = s.bindRandomization(q, out.dataset, out.kind); err != nil {
 		return out, err
 	}
-	out.format, err = resolveFormat(q, r)
-	return out, err
-}
-
-// parseBottomKParams parses the k and family parameters shared by the
-// single- and multi-instance bottom-k ingests.
-func parseBottomKParams(q url.Values) (int, sampling.RankFamily, error) {
-	k, err := strconv.Atoi(q.Get("k"))
-	if err != nil || k <= 0 {
-		return 0, nil, fmt.Errorf("server: bottomk ingest needs a positive k parameter")
-	}
-	switch fam := q.Get("family"); fam {
-	case "", sampling.PPS{}.Name():
-		return k, sampling.PPS{}, nil
-	case sampling.EXP{}.Name():
-		return k, sampling.EXP{}, nil
-	default:
-		return 0, nil, fmt.Errorf("server: unknown rank family %q", fam)
-	}
-}
-
-func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
-	p, err := s.parseIngestParams(r)
-	if err != nil {
-		writeError(w, err)
-		return
-	}
-	// One sink per kind: pps and bottomk route through the in-line engine
-	// (set sampling is stateless and needs no pipeline).
-	var push func([]engine.Pair)
-	var sampler gatedStream // pps and bottomk: the scan may reject pairs for it unparsed
-	var finish func() core.Summary
-	var stats func() engine.Stats // nil for set, which bypasses the engine
-	switch p.kind {
-	case "pps":
-		st := p.summ.StreamPPS(engine.Config{}, p.instance, p.tau)
-		push, sampler = st.PushBatch, st
-		finish = func() core.Summary { return st.Close() }
-		stats = st.Stats
-	case "bottomk":
-		st := p.summ.StreamBottomK(engine.Config{}, p.instance, p.k, p.fam)
-		push, sampler = st.PushBatch, st
-		finish = func() core.Summary { return st.Close() }
-		stats = st.Stats
-	case "set":
-		st := p.summ.StreamSet(p.instance, p.p)
-		push = func(ps []engine.Pair) {
-			for _, p := range ps {
-				st.Push(p.Key)
-			}
+	// The body format: the format parameter, else the Content-Type's.
+	if out.format = q.Get("format"); out.format == "" {
+		out.format = "ndjson"
+		if strings.HasPrefix(r.Header.Get("Content-Type"), "text/csv") {
+			out.format = "csv"
 		}
-		finish = func() core.Summary { return st.Close() }
 	}
-	// Tracing instruments the request's engine stages from outside the
-	// pipeline: the scan+push loop, the drain (Close), and the registry
-	// registration each get a child span, and the pipeline's final Stats()
-	// are attached to the drain span — the hot loop itself stays untouched.
-	sp := trace.SpanFromContext(r.Context())
-	scan := sp.StartChild("ingest.scan")
-	pairs, rejected, err := scanPairsGated(r.Context(), http.MaxBytesReader(w, r.Body, maxIngestBody), p.format, p.kind == "set", push, sampler)
-	scan.SetAttr("format", p.format)
-	scan.SetInt("pairs", pairs)
-	// The pairs the gate did not reject from their seed: those whose value,
-	// where the line has one, went to strconv.ParseFloat or encoding/json.
-	scan.SetInt("values_parsed", pairs-rejected)
-	scan.Finish()
-	// Drain even after a failed scan: its pairs still count below.
-	drain := sp.StartChild("engine.drain")
-	sum := finish()
-	// Fold the pipeline's final counters into the server totals — the
-	// one-shot read of the Stats() seam (safe after Close), so the hot
-	// loop itself carries no instrumentation. A failed scan still did
-	// this much pipeline work; record it either way.
-	if stats != nil {
-		st := stats()
-		drain.SetInt("pairs", int64(st.Pairs))
-		s.engine.record(st)
-	} else {
-		s.engine.ingests.Add(1)
+	if out.format != "csv" && out.format != "ndjson" {
+		return out, fmt.Errorf("server: unknown ingest format %q (csv, ndjson)", out.format)
 	}
-	drain.Finish()
-	if err != nil {
-		writeError(w, err)
-		return
-	}
-	put := sp.StartChild("registry.put")
-	err = s.reg.PutCtx(r.Context(), p.dataset, sum)
-	put.Finish()
-	if err != nil {
-		writeError(w, err)
-		return
-	}
-	writeJSON(w, http.StatusCreated, api.PostResult{
-		Dataset:  p.dataset,
-		Instance: sum.InstanceID(),
-		Kind:     sum.Kind(),
-		Size:     sum.Size(),
-		Pairs:    pairs,
-	})
+	return out, nil
 }
 
-// multiIngestParams carries the parsed, validated parameters of one
-// multi-instance ingest request.
-type multiIngestParams struct {
-	dataset   string
-	instances []int       // instance IDs, in request order
-	index     map[int]int // instance ID → position in instances
-	kind      string
-	format    string
-	taus      []float64           // pps, one per instance
-	k         int                 // bottomk
-	fam       sampling.RankFamily // bottomk
-	summ      *core.Summarizer
-}
-
-// parseMultiIngestParams validates the query string of a one-pass
-// multi-instance ingest. instances lists the populated instance IDs; for
-// pps, tau is either one threshold shared by every instance or a
-// comma-separated list matching instances.
-func (s *Server) parseMultiIngestParams(r *http.Request) (multiIngestParams, error) {
-	q := r.URL.Query()
-	out := multiIngestParams{dataset: q.Get("dataset"), kind: q.Get("kind")}
-	if err := checkDatasetName(out.dataset); err != nil {
-		return out, err
+// parseIngestInstances reads the instance IDs of an ingest: /v1/ingest's
+// instance parameter, or /v1/ingest/multi's instances list, whose IDs
+// must be distinct, with the position of each.
+func parseIngestInstances(q url.Values, multi bool) ([]int, map[int]int, error) {
+	if !multi {
+		instance, err := strconv.Atoi(q.Get("instance"))
+		if err != nil {
+			return nil, nil, fmt.Errorf("server: ingest needs an instance parameter: %w", err)
+		}
+		return []int{instance}, nil, nil
 	}
 	ids, err := parseInstances(q.Get("instances"))
 	if err != nil {
-		return out, err
+		return nil, nil, err
 	}
 	if len(ids) == 0 {
-		return out, fmt.Errorf("server: multi ingest needs an instances parameter (e.g. instances=0,1,2)")
+		return nil, nil, fmt.Errorf("server: multi ingest needs an instances parameter (e.g. instances=0,1,2)")
 	}
-	out.instances = ids
-	out.index = make(map[int]int, len(ids))
+	index := make(map[int]int, len(ids))
 	for i, id := range ids {
-		if _, dup := out.index[id]; dup {
-			return out, fmt.Errorf("server: duplicate instance %d in instances parameter", id)
+		if _, dup := index[id]; dup {
+			return nil, nil, fmt.Errorf("server: duplicate instance %d in instances parameter", id)
 		}
-		out.index[id] = i
+		index[id] = i
 	}
-
-	switch out.kind {
-	case "pps":
-		parts := strings.Split(q.Get("tau"), ",")
-		if len(parts) != 1 && len(parts) != len(ids) {
-			return out, fmt.Errorf("server: pps multi ingest needs 1 or %d tau values, got %d", len(ids), len(parts))
-		}
-		out.taus = make([]float64, len(ids))
-		for i := range out.taus {
-			part := parts[0]
-			if len(parts) > 1 {
-				part = parts[i]
-			}
-			tau, err := strconv.ParseFloat(strings.TrimSpace(part), 64)
-			if err != nil || !(tau > 0) || math.IsInf(tau, 1) {
-				return out, fmt.Errorf("server: pps multi ingest needs positive finite tau values")
-			}
-			out.taus[i] = tau
-		}
-	case "bottomk":
-		if out.k, out.fam, err = parseBottomKParams(q); err != nil {
-			return out, err
-		}
-	case "":
-		return out, fmt.Errorf("server: missing kind parameter (pps, bottomk)")
-	case "set":
-		return out, fmt.Errorf("server: multi ingest supports pps and bottomk (set sampling is stateless; ingest set instances separately)")
-	default:
-		return out, fmt.Errorf("server: unknown multi ingest kind %q (pps, bottomk)", out.kind)
-	}
-
-	if out.summ, err = s.bindRandomization(q, out.dataset, out.kind); err != nil {
-		return out, err
-	}
-	out.format, err = resolveFormat(q, r)
-	return out, err
+	return ids, index, nil
 }
 
-func (s *Server) handleIngestMulti(w http.ResponseWriter, r *http.Request) {
-	p, err := s.parseMultiIngestParams(r)
-	if err != nil {
-		writeError(w, err)
-		return
-	}
-	// One in-line stream per listed instance, each with its own seeds: the
-	// scan routes every pair to the stream at its instance's position.
-	streams := make([]instanceStream, len(p.instances))
-	for i, id := range p.instances {
-		switch p.kind {
-		case "pps":
-			st := p.summ.StreamPPS(engine.Config{}, id, p.taus[i])
-			streams[i] = instanceStream{st.Push, st.Stats, func() core.Summary { return st.Close() }}
-		case "bottomk":
-			st := p.summ.StreamBottomK(engine.Config{}, id, p.k, p.fam)
-			streams[i] = instanceStream{st.Push, st.Stats, func() core.Summary { return st.Close() }}
+// parseTaus reads one pps threshold per instance from the tau parameter:
+// one number on /v1/ingest; on /v1/ingest/multi one shared by every
+// instance or a comma-separated list matching them.
+func parseTaus(tau string, n int, multi bool) ([]float64, error) {
+	parts, bad := []string{tau}, "server: pps ingest needs a positive finite tau parameter"
+	if multi {
+		if parts = strings.Split(tau, ","); len(parts) != 1 && len(parts) != n {
+			return nil, fmt.Errorf("server: pps multi ingest needs 1 or %d tau values, got %d", n, len(parts))
 		}
-	}
-	push := func(ms []multiPair) {
-		for _, m := range ms {
-			streams[m.instance].push(m.key, m.value)
+		for i := range parts {
+			parts[i] = strings.TrimSpace(parts[i])
 		}
+		bad = "server: pps multi ingest needs positive finite tau values"
 	}
-	sp := trace.SpanFromContext(r.Context())
-	scan := sp.StartChild("ingest.scan")
-	pairs, err := scanMultiPairs(r.Context(), http.MaxBytesReader(w, r.Body, maxIngestBody), p.format, p.index, push)
-	scan.SetAttr("format", p.format)
-	scan.SetInt("pairs", pairs)
-	scan.Finish()
-	// Drain even after a failed scan, then fold the pipeline's final
-	// counters into the server totals.
-	drain := sp.StartChild("engine.drain")
-	sums := make([]core.Summary, len(streams))
-	var st engine.Stats // the request's: its streams' pairs, one ingest
-	for i, is := range streams {
-		sums[i] = is.close()
-		st.Pairs += is.stats().Pairs
+	taus := make([]float64, n)
+	for i := range taus {
+		v, err := strconv.ParseFloat(parts[min(i, len(parts)-1)], 64)
+		if err != nil || !(v > 0) || math.IsInf(v, 1) {
+			return nil, errors.New(bad)
+		}
+		taus[i] = v
 	}
-	drain.SetInt("pairs", int64(st.Pairs))
-	s.engine.record(st)
-	drain.Finish()
-	if err != nil {
-		writeError(w, err)
-		return
-	}
-	put := sp.StartChild("registry.put")
-	sizes := make([]int, len(sums))
-	for i, sum := range sums {
-		if err := s.reg.PutCtx(r.Context(), p.dataset, sum); err != nil {
-			put.Finish()
+	return taus, nil
+}
+
+// handleIngest serves /v1/ingest, or with multi /v1/ingest/multi: it
+// opens one in-line stream per instance, scans the body into them once,
+// drains them, and registers every summary.
+func (s *Server) handleIngest(multi bool) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		p, err := s.parseIngest(r, multi)
+		if err != nil {
 			writeError(w, err)
 			return
 		}
-		sizes[i] = sum.Size()
+		streams := make([]ingestStream, len(p.instances))
+		for i, id := range p.instances {
+			switch p.kind {
+			case "pps":
+				st := p.summ.StreamPPS(engine.Config{}, id, p.taus[i])
+				streams[i] = ingestStream{push: st.PushBatch, close: func() core.Summary { return st.Close() }, sampler: st}
+			case "bottomk":
+				st := p.summ.StreamBottomK(engine.Config{}, id, p.k, p.fam)
+				streams[i] = ingestStream{push: st.PushBatch, close: func() core.Summary { return st.Close() }, sampler: st}
+			case "set":
+				st := p.summ.StreamSet(id, p.p)
+				streams[i] = ingestStream{close: func() core.Summary { return st.Close() }, push: func(ps []engine.Pair) {
+					for _, p := range ps {
+						st.Push(p.Key)
+					}
+				}}
+			}
+		}
+		// Tracing instruments the request's engine stages from outside the
+		// pipeline: the scan+push loop, the drain (Close), and the registry
+		// registration each get a child span, and the streams' final pair
+		// counts are attached to the drain span — the hot loop itself stays
+		// untouched.
+		sp := trace.SpanFromContext(r.Context())
+		scan := sp.StartChild("ingest.scan")
+		shape := lineShape{csv: p.format == "csv", keysOnly: p.kind == "set", triples: multi}
+		pairs, rejected, err := scanIngest(r.Context(), http.MaxBytesReader(w, r.Body, maxIngestBody), shape, streams, p.instances, p.index)
+		scan.SetAttr("format", p.format)
+		scan.SetInt("pairs", pairs)
+		// The pairs the gate did not reject from their seed: those whose
+		// value, where the line has one, went to strconv.ParseFloat or
+		// encoding/json.
+		scan.SetInt("values_parsed", pairs-rejected)
+		scan.Finish()
+		// Drain even after a failed scan, and fold the streams' final
+		// counters into the server totals — the one-shot read of the
+		// Stats() seam (safe after Close), so the hot loop itself carries
+		// no instrumentation. A failed scan still did this much pipeline
+		// work; record it either way.
+		drain := sp.StartChild("engine.drain")
+		sums := make([]core.Summary, len(streams))
+		var st engine.Stats // the request's: its streams' pairs, one ingest
+		for i, is := range streams {
+			sums[i] = is.close()
+			if is.sampler != nil { // set sampling bypasses the engine
+				st.Pairs += is.sampler.Stats().Pairs
+			}
+		}
+		if p.kind != "set" {
+			drain.SetInt("pairs", int64(st.Pairs))
+		}
+		s.engine.record(st)
+		drain.Finish()
+		if err != nil {
+			writeError(w, err)
+			return
+		}
+		put := sp.StartChild("registry.put")
+		sizes := make([]int, len(sums))
+		for i, sum := range sums {
+			if err = s.reg.PutCtx(r.Context(), p.dataset, sum); err != nil {
+				break
+			}
+			sizes[i] = sum.Size()
+		}
+		put.Finish()
+		if err != nil {
+			writeError(w, err)
+			return
+		}
+		if !multi {
+			writeJSON(w, http.StatusCreated, api.PostResult{
+				Dataset:  p.dataset,
+				Instance: p.instances[0],
+				Kind:     p.kind,
+				Size:     sizes[0],
+				Pairs:    pairs,
+			})
+			return
+		}
+		writeJSON(w, http.StatusCreated, api.MultiPostResult{
+			Dataset:   p.dataset,
+			Kind:      p.kind,
+			Instances: p.instances,
+			Sizes:     sizes,
+			Pairs:     pairs,
+		})
 	}
-	put.Finish()
-	writeJSON(w, http.StatusCreated, api.MultiPostResult{
-		Dataset:   p.dataset,
-		Kind:      p.kind,
-		Instances: p.instances,
-		Sizes:     sizes,
-		Pairs:     pairs,
-	})
-}
-
-// instanceStream is the in-line stream of one instance of a multi-instance
-// ingest: core.PPSStream or core.BottomKStream.
-type instanceStream struct {
-	push  func(dataset.Key, float64)
-	stats func() engine.Stats
-	close func() core.Summary
 }

@@ -13,7 +13,7 @@ import (
 // wire — malformed lines, huge fields, binary garbage, hostile instance
 // columns — the scanners must either consume them or return a clean
 // error, never panic, and the returned pair count must equal the number
-// of pushes (the handlers report it to clients and the engine relies on
+// of pushes (the handler reports it to clients and the engine relies on
 // every accepted pair having been pushed exactly once).
 
 func FuzzScanPairs(f *testing.F) {
@@ -68,18 +68,18 @@ func FuzzScanMultiPairs(f *testing.F) {
 		if csv {
 			format = "csv"
 		}
-		index := map[int]int{0: 0, 7: 1, -2: 2}
+		ids := []int{0, 7, -2}
 		var pushes int64
-		n, err := scanMultiPairs(context.Background(), bytes.NewReader(body), format, index, func(ms []multiPair) {
-			for _, m := range ms {
-				if m.instance < 0 || m.instance >= len(index) {
-					t.Fatalf("instance position %d out of range", m.instance)
-				}
-				if m.value < 0 {
-					t.Fatalf("negative value %v pushed", m.value)
+		n, err := scanMultiPairs(context.Background(), bytes.NewReader(body), format, ids, func(pos int, ps []engine.Pair) {
+			if pos < 0 || pos >= len(ids) {
+				t.Fatalf("instance position %d out of range", pos)
+			}
+			for _, p := range ps {
+				if p.Value < 0 {
+					t.Fatalf("negative value %v pushed", p.Value)
 				}
 			}
-			pushes += int64(len(ms))
+			pushes += int64(len(ps))
 		})
 		if n != pushes {
 			t.Fatalf("scanMultiPairs reported %d pairs, pushed %d (err=%v)", n, pushes, err)

@@ -3,9 +3,12 @@ package server_test
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
+	"net/url"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -45,7 +48,8 @@ func multiNdjsonBody(sites []dataset.Instance, ids []int) []byte {
 // instance of a dataset.
 func fetchV2(t *testing.T, c *client.Client, dataset string, instance int) []byte {
 	t.Helper()
-	req, err := http.NewRequest(http.MethodGet, fmt.Sprintf("%s/v1/summaries?dataset=%s&instance=%d", c.BaseURL(), dataset, instance), nil)
+	q := url.Values{"dataset": {dataset}, "instance": {strconv.Itoa(instance)}}
+	req, err := http.NewRequest(http.MethodGet, c.BaseURL()+"/v1/summaries?"+q.Encode(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -248,4 +252,104 @@ func TestIngestMultiErrors(t *testing.T) {
 		Dataset: "pinned", Instances: ids, Kind: "bottomk", K: 5,
 	}, bytes.NewReader(nil))
 	expect("kind conflict", err, "HTTP 409")
+}
+
+// TestIngestRoutesAgree: /v1/ingest?instance=i is the one-instance case of
+// /v1/ingest/multi?instances=i, so the same pairs through either route,
+// into two datasets under one salt, store the same v2 bytes and count the
+// same pairs — for pps and for bottom-k under both rank families, over CSV
+// and ndjson. A repeated key or a negative value fails both routes with
+// the same status; a repeat is worded per route, a bad value alike.
+func TestIngestRoutesAgree(t *testing.T) {
+	const id = 5
+	in := fixture(600)[1]
+	tau := sampling.TauForExpectedSize(in, 80)
+	c, closeSrv := startServer(t, engine.Config{})
+	defer closeSrv()
+	ctx := context.Background()
+
+	ingest := func(ds, kind, family, format string, multi bool, body []byte) (int64, error) {
+		if multi {
+			res, err := c.IngestMulti(ctx, client.MultiIngestOptions{
+				Dataset: ds, Instances: []int{id}, Kind: kind, Format: format,
+				Salt: testSalt, SaltSet: true, Taus: []float64{tau}, K: 40, Family: family,
+			}, bytes.NewReader(body))
+			return res.Pairs, err
+		}
+		res, err := c.Ingest(ctx, client.IngestOptions{
+			Dataset: ds, Instance: id, Kind: kind, Format: format,
+			Salt: testSalt, SaltSet: true, Tau: tau, K: 40, Family: family,
+		}, bytes.NewReader(body))
+		return res.Pairs, err
+	}
+	// bodies renders in through each route, then the extra lines.
+	bodies := func(format string, extra ...string) (single, multi []byte) {
+		single, multi = ndjsonBody(in), multiNdjsonBody([]dataset.Instance{in}, []int{id})
+		if format == "csv" {
+			single, multi = csvBody(in), multiCSVBody([]dataset.Instance{in}, []int{id})
+		}
+		for _, kv := range extra {
+			key, value, _ := strings.Cut(kv, "=")
+			if format == "csv" {
+				single = fmt.Appendf(single, "%s,%s\n", key, value)
+				multi = fmt.Appendf(multi, "%s,%d,%s\n", key, id, value)
+			} else {
+				single = fmt.Appendf(single, "{\"key\":%s,\"value\":%s}\n", key, value)
+				multi = fmt.Appendf(multi, "{\"key\":%s,\"instance\":%d,\"value\":%s}\n", key, id, value)
+			}
+		}
+		return single, multi
+	}
+
+	for _, format := range []string{"csv", "ndjson"} {
+		single, multi := bodies(format)
+		for _, k := range []struct{ kind, family string }{{"pps", ""}, {"bottomk", "pps"}, {"bottomk", "exp"}} {
+			name := fmt.Sprintf("%s_%s_%s", format, k.kind, k.family)
+			n1, err1 := ingest("one_"+name, k.kind, k.family, format, false, single)
+			n2, err2 := ingest("multi_"+name, k.kind, k.family, format, true, multi)
+			if err1 != nil || err2 != nil || n1 != n2 || n1 != int64(len(in)) {
+				t.Fatalf("%s: /v1/ingest %d pairs (%v), /v1/ingest/multi %d pairs (%v); want %d on both", name, n1, err1, n2, err2, len(in))
+			}
+			if one, two := fetchV2(t, c, "one_"+name, id), fetchV2(t, c, "multi_"+name, id); !bytes.Equal(one, two) {
+				t.Errorf("%s: stored v2 bytes differ between the routes (%d and %d bytes)", name, len(one), len(two))
+			}
+		}
+	}
+
+	first := uint64(in.Keys()[0])
+	for _, f := range []struct {
+		name, extra string
+		words       func(line int) [2]string // what /v1/ingest's and /v1/ingest/multi's errors say
+	}{
+		{"repeated key", fmt.Sprintf("%d=2", first), func(line int) [2]string {
+			return [2]string{
+				fmt.Sprintf("line %d: key %d repeated; weighted ingest", line, first),
+				fmt.Sprintf("line %d: key %d repeated for instance %d;", line, first, id)}
+		}},
+		{"negative value", "1000000=-1", func(line int) [2]string {
+			w := fmt.Sprintf("line %d: value -1 outside", line)
+			return [2]string{w, w}
+		}},
+	} {
+		for _, format := range []string{"csv", "ndjson"} {
+			single, multi := bodies(format, f.extra)
+			line := len(in) + 1 // the extra line: behind the header, in csv
+			if format == "csv" {
+				line++
+			}
+			words := f.words(line)
+			var statuses [2]int
+			for i, body := range [][]byte{single, multi} {
+				_, err := ingest(fmt.Sprintf("bad %s %s %d", f.name, format, i), "pps", "", format, i == 1, body)
+				var se *client.StatusError
+				if !errors.As(err, &se) || !strings.Contains(se.Message, words[i]) {
+					t.Fatalf("%s over %s, multi=%v: error %v, want one that says %q", f.name, format, i == 1, err, words[i])
+				}
+				statuses[i] = se.Status
+			}
+			if statuses[0] != http.StatusBadRequest || statuses[1] != statuses[0] {
+				t.Errorf("%s over %s: /v1/ingest answered %d, /v1/ingest/multi %d; want 400 on both", f.name, format, statuses[0], statuses[1])
+			}
+		}
+	}
 }

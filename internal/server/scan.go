@@ -14,41 +14,44 @@ import (
 	"sync"
 	"unsafe"
 
+	"repro/internal/core"
 	"repro/internal/dataset"
 	"repro/internal/engine"
 	"repro/internal/xhash"
 )
 
-// The raw-ingest scanners turn a CSV or ndjson body into pushes without
-// allocating per pair. Each format has a window lexer (lexCSVLine,
-// lexNDJSONLine) that reads one whole pair — leading blanks, key digits,
-// separators, value token, trailing blanks, newline — in a single forward
-// pass over the line reader's unread bytes, and hands only a value the
-// seed cannot reject on, to strconv.ParseFloat: under a rejectGate, a
-// plain value token's leading digit and digit count bound its value, and
-// the sampler's own certain-reject test against that bound decides most
-// pairs of a full sampler before their value is parsed. A line the lexer
-// does not take — a header, a blank line, spacing or a number form it
-// cannot prove it reads as the libraries do, a line not yet whole in the
-// window — is left where it is for lineReader.next and the second tier:
-// bytes.IndexByte cuts and strconv for CSV, encoding/json for ndjson, whose
-// results and error text are the scanners' contract. Pairs collect in a
-// pairBatch, and cross into the repeated-key set and the engine
-// ingestBatch at a time. scan_ref_test.go holds the all-library,
-// pair-at-a-time scanners these are fuzzed against.
+// The raw-ingest scan turns a CSV or ndjson body into pushes without
+// allocating per pair. One loop serves every lineShape — key,value pairs
+// (the value optional for set ingest) or /v1/ingest/multi's
+// key,instance,value triples, in either format. Each format has a window
+// lexer (lexCSVLine, lexNDJSONLine) that reads one whole line — leading
+// blanks, key digits, separators, instance, value token, trailing blanks,
+// newline — in a single forward pass over the line reader's unread bytes,
+// and hands only a value the seed cannot reject on, to strconv.ParseFloat:
+// under a rejectGate, a plain value token's leading digit and digit count
+// bound its value, and the sampler's own certain-reject test against that
+// bound decides most pairs of a full sampler before their value is parsed.
+// A line the lexer does not take — a header, a blank line, spacing or a
+// number form it cannot prove it reads as the libraries do, a line not yet
+// whole in the window — is left where it is for lineReader.next and the
+// shape's second tier: bytes.IndexByte cuts and strconv for CSV,
+// encoding/json for ndjson, whose results and error text are the scan's
+// contract. Pairs collect in a pairBatch, and cross into the repeated-key
+// sets and their instances' streams ingestBatch at a time.
+// scan_ref_test.go holds the all-library, pair-at-a-time scanners this is
+// fuzzed against.
 
-// ingestBatch is how many parsed pairs the scanners hold back before they
-// check them for repeats and push them: each layer boundary between a
+// ingestBatch is how many parsed pairs the scan holds back before it
+// checks them for repeats and pushes them: each layer boundary between a
 // line and its sampler is then crossed once per batch, not once per pair.
 const ingestBatch = 256
 
 // scanBuf is what one scan borrows from scanBufPool: the line buffer and
-// the pending batch of either scanner. Nothing that outlives a scan may
-// alias one: errors copy what they quote.
+// the pending batch. Nothing that outlives a scan may alias one: errors
+// copy what they quote.
 type scanBuf struct {
 	line  [64 * 1024]byte
-	pairs batchColumns[engine.Pair]
-	multi batchColumns[multiPair]
+	batch batchColumns
 }
 
 var scanBufPool = sync.Pool{New: func() any { return new(scanBuf) }}
@@ -196,9 +199,9 @@ func (l *lineReader) release() { scanBufPool.Put(l.sb) }
 // valid while b is unchanged, so it must not be stored or put in an error.
 func bytesView(b []byte) string { return unsafe.String(unsafe.SliceData(b), len(b)) }
 
-// checkIngestValue enforces the shared value constraint of the weighted
-// scanners: nonnegative and finite (zero-valued pairs are legal; weighted
-// samplers never retain them).
+// checkIngestValue enforces the value constraint of the scan: nonnegative
+// and finite (zero-valued pairs are legal; weighted samplers never retain
+// them).
 func checkIngestValue(v float64, lineNo int) error {
 	if v < 0 || math.IsNaN(v) || math.IsInf(v, 0) {
 		return fmt.Errorf("server: line %d: value %v outside [0, +Inf)", lineNo, v)
@@ -587,55 +590,110 @@ func skipDigits(b []byte, i int) int {
 
 // batchColumns is the pooled storage of a pairBatch: the pending pairs as
 // the engine takes them, and beside each its key — the column the
-// repeated-key sets read — the line it came from, and whether the gate
-// rejected it, which makes it a pair to count and not to push.
-type batchColumns[T any] struct {
-	items [ingestBatch]T
+// repeated-key sets read — the position of the instance whose stream takes
+// it, the line it came from, and whether the gate rejected it, which makes
+// it a pair to count and not to push.
+type batchColumns struct {
+	pairs [ingestBatch]engine.Pair
 	keys  [ingestBatch]uint64
+	pos   [ingestBatch]int
 	lines [ingestBatch]int
 	skip  [ingestBatch]bool
 }
 
-// gatedStream is the sampler behind a scan's push that the window lexers
-// may reject pairs for (core.PPSStream, core.BottomKStream): its seeds, its
-// certain-reject bound, and the count of pairs rejected without a push.
-type gatedStream interface {
+// ingestStream is one instance's in-line stream as an ingest drives it:
+// where its pairs go, up to ingestBatch at a time, and how it is drained
+// into its summary. A weighted stream is also a sampler.
+type ingestStream struct {
+	push    func([]engine.Pair)
+	close   func() core.Summary
+	sampler sampler // nil for a set stream
+}
+
+// sampler is what the scan and the handler read of a weighted stream
+// (core.PPSStream, core.BottomKStream): its seeds and certain-reject bound
+// for the window lexers' gate, the count of pairs the gate rejected
+// without a push, and, after the drain, its engine's counters.
+type sampler interface {
 	Seeder() xhash.InstanceSeeder
 	TauGuard() float64
 	PushRejected(n int)
+	Stats() engine.Stats
 }
 
-// pairBatch is a scanner's pending batch: pairs lexed and validated but
-// not yet checked for repeats or pushed. Both scanners fill and flush
-// through it; they differ in the item type, in how a line becomes an item,
-// and in the two functions that know what a repeat is.
-type pairBatch[T any] struct {
-	*batchColumns[T]
+// lineShape is what every line of one request's body holds, fixed by its
+// route and kind: CSV or ndjson, and either a key and a value — the value
+// optional when keysOnly (set ingest, where a key may also repeat) — or,
+// with triples (/v1/ingest/multi), a key, an instance and a value.
+type lineShape struct {
+	csv, keysOnly, triples bool
+}
+
+// header reports whether line, the first of a body, is the shape's CSV
+// header.
+func (s lineShape) header(line []byte) bool {
+	if s.triples {
+		return s.csv && string(line) == "key,instance,value"
+	}
+	return s.csv && (string(line) == "key,value" || string(line) == "key")
+}
+
+// parse is the shape's second tier: the fields of a line the window lexer
+// left, or why the line is not one of the shape's.
+func (s lineShape) parse(line []byte, lineNo int) (f pairFields, err error) {
+	switch {
+	case s.csv && s.triples:
+		f.key, f.instance, f.value, err = csvTriple(line, lineNo)
+	case s.triples:
+		f.key, f.instance, f.value, err = ndjsonTriple(line, lineNo)
+	case s.csv:
+		f.key, f.value, err = csvPair(line, lineNo, s.keysOnly)
+	default:
+		f.key, f.value, err = ndjsonPair(line, lineNo, s.keysOnly)
+	}
+	return f, err
+}
+
+// repeated is the error for a pair that repeats a key of its instance.
+func (s lineShape) repeated(lineNo int, key uint64, instance int) error {
+	if s.triples {
+		return fmt.Errorf("server: line %d: key %d repeated for instance %d; ingest needs one value per key per instance (aggregate before posting)", lineNo, key, instance)
+	}
+	return fmt.Errorf("server: line %d: key %d repeated; weighted ingest needs one value per key (aggregate before posting)", lineNo, key)
+}
+
+// pairBatch is the scan's pending batch: pairs lexed and validated but
+// not yet checked for repeats or pushed.
+type pairBatch struct {
+	*batchColumns
 	ctx      context.Context // the request's: flush stops a scan nobody waits for
 	n        int
-	pushed   int64 // pairs handed to push, or rejected by the gate, so far
+	pushed   int64 // pairs handed to a stream, or rejected by the gate, so far
 	rejected int64 // of those, rejected by the gate
-	// firstRepeat records the batch's keys as seen and returns the index of
-	// the first pair that repeats an earlier one — of this batch or of the
-	// stream before it — or the batch's length.
-	firstRepeat func(keys []uint64, items []T) int
-	// repeated is the error for such a pair.
-	repeated func(lineNo int, key uint64, item T) error
-	push     func([]T)
-	// stream, when set, is the sampler behind push, and gate its bound for
-	// the lexers; flush counts the pairs the gate rejected into stream
-	// instead of pushing them, and re-reads the bound after every push — a
-	// bound read earlier is never below the current one, so it rejects
-	// nothing the sampler would keep.
-	stream gatedStream
-	gate   rejectGate
+	shape    lineShape
+	ids      []int          // instance IDs by position
+	streams  []ingestStream // by position
+	seen     []keySet       // the repeated-key set of each position; nil when keys may repeat
+	// route sorts the pairs of a batch by position into part — the batch
+	// itself when there is one stream — counting and then placing those
+	// of position p with at[p]; touched lists the positions a batch holds.
+	part    []engine.Pair
+	at      []int
+	touched []int
+	// gated, when set, is the one stream's sampler, and gate its bound for
+	// the lexers; flush counts the pairs the gate rejected into it instead
+	// of pushing them, and re-reads the bound after every push — a bound
+	// read earlier is never below the current one, so it rejects nothing
+	// the sampler would keep.
+	gated sampler
+	gate  rejectGate
 }
 
 // add appends one pair, and flushes the batch once it is full.
 //
 //summarylint:hot
-func (b *pairBatch[T]) add(item T, key uint64, lineNo int, skip bool) error {
-	b.items[b.n], b.keys[b.n], b.lines[b.n], b.skip[b.n] = item, key, lineNo, skip
+func (b *pairBatch) add(key uint64, value float64, pos, lineNo int, skip bool) error {
+	b.pairs[b.n], b.keys[b.n], b.pos[b.n], b.lines[b.n], b.skip[b.n] = engine.Pair{Key: dataset.Key(key), Value: value}, key, pos, lineNo, skip
 	b.n++
 	if b.n == ingestBatch {
 		return b.flush()
@@ -643,53 +701,81 @@ func (b *pairBatch[T]) add(item T, key uint64, lineNo int, skip bool) error {
 	return nil
 }
 
-// flush empties the batch: it checks the pending pairs for repeats and
-// pushes them, in order — all of them, or those before the first repeat,
-// which it then returns as an error; a gated pair is counted, not pushed.
-// After a batch pushed whole it asks whether the request is still wanted,
-// so a cancelled ingest stops within ingestBatch pairs, not at the end of
-// its body.
+// flush empties the batch: it checks the pending pairs for repeats, each
+// against its position's set, and pushes them, in order — all of them, or
+// those before the first repeat, which it then returns as an error. Each
+// stream takes its share in one push; a gated pair is counted, not
+// pushed. After a batch pushed whole it asks whether the request is still
+// wanted, so a cancelled ingest stops within ingestBatch pairs, not at the
+// end of its body.
 //
 //summarylint:hot
-func (b *pairBatch[T]) flush() error {
+func (b *pairBatch) flush() error {
 	n := b.n
 	b.n = 0
-	first := b.firstRepeat(b.keys[:n], b.items[:n])
-	if first > 0 {
-		items := b.items[:first]
-		if b.stream != nil {
-			kept := 0
-			for i, it := range items {
-				if !b.skip[i] {
-					items[kept] = it
-					kept++
-				}
+	first := n
+	if len(b.seen) == 1 {
+		first = b.seen[0].addBatch(b.keys[:n])
+	} else if len(b.seen) > 1 {
+		for i := range n {
+			if b.seen[b.pos[i]].addBatch(b.keys[i:i+1]) == 0 {
+				first = i
+				break
 			}
-			items = items[:kept]
-			b.rejected += int64(first - kept)
-			b.stream.PushRejected(first - kept)
-		}
-		if len(items) > 0 {
-			b.push(items)
-		}
-		b.pushed += int64(first)
-		if b.stream != nil {
-			b.gate.guard = b.stream.TauGuard()
 		}
 	}
+	kept := b.route(first)
+	if b.gated != nil {
+		b.rejected += int64(first - kept)
+		b.gated.PushRejected(first - kept)
+		b.gate.guard = b.gated.TauGuard()
+	}
+	b.pushed += int64(first)
 	if first < n {
-		return b.repeated(b.lines[first], b.keys[first], b.items[first])
+		return b.shape.repeated(b.lines[first], b.keys[first], b.ids[b.pos[first]])
 	}
-	return abandoned(b.ctx)
-}
-
-// abandoned is the error that ends the scan of a cancelled request, nil
-// while the request is live.
-func abandoned(ctx context.Context) error {
-	if err := ctx.Err(); err != nil {
+	if err := b.ctx.Err(); err != nil {
 		return fmt.Errorf("server: ingest abandoned: %w", err)
 	}
 	return nil
+}
+
+// route pushes the first n pairs of the batch, but for those the gate
+// rejected, to their streams and returns how many it pushed: a stable
+// counting sort by position, so each stream takes its share in body order
+// and in one push, and a pair costs the same however many streams there
+// are. With one stream it compacts the batch in place.
+//
+//summarylint:hot
+func (b *pairBatch) route(n int) (kept int) {
+	t := 0
+	for i, p := range b.pos[:n] {
+		if b.skip[i] {
+			continue
+		}
+		if b.at[p] == 0 {
+			b.touched[t] = p
+			t++
+		}
+		b.at[p]++
+	}
+	for _, p := range b.touched[:t] {
+		kept, b.at[p] = kept+b.at[p], kept
+	}
+	for i, p := range b.pos[:n] {
+		if !b.skip[i] {
+			b.part[b.at[p]] = b.pairs[i]
+			b.at[p]++
+		}
+	}
+	start := 0
+	for _, p := range b.touched[:t] {
+		end := b.at[p]
+		b.at[p] = 0
+		b.streams[p].push(b.part[start:end])
+		start = end
+	}
+	return kept
 }
 
 // end is how a scan returns, whatever ended it: it flushes the batch, and
@@ -697,118 +783,100 @@ func abandoned(ctx context.Context) error {
 // wins over err. So a repeat on an earlier line beats a malformed later
 // one and every pair before the line that failed has been pushed, as if
 // each line had been checked and pushed on its own.
-func (b *pairBatch[T]) end(err error) (int64, error) {
+func (b *pairBatch) end(err error) (pairs, rejected int64, _ error) {
 	if sooner := b.flush(); sooner != nil {
 		err = sooner
 	}
-	return b.pushed, err
+	return b.pushed, b.rejected, err
 }
 
-// multiPair is one (key, instance, value) arrival of a multi-instance
-// ingest body: instance is the position, in the request's instances
-// parameter, of the instance whose stream consumes the pair.
-type multiPair struct {
-	key      dataset.Key
-	instance int
-	value    float64
-}
-
-// instanceSets is scanMultiPairs' repeated-key check: one keySet per
-// instance position.
-type instanceSets []keySet
-
-// firstRepeat is pairBatch.firstRepeat over (key, instance) combinations.
-//
-//summarylint:hot
-func (g instanceSets) firstRepeat(keys []uint64, items []multiPair) int {
-	for i, it := range items {
-		if g[it.instance].addBatch(keys[i:i+1]) == 0 {
-			return i
-		}
-	}
-	return len(items)
-}
-
-// scanPairsGated streams (key, value) pairs out of a CSV or ndjson body
-// into push, returning the number of pairs consumed and how many of them
-// the gate rejected. CSV lines are "key,value" ("key" alone when keysOnly;
-// a leading "key,value" header is tolerated); ndjson lines are {"key":
-// u64, "value": f64}. Values must be nonnegative and finite.
+// scanIngest streams a CSV or ndjson body whose lines are of the given
+// shape into streams, the stream of instance ids[i] at streams[i], and
+// returns the number of pairs consumed and how many of them the gate
+// rejected. Values must be nonnegative and finite. Without triples every
+// pair goes to the one stream; with them a line's instance must be one of
+// ids, and index maps it to its position. Each stream takes its pairs in
+// body order, up to ingestBatch at a time; the slice is only valid during
+// the call. Once ctx is done the scan ends with the batch it is on.
 //
 // The instances×keys model assigns one value per key per instance, and
-// the engine's streaming samplers rely on it (a repeated key corrupts
-// bottom-k heap state). Unless keysOnly (set sampling, where a repeated
-// member is harmless and deduplication is implicit), the scan therefore
-// rejects a stream that repeats a key — producers must aggregate per-key
-// before ingesting. The check is exact: one keySet probe per pair, no
-// allocation per pair, and 16 to 32 bytes of table per distinct key for
-// the length of the request, which maxIngestBody bounds. Pairs reach push
-// in stream order, up to ingestBatch at a time; the slice is only valid
-// during the call. Once ctx is done the scan ends with the batch it is on.
+// the samplers rely on it (a repeated key corrupts bottom-k heap state).
+// Unless keysOnly (set sampling, where a repeated member is harmless), the
+// scan therefore rejects a body that repeats a key for an instance —
+// producers must aggregate before ingesting. The check is exact: a keySet
+// per instance, one probe per pair, and 16 to 32 bytes of table per
+// distinct key for the length of the request, which maxIngestBody bounds.
 //
-// st, when not nil, is the sampler behind push: a pair the window lexer
-// proves st rejects (rejectGate) is checked for repeats and counted like
+// A lone stream that is a sampler is gated: a pair the window lexer
+// proves it rejects (rejectGate) is checked for repeats and counted like
 // any other, but its value is not parsed and the pair is not pushed, and
-// st.PushRejected counts it instead. What st samples, and every count
+// PushRejected counts it instead. What the stream samples, and every count
 // and error, are what pushing every pair would give.
-func scanPairsGated(ctx context.Context, body io.Reader, format string, keysOnly bool, push func([]engine.Pair), st gatedStream) (pairs, rejected int64, err error) {
+func scanIngest(ctx context.Context, body io.Reader, shape lineShape, streams []ingestStream, ids []int, index map[int]int) (pairs, rejected int64, err error) {
 	in := newLineReader(body)
 	defer in.release()
-	seen := newKeySet()
-	defer seen.release()
-	b := pairBatch[engine.Pair]{batchColumns: &in.sb.pairs, ctx: ctx, push: push,
-		firstRepeat: func(keys []uint64, _ []engine.Pair) int { return seen.addBatch(keys) },
-		repeated: func(lineNo int, key uint64, _ engine.Pair) error {
-			return fmt.Errorf("server: line %d: key %d repeated; weighted ingest needs one value per key (aggregate before posting)", lineNo, key)
-		}}
-	if keysOnly {
-		b.firstRepeat = func(keys []uint64, _ []engine.Pair) int { return len(keys) }
+	b := pairBatch{batchColumns: &in.sb.batch, ctx: ctx, shape: shape, ids: ids, streams: streams}
+	if !shape.keysOnly {
+		b.seen = make([]keySet, len(streams))
+		for i := range b.seen {
+			b.seen[i] = newKeySet()
+		}
+		defer func() {
+			for i := range b.seen {
+				b.seen[i].release()
+			}
+		}()
 	}
-	if st != nil {
-		b.stream, b.gate = st, rejectGate{seed: st.Seeder(), guard: st.TauGuard()}
+	cols := make([]int, len(streams)+min(len(streams), ingestBatch))
+	b.at, b.touched, b.part = cols[:len(streams)], cols[len(streams):], b.pairs[:]
+	if len(streams) > 1 {
+		b.part = make([]engine.Pair, ingestBatch)
+	} else if st := streams[0].sampler; st != nil {
+		b.gated, b.gate = st, rejectGate{seed: st.Seeder(), guard: st.TauGuard()}
 	}
-	pairs, err = scanPairLines(&in, &b, format == "csv", keysOnly)
-	return pairs, b.rejected, err
-}
-
-// scanPairLines is scanPairsGated's loop over the lines of in.
-func scanPairLines(in *lineReader, b *pairBatch[engine.Pair], csv, keysOnly bool) (int64, error) {
+	want := uint8(hasValue) // what a line the window lexer takes must hold
+	if shape.triples {
+		want |= hasInstance
+	} else if shape.keysOnly {
+		want = 0
+	}
 	for {
 		var f pairFields
 		var n int
-		if csv {
-			f, n = lexCSVLine(in.window(), false, b.gate)
+		if shape.csv {
+			f, n = lexCSVLine(in.window(), shape.triples, b.gate)
 		} else {
 			f, n = lexNDJSONLine(in.window(), false, b.gate)
 		}
-		if n > 0 && (keysOnly || f.has&hasValue != 0) {
+		if n > 0 && f.has&want == want {
 			in.advance(n)
 		} else {
 			// Nothing the lexer read counts: not its gate's verdict on a
 			// value token the window cut short, above all.
-			f = pairFields{}
 			line := in.next()
 			if line == nil {
 				return b.end(in.err())
 			}
-			var err error
-			if csv {
-				if in.lineNo == 1 && (string(line) == "key,value" || string(line) == "key") {
-					continue
-				}
-				f.key, f.value, err = csvPair(line, in.lineNo, keysOnly)
-			} else {
-				f.key, f.value, err = ndjsonPair(line, in.lineNo, keysOnly)
+			if in.lineNo == 1 && shape.header(line) {
+				continue
 			}
-			if err != nil {
+			var err error
+			if f, err = shape.parse(line, in.lineNo); err != nil {
 				return b.end(err)
 			}
 		}
 		if err := checkIngestValue(f.value, in.lineNo); err != nil {
 			return b.end(err)
 		}
-		if err := b.add(engine.Pair{Key: dataset.Key(f.key), Value: f.value}, f.key, in.lineNo, f.has&gated != 0); err != nil {
-			return b.pushed, err
+		pos := 0
+		if shape.triples {
+			var listed bool
+			if pos, listed = index[f.instance]; !listed {
+				return b.end(fmt.Errorf("server: line %d: instance %d not listed in the instances parameter", in.lineNo, f.instance))
+			}
+		}
+		if err := b.add(f.key, f.value, pos, in.lineNo, f.has&gated != 0); err != nil {
+			return b.pushed, b.rejected, err
 		}
 	}
 }
@@ -861,81 +929,6 @@ func ndjsonPair(line []byte, lineNo int, keysOnly bool) (key uint64, value float
 		return 0, 0, fmt.Errorf("server: ndjson line %d: weighted ingest needs a value", lineNo)
 	}
 	return f.key, f.value, nil
-}
-
-// scanMultiPairs streams (key, instance, value) triples out of a CSV or
-// ndjson body into push, returning the number of pairs consumed. CSV
-// lines are "key,instance,value" (a leading "key,instance,value" header
-// is tolerated); ndjson lines are {"key": u64, "instance": int, "value":
-// f64}, all fields required. The instance column holds instance IDs and
-// every ID must appear in index (the request's instances parameter, each
-// ID mapped to its position 0..len(index)-1); push receives the position.
-// A repeated (key, instance) combination is rejected for the same reason
-// scanPairs rejects repeated keys, with one keySet per position. Pairs
-// reach push as scanPairs' do, each carrying its position as instance, and
-// a done ctx ends the scan as it ends scanPairs'.
-func scanMultiPairs(ctx context.Context, body io.Reader, format string, index map[int]int, push func([]multiPair)) (int64, error) {
-	in := newLineReader(body)
-	defer in.release()
-	sets := make(instanceSets, len(index))
-	for i := range sets {
-		sets[i] = newKeySet()
-	}
-	defer func() {
-		for i := range sets {
-			sets[i].release()
-		}
-	}()
-	b := pairBatch[multiPair]{batchColumns: &in.sb.multi, ctx: ctx, push: push, firstRepeat: sets.firstRepeat,
-		repeated: func(lineNo int, key uint64, item multiPair) error {
-			instance := 0
-			for id, pos := range index {
-				if pos == item.instance {
-					instance = id
-				}
-			}
-			return fmt.Errorf("server: line %d: key %d repeated for instance %d; ingest needs one value per key per instance (aggregate before posting)", lineNo, key, instance)
-		}}
-	csv := format == "csv"
-	for {
-		var f pairFields
-		var n int
-		if csv {
-			f, n = lexCSVLine(in.window(), true, rejectGate{})
-		} else {
-			f, n = lexNDJSONLine(in.window(), false, rejectGate{})
-		}
-		if n > 0 && f.has == hasInstance|hasValue {
-			in.advance(n)
-		} else {
-			line := in.next()
-			if line == nil {
-				return b.end(in.err())
-			}
-			var err error
-			if csv {
-				if in.lineNo == 1 && string(line) == "key,instance,value" {
-					continue
-				}
-				f.key, f.instance, f.value, err = csvTriple(line, in.lineNo)
-			} else {
-				f.key, f.instance, f.value, err = ndjsonTriple(line, in.lineNo)
-			}
-			if err != nil {
-				return b.end(err)
-			}
-		}
-		if err := checkIngestValue(f.value, in.lineNo); err != nil {
-			return b.end(err)
-		}
-		idx, ok := index[f.instance]
-		if !ok {
-			return b.end(fmt.Errorf("server: line %d: instance %d not listed in the instances parameter", in.lineNo, f.instance))
-		}
-		if err := b.add(multiPair{key: dataset.Key(f.key), instance: idx, value: f.value}, f.key, in.lineNo, false); err != nil {
-			return b.pushed, err
-		}
-	}
 }
 
 // csvTriple decodes one "key,instance,value" line.

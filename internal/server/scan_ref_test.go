@@ -9,6 +9,7 @@ import (
 	"io"
 	"math"
 	"math/rand/v2"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -240,6 +241,18 @@ func leadLines(format string, multi bool, n int) []byte {
 	return b.Bytes()
 }
 
+// soloLines is leadLines for key,instance,value lines whose instance is
+// 7 alone: pairLine's instance follows the key, and keys 2^32 + 3i all
+// give 7.
+func soloLines(format string, n int) []byte {
+	var b bytes.Buffer
+	for i := 0; i < n; i++ {
+		b.WriteString(pairLine(format, true, 1<<32+3*uint64(i), "1"))
+		b.WriteByte('\n')
+	}
+	return b.Bytes()
+}
+
 // collectPairs is a scanPairs sink that records every push. It also fails
 // t if a batch is empty or over ingestBatch: the scanners promise neither.
 func collectPairs(t *testing.T, into *[]pushedPair) func([]engine.Pair) {
@@ -253,13 +266,15 @@ func collectPairs(t *testing.T, into *[]pushedPair) func([]engine.Pair) {
 	}
 }
 
-func collectMultiPairs(t *testing.T, into *[]pushedPair) func([]multiPair) {
-	return func(ms []multiPair) {
-		if len(ms) == 0 || len(ms) > ingestBatch {
-			t.Errorf("scanMultiPairs pushed a batch of %d pairs", len(ms))
+// collectMultiPairs is the same for scanMultiPairs, recording each push
+// with the position of the stream it went to.
+func collectMultiPairs(t *testing.T, into *[]pushedPair) func(int, []engine.Pair) {
+	return func(pos int, ps []engine.Pair) {
+		if len(ps) == 0 || len(ps) > ingestBatch {
+			t.Errorf("scanMultiPairs pushed a batch of %d pairs", len(ps))
 		}
-		for _, m := range ms {
-			*into = append(*into, pushedPair{pos: m.instance, key: uint64(m.key), bits: math.Float64bits(m.value)})
+		for _, p := range ps {
+			*into = append(*into, pushedPair{pos: pos, key: uint64(p.Key), bits: math.Float64bits(p.Value)})
 		}
 	}
 }
@@ -330,9 +345,8 @@ var gatedSamplers = []struct {
 
 // sampledStream is a core stream the gate can reject pairs for.
 type sampledStream interface {
-	gatedStream
+	sampler
 	PushBatch([]engine.Pair)
-	Stats() engine.Stats
 }
 
 // diffGatedScan scans body, in one format, into each of gatedSamplers
@@ -342,14 +356,37 @@ type sampledStream interface {
 // rejected, over all the samplers.
 func diffGatedScan(t *testing.T, format string, body []byte, reader func([]byte) io.Reader, what string) (rejected int64) {
 	t.Helper()
+	return diffGated(t, fmt.Sprintf("%s, %s", format, what), body, reader, lineShape{csv: format == "csv"}, []int{0}, nil,
+		func(r io.Reader, plain sampledStream) (int64, error) {
+			return scanPairs(context.Background(), r, format, false, plain.PushBatch)
+		})
+}
+
+// diffGatedMultiScan is diffGatedScan for a key,instance,value body, with
+// instance 7 alone listed: its one stream is gated, and the scan must
+// leave what scanMultiPairsRef's pushes leave, pair by pair.
+func diffGatedMultiScan(t *testing.T, format string, body []byte, reader func([]byte) io.Reader, what string) (rejected int64) {
+	t.Helper()
+	return diffGated(t, fmt.Sprintf("%s triples, %s", format, what), body, reader, lineShape{csv: format == "csv", triples: true}, []int{7}, map[int]int{7: 0},
+		func(r io.Reader, plain sampledStream) (int64, error) {
+			return scanMultiPairsRef(r, format, map[int]int{7: 0}, func(_ int, h dataset.Key, v float64) {
+				plain.PushBatch([]engine.Pair{{Key: h, Value: v}})
+			})
+		})
+}
+
+// diffGated is the gated legs' comparison: scanIngest of body, in shape,
+// into each of gatedSamplers, against ungated into a fresh one of the same.
+func diffGated(t *testing.T, what string, body []byte, reader func([]byte) io.Reader, shape lineShape, ids []int, index map[int]int, ungated func(io.Reader, sampledStream) (int64, error)) (rejected int64) {
+	t.Helper()
 	summ := core.NewSummarizer(gatedSalt)
 	for _, s := range gatedSamplers {
 		plain, closePlain := s.open(summ)
-		n, err := scanPairs(context.Background(), reader(body), format, false, plain.PushBatch)
+		n, err := ungated(reader(body), plain)
 		gated, closeGated := s.open(summ)
-		nGated, r, errGated := scanPairsGated(context.Background(), reader(body), format, false, gated.PushBatch, gated)
+		nGated, r, errGated := scanIngest(context.Background(), reader(body), shape, []ingestStream{{push: gated.PushBatch, sampler: gated}}, ids, index)
 		rejected += r
-		at := fmt.Sprintf("gated scan into %s (%s, %s)", s.name, format, what)
+		at := fmt.Sprintf("gated scan into %s (%s)", s.name, what)
 		if nGated != n || fmt.Sprint(errGated) != fmt.Sprint(err) {
 			t.Fatalf("%s: %d pairs, error %v; ungated %d pairs, error %v", at, nGated, errGated, n, err)
 		}
@@ -366,15 +403,19 @@ func diffGatedScan(t *testing.T, format string, body []byte, reader func([]byte)
 }
 
 // diffScanMultiPairsAs is the same for scanMultiPairs, with instances 0, 7
-// and -2 listed.
+// and -2 listed. Each stream must get the same pushes in the same order;
+// how the streams' pushes interleave is not compared.
 func diffScanMultiPairsAs(t *testing.T, format string, body []byte, reader func([]byte) io.Reader, what string) {
 	t.Helper()
-	index := map[int]int{0: 0, 7: 1, -2: 2}
+	ids, index := []int{0, 7, -2}, map[int]int{0: 0, 7: 1, -2: 2}
 	var got, want []pushedPair
-	n, err := scanMultiPairs(context.Background(), reader(body), format, index, collectMultiPairs(t, &got))
+	n, err := scanMultiPairs(context.Background(), reader(body), format, ids, collectMultiPairs(t, &got))
 	nRef, errRef := scanMultiPairsRef(reader(body), format, index, func(i int, h dataset.Key, v float64) {
 		want = append(want, pushedPair{pos: i, key: uint64(h), bits: math.Float64bits(v)})
 	})
+	byStream := func(a, b pushedPair) int { return a.pos - b.pos }
+	slices.SortStableFunc(got, byStream)
+	slices.SortStableFunc(want, byStream)
 	diffScan(t, fmt.Sprintf("scanMultiPairs(%s, %s)", format, what), got, want, n, nRef, err, errRef)
 }
 
@@ -579,9 +620,18 @@ func FuzzScanPairsDiff(f *testing.F) {
 	})
 }
 
+// FuzzScanMultiPairsDiff holds scanMultiPairs to its reference and, in a
+// gated leg, the gated scan of one listed instance into real samplers to
+// the ungated reference.
 func FuzzScanMultiPairsDiff(f *testing.F) {
 	addScanDiffSeeds(f)
-	f.Fuzz(func(t *testing.T, lead uint16, body []byte) { diffScanMultiPairs(t, int(lead%1024), body) })
+	f.Fuzz(func(t *testing.T, lead uint16, body []byte) {
+		diffScanMultiPairs(t, int(lead%1024), body)
+		for _, format := range []string{"csv", "ndjson"} {
+			whole := append(soloLines(format, int(lead%1024)), body...)
+			diffGatedMultiScan(t, format, whole, wholeReader, fmt.Sprintf("lead=%d", lead%1024))
+		}
+	})
 }
 
 // TestScanDiffGenerated runs the same differential check on bodies built

@@ -45,10 +45,24 @@ func scanBody(format string, n int) []byte {
 	return out
 }
 
-// scanPairs is scanPairsGated with no sampler to gate for: every value is
-// parsed and every pair pushed, as for a set ingest.
+// scanPairs is scanIngest over a key,value body into push, with no
+// sampler to gate for: every value is parsed and every pair pushed, as for
+// a set ingest.
 func scanPairs(ctx context.Context, body io.Reader, format string, keysOnly bool, push func([]engine.Pair)) (int64, error) {
-	pairs, _, err := scanPairsGated(ctx, body, format, keysOnly, push, nil)
+	pairs, _, err := scanIngest(ctx, body, lineShape{csv: format == "csv", keysOnly: keysOnly}, []ingestStream{{push: push}}, []int{0}, nil)
+	return pairs, err
+}
+
+// scanMultiPairs is scanIngest over a key,instance,value body that lists
+// the instances ids: push receives every batch of the stream at position
+// i as push(i, batch).
+func scanMultiPairs(ctx context.Context, body io.Reader, format string, ids []int, push func(int, []engine.Pair)) (int64, error) {
+	streams, index := make([]ingestStream, len(ids)), make(map[int]int, len(ids))
+	for i, id := range ids {
+		streams[i].push = func(ps []engine.Pair) { push(i, ps) }
+		index[id] = i
+	}
+	pairs, _, err := scanIngest(ctx, body, lineShape{csv: format == "csv", triples: true}, streams, ids, index)
 	return pairs, err
 }
 

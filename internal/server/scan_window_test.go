@@ -40,12 +40,13 @@ func TestWindowLexerAtRefillEdges(t *testing.T) {
 		"unlisted instance": {"5,2.5", `{"key":5,"instance":3,"value":2.5}`, "5,3,2.5", `{"key":5,"instance":3,"value":2.5}`},
 		"repeated key":      {"4294967296,1", `{"key":4294967296,"value":1}`, "4294967296,7,1", `{"key":4294967296,"instance":7,"value":1}`},
 	}
-	// fill renders valid lines (pairLine's, keys from 2^32 up) of exactly
-	// size bytes in all; the last one carries a value as long as that takes.
-	fill := func(format string, multi bool, size int) []byte {
+	// fill renders valid lines (pairLine's, keys from 2^32 up by step) of
+	// exactly size bytes in all; the last one carries a value as long as
+	// that takes. A step of 3 keeps key,instance,value lines to instance 7.
+	fill := func(format string, multi bool, size int, step uint64) []byte {
 		longest := len(pairLine(format, multi, 1<<32+1, "1")) + 1 // instance -2
 		var out []byte
-		for key := uint64(1 << 32); len(out) < size; key++ {
+		for key := uint64(1 << 32); len(out) < size; key += step {
 			value := "1"
 			if rest := size - len(out); rest < 2*longest {
 				value = strings.Repeat("1", 1+rest-len(pairLine(format, multi, key, "1\n")))
@@ -64,13 +65,17 @@ func TestWindowLexerAtRefillEdges(t *testing.T) {
 		"half":          func(b []byte) io.Reader { return iotest.HalfReader(bytes.NewReader(b)) },
 		"data with EOF": func(b []byte) io.Reader { return iotest.DataErrReader(bytes.NewReader(b)) },
 	}
-	check := func(t *testing.T, format string, multi bool, body []byte, reader func([]byte) io.Reader) {
+	// check holds the scanners to their references on body(1), and a gated
+	// scan to the ungated one — for triples on body(3), whose lines before
+	// the probe are all of the one instance listed.
+	check := func(t *testing.T, format string, multi bool, body func(step uint64) []byte, reader func([]byte) io.Reader) {
 		t.Helper()
 		if multi {
-			diffScanMultiPairsAs(t, format, body, reader, "refill edge")
+			diffScanMultiPairsAs(t, format, body(1), reader, "refill edge")
+			diffGatedMultiScan(t, format, body(3), reader, "refill edge")
 		} else {
-			diffScanPairsAs(t, format, body, reader, "refill edge")
-			diffGatedScan(t, format, body, reader, "refill edge")
+			diffScanPairsAs(t, format, body(1), reader, "refill edge")
+			diffGatedScan(t, format, body(1), reader, "refill edge")
 		}
 	}
 	// The gated leg: a plain value cut by the end of the first read after
@@ -78,24 +83,32 @@ func TestWindowLexerAtRefillEdges(t *testing.T) {
 	// plain token whose bound is below 1379.5, and the key is one a PPS
 	// sample at tau 2000 keeps with the whole value but the gate rejects on
 	// those bounds: a verdict on the cut token that outlived the line's
-	// handover to the second tier would drop it.
-	key := uint64(1 << 33)
-	for seed := (xhash.Seeder{Salt: gatedSalt}).Instance(0); ; key++ {
-		if u := seed.Seed(key); u > 0.2 && u < 0.6 {
-			break
+	// handover to the second tier would drop it. The triples' key is one
+	// of instance 7, the one their gated leg lists.
+	gatedKey := func(key uint64, step uint64) uint64 {
+		for seed := (xhash.Seeder{Salt: gatedSalt}).Instance(0); ; key += step {
+			if u := seed.Seed(key); u > 0.2 && u < 0.6 {
+				return key
+			}
 		}
 	}
-	for _, format := range []string{"csv", "ndjson"} {
-		line := pairLine(format, false, key, "1379.5")
-		start := strings.Index(line, "1379.5")
-		rest := "\n" + pairLine(format, false, 11, "1") + "\ngarbage\n"
-		for cut := start; cut <= start+len("1379.5"); cut++ {
-			body := append(fill(format, false, window-cut), line+rest...)
-			t.Run(fmt.Sprintf("gated/%s/cut=%q", format, line[start:cut]), func(t *testing.T) {
-				if diffGatedScan(t, format, body, wholeReader, "value cut by the window") == 0 {
-					t.Fatal("the gate rejected nothing: the leg tests nothing")
-				}
-			})
+	for _, multi := range []bool{false, true} {
+		key, step, diff, leg := gatedKey(1<<33, 1), uint64(1), diffGatedScan, "gated"
+		if multi {
+			key, step, diff, leg = gatedKey(1<<33+2, 3), 3, diffGatedMultiScan, "gated triples"
+		}
+		for _, format := range []string{"csv", "ndjson"} {
+			line := pairLine(format, multi, key, "1379.5")
+			start := strings.Index(line, "1379.5")
+			rest := "\n" + pairLine(format, multi, 10+step, "1") + "\ngarbage\n"
+			for cut := start; cut <= start+len("1379.5"); cut++ {
+				body := append(fill(format, multi, window-cut, step), line+rest...)
+				t.Run(fmt.Sprintf("%s/%s/cut=%q", leg, format, line[start:cut]), func(t *testing.T) {
+					if diff(t, format, body, wholeReader, "value cut by the window") == 0 {
+						t.Fatal("the gate rejected nothing: the leg tests nothing")
+					}
+				})
+			}
 		}
 	}
 	for name, probe := range probes {
@@ -111,7 +124,9 @@ func TestWindowLexerAtRefillEdges(t *testing.T) {
 			for _, term := range []string{"\n", "\r\n"} {
 				for over := 0; over <= 3; over++ {
 					lead := window + over - len(line) - len(term)
-					body := append(append(fill(format, multi, lead), line+term...), rest...)
+					body := func(step uint64) []byte {
+						return append(append(fill(format, multi, lead, step), line+term...), rest...)
+					}
 					t.Run(fmt.Sprintf("%s/%q/over=%d", at, term, over), func(t *testing.T) {
 						check(t, format, multi, body, readers["whole"])
 					})
@@ -120,17 +135,23 @@ func TestWindowLexerAtRefillEdges(t *testing.T) {
 			// Last in the body with no newline, ending with the buffer, one
 			// byte short of it, and one byte into the next read.
 			for over := -1; over <= 1; over++ {
-				body := append(fill(format, multi, window+over-len(line)), line...)
+				body := func(step uint64) []byte { return append(fill(format, multi, window+over-len(line), step), line...) }
 				t.Run(fmt.Sprintf("%s/unterminated/over=%d", at, over), func(t *testing.T) {
 					check(t, format, multi, body, readers["whole"])
 				})
 			}
 			// Readers that end a read anywhere: a short body will do.
-			short := append(append(fill(format, multi, 3*len(pairLine(format, multi, 1<<32, "1"))+3), line+"\r\n"...), rest...)
+			short := func(step uint64) []byte {
+				return append(append(fill(format, multi, 3*len(pairLine(format, multi, 1<<32, "1"))+3, step), line+"\r\n"...), rest...)
+			}
+			unterminated := func(step uint64) []byte { // ends in a valid line
+				b := short(step)
+				return b[:len(b)-len("\ngarbage\n")]
+			}
 			for readerName, reader := range readers {
 				t.Run(at+"/"+readerName, func(t *testing.T) {
 					check(t, format, multi, short, reader)
-					check(t, format, multi, short[:len(short)-len("\ngarbage\n")], reader) // ends in a valid line, unterminated
+					check(t, format, multi, unterminated, reader)
 				})
 			}
 		}

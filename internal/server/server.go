@@ -121,8 +121,8 @@ func New(reg *Registry, cfg engine.Config, opts ...Option) *Server {
 	s.mux.HandleFunc("GET /v1/datasets", s.handleDatasets)
 	s.mux.HandleFunc("GET /v1/summaries", s.handleFetchSummary)
 	s.mux.HandleFunc("POST /v1/summaries", s.handlePostSummary)
-	s.mux.HandleFunc("POST /v1/ingest", s.handleIngest)
-	s.mux.HandleFunc("POST /v1/ingest/multi", s.handleIngestMulti)
+	s.mux.HandleFunc("POST /v1/ingest", s.handleIngest(false))
+	s.mux.HandleFunc("POST /v1/ingest/multi", s.handleIngest(true))
 	s.mux.HandleFunc("GET /v1/query", s.handleQuery)
 	if s.tracer != nil {
 		if s.obs == nil {

@@ -99,9 +99,10 @@ func TestCrashRecoveryProperty(t *testing.T) {
 	for trial := 0; trial < 6; trial++ {
 		rng := rand.New(rand.NewSource(int64(100 + trial)))
 		dir := t.TempDir()
-		// Tiny segments force rotations; automatic snapshots off so the
-		// mid-run snapshots below are the only, deterministic, cuts.
-		reg, st := reopen(t, dir, Options{SnapshotEvery: -1, SegmentRecords: 3})
+		// Tiny segments, a few records each, force rotations; automatic
+		// snapshots off so the mid-run snapshots below are the only,
+		// deterministic, cuts.
+		reg, st := reopen(t, dir, Options{SnapshotEvery: -1, SegmentBytes: 1024})
 
 		type mark struct {
 			seq   int64 // segment holding the record

@@ -54,7 +54,7 @@ func buildLayered(t *testing.T) layered {
 		g1: randomSummaryAt(rng, gamma, 2), g2: randomSummaryAt(rng, gamma, 2),
 	}
 	// One record per segment: every put after a cut's first rotates.
-	reg, st := reopen(t, l.dir, Options{SnapshotEvery: -1, SegmentRecords: 1})
+	reg, st := reopen(t, l.dir, Options{SnapshotEvery: -1, SegmentBytes: oneRecordPerSegment})
 	put := func(spec datasetSpec, s core.Summary) {
 		t.Helper()
 		if err := reg.Put(spec.name, s); err != nil {
@@ -554,7 +554,7 @@ func TestRecoveryMetricsAndTrace(t *testing.T) {
 func TestRecoveryTraceIsBounded(t *testing.T) {
 	dir := t.TempDir()
 	rng := rand.New(rand.NewSource(14))
-	opts := Options{SnapshotEvery: -1, SegmentRecords: 1}
+	opts := Options{SnapshotEvery: -1, SegmentBytes: oneRecordPerSegment}
 	reg, st := reopen(t, dir, opts)
 	const records = 300
 	for i := 0; i < records; i++ {

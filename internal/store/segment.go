@@ -67,10 +67,11 @@ const (
 	magicLen  = 5
 )
 
-// Default segment rotation caps (Options.SegmentBytes/SegmentRecords).
+// Segment rotation caps: DefaultSegmentBytes is Options.SegmentBytes'
+// default, and a live segment also rotates at segmentRecords records.
 const (
-	DefaultSegmentBytes   = 64 << 20
-	defaultSegmentRecords = 1 << 16
+	DefaultSegmentBytes = 64 << 20
+	segmentRecords      = 1 << 16
 )
 
 // quarantineDir is where Open moves files it cannot account for —

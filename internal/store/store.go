@@ -10,8 +10,8 @@
 //   - every accepted registration is appended to the live WAL segment
 //     before the request is acknowledged — the segments named by the
 //     MANIFEST are the source of truth between snapshots;
-//   - the live segment rotates once it reaches Options.SegmentBytes /
-//     SegmentRecords: it is fsynced, sealed, and a fresh segment takes
+//   - the live segment rotates once it reaches Options.SegmentBytes or
+//     segmentRecords: it is fsynced, sealed, and a fresh segment takes
 //     over, so no single file grows with uptime;
 //   - snapshots run in the BACKGROUND: the registry hands Snapshot a
 //     consistent cut of its whole state (cloned under its lock — the only
@@ -87,9 +87,6 @@ type Options struct {
 	// the cap is reached goes to a fresh segment. Zero means
 	// DefaultSegmentBytes. A segment may overshoot by at most one record.
 	SegmentBytes int64
-	// SegmentRecords caps a live segment's record count. Zero means
-	// defaultSegmentRecords (65536).
-	SegmentRecords int64
 	// Metrics, when set, receives the store's durability series
 	// (summaryd_store_*): WAL append counts/bytes, fsync and snapshot
 	// latency histograms, rotation/drop counters, and gauges over the
@@ -255,11 +252,8 @@ func Open(dir string, opts Options, apply func(dataset string, s core.Summary) e
 	if opts.SegmentBytes == 0 {
 		opts.SegmentBytes = DefaultSegmentBytes
 	}
-	if opts.SegmentRecords == 0 {
-		opts.SegmentRecords = defaultSegmentRecords
-	}
-	if opts.SegmentBytes < 1 || opts.SegmentRecords < 1 {
-		return nil, fmt.Errorf("store: segment caps must be positive (bytes %d, records %d)", opts.SegmentBytes, opts.SegmentRecords)
+	if opts.SegmentBytes < 1 {
+		return nil, fmt.Errorf("store: segment cap must be positive (bytes %d)", opts.SegmentBytes)
 	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("store: creating data dir: %w", err)
@@ -494,7 +488,7 @@ func (s *Store) AppendTraced(parent *trace.Span, dataset string, sum core.Summar
 	if s.closed {
 		return false, errors.New("store: append on closed store")
 	}
-	if s.live.records >= s.opts.SegmentRecords || s.live.w.end >= s.opts.SegmentBytes {
+	if s.live.records >= segmentRecords || s.live.w.end >= s.opts.SegmentBytes {
 		// Rotation failure is not an append failure: the record still lands
 		// durably in the over-cap live segment, costing recovery granularity
 		// rather than the request. Rotation is retried on the next append.

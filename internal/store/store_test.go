@@ -609,10 +609,45 @@ func TestSnapshotFailureSurfacesAndBacksOff(t *testing.T) {
 	st.Close()
 }
 
+// oneRecordPerSegment is a SegmentBytes cap that a fresh segment, its
+// header alone, is under and a segment holding a record is at: every
+// append after a segment's first rotates.
+const oneRecordPerSegment = magicLen + 1
+
+// TestSegmentRotationAtRecordCap: under a byte cap no record count
+// reaches, a live segment still rotates once it holds segmentRecords
+// records — the next append opens segment 2, and only that one does.
+func TestSegmentRotationAtRecordCap(t *testing.T) {
+	dir := t.TempDir()
+	st, err := Open(dir, Options{SnapshotEvery: -1, SegmentBytes: 1 << 30}, func(string, core.Summary) error { return nil })
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	sum := core.NewSummarizer(1).StreamSet(0, 1).Close()
+	for i := 0; i < segmentRecords; i++ {
+		if _, err := st.Append("d", sum); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if status := st.Status(); status.WALSegments != 1 || status.WALRecords != segmentRecords {
+		t.Fatalf("at the cap: segments=%d records=%d, want 1/%d", status.WALSegments, status.WALRecords, segmentRecords)
+	}
+	if _, err := st.Append("d", sum); err != nil {
+		t.Fatal(err)
+	}
+	if status := st.Status(); status.WALSegments != 2 || status.WALRecords != segmentRecords+1 {
+		t.Fatalf("past the cap: segments=%d records=%d, want 2/%d", status.WALSegments, status.WALRecords, segmentRecords+1)
+	}
+	if first, last, ok, err := readManifest(dir); err != nil || !ok || first != 1 || last != 2 {
+		t.Fatalf("manifest = [%d,%d] ok=%v err=%v, want [1,2]", first, last, ok, err)
+	}
+}
+
 func TestSegmentRotationBoundsFiles(t *testing.T) {
 	dir := t.TempDir()
 	rng := rand.New(rand.NewSource(12))
-	opts := Options{SnapshotEvery: -1, SegmentRecords: 2}
+	opts := Options{SnapshotEvery: -1, SegmentBytes: oneRecordPerSegment}
 	reg, st := reopen(t, dir, opts)
 	want := make(shadow)
 	for i := 0; i < 7; i++ {
@@ -623,14 +658,14 @@ func TestSegmentRotationBoundsFiles(t *testing.T) {
 		}
 		want.put(spec.name, s)
 	}
-	// 7 records at 2 per segment: segments 1..3 sealed full, segment 4
-	// live with one record.
+	// 7 records at 1 per segment: segments 1..6 sealed, segment 7 live
+	// with the last record.
 	status := st.Status()
-	if status.WALSegments != 4 || status.WALRecords != 7 {
-		t.Fatalf("segments=%d records=%d, want 4/7", status.WALSegments, status.WALRecords)
+	if status.WALSegments != 7 || status.WALRecords != 7 {
+		t.Fatalf("segments=%d records=%d, want 7/7", status.WALSegments, status.WALRecords)
 	}
-	if first, last, ok, err := readManifest(dir); err != nil || !ok || first != 1 || last != 4 {
-		t.Fatalf("manifest = [%d,%d] ok=%v err=%v, want [1,4]", first, last, ok, err)
+	if first, last, ok, err := readManifest(dir); err != nil || !ok || first != 1 || last != 7 {
+		t.Fatalf("manifest = [%d,%d] ok=%v err=%v, want [1,7]", first, last, ok, err)
 	}
 	st.Close()
 
@@ -662,7 +697,7 @@ func TestSegmentRotationBoundsFiles(t *testing.T) {
 func TestSealedSegmentTruncationHardErrors(t *testing.T) {
 	dir := t.TempDir()
 	rng := rand.New(rand.NewSource(13))
-	reg, st := reopen(t, dir, Options{SnapshotEvery: -1, SegmentRecords: 2})
+	reg, st := reopen(t, dir, Options{SnapshotEvery: -1, SegmentBytes: oneRecordPerSegment})
 	for i := 0; i < 5; i++ {
 		if err := reg.Put(specs[0].name, randomSummary(rng, specs[0])); err != nil {
 			t.Fatal(err)

@@ -154,7 +154,7 @@ func TestSnapshotFailureLogCorrelates(t *testing.T) {
 // span, the untraced path, appends the same.
 func TestAppendSpanTree(t *testing.T) {
 	rng := rand.New(rand.NewSource(24))
-	_, st := reopen(t, t.TempDir(), Options{SnapshotEvery: -1, SegmentRecords: 1, Fsync: true})
+	_, st := reopen(t, t.TempDir(), Options{SnapshotEvery: -1, SegmentBytes: oneRecordPerSegment, Fsync: true})
 	defer st.Close()
 	if _, err := st.AppendTraced(nil, specs[0].name, randomSummary(rng, specs[0])); err != nil {
 		t.Fatal(err)

@@ -22,26 +22,36 @@ import (
 // final one — reopening recovers exactly the same records and shrinks
 // nothing further.
 func FuzzWALReplay(f *testing.F) {
-	// Build a genuine rotated store once: 3 records at 2 per segment
-	// leave segment 1 sealed with 2 records and segment 2 live with 1.
+	// Build a genuine rotated store once: 2 records under the default
+	// caps, then a reopen under a one-record cap whose first append
+	// rotates, leave segment 1 sealed with 2 records and segment 2 live
+	// with 1.
 	seedDir := f.TempDir()
 	const sealedRecords = 2
-	func() {
-		rng := rand.New(rand.NewSource(42))
+	rng := rand.New(rand.NewSource(42))
+	put := 0
+	for _, open := range []struct {
+		opts    Options
+		records int
+	}{
+		{Options{SnapshotEvery: -1}, sealedRecords},
+		{Options{SnapshotEvery: -1, SegmentBytes: oneRecordPerSegment}, 1},
+	} {
 		reg := server.NewRegistry()
-		st, err := Open(seedDir, Options{SnapshotEvery: -1, SegmentRecords: sealedRecords}, reg.Put)
+		st, err := Open(seedDir, open.opts, reg.Put)
 		if err != nil {
 			f.Fatal(err)
 		}
 		reg.SetPersister(st)
-		for i := 0; i < sealedRecords+1; i++ {
-			spec := specs[i%len(specs)]
+		for i := 0; i < open.records; i++ {
+			spec := specs[put%len(specs)]
+			put++
 			if err := reg.Put(spec.name, randomSummary(rng, spec)); err != nil {
 				f.Fatal(err)
 			}
 		}
 		st.Close()
-	}()
+	}
 	sealed, err := os.ReadFile(filepath.Join(seedDir, segmentName(1)))
 	if err != nil {
 		f.Fatal(err)

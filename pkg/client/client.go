@@ -293,8 +293,8 @@ type MultiIngestOptions struct {
 }
 
 // IngestMulti streams a combined (key, instance, value) stream to the
-// server, which summarizes every listed instance in one scan through the
-// engine's multi-instance pipeline and registers the results.
+// server, which summarizes every listed instance in one scan, each in its
+// own in-line stream, and registers the results.
 func (c *Client) IngestMulti(ctx context.Context, opts MultiIngestOptions, stream io.Reader) (api.MultiPostResult, error) {
 	q := url.Values{
 		"dataset":   {opts.Dataset},
