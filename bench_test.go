@@ -519,7 +519,7 @@ func BenchmarkEngineMultiBottomK(b *testing.B) {
 	b.SetBytes(int64(len(pairs)) * 24)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		streams := make([]*core.BottomKStream, r)
+		streams := make([]*core.WeightedStream, r)
 		for id := range streams {
 			streams[id] = s.StreamBottomK(engine.Config{}, id, 1024, sampling.PPS{})
 		}
@@ -527,7 +527,7 @@ func BenchmarkEngineMultiBottomK(b *testing.B) {
 			streams[p.instance].Push(p.key, p.value)
 		}
 		for _, st := range streams {
-			sinkF += st.Close().RankTau()
+			sinkF += st.Close().(core.BottomKReader).RankTau()
 		}
 	}
 }

@@ -186,7 +186,7 @@ func main() {
 	// with a single scan: one in-line stream per instance.
 	fmt.Printf("\none-pass multi-instance summarization:\n\n")
 	ids := []int{0, 1, 2}
-	streams := make([]*core.PPSStream, len(ids))
+	streams := make([]*core.WeightedStream, len(ids))
 	for i, id := range ids {
 		streams[i] = summ.StreamPPS(engine.Config{}, id, taus[i])
 	}

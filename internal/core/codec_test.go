@@ -41,7 +41,7 @@ func queryBits(t *testing.T, s Summary) float64 {
 	switch v := s.(type) {
 	case *PPSSummary:
 		return v.SubsetSum(nil)
-	case *BottomKSummary:
+	case *bottomKSummary:
 		return v.SubsetSum(nil)
 	case *SetSummary:
 		return float64(v.Size()) / v.SetP()
@@ -328,7 +328,7 @@ func TestWireV2PayloadRatio(t *testing.T) {
 
 var (
 	millionOnce sync.Once
-	millionSum  *BottomKSummary
+	millionSum  *bottomKSummary
 )
 
 // millionEntryBottomK synthesizes a 1M-entry bottom-k summary without
@@ -336,7 +336,7 @@ var (
 // flow identifiers look like) and full-precision weights (what
 // aggregated rates look like), shared between the payload test and the
 // codec benchmarks.
-func millionEntryBottomK(tb testing.TB) *BottomKSummary {
+func millionEntryBottomK(tb testing.TB) *bottomKSummary {
 	tb.Helper()
 	millionOnce.Do(func() {
 		const n = 1 << 20

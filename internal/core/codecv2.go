@@ -318,7 +318,7 @@ func parseSummaryV2(data []byte, stored bool) (Summary, int, error) {
 	case v2KindSet:
 		return &SetSummary{summaryData: sd, p: param}, end, nil
 	default: // v2KindBottomK: the kind switch above refused every other tag
-		return &BottomKSummary{summaryData: sd, fam: fam, tau: param}, end, nil
+		return &bottomKSummary{summaryData: sd, fam: fam, tau: param}, end, nil
 	}
 }
 

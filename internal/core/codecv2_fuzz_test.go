@@ -110,8 +110,8 @@ func FuzzDecodeSummaryV2(f *testing.F) {
 		switch v := sum.(type) {
 		case *PPSSummary:
 			bits, bits2 = v.SubsetSum(nil), sum2.(*PPSSummary).SubsetSum(nil)
-		case *BottomKSummary:
-			bits, bits2 = v.SubsetSum(nil), sum2.(*BottomKSummary).SubsetSum(nil)
+		case *bottomKSummary:
+			bits, bits2 = v.SubsetSum(nil), sum2.(*bottomKSummary).SubsetSum(nil)
 		case *SetSummary:
 			bits, bits2 = float64(v.Size())/v.SetP(), float64(sum2.(*SetSummary).Size())/sum2.(*SetSummary).SetP()
 		}

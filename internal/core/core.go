@@ -266,7 +266,7 @@ func categorizeMerge(m *unionMerge, seed []xhash.InstanceSeeder, p [2]float64, s
 // sampling.StreamBottomK; k must be positive.
 //
 //summarylint:ignore the in-memory bottom-k reference shared by the tests of internal/engine, internal/server and internal/store
-func (s *Summarizer) SummarizeBottomK(instance int, in dataset.Instance, k int, fam sampling.RankFamily) *BottomKSummary {
+func (s *Summarizer) SummarizeBottomK(instance int, in dataset.Instance, k int, fam sampling.RankFamily) *bottomKSummary {
 	st := sampling.NewStreamBottomK(k, fam, s.seedFunc(instance))
 	pushInstance(st.Push, in)
 	return newBottomKSummary(s.seeder, instance, st.Snapshot())

@@ -136,7 +136,7 @@ func decodeSetWire(w setWire) (*SetSummary, error) {
 	return newSetSummary(xhash.Seeder{Salt: w.Salt}, w.Instance, w.P, w.Members), nil
 }
 
-// bottomkWire is the serialized form of a BottomKSummary. Tau encodes the
+// bottomkWire is the serialized form of a bottomKSummary. Tau encodes the
 // rank-conditioning threshold; because JSON has no representation for
 // +Inf, an absent (zero) tau means "unbounded": every positive key was
 // retained.
@@ -154,7 +154,7 @@ type bottomkWire struct {
 // MarshalJSON encodes the bottom-k summary with its randomization salt and
 // rank family, so the receiver can recompute every rank-conditioning
 // inclusion probability.
-func (b *BottomKSummary) MarshalJSON() ([]byte, error) {
+func (b *bottomKSummary) MarshalJSON() ([]byte, error) {
 	tau := b.tau
 	if math.IsInf(tau, 1) {
 		tau = 0
@@ -170,9 +170,9 @@ func (b *BottomKSummary) MarshalJSON() ([]byte, error) {
 	})
 }
 
-// decodeBottomKWire reconstructs a BottomKSummary from its parsed v1 wire
+// decodeBottomKWire reconstructs a bottomKSummary from its parsed v1 wire
 // form.
-func decodeBottomKWire(w bottomkWire, stored bool) (*BottomKSummary, error) {
+func decodeBottomKWire(w bottomkWire, stored bool) (*bottomKSummary, error) {
 	if err := checkWire("bottomk", w.Version, w.Shared); err != nil {
 		return nil, err
 	}

@@ -22,24 +22,49 @@ func engineTestInstance(n int) dataset.Instance {
 }
 
 // TestStreamConfigsAgree: the engine-backed streams produce the same
-// summary for every execution strategy, and match the one-shot entry
-// points, which push the instance through the same samplers in-line.
+// summary and count the same pairs for every execution strategy — the
+// async ones bench/summaryload drives included — whether fed by Push or by
+// uneven PushBatch slices, and match the one-shot entry points, which push
+// the instance through the same samplers in-line.
 func TestStreamConfigsAgree(t *testing.T) {
 	in := engineTestInstance(600)
+	pairs := make([]engine.Pair, 0, len(in))
+	for h, v := range in {
+		pairs = append(pairs, engine.Pair{Key: h, Value: v})
+	}
 	s := NewSummarizer(404)
-	cfgs := []engine.Config{{}, {Parallel: true, Shards: 3, BatchSize: 50}, {Parallel: true}}
+	cfgs := []engine.Config{{}, {Parallel: true, Shards: 3, BatchSize: 50}, {Parallel: true},
+		{Async: true}, {Parallel: true, Shards: 2, Async: true}}
 
 	wantPPS := s.SummarizePPS(0, in, 40)
 	wantBK := s.SummarizeBottomK(1, in, 30, sampling.EXP{})
 	for _, cfg := range cfgs {
-		ps := s.StreamPPS(cfg, 0, 40)
-		bs := s.StreamBottomK(cfg, 1, 30, sampling.EXP{})
-		for h, v := range in {
-			ps.Push(h, v)
-			bs.Push(h, v)
+		for _, batched := range []bool{false, true} {
+			for _, c := range []struct {
+				name string
+				st   *WeightedStream
+				want Summary
+			}{
+				{"pps", s.StreamPPS(cfg, 0, 40), wantPPS},
+				{"bottom-k", s.StreamBottomK(cfg, 1, 30, sampling.EXP{}), wantBK},
+			} {
+				label := fmt.Sprintf("cfg %+v, batched %v: %s", cfg, batched, c.name)
+				if batched {
+					// Slices of 1, 2, 3, ... pairs, the last one cut short.
+					for i, n := 0, 1; i < len(pairs); i, n = i+n, n+1 {
+						c.st.PushBatch(pairs[i:min(i+n, len(pairs))])
+					}
+				} else {
+					for _, p := range pairs {
+						c.st.Push(p.Key, p.Value)
+					}
+				}
+				if got := c.st.Stats().Pairs; got != uint64(len(pairs)) {
+					t.Errorf("%s: Stats().Pairs = %d, want %d", label, got, len(pairs))
+				}
+				sameSummary(t, label, c.st.Close(), c.want)
+			}
 		}
-		sameSummary(t, fmt.Sprintf("cfg %+v: pps", cfg), ps.Close(), wantPPS)
-		sameSummary(t, fmt.Sprintf("cfg %+v: bottom-k", cfg), bs.Close(), wantBK)
 	}
 }
 
@@ -63,7 +88,7 @@ func TestStreamSummarizersMatchBatch(t *testing.T) {
 	for h, v := range in {
 		ps.Push(h, v)
 	}
-	gotPPS := ps.Close()
+	gotPPS := ps.Close().(*PPSSummary)
 	sameSummary(t, "pps stream", gotPPS, wantPPS)
 	// Stream-built summaries stay combinable with one-shot ones.
 	if _, err := MaxDominanceReaders(wantPPS, gotPPS, nil); err == nil {

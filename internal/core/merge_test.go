@@ -165,7 +165,7 @@ func TestMaxDominanceDeterministicAcrossSummarizations(t *testing.T) {
 			for h, v := range m.Instances[i] {
 				st.Push(h, v)
 			}
-			sums[i] = st.Close()
+			sums[i] = st.Close().(*PPSSummary)
 		}
 		res, err := MaxDominanceReaders(sums[0], sums[1], nil)
 		if err != nil {

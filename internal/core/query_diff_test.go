@@ -26,7 +26,7 @@ import (
 type diffCase struct {
 	pps     []*PPSSummary
 	sets    []*SetSummary
-	bottomk []*BottomKSummary
+	bottomk []*bottomKSummary
 
 	refPPS     []*refPPS
 	refSets    []*refSet

@@ -238,9 +238,9 @@ func (s *SetSummary) Contains(h dataset.Key) bool {
 	return i < s.n && s.memberAt(i) == uint64(h)
 }
 
-// BottomKSummary is a bottom-k (order) summary of one instance: the k
+// bottomKSummary is a bottom-k (order) summary of one instance: the k
 // lowest-ranked keys and the conditioning threshold.
-type BottomKSummary struct {
+type bottomKSummary struct {
 	summaryData
 	fam sampling.RankFamily
 	tau float64
@@ -248,12 +248,12 @@ type BottomKSummary struct {
 
 // newBottomKSummary builds a bottom-k summary from a sample drawn with the
 // PPS or EXP rank family, the two the wire formats name.
-func newBottomKSummary(seeder xhash.Seeder, instance int, sample *sampling.WeightedSample) *BottomKSummary {
+func newBottomKSummary(seeder xhash.Seeder, instance int, sample *sampling.WeightedSample) *bottomKSummary {
 	tag, ok := v2FamilyTag(sample.Family)
 	if !ok {
 		panic("core: bottom-k summary of unknown rank family " + sample.Family.Name())
 	}
-	return &BottomKSummary{
+	return &bottomKSummary{
 		summaryData: newSummaryData(v2KindBottomK, seeder, instance, tag, sample.Tau, sample.Entries),
 		fam:         sample.Family,
 		tau:         sample.Tau,
@@ -261,18 +261,18 @@ func newBottomKSummary(seeder xhash.Seeder, instance int, sample *sampling.Weigh
 }
 
 // Kind implements Summary.
-func (b *BottomKSummary) Kind() string { return "bottomk" }
+func (b *bottomKSummary) Kind() string { return "bottomk" }
 
 // RankTau implements BottomKReader.
-func (b *BottomKSummary) RankTau() float64 { return b.tau }
+func (b *bottomKSummary) RankTau() float64 { return b.tau }
 
 // RankFam implements BottomKReader.
-func (b *BottomKSummary) RankFam() sampling.RankFamily { return b.fam }
+func (b *bottomKSummary) RankFam() sampling.RankFamily { return b.fam }
 
 // Lookup implements BottomKReader.
-func (b *BottomKSummary) Lookup(h dataset.Key) (float64, bool) { return b.lookupWeighted(h) }
+func (b *bottomKSummary) Lookup(h dataset.Key) (float64, bool) { return b.lookupWeighted(h) }
 
 // SubsetSum estimates Σ_{h∈sel} v(h) with the rank-conditioning estimator.
-func (b *BottomKSummary) SubsetSum(sel func(dataset.Key) bool) float64 {
+func (b *bottomKSummary) SubsetSum(sel func(dataset.Key) bool) float64 {
 	return b.weightedSubsetSum(b.fam, b.tau, sel)
 }

@@ -123,7 +123,7 @@ func TestViewSubsetSumBitIdentical(t *testing.T) {
 		switch s := s.(type) {
 		case *PPSSummary:
 			ref = (&refPPS{refWeighted{values: entryMap(s)}, s.PPSTau()}).SubsetSum
-		case *BottomKSummary:
+		case *bottomKSummary:
 			ref = (&refBottomK{refWeighted{values: entryMap(s)}, s.RankFam(), s.RankTau()}).SubsetSum
 		default:
 			continue // set summaries have no SubsetSum

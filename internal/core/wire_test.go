@@ -120,13 +120,13 @@ func TestBottomKSummaryRoundTrip(t *testing.T) {
 
 // decodeBottomK decodes data with DecodeSummary and asserts a bottom-k
 // summary came out.
-func decodeBottomK(t *testing.T, data []byte) *BottomKSummary {
+func decodeBottomK(t *testing.T, data []byte) *bottomKSummary {
 	t.Helper()
 	s, err := DecodeSummary(data)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, ok := s.(*BottomKSummary)
+	b, ok := s.(*bottomKSummary)
 	if !ok {
 		t.Fatalf("decoded a %s summary, want bottomk", s.Kind())
 	}

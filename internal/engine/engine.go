@@ -2,20 +2,23 @@
 // throughput layer between raw (key, value) arrivals and the sampling
 // substrates of internal/sampling.
 //
-// A summarizer hash-partitions keys across a configurable number of shards,
-// each served by a worker goroutine running independent sequential
-// samplers (StreamBottomK for bottom-k / order sampling, StreamPoissonPPS
-// for Poisson PPS). Arrivals are handed to workers in batches to amortize
-// channel synchronization. On Close the per-shard samples are merged into a
-// summary identical to what one sequential pass over the whole stream would
-// have produced: ranks and inclusion tests depend only on the shared seed
-// function, never on arrival order or shard assignment, so the merge is
-// well-defined and exact (sampling.MergeBottomK).
+// A Stream hash-partitions keys across a configurable number of shards,
+// each served by a worker goroutine running one sequential sampler of the
+// stream's kind (sampling.StreamBottomK for bottom-k / order sampling,
+// sampling.StreamPoissonPPS for Poisson PPS). Arrivals are handed to
+// workers in batches to amortize channel synchronization. On Close the
+// per-shard samples are merged into a sample identical to what one
+// sequential pass over the whole stream would have kept: ranks and
+// inclusion tests depend only on the shared seed function, never on
+// arrival order or shard assignment, so the merge is well-defined and
+// exact (sampling.MergeBottomK over the shards' entries,
+// sampling.MergePoissonPPS as a union).
 //
 // # Execution modes
 //
 // The zero Config routes everything through a single in-line sequential
-// sampler with no goroutines — the safe default for small instances.
+// sampler with no goroutines — the safe default for small instances —
+// and Push calls that sampler's own Push.
 // Config{Parallel: true} fans out across GOMAXPROCS workers; Push then
 // does no sampling work itself, it only routes batches.
 //
@@ -28,12 +31,12 @@
 // Memory is bounded by shards × (QueueDepth+2) × BatchSize buffered pairs
 // (per shard: the producer-side buffer, the queued batches, and the batch
 // the worker is applying).
-// Close always drains: the summary it returns holds every pushed pair and
-// is bit-identical to the sync-mode (and sequential) summary.
+// Close always drains: the sample it returns holds every pushed pair and
+// is bit-identical to the sync-mode (and sequential) sample.
 //
 // This is the seam ingest backends (files, sockets, queues) plug into:
 // anything that can produce Pair values can saturate the pipeline.
-// Multi-instance summarization is r such pipelines, one per instance: the
+// Multi-instance summarization is r such streams, one per instance: the
 // server's one-pass multi-instance ingest routes each pair of a combined
 // stream to its instance's in-line stream.
 package engine
@@ -62,9 +65,10 @@ const defaultQueueDepth = 8
 // to calling the internal/sampling streams directly.
 //
 // Zero-valued fields select documented defaults (see each field); negative
-// values are meaningless and rejected by Validate. Pipeline constructors,
-// and server.New, panic on an invalid Config; a caller holding settings it
-// did not choose calls Validate first and reports the error.
+// values are meaningless and rejected by Validate. NewBottomK,
+// NewPoissonPPS and server.New panic on an invalid Config; a caller
+// holding settings it did not choose calls Validate first and reports the
+// error.
 type Config struct {
 	// Parallel enables the sharded pipeline. When false (and Async is
 	// false) the engine degenerates to a single in-line sampler.

@@ -38,6 +38,12 @@ const maxIngestLine = 1 << 20
 // producers.
 const maxIngestBody = 256 << 20
 
+// maxIngestInstances bounds /v1/ingest/multi's instances list. The handler
+// opens a stream and a repeated-key set per listed instance before it
+// reads the body, and registers a summary per instance after, so the cap
+// bounds what one request's header can make the server hold.
+const maxIngestInstances = 1024
+
 // ingestRequest carries the parsed, validated parameters of an ingest of
 // either route.
 type ingestRequest struct {
@@ -164,7 +170,8 @@ func (s *Server) parseIngest(r *http.Request, multi bool) (ingestRequest, error)
 
 // parseIngestInstances reads the instance IDs of an ingest: /v1/ingest's
 // instance parameter, or /v1/ingest/multi's instances list, whose IDs
-// must be distinct, with the position of each.
+// must be distinct and at most maxIngestInstances, with the position of
+// each.
 func parseIngestInstances(q url.Values, multi bool) ([]int, map[int]int, error) {
 	if !multi {
 		instance, err := strconv.Atoi(q.Get("instance"))
@@ -173,7 +180,11 @@ func parseIngestInstances(q url.Values, multi bool) ([]int, map[int]int, error) 
 		}
 		return []int{instance}, nil, nil
 	}
-	ids, err := parseInstances(q.Get("instances"))
+	list := q.Get("instances")
+	if strings.Count(list, ",") >= maxIngestInstances {
+		return nil, nil, fmt.Errorf("server: multi ingest lists more than %d instances", maxIngestInstances)
+	}
+	ids, err := parseInstances(list)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -227,21 +238,22 @@ func (s *Server) handleIngest(multi bool) http.HandlerFunc {
 		}
 		streams := make([]ingestStream, len(p.instances))
 		for i, id := range p.instances {
+			var st *core.WeightedStream
 			switch p.kind {
 			case "pps":
-				st := p.summ.StreamPPS(engine.Config{}, id, p.taus[i])
-				streams[i] = ingestStream{push: st.PushBatch, close: func() core.Summary { return st.Close() }, sampler: st}
+				st = p.summ.StreamPPS(engine.Config{}, id, p.taus[i])
 			case "bottomk":
-				st := p.summ.StreamBottomK(engine.Config{}, id, p.k, p.fam)
-				streams[i] = ingestStream{push: st.PushBatch, close: func() core.Summary { return st.Close() }, sampler: st}
+				st = p.summ.StreamBottomK(engine.Config{}, id, p.k, p.fam)
 			case "set":
-				st := p.summ.StreamSet(id, p.p)
-				streams[i] = ingestStream{close: func() core.Summary { return st.Close() }, push: func(ps []engine.Pair) {
+				set := p.summ.StreamSet(id, p.p)
+				streams[i] = ingestStream{close: func() core.Summary { return set.Close() }, push: func(ps []engine.Pair) {
 					for _, p := range ps {
-						st.Push(p.Key)
+						set.Push(p.Key)
 					}
 				}}
+				continue
 			}
+			streams[i] = ingestStream{push: st.PushBatch, close: st.Close, sampler: st}
 		}
 		// Tracing instruments the request's engine stages from outside the
 		// pipeline: the scan+push loop, the drain (Close), and the registry

@@ -204,6 +204,25 @@ func TestIngestMultiErrors(t *testing.T) {
 		Dataset: "m", Instances: []int{0, 0}, Kind: "pps", Salt: 1, SaltSet: true, Taus: []float64{5},
 	}, bytes.NewReader(nil))
 	expect("duplicate instance", err, "duplicate instance")
+	// The instances list is capped, at the server's maxIngestInstances,
+	// before any stream is opened.
+	const maxInstances = 1024
+	for _, n := range []int{maxInstances, maxInstances + 1} {
+		many := make([]int, n)
+		for i := range many {
+			many[i] = i
+		}
+		_, err = c.IngestMulti(ctx, client.MultiIngestOptions{
+			Dataset: fmt.Sprintf("many%d", n), Instances: many, Kind: "pps", Salt: 1, SaltSet: true, Taus: []float64{5},
+		}, bytes.NewReader(nil))
+		var se *client.StatusError
+		switch {
+		case n == maxInstances && err != nil:
+			t.Errorf("%d instances: %v, want accepted", n, err)
+		case n > maxInstances && (!errors.As(err, &se) || se.Status != http.StatusBadRequest || !strings.Contains(se.Message, "more than 1024 instances")):
+			t.Errorf("%d instances: error %v, want a 400 that names the cap", n, err)
+		}
+	}
 	_, err = c.IngestMulti(ctx, client.MultiIngestOptions{
 		Dataset: "m", Instances: ids, Kind: "pps", Salt: 1, SaltSet: true, Taus: []float64{5, 6},
 	}, bytes.NewReader(nil))

@@ -603,22 +603,14 @@ type batchColumns struct {
 
 // ingestStream is one instance's in-line stream as an ingest drives it:
 // where its pairs go, up to ingestBatch at a time, and how it is drained
-// into its summary. A weighted stream is also a sampler.
+// into its summary. A weighted stream is also its own sampler: its seeds
+// and certain-reject bound for the window lexers' gate, the count of pairs
+// the gate rejected without a push, and, after the drain, its engine's
+// counters.
 type ingestStream struct {
 	push    func([]engine.Pair)
 	close   func() core.Summary
-	sampler sampler // nil for a set stream
-}
-
-// sampler is what the scan and the handler read of a weighted stream
-// (core.PPSStream, core.BottomKStream): its seeds and certain-reject bound
-// for the window lexers' gate, the count of pairs the gate rejected
-// without a push, and, after the drain, its engine's counters.
-type sampler interface {
-	Seeder() xhash.InstanceSeeder
-	TauGuard() float64
-	PushRejected(n int)
-	Stats() engine.Stats
+	sampler *core.WeightedStream // nil for a set stream
 }
 
 // lineShape is what every line of one request's body holds, fixed by its
@@ -685,7 +677,7 @@ type pairBatch struct {
 	// of pushing them, and re-reads the bound after every push — a bound
 	// read earlier is never below the current one, so it rejects nothing
 	// the sampler would keep.
-	gated sampler
+	gated *core.WeightedStream
 	gate  rejectGate
 }
 

@@ -323,30 +323,16 @@ const gatedSalt = 2011
 // ranks, which a lead of valid lines fills.
 var gatedSamplers = []struct {
 	name string
-	open func(*core.Summarizer) (sampledStream, func() core.Summary)
+	open func(*core.Summarizer) *core.WeightedStream
 }{
-	{"pps tau=2", func(s *core.Summarizer) (sampledStream, func() core.Summary) {
-		st := s.StreamPPS(engine.Config{}, 0, 2)
-		return st, func() core.Summary { return st.Close() }
+	{"pps tau=2", func(s *core.Summarizer) *core.WeightedStream { return s.StreamPPS(engine.Config{}, 0, 2) }},
+	{"pps tau=2000", func(s *core.Summarizer) *core.WeightedStream { return s.StreamPPS(engine.Config{}, 0, 2000) }},
+	{"bottomk pps", func(s *core.Summarizer) *core.WeightedStream {
+		return s.StreamBottomK(engine.Config{}, 0, 8, sampling.PPS{})
 	}},
-	{"pps tau=2000", func(s *core.Summarizer) (sampledStream, func() core.Summary) {
-		st := s.StreamPPS(engine.Config{}, 0, 2000)
-		return st, func() core.Summary { return st.Close() }
+	{"bottomk exp", func(s *core.Summarizer) *core.WeightedStream {
+		return s.StreamBottomK(engine.Config{}, 0, 8, sampling.EXP{})
 	}},
-	{"bottomk pps", func(s *core.Summarizer) (sampledStream, func() core.Summary) {
-		st := s.StreamBottomK(engine.Config{}, 0, 8, sampling.PPS{})
-		return st, func() core.Summary { return st.Close() }
-	}},
-	{"bottomk exp", func(s *core.Summarizer) (sampledStream, func() core.Summary) {
-		st := s.StreamBottomK(engine.Config{}, 0, 8, sampling.EXP{})
-		return st, func() core.Summary { return st.Close() }
-	}},
-}
-
-// sampledStream is a core stream the gate can reject pairs for.
-type sampledStream interface {
-	sampler
-	PushBatch([]engine.Pair)
 }
 
 // diffGatedScan scans body, in one format, into each of gatedSamplers
@@ -357,7 +343,7 @@ type sampledStream interface {
 func diffGatedScan(t *testing.T, format string, body []byte, reader func([]byte) io.Reader, what string) (rejected int64) {
 	t.Helper()
 	return diffGated(t, fmt.Sprintf("%s, %s", format, what), body, reader, lineShape{csv: format == "csv"}, []int{0}, nil,
-		func(r io.Reader, plain sampledStream) (int64, error) {
+		func(r io.Reader, plain *core.WeightedStream) (int64, error) {
 			return scanPairs(context.Background(), r, format, false, plain.PushBatch)
 		})
 }
@@ -368,7 +354,7 @@ func diffGatedScan(t *testing.T, format string, body []byte, reader func([]byte)
 func diffGatedMultiScan(t *testing.T, format string, body []byte, reader func([]byte) io.Reader, what string) (rejected int64) {
 	t.Helper()
 	return diffGated(t, fmt.Sprintf("%s triples, %s", format, what), body, reader, lineShape{csv: format == "csv", triples: true}, []int{7}, map[int]int{7: 0},
-		func(r io.Reader, plain sampledStream) (int64, error) {
+		func(r io.Reader, plain *core.WeightedStream) (int64, error) {
 			return scanMultiPairsRef(r, format, map[int]int{7: 0}, func(_ int, h dataset.Key, v float64) {
 				plain.PushBatch([]engine.Pair{{Key: h, Value: v}})
 			})
@@ -377,13 +363,13 @@ func diffGatedMultiScan(t *testing.T, format string, body []byte, reader func([]
 
 // diffGated is the gated legs' comparison: scanIngest of body, in shape,
 // into each of gatedSamplers, against ungated into a fresh one of the same.
-func diffGated(t *testing.T, what string, body []byte, reader func([]byte) io.Reader, shape lineShape, ids []int, index map[int]int, ungated func(io.Reader, sampledStream) (int64, error)) (rejected int64) {
+func diffGated(t *testing.T, what string, body []byte, reader func([]byte) io.Reader, shape lineShape, ids []int, index map[int]int, ungated func(io.Reader, *core.WeightedStream) (int64, error)) (rejected int64) {
 	t.Helper()
 	summ := core.NewSummarizer(gatedSalt)
 	for _, s := range gatedSamplers {
-		plain, closePlain := s.open(summ)
+		plain := s.open(summ)
 		n, err := ungated(reader(body), plain)
-		gated, closeGated := s.open(summ)
+		gated := s.open(summ)
 		nGated, r, errGated := scanIngest(context.Background(), reader(body), shape, []ingestStream{{push: gated.PushBatch, sampler: gated}}, ids, index)
 		rejected += r
 		at := fmt.Sprintf("gated scan into %s (%s)", s.name, what)
@@ -393,8 +379,8 @@ func diffGated(t *testing.T, what string, body []byte, reader func([]byte) io.Re
 		if got, want := gated.Stats(), plain.Stats(); got != want {
 			t.Fatalf("%s: engine stats %+v, ungated %+v", at, got, want)
 		}
-		got, errG := core.EncodeSummary(closeGated(), 2)
-		want, errW := core.EncodeSummary(closePlain(), 2)
+		got, errG := core.EncodeSummary(gated.Close(), 2)
+		want, errW := core.EncodeSummary(plain.Close(), 2)
 		if errG != nil || errW != nil || !bytes.Equal(got, want) {
 			t.Fatalf("%s: summaries differ (encode errors %v, %v):\n  gated   %x\n  ungated %x", at, errG, errW, got, want)
 		}

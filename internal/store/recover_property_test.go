@@ -246,9 +246,9 @@ func TestCrashRecoveryProperty(t *testing.T) {
 				case *core.PPSSummary:
 					got = v.SubsetSum(nil)
 					want = expected[ds][s.InstanceID()].(*core.PPSSummary).SubsetSum(nil)
-				case *core.BottomKSummary:
+				case core.BottomKReader:
 					got = v.SubsetSum(nil)
-					want = expected[ds][s.InstanceID()].(*core.BottomKSummary).SubsetSum(nil)
+					want = expected[ds][s.InstanceID()].(core.BottomKReader).SubsetSum(nil)
 				default:
 					return nil
 				}

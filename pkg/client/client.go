@@ -159,10 +159,10 @@ func (c *Client) Datasets(ctx context.Context) ([]api.DatasetInfo, error) {
 }
 
 // PostSummary stores a summary under the named dataset. The summary is
-// either a core summary value (*core.PPSSummary, *core.SetSummary,
-// *core.BottomKSummary), posted in the v2 binary
-// format, or pre-encoded wire bytes ([]byte / json.RawMessage, either
-// format), posted as they are for the server to sniff.
+// either a core summary value (a core.Summary: pps, set or bottom-k),
+// posted in the v2 binary format, or pre-encoded wire bytes ([]byte /
+// json.RawMessage, either format), posted as they are for the server to
+// sniff.
 func (c *Client) PostSummary(ctx context.Context, dataset string, summary any) (api.PostResult, error) {
 	var out api.PostResult
 	var (
@@ -294,7 +294,8 @@ type MultiIngestOptions struct {
 
 // IngestMulti streams a combined (key, instance, value) stream to the
 // server, which summarizes every listed instance in one scan, each in its
-// own in-line stream, and registers the results.
+// own in-line stream, and registers the results. The server refuses a
+// list of more than 1024 instances with a 400.
 func (c *Client) IngestMulti(ctx context.Context, opts MultiIngestOptions, stream io.Reader) (api.MultiPostResult, error) {
 	q := url.Values{
 		"dataset":   {opts.Dataset},
