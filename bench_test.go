@@ -404,11 +404,25 @@ func benchStream(n int) []engine.Pair {
 // BenchmarkEngineBottomK measures sharded bottom-k summarization of a
 // 1M-key stream at 1/2/4/8 shards. shards=1 is the sequential baseline
 // (in-line StreamBottomK, no goroutines); the per-shard speedup only
-// materializes when GOMAXPROCS cores are actually available.
+// materializes when GOMAXPROCS cores are actually available. push is
+// shards=1 fed one Push per pair, the per-arrival path of callers that
+// summarize as pairs arrive, where the others hand the stream over in one
+// PushBatch.
 func BenchmarkEngineBottomK(b *testing.B) {
 	pairs := benchStream(1 << 20)
 	seeder := xhash.Seeder{Salt: 9}
 	seed := func(h dataset.Key) float64 { return seeder.Seed(0, uint64(h)) }
+	b.Run("push", func(b *testing.B) {
+		b.SetBytes(int64(len(pairs)) * 16)
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			e := engine.NewBottomK(4096, sampling.PPS{}, seed, engine.Config{})
+			for _, p := range pairs {
+				e.Push(p.Key, p.Value)
+			}
+			sinkF += e.Close().Tau
+		}
+	})
 	for _, shards := range []int{1, 2, 4, 8} {
 		b.Run(benchName("shards", shards), func(b *testing.B) {
 			cfg := engine.Config{Parallel: shards > 1, Shards: shards}

@@ -9,6 +9,7 @@
 //	benchgate -baseline bench/baselines/hotpath.json bench.txt
 //	benchgate -baseline bench/baselines/hotpath.json -update bench.txt
 //	benchgate -baseline ... -out BENCH_hotpath.json bench.txt more.txt
+//	benchgate -pair -bench 'BenchmarkScanPairs$' [-baseline ...] parent.test change.test
 //
 // Input files (or stdin when none are given) hold the standard text
 // output of `go test -bench`. Lines that are not benchmark results are
@@ -34,6 +35,14 @@
 // Benchmark names are normalized by stripping the trailing -N GOMAXPROCS
 // suffix, so baselines do not depend on the runner's core count.
 //
+// -pair is the paired gate (pair.go): instead of reading results, it runs
+// two `go test -c` binaries of one package by turns, a row at a time, from
+// the current directory, and gates each row on the ratio of the change's
+// median ns/op to the parent's and on allocations; -baseline is optional
+// there and adds its allocs/op pins. It answers "did this change
+// slow the row down" on a box whose absolute ns/op wander more than any
+// fixed pin allows.
+//
 // -out writes a JSON report of every parsed benchmark (ns/op, allocs/op,
 // baseline and delta when gated). Reject-path benchmarks — names
 // containing "Reject" — are additionally surfaced in a top-level
@@ -53,10 +62,16 @@ func main() {
 	update := flag.Bool("update", false, "rewrite the baseline from the input instead of gating")
 	out := flag.String("out", "", "write a JSON report of all parsed benchmarks to this file")
 	nsSlack := flag.Float64("ns-slack", 0.10, "allowed fractional ns/op regression (0.10 = +10%)")
+	pair := flag.Bool("pair", false, "run two test binaries (parent, change) by turns and gate on the ratio of medians")
+	bench := flag.String("bench", ".", "with -pair: the -test.bench pattern")
 	flag.Parse()
 
+	if *pair {
+		os.Exit(mainPair(pairConfig{turns: pairTurns, bench: *bench, benchtime: pairBenchtime}, *baselinePath, *out, pairSlack))
+	}
+
 	if *baselinePath == "" {
-		fmt.Fprintln(os.Stderr, "benchgate: -baseline is required")
+		fmt.Fprintln(os.Stderr, "benchgate: -baseline is required without -pair")
 		os.Exit(2)
 	}
 	results, err := readResults(flag.Args())
@@ -97,6 +112,51 @@ func main() {
 		fmt.Fprintf(os.Stderr, "benchgate: %d regression(s)\n", len(report.Failures))
 		os.Exit(1)
 	}
+}
+
+// mainPair runs the paired gate on the two binaries named by the
+// arguments and returns the exit status.
+func mainPair(cfg pairConfig, baselinePath, out string, slack float64) int {
+	if flag.NArg() != 2 {
+		fmt.Fprintln(os.Stderr, "benchgate: -pair needs two test binaries, parent then change")
+		return 2
+	}
+	cfg.parent, cfg.change = flag.Arg(0), flag.Arg(1)
+	var base Baseline
+	if baselinePath != "" {
+		var err error
+		if base, err = readBaseline(baselinePath); err != nil {
+			fmt.Fprintf(os.Stderr, "benchgate: %v\n", err)
+			return 2
+		}
+	}
+	samples, err := runPair(cfg)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "benchgate: %v\n", err)
+		return 2
+	}
+	if len(samples.parent) == 0 {
+		fmt.Fprintln(os.Stderr, "benchgate: no benchmark results from the parent")
+		return 2
+	}
+	report := gatePair(samples, base, slack)
+	for _, line := range report.Lines() {
+		fmt.Println(line)
+	}
+	if out != "" {
+		if err := report.write(out); err != nil {
+			fmt.Fprintf(os.Stderr, "benchgate: %v\n", err)
+			return 2
+		}
+	}
+	if len(report.Failures) > 0 {
+		for _, f := range report.Failures {
+			fmt.Fprintln(os.Stderr, "benchgate:", f)
+		}
+		fmt.Fprintf(os.Stderr, "benchgate: %d regression(s)\n", len(report.Failures))
+		return 1
+	}
+	return 0
 }
 
 func readResults(paths []string) (map[string]Result, error) {

@@ -4,11 +4,13 @@ import (
 	"bufio"
 	"bytes"
 	"context"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"math"
+	"math/bits"
 	"net/http"
 	"strconv"
 	"sync"
@@ -26,8 +28,10 @@ import (
 // key,instance,value triples, in either format. Each format has a window
 // lexer (lexCSVLine, lexNDJSONLine) that reads one whole line — leading
 // blanks, key digits, separators, instance, value token, trailing blanks,
-// newline — in a single forward pass over the line reader's unread bytes,
-// and hands only a value the seed cannot reject on, to strconv.ParseFloat:
+// newline — in a single forward pass over the line reader's unread bytes:
+// a blank-free line of the common shape 8 bytes at a time (lexWords), any
+// other byte by byte. It hands only a value the seed cannot reject on to
+// strconv.ParseFloat:
 // under a rejectGate, a plain value token's leading digit and digit count
 // bound its value, and the sampler's own certain-reject test against that
 // bound decides most pairs of a full sampler before their value is parsed.
@@ -371,6 +375,262 @@ func skipBlank(b []byte, i int) int {
 	return i
 }
 
+// The word path. A blank-free line whose every token the lexers would read
+// byte by byte is read 8 bytes at a time instead: the fixed tokens as
+// little-endian word compares, each digit run as the count of digits
+// leading a word and their value by an eight-digit SWAR conversion
+// (Lemire), so neither the key nor the value token costs a loop per byte.
+// Each word is loaded only where 8 bytes of the window are left, which
+// keeps every load inside the line or the lines after it; whatever the word
+// path does not prove — blanks, a sign, an exponent, a leading zero, a key
+// past 19 digits, a "\r", a line near the window's end — it leaves, and the
+// byte path reads the line from its start. So the byte path, and through it
+// the second tier, judges every line the word path does not take, and the
+// word path takes only lines the byte path takes the same way.
+
+// The fixed tokens of a line the ndjson word path takes, as little-endian
+// words: `{"key":`, its first 7 bytes; `,"value"`, the 8 bytes before the
+// value's colon; and `,"instance":`, which may stand between the two, as
+// `,"instan` and `ce":`.
+const (
+	ndjsonHead         = '{' | '"'<<8 | 'k'<<16 | 'e'<<24 | 'y'<<32 | '"'<<40 | ':'<<48
+	ndjsonValue        = ',' | '"'<<8 | 'v'<<16 | 'a'<<24 | 'l'<<32 | 'u'<<40 | 'e'<<48 | '"'<<56
+	ndjsonInstance     = ',' | '"'<<8 | 'i'<<16 | 'n'<<24 | 's'<<32 | 't'<<40 | 'a'<<48 | 'n'<<56
+	ndjsonInstanceTail = 'c' | 'e'<<8 | '"'<<16 | ':'<<24
+)
+
+// pow10u holds the uint64 powers 10^0 … 10^8, which shift a value past
+// the up to 8 digits that follow it.
+var pow10u = [9]uint64{1, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8}
+
+// load8 returns b[i:i+8] as a little-endian word; 8 bytes must be left.
+//
+//summarylint:hot
+func load8(b []byte, i int) uint64 { return binary.LittleEndian.Uint64(b[i:]) }
+
+// nonDigits sets bit 7 of each byte of x that is not an ASCII digit, and
+// clears every other bit: x^'0' maps exactly the digits to 0…9, and a byte
+// d is above 9 when bit 7 is set in d or in (d&0x7f)+0x76 — a sum that
+// cannot carry into the next byte.
+//
+//summarylint:hot
+func nonDigits(x uint64) uint64 {
+	d := x ^ 0x3030303030303030
+	return (d | (d&0x7f7f7f7f7f7f7f7f + 0x7676767676767676)) & 0x8080808080808080
+}
+
+// leadingDigits counts the ASCII digits that lead x read as 8 bytes in
+// memory order, 0 to 8.
+//
+//summarylint:hot
+func leadingDigits(x uint64) int { return bits.TrailingZeros64(nonDigits(x)) >> 3 }
+
+// digitsValue is the decimal value of the first n bytes of x, all ASCII
+// digits, n from 0 to 8: shifted to the top of the word behind zero bytes,
+// which read as leading zeros, they are summed pairwise as 2, 4 and 8
+// digits at a time.
+//
+//summarylint:hot
+func digitsValue(x uint64, n int) uint64 {
+	x = (x & 0x0f0f0f0f0f0f0f0f) << (64 - 8*n)
+	x = x * (10<<8 + 1) >> 8
+	x = (x & 0x00ff00ff00ff00ff) * (100<<16 + 1) >> 16
+	return (x & 0x0000ffff0000ffff) * (10000<<32 + 1) >> 32
+}
+
+// wordInstance reads at b[i:] what lexInt reads of a nonnegative instance
+// of at most 7 digits — "0", or digits not starting with 0 — from the one
+// word loaded there, and returns its value and end; b[end] is inside the
+// window. ok is false for any other instance, and near the window's end.
+//
+//summarylint:hot
+func wordInstance(b []byte, i int) (instance, end int, ok bool) {
+	if len(b)-i < 8 {
+		return 0, i, false
+	}
+	x := load8(b, i)
+	c := leadingDigits(x)
+	if c == 0 || c == 8 || (c > 1 && byte(x) == '0') {
+		return 0, i, false
+	}
+	return int(digitsValue(x, c)), i + c, true
+}
+
+// wordRun reads the digit run at b[i:] a word at a time and returns its
+// end and, for a run of at most 19 digits, its value. ok is false when a
+// word would reach past the window; otherwise b[end] is inside it.
+//
+//summarylint:hot
+func wordRun(b []byte, i int) (v uint64, end int, ok bool) {
+	for {
+		if len(b)-i < 8 {
+			return 0, i, false
+		}
+		x := load8(b, i)
+		c := leadingDigits(x)
+		v = v*pow10u[c] + digitsValue(x, c)
+		if i += c; c < 8 {
+			return v, i, true
+		}
+	}
+}
+
+// lexWords is the word path of both window lexers: for a line with no
+// blank that reads
+//
+//	<uint>,<plain>                                 CSV, or when multi
+//	<uint>,<int>,<plain>
+//	{"key":<uint>[,"instance":<int>],"value":<plain>}  ndjson
+//
+// with "\n" after, it returns the fields and length the lexer returns for
+// it; for any other line, n = 0 and the lexer reads the line byte by byte.
+// The key starts with a nonzero digit and takes two words up to 16 digits
+// (wordRun reads a longer one, up to lexUint's 19), whose conversions do
+// not wait on each other; the instance is a wordInstance. The value token
+// is plain — digits with no leading zero but a lone "0", then optionally
+// "." and digits — and is decided as the byte path decides it: gated if g
+// rejects the pair of key on plainBound's bound, which needs only the
+// token's first digit and length, else its value, which strconv.ParseFloat
+// parses as there. A token that ends inside the word loaded at its start —
+// up to 7 bytes, the common case — is measured from that one word, its
+// first non-digit and, after a ".", its second; a longer one is read by
+// wordValueLong.
+//
+//summarylint:hot
+func lexWords(w []byte, csv, multi bool, g rejectGate) (f pairFields, n int) {
+	i := 0
+	if !csv {
+		if len(w) < 8 || load8(w, 0)&(1<<56-1) != ndjsonHead {
+			return f, 0
+		}
+		i = 7
+	}
+	if len(w)-i < 16 || w[i]-'1' > 8 {
+		return f, 0
+	}
+	x0, x1 := load8(w, i), load8(w, i+8)
+	c0, c1 := leadingDigits(x0), leadingDigits(x1)
+	var key uint64
+	switch {
+	case c0 < 8:
+		key, i = digitsValue(x0, c0), i+c0
+	case c1 < 8:
+		key, i = digitsValue(x0, 8)*pow10u[c1]+digitsValue(x1, c1), i+8+c1
+	default:
+		end, ok := 0, false
+		if key, end, ok = wordRun(w, i); !ok || end-i > 19 {
+			return f, 0
+		}
+		i = end
+	}
+	var ok bool
+	if csv {
+		if w[i] != ',' {
+			return f, 0
+		}
+		if i++; multi {
+			if f.instance, i, ok = wordInstance(w, i); !ok || w[i] != ',' {
+				return f, 0
+			}
+			i++
+			f.has = hasInstance
+		}
+	} else {
+		if len(w)-i < 12 {
+			return f, 0
+		}
+		if load8(w, i) == ndjsonInstance {
+			if binary.LittleEndian.Uint32(w[i+8:]) != ndjsonInstanceTail {
+				return f, 0
+			}
+			if f.instance, i, ok = wordInstance(w, i+12); !ok || len(w)-i < 9 {
+				return f, 0
+			}
+			f.has = hasInstance
+		}
+		if load8(w, i) != ndjsonValue || w[i+8] != ':' {
+			return f, 0
+		}
+		i += 9
+	}
+	if len(w)-i < 8 {
+		return f, 0
+	}
+	x := load8(w, i)
+	nd := nonDigits(x)
+	plain := bits.TrailingZeros64(nd) >> 3
+	length := plain
+	if plain < 8 && byte(x>>(8*plain)) == '.' {
+		length = bits.TrailingZeros64(nd&(nd-1)) >> 3
+	}
+	var value float64
+	isGated := false
+	end := i + length
+	if length == 8 {
+		if value, isGated, end, ok = wordValueLong(w, i, key, g); !ok {
+			return f, 0
+		}
+	} else if plain == 0 || length == plain+1 || (plain > 1 && byte(x) == '0') {
+		return f, 0
+	} else if hi, ok := plainBound(w[i:end], plain); ok && g.rejects(key, hi) {
+		isGated = true
+	} else if value, ok = parsePlain(w[i:end]); !ok {
+		return f, 0
+	}
+	if csv {
+		if w[end] != '\n' {
+			return f, 0
+		}
+		n = end + 1
+	} else {
+		if len(w)-end < 2 || w[end] != '}' || w[end+1] != '\n' {
+			return f, 0
+		}
+		n = end + 2
+	}
+	f.key, f.value, f.has = key, value, f.has|hasValue
+	if isGated {
+		f.has |= gated
+	}
+	return f, n
+}
+
+// wordValueLong is lexWords' reader of a value token of 8 bytes or more at
+// w[i:]: its digit runs are read a word at a time, and what the gate does
+// not reject, ParseFloat parses. ok is false for a token lexWords does not
+// take, and for one that runs to within a word of the window's end;
+// otherwise w[end] is inside the window.
+//
+//summarylint:hot
+func wordValueLong(w []byte, i int, key uint64, g rejectGate) (value float64, isGated bool, end int, ok bool) {
+	start := i
+	_, i, ok = wordRun(w, i)
+	plain := i - start
+	if !ok || plain == 0 || (plain > 1 && w[start] == '0') {
+		return 0, false, i, false
+	}
+	if w[i] == '.' {
+		frac := i + 1
+		if _, i, ok = wordRun(w, frac); !ok || i == frac {
+			return 0, false, i, false
+		}
+	}
+	if hi, ok := plainBound(w[start:i], plain); ok && g.rejects(key, hi) {
+		return 0, true, i, true
+	}
+	value, ok = parsePlain(w[start:i])
+	return value, false, i, ok
+}
+
+// parsePlain is strconv.ParseFloat on a plain token, which it refuses only
+// past float64's range.
+//
+//summarylint:hot
+func parsePlain(tok []byte) (float64, bool) {
+	v, err := strconv.ParseFloat(bytesView(tok), 64)
+	return v, err == nil
+}
+
 // lexCSVLine is the CSV window lexer. It takes a line of w that reads
 //
 //	<uint>[,<value>]            or, when multi,
@@ -386,10 +646,14 @@ func skipBlank(b []byte, i int) int {
 // strconv.ParseUint must judge ("007", twenty digits), extra columns, a
 // value that does not parse, a line that is not whole in w. What f holds
 // then, the gate's verdict on a token the window cut short included, does
-// not count.
+// not count. A line lexWords takes is read a word at a time; the bytes
+// below read every other line from its start.
 //
 //summarylint:hot
 func lexCSVLine(w []byte, multi bool, g rejectGate) (f pairFields, n int) {
+	if wf, wn := lexWords(w, true, multi, g); wn > 0 {
+		return wf, wn
+	}
 	var ok bool
 	i := skipBlank(w, 0)
 	if f.key, i, ok = lexUint(w, i); !ok {
@@ -461,10 +725,17 @@ func lexCSVLine(w []byte, multi bool, g rejectGate) (f pairFields, n int) {
 // newline, 0 for every other line — valid or not — which encoding/json
 // then decodes, or rejects; what f holds then does not count. With eol, w
 // is a line lineReader.next cut out, and its end stands for the newline:
-// the line that lay across two reads is lexed like its neighbours.
+// the line that lay across two reads is lexed like its neighbours. A line
+// of the window that lexWords takes is read a word at a time; the bytes
+// below read every other line from its start.
 //
 //summarylint:hot
 func lexNDJSONLine(w []byte, eol bool, g rejectGate) (f pairFields, n int) {
+	if !eol {
+		if wf, wn := lexWords(w, false, false, g); wn > 0 {
+			return wf, wn
+		}
+	}
 	i := skipBlank(w, 0)
 	if i >= len(w) || w[i] != '{' {
 		return f, 0
@@ -666,9 +937,10 @@ type pairBatch struct {
 	ids      []int          // instance IDs by position
 	streams  []ingestStream // by position
 	seen     []keySet       // the repeated-key set of each position; nil when keys may repeat
-	// route sorts the pairs of a batch by position into part — the batch
-	// itself when there is one stream — counting and then placing those
-	// of position p with at[p]; touched lists the positions a batch holds.
+	// route sorts the pairs of a batch by position into part, counting and
+	// then placing those of position p with at[p]; touched lists the
+	// positions a batch holds. Only a scan into more than one stream has
+	// them.
 	part    []engine.Pair
 	at      []int
 	touched []int
@@ -681,11 +953,17 @@ type pairBatch struct {
 	gate  rejectGate
 }
 
-// add appends one pair, and flushes the batch once it is full.
+// add appends one pair, and flushes the batch once it is full. A pair to
+// skip fills only the columns the repeated-key check and its error read:
+// the gate, the only source of such pairs, gates a scan into one stream,
+// whose position needs no column.
 //
 //summarylint:hot
 func (b *pairBatch) add(key uint64, value float64, pos, lineNo int, skip bool) error {
-	b.pairs[b.n], b.keys[b.n], b.pos[b.n], b.lines[b.n], b.skip[b.n] = engine.Pair{Key: dataset.Key(key), Value: value}, key, pos, lineNo, skip
+	b.keys[b.n], b.lines[b.n], b.skip[b.n] = key, lineNo, skip
+	if !skip {
+		b.pairs[b.n], b.pos[b.n] = engine.Pair{Key: dataset.Key(key), Value: value}, pos
+	}
 	b.n++
 	if b.n == ingestBatch {
 		return b.flush()
@@ -716,15 +994,20 @@ func (b *pairBatch) flush() error {
 			}
 		}
 	}
-	kept := b.route(first)
-	if b.gated != nil {
+	if len(b.streams) > 1 {
+		b.route(first)
+	} else if kept := b.compact(first); b.gated != nil {
 		b.rejected += int64(first - kept)
 		b.gated.PushRejected(first - kept)
 		b.gate.guard = b.gated.TauGuard()
 	}
 	b.pushed += int64(first)
 	if first < n {
-		return b.shape.repeated(b.lines[first], b.keys[first], b.ids[b.pos[first]])
+		pos := 0
+		if len(b.streams) > 1 {
+			pos = b.pos[first]
+		}
+		return b.shape.repeated(b.lines[first], b.keys[first], b.ids[pos])
 	}
 	if err := b.ctx.Err(); err != nil {
 		return fmt.Errorf("server: ingest abandoned: %w", err)
@@ -732,33 +1015,47 @@ func (b *pairBatch) flush() error {
 	return nil
 }
 
-// route pushes the first n pairs of the batch, but for those the gate
-// rejected, to their streams and returns how many it pushed: a stable
-// counting sort by position, so each stream takes its share in body order
-// and in one push, and a pair costs the same however many streams there
-// are. With one stream it compacts the batch in place.
+// compact pushes the first n pairs of the batch, but for those the gate
+// rejected, to the one stream and returns how many it pushed: it moves them
+// to the front of the batch, in body order, and pushes them at once.
 //
 //summarylint:hot
-func (b *pairBatch) route(n int) (kept int) {
-	t := 0
-	for i, p := range b.pos[:n] {
-		if b.skip[i] {
-			continue
+func (b *pairBatch) compact(n int) (kept int) {
+	for i, skip := range b.skip[:n] {
+		if !skip {
+			b.pairs[kept] = b.pairs[i]
+			kept++
 		}
+	}
+	if kept > 0 {
+		b.streams[0].push(b.pairs[:kept])
+	}
+	return kept
+}
+
+// route pushes the first n pairs of a batch of a scan into more than one
+// stream — whose pairs are never gated — to their streams: a stable
+// counting sort by position, so each stream takes its share in body order
+// and in one push, and a pair costs the same however many streams there
+// are.
+//
+//summarylint:hot
+func (b *pairBatch) route(n int) {
+	t := 0
+	for _, p := range b.pos[:n] {
 		if b.at[p] == 0 {
 			b.touched[t] = p
 			t++
 		}
 		b.at[p]++
 	}
+	at := 0
 	for _, p := range b.touched[:t] {
-		kept, b.at[p] = kept+b.at[p], kept
+		at, b.at[p] = at+b.at[p], at
 	}
 	for i, p := range b.pos[:n] {
-		if !b.skip[i] {
-			b.part[b.at[p]] = b.pairs[i]
-			b.at[p]++
-		}
+		b.part[b.at[p]] = b.pairs[i]
+		b.at[p]++
 	}
 	start := 0
 	for _, p := range b.touched[:t] {
@@ -767,7 +1064,6 @@ func (b *pairBatch) route(n int) (kept int) {
 		b.streams[p].push(b.part[start:end])
 		start = end
 	}
-	return kept
 }
 
 // end is how a scan returns, whatever ended it: it flushes the batch, and
@@ -819,10 +1115,9 @@ func scanIngest(ctx context.Context, body io.Reader, shape lineShape, streams []
 			}
 		}()
 	}
-	cols := make([]int, len(streams)+min(len(streams), ingestBatch))
-	b.at, b.touched, b.part = cols[:len(streams)], cols[len(streams):], b.pairs[:]
 	if len(streams) > 1 {
-		b.part = make([]engine.Pair, ingestBatch)
+		cols := make([]int, len(streams)+min(len(streams), ingestBatch))
+		b.at, b.touched, b.part = cols[:len(streams)], cols[len(streams):], make([]engine.Pair, ingestBatch)
 	} else if st := streams[0].sampler; st != nil {
 		b.gated, b.gate = st, rejectGate{seed: st.Seeder(), guard: st.TauGuard()}
 	}
@@ -857,8 +1152,11 @@ func scanIngest(ctx context.Context, body io.Reader, shape lineShape, streams []
 				return b.end(err)
 			}
 		}
-		if err := checkIngestValue(f.value, in.lineNo); err != nil {
-			return b.end(err)
+		// A gated value is a plain token, so finite and nonnegative.
+		if f.has&gated == 0 {
+			if err := checkIngestValue(f.value, in.lineNo); err != nil {
+				return b.end(err)
+			}
 		}
 		pos := 0
 		if shape.triples {

@@ -564,6 +564,10 @@ func addScanDiffSeeds(f *testing.F) {
 	for _, s := range scanDiffSeeds {
 		f.Add(uint16(0), []byte(s))
 	}
+	for _, s := range wordPathSeeds() {
+		f.Add(uint16(0), []byte(s))
+		f.Add(uint16(ingestBatch-1), []byte(s))
+	}
 	// A line over the scanner's cap, alone and after accepted pairs.
 	f.Add(uint16(0), []byte("1,"+strings.Repeat("3", maxIngestLine+10)))
 	f.Add(uint16(0), []byte("1,2\n{\"key\":2,\"value\":"+strings.Repeat("3", maxIngestLine+10)+"}"))
@@ -591,6 +595,58 @@ func addScanDiffSeeds(f *testing.F) {
 			f.Add(lead, []byte(s))
 		}
 	}
+}
+
+// wordPathSeeds are bodies at the edges of the window lexers' word path,
+// in both formats, as pairs and as triples of instance 0: keys and value
+// tokens of every length around an 8-byte load, the number forms the word
+// path leaves to the byte path, CRLF and single-blank lines, and a last
+// line that ends before a load from its start would.
+func wordPathSeeds() []string {
+	keys := []string{"12345678", "1234567812345678", "1234567890123456789", "12345678901234567890", "0", "007", "9"}
+	values := []string{"1234567890123456789012", "12345678901234567890123", "0.5", "1.", ".5", "1e5", "-0",
+		"12345678", "1234567.5", "123456.75", "1.2345678", "0", "2.50", "00.5"}
+	var out []string
+	for _, csv := range []bool{true, false} {
+		for _, multi := range []bool{false, true} {
+			line := func(key, value string) string {
+				switch {
+				case csv && multi:
+					return key + ",0," + value
+				case csv:
+					return key + "," + value
+				case multi:
+					return `{"key":` + key + `,"instance":0,"value":` + value + "}"
+				}
+				return `{"key":` + key + `,"value":` + value + "}"
+			}
+			var keyed, valued strings.Builder
+			for i, key := range keys {
+				keyed.WriteString(line(key, strconv.Itoa(i+1)) + "\n")
+			}
+			for i, value := range values {
+				valued.WriteString(line(strconv.Itoa(1000+i), value) + "\n")
+			}
+			spaced := strings.Replace(line("13", "2.5"), ",", ", ", 1)
+			out = append(out, keyed.String(), valued.String(),
+				line("11", "2.5")+"\r\n"+line("12", "2.5")+"\n"+spaced+"\n")
+			// The body ends 7, 8 and 9 bytes into the last line's value,
+			// and 16 and 17 bytes into its key: a word loaded at the
+			// token's start, or after its first two, would run past the
+			// window.
+			last := line("12345678", "1234567.5")
+			at := strings.Index(last, "1234567.5")
+			for cut := 7; cut <= 9; cut++ {
+				out = append(out, line("14", "2.5")+"\n"+last[:at+cut])
+			}
+			last = line("12345678123456789", "1")
+			at = strings.Index(last, "12345678123456789")
+			for cut := 16; cut <= 17; cut++ {
+				out = append(out, line("15", "2.5")+"\n"+last[:at+cut])
+			}
+		}
+	}
+	return out
 }
 
 // FuzzScanPairsDiff holds scanPairs to its reference and, in a gated leg,

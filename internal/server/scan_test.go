@@ -439,3 +439,38 @@ func (p *pieceReader) Read(b []byte) (int, error) {
 	}
 	return p.r.Read(b[:min(size, len(b))])
 }
+
+// TestWordHelpers holds the word path's digit counting and conversion to
+// the bytes they stand for: every byte value after every count of leading
+// digits, and random digit runs, against strconv.
+func TestWordHelpers(t *testing.T) {
+	rng := rand.New(rand.NewPCG(8, 8))
+	word := make([]byte, 8)
+	for lead := 0; lead <= 8; lead++ {
+		for next := 0; next < 256; next++ {
+			for i := range word {
+				word[i] = byte(rng.UintN(256))
+				if i < lead {
+					word[i] = '0' + byte(rng.UintN(10))
+				}
+			}
+			if lead < 8 {
+				word[lead] = byte(next)
+			}
+			want := lead
+			if lead < 8 && next >= '0' && next <= '9' {
+				continue // the run is longer: another lead's case
+			}
+			x := load8(word, 0)
+			if got := leadingDigits(x); got != want {
+				t.Fatalf("leadingDigits(%q) = %d, want %d", word, got, want)
+			}
+			for n := 0; n <= lead; n++ {
+				v, _ := strconv.ParseUint("0"+string(word[:n]), 10, 64)
+				if got := digitsValue(x, n); got != v {
+					t.Fatalf("digitsValue(%q, %d) = %d, want %d", word, n, got, v)
+				}
+			}
+		}
+	}
+}

@@ -39,6 +39,19 @@ func TestWindowLexerAtRefillEdges(t *testing.T) {
 		"twenty digits":     {"18446744073709551615,2", `{"key":18446744073709551615,"value":2}`, "18446744073709551615,7,2", `{"key":18446744073709551615,"instance":7,"value":2}`},
 		"unlisted instance": {"5,2.5", `{"key":5,"instance":3,"value":2.5}`, "5,3,2.5", `{"key":5,"instance":3,"value":2.5}`},
 		"repeated key":      {"4294967296,1", `{"key":4294967296,"value":1}`, "4294967296,7,1", `{"key":4294967296,"instance":7,"value":1}`},
+		// Keys and value tokens around the word path's 8-byte loads, and
+		// the forms it leaves to the byte path.
+		"key of 8 digits":    {"12345678,2.5", `{"key":12345678,"value":2.5}`, "12345678,7,2.5", `{"key":12345678,"instance":7,"value":2.5}`},
+		"key of 16 digits":   {"1234567812345678,2.5", `{"key":1234567812345678,"value":2.5}`, "1234567812345678,7,2.5", `{"key":1234567812345678,"instance":7,"value":2.5}`},
+		"key of 19 digits":   {"1234567890123456789,2.5", `{"key":1234567890123456789,"value":2.5}`, "1234567890123456789,7,2.5", `{"key":1234567890123456789,"instance":7,"value":2.5}`},
+		"key 0":              {"0,2.5", `{"key":0,"value":2.5}`, "0,7,2.5", `{"key":0,"instance":7,"value":2.5}`},
+		"value of 22 digits": {"5,1234567890123456789012", `{"key":5,"value":1234567890123456789012}`, "5,7,1234567890123456789012", `{"key":5,"instance":7,"value":1234567890123456789012}`},
+		"value of 23 digits": {"5,12345678901234567890123", `{"key":5,"value":12345678901234567890123}`, "5,7,12345678901234567890123", `{"key":5,"instance":7,"value":12345678901234567890123}`},
+		"value 0.5":          {"5,0.5", `{"key":5,"value":0.5}`, "5,7,0.5", `{"key":5,"instance":7,"value":0.5}`},
+		"value 1.":           {"5,1.", `{"key":5,"value":1.}`, "5,7,1.", `{"key":5,"instance":7,"value":1.}`},
+		"value .5":           {"5,.5", `{"key":5,"value":.5}`, "5,7,.5", `{"key":5,"instance":7,"value":.5}`},
+		"value 1e5":          {"5,1e5", `{"key":5,"value":1e5}`, "5,7,1e5", `{"key":5,"instance":7,"value":1e5}`},
+		"single blank":       {"5, 2.5", `{"key":5, "value":2.5}`, "5,7 ,2.5", `{"key":5,"instance":7, "value":2.5}`},
 	}
 	// fill renders valid lines (pairLine's, keys from 2^32 up by step) of
 	// exactly size bytes in all; the last one carries a value as long as
