@@ -1,6 +1,6 @@
-// Root benchmark harness: one benchmark per paper figure/table
-// (regenerating the artifact end to end) plus micro-benchmarks of the
-// estimators and sampling substrates they are built from.
+// Root benchmark harness: micro-benchmarks of the estimators and sampling
+// substrates the paper figures are built from (the figures themselves are
+// internal/experiments' BenchmarkFigures).
 //
 // Run with: go test -bench=. -benchmem
 package repro_test
@@ -13,86 +13,11 @@ import (
 	"repro/internal/dataset"
 	"repro/internal/engine"
 	"repro/internal/estimator"
-	"repro/internal/experiments"
 	"repro/internal/randx"
 	"repro/internal/sampling"
 	"repro/internal/simdata"
 	"repro/internal/xhash"
 )
-
-var sinkTables []*experiments.Table
-
-// BenchmarkFigure1 regenerates the Figure 1 estimator tables and variance
-// ratios (exact enumeration).
-func BenchmarkFigure1(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		sinkTables = experiments.Figure1()
-	}
-}
-
-// BenchmarkFigure2 regenerates the OR variance curves of Figure 2.
-func BenchmarkFigure2(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		sinkTables = []*experiments.Table{experiments.Figure2()}
-	}
-}
-
-// BenchmarkFigure3 regenerates the PPS max^(L) table of Figure 3 with its
-// integration-based unbiasedness check.
-func BenchmarkFigure3(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		sinkTables = []*experiments.Table{experiments.Figure3()}
-	}
-}
-
-// BenchmarkFigure4 regenerates the Figure 4 variance and ratio curves
-// (deterministic seed-space integration).
-func BenchmarkFigure4(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		sinkTables = experiments.Figure4()
-	}
-}
-
-// BenchmarkFigure5 regenerates the worked example of Figure 5.
-func BenchmarkFigure5(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		sinkTables = experiments.Figure5()
-	}
-}
-
-// BenchmarkFigure6 regenerates the sample-size curves of Figure 6
-// (bisection over the exact variance formulas).
-func BenchmarkFigure6(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		sinkTables = experiments.Figure6()
-	}
-}
-
-// BenchmarkFigure7 regenerates Figure 7 on a 20×-scaled-down traffic
-// workload (per-key exact variance integration; the full-scale figure is
-// cmd/figures -fig 7).
-func BenchmarkFigure7(b *testing.B) {
-	opt := experiments.Figure7Options{ScaleDown: 20, IntegrationN: 32,
-		Fractions: []float64{0.01, 0.1, 0.5}}
-	for i := 0; i < b.N; i++ {
-		sinkTables = []*experiments.Table{experiments.Figure7(opt)}
-	}
-}
-
-// BenchmarkTheorem61 regenerates the impossibility report of §6.
-func BenchmarkTheorem61(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		sinkTables = []*experiments.Table{experiments.Theorem61()}
-	}
-}
-
-// BenchmarkAblation regenerates the design-choice ablation tables (exact
-// variances).
-func BenchmarkAblation(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		sinkTables = experiments.Ablation()
-	}
-}
 
 // --- Micro-benchmarks: estimators ---
 

@@ -2,14 +2,12 @@ package main
 
 import (
 	"bytes"
-	"flag"
-	"os"
 	"path/filepath"
 	"strings"
 	"testing"
-)
 
-var update = flag.Bool("update", false, "rewrite testdata/*.golden from the current output")
+	"repro/internal/testutil"
+)
 
 // TestEngineFlagsAreUnknown: the demos summarize in-line only, so the
 // sharded/async engine flags are gone and each one is a usage error; so is
@@ -57,20 +55,7 @@ func TestDemoGolden(t *testing.T) {
 				t.Fatalf("demo dirs %v (%v), want one", dirs, err)
 			}
 			got := strings.ReplaceAll(stdout.String(), dirs[0], "$DEMO")
-			golden := filepath.Join("testdata", tc.name+".golden")
-			if *update {
-				if err := os.WriteFile(golden, []byte(got), 0o644); err != nil {
-					t.Fatal(err)
-				}
-				return
-			}
-			want, err := os.ReadFile(golden)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got != string(want) {
-				t.Errorf("output differs from %s\ngot:\n%s\nwant:\n%s", golden, got, want)
-			}
+			testutil.Golden(t, filepath.Join("testdata", tc.name+".golden"), []byte(got))
 		})
 	}
 }

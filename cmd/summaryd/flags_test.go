@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"errors"
+	"flag"
 	"os"
 	"os/exec"
 	"strings"
@@ -53,8 +54,10 @@ func TestFlagSurface(t *testing.T) {
 	}
 	var flags []string
 	for _, line := range strings.Split(usage, "\n") {
-		// The test binary's own -test.* flags share the flag set.
-		if strings.HasPrefix(line, "  -") && !strings.HasPrefix(line, "  -test.") {
+		// The test binary's own flags (-test.*, testutil's -update) share
+		// the flag set; they are the ones this process defines too, since
+		// main, which defines summaryd's, has not run here.
+		if name, ok := strings.CutPrefix(line, "  -"); ok && flag.Lookup(strings.Fields(name)[0]) == nil {
 			flags = append(flags, strings.Fields(line)[0])
 		}
 	}

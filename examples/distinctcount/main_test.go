@@ -2,13 +2,11 @@ package main
 
 import (
 	"bytes"
-	"flag"
-	"os"
 	"path/filepath"
 	"testing"
-)
 
-var update = flag.Bool("update", false, "rewrite testdata/distinctcount.golden from the current output")
+	"repro/internal/testutil"
+)
 
 // TestDistinctcountGolden: the example prints testdata/distinctcount.golden
 // byte for byte, so a change to set summaries and the §8.1 closed forms that moves any
@@ -18,18 +16,5 @@ func TestDistinctcountGolden(t *testing.T) {
 	if err := run(&out); err != nil {
 		t.Fatal(err)
 	}
-	golden := filepath.Join("testdata", "distinctcount.golden")
-	if *update {
-		if err := os.WriteFile(golden, out.Bytes(), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		return
-	}
-	want, err := os.ReadFile(golden)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(out.Bytes(), want) {
-		t.Errorf("output differs from %s\ngot:\n%s\nwant:\n%s", golden, out.Bytes(), want)
-	}
+	testutil.Golden(t, filepath.Join("testdata", "distinctcount.golden"), out.Bytes())
 }

@@ -7,8 +7,7 @@ import (
 
 // Codec benchmarks over the shared 1M-entry bottom-k summary (64-bit
 // mixed keys, full-precision weights — the regime the wire travels in
-// production). CI runs these at -benchtime 1x into BENCH_wire.json; run
-// locally with:
+// production). Run with:
 //
 //	go test -run '^$' -bench 'EncodeSummary|DecodeSummary' ./internal/core
 //

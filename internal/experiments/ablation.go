@@ -6,7 +6,7 @@ import (
 	"repro/internal/estimator"
 )
 
-// Ablation quantifies the estimator design choices, with exact variances
+// ablation quantifies the estimator design choices, with exact variances
 // throughout:
 //
 //   - estimator family (HT vs L vs U vs Uas) across data profiles — the
@@ -15,7 +15,7 @@ import (
 //     on each side;
 //   - known vs unknown seeds — the variance attainable with seeds against
 //     the infeasibility (or HT-only fallback) without them.
-func Ablation() []*Table {
+func ablation() []*Table {
 	families := &Table{
 		ID:     "ablation-families",
 		Title:  "exact VAR of max estimators (r=2, weight-oblivious) by data profile",

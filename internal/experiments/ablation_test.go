@@ -7,7 +7,7 @@ import (
 )
 
 func TestAblationFamilies(t *testing.T) {
-	tables := Ablation()
+	tables := ablation()
 	fam := tables[0]
 	for i := range fam.Rows {
 		ht := cell(fam, i, 2)
@@ -31,7 +31,7 @@ func TestAblationFamilies(t *testing.T) {
 }
 
 func TestAblationSeeds(t *testing.T) {
-	tables := Ablation()
+	tables := ablation()
 	seeds := tables[1]
 	for i := range seeds.Rows {
 		p := cell(seeds, i, 0)
@@ -65,7 +65,7 @@ func TestAblationSeeds(t *testing.T) {
 }
 
 func TestAblationRecurrence(t *testing.T) {
-	tables := Ablation()
+	tables := ablation()
 	rec := tables[2]
 	prevFrac := math.Inf(1)
 	for i := range rec.Rows {

@@ -2,9 +2,9 @@
 // evaluation as deterministic text series. The §8.2 workloads are the
 // synthetic ones of internal/simdata (substitution S1; see its package
 // doc).
-// Each FigureN function returns one or more Tables; cmd/figures prints
-// them, the root benchmarks time them, and the tests pin their headline
-// numbers against the paper.
+// Figures lists every figure and table by id with the generator of its
+// Tables; cmd/figures prints them, BenchmarkFigures times them, and the
+// tests pin their headline numbers against the paper.
 package experiments
 
 import (
@@ -81,18 +81,23 @@ func pad(s string, w int) string {
 	return s + strings.Repeat(" ", w-len(s))
 }
 
-// All runs every experiment and returns the tables in paper order.
-func All() []*Table {
-	var out []*Table
-	out = append(out, Figure1()...)
-	out = append(out, Figure2())
-	out = append(out, Figure3())
-	out = append(out, Figure4()...)
-	out = append(out, Figure5()...)
-	out = append(out, Figure6()...)
-	out = append(out, Figure7(Figure7Options{}))
-	out = append(out, Theorem61())
-	out = append(out, Ablation()...)
-	out = append(out, MultiPeriod())
-	return out
+// Figure is one experiment: its id, as `figures -fig` takes it, and the
+// generator of its tables. Only figure 7 reads the options.
+type Figure struct {
+	ID  string
+	Gen func(Figure7Options) []*Table
+}
+
+// Figures lists every experiment in paper order.
+var Figures = []Figure{
+	{"1", func(Figure7Options) []*Table { return figure1() }},
+	{"2", func(Figure7Options) []*Table { return []*Table{figure2()} }},
+	{"3", func(Figure7Options) []*Table { return []*Table{figure3()} }},
+	{"4", func(Figure7Options) []*Table { return figure4() }},
+	{"5", func(Figure7Options) []*Table { return figure5() }},
+	{"6", func(Figure7Options) []*Table { return figure6() }},
+	{"7", func(opt Figure7Options) []*Table { return []*Table{figure7(opt)} }},
+	{"6.1", func(Figure7Options) []*Table { return []*Table{theorem61()} }},
+	{"ablation", func(Figure7Options) []*Table { return ablation() }},
+	{"multiperiod", func(Figure7Options) []*Table { return []*Table{multiPeriod()} }},
 }

@@ -31,7 +31,7 @@ func TestFigure1Checkpoints(t *testing.T) {
 }
 
 func TestFigure1Series(t *testing.T) {
-	tables := Figure1()
+	tables := figure1()
 	if len(tables) != 2 {
 		t.Fatalf("tables = %d", len(tables))
 	}
@@ -57,7 +57,7 @@ func TestFigure1Series(t *testing.T) {
 }
 
 func TestFigure2Shape(t *testing.T) {
-	tab := Figure2()
+	tab := figure2()
 	for i := range tab.Rows {
 		ht := cell(tab, i, 1)
 		l11, l10 := cell(tab, i, 2), cell(tab, i, 3)
@@ -86,7 +86,7 @@ func TestFigure2Shape(t *testing.T) {
 }
 
 func TestFigure3Unbiasedness(t *testing.T) {
-	tab := Figure3()
+	tab := figure3()
 	for i := range tab.Rows {
 		mean := cell(tab, i, 6)
 		want := cell(tab, i, 7)
@@ -97,7 +97,7 @@ func TestFigure3Unbiasedness(t *testing.T) {
 }
 
 func TestFigure4Shape(t *testing.T) {
-	tables := Figure4()
+	tables := figure4()
 	if len(tables) != 3 {
 		t.Fatalf("tables = %d", len(tables))
 	}
@@ -149,7 +149,7 @@ func TestFigure4Shape(t *testing.T) {
 }
 
 func TestFigure5MatchesPaper(t *testing.T) {
-	tables := Figure5()
+	tables := figure5()
 	byID := map[string]*Table{}
 	for _, tab := range tables {
 		byID[tab.ID] = tab
@@ -182,7 +182,7 @@ func TestFigure5MatchesPaper(t *testing.T) {
 }
 
 func TestFigure6Shape(t *testing.T) {
-	tables := Figure6()
+	tables := figure6()
 	if len(tables) != 4 {
 		t.Fatalf("tables = %d", len(tables))
 	}
@@ -224,7 +224,7 @@ func TestFigure6Shape(t *testing.T) {
 }
 
 func TestFigure7Band(t *testing.T) {
-	tab := Figure7(Figure7Options{ScaleDown: 20, IntegrationN: 32,
+	tab := figure7(Figure7Options{ScaleDown: 20, IntegrationN: 32,
 		Fractions: []float64{0.01, 0.05, 0.1, 0.25}})
 	for i := range tab.Rows {
 		ratio := cell(tab, i, 3)
@@ -244,7 +244,7 @@ func TestFigure7Band(t *testing.T) {
 }
 
 func TestTheorem61Table(t *testing.T) {
-	tab := Theorem61()
+	tab := theorem61()
 	for i := range tab.Rows {
 		p1 := cell(tab, i, 0)
 		p2 := cell(tab, i, 1)
@@ -279,9 +279,12 @@ func TestAllRuns(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full figure sweep in short mode")
 	}
-	tables := All()
+	var tables []*Table
+	for _, f := range Figures {
+		tables = append(tables, f.Gen(Figure7Options{})...)
+	}
 	if len(tables) < 12 {
-		t.Errorf("All() produced %d tables", len(tables))
+		t.Errorf("the figure table produced %d tables", len(tables))
 	}
 	for _, tab := range tables {
 		if tab.ID == "" || len(tab.Header) == 0 || len(tab.Rows) == 0 {

@@ -2,11 +2,11 @@ package experiments
 
 import "repro/internal/estimator"
 
-// Figure1 reproduces Figure 1: the max estimators for r = 2 under
+// figure1 reproduces Figure 1: the max estimators for r = 2 under
 // weight-oblivious Poisson sampling with p1 = p2 = 1/2 — the outcome
 // tables and the variance ratios VAR[L]/VAR[HT] and VAR[U]/VAR[HT] as a
 // function of min(v)/max(v).
-func Figure1() []*Table {
+func figure1() []*Table {
 	p := []float64{0.5, 0.5}
 
 	table := &Table{

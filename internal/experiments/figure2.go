@@ -2,10 +2,10 @@ package experiments
 
 import "repro/internal/estimator"
 
-// Figure2 reproduces Figure 2: the variance of OR^(HT), OR^(L) and OR^(U)
+// figure2 reproduces Figure 2: the variance of OR^(HT), OR^(L) and OR^(U)
 // on data vectors (1,1) and (1,0) as a function of p = p1 = p2, by exact
 // outcome enumeration.
-func Figure2() *Table {
+func figure2() *Table {
 	t := &Table{
 		ID:     "figure2",
 		Title:  "variance of OR estimators vs p=p1=p2 (exact)",

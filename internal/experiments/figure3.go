@@ -2,11 +2,11 @@ package experiments
 
 import "repro/internal/estimator"
 
-// Figure3 reproduces Figure 3: the max^(L) estimator for two independent
+// figure3 reproduces Figure 3: the max^(L) estimator for two independent
 // PPS samples with known seeds, tabulated as a function of the determining
 // vector across its four regimes, with the integrator's unbiasedness check
 // alongside.
-func Figure3() *Table {
+func figure3() *Table {
 	t := &Table{
 		ID:     "figure3",
 		Title:  "max^(L) for PPS known seeds (determining-vector form) + unbiasedness check",

@@ -2,11 +2,11 @@ package experiments
 
 import "repro/internal/estimator"
 
-// Figure4 reproduces Figure 4: normalized variances VAR/(τ*)² of max^(HT)
+// figure4 reproduces Figure 4: normalized variances VAR/(τ*)² of max^(HT)
 // and max^(L) for two independent PPS samples with τ1* = τ2* = τ*, as a
 // function of min(v)/max(v) for fixed ρ = max(v)/τ* (panels A, B), and the
 // variance ratio VAR[HT]/VAR[L] for several ρ (panel C).
-func Figure4() []*Table {
+func figure4() []*Table {
 	n := 2048
 	tau := []float64{1, 1}
 	grid := []float64{0, 0.05, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 0.95, 1}

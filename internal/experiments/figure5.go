@@ -9,11 +9,11 @@ import (
 	"repro/internal/sampling"
 )
 
-// Figure5 reproduces the worked example of Figure 5: (A) the 3×6 data
+// figure5 reproduces the worked example of Figure 5: (A) the 3×6 data
 // matrix with per-key multi-instance function values, (B) shared-seed
 // (consistent) and independent PPS rank assignments, and (C) the resulting
 // bottom-3 samples.
-func Figure5() []*Table {
+func figure5() []*Table {
 	m := dataset.FigureFive()
 	keys := m.Keys()
 

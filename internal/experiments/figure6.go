@@ -7,11 +7,11 @@ import (
 	"repro/internal/stats"
 )
 
-// Figure6 reproduces Figure 6: the per-instance sample size s = p·n needed
+// figure6 reproduces Figure 6: the per-instance sample size s = p·n needed
 // for the HT and L distinct-count estimators to reach a target coefficient
 // of variation, as a function of the set size n, for several Jaccard
 // coefficients — plus the ratio s(L)/s(HT).
-func Figure6() []*Table {
+func figure6() []*Table {
 	js := []float64{0, 0.5, 0.9, 1}
 	var tables []*Table
 	for _, cv := range []float64{0.1, 0.02} {

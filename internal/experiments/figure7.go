@@ -23,12 +23,12 @@ type Figure7Options struct {
 	Fractions []float64
 }
 
-// Figure7 reproduces Figure 7: the normalized variance VAR[Σmax]/(Σmax)²
+// figure7 reproduces Figure 7: the normalized variance VAR[Σmax]/(Σmax)²
 // of the HT and L max-dominance estimators over two independently sampled
 // PPS instances with known seeds, as a function of the percentage of
 // sampled keys. The data is the synthetic traffic workload calibrated to
 // the paper's published statistics.
-func Figure7(opt Figure7Options) *Table {
+func figure7(opt Figure7Options) *Table {
 	cfg := simdata.PaperTraffic()
 	if opt.ScaleDown > 1 {
 		cfg = simdata.ScaledTraffic(opt.ScaleDown)

@@ -2,19 +2,18 @@ package experiments
 
 import (
 	"encoding/json"
-	"flag"
 	"math"
 	"os"
 	"path/filepath"
 	"strconv"
 	"testing"
+
+	"repro/internal/testutil"
 )
 
-var updateGolden = flag.Bool("update", false, "rewrite the golden figure tables in testdata/")
-
-// Golden tests pin the full Figure 1–7 tables against committed expected
-// outputs. Every figure is a deterministic computation (exact enumeration
-// or numeric integration over the seed space), so any estimator regression
+// Golden tests pin the Figures tables against committed expected outputs.
+// Every figure is a deterministic computation (exact enumeration or
+// numeric integration over the seed space), so any estimator regression
 // — a changed coefficient, a broken variance formula, a biased estimate —
 // shifts cells and fails here, not silently. Numeric cells are compared
 // within a small relative tolerance to absorb last-ulp libm differences
@@ -29,41 +28,41 @@ const (
 	goldenAbsTol = 1e-9
 )
 
-func goldenCases() []struct {
-	Name string
-	Gen  func() []*Table
-} {
-	return []struct {
-		Name string
-		Gen  func() []*Table
-	}{
-		{"figure1", Figure1},
-		{"figure2", func() []*Table { return []*Table{Figure2()} }},
-		{"figure3", func() []*Table { return []*Table{Figure3()} }},
-		{"figure4", Figure4},
-		{"figure5", Figure5},
-		{"figure6", Figure6},
-		// Benchmark-scale workload: same estimator code paths as the
-		// paper-scale figure at a fraction of the runtime.
-		{"figure7", func() []*Table {
-			return []*Table{Figure7(Figure7Options{ScaleDown: 20, IntegrationN: 32,
-				Fractions: []float64{0.01, 0.1, 0.5}})}
-		}},
-		{"multiperiod", func() []*Table { return []*Table{MultiPeriod()} }},
+// reducedFigure7 is the benchmark-scale figure-7 workload that the golden
+// tables and BenchmarkFigures run: the paper-scale figure's estimator code
+// paths at a fraction of its runtime.
+var reducedFigure7 = Figure7Options{ScaleDown: 20, IntegrationN: 32,
+	Fractions: []float64{0.01, 0.1, 0.5}}
+
+// unpinned names the Figures ids that have no golden file, each with the
+// tests that check it instead.
+var unpinned = map[string]string{
+	"6.1":      "TestTheorem61Table",
+	"ablation": "TestAblationFamilies, TestAblationSeeds, TestAblationRecurrence",
+}
+
+// goldenName names the subtest and golden file (testdata/<name>.golden.json)
+// of a Figures id: figureN for the paper's numbered figures, the id itself
+// for the rest.
+func goldenName(id string) string {
+	if _, err := strconv.Atoi(id); err == nil {
+		return "figure" + id
 	}
+	return id
 }
 
 func TestGoldenFigures(t *testing.T) {
-	for _, tc := range goldenCases() {
-		t.Run(tc.Name, func(t *testing.T) {
-			got := tc.Gen()
-			path := filepath.Join("testdata", tc.Name+".golden.json")
-			if *updateGolden {
+	for _, f := range Figures {
+		name := goldenName(f.ID)
+		t.Run(name, func(t *testing.T) {
+			if by, ok := unpinned[f.ID]; ok {
+				t.Skipf("no golden file; checked by %s", by)
+			}
+			got := f.Gen(reducedFigure7)
+			path := filepath.Join("testdata", name+".golden.json")
+			if testutil.Update() {
 				data, err := json.MarshalIndent(got, "", " ")
 				if err != nil {
-					t.Fatal(err)
-				}
-				if err := os.MkdirAll("testdata", 0o755); err != nil {
 					t.Fatal(err)
 				}
 				if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
@@ -83,6 +82,21 @@ func TestGoldenFigures(t *testing.T) {
 		})
 	}
 }
+
+// BenchmarkFigures regenerates each paper figure and table end to end,
+// one sub-benchmark per id of Figures. Figure 7 runs on reducedFigure7
+// (the full-scale figure is cmd/figures -fig 7).
+func BenchmarkFigures(b *testing.B) {
+	for _, f := range Figures {
+		b.Run(f.ID, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				sinkTables = f.Gen(reducedFigure7)
+			}
+		})
+	}
+}
+
+var sinkTables []*Table
 
 func compareTables(t *testing.T, got, want []*Table) {
 	t.Helper()

@@ -10,13 +10,13 @@ import (
 	"repro/internal/xhash"
 )
 
-// MultiPeriod extends §8.1 beyond two instances: distinct counts over r
+// multiPeriod extends §8.1 beyond two instances: distinct counts over r
 // request-log periods, comparing the r-instance HT and OR^(L) estimators
 // (independent samples, known seeds) against coordinated sampling. MSE is
 // measured over many hash salts (deterministic Monte Carlo); the advantage
 // of partial information grows with r because HT needs all r seeds below
 // the threshold.
-func MultiPeriod() *Table {
+func multiPeriod() *Table {
 	t := &Table{
 		ID:     "multiperiod",
 		Title:  "distinct count over r periods, p=0.2: MSE over 1500 salts (lower is better)",

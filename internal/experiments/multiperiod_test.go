@@ -14,7 +14,7 @@ func TestMultiPeriodShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-salt MSE sweep in short mode")
 	}
-	tab := MultiPeriod()
+	tab := multiPeriod()
 	if len(tab.Rows) != 3 {
 		t.Fatalf("rows = %d", len(tab.Rows))
 	}

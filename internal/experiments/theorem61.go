@@ -2,10 +2,10 @@ package experiments
 
 import "repro/internal/estimator"
 
-// Theorem61 reports the §6 impossibility result as a table: the forced
+// theorem61 reports the §6 impossibility result as a table: the forced
 // estimate on the both-sampled outcome for OR over weighted samples with
 // unknown seeds, which is negative exactly when p1 + p2 < 1.
-func Theorem61() *Table {
+func theorem61() *Table {
 	t := &Table{
 		ID:     "theorem6.1",
 		Title:  "unknown seeds: forced OR estimator value on S={1,2} (negative ⇒ no nonnegative unbiased estimator)",

@@ -1,7 +1,6 @@
 package lint
 
 import (
-	"flag"
 	"fmt"
 	"go/ast"
 	"go/parser"
@@ -13,9 +12,9 @@ import (
 	"sort"
 	"strings"
 	"testing"
-)
 
-var update = flag.Bool("update", false, "rewrite testdata/hot.golden from the module's //summarylint:hot functions")
+	"repro/internal/testutil"
+)
 
 // TestHotListGolden lists every function of the module's production code
 // that carries `//summarylint:hot` — the bodies hotalloc holds to no
@@ -29,29 +28,22 @@ func TestHotListGolden(t *testing.T) {
 		t.Fatal(err)
 	}
 	golden := filepath.Join("testdata", "hot.golden")
-	if *update {
-		if err := os.WriteFile(golden, []byte(got), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		return
-	}
+	testutil.Golden(t, golden, []byte(got))
+	// After an -update the file holds got, and nothing below fires.
 	want, err := os.ReadFile(golden)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got != string(want) {
-		gotSet, wantSet := lineSet(got), lineSet(string(want))
-		for line := range wantSet {
-			if !gotSet[line] {
-				t.Errorf("no longer //summarylint:hot: %s", line)
-			}
+	gotSet, wantSet := lineSet(got), lineSet(string(want))
+	for line := range wantSet {
+		if !gotSet[line] {
+			t.Errorf("no longer //summarylint:hot: %s", line)
 		}
-		for line := range gotSet {
-			if !wantSet[line] {
-				t.Errorf("newly //summarylint:hot: %s", line)
-			}
+	}
+	for line := range gotSet {
+		if !wantSet[line] {
+			t.Errorf("newly //summarylint:hot: %s", line)
 		}
-		t.Errorf("the hot list differs from %s; if that is the point, rerun with -update", golden)
 	}
 }
 

@@ -480,8 +480,8 @@ func BenchmarkHealthz(b *testing.B) {
 // BenchmarkServerQuery through a fully instrumented server (observer +
 // metrics + request logger at warn, so per-request Info lines are
 // level-skipped as in a quiet production setup), and reports the ratio
-// against an uninstrumented server measured in the same process —
-// overhead-ratio lands in BENCH_server.json for the CI artifact.
+// against an uninstrumented server measured in the same process as
+// overhead-ratio.
 func BenchmarkServerQueryInstrumented(b *testing.B) {
 	sites := fixture(10000)
 	summ := core.NewSummarizer(testSalt)

@@ -481,6 +481,16 @@ func TestIngestRefusesCoordinated(t *testing.T) {
 	if after := listed(); fmt.Sprint(after) != fmt.Sprint(before) {
 		t.Errorf("refusals changed the registry: %+v, want %+v", after, before)
 	}
+	// Nor does a listing carry a "shared" key: there is no setting to show.
+	resp, err := ts.Client().Get(ts.URL + "/v1/datasets")
+	if err != nil {
+		t.Fatal(err)
+	}
+	listing, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil || bytes.Contains(listing, []byte(`"shared"`)) {
+		t.Errorf("GET /v1/datasets: %s (%v), want no \"shared\" key", listing, err)
+	}
 	values, _ = scrapeMetrics(t, ts)
 	if got := values["summaryd_engine_pairs_total"]; got != pairs {
 		t.Errorf("summaryd_engine_pairs_total %v after the refusals, want %v", got, pairs)
