@@ -164,7 +164,7 @@ func readMessage(r io.Reader) ([]byte, error) {
 func decodeMessage(data []byte, version int) (Summary, error) {
 	switch version {
 	case 1:
-		return decodeSummaryJSON(data, false)
+		return decodeSummaryJSON(data)
 	case 2:
 		return decodeWholeV2(data, false, "core: trailing data after v2 summary")
 	}

@@ -211,8 +211,17 @@ func (st *SetStream) Push(h dataset.Key) {
 	}
 }
 
-// Close returns the finished summary. The stream is unusable afterwards.
-func (st *SetStream) Close() *SetSummary {
+// PushBatch offers the keys of a slice of arrivals, in order; a set
+// summary ignores their values.
+func (st *SetStream) PushBatch(ps []sampling.Pair) {
+	for _, p := range ps {
+		st.Push(p.Key)
+	}
+}
+
+// Close returns the finished *SetSummary. The stream is unusable
+// afterwards.
+func (st *SetStream) Close() Summary {
 	members := slices.Collect(maps.Keys(st.sampled))
 	st.sampled = nil
 	return newSetSummary(st.seeder, st.instance, st.p, members)

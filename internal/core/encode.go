@@ -97,7 +97,7 @@ func (p *PPSSummary) MarshalJSON() ([]byte, error) {
 }
 
 // decodePPSWire reconstructs a PPSSummary from its parsed v1 wire form.
-func decodePPSWire(w ppsWire, stored bool) (*PPSSummary, error) {
+func decodePPSWire(w ppsWire) (*PPSSummary, error) {
 	if err := checkWire("pps", w.Version, w.Shared); err != nil {
 		return nil, err
 	}
@@ -105,7 +105,7 @@ func decodePPSWire(w ppsWire, stored bool) (*PPSSummary, error) {
 		return nil, fmt.Errorf("core: invalid tau %v", w.Tau)
 	}
 	p := newPPSSummary(xhash.Seeder{Salt: w.Salt}, w.Instance, w.Tau, weightedEntries(w.Values))
-	if _, err := checkEntries(p.entries, 16, stored); err != nil {
+	if _, err := checkEntries(p.entries, 16, false); err != nil {
 		return nil, err
 	}
 	return p, nil
@@ -172,7 +172,7 @@ func (b *bottomKSummary) MarshalJSON() ([]byte, error) {
 
 // decodeBottomKWire reconstructs a bottomKSummary from its parsed v1 wire
 // form.
-func decodeBottomKWire(w bottomkWire, stored bool) (*bottomKSummary, error) {
+func decodeBottomKWire(w bottomkWire) (*bottomKSummary, error) {
 	if err := checkWire("bottomk", w.Version, w.Shared); err != nil {
 		return nil, err
 	}
@@ -194,7 +194,7 @@ func decodeBottomKWire(w bottomkWire, stored bool) (*bottomKSummary, error) {
 	}
 	b := newBottomKSummary(xhash.Seeder{Salt: w.Salt}, w.Instance,
 		&sampling.WeightedSample{Entries: weightedEntries(w.Values), Tau: tau, Family: fam})
-	if _, err := checkEntries(b.entries, 16, stored); err != nil {
+	if _, err := checkEntries(b.entries, 16, false); err != nil {
 		return nil, err
 	}
 	return b, nil
@@ -209,31 +209,28 @@ func decodeBottomKWire(w bottomkWire, stored bool) (*bottomKSummary, error) {
 // canonical v2 message is backed by data, which the caller must not modify
 // afterwards.
 func DecodeSummary(data []byte) (Summary, error) {
-	return decodeSummary(data, false)
+	if hasV2Magic(data) {
+		return decodeWholeV2(data, false, "core: decoding v2 summary: trailing data after entries")
+	}
+	return decodeSummaryJSON(data)
 }
 
-// DecodeStoredSummary is DecodeSummary for a record the store wrote
-// itself (WAL and snapshot replay). It differs in one thing: the entry
-// value check of the ingress decoders is not applied. A checksummed
-// record was accepted by whatever ingress rules held when it was written,
-// and refusing it now would leave the server unable to open its data
+// DecodeStoredSummary decodes a record the store wrote itself (WAL and
+// snapshot replay), which is always one v2 message. It differs from
+// DecodeSummary in two things: v1 JSON is refused, and the entry value
+// check of the ingress decoders is not applied. A checksummed record was
+// accepted by whatever ingress rules held when it was written, and
+// refusing it now would leave the server unable to open its data
 // directory over a value that merely yields a non-finite estimate.
 func DecodeStoredSummary(data []byte) (Summary, error) {
-	return decodeSummary(data, true)
-}
-
-func decodeSummary(data []byte, stored bool) (Summary, error) {
-	if hasV2Magic(data) {
-		return decodeWholeV2(data, stored, "core: decoding v2 summary: trailing data after entries")
-	}
-	return decodeSummaryJSON(data, stored)
+	return decodeWholeV2(data, true, "core: decoding v2 summary: trailing data after entries")
 }
 
 // decodeSummaryJSON is the v1 decoder: kind-tag dispatch over the JSON
-// wire structs. Unless stored, weighted entry values get the same check
-// as on the v2 paths (JSON cannot carry NaN or Inf, so in practice it
-// refuses negatives).
-func decodeSummaryJSON(data []byte, stored bool) (Summary, error) {
+// wire structs. Weighted entry values get the same check as on the v2
+// paths (JSON cannot carry NaN or Inf, so in practice it refuses
+// negatives).
+func decodeSummaryJSON(data []byte) (Summary, error) {
 	var head struct {
 		Version int    `json:"version"`
 		Kind    string `json:"kind"`
@@ -247,7 +244,7 @@ func decodeSummaryJSON(data []byte, stored bool) (Summary, error) {
 		if err := json.Unmarshal(data, &w); err != nil {
 			return nil, fmt.Errorf("core: decoding PPS summary: %w", err)
 		}
-		return decodePPSWire(w, stored)
+		return decodePPSWire(w)
 	case "set":
 		var w setWire
 		if err := json.Unmarshal(data, &w); err != nil {
@@ -259,7 +256,7 @@ func decodeSummaryJSON(data []byte, stored bool) (Summary, error) {
 		if err := json.Unmarshal(data, &w); err != nil {
 			return nil, fmt.Errorf("core: decoding bottom-k summary: %w", err)
 		}
-		return decodeBottomKWire(w, stored)
+		return decodeBottomKWire(w)
 	default:
 		// An unrecognized (or missing) kind on an unrecognized version is
 		// a future format: surface the typed version error so callers can

@@ -18,8 +18,8 @@ import (
 // sampler, bottom-k or Poisson PPS: Push arrivals as they happen (or
 // PushBatch them), Close to obtain the finished summary. It is the
 // streaming face of SummarizeBottomK and SummarizePPS for callers that
-// never materialize the instance. Push, PushBatch, TauGuard, PushRejected
-// and Stats are the engine.Stream's.
+// never materialize the instance. Push, PushBatch and TauGuard are the
+// engine.Stream's.
 type WeightedStream struct {
 	*engine.Stream
 	seeder   xhash.Seeder

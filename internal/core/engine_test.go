@@ -22,7 +22,7 @@ func engineTestInstance(n int) dataset.Instance {
 }
 
 // TestStreamConfigsAgree: the engine-backed streams produce the same
-// summary and count the same pairs for every execution strategy — the
+// summary for every execution strategy — the
 // async ones bench/summaryload drives included — whether fed by Push or by
 // uneven PushBatch slices, and match the one-shot entry points, which push
 // the instance through the same samplers in-line.
@@ -58,9 +58,6 @@ func TestStreamConfigsAgree(t *testing.T) {
 					for _, p := range pairs {
 						c.st.Push(p.Key, p.Value)
 					}
-				}
-				if got := c.st.Stats().Pairs; got != uint64(len(pairs)) {
-					t.Errorf("%s: Stats().Pairs = %d, want %d", label, got, len(pairs))
 				}
 				sameSummary(t, label, c.st.Close(), c.want)
 			}

@@ -485,7 +485,7 @@ func TestDistinctCountMultiDeterministicAcrossSummarizations(t *testing.T) {
 			for _, h := range keys {
 				st.Push(h)
 			}
-			got[j] = st.Close()
+			got[j] = st.Close().(SetReader)
 		}
 		res, err := DistinctCountMultiReaders(got, nil)
 		if err != nil {

@@ -360,9 +360,9 @@ func TestDecodeV2Canonicalises(t *testing.T) {
 // TestV2EntryValuesValidated: a weighted entry whose value is negative,
 // infinite or NaN is refused by every ingress decoder, for every weighted
 // kind; zero stays valid. The same entries as v1 JSON (which can only spell
-// the negative ones) are refused by every v1 entry point, and
-// DecodeStoredSummary — the store's replay decoder — takes all of them in
-// either wire version.
+// the negative ones) are refused by every v1 entry point.
+// DecodeStoredSummary — the store's replay decoder — takes all of them as
+// v2 and refuses v1 JSON whatever it holds: the store writes only v2.
 func TestV2EntryValuesValidated(t *testing.T) {
 	s := NewSummarizer(21)
 	in := dataset.Instance{5: 2, 9: 4, 12: 1}
@@ -412,8 +412,8 @@ func TestV2EntryValuesValidated(t *testing.T) {
 			if _, err := DecodeSummaryVersionFrom(bytes.NewReader(v1), 1); err == nil || err.Error() != want {
 				t.Errorf("%s: v1 DecodeSummaryVersionFrom of entry value %v: %v", sum.Kind(), bad, err)
 			}
-			if _, err := DecodeStoredSummary(v1); err != nil {
-				t.Errorf("%s: stored decoder refused v1 entry value %v: %v", sum.Kind(), bad, err)
+			if _, err := DecodeStoredSummary(v1); err == nil {
+				t.Errorf("%s: stored decoder took v1 JSON (entry value %v)", sum.Kind(), bad)
 			}
 		}
 		if _, err := DecodeSummary(withValue(0)); err != nil {

@@ -23,14 +23,12 @@
 // does no sampling work itself, it only routes batches.
 //
 // Config{Async: true} additionally decouples the producer from the
-// samplers even when there is only one shard, and makes the backpressure
-// contract explicit: every shard has a bounded queue of QueueDepth
-// batches, and Push never blocks beyond that bound — a Push stalls only
-// while the destination shard's queue is full, i.e. at most until the
-// worker drains one batch, and every stall is counted in Stats().Stalls.
-// Memory is bounded by shards × (QueueDepth+2) × BatchSize buffered pairs
-// (per shard: the producer-side buffer, the queued batches, and the batch
-// the worker is applying).
+// samplers even when there is only one shard. Every shard has a bounded
+// queue of queueDepth batches, and a Push blocks only while the
+// destination shard's queue is full, i.e. at most until the worker drains
+// one batch. Memory is bounded by shards × (queueDepth+2) × BatchSize
+// buffered pairs (per shard: the producer-side buffer, the queued
+// batches, and the batch the worker is applying).
 // Close always drains: the sample it returns holds every pushed pair and
 // is bit-identical to the sync-mode (and sequential) sample.
 //
@@ -42,7 +40,6 @@
 package engine
 
 import (
-	"fmt"
 	"runtime"
 
 	"repro/internal/dataset"
@@ -55,20 +52,15 @@ import (
 // enough to amortize channel operations, small enough to keep workers busy.
 const DefaultBatchSize = 1024
 
-// defaultQueueDepth is the per-shard queue capacity, in batches. A small
-// queue lets the producer run ahead of a momentarily busy worker without
+// queueDepth is the per-shard queue capacity, in batches. A small queue
+// lets the producer run ahead of a momentarily busy worker without
 // unbounded buffering.
-const defaultQueueDepth = 8
+const queueDepth = 8
 
 // Config selects the execution strategy of a summarization pipeline. The
 // zero value means sequential: one sampler, no goroutines, byte-identical
-// to calling the internal/sampling streams directly.
-//
-// Zero-valued fields select documented defaults (see each field); negative
-// values are meaningless and rejected by Validate. NewBottomK,
-// NewPoissonPPS and server.New panic on an invalid Config; a caller
-// holding settings it did not choose calls Validate first and reports the
-// error.
+// to calling the internal/sampling streams directly. A Shards or BatchSize
+// of zero or less selects the documented default.
 type Config struct {
 	// Parallel enables the sharded pipeline. When false (and Async is
 	// false) the engine degenerates to a single in-line sampler.
@@ -80,45 +72,9 @@ type Config struct {
 	// sends; 0 means DefaultBatchSize.
 	BatchSize int
 	// Async decouples the producer from the samplers even on a one-shard
-	// pipeline and bounds the time Push may block: a Push stalls only
-	// while the destination shard's bounded queue is full (at most until
-	// the worker drains one batch), and stalls are counted in
-	// Stats().Stalls — the engine's explicit backpressure signal.
+	// pipeline: a Push blocks only while the destination shard's bounded
+	// queue is full, at most until the worker drains one batch.
 	Async bool
-	// QueueDepth is the per-shard queue capacity in batches; 0 means
-	// defaultQueueDepth (8).
-	QueueDepth int
-}
-
-// configError reports a Config field set to a meaningless (negative)
-// value: the error Config.Validate returns.
-type configError struct {
-	// Field is the offending Config field name.
-	Field string
-	// Value is the rejected value.
-	Value int
-}
-
-// Error implements error.
-func (e *configError) Error() string {
-	return fmt.Sprintf("engine: Config.%s must not be negative, got %d (0 selects the default)", e.Field, e.Value)
-}
-
-// Validate rejects meaningless settings with a *configError. The rule, in
-// one place for every caller: negative Shards, BatchSize, or QueueDepth
-// are errors; zero always means "use the default" (GOMAXPROCS shards,
-// DefaultBatchSize, defaultQueueDepth).
-func (c Config) Validate() error {
-	if c.Shards < 0 {
-		return &configError{Field: "Shards", Value: c.Shards}
-	}
-	if c.BatchSize < 0 {
-		return &configError{Field: "BatchSize", Value: c.BatchSize}
-	}
-	if c.QueueDepth < 0 {
-		return &configError{Field: "QueueDepth", Value: c.QueueDepth}
-	}
-	return nil
 }
 
 // NumShards resolves the effective shard count.
@@ -140,31 +96,10 @@ func (c Config) effectiveBatchSize() int {
 	return DefaultBatchSize
 }
 
-// effectiveQueueDepth resolves the effective per-shard queue capacity.
-func (c Config) effectiveQueueDepth() int {
-	if c.QueueDepth > 0 {
-		return c.QueueDepth
-	}
-	return defaultQueueDepth
-}
-
 // Pair is one (key, value) arrival. Streams feed the engine as Pair values;
 // the instances×keys model assigns one value per key per instance, so a key
 // must arrive at most once per stream.
 type Pair = sampling.Pair
-
-// Stats is a point-in-time view of a pipeline's throughput and
-// backpressure counters. The counters are maintained by the producer
-// goroutine without synchronization, so Stats must be called from the
-// same goroutine that calls Push (or after Close).
-type Stats struct {
-	// Pairs is the number of arrivals accepted by Push.
-	Pairs uint64
-	// Stalls counts batch handoffs that found the destination shard's
-	// queue full and had to wait for the worker — the backpressure signal.
-	// A stall lasts at most the time the worker needs to drain one batch.
-	Stalls uint64
-}
 
 // shardOf routes a key to its shard. The route is a pure function of the
 // key, so re-feeding a stream in any order reproduces the same partition;

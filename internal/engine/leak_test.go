@@ -19,7 +19,7 @@ func TestCloseReleasesWorkerGoroutines(t *testing.T) {
 	for _, cfg := range []Config{
 		{Parallel: true, Shards: 4},
 		{Async: true},
-		{Parallel: true, Shards: 2, Async: true, BatchSize: 16, QueueDepth: 2},
+		{Parallel: true, Shards: 2, Async: true, BatchSize: 16},
 	} {
 		e := NewBottomK(16, sampling.PPS{}, seed, cfg)
 		for i := 0; i < 3_000; i++ {

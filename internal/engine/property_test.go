@@ -109,7 +109,7 @@ func TestPoissonPPSMatchesSequential(t *testing.T) {
 		for _, async := range []bool{false, true} {
 			for perm := 0; perm < 3; perm++ {
 				order := randx.New(uint64(perm)*17 + 5).Perm(len(stream))
-				cfg := Config{Parallel: shards > 1, Shards: shards, BatchSize: 128, Async: async, QueueDepth: 2}
+				cfg := Config{Parallel: shards > 1, Shards: shards, BatchSize: 128, Async: async}
 				e := NewPoissonPPS(tau, seed, cfg)
 				for _, idx := range order {
 					e.Push(stream[idx].Key, stream[idx].Value)

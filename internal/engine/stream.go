@@ -24,7 +24,7 @@ type sampler interface {
 // sampling.MergeBottomK and sampling.MergePoissonPPS for why the merges
 // are exact).
 //
-// Push, Stats, and Close must be called from a single producer goroutine;
+// Push and Close must be called from a single producer goroutine;
 // the parallelism is internal. The seed function is shared by all shard
 // workers and must be safe for concurrent use (hash-derived seeds are pure
 // functions and qualify).
@@ -32,7 +32,6 @@ type Stream struct {
 	closed bool
 	seq    sampler  // the in-line sampler; nil on the sharded and async paths
 	sh     *sharder // nil on the in-line path
-	pairs  uint64
 	// merge merges two or more shards' samplers into the global sample.
 	merge func([]sampler) *sampling.WeightedSample
 }
@@ -68,12 +67,8 @@ func NewPoissonPPS(tauStar float64, seed sampling.SeedFunc, cfg Config) *Stream 
 }
 
 // newStream builds the execution strategy selected by cfg, constructing
-// per-shard samplers with mk. It panics on an invalid Config; callers
-// handling user input validate first (Config.Validate).
+// per-shard samplers with mk.
 func newStream(cfg Config, mk func() sampler, merge func([]sampler) *sampling.WeightedSample) *Stream {
-	if err := cfg.Validate(); err != nil {
-		panic(err)
-	}
 	// Async always takes the worker path, even with one shard: the point
 	// is to decouple the producer from the sampling work.
 	if shards := cfg.NumShards(); shards > 1 || cfg.Async {
@@ -87,7 +82,6 @@ func (e *Stream) Push(h dataset.Key, v float64) {
 	if e.closed {
 		panic("engine: Push after Close")
 	}
-	e.pairs++
 	if e.sh == nil {
 		e.seq.Push(h, v)
 		return
@@ -104,7 +98,6 @@ func (e *Stream) PushBatch(ps []Pair) {
 	if e.closed {
 		panic("engine: Push after Close")
 	}
-	e.pairs += uint64(len(ps))
 	if e.sh == nil {
 		e.seq.PushBatch(ps)
 		return
@@ -115,25 +108,15 @@ func (e *Stream) PushBatch(ps []Pair) {
 }
 
 // TauGuard returns the in-line sampler's certain-reject bound
-// (sampling.StreamBottomK.TauGuard), which the producer may test arrivals
-// against and then count them with PushRejected instead of pushing them.
-// It is NaN on the sharded and async paths, whose samplers belong to their
-// workers.
+// (sampling.StreamBottomK.TauGuard): a producer may test arrivals against
+// it and leave out those it proves rejected, which the sampler would not
+// keep. It is NaN on the sharded and async paths, whose samplers belong to
+// their workers.
 func (e *Stream) TauGuard() float64 {
 	if e.sh != nil {
 		return math.NaN()
 	}
 	return e.seq.TauGuard()
-}
-
-// PushRejected stands for n arrivals the producer did not push because it
-// proved them rejected against TauGuard: the sample is what pushing them
-// would have left, and Stats().Pairs counts them.
-func (e *Stream) PushRejected(n int) {
-	if e.closed {
-		panic("engine: Push after Close")
-	}
-	e.pairs += uint64(n)
 }
 
 // Close flushes buffered batches, waits for the shard workers, and returns
@@ -153,16 +136,6 @@ func (e *Stream) Close() *sampling.WeightedSample {
 	return e.merge(ss)
 }
 
-// Stats returns the pipeline's throughput and backpressure counters. Like
-// Push, it must be called from the producer goroutine (or after Close).
-func (e *Stream) Stats() Stats {
-	st := Stats{Pairs: e.pairs}
-	if e.sh != nil {
-		st.Stalls = e.sh.stalls
-	}
-	return st
-}
-
 // sharder is the sharded batching pipeline behind a Stream: it owns the
 // per-shard buffers, bounded worker queues, goroutines and samplers.
 //
@@ -178,7 +151,6 @@ type sharder struct {
 	chans    []chan *[]Pair
 	samplers []sampler
 	arena    sync.Pool
-	stalls   uint64
 	wg       sync.WaitGroup
 }
 
@@ -197,7 +169,7 @@ func newSharder(shards int, cfg Config, mk func() sampler) *sharder {
 	}
 	for i := 0; i < shards; i++ {
 		sh.bufs[i] = sh.getBuf()
-		ch := make(chan *[]Pair, cfg.effectiveQueueDepth())
+		ch := make(chan *[]Pair, queueDepth)
 		s := mk()
 		sh.chans[i] = ch
 		sh.samplers[i] = s
@@ -226,7 +198,9 @@ func (sh *sharder) putBuf(buf *[]Pair) {
 }
 
 // push routes one arrival to its shard, handing the shard's batch to its
-// worker when full and pulling a recycled slice from the arena.
+// worker when full and pulling a recycled slice from the arena. The queue
+// is bounded, so the handoff can block, at most until the worker frees
+// one slot by consuming a batch.
 //
 //summarylint:hot
 func (sh *sharder) push(p Pair) {
@@ -238,23 +212,8 @@ func (sh *sharder) push(p Pair) {
 	//summarylint:ignore arena buffers carry cap=batch, so this append never grows (benchgate pins 0 allocs/op)
 	*buf = append(*buf, p)
 	if len(*buf) >= sh.batch {
-		sh.send(i, buf)
+		sh.chans[i] <- buf
 		sh.bufs[i] = sh.getBuf()
-	}
-}
-
-// send hands one full batch to a shard worker. The queue is bounded, so
-// the handoff can block — at most until the worker frees one slot by
-// consuming a batch — and every blocking handoff is counted as a stall:
-// Stats().Stalls is the engine's explicit backpressure signal.
-//
-//summarylint:hot
-func (sh *sharder) send(i int, ps *[]Pair) {
-	select {
-	case sh.chans[i] <- ps:
-	default:
-		sh.stalls++
-		sh.chans[i] <- ps
 	}
 }
 
@@ -264,7 +223,7 @@ func (sh *sharder) send(i int, ps *[]Pair) {
 func (sh *sharder) drain() []sampler {
 	for i, buf := range sh.bufs {
 		if len(*buf) > 0 {
-			sh.send(i, buf)
+			sh.chans[i] <- buf
 		}
 		close(sh.chans[i])
 	}

@@ -29,7 +29,7 @@ func TestStressAsyncIngestCloseQuery(t *testing.T) {
 	testutil.VerifyNoLeaks(t)
 	seeder := xhash.Seeder{Salt: 11}
 	seed := func(h dataset.Key) float64 { return seeder.Seed(0, uint64(h)) }
-	cfg := Config{Parallel: true, Shards: 4, Async: true, BatchSize: 64, QueueDepth: 4}
+	cfg := Config{Parallel: true, Shards: 4, Async: true, BatchSize: 64}
 
 	closed := make(chan *sampling.WeightedSample, 16)
 	var wg sync.WaitGroup

@@ -275,24 +275,6 @@ func TestTableFormatting(t *testing.T) {
 	}
 }
 
-func TestAllRuns(t *testing.T) {
-	if testing.Short() {
-		t.Skip("full figure sweep in short mode")
-	}
-	var tables []*Table
-	for _, f := range Figures {
-		tables = append(tables, f.Gen(Figure7Options{})...)
-	}
-	if len(tables) < 12 {
-		t.Errorf("the figure table produced %d tables", len(tables))
-	}
-	for _, tab := range tables {
-		if tab.ID == "" || len(tab.Header) == 0 || len(tab.Rows) == 0 {
-			t.Errorf("table %q is degenerate", tab.ID)
-		}
-	}
-}
-
 // Figure1Checkpoints returns the headline numbers the reproduction must
 // hit, used by tests and EXPERIMENTS.md: variance of each estimator at the
 // two corners min/max ∈ {0, 1}.

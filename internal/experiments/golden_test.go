@@ -35,7 +35,7 @@ var reducedFigure7 = Figure7Options{ScaleDown: 20, IntegrationN: 32,
 	Fractions: []float64{0.01, 0.1, 0.5}}
 
 // unpinned names the Figures ids that have no golden file, each with the
-// tests that check it instead.
+// tests that check their cells instead.
 var unpinned = map[string]string{
 	"6.1":      "TestTheorem61Table",
 	"ablation": "TestAblationFamilies, TestAblationSeeds, TestAblationRecurrence",
@@ -51,14 +51,25 @@ func goldenName(id string) string {
 	return id
 }
 
+// TestGoldenFigures runs every generator of Figures: each table it makes
+// must be non-degenerate (an ID, a header, a row), the whole table at
+// least 12 of them, and every figure with a golden file must match it.
 func TestGoldenFigures(t *testing.T) {
+	ran, tables := 0, 0
 	for _, f := range Figures {
 		name := goldenName(f.ID)
 		t.Run(name, func(t *testing.T) {
-			if by, ok := unpinned[f.ID]; ok {
-				t.Skipf("no golden file; checked by %s", by)
-			}
+			ran++
 			got := f.Gen(reducedFigure7)
+			tables += len(got)
+			for _, tab := range got {
+				if tab.ID == "" || len(tab.Header) == 0 || len(tab.Rows) == 0 {
+					t.Errorf("table %q is degenerate", tab.ID)
+				}
+			}
+			if by, ok := unpinned[f.ID]; ok {
+				t.Skipf("no golden file; cells checked by %s", by)
+			}
 			path := filepath.Join("testdata", name+".golden.json")
 			if testutil.Update() {
 				data, err := json.MarshalIndent(got, "", " ")
@@ -80,6 +91,9 @@ func TestGoldenFigures(t *testing.T) {
 			}
 			compareTables(t, got, want)
 		})
+	}
+	if ran == len(Figures) && tables < 12 {
+		t.Errorf("the figure table produced %d tables", tables)
 	}
 }
 

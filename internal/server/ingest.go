@@ -238,28 +238,19 @@ func (s *Server) handleIngest(multi bool) http.HandlerFunc {
 		}
 		streams := make([]ingestStream, len(p.instances))
 		for i, id := range p.instances {
-			var st *core.WeightedStream
 			switch p.kind {
 			case "pps":
-				st = p.summ.StreamPPS(engine.Config{}, id, p.taus[i])
+				streams[i] = p.summ.StreamPPS(engine.Config{}, id, p.taus[i])
 			case "bottomk":
-				st = p.summ.StreamBottomK(engine.Config{}, id, p.k, p.fam)
+				streams[i] = p.summ.StreamBottomK(engine.Config{}, id, p.k, p.fam)
 			case "set":
-				set := p.summ.StreamSet(id, p.p)
-				streams[i] = ingestStream{close: func() core.Summary { return set.Close() }, push: func(ps []engine.Pair) {
-					for _, p := range ps {
-						set.Push(p.Key)
-					}
-				}}
-				continue
+				streams[i] = p.summ.StreamSet(id, p.p)
 			}
-			streams[i] = ingestStream{push: st.PushBatch, close: st.Close, sampler: st}
 		}
 		// Tracing instruments the request's engine stages from outside the
 		// pipeline: the scan+push loop, the drain (Close), and the registry
-		// registration each get a child span, and the streams' final pair
-		// counts are attached to the drain span — the hot loop itself stays
-		// untouched.
+		// registration each get a child span, and the scan's pair count is
+		// attached to the drain span — the hot loop itself stays untouched.
 		sp := trace.SpanFromContext(r.Context())
 		scan := sp.StartChild("ingest.scan")
 		shape := lineShape{csv: p.format == "csv", keysOnly: p.kind == "set", triples: multi}
@@ -271,24 +262,20 @@ func (s *Server) handleIngest(multi bool) http.HandlerFunc {
 		// encoding/json.
 		scan.SetInt("values_parsed", pairs-rejected)
 		scan.Finish()
-		// Drain even after a failed scan, and fold the streams' final
-		// counters into the server totals — the one-shot read of the
-		// Stats() seam (safe after Close), so the hot loop itself carries
-		// no instrumentation. A failed scan still did this much pipeline
-		// work; record it either way.
+		// Drain even after a failed scan, and fold the scan's pair count
+		// into the server totals: a failed scan still did this much
+		// pipeline work, so record it either way. Set sampling bypasses
+		// the engine, so a set ingest counts as an ingest of no pairs.
 		drain := sp.StartChild("engine.drain")
 		sums := make([]core.Summary, len(streams))
-		var st engine.Stats // the request's: its streams' pairs, one ingest
 		for i, is := range streams {
-			sums[i] = is.close()
-			if is.sampler != nil { // set sampling bypasses the engine
-				st.Pairs += is.sampler.Stats().Pairs
-			}
+			sums[i] = is.Close()
 		}
 		if p.kind != "set" {
-			drain.SetInt("pairs", int64(st.Pairs))
+			drain.SetInt("pairs", pairs)
+			s.engine.pairs.Add(uint64(pairs))
 		}
-		s.engine.record(st)
+		s.engine.ingests.Add(1)
 		drain.Finish()
 		if err != nil {
 			writeError(w, err)

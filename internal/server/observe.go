@@ -10,7 +10,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/engine"
 	"repro/internal/obs"
 	"repro/internal/obs/trace"
 	"repro/pkg/api"
@@ -20,11 +19,10 @@ import (
 // request mux with a middleware that measures every request (count,
 // latency, in-flight, request/response bytes, status class — all
 // per-endpoint), assigns a request ID propagated as X-Request-ID, and
-// emits one structured log line per request. It also bridges the ingest
-// engine's Stats() seam into the metrics registry: pipelines stay
-// completely uninstrumented (zero overhead in the sampling hot loop) and
-// the server accumulates each request's final counters once, after the
-// pipeline closes.
+// emits one structured log line per request. It also exports the ingest
+// totals: pipelines stay completely uninstrumented (zero overhead in the
+// sampling hot loop) and the server adds each request's pair count, which
+// its scan returns, once, after the pipeline closes.
 
 // endpointLabel buckets a request path into the fixed per-endpoint label
 // vocabulary. Unknown paths collapse into "other" so a probe scan cannot
@@ -137,8 +135,8 @@ func NewObserver(reg *obs.Registry, opts ...ObserverOption) *Observer {
 }
 
 // bindServer registers the series that read one server's state: the
-// engine totals accumulated from every ingest pipeline's Stats(), and
-// the dataset count. Called by server.New; binding one observer to two
+// engine totals accumulated from every raw ingest, and the dataset
+// count. Called by server.New; binding one observer to two
 // servers would double-register and panics in the obs registry.
 func (o *Observer) bindServer(s *Server) {
 	if o.bound {
@@ -346,17 +344,11 @@ func (w *statusWriter) status() int {
 	return w.code
 }
 
-// engineTotals accumulates every ingest pipeline's final Stats() — the
-// zero-overhead instrumentation seam: the pipeline itself is untouched,
-// and the server adds its counters exactly once, after Close.
+// engineTotals accumulates every raw ingest's counts: the weighted pairs
+// its scan consumed, and the ingest itself. The handler adds them once per
+// request, after the drain, so the scan loop carries no instrumentation.
 type engineTotals struct {
 	pairs, ingests atomic.Uint64
-}
-
-// record folds one completed pipeline's counters into the totals.
-func (t *engineTotals) record(st engine.Stats) {
-	t.pairs.Add(st.Pairs)
-	t.ingests.Add(1)
 }
 
 // engineStatus builds the /healthz engine block from the accumulated

@@ -874,14 +874,12 @@ type batchColumns struct {
 
 // ingestStream is one instance's in-line stream as an ingest drives it:
 // where its pairs go, up to ingestBatch at a time, and how it is drained
-// into its summary. A weighted stream is also its own sampler: its seeds
-// and certain-reject bound for the window lexers' gate, the count of pairs
-// the gate rejected without a push, and, after the drain, its engine's
-// counters.
-type ingestStream struct {
-	push    func([]engine.Pair)
-	close   func() core.Summary
-	sampler *core.WeightedStream // nil for a set stream
+// into its summary. A *core.WeightedStream is also its own sampler, whose
+// seeds and certain-reject bound feed the window lexers' gate; a
+// *core.SetStream is not.
+type ingestStream interface {
+	PushBatch([]engine.Pair)
+	Close() core.Summary
 }
 
 // lineShape is what every line of one request's body holds, fixed by its
@@ -945,10 +943,10 @@ type pairBatch struct {
 	at      []int
 	touched []int
 	// gated, when set, is the one stream's sampler, and gate its bound for
-	// the lexers; flush counts the pairs the gate rejected into it instead
-	// of pushing them, and re-reads the bound after every push — a bound
-	// read earlier is never below the current one, so it rejects nothing
-	// the sampler would keep.
+	// the lexers; flush counts the pairs the gate rejected instead of
+	// pushing them, and re-reads the bound after every push — a bound read
+	// earlier is never below the current one, so it rejects nothing the
+	// sampler would keep.
 	gated *core.WeightedStream
 	gate  rejectGate
 }
@@ -998,7 +996,6 @@ func (b *pairBatch) flush() error {
 		b.route(first)
 	} else if kept := b.compact(first); b.gated != nil {
 		b.rejected += int64(first - kept)
-		b.gated.PushRejected(first - kept)
 		b.gate.guard = b.gated.TauGuard()
 	}
 	b.pushed += int64(first)
@@ -1028,7 +1025,7 @@ func (b *pairBatch) compact(n int) (kept int) {
 		}
 	}
 	if kept > 0 {
-		b.streams[0].push(b.pairs[:kept])
+		b.streams[0].PushBatch(b.pairs[:kept])
 	}
 	return kept
 }
@@ -1061,7 +1058,7 @@ func (b *pairBatch) route(n int) {
 	for _, p := range b.touched[:t] {
 		end := b.at[p]
 		b.at[p] = 0
-		b.streams[p].push(b.part[start:end])
+		b.streams[p].PushBatch(b.part[start:end])
 		start = end
 	}
 }
@@ -1097,9 +1094,9 @@ func (b *pairBatch) end(err error) (pairs, rejected int64, _ error) {
 //
 // A lone stream that is a sampler is gated: a pair the window lexer
 // proves it rejects (rejectGate) is checked for repeats and counted like
-// any other, but its value is not parsed and the pair is not pushed, and
-// PushRejected counts it instead. What the stream samples, and every count
-// and error, are what pushing every pair would give.
+// any other, but its value is not parsed and the pair is not pushed. What
+// the stream samples, and every count and error, are what pushing every
+// pair would give.
 func scanIngest(ctx context.Context, body io.Reader, shape lineShape, streams []ingestStream, ids []int, index map[int]int) (pairs, rejected int64, err error) {
 	in := newLineReader(body)
 	defer in.release()
@@ -1118,7 +1115,7 @@ func scanIngest(ctx context.Context, body io.Reader, shape lineShape, streams []
 	if len(streams) > 1 {
 		cols := make([]int, len(streams)+min(len(streams), ingestBatch))
 		b.at, b.touched, b.part = cols[:len(streams)], cols[len(streams):], make([]engine.Pair, ingestBatch)
-	} else if st := streams[0].sampler; st != nil {
+	} else if st, ok := streams[0].(*core.WeightedStream); ok {
 		b.gated, b.gate = st, rejectGate{seed: st.Seeder(), guard: st.TauGuard()}
 	}
 	want := uint8(hasValue) // what a line the window lexer takes must hold

@@ -15,6 +15,7 @@ import (
 	"testing"
 	"testing/iotest"
 
+	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/xhash"
 )
@@ -45,11 +46,18 @@ func scanBody(format string, n int) []byte {
 	return out
 }
 
+// pushFunc is an ingestStream that hands every batch to a function and
+// drains into no summary.
+type pushFunc func([]engine.Pair)
+
+func (f pushFunc) PushBatch(ps []engine.Pair) { f(ps) }
+func (pushFunc) Close() core.Summary          { return nil }
+
 // scanPairs is scanIngest over a key,value body into push, with no
 // sampler to gate for: every value is parsed and every pair pushed, as for
 // a set ingest.
 func scanPairs(ctx context.Context, body io.Reader, format string, keysOnly bool, push func([]engine.Pair)) (int64, error) {
-	pairs, _, err := scanIngest(ctx, body, lineShape{csv: format == "csv", keysOnly: keysOnly}, []ingestStream{{push: push}}, []int{0}, nil)
+	pairs, _, err := scanIngest(ctx, body, lineShape{csv: format == "csv", keysOnly: keysOnly}, []ingestStream{pushFunc(push)}, []int{0}, nil)
 	return pairs, err
 }
 
@@ -59,7 +67,7 @@ func scanPairs(ctx context.Context, body io.Reader, format string, keysOnly bool
 func scanMultiPairs(ctx context.Context, body io.Reader, format string, ids []int, push func(int, []engine.Pair)) (int64, error) {
 	streams, index := make([]ingestStream, len(ids)), make(map[int]int, len(ids))
 	for i, id := range ids {
-		streams[i].push = func(ps []engine.Pair) { push(i, ps) }
+		streams[i] = pushFunc(func(ps []engine.Pair) { push(i, ps) })
 		index[id] = i
 	}
 	pairs, _, err := scanIngest(ctx, body, lineShape{csv: format == "csv", triples: true}, streams, ids, index)

@@ -40,8 +40,8 @@ type Server struct {
 	storeStatus func() api.StoreStatus
 	obs         *Observer
 	tracer      *trace.Tracer
-	// engine accumulates every ingest pipeline's final Stats() for
-	// /healthz and the metrics registry.
+	// engine accumulates every raw ingest's counts for /healthz and the
+	// metrics registry.
 	engine engineTotals
 }
 
@@ -86,11 +86,8 @@ func WithTracer(t *trace.Tracer) Option {
 // in-line engine (engine.Config{}), whose samplers also let the scanners
 // reject pairs before parsing their values. cfg must describe that
 // engine: one shard, no Async. New panics on any other config — a
-// construction-time misconfiguration, like an invalid one.
+// construction-time misconfiguration.
 func New(reg *Registry, cfg engine.Config, opts ...Option) *Server {
-	if err := cfg.Validate(); err != nil {
-		panic(err)
-	}
 	if cfg.NumShards() != 1 || cfg.Async {
 		panic(fmt.Sprintf("server: ingest runs the in-line engine only, got engine config %+v", cfg))
 	}

@@ -92,8 +92,7 @@ func TestNewAcceptsOnlyInLineEngine(t *testing.T) {
 		{"one shard", engine.Config{Shards: 1, BatchSize: engine.DefaultBatchSize}, true},
 		{"sharded", engine.Config{Parallel: true, Shards: 2}, false},
 		{"async", engine.Config{Async: true}, false},
-		{"sharded async", engine.Config{Parallel: true, Shards: 3, Async: true, QueueDepth: 2}, false},
-		{"negative batch", engine.Config{BatchSize: -1}, false},
+		{"sharded async", engine.Config{Parallel: true, Shards: 3, Async: true}, false},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			defer func() {

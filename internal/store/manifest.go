@@ -69,8 +69,8 @@ func writeManifest(dir string, first, last int64) error {
 }
 
 // readManifest reads and validates the manifest. ok is false (with a nil
-// error) when none exists — a fresh directory, or one needing migration
-// from the pre-segmented layout.
+// error) when none exists — a fresh directory, or one where a crash came
+// between creating segment 1 and writing the first manifest.
 func readManifest(dir string) (first, last int64, ok bool, err error) {
 	data, err := os.ReadFile(filepath.Join(dir, manifestName))
 	if os.IsNotExist(err) {

@@ -32,8 +32,10 @@ import (
 //
 // so alpha's only record in A and gamma's only record in snapshot 2 are
 // superseded, beta lives in snapshot 1 alone, and 4 of the 7 records are
-// dead. The two snapshots are a chain of partial images, the layout an
-// older summaryd wrote; recovery still reads it.
+// dead. The two snapshots are a chain of partial images, which no writer
+// leaves; recovery reads it as it reads the two whole images a crash
+// between snapshot promotion and removal leaves, so the chain lets one
+// directory put a superseded record in every kind of file.
 type layered struct {
 	dir                string
 	v1, v2, v3, v4     core.Summary // alpha/0, oldest first
@@ -79,8 +81,7 @@ func buildLayered(t *testing.T) layered {
 	put(gamma, l.g1)
 	snapshot()
 	// Snapshot 2 holds the whole registry and snapshot 1 is gone; put back
-	// the chain an older summaryd left: snapshot 1, and a snapshot 2 that
-	// holds only what changed since.
+	// snapshot 1, and make snapshot 2 hold only what changed since.
 	if err := os.WriteFile(l.snap1, snap1, 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -230,25 +231,60 @@ func TestLastRecordWins(t *testing.T) {
 	}
 }
 
-// rewriteFirstWire sets byte off of the v2 summary in a file's first
-// record from was to b and checksums the record again, so it stays validly
-// framed.
-func rewriteFirstWire(t *testing.T, path string, off int, was, b byte) {
+// spliceFirstWire replaces the summary in a file's first record with what
+// edit makes of it, and frames and checksums the record again, so it stays
+// validly framed.
+func spliceFirstWire(t *testing.T, path string, edit func(wire []byte) []byte) {
 	t.Helper()
 	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	hdr := data[magicLen : magicLen+recordHeaderLen]
-	payload := data[magicLen+recordHeaderLen:][:binary.LittleEndian.Uint32(hdr)]
-	_, wire, ok := splitPayload(payload)
-	if !ok || wire[off] != was {
-		t.Fatalf("%s: first record's v2 byte %d is not %#x", path, off, was)
+	end := magicLen + recordHeaderLen + int(binary.LittleEndian.Uint32(data[magicLen:]))
+	dataset, wire, ok := splitPayload(data[magicLen+recordHeaderLen : end])
+	if !ok {
+		t.Fatalf("%s: first record has no dataset name", path)
 	}
-	wire[off] = b
-	binary.LittleEndian.PutUint32(hdr[4:], crc32.Checksum(payload, crcTable))
-	if err := os.WriteFile(path, data, 0o644); err != nil {
+	payload := append(binary.AppendUvarint(nil, uint64(len(dataset))), dataset...)
+	payload = append(payload, edit(wire)...)
+	out := binary.LittleEndian.AppendUint32([]byte(data[:magicLen:magicLen]), uint32(len(payload)))
+	out = binary.LittleEndian.AppendUint32(out, crc32.Checksum(payload, crcTable))
+	out = append(append(out, payload...), data[end:]...)
+	if err := os.WriteFile(path, out, 0o644); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// refusedFiles are the files of the layered directory whose first record
+// the refusal tests rewrite: each kind of file replayed strictly.
+var refusedFiles = []struct {
+	name string
+	path func(l layered) string
+	kind string
+}{
+	{"snapshot file", func(l layered) string { return l.snap1 }, "store: snapshot "},
+	{"sealed segment", func(l layered) string { return l.sealedA }, "store: sealed WAL segment "},
+}
+
+// mustRefuseOpen fails t unless Open refuses the layered directory with an
+// error naming the file of kind at path, its first record's failed decode
+// and the decoder's refusal, and leaves every byte and modification time
+// of the directory as it found them.
+func mustRefuseOpen(t *testing.T, l layered, path, kind, refuse string) {
+	t.Helper()
+	before := dirListing(t, l.dir)
+	st, err := Open(l.dir, Options{}, func(string, core.Summary) error { return nil })
+	if err == nil {
+		st.Close()
+		t.Fatal("Open accepted the record")
+	}
+	for _, want := range []string{kind, path + ": store: record 1: checksummed payload failed to decode", refuse} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("error %q does not contain %q", err, want)
+		}
+	}
+	if after := dirListing(t, l.dir); !reflect.DeepEqual(after, before) {
+		t.Errorf("a refused Open changed the directory:\nbefore %v\nafter  %v", before, after)
 	}
 }
 
@@ -271,34 +307,45 @@ func TestOpenRefusesCoordinatedRecord(t *testing.T) {
 		// The kind byte: tag 4 is no kind any decoder knows.
 		{", kind tag 4", 3, 0x01, 0x04, "core: unknown v2 summary kind tag 4"},
 	} {
-		for _, tc := range []struct {
-			name string
-			path func(l layered) string
-			kind string
-		}{
-			{"snapshot file", func(l layered) string { return l.snap1 }, "store: snapshot "},
-			{"sealed segment", func(l layered) string { return l.sealedA }, "store: sealed WAL segment "},
-		} {
+		for _, tc := range refusedFiles {
 			t.Run(tc.name+m.name, func(t *testing.T) {
 				l := buildLayered(t)
 				path := tc.path(l)
-				rewriteFirstWire(t, path, m.off, m.was, m.to)
-				before := dirListing(t, l.dir)
-				st, err := Open(l.dir, Options{}, func(string, core.Summary) error { return nil })
-				if err == nil {
-					st.Close()
-					t.Fatal("Open accepted the record")
-				}
-				for _, want := range []string{tc.kind, path + ": store: record 1: checksummed payload failed to decode", m.refuse} {
-					if !strings.Contains(err.Error(), want) {
-						t.Errorf("error %q does not contain %q", err, want)
+				spliceFirstWire(t, path, func(wire []byte) []byte {
+					if wire[m.off] != m.was {
+						t.Fatalf("%s: first record's v2 byte %d is not %#x", path, m.off, m.was)
 					}
-				}
-				if after := dirListing(t, l.dir); !reflect.DeepEqual(after, before) {
-					t.Errorf("a refused Open changed the directory:\nbefore %v\nafter  %v", before, after)
-				}
+					wire[m.off] = m.to
+					return wire
+				})
+				mustRefuseOpen(t, l, path, tc.kind, m.refuse)
 			})
 		}
+	}
+}
+
+// TestOpenRefusesV1Record: a snapshot file or a sealed segment whose first
+// record is validly framed but holds its summary as v1 JSON fails Open like
+// any record that does not decode: the store writes every record as v2,
+// and replay reads nothing else.
+func TestOpenRefusesV1Record(t *testing.T) {
+	for _, tc := range refusedFiles {
+		t.Run(tc.name, func(t *testing.T) {
+			l := buildLayered(t)
+			path := tc.path(l)
+			spliceFirstWire(t, path, func(wire []byte) []byte {
+				sum, err := core.DecodeStoredSummary(wire)
+				if err != nil {
+					t.Fatal(err)
+				}
+				v1, err := core.EncodeSummary(sum, 1)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return v1
+			})
+			mustRefuseOpen(t, l, path, tc.kind, "core: decoding v2 summary: bad magic")
+		})
 	}
 }
 

@@ -20,8 +20,7 @@ import (
 // snapshot file is deleted, so a directory normally holds one. Recovery
 // still replays every file it finds in sequence order, later entries
 // replacing earlier ones: a crash between promoting snapshot N and
-// removing N-1 leaves both, and a directory an older summaryd wrote may
-// hold a chain of partial images. WAL segments then replay on top.
+// removing N-1 leaves both. WAL segments then replay on top.
 //
 // Every file is written atomically — temp file in the same directory,
 // fsync, rename, directory fsync — so a snapshot file is always a complete

@@ -57,13 +57,14 @@ type HealthResult struct {
 	Store        *StoreStatus  `json:"store,omitempty"`
 }
 
-// EngineStatus is the ingest engine's health: the counters every raw
-// ingest's pipeline reported through its Stats() seam, accumulated over
-// the server's lifetime. Set ingests are stateless and bypass the engine,
-// so they contribute to Ingests only.
+// EngineStatus is the ingest engine's health: the pair count every raw
+// ingest's scan returned, and the ingests, accumulated over the server's
+// lifetime. Set ingests are stateless and bypass the engine, so they
+// contribute to Ingests only.
 type EngineStatus struct {
-	// Pairs is the total number of raw pairs pushed through engine
-	// pipelines; Ingests the completed raw-ingest requests.
+	// Pairs is the total number of raw pairs the scans of pps and
+	// bottom-k ingests consumed; Ingests the completed raw-ingest
+	// requests.
 	Pairs   uint64 `json:"pairs"`
 	Ingests uint64 `json:"ingests"`
 }
